@@ -93,8 +93,8 @@ func NewCoder(p Params) (*Coder, error) {
 
 // NewCoderKernel builds a Coder whose bulk multiplies run the given kernel
 // constructor — the selection seam the kernel benchmarks and the
-// FUSION_KERNEL_GATE use to race one kernel generation against another
-// (e.g. gf256.NewMulTable vs gf256.NewNibbleTable).
+// FUSION_KERNEL_GATE use to race the production kernel against the naive
+// log/exp oracle.
 func NewCoderKernel(p Params, kernel func(byte) gf256.Kernel) (*Coder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"github.com/fusionstore/fusion/internal/gf256"
 )
 
 // randShards builds n shards of the given size; the first k hold random
@@ -159,9 +157,9 @@ func TestDecodePlanCacheReuse(t *testing.T) {
 	}
 }
 
-// TestCoderKernelsAgree encodes the same stripes through the product-table
-// and nibble coders and requires bit-identical output — the seam-level
-// companion to the gf256 property tests.
+// TestCoderKernelsAgree encodes the same stripes through the nibble coder
+// and the naive encoder (the oracle) and requires bit-identical output — the
+// seam-level companion to the gf256 property tests.
 func TestCoderKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	f := func(seed int64) bool {
@@ -170,19 +168,14 @@ func TestCoderKernelsAgree(t *testing.T) {
 		n := k + 1 + r.Intn(6)
 		size := 1 + r.Intn(2*blockSize)
 		p := Params{N: n, K: k}
-		table, err := NewCoderKernel(p, func(c byte) gf256.Kernel { return gf256.NewMulTable(c) })
-		if err != nil {
-			t.Logf("NewCoderKernel: %v", err)
-			return false
-		}
-		nibble := MustCoder(p)
+		c := MustCoder(p)
 		a := randShards(r, p, size)
 		bShards := cloneShards(a)
-		if err := table.Encode(a); err != nil {
-			t.Logf("table Encode: %v", err)
+		if err := c.encodeNaive(a); err != nil {
+			t.Logf("naive Encode: %v", err)
 			return false
 		}
-		if err := nibble.Encode(bShards); err != nil {
+		if err := c.Encode(bShards); err != nil {
 			t.Logf("nibble Encode: %v", err)
 			return false
 		}
@@ -230,24 +223,12 @@ func benchEncodeCoder(b *testing.B, c *Coder, p Params, shardSize int, naive boo
 }
 
 // BenchmarkEncodeRS96 / RS1410 measure the default (nibble split-table)
-// parallel kernels on 1 MiB shards; the Table variants pin the previous
-// product-table generation and the Naive variants the seed kernel, so the
-// three generations read as one ladder.
+// parallel kernels on 1 MiB shards; the Naive variants pin the seed kernel
+// the production one is tested against.
 func BenchmarkEncodeRS96(b *testing.B)        { benchEncode(b, RS96, 1<<20, false) }
 func BenchmarkEncodeRS1410(b *testing.B)      { benchEncode(b, RS1410, 1<<20, false) }
 func BenchmarkEncodeNaiveRS96(b *testing.B)   { benchEncode(b, RS96, 1<<20, true) }
 func BenchmarkEncodeNaiveRS1410(b *testing.B) { benchEncode(b, RS1410, 1<<20, true) }
-
-func benchEncodeTable(b *testing.B, p Params, shardSize int) {
-	c, err := NewCoderKernel(p, func(coeff byte) gf256.Kernel { return gf256.NewMulTable(coeff) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEncodeCoder(b, c, p, shardSize, false)
-}
-
-func BenchmarkEncodeTableRS96(b *testing.B)   { benchEncodeTable(b, RS96, 1<<20) }
-func BenchmarkEncodeTableRS1410(b *testing.B) { benchEncodeTable(b, RS1410, 1<<20) }
 
 func BenchmarkReconstruct(b *testing.B) {
 	const shardSize = 1 << 20

@@ -3,11 +3,10 @@ package gf256
 import "encoding/binary"
 
 // Kernel is a bulk multiply-accumulate engine for one fixed coefficient —
-// the seam the erasure coder selects its inner loop through. Three
-// implementations exist, in ascending speed: the naive log/exp arithmetic
-// (MulSlice/MulAddSlice, kept as the property-test reference), the 256-entry
-// product table (MulTable), and the nibble split-table SWAR kernel
-// (NibbleTable).
+// the seam the erasure coder selects its inner loop through. Two
+// implementations exist: the naive log/exp arithmetic (MulSlice/MulAddSlice,
+// kept as the property-test reference) and the production nibble
+// split-table SWAR kernel (NibbleTable).
 type Kernel interface {
 	// Coefficient returns the coefficient the kernel was built for.
 	Coefficient() byte
@@ -160,5 +159,26 @@ func (t *NibbleTable) mulSWAR(src, dst []byte, start int) {
 	for ; i < n; i++ {
 		s := src[i]
 		dst[i] = t.lo[s&0x0f] ^ t.hi[s>>4]
+	}
+}
+
+// XorSlice sets dst[i] ^= src[i] for all i of src, 32 bytes per step via
+// unaligned uint64 loads — the coefficient-1 fast path (GF(2^8) addition).
+func XorSlice(src, dst []byte) {
+	n := len(src)
+	i := 0
+	for ; i+32 <= n; i += 32 {
+		s := src[i : i+32 : i+32]
+		d := dst[i : i+32 : i+32]
+		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(s[0:])^binary.LittleEndian.Uint64(d[0:]))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:])^binary.LittleEndian.Uint64(d[8:]))
+		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(s[16:])^binary.LittleEndian.Uint64(d[16:]))
+		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(s[24:])^binary.LittleEndian.Uint64(d[24:]))
+	}
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:])^binary.LittleEndian.Uint64(dst[i:]))
+	}
+	for ; i < n; i++ {
+		dst[i] ^= src[i]
 	}
 }

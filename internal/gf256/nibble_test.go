@@ -139,18 +139,51 @@ func TestNibbleTails(t *testing.T) {
 	}
 }
 
-// BenchmarkGF256MulAddNibble pits the nibble SWAR kernel against the product
-// table on the same 64 KiB buffer BenchmarkGF256MulAdd uses, so the two
-// suites read side by side.
-func BenchmarkGF256MulAddNibble(b *testing.B) {
+func TestXorSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000} {
+		src := make([]byte, n)
+		dst := make([]byte, n)
+		rng.Read(src)
+		rng.Read(dst)
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = src[i] ^ dst[i]
+		}
+		XorSlice(src, dst)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("XorSlice length %d mismatch", n)
+		}
+	}
+}
+
+// BenchmarkGF256MulAdd compares the naive byte-wise kernel, the nibble
+// kernel and its coefficient-1 XOR fast path on a 64 KiB buffer (a typical
+// encode sub-range).
+func BenchmarkGF256MulAdd(b *testing.B) {
 	const size = 64 << 10
 	src := make([]byte, size)
 	dst := make([]byte, size)
 	rand.New(rand.NewSource(14)).Read(src)
-	tab := NewNibbleTable(0x8e)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab.MulAdd(src, dst)
+	const coeff = 0x8e
+
+	b.Run("naive", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MulAddSlice(coeff, src, dst)
+		}
+	})
+	for _, k := range []struct {
+		name string
+		tab  *NibbleTable
+	}{{"nibble", NewNibbleTable(coeff)}, {"xor", NewNibbleTable(1)}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.tab.MulAdd(src, dst)
+			}
+		})
 	}
 }

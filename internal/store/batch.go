@@ -13,16 +13,16 @@ import (
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
-// This file is the coordinator side of scatter-gather batching: the query
+// This file is the coordinator side of scatter-gather dispatch: the query
 // stages and multi-segment Gets plan their per-node sub-requests first, ship
-// one KindBatch frame per node, and fall back per-op only for the
-// sub-requests whose batched attempt failed. On a small-chunk scan this
-// collapses one round trip per chunk into one per node per stage.
+// one KindBatch frame per node, and serve from the coordinator-side fetch
+// path only the sub-requests that got no answer. On a small-chunk scan this
+// is one round trip per node per stage instead of one per chunk.
 
 // batchCall dispatches subs to one node as scatter-gather frames (chunked at
 // rpc.MaxBatchOps) and returns index-aligned sub-responses. A transport or
 // outer application error fails the whole call — callers treat that as "all
-// subs failed" and fall back per-op. When st is non-nil the call accounts
+// subs failed" and fall back. When st is non-nil the call accounts
 // one simulated operation per frame (the whole point: one RPC overhead and
 // one round trip amortized over every sub-request in the frame).
 func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, error) {
@@ -73,10 +73,17 @@ func chunkLocation(meta *ObjectMeta, rg, ci int, ch lpq.ChunkMeta) (node int, re
 	}, true
 }
 
+// pushdownOn reports whether operators may run on storage nodes for this
+// object: the store executes by pushdown and FAC kept every chunk whole on
+// one node. (A Fusion store's fixed-layout fallback objects answer false.)
+func (s *Store) pushdownOn(meta *ObjectMeta) bool {
+	return s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+}
+
 // pushProjection applies the projection pushdown policy (the Cost Equation
 // under PushdownAdaptive, §4.3) to one chunk.
 func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64) bool {
-	if s.opts.Exec != ExecPushdown || meta.Mode != LayoutFAC {
+	if !s.pushdownOn(meta) {
 		return false
 	}
 	switch s.opts.Pushdown {
@@ -104,22 +111,79 @@ func exprLeaves(e sql.Expr, out []*sql.Compare) []*sql.Compare {
 	return out
 }
 
-// filterStageBatched computes every row group's selection bitmap with the
-// stage's leaf pushdowns planned globally: ONE scatter-gather frame per node
-// covering every (row group, leaf) pair that node hosts — sub-ops carry the
-// row-group id in Request.RG — instead of one frame per node per row group.
-// The planner's shortcuts are applied first and never touch the network:
-// whole row groups pruned (or accepted) by the footer-stats verdict, then
-// per-leaf chunk-stats verdicts. Leaves whose batched filter failed (node
-// down, corrupt chunk, lost frame) fall back to fetching the chunk during
-// consolidation, exactly like the per-op path.
-func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
+// nodeReq is one planned pushdown sub-request and the node hosting its
+// chunk(s).
+type nodeReq struct {
+	node int
+	req  rpc.Request
+}
+
+// scatter is the one dispatch path of every pushed query operator: it ships
+// a stage's planned sub-requests as one KindBatch frame per node (frames go
+// out concurrently) and returns index-aligned sub-responses. The fallback
+// contract: a nil entry means the sub-request got no usable answer — its
+// frame was lost (node down, deadline, transport error) or the node failed
+// that one sub-op — and the caller serves it from its coordinator-side fetch
+// path; scatter itself never fails a query. With pushdown impossible
+// (baseline, fixed-layout fallback, no WHERE) callers plan nothing, scatter
+// does nothing, and every unit of work takes that same fallback. Each frame
+// accounts into a forked state, joined in node-first-appearance order, so
+// the stage's cost sheet is independent of worker scheduling.
+func (s *Store) scatter(st *execState, reqs []nodeReq) []*rpc.Response {
+	type nodeGroup struct {
+		node int
+		subs []rpc.Request
+		idx  []int // position in reqs of each sub
+		sub  *execState
+	}
+	groups := make(map[int]*nodeGroup)
+	var order []*nodeGroup
+	for i := range reqs {
+		g := groups[reqs[i].node]
+		if g == nil {
+			g = &nodeGroup{node: reqs[i].node, sub: st.fork()}
+			groups[g.node] = g
+			order = append(order, g)
+		}
+		g.subs = append(g.subs, reqs[i].req)
+		g.idx = append(g.idx, i)
+	}
+	out := make([]*rpc.Response, len(reqs))
+	runTasks(s.queryWorkers(), len(order), func(i int) {
+		g := order[i]
+		resps, err := s.batchCall(g.sub.ctx, g.sub, g.sub.sp, g.node, g.subs)
+		if err != nil {
+			return // whole frame lost: every sub on this node falls back
+		}
+		for j := range resps {
+			if resps[j].Err == "" {
+				out[g.idx[j]] = &resps[j]
+			}
+		}
+	})
+	for _, g := range order {
+		st.join(g.sub)
+	}
+	return out
+}
+
+// filterStage computes the selection bitmap of every row group; a nil entry
+// means the row group is provably empty. The stage's leaf pushdowns are
+// planned globally — every (row group, leaf) pair a node hosts rides that
+// node's one frame, sub-ops carrying the row-group id in Request.RG — after
+// the planner's shortcuts, which never touch the network: whole row groups
+// pruned (or accepted) by the footer-stats verdict, then per-leaf chunk-stats
+// verdicts. Leaves without a pushed bitmap (nothing planned, node down,
+// corrupt chunk, lost frame) are evaluated at the coordinator over the
+// fetched chunk during consolidation.
+func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
 	meta := st.meta
 	rgs := meta.Footer.RowGroups
+	push := s.pushdownOn(meta)
 	leaves := exprLeaves(q.Where, nil)
 	type rgState struct {
 		pruned bool // footer stats prove no row matches
-		full   bool // footer stats prove every row matches
+		full   bool // no WHERE, or footer stats prove every row matches
 		pre    map[*sql.Compare]*bitmap.Bitmap
 	}
 	states := make([]rgState, len(rgs))
@@ -128,17 +192,15 @@ func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[strin
 		cmp *sql.Compare
 		ch  lpq.ChunkMeta
 	}
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		leafs []leafRef
-		bms   []*bitmap.Bitmap // filled by this node's dispatch task
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
+	var reqs []nodeReq
+	var refs []leafRef // refs[j] is the leaf reqs[j] answers
 	for rg := range rgs {
 		rs := &states[rg]
-		switch rgVerdict(q.Where, meta.Footer, colIdx, rg) {
+		verdict := sql.StatsAll
+		if q.Where != nil {
+			verdict = rgVerdict(q.Where, meta.Footer, colIdx, rg)
+		}
+		switch verdict {
 		case sql.StatsNone:
 			rs.pruned = true
 			continue
@@ -151,10 +213,8 @@ func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[strin
 		for _, c := range leaves {
 			ci := colIdx[c.Column]
 			ch := rgs[rg].Chunks[ci]
-			colType := meta.Footer.Columns[ci].Type
-			// Chunk-level stats shortcut (no I/O at all), same as the per-op
-			// path.
-			switch sql.CheckStats(c, colType, ch.Stats) {
+			// Chunk-level stats shortcut (no I/O at all).
+			switch sql.CheckStats(c, meta.Footer.Columns[ci].Type, ch.Stats) {
 			case sql.StatsNone:
 				rs.pre[c] = bitmap.New(nRows)
 				continue
@@ -162,72 +222,38 @@ func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[strin
 				rs.pre[c] = bitmap.NewFull(nRows)
 				continue
 			}
+			if !push {
+				continue
+			}
 			node, ref, ok := chunkLocation(meta, rg, ci, ch)
 			if !ok {
-				continue // no item: the fallback closure fetches locally
+				continue // no item: consolidation fetches the chunk
 			}
-			g := groups[node]
-			if g == nil {
-				g = &nodeGroup{node: node}
-				groups[node] = g
-				order = append(order, g)
-			}
-			g.subs = append(g.subs, rpc.Request{
+			reqs = append(reqs, nodeReq{node, rpc.Request{
 				Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg),
-			})
-			g.leafs = append(g.leafs, leafRef{rg: rg, cmp: c, ch: ch})
+			}})
+			refs = append(refs, leafRef{rg: rg, cmp: c, ch: ch})
 		}
 	}
-	// Ship the stage: the per-node frames go out concurrently, each task
-	// accounting into a forked state; forks are joined in node-first-
-	// appearance order so the cost sheets stay deterministic. Each task
-	// writes only its own group's bms slice — the shared pre maps are
-	// filled sequentially below.
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		if sub.ctx.Err() != nil {
-			return // cancelled: leaves fall back (and consolidation re-checks)
-		}
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // whole frame lost: every leaf on this node falls back
-		}
-		g.bms = make([]*bitmap.Bitmap, len(g.leafs))
-		for j, lr := range g.leafs {
-			if resps[j].Err != "" {
-				continue
-			}
-			bm, err := bitmap.Unmarshal(resps[j].Data)
-			if err != nil || bm.Len() != rgs[lr.rg].NumRows {
-				continue
-			}
-			// The filter logically touched the chunk but only the bitmap
-			// crossed the network.
-			sub.sp.Count(trace.BytesRequested, lr.ch.Size)
-			sub.stats.FilterRPCs++
-			g.bms[j] = bm
-		}
-	})
-	for i, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-		g := order[i]
-		if g.bms == nil {
+	for j, resp := range s.scatter(st, reqs) {
+		if resp == nil {
 			continue
 		}
-		for j, lr := range g.leafs {
-			if g.bms[j] != nil {
-				states[lr.rg].pre[lr.cmp] = g.bms[j]
-			}
+		lr := refs[j]
+		bm, err := bitmap.Unmarshal(resp.Data)
+		if err != nil || bm.Len() != rgs[lr.rg].NumRows {
+			continue
 		}
+		// The filter logically touched the chunk but only the bitmap crossed
+		// the network — this is what pulls query read amplification below 1.
+		st.sp.Count(trace.BytesRequested, lr.ch.Size)
+		st.stats.FilterRPCs++
+		states[lr.rg].pre[lr.cmp] = bm
 	}
-	// Consolidate per row group on the worker pool (the fallback path
-	// fetches chunks, so this can do real I/O), forked and joined in
-	// row-group order exactly like the per-op filterStage.
+	// Consolidate per row group on the worker pool (the fallback fetches
+	// chunks, so this can do real I/O). Each task accounts into a forked
+	// state and the forks are joined in row-group order, so the stage's
+	// output and cost sheet match a serial run exactly.
 	type rgResult struct {
 		bm  *bitmap.Bitmap
 		sub *execState
@@ -245,7 +271,8 @@ func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[strin
 			r.bm = bitmap.NewFull(nRows)
 			return
 		}
-		// Row-group boundary is the consolidation's cancellation checkpoint.
+		// Row-group boundary is the stage's cancellation checkpoint: once the
+		// caller gives up, the remaining row groups do no work.
 		if err := st.ctx.Err(); err != nil {
 			r.err = err
 			return
@@ -290,11 +317,10 @@ func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[strin
 }
 
 // chunkTask is one unit of projection-stage work: materializing (or in-situ
-// aggregating) the selected rows of one chunk. pre carries the chunk's
-// sub-response from the scatter-gather pre-dispatch; nil means the task runs
-// (or falls back) per-op.
+// aggregating) the selected rows of one chunk. pre is the chunk's pushed
+// sub-response; nil means the task fetches the chunk and works locally.
 type chunkTask struct {
-	rg      int
+	rg, ci  int
 	name    string
 	agg     bool
 	sub     *execState
@@ -302,79 +328,6 @@ type chunkTask struct {
 	partial *sql.AggState
 	err     error
 	pre     *rpc.Response
-}
-
-// predispatchChunkTasks ships the projection stage's pushdown work as one
-// scatter-gather frame per node (concurrently across nodes) and attaches
-// each successful sub-response to its task. Tasks whose chunk is not pushed
-// down — or whose sub-request failed — are left for the per-op workers.
-// Group accounting is forked per node and joined in node-first-appearance
-// order, keeping the cost sheets deterministic.
-func (s *Store) predispatchChunkTasks(st *execState, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap, tasks []*chunkTask) {
-	meta := st.meta
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		tasks []*chunkTask
-		chs   []lpq.ChunkMeta
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
-	for _, t := range tasks {
-		ci := colIdx[t.name]
-		ch := meta.Footer.RowGroups[t.rg].Chunks[ci]
-		bm := rgBitmaps[t.rg]
-		node, ref, ok := chunkLocation(meta, t.rg, ci, ch)
-		if !ok {
-			continue
-		}
-		var req rpc.Request
-		if t.agg {
-			// Aggregate-only tasks exist only when aggregate pushdown is on.
-			req = rpc.Request{Kind: rpc.KindAggregate, Chunk: ref, Bitmap: bm.Marshal()}
-		} else {
-			if !s.pushProjection(meta, ch, bm.Selectivity()) {
-				continue
-			}
-			req = rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: bm.Marshal()}
-		}
-		g := groups[node]
-		if g == nil {
-			g = &nodeGroup{node: node}
-			groups[node] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, req)
-		g.tasks = append(g.tasks, t)
-		g.chs = append(g.chs, ch)
-	}
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // every task in the group falls back per-op
-		}
-		for j, t := range g.tasks {
-			if resps[j].Err != "" {
-				continue
-			}
-			t.pre = &resps[j]
-			sub.sp.Count(trace.BytesRequested, g.chs[j].Size)
-			if t.agg {
-				sub.stats.AggregateRPCs++
-			} else {
-				sub.stats.ProjectRPCs++
-			}
-		}
-	})
-	for _, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-	}
 }
 
 // blockKey identifies one data block of an object: (stripe, bin).
@@ -385,7 +338,7 @@ type blockKey struct{ stripe, bin int }
 // are served directly; fetched blocks are verified against the stripe
 // checksums exactly like a direct read and admitted to the cache. A block
 // absent from the returned map (failed frame, failed sub-read, checksum
-// mismatch) is left to readSegments' per-op path, which retries and falls
+// mismatch) is left to readSegments' per-block path, which retries and falls
 // into RS reconstruction.
 func (s *Store) prefetchWholeBlocks(ctx context.Context, sp *trace.Span, meta *ObjectMeta, need []blockKey) map[blockKey][]byte {
 	whole := make(map[blockKey][]byte, len(need))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -13,8 +12,9 @@ import (
 )
 
 // queryRoundTrips runs one traced query and returns the result plus the
-// data-plane round trips the trace recorded.
-func queryRoundTrips(t *testing.T, s *Store, query string) (*Result, uint64) {
+// data-plane round trips the trace recorded: for the whole query, and for
+// the filter stage's subtree alone.
+func queryRoundTrips(t *testing.T, s *Store, query string) (res *Result, total, filter uint64) {
 	t.Helper()
 	ctx, sp := trace.Start(context.Background(), "test.query")
 	res, err := s.QueryContext(ctx, query)
@@ -22,28 +22,43 @@ func queryRoundTrips(t *testing.T, s *Store, query string) (*Result, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, sp.Total(trace.RoundTrips)
+	var sum func(trace.SpanJSON, bool) uint64
+	sum = func(n trace.SpanJSON, inFilter bool) uint64 {
+		inFilter = inFilter || n.Name == "filter"
+		var trips uint64
+		if inFilter {
+			trips = n.Counters["round_trips"]
+		}
+		for _, c := range n.Children {
+			trips += sum(c, inFilter)
+		}
+		return trips
+	}
+	return res, sp.Total(trace.RoundTrips), sum(sp.Snapshot(), false)
 }
 
-// batchedAndUnbatchedStores builds two identical simnet deployments of the
-// same object, one with scatter-gather batching and one without.
-func batchedAndUnbatchedStores(t *testing.T, opts Options, data []byte) (batched, unbatched *Store) {
+// pushdownAndBaselineStores builds two simnet deployments of the same
+// object: one under opts (a pushdown configuration) and one under
+// BaselineOptions — fixed blocks small enough to split chunks, evaluated
+// wholly at the coordinator, sharing no node-side operator with the first.
+func pushdownAndBaselineStores(t *testing.T, opts Options, data []byte) (push, base *Store) {
 	t.Helper()
-	mk := func(disable bool) *Store {
-		o := opts
-		o.DisableBatch = disable
+	mk := func(o Options) *Store {
 		s, _ := newSimStore(t, o)
 		if _, err := s.Put("obj", data); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	return mk(false), mk(true)
+	baseline := BaselineOptions()
+	baseline.FixedBlockSize = 8192
+	return mk(opts), mk(baseline)
 }
 
-// TestBatchedQueryEquivalence checks that batching is invisible to query
-// results across pushdown policies and aggregate pushdown.
-func TestBatchedQueryEquivalence(t *testing.T) {
+// TestPushdownQueryEquivalence checks that node-side execution is invisible
+// to query results across pushdown policies and aggregate pushdown: every
+// configuration must agree with coordinator-side evaluation bit for bit.
+func TestPushdownQueryEquivalence(t *testing.T) {
 	data, _, _ := makeObject(t, 6, 300, 11)
 	queries := []string{
 		"SELECT * FROM obj WHERE qty < 25",
@@ -56,76 +71,67 @@ func TestBatchedQueryEquivalence(t *testing.T) {
 			opts := fusionTestOptions()
 			opts.Pushdown = policy
 			opts.AggregatePushdown = aggPush
-			b, u := batchedAndUnbatchedStores(t, opts, data)
+			p, b := pushdownAndBaselineStores(t, opts, data)
 			for _, q := range queries {
-				got, err := b.Query(q)
+				got, err := p.Query(q)
 				if err != nil {
 					t.Fatalf("%v/agg=%v %q: %v", policy, aggPush, q, err)
 				}
-				want, err := u.Query(q)
+				want, err := b.Query(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got.Data, want.Data) ||
-					!reflect.DeepEqual(got.AggValues, want.AggValues) ||
-					got.Rows != want.Rows {
-					t.Fatalf("%v/agg=%v %q: batched and unbatched results differ", policy, aggPush, q)
+				if g, w := resultKey(got), resultKey(want); g != w {
+					t.Fatalf("%v/agg=%v %q: pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s",
+						policy, aggPush, q, g, w)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchedQueryRoundTrips is the deterministic batching assertion: a
-// small-chunk pushdown scan must reach each node in at most one data round
-// trip per stage per row-group scan — filter frames bounded by the row
-// groups (times the nodes its chunks touch), projection frames bounded by
-// the node count — and far fewer round trips than per-op dispatch.
-func TestBatchedQueryRoundTrips(t *testing.T) {
+// TestQueryRoundTrips is the deterministic dispatch assertion: a small-chunk
+// pushdown scan reaches each node in at most one data round trip per stage,
+// however many row groups and chunks it touches — the filter stage costs at
+// most one frame per node, and so does the projection stage.
+func TestQueryRoundTrips(t *testing.T) {
 	const rowGroups = 10
 	data, _, _ := makeObject(t, rowGroups, 200, 7)
 	opts := fusionTestOptions()
 	opts.Pushdown = PushdownAlways
-	b, u := batchedAndUnbatchedStores(t, opts, data)
+	p, b := pushdownAndBaselineStores(t, opts, data)
 
 	const query = "SELECT * FROM obj WHERE qty < 25"
-	resB, rtB := queryRoundTrips(t, b, query)
-	resU, rtU := queryRoundTrips(t, u, query)
-	if !reflect.DeepEqual(resB.Data, resU.Data) || resB.Rows != resU.Rows {
-		t.Fatal("batched and unbatched results differ")
+	res, total, filter := queryRoundTrips(t, p, query)
+	want, baseTotal, _ := queryRoundTrips(t, b, query)
+	if g, w := resultKey(res), resultKey(want); g != w {
+		t.Fatalf("pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s", g, w)
 	}
 
-	nodes := b.client.NumNodes()
-	// Filter: one WHERE leaf per row group, so ≤1 frame per row group.
-	// Projection: one frame per node holding pushed chunks. Everything else
-	// (meta quorum reads) is control plane and uncounted.
-	maxBatched := uint64(rowGroups + nodes)
-	if rtB > maxBatched {
-		t.Fatalf("batched query took %d data round trips, want ≤ %d", rtB, maxBatched)
+	// Everything else (meta quorum reads) is control plane and uncounted.
+	nodes := uint64(p.client.NumNodes())
+	if filter == 0 || filter > nodes {
+		t.Fatalf("filter stage took %d data round trips, want 1..%d (one frame per node)", filter, nodes)
 	}
-	// Per-op dispatch pays one round trip per logical operation.
-	wantU := uint64(resU.Stats.FilterRPCs + resU.Stats.ProjectRPCs + resU.Stats.FetchRPCs)
-	if rtU != wantU {
-		t.Fatalf("unbatched round trips = %d, want %d (one per op)", rtU, wantU)
+	if total > 2*nodes {
+		t.Fatalf("query took %d data round trips, want ≤ %d (one frame per node per stage)", total, 2*nodes)
 	}
-	if rtB*2 > rtU {
-		t.Fatalf("batching saved too little: %d vs %d round trips", rtB, rtU)
+	// The work those frames carried: one filter per row group, one
+	// projection per chunk of the five-column schema.
+	st := res.Stats
+	if st.FilterRPCs != rowGroups || st.ProjectRPCs != 5*rowGroups || st.FetchRPCs != 0 {
+		t.Fatalf("pushed ops: filter %d project %d fetch %d, want %d/%d/0",
+			st.FilterRPCs, st.ProjectRPCs, st.FetchRPCs, rowGroups, 5*rowGroups)
 	}
-	if resB.Stats.BatchRPCs == 0 {
-		t.Fatal("batched query reported zero batch frames")
+	if uint64(st.BatchRPCs) != total {
+		t.Fatalf("BatchRPCs = %d, trace recorded %d round trips", st.BatchRPCs, total)
 	}
-
-	// The simulated latency win on a small-chunk scan: per-op dispatch pays
-	// RPCOverhead per chunk, batching pays it per frame.
-	simB, simU := resB.Stats.Sim.Total, resU.Stats.Sim.Total
-	if simB <= 0 || simU <= 0 {
-		t.Fatalf("missing simulated latencies: batched %v, unbatched %v", simB, simU)
+	// The baseline pays one round trip per fetched chunk fragment.
+	if baseTotal != uint64(want.Stats.FetchRPCs) {
+		t.Fatalf("baseline round trips = %d, want %d (one per fetch)", baseTotal, want.Stats.FetchRPCs)
 	}
-	if float64(simU) < 1.5*float64(simB) {
-		t.Fatalf("batched query simulated %v, unbatched %v: want ≥1.5x speedup", simB, simU)
-	}
-	t.Logf("round trips: batched %d vs unbatched %d; simulated: %v vs %v (%.2fx)",
-		rtB, rtU, simB, simU, float64(simU)/float64(simB))
+	t.Logf("round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
+		total, filter, baseTotal, res.Stats.Sim.Total, want.Stats.Sim.Total)
 }
 
 // TestBatchedGetRoundTrips checks that a multi-segment Get reaches each node
@@ -133,31 +139,31 @@ func TestBatchedQueryRoundTrips(t *testing.T) {
 // returns identical bytes.
 func TestBatchedGetRoundTrips(t *testing.T) {
 	data, _, _ := makeObject(t, 12, 400, 13)
-	b, u := batchedAndUnbatchedStores(t, fusionTestOptions(), data)
-
-	get := func(s *Store) ([]byte, uint64) {
-		ctx, sp := trace.Start(context.Background(), "test.get")
-		got, err := s.GetContext(ctx, "obj", 0, 0)
-		sp.End()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, sp.Total(trace.RoundTrips)
+	s, _ := newSimStore(t, fusionTestOptions())
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
 	}
-	gotB, rtB := get(b)
-	gotU, rtU := get(u)
-
-	if !bytes.Equal(gotB, data) || !bytes.Equal(gotU, data) {
+	ctx, sp := trace.Start(context.Background(), "test.get")
+	got, err := s.GetContext(ctx, "obj", 0, 0)
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
 		t.Fatal("Get returned wrong bytes")
 	}
-	nodes := uint64(b.client.NumNodes())
-	if rtU <= nodes {
-		t.Skipf("object too small to exercise batching: %d blocks over %d nodes", rtU, nodes)
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rtB > nodes {
-		t.Fatalf("batched Get took %d data round trips over %d nodes, want ≤ 1 per node", rtB, nodes)
+	blocks := uint64(len(meta.Stripes) * s.opts.Params.K)
+	nodes := uint64(s.client.NumNodes())
+	if blocks <= nodes {
+		t.Fatalf("object too small to exercise batching: %d data blocks over %d nodes", blocks, nodes)
 	}
-	t.Logf("Get round trips: batched %d vs unbatched %d (%d nodes)", rtB, rtU, nodes)
+	if rt := sp.Total(trace.RoundTrips); rt > nodes {
+		t.Fatalf("Get of %d blocks took %d data round trips over %d nodes, want ≤ 1 per node", blocks, rt, nodes)
+	}
 }
 
 // TestPooledBuffersNotAliased is the poison-on-put alias check, run under

@@ -81,10 +81,7 @@ func (s *Store) getWithMeta(ctx context.Context, sp *trace.Span, meta *ObjectMet
 		return []byte{}, nil
 	}
 	sp.Count(trace.BytesRequested, length)
-	if meta.Mode == LayoutFAC {
-		return s.getFAC(ctx, sp, meta, offset, length)
-	}
-	return s.getFixed(ctx, sp, meta, offset, length)
+	return s.readSegments(ctx, sp, meta, s.segments(meta, offset, length), length)
 }
 
 // refreshedMeta re-resolves an object's metadata against the quorum after a
@@ -102,7 +99,7 @@ func (s *Store) refreshedMeta(name string, old *ObjectMeta) *ObjectMeta {
 	return fresh
 }
 
-// segment is one contiguous piece of a Get: a byte range of one stripe's
+// segment is one contiguous piece of a read: a byte range of one stripe's
 // data bin, destined for out[outStart:outStart+length].
 type segment struct {
 	stripe, bin int
@@ -110,55 +107,60 @@ type segment struct {
 	outStart    uint64
 }
 
-// getFAC gathers the range from the items covering it.
-func (s *Store) getFAC(ctx context.Context, sp *trace.Span, meta *ObjectMeta, offset, length uint64) ([]byte, error) {
-	segs := make([]segment, 0, len(meta.Items))
-	var pos uint64
+// segments plans the read of object bytes [offset, offset+length): the
+// stripe-bin ranges covering it, for either layout. FAC walks the item table
+// (item i lives at ItemLocs[i], and a range may cross items packed into
+// different bins); fixed layout is arithmetic — block i of the object is bin
+// i%k of stripe i/k. Every read-side consumer derives its spans here: Get, a
+// query's chunk fetch, chunk repair and ChunkNodeSpan. The caller has
+// bounds-checked the range against meta.Size.
+func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 	end := offset + length
-	for i, it := range meta.Items {
-		itEnd := it.Offset + it.Size
-		if itEnd <= offset || it.Offset >= end || it.Size == 0 {
-			continue
+	if meta.Mode == LayoutFAC {
+		overlaps := func(it Item) bool {
+			return it.Size != 0 && it.Offset < end && it.Offset+it.Size > offset
 		}
-		a := max(offset, it.Offset) - it.Offset // start within item
-		b := min(end, itEnd) - it.Offset        // end within item
-		loc := meta.ItemLocs[i]
-		segs = append(segs, segment{
-			stripe: loc.Stripe, bin: loc.Bin,
-			off: loc.BinOffset + a, length: b - a, outStart: pos,
-		})
-		pos += b - a
+		n := 0
+		for _, it := range meta.Items {
+			if overlaps(it) {
+				n++
+			}
+		}
+		segs := make([]segment, 0, n) // exact: one allocation per plan
+		for i, it := range meta.Items {
+			if !overlaps(it) {
+				continue
+			}
+			a := max(offset, it.Offset) // absolute start of the overlap
+			loc := meta.ItemLocs[i]
+			segs = append(segs, segment{
+				stripe: loc.Stripe, bin: loc.Bin,
+				off:    loc.BinOffset + a - it.Offset,
+				length: min(end, it.Offset+it.Size) - a, outStart: a - offset,
+			})
+		}
+		return segs
 	}
-	if pos != length {
-		return nil, fmt.Errorf("store: assembled %d bytes, want %d", pos, length)
-	}
-	return s.readSegments(ctx, sp, meta, segs, length)
-}
-
-// getFixed gathers the range from fixed blocks.
-func (s *Store) getFixed(ctx context.Context, sp *trace.Span, meta *ObjectMeta, offset, length uint64) ([]byte, error) {
-	var segs []segment
 	bs := meta.BlockSize
 	k := uint64(s.opts.Params.K)
-	end := offset + length
+	var segs []segment
 	for pos := offset; pos < end; {
 		blockIdx := pos / bs
-		stripe := int(blockIdx / k)
-		bin := int(blockIdx % k)
 		within := pos - blockIdx*bs
 		n := min(bs-within, end-pos)
 		segs = append(segs, segment{
-			stripe: stripe, bin: bin, off: within, length: n, outStart: pos - offset,
+			stripe: int(blockIdx / k), bin: int(blockIdx % k),
+			off: within, length: n, outStart: pos - offset,
 		})
 		pos += n
 	}
-	return s.readSegments(ctx, sp, meta, segs, length)
+	return segs
 }
 
-// readSegments assembles a Get's segments into one buffer. Segments that
-// together cover their whole block — the common case for full-object and
-// row-group reads, where the items of a block tile it exactly — are served
-// by a single whole-block read, fetched and verified once no matter how
+// readSegments assembles a read's planned segments into one buffer. Segments
+// that together cover their whole block — the common case for full-object
+// and row-group reads, where the items of a block tile it exactly — are
+// served by a single whole-block read, fetched and verified once no matter how
 // many items it holds; the rest fall back to per-range reads. Coalescing is
 // what keeps verified reads at one checksum pass per block end to end: the
 // coordinator checks the received block against the stripe checksum in its
@@ -169,15 +171,20 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 	// Bytes requested per block; ranges never overlap (items are disjoint),
 	// so covering DataLens bytes means tiling the whole block.
 	covered := make(map[blockKey]uint64, len(segs))
+	var planned uint64
 	for _, g := range segs {
 		covered[blockKey{g.stripe, g.bin}] += g.length
+		planned += g.length
+	}
+	if planned != length {
+		return nil, fmt.Errorf("store: assembled %d bytes, want %d", planned, length)
 	}
 	whole := make(map[blockKey][]byte)
-	if s.batchOn() && s.opts.HedgeAfter <= 0 {
+	if s.opts.HedgeAfter <= 0 {
 		// Scatter-gather: collect the distinct whole-block reads this Get
 		// needs and fetch them with one batch frame per node, instead of one
 		// round trip per block. Blocks the prefetch could not serve fall
-		// back to the per-op (retrying, reconstructing) path below.
+		// back to the per-block (retrying, reconstructing) path below.
 		var need []blockKey
 		seen := make(map[blockKey]bool, len(covered))
 		for _, g := range segs {

@@ -7,7 +7,6 @@ import (
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -36,11 +35,8 @@ type groupWork struct {
 	sub      *execState
 	partials []sql.GroupPartial
 	err      error
-	pre      *rpc.Response // batched sub-response, when successful
+	pre      *rpc.Response // the node's partial states, when pushed and answered
 	push     bool          // planner chose node-side partial aggregation
-	node     int
-	keyRefs  []rpc.ChunkRef
-	valRefs  []rpc.ChunkRef
 	// chunkBytes is the stored size of the row group's key and argument
 	// chunks — the bytes a pushed op logically touched, for trace
 	// accounting.
@@ -98,8 +94,10 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	// Plan each surviving row group: node-side partial aggregation needs the
 	// key and argument chunks co-located on one node AND the planner's
 	// partial-vs-chunk cost check to pass.
-	cfgPush := s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+	cfgPush := s.pushdownOn(meta)
 	var works []*groupWork
+	var reqs []nodeReq
+	var reqWorks []*groupWork // reqWorks[j] is the row group reqs[j] answers
 	for rg := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
 		if bm == nil || bm.Count() == 0 {
@@ -109,8 +107,16 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		if cfgPush {
 			node, keyRefs, valRefs, chunkBytes, ok := groupChunkRefs(meta, rg, keyIdx, valIdx)
 			if ok && planGroupPush(meta, rg, keyIdx, valIdx, bm.Count()) {
-				w.push, w.node = true, node
-				w.keyRefs, w.valRefs, w.chunkBytes = keyRefs, valRefs, chunkBytes
+				w.push, w.chunkBytes = true, chunkBytes
+				reqs = append(reqs, nodeReq{node, rpc.Request{
+					Kind:      rpc.KindGroupAgg,
+					Bitmap:    bm.Marshal(),
+					KeyChunks: keyRefs,
+					ValChunks: valRefs,
+					AggKinds:  kinds,
+					MaxGroups: maxNodeGroups,
+				}})
+				reqWorks = append(reqWorks, w)
 			} else {
 				// A pushdown deployment couldn't offload this row group:
 				// either the key/argument chunks are not co-located on one
@@ -122,23 +128,23 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		}
 		works = append(works, w)
 	}
-
-	if s.batchOn() {
-		s.predispatchGroupWorks(st, works, kinds, rgBitmaps)
+	for j, resp := range s.scatter(st, reqs) {
+		if resp == nil {
+			continue
+		}
+		w := reqWorks[j]
+		w.pre = resp
+		st.sp.Count(trace.BytesRequested, w.chunkBytes)
+		st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
+		st.stats.GroupAggRPCs++
+		st.stats.PartialGroups += len(resp.Groups)
 	}
 	runTasks(s.queryWorkers(), len(works), func(i int) {
 		w := works[i]
 		w.sub = st.fork()
-		bm := rgBitmaps[w.rg]
 		if w.pre != nil {
 			w.partials = w.pre.Groups
 			return
-		}
-		if w.push && !s.batchOn() {
-			if partials, err := s.pushdownGroupAgg(w.sub, w, kinds, bm); err == nil {
-				w.partials = partials
-				return
-			}
 		}
 		if w.push {
 			// The pushed attempt failed — node down, or it hit the
@@ -146,7 +152,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 			w.sub.stats.GroupSpills++
 			w.sub.sp.Count(trace.GroupSpills, 1)
 		}
-		w.partials, w.err = s.localGroupRG(w.sub, w.rg, keyIdx, valIdx, kinds, bm)
+		w.partials, w.err = s.localGroupRG(w.sub, w.rg, keyIdx, valIdx, kinds, rgBitmaps[w.rg])
 	})
 
 	// Merge partials in row-group order — the canonical reduction.
@@ -230,94 +236,6 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		res.Data = append(res.Data, aggColumn(meta, aggs[ai], groups, ai))
 	}
 	return res, nil
-}
-
-// predispatchGroupWorks ships the stage's pushed row groups as one
-// scatter-gather frame per node (concurrently across nodes) and attaches
-// each successful sub-response. Failed sub-ops and frames are left for the
-// workers' coordinator-side fallback.
-func (s *Store) predispatchGroupWorks(st *execState, works []*groupWork, kinds []sql.AggKind, rgBitmaps map[int]*bitmap.Bitmap) {
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		works []*groupWork
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
-	for _, w := range works {
-		if !w.push {
-			continue
-		}
-		g := groups[w.node]
-		if g == nil {
-			g = &nodeGroup{node: w.node}
-			groups[w.node] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, rpc.Request{
-			Kind:      rpc.KindGroupAgg,
-			Bitmap:    rgBitmaps[w.rg].Marshal(),
-			KeyChunks: w.keyRefs,
-			ValChunks: w.valRefs,
-			AggKinds:  kinds,
-			MaxGroups: maxNodeGroups,
-		})
-		g.works = append(g.works, w)
-	}
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // whole frame lost: every row group here falls back
-		}
-		for j, w := range g.works {
-			if resps[j].Err != "" {
-				continue
-			}
-			w.pre = &resps[j]
-			sub.sp.Count(trace.BytesRequested, w.chunkBytes)
-			sub.sp.Count(trace.GroupPartials, uint64(len(resps[j].Groups)))
-			sub.stats.GroupAggRPCs++
-			sub.stats.PartialGroups += len(resps[j].Groups)
-		}
-	})
-	for _, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-	}
-}
-
-// pushdownGroupAgg sends one row group's grouped aggregation to its node
-// (the per-op path, used when batching is disabled).
-func (s *Store) pushdownGroupAgg(st *execState, w *groupWork, kinds []sql.AggKind, bm *bitmap.Bitmap) ([]sql.GroupPartial, error) {
-	req := &rpc.Request{
-		Kind:      rpc.KindGroupAgg,
-		Bitmap:    bm.Marshal(),
-		KeyChunks: w.keyRefs,
-		ValChunks: w.valRefs,
-		AggKinds:  kinds,
-		MaxGroups: maxNodeGroups,
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, w.node, req)
-	if err != nil {
-		return nil, err
-	}
-	st.sp.Count(trace.BytesRequested, w.chunkBytes)
-	st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
-	st.stats.GroupAggRPCs++
-	st.stats.PartialGroups += len(resp.Groups)
-	st.addOp(simnet.OpCost{
-		Node:      w.node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return resp.Groups, nil
 }
 
 // localGroupRG groups one row group at the coordinator: fetch the key and

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the GROUP BY / ORDER BY+LIMIT equivalence suite: every
-// execution path — batched pushdown, per-op pushdown, cached, baseline
-// reassembly, and degraded (node down) — must return the exact same result
+// execution path — pushdown, cached, baseline reassembly, and degraded
+// (node down) — must return the exact same result
 // table, bit-for-bit for floats. The shared canonical reduction (per-row-
 // group partials merged in row-group order) is what makes that exactness
 // possible; these tests are its regression net.
@@ -55,10 +55,10 @@ var groupEquivQueries = []string{
 	"SELECT id FROM obj LIMIT 0",
 }
 
-// TestGroupOrderEquivalenceMatrix runs every query under four
-// configurations — batched pushdown, per-op pushdown (DisableBatch), cached
-// pushdown (second run against a warm cache), and the fixed-block baseline
-// with coordinator-side execution — and requires bit-identical results.
+// TestGroupOrderEquivalenceMatrix runs every query under three
+// configurations — pushdown, cached pushdown (second run against a warm
+// cache), and the fixed-block baseline with coordinator-side execution —
+// and requires bit-identical results.
 func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 	// Row groups must be big enough that partial states undercut compressed
 	// chunks, or the cost model (correctly) refuses to push anything.
@@ -69,14 +69,10 @@ func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 		opts Options
 		warm bool // query twice, keep the cache-served run
 	}
-	batched := fusionTestOptions()
-	perOp := fusionTestOptions()
-	perOp.DisableBatch = true
 	cached := fusionTestOptions()
 	cached.CacheBytes = 64 << 20
 	configs := []config{
-		{name: "pushdown-batched", opts: batched},
-		{name: "pushdown-per-op", opts: perOp},
+		{name: "pushdown", opts: fusionTestOptions()},
 		{name: "pushdown-cached", opts: cached, warm: true},
 		{name: "baseline", opts: BaselineOptions()},
 	}
@@ -103,7 +99,7 @@ func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 	}
 
 	ref := results["baseline"]
-	for _, cfg := range configs[:3] {
+	for _, cfg := range configs[:2] {
 		for _, q := range groupEquivQueries {
 			got, want := resultKey(results[cfg.name][q]), resultKey(ref[q])
 			if got != want {
@@ -115,16 +111,16 @@ func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 	// The pushed configuration must actually push: grouped row groups as
 	// partial-state RPCs, top-k row groups as TopK RPCs.
 	var groupRPCs, topkRPCs, partials int
-	for _, res := range results["pushdown-batched"] {
+	for _, res := range results["pushdown"] {
 		groupRPCs += res.Stats.GroupAggRPCs
 		topkRPCs += res.Stats.TopKRPCs
 		partials += res.Stats.PartialGroups
 	}
 	if groupRPCs == 0 || partials == 0 {
-		t.Errorf("batched pushdown never issued GroupAgg RPCs (rpcs=%d partials=%d)", groupRPCs, partials)
+		t.Errorf("pushdown never issued GroupAgg RPCs (rpcs=%d partials=%d)", groupRPCs, partials)
 	}
 	if topkRPCs == 0 {
-		t.Error("batched pushdown never issued TopK RPCs")
+		t.Error("pushdown never issued TopK RPCs")
 	}
 }
 
@@ -168,8 +164,7 @@ func TestGroupOrderDegradedEquivalence(t *testing.T) {
 
 // TestFloatAggregateDeterminism is the regression for the fan-out float-sum
 // fix: SUM/AVG over a float column must produce byte-identical AggValues on
-// every run, at every worker-pool size, batched or per-op, pushed or
-// fetched. The reduction is defined as per-(row group, chunk) partials
+// every run, at every worker-pool size, pushed or fetched. The reduction is defined as per-(row group, chunk) partials
 // merged in task order, so no schedule and no transport can reorder it.
 // Run with -race to catch any unsynchronized accumulation.
 func TestFloatAggregateDeterminism(t *testing.T) {
@@ -196,8 +191,7 @@ func TestFloatAggregateDeterminism(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"parallel-batched", func(o *Options) { o.QueryWorkers = 8 }},
-		{"parallel-per-op", func(o *Options) { o.QueryWorkers = 8; o.DisableBatch = true }},
+		{"parallel", func(o *Options) { o.QueryWorkers = 8 }},
 		{"parallel-cached", func(o *Options) { o.QueryWorkers = 8; o.CacheBytes = 64 << 20 }},
 		{"aggregate-pushdown", func(o *Options) { o.QueryWorkers = 8; o.AggregatePushdown = true }},
 		{"baseline", func(o *Options) {}},

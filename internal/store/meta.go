@@ -153,20 +153,11 @@ func (m *ObjectMeta) LocMapBytes() int {
 	return m.NumChunkItems() * LocMapEntryBytes
 }
 
-// buildItems tiles the object into items from its parsed footer: leading
-// magic, every chunk in rg-major order, then the footer region. It verifies
-// the tiling is exact (no gaps, no overlaps).
-func buildItems(data []byte, footer *lpq.Footer) ([]Item, error) {
-	footerSize, err := lpq.FooterSize(data)
-	if err != nil {
-		return nil, err
-	}
-	return buildItemsSized(uint64(len(data)), footerSize, footer)
-}
-
-// buildItemsSized is buildItems from the footer and the object's total size
-// alone — the streaming Put path computes the whole layout before a single
-// body byte is resident.
+// buildItemsSized tiles the object into items from its parsed footer:
+// leading magic, every chunk in rg-major order, then the footer region. It
+// verifies the tiling is exact (no gaps, no overlaps). It needs only the
+// footer and the object's total size — the streaming Put path computes the
+// whole layout before a single body byte is resident.
 func buildItemsSized(size uint64, footerSize int, footer *lpq.Footer) ([]Item, error) {
 	if uint64(footerSize) > size {
 		return nil, fmt.Errorf("store: footer region (%d bytes) exceeds object size %d", footerSize, size)

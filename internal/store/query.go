@@ -51,10 +51,10 @@ type QueryStats struct {
 	// FilterRPCs, ProjectRPCs, AggregateRPCs and FetchRPCs count remote
 	// operations.
 	FilterRPCs, ProjectRPCs, AggregateRPCs, FetchRPCs int
-	// BatchRPCs counts the scatter-gather frames that carried the batched
+	// BatchRPCs counts the scatter-gather frames that carried the pushed
 	// share of those operations — each frame is one network round trip, so
-	// FilterRPCs+ProjectRPCs+AggregateRPCs-sized work arriving in few
-	// BatchRPCs is the batching win.
+	// FilterRPCs+ProjectRPCs+AggregateRPCs-sized work arrives in few
+	// BatchRPCs.
 	BatchRPCs int
 	// GroupAggRPCs and TopKRPCs count grouped-aggregation and top-k
 	// pushdown operations (each reduces a whole row group in situ).
@@ -144,7 +144,7 @@ func (e *execState) chargeCoordCPU(procBytes uint64) {
 	if !ok {
 		return
 	}
-	rate := 6.0e9 // matches simnet.DefaultConfig().ProcessRate
+	rate := simnet.DefaultConfig().ProcessRate
 	if m := e.store.opts.Model; m != nil {
 		rate = m.ProcessRate()
 	}
@@ -365,149 +365,6 @@ func rgVerdict(e sql.Expr, footer *lpq.Footer, colIdx map[string]int, rg int) sq
 	}
 }
 
-// filterStage computes the selection bitmap of every row group. A nil entry
-// means the row group was pruned (provably empty). Row groups are filtered
-// concurrently on a bounded worker pool; each task accounts into a forked
-// execState and the children are joined in row-group order, so the stage's
-// output and cost sheet match a serial run exactly.
-func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
-	meta := st.meta
-	// Batched pushdown plans the whole stage at once: one scatter-gather
-	// frame per node covering every row group's surviving leaves, cutting
-	// filter round trips from O(rowGroups×nodes) to O(nodes).
-	if q.Where != nil && s.batchOn() && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-		return s.filterStageBatched(st, q, colIdx)
-	}
-	rgs := meta.Footer.RowGroups
-	type rgResult struct {
-		bm     *bitmap.Bitmap
-		pruned bool
-		sub    *execState
-		err    error
-	}
-	results := make([]rgResult, len(rgs))
-	runTasks(s.queryWorkers(), len(rgs), func(rg int) {
-		r := &results[rg]
-		// Row-group boundary is the filter stage's cancellation checkpoint:
-		// once the caller gives up, the remaining row groups do no work.
-		if err := st.ctx.Err(); err != nil {
-			r.err = err
-			return
-		}
-		if q.Where == nil {
-			r.bm = bitmap.NewFull(rgs[rg].NumRows)
-			return
-		}
-		switch rgVerdict(q.Where, meta.Footer, colIdx, rg) {
-		case sql.StatsNone:
-			r.pruned = true
-			return
-		case sql.StatsAll:
-			r.bm = bitmap.NewFull(rgs[rg].NumRows)
-			return
-		}
-		r.sub = st.fork()
-		bm, err := s.rowGroupFilter(r.sub, q, colIdx, rg)
-		if err != nil {
-			r.err = err
-			return
-		}
-		if bm.Count() > 0 {
-			r.bm = bm // else leave nil: empty after exact filtering
-		}
-	})
-	out := make(map[int]*bitmap.Bitmap, len(rgs))
-	for rg := range results {
-		r := &results[rg]
-		if r.sub != nil {
-			st.join(r.sub)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.pruned {
-			st.stats.PrunedRowGroups++
-		}
-		out[rg] = r.bm
-	}
-	return out, nil
-}
-
-// rowGroupFilter evaluates the WHERE tree for one row group, pushing each
-// leaf comparison to the node hosting its column chunk when possible. (The
-// batched pushdown path never reaches here — filterStage plans the whole
-// stage as per-node frames in filterStageBatched instead.)
-func (s *Store) rowGroupFilter(st *execState, q *sql.Query, colIdx map[string]int, rg int) (*bitmap.Bitmap, error) {
-	meta := st.meta
-	rgMeta := meta.Footer.RowGroups[rg]
-	nRows := rgMeta.NumRows
-	leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
-		ci := colIdx[c.Column]
-		ch := rgMeta.Chunks[ci]
-		colType := meta.Footer.Columns[ci].Type
-		// Chunk-level stats shortcut (no I/O at all).
-		switch sql.CheckStats(c, colType, ch.Stats) {
-		case sql.StatsNone:
-			return bitmap.New(nRows), nil
-		case sql.StatsAll:
-			return bitmap.NewFull(nRows), nil
-		}
-		if s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-			bm, err := s.pushdownFilter(st, c, colType, rg, ci, ch)
-			if err == nil {
-				return bm, nil
-			}
-			// Pushdown failed (e.g. node down): fall through to fetching.
-		}
-		col, err := s.fetchChunkColumn(st, rg, ci)
-		if err != nil {
-			return nil, err
-		}
-		st.chargeCoordCPU(ch.RawSize)
-		return sql.EvalCompare(c, col)
-	}
-	return sql.EvalExpr(q.Where, nRows, leaf)
-}
-
-// pushdownFilter sends one comparison to the node hosting the chunk.
-func (s *Store) pushdownFilter(st *execState, c *sql.Compare, colType lpq.Type, rg, ci int, ch lpq.ChunkMeta) (*bitmap.Bitmap, error) {
-	meta := st.meta
-	itemIdx := meta.ChunkItemIndex(rg, ci)
-	if itemIdx < 0 {
-		return nil, fmt.Errorf("store: chunk (%d,%d) has no item", rg, ci)
-	}
-	loc := meta.ItemLocs[itemIdx]
-	stripe := meta.Stripes[loc.Stripe]
-	node := stripe.Nodes[loc.Bin]
-	req := &rpc.Request{
-		Kind: rpc.KindFilter,
-		Chunk: rpc.ChunkRef{
-			BlockID: stripe.BlockIDs[loc.Bin],
-			Offset:  loc.BinOffset,
-			Type:    colType,
-			Meta:    ch,
-		},
-		Op:    c.Op,
-		Value: c.Value,
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, node, req)
-	if err != nil {
-		return nil, err
-	}
-	// The filter logically touched the chunk but only the bitmap crossed
-	// the network — this is what pulls query read amplification below 1.
-	st.sp.Count(trace.BytesRequested, ch.Size)
-	st.stats.FilterRPCs++
-	st.addOp(simnet.OpCost{
-		Node:      node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return bitmap.Unmarshal(resp.Data)
-}
-
 // fetchChunkColumn brings a chunk's bytes to the coordinator (reassembling
 // across blocks/nodes when split) and decodes it locally. This is the
 // baseline's only path and Fusion's fallback when the cost model disables
@@ -572,84 +429,50 @@ func (s *Store) fetchChunkColumnUncached(st *execState, rg, ci int) (lpq.ColumnD
 
 // reconstructChunkBytes rebuilds a chunk's bytes via RS reconstruction,
 // bypassing the (possibly corrupt) stored copies of the blocks that hold it.
+// The chunk-level CRC cannot say which covering block carries the
+// corruption, and rebuilding a block via RS with a silently-corrupt sibling
+// as a source would itself produce garbage, so each covering block is
+// treated as the suspect in turn: only it is rebuilt from the stripe's other
+// blocks, the rest are used as stored, and the first assembly whose chunk
+// CRC verifies wins. (Under FAC a chunk has one covering block, hence one
+// suspect and no siblings to read.)
 func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error) {
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
-	if meta.Mode == LayoutFAC {
-		itemIdx := meta.ChunkItemIndex(rg, ci)
-		loc := meta.ItemLocs[itemIdx]
-		block, err := s.reconstructBlock(st.ctx, st.sp, meta, loc.Stripe, loc.Bin)
-		if err != nil {
-			return nil, err
-		}
-		if loc.BinOffset+ch.Size > uint64(len(block)) {
-			return nil, fmt.Errorf("store: reconstructed block too short")
-		}
-		s.accountReconstruct(st, meta, loc.Stripe)
-		return block[loc.BinOffset : loc.BinOffset+ch.Size], nil
-	}
-	// Fixed layout: the chunk spans blocks, and the chunk-level CRC cannot
-	// say which stored block carries the corruption. Rebuilding a block via
-	// RS with a silently-corrupt sibling as a source would itself produce
-	// garbage, so each covering block is treated as the suspect in turn:
-	// only it is rebuilt from the stripe's other blocks, the rest are used
-	// as stored, and the first assembly whose chunk CRC verifies wins.
-	bs := meta.BlockSize
-	k := uint64(s.opts.Params.K)
-	type span struct {
-		stripe, bin int
-		within, n   uint64
-	}
-	var spans []span
-	end := ch.Offset + ch.Size
-	for pos := ch.Offset; pos < end; {
-		blockIdx := pos / bs
-		within := pos - blockIdx*bs
-		n := min(bs-within, end-pos)
-		spans = append(spans, span{
-			stripe: int(blockIdx / k),
-			bin:    int(blockIdx % k),
-			within: within,
-			n:      n,
-		})
-		pos += n
-	}
+	spans := s.segments(meta, ch.Offset, ch.Size)
 	stored := make([][]byte, len(spans))
-	for i, sp := range spans {
-		sm := meta.Stripes[sp.stripe]
-		resp, err := s.call(st.ctx, st.sp, sm.Nodes[sp.bin], &rpc.Request{
-			Kind: rpc.KindGetBlock, BlockID: sm.BlockIDs[sp.bin],
-		})
-		if err == nil && resp.Err == "" {
-			stored[i] = resp.Data
+	if len(spans) > 1 {
+		for i, sp := range spans {
+			sm := meta.Stripes[sp.stripe]
+			resp, err := s.call(st.ctx, st.sp, sm.Nodes[sp.bin], &rpc.Request{
+				Kind: rpc.KindGetBlock, BlockID: sm.BlockIDs[sp.bin],
+			})
+			if err == nil && resp.Err == "" {
+				stored[i] = resp.Data
+			}
 		}
 	}
 	for suspect := range spans {
 		out := make([]byte, 0, ch.Size)
 		ok := true
 		for i, sp := range spans {
-			var block []byte
-			if i == suspect || stored[i] == nil {
-				rebuilt, err := s.reconstructBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin)
-				if err != nil {
+			block := stored[i]
+			if i == suspect || block == nil {
+				var err error
+				if block, err = s.reconstructBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin); err != nil {
 					ok = false
 					break
 				}
 				s.accountReconstruct(st, meta, sp.stripe)
-				block = rebuilt
-			} else {
-				block = stored[i]
 			}
-			if sp.within+sp.n > uint64(len(block)) {
+			part, err := sliceBlock(block, sp.off, sp.length)
+			if err != nil {
 				ok = false
 				break
 			}
-			out = append(out, block[sp.within:sp.within+sp.n]...)
+			out = append(out, part...)
 		}
-		if !ok {
-			continue
-		}
-		if crc32.ChecksumIEEE(out) == ch.CRC {
+		if ok && crc32.ChecksumIEEE(out) == ch.CRC {
 			return out, nil
 		}
 	}
@@ -670,57 +493,31 @@ func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) 
 	}
 }
 
-// fetchChunkBytes reads the chunk's on-disk bytes from wherever they live.
+// fetchChunkBytes reads the chunk's on-disk bytes from wherever they live: a
+// ranged read of [ch.Offset, ch.Offset+ch.Size) through the one read path,
+// so it shares Get's coalescing, cache, hedging and repair-enqueue. Under
+// FAC that is one segment on one node; under fixed blocks the chunk may span
+// several blocks on several nodes (§3.1) — the reassembly the paper
+// identifies as the bottleneck — and each segment is charged as one fetch.
 func (s *Store) fetchChunkBytes(st *execState, rg, ci int) ([]byte, error) {
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
 	st.sp.Count(trace.BytesRequested, ch.Size)
-	if meta.Mode == LayoutFAC {
-		itemIdx := meta.ChunkItemIndex(rg, ci)
-		loc := meta.ItemLocs[itemIdx]
-		stripe := meta.Stripes[loc.Stripe]
-		node := stripe.Nodes[loc.Bin]
-		data, err := s.readStripeRange(st.ctx, st.sp, meta, loc.Stripe, loc.Bin, loc.BinOffset, ch.Size)
-		if err != nil {
-			return nil, err
-		}
+	segs := s.segments(meta, ch.Offset, ch.Size)
+	data, err := s.readSegments(st.ctx, st.sp, meta, segs, ch.Size)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range segs {
 		st.stats.FetchRPCs++
 		st.addOp(simnet.OpCost{
-			Node:      node,
+			Node:      meta.Stripes[g.stripe].Nodes[g.bin],
 			ReqBytes:  rpcOverhead,
-			RespBytes: uint64(len(data)) + rpcOverhead,
-			DiskBytes: uint64(len(data)),
+			RespBytes: g.length + rpcOverhead,
+			DiskBytes: g.length,
 		})
-		return data, nil
 	}
-	// Fixed layout: the chunk may span multiple blocks on multiple nodes
-	// (§3.1) — the reassembly the paper identifies as the bottleneck.
-	bs := meta.BlockSize
-	k := uint64(s.opts.Params.K)
-	out := make([]byte, 0, ch.Size)
-	end := ch.Offset + ch.Size
-	for pos := ch.Offset; pos < end; {
-		blockIdx := pos / bs
-		stripe := int(blockIdx / k)
-		bin := int(blockIdx % k)
-		within := pos - blockIdx*bs
-		n := min(bs-within, end-pos)
-		data, err := s.readStripeRange(st.ctx, st.sp, meta, stripe, bin, within, n)
-		if err != nil {
-			return nil, err
-		}
-		node := meta.Stripes[stripe].Nodes[bin]
-		st.stats.FetchRPCs++
-		st.addOp(simnet.OpCost{
-			Node:      node,
-			ReqBytes:  rpcOverhead,
-			RespBytes: uint64(len(data)) + rpcOverhead,
-			DiskBytes: uint64(len(data)),
-		})
-		out = append(out, data...)
-		pos += n
-	}
-	return out, nil
+	return data, nil
 }
 
 const rpcOverhead = 64
@@ -733,28 +530,11 @@ func (s *Store) ChunkNodeSpan(name string, rg, ci int) (int, error) {
 		return 0, err
 	}
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
-	if meta.Mode == LayoutFAC {
-		return 1, nil
-	}
-	bs := meta.BlockSize
-	k := uint64(s.opts.Params.K)
 	nodes := make(map[int]bool)
-	end := ch.Offset + ch.Size
-	if ch.Size == 0 {
-		return 1, nil
+	for _, g := range s.segments(meta, ch.Offset, ch.Size) {
+		nodes[meta.Stripes[g.stripe].Nodes[g.bin]] = true
 	}
-	for pos := ch.Offset; pos < end; {
-		blockIdx := pos / bs
-		stripe := int(blockIdx / k)
-		bin := int(blockIdx % k)
-		nodes[meta.Stripes[stripe].Nodes[bin]] = true
-		next := (blockIdx + 1) * bs
-		if next > end {
-			next = end
-		}
-		pos = next
-	}
-	return len(nodes), nil
+	return max(1, len(nodes)), nil
 }
 
 // projectionStage materializes the SELECT list over the filtered rows.
@@ -785,7 +565,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// Columns whose selected values must be materialized per row group.
 	// Aggregate-only columns are excluded when aggregate pushdown applies:
 	// their chunks are reduced in-situ instead.
-	aggPush := s.opts.AggregatePushdown && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+	aggPush := s.opts.AggregatePushdown && s.pushdownOn(meta)
 	aggOnly := map[string]bool{}
 	var aggOnlyCols []string // SELECT-list order, for deterministic execution
 	needCols := append([]string(nil), plainCols...)
@@ -810,40 +590,62 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		colData[name] = &lpq.ColumnData{Type: meta.Footer.Columns[ci].Type}
 	}
 
-	// Fan the per-chunk work (projections and in-situ aggregations) out
-	// across a bounded worker pool. Tasks are generated in row-group-major,
-	// SELECT-list-minor order and merged back in exactly that order, so the
-	// result — including float aggregate accumulation order and the cost
-	// sheets feeding the latency model — is identical to a serial run.
+	// One task per needed chunk, generated in row-group-major, SELECT-list-
+	// minor order and merged back in exactly that order, so the result —
+	// including float aggregate accumulation order and the cost sheets
+	// feeding the latency model — is identical to a serial run. Planning a
+	// task also plans its pushdown: a projection the policy pushes, or an
+	// in-situ aggregation (aggregate-only columns exist only when aggregate
+	// pushdown is on), becomes a sub-request for the chunk's node.
 	var tasks []*chunkTask
-	for rg := range meta.Footer.RowGroups {
+	var reqs []nodeReq
+	var reqTasks []*chunkTask // reqTasks[j] is the task reqs[j] answers
+	planPush := func(t *chunkTask, kind rpc.Kind, ch lpq.ChunkMeta) {
+		if node, ref, ok := chunkLocation(meta, t.rg, t.ci, ch); ok {
+			reqs = append(reqs, nodeReq{node, rpc.Request{Kind: kind, Chunk: ref, Bitmap: rgBitmaps[t.rg].Marshal()}})
+			reqTasks = append(reqTasks, t)
+		}
+	}
+	for rg, rgMeta := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
 		if bm == nil || bm.Count() == 0 {
 			continue
 		}
 		for _, name := range needCols {
-			tasks = append(tasks, &chunkTask{rg: rg, name: name})
+			t := &chunkTask{rg: rg, ci: colIdx[name], name: name}
+			tasks = append(tasks, t)
+			if ch := rgMeta.Chunks[t.ci]; s.pushProjection(meta, ch, bm.Selectivity()) {
+				planPush(t, rpc.KindProject, ch)
+			}
 		}
 		for _, name := range aggOnlyCols {
-			tasks = append(tasks, &chunkTask{rg: rg, name: name, agg: true})
+			t := &chunkTask{rg: rg, ci: colIdx[name], name: name, agg: true}
+			tasks = append(tasks, t)
+			planPush(t, rpc.KindAggregate, rgMeta.Chunks[t.ci])
 		}
 	}
-	if s.batchOn() && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-		// Ship the stage's pushdown work as one scatter-gather frame per
-		// node; workers below consume the attached sub-responses and only
-		// fall back per-op for the chunks whose batched attempt failed.
-		s.predispatchChunkTasks(st, colIdx, rgBitmaps, tasks)
+	for j, resp := range s.scatter(st, reqs) {
+		if resp == nil {
+			continue
+		}
+		t := reqTasks[j]
+		t.pre = resp
+		st.sp.Count(trace.BytesRequested, meta.Footer.RowGroups[t.rg].Chunks[t.ci].Size)
+		if t.agg {
+			st.stats.AggregateRPCs++
+		} else {
+			st.stats.ProjectRPCs++
+		}
 	}
+	// Fan the remaining per-chunk work — decoding pushed replies, fetching
+	// and reducing everything else — out across the worker pool.
 	runTasks(s.queryWorkers(), len(tasks), func(i int) {
 		t := tasks[i]
-		bm := rgBitmaps[t.rg]
-		ci := colIdx[t.name]
-		ch := meta.Footer.RowGroups[t.rg].Chunks[ci]
 		t.sub = st.fork()
 		if t.agg {
-			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, ci, ch, bm, t.pre)
+			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, t.ci, rgBitmaps[t.rg], t.pre)
 		} else {
-			t.vals, t.err = s.projectChunk(t.sub, t.rg, ci, ch, bm, bm.Selectivity(), t.pre)
+			t.vals, t.err = s.projectChunk(t.sub, t.rg, t.ci, rgBitmaps[t.rg], t.pre)
 		}
 	})
 	for _, t := range tasks {
@@ -899,36 +701,21 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	return res, nil
 }
 
-// projectChunk returns the selected values of one chunk, deciding per chunk
-// whether to push the projection down or fetch the compressed chunk,
-// according to the Cost Equation (§4.3): push down iff
-// selectivity × compressibility < 1. pre, when non-nil, is the chunk's
-// sub-response from the scatter-gather pre-dispatch (already a successful
-// pushdown — only decoding remains).
-func (s *Store) projectChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap, sel float64, pre *rpc.Response) (lpq.ColumnData, error) {
-	meta := st.meta
-	pushdownPossible := s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
-	push := s.pushProjection(meta, ch, sel)
-	if push {
-		if pre != nil {
-			vals, err := cluster.DecodePlain(pre.Data)
-			if err == nil {
-				st.stats.PushdownOn++
-				return vals, nil
-			}
-			// Malformed reply: fall through to fetching.
-		} else if !s.batchOn() {
-			vals, err := s.pushdownProject(st, rg, ci, ch, bm)
-			if err == nil {
-				st.stats.PushdownOn++
-				return vals, nil
-			}
-			// Node down or similar: fall back to fetching.
+// projectChunk returns the selected values of one chunk. Whether to push
+// the projection down or fetch the compressed chunk was decided per chunk at
+// planning time by the Cost Equation (§4.3): push down iff
+// selectivity × compressibility < 1. pre, when non-nil, is the pushed
+// projection's reply — only decoding remains; otherwise (not pushed, or the
+// pushed attempt got no answer) the chunk is fetched and filtered here.
+func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response) (lpq.ColumnData, error) {
+	if pre != nil {
+		if vals, err := cluster.DecodePlain(pre.Data); err == nil {
+			st.stats.PushdownOn++
+			return vals, nil
 		}
-		// Batched pushdown whose sub-request failed lands here too: the
-		// chunk fetch below is the per-op fallback.
+		// Malformed reply: fall through to fetching.
 	}
-	if pushdownPossible {
+	if s.pushdownOn(st.meta) {
 		st.stats.PushdownOff++
 	}
 	col, err := s.fetchChunkColumn(st, rg, ci)
@@ -941,42 +728,12 @@ func (s *Store) projectChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bi
 	return cluster.SelectRows(col, bm), nil
 }
 
-// aggregateChunk reduces one chunk's selected rows to a partial aggregate,
-// in-situ on the hosting node when possible, locally otherwise. pre, when
-// non-nil, is the chunk's sub-response from the scatter-gather pre-dispatch.
-func (s *Store) aggregateChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap, pre *rpc.Response) (*sql.AggState, error) {
-	meta := st.meta
+// aggregateChunk reduces one chunk's selected rows to a partial aggregate:
+// pre, when it carries one, is the hosting node's in-situ reduction;
+// otherwise the chunk is fetched and reduced locally.
+func (s *Store) aggregateChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response) (*sql.AggState, error) {
 	if pre != nil && pre.Agg != nil {
 		return pre.Agg, nil
-	}
-	if itemIdx := meta.ChunkItemIndex(rg, ci); itemIdx >= 0 && meta.Mode == LayoutFAC && !s.batchOn() {
-		loc := meta.ItemLocs[itemIdx]
-		stripe := meta.Stripes[loc.Stripe]
-		node := stripe.Nodes[loc.Bin]
-		req := &rpc.Request{
-			Kind: rpc.KindAggregate,
-			Chunk: rpc.ChunkRef{
-				BlockID: stripe.BlockIDs[loc.Bin],
-				Offset:  loc.BinOffset,
-				Type:    meta.Footer.Columns[ci].Type,
-				Meta:    ch,
-			},
-			Bitmap: bm.Marshal(),
-		}
-		resp, err := s.callChecked(st.ctx, st.sp, node, req)
-		if err == nil && resp.Agg != nil {
-			st.sp.Count(trace.BytesRequested, ch.Size)
-			st.stats.AggregateRPCs++
-			st.addOp(simnet.OpCost{
-				Node:      node,
-				ReqBytes:  req.WireSize(),
-				RespBytes: resp.WireSize() + 64, // accumulator payload
-				DiskBytes: resp.Cost.DiskBytes,
-				ProcBytes: resp.Cost.ProcBytes,
-			})
-			return resp.Agg, nil
-		}
-		// Node down or decode failure: fall through to local reduction.
 	}
 	col, err := s.fetchChunkColumn(st, rg, ci)
 	if err != nil {
@@ -988,43 +745,6 @@ func (s *Store) aggregateChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *
 	state := sql.NewAggState(sql.AggCount)
 	state.AddColumn(col, bm)
 	return state, nil
-}
-
-// pushdownProject sends the projection to the chunk's node with the
-// consolidated bitmap; the reply carries the selected values uncompressed.
-func (s *Store) pushdownProject(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap) (lpq.ColumnData, error) {
-	meta := st.meta
-	itemIdx := meta.ChunkItemIndex(rg, ci)
-	if itemIdx < 0 {
-		return lpq.ColumnData{}, fmt.Errorf("store: chunk (%d,%d) has no item", rg, ci)
-	}
-	loc := meta.ItemLocs[itemIdx]
-	stripe := meta.Stripes[loc.Stripe]
-	node := stripe.Nodes[loc.Bin]
-	req := &rpc.Request{
-		Kind: rpc.KindProject,
-		Chunk: rpc.ChunkRef{
-			BlockID: stripe.BlockIDs[loc.Bin],
-			Offset:  loc.BinOffset,
-			Type:    meta.Footer.Columns[ci].Type,
-			Meta:    ch,
-		},
-		Bitmap: bm.Marshal(),
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, node, req)
-	if err != nil {
-		return lpq.ColumnData{}, err
-	}
-	st.sp.Count(trace.BytesRequested, ch.Size)
-	st.stats.ProjectRPCs++
-	st.addOp(simnet.OpCost{
-		Node:      node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return cluster.DecodePlain(resp.Data)
 }
 
 // truncateResult applies a LIMIT clause: returned rows are capped after

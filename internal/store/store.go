@@ -131,11 +131,6 @@ type Options struct {
 	// or drops the entry at its commit point, and every stale-suspicious
 	// read re-resolves against the quorum.
 	MetaCacheEntries int
-	// DisableBatch turns off scatter-gather RPC batching: every filter,
-	// projection, aggregate and block read is dispatched as its own request
-	// frame (the pre-batching behavior). Intended for A/B benchmarks of the
-	// batching layer; leave false in production.
-	DisableBatch bool
 	// Sched, when set, is the admission scheduler every top-level operation
 	// (Get, Put, Delete, Query) passes through before doing any work:
 	// per-tenant weighted-fair queuing under global and per-class concurrency
@@ -333,17 +328,12 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 
 // isDataKind reports whether a request kind moves or scans block data (the
 // round-trip-counted data plane, as opposed to metadata and control traffic).
+// Only two such kinds reach call bare: block reads, and the scatter-gather
+// frame — every pushed operator (filter, project, aggregate, group-agg,
+// top-k) leaves the coordinator inside a KindBatch frame, never on its own.
 func isDataKind(k rpc.Kind) bool {
-	switch k {
-	case rpc.KindGetBlock, rpc.KindFilter, rpc.KindProject, rpc.KindAggregate, rpc.KindBatch:
-		return true
-	}
-	return false
+	return k == rpc.KindGetBlock || k == rpc.KindBatch
 }
-
-// batchOn reports whether the coordinator groups data-plane sub-requests
-// into scatter-gather batch frames.
-func (s *Store) batchOn() bool { return !s.opts.DisableBatch }
 
 // callChecked is call with application errors converted to Go errors. A
 // node-side deadline rejection surfaces as context.DeadlineExceeded (via

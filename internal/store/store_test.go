@@ -778,7 +778,11 @@ func TestMetaEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := buildItems(data, footer)
+	footerSize, err := lpq.FooterSize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := buildItemsSized(uint64(len(data)), footerSize, footer)
 	if err != nil {
 		t.Fatal(err)
 	}

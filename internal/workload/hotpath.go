@@ -18,35 +18,34 @@ import (
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
-// naiveKernel adapts the seed log/exp multiply to the Kernel seam so the
-// hotpath report can race all three kernel generations through one encoder.
-type naiveKernel byte
+// NaiveKernel adapts the seed log/exp multiply (the oracle the production
+// kernel is property-tested against) to the Kernel seam so the hotpath
+// report and FUSION_KERNEL_GATE can race both kernels through one encoder.
+type NaiveKernel byte
 
-func (k naiveKernel) Coefficient() byte      { return byte(k) }
-func (k naiveKernel) Mul(src, dst []byte)    { gf256.MulSlice(byte(k), src, dst) }
-func (k naiveKernel) MulAdd(src, dst []byte) { gf256.MulAddSlice(byte(k), src, dst) }
+func (k NaiveKernel) Coefficient() byte      { return byte(k) }
+func (k NaiveKernel) Mul(src, dst []byte)    { gf256.MulSlice(byte(k), src, dst) }
+func (k NaiveKernel) MulAdd(src, dst []byte) { gf256.MulAddSlice(byte(k), src, dst) }
 
 // HotpathStats is the machine-readable result of the hotpath experiment,
 // checked in as BENCH_hotpath.json so hot-path regressions show up in
 // review diffs.
 type HotpathStats struct {
-	// Encode throughput of RS(9,6) on 1 MiB shards per kernel generation.
+	// Encode throughput of RS(9,6) on 1 MiB shards: the naive oracle and the
+	// production nibble kernel.
 	EncodeMBps struct {
 		Naive  float64 `json:"naive"`
-		Table  float64 `json:"table"`
 		Nibble float64 `json:"nibble"`
 	} `json:"encode_mbps"`
-	// Simulated latency of the pushdown scan, batched vs per-op dispatch.
+	// Simulated latency of the pushdown scan (one scatter-gather frame per
+	// node per stage).
 	QueryLatencyUs struct {
-		BatchedP50   float64 `json:"batched_p50"`
-		BatchedP99   float64 `json:"batched_p99"`
-		UnbatchedP50 float64 `json:"unbatched_p50"`
-		UnbatchedP99 float64 `json:"unbatched_p99"`
+		BatchedP50 float64 `json:"batched_p50"`
+		BatchedP99 float64 `json:"batched_p99"`
 	} `json:"query_latency_us"`
 	// Data-plane network round trips one pushdown scan costs.
 	RoundTripsPerQuery struct {
-		Batched   uint64 `json:"batched"`
-		Unbatched uint64 `json:"unbatched"`
+		Batched uint64 `json:"batched"`
 	} `json:"round_trips_per_query"`
 	// Heap allocations per warm-cache operation.
 	AllocsPerOp struct {
@@ -108,13 +107,12 @@ func encodeMBps(kernel func(byte) gf256.Kernel) float64 {
 // hotpathSystem builds a dedicated lineitem deployment for the hotpath
 // experiment (always-pushdown with aggregate pushdown, so the batch
 // protocol carries the whole scan).
-func (l *Lab) hotpathSystem(disableBatch bool, cacheBytes int64) *System {
+func (l *Lab) hotpathSystem(cacheBytes int64) *System {
 	opts := store.FusionOptions()
 	opts.StorageBudget = ExperimentBudget
 	opts.FixedBlockSize = l.ScaledBlockSize(Lineitem)
 	opts.Pushdown = store.PushdownAlways
 	opts.AggregatePushdown = true
-	opts.DisableBatch = disableBatch
 	opts.CacheBytes = cacheBytes
 
 	cfg := simnet.DefaultConfig()
@@ -240,37 +238,28 @@ func allocsPerOp(iters int, fn func()) float64 {
 }
 
 // MeasureHotpath runs the hot-path microbenchmarks: the GF(2^8) kernel
-// ladder, batched-vs-per-op scan latency and round trips, and warm-path
-// allocation counts.
+// ladder, the pushdown scan's simulated latency and round trips, and
+// warm-path allocation counts.
 func MeasureHotpath(l *Lab) *HotpathStats {
 	st := &HotpathStats{}
-	st.EncodeMBps.Naive = encodeMBps(func(c byte) gf256.Kernel { return naiveKernel(c) })
-	st.EncodeMBps.Table = encodeMBps(func(c byte) gf256.Kernel { return gf256.NewMulTable(c) })
+	st.EncodeMBps.Naive = encodeMBps(func(c byte) gf256.Kernel { return NaiveKernel(c) })
 	st.EncodeMBps.Nibble = encodeMBps(gf256.NewKernel)
 
-	batched := l.hotpathSystem(false, 0)
-	unbatched := l.hotpathSystem(true, 0)
-	measure := func(sys *System) metrics.LatencyRecorder {
-		var rec metrics.LatencyRecorder
-		for i := 0; i < QueriesPerCell; i++ {
-			res, err := sys.Store.Query(hotpathQuery)
-			if err != nil {
-				panic(fmt.Sprintf("workload: %v", err))
-			}
-			rec.Record(res.Stats.Sim)
+	sys := l.hotpathSystem(0)
+	var rec metrics.LatencyRecorder
+	for i := 0; i < QueriesPerCell; i++ {
+		res, err := sys.Store.Query(hotpathQuery)
+		if err != nil {
+			panic(fmt.Sprintf("workload: %v", err))
 		}
-		return rec
+		rec.Record(res.Stats.Sim)
 	}
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	recB, recU := measure(batched), measure(unbatched)
-	st.QueryLatencyUs.BatchedP50 = us(recB.P50())
-	st.QueryLatencyUs.BatchedP99 = us(recB.P99())
-	st.QueryLatencyUs.UnbatchedP50 = us(recU.P50())
-	st.QueryLatencyUs.UnbatchedP99 = us(recU.P99())
-	st.RoundTripsPerQuery.Batched = queryRoundTrips(batched.Store, hotpathQuery)
-	st.RoundTripsPerQuery.Unbatched = queryRoundTrips(unbatched.Store, hotpathQuery)
+	st.QueryLatencyUs.BatchedP50 = us(rec.P50())
+	st.QueryLatencyUs.BatchedP99 = us(rec.P99())
+	st.RoundTripsPerQuery.Batched = queryRoundTrips(sys.Store, hotpathQuery)
 
-	warm := l.hotpathSystem(false, 256<<20)
+	warm := l.hotpathSystem(256 << 20)
 	st.AllocsPerOp.Get = allocsPerOp(10, func() {
 		if _, err := warm.Store.Get(objectName(Lineitem), 0, 0); err != nil {
 			panic(fmt.Sprintf("workload: %v", err))
@@ -301,14 +290,10 @@ func (l *Lab) Hotpath() *Report {
 	f := func(v float64) string { return fmt.Sprintf("%.0f", v) }
 	rows := [][]string{
 		{"encode naive MB/s", f(st.EncodeMBps.Naive)},
-		{"encode table MB/s", f(st.EncodeMBps.Table)},
 		{"encode nibble MB/s", f(st.EncodeMBps.Nibble)},
-		{"query p50 batched µs", f(st.QueryLatencyUs.BatchedP50)},
-		{"query p99 batched µs", f(st.QueryLatencyUs.BatchedP99)},
-		{"query p50 per-op µs", f(st.QueryLatencyUs.UnbatchedP50)},
-		{"query p99 per-op µs", f(st.QueryLatencyUs.UnbatchedP99)},
-		{"round trips batched", fmt.Sprint(st.RoundTripsPerQuery.Batched)},
-		{"round trips per-op", fmt.Sprint(st.RoundTripsPerQuery.Unbatched)},
+		{"query p50 µs", f(st.QueryLatencyUs.BatchedP50)},
+		{"query p99 µs", f(st.QueryLatencyUs.BatchedP99)},
+		{"round trips per query", fmt.Sprint(st.RoundTripsPerQuery.Batched)},
 		{"Get allocs/op (warm)", f(st.AllocsPerOp.Get)},
 		{"Query allocs/op (warm)", f(st.AllocsPerOp.Query)},
 	}
