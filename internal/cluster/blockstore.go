@@ -19,7 +19,10 @@ var ErrNotFound = errors.New("cluster: block not found")
 
 // BlockStore is a node's local block storage.
 type BlockStore interface {
-	// Put stores data under id, replacing any previous contents.
+	// Put stores data under id, replacing any previous contents. It must not
+	// retain data past its return (copy it, or write it through): over
+	// tcpnet, data aliases a pooled frame buffer that is recycled as soon as
+	// the response is sent.
 	Put(id string, data []byte) error
 	// Get reads length bytes at offset; length 0 means to the end.
 	Get(id string, offset, length uint64) ([]byte, error)

@@ -1,0 +1,445 @@
+package rpc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/sql"
+)
+
+// encodeRequest returns r's contiguous encoding: the segments joined as the
+// socket would see them.
+func encodeRequest(r *Request) ([]byte, error) {
+	_, segs, err := AppendRequest(nil, nil, r)
+	return bytes.Join(segs, nil), err
+}
+
+func encodeResponse(r *Response) ([]byte, error) {
+	_, segs, err := AppendResponse(nil, nil, r)
+	return bytes.Join(segs, nil), err
+}
+
+// requireRequestRoundTrip encodes req, decodes the bytes and requires the
+// result to equal req; it returns the decoded copy.
+func requireRequestRoundTrip(t *testing.T, req *Request) *Request {
+	t.Helper()
+	enc, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &Request{}
+	if err := DecodeRequest(enc, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req, got) {
+		t.Fatalf("request round trip:\n got %+v\nwant %+v", got, req)
+	}
+	return got
+}
+
+func requireResponseRoundTrip(t *testing.T, resp *Response) *Response {
+	t.Helper()
+	enc, err := encodeResponse(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &Response{}
+	if err := DecodeResponse(enc, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp, got) {
+		t.Fatalf("response round trip:\n got %+v\nwant %+v", got, resp)
+	}
+	return got
+}
+
+// filler sets every field reachable from a value to a distinct non-zero
+// value. A field kind it does not know fails the test, so a new field type
+// in a wire struct cannot pass through unfilled.
+type filler struct {
+	t        *testing.T
+	n        int
+	bytesLen int
+}
+
+func (f *filler) fill(v reflect.Value, sub bool) {
+	f.n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(f.n))
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(f.n%250 + 1))
+	case reflect.Float64:
+		v.SetFloat(float64(f.n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", f.n))
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem(), sub)
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			v.SetBytes(bytes.Repeat([]byte{byte(f.n)}, f.bytesLen+f.n%7))
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			f.fill(v.Index(i), true)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if sub && v.Type().Field(i).Name == "Subs" {
+				continue // one level deep only
+			}
+			f.fill(v.Field(i), sub)
+		}
+	default:
+		f.t.Fatalf("filler: unsupported kind %s (%s): teach the test and the codec about it", v.Kind(), v.Type())
+	}
+}
+
+// requireNoZero fails on any zero-valued field, so the round trip below is
+// known to have exercised all of them.
+func requireNoZero(t *testing.T, v reflect.Value, path string, sub bool) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Ptr:
+		if v.IsNil() {
+			t.Fatalf("%s is nil", path)
+		}
+		requireNoZero(t, v.Elem(), path, sub)
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Fatalf("%s is empty", path)
+		}
+		if v.Type().Elem().Kind() != reflect.Uint8 {
+			for i := 0; i < v.Len(); i++ {
+				requireNoZero(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), true)
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if sub && name == "Subs" {
+				continue
+			}
+			requireNoZero(t, v.Field(i), path+"."+name, sub)
+		}
+	default:
+		if v.IsZero() {
+			t.Fatalf("%s is zero", path)
+		}
+	}
+}
+
+// TestWireEveryField fills every field of Request and Response, recursively,
+// with distinct non-zero values and requires the codec to return them all:
+// a field added to a wire struct and left out of wire.go fails here. It runs
+// with payloads below and above inlineMax, so both the copied and the
+// cut-out form of each payload field round-trip.
+func TestWireEveryField(t *testing.T) {
+	for _, bytesLen := range []int{3, inlineMax + 3} {
+		req := &Request{}
+		f := &filler{t: t, bytesLen: bytesLen}
+		f.fill(reflect.ValueOf(req).Elem(), false)
+		// The only legal carrier of Subs is a batch of batchable kinds.
+		req.Kind = KindBatch
+		req.Subs[0].Kind = KindGetBlock
+		req.Subs[1].Kind = KindGroupAgg
+		requireNoZero(t, reflect.ValueOf(req), "Request", false)
+		requireRequestRoundTrip(t, req)
+
+		resp := &Response{}
+		f.fill(reflect.ValueOf(resp).Elem(), false)
+		requireNoZero(t, reflect.ValueOf(resp), "Response", false)
+		requireResponseRoundTrip(t, resp)
+	}
+}
+
+// TestWireZeroElements round-trips slices of zero-valued elements: the
+// smallest encodings, which the decoder's count bounds must admit.
+func TestWireZeroElements(t *testing.T) {
+	req := &Request{
+		Kind:      KindBatch,
+		KeyChunks: make([]ChunkRef, 3),
+		ValChunks: make([]ChunkRef, 1),
+		AggKinds:  make([]sql.AggKind, 2),
+		Subs:      []Request{{Kind: KindGetBlock}, {Kind: KindGetBlock}},
+	}
+	requireRequestRoundTrip(t, req)
+	resp := &Response{
+		Blocks:  make([]BlockInfo, 2),
+		Agg:     &sql.AggState{},
+		Groups:  []sql.GroupPartial{{}, {Key: make([]sql.Literal, 2), Aggs: make([]sql.AggState, 2)}},
+		TopRows: make([]sql.TopRow, 3),
+		Subs:    make([]Response, MaxBatchOps),
+	}
+	requireResponseRoundTrip(t, resp)
+}
+
+// TestWireSegments: a payload of inlineMax bytes or more goes out as the
+// caller's own slice, never copied into the header buffer, and dst's
+// existing bytes lead the first segment.
+func TestWireSegments(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, inlineMax)
+	small := []byte{1, 2, 3}
+	head, segs, err := AppendRequest([]byte("pre"), nil, &Request{Kind: KindPrepareBlock, Data: big, Bitmap: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 3 || &segs[1][0] != &big[0] || len(segs[1]) != len(big) {
+		t.Fatalf("want [head, payload, head], got %d segments", len(segs))
+	}
+	if !bytes.HasPrefix(segs[0], []byte("pre")) || &segs[0][0] != &head[0] {
+		t.Fatal("first segment must start at dst[0]")
+	}
+	if len(head) >= inlineMax {
+		t.Fatalf("header buffer holds %d bytes: the payload was copied", len(head))
+	}
+	_, segs, err = AppendResponse(nil, nil, &Response{Subs: []Response{{Data: big}, {Data: small}, {Data: big}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 5 || &segs[1][0] != &big[0] || &segs[3][0] != &big[0] {
+		t.Fatalf("want two cut-out sub-payloads in 5 segments, got %d", len(segs))
+	}
+}
+
+// TestWireDecodeAliases: decoded payloads are capacity-clipped views of the
+// frame, not copies.
+func TestWireDecodeAliases(t *testing.T) {
+	enc, err := encodeResponse(&Response{Subs: []Response{{Data: []byte("abc")}, {Data: []byte("defg")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &Response{}
+	if err := DecodeResponse(enc, got); err != nil {
+		t.Fatal(err)
+	}
+	d0 := got.Subs[0].Data
+	if cap(d0) != len(d0) {
+		t.Fatalf("payload cap %d beyond its len %d: an append would overwrite the frame", cap(d0), len(d0))
+	}
+	i := bytes.Index(enc, []byte("abc"))
+	enc[i] = 'X'
+	if string(d0) != "Xbc" {
+		t.Fatalf("payload %q does not alias the frame", d0)
+	}
+}
+
+func sampleBatchRequest() *Request {
+	return &Request{
+		Kind: KindBatch,
+		Subs: []Request{
+			{Kind: KindGetBlock, BlockID: "b1", Offset: 8, Length: 32, CallerVerifies: true},
+			{Kind: KindFilter, Chunk: ChunkRef{BlockID: "b2", Offset: 64}},
+			{Kind: KindProject, Bitmap: []byte{1, 2, 3}},
+		},
+	}
+}
+
+func sampleBatchResponse() *Response {
+	return &Response{
+		Cost: Cost{DiskBytes: 96, ProcBytes: 128},
+		Subs: []Response{
+			{Data: []byte("abc"), Crc: 7, Cost: Cost{DiskBytes: 96}},
+			{Err: "no such block"},
+			{Matches: 41, Cost: Cost{ProcBytes: 128}},
+		},
+	}
+}
+
+// TestBatchRoundTrip: sub-messages come back index-aligned, a failed sub-op
+// carries its own Err and leaves its siblings and the outer Err alone.
+func TestBatchRoundTrip(t *testing.T) {
+	requireRequestRoundTrip(t, sampleBatchRequest())
+	got := requireResponseRoundTrip(t, sampleBatchResponse())
+	if got.Err != "" || got.Subs[1].Err != "no such block" || string(got.Subs[0].Data) != "abc" {
+		t.Fatalf("per-sub error isolation lost: %+v", got)
+	}
+}
+
+// TestBatchCarriesDeadline: the envelope's relative deadline budget must
+// survive the codec — it is what lets a remote node abandon a scan at a
+// sub-op boundary — and per-sub budgets must round-trip too.
+func TestBatchCarriesDeadline(t *testing.T) {
+	req := sampleBatchRequest()
+	req.DeadlineMicros = 250_000
+	req.Subs[1].DeadlineMicros = 10_000
+	got := requireRequestRoundTrip(t, req)
+	if got.DeadlineMicros != 250_000 {
+		t.Fatalf("envelope DeadlineMicros = %d, want 250000", got.DeadlineMicros)
+	}
+	if got.Subs[1].DeadlineMicros != 10_000 {
+		t.Fatalf("sub DeadlineMicros = %d, want 10000", got.Subs[1].DeadlineMicros)
+	}
+}
+
+func TestEncodeRejectsMalformed(t *testing.T) {
+	requests := map[string]*Request{
+		"empty batch":       {Kind: KindBatch},
+		"nested batch":      {Kind: KindBatch, Subs: []Request{{Kind: KindBatch}}},
+		"mutating batch":    {Kind: KindBatch, Subs: []Request{{Kind: KindPutBlock}}},
+		"oversized batch":   {Kind: KindBatch, Subs: make([]Request, MaxBatchOps+1)},
+		"subs on non-batch": {Kind: KindGetBlock, Subs: []Request{{Kind: KindGetBlock}}},
+		"subs on a sub":     {Kind: KindBatch, Subs: []Request{{Kind: KindGetBlock, Subs: []Request{{Kind: KindGetBlock}}}}},
+	}
+	for name, r := range requests {
+		if _, err := encodeRequest(r); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+	responses := map[string]*Response{
+		"oversized batch": {Subs: make([]Response, MaxBatchOps+1)},
+		"subs on a sub":   {Subs: []Response{{Subs: []Response{{}}}}},
+	}
+	for name, r := range responses {
+		if _, err := encodeResponse(r); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// withSubs returns a frame that is r's encoding with its trailing zero Subs
+// count replaced by count followed by tail.
+func withSubs(t testing.TB, enc []byte, count uint64, tail ...byte) []byte {
+	t.Helper()
+	if enc[len(enc)-1] != 0 {
+		t.Fatal("encoding does not end in a zero Subs count")
+	}
+	return append(binary.AppendUvarint(enc[:len(enc)-1:len(enc)-1], count), tail...)
+}
+
+// TestDecodeRejects drives the decoder's bounds and shape checks with
+// hand-built malformed frames, each against both decoders.
+func TestDecodeRejects(t *testing.T) {
+	goodReq, err := encodeRequest(sampleBatchRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodResp, err := encodeResponse(sampleBatchResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareReq, _ := encodeRequest(&Request{Kind: KindGetBlock})
+	bareBatch := append([]byte{byte(KindBatch)}, bareReq[1:]...)
+	bareResp, _ := encodeResponse(&Response{})
+
+	both := map[string][]byte{
+		"empty":           {},
+		"overlong varint": bytes.Repeat([]byte{0xFF}, 11),
+		// A string length far beyond the frame.
+		"huge length": binary.AppendUvarint([]byte{byte(KindGetBlock), 0}, 1<<40),
+	}
+	requests := map[string][]byte{
+		"truncated": goodReq[:len(goodReq)-3],
+		"trailing":  append(append([]byte(nil), goodReq...), 0xFF),
+		// A sub count the remaining bytes cannot back.
+		"count overrun": withSubs(t, bareBatch, 500, 0x01),
+		// A batch with no sub-requests, and Subs where none may be.
+		"empty batch":       bareBatch,
+		"subs on non-batch": withSubs(t, bareReq, 1, bareReq...),
+		"nested batch":      withSubs(t, bareBatch, 1, withSubs(t, bareBatch, 1, bareReq...)...),
+		"mutating batch":    withSubs(t, bareBatch, 1, append([]byte{byte(KindPutBlock)}, bareReq[1:]...)...),
+	}
+	responses := map[string][]byte{
+		"truncated":     goodResp[:len(goodResp)-3],
+		"trailing":      append(append([]byte(nil), goodResp...), 0xFF),
+		"count overrun": withSubs(t, bareResp, 1<<40, 0x01),
+		"subs on a sub": withSubs(t, bareResp, 1, withSubs(t, bareResp, 1, bareResp...)...),
+		// More than MaxBatchOps sub-responses, all of them present.
+		"oversized batch": withSubs(t, bareResp, MaxBatchOps+1, bytes.Repeat(bareResp, MaxBatchOps+1)...),
+	}
+	for name, frame := range both {
+		requests[name], responses[name] = frame, frame
+	}
+	for name, frame := range requests {
+		if err := DecodeRequest(frame, &Request{}); err == nil {
+			t.Errorf("request, %s: decode succeeded", name)
+		}
+	}
+	for name, frame := range responses {
+		if err := DecodeResponse(frame, &Response{}); err == nil {
+			t.Errorf("response, %s: decode succeeded", name)
+		}
+	}
+}
+
+// hostileFrames declare far more than they carry: each is a minimal message
+// with 2^20, 2^40 or 2^63+1 spliced over one of its bytes in turn, so every
+// count and every length gets each value, plus the same as a Subs count.
+func hostileFrames(t testing.TB) (requests, responses [][]byte) {
+	bareReq, _ := encodeRequest(&Request{Kind: KindGroupAgg})
+	bareBatch := append([]byte{byte(KindBatch)}, bareReq[1:]...)
+	bareResp, _ := encodeResponse(&Response{})
+	splice := func(bare []byte, i int, n uint64) []byte {
+		return append(binary.AppendUvarint(append([]byte(nil), bare[:i]...), n), bare[i+1:]...)
+	}
+	for _, n := range []uint64{1 << 20, 1 << 40, 1<<63 + 1} {
+		for i := 1; i < len(bareReq); i++ {
+			requests = append(requests, splice(bareReq, i, n))
+		}
+		requests = append(requests, splice(bareBatch, len(bareBatch)-1, n))
+		for i := range bareResp {
+			responses = append(responses, splice(bareResp, i, n))
+		}
+	}
+	return requests, responses
+}
+
+// TestDecodeAllocationBounded: no declared count or length makes a decode
+// allocate beyond a small multiple of the bytes it was handed.
+func TestDecodeAllocationBounded(t *testing.T) {
+	requests, responses := hostileFrames(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range requests {
+		_ = DecodeRequest(f, &Request{})
+	}
+	for _, f := range responses {
+		_ = DecodeResponse(f, &Response{})
+	}
+	runtime.ReadMemStats(&after)
+	frames := uint64(len(requests) + len(responses))
+	if perFrame := (after.TotalAlloc - before.TotalAlloc) / frames; perFrame > 16<<10 {
+		t.Fatalf("decoding %d hostile frames of under 100 bytes allocated %d bytes each", frames, perFrame)
+	}
+}
+
+// TestFrameWithinWireSize anchors the traffic figure: for the kinds that
+// carry the bytes, the real encoding (plus tcpnet's 4-byte length prefix) is
+// no longer than WireSize() + wireSlack, so net_bytes_per_op — a sum of
+// WireSize() — is an upper bound on the bytes sent, not an estimate.
+func TestFrameWithinWireSize(t *testing.T) {
+	const wireSlack = 16
+	prepare := &Request{Kind: KindPrepareBlock, BlockID: "lineitem/e12/s3/b4", Object: "lineitem",
+		Epoch: 12, Crc: 0xDEADBEEF, Data: make([]byte, 128<<10), DeadlineMicros: 30_000_000}
+	getReply := &Response{Data: make([]byte, 1<<20), Crc: 0xDEADBEEF, Cost: Cost{DiskBytes: 1 << 20}}
+	batchReply := &Response{Cost: Cost{DiskBytes: 40 << 20}}
+	for i := 0; i < 40; i++ {
+		batchReply.Subs = append(batchReply.Subs, Response{Data: make([]byte, 300<<10+i), Crc: 0xDEADBEEF, Cost: Cost{DiskBytes: 1 << 20}})
+	}
+	projectReply := &Response{Data: make([]byte, 480_000), Matches: 60_000, Cost: Cost{DiskBytes: 1 << 19, ProcBytes: 1 << 20}}
+
+	reqEnc, err := encodeRequest(prepare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, est := uint64(len(reqEnc)+4), prepare.WireSize(); got > est+wireSlack {
+		t.Errorf("PrepareBlock: frame %d bytes > WireSize %d + %d", got, est, wireSlack)
+	}
+	for name, r := range map[string]*Response{"GetBlock reply": getReply, "batched GetBlock reply": batchReply, "Project reply": projectReply} {
+		enc, err := encodeResponse(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, est := uint64(len(enc)+4), r.WireSize(); got > est+wireSlack {
+			t.Errorf("%s: frame %d bytes > WireSize %d + %d", name, got, est, wireSlack)
+		}
+	}
+}

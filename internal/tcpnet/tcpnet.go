@@ -1,17 +1,19 @@
-// Package tcpnet is the real-socket transport: a storage-node server that
-// speaks length-prefixed gob over TCP, and a client implementing
-// cluster.Client against a set of node addresses. The fusion-server and
-// fusion-cli binaries and the integration tests run on this transport; the
-// benchmark harness uses simnet.
+// Package tcpnet is the real-socket transport: a storage-node server and a
+// client implementing cluster.Client against a set of node addresses. A
+// frame is a uint32 big-endian length followed by that many bytes of one
+// rpc.Request or rpc.Response in the binary encoding of internal/rpc
+// (wire.go); this package owns only the length prefix and the socket I/O.
+// The fusion-server, fusion-cli and fusion-gateway binaries, the repository
+// benchmark and the integration tests run on this transport.
 package tcpnet
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
@@ -20,122 +22,95 @@ import (
 	"github.com/fusionstore/fusion/internal/rpc"
 )
 
-// maxFrame bounds a single message to guard against corrupt peers.
-const maxFrame = 1 << 31
+const (
+	// maxFrame bounds a single message to guard against corrupt peers.
+	maxFrame = 1 << 31
+	// maxUpfront bounds what a length prefix alone makes a reader allocate.
+	maxUpfront = 4 << 20
+	// maxKeepHead is the largest header buffer a connection keeps between
+	// frames; a rare larger one (a long ListBlocks reply) is dropped.
+	maxKeepHead = 64 << 10
+	prefixLen   = 4
+)
 
-// writePayload sends one frame: the pooled payload (frame-type byte plus
-// body) behind a uint32 length prefix. It returns the payload to the arena.
-func writePayload(w io.Writer, payload []byte) error {
-	defer bufpool.Put(payload)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// framer is one connection's reusable framing scratch, so a frame costs no
+// allocation beyond the message itself in the steady state. It is owned by
+// whoever owns the connection: the server's per-connection goroutine, or
+// the holder of the client's per-node lock.
+type framer struct {
+	hdr  [prefixLen]byte // the incoming length prefix
+	head []byte          // outgoing: length prefix, then everything but the cut-out payloads
+	segs [][]byte        // the outgoing frame in wire order (see rpc.AppendRequest)
+	out  net.Buffers     // the view of segs that WriteTo consumes
+}
+
+func (f *framer) writeRequest(w io.Writer, req *rpc.Request) error {
+	head, segs, err := rpc.AppendRequest(append(f.head[:0], make([]byte, prefixLen)...), f.segs[:0], req)
+	return f.write(w, head, segs, err)
+}
+
+func (f *framer) writeResponse(w io.Writer, resp *rpc.Response) error {
+	head, segs, err := rpc.AppendResponse(append(f.head[:0], make([]byte, prefixLen)...), f.segs[:0], resp)
+	return f.write(w, head, segs, err)
+}
+
+// write fills in the length prefix that leads head and sends the segments
+// in one vectored write (one writev on a TCP connection): payloads go from
+// the message's own slices to the socket without passing through head.
+func (f *framer) write(w io.Writer, head []byte, segs [][]byte, err error) error {
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	n := -prefixLen
+	for _, b := range segs {
+		n += len(b)
+	}
+	if n > maxFrame {
+		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(head, uint32(n))
+	f.out = segs
+	_, err = f.out.WriteTo(w)
+	clear(segs) // the kept scratch must not pin the message's payloads
+	f.segs = segs
+	if cap(head) <= maxKeepHead {
+		f.head = head
+	}
 	return err
 }
 
-// writeFrame sends one gob-encoded value as a frameGob frame.
-func writeFrame(w io.Writer, v any) error {
-	bw := &bufWriter{b: append(bufpool.Get(1<<12), frameGob)}
-	if err := gob.NewEncoder(bw).Encode(v); err != nil {
-		bw.release()
-		return err
-	}
-	return writePayload(w, bw.b)
-}
-
-// readPayload receives one length-prefixed frame payload into a pooled
-// buffer. The caller must return it with bufpool.Put (gob decoding copies
-// every byte field, so nothing decoded from it aliases the buffer).
-func readPayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// read receives one frame body. A pooled body comes from bufpool and the
+// caller returns it with bufpool.Put once nothing decoded from it is live
+// (decoded payloads alias it); an unpooled one is a plain allocation that
+// the decoded message owns.
+func (f *framer) read(r io.Reader, pooled bool) ([]byte, error) {
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(f.hdr[:]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("tcpnet: empty frame")
+	get, put := func(n int) []byte { return make([]byte, n) }, func([]byte) {}
+	if pooled {
+		get, put = bufpool.GetLen, bufpool.Put
 	}
-	buf := bufpool.GetLen(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeRequestFrame sends a request, choosing the batch framing for
-// scatter-gather requests.
-func writeRequestFrame(w io.Writer, req *rpc.Request) error {
-	if req.Kind != rpc.KindBatch {
-		return writeFrame(w, req)
-	}
-	payload, err := appendBatchRequest(append(bufpool.Get(1<<12), frameBatch), req)
-	if err != nil {
-		bufpool.Put(payload)
-		return err
-	}
-	return writePayload(w, payload)
-}
-
-// readRequestFrame receives one request frame of either framing.
-func readRequestFrame(r io.Reader) (*rpc.Request, error) {
-	payload, err := readPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	defer bufpool.Put(payload)
-	switch payload[0] {
-	case frameGob:
-		req := &rpc.Request{}
-		if err := decodeGob(payload[1:], req); err != nil {
+	// A prefix alone earns at most maxUpfront; the rest of a longer frame is
+	// allocated as its bytes actually arrive, doubling.
+	buf := get(min(n, maxUpfront))
+	have := 0
+	for {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			put(buf)
 			return nil, err
 		}
-		return req, nil
-	case frameBatch:
-		return decodeBatchRequest(payload[1:])
-	default:
-		return nil, fmt.Errorf("tcpnet: unknown frame type %#02x", payload[0])
-	}
-}
-
-// writeResponseFrame sends a response, choosing the batch framing when
-// sub-responses are present.
-func writeResponseFrame(w io.Writer, resp *rpc.Response) error {
-	if len(resp.Subs) == 0 {
-		return writeFrame(w, resp)
-	}
-	payload, err := appendBatchResponse(append(bufpool.Get(1<<12), frameBatch), resp)
-	if err != nil {
-		bufpool.Put(payload)
-		return err
-	}
-	return writePayload(w, payload)
-}
-
-// readResponseFrame receives one response frame of either framing.
-func readResponseFrame(r io.Reader) (*rpc.Response, error) {
-	payload, err := readPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	defer bufpool.Put(payload)
-	switch payload[0] {
-	case frameGob:
-		resp := &rpc.Response{}
-		if err := decodeGob(payload[1:], resp); err != nil {
-			return nil, err
+		if have = len(buf); have == n {
+			return buf, nil
 		}
-		return resp, nil
-	case frameBatch:
-		return decodeBatchResponse(payload[1:])
-	default:
-		return nil, fmt.Errorf("tcpnet: unknown frame type %#02x", payload[0])
+		next := get(min(n, 2*have))
+		copy(next, buf)
+		put(buf)
+		buf = next
 	}
 }
 
@@ -194,13 +169,22 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	var f framer
 	for {
-		req, err := readRequestFrame(conn)
+		frame, err := f.read(conn, true)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
-		resp := s.node.Handle(req)
-		if err := writeResponseFrame(conn, resp); err != nil {
+		// req's payloads alias frame, and the response may alias req, so the
+		// frame goes back to the arena only once the response is on the wire.
+		// Handle retains none of it: block stores copy or write through (see
+		// cluster.BlockStore.Put).
+		req := new(rpc.Request)
+		if err = rpc.DecodeRequest(frame, req); err == nil {
+			err = f.writeResponse(conn, s.node.Handle(req))
+		}
+		bufpool.Put(frame)
+		if err != nil {
 			return
 		}
 	}
@@ -229,12 +213,17 @@ func (s *Server) Close() error {
 // transparently — safe because every node RPC is idempotent.
 type Client struct {
 	addrs     []string
-	ioTimeout time.Duration
-	hist      *metrics.HistogramSet
+	ioTimeout atomic.Int64 // a time.Duration
+	hist      atomic.Pointer[metrics.HistogramSet]
+	nodes     []nodeConn
+}
 
-	mu    sync.Mutex
-	conns []net.Conn
-	locks []sync.Mutex // per-connection, serializes request/response pairs
+// nodeConn is one node's connection state. mu serializes request/response
+// pairs on the connection and guards every field.
+type nodeConn struct {
+	mu   sync.Mutex
+	conn net.Conn
+	f    framer
 }
 
 // NewClient returns a client for the given node addresses (node i is
@@ -242,19 +231,14 @@ type Client struct {
 func NewClient(addrs []string) *Client {
 	return &Client{
 		addrs: append([]string(nil), addrs...),
-		conns: make([]net.Conn, len(addrs)),
-		locks: make([]sync.Mutex, len(addrs)),
+		nodes: make([]nodeConn, len(addrs)),
 	}
 }
 
 // SetIOTimeout installs a per-frame read/write deadline on every connection
 // (0 disables, the default). It bounds how long a Call can block on a hung
 // or partitioned peer; the deadline error surfaces as cluster.ErrNodeDown.
-func (c *Client) SetIOTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.ioTimeout = d
-	c.mu.Unlock()
-}
+func (c *Client) SetIOTimeout(d time.Duration) { c.ioTimeout.Store(int64(d)) }
 
 // SetMetrics installs per-frame wire timing: every request/response pair
 // records its serialize+write and wait+read+decode legs under
@@ -262,49 +246,18 @@ func (c *Client) SetIOTimeout(d time.Duration) {
 // server's processing time — comparing it against the node-side
 // "node.<kind>" histograms isolates pure network cost. Nil (the default)
 // disables timing.
-func (c *Client) SetMetrics(h *metrics.HistogramSet) {
-	c.mu.Lock()
-	c.hist = h
-	c.mu.Unlock()
-}
+func (c *Client) SetMetrics(h *metrics.HistogramSet) { c.hist.Store(h) }
 
 // NumNodes implements cluster.Client.
 func (c *Client) NumNodes() int { return len(c.addrs) }
 
-// conn returns the pooled connection for node, dialing if absent. The
-// second result reports whether the connection was freshly dialed (and so
-// has never carried a request).
-func (c *Client) conn(node int) (net.Conn, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conns[node] != nil {
-		return c.conns[node], false, nil
-	}
-	conn, err := net.Dial("tcp", c.addrs[node])
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %d: %v", cluster.ErrNodeDown, node, err)
-	}
-	c.conns[node] = conn
-	return conn, true, nil
-}
-
-func (c *Client) dropConn(node int) {
-	c.mu.Lock()
-	if c.conns[node] != nil {
-		c.conns[node].Close()
-		c.conns[node] = nil
-	}
-	c.mu.Unlock()
-}
-
-// exchange performs one request/response pair on conn, applying the
-// per-frame IO deadline when configured and recording per-frame timings
-// when a histogram set is installed.
-func (c *Client) exchange(conn net.Conn, node int, req *rpc.Request) (*rpc.Response, error) {
-	c.mu.Lock()
-	timeout := c.ioTimeout
-	hist := c.hist
-	c.mu.Unlock()
+// exchange performs one request/response pair on nc's connection, applying
+// the per-frame IO deadline when configured and recording per-frame timings
+// when a histogram set is installed. The caller holds nc.mu.
+func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Response, error) {
+	conn := nc.conn
+	timeout := time.Duration(c.ioTimeout.Load())
+	hist := c.hist.Load()
 	if timeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
@@ -314,7 +267,7 @@ func (c *Client) exchange(conn net.Conn, node int, req *rpc.Request) (*rpc.Respo
 	if hist != nil {
 		start = time.Now()
 	}
-	if err := writeRequestFrame(conn, req); err != nil {
+	if err := nc.f.writeRequest(conn, req); err != nil {
 		return nil, err
 	}
 	if hist != nil {
@@ -327,8 +280,15 @@ func (c *Client) exchange(conn net.Conn, node int, req *rpc.Request) (*rpc.Respo
 			return nil, err
 		}
 	}
-	resp, err := readResponseFrame(conn)
+	// The frame is a plain allocation that the response's payloads alias
+	// and thereby own: the store hands Data to caches and callers, so it
+	// must never come from, or go back to, the arena.
+	frame, err := nc.f.read(conn, false)
 	if err != nil {
+		return nil, err
+	}
+	resp := new(rpc.Response)
+	if err := rpc.DecodeResponse(frame, resp); err != nil {
 		return nil, err
 	}
 	if hist != nil {
@@ -346,18 +306,24 @@ func (c *Client) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	if node < 0 || node >= len(c.addrs) {
 		return nil, fmt.Errorf("tcpnet: node %d out of range", node)
 	}
-	c.locks[node].Lock()
-	defer c.locks[node].Unlock()
+	nc := &c.nodes[node]
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
 	for {
-		conn, fresh, err := c.conn(node)
-		if err != nil {
-			return nil, err
+		fresh := nc.conn == nil
+		if fresh {
+			conn, err := net.Dial("tcp", c.addrs[node])
+			if err != nil {
+				return nil, fmt.Errorf("%w: %d: %v", cluster.ErrNodeDown, node, err)
+			}
+			nc.conn = conn
 		}
-		resp, err := c.exchange(conn, node, req)
+		resp, err := c.exchange(nc, node, req)
 		if err == nil {
 			return resp, nil
 		}
-		c.dropConn(node)
+		nc.conn.Close()
+		nc.conn = nil
 		if fresh {
 			return nil, fmt.Errorf("%w: %d: %v", cluster.ErrNodeDown, node, err)
 		}
@@ -366,14 +332,16 @@ func (c *Client) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	}
 }
 
-// Close severs all cached connections.
+// Close severs all cached connections, waiting for a call in flight on each
+// to finish first.
 func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, conn := range c.conns {
-		if conn != nil {
-			conn.Close()
-			c.conns[i] = nil
+	for i := range c.nodes {
+		nc := &c.nodes[i]
+		nc.mu.Lock()
+		if nc.conn != nil {
+			nc.conn.Close()
+			nc.conn = nil
 		}
+		nc.mu.Unlock()
 	}
 }
