@@ -67,9 +67,9 @@ type (
 // Durability & self-healing (DESIGN.md §9).
 //
 
-// RepairConfig tunes the repair queue and the background RepairManager
-// (heartbeat cadence, repair rate limit, scrub and reconcile periods); the
-// zero value enables sensible defaults via Options.Repair.
+// RepairConfig paces the background RepairManager (heartbeat cadence, repair
+// rate limit, scrub and reconcile periods) and is passed to
+// Store.StartRepairManager; the zero value applies sensible defaults.
 type RepairConfig = store.RepairConfig
 
 // RepairItem identifies one block awaiting repair; RepairStats snapshots the
@@ -144,7 +144,7 @@ type Overloaded = sched.Overloaded
 
 // WithTenant tags a context with a tenant name; admission-controlled stores
 // account and queue the request under that tenant's fair-share weight.
-// Untagged requests run as Options.Tenant (or "default").
+// Untagged requests run as the "default" tenant.
 func WithTenant(ctx context.Context, tenant string) context.Context {
 	return sched.WithTenant(ctx, tenant)
 }
@@ -238,8 +238,8 @@ func NewHistogramSet() *HistogramSet { return metrics.NewHistogramSet() }
 // data-tier residency against Options.CacheBytes, and the singleflight
 // dedup/decode counters. Read it with Store.CacheStats; CacheTier.HitRate
 // gives a tier's hit fraction. Enable the data tiers by setting
-// Options.CacheBytes > 0 (Options.MetaCacheEntries bounds the always-on
-// metadata tier).
+// Options.CacheBytes > 0 (the metadata tier is always on, bounded at 4096
+// objects).
 type (
 	CacheStats = metrics.CacheStats
 	CacheTier  = metrics.CacheTier

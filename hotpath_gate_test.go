@@ -260,7 +260,7 @@ func TestAllocCeilingGate(t *testing.T) {
 	if os.Getenv("FUSION_ALLOC_GATE") == "" {
 		t.Skip("set FUSION_ALLOC_GATE=1 to run the alloc ceiling gate")
 	}
-	getCeil := int64(gateFloat(t, "FUSION_ALLOC_GATE_GET", 100))
+	getCeil := int64(gateFloat(t, "FUSION_ALLOC_GATE_GET", 40))
 	queryCeil := int64(gateFloat(t, "FUSION_ALLOC_GATE_QUERY", 2000))
 
 	get := testing.Benchmark(BenchmarkSteadyGet)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
-	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
@@ -111,25 +110,26 @@ func exprLeaves(e sql.Expr, out []*sql.Compare) []*sql.Compare {
 	return out
 }
 
-// nodeReq is one planned pushdown sub-request and the node hosting its
-// chunk(s).
+// nodeReq is one planned sub-request and the node it goes to.
 type nodeReq struct {
 	node int
 	req  rpc.Request
 }
 
-// scatter is the one dispatch path of every pushed query operator: it ships
-// a stage's planned sub-requests as one KindBatch frame per node (frames go
-// out concurrently) and returns index-aligned sub-responses. The fallback
-// contract: a nil entry means the sub-request got no usable answer — its
-// frame was lost (node down, deadline, transport error) or the node failed
-// that one sub-op — and the caller serves it from its coordinator-side fetch
-// path; scatter itself never fails a query. With pushdown impossible
+// scatter is the one dispatch path of every pushed query operator and of
+// Get's block prefetch: it ships the planned sub-requests as one KindBatch
+// frame per node (frames go out concurrently) and returns index-aligned
+// sub-responses. The fallback contract: a nil entry means the sub-request got
+// no usable answer — its frame was lost (node down, deadline, transport error)
+// or the node failed that one sub-op — and the caller serves it from its
+// coordinator-side path (a query's chunk fetch, readBlock's bare call);
+// scatter itself never fails an operation. With pushdown impossible
 // (baseline, fixed-layout fallback, no WHERE) callers plan nothing, scatter
-// does nothing, and every unit of work takes that same fallback. Each frame
-// accounts into a forked state, joined in node-first-appearance order, so
-// the stage's cost sheet is independent of worker scheduling.
-func (s *Store) scatter(st *execState, reqs []nodeReq) []*rpc.Response {
+// does nothing, and every unit of work takes that same fallback. For a query
+// (st non-nil) each frame accounts into a forked state, joined in
+// node-first-appearance order, so the stage's cost sheet is independent of
+// worker scheduling.
+func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs []nodeReq) []*rpc.Response {
 	type nodeGroup struct {
 		node int
 		subs []rpc.Request
@@ -151,7 +151,7 @@ func (s *Store) scatter(st *execState, reqs []nodeReq) []*rpc.Response {
 	out := make([]*rpc.Response, len(reqs))
 	runTasks(s.queryWorkers(), len(order), func(i int) {
 		g := order[i]
-		resps, err := s.batchCall(g.sub.ctx, g.sub, g.sub.sp, g.node, g.subs)
+		resps, err := s.batchCall(ctx, g.sub, sp, g.node, g.subs)
 		if err != nil {
 			return // whole frame lost: every sub on this node falls back
 		}
@@ -235,7 +235,7 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 			refs = append(refs, leafRef{rg: rg, cmp: c, ch: ch})
 		}
 	}
-	for j, resp := range s.scatter(st, reqs) {
+	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
 		if resp == nil {
 			continue
 		}
@@ -332,89 +332,3 @@ type chunkTask struct {
 
 // blockKey identifies one data block of an object: (stripe, bin).
 type blockKey struct{ stripe, bin int }
-
-// prefetchWholeBlocks batch-fetches the whole blocks a Get needs, one
-// scatter-gather frame per node holding two or more of them. Cached blocks
-// are served directly; fetched blocks are verified against the stripe
-// checksums exactly like a direct read and admitted to the cache. A block
-// absent from the returned map (failed frame, failed sub-read, checksum
-// mismatch) is left to readSegments' per-block path, which retries and falls
-// into RS reconstruction.
-func (s *Store) prefetchWholeBlocks(ctx context.Context, sp *trace.Span, meta *ObjectMeta, need []blockKey) map[blockKey][]byte {
-	whole := make(map[blockKey][]byte, len(need))
-	type nodeGroup struct {
-		subs []rpc.Request
-		keys []blockKey
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []int
-	for _, key := range need {
-		if s.cacheOn() {
-			if v, ok := s.cache.Get(blockKeyOf(meta, key.stripe, key.bin)); ok {
-				sp.Count(trace.CacheHits, 1)
-				whole[key] = v.([]byte)
-				continue
-			}
-		}
-		st := meta.Stripes[key.stripe]
-		verify := !s.opts.SkipChecksumVerify && key.bin < len(st.Checksums)
-		node := st.Nodes[key.bin]
-		g := groups[node]
-		if g == nil {
-			g = &nodeGroup{}
-			groups[node] = g
-			order = append(order, node)
-		}
-		g.subs = append(g.subs, rpc.Request{
-			Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[key.bin], CallerVerifies: verify,
-		})
-		g.keys = append(g.keys, key)
-	}
-	for _, node := range order {
-		g := groups[node]
-		if len(g.subs) < 2 {
-			continue // a lone read gains nothing from batch framing
-		}
-		resps, err := s.batchCall(ctx, nil, sp, node, g.subs)
-		if err != nil {
-			continue
-		}
-		for j, key := range g.keys {
-			data, ok := s.verifyBlockReply(sp, meta, key.stripe, key.bin, &resps[j])
-			if !ok {
-				continue
-			}
-			whole[key] = data
-			s.cacheFillBlock(meta, key.stripe, key.bin, data)
-		}
-	}
-	return whole
-}
-
-// verifyBlockReply applies the whole-block end-to-end verification (see
-// fetchWholeBlock) to one batched sub-response: a node-side error, a stripe
-// checksum mismatch, or — for legacy stripes without recorded checksums — a
-// reply CRC mismatch each count a checksum failure where applicable, enqueue
-// the block for repair, and reject the reply.
-func (s *Store) verifyBlockReply(sp *trace.Span, meta *ObjectMeta, stripe, bin int, resp *rpc.Response) ([]byte, bool) {
-	st := meta.Stripes[stripe]
-	verify := !s.opts.SkipChecksumVerify && bin < len(st.Checksums)
-	repair := func() {
-		sp.Count(trace.ChecksumFailures, 1)
-		s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
-	}
-	switch {
-	case resp.Err != "":
-		if cluster.IsChecksumErr(resp.Err) {
-			repair()
-		}
-		return nil, false
-	case verify && cluster.Checksum(resp.Data) != st.Checksums[bin]:
-		repair()
-		return nil, false
-	case !verify && !s.opts.SkipChecksumVerify && cluster.Checksum(resp.Data) != resp.Crc:
-		repair()
-		return nil, false
-	}
-	return resp.Data, true
-}

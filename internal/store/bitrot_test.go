@@ -2,11 +2,11 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
-	"github.com/fusionstore/fusion/internal/faultnet"
-	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
+	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // rotDataBlock flips one byte of a stored data block that backs at least one
@@ -38,124 +38,43 @@ func rotDataBlock(t *testing.T, s *Store, cl *simnet.Cluster, name string) (int,
 	return 0, 0
 }
 
-// TestBitRotEndToEnd is the full self-healing cycle for at-rest corruption:
-// a flipped byte on disk is caught by the node's checksum verification, the
-// read is served bit-exact via RS reconstruction, the failure lands in the
-// repair queue, and processing the queue rewrites a verified block so the
-// cluster scrubs clean again.
-func TestBitRotEndToEnd(t *testing.T) {
-	data, _, _ := makeObject(t, 2, 300, 71)
-	s, cl := newSimStore(t, fusionTestOptions())
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	stripe, bin := rotDataBlock(t, s, cl, "obj")
-
-	// The read must detect the rot and still return perfect bytes.
-	got, err := s.Get("obj", 0, 0)
-	if err != nil {
-		t.Fatalf("degraded read over rotted block: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("read over rotted block returned wrong bytes")
-	}
-	rs := s.RepairStats()
-	if rs.Enqueued == 0 || rs.QueueDepth == 0 {
-		t.Fatalf("checksum failure must enqueue a repair: %+v", rs)
-	}
-
-	// Drain the queue: the block is rebuilt from survivors, verified against
-	// the stripe metadata checksum, and rewritten committed.
-	n, err := s.ProcessRepairs(0)
-	if err != nil {
-		t.Fatalf("ProcessRepairs: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("ProcessRepairs drained nothing")
-	}
-	rs = s.RepairStats()
-	if rs.QueueDepth != 0 || rs.Processed == 0 {
-		t.Fatalf("queue must drain: %+v", rs)
-	}
-
-	// The rewritten block now matches its recorded checksum at the node.
-	meta, _ := s.Meta("obj")
-	st := meta.Stripes[stripe]
-	resp := cl.Node(st.Nodes[bin]).Handle(&rpc.Request{Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[bin]})
-	if resp.Err != "" {
-		t.Fatalf("repaired block must read clean at the node: %s", resp.Err)
-	}
-
-	// And the whole object scrubs clean.
-	rep, err := s.Scrub("obj", ScrubOptions{})
-	if err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 || rep.ChecksumFailures != 0 {
-		t.Fatalf("post-repair scrub: %+v, %v", rep, err)
-	}
-	if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("post-repair read: %v", err)
-	}
-}
-
-// TestBitRotInFlightDetectedByEndToEndChecksum covers the other corruption
-// channel: the stored block is fine but the response is corrupted in flight.
-// The coordinator's end-to-end response checksum catches it, the read is
-// retried/reconstructed to the right bytes, and the repair enqueue is
-// harmless (the repair verifies the block before rewriting).
-func TestBitRotInFlightDetectedByEndToEndChecksum(t *testing.T) {
-	seed := faultSeed(t)
-	s, inj := newFaultStore(t, 9, seed, fusionTestOptions())
-	data, _, _ := makeObject(t, 2, 200, seed)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	inj.Add(faultnet.Rule{Node: faultnet.NodeAny, Kind: rpc.KindGetBlock, Fault: faultnet.FaultCorrupt, Count: 1})
-	got, err := s.Get("obj", 0, 0)
-	if err != nil {
-		t.Fatalf("seed %d: read under in-flight corruption: %v", seed, err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("seed %d: in-flight corruption leaked into the result", seed)
-	}
-	if rs := s.RepairStats(); rs.Enqueued == 0 {
-		t.Fatalf("seed %d: end-to-end checksum failure must enqueue a repair: %+v", seed, rs)
-	}
-	// Repairing a block that was never bad on disk is a no-op rewrite.
-	if _, err := s.ProcessRepairs(0); err != nil {
-		t.Fatalf("seed %d: ProcessRepairs: %v", seed, err)
-	}
-	rep, err := s.Scrub("obj", ScrubOptions{})
-	if err != nil || rep.ChecksumFailures != 0 || rep.CorruptStripes != 0 {
-		t.Fatalf("seed %d: post-repair scrub: %+v, %v", seed, rep, err)
-	}
-}
+// (The at-rest and in-flight bit-rot cycles — detect, serve via
+// reconstruction, queue, repair, scrub clean — are rows of
+// TestBlockReadFaults.)
 
 // TestSkipChecksumVerifyDisablesEndToEndCheck pins the benchmark escape
 // hatch: with SkipChecksumVerify set, the coordinator does not checksum node
-// responses (an in-flight flip on a directly-read data block goes
-// unnoticed), which is exactly why it is benchmark-only.
+// replies — an in-flight flip of a directly-read data block reaches the
+// caller uncounted and unrepaired — which is exactly why it is
+// benchmark-only.
 func TestSkipChecksumVerifyDisablesEndToEndCheck(t *testing.T) {
-	seed := faultSeed(t)
 	opts := fusionTestOptions()
 	opts.SkipChecksumVerify = true
-	s, inj := newFaultStore(t, 9, seed, opts)
-	data, _, _ := makeObject(t, 2, 200, seed)
+	tap := &tapClient{inner: simnet.New(simnet.DefaultConfig())}
+	s, err := New(tap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, _ := makeObject(t, 2, 200, 1)
 	if _, err := s.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := s.Meta("obj")
-	// Corrupt the response of the first data bin's direct read.
-	inj.Add(faultnet.Rule{Node: meta.Stripes[0].Nodes[0], Kind: rpc.KindGetBlock, Fault: faultnet.FaultCorrupt, Count: 1})
-	got, err := s.Get("obj", 0, 0)
+	loc := meta.ItemLocs[meta.ChunkItemIndex(0, 0)]
+	tap.set(meta.Stripes[loc.Stripe].BlockIDs[loc.Bin])
+	ctx, sp := trace.Start(context.Background(), "read")
+	got, err := s.GetContext(ctx, "obj", 0, 0)
+	sp.End()
 	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		t.Fatal(err)
 	}
 	if bytes.Equal(got, data) {
-		// The flipped byte may land outside the returned range (headers are
-		// re-read elsewhere); only a corrupted result demonstrates the skip,
-		// so tolerate a lucky flip but don't fail the run.
-		t.Logf("seed %d: flip landed outside the consumed bytes", seed)
+		t.Fatal("the flipped byte did not reach the caller: something still verifies")
+	}
+	if n := sp.Total(trace.ChecksumFailures); n != 0 {
+		t.Fatalf("skip mode counted %d checksum failures", n)
 	}
 	if rs := s.RepairStats(); rs.Enqueued != 0 {
-		t.Fatalf("seed %d: skip mode must not enqueue repairs: %+v", seed, rs)
+		t.Fatalf("skip mode must not enqueue repairs: %+v", rs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
@@ -33,18 +34,11 @@ func (s *Store) Get(name string, offset, length uint64) ([]byte, error) {
 // reconstructions — plus byte counters for read amplification; an untraced
 // context costs nothing.
 func (s *Store) GetContext(ctx context.Context, name string, offset, length uint64) ([]byte, error) {
-	sp := trace.FromContext(ctx).Child("store.Get")
-	defer sp.End()
-	release, err := s.admit(ctx, sp, sched.ClassPoint)
+	sp, end, err := s.admitOp(ctx, "Get", sched.ClassPoint)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("Get"), time.Since(start))
-		}(time.Now())
-	}
+	defer end()
 	msp := sp.Child("meta")
 	meta, err := s.Meta(name)
 	msp.End()
@@ -52,7 +46,9 @@ func (s *Store) GetContext(ctx context.Context, name string, offset, length uint
 		return nil, err
 	}
 	data, err := s.getWithMeta(ctx, sp, meta, offset, length)
-	if err != nil {
+	// A cancelled or expired caller must not burn a quorum read and a second
+	// full pass: the retry exists for concurrent overwrites, not deadlines.
+	if err != nil && ctxErr(ctx) == nil {
 		// The metadata may have been captured before a concurrent
 		// overwrite committed: the blocks it points at can be
 		// garbage-collected mid-read. Re-resolve against the quorum and
@@ -94,7 +90,7 @@ func (s *Store) refreshedMeta(name string, old *ObjectMeta) *ObjectMeta {
 	if err != nil || fresh.Epoch == old.Epoch {
 		return nil
 	}
-	s.cacheMeta(fresh)
+	s.cache.PutMeta(name, fresh)
 	s.cache.InvalidateObject(name, fresh.Epoch)
 	return fresh
 }
@@ -161,11 +157,12 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // that together cover their whole block — the common case for full-object
 // and row-group reads, where the items of a block tile it exactly — are
 // served by a single whole-block read, fetched and verified once no matter how
-// many items it holds; the rest fall back to per-range reads. Coalescing is
-// what keeps verified reads at one checksum pass per block end to end: the
-// coordinator checks the received block against the stripe checksum in its
-// own metadata (covering both bit rot and transit corruption), so the node
-// is told to skip its redundant at-rest pass.
+// many items it holds; the rest are per-range reads. The distinct whole blocks
+// not already cached are prefetched through scatter, one frame per node
+// instead of one round trip per block; under scatter's contract a nil reply
+// (lost frame, failed sub-read) leaves that block to readBlock's bare call.
+// Hedged stores skip the prefetch: a frame cannot race a reconstruction per
+// block.
 func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64) ([]byte, error) {
 	out := make([]byte, length)
 	// Bytes requested per block; ranges never overlap (items are disjoint),
@@ -179,45 +176,57 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 	if planned != length {
 		return nil, fmt.Errorf("store: assembled %d bytes, want %d", planned, length)
 	}
-	whole := make(map[blockKey][]byte)
+	whole := make(map[blockKey][]byte, len(covered))      // whole blocks in hand
+	pre := make(map[blockKey]*rpc.Response, len(covered)) // whole blocks planned, and their prefetched replies
 	if s.opts.HedgeAfter <= 0 {
-		// Scatter-gather: collect the distinct whole-block reads this Get
-		// needs and fetch them with one batch frame per node, instead of one
-		// round trip per block. Blocks the prefetch could not serve fall
-		// back to the per-block (retrying, reconstructing) path below.
-		var need []blockKey
-		seen := make(map[blockKey]bool, len(covered))
+		var reqs []nodeReq
+		var keys []blockKey // keys[i] is the block reqs[i] reads
+		perNode := make(map[int]int)
 		for _, g := range segs {
 			key := blockKey{g.stripe, g.bin}
-			st := meta.Stripes[g.stripe]
-			if g.bin < len(st.DataLens) && covered[key] == st.DataLens[g.bin] && !seen[key] {
-				seen[key] = true
-				need = append(need, key)
+			st := &meta.Stripes[g.stripe]
+			if _, dup := pre[key]; dup || covered[key] != st.DataLens[g.bin] {
+				continue
+			}
+			pre[key] = nil
+			if block, ok := s.cachedBlock(sp, meta, g.stripe, g.bin); ok {
+				whole[key] = block
+				continue
+			}
+			reqs = append(reqs, nodeReq{st.Nodes[g.bin], s.getBlockReq(st, g.bin, 0, 0)})
+			keys = append(keys, key)
+			perNode[st.Nodes[g.bin]]++
+		}
+		// A node asked for one block gains nothing from a frame: its request
+		// is dropped here and readBlock's bare call reads the block.
+		n := 0
+		for i, r := range reqs {
+			if perNode[r.node] > 1 {
+				reqs[n], keys[n] = r, keys[i]
+				n++
 			}
 		}
-		whole = s.prefetchWholeBlocks(ctx, sp, meta, need)
+		for i, resp := range s.scatter(ctx, sp, nil, reqs[:n]) {
+			pre[keys[i]] = resp
+		}
 	}
 	for _, g := range segs {
 		key := blockKey{g.stripe, g.bin}
-		st := meta.Stripes[g.stripe]
-		if s.opts.HedgeAfter > 0 || g.bin >= len(st.DataLens) || covered[key] != st.DataLens[g.bin] {
-			data, err := s.readStripeRange(ctx, sp, meta, g.stripe, g.bin, g.off, g.length)
-			if err != nil {
-				return nil, err
+		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
+		var data []byte
+		var err error
+		if covered[key] != blockLen {
+			data, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
+		} else {
+			block, ok := whole[key]
+			if !ok {
+				if block, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
+					return nil, err
+				}
+				whole[key] = block
 			}
-			copy(out[g.outStart:], data)
-			continue
+			data, err = sliceBlock(block, g.off, g.length)
 		}
-		block, ok := whole[key]
-		if !ok {
-			var err error
-			block, err = s.readWholeBlock(ctx, sp, meta, g.stripe, g.bin)
-			if err != nil {
-				return nil, err
-			}
-			whole[key] = block
-		}
-		data, err := sliceBlock(block, g.off, g.length)
 		if err != nil {
 			return nil, err
 		}
@@ -226,22 +235,114 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 	return out, nil
 }
 
-// readWholeBlock reads one entire data block, serving it from the
-// coordinator cache when possible. Cached bytes were CRC-verified on fill
-// (cacheFillBlock admits nothing else), so a hit skips verification
-// entirely and — because it never touches s.call — contributes zero
-// bytes-from-nodes to read amplification. Misses are deduplicated by the
-// singleflight layer: N concurrent readers of one block trigger one fetch.
-func (s *Store) readWholeBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, error) {
+// errBlockChecksum marks a block read whose bytes failed verification: the
+// node refused a block rotted at rest, the reply was corrupted in flight, or
+// the stored bytes do not match the checksum recorded at write time. Scrub
+// reports these apart from blocks that are merely unreachable.
+var errBlockChecksum = errors.New("store: block failed checksum verification")
+
+// getBlockReq builds the GetBlock request for block j of a stripe: the range
+// [off, off+length), or the whole block when length is 0. A whole block is
+// checked by the coordinator against the checksum in its own stripe metadata
+// (verifyBlock) — one pass covering both rot at rest and corruption in
+// transit — so the node is told to skip its redundant at-rest pass.
+func (s *Store) getBlockReq(st *StripeMeta, j int, off, length uint64) rpc.Request {
+	return rpc.Request{
+		Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[j], Offset: off, Length: length,
+		CallerVerifies: length == 0 && !s.opts.SkipChecksumVerify,
+	}
+}
+
+// verifyBlock is the one place a GetBlock reply — bare or a batch
+// sub-response — becomes verified bytes or an error. Transport and plain
+// application errors pass through. A whole block must match the stripe
+// checksum recorded at write time, a range the CRC the node computed over the
+// bytes it served. Every checksum fault (those two, or the node refusing a
+// block that failed its at-rest check) wraps errBlockChecksum, counts one
+// ChecksumFailure and queues the block for repair; the caller then treats the
+// block as an erasure.
+func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, whole bool, resp *rpc.Response, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	st := &meta.Stripes[stripe]
+	switch {
+	case resp.Err != "" && !cluster.IsChecksumErr(resp.Err):
+		return nil, errors.New(resp.Err)
+	case resp.Err != "":
+		err = fmt.Errorf("%w: %s", errBlockChecksum, resp.Err)
+	case s.opts.SkipChecksumVerify:
+		return resp.Data, nil
+	case whole && cluster.Checksum(resp.Data) != st.Checksums[j]:
+		err = fmt.Errorf("%w: %s does not match its stripe checksum", errBlockChecksum, st.BlockIDs[j])
+	case !whole && cluster.Checksum(resp.Data) != resp.Crc:
+		err = fmt.Errorf("%w: %s: reply failed its end-to-end checksum", errBlockChecksum, st.BlockIDs[j])
+	default:
+		return resp.Data, nil
+	}
+	sp.Count(trace.ChecksumFailures, 1)
+	s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: j})
+	return nil, err
+}
+
+// fetchBlock is one bare, verified GetBlock of block j (data or parity): the
+// range [off, off+length), or the whole block when length is 0.
+func (s *Store) fetchBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int, off, length uint64) ([]byte, error) {
+	st := &meta.Stripes[stripe]
+	req := s.getBlockReq(st, j, off, length)
+	resp, err := s.call(ctx, sp, st.Nodes[j], &req)
+	return s.verifyBlock(sp, meta, stripe, j, length == 0, resp, err)
+}
+
+// cachedBlock returns a data block's bytes from the coordinator cache. Cached
+// bytes were CRC-verified on fill (cacheFillBlock admits nothing else), so a
+// hit skips verification entirely and — because it never touches s.call —
+// contributes zero bytes-from-nodes to read amplification.
+func (s *Store) cachedBlock(sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, bool) {
 	if !s.cacheOn() {
-		return s.fetchWholeBlock(ctx, sp, meta, stripe, bin)
+		return nil, false
 	}
-	if v, ok := s.cache.Get(blockKeyOf(meta, stripe, bin)); ok {
-		sp.Count(trace.CacheHits, 1)
-		return v.([]byte), nil
+	v, ok := s.cache.Get(blockKeyOf(meta, stripe, bin))
+	if !ok {
+		return nil, false
 	}
-	v, err, _ := s.cache.Do("b/"+meta.Stripes[stripe].BlockIDs[bin], func() (any, error) {
-		block, err := s.fetchWholeBlock(ctx, sp, meta, stripe, bin)
+	sp.Count(trace.CacheHits, 1)
+	return v.([]byte), true
+}
+
+// cacheFillBlock admits one block's bytes to the cache. Admission requires
+// a successful CRC check against the stripe metadata — that verification is
+// what lets hits skip the read path's own pass — so nothing is cached when
+// verification is off.
+func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) {
+	if !s.cacheOn() || s.opts.SkipChecksumVerify {
+		return
+	}
+	if cluster.Checksum(block) != meta.Stripes[stripe].Checksums[bin] {
+		return
+	}
+	s.cache.Put(blockKeyOf(meta, stripe, bin), block, uint64(len(block)))
+}
+
+// readBlock serves one planned read — bytes [off, off+length) of data block
+// bin — and is the only way block bytes reach a Get or a query's chunk fetch.
+// pre is the block's prefetched reply, if the planner got one. With the
+// cache on, reads are served at block granularity: a hit slices resident
+// bytes, and a miss fetches (and caches) the whole block under singleflight,
+// so the next range of the block is a hit and N concurrent readers of one
+// block trigger one fetch.
+func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, error) {
+	if !s.cacheOn() {
+		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
+	}
+	if pre == nil { // a prefetched reply means the planner just missed the cache
+		if block, ok := s.cachedBlock(sp, meta, stripe, bin); ok {
+			return sliceBlock(block, off, length)
+		}
+	}
+	st := &meta.Stripes[stripe]
+	v, err, _ := s.cache.Do("b/"+st.BlockIDs[bin], func() (any, error) {
+		block, err := s.directOrDegraded(ctx, sp, meta, stripe, bin, 0, st.DataLens[bin], pre)
 		if err != nil {
 			return nil, err
 		}
@@ -251,227 +352,119 @@ func (s *Store) readWholeBlock(ctx context.Context, sp *trace.Span, meta *Object
 	if err != nil {
 		return nil, err
 	}
-	return v.([]byte), nil
+	return sliceBlock(v.([]byte), off, length)
 }
 
-// cacheFillBlock admits one block's bytes to the cache. Admission requires
-// a successful CRC check against the stripe metadata — that verification is
-// what lets hits skip the read path's own pass — so nothing is cached when
-// verification is off or the stripe predates recorded checksums.
-func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) {
-	if !s.cacheOn() || s.opts.SkipChecksumVerify {
-		return
-	}
-	st := meta.Stripes[stripe]
-	if bin >= len(st.Checksums) || cluster.Checksum(block) != st.Checksums[bin] {
-		return
-	}
-	s.cache.Put(blockKeyOf(meta, stripe, bin), block, uint64(len(block)))
-}
-
-// fetchWholeBlock reads one entire data block from its node. When
-// verification is on and the stripe metadata records the block's checksum,
-// the received bytes are verified against that record — one pass at the
-// coordinator catching both a rotted block and a reply corrupted in flight
-// — and the node is told to skip its own at-rest pass. A failed read or a
-// checksum mismatch enqueues a repair and serves the block from the
-// stripe's redundancy instead.
-func (s *Store) fetchWholeBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, error) {
+// directOrDegraded is the read rule of §5 "Recovery and Fault Tolerance":
+// read the block where it lives, and if that fails — node unreachable, block
+// gone, or a checksum fault, which has already queued the repair — treat it
+// as an erasure and rebuild it from any k of the stripe's survivors. The
+// direct step is the prefetched reply when there is one, else a bare call;
+// a read of the whole block is verified against the stripe checksum. With
+// Options.HedgeAfter set the two steps race once the direct read has been
+// outstanding that long, instead of running in sequence.
+func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, error) {
 	bsp := sp.Child("block")
 	defer bsp.End()
-	st := meta.Stripes[stripe]
-	verify := !s.opts.SkipChecksumVerify && bin < len(st.Checksums)
-	resp, err := s.call(ctx, bsp, st.Nodes[bin], &rpc.Request{
-		Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[bin], CallerVerifies: verify,
-	})
-	var fail error
-	switch {
-	case err != nil:
-		fail = err
-	case resp.Err != "":
-		if cluster.IsChecksumErr(resp.Err) {
-			bsp.Count(trace.ChecksumFailures, 1)
-			s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
+	direct := func() ([]byte, error) {
+		if pre != nil {
+			return s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
 		}
-		fail = errors.New(resp.Err)
-	case verify && cluster.Checksum(resp.Data) != st.Checksums[bin]:
-		bsp.Count(trace.ChecksumFailures, 1)
-		s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
-		fail = fmt.Errorf("store: block %s failed verification against stripe checksum", st.BlockIDs[bin])
-	case !verify && !s.opts.SkipChecksumVerify && cluster.Checksum(resp.Data) != resp.Crc:
-		// Legacy stripe without recorded checksums: end-to-end check
-		// against the CRC the node claims, as checkDirectRead does.
-		bsp.Count(trace.ChecksumFailures, 1)
-		s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
-		fail = fmt.Errorf("store: block %s: reply failed end-to-end checksum", st.BlockIDs[bin])
-	default:
-		return resp.Data, nil
-	}
-	// A dead context dooms the reconstruction fan-out too; surface the
-	// caller's cancellation, not a misleading too-many-failures.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("store: read abandoned (direct: %v): %w", fail, cerr)
-	}
-	block, derr := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
-	if derr != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			// The deadline fired mid-reconstruction: the caller's budget,
-			// not shard availability, is what failed this read.
-			return nil, fmt.Errorf("store: read abandoned (direct: %v; degraded: %v): %w", fail, derr, cerr)
+		if length == meta.Stripes[stripe].DataLens[bin] {
+			return s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0)
 		}
-		return nil, fmt.Errorf("store: degraded read failed (direct: %v): %w", fail, derr)
+		return s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length)
 	}
-	return block, nil
-}
-
-// readStripeRange reads [off, off+length) of data block bin in a stripe,
-// reconstructing the block from the stripe's survivors when its node is
-// unreachable or its block is missing. With Options.HedgeAfter set, a
-// direct read that is merely slow also races a reconstruction fan-out and
-// the first result wins.
-func (s *Store) readStripeRange(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64) ([]byte, error) {
-	// With the cache enabled, partial reads are served at block
-	// granularity: a hit slices resident verified bytes, a miss fetches
-	// (and caches) the whole block so the next range of the same block is
-	// a hit. The hedged path keeps its range reads but still checks for a
-	// resident block first.
-	if s.cacheOn() {
-		if v, ok := s.cache.Get(blockKeyOf(meta, stripe, bin)); ok {
-			sp.Count(trace.CacheHits, 1)
-			return sliceBlock(v.([]byte), off, length)
+	degraded := func() ([]byte, error) {
+		block, err := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
+		if err != nil {
+			return nil, err
 		}
-		if s.opts.HedgeAfter <= 0 && bin < len(meta.Stripes[stripe].DataLens) {
-			block, err := s.readWholeBlock(ctx, sp, meta, stripe, bin)
-			if err != nil {
-				return nil, err
-			}
-			return sliceBlock(block, off, length)
-		}
-	}
-	bsp := sp.Child("block")
-	defer bsp.End()
-	st := meta.Stripes[stripe]
-	req := &rpc.Request{
-		Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[bin], Offset: off, Length: length,
+		return sliceBlock(block, off, length)
 	}
 	if s.opts.HedgeAfter > 0 {
-		return s.readStripeRangeHedged(ctx, bsp, meta, stripe, bin, off, length, req)
+		return s.raceReads(ctx, bsp, meta.Stripes[stripe].Nodes[bin], direct, degraded)
 	}
-	resp, err := s.call(ctx, bsp, st.Nodes[bin], req)
-	data, err := s.checkDirectRead(bsp, meta, stripe, bin, resp, err)
-	if err == nil {
+	data, derr := direct()
+	if derr == nil {
 		return data, nil
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("store: read abandoned (direct: %v): %w", err, cerr)
-	}
-	// Degraded read: rebuild the whole block, then slice. A checksum
-	// failure lands here too — the rotted block is an erasure, the read is
-	// served from the stripe's redundancy, and the repair queue already has
-	// the block.
-	block, derr := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
-	if derr != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("store: read abandoned (direct: %v; degraded: %v): %w", err, derr, cerr)
+	// A dead context dooms the reconstruction fan-out too: don't start it.
+	var rerr error
+	if ctxErr(ctx) == nil {
+		if data, rerr = degraded(); rerr == nil {
+			return data, nil
 		}
-		return nil, fmt.Errorf("store: degraded read failed (direct: %v): %w", err, derr)
 	}
-	return sliceBlock(block, off, length)
+	return nil, readFailed(ctx, derr, rerr)
 }
 
-// checkDirectRead validates one direct block read. Transport errors pass
-// through; application errors become errors, and both flavors of checksum
-// failure — the node refusing a rotted block at rest, or the reply failing
-// its end-to-end CRC in flight — additionally count a ChecksumFailure and
-// enqueue the block for repair before the caller falls into the
-// reconstruct-and-serve path.
-func (s *Store) checkDirectRead(sp *trace.Span, meta *ObjectMeta, stripe, bin int, resp *rpc.Response, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
+// readFailed is the error of a block read whose direct and degraded steps
+// both failed (degraded is nil when it was never started). When the caller's
+// context is done, its budget — not shard availability — is what failed the
+// read, so the context error is the one wrapped instead of a misleading
+// ErrTooManyFailures.
+func readFailed(ctx context.Context, direct, degraded error) error {
+	if cerr := ctxErr(ctx); cerr != nil {
+		return fmt.Errorf("store: read abandoned (direct: %v; degraded: %v): %w", direct, degraded, cerr)
 	}
-	if resp.Err != "" {
-		if cluster.IsChecksumErr(resp.Err) {
-			sp.Count(trace.ChecksumFailures, 1)
-			s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
-		}
-		return nil, errors.New(resp.Err)
-	}
-	if !s.opts.SkipChecksumVerify && cluster.Checksum(resp.Data) != resp.Crc {
-		sp.Count(trace.ChecksumFailures, 1)
-		s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: bin})
-		return nil, fmt.Errorf("store: block %s: reply failed end-to-end checksum",
-			meta.Stripes[stripe].BlockIDs[bin])
-	}
-	return resp.Data, nil
+	return fmt.Errorf("store: degraded read failed (direct: %v): %w", direct, degraded)
 }
 
-// readStripeRangeHedged races the direct read against a reconstruction
-// fan-out fired once the direct read exceeds the hedging threshold.
-func (s *Store) readStripeRangeHedged(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, req *rpc.Request) ([]byte, error) {
-	node := meta.Stripes[stripe].Nodes[bin]
+// raceReads runs a block's direct read and, once it has been outstanding for
+// Options.HedgeAfter (or has failed), its degraded read; the first success
+// wins.
+func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct, degraded func() ([]byte, error)) ([]byte, error) {
 	type result struct {
 		data   []byte
 		err    error
 		hedged bool
 	}
-	results := make(chan result, 2) // buffered: late finishers never block
-	go func() {
-		resp, err := s.call(ctx, sp, node, req)
-		data, err := s.checkDirectRead(sp, meta, stripe, bin, resp, err)
-		results <- result{data: data, err: err}
-	}()
-	launchHedge := func() {
+	results := make(chan result, 2) // one slot per racer: late finishers never block
+	run := func(read func() ([]byte, error), hedged bool) {
 		go func() {
-			block, err := s.reconstructBlock(ctx, sp, meta, stripe, bin)
-			if err != nil {
-				results <- result{err: err, hedged: true}
-				return
-			}
-			data, err := sliceBlock(block, off, length)
-			results <- result{data: data, err: err, hedged: true}
+			data, err := read()
+			results <- result{data, err, hedged}
 		}()
 	}
+	run(direct, false)
 	timer := time.NewTimer(s.opts.HedgeAfter)
 	defer timer.Stop()
-	pending := 1
 	hedgeLaunched := false
-	var firstErr error
+	var derr, rerr error
 	for {
 		select {
 		case <-ctx.Done():
 			// The caller gave up: stop waiting. Both racers write to a
 			// buffered channel and their own RPCs observe ctx, so nothing
 			// leaks.
-			return nil, ctx.Err()
+			return nil, readFailed(ctx, derr, rerr)
 		case r := <-results:
-			pending--
-			if r.err == nil {
+			switch {
+			case r.err == nil:
 				if r.hedged {
 					s.health.HedgeWin(node)
 					sp.Count(trace.HedgeWins, 1)
 				}
 				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
+			case r.hedged:
+				rerr = r.err
+			default:
+				derr = r.err
 			}
 			if !hedgeLaunched {
 				// Direct read failed before the threshold: reconstruct now.
 				hedgeLaunched = true
-				pending++
-				launchHedge()
-			} else if pending == 0 {
-				// Both %w so the ErrTooManyFailures sentinel survives
-				// whichever order the two failures arrived in.
-				return nil, fmt.Errorf("store: degraded read failed: %w; %w", firstErr, r.err)
+				run(degraded, true)
+			} else if derr != nil && rerr != nil {
+				return nil, readFailed(ctx, derr, rerr)
 			}
 		case <-timer.C:
 			if !hedgeLaunched {
 				hedgeLaunched = true
-				pending++
 				s.health.Hedge(node)
 				sp.Count(trace.Hedges, 1)
-				launchHedge()
+				run(degraded, true)
 			}
 		}
 	}
@@ -487,59 +480,49 @@ func sliceBlock(block []byte, off, length uint64) ([]byte, error) {
 	return block[off : off+length : off+length], nil
 }
 
-// gatherSurvivors fans GetBlock reads for a stripe's blocks (skipping the
-// block being rebuilt) out in parallel and returns as soon as any k shards
-// arrive, capacity-padded and indexed by bin. Losing reads are abandoned to
-// the buffered channel (cluster.Client calls cannot be cancelled mid-
-// flight; every RPC is idempotent, so a late response is harmless). This is
+// blockResult is one block's outcome in a stripe fan-out.
+type blockResult struct {
+	bin  int
+	data []byte
+	err  error
+}
+
+// fanOutStripe issues a verified whole-block read for every block of a
+// stripe but skip (-1 reads all n), concurrently, and returns the channel the
+// results arrive on. The channel holds every result, so a consumer may stop
+// early: abandoned reads never block (cluster.Client calls cannot be
+// cancelled mid-flight; every RPC is idempotent, so a late response is
+// harmless).
+func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip int) <-chan blockResult {
+	n := s.opts.Params.N
+	results := make(chan blockResult, n)
+	for j := 0; j < n; j++ {
+		if j == skip {
+			continue
+		}
+		go func(j int) {
+			data, err := s.fetchBlock(ctx, sp, meta, stripe, j, 0, 0)
+			results <- blockResult{j, data, err}
+		}(j)
+	}
+	return results
+}
+
+// gatherSurvivors reads a stripe's blocks (skipping the one being rebuilt) in
+// parallel and returns as soon as any k shards arrive, capacity-padded and
+// indexed by bin. Survivors feed RS decode, so a silently rotted shard would
+// corrupt every block rebuilt from it: fetchBlock verifies each against the
+// checksum recorded at write time, and one that fails is an erasure. This is
 // the one survivor-gathering path shared by block reconstruction, parity
 // reconstruction and the hedged-read fan-out.
 func (s *Store) gatherSurvivors(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip int) ([][]byte, error) {
 	p := s.opts.Params
-	st := meta.Stripes[stripe]
-	type result struct {
-		bin  int
-		data []byte
-		ok   bool
-	}
-	results := make(chan result, p.N)
-	launched := 0
-	for j := 0; j < p.N; j++ {
-		if j == skip {
-			continue
-		}
-		launched++
-		go func(j int) {
-			resp, err := s.call(ctx, sp, st.Nodes[j], &rpc.Request{
-				Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[j],
-			})
-			if err != nil || resp.Err != "" {
-				if err == nil && cluster.IsChecksumErr(resp.Err) {
-					sp.Count(trace.ChecksumFailures, 1)
-					s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: j})
-				}
-				results <- result{bin: j}
-				return
-			}
-			// Survivors feed RS decode, so a silently rotted shard would
-			// corrupt every block rebuilt from it: verify each full-block
-			// read against the checksum recorded at write time.
-			if !s.opts.SkipChecksumVerify && j < len(st.Checksums) &&
-				cluster.Checksum(resp.Data) != st.Checksums[j] {
-				sp.Count(trace.ChecksumFailures, 1)
-				s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: j})
-				results <- result{bin: j}
-				return
-			}
-			results <- result{bin: j, data: resp.Data, ok: true}
-		}(j)
-	}
+	results := s.fanOutStripe(ctx, sp, meta, stripe, skip)
 	shards := make([][]byte, p.N)
 	available := 0
-	for i := 0; i < launched && available < p.K; i++ {
-		r := <-results
-		if r.ok {
-			shards[r.bin] = padShard(r.data, st.Capacity)
+	for i := 1; i < p.N && available < p.K; i++ { // n−1 reads: all but skip
+		if r := <-results; r.err == nil {
+			shards[r.bin] = padShard(r.data, meta.Stripes[stripe].Capacity)
 			available++
 		}
 	}
@@ -549,22 +532,22 @@ func (s *Store) gatherSurvivors(ctx context.Context, sp *trace.Span, meta *Objec
 	return shards, nil
 }
 
-// reconstructBlock rebuilds one data block of a stripe from any k surviving
-// blocks and returns its unpadded bytes. With the cache enabled the rebuild
-// runs under singleflight: a thundering herd of readers hitting the same
-// lost block triggers exactly one survivor fan-out and one RS decode, and
-// every reader shares the result (which is also admitted to the cache, so
-// later readers hit without any decode at all).
-func (s *Store) reconstructBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, error) {
+// reconstructBlock rebuilds block j of a stripe — data or parity — from any k
+// surviving blocks and returns its stored (unpadded) bytes. With the cache
+// enabled the rebuild runs under singleflight: a thundering herd of readers
+// hitting the same lost block triggers exactly one survivor fan-out and one RS
+// decode, and every reader shares the result (which is also admitted to the
+// cache, so later readers hit without any decode at all).
+func (s *Store) reconstructBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int) ([]byte, error) {
 	if !s.cacheOn() {
-		return s.reconstructDataBlock(ctx, sp, meta, stripe, bin)
+		return s.rebuildBlock(ctx, sp, meta, stripe, j)
 	}
-	v, err, _ := s.cache.Do("r/"+meta.Stripes[stripe].BlockIDs[bin], func() (any, error) {
-		block, err := s.reconstructDataBlock(ctx, sp, meta, stripe, bin)
+	v, err, _ := s.cache.Do("r/"+meta.Stripes[stripe].BlockIDs[j], func() (any, error) {
+		block, err := s.rebuildBlock(ctx, sp, meta, stripe, j)
 		if err != nil {
 			return nil, err
 		}
-		s.cacheFillBlock(meta, stripe, bin, block)
+		s.cacheFillBlock(meta, stripe, j, block)
 		return block, nil
 	})
 	if err != nil {
@@ -573,44 +556,32 @@ func (s *Store) reconstructBlock(ctx context.Context, sp *trace.Span, meta *Obje
 	return v.([]byte), nil
 }
 
-// reconstructDataBlock is the actual survivor-gathering RS rebuild of a
-// data block.
-func (s *Store) reconstructDataBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, error) {
-	rsp := sp.Child("reconstruct")
+// rebuildBlock is the actual survivor-gathering RS rebuild. A data block
+// needs only the data half of the decode.
+func (s *Store) rebuildBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int) ([]byte, error) {
+	name, decode := "reconstruct", s.coder.ReconstructData
+	if j >= s.opts.Params.K {
+		name, decode = "reconstruct-parity", s.coder.Reconstruct
+	}
+	rsp := sp.Child(name)
 	defer rsp.End()
 	rsp.Count(trace.DegradedReads, 1)
-	st := meta.Stripes[stripe]
-	shards, err := s.gatherSurvivors(ctx, rsp, meta, stripe, bin)
+	shards, err := s.gatherSurvivors(ctx, rsp, meta, stripe, j)
 	if err != nil {
 		return nil, err
 	}
 	s.cache.CountDecode()
-	if err := s.coder.ReconstructData(shards); err != nil {
+	if err := decode(shards); err != nil {
 		return nil, err
 	}
-	// The rebuilt shard is freshly allocated by the decode (bin was nil on
+	// The rebuilt shard is freshly allocated by the decode (j was nil on
 	// entry), so the pooled survivor buffers have no readers left: return
 	// them to the arena before handing the block out.
-	block := shards[bin][:st.DataLens[bin]]
-	putSurvivors(shards, bin)
-	return block, nil
-}
-
-// reconstructParity rebuilds a parity block from the stripe's survivors.
-func (s *Store) reconstructParity(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, idx int) ([]byte, error) {
-	rsp := sp.Child("reconstruct-parity")
-	defer rsp.End()
-	rsp.Count(trace.DegradedReads, 1)
-	shards, err := s.gatherSurvivors(ctx, rsp, meta, stripe, idx)
-	if err != nil {
-		return nil, err
+	block := shards[j]
+	if j < s.opts.Params.K {
+		block = block[:meta.Stripes[stripe].DataLens[j]]
 	}
-	s.cache.CountDecode()
-	if err := s.coder.Reconstruct(shards); err != nil {
-		return nil, err
-	}
-	block := shards[idx]
-	putSurvivors(shards, idx)
+	putSurvivors(shards, j)
 	return block, nil
 }
 
@@ -648,33 +619,20 @@ func (s *Store) RepairNode(name string, node int) (int, error) {
 
 // RepairNodeContext is RepairNode under a (possibly traced) context.
 func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (int, error) {
-	sp := trace.FromContext(ctx).Child("store.RepairNode")
-	defer sp.End()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("RepairNode"), time.Since(start))
-		}(time.Now())
-	}
+	sp, end := s.beginOp(ctx, "RepairNode")
+	defer end()
 	meta, err := s.Meta(name)
 	if err != nil {
 		return 0, err
 	}
 	repaired := 0
-	for _, mn := range s.metaReplicaNodes(name) {
-		if mn != node {
-			continue
-		}
+	if slices.Contains(s.metaReplicaNodes(name), node) {
 		// A quorum read repairs the replica from the register's majority.
-		kv, err := s.metaKV(name)
-		if err != nil {
-			return 0, err
-		}
-		if _, _, err := kv.Get(metaKey(name)); err != nil {
+		if _, err := s.metaQuorum(name); err != nil {
 			return 0, err
 		}
 		repaired++
 	}
-	p := s.opts.Params
 	for si, st := range meta.Stripes {
 		for j, blkNode := range st.Nodes {
 			if blkNode != node {
@@ -682,19 +640,10 @@ func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (i
 			}
 			// Fast path for rejoin catch-up: a block the node still holds
 			// with verifying bytes needs no reconstruction.
-			if j < len(st.Checksums) {
-				if resp, err := s.call(ctx, sp, node, &rpc.Request{
-					Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[j],
-				}); err == nil && resp.Err == "" && cluster.Checksum(resp.Data) == st.Checksums[j] {
-					continue
-				}
+			if _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0); err == nil {
+				continue
 			}
-			var block []byte
-			if j < p.K {
-				block, err = s.reconstructBlock(ctx, sp, meta, si, j)
-			} else {
-				block, err = s.reconstructParity(ctx, sp, meta, si, j)
-			}
+			block, err := s.reconstructBlock(ctx, sp, meta, si, j)
 			if err != nil {
 				return repaired, fmt.Errorf("store: repairing stripe %d block %d: %w", si, j, err)
 			}
@@ -714,7 +663,7 @@ func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (i
 func (s *Store) rewriteBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, block []byte) error {
 	st := meta.Stripes[stripe]
 	crc := cluster.Checksum(block)
-	if bin < len(st.Checksums) && crc != st.Checksums[bin] {
+	if crc != st.Checksums[bin] {
 		return fmt.Errorf("store: rebuilt block %s failed checksum verification", st.BlockIDs[bin])
 	}
 	_, err := s.callChecked(ctx, sp, st.Nodes[bin], &rpc.Request{

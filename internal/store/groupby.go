@@ -128,7 +128,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		}
 		works = append(works, w)
 	}
-	for j, resp := range s.scatter(st, reqs) {
+	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
 		if resp == nil {
 			continue
 		}

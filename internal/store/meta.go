@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/fusionstore/fusion/internal/erasure"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/lpq"
 )
@@ -223,11 +224,48 @@ func EncodeMeta(m *ObjectMeta) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeMeta parses the output of EncodeMeta.
-func DecodeMeta(data []byte) (*ObjectMeta, error) {
+// DecodeMeta parses the output of EncodeMeta, as stored for a cluster coding
+// with p. The bytes come from storage nodes and every read indexes the stripe
+// and location tables with what they say, so this is where their shape is
+// checked — once, instead of at each use.
+func DecodeMeta(data []byte, p erasure.Params) (*ObjectMeta, error) {
 	var m ObjectMeta
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("store: decoding metadata: %w", err)
 	}
+	if err := m.validate(p); err != nil {
+		return nil, fmt.Errorf("store: malformed metadata for %q: %w", m.Name, err)
+	}
 	return &m, nil
+}
+
+// validate checks that every stripe names its n blocks (node, id, checksum)
+// and k data lengths — placeStripe records exactly that — and that the layout
+// points inside them: under FAC each item's bytes lie within a data bin, under
+// fixed blocks the stripes hold every block of the object.
+func (m *ObjectMeta) validate(p erasure.Params) error {
+	for i, st := range m.Stripes {
+		if len(st.Nodes) != p.N || len(st.BlockIDs) != p.N || len(st.Checksums) != p.N || len(st.DataLens) != p.K {
+			return fmt.Errorf("stripe %d does not carry %d nodes, block ids and checksums and %d data lengths", i, p.N, p.K)
+		}
+	}
+	if m.Mode == LayoutFixed {
+		if m.BlockSize == 0 || (m.Size+m.BlockSize-1)/m.BlockSize > uint64(len(m.Stripes)*p.K) {
+			return fmt.Errorf("%d stripes of %d-byte blocks cannot hold %d bytes", len(m.Stripes), m.BlockSize, m.Size)
+		}
+		return nil
+	}
+	if len(m.ItemLocs) != len(m.Items) {
+		return fmt.Errorf("%d item locations for %d items", len(m.ItemLocs), len(m.Items))
+	}
+	for i, loc := range m.ItemLocs {
+		if loc.Stripe < 0 || loc.Stripe >= len(m.Stripes) || loc.Bin < 0 || loc.Bin >= p.K {
+			return fmt.Errorf("item %d located at stripe %d bin %d, outside %d stripes of %d bins",
+				i, loc.Stripe, loc.Bin, len(m.Stripes), p.K)
+		}
+		if binLen := m.Stripes[loc.Stripe].DataLens[loc.Bin]; loc.BinOffset > binLen || m.Items[i].Size > binLen-loc.BinOffset {
+			return fmt.Errorf("item %d [%d,+%d) overruns its %d-byte bin", i, loc.BinOffset, m.Items[i].Size, binLen)
+		}
+	}
+	return nil
 }

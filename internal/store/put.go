@@ -10,7 +10,6 @@ import (
 
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/fac"
-	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -75,18 +74,11 @@ func (s *Store) PutContext(ctx context.Context, name string, data []byte) (*PutS
 // pipeline. The two-phase epoch protocol, rollback on failure, CRCs at
 // every layer and cache invalidation are identical to the in-memory path.
 func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size uint64) (*PutStats, error) {
-	sp := trace.FromContext(ctx).Child("store.Put")
-	defer sp.End()
-	release, err := s.admit(ctx, sp, sched.ClassPut)
+	sp, end, err := s.admitOp(ctx, "Put", sched.ClassPut)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("Put"), time.Since(start))
-		}(time.Now())
-	}
+	defer end()
 	start := time.Now()
 
 	src, err := newPutSource(r, size)
@@ -210,7 +202,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// can never be handed pre-overwrite bytes after this line. (Entries
 	// are epoch-keyed anyway — this ordering makes the invalidation
 	// prompt, the keying makes it safe.)
-	s.cacheMeta(meta)
+	s.cache.PutMeta(name, meta)
 	s.cache.InvalidateObject(meta.Name, meta.Epoch)
 	s.commitBlocks(sp, meta)
 	if prev != nil && prev.Epoch != meta.Epoch {
@@ -323,15 +315,6 @@ func (s *Store) placeStripe(ctx context.Context, sp *trace.Span, meta *ObjectMet
 	return nil
 }
 
-func padTo(b []byte, size uint64) []byte {
-	if uint64(len(b)) == size {
-		return b
-	}
-	out := make([]byte, size)
-	copy(out, b)
-	return out
-}
-
 // replicateMeta publishes the object metadata through the k+1-replica
 // quorum register (§5): the write lands on a majority, so every subsequent
 // quorum read observes it even if a minority of replicas missed it.
@@ -353,22 +336,14 @@ func (s *Store) replicateMeta(meta *ObjectMeta) error {
 // Meta returns the object's metadata, performing a quorum read (with read
 // repair of stale replicas) when it is not cached.
 func (s *Store) Meta(name string) (*ObjectMeta, error) {
-	if m := s.cachedMeta(name); m != nil {
-		return m, nil
+	if v, ok := s.cache.GetMeta(name); ok {
+		return v.(*ObjectMeta), nil
 	}
-	kv, err := s.metaKV(name)
+	m, err := s.metaQuorum(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: object %q: %w", name, err)
 	}
-	enc, _, err := kv.Get(metaKey(name))
-	if err != nil {
-		return nil, fmt.Errorf("store: object %q not found: %w", name, err)
-	}
-	m, err := DecodeMeta(enc)
-	if err != nil {
-		return nil, err
-	}
-	s.cacheMeta(m)
+	s.cache.PutMeta(name, m)
 	return m, nil
 }
 
@@ -397,17 +372,14 @@ func (s *Store) DeleteContext(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	release, err := s.admit(ctx, nil, sched.ClassPut)
+	_, end, err := s.admitOp(ctx, "Delete", sched.ClassPut)
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer end()
 	meta, err := s.metaQuorum(name)
 	if err != nil {
-		if errors.Is(err, metakv.ErrNotFound) {
-			return fmt.Errorf("store: object %q not found: %w", name, err)
-		}
-		return err
+		return fmt.Errorf("store: object %q: %w", name, err)
 	}
 	s.deleteBlocks(meta)
 	if kv, kerr := s.metaKV(name); kerr == nil {

@@ -109,6 +109,9 @@ func (e *execState) addOp(op simnet.OpCost) {
 // single worker goroutine and carry the parent's stage index and span (the
 // span itself is concurrency-safe, so tasks account into it directly).
 func (e *execState) fork() *execState {
+	if e == nil {
+		return nil // a Get's prefetch scatters without accounting
+	}
 	return &execState{store: e.store, ctx: e.ctx, meta: e.meta, coord: e.coord, nowSt: e.nowSt, sp: e.sp}
 }
 
@@ -116,6 +119,9 @@ func (e *execState) fork() *execState {
 // task order, which keeps the cost-sheet op order — and with it the jitter
 // draws of the latency model — independent of worker scheduling.
 func (e *execState) join(c *execState) {
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.stage {
@@ -169,18 +175,11 @@ func (s *Store) Query(query string) (*Result, error) {
 // pushdown query the amplification drops below 1, which is the paper's
 // headline effect.
 func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error) {
-	qsp := trace.FromContext(ctx).Child("store.Query")
-	defer qsp.End()
-	release, err := s.admit(ctx, qsp, sched.ClassScan)
+	qsp, end, err := s.admitOp(ctx, "Query", sched.ClassScan)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("Query"), time.Since(start))
-		}(time.Now())
-	}
+	defer end()
 	start := time.Now()
 	q, err := sql.Parse(query)
 	if err != nil {
@@ -196,7 +195,7 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 	if err != nil {
 		// A cancelled or expired caller must not burn a second full pass —
 		// the retry below exists for concurrent overwrites, not deadlines.
-		if ctx.Err() != nil {
+		if ctxErr(ctx) != nil {
 			return nil, err
 		}
 		// A concurrent overwrite can garbage-collect the blocks this
@@ -443,13 +442,9 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 	stored := make([][]byte, len(spans))
 	if len(spans) > 1 {
 		for i, sp := range spans {
-			sm := meta.Stripes[sp.stripe]
-			resp, err := s.call(st.ctx, st.sp, sm.Nodes[sp.bin], &rpc.Request{
-				Kind: rpc.KindGetBlock, BlockID: sm.BlockIDs[sp.bin],
-			})
-			if err == nil && resp.Err == "" {
-				stored[i] = resp.Data
-			}
+			// A sibling that is unreadable or fails its own block checksum
+			// stays nil and is rebuilt like the suspect.
+			stored[i], _ = s.fetchBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin, 0, 0)
 		}
 	}
 	for suspect := range spans {
@@ -483,7 +478,7 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 // reconstruction (k blocks over the network).
 func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) {
 	sm := meta.Stripes[stripe]
-	for j := 0; j < s.opts.Params.K && j < len(sm.Nodes); j++ {
+	for j := 0; j < s.opts.Params.K; j++ {
 		st.addOp(simnet.OpCost{
 			Node:      sm.Nodes[j],
 			ReqBytes:  rpcOverhead,
@@ -624,7 +619,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			planPush(t, rpc.KindAggregate, rgMeta.Chunks[t.ci])
 		}
 	}
-	for j, resp := range s.scatter(st, reqs) {
+	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
 		if resp == nil {
 			continue
 		}

@@ -12,14 +12,10 @@ import (
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/trace"
 )
 
-// RepairConfig bounds the repair queue and the background repair manager.
+// RepairConfig paces the background repair manager.
 type RepairConfig struct {
-	// QueueLimit caps the repair queue; further enqueues are dropped (and
-	// counted) until the queue drains. <= 0 applies the default (1024).
-	QueueLimit int
 	// Rate is the minimum spacing between queued repairs the manager
 	// processes, bounding the disk/network bandwidth recovery steals from
 	// foreground traffic. <= 0 applies the default (10ms).
@@ -37,9 +33,6 @@ type RepairConfig struct {
 }
 
 func (c RepairConfig) withDefaults() RepairConfig {
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 1024
-	}
 	if c.Rate <= 0 {
 		c.Rate = 10 * time.Millisecond
 	}
@@ -93,10 +86,11 @@ type repairQueue struct {
 	stats  RepairStats
 }
 
+// repairQueueLimit caps a store's repair queue; further enqueues are dropped
+// (and counted) until the queue drains.
+const repairQueueLimit = 1024
+
 func newRepairQueue(limit int) *repairQueue {
-	if limit <= 0 {
-		limit = 1024
-	}
 	return &repairQueue{limit: limit, queued: make(map[RepairItem]bool)}
 }
 
@@ -208,13 +202,8 @@ func (s *Store) ProcessRepairs(max int) (int, error) {
 // rebuilt bytes against the stripe metadata checksum, and rewrites it to
 // its home node as a committed checksummed block.
 func (s *Store) repairBlock(it RepairItem) error {
-	sp := trace.FromContext(context.Background()).Child("store.RepairBlock")
-	defer sp.End()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("repair.block"), time.Since(start))
-		}(time.Now())
-	}
+	sp, end := s.beginOp(context.Background(), "repair.block")
+	defer end()
 	// Resolve against the quorum, not the coordinator cache: a repair
 	// must target the committed version, and a stale cached epoch would
 	// make it rewrite garbage-collected blocks.
@@ -229,21 +218,12 @@ func (s *Store) repairBlock(it RepairItem) error {
 		return fmt.Errorf("%w: object %q now at epoch %d, item enqueued at %d",
 			errStaleRepair, it.Object, meta.Epoch, it.Epoch)
 	}
-	if it.Stripe < 0 || it.Stripe >= len(meta.Stripes) {
-		return fmt.Errorf("store: stripe %d out of range", it.Stripe)
+	if it.Stripe < 0 || it.Stripe >= len(meta.Stripes) || it.Block < 0 || it.Block >= s.opts.Params.N {
+		return fmt.Errorf("store: stripe %d block %d out of range", it.Stripe, it.Block)
 	}
-	p := s.opts.Params
-	if it.Block < 0 || it.Block >= p.N {
-		return fmt.Errorf("store: block %d out of range", it.Block)
-	}
-	var block []byte
 	// Repair is background maintenance: it runs under Background, never a
 	// caller's context, so foreground cancellation cannot strand a rebuild.
-	if it.Block < p.K {
-		block, err = s.reconstructBlock(context.Background(), sp, meta, it.Stripe, it.Block)
-	} else {
-		block, err = s.reconstructParity(context.Background(), sp, meta, it.Stripe, it.Block)
-	}
+	block, err := s.reconstructBlock(context.Background(), sp, meta, it.Stripe, it.Block)
 	if err != nil {
 		return err
 	}
@@ -308,11 +288,8 @@ func (r *ScrubAllReport) Totals() ScrubReport {
 // continuous-verification pass the repair manager runs in the background.
 // Per-object failures are reported, not fatal.
 func (s *Store) ScrubAll(opts ScrubOptions) (*ScrubAllReport, error) {
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("repair.scruball"), time.Since(start))
-		}(time.Now())
-	}
+	_, end := s.beginOp(context.Background(), "repair.scruball")
+	defer end()
 	names, err := s.DiscoverObjects()
 	if err != nil {
 		return nil, err
@@ -340,11 +317,8 @@ func (s *Store) ScrubAll(opts ScrubOptions) (*ScrubAllReport, error) {
 // and metadata replica it missed while down. Returns total blocks/replicas
 // repaired.
 func (s *Store) RepairNodeAll(node int) (int, error) {
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("repair.node"), time.Since(start))
-		}(time.Now())
-	}
+	_, end := s.beginOp(context.Background(), "repair.node")
+	defer end()
 	names, err := s.DiscoverObjects()
 	if err != nil {
 		return 0, err
@@ -398,11 +372,8 @@ type ReconcileReport struct {
 // Blocks that don't parse as object blocks (including the metadata
 // register's kv/ blocks) are never touched.
 func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("repair.reconcile"), time.Since(start))
-		}(time.Now())
-	}
+	_, end := s.beginOp(context.Background(), "repair.reconcile")
+	defer end()
 	report := &ReconcileReport{}
 	// Committed epoch per object, resolved lazily; ok=false means the
 	// object has no committed metadata at all.
@@ -496,7 +467,7 @@ func (s *Store) metaQuorum(name string) (*ObjectMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeMeta(enc)
+	return DecodeMeta(enc, s.opts.Params)
 }
 
 // NodeState is the repair manager's view of one node's health.

@@ -2,12 +2,11 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
+	"slices"
 
-	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/lpq"
-	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -52,13 +51,8 @@ func (s *Store) Scrub(name string, opts ScrubOptions) (*ScrubReport, error) {
 // ScrubContext is Scrub under a (possibly traced) context: the span records
 // one child per stripe with its block-fetch RPCs and any repair writes.
 func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions) (*ScrubReport, error) {
-	sp := trace.FromContext(ctx).Child("store.Scrub")
-	defer sp.End()
-	if s.hist != nil {
-		defer func(start time.Time) {
-			s.hist.Observe(opKey("Scrub"), time.Since(start))
-		}(time.Now())
-	}
+	sp, end := s.beginOp(ctx, "Scrub")
+	defer end()
 	meta, err := s.Meta(name)
 	if err != nil {
 		return nil, err
@@ -68,60 +62,35 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 	for si, st := range meta.Stripes {
 		ssp := sp.Child("stripe")
 		report.Stripes++
+		// The same verified fan-out a reconstruction gathers survivors with,
+		// read to the end. The CRC recorded at write time localizes a bad copy
+		// exactly; a block failing it is an erasure, not a parity puzzle.
+		results := s.fanOutStripe(ctx, ssp, meta, si, -1)
 		shards := make([][]byte, p.N)
 		var missing []int
-		for j := 0; j < p.N; j++ {
-			resp, err := s.call(ctx, ssp, st.Nodes[j], &rpc.Request{
-				Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[j],
-			})
-			if err != nil || resp.Err != "" {
-				if err == nil && cluster.IsChecksumErr(resp.Err) {
-					report.ChecksumFailures++
-					ssp.Count(trace.ChecksumFailures, 1)
-					s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: si, Block: j})
-				}
-				missing = append(missing, j)
+		for range shards {
+			r := <-results
+			if r.err == nil {
+				shards[r.bin] = padShard(r.data, st.Capacity)
 				continue
 			}
-			// The CRC recorded at write time localizes a bad copy exactly;
-			// a block failing it is an erasure, not a parity puzzle.
-			if j < len(st.Checksums) && cluster.Checksum(resp.Data) != st.Checksums[j] {
+			if errors.Is(r.err, errBlockChecksum) {
 				report.ChecksumFailures++
-				ssp.Count(trace.ChecksumFailures, 1)
-				s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: si, Block: j})
-				missing = append(missing, j)
-				continue
 			}
-			shards[j] = padTo(resp.Data, st.Capacity)
+			missing = append(missing, r.bin)
 		}
+		// Arrival order → block order: repairs rewrite deterministically.
+		slices.Sort(missing)
 		ssp.End() // the fetch phase; repair writes charge to the parent
 		report.MissingBlocks += len(missing)
 		if len(missing) > 0 {
 			if !opts.Repair {
 				continue
 			}
-			if len(missing) > p.N-p.K {
-				return report, fmt.Errorf("store: stripe %d of %q has %d blocks missing, unrecoverable", si, name, len(missing))
-			}
-			work := make([][]byte, p.N)
-			for j := range shards {
-				if shards[j] != nil {
-					work[j] = shards[j]
-				}
-			}
-			if err := s.coder.Reconstruct(work); err != nil {
-				return report, fmt.Errorf("store: rebuilding stripe %d of %q: %w", si, name, err)
-			}
-			for _, j := range missing {
-				data := work[j]
-				if j < p.K {
-					data = data[:st.DataLens[j]]
-				}
-				if err := s.rewriteBlock(ctx, sp, meta, si, j, data); err != nil {
-					return report, err
-				}
-				shards[j] = work[j]
-				report.Repaired++
+			n, err := s.rebuildLost(ctx, sp, meta, si, shards, missing)
+			report.Repaired += n
+			if err != nil {
+				return report, fmt.Errorf("store: scrubbing %q: %w", name, err)
 			}
 		}
 		ok, err := s.coder.Verify(shards)
@@ -147,8 +116,7 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 // from the remaining ones. It returns the number of blocks rewritten.
 func (s *Store) repairCorruptStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, si int, shards [][]byte) (int, error) {
 	p := s.opts.Params
-	st := meta.Stripes[si]
-	bad := map[int]bool{}
+	var bad []int
 	if meta.Mode == LayoutFAC {
 		// A data bin is bad iff any chunk stored in it fails its CRC.
 		for itemIdx, loc := range meta.ItemLocs {
@@ -161,55 +129,42 @@ func (s *Store) repairCorruptStripe(ctx context.Context, sp *trace.Span, meta *O
 			}
 			ch := meta.Footer.RowGroups[it.RG].Chunks[it.Col]
 			raw := shards[loc.Bin][loc.BinOffset : loc.BinOffset+it.Size]
-			if _, err := lpq.DecodeChunk(meta.Footer.Columns[it.Col].Type, ch, raw); err != nil {
-				bad[loc.Bin] = true
+			if _, err := lpq.DecodeChunk(meta.Footer.Columns[it.Col].Type, ch, raw); err != nil && !slices.Contains(bad, loc.Bin) {
+				bad = append(bad, loc.Bin)
 			}
 		}
 	}
 	if len(bad) == 0 {
 		// Cannot localize (parity block corrupt, or fixed layout): assume
 		// the parity blocks are stale and re-encode them from data.
-		work := make([][]byte, p.N)
-		for j := 0; j < p.K; j++ {
-			work[j] = shards[j]
-		}
 		for j := p.K; j < p.N; j++ {
-			work[j] = make([]byte, st.Capacity)
-		}
-		if err := s.coder.Encode(work); err != nil {
-			return 0, err
-		}
-		n := 0
-		for j := p.K; j < p.N; j++ {
-			if err := s.rewriteBlock(ctx, sp, meta, si, j, work[j]); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
-	}
-	if len(bad) > p.N-p.K {
-		return 0, fmt.Errorf("%w: stripe %d has %d corrupt blocks, unrecoverable", ErrTooManyFailures, si, len(bad))
-	}
-	work := make([][]byte, p.N)
-	for j := range shards {
-		if !bad[j] {
-			work[j] = shards[j]
+			bad = append(bad, j)
 		}
 	}
-	if err := s.coder.Reconstruct(work); err != nil {
-		return 0, err
+	return s.rebuildLost(ctx, sp, meta, si, shards, bad)
+}
+
+// rebuildLost reconstructs the lost blocks of a stripe in place from the rest
+// of shards and rewrites each to its node, returning how many it rewrote.
+func (s *Store) rebuildLost(ctx context.Context, sp *trace.Span, meta *ObjectMeta, si int, shards [][]byte, lost []int) (int, error) {
+	p := s.opts.Params
+	if len(lost) > p.N-p.K {
+		return 0, fmt.Errorf("%w: stripe %d has %d blocks missing or corrupt, unrecoverable", ErrTooManyFailures, si, len(lost))
 	}
-	n := 0
-	for j := range bad {
-		data := work[j]
+	for _, j := range lost {
+		shards[j] = nil
+	}
+	if err := s.coder.Reconstruct(shards); err != nil {
+		return 0, fmt.Errorf("store: rebuilding stripe %d: %w", si, err)
+	}
+	for n, j := range lost {
+		data := shards[j]
 		if j < p.K {
-			data = data[:st.DataLens[j]]
+			data = data[:meta.Stripes[si].DataLens[j]]
 		}
 		if err := s.rewriteBlock(ctx, sp, meta, si, j, data); err != nil {
 			return n, err
 		}
-		n++
 	}
-	return n, nil
+	return len(lost), nil
 }

@@ -97,9 +97,6 @@ type Options struct {
 	// hedging (the reconstruction still runs, but only after the direct
 	// read has failed outright).
 	HedgeAfter time.Duration
-	// Health, when set, receives per-node failure/retry/hedge counters. New
-	// installs a fresh recorder when nil, exposed via Store.Health.
-	Health *metrics.Health
 	// Metrics, when set, receives per-(op, node) latency histograms from
 	// every coordinator→node RPC and every top-level operation — the data
 	// behind /debug/fusionz and fusion-bench's percentile tables. Nil (the
@@ -115,34 +112,22 @@ type Options struct {
 	// ErrNodeDown instead of burning a transport attempt. Nil disables
 	// circuit breaking.
 	Breaker *cluster.Breaker
-	// Repair bounds the repair queue and the background repair manager.
-	// Zero values apply defaults (see RepairConfig).
-	Repair RepairConfig
 	// CacheBytes is the byte budget of the coordinator's read cache for
 	// verified block bytes and decoded column chunks, shared across both
 	// data tiers. It also arms the singleflight layer that dedups
 	// concurrent identical block fetches and RS reconstructions. 0 (the
 	// default) disables the data tiers and singleflight; the metadata
-	// cache below stays on regardless.
+	// cache (4096 objects, epoch-safe) stays on regardless.
 	CacheBytes int64
-	// MetaCacheEntries bounds the coordinator's ObjectMeta cache (hot
-	// objects skip the metakv quorum read). 0 applies the default (4096
-	// objects). The tier is epoch-safe: an overwrite or delete refreshes
-	// or drops the entry at its commit point, and every stale-suspicious
-	// read re-resolves against the quorum.
-	MetaCacheEntries int
 	// Sched, when set, is the admission scheduler every top-level operation
 	// (Get, Put, Delete, Query) passes through before doing any work:
 	// per-tenant weighted-fair queuing under global and per-class concurrency
 	// caps, with explicit load shedding (sched.ErrOverloaded) once a tenant's
-	// queue is full or the estimated wait exceeds the caller's deadline. Nil
-	// (the default) disables admission control entirely.
+	// queue is full or the estimated wait exceeds the caller's deadline. A
+	// request is accounted to the tenant its context carries
+	// (sched.WithTenant), else to sched.DefaultTenant. Nil (the default)
+	// disables admission control entirely.
 	Sched *sched.Scheduler
-	// Tenant is the tenant this store's operations are accounted to by the
-	// admission scheduler when the caller's context carries none
-	// (sched.WithTenant overrides it per call). Empty means
-	// sched.DefaultTenant.
-	Tenant string
 	// Seed drives stripe placement.
 	Seed int64
 	// Model, when set, computes simulated query latencies from the
@@ -213,10 +198,7 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	health := opts.Health
-	if health == nil {
-		health = metrics.NewHealth()
-	}
+	health := metrics.NewHealth()
 	retry := opts.Retry
 	retry.Health = health
 	if retry.Breaker == nil {
@@ -229,13 +211,10 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 		retry:   retry,
 		health:  health,
 		hist:    opts.Metrics,
-		repairs: newRepairQueue(opts.Repair.QueueLimit),
-		cache: cache.New(cache.Config{
-			Bytes:       opts.CacheBytes,
-			MetaEntries: opts.MetaCacheEntries,
-		}),
-		sched: opts.Sched,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
+		repairs: newRepairQueue(repairQueueLimit),
+		cache:   cache.New(cache.Config{Bytes: opts.CacheBytes}),
+		sched:   opts.Sched,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
 	}, nil
 }
 
@@ -243,21 +222,40 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 // zero value when no scheduler is configured).
 func (s *Store) SchedStats() sched.Stats { return s.sched.Stats() }
 
-// admit passes one top-level operation through the admission scheduler.
-// With no scheduler configured it admits immediately. The returned release
-// must be called when the operation finishes (it frees the slot and
-// dispatches the next queued waiter); time spent queued is charged to the
-// request span so traces show added-by-choice latency separately from
-// service time.
-func (s *Store) admit(ctx context.Context, sp *trace.Span, class sched.Class) (release func(), err error) {
-	release, wait, err := s.sched.Acquire(ctx, s.opts.Tenant, class)
+// beginOp is the one prologue of a top-level operation: it opens the op's
+// span under the caller's trace and returns it with the end func the op
+// defers, which records the op's latency histogram and closes the span. Both
+// are off by default and then cost nothing. Maintenance ops (scrub, repair,
+// reconcile) begin here; foreground ops begin with admitOp.
+func (s *Store) beginOp(ctx context.Context, op string) (*trace.Span, func()) {
+	parent := trace.FromContext(ctx)
+	if parent == nil && s.hist == nil {
+		return nil, func() {}
+	}
+	sp := parent.Child("store." + op)
+	start := time.Now()
+	return sp, func() {
+		s.hist.Observe(metrics.Key{Op: "op." + op, Node: metrics.NodeNone}, time.Since(start))
+		sp.End()
+	}
+}
+
+// admitOp is beginOp for the foreground ops (Get, Put, Delete, Query), which
+// first pass the admission scheduler; with none configured they are admitted
+// immediately. end also frees the slot (dispatching the next queued waiter).
+// Time spent queued is charged to the op's span, so traces show
+// added-by-choice latency separately from service time.
+func (s *Store) admitOp(ctx context.Context, op string, class sched.Class) (*trace.Span, func(), error) {
+	sp, end := s.beginOp(ctx, op)
+	release, wait, err := s.sched.Acquire(ctx, "", class)
 	if err != nil {
-		return nil, err
+		sp.End() // a shed op has a span but no service time to record
+		return nil, nil, err
 	}
 	if wait > 0 {
 		sp.Count(trace.QueueWaitMicros, uint64(wait.Microseconds()))
 	}
-	return release, nil
+	return sp, func() { release(); end() }, nil
 }
 
 // Health returns the store's per-node failure/retry/hedge counters.
@@ -270,11 +268,6 @@ func (s *Store) Breaker() *cluster.Breaker { return s.retry.Breaker }
 // Metrics returns the store's latency histogram set (nil unless
 // Options.Metrics was set).
 func (s *Store) Metrics() *metrics.HistogramSet { return s.hist }
-
-// opKey is the histogram key for a coordinator-level operation.
-func opKey(op string) metrics.Key {
-	return metrics.Key{Op: "op." + op, Node: metrics.NodeNone}
-}
 
 // call is the hardened transport entry for coordinator→node RPCs: bounded
 // retries with backoff and per-attempt deadlines per Options.Retry, with
@@ -324,6 +317,19 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 		sp.Count(trace.BytesFromNodes, n)
 	}
 	return resp, err
+}
+
+// ctxErr is ctx.Err() that also sees a deadline the clock has passed but the
+// context's timer has not yet delivered: call refuses such a request from the
+// clock alone, and a caller classifying that failure must agree with it.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // isDataKind reports whether a request kind moves or scans block data (the
@@ -477,19 +483,6 @@ func (s *Store) metaReplicaNodes(name string) []int {
 // cacheOn reports whether the data tiers (block bytes, decoded chunks) and
 // the singleflight layer are enabled.
 func (s *Store) cacheOn() bool { return s.opts.CacheBytes > 0 }
-
-// cacheMeta stores metadata in the coordinator cache.
-func (s *Store) cacheMeta(m *ObjectMeta) {
-	s.cache.PutMeta(m.Name, m)
-}
-
-// cachedMeta returns cached metadata, if any.
-func (s *Store) cachedMeta(name string) *ObjectMeta {
-	if v, ok := s.cache.GetMeta(name); ok {
-		return v.(*ObjectMeta)
-	}
-	return nil
-}
 
 // CacheStats snapshots the coordinator cache counters (tier hit rates,
 // residency, singleflight dedups, executed RS decodes).

@@ -786,12 +786,22 @@ func TestMetaEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &ObjectMeta{Name: "x", Size: uint64(len(data)), Mode: LayoutFAC, Footer: footer, Items: items}
+	// One stripe whose first bin holds every item: the smallest layout
+	// DecodeMeta's shape checks accept.
+	p := erasure.RS96
+	m := &ObjectMeta{
+		Name: "x", Size: uint64(len(data)), Mode: LayoutFAC, Footer: footer,
+		Items: items, ItemLocs: make([]ItemLoc, len(items)),
+		Stripes: []StripeMeta{{
+			Nodes: make([]int, p.N), BlockIDs: make([]string, p.N), Checksums: make([]uint32, p.N),
+			DataLens: append([]uint64{uint64(len(data))}, make([]uint64, p.K-1)...),
+		}},
+	}
 	enc, err := EncodeMeta(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeMeta(enc)
+	got, err := DecodeMeta(enc, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,8 +814,67 @@ func TestMetaEncodeDecode(t *testing.T) {
 	if got.LocMapBytes() != footer.NumChunks()*8 {
 		t.Fatal("LocMapBytes wrong")
 	}
-	if _, err := DecodeMeta([]byte("garbage")); err == nil {
+	if _, err := DecodeMeta([]byte("garbage"), p); err == nil {
 		t.Fatal("DecodeMeta must reject garbage")
+	}
+}
+
+// TestDecodeMetaRejectsMalformed: metadata bytes come from storage nodes and
+// every read indexes the stripe and location tables with what they say, so a
+// table of the wrong shape must be refused at the decode boundary — not found
+// by an index panic in the read path.
+func TestDecodeMetaRejectsMalformed(t *testing.T) {
+	data, _, _ := makeObject(t, 2, 300, 1)
+	for _, opts := range []Options{fusionTestOptions(), BaselineOptions()} {
+		s, _ := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		good, err := s.Meta("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.opts.Params
+		cases := []struct {
+			name   string
+			fac    bool // needs the FAC location table
+			mutate func(m *ObjectMeta)
+		}{
+			{name: "short Checksums", mutate: func(m *ObjectMeta) { m.Stripes[0].Checksums = m.Stripes[0].Checksums[:p.N-1] }},
+			{name: "short Nodes", mutate: func(m *ObjectMeta) { m.Stripes[0].Nodes = m.Stripes[0].Nodes[:p.K] }},
+			{name: "short BlockIDs", mutate: func(m *ObjectMeta) { m.Stripes[0].BlockIDs = nil }},
+			{name: "n DataLens", mutate: func(m *ObjectMeta) { m.Stripes[0].DataLens = make([]uint64, p.N) }},
+			{name: "ItemLoc past the last stripe", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs[1].Stripe = len(m.Stripes) }},
+			{name: "ItemLoc in a parity bin", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs[1].Bin = p.K }},
+			{name: "ItemLoc overruns its bin", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs[1].BinOffset = 1 << 40 }},
+			{name: "fewer ItemLocs than Items", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs = m.ItemLocs[:1] }},
+			{name: "fixed layout with no stripes", mutate: func(m *ObjectMeta) { m.Mode, m.BlockSize, m.Stripes = LayoutFixed, 1024, nil }},
+			{name: "fixed layout with zero block size", mutate: func(m *ObjectMeta) { m.Mode, m.BlockSize = LayoutFixed, 0 }},
+		}
+		enc, err := EncodeMeta(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeMeta(enc, p); err != nil {
+			t.Fatalf("%v metadata as written: %v", good.Mode, err)
+		}
+		for _, c := range cases {
+			if c.fac && good.Mode != LayoutFAC {
+				continue
+			}
+			m, err := DecodeMeta(enc, p) // a private copy to damage
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(m)
+			bad, err := EncodeMeta(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeMeta(bad, p); err == nil {
+				t.Errorf("%v metadata with %s decoded without error", good.Mode, c.name)
+			}
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 			reqWorks = append(reqWorks, w)
 		}
 	}
-	for j, resp := range s.scatter(st, reqs) {
+	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
 		if resp == nil {
 			continue
 		}
