@@ -27,7 +27,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		hist       = flag.Bool("hist", true, "print per-phase latency histograms after each experiment")
 		cacheBytes = flag.Int64("cachebytes", 0, "coordinator read-cache budget in bytes (0 = disabled, the paper's cold-path configuration)")
-		jsonPath   = flag.String("json", "", "write the experiment's machine-readable stats to this file (hotpath → BENCH_hotpath.json, load → BENCH_load.json)")
 	)
 	flag.Parse()
 
@@ -43,35 +42,6 @@ func main() {
 		workload.Hist = metrics.NewHistogramSet()
 	}
 	lab := workload.NewLab(*scale)
-
-	if *jsonPath != "" {
-		var (
-			b   []byte
-			err error
-		)
-		switch *experiment {
-		case "load", "soak", "knee":
-			var stats *workload.LoadStats
-			stats, err = workload.MeasureLoadFull(lab)
-			if err == nil {
-				b, err = stats.JSON()
-			}
-		default:
-			// The historical -json behavior: hotpath stats regardless of
-			// the selected experiment.
-			b, err = workload.MeasureHotpath(lab).JSON()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-		return
-	}
 
 	run := func(e workload.Experiment) {
 		start := time.Now()

@@ -3,7 +3,6 @@ package fusion_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/lpq"
@@ -62,18 +61,14 @@ func gateStore(t *testing.T, opts store.Options, data []byte) (*store.Store, *si
 	return s, cl
 }
 
-// TestGroupByPushdownGate is the CI equivalence gate for the grouped and
+// TestGroupByPushdownGate is the equivalence suite for the grouped and
 // top-k pushdown paths: every gate query must return a byte-identical
 // result table under (1) full pushdown, (2) pushdown with a storage node
 // down (degraded reads reconstruct the chunks and the stage spills to the
 // coordinator), and (3) the fixed-block baseline that executes everything
 // coordinator-side — and the pushdown deployment must actually have pushed
-// work down. It only runs when FUSION_GROUPBY_GATE=1 so ordinary
-// `go test ./...` runs stay fast.
+// work down.
 func TestGroupByPushdownGate(t *testing.T) {
-	if os.Getenv("FUSION_GROUPBY_GATE") != "1" {
-		t.Skip("set FUSION_GROUPBY_GATE=1 to run the GROUP BY equivalence gate")
-	}
 	cfg := tpch.DefaultConfig()
 	cfg.RowsPerGroup = 5000
 	data, err := tpch.Generate(cfg)

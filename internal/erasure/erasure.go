@@ -92,9 +92,8 @@ func NewCoder(p Params) (*Coder, error) {
 }
 
 // NewCoderKernel builds a Coder whose bulk multiplies run the given kernel
-// constructor — the selection seam the kernel benchmarks and the
-// FUSION_KERNEL_GATE use to race the production kernel against the naive
-// log/exp oracle.
+// constructor — the selection seam for racing a candidate kernel against
+// the production one.
 func NewCoderKernel(p Params, kernel func(byte) gf256.Kernel) (*Coder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +230,32 @@ func BenchmarkEncodeRS96(b *testing.B)        { benchEncode(b, RS96, 1<<20, fals
 func BenchmarkEncodeRS1410(b *testing.B)      { benchEncode(b, RS1410, 1<<20, false) }
 func BenchmarkEncodeNaiveRS96(b *testing.B)   { benchEncode(b, RS96, 1<<20, true) }
 func BenchmarkEncodeNaiveRS1410(b *testing.B) { benchEncode(b, RS1410, 1<<20, true) }
+
+// TestKernelEncodeGate is the CI floor for the production GF(2^8) kernel:
+// RS(9,6) encode must run at least 3 times faster (≈24 measured) than the
+// naive log/exp encoder, so a regression that silently falls back to a slow
+// multiply path fails CI. It only runs when FUSION_KERNEL_GATE=1 so ordinary
+// `go test ./...` runs stay timing-independent.
+func TestKernelEncodeGate(t *testing.T) {
+	if os.Getenv("FUSION_KERNEL_GATE") == "" {
+		t.Skip("set FUSION_KERNEL_GATE=1 to run the kernel encode gate")
+	}
+	const floor = 3.0
+	naive := testing.Benchmark(BenchmarkEncodeNaiveRS96)
+	nibble := testing.Benchmark(BenchmarkEncodeRS96)
+	if naive.NsPerOp() <= 0 || nibble.NsPerOp() <= 0 {
+		t.Fatalf("degenerate benchmark results: nibble %v, naive %v", nibble, naive)
+	}
+	speedup := float64(naive.NsPerOp()) / float64(nibble.NsPerOp())
+	mbps := func(r testing.BenchmarkResult) float64 {
+		return float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
+	}
+	t.Logf("RS(9,6) encode: nibble %.0f MB/s, naive %.0f MB/s, speedup %.2fx (floor %.2fx)",
+		mbps(nibble), mbps(naive), speedup, floor)
+	if speedup < floor {
+		t.Fatalf("nibble kernel is only %.2fx the naive encoder, floor %.2fx", speedup, floor)
+	}
+}
 
 func BenchmarkReconstruct(b *testing.B) {
 	const shardSize = 1 << 20

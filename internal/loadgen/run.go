@@ -218,9 +218,9 @@ func (r *RunStats) Shed() uint64 {
 }
 
 // AdmittedReadAvailability is read availability with shed reads excluded
-// from the denominator — the overload gate's headline number: past the
-// saturation knee the store may refuse reads (that shows up in Shed), but
-// the reads it admits must still overwhelmingly succeed.
+// from the denominator — the overload test's headline number: past
+// capacity the store may refuse reads (that shows up in Shed), but the
+// reads it admits must still overwhelmingly succeed.
 func (r *RunStats) AdmittedReadAvailability() float64 {
 	var att, suc uint64
 	for _, kind := range []OpKind{OpGet, OpQuery} {
@@ -236,8 +236,8 @@ func (r *RunStats) AdmittedReadAvailability() float64 {
 }
 
 // UnclassifiedErrors counts failures that landed in the catch-all "other"
-// class. The shed gate requires this to be zero: under overload every
-// rejection must be a typed, retryable error, not mystery breakage.
+// class. TestRunTenantsMultiStream requires this to be zero: under overload
+// every rejection must be a typed, retryable error, not mystery breakage.
 func (r *RunStats) UnclassifiedErrors() uint64 {
 	var n uint64
 	for _, o := range r.PerOp {

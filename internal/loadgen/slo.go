@@ -18,8 +18,8 @@ type SLO struct {
 
 // DefaultSLOs are deliberately loose wall-clock targets for the simnet
 // harness — they catch an order-of-magnitude regression or an availability
-// hole, not a few-percent drift (the trajectory numbers in BENCH_load.json
-// track drift). Tighten per deployment via Config.SLOs.
+// hole, not a few-percent drift (the repository benchmark's object_io_small
+// workload tracks drift). Tighten per deployment via Config.SLOs.
 func DefaultSLOs() []SLO {
 	return []SLO{
 		{Op: OpGet, P50: 50 * time.Millisecond, P99: 250 * time.Millisecond, P999: time.Second, Availability: 0.999},

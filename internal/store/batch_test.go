@@ -93,45 +93,56 @@ func TestPushdownQueryEquivalence(t *testing.T) {
 // TestQueryRoundTrips is the deterministic dispatch assertion: a small-chunk
 // pushdown scan reaches each node in at most one data round trip per stage,
 // however many row groups and chunks it touches — the filter stage costs at
-// most one frame per node, and so does the projection stage.
+// most one frame per node, and so does the projection or aggregate stage.
 func TestQueryRoundTrips(t *testing.T) {
 	const rowGroups = 10
 	data, _, _ := makeObject(t, rowGroups, 200, 7)
-	opts := fusionTestOptions()
-	opts.Pushdown = PushdownAlways
-	p, b := pushdownAndBaselineStores(t, opts, data)
+	for _, c := range []struct {
+		query   string
+		aggPush bool
+		// The work the frames carry, per row group: filter leaves, then
+		// projected or aggregated chunks.
+		filters, projects, aggs int
+	}{
+		{query: "SELECT * FROM obj WHERE qty < 25", filters: 1, projects: 5},
+		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0",
+			aggPush: true, filters: 2, aggs: 2},
+	} {
+		opts := fusionTestOptions()
+		opts.Pushdown = PushdownAlways
+		opts.AggregatePushdown = c.aggPush
+		p, b := pushdownAndBaselineStores(t, opts, data)
 
-	const query = "SELECT * FROM obj WHERE qty < 25"
-	res, total, filter := queryRoundTrips(t, p, query)
-	want, baseTotal, _ := queryRoundTrips(t, b, query)
-	if g, w := resultKey(res), resultKey(want); g != w {
-		t.Fatalf("pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s", g, w)
-	}
+		res, total, filter := queryRoundTrips(t, p, c.query)
+		want, baseTotal, _ := queryRoundTrips(t, b, c.query)
+		if g, w := resultKey(res), resultKey(want); g != w {
+			t.Fatalf("%q: pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s", c.query, g, w)
+		}
 
-	// Everything else (meta quorum reads) is control plane and uncounted.
-	nodes := uint64(p.client.NumNodes())
-	if filter == 0 || filter > nodes {
-		t.Fatalf("filter stage took %d data round trips, want 1..%d (one frame per node)", filter, nodes)
+		// Everything else (meta quorum reads) is control plane and uncounted.
+		nodes := uint64(p.client.NumNodes())
+		if filter == 0 || filter > nodes {
+			t.Fatalf("%q: filter stage took %d data round trips, want 1..%d (one frame per node)", c.query, filter, nodes)
+		}
+		if total > 2*nodes {
+			t.Fatalf("%q: query took %d data round trips, want ≤ %d (one frame per node per stage)", c.query, total, 2*nodes)
+		}
+		st := res.Stats
+		if st.FilterRPCs != c.filters*rowGroups || st.ProjectRPCs != c.projects*rowGroups ||
+			st.AggregateRPCs != c.aggs*rowGroups || st.FetchRPCs != 0 {
+			t.Fatalf("%q: pushed ops: filter %d project %d aggregate %d fetch %d, want %d/%d/%d/0 per row group",
+				c.query, st.FilterRPCs, st.ProjectRPCs, st.AggregateRPCs, st.FetchRPCs, c.filters, c.projects, c.aggs)
+		}
+		if uint64(st.BatchRPCs) != total {
+			t.Fatalf("%q: BatchRPCs = %d, trace recorded %d round trips", c.query, st.BatchRPCs, total)
+		}
+		// The baseline pays one round trip per fetched chunk fragment.
+		if baseTotal != uint64(want.Stats.FetchRPCs) {
+			t.Fatalf("%q: baseline round trips = %d, want %d (one per fetch)", c.query, baseTotal, want.Stats.FetchRPCs)
+		}
+		t.Logf("%q round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
+			c.query, total, filter, baseTotal, res.Stats.Sim.Total, want.Stats.Sim.Total)
 	}
-	if total > 2*nodes {
-		t.Fatalf("query took %d data round trips, want ≤ %d (one frame per node per stage)", total, 2*nodes)
-	}
-	// The work those frames carried: one filter per row group, one
-	// projection per chunk of the five-column schema.
-	st := res.Stats
-	if st.FilterRPCs != rowGroups || st.ProjectRPCs != 5*rowGroups || st.FetchRPCs != 0 {
-		t.Fatalf("pushed ops: filter %d project %d fetch %d, want %d/%d/0",
-			st.FilterRPCs, st.ProjectRPCs, st.FetchRPCs, rowGroups, 5*rowGroups)
-	}
-	if uint64(st.BatchRPCs) != total {
-		t.Fatalf("BatchRPCs = %d, trace recorded %d round trips", st.BatchRPCs, total)
-	}
-	// The baseline pays one round trip per fetched chunk fragment.
-	if baseTotal != uint64(want.Stats.FetchRPCs) {
-		t.Fatalf("baseline round trips = %d, want %d (one per fetch)", baseTotal, want.Stats.FetchRPCs)
-	}
-	t.Logf("round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
-		total, filter, baseTotal, res.Stats.Sim.Total, want.Stats.Sim.Total)
 }
 
 // TestBatchedGetRoundTrips checks that a multi-segment Get reaches each node

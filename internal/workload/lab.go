@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"github.com/fusionstore/fusion/internal/datasets"
+	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/store"
@@ -109,6 +110,7 @@ type Lab struct {
 	mu         sync.Mutex
 	files      map[DatasetName][]byte
 	footers    map[DatasetName]*lpq.Footer
+	oracles    map[DatasetName]fac.OracleResult
 	systems    map[string]*System
 	sortedCols map[string]lpq.ColumnData
 }
@@ -122,6 +124,7 @@ func NewLab(scale float64) *Lab {
 		Scale:   scale,
 		files:   make(map[DatasetName][]byte),
 		footers: make(map[DatasetName]*lpq.Footer),
+		oracles: make(map[DatasetName]fac.OracleResult),
 		systems: make(map[string]*System),
 	}
 }

@@ -43,10 +43,6 @@ var Experiments = []Experiment{
 	{"abl-rs1410", "FAC overhead under RS(14,10)", (*Lab).AblRS1410},
 	{"abl-aggpush", "extension: aggregate pushdown", (*Lab).AblAggPush},
 	{"groupby", "extension: GROUP BY / ORDER BY+LIMIT pushdown", (*Lab).GroupBy},
-	{"hotpath", "hot-path microbenchmarks: kernels, batching, allocs", (*Lab).Hotpath},
-	{"load", "open-loop load ladder: arrival rate → latency percentiles + SLO verdicts", (*Lab).LoadReport},
-	{"soak", "chaos-under-load soak: crash-walk + corruption while serving", (*Lab).SoakReport},
-	{"knee", "saturation knee: rate ladder to SLO failure + 2x-past-knee shed verdict", (*Lab).KneeReport},
 }
 
 // Find returns the experiment with the given id.
