@@ -5,6 +5,7 @@
 package bitmap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -44,6 +45,30 @@ func (b *Bitmap) clearTail() {
 
 // Len returns the bitmap's bit length.
 func (b *Bitmap) Len() int { return b.n }
+
+// Words exposes the backing words, bit i at words[i/64]>>(i%64), for kernels
+// that produce or consume 64 rows at a time. Writers must leave the bits at
+// and beyond Len zero.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
+// SetRange sets bits [lo, hi).
+func (b *Bitmap) SetRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo/64, (hi-1)/64
+	loMask := ^uint64(0) << (lo % 64)
+	hiMask := ^uint64(0) >> (63 - (hi-1)%64)
+	if first == last {
+		b.words[first] |= loMask & hiMask
+		return
+	}
+	b.words[first] |= loMask
+	for i := first + 1; i < last; i++ {
+		b.words[i] = ^uint64(0)
+	}
+	b.words[last] |= hiMask
+}
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) {
@@ -147,9 +172,9 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 // back to the coordinator").
 func (b *Bitmap) Marshal() []byte {
 	raw := make([]byte, 8+8*len(b.words))
-	putUint64(raw, uint64(b.n))
+	binary.LittleEndian.PutUint64(raw, uint64(b.n))
 	for i, w := range b.words {
-		putUint64(raw[8+8*i:], w)
+		binary.LittleEndian.PutUint64(raw[8+8*i:], w)
 	}
 	return snappy.Encode(raw)
 }
@@ -163,28 +188,14 @@ func Unmarshal(data []byte) (*Bitmap, error) {
 	if len(raw) < 8 {
 		return nil, errors.New("bitmap: truncated header")
 	}
-	n := int(getUint64(raw))
+	n := int(binary.LittleEndian.Uint64(raw))
 	if n < 0 || (n+63)/64*8 != len(raw)-8 {
 		return nil, fmt.Errorf("bitmap: length %d inconsistent with %d payload bytes", n, len(raw)-8)
 	}
 	b := New(n)
 	for i := range b.words {
-		b.words[i] = getUint64(raw[8+8*i:])
+		b.words[i] = binary.LittleEndian.Uint64(raw[8+8*i:])
 	}
 	b.clearTail()
 	return b, nil
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

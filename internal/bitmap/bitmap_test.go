@@ -207,3 +207,22 @@ func BenchmarkAnd(b *testing.B) {
 		}
 	}
 }
+
+func TestSetRangeAgainstSet(t *testing.T) {
+	const n = 300
+	for _, r := range [][2]int{{0, 0}, {5, 5}, {0, 1}, {63, 64}, {63, 65}, {64, 128}, {1, 299}, {0, 300}, {130, 131}, {127, 257}, {7, 3}} {
+		got, want := New(n), New(n)
+		got.SetRange(r[0], r[1])
+		for i := r[0]; i < r[1]; i++ {
+			want.Set(i)
+		}
+		if !reflect.DeepEqual(got.Indexes(), want.Indexes()) {
+			t.Fatalf("SetRange(%d, %d) set %v", r[0], r[1], got.Indexes())
+		}
+	}
+	b := New(130)
+	b.Words()[1] = 1 << 3 // bit 67, through the word view
+	if !b.Get(67) || b.Count() != 1 || len(b.Words()) != 3 {
+		t.Fatalf("Words does not view the bitmap's own bits: %v", b.Indexes())
+	}
+}

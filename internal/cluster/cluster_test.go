@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
@@ -243,6 +244,43 @@ func TestEncodeDecodePlain(t *testing.T) {
 	if _, err := DecodePlain([]byte{9, 1, 0}); err == nil {
 		t.Fatal("unknown type must fail")
 	}
+}
+
+// EncodePlain serializes already-selected column values in the projection
+// reply form, [type byte][uvarint count][plain values] — what handleProject
+// sent before it wrote the reply straight from the opened chunk. Kept, with
+// SelectRows, as the reference its reply is checked against.
+func EncodePlain(col lpq.ColumnData) []byte {
+	out := appendPlainHeader(nil, col.Type, col.Len())
+	switch col.Type {
+	case lpq.Int64:
+		out = colenc.PutInt64s(out, col.Ints)
+	case lpq.Float64:
+		out = colenc.PutFloat64s(out, col.Floats)
+	default:
+		out = colenc.PutStrings(out, col.Strings)
+	}
+	return out
+}
+
+// SelectRows returns the subset of col's values whose bits are set — value at
+// a time over a fully decoded column, as handleProject worked before it
+// gathered from the opened chunk. Kept as the reference its reply is checked
+// against.
+func SelectRows(col lpq.ColumnData, bm *bitmap.Bitmap) lpq.ColumnData {
+	out := lpq.ColumnData{Type: col.Type}
+	switch col.Type {
+	case lpq.Int64:
+		out.Ints = make([]int64, 0, bm.Count())
+		bm.ForEach(func(i int) { out.Ints = append(out.Ints, col.Ints[i]) })
+	case lpq.Float64:
+		out.Floats = make([]float64, 0, bm.Count())
+		bm.ForEach(func(i int) { out.Floats = append(out.Floats, col.Floats[i]) })
+	default:
+		out.Strings = make([]string, 0, bm.Count())
+		bm.ForEach(func(i int) { out.Strings = append(out.Strings, col.Strings[i]) })
+	}
+	return out
 }
 
 func TestSelectRows(t *testing.T) {

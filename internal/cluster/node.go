@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -108,10 +109,23 @@ func expired(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
+// handle executes one request frame. The chunks it opens are released before
+// it returns: no reply references them.
 func (n *Node) handle(req *rpc.Request, deadline time.Time) *rpc.Response {
 	if expired(deadline) {
 		return errResp(fmt.Errorf("%w: %s", ErrExpired, req.Kind))
 	}
+	if req.Kind == rpc.KindBatch {
+		return n.handleBatch(req, deadline)
+	}
+	f := newFrame(n, req)
+	defer f.release()
+	return n.dispatch(f, req)
+}
+
+// dispatch executes one operation of frame f: the request itself, or a
+// sub-op of a batch.
+func (n *Node) dispatch(f *frame, req *rpc.Request) *rpc.Response {
 	switch req.Kind {
 	case rpc.KindPing:
 		return &rpc.Response{}
@@ -140,17 +154,15 @@ func (n *Node) handle(req *rpc.Request, deadline time.Time) *rpc.Response {
 		}
 		return &rpc.Response{Size: size}
 	case rpc.KindFilter:
-		return n.handleFilter(req)
+		return f.handleFilter(req)
 	case rpc.KindProject:
-		return n.handleProject(req)
+		return f.handleProject(req)
 	case rpc.KindAggregate:
-		return n.handleAggregate(req)
+		return f.handleAggregate(req)
 	case rpc.KindGroupAgg:
-		return n.handleGroupAgg(req)
+		return f.handleGroupAgg(req)
 	case rpc.KindTopK:
-		return n.handleTopK(req)
-	case rpc.KindBatch:
-		return n.handleBatch(req, deadline)
+		return f.handleTopK(req)
 	default:
 		return errResp(fmt.Errorf("cluster: unknown request kind %d", req.Kind))
 	}
@@ -266,31 +278,147 @@ func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 	return &rpc.Response{Data: data, Crc: crc, Cost: cost}
 }
 
-// readChunk loads and decodes the referenced column chunk from local
-// storage, returning the decoded values and the disk/processing cost.
-func (n *Node) readChunk(ref rpc.ChunkRef) (lpq.ColumnData, rpc.Cost, error) {
-	raw, err := n.Blocks.Get(ref.BlockID, ref.Offset, ref.Meta.Size)
-	if err != nil {
-		return lpq.ColumnData{}, rpc.Cost{}, err
+// frame is the column chunks one request frame has open. A pushed operator
+// computes on an opened chunk (lpq.Chunk: read, CRC-checked, decompressed and
+// indexed, no row decoded), and sub-ops of one KindBatch frame that name the
+// same chunk — a range predicate's two bounds, an aggregate and a projection
+// of one column — share one read and one open. The frame counts up front how
+// often each chunk is named, so a chunk is released the moment its last use
+// ends and a long frame holds one chunk's buffer at a time, not one per
+// sub-op. Nothing outlives the frame: this is not a cache.
+type frame struct {
+	node   *Node
+	uses   map[chunkKey]int        // uses of each chunk yet to finish
+	chunks map[chunkKey]*lpq.Chunk // open now: in use, or awaiting a later use
+}
+
+// chunkKey identifies a chunk within a frame: where its bytes are and what
+// OpenChunk reads of the reference, so two references with one key open to
+// the same chunk. The statistics stay out — a float column that starts with
+// NaN has NaN bounds, and a key holding a NaN never equals itself.
+type chunkKey struct {
+	blockID      string
+	offset, size uint64
+	crc          uint32
+	typ          lpq.Type
+	rows         int
+	compressed   bool
+}
+
+func keyOf(ref *rpc.ChunkRef) chunkKey {
+	return chunkKey{
+		blockID: ref.BlockID, offset: ref.Offset, size: ref.Meta.Size, crc: ref.Meta.CRC,
+		typ: ref.Type, rows: ref.Meta.NumValues, compressed: ref.Meta.Compressed,
 	}
-	cost := rpc.Cost{DiskBytes: uint64(len(raw)), ProcBytes: ref.Meta.RawSize}
-	col, err := lpq.DecodeChunk(ref.Type, ref.Meta, raw)
-	if err != nil {
-		return lpq.ColumnData{}, cost, err
+}
+
+// newFrame counts the chunk uses of a request and its sub-requests. A request
+// that names no chunk — every block operation — gets a nil frame and costs
+// nothing here.
+func newFrame(n *Node, req *rpc.Request) *frame {
+	var f *frame
+	use := func(ref *rpc.ChunkRef) {
+		if f == nil {
+			f = &frame{node: n, uses: make(map[chunkKey]int), chunks: make(map[chunkKey]*lpq.Chunk)}
+		}
+		f.uses[keyOf(ref)]++
 	}
-	return col, cost, nil
+	// Mirrors which chunks each handler opens.
+	count := func(r *rpc.Request) {
+		switch r.Kind {
+		case rpc.KindFilter, rpc.KindProject, rpc.KindAggregate, rpc.KindTopK:
+			use(&r.Chunk)
+		case rpc.KindGroupAgg:
+			for i := range r.KeyChunks {
+				use(&r.KeyChunks[i])
+			}
+			for i := range r.ValChunks {
+				if r.ValChunks[i].BlockID != "" {
+					use(&r.ValChunks[i])
+				}
+			}
+		}
+	}
+	count(req)
+	for i := range req.Subs {
+		count(&req.Subs[i])
+	}
+	return f
+}
+
+// open returns the referenced chunk, opened from local storage unless the
+// frame already holds it, and the disk/processing cost of one use. The cost
+// is charged per use, shared or not, so a sub-op's accounting does not depend
+// on what else rode in its frame. Every successful open is paired with a
+// close.
+func (f *frame) open(ref rpc.ChunkRef) (*lpq.Chunk, rpc.Cost, error) {
+	cost := rpc.Cost{DiskBytes: ref.Meta.Size, ProcBytes: ref.Meta.RawSize}
+	key := keyOf(&ref)
+	if ch := f.chunks[key]; ch != nil {
+		return ch, cost, nil
+	}
+	raw, err := f.node.Blocks.Get(ref.BlockID, ref.Offset, ref.Meta.Size)
+	if err != nil {
+		f.uses[key]--
+		return nil, rpc.Cost{}, err
+	}
+	cost.DiskBytes = uint64(len(raw))
+	ch, err := lpq.OpenChunk(ref.Type, ref.Meta, raw)
+	if err != nil {
+		f.uses[key]--
+		return nil, cost, err
+	}
+	f.chunks[key] = ch
+	return ch, cost, nil
+}
+
+// close ends one use of an opened chunk, releasing it after the frame's last.
+func (f *frame) close(ref rpc.ChunkRef) {
+	key := keyOf(&ref)
+	if f.uses[key]--; f.uses[key] > 0 {
+		return
+	}
+	if ch := f.chunks[key]; ch != nil {
+		ch.Release()
+		delete(f.chunks, key)
+	}
+}
+
+// release frees whatever the frame still holds (sub-ops abandoned at a
+// deadline checkpoint never used their chunks).
+func (f *frame) release() {
+	if f == nil {
+		return
+	}
+	for _, ch := range f.chunks {
+		ch.Release()
+	}
+}
+
+// selection parses a request's row bitmap and checks it against the chunk.
+func selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitmap, error) {
+	bm, err := bitmap.Unmarshal(data)
+	if err != nil {
+		return nil, err
+	}
+	if bm.Len() != ch.NumRows() {
+		return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
+	}
+	return bm, nil
 }
 
 // handleFilter runs a pushed-down comparison on a local chunk and returns
-// the compressed result bitmap (§5: the node reads the chunk, decompresses
-// and decodes it, runs the filter, and Snappy-compresses the bitmap).
-func (n *Node) handleFilter(req *rpc.Request) *rpc.Response {
-	col, cost, err := n.readChunk(req.Chunk)
+// the compressed result bitmap (§5: the node reads the chunk, runs the filter
+// and Snappy-compresses the bitmap). The filter runs on the opened chunk: over
+// the dictionary and then the codes, or over the plain pages' bytes.
+func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
+	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
+	defer f.close(req.Chunk)
 	cmp := &sql.Compare{Column: "pushdown", Op: req.Op, Value: req.Value}
-	bm, err := sql.EvalCompare(cmp, col)
+	bm, err := sql.FilterChunk(cmp, ch)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
@@ -299,42 +427,46 @@ func (n *Node) handleFilter(req *rpc.Request) *rpc.Response {
 
 // handleProject returns the chunk values selected by the request bitmap in
 // plain (uncompressed) encoding — the projection-stage reply whose size the
-// cost model weighs against shipping the compressed chunk (§4.3).
-func (n *Node) handleProject(req *rpc.Request) *rpc.Response {
-	col, cost, err := n.readChunk(req.Chunk)
+// cost model weighs against shipping the compressed chunk (§4.3). Only the
+// selected rows are read from the pages, straight into the reply.
+func (f *frame) handleProject(req *rpc.Request) *rpc.Response {
+	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	bm, err := bitmap.Unmarshal(req.Bitmap)
+	defer f.close(req.Chunk)
+	bm, err := selection(req.Bitmap, ch, "chunk")
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	if bm.Len() != col.Len() {
-		return errRespCost(fmt.Errorf("cluster: bitmap has %d rows, chunk has %d", bm.Len(), col.Len()), cost)
+	matches := bm.Count()
+	// Exact for the numeric types, a first guess for strings.
+	data := make([]byte, 0, binary.MaxVarintLen64+1+8*matches)
+	data, err = ch.AppendSelected(appendPlainHeader(data, ch.Type(), matches), bm)
+	if err != nil {
+		return errRespCost(err, cost)
 	}
-	sel := SelectRows(col, bm)
-	data := EncodePlain(sel)
-	return &rpc.Response{Data: data, Matches: sel.Len(), Cost: cost}
+	return &rpc.Response{Data: data, Matches: matches, Cost: cost}
 }
 
 // handleAggregate computes a partial aggregate over the selected rows of a
 // local chunk: only the accumulator crosses the network, never the values.
-func (n *Node) handleAggregate(req *rpc.Request) *rpc.Response {
-	col, cost, err := n.readChunk(req.Chunk)
+func (f *frame) handleAggregate(req *rpc.Request) *rpc.Response {
+	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	bm, err := bitmap.Unmarshal(req.Bitmap)
+	defer f.close(req.Chunk)
+	bm, err := selection(req.Bitmap, ch, "chunk")
 	if err != nil {
 		return errRespCost(err, cost)
-	}
-	if bm.Len() != col.Len() {
-		return errRespCost(fmt.Errorf("cluster: bitmap has %d rows, chunk has %d", bm.Len(), col.Len()), cost)
 	}
 	// The accumulator gathers count, sum and extrema at once; the
 	// coordinator extracts whichever the query's aggregates need.
 	state := sql.NewAggState(sql.AggCount)
-	state.AddColumn(col, bm)
+	if err := state.AddChunk(ch, bm); err != nil {
+		return errRespCost(err, cost)
+	}
 	return &rpc.Response{Matches: bm.Count(), Agg: state, Cost: cost}
 }
 
@@ -343,7 +475,7 @@ func (n *Node) handleAggregate(req *rpc.Request) *rpc.Response {
 // partial states cross the network — (count, sum, min, max) per group and
 // aggregate, never a pre-divided AVG — so the coordinator's merge is exact
 // regardless of how rows were split across nodes.
-func (n *Node) handleGroupAgg(req *rpc.Request) *rpc.Response {
+func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	var cost rpc.Cost
 	if len(req.KeyChunks) == 0 {
 		return errResp(fmt.Errorf("cluster: GroupAgg without key chunks"))
@@ -356,35 +488,37 @@ func (n *Node) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	if err != nil {
 		return errResp(err)
 	}
-	keys := make([]lpq.ColumnData, len(req.KeyChunks))
-	for i, ref := range req.KeyChunks {
-		col, c, err := n.readChunk(ref)
+	open := func(ref rpc.ChunkRef, what string) (*lpq.Chunk, error) {
+		ch, c, err := f.open(ref)
 		cost.Add(c)
 		if err != nil {
+			return nil, err
+		}
+		if ch.NumRows() != bm.Len() {
+			f.close(ref)
+			return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
+		}
+		return ch, nil
+	}
+	keys := make([]*lpq.Chunk, len(req.KeyChunks))
+	for i, ref := range req.KeyChunks {
+		if keys[i], err = open(ref, "key chunk"); err != nil {
 			return errRespCost(err, cost)
 		}
-		if col.Len() != bm.Len() {
-			return errRespCost(fmt.Errorf("cluster: bitmap has %d rows, key chunk has %d", bm.Len(), col.Len()), cost)
-		}
-		keys[i] = col
+		defer f.close(ref)
 	}
-	vals := make([]lpq.ColumnData, len(req.ValChunks))
+	vals := make([]*lpq.Chunk, len(req.ValChunks))
 	for i, ref := range req.ValChunks {
 		if ref.BlockID == "" {
 			continue // COUNT(*): no argument column
 		}
-		col, c, err := n.readChunk(ref)
-		cost.Add(c)
-		if err != nil {
+		if vals[i], err = open(ref, "value chunk"); err != nil {
 			return errRespCost(err, cost)
 		}
-		if col.Len() != bm.Len() {
-			return errRespCost(fmt.Errorf("cluster: bitmap has %d rows, value chunk has %d", bm.Len(), col.Len()), cost)
-		}
-		vals[i] = col
+		defer f.close(ref)
 	}
 	g := sql.NewGroupTable(req.AggKinds, req.MaxGroups)
-	if err := g.AddRows(keys, vals, bm); err != nil {
+	if err := g.AddChunks(keys, vals, bm); err != nil {
 		return errRespCost(err, cost)
 	}
 	return &rpc.Response{Groups: g.Sorted(), Matches: bm.Count(), Cost: cost}
@@ -394,35 +528,21 @@ func (n *Node) handleGroupAgg(req *rpc.Request) *rpc.Response {
 // request's order chunk: each candidate carries its sort key and global
 // (rg, row) position, so the coordinator's bounded k-way merge stays
 // deterministic under ties.
-func (n *Node) handleTopK(req *rpc.Request) *rpc.Response {
-	col, cost, err := n.readChunk(req.Chunk)
+func (f *frame) handleTopK(req *rpc.Request) *rpc.Response {
+	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	bm, err := bitmap.Unmarshal(req.Bitmap)
+	defer f.close(req.Chunk)
+	bm, err := selection(req.Bitmap, ch, "chunk")
 	if err != nil {
 		return errRespCost(err, cost)
-	}
-	if bm.Len() != col.Len() {
-		return errRespCost(fmt.Errorf("cluster: bitmap has %d rows, chunk has %d", bm.Len(), col.Len()), cost)
 	}
 	tk := sql.NewTopK(req.K, req.Desc)
-	bm.ForEach(func(i int) {
-		tk.Push(rowLiteral(col, i), req.RG, int32(i))
-	})
-	return &rpc.Response{TopRows: tk.Rows(), Matches: bm.Count(), Cost: cost}
-}
-
-// rowLiteral extracts row i of col as a literal.
-func rowLiteral(col lpq.ColumnData, i int) sql.Literal {
-	switch col.Type {
-	case lpq.Int64:
-		return sql.IntLit(col.Ints[i])
-	case lpq.Float64:
-		return sql.FloatLit(col.Floats[i])
-	default:
-		return sql.StringLit(col.Strings[i])
+	if err := tk.PushChunk(ch, bm, req.RG); err != nil {
+		return errRespCost(err, cost)
 	}
+	return &rpc.Response{TopRows: tk.Rows(), Matches: bm.Count(), Cost: cost}
 }
 
 // handleBatch executes a scatter-gather frame: each sub-request runs through
@@ -441,6 +561,8 @@ func (n *Node) handleBatch(req *rpc.Request, deadline time.Time) *rpc.Response {
 	if msg := rpc.ValidateBatch(req); msg != "" {
 		return errResp(fmt.Errorf("cluster: %s", msg))
 	}
+	f := newFrame(n, req)
+	defer f.release()
 	out := &rpc.Response{Subs: make([]rpc.Response, len(req.Subs))}
 	for i := range req.Subs {
 		if expired(deadline) {
@@ -450,7 +572,7 @@ func (n *Node) handleBatch(req *rpc.Request, deadline time.Time) *rpc.Response {
 			}
 			return out
 		}
-		sub := n.handle(&req.Subs[i], deadline)
+		sub := n.dispatch(f, &req.Subs[i])
 		out.Subs[i] = *sub
 		out.Cost.Add(sub.Cost)
 	}
@@ -461,21 +583,4 @@ func errResp(err error) *rpc.Response { return &rpc.Response{Err: err.Error()} }
 
 func errRespCost(err error, c rpc.Cost) *rpc.Response {
 	return &rpc.Response{Err: err.Error(), Cost: c}
-}
-
-// SelectRows returns the subset of col's values whose bits are set.
-func SelectRows(col lpq.ColumnData, bm *bitmap.Bitmap) lpq.ColumnData {
-	out := lpq.ColumnData{Type: col.Type}
-	switch col.Type {
-	case lpq.Int64:
-		out.Ints = make([]int64, 0, bm.Count())
-		bm.ForEach(func(i int) { out.Ints = append(out.Ints, col.Ints[i]) })
-	case lpq.Float64:
-		out.Floats = make([]float64, 0, bm.Count())
-		bm.ForEach(func(i int) { out.Floats = append(out.Floats, col.Floats[i]) })
-	default:
-		out.Strings = make([]string, 0, bm.Count())
-		bm.ForEach(func(i int) { out.Strings = append(out.Strings, col.Strings[i]) })
-	}
-	return out
 }

@@ -1,0 +1,506 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/lpq"
+	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/sql"
+)
+
+// countingStore counts the chunk reads a node makes of its block store.
+type countingStore struct {
+	*MemStore
+	gets atomic.Int64
+}
+
+func (s *countingStore) Get(id string, offset, length uint64) ([]byte, error) {
+	s.gets.Add(1)
+	return s.MemStore.Get(id, offset, length)
+}
+
+// rowGroupFixture is one row group of a lineitem-like table stored on a node,
+// every chunk in one block, with the decoded columns for reference.
+type rowGroupFixture struct {
+	node  *Node
+	store *countingStore
+	cols  map[string]lpq.ColumnData
+	refs  map[string]rpc.ChunkRef
+	rows  int
+}
+
+// newRowGroupFixture writes rows rows of shipdate (a 2,526-value dictionary),
+// quantity, discount, price (plain floats), flag (a 3-string dictionary),
+// comment (plain strings) and rebate (floats with NaN at row 0 and every 97th
+// after, so the writer's min/max statistics for it are NaN) and stores the
+// chunks on a fresh node.
+func newRowGroupFixture(t testing.TB, rows int) *rowGroupFixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	ship, qty := make([]int64, rows), make([]int64, rows)
+	disc, price, rebate := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+	flag, comment := make([]string, rows), make([]string, rows)
+	for i := 0; i < rows; i++ {
+		ship[i] = rng.Int63n(2526)
+		qty[i] = 1 + rng.Int63n(50)
+		disc[i] = float64(rng.Intn(11)) / 100
+		price[i] = float64(qty[i]) * (900 + float64(rng.Intn(200000))/100)
+		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+		comment[i] = fmt.Sprintf("comment %d of the %d carefully final deposits", rng.Intn(1<<20), i)
+		if rebate[i] = disc[i] / 2; i%97 == 0 {
+			rebate[i] = math.NaN()
+		}
+	}
+	names := []string{"shipdate", "quantity", "discount", "price", "flag", "comment", "rebate"}
+	cols := []lpq.ColumnData{
+		lpq.IntColumn(ship), lpq.IntColumn(qty), lpq.FloatColumn(disc),
+		lpq.FloatColumn(price), lpq.StringColumn(flag), lpq.StringColumn(comment), lpq.FloatColumn(rebate),
+	}
+	schema := make([]lpq.Column, len(cols))
+	for i := range cols {
+		schema[i] = lpq.Column{Name: names[i], Type: cols[i].Type}
+	}
+	w := lpq.NewWriter(schema, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup(cols); err != nil {
+		t.Fatal(err)
+	}
+	file, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := lpq.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &rowGroupFixture{
+		store: &countingStore{MemStore: NewMemStore()},
+		cols:  make(map[string]lpq.ColumnData), refs: make(map[string]rpc.ChunkRef), rows: rows,
+	}
+	fx.node = NewNode(0, fx.store)
+	// The whole file is the block: a chunk's file offset is its block offset.
+	if err := fx.store.Put("blk", file); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		m := f.Footer().RowGroups[0].Chunks[i]
+		fx.refs[name] = rpc.ChunkRef{BlockID: "blk", Offset: m.Offset, Type: cols[i].Type, Meta: m}
+		if fx.cols[name], err = f.ReadChunk(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fx.refs["rebate"].Meta.Stats; !math.IsNaN(st.MinF) || !math.IsNaN(st.MaxF) {
+		t.Fatalf("rebate's statistics are %v..%v, the fixture wants NaN bounds", st.MinF, st.MaxF)
+	}
+	return fx
+}
+
+func (fx *rowGroupFixture) selection(rng *rand.Rand, percent int) *bitmap.Bitmap {
+	sel := bitmap.New(fx.rows)
+	for i := 0; i < fx.rows; i++ {
+		if rng.Intn(100) < percent {
+			sel.Set(i)
+		}
+	}
+	return sel
+}
+
+// handled is Handle with the pool poisoned and churned afterwards, so a reply
+// that referenced a released chunk buffer would come back as garbage.
+func (fx *rowGroupFixture) handled(t testing.TB, req *rpc.Request) *rpc.Response {
+	t.Helper()
+	gets0, puts0, _ := bufpool.Stats()
+	resp := fx.node.Handle(req)
+	gets1, puts1, _ := bufpool.Stats()
+	if gets1-gets0 != puts1-puts0 {
+		t.Fatalf("%v frame rented %d buffers and returned %d", req.Kind, gets1-gets0, puts1-puts0)
+	}
+	for i := 0; i < 8; i++ {
+		b := bufpool.GetLen(256 << 10)
+		for j := range b {
+			b[j] = 0xAA
+		}
+		bufpool.Put(b)
+	}
+	return resp
+}
+
+// TestPushedOpsMatchReference: every pushed operator's reply, computed on the
+// opened chunk, equals the value-at-a-time computation over the decoded
+// column — and still does after the frame released its chunks into a
+// poisoned, churned pool (a reply never references a released arena).
+func TestPushedOpsMatchReference(t *testing.T) {
+	prev := bufpool.SetPoison(true)
+	defer bufpool.SetPoison(prev)
+	fx := newRowGroupFixture(t, 5000)
+	rng := rand.New(rand.NewSource(4))
+	for _, percent := range []int{0, 1, 50, 100} {
+		sel := fx.selection(rng, percent)
+		wire := sel.Marshal()
+		for name, col := range fx.cols {
+			// Project: the plain encoding of the selected values.
+			resp := fx.handled(t, &rpc.Request{Kind: rpc.KindProject, Chunk: fx.refs[name], Bitmap: wire})
+			if want := EncodePlain(SelectRows(col, sel)); resp.Err != "" || !bytes.Equal(resp.Data, want) || resp.Matches != sel.Count() {
+				t.Fatalf("Project %s at %d%%: %q, %d bytes vs %d", name, percent, resp.Err, len(resp.Data), len(want))
+			}
+			// Aggregate: every accumulator field.
+			resp = fx.handled(t, &rpc.Request{Kind: rpc.KindAggregate, Chunk: fx.refs[name], Bitmap: wire})
+			want := sql.NewAggState(sql.AggCount)
+			want.AddColumn(SelectRows(col, sel))
+			if resp.Err != "" || !sameAggState(resp.Agg, want) {
+				t.Fatalf("Aggregate %s at %d%%: %q, %+v vs %+v", name, percent, resp.Err, resp.Agg, want)
+			}
+			// TopK, both directions.
+			for _, desc := range []bool{false, true} {
+				resp = fx.handled(t, &rpc.Request{Kind: rpc.KindTopK, Chunk: fx.refs[name], Bitmap: wire, K: 7, Desc: desc, RG: 3})
+				tk := sql.NewTopK(7, desc)
+				sel.ForEach(func(i int) { tk.Push(literalAt(col, i), 3, int32(i)) })
+				if resp.Err != "" || !sameTopRows(resp.TopRows, tk.Rows()) {
+					t.Fatalf("TopK %s at %d%% desc=%v: %q, %v vs %v", name, percent, desc, resp.Err, resp.TopRows, tk.Rows())
+				}
+			}
+		}
+		// GroupAgg: GROUP BY flag with SUM(price), COUNT(*), MIN(comment), AVG(price).
+		resp := fx.handled(t, &rpc.Request{
+			Kind: rpc.KindGroupAgg, Bitmap: wire, MaxGroups: 100,
+			KeyChunks: []rpc.ChunkRef{fx.refs["flag"]},
+			ValChunks: []rpc.ChunkRef{fx.refs["price"], {}, fx.refs["comment"], fx.refs["price"]},
+			AggKinds:  []sql.AggKind{sql.AggSum, sql.AggCount, sql.AggMin, sql.AggAvg},
+		})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		want := referenceGroups(fx, sel)
+		if len(resp.Groups) != len(want) {
+			t.Fatalf("GroupAgg at %d%%: %d groups, want %d", percent, len(resp.Groups), len(want))
+		}
+		for i, g := range resp.Groups {
+			w := want[g.Key[0].S]
+			if w == nil || g.Rows != w.Rows {
+				t.Fatalf("GroupAgg at %d%%: group %v has %d rows, want %+v", percent, g.Key, g.Rows, w)
+			}
+			for ai := range g.Aggs {
+				if !sameAggState(&resp.Groups[i].Aggs[ai], &w.Aggs[ai]) {
+					t.Fatalf("GroupAgg at %d%%: group %v aggregate %d: %+v vs %+v", percent, g.Key, ai, g.Aggs[ai], w.Aggs[ai])
+				}
+			}
+		}
+	}
+	// Filter, the six operators, on a dictionary chunk and a plain one.
+	for op := sql.OpEq; op <= sql.OpGe; op++ {
+		for name, lit := range map[string]sql.Literal{"shipdate": sql.IntLit(400), "price": sql.FloatLit(30000)} {
+			resp := fx.handled(t, &rpc.Request{Kind: rpc.KindFilter, Chunk: fx.refs[name], Op: op, Value: lit})
+			want, err := sql.EvalCompare(&sql.Compare{Op: op, Value: lit}, fx.cols[name])
+			if err != nil || resp.Err != "" {
+				t.Fatal(err, resp.Err)
+			}
+			got, err := bitmap.Unmarshal(resp.Data)
+			if err != nil || !reflect.DeepEqual(got.Indexes(), want.Indexes()) || resp.Matches != want.Count() {
+				t.Fatalf("Filter %s %v: %d rows, want %d (%v)", name, op, resp.Matches, want.Count(), err)
+			}
+		}
+	}
+	// Inside one frame, where the five operators share the chunk they name,
+	// each answers as it does alone — on rebate too, whose reference carries
+	// NaN statistics (a frame that looked chunks up by the whole reference
+	// would never find that one again).
+	wire := fx.selection(rng, 50).Marshal()
+	for _, name := range []string{"price", "rebate"} {
+		ref := fx.refs[name]
+		subs := []rpc.Request{
+			{Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpLt, Value: sql.FloatLit(0.03)},
+			{Kind: rpc.KindProject, Chunk: ref, Bitmap: wire},
+			{Kind: rpc.KindAggregate, Chunk: ref, Bitmap: wire},
+			{Kind: rpc.KindTopK, Chunk: ref, Bitmap: wire, K: 7, Desc: true, RG: 3},
+			{Kind: rpc.KindGroupAgg, Bitmap: wire, KeyChunks: []rpc.ChunkRef{fx.refs["flag"]},
+				ValChunks: []rpc.ChunkRef{ref}, AggKinds: []sql.AggKind{sql.AggSum}},
+		}
+		fx.store.gets.Store(0)
+		batch := fx.handled(t, &rpc.Request{Kind: rpc.KindBatch, Subs: subs})
+		if batch.Err != "" || len(batch.Subs) != len(subs) {
+			t.Fatalf("frame on %s: %q, %d sub-responses", name, batch.Err, len(batch.Subs))
+		}
+		if n := fx.store.gets.Load(); n != 2 {
+			t.Fatalf("frame on %s made %d block reads, want 2 (%s once, flag once)", name, n, name)
+		}
+		for i := range subs {
+			if alone := fx.handled(t, &subs[i]); alone.Err != "" || !sameResponse(&batch.Subs[i], alone) {
+				t.Fatalf("%v on %s: %+v in the frame, %+v alone", subs[i].Kind, name, batch.Subs[i], *alone)
+			}
+		}
+	}
+}
+
+// sameResponse compares two operator replies field by field, floats by their
+// bits.
+func sameResponse(a, b *rpc.Response) bool {
+	if a.Err != b.Err || !bytes.Equal(a.Data, b.Data) || a.Matches != b.Matches || a.Cost != b.Cost ||
+		(a.Agg == nil) != (b.Agg == nil) || a.Agg != nil && !sameAggState(a.Agg, b.Agg) ||
+		!sameTopRows(a.TopRows, b.TopRows) || len(a.Groups) != len(b.Groups) {
+		return false
+	}
+	for i, g := range a.Groups {
+		h := b.Groups[i]
+		if !reflect.DeepEqual(g.Key, h.Key) || g.Rows != h.Rows || len(g.Aggs) != len(h.Aggs) {
+			return false
+		}
+		for j := range g.Aggs {
+			if !sameAggState(&g.Aggs[j], &h.Aggs[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func literalAt(col lpq.ColumnData, i int) sql.Literal {
+	switch col.Type {
+	case lpq.Int64:
+		return sql.IntLit(col.Ints[i])
+	case lpq.Float64:
+		return sql.FloatLit(col.Floats[i])
+	default:
+		return sql.StringLit(col.Strings[i])
+	}
+}
+
+// sameTopRows compares ranked rows with float keys by their bits (a NaN key
+// equals itself).
+func sameTopRows(a, b []sql.TopRow) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		ka, kb := a[i].Key, b[i].Key
+		ka.F, kb.F = 0, 0
+		if a[i].RG != b[i].RG || a[i].Row != b[i].Row || ka != kb ||
+			math.Float64bits(a[i].Key.F) != math.Float64bits(b[i].Key.F) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameAggState(a, b *sql.AggState) bool {
+	return a != nil && a.Count == b.Count && a.Init == b.Init && a.IsString == b.IsString &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.MinF) == math.Float64bits(b.MinF) &&
+		math.Float64bits(a.MaxF) == math.Float64bits(b.MaxF) &&
+		a.MinS == b.MinS && a.MaxS == b.MaxS
+}
+
+// referenceGroups folds the fixture's selected rows by flag: each group's
+// rows picked out one at a time and folded in row order.
+func referenceGroups(fx *rowGroupFixture, sel *bitmap.Bitmap) map[string]*sql.GroupPartial {
+	members := make(map[string]*bitmap.Bitmap)
+	sel.ForEach(func(i int) {
+		key := fx.cols["flag"].Strings[i]
+		if members[key] == nil {
+			members[key] = bitmap.New(fx.rows)
+		}
+		members[key].Set(i)
+	})
+	out := make(map[string]*sql.GroupPartial)
+	for key, rows := range members {
+		g := &sql.GroupPartial{Rows: int64(rows.Count()), Aggs: make([]sql.AggState, 4)}
+		g.Aggs[0].AddColumn(SelectRows(fx.cols["price"], rows))
+		g.Aggs[1].Count = g.Rows
+		g.Aggs[2].AddColumn(SelectRows(fx.cols["comment"], rows))
+		g.Aggs[3].AddColumn(SelectRows(fx.cols["price"], rows))
+		out[key] = g
+	}
+	return out
+}
+
+// TestFrameOpensSharedChunkOnce: in the filter frame of TPC-H Q2 (a date
+// range — two comparisons on l_shipdate — plus one each on l_discount and
+// l_quantity, per row group) the node reads and opens l_shipdate once, while
+// every sub-op is still charged its own disk and processing bytes.
+func TestFrameOpensSharedChunkOnce(t *testing.T) {
+	fx := newRowGroupFixture(t, 5000)
+	filter := func(col string, op sql.CmpOp, lit sql.Literal) rpc.Request {
+		return rpc.Request{Kind: rpc.KindFilter, Chunk: fx.refs[col], Op: op, Value: lit}
+	}
+	subs := []rpc.Request{
+		filter("shipdate", sql.OpGe, sql.IntLit(757)),
+		filter("shipdate", sql.OpLt, sql.IntLit(1480)),
+		filter("discount", sql.OpGe, sql.FloatLit(0.06)),
+		filter("quantity", sql.OpLt, sql.IntLit(25)),
+	}
+	// Sub-op by sub-op, each its own frame: four reads, four opens.
+	var alone []*rpc.Response
+	fx.store.gets.Store(0)
+	gets0, _, _ := bufpool.Stats()
+	for i := range subs {
+		alone = append(alone, fx.node.Handle(&subs[i]))
+	}
+	gets1, _, _ := bufpool.Stats()
+	if n := fx.store.gets.Load(); n != 4 {
+		t.Fatalf("four separate filters made %d block reads, want 4", n)
+	}
+	opensAlone := gets1 - gets0
+
+	fx.store.gets.Store(0)
+	gets0, puts0, _ := bufpool.Stats()
+	resp := fx.node.Handle(&rpc.Request{Kind: rpc.KindBatch, Subs: subs})
+	gets1, puts1, _ := bufpool.Stats()
+	if resp.Err != "" || len(resp.Subs) != len(subs) {
+		t.Fatalf("batch: %q, %d sub-responses", resp.Err, len(resp.Subs))
+	}
+	if n := fx.store.gets.Load(); n != 3 {
+		t.Fatalf("the frame made %d block reads, want 3 (l_shipdate once)", n)
+	}
+	if opens := gets1 - gets0; opens != opensAlone-1 || puts1-puts0 != opens {
+		t.Fatalf("the frame rented %d buffers (returned %d), want one fewer than the %d of four separate opens",
+			opens, puts1-puts0, opensAlone)
+	}
+	var sum rpc.Cost
+	for i := range subs {
+		if resp.Subs[i].Err != "" || !bytes.Equal(resp.Subs[i].Data, alone[i].Data) || resp.Subs[i].Matches != alone[i].Matches {
+			t.Fatalf("sub-op %d answers differently inside the frame: %q", i, resp.Subs[i].Err)
+		}
+		if resp.Subs[i].Cost != alone[i].Cost || resp.Subs[i].Cost.DiskBytes != subs[i].Chunk.Meta.Size {
+			t.Fatalf("sub-op %d is charged %+v in the frame, %+v alone", i, resp.Subs[i].Cost, alone[i].Cost)
+		}
+		sum.Add(resp.Subs[i].Cost)
+	}
+	if resp.Cost != sum {
+		t.Fatalf("frame cost %+v, sub-ops sum to %+v", resp.Cost, sum)
+	}
+}
+
+// TestFrameHoldsOneChunkAtATime: a chunk is released as soon as its last use
+// in the frame ends, so a long frame over distinct chunks holds one buffer at
+// a time, and a failing sub-op neither leaks a chunk nor disturbs its
+// neighbours.
+func TestFrameHoldsOneChunkAtATime(t *testing.T) {
+	fx := newRowGroupFixture(t, 5000)
+	bad := fx.refs["price"]
+	bad.Meta.CRC++
+	sel := bitmap.NewFull(fx.rows).Marshal()
+	subs := []rpc.Request{
+		{Kind: rpc.KindAggregate, Chunk: fx.refs["price"], Bitmap: sel},
+		{Kind: rpc.KindAggregate, Chunk: bad, Bitmap: sel},
+		{Kind: rpc.KindAggregate, Chunk: fx.refs["comment"], Bitmap: sel},
+		{Kind: rpc.KindProject, Chunk: fx.refs["price"], Bitmap: []byte("not a bitmap")},
+		{Kind: rpc.KindAggregate, Chunk: fx.refs["shipdate"], Bitmap: sel},
+		{Kind: rpc.KindAggregate, Chunk: rpc.ChunkRef{BlockID: "missing"}, Bitmap: sel},
+		{Kind: rpc.KindAggregate, Chunk: fx.refs["price"], Bitmap: sel},
+	}
+	// Count, by hand, what the frame's accounting says is open after each
+	// sub-op: dispatch is what handleBatch loops over.
+	req := &rpc.Request{Kind: rpc.KindBatch, Subs: subs}
+	f := newFrame(fx.node, req)
+	wantErr := []bool{false, true, false, true, false, true, false}
+	for i := range subs {
+		resp := fx.node.dispatch(f, &subs[i])
+		if (resp.Err != "") != wantErr[i] {
+			t.Fatalf("sub-op %d: error %q, want error %v", i, resp.Err, wantErr[i])
+		}
+		// price is named three more times after its first use, so it stays;
+		// nothing else may.
+		price := fx.refs["price"]
+		for key := range f.chunks {
+			if key != keyOf(&price) || i == len(subs)-1 {
+				t.Fatalf("after sub-op %d the frame still holds %s+%d", i, key.blockID, key.offset)
+			}
+		}
+	}
+	f.release()
+}
+
+// TestPushedFilterRejectsAllocationBomb: the 26-byte chunk whose run-length
+// page declares 2^36 rows, arriving as a pushed filter — which used to kill
+// the node in make([]uint64, 0, 2^36) — is an error reply after a negligible
+// allocation, whatever the request's metadata claims.
+func TestPushedFilterRejectsAllocationBomb(t *testing.T) {
+	bomb := []byte{byte(colenc.Dict), 1}
+	bomb = colenc.PutInt64s(bomb, []int64{7})
+	bomb = append(bomb, 1) // one page
+	bomb = binary.AppendUvarint(bomb, 1<<36)
+	bomb = append(bomb, byte(colenc.RLEEnc), 7)
+	bomb = binary.AppendUvarint(bomb, 1<<36)
+	bomb = append(bomb, 0)
+	if len(bomb) != 26 {
+		t.Fatalf("bomb is %d bytes, want 26", len(bomb))
+	}
+	node := NewNode(0, NewMemStore())
+	if err := node.Blocks.Put("blk", bomb); err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range []int{1 << 36, lpq.MaxChunkRows, 10} {
+		ref := rpc.ChunkRef{BlockID: "blk", Type: lpq.Int64, Meta: lpq.ChunkMeta{
+			Size: uint64(len(bomb)), NumValues: rows, CRC: crc32.ChecksumIEEE(bomb),
+		}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := node.Handle(&rpc.Request{Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpEq, Value: sql.IntLit(7)})
+		runtime.ReadMemStats(&after)
+		if resp.Err == "" {
+			t.Fatalf("metadata claiming %d rows: the bomb was filtered without error", rows)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("metadata claiming %d rows: rejecting the bomb allocated %d bytes, want < 1 MiB", rows, grew)
+		}
+	}
+}
+
+// TestDecodePlainStringsShareOneAllocation: a projection reply's strings are
+// sliced from one backing copy — not one allocation per value — and do not
+// alias the reply buffer, which over tcpnet is pooled.
+func TestDecodePlainStringsShareOneAllocation(t *testing.T) {
+	vals := make([]string, 2000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("value number %d", i)
+	}
+	payload := EncodePlain(lpq.StringColumn(vals))
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := DecodePlain(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("decoding %d strings allocated %.0f times, want one backing string and one slice", len(vals), allocs)
+	}
+	col, err := DecodePlain(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 0xDB
+	}
+	if !reflect.DeepEqual(col.Strings, vals) {
+		t.Fatal("decoded strings alias the payload")
+	}
+}
+
+// TestBlockOpsGetNoFrame: a request that names no chunk — the whole write
+// path, every block read — gets a nil frame: the pushdown machinery costs a
+// block operation no allocation.
+func TestBlockOpsGetNoFrame(t *testing.T) {
+	node := NewNode(0, NewMemStore())
+	if err := node.Blocks.Put("blk", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	get := &rpc.Request{Kind: rpc.KindGetBlock, BlockID: "blk"}
+	batch := &rpc.Request{Kind: rpc.KindBatch, Subs: []rpc.Request{*get, *get}}
+	for _, req := range []*rpc.Request{{Kind: rpc.KindPing}, get, batch} {
+		if f := newFrame(node, req); f != nil {
+			t.Fatalf("%v request got a frame", req.Kind)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { node.Handle(&rpc.Request{Kind: rpc.KindPing}) }); allocs > 1 {
+		t.Fatalf("a ping allocates %.0f times, want only its response", allocs)
+	}
+}

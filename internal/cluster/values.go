@@ -8,25 +8,21 @@ import (
 	"github.com/fusionstore/fusion/internal/lpq"
 )
 
-// EncodePlain serializes column values in plain (uncompressed) form for a
-// projection reply: [type byte][uvarint count][plain values]. Projection
-// results cross the network uncompressed, which is exactly the asymmetry
-// the pushdown cost model reasons about (§4.3).
-func EncodePlain(col lpq.ColumnData) []byte {
-	out := []byte{byte(col.Type)}
-	out = binary.AppendUvarint(out, uint64(col.Len()))
-	switch col.Type {
-	case lpq.Int64:
-		out = colenc.PutInt64s(out, col.Ints)
-	case lpq.Float64:
-		out = colenc.PutFloat64s(out, col.Floats)
-	default:
-		out = colenc.PutStrings(out, col.Strings)
-	}
-	return out
+// A projection reply carries the selected values in plain (uncompressed)
+// form: [type byte][uvarint count][plain values]. Projection results cross
+// the network uncompressed, which is exactly the asymmetry the pushdown cost
+// model reasons about (§4.3). handleProject writes the form straight from the
+// opened chunk (appendPlainHeader, then lpq.Chunk.AppendSelected); DecodePlain
+// reads it.
+
+// appendPlainHeader appends the type byte and value count that open a
+// projection reply.
+func appendPlainHeader(dst []byte, t lpq.Type, count int) []byte {
+	return binary.AppendUvarint(append(dst, byte(t)), uint64(count))
 }
 
-// DecodePlain parses the output of EncodePlain.
+// DecodePlain parses a projection reply. The values own their memory (strings
+// share one allocation), never aliasing data.
 func DecodePlain(data []byte) (lpq.ColumnData, error) {
 	if len(data) < 1 {
 		return lpq.ColumnData{}, fmt.Errorf("cluster: empty value payload")

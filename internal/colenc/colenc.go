@@ -55,7 +55,7 @@ func PutInt64s(dst []byte, vals []int64) []byte {
 
 // GetInt64s decodes count plain int64 values.
 func GetInt64s(src []byte, count int) ([]int64, error) {
-	if len(src) < 8*count {
+	if count < 0 || count > len(src)/8 {
 		return nil, ErrCorrupt
 	}
 	out := make([]int64, count)
@@ -75,7 +75,7 @@ func PutFloat64s(dst []byte, vals []float64) []byte {
 
 // GetFloat64s decodes count plain float64 values.
 func GetFloat64s(src []byte, count int) ([]float64, error) {
-	if len(src) < 8*count {
+	if count < 0 || count > len(src)/8 {
 		return nil, ErrCorrupt
 	}
 	out := make([]float64, count)
@@ -95,16 +95,41 @@ func PutStrings(dst []byte, vals []string) []byte {
 	return dst
 }
 
-// GetStrings decodes count plain string values.
-func GetStrings(src []byte, count int) ([]string, error) {
-	out := make([]string, count)
+// StringsSize returns the number of bytes the first count plain string values
+// of src occupy, or ErrCorrupt when src does not hold that many whole values.
+func StringsSize(src []byte, count int) (int, error) {
+	// Every value takes at least its length byte, which bounds count before
+	// a caller allocates anything for it.
+	if count < 0 || count > len(src) {
+		return 0, ErrCorrupt
+	}
+	end := 0
 	for i := 0; i < count; i++ {
-		l, n := binary.Uvarint(src)
-		if n <= 0 || uint64(len(src)-n) < l {
-			return nil, ErrCorrupt
+		l, n := binary.Uvarint(src[end:])
+		if n <= 0 || uint64(len(src)-end-n) < l {
+			return 0, ErrCorrupt
 		}
-		out[i] = string(src[n : n+int(l)])
-		src = src[n+int(l):]
+		end += n + int(l)
+	}
+	return end, nil
+}
+
+// GetStrings decodes count plain string values. The values share one backing
+// allocation — a copy of the encoded bytes they span, sliced per value — so a
+// page costs two allocations however many strings it holds, and nothing
+// returned aliases src.
+func GetStrings(src []byte, count int) ([]string, error) {
+	end, err := StringsSize(src, count)
+	if err != nil {
+		return nil, err
+	}
+	backing := string(src[:end])
+	out := make([]string, count)
+	pos := 0
+	for i := range out {
+		l, n := binary.Uvarint(src[pos:])
+		out[i] = backing[pos+n : pos+n+int(l)]
+		pos += n + int(l)
 	}
 	return out, nil
 }
@@ -150,33 +175,6 @@ func PackUints(dst []byte, vals []uint64, width int) []byte {
 	return dst
 }
 
-// UnpackUints decodes count values packed at the given bit width
-// (1..MaxPackWidth).
-func UnpackUints(src []byte, count, width int) ([]uint64, error) {
-	if width <= 0 || width > MaxPackWidth {
-		return nil, fmt.Errorf("colenc: invalid bit width %d", width)
-	}
-	need := (count*width + 7) / 8
-	if len(src) < need {
-		return nil, ErrCorrupt
-	}
-	out := make([]uint64, count)
-	var acc uint64
-	var nbits, s int
-	mask := uint64(1)<<width - 1
-	for i := 0; i < count; i++ {
-		for nbits < width {
-			acc |= uint64(src[s]) << nbits // nbits < width ≤ 56: no overflow
-			s++
-			nbits += 8
-		}
-		out[i] = acc & mask
-		acc >>= width
-		nbits -= width
-	}
-	return out, nil
-}
-
 //
 // Run-length encoding
 //
@@ -196,28 +194,19 @@ func RLEEncode(dst []byte, vals []uint64) []byte {
 	return dst
 }
 
-// RLEDecode decodes count run-length-encoded values.
-func RLEDecode(src []byte, count int) ([]uint64, error) {
-	out := make([]uint64, 0, count)
-	for len(out) < count {
-		run, n := binary.Uvarint(src)
-		if n <= 0 || run == 0 {
-			return nil, ErrCorrupt
-		}
-		src = src[n:]
-		v, n := binary.Uvarint(src)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		src = src[n:]
-		if uint64(count-len(out)) < run {
-			return nil, ErrCorrupt
-		}
-		for i := uint64(0); i < run; i++ {
-			out = append(out, v)
-		}
+// RLERun parses the (run length, value) pair at the head of src and returns
+// it with the bytes it took; n is 0 when the pair is malformed, truncated or
+// has a zero run.
+func RLERun(src []byte) (run, val uint64, n int) {
+	run, n1 := binary.Uvarint(src)
+	if n1 <= 0 || run == 0 {
+		return 0, 0, 0
 	}
-	return out, nil
+	val, n2 := binary.Uvarint(src[n1:])
+	if n2 <= 0 {
+		return 0, 0, 0
+	}
+	return run, val, n1 + n2
 }
 
 // RLESize returns the encoded size of vals under RLEEncode without

@@ -1,6 +1,8 @@
 package colenc
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -225,5 +227,81 @@ func TestEncodingString(t *testing.T) {
 	}
 	if Encoding(99).String() == "" {
 		t.Fatal("unknown encoding must still stringify")
+	}
+}
+
+// TestDecodersBoundCountsBeforeAllocating: every decoder that sizes its
+// output by a caller-supplied count — which lpq takes from untrusted page
+// headers — rejects a count the bytes cannot back before allocating for it,
+// including the counts whose byte size overflows an int.
+func TestDecodersBoundCountsBeforeAllocating(t *testing.T) {
+	src := make([]byte, 64)
+	for _, count := range []int{9, 1 << 40, 1 << 60, 1 << 61, -1} {
+		if _, err := GetInt64s(src, count); err == nil {
+			t.Errorf("GetInt64s(64 bytes, %d) succeeded", count)
+		}
+		if _, err := GetFloat64s(src, count); err == nil {
+			t.Errorf("GetFloat64s(64 bytes, %d) succeeded", count)
+		}
+	}
+	for _, count := range []int{65, 1 << 40, -1} {
+		if _, err := GetStrings(src, count); err == nil {
+			t.Errorf("GetStrings(64 bytes, %d) succeeded", count)
+		}
+		if _, err := StringsSize(src, count); err == nil {
+			t.Errorf("StringsSize(64 bytes, %d) succeeded", count)
+		}
+	}
+}
+
+func TestRLERun(t *testing.T) {
+	enc := RLEEncode(nil, []uint64{5, 5, 5, 300, 300})
+	run, val, n := RLERun(enc)
+	if run != 3 || val != 5 || n != 2 {
+		t.Fatalf("first run = (%d, %d) in %d bytes", run, val, n)
+	}
+	run, val, n2 := RLERun(enc[n:])
+	if run != 2 || val != 300 || n+n2 != len(enc) {
+		t.Fatalf("second run = (%d, %d) in %d bytes", run, val, n2)
+	}
+	for _, bad := range [][]byte{nil, {3}, {0, 5}, {0x80}, {3, 0x80}} {
+		if _, _, n := RLERun(bad); n != 0 {
+			t.Errorf("RLERun(%v) reports %d bytes, want 0", bad, n)
+		}
+	}
+}
+
+// TestGetStringsOneBackingAllocation: a page of strings costs two allocations
+// (the backing copy and the slice), not one per value, and the values do not
+// alias the source bytes.
+func TestGetStringsOneBackingAllocation(t *testing.T) {
+	vals := make([]string, 1000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("string value %d", i)
+	}
+	vals[7] = ""
+	vals[8] = string(bytes.Repeat([]byte("y"), 300)) // a two-byte length prefix
+	src := PutStrings(nil, vals)
+	size, err := StringsSize(append(src[:len(src):len(src)], "trailing"...), len(vals))
+	if err != nil || size != len(src) {
+		t.Fatalf("StringsSize = %d, %v; want %d", size, err, len(src))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := GetStrings(src, len(vals)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("GetStrings of %d values allocated %.0f times, want 2", len(vals), allocs)
+	}
+	got, err := GetStrings(src, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		src[i] = 0xDB
+	}
+	if !reflect.DeepEqual(got, vals) {
+		t.Fatal("decoded strings alias the source")
 	}
 }

@@ -24,18 +24,6 @@ func BuildDict[T comparable](vals []T) (dict []T, codes []uint64) {
 	return dict, codes
 }
 
-// ApplyDict inverts BuildDict: it maps codes back through the dictionary.
-func ApplyDict[T any](dict []T, codes []uint64) ([]T, error) {
-	out := make([]T, len(codes))
-	for i, c := range codes {
-		if c >= uint64(len(dict)) {
-			return nil, ErrCorrupt
-		}
-		out[i] = dict[c]
-	}
-	return out, nil
-}
-
 // CodesEncoding picks the cheaper physical encoding for a code stream and
 // returns it with the encoded bytes. RLE wins on sorted/repetitive streams,
 // bit-packing on high-entropy streams.
@@ -47,16 +35,4 @@ func CodesEncoding(codes []uint64, maxCode uint64) (Encoding, []byte) {
 		return RLEEnc, RLEEncode(nil, codes)
 	}
 	return Plain, PackUints(nil, codes, width)
-}
-
-// DecodeCodes reverses CodesEncoding.
-func DecodeCodes(enc Encoding, data []byte, count int, maxCode uint64) ([]uint64, error) {
-	switch enc {
-	case RLEEnc:
-		return RLEDecode(data, count)
-	case Plain:
-		return UnpackUints(data, count, BitWidth(maxCode))
-	default:
-		return nil, ErrCorrupt
-	}
 }

@@ -1,0 +1,178 @@
+package lpq
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/bitmap"
+)
+
+// benchRows is a lineitem row group at the repository benchmark's scale.
+const benchRows = 60000
+
+// benchColumns generates the column shapes of a lineitem row group that the
+// scan workloads read, under the encodings the default writer gives them:
+// l_shipdate (2,526 dates: dictionary, 12-bit packed codes), l_returnflag
+// (3 strings: 2-bit codes), l_extendedprice (near-unique floats: plain),
+// l_comment (plain strings), and a sorted date column for run-length pages.
+func benchColumns() map[string]ColumnData {
+	rng := rand.New(rand.NewSource(7))
+	ship, sorted := make([]int64, benchRows), make([]int64, benchRows)
+	price := make([]float64, benchRows)
+	flag, comment := make([]string, benchRows), make([]string, benchRows)
+	for i := range ship {
+		ship[i] = rng.Int63n(2526)
+		sorted[i] = ship[i]
+		price[i] = float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100)
+		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+		comment[i] = fmt.Sprintf("carefully final %d deposits sleep %d", rng.Intn(1<<20), rng.Intn(1<<20))[:10+rng.Intn(26)]
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return map[string]ColumnData{
+		"shipdate-packed12": IntColumn(ship), "returnflag-packed2": StringColumn(flag),
+		"price-plain": FloatColumn(price), "comment-plain": StringColumn(comment),
+		"sorted-rle": IntColumn(sorted),
+	}
+}
+
+var benchOrder = []string{"shipdate-packed12", "returnflag-packed2", "sorted-rle", "price-plain", "comment-plain"}
+
+type benchChunk struct {
+	typ Type
+	m   ChunkMeta
+	raw []byte
+}
+
+func benchChunks() map[string]benchChunk {
+	out := make(map[string]benchChunk)
+	for name, col := range benchColumns() {
+		m, raw := encodeChunk(col, DefaultWriterOptions())
+		out[name] = benchChunk{col.Type, m, raw}
+	}
+	return out
+}
+
+func mustOpen(b *testing.B, c benchChunk) *Chunk {
+	ch, err := OpenChunk(c.typ, c.m, c.raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ch
+}
+
+var benchSink int
+
+// BenchmarkKernelOpen times OpenChunk: CRC, Snappy into a recycled buffer,
+// dictionary and page directory. MB/s is of decoded (plain) bytes, as in the
+// repository benchmark's lpq.decode_* rows.
+func BenchmarkKernelOpen(b *testing.B) {
+	chunks := benchChunks()
+	for _, name := range benchOrder {
+		c := chunks[name]
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(c.m.RawSize))
+			for i := 0; i < b.N; i++ {
+				mustOpen(b, c).Release()
+			}
+		})
+	}
+}
+
+// BenchmarkKernelSelectCodes times the code scan of a dictionary filter
+// (opened chunk in hand, verdict on every other entry) per encoding; the
+// rows/s is SetBytes with one "byte" per row.
+func BenchmarkKernelSelectCodes(b *testing.B) {
+	chunks := benchChunks()
+	for _, name := range benchOrder[:3] {
+		ch := mustOpen(b, chunks[name])
+		dict, _ := ch.Dict()
+		verdict := bitmap.New(dict.Len())
+		for i := 0; i < dict.Len(); i += 2 {
+			verdict.Set(i)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(benchRows) // MB/s reads as Mrows/s
+			for i := 0; i < b.N; i++ {
+				bm, err := ch.SelectCodes(verdict)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += bm.Len()
+			}
+		})
+		ch.Release()
+	}
+}
+
+// BenchmarkKernelGather1pct times the projection of 1% of the rows from an
+// opened chunk, in the reply's plain form, against decoding the whole chunk
+// and picking (which is what a node did).
+func BenchmarkKernelGather1pct(b *testing.B) {
+	chunks := benchChunks()
+	rng := rand.New(rand.NewSource(3))
+	sel := bitmap.New(benchRows)
+	for i := 0; i < benchRows/100; i++ {
+		sel.Set(rng.Intn(benchRows))
+	}
+	for _, name := range benchOrder {
+		c := chunks[name]
+		ch := mustOpen(b, c)
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(benchRows)
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = ch.AppendSelected(buf[:0], sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"-open+gather", func(b *testing.B) {
+			b.SetBytes(benchRows)
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				ch := mustOpen(b, c)
+				buf, _ = ch.AppendSelected(buf[:0], sel)
+				ch.Release()
+			}
+		})
+		b.Run(name+"-ref", func(b *testing.B) {
+			b.SetBytes(benchRows)
+			for i := 0; i < b.N; i++ {
+				col, err := referenceDecodeChunk(c.typ, c.m, c.raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(plainBytes(referenceSelect(col, sel)))
+			}
+		})
+		ch.Release()
+	}
+}
+
+// BenchmarkKernelDecodeChunk times DecodeChunk (open + gather of every row)
+// against the page-by-page decoder it replaced, in MB/s of decoded bytes.
+func BenchmarkKernelDecodeChunk(b *testing.B) {
+	chunks := benchChunks()
+	for _, name := range benchOrder {
+		c := chunks[name]
+		for _, impl := range []struct {
+			name   string
+			decode func(Type, ChunkMeta, []byte) (ColumnData, error)
+		}{{"", DecodeChunk}, {"-ref", referenceDecodeChunk}} {
+			b.Run(name+impl.name, func(b *testing.B) {
+				b.SetBytes(int64(c.m.RawSize))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					col, err := impl.decode(c.typ, c.m, c.raw)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += col.Len()
+				}
+			})
+		}
+	}
+}

@@ -1,0 +1,750 @@
+package lpq
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/bits"
+
+	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/snappy"
+)
+
+// MaxChunkRows is the format's ceiling on the rows of one column chunk (and
+// so of one row group): a little above the 30M-row row groups of the paper's
+// full-scale files. Run-length pages let a few bytes declare any number of
+// rows, so every reader bounds what it will allocate by this constant, and a
+// footer that declares more is malformed.
+const MaxChunkRows = 1 << 25
+
+// Chunk is an opened column chunk: its CRC verified, its bytes decompressed,
+// its dictionary and page directory parsed, and every count and length they
+// declare checked against the bytes present — but no row decoded. The query
+// kernels (SelectCodes, Scanner, Gather, AppendSelected here; filter,
+// aggregate, group-by and top-k over a Scanner in package sql) compute on the
+// encoded pages and touch only the rows a selection names.
+//
+// Values are validated where they are read: a bit-packed code beyond the
+// dictionary or a string overrunning its page is an error from the kernel
+// that reads it, never a panic, and decoding every row (DecodeChunk) rejects
+// exactly what decoding page by page would.
+//
+// A Chunk is immutable after OpenChunk and safe for concurrent kernels. One
+// opened from compressed bytes holds a pooled buffer until Release.
+type Chunk struct {
+	typ   Type
+	rows  int
+	blob  []byte // the chunk's decoded bytes: the caller's when stored uncompressed, else arena
+	arena []byte // pooled backing of blob; nil when blob is the caller's or owned
+	pages []page
+
+	// Dictionary-encoded chunks only: the dictionary page decoded (it owns
+	// its memory — string entries share one allocation, never the arena)
+	// and the bit width of packed codes.
+	isDict bool
+	dict   ColumnData
+	width  int
+}
+
+// page is one data page of the directory: rows [first, first+rows) encoded
+// in blob[off:end]. In a dictionary chunk the page holds codes, run-length
+// encoded when rle is set and bit-packed otherwise.
+type page struct {
+	first, rows int
+	off, end    int
+	rle         bool
+}
+
+// OpenChunk opens a self-contained chunk blob given its metadata. The chunk
+// aliases raw when stored uncompressed, so raw must stay untouched until the
+// chunk is released (or Own is called).
+func OpenChunk(t Type, m ChunkMeta, raw []byte) (*Chunk, error) {
+	if t > String {
+		return nil, fmt.Errorf("lpq: unknown column type %d: %w", t, ErrFormat)
+	}
+	if uint64(len(raw)) != m.Size {
+		return nil, fmt.Errorf("lpq: chunk is %d bytes, metadata says %d: %w", len(raw), m.Size, ErrFormat)
+	}
+	if crc32.ChecksumIEEE(raw) != m.CRC {
+		return nil, fmt.Errorf("lpq: chunk checksum mismatch: %w", ErrFormat)
+	}
+	if m.NumValues < 0 || m.NumValues > MaxChunkRows {
+		return nil, fmt.Errorf("lpq: chunk declares %d rows, the format allows %d: %w", m.NumValues, MaxChunkRows, ErrFormat)
+	}
+	c := &Chunk{typ: t, rows: m.NumValues, blob: raw}
+	if m.Compressed {
+		n, err := snappy.DecodedLen(raw)
+		if err != nil {
+			return nil, fmt.Errorf("lpq: chunk decompression: %w", err)
+		}
+		c.arena = bufpool.Get(n)
+		if c.blob, err = snappy.DecodeInto(c.arena, raw); err != nil {
+			c.Release()
+			return nil, fmt.Errorf("lpq: chunk decompression: %w", err)
+		}
+	}
+	if err := c.parse(); err != nil {
+		c.Release()
+		return nil, err
+	}
+	return c, nil
+}
+
+// Release returns the chunk's pooled buffer. The chunk must not be used
+// afterwards; nothing a kernel returned references the buffer. Releasing a
+// chunk that holds none (stored uncompressed, or owned) is a no-op.
+func (c *Chunk) Release() {
+	if c.arena == nil {
+		return
+	}
+	bufpool.Put(c.arena)
+	c.arena, c.blob, c.pages = nil, nil, nil
+}
+
+// Own makes the chunk outlive both the caller's bytes and the pool, by moving
+// its decoded bytes into memory of its own. This is the form a cache keeps.
+func (c *Chunk) Own() {
+	c.blob = append([]byte(nil), c.blob...)
+	bufpool.Put(c.arena)
+	c.arena = nil
+}
+
+// Type returns the column type the chunk was opened as.
+func (c *Chunk) Type() Type { return c.typ }
+
+// NumRows returns the chunk's row count.
+func (c *Chunk) NumRows() int { return c.rows }
+
+// Dict returns the dictionary page's values and true for a
+// dictionary-encoded chunk. Callers must not modify them.
+func (c *Chunk) Dict() (ColumnData, bool) { return c.dict, c.isDict }
+
+// parse reads the chunk header, the dictionary page and the page directory.
+// A count is compared with the bytes that remain before anything is sized by
+// it, and the directory grows as pages validate, so what a header declares
+// costs nothing: memory follows the bytes actually present (at the worst a
+// directory entry per one-row page).
+func (c *Chunk) parse() error {
+	// Scanners address the bytes with 32-bit offsets.
+	if len(c.blob) < 1 || len(c.blob) > math.MaxInt32 {
+		return ErrFormat
+	}
+	d := &decBuf{b: c.blob[1:]}
+	switch enc := colenc.Encoding(c.blob[0]); enc {
+	case colenc.Plain:
+	case colenc.Dict:
+		c.isDict = true
+		if err := c.parseDict(d); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
+	}
+	numPages := d.uvarint()
+	if d.err != nil || numPages > uint64(c.rows) {
+		return ErrFormat
+	}
+	c.pages = make([]page, 0, min(numPages, 8)) // the writer's chunks have a few
+	left := uint64(c.rows)
+	for p := uint64(0); p < numPages; p++ {
+		rows := d.uvarint()
+		rle := false
+		if c.isDict {
+			switch colenc.Encoding(d.byteVal()) {
+			case colenc.Plain:
+			case colenc.RLEEnc:
+				rle = true
+			default:
+				return colenc.ErrCorrupt
+			}
+		}
+		byteLen := d.uvarint()
+		if d.err != nil || rows == 0 || byteLen > uint64(len(d.b)) {
+			return ErrFormat
+		}
+		if rows > left {
+			return fmt.Errorf("lpq: pages hold more than the %d rows chunk metadata says: %w", c.rows, ErrFormat)
+		}
+		// The page must be long enough for its rows. A run-length page has
+		// no such minimum — two bytes can stand for any number of rows — so
+		// its runs are walked here, and the kernels rely on it.
+		var minBits uint64
+		switch {
+		case rle:
+			if err := checkRuns(d.b[:byteLen], rows, uint64(c.dict.Len())); err != nil {
+				return err
+			}
+		case c.isDict:
+			minBits = rows * uint64(c.width)
+		case c.typ == String:
+			minBits = rows * 8 // a length byte per value
+		default:
+			minBits = rows * 64
+		}
+		if minBits > 8*byteLen {
+			return colenc.ErrCorrupt
+		}
+		off := len(c.blob) - len(d.b)
+		c.pages = append(c.pages, page{
+			first: c.rows - int(left), rows: int(rows),
+			off: off, end: off + int(byteLen), rle: rle,
+		})
+		d.b = d.b[byteLen:]
+		left -= rows
+	}
+	if left != 0 {
+		return fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", uint64(c.rows)-left, c.rows, ErrFormat)
+	}
+	return nil
+}
+
+// checkRuns verifies that a run-length page's runs cover exactly rows rows
+// with codes the dictionary holds.
+func checkRuns(data []byte, rows, dictLen uint64) error {
+	for rows > 0 {
+		run, code, n := colenc.RLERun(data)
+		if n == 0 || run > rows {
+			return colenc.ErrCorrupt
+		}
+		if code >= dictLen {
+			return errCode
+		}
+		data, rows = data[n:], rows-run
+	}
+	return nil
+}
+
+// parseDict decodes the dictionary page.
+func (c *Chunk) parseDict(d *decBuf) error {
+	n := d.uvarint()
+	if d.err != nil || n > math.MaxInt32 {
+		return ErrFormat
+	}
+	dictLen := int(n)
+	c.dict.Type = c.typ
+	c.width = colenc.BitWidth(uint64(max(dictLen, 1) - 1))
+	var err error
+	size := 8 * dictLen
+	switch c.typ {
+	case Int64:
+		c.dict.Ints, err = colenc.GetInt64s(d.b, dictLen)
+	case Float64:
+		c.dict.Floats, err = colenc.GetFloat64s(d.b, dictLen)
+	default:
+		if size, err = colenc.StringsSize(d.b, dictLen); err == nil {
+			c.dict.Strings, err = colenc.GetStrings(d.b[:size], dictLen)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	d.b = d.b[size:]
+	return nil
+}
+
+// errCode reports a dictionary code with no dictionary entry.
+var errCode = fmt.Errorf("lpq: dictionary code out of range: %w", colenc.ErrCorrupt)
+
+// packedCode extracts the idx-th width-bit code of a bit-packed page. The
+// directory guarantees the page holds it.
+func packedCode(data []byte, width, idx int) uint32 {
+	bit := idx * width
+	if at := bit >> 3; at+8 <= len(data) {
+		return uint32(binary.LittleEndian.Uint64(data[at:])>>(bit&7)) & (1<<width - 1)
+	}
+	return packedTailCode(data, width, bit)
+}
+
+// packedTailCode is packedCode within eight bytes of the page's end, where a
+// whole-word load would overrun it.
+//
+//go:noinline
+func packedTailCode(data []byte, width, bit int) uint32 {
+	var u uint64
+	for i, b := range data[bit>>3:] {
+		u |= uint64(b) << (8 * i)
+	}
+	return uint32(u>>(bit&7)) & (1<<width - 1)
+}
+
+// unpackCodes extracts the len(dst) consecutive codes starting at the
+// first-th: one 64-bit load yields as many codes as fit above the load's bit
+// offset (four at 12 bits, twenty-eight at 2).
+func unpackCodes(dst []uint32, data []byte, width, first int) {
+	per := (64 - 7) / width
+	mask := uint64(1)<<width - 1
+	bit := first * width
+	i := 0
+	for ; i+per <= len(dst) && bit>>3+8 <= len(data); i += per {
+		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+		for j := range dst[i : i+per] {
+			dst[i+j] = uint32(u & mask)
+			u >>= width
+		}
+		bit += per * width
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = packedCode(data, width, first+i)
+	}
+}
+
+// SelectCodes turns a verdict per dictionary entry into a verdict per row:
+// the result has bit r set iff match has the bit of row r's code set. With a
+// predicate evaluated once over the dictionary this is the whole filter — a
+// bit-packed page is read a code at a time straight into result words, a
+// run-length page a run at a time (skipped, or set in bulk).
+func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
+	dictLen := c.dict.Len()
+	if !c.isDict || match.Len() != dictLen {
+		return nil, fmt.Errorf("lpq: SelectCodes: verdict over %d entries, dictionary has %d", match.Len(), dictLen)
+	}
+	out := bitmap.New(c.rows)
+	words, verdict := out.Words(), match.Words()
+	if c.width > maxLUTWidth {
+		return out, c.selectWideCodes(verdict, out)
+	}
+	// The verdicts as a byte per possible code, 2 for a code the dictionary
+	// lacks, so the scan below neither shifts nor branches per row.
+	lut := make([]uint8, 1<<c.width)
+	for i := range lut {
+		lut[i] = 2
+		if i < dictLen {
+			lut[i] = uint8(verdict[i>>6] >> (i & 63) & 1)
+		}
+	}
+	for _, p := range c.pages {
+		data := c.blob[p.off:p.end]
+		if p.rle {
+			for r, end := p.first, p.first+p.rows; r < end; {
+				run, code, n := colenc.RLERun(data)
+				if verdict[code>>6]>>(code&63)&1 != 0 {
+					out.SetRange(r, r+int(run))
+				}
+				data, r = data[n:], r+int(run)
+			}
+			continue
+		}
+		// One result word's worth of codes at a time: unpack, look each
+		// verdict up, store the bits once.
+		var codes [64]uint32
+		var seen uint8
+		for r, end := p.first, p.first+p.rows; r < end; {
+			n := min(64-r&63, end-r)
+			unpackCodes(codes[:n], data, c.width, r-p.first)
+			var acc uint64
+			for j, code := range codes[:n] {
+				m := lut[code]
+				seen |= m
+				acc |= uint64(m&1) << j
+			}
+			words[r>>6] |= acc << (r & 63)
+			r += n
+		}
+		if seen&2 != 0 {
+			return nil, errCode
+		}
+	}
+	return out, nil
+}
+
+// maxLUTWidth is the widest code SelectCodes builds a lookup table for: 64 KB.
+const maxLUTWidth = 16
+
+// selectWideCodes is SelectCodes for a dictionary of more than 2^maxLUTWidth
+// entries, where a table per call would cost more than it saves: the codes
+// come through a Scanner, which checks them.
+func (c *Chunk) selectWideCodes(verdict []uint64, out *bitmap.Bitmap) error {
+	var sc Scanner
+	if err := c.Scan(&sc, nil); err != nil {
+		return err
+	}
+	for sc.Next() {
+		for i, code := range sc.Codes() {
+			if verdict[code>>6]>>(code&63)&1 != 0 {
+				out.Set(int(sc.Row(i)))
+			}
+		}
+	}
+	return sc.Err()
+}
+
+// BatchRows is the most rows a Scanner yields per step.
+const BatchRows = 256
+
+// Scanner walks an opened chunk's selected rows in ascending order, a batch
+// of up to BatchRows at a time, fetching only those rows from the encoded
+// pages: a plain numeric value by its offset, a dictionary value by
+// unpacking just its code, run-length and string pages in one forward walk.
+// Scanners over chunks of one row group under the same selection step in
+// lockstep — batch boundaries depend on the selection alone — which is what
+// lets a kernel fold several columns row by row with no column materialised.
+//
+// A batch exposes Len and Row, plus Codes for a dictionary chunk, plus the
+// values: Ints or Floats for the numeric types (read through the dictionary
+// if there is one), and for strings the dictionary entry of each code or, for
+// a plain chunk, Bytes. The zero Scanner is ready for Chunk.Scan; it is large (≈8
+// KB), so kernels keep it on their stack.
+type Scanner struct {
+	c   *Chunk
+	err error
+
+	// Selection cursor: the selection's words, the word in hand with its
+	// consumed bits cleared, and its index; or, when every row is selected,
+	// the next row.
+	all   bool
+	sel   []uint64
+	word  uint64
+	wi    int
+	first int // with no selection: the current batch's first row
+	next  int
+
+	// Page cursor, and the forward-walk state inside that page for the two
+	// encodings without random access: pos is the blob offset of the next
+	// unread run or string, at the row it starts at.
+	pi      int
+	walking int // page the walk state belongs to, -1 for none
+	pos, at int
+	runCode uint32
+
+	n      int
+	rows   [BatchRows]int32
+	codes  [BatchRows]uint32
+	ints   [BatchRows]int64
+	floats [BatchRows]float64
+	from   [BatchRows]uint32 // plain strings: blob[from[i]:to[i]]
+	to     [BatchRows]uint32
+}
+
+// Scan points sc at the rows of c that sel selects (nil selects every row).
+func (c *Chunk) Scan(sc *Scanner, sel *bitmap.Bitmap) error {
+	*sc = Scanner{c: c, all: sel == nil, wi: -1, walking: -1}
+	if sel != nil {
+		if sel.Len() != c.rows {
+			return fmt.Errorf("lpq: selection has %d rows, chunk has %d", sel.Len(), c.rows)
+		}
+		sc.sel = sel.Words()
+	}
+	return nil
+}
+
+// Err returns the error that ended the scan early, if any.
+func (sc *Scanner) Err() error { return sc.err }
+
+// Len returns the number of rows in the current batch.
+func (sc *Scanner) Len() int { return sc.n }
+
+// Row returns the row number of element i of the current batch. With no
+// selection the batch is rows first, first+1, …, and no list is kept.
+func (sc *Scanner) Row(i int) int32 {
+	if sc.all {
+		return int32(sc.first + i)
+	}
+	return sc.rows[i]
+}
+
+// Codes returns the current batch's dictionary codes (dictionary chunks).
+func (sc *Scanner) Codes() []uint32 { return sc.codes[:sc.n] }
+
+// Ints returns the current batch's values (Int64 chunks).
+func (sc *Scanner) Ints() []int64 { return sc.ints[:sc.n] }
+
+// Floats returns the current batch's values (Float64 chunks).
+func (sc *Scanner) Floats() []float64 { return sc.floats[:sc.n] }
+
+// Bytes returns value i of the current batch of a plain string chunk. It
+// aliases the chunk: copy what must outlive Release.
+func (sc *Scanner) Bytes(i int) []byte { return sc.c.blob[sc.from[i]:sc.to[i]] }
+
+// Next advances to the next batch and reports whether there is one; false
+// means the selection is exhausted or, if Err is set, a page was malformed.
+func (sc *Scanner) Next() bool {
+	if sc.err != nil {
+		return false
+	}
+	sc.n = sc.selectRows()
+	for i := 0; i < sc.n; {
+		r := int(sc.Row(i))
+		for sc.pi < len(sc.c.pages) && r >= sc.c.pages[sc.pi].first+sc.c.pages[sc.pi].rows {
+			sc.pi++
+		}
+		if sc.pi == len(sc.c.pages) {
+			sc.err = fmt.Errorf("lpq: selected row %d is beyond the chunk's %d rows", r, sc.c.rows)
+			return false
+		}
+		p := &sc.c.pages[sc.pi]
+		// Elements i to j of the batch are the ones on this page.
+		j := sc.n
+		if end := p.first + p.rows; sc.all {
+			j = min(j, i+end-r)
+		} else {
+			for int(sc.rows[j-1]) >= end {
+				j--
+			}
+		}
+		if sc.err = sc.fetch(p, i, j); sc.err != nil {
+			return false
+		}
+		i = j
+	}
+	return sc.n > 0
+}
+
+// selectRows collects the next batch of selected row numbers.
+func (sc *Scanner) selectRows() int {
+	if sc.all {
+		n := min(BatchRows, sc.c.rows-sc.next)
+		sc.first, sc.next = sc.next, sc.next+n
+		return n
+	}
+	n := 0
+	for n < BatchRows {
+		for sc.word == 0 {
+			if sc.wi++; sc.wi >= len(sc.sel) {
+				return n
+			}
+			sc.word = sc.sel[sc.wi]
+		}
+		for base := sc.wi * 64; sc.word != 0 && n < BatchRows; n++ {
+			sc.rows[n] = int32(base + bits.TrailingZeros64(sc.word))
+			sc.word &= sc.word - 1
+		}
+	}
+	return n
+}
+
+// fetch fills the batch's codes and values for elements i to j, all on page p.
+func (sc *Scanner) fetch(p *page, i, j int) error {
+	c := sc.c
+	// Consecutive rows — no selection at all, or a dense stretch of one —
+	// are read as one run of the page; rows lists the others.
+	first := int(sc.Row(i))
+	dense := sc.all || int(sc.rows[j-1])-first == j-i-1
+	rows := sc.rows[i:j]
+	if !c.isDict {
+		if c.typ == String {
+			return sc.walkStrings(p, i, j)
+		}
+		at := func(r int) int { return p.off + 8*(r-p.first) }
+		switch {
+		case c.typ == Int64 && dense:
+			src := c.blob[at(first):at(first+j-i)]
+			for k := range sc.ints[i:j] {
+				sc.ints[i+k] = int64(binary.LittleEndian.Uint64(src[8*k:]))
+			}
+		case c.typ == Int64:
+			for k, r := range rows {
+				sc.ints[i+k] = int64(binary.LittleEndian.Uint64(c.blob[at(int(r)):]))
+			}
+		case dense:
+			src := c.blob[at(first):at(first+j-i)]
+			for k := range sc.floats[i:j] {
+				sc.floats[i+k] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*k:]))
+			}
+		default:
+			for k, r := range rows {
+				sc.floats[i+k] = math.Float64frombits(binary.LittleEndian.Uint64(c.blob[at(int(r)):]))
+			}
+		}
+		return nil
+	}
+	codes := sc.codes[i:j]
+	if p.rle {
+		sc.walkRuns(p, i, j, dense)
+	} else {
+		data := c.blob[p.off:p.end]
+		if dense {
+			unpackCodes(codes, data, c.width, first-p.first)
+		} else {
+			for k, r := range rows {
+				codes[k] = packedCode(data, c.width, int(r)-p.first)
+			}
+		}
+	}
+	// Resolve the values, checking bit-packed codes as they are used (a
+	// run-length page's were checked when the chunk was opened).
+	switch c.typ {
+	case Int64:
+		dict, dst := c.dict.Ints, sc.ints[i:j]
+		for k, code := range codes {
+			if int(code) >= len(dict) {
+				return errCode
+			}
+			dst[k] = dict[code]
+		}
+	case Float64:
+		dict, dst := c.dict.Floats, sc.floats[i:j]
+		for k, code := range codes {
+			if int(code) >= len(dict) {
+				return errCode
+			}
+			dst[k] = dict[code]
+		}
+	default:
+		for _, code := range codes {
+			if int(code) >= len(c.dict.Strings) {
+				return errCode
+			}
+		}
+	}
+	return nil
+}
+
+// enter resets the forward-walk state on first touching a page.
+func (sc *Scanner) enter(p *page) {
+	if sc.walking != sc.pi {
+		sc.walking, sc.pos, sc.at = sc.pi, p.off, p.first
+	}
+}
+
+// walkRuns resolves rows[i:j] of a run-length page (checked when the chunk
+// was opened): runs are parsed forward until the one holding each row, so an
+// unselected run costs two varints, and consecutive rows are filled a run at a
+// time.
+func (sc *Scanner) walkRuns(p *page, i, j int, dense bool) {
+	sc.enter(p)
+	for k := i; k < j; {
+		// sc.at is the first row past the run in hand.
+		r := int(sc.Row(k))
+		for r >= sc.at {
+			run, code, n := colenc.RLERun(sc.c.blob[sc.pos:p.end])
+			sc.pos, sc.at, sc.runCode = sc.pos+n, sc.at+int(run), uint32(code)
+		}
+		n := 1
+		if dense {
+			n = min(j-k, sc.at-r)
+		}
+		for end := k + n; k < end; k++ {
+			sc.codes[k] = sc.runCode
+		}
+	}
+}
+
+// walkStrings locates rows[i:j] of a plain string page, skipping over the
+// values between them by their length prefixes.
+func (sc *Scanner) walkStrings(p *page, i, j int) error {
+	sc.enter(p)
+	blob := sc.c.blob
+	for k := i; k < j; k++ {
+		for r := int(sc.Row(k)); sc.at <= r; sc.at++ {
+			if sc.pos >= p.end {
+				return colenc.ErrCorrupt
+			}
+			l, n := uint64(blob[sc.pos]), 1
+			if l >= 0x80 {
+				if l, n = binary.Uvarint(blob[sc.pos:p.end]); n <= 0 {
+					return colenc.ErrCorrupt
+				}
+			}
+			if l > uint64(p.end-sc.pos-n) {
+				return colenc.ErrCorrupt
+			}
+			sc.from[k] = uint32(sc.pos + n)
+			sc.pos += n + int(l)
+			sc.to[k] = uint32(sc.pos)
+		}
+	}
+	return nil
+}
+
+// gatherFlush is how many bytes of plain strings Gather collects before it
+// turns them into one backing allocation: about a data page's worth.
+const gatherFlush = 256 << 10
+
+// Gather decodes the rows sel selects (nil selects every row) into column
+// values. Strings cost one allocation per dictionary or per gatherFlush bytes
+// gathered, not one per value, and never alias the chunk.
+func (c *Chunk) Gather(sel *bitmap.Bitmap) (ColumnData, error) {
+	count := c.rows
+	if sel != nil {
+		count = sel.Count()
+	}
+	out := ColumnData{Type: c.typ}
+	var sc Scanner
+	if err := c.Scan(&sc, sel); err != nil {
+		return ColumnData{}, err
+	}
+	switch {
+	case c.typ == Int64:
+		out.Ints = make([]int64, 0, count)
+		for sc.Next() {
+			out.Ints = append(out.Ints, sc.Ints()...)
+		}
+	case c.typ == Float64:
+		out.Floats = make([]float64, 0, count)
+		for sc.Next() {
+			out.Floats = append(out.Floats, sc.Floats()...)
+		}
+	case c.isDict:
+		out.Strings = make([]string, count)
+		dict, n := c.dict.Strings, 0
+		for sc.Next() {
+			dst := out.Strings[n:]
+			for k, code := range sc.Codes() {
+				dst[k] = dict[code]
+			}
+			n += len(sc.Codes())
+		}
+	default:
+		// Selected bytes collect in a pooled buffer and become one string,
+		// which the values then slice.
+		out.Strings = make([]string, 0, count)
+		buf := bufpool.Get(gatherFlush)
+		var lens []int
+		flush := func() {
+			backing := string(buf)
+			for pos, i := 0, 0; i < len(lens); i++ {
+				out.Strings = append(out.Strings, backing[pos:pos+lens[i]])
+				pos += lens[i]
+			}
+			buf, lens = buf[:0], lens[:0]
+		}
+		for sc.Next() {
+			for i := 0; i < sc.Len(); i++ {
+				b := sc.Bytes(i)
+				if len(buf)+len(b) > cap(buf) && len(buf) > 0 {
+					flush() // stay inside the rented buffer
+				}
+				buf = append(buf, b...)
+				lens = append(lens, len(b))
+			}
+		}
+		flush()
+		bufpool.Put(buf)
+	}
+	if err := sc.Err(); err != nil {
+		return ColumnData{}, err
+	}
+	return out, nil
+}
+
+// AppendSelected appends the plain encoding (colenc.PutInt64s, PutFloat64s
+// or PutStrings) of the rows sel selects to dst — a projection reply's body,
+// written from the encoded pages with no value slice in between.
+func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
+	var sc Scanner
+	if err := c.Scan(&sc, sel); err != nil {
+		return dst, err
+	}
+	for sc.Next() {
+		switch {
+		case c.typ == Int64:
+			dst = colenc.PutInt64s(dst, sc.Ints())
+		case c.typ == Float64:
+			dst = colenc.PutFloat64s(dst, sc.Floats())
+		case c.isDict:
+			for _, code := range sc.Codes() {
+				s := c.dict.Strings[code]
+				dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+			}
+		default:
+			for i := 0; i < sc.Len(); i++ {
+				b := sc.Bytes(i)
+				dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+			}
+		}
+	}
+	return dst, sc.Err()
+}

@@ -1,0 +1,661 @@
+package lpq
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/snappy"
+)
+
+// codeShape is how a generated column's values repeat, which decides the
+// encoding the writer picks for its pages.
+type codeShape int
+
+const (
+	shapePlain  codeShape = iota // all but unique: plain pages
+	shapePacked                  // few values in random order: dictionary, bit-packed codes
+	shapeRuns                    // few values in long runs: dictionary, run-length codes
+	shapeMixed                   // runs then noise: a dictionary chunk with both kinds of page
+)
+
+func (s codeShape) String() string {
+	return [...]string{"plain", "packed", "runs", "mixed"}[s]
+}
+
+// genColumn draws rows values of type t in the given shape. Floats include
+// NaN, both zeros and infinities; strings include the empty string and one
+// whose length prefix takes two bytes.
+func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
+	domain := 37
+	pick := func(i int) int {
+		switch shape {
+		case shapePlain:
+			return i
+		case shapeRuns:
+			return i * 5 / rows
+		case shapeMixed:
+			if i < rows/2 {
+				return i * 6 / rows
+			}
+		}
+		return rng.Intn(domain)
+	}
+	// A NaN never equals itself, so each one takes a dictionary entry of its
+	// own: a run of them would not be a run of codes.
+	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), -1.5, 1e300, math.NaN()}
+	if shape == shapeRuns || shape == shapeMixed {
+		floats = floats[:6]
+	}
+	long := string(bytes.Repeat([]byte("x"), 200))
+	col := ColumnData{Type: t}
+	for i := 0; i < rows; i++ {
+		v := pick(i)
+		switch t {
+		case Int64:
+			col.Ints = append(col.Ints, int64(v)*1_000_003-7)
+		case Float64:
+			f := float64(v)*1.25 - 3
+			if v < len(floats) {
+				f = floats[v]
+			}
+			col.Floats = append(col.Floats, f)
+		default:
+			s := fmt.Sprintf("v%05d", v)
+			switch v {
+			case 1:
+				s = ""
+			case 2:
+				s = long
+			}
+			col.Strings = append(col.Strings, s)
+		}
+	}
+	return col
+}
+
+// encodeTestChunk encodes col as the writer would and returns what a node
+// holds of it: type, metadata and bytes.
+func encodeTestChunk(col ColumnData, shape codeShape, compress bool, pageRows int) (ChunkMeta, []byte) {
+	opts := WriterOptions{Compress: compress, DisableDict: shape == shapePlain, DictMaxFraction: 0.5, PageRows: pageRows}
+	return encodeChunk(col, opts)
+}
+
+// testSelections returns the selections the kernels are checked under, nil
+// (every row, no bitmap) among them.
+func testSelections(rng *rand.Rand, rows int) map[string]*bitmap.Bitmap {
+	one := bitmap.New(rows)
+	one.Set(rng.Intn(rows))
+	sparse, half := bitmap.New(rows), bitmap.New(rows)
+	for i := 0; i < rows; i++ {
+		if rng.Intn(100) == 0 {
+			sparse.Set(i)
+		}
+		if rng.Intn(2) == 0 {
+			half.Set(i)
+		}
+	}
+	return map[string]*bitmap.Bitmap{
+		"nil": nil, "empty": bitmap.New(rows), "full": bitmap.NewFull(rows),
+		"one": one, "1%": sparse, "50%": half,
+	}
+}
+
+// sameColumn compares two columns value for value, floats by their bits (NaN
+// equals NaN, the zeros differ) and ignoring nil-versus-empty.
+func sameColumn(a, b ColumnData) bool {
+	if a.Type != b.Type || a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Floats {
+		if math.Float64bits(a.Floats[i]) != math.Float64bits(b.Floats[i]) {
+			return false
+		}
+	}
+	return a.Len() == 0 || (reflect.DeepEqual(a.Ints, b.Ints) && reflect.DeepEqual(a.Strings, b.Strings))
+}
+
+func plainBytes(col ColumnData) []byte {
+	switch col.Type {
+	case Int64:
+		return colenc.PutInt64s(nil, col.Ints)
+	case Float64:
+		return colenc.PutFloat64s(nil, col.Floats)
+	default:
+		return colenc.PutStrings(nil, col.Strings)
+	}
+}
+
+// referenceCodes returns the dictionary code of every row of a dictionary
+// chunk, decoded page by page.
+func referenceCodes(t Type, m ChunkMeta, raw []byte) ([]uint64, error) {
+	blob := raw
+	if m.Compressed {
+		var err error
+		if blob, err = snappy.Decode(raw); err != nil {
+			return nil, err
+		}
+	}
+	d := &decBuf{b: blob[1:]}
+	dictLen := int(d.uvarint())
+	if t == String {
+		for i := 0; i < dictLen; i++ {
+			d.str()
+		}
+	} else {
+		d.b = d.b[8*dictLen:]
+	}
+	return referenceCodePages(d, m.NumValues, uint64(max(dictLen, 1)-1))
+}
+
+// TestChunkKernelsMatchReference is the equivalence matrix for the kernels in
+// this package: {Int64, Float64, String} x {plain, bit-packed, run-length,
+// mixed code pages} x {Snappy on, off} x {one page, several pages with a
+// short last one, one row} x {no selection, empty, full, one bit, 1%, 50%}.
+// Gather, AppendSelected, the Scanner's batches and SelectCodes must agree
+// with decoding the whole chunk page by page and picking values one at a time.
+func TestChunkKernelsMatchReference(t *testing.T) {
+	prev := bufpool.SetPoison(true)
+	defer bufpool.SetPoison(prev)
+	layouts := []struct {
+		name           string
+		rows, pageRows int
+	}{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
+	for _, typ := range []Type{Int64, Float64, String} {
+		for shape := shapePlain; shape <= shapeMixed; shape++ {
+			for _, compress := range []bool{true, false} {
+				for _, lay := range layouts {
+					name := fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(len(name))*7919 + int64(lay.rows)))
+						col := genColumn(rng, typ, shape, lay.rows)
+						m, raw := encodeTestChunk(col, shape, compress, lay.pageRows)
+						checkChunkKernels(t, rng, typ, m, raw, shape, lay.rows > 1)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw []byte, shape codeShape, checkShape bool) {
+	want, err := referenceDecodeChunk(typ, m, raw)
+	if err != nil {
+		t.Fatalf("reference decoder: %v", err)
+	}
+	c, err := OpenChunk(typ, m, raw)
+	if err != nil {
+		t.Fatalf("OpenChunk: %v", err)
+	}
+	if c.NumRows() != m.NumValues || c.Type() != typ {
+		t.Fatalf("opened as %v x %d, want %v x %d", c.Type(), c.NumRows(), typ, m.NumValues)
+	}
+	if checkShape && !(shape == shapeMixed && len(c.pages) == 1) {
+		// The generator must have hit the encoding the case is named for
+		// (one page cannot mix two).
+		var rle, packed bool
+		for _, p := range c.pages {
+			rle, packed = rle || p.rle, packed || (c.isDict && !p.rle)
+		}
+		got := [...]bool{!c.isDict, packed && !rle, rle && !packed, rle && packed}[shape]
+		if !got {
+			t.Fatalf("chunk is dict=%v rle=%v packed=%v, not shape %v", c.isDict, rle, packed, shape)
+		}
+	}
+	if all, err := DecodeChunk(typ, m, raw); err != nil || !sameColumn(all, want) {
+		t.Fatalf("DecodeChunk differs from the reference decoder (%v)", err)
+	}
+	for name, sel := range testSelections(rng, m.NumValues) {
+		picked := sel
+		if picked == nil {
+			picked = bitmap.NewFull(m.NumValues)
+		}
+		ref := referenceSelect(want, picked)
+		got, err := c.Gather(sel)
+		if err != nil || !sameColumn(got, ref) {
+			t.Fatalf("selection %s: Gather differs from the reference (%v)", name, err)
+		}
+		enc, err := c.AppendSelected([]byte("hdr"), sel)
+		if err != nil || !bytes.Equal(enc, append([]byte("hdr"), plainBytes(ref)...)) {
+			t.Fatalf("selection %s: AppendSelected differs from the plain encoding of the reference (%v)", name, err)
+		}
+		checkScanner(t, c, sel, picked, ref, name)
+	}
+	if dict, ok := c.Dict(); ok {
+		codes, err := referenceCodes(typ, m, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 4; trial++ {
+			verdict := bitmap.New(dict.Len())
+			for i := 0; i < dict.Len(); i++ {
+				if trial == 3 || (trial > 0 && rng.Intn(trial+1) == 0) {
+					verdict.Set(i)
+				}
+			}
+			got, err := c.SelectCodes(verdict)
+			if err != nil {
+				t.Fatalf("SelectCodes: %v", err)
+			}
+			for r, code := range codes {
+				if got.Get(r) != verdict.Get(int(code)) {
+					t.Fatalf("SelectCodes trial %d: row %d (code %d) is %v", trial, r, code, got.Get(r))
+				}
+			}
+		}
+	}
+	c.Release()
+	// With the pool poisoned, whatever was gathered must have survived the
+	// release: nothing a kernel returned may reference the arena.
+	if got, err := DecodeChunk(typ, m, raw); err != nil || !sameColumn(got, want) {
+		t.Fatalf("DecodeChunk after release differs (%v)", err)
+	}
+}
+
+// TestSelectCodesWideDictionary: a dictionary too large for a lookup table
+// (more than 2^16 entries) takes the Scanner path, on bit-packed and
+// run-length pages alike, and catches a code beyond the dictionary there too.
+func TestSelectCodesWideDictionary(t *testing.T) {
+	const rows, distinct = 300_000, 100_000
+	rng := rand.New(rand.NewSource(8))
+	col := ColumnData{Type: Int64}
+	for i := 0; i < rows; i++ {
+		v := int64(rng.Intn(distinct))
+		if i >= rows-20000 {
+			v = col.Ints[i/5000] // a run-length last page, of values seen before
+		}
+		col.Ints = append(col.Ints, v)
+	}
+	m, raw := encodeTestChunk(col, shapePacked, true, 20000)
+	c, err := OpenChunk(Int64, m, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
+	dict, _ := c.Dict()
+	if c.width <= maxLUTWidth || !c.pages[len(c.pages)-1].rle || c.pages[0].rle {
+		t.Fatalf("width %d, pages %+v: not the wide, mixed chunk this test is about", c.width, c.pages)
+	}
+	verdict := bitmap.New(dict.Len())
+	for i, v := range dict.Ints {
+		if v%3 == 0 {
+			verdict.Set(i)
+		}
+	}
+	got, err := c.SelectCodes(verdict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, v := range col.Ints {
+		if got.Get(r) != (v%3 == 0) {
+			t.Fatalf("row %d (value %d) is %v", r, v, got.Get(r))
+		}
+	}
+	// The same bytes under a dictionary one entry shorter: some bit-packed
+	// code now points past it (the run-length page's do not; those are
+	// checked at open, which this shortcut skips).
+	short := *c
+	short.dict.Ints = dict.Ints[:dict.Len()-1]
+	if _, err := short.SelectCodes(bitmap.New(dict.Len() - 1)); err == nil {
+		t.Fatal("a code beyond the dictionary went unnoticed")
+	}
+}
+
+// checkScanner walks the selection batch by batch: the row numbers are the
+// selection's, in order, in batches that depend on the selection alone, and
+// the batch's codes and values are the reference's.
+func checkScanner(t *testing.T, c *Chunk, sel, picked *bitmap.Bitmap, ref ColumnData, name string) {
+	var sc Scanner
+	if err := c.Scan(&sc, sel); err != nil {
+		t.Fatal(err)
+	}
+	rows := picked.Indexes()
+	dict, isDict := c.Dict()
+	n := 0
+	for sc.Next() {
+		if sc.Len() != min(BatchRows, len(rows)-n) {
+			t.Fatalf("selection %s: batch of %d rows at %d of %d", name, sc.Len(), n, len(rows))
+		}
+		for i := 0; i < sc.Len(); i++ {
+			r := sc.Row(i)
+			if int(r) != rows[n] {
+				t.Fatalf("selection %s: scanner row %d, want %d", name, r, rows[n])
+			}
+			one := ColumnData{Type: c.Type()}
+			switch {
+			case c.Type() == Int64:
+				one.Ints = []int64{sc.Ints()[i]}
+			case c.Type() == Float64:
+				one.Floats = []float64{sc.Floats()[i]}
+			case isDict:
+				one.Strings = []string{dict.Strings[sc.Codes()[i]]}
+			default:
+				one.Strings = []string{string(sc.Bytes(i))}
+			}
+			if isDict && c.Type() != String {
+				fromDict := ColumnData{Type: c.Type()}
+				if c.Type() == Int64 {
+					fromDict.Ints = []int64{dict.Ints[sc.Codes()[i]]}
+				} else {
+					fromDict.Floats = []float64{dict.Floats[sc.Codes()[i]]}
+				}
+				if !sameColumn(one, fromDict) {
+					t.Fatalf("selection %s: row %d's code and value disagree", name, r)
+				}
+			}
+			if !sameColumn(one, referenceSelect(ref, oneBit(ref.Len(), n))) {
+				t.Fatalf("selection %s: scanner value at row %d differs from the reference", name, r)
+			}
+			n++
+		}
+	}
+	if err := sc.Err(); err != nil || n != len(rows) {
+		t.Fatalf("selection %s: scanner yielded %d of %d rows (%v)", name, n, len(rows), err)
+	}
+}
+
+func oneBit(n, i int) *bitmap.Bitmap {
+	b := bitmap.New(n)
+	b.Set(i)
+	return b
+}
+
+// blobWriter assembles chunk blobs by hand, for the malformed inputs no
+// writer produces.
+type blobWriter struct{ b []byte }
+
+func (w *blobWriter) bytes(b ...byte) *blobWriter { w.b = append(w.b, b...); return w }
+func (w *blobWriter) uvarint(v uint64) *blobWriter {
+	w.b = binary.AppendUvarint(w.b, v)
+	return w
+}
+func (w *blobWriter) ints(vals ...int64) *blobWriter {
+	w.b = colenc.PutInt64s(w.b, vals)
+	return w
+}
+
+// metaFor describes blob as an uncompressed chunk of rows rows with a correct
+// size and checksum.
+func metaFor(blob []byte, rows int) ChunkMeta {
+	return ChunkMeta{Size: uint64(len(blob)), NumValues: rows, CRC: crc32.ChecksumIEEE(blob)}
+}
+
+// TestMalformedChunksAreErrors: every input the page-by-page decoder rejects
+// is an error from the opened chunk too — at open, or from each kernel that
+// would read the bad bytes — and never a panic.
+func TestMalformedChunksAreErrors(t *testing.T) {
+	dictHdr := func() *blobWriter { // Int64 dictionary {10, 20, 30}: 2-bit codes
+		return new(blobWriter).bytes(byte(colenc.Dict)).uvarint(3).ints(10, 20, 30)
+	}
+	good := dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0b10_01_00_10).b
+	if col, err := DecodeChunk(Int64, metaFor(good, 4), good); err != nil || !reflect.DeepEqual(col.Ints, []int64{30, 10, 20, 30}) {
+		t.Fatalf("well-formed control chunk: %v, %v", col.Ints, err)
+	}
+	badCRC := metaFor(good, 4)
+	badCRC.CRC++
+	short := metaFor(good, 4)
+	short.Size++
+	cases := []struct {
+		name string
+		typ  Type
+		m    ChunkMeta
+		raw  []byte
+	}{
+		{"bad CRC", Int64, badCRC, good},
+		{"size mismatch", Int64, short, good},
+		{"unknown column type", Type(9), metaFor(good, 4), good},
+		{"empty blob", Int64, metaFor(nil, 0), nil},
+		{"unknown chunk encoding", Int64, metaFor([]byte{7, 0}, 0), []byte{7, 0}},
+		{"code beyond the dictionary", Int64, ChunkMeta{}, // code 3 of a 3-entry dictionary
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0b11_01_00_10).b},
+		{"run-length code beyond the dictionary", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(4).uvarint(3).b},
+		{"run overruns its page", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(5).uvarint(1).b},
+		{"runs fall short of the page", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(3).uvarint(1).b},
+		{"zero-length run", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(0).uvarint(1).b},
+		{"unknown code-page encoding", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(9).uvarint(1).bytes(0).b},
+		{"bit-packed page truncated", Int64, ChunkMeta{}, // 4 rows x 2 bits need a byte
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(0).b},
+		{"page longer than the chunk", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(9).bytes(0).b},
+		{"dictionary longer than the chunk", Int64, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 40).ints(1).uvarint(0).b},
+		{"dictionary count that overflows 8x", Int64, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 61).ints(1).uvarint(0).b},
+		{"pages hold fewer rows than the metadata", Int64, ChunkMeta{},
+			dictHdr().uvarint(1).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"pages hold more rows than the metadata", Int64, ChunkMeta{},
+			dictHdr().uvarint(2).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).
+				uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"zero-row page", Int64, ChunkMeta{},
+			dictHdr().uvarint(2).uvarint(0).bytes(byte(colenc.Plain)).uvarint(0).
+				uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"more pages than rows", Int64, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(9).b},
+		{"plain numeric page truncated", Int64, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(24).ints(1, 2, 3).b},
+		{"plain string overruns its page", String, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(6).bytes(1, 'a', 1, 'b', 1, 'c').bytes(9, 'd').b},
+		{"plain string length varint truncated", String, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(7).bytes(1, 'a', 1, 'b', 1, 'c', 0x80).b},
+		{"string dictionary truncated", String, ChunkMeta{},
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(2).bytes(1, 'a', 5, 'b').b},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			if m == (ChunkMeta{}) {
+				m = metaFor(tc.raw, 4)
+			}
+			if _, err := referenceDecodeChunk(tc.typ, m, tc.raw); err == nil && tc.typ <= String {
+				t.Fatal("the reference decoder accepts this input: not a malformed chunk")
+			}
+			if _, err := DecodeChunk(tc.typ, m, tc.raw); err == nil {
+				t.Fatal("DecodeChunk accepted it")
+			}
+			c, err := OpenChunk(tc.typ, m, tc.raw)
+			if err != nil {
+				return // rejected at open: no kernel can run
+			}
+			defer c.Release()
+			// Values are checked where they are read: each kernel that
+			// reads every row must fail.
+			if _, err := c.Gather(bitmap.NewFull(c.NumRows())); err == nil {
+				t.Error("Gather of every row succeeded")
+			}
+			if _, err := c.AppendSelected(nil, nil); err == nil {
+				t.Error("AppendSelected of every row succeeded")
+			}
+			if dict, ok := c.Dict(); ok {
+				if _, err := c.SelectCodes(bitmap.NewFull(dict.Len())); err == nil {
+					t.Error("SelectCodes succeeded")
+				}
+			}
+		})
+	}
+}
+
+// TestMutatedChunksMatchReference corrupts well-formed chunks a few bytes at
+// a time underneath a recomputed checksum — the inputs a CRC cannot stop —
+// and requires the opened chunk to agree with the page-by-page decoder on
+// every one: the same values, or both an error. Partial selections may fail
+// or not, but may not panic, and what they return must be the reference's.
+func TestMutatedChunksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for _, typ := range []Type{Int64, Float64, String} {
+		for shape := shapePlain; shape <= shapeMixed; shape++ {
+			col := genColumn(rng, typ, shape, 300)
+			m, raw := encodeTestChunk(col, shape, false, 128)
+			sel := testSelections(rng, 300)["50%"]
+			for trial := 0; trial < 400; trial++ {
+				bad := append([]byte(nil), raw...)
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					// Mostly in the headers, where the structure is.
+					at := rng.Intn(len(bad))
+					if rng.Intn(2) == 0 {
+						at = rng.Intn(min(len(bad), 48))
+					}
+					bad[at] ^= byte(1 + rng.Intn(255))
+				}
+				bm := m
+				bm.CRC = crc32.ChecksumIEEE(bad)
+				want, refErr := referenceDecodeChunk(typ, bm, bad)
+				got, err := DecodeChunk(typ, bm, bad)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("%v/%v trial %d: DecodeChunk error %v, reference decoder error %v", typ, shape, trial, err, refErr)
+				}
+				if err == nil && !sameColumn(got, want) {
+					t.Fatalf("%v/%v trial %d: DecodeChunk and the reference decoder disagree", typ, shape, trial)
+				}
+				c, err := OpenChunk(typ, bm, bad)
+				if err != nil {
+					continue
+				}
+				if part, err := c.Gather(sel); err == nil && refErr == nil && !sameColumn(part, referenceSelect(want, sel)) {
+					t.Fatalf("%v/%v trial %d: partial Gather differs from the reference", typ, shape, trial)
+				}
+				if dict, ok := c.Dict(); ok {
+					_, _ = c.SelectCodes(bitmap.NewFull(dict.Len()))
+				}
+				c.Release()
+			}
+		}
+	}
+}
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// rleBomb is a 26-byte dictionary chunk whose one run-length page declares
+// 2^36 rows in a single run.
+func rleBomb() []byte {
+	return new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1).ints(7).
+		uvarint(1).uvarint(1 << 36).bytes(byte(colenc.RLEEnc)).uvarint(7).uvarint(1 << 36).uvarint(0).b
+}
+
+// TestChunkAllocationBombs: counts in untrusted chunk bytes are checked
+// against the bytes present before anything is sized by them. The 26-byte
+// chunk used to kill the process in make([]uint64, 0, 2^36) — a fatal error
+// no recover catches.
+func TestChunkAllocationBombs(t *testing.T) {
+	bomb := rleBomb()
+	if len(bomb) != 26 {
+		t.Fatalf("bomb is %d bytes, want 26", len(bomb))
+	}
+	manyPages := new(blobWriter).bytes(byte(colenc.Plain)).uvarint(MaxChunkRows).b
+	// As many pages declared as the bytes could hold headers for, none valid.
+	hollowPages := append(new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1<<20).b, make([]byte, 2<<20)...)
+	// Found by FuzzOpenChunk: the old decoder made a []string of this length.
+	bigDict := new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 41).b
+	cases := []struct {
+		name string
+		typ  Type
+		m    ChunkMeta
+		raw  []byte
+	}{
+		{"metadata and page agree on 2^36 rows", Int64, metaFor(bomb, 1<<36), bomb},
+		{"page claims 2^36 rows, metadata 10", Int64, metaFor(bomb, 10), bomb},
+		{"page claims 2^36 rows, metadata the maximum", Int64, metaFor(bomb, MaxChunkRows), bomb},
+		{"page directory of 2^25 entries in 5 bytes", Int64, metaFor(manyPages, MaxChunkRows), manyPages},
+		{"page directory of 2^20 entries over 2 MiB of zeros", Int64, metaFor(hollowPages, MaxChunkRows), hollowPages},
+		{"string dictionary of 2^41 entries in 7 bytes", String, metaFor(bigDict, 200), bigDict},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			grew := allocatedBy(func() { _, err = DecodeChunk(tc.typ, tc.m, tc.raw) })
+			if err == nil {
+				t.Fatal("bomb decoded without error")
+			}
+			if grew > 1<<20 {
+				t.Fatalf("rejecting the bomb allocated %d bytes, want < 1 MiB", grew)
+			}
+		})
+	}
+	// The legitimate neighbour still works: a run-length page is allowed to
+	// be tiny for its rows.
+	rows := 1 << 16
+	ok := new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1).ints(7).
+		uvarint(1).uvarint(uint64(rows)).bytes(byte(colenc.RLEEnc)).uvarint(4).uvarint(uint64(rows)).uvarint(0).b
+	col, err := DecodeChunk(Int64, metaFor(ok, rows), ok)
+	if err != nil || len(col.Ints) != rows || col.Ints[rows-1] != 7 {
+		t.Fatalf("a %d-row run in %d bytes: %d values, %v", rows, len(ok), len(col.Ints), err)
+	}
+}
+
+// TestFooterRejectsInconsistentRowCounts: a footer whose chunk disagrees with
+// its row group, or whose row group exceeds the format's ceiling, is malformed
+// at parse — before a reader sizes a bitmap by it.
+func TestFooterRejectsInconsistentRowCounts(t *testing.T) {
+	f := &Footer{
+		Columns:   []Column{{Name: "v", Type: Int64}},
+		RowGroups: []RowGroup{{NumRows: 100, Chunks: []ChunkMeta{{Size: 8, NumValues: 100}}}},
+	}
+	if got, err := decodeFooter(encodeFooter(f)); err != nil || got.RowGroups[0].Chunks[0].NumValues != 100 {
+		t.Fatalf("consistent footer: %v", err)
+	}
+	f.RowGroups[0].Chunks[0].NumValues = 101
+	if _, err := decodeFooter(encodeFooter(f)); err == nil {
+		t.Fatal("NumValues != NumRows must be rejected")
+	}
+	f.RowGroups[0].NumRows, f.RowGroups[0].Chunks[0].NumValues = MaxChunkRows+1, MaxChunkRows+1
+	if _, err := decodeFooter(encodeFooter(f)); err == nil {
+		t.Fatal("NumRows > MaxChunkRows must be rejected")
+	}
+	f.RowGroups[0].NumRows, f.RowGroups[0].Chunks[0].NumValues = MaxChunkRows, MaxChunkRows
+	if _, err := decodeFooter(encodeFooter(f)); err != nil {
+		t.Fatalf("NumRows == MaxChunkRows: %v", err)
+	}
+}
+
+// TestChunkOwnOutlivesItsBytes: an owned chunk (the form a cache keeps)
+// depends on neither the caller's bytes nor the pool.
+func TestChunkOwnOutlivesItsBytes(t *testing.T) {
+	prev := bufpool.SetPoison(true)
+	defer bufpool.SetPoison(prev)
+	rng := rand.New(rand.NewSource(5))
+	for _, compress := range []bool{true, false} {
+		col := genColumn(rng, String, shapePlain, 500)
+		m, raw := encodeTestChunk(col, shapePlain, compress, 200)
+		c, err := OpenChunk(String, m, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Own()
+		c.Release() // a no-op now
+		for i := range raw {
+			raw[i] = 0xEE
+		}
+		// Churn the pool so a leaked arena would be handed out and dirtied.
+		for i := 0; i < 4; i++ {
+			b := bufpool.GetLen(64 << 10)
+			for j := range b {
+				b[j] = 0xAA
+			}
+			bufpool.Put(b)
+		}
+		got, err := c.Gather(nil)
+		if err != nil || !sameColumn(got, col) {
+			t.Fatalf("compress=%v: owned chunk changed under its source bytes (%v)", compress, err)
+		}
+	}
+}

@@ -310,13 +310,23 @@ func decodeFooter(b []byte) (*Footer, error) {
 		return nil, ErrFormat
 	}
 	for g := uint64(0); g < nRG && d.err == nil; g++ {
-		rg := RowGroup{NumRows: int(d.uvarint())}
+		numRows := d.uvarint()
+		if d.err == nil && numRows > MaxChunkRows {
+			return nil, ErrFormat
+		}
+		rg := RowGroup{NumRows: int(numRows)}
 		for ci := range f.Columns {
 			var c ChunkMeta
 			c.Offset = d.uvarint()
 			c.Size = d.uvarint()
 			c.RawSize = d.uvarint()
-			c.NumValues = int(d.uvarint())
+			// A chunk holds its row group's rows. Readers size bitmaps and
+			// value slices by NumValues, so a footer that disagrees with
+			// itself is refused here, not discovered by an allocation.
+			if numValues := d.uvarint(); d.err == nil && numValues != numRows {
+				return nil, ErrFormat
+			}
+			c.NumValues = rg.NumRows
 			c.Encoding = colenc.Encoding(d.byteVal())
 			c.Compressed = d.boolVal()
 			c.CRC = d.u32()

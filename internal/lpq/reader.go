@@ -1,12 +1,6 @@
 package lpq
 
-import (
-	"fmt"
-	"hash/crc32"
-
-	"github.com/fusionstore/fusion/internal/colenc"
-	"github.com/fusionstore/fusion/internal/snappy"
-)
+import "fmt"
 
 // File is a parsed lpq file backed by an in-memory byte slice.
 type File struct {
@@ -136,163 +130,15 @@ func (f *File) ReadColumn(col int) (ColumnData, error) {
 	return out, nil
 }
 
-// DecodeChunk decodes a self-contained chunk blob given its metadata. This
-// is the entry point used by storage nodes executing pushed-down operations:
-// they hold only the chunk bytes and the metadata, never the whole file.
+// DecodeChunk decodes a self-contained chunk blob given its metadata into
+// column values: OpenChunk, then Gather of every row. Query execution works on
+// the opened chunk instead and never builds the full column; this is the form
+// for callers that want all of it (whole-column reads, scrub's verification).
 func DecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
-	if uint64(len(raw)) != m.Size {
-		return ColumnData{}, fmt.Errorf("lpq: chunk is %d bytes, metadata says %d: %w", len(raw), m.Size, ErrFormat)
+	c, err := OpenChunk(t, m, raw)
+	if err != nil {
+		return ColumnData{}, err
 	}
-	if crc32.ChecksumIEEE(raw) != m.CRC {
-		return ColumnData{}, fmt.Errorf("lpq: chunk checksum mismatch: %w", ErrFormat)
-	}
-	blob := raw
-	if m.Compressed {
-		var err error
-		blob, err = snappy.Decode(raw)
-		if err != nil {
-			return ColumnData{}, fmt.Errorf("lpq: chunk decompression: %w", err)
-		}
-	}
-	if len(blob) < 1 {
-		return ColumnData{}, ErrFormat
-	}
-	enc := colenc.Encoding(blob[0])
-	body := blob[1:]
-	switch enc {
-	case colenc.Plain:
-		return decodePlain(t, body, m.NumValues)
-	case colenc.Dict:
-		return decodeDict(t, body, m.NumValues)
-	default:
-		return ColumnData{}, fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
-	}
-}
-
-func decodePlain(t Type, body []byte, n int) (ColumnData, error) {
-	d := &decBuf{b: body}
-	numPages := int(d.uvarint())
-	if d.err != nil || numPages < 0 || numPages > n+1 {
-		return ColumnData{}, ErrFormat
-	}
-	out := ColumnData{Type: t}
-	total := 0
-	for p := 0; p < numPages; p++ {
-		rows := int(d.uvarint())
-		byteLen := int(d.uvarint())
-		if d.err != nil || rows <= 0 || byteLen < 0 || byteLen > len(d.b) {
-			return ColumnData{}, ErrFormat
-		}
-		page := d.b[:byteLen]
-		d.b = d.b[byteLen:]
-		switch t {
-		case Int64:
-			vals, err := colenc.GetInt64s(page, rows)
-			if err != nil {
-				return ColumnData{}, err
-			}
-			out.Ints = append(out.Ints, vals...)
-		case Float64:
-			vals, err := colenc.GetFloat64s(page, rows)
-			if err != nil {
-				return ColumnData{}, err
-			}
-			out.Floats = append(out.Floats, vals...)
-		default:
-			vals, err := colenc.GetStrings(page, rows)
-			if err != nil {
-				return ColumnData{}, err
-			}
-			out.Strings = append(out.Strings, vals...)
-		}
-		total += rows
-	}
-	if total != n {
-		return ColumnData{}, fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", total, n, ErrFormat)
-	}
-	return out, nil
-}
-
-func decodeDict(t Type, body []byte, n int) (ColumnData, error) {
-	d := &decBuf{b: body}
-	dictLen := int(d.uvarint())
-	if d.err != nil || dictLen < 0 {
-		return ColumnData{}, ErrFormat
-	}
-	out := ColumnData{Type: t}
-	maxCode := uint64(0)
-	if dictLen > 0 {
-		maxCode = uint64(dictLen - 1)
-	}
-	switch t {
-	case Int64:
-		dict, err := colenc.GetInt64s(d.b, dictLen)
-		if err != nil {
-			return ColumnData{}, err
-		}
-		d.b = d.b[8*dictLen:]
-		codes, err := readCodePages(d, n, maxCode)
-		if err != nil {
-			return ColumnData{}, err
-		}
-		out.Ints, err = colenc.ApplyDict(dict, codes)
-		return out, err
-	case Float64:
-		dict, err := colenc.GetFloat64s(d.b, dictLen)
-		if err != nil {
-			return ColumnData{}, err
-		}
-		d.b = d.b[8*dictLen:]
-		codes, err := readCodePages(d, n, maxCode)
-		if err != nil {
-			return ColumnData{}, err
-		}
-		out.Floats, err = colenc.ApplyDict(dict, codes)
-		return out, err
-	default:
-		// Strings are variable-length: the dictionary page is consumed
-		// value by value.
-		dict := make([]string, dictLen)
-		for i := 0; i < dictLen; i++ {
-			s := d.str()
-			if d.err != nil {
-				return ColumnData{}, d.err
-			}
-			dict[i] = s
-		}
-		codes, err := readCodePages(d, n, maxCode)
-		if err != nil {
-			return ColumnData{}, err
-		}
-		out.Strings, err = colenc.ApplyDict(dict, codes)
-		return out, err
-	}
-}
-
-// readCodePages decodes the data pages following a dictionary page.
-func readCodePages(d *decBuf, n int, maxCode uint64) ([]uint64, error) {
-	numPages := int(d.uvarint())
-	if d.err != nil || numPages < 0 || numPages > n+1 {
-		return nil, ErrFormat
-	}
-	out := make([]uint64, 0, n)
-	for p := 0; p < numPages; p++ {
-		rows := int(d.uvarint())
-		enc := colenc.Encoding(d.byteVal())
-		byteLen := int(d.uvarint())
-		if d.err != nil || rows <= 0 || byteLen < 0 || byteLen > len(d.b) {
-			return nil, ErrFormat
-		}
-		page := d.b[:byteLen]
-		d.b = d.b[byteLen:]
-		codes, err := colenc.DecodeCodes(enc, page, rows, maxCode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, codes...)
-	}
-	if len(out) != n {
-		return nil, fmt.Errorf("lpq: code pages hold %d rows, chunk metadata says %d: %w", len(out), n, ErrFormat)
-	}
-	return out, nil
+	defer c.Release()
+	return c.Gather(nil)
 }

@@ -102,6 +102,9 @@ func (w *Writer) WriteRowGroup(cols []ColumnData) error {
 	if numRows == 0 {
 		return fmt.Errorf("lpq: empty row group")
 	}
+	if numRows > MaxChunkRows {
+		return fmt.Errorf("lpq: row group has %d rows, the format allows %d", numRows, MaxChunkRows)
+	}
 	rg := RowGroup{NumRows: numRows}
 	for _, c := range cols {
 		meta, blob := encodeChunk(c, w.opts)

@@ -71,17 +71,16 @@ func load32(b []byte, i int) uint32 {
 // implementation: hash 4-byte windows, on a hit emit the pending literal and
 // extend the match as far as it goes.
 func encodeBlock(dst, src []byte) []byte {
-	var table [hashTableSize]int32
-	for i := range table {
-		table[i] = -1
-	}
+	// table maps the hash of a 4-byte window to one plus the position it was
+	// last seen at; zero, the state the runtime clears it to, is "never".
+	var table [hashTableSize]uint32
 	// s is the scan position, lit the start of the pending literal run.
 	s, lit := 0, 0
 	limit := len(src) - minMatchLen
 	for s <= limit {
 		h := hash4(load32(src, s))
-		cand := int(table[h])
-		table[h] = int32(s)
+		cand := int(table[h]) - 1
+		table[h] = uint32(s + 1)
 		if cand >= 0 && s-cand <= 1<<16-1 && load32(src, cand) == load32(src, s) {
 			// Emit pending literal.
 			if lit < s {
@@ -98,7 +97,7 @@ func encodeBlock(dst, src []byte) []byte {
 			// Seed the table at the end of the match so back-to-back matches
 			// are found quickly.
 			if s <= limit {
-				table[hash4(load32(src, s-1))] = int32(s - 1)
+				table[hash4(load32(src, s-1))] = uint32(s)
 			}
 			continue
 		}
@@ -148,29 +147,98 @@ func emitCopy(dst []byte, offset, length int) []byte {
 	return append(dst, byte(length-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
 }
 
+// maxExpansion bounds decoded bytes per encoded byte: the densest element is
+// a 3-byte copy producing 64 bytes (21.3x), so a block declaring more than
+// 22x its own size cannot be valid and is rejected before any allocation.
+const maxExpansion = 22
+
+// decodedLen parses and validates a block's preamble, returning the declared
+// decompressed length and the preamble's size.
+func decodedLen(src []byte) (n, hdr int, err error) {
+	declared, hdr := binary.Uvarint(src)
+	if hdr <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	if declared > maxBlockSize {
+		return 0, 0, ErrTooLarge
+	}
+	if declared > maxExpansion*uint64(len(src)) {
+		return 0, 0, ErrCorrupt
+	}
+	return int(declared), hdr, nil
+}
+
 // DecodedLen returns the declared decompressed length of a block.
 func DecodedLen(src []byte) (int, error) {
-	v, n := binary.Uvarint(src)
-	if n <= 0 || v > maxBlockSize {
+	n, _, err := decodedLen(src)
+	if err != nil {
 		return 0, ErrCorrupt
 	}
-	return int(v), nil
+	return n, nil
 }
 
 // Decode decompresses a Snappy block produced by Encode (or any conforming
 // encoder) and returns the original bytes.
 func Decode(src []byte) ([]byte, error) {
-	declared, hdr := binary.Uvarint(src)
-	if hdr <= 0 {
+	return DecodeInto(nil, src)
+}
+
+// DecodeInto is Decode writing into dst's backing array when its capacity
+// covers the block's declared length (dst's contents are overwritten, never
+// read), and into a fresh slice otherwise. Callers that decode block after
+// block reuse one buffer instead of allocating and zeroing one per block;
+// size it with DecodedLen.
+func DecodeInto(dst, src []byte) ([]byte, error) {
+	n, hdr, err := decodedLen(src)
+	if err != nil {
+		return nil, err
+	}
+	if cap(dst) >= n {
+		dst = dst[:n]
+	} else {
+		dst = make([]byte, n)
+	}
+	if !decodeBlock(dst, src[hdr:]) {
 		return nil, ErrCorrupt
 	}
-	if declared > maxBlockSize {
-		return nil, ErrTooLarge
+	return dst, nil
+}
+
+// copyTable describes each copy tag byte: bits 0-7 the copy's length, bits
+// 8-10 the high bits of a copy-1 offset, bits 11-13 the number of offset bytes
+// that follow the tag. trailerMask keeps that many bytes of a 4-byte load.
+var (
+	copyTable   [256]uint16
+	trailerMask = [5]uint32{0, 0xff, 0xffff, 0, 0xffffffff}
+)
+
+func init() {
+	for tag := 0; tag < 256; tag++ {
+		switch tag & 0x03 {
+		case tagCopy1:
+			copyTable[tag] = uint16(4+tag>>2&0x07) | uint16(tag>>5)<<8 | 1<<11
+		case tagCopy2:
+			copyTable[tag] = uint16(1+tag>>2) | 2<<11
+		case tagCopy4:
+			copyTable[tag] = uint16(1+tag>>2) | 4<<11
+		}
 	}
-	dst := make([]byte, declared)
-	d, s := 0, hdr
+}
+
+// decodeBlock expands the elements of src into dst, which has exactly the
+// declared length, and reports whether they were well formed and filled it.
+//
+// Column pages are dominated by short elements — a numeric chunk is roughly
+// one 2-3 byte literal and one 5-6 byte copy per value — so both kinds have
+// a fast path that moves 8 or 16 bytes at once whenever that many bytes are
+// readable and writable, ignoring the element's exact length: the bytes
+// written beyond it are overwritten by the next element, and dst is
+// discarded when decoding fails.
+func decodeBlock(dst, src []byte) bool {
+	d, s := 0, 0
 	for s < len(src) {
 		tag := src[s]
+		var length, offset int
 		switch tag & 0x03 {
 		case tagLiteral:
 			n := int(tag >> 2)
@@ -178,91 +246,95 @@ func Decode(src []byte) ([]byte, error) {
 			switch {
 			case n < 60:
 				n++
+				if n <= 16 && s+16 <= len(src) && d+16 <= len(dst) {
+					binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(src[s:]))
+					binary.LittleEndian.PutUint64(dst[d+8:], binary.LittleEndian.Uint64(src[s+8:]))
+					s += n
+					d += n
+					continue
+				}
 			case n == 60:
 				if s >= len(src) {
-					return nil, ErrCorrupt
+					return false
 				}
 				n = int(src[s]) + 1
 				s++
 			case n == 61:
 				if s+1 >= len(src) {
-					return nil, ErrCorrupt
+					return false
 				}
 				n = int(src[s]) | int(src[s+1])<<8
 				n++
 				s += 2
 			case n == 62:
 				if s+2 >= len(src) {
-					return nil, ErrCorrupt
+					return false
 				}
 				n = int(src[s]) | int(src[s+1])<<8 | int(src[s+2])<<16
 				n++
 				s += 3
 			default: // 63
 				if s+3 >= len(src) {
-					return nil, ErrCorrupt
+					return false
 				}
 				n = int(src[s]) | int(src[s+1])<<8 | int(src[s+2])<<16 | int(src[s+3])<<24
 				n++
 				s += 4
 			}
-			if n <= 0 || s+n > len(src) || d+n > len(dst) {
-				return nil, ErrCorrupt
+			if n <= 0 || n > len(src)-s || n > len(dst)-d {
+				return false
 			}
-			copy(dst[d:], src[s:s+n])
+			copy(dst[d:d+n], src[s:s+n])
 			s += n
 			d += n
-		case tagCopy1:
-			if s+1 >= len(src) {
-				return nil, ErrCorrupt
+			continue
+		default:
+			// The tag byte fixes a copy's length, the high bits of a copy-1
+			// offset and how many offset bytes trail it; reading those from
+			// a table keeps the three copy forms off the branch predictor.
+			e := copyTable[tag]
+			trailer := int(e >> 11)
+			if s+trailer >= len(src) {
+				return false
 			}
-			length := 4 + int(tag>>2)&0x07
-			offset := int(tag&0xe0)<<3 | int(src[s+1])
-			s += 2
-			if err := copyWithin(dst, &d, offset, length); err != nil {
-				return nil, err
+			var raw uint32
+			if s+5 <= len(src) {
+				raw = binary.LittleEndian.Uint32(src[s+1:]) & trailerMask[trailer]
+			} else {
+				for i := trailer; i > 0; i-- {
+					raw = raw<<8 | uint32(src[s+i])
+				}
 			}
-		case tagCopy2:
-			if s+2 >= len(src) {
-				return nil, ErrCorrupt
+			length = int(e & 0xff)
+			offset = int(e&0x700) | int(raw)
+			s += 1 + trailer
+		}
+		// A back-reference: length bytes starting offset bytes behind d,
+		// which may overlap the bytes it writes (offset < length repeats
+		// the pattern).
+		if offset <= 0 || offset > d || length > len(dst)-d {
+			return false
+		}
+		end := d + length
+		switch {
+		case offset >= 8 && end+8 <= len(dst):
+			// Eight bytes at a time is exact for any offset >= 8, overlapping
+			// or not: each load reads only bytes already final.
+			for ; d < end; d += 8 {
+				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dst[d-offset:]))
 			}
-			length := 1 + int(tag>>2)
-			offset := int(src[s+1]) | int(src[s+2])<<8
-			s += 3
-			if err := copyWithin(dst, &d, offset, length); err != nil {
-				return nil, err
-			}
-		default: // tagCopy4
-			if s+4 >= len(src) {
-				return nil, ErrCorrupt
-			}
-			length := 1 + int(tag>>2)
-			offset := int(src[s+1]) | int(src[s+2])<<8 | int(src[s+3])<<16 | int(src[s+4])<<24
-			s += 5
-			if err := copyWithin(dst, &d, offset, length); err != nil {
-				return nil, err
+		case offset >= length:
+			copy(dst[d:end], dst[d-offset:])
+		default:
+			// Overlapping: each pass copies everything written since the
+			// back-reference began, doubling the pattern.
+			for from := d - offset; d < end; {
+				d += copy(dst[d:end], dst[from:d])
 			}
 		}
+		d = end
 	}
-	if d != len(dst) {
-		return nil, ErrCorrupt
-	}
-	return dst, nil
-}
-
-// copyWithin executes a back-reference copy, honoring the Snappy rule that
-// the copy may overlap itself (offset < length repeats the pattern).
-func copyWithin(dst []byte, d *int, offset, length int) error {
-	if offset <= 0 || offset > *d || *d+length > len(dst) {
-		return ErrCorrupt
-	}
-	pos := *d
-	src := pos - offset
-	for i := 0; i < length; i++ {
-		dst[pos+i] = dst[src+i]
-	}
-	*d = pos + length
-	return nil
+	return d == len(dst)
 }
 
 // Ratio returns the compression ratio achieved by Encode on data — the

@@ -2,7 +2,10 @@ package snappy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,4 +253,143 @@ func binaryAppendUvarint(dst []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(dst, byte(v))
+}
+
+// priceLikeBlock builds the plain page of a near-unique float64 column in the
+// shape of lineitem's l_extendedprice (quantity x price in cents): the top
+// bytes of neighbouring values repeat and the low ones do not, so Encode
+// emits one short literal and one short copy per value — the element mix the
+// decoder's 8- and 16-byte fast paths exist for.
+func priceLikeBlock(values int) []byte {
+	rng := rand.New(rand.NewSource(11))
+	out := make([]byte, 0, 8*values)
+	for i := 0; i < values; i++ {
+		v := float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// sparseBitmapBlock is a 60,000-row selection bitmap at ≈1%: long zero runs,
+// which Encode turns into 64-byte copies at offset 1 (the overlapping case).
+func sparseBitmapBlock() []byte {
+	rng := rand.New(rand.NewSource(12))
+	out := make([]byte, 7508)
+	for i := 0; i < 600; i++ {
+		out[8+rng.Intn(7500)] |= 1 << rng.Intn(8)
+	}
+	return out
+}
+
+func decodeCorpus() map[string][]byte {
+	rng := rand.New(rand.NewSource(13))
+	random := make([]byte, 100_000)
+	rng.Read(random)
+	return map[string][]byte{
+		"price":  priceLikeBlock(60_000),
+		"bitmap": sparseBitmapBlock(),
+		"text":   []byte(strings.Repeat("SELECT l_extendedprice FROM lineitem; ", 1<<18/38)),
+		"random": random,
+		"short":  []byte("abcabcabcabcabcabcab"),
+	}
+}
+
+// TestDecodeMatchesReference pins the wide-copy decoder to the byte-at-a-time
+// one on every element mix the store produces, on truncations of each (which
+// move the "16 readable bytes" boundary through every element), and with
+// DecodeInto reusing a dirty buffer.
+func TestDecodeMatchesReference(t *testing.T) {
+	dirty := bytes.Repeat([]byte{0xDB}, 1<<20)
+	for name, block := range decodeCorpus() {
+		enc := Encode(block)
+		want, err := referenceDecode(enc)
+		if err != nil || !bytes.Equal(want, block) {
+			t.Fatalf("%s: reference decoder: %v", name, err)
+		}
+		got, err := Decode(enc)
+		if err != nil || !bytes.Equal(got, block) {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		into, err := DecodeInto(dirty[:0], enc)
+		if err != nil || !bytes.Equal(into, block) {
+			t.Fatalf("%s: DecodeInto a dirty buffer: %v", name, err)
+		}
+		if len(block) > 0 && &into[0] != &dirty[0] {
+			t.Fatalf("%s: DecodeInto did not reuse a buffer with enough capacity", name)
+		}
+		// Every prefix of the last 80 encoded bytes, and forty of the rest.
+		step := len(enc)/40 + 1
+		for cut := 0; cut < len(enc); cut++ {
+			if cut < len(enc)-80 && cut%step != 0 {
+				continue
+			}
+			_, refErr := referenceDecode(enc[:cut])
+			_, err := Decode(enc[:cut])
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s cut at %d: Decode error %v, reference %v", name, cut, err, refErr)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsImpossibleExpansion is the allocation-bomb regression: a
+// block cannot decode to more than 22x its own size, so five bytes declaring
+// 1 GiB are rejected from the header alone, before Decode allocates (it used
+// to zero a 1 GiB slice first).
+func TestDecodeRejectsImpossibleExpansion(t *testing.T) {
+	bomb := binaryAppendUvarint(nil, 1<<30)
+	if len(bomb) != 5 {
+		t.Fatalf("bomb is %d bytes, want 5", len(bomb))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bomb)
+	_, lenErr := DecodedLen(bomb)
+	_, intoErr := DecodeInto(nil, bomb)
+	runtime.ReadMemStats(&after)
+	if err == nil || lenErr == nil || intoErr == nil {
+		t.Fatalf("1 GiB declared by 5 bytes must be rejected: %v, %v, %v", err, lenErr, intoErr)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the bomb allocated %d bytes, want < 1 MiB", grew)
+	}
+	// The densest legal block still decodes: 64-byte copies at 3 bytes each.
+	dense := Encode(bytes.Repeat([]byte{7}, 1<<16))
+	if got, err := Decode(dense); err != nil || len(got) != 1<<16 {
+		t.Fatalf("dense block: %d bytes, %v", len(got), err)
+	}
+}
+
+func benchDecode(b *testing.B, block []byte, decode func(dst, src []byte) ([]byte, error)) {
+	enc := Encode(block)
+	buf := make([]byte, len(block))
+	b.SetBytes(int64(len(block)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decode(buf, enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnappyDecode times the decoder on the blocks the store decodes
+// most: a near-unique float page, a sparse row bitmap and text, each against
+// the byte-at-a-time reference.
+func BenchmarkSnappyDecode(b *testing.B) {
+	corpus := decodeCorpus()
+	for _, name := range []string{"price", "bitmap", "text"} {
+		block := corpus[name]
+		b.Run(name, func(b *testing.B) { benchDecode(b, block, DecodeInto) })
+		b.Run(name+"-ref", func(b *testing.B) {
+			benchDecode(b, block, func(_, src []byte) ([]byte, error) { return referenceDecode(src) })
+		})
+	}
+}
+
+func BenchmarkSnappyEncodeBitmap(b *testing.B) {
+	bm := sparseBitmapBlock()
+	b.SetBytes(int64(len(bm)))
+	for i := 0; i < b.N; i++ {
+		Encode(bm)
+	}
 }

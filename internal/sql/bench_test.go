@@ -1,0 +1,170 @@
+package sql
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/lpq"
+)
+
+// benchRows is a lineitem row group at the repository benchmark's scale.
+const benchRows = 60000
+
+// benchRowGroup generates and opens the lineitem columns the selective scans
+// compute on, under the encodings the default writer gives them: l_shipdate
+// (2,526 dates: dictionary, 12-bit codes), l_returnflag (3 strings: 2-bit
+// codes), l_extendedprice (near-unique floats: plain pages), l_orderkey
+// (ascending with repeats: dictionary).
+func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
+	rng := rand.New(rand.NewSource(7))
+	ship, order := make([]int64, benchRows), make([]int64, benchRows)
+	price := make([]float64, benchRows)
+	flag := make([]string, benchRows)
+	for i := range ship {
+		ship[i] = rng.Int63n(2526)
+		order[i] = int64(i / 4)
+		price[i] = float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100)
+		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+	}
+	cols = []lpq.ColumnData{lpq.IntColumn(ship), lpq.StringColumn(flag), lpq.FloatColumn(price), lpq.IntColumn(order)}
+	chunks = openColumns(b, lpq.DefaultWriterOptions(), cols)
+	b.Cleanup(func() {
+		for _, ch := range chunks {
+			ch.Release()
+		}
+	})
+	return chunks, cols
+}
+
+const (
+	benchShip = iota
+	benchFlag
+	benchPrice
+	benchOrder
+)
+
+var benchSink int
+
+// BenchmarkKernelFilter times the filter over an opened chunk per encoding
+// against EvalCompare over the decoded column (decoding not counted, so the
+// reference rows understate what a node paid). MB/s reads as Mrows/s.
+func BenchmarkKernelFilter(b *testing.B) {
+	chunks, cols := benchRowGroup(b)
+	for _, tc := range []struct {
+		name string
+		col  int
+		cmp  *Compare
+	}{
+		{"shipdate-packed12", benchShip, &Compare{Op: OpLt, Value: IntLit(35)}},
+		{"returnflag-packed2", benchFlag, &Compare{Op: OpEq, Value: StringLit("R")}},
+		{"price-plain", benchPrice, &Compare{Op: OpLt, Value: FloatLit(2000)}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(benchRows)
+			for i := 0; i < b.N; i++ {
+				bm, err := FilterChunk(tc.cmp, chunks[tc.col])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += bm.Len()
+			}
+		})
+		b.Run(tc.name+"-ref", func(b *testing.B) {
+			b.SetBytes(benchRows)
+			for i := 0; i < b.N; i++ {
+				bm, err := EvalCompare(tc.cmp, cols[tc.col])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += bm.Len()
+			}
+		})
+	}
+}
+
+func benchSelection(percent int) *bitmap.Bitmap {
+	rng := rand.New(rand.NewSource(3))
+	sel := bitmap.New(benchRows)
+	for i := 0; i < benchRows; i++ {
+		if rng.Intn(100) < percent {
+			sel.Set(i)
+		}
+	}
+	return sel
+}
+
+// BenchmarkKernelAggregate1pct times the fused gather-and-fold of 1% of a
+// plain float chunk against folding the decoded column.
+func BenchmarkKernelAggregate1pct(b *testing.B) {
+	chunks, cols := benchRowGroup(b)
+	sel := benchSelection(1)
+	b.Run("price-plain", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			if err := NewAggState(AggSum).AddChunk(chunks[benchPrice], sel); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("price-plain-ref", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			NewAggState(AggSum).addSelected(cols[benchPrice], sel)
+		}
+	})
+}
+
+// BenchmarkKernelGroupBy times GROUP BY l_returnflag with COUNT(l_orderkey)
+// and SUM(l_extendedprice) over every row — the repository benchmark's
+// group_returnflag template, one row group of it — against AddRows over
+// decoded columns.
+func BenchmarkKernelGroupBy(b *testing.B) {
+	chunks, cols := benchRowGroup(b)
+	kinds := []AggKind{AggCount, AggSum}
+	b.Run("returnflag", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			g := NewGroupTable(kinds, 0)
+			if err := g.AddChunks(chunks[benchFlag:benchFlag+1], []*lpq.Chunk{chunks[benchOrder], chunks[benchPrice]}, nil); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += g.Len()
+		}
+	})
+	b.Run("returnflag-ref", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		full := bitmap.NewFull(benchRows)
+		for i := 0; i < b.N; i++ {
+			g := NewGroupTable(kinds, 0)
+			if err := g.AddRows(cols[benchFlag:benchFlag+1], []lpq.ColumnData{cols[benchOrder], cols[benchPrice]}, full); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += g.Len()
+		}
+	})
+}
+
+// BenchmarkTopK10of60000 times ORDER BY l_extendedprice DESC LIMIT 10 over one
+// row group — the top10_price template's node work, opened chunk in hand —
+// against boxing every row and sorting.
+func BenchmarkTopK10of60000(b *testing.B) {
+	chunks, cols := benchRowGroup(b)
+	b.Run("price-plain", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			tk := NewTopK(10, true)
+			if err := tk.PushChunk(chunks[benchPrice], nil, 0); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(tk.Rows())
+		}
+	})
+	b.Run("price-plain-ref", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		full := bitmap.NewFull(benchRows)
+		for i := 0; i < b.N; i++ {
+			benchSink += len(referenceTopK(10, true, allRows(cols[benchPrice], full, 0)))
+		}
+	})
+}

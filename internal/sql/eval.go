@@ -21,89 +21,96 @@ func (e *ErrType) Error() string {
 
 // EvalCompare evaluates a comparison over one column chunk's values and
 // returns the row bitmap. This is the operation Fusion pushes down to
-// storage nodes in the filter stage.
+// storage nodes in the filter stage (there over an opened chunk, where these
+// values are a dictionary or a batch of a plain page: FilterChunk).
 func EvalCompare(c *Compare, col lpq.ColumnData) (*bitmap.Bitmap, error) {
-	n := col.Len()
-	out := bitmap.New(n)
-	switch col.Type {
-	case lpq.Int64:
-		switch c.Value.Kind {
-		case LitInt:
-			lit := c.Value.I
-			for i, v := range col.Ints {
-				if cmpInt(v, lit, c.Op) {
-					out.Set(i)
-				}
-			}
-		case LitFloat:
-			lit := c.Value.F
-			for i, v := range col.Ints {
-				if cmpFloat(float64(v), lit, c.Op) {
-					out.Set(i)
-				}
-			}
-		default:
-			return nil, &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
-		}
-	case lpq.Float64:
-		if c.Value.Kind == LitString {
-			return nil, &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
-		}
-		lit := c.Value.AsFloat()
-		for i, v := range col.Floats {
-			if cmpFloat(v, lit, c.Op) {
-				out.Set(i)
-			}
-		}
-	case lpq.String:
-		if c.Value.Kind != LitString {
-			return nil, &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
-		}
-		lit := c.Value.S
-		for i, v := range col.Strings {
-			if cmpString(v, lit, c.Op) {
-				out.Set(i)
-			}
-		}
+	out := bitmap.New(col.Len())
+	if err := compareInto(c, col, out.Words()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func cmpInt(v, lit int64, op CmpOp) bool {
+// compareInto sets bit i of words for every value i of col that satisfies c;
+// words are zero on entry. It is the one place a comparison's semantics live:
+// an int column meets an int literal exactly and a float literal in float
+// space, a float column meets either literal in float space, and strings
+// compare bytewise.
+func compareInto(c *Compare, col lpq.ColumnData, words []uint64) error {
+	switch col.Type {
+	case lpq.Int64:
+		switch c.Value.Kind {
+		case LitInt:
+			compareValues(col.Ints, c.Value.I, c.Op, words)
+		case LitFloat:
+			lit := c.Value.F
+			for i, v := range col.Ints {
+				if cmpFloat(float64(v), lit, c.Op) {
+					words[i>>6] |= 1 << (i & 63)
+				}
+			}
+		default:
+			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
+		}
+	case lpq.Float64:
+		if c.Value.Kind == LitString {
+			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
+		}
+		compareValues(col.Floats, c.Value.AsFloat(), c.Op, words)
+	case lpq.String:
+		if c.Value.Kind != LitString {
+			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
+		}
+		compareValues(col.Strings, c.Value.S, c.Op, words)
+	}
+	return nil
+}
+
+// compareValues sets bit i of words for every vals[i] op lit, with Go's
+// comparison semantics for T (a NaN satisfies only !=). The operator is
+// chosen once, outside the loop.
+func compareValues[T int64 | float64 | string](vals []T, lit T, op CmpOp, words []uint64) {
 	switch op {
 	case OpEq:
-		return v == lit
+		for i, v := range vals {
+			if v == lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	case OpNe:
-		return v != lit
+		for i, v := range vals {
+			if v != lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	case OpLt:
-		return v < lit
+		for i, v := range vals {
+			if v < lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	case OpLe:
-		return v <= lit
+		for i, v := range vals {
+			if v <= lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	case OpGt:
-		return v > lit
+		for i, v := range vals {
+			if v > lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	default:
-		return v >= lit
+		for i, v := range vals {
+			if v >= lit {
+				words[i>>6] |= 1 << (i & 63)
+			}
+		}
 	}
 }
 
 func cmpFloat(v, lit float64, op CmpOp) bool {
-	switch op {
-	case OpEq:
-		return v == lit
-	case OpNe:
-		return v != lit
-	case OpLt:
-		return v < lit
-	case OpLe:
-		return v <= lit
-	case OpGt:
-		return v > lit
-	default:
-		return v >= lit
-	}
-}
-
-func cmpString(v, lit string, op CmpOp) bool {
 	switch op {
 	case OpEq:
 		return v == lit
@@ -308,25 +315,25 @@ type AggState struct {
 // NewAggState returns an accumulator for the given aggregate kind.
 func NewAggState(kind AggKind) *AggState { return &AggState{Kind: kind} }
 
-// AddColumn folds the selected rows of one chunk into the accumulator.
-func (a *AggState) AddColumn(col lpq.ColumnData, sel *bitmap.Bitmap) {
-	sel.ForEach(func(i int) {
-		a.AddValue(col, i)
-	})
-}
-
-// AddValue folds row i of col into the accumulator. Every execution path
-// (node pushdown, coordinator fallback, grouped tables) folds values
-// through this one function so partial states are bit-identical no matter
+// AddColumn folds every value of a decoded column into the accumulator, in
+// row order. Every execution path (node pushdown, coordinator fallback,
+// grouped tables) folds a value the way this function does — through addNum
+// and addStr, in row order — so partial states are bit-identical no matter
 // where they were computed.
-func (a *AggState) AddValue(col lpq.ColumnData, i int) {
+func (a *AggState) AddColumn(col lpq.ColumnData) {
 	switch col.Type {
 	case lpq.Int64:
-		a.addNum(float64(col.Ints[i]))
+		for _, v := range col.Ints {
+			a.addNum(float64(v))
+		}
 	case lpq.Float64:
-		a.addNum(col.Floats[i])
+		for _, v := range col.Floats {
+			a.addNum(v)
+		}
 	default:
-		a.addStr(col.Strings[i])
+		for _, v := range col.Strings {
+			a.addStr(v)
+		}
 	}
 }
 
@@ -350,6 +357,20 @@ func (a *AggState) addStr(s string) {
 	}
 	if !a.Init || s > a.MaxS {
 		a.MaxS = s
+	}
+	a.Init = true
+}
+
+// addBytes is addStr for a value still inside its chunk: compared in place,
+// copied out only when it becomes the new minimum or maximum.
+func (a *AggState) addBytes(b []byte) {
+	a.Count++
+	a.IsString = true
+	if !a.Init || string(b) < a.MinS {
+		a.MinS = string(b)
+	}
+	if !a.Init || string(b) > a.MaxS {
+		a.MaxS = string(b)
 	}
 	a.Init = true
 }

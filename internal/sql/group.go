@@ -5,9 +5,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"github.com/fusionstore/fusion/internal/bitmap"
-	"github.com/fusionstore/fusion/internal/lpq"
 )
 
 // ErrTooManyGroups reports that a GROUP BY exceeded the group-cardinality
@@ -49,42 +46,13 @@ func NewGroupTable(kinds []AggKind, maxGroups int) *GroupTable {
 // Len returns the number of groups seen so far.
 func (g *GroupTable) Len() int { return len(g.m) }
 
-// AddRows folds the selected rows into the table. keys holds the grouping
-// columns; vals[i] is the argument column of aggregate i, or a zero-length
-// ColumnData for COUNT(*). All non-empty columns must have sel.Len() rows.
-func (g *GroupTable) AddRows(keys []lpq.ColumnData, vals []lpq.ColumnData, sel *bitmap.Bitmap) error {
-	if len(vals) != len(g.kinds) {
-		return errors.New("sql: GroupTable.AddRows: vals/kinds length mismatch")
+// newGroup returns an empty partial state for a group with the given key.
+func (g *GroupTable) newGroup(key []Literal) *GroupPartial {
+	gp := &GroupPartial{Key: key, Aggs: make([]AggState, len(g.kinds))}
+	for ai, kind := range g.kinds {
+		gp.Aggs[ai].Kind = kind
 	}
-	var keyBuf []byte
-	var addErr error
-	sel.ForEach(func(i int) {
-		if addErr != nil {
-			return
-		}
-		keyBuf = appendGroupKey(keyBuf[:0], keys, i)
-		gp := g.m[string(keyBuf)]
-		if gp == nil {
-			if g.maxGroups > 0 && len(g.m) >= g.maxGroups {
-				addErr = ErrTooManyGroups
-				return
-			}
-			gp = &GroupPartial{Key: keyLiterals(keys, i), Aggs: make([]AggState, len(g.kinds))}
-			for ai, kind := range g.kinds {
-				gp.Aggs[ai].Kind = kind
-			}
-			g.m[string(keyBuf)] = gp
-		}
-		gp.Rows++
-		for ai := range g.kinds {
-			if vals[ai].Len() == 0 {
-				gp.Aggs[ai].Count++ // COUNT(*): no argument column
-				continue
-			}
-			gp.Aggs[ai].AddValue(vals[ai], i)
-		}
-	})
-	return addErr
+	return gp
 }
 
 // Merge folds partial states (from a node, another table, or the wire)
@@ -103,10 +71,7 @@ func (g *GroupTable) Merge(partials []GroupPartial) error {
 			if g.maxGroups > 0 && len(g.m) >= g.maxGroups {
 				return ErrTooManyGroups
 			}
-			gp = &GroupPartial{Key: append([]Literal(nil), p.Key...), Aggs: make([]AggState, len(g.kinds))}
-			for ai, kind := range g.kinds {
-				gp.Aggs[ai].Kind = kind
-			}
+			gp = g.newGroup(append([]Literal(nil), p.Key...))
 			g.m[string(keyBuf)] = gp
 		}
 		gp.Rows += p.Rows
@@ -155,61 +120,26 @@ func CompareKeys(a, b []Literal) int {
 	return 0
 }
 
-// keyLiterals extracts row i of the key columns as literals.
-func keyLiterals(keys []lpq.ColumnData, i int) []Literal {
-	out := make([]Literal, len(keys))
-	for ki, col := range keys {
-		switch col.Type {
-		case lpq.Int64:
-			out[ki] = IntLit(col.Ints[i])
-		case lpq.Float64:
-			out[ki] = FloatLit(col.Floats[i])
-		default:
-			out[ki] = StringLit(col.Strings[i])
-		}
-	}
-	return out
-}
-
-// appendGroupKey appends a canonical byte encoding of row i's key tuple:
-// a type tag then a fixed or length-prefixed payload per column, so
-// distinct tuples never collide.
-func appendGroupKey(dst []byte, keys []lpq.ColumnData, i int) []byte {
-	for _, col := range keys {
-		switch col.Type {
-		case lpq.Int64:
-			dst = append(dst, 'i')
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(col.Ints[i]))
-		case lpq.Float64:
-			dst = append(dst, 'f')
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(col.Floats[i]))
-		default:
-			s := col.Strings[i]
-			dst = append(dst, 's')
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	return dst
-}
-
-// appendKeyLits is appendGroupKey for an already-extracted literal tuple.
+// appendKeyLits appends a canonical byte encoding of a key tuple, so distinct
+// tuples never collide.
 func appendKeyLits(dst []byte, key []Literal) []byte {
 	for _, l := range key {
-		switch l.Kind {
-		case LitInt:
-			dst = append(dst, 'i')
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(l.I))
-		case LitFloat:
-			dst = append(dst, 'f')
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(l.F))
-		default:
-			dst = append(dst, 's')
-			dst = binary.AppendUvarint(dst, uint64(len(l.S)))
-			dst = append(dst, l.S...)
-		}
+		dst = appendKeyLit(dst, l)
 	}
 	return dst
+}
+
+// appendKeyLit appends one key column: a type tag, then a fixed or
+// length-prefixed payload.
+func appendKeyLit(dst []byte, l Literal) []byte {
+	switch l.Kind {
+	case LitInt:
+		return binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(l.I))
+	case LitFloat:
+		return binary.LittleEndian.AppendUint64(append(dst, 'f'), math.Float64bits(l.F))
+	default:
+		return append(binary.AppendUvarint(append(dst, 's'), uint64(len(l.S))), l.S...)
+	}
 }
 
 // TopRow is one candidate in a top-k order: its sort key and its global
@@ -224,11 +154,14 @@ type TopRow struct {
 // TopK accumulates the k smallest (or largest, when desc) rows by key.
 // Nodes run one per row group and return their local top-k; the
 // coordinator merges them with the same structure, giving a bounded k-way
-// merge whose result is independent of arrival order.
+// merge whose result is independent of arrival order. It holds at most k
+// rows: once full they form a heap whose root is the row that places last,
+// so a candidate costs one comparison with the root and, only if it places,
+// a sift.
 type TopK struct {
 	k    int
 	desc bool
-	rows []TopRow
+	rows []TopRow // a heap under less, last-placed row at the root, once full
 }
 
 // NewTopK returns an accumulator for the top k rows. k <= 0 keeps
@@ -237,11 +170,42 @@ func NewTopK(k int, desc bool) *TopK {
 	return &TopK{k: k, desc: desc}
 }
 
+// full reports whether k rows are held, so that a new row must displace one.
+func (t *TopK) full() bool { return t.k > 0 && len(t.rows) == t.k }
+
 // Push adds one candidate row.
 func (t *TopK) Push(key Literal, rg, row int32) {
-	t.rows = append(t.rows, TopRow{Key: key, RG: rg, Row: row})
-	if t.k > 0 && len(t.rows) >= 2*t.k+64 {
-		t.compact()
+	r := TopRow{Key: key, RG: rg, Row: row}
+	if !t.full() {
+		t.rows = append(t.rows, r)
+		if t.full() {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				t.siftDown(i)
+			}
+		}
+		return
+	}
+	if t.less(r, t.rows[0]) {
+		t.rows[0] = r
+		t.siftDown(0)
+	}
+}
+
+// siftDown restores the heap below position i.
+func (t *TopK) siftDown(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(t.rows) {
+			return
+		}
+		if c+1 < len(t.rows) && t.less(t.rows[c], t.rows[c+1]) {
+			c++
+		}
+		if !t.less(t.rows[i], t.rows[c]) {
+			return
+		}
+		t.rows[i], t.rows[c] = t.rows[c], t.rows[i]
+		i = c
 	}
 }
 
@@ -252,17 +216,14 @@ func (t *TopK) Merge(rows []TopRow) {
 	}
 }
 
-// Rows returns the final top-k, fully ordered by (key, rg, row).
+// Rows returns the top-k so far, fully ordered by (key, rg, row).
 func (t *TopK) Rows() []TopRow {
-	t.compact()
-	return t.rows
-}
-
-func (t *TopK) compact() {
-	sort.Slice(t.rows, func(i, j int) bool { return t.less(t.rows[i], t.rows[j]) })
-	if t.k > 0 && len(t.rows) > t.k {
-		t.rows = t.rows[:t.k]
+	out := t.rows
+	if t.k > 0 {
+		out = append([]TopRow(nil), t.rows...) // t.rows keeps its heap order
 	}
+	sort.Slice(out, func(i, j int) bool { return t.less(out[i], out[j]) })
+	return out
 }
 
 func (t *TopK) less(a, b TopRow) bool {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
 )
 
@@ -19,7 +18,7 @@ import (
 // refState folds all values in one pass — the single-pass reference.
 func refState(kind AggKind, col lpq.ColumnData) *AggState {
 	s := NewAggState(kind)
-	s.AddColumn(col, bitmap.NewFull(col.Len()))
+	s.AddColumn(col)
 	return s
 }
 
@@ -151,7 +150,7 @@ func TestAggStateOrderedFoldDeterminism(t *testing.T) {
 			part := NewAggState(AggSum)
 			if byColumn {
 				sub := lpq.FloatColumn(vals[prev:c])
-				part.AddColumn(sub, bitmap.NewFull(c-prev))
+				part.AddColumn(sub)
 			} else {
 				for i := prev; i < c; i++ {
 					part.AddValue(col, i)

@@ -395,32 +395,29 @@ func TestCheckStatsSoundProperty(t *testing.T) {
 }
 
 func TestAggState(t *testing.T) {
-	col := lpq.FloatColumn([]float64{1, 2, 3, 4})
-	sel := bitmap.New(4)
-	sel.Set(1)
-	sel.Set(3) // values 2 and 4
+	col := lpq.FloatColumn([]float64{2, 4})
 	sum := NewAggState(AggSum)
-	sum.AddColumn(col, sel)
+	sum.AddColumn(col)
 	if sum.Result().F != 6 {
 		t.Fatalf("SUM = %v", sum.Result())
 	}
 	avg := NewAggState(AggAvg)
-	avg.AddColumn(col, sel)
+	avg.AddColumn(col)
 	if avg.Result().F != 3 {
 		t.Fatalf("AVG = %v", avg.Result())
 	}
 	cnt := NewAggState(AggCount)
-	cnt.AddCount(sel.Count())
+	cnt.AddCount(col.Len())
 	if cnt.Result().I != 2 {
 		t.Fatalf("COUNT = %v", cnt.Result())
 	}
 	mn := NewAggState(AggMin)
-	mn.AddColumn(col, sel)
+	mn.AddColumn(col)
 	if mn.Result().F != 2 {
 		t.Fatalf("MIN = %v", mn.Result())
 	}
 	mx := NewAggState(AggMax)
-	mx.AddColumn(col, sel)
+	mx.AddColumn(col)
 	if mx.Result().F != 4 {
 		t.Fatalf("MAX = %v", mx.Result())
 	}
@@ -430,9 +427,8 @@ func TestAggState(t *testing.T) {
 	}
 	// String min/max.
 	sCol := lpq.StringColumn([]string{"pear", "apple", "fig"})
-	full := bitmap.NewFull(3)
 	sMin := NewAggState(AggMin)
-	sMin.AddColumn(sCol, full)
+	sMin.AddColumn(sCol)
 	if sMin.Result().S != "apple" {
 		t.Fatalf("string MIN = %v", sMin.Result())
 	}
@@ -442,8 +438,8 @@ func TestAggStateAcrossChunks(t *testing.T) {
 	// Aggregation accumulates across chunk boundaries, matching a single
 	// pass over the concatenated column.
 	a := NewAggState(AggSum)
-	a.AddColumn(lpq.IntColumn([]int64{1, 2}), bitmap.NewFull(2))
-	a.AddColumn(lpq.IntColumn([]int64{3, 4}), bitmap.NewFull(2))
+	a.AddColumn(lpq.IntColumn([]int64{1, 2}))
+	a.AddColumn(lpq.IntColumn([]int64{3, 4}))
 	if a.Result().F != 10 {
 		t.Fatalf("cross-chunk SUM = %v", a.Result())
 	}

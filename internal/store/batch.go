@@ -283,12 +283,13 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 				return bm, nil
 			}
 			ci := colIdx[c.Column]
-			col, err := s.fetchChunkColumn(r.sub, rg, ci)
+			ch, err := s.openChunk(r.sub, rg, ci)
 			if err != nil {
 				return nil, err
 			}
+			defer ch.Release()
 			r.sub.chargeCoordCPU(rgs[rg].Chunks[ci].RawSize)
-			return sql.EvalCompare(c, col)
+			return sql.FilterChunk(c, ch)
 		}
 		bm, err := sql.EvalExpr(q.Where, nRows, leaf)
 		if err != nil {
@@ -322,7 +323,9 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 type chunkTask struct {
 	rg, ci  int
 	name    string
-	agg     bool
+	agg     bool // planned as an in-situ aggregation (aggregate pushdown)
+	plain   bool // the SELECT list projects the column: its values are wanted
+	folds   bool // some aggregate reads the column: a partial is wanted
 	sub     *execState
 	vals    lpq.ColumnData
 	partial *sql.AggState

@@ -179,54 +179,105 @@ func TestBatchedGetRoundTrips(t *testing.T) {
 
 // TestPooledBuffersNotAliased is the poison-on-put alias check, run under
 // -race in CI: with pool poisoning armed, concurrent degraded reads (whose
-// reconstructions rent and return survivor shards) and queries must never
-// hand back data that aliases a returned buffer. Any use-after-put shows up
-// as 0xDB-corrupted results or as a race report.
+// reconstructions rent and return survivor shards) and queries (whose nodes
+// and coordinator fallback open chunks into rented buffers and release them
+// with the frame) must never hand back data that aliases a returned buffer.
+// Any use-after-put shows up as 0xDB-corrupted results or as a race report.
+// The queries cover every reply form that could carry chunk bytes out of a
+// frame: projected strings from plain and dictionary pages, string MIN/MAX,
+// string group keys and string top-k keys, pushed to the nodes by one store
+// and evaluated by the coordinator fallback of another.
 func TestPooledBuffersNotAliased(t *testing.T) {
+	data, _, _ := makeObject(t, 4, 300, 17)
+	queries := []string{
+		"SELECT count(*), sum(price) FROM obj WHERE qty < 25",
+		"SELECT flag, comment FROM obj WHERE qty < 3",
+		"SELECT min(comment), max(comment), min(flag) FROM obj WHERE qty < 40",
+		"SELECT flag, COUNT(*), MAX(comment) FROM obj GROUP BY flag",
+		"SELECT comment, COUNT(*) FROM obj WHERE qty < 5 GROUP BY comment",
+		"SELECT id, comment FROM obj ORDER BY comment DESC LIMIT 5",
+		"SELECT id, flag FROM obj WHERE qty > 45 ORDER BY flag LIMIT 3",
+	}
+	always := fusionTestOptions()
+	always.Pushdown = PushdownAlways
+	always.AggregatePushdown = true
+	fallback := fusionTestOptions()
+	fallback.Pushdown = PushdownNever
+	fallback.Exec = ExecReassemble
+	configs := map[string]Options{"pushed": always, "adaptive": fusionTestOptions(), "fallback": fallback}
+
+	// The answers, before the pool is poisoned.
+	want := make(map[string]string)
+	{
+		s, _ := newSimStore(t, fusionTestOptions())
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			res, err := s.Query(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			want[q] = fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
+		}
+	}
+
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
+	for name, opts := range configs {
+		s, cl := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		// A down node forces every covering Get into RS reconstruction, the
+		// heaviest pooled path (survivor shards are rented and returned).
+		cl.SetDown(0, true)
 
-	data, _, _ := makeObject(t, 4, 300, 17)
-	s, cl := newSimStore(t, fusionTestOptions())
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	// A down node forces every covering Get into RS reconstruction, the
-	// heaviest pooled path (survivor shards are rented and returned).
-	cl.SetDown(0, true)
-	defer cl.SetDown(0, false)
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines*2)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				got, err := s.Get("obj", 0, 0)
-				if err != nil {
-					errs <- err
-					return
+		const goroutines = 8
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines*2)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					got, err := s.Get("obj", 0, 0)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(got, data) {
+						errs <- fmt.Errorf("Get returned corrupted bytes (pool aliasing?)")
+						return
+					}
+					if bufpool.Poisoned(got) {
+						errs <- fmt.Errorf("Get returned a poisoned (returned-to-pool) buffer")
+						return
+					}
+					q := queries[(g+i)%len(queries)]
+					res, err := s.Query(q)
+					if err != nil {
+						errs <- err
+						return
+					}
+					// Rendered after more pooled traffic has had the chance to
+					// overwrite whatever the result might still reference.
+					if _, err := s.Get("obj", 0, 0); err != nil {
+						errs <- err
+						return
+					}
+					if got := fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues); got != want[q] {
+						errs <- fmt.Errorf("%s: %q returned a result that differs from the unpoisoned run (pool aliasing?)", name, q)
+						return
+					}
 				}
-				if !bytes.Equal(got, data) {
-					errs <- fmt.Errorf("Get returned corrupted bytes (pool aliasing?)")
-					return
-				}
-				if bufpool.Poisoned(got) {
-					errs <- fmt.Errorf("Get returned a poisoned (returned-to-pool) buffer")
-					return
-				}
-				if _, err := s.Query("SELECT count(*), sum(price) FROM obj WHERE qty < 25"); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		cl.SetDown(0, false)
 	}
 }

@@ -1,7 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"context"
+	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/fusionstore/fusion/internal/lpq"
 )
 
 func TestQuerySurvivesChunkCorruption(t *testing.T) {
@@ -74,5 +80,59 @@ func TestProjectionSurvivesChunkCorruption(t *testing.T) {
 	}
 	if got.Rows != want.Rows || got.Data[0].Len() != want.Data[0].Len() {
 		t.Fatal("corrupted-chunk projection returned wrong rows")
+	}
+}
+
+// TestPutRefusesInconsistentFooter: an object whose footer gives a chunk a
+// different row count from its row group — what a reader would size bitmaps
+// and value slices by — is refused at Put like any malformed footer, through
+// both entry points, and nothing is stored.
+func TestPutRefusesInconsistentFooter(t *testing.T) {
+	w := lpq.NewWriter([]lpq.Column{{Name: "v", Type: lpq.Int64}}, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup([]lpq.ColumnData{lpq.IntColumn([]int64{1, 2, 3, 4, 5})}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer, err := lpq.ParseFooter(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsize, err := lpq.FooterSize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Footer: column count, (name length, name, type), row-group count,
+	// NumRows, then the chunk's Offset, Size, RawSize and NumValues, every
+	// number a one-byte uvarint at this size.
+	ch := footer.RowGroups[0].Chunks[0]
+	if ch.Offset >= 0x80 || ch.Size >= 0x80 || ch.RawSize >= 0x80 {
+		t.Fatalf("chunk fields %+v no longer fit one byte each", ch)
+	}
+	numRows := len(data) - fsize + 1 + (1 + len("v") + 1) + 1
+	numValues := numRows + 4
+	if data[numRows] != 5 || data[numValues] != 5 {
+		t.Fatalf("footer layout moved: NumRows byte %d, NumValues byte %d, want 5 and 5", data[numRows], data[numValues])
+	}
+	bad := append([]byte(nil), data...)
+	bad[numValues] = 6
+
+	s, cl := newSimStore(t, fusionTestOptions())
+	if _, err := s.Put("good", data); err != nil {
+		t.Fatalf("control object: %v", err)
+	}
+	stored := cl.Node(0).Blocks.IDs()
+	_, err = s.Put("bad", bad)
+	if err == nil || !strings.Contains(err.Error(), "is not a valid lpq object") {
+		t.Fatalf("Put of a footer with NumValues != NumRows: %v", err)
+	}
+	_, err = s.PutReader(context.Background(), "bad", bytes.NewReader(bad), uint64(len(bad)))
+	if err == nil || !strings.Contains(err.Error(), "is not a valid lpq object") {
+		t.Fatalf("PutReader of a footer with NumValues != NumRows: %v", err)
+	}
+	if after := cl.Node(0).Blocks.IDs(); !reflect.DeepEqual(after, stored) {
+		t.Fatalf("a refused Put left blocks behind: %v, was %v", after, stored)
 	}
 }

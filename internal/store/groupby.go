@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -238,51 +237,50 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	return res, nil
 }
 
-// localGroupRG groups one row group at the coordinator: fetch the key and
-// argument chunks (cache and reconstruction apply as usual) and fold the
-// selected rows through the same GroupTable a node would use, yielding
+// localGroupRG groups one row group at the coordinator: fetch and open the key
+// and argument chunks (cache and reconstruction apply as usual) and fold the
+// selected rows through the same GroupTable kernel a node would run, yielding
 // partials in the same deterministic key order.
 func (s *Store) localGroupRG(st *execState, rg int, keyIdx, valIdx []int, kinds []sql.AggKind, bm *bitmap.Bitmap) ([]sql.GroupPartial, error) {
 	chs := st.meta.Footer.RowGroups[rg].Chunks
-	fetched := make(map[int]lpq.ColumnData)
+	opened := make(map[int]*lpq.Chunk)
+	defer func() {
+		for _, ch := range opened {
+			ch.Release()
+		}
+	}()
 	var proc uint64
-	get := func(ci int) (lpq.ColumnData, error) {
-		if col, ok := fetched[ci]; ok {
-			return col, nil
+	get := func(ci int) (*lpq.Chunk, error) {
+		if ch, ok := opened[ci]; ok {
+			return ch, nil
 		}
-		col, err := s.fetchChunkColumn(st, rg, ci)
-		if err != nil {
-			return lpq.ColumnData{}, err
-		}
-		if col.Len() != bm.Len() {
-			return lpq.ColumnData{}, fmt.Errorf("store: chunk (%d,%d) has %d rows, bitmap %d", rg, ci, col.Len(), bm.Len())
-		}
-		fetched[ci] = col
-		proc += chs[ci].RawSize
-		return col, nil
-	}
-	keys := make([]lpq.ColumnData, len(keyIdx))
-	for i, ci := range keyIdx {
-		col, err := get(ci)
+		ch, err := s.openSelected(st, rg, ci, bm)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = col
+		opened[ci] = ch
+		proc += chs[ci].RawSize
+		return ch, nil
 	}
-	vals := make([]lpq.ColumnData, len(valIdx))
+	var err error
+	keys := make([]*lpq.Chunk, len(keyIdx))
+	for i, ci := range keyIdx {
+		if keys[i], err = get(ci); err != nil {
+			return nil, err
+		}
+	}
+	vals := make([]*lpq.Chunk, len(valIdx))
 	for i, ci := range valIdx {
 		if ci < 0 {
 			continue // COUNT(*): no argument column
 		}
-		col, err := get(ci)
-		if err != nil {
+		if vals[i], err = get(ci); err != nil {
 			return nil, err
 		}
-		vals[i] = col
 	}
 	st.chargeCoordCPU(proc)
 	g := sql.NewGroupTable(kinds, 0)
-	if err := g.AddRows(keys, vals, bm); err != nil {
+	if err := g.AddChunks(keys, vals, bm); err != nil {
 		return nil, err
 	}
 	return g.Sorted(), nil

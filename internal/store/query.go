@@ -364,66 +364,84 @@ func rgVerdict(e sql.Expr, footer *lpq.Footer, colIdx map[string]int, rg int) sq
 	}
 }
 
-// fetchChunkColumn brings a chunk's bytes to the coordinator (reassembling
-// across blocks/nodes when split) and decodes it locally. This is the
+// openChunk brings a chunk's bytes to the coordinator (reassembling across
+// blocks/nodes when split) and opens it there — CRC-checked, decompressed and
+// indexed, for the same kernels a node runs (lpq.Chunk). This is the
 // baseline's only path and Fusion's fallback when the cost model disables
 // pushdown. A checksum failure (bit rot on the hosting node) triggers a
-// second fetch that reconstructs the chunk's blocks from stripe parity.
+// second fetch that reconstructs the chunk's blocks from stripe parity. The
+// caller releases the chunk when done with it.
 //
-// With the cache enabled, decoded chunks are cached keyed by (object,
-// epoch, row group, column): a repeated scan serves its columns straight
-// from memory — no RPC, no decompression — and records zero
-// bytes-from-nodes. DecodeChunk verifies the chunk's CRC, so only verified
-// decodes are admitted. Concurrent fetches of one chunk are deduplicated
-// by singleflight. Cached ColumnData is shared — callers must not mutate.
-func (s *Store) fetchChunkColumn(st *execState, rg, ci int) (lpq.ColumnData, error) {
+// With the cache enabled, opened chunks are cached keyed by (object, epoch,
+// row group, column): a repeated scan serves its columns straight from
+// memory — no RPC, no CRC, no decompression — and records zero
+// bytes-from-nodes. A cached chunk owns its bytes (never a pooled buffer),
+// so releasing it is a no-op, and it is shared: kernels only read it.
+// OpenChunk verifies the chunk's CRC, so only verified chunks are admitted.
+// Concurrent fetches of one chunk are deduplicated by singleflight.
+func (s *Store) openChunk(st *execState, rg, ci int) (*lpq.Chunk, error) {
 	if !s.cacheOn() {
-		return s.fetchChunkColumnUncached(st, rg, ci)
+		return s.openChunkUncached(st, rg, ci)
 	}
 	key := chunkKeyOf(st.meta, rg, ci)
 	ch := st.meta.Footer.RowGroups[rg].Chunks[ci]
 	if v, ok := s.cache.Get(key); ok {
 		st.sp.Count(trace.BytesRequested, ch.Size)
 		st.sp.Count(trace.CacheHits, 1)
-		return v.(lpq.ColumnData), nil
+		return v.(*lpq.Chunk), nil
 	}
 	flightKey := fmt.Sprintf("c/%s/e%d/%d/%d", st.meta.Name, st.meta.Epoch, rg, ci)
 	v, err, _ := s.cache.Do(flightKey, func() (any, error) {
-		col, err := s.fetchChunkColumnUncached(st, rg, ci)
+		c, err := s.openChunkUncached(st, rg, ci)
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(key, col, ch.RawSize)
-		return col, nil
+		c.Own()
+		s.cache.Put(key, c, ch.RawSize)
+		return c, nil
 	})
 	if err != nil {
-		return lpq.ColumnData{}, err
+		return nil, err
 	}
-	return v.(lpq.ColumnData), nil
+	return v.(*lpq.Chunk), nil
 }
 
-// fetchChunkColumnUncached is the actual fetch+decode of one chunk.
-func (s *Store) fetchChunkColumnUncached(st *execState, rg, ci int) (lpq.ColumnData, error) {
+// openChunkUncached is the actual fetch+open of one chunk.
+func (s *Store) openChunkUncached(st *execState, rg, ci int) (*lpq.Chunk, error) {
 	raw, err := s.fetchChunkBytes(st, rg, ci)
 	if err != nil {
-		return lpq.ColumnData{}, err
+		return nil, err
 	}
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
 	st.addOp(simnet.OpCost{Local: true, ProcBytes: ch.RawSize})
 	dsp := st.sp.Child("decode")
-	col, err := lpq.DecodeChunk(meta.Footer.Columns[ci].Type, ch, raw)
+	c, err := lpq.OpenChunk(meta.Footer.Columns[ci].Type, ch, raw)
 	dsp.End()
 	if err == nil {
-		return col, nil
+		return c, nil
 	}
 	// Corrupt on-disk copy: rebuild from the stripe's survivors.
 	raw, rerr := s.reconstructChunkBytes(st, rg, ci)
 	if rerr != nil {
-		return lpq.ColumnData{}, fmt.Errorf("store: chunk (%d,%d) corrupt (%v) and unreconstructable: %w", rg, ci, err, rerr)
+		return nil, fmt.Errorf("store: chunk (%d,%d) corrupt (%v) and unreconstructable: %w", rg, ci, err, rerr)
 	}
 	st.addOp(simnet.OpCost{Local: true, ProcBytes: ch.RawSize})
-	return lpq.DecodeChunk(meta.Footer.Columns[ci].Type, ch, raw)
+	return lpq.OpenChunk(meta.Footer.Columns[ci].Type, ch, raw)
+}
+
+// openSelected is openChunk for a consumer about to apply a row selection:
+// the chunk must have exactly the selection's rows.
+func (s *Store) openSelected(st *execState, rg, ci int, bm *bitmap.Bitmap) (*lpq.Chunk, error) {
+	c, err := s.openChunk(st, rg, ci)
+	if err != nil {
+		return nil, err
+	}
+	if c.NumRows() != bm.Len() {
+		c.Release()
+		return nil, fmt.Errorf("store: chunk (%d,%d) has %d rows, bitmap %d", rg, ci, c.NumRows(), bm.Len())
+	}
+	return c, nil
 }
 
 // reconstructChunkBytes rebuilds a chunk's bytes via RS reconstruction,
@@ -557,9 +575,15 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			aggs = append(aggs, aggWork{proj: p, state: sql.NewAggState(p.Agg)})
 		}
 	}
-	// Columns whose selected values must be materialized per row group.
-	// Aggregate-only columns are excluded when aggregate pushdown applies:
-	// their chunks are reduced in-situ instead.
+	// Columns the projection policy applies to per row group: the plain
+	// ones, and those only aggregates read — unless aggregate pushdown
+	// applies, which reduces the latter in-situ instead.
+	feeds := map[string]bool{} // columns some aggregate reads
+	for _, a := range aggs {
+		if !a.proj.Star {
+			feeds[a.proj.Column] = true
+		}
+	}
 	aggPush := s.opts.AggregatePushdown && s.pushdownOn(meta)
 	aggOnly := map[string]bool{}
 	var aggOnlyCols []string // SELECT-list order, for deterministic execution
@@ -579,8 +603,8 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	}
 	needCols = dedupStrings(needCols)
 
-	colData := make(map[string]*lpq.ColumnData, len(needCols))
-	for _, name := range needCols {
+	colData := make(map[string]*lpq.ColumnData, len(plainCols))
+	for _, name := range plainCols {
 		ci := colIdx[name]
 		colData[name] = &lpq.ColumnData{Type: meta.Footer.Columns[ci].Type}
 	}
@@ -595,9 +619,15 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	var tasks []*chunkTask
 	var reqs []nodeReq
 	var reqTasks []*chunkTask // reqTasks[j] is the task reqs[j] answers
+	// A row group's selection is marshalled once, however many of its
+	// chunks are pushed; the sub-requests share the bytes.
+	wire := make(map[int][]byte)
 	planPush := func(t *chunkTask, kind rpc.Kind, ch lpq.ChunkMeta) {
 		if node, ref, ok := chunkLocation(meta, t.rg, t.ci, ch); ok {
-			reqs = append(reqs, nodeReq{node, rpc.Request{Kind: kind, Chunk: ref, Bitmap: rgBitmaps[t.rg].Marshal()}})
+			if wire[t.rg] == nil {
+				wire[t.rg] = rgBitmaps[t.rg].Marshal()
+			}
+			reqs = append(reqs, nodeReq{node, rpc.Request{Kind: kind, Chunk: ref, Bitmap: wire[t.rg]}})
 			reqTasks = append(reqTasks, t)
 		}
 	}
@@ -607,7 +637,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			continue
 		}
 		for _, name := range needCols {
-			t := &chunkTask{rg: rg, ci: colIdx[name], name: name}
+			t := &chunkTask{rg: rg, ci: colIdx[name], name: name, plain: seen[name], folds: feeds[name]}
 			tasks = append(tasks, t)
 			if ch := rgMeta.Chunks[t.ci]; s.pushProjection(meta, ch, bm.Selectivity()) {
 				planPush(t, rpc.KindProject, ch)
@@ -633,14 +663,32 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		}
 	}
 	// Fan the remaining per-chunk work — decoding pushed replies, fetching
-	// and reducing everything else — out across the worker pool.
+	// and reducing everything else — out across the worker pool. Whatever
+	// feeds an aggregate is reduced there to one partial per (row group,
+	// chunk), merged below in task order: the same reduction shape whether
+	// the node, a pushed projection's values or the fetched chunk supplied
+	// the rows, so float accumulation is bit-identical no matter which mix
+	// of pushed, fetched and cached chunks served the query.
 	runTasks(s.queryWorkers(), len(tasks), func(i int) {
 		t := tasks[i]
 		t.sub = st.fork()
-		if t.agg {
-			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, t.ci, rgBitmaps[t.rg], t.pre)
-		} else {
-			t.vals, t.err = s.projectChunk(t.sub, t.rg, t.ci, rgBitmaps[t.rg], t.pre)
+		bm := rgBitmaps[t.rg]
+		switch {
+		case t.agg:
+			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, t.ci, bm, t.pre)
+		case t.plain || t.pre != nil:
+			// The values are wanted, or a pushed projection already sent them.
+			if t.vals, t.err = s.projectChunk(t.sub, t.rg, t.ci, bm, t.pre); t.err == nil && t.folds {
+				t.partial = sql.NewAggState(sql.AggCount)
+				t.partial.AddColumn(t.vals)
+			}
+		default:
+			// Only aggregates read the column and nothing was pushed: fold
+			// straight from the fetched chunk, with no value slice between.
+			if s.pushdownOn(meta) {
+				t.sub.stats.PushdownOff++
+			}
+			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, t.ci, bm, nil)
 		}
 	})
 	for _, t := range tasks {
@@ -648,30 +696,17 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		if t.err != nil {
 			return nil, t.err
 		}
-		if t.agg {
+		if t.partial != nil {
 			for i := range aggs {
 				if !aggs[i].proj.Star && aggs[i].proj.Column == t.name {
 					aggs[i].state.Merge(t.partial)
 				}
 			}
-			continue
 		}
-		if err := cluster.AppendColumn(colData[t.name], t.vals); err != nil {
-			return nil, err
-		}
-		// Fold the aggregates over this chunk's selected values right here,
-		// as a per-row-group partial merged in task order. This is the same
-		// reduction shape as the pushdown branch above — one partial per
-		// (row group, chunk), merged in row-group-major order — so float
-		// accumulation is bit-identical no matter which mix of pushed,
-		// fetched, and cached chunks served the query.
-		for i := range aggs {
-			if aggs[i].proj.Star || aggs[i].proj.Column != t.name {
-				continue
+		if t.plain {
+			if err := cluster.AppendColumn(colData[t.name], t.vals); err != nil {
+				return nil, err
 			}
-			part := sql.NewAggState(aggs[i].proj.Agg)
-			part.AddColumn(t.vals, bitmap.NewFull(t.vals.Len()))
-			aggs[i].state.Merge(part)
 		}
 	}
 	for rg := range meta.Footer.RowGroups {
@@ -713,14 +748,12 @@ func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *
 	if s.pushdownOn(st.meta) {
 		st.stats.PushdownOff++
 	}
-	col, err := s.fetchChunkColumn(st, rg, ci)
+	ch, err := s.openSelected(st, rg, ci, bm)
 	if err != nil {
 		return lpq.ColumnData{}, err
 	}
-	if col.Len() != bm.Len() {
-		return lpq.ColumnData{}, fmt.Errorf("store: chunk (%d,%d) has %d rows, bitmap %d", rg, ci, col.Len(), bm.Len())
-	}
-	return cluster.SelectRows(col, bm), nil
+	defer ch.Release()
+	return ch.Gather(bm)
 }
 
 // aggregateChunk reduces one chunk's selected rows to a partial aggregate:
@@ -730,15 +763,15 @@ func (s *Store) aggregateChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre
 	if pre != nil && pre.Agg != nil {
 		return pre.Agg, nil
 	}
-	col, err := s.fetchChunkColumn(st, rg, ci)
+	ch, err := s.openSelected(st, rg, ci, bm)
 	if err != nil {
 		return nil, err
 	}
-	if col.Len() != bm.Len() {
-		return nil, fmt.Errorf("store: chunk (%d,%d) has %d rows, bitmap %d", rg, ci, col.Len(), bm.Len())
-	}
+	defer ch.Release()
 	state := sql.NewAggState(sql.AggCount)
-	state.AddColumn(col, bm)
+	if err := state.AddChunk(ch, bm); err != nil {
+		return nil, err
+	}
 	return state, nil
 }
 

@@ -1,8 +1,8 @@
 package store
 
 import (
-	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
@@ -76,8 +76,7 @@ func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]
 			if o.Proj.Agg != sql.AggNone {
 				continue // a scalar aggregate ties every row
 			}
-			col := res.Data[pos[o.Proj.Column]]
-			c := sql.CompareLiterals(litAt(col, perm[a]), litAt(col, perm[b]))
+			c := compareRows(res.Data[pos[o.Proj.Column]], perm[a], perm[b])
 			if c == 0 {
 				continue
 			}
@@ -162,21 +161,19 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 			w.rows = w.pre.TopRows
 			return
 		}
-		// Coordinator-side fallback: fetch the order column and fold the
-		// selected rows through the same accumulator a node runs.
-		col, err := s.fetchChunkColumn(w.sub, w.rg, ci)
+		// Coordinator-side fallback: fetch the order column and run the
+		// same top-k kernel a node runs.
+		oc, err := s.openSelected(w.sub, w.rg, ci, bm)
 		if err != nil {
 			w.err = err
 			return
 		}
-		if col.Len() != bm.Len() {
-			w.err = fmt.Errorf("store: chunk (%d,%d) has %d rows, bitmap %d", w.rg, ci, col.Len(), bm.Len())
-			return
-		}
+		defer oc.Release()
 		w.sub.chargeCoordCPU(ch.RawSize)
 		tk := sql.NewTopK(k, o.Desc)
-		bm.ForEach(func(r int) { tk.Push(litAt(col, r), int32(w.rg), int32(r)) })
-		w.rows = tk.Rows()
+		if w.err = tk.PushChunk(oc, bm, int32(w.rg)); w.err == nil {
+			w.rows = tk.Rows()
+		}
 	})
 	merged := sql.NewTopK(k, o.Desc)
 	for _, w := range works {
@@ -225,15 +222,16 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 	return res, nil
 }
 
-// litAt extracts row i of col as a literal.
-func litAt(col lpq.ColumnData, i int) sql.Literal {
+// compareRows orders rows i and j of a result column as sql.CompareLiterals
+// orders their values.
+func compareRows(col lpq.ColumnData, i, j int) int {
 	switch col.Type {
 	case lpq.Int64:
-		return sql.IntLit(col.Ints[i])
+		return sql.CompareLiterals(sql.IntLit(col.Ints[i]), sql.IntLit(col.Ints[j]))
 	case lpq.Float64:
-		return sql.FloatLit(col.Floats[i])
+		return sql.CompareLiterals(sql.FloatLit(col.Floats[i]), sql.FloatLit(col.Floats[j]))
 	default:
-		return sql.StringLit(col.Strings[i])
+		return strings.Compare(col.Strings[i], col.Strings[j])
 	}
 }
 
