@@ -48,9 +48,12 @@ func NewMemStore() *MemStore {
 
 // Put implements BlockStore.
 func (s *MemStore) Put(id string, data []byte) error {
+	// Copy outside the lock: concurrent writers reach one node at the same
+	// moment, and only the map swap needs to exclude them.
+	b := append([]byte(nil), data...)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blocks[id] = append([]byte(nil), data...)
+	s.blocks[id] = b
+	s.mu.Unlock()
 	return nil
 }
 

@@ -57,6 +57,12 @@ type blockEntry struct {
 	pending bool
 }
 
+// attempt names one write attempt: an object version being written.
+type attempt struct {
+	object string
+	epoch  uint64
+}
+
 // Node is one Fusion storage node: a block store plus the in-situ pushdown
 // executor. Every node is identical; any of them can additionally act as a
 // coordinator (§4.1), which the store layer implements on top of Client.
@@ -68,11 +74,44 @@ type Node struct {
 
 	mu      sync.Mutex
 	entries map[string]blockEntry
+	// pending indexes the ids of the entries with pending set by the attempt
+	// that prepared them, so CommitObject touches exactly its own blocks
+	// instead of walking every entry on the node. Only record changes either
+	// map; an attempt with no pending block has no key.
+	pending map[attempt]map[string]struct{}
 }
 
 // NewNode returns a node backed by the given store.
 func NewNode(id int, bs BlockStore) *Node {
-	return &Node{ID: id, Blocks: bs, entries: make(map[string]blockEntry)}
+	return &Node{
+		ID: id, Blocks: bs,
+		entries: make(map[string]blockEntry),
+		pending: make(map[attempt]map[string]struct{}),
+	}
+}
+
+// record replaces a block's durability record — or, with keep false, drops
+// it — and keeps the pending index exact. The caller holds n.mu.
+func (n *Node) record(id string, e blockEntry, keep bool) {
+	if old, ok := n.entries[id]; ok && old.pending {
+		key := attempt{old.object, old.epoch}
+		delete(n.pending[key], id)
+		if len(n.pending[key]) == 0 {
+			delete(n.pending, key)
+		}
+	}
+	if !keep {
+		delete(n.entries, id)
+		return
+	}
+	n.entries[id] = e
+	if e.pending {
+		key := attempt{e.object, e.epoch}
+		if n.pending[key] == nil {
+			n.pending[key] = make(map[string]struct{})
+		}
+		n.pending[key][id] = struct{}{}
+	}
 }
 
 // SetMetrics installs a node-side latency histogram set: every handled RPC
@@ -144,7 +183,7 @@ func (n *Node) dispatch(f *frame, req *rpc.Request) *rpc.Response {
 			return errResp(err)
 		}
 		n.mu.Lock()
-		delete(n.entries, req.BlockID)
+		n.record(req.BlockID, blockEntry{}, false)
 		n.mu.Unlock()
 		return &rpc.Response{}
 	case rpc.KindBlockSize:
@@ -185,30 +224,28 @@ func (n *Node) handlePut(req *rpc.Request, pending bool) *rpc.Response {
 	if err := n.Blocks.Put(req.BlockID, req.Data); err != nil {
 		return errResp(err)
 	}
+	// A plain overwrite (no Object) invalidates any stale durability record.
 	n.mu.Lock()
-	if req.Object != "" || pending {
-		n.entries[req.BlockID] = blockEntry{
-			object: req.Object, epoch: req.Epoch, crc: req.Crc, pending: pending,
-		}
-	} else {
-		// A plain overwrite invalidates any stale durability record.
-		delete(n.entries, req.BlockID)
-	}
+	n.record(req.BlockID, blockEntry{
+		object: req.Object, epoch: req.Epoch, crc: req.Crc, pending: pending,
+	}, req.Object != "" || pending)
 	n.mu.Unlock()
 	return &rpc.Response{}
 }
 
-// handleCommit flips every pending block of (Object, Epoch) to committed.
-// Idempotent: re-committing, or committing after a reconciliation pass
-// already did, is a no-op.
+// handleCommit flips every pending block of (Object, Epoch) to committed: the
+// ids the pending index holds for that attempt, so the cost is the attempt's
+// own block count, not the node's. Idempotent: re-committing, or committing
+// after a reconciliation pass already did, finds no key and is a no-op.
 func (n *Node) handleCommit(req *rpc.Request) *rpc.Response {
+	key := attempt{req.Object, req.Epoch}
 	n.mu.Lock()
-	for id, e := range n.entries {
-		if e.pending && e.object == req.Object && e.epoch == req.Epoch {
-			e.pending = false
-			n.entries[id] = e
-		}
+	for id := range n.pending[key] {
+		e := n.entries[id]
+		e.pending = false
+		n.entries[id] = e
 	}
+	delete(n.pending, key)
 	n.mu.Unlock()
 	return &rpc.Response{}
 }

@@ -188,9 +188,12 @@ func (in *Injector) DownNodes() []int {
 
 // CrashClientAfter arms the coordinator-crash switch: after n calls
 // matching kind (KindAny = every call) have gone through, the injector
-// behaves as if the coordinator process died mid-operation — every further
-// call, of any kind, fails with ErrClientCrashed. n = 0 crashes
-// immediately. Unlike per-node faults, this models the *client* dying: its
+// behaves as if the coordinator process died mid-operation — the next
+// matching call and every further call, of any kind, fail with
+// ErrClientCrashed. n = 0 trips on the first matching call: calls of other
+// kinds pass until then, so (KindCommitObject, 0) dies at the commit
+// fan-out, not at the operation's first RPC; (KindAny, 0) lets no call
+// through at all. Unlike per-node faults, this models the *client* dying: its
 // rollback and cleanup attempts fail too, leaving true crash debris on the
 // cluster for a fresh coordinator to reconcile. Reattach clears the switch.
 func (in *Injector) CrashClientAfter(kind rpc.Kind, n int) {
@@ -199,7 +202,7 @@ func (in *Injector) CrashClientAfter(kind rpc.Kind, n int) {
 	in.crashArmed = true
 	in.crashKind = kind
 	in.crashRemaining = n
-	in.crashed = n <= 0
+	in.crashed = false
 }
 
 // Reattach clears the coordinator-crash switch (simulating a fresh

@@ -312,6 +312,33 @@ func TestCrashClientAfter(t *testing.T) {
 	}
 }
 
+// TestCrashClientAfterZero: n = 0 trips on the first call of the matching
+// kind, not at arming time — calls of other kinds pass until then, so a crash
+// point named after a later phase of an operation is reached in that phase.
+func TestCrashClientAfterZero(t *testing.T) {
+	inj, _ := newInjector(t, 3, 1)
+	inj.CrashClientAfter(rpc.KindCommitObject, 0)
+	if inj.Crashed() {
+		t.Fatal("arming a kind-specific switch must not trip it")
+	}
+	put(t, inj, 0, "a", []byte("x"))
+	if _, err := inj.Call(1, &rpc.Request{Kind: rpc.KindPing}); err != nil {
+		t.Fatalf("non-matching call before the trip: %v", err)
+	}
+	if inj.Crashed() {
+		t.Fatal("non-matching calls must not trip the switch")
+	}
+	if _, err := inj.Call(2, &rpc.Request{Kind: rpc.KindCommitObject, Object: "o", Epoch: 1}); !errors.Is(err, ErrClientCrashed) {
+		t.Fatalf("first matching call: want ErrClientCrashed, got %v", err)
+	}
+	if !inj.Crashed() {
+		t.Fatal("the first matching call must trip the switch")
+	}
+	if _, err := inj.Call(0, &rpc.Request{Kind: rpc.KindPing}); !errors.Is(err, ErrClientCrashed) {
+		t.Fatalf("post-crash ping: want ErrClientCrashed, got %v", err)
+	}
+}
+
 // TestCrashClientImmediate: n = 0 crashes before any call lands.
 func TestCrashClientImmediate(t *testing.T) {
 	inj, _ := newInjector(t, 2, 1)

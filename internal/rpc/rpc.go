@@ -52,9 +52,9 @@ const (
 	// KindBatch carries many sub-requests for the same node in one frame
 	// (scatter-gather). The node executes each sub-request independently and
 	// returns a sub-response per sub-request in order, so one slow or failed
-	// op never poisons its siblings. Only data-plane kinds may be batched
-	// (GetBlock, Filter, Project, Aggregate, GroupAgg, TopK); nesting
-	// batches is an error.
+	// op never poisons its siblings. The data-plane reads (GetBlock, Filter,
+	// Project, Aggregate, GroupAgg, TopK) and one mutation, DeleteBlock, may
+	// be batched; nesting batches is an error.
 	KindBatch
 	// KindGroupAgg computes per-group partial aggregates over one row
 	// group's selected rows: the node reads the key chunks and aggregate
@@ -189,21 +189,25 @@ type Request struct {
 // unbounded amount of work.
 const MaxBatchOps = 1024
 
-// batchable reports whether a kind may appear inside a batch. Only
-// data-plane reads may: mutations keep their own frames so the two-phase
-// write protocol's error handling stays per-block.
+// batchable reports whether a kind may appear inside a batch: the data-plane
+// reads, and DeleteBlock. PrepareBlock, PutBlock and CommitObject keep their
+// own frames so the two-phase write protocol's error handling stays
+// per-block. DeleteBlock is the one mutation that needs none: it is
+// idempotent, a missing block is not an error, and every caller (rollback,
+// previous-epoch GC, Delete, orphan reconciliation) is best effort and leaves
+// what a lost frame missed to the reconciler.
 func batchable(k Kind) bool {
 	switch k {
-	case KindGetBlock, KindFilter, KindProject, KindAggregate, KindGroupAgg, KindTopK:
+	case KindGetBlock, KindFilter, KindProject, KindAggregate, KindGroupAgg, KindTopK, KindDeleteBlock:
 		return true
 	}
 	return false
 }
 
 // ValidateBatch checks a KindBatch request's shape: a positive sub-request
-// count within MaxBatchOps and every sub-request of a batchable data-plane
-// kind (in particular, no nested batches). It returns a description of the
-// first violation, or "" when the batch is well-formed.
+// count within MaxBatchOps and every sub-request of a batchable kind (in
+// particular, no nested batches). It returns a description of the first
+// violation, or "" when the batch is well-formed.
 func ValidateBatch(r *Request) string {
 	if r.Kind != KindBatch {
 		return "not a batch request"

@@ -56,3 +56,45 @@ func TestCostAdd(t *testing.T) {
 		t.Fatalf("Cost.Add wrong: %+v", c)
 	}
 }
+
+// TestValidateBatch pins what a batch may carry: the data-plane reads and the
+// one idempotent, best-effort mutation, DeleteBlock. The two-phase write's
+// calls, the inventory and nested batches keep their own frames.
+func TestValidateBatch(t *testing.T) {
+	batch := func(kinds ...Kind) *Request {
+		r := &Request{Kind: KindBatch}
+		for _, k := range kinds {
+			r.Subs = append(r.Subs, Request{Kind: k})
+		}
+		return r
+	}
+	overCap := make([]Kind, MaxBatchOps+1)
+	for i := range overCap {
+		overCap[i] = KindGetBlock
+	}
+	cases := []struct {
+		name string
+		req  *Request
+		ok   bool
+	}{
+		{"reads", batch(KindGetBlock, KindFilter, KindProject, KindAggregate, KindGroupAgg, KindTopK), true},
+		{"deletes", batch(KindDeleteBlock, KindDeleteBlock), true},
+		{"deletes beside reads", batch(KindGetBlock, KindDeleteBlock), true},
+		{"PutBlock", batch(KindDeleteBlock, KindPutBlock), false},
+		{"PrepareBlock", batch(KindPrepareBlock), false},
+		{"CommitObject", batch(KindCommitObject), false},
+		{"ListBlocks", batch(KindListBlocks), false},
+		{"BlockSize", batch(KindBlockSize), false},
+		{"Ping", batch(KindPing), false},
+		{"nested batch", batch(KindBatch), false},
+		{"empty", batch(), false},
+		{"not a batch", &Request{Kind: KindDeleteBlock}, false},
+		{"at the cap", batch(overCap[1:]...), true},
+		{"over the cap", batch(overCap...), false},
+	}
+	for _, tc := range cases {
+		if msg := ValidateBatch(tc.req); (msg == "") != tc.ok {
+			t.Errorf("%s: ValidateBatch = %q, want ok=%v", tc.name, msg, tc.ok)
+		}
+	}
+}

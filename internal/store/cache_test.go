@@ -165,20 +165,24 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 	dataOld, _, _ := makeObject(t, 2, 200, seed)
 	dataNew, _, _ := makeObject(t, 3, 150, seed+1)
 
+	// committed marks the post-commit windows, where the Put must report
+	// success (the GC is one KindBatch frame of deletes per node).
 	points := []struct {
-		name  string
-		kind  rpc.Kind
-		after int
+		name      string
+		kind      rpc.Kind
+		after     int
+		committed bool
 	}{
-		{"epoch-alloc-0", rpc.KindPutBlock, 0},
-		{"epoch-alloc-3", rpc.KindPutBlock, 3},
-		{"prepare-0", rpc.KindPrepareBlock, 0},
-		{"prepare-5", rpc.KindPrepareBlock, 5},
-		{"meta-publish-7", rpc.KindPutBlock, 7},
-		{"meta-publish-10", rpc.KindPutBlock, 10},
-		{"commit-0", rpc.KindCommitObject, 0},
-		{"commit-2", rpc.KindCommitObject, 2},
-		{"gc-delete-0", rpc.KindDeleteBlock, 0},
+		{"epoch-alloc-0", rpc.KindPutBlock, 0, false},
+		{"epoch-alloc-3", rpc.KindPutBlock, 3, false},
+		{"prepare-0", rpc.KindPrepareBlock, 0, false},
+		{"prepare-5", rpc.KindPrepareBlock, 5, false},
+		{"meta-publish-7", rpc.KindPutBlock, 7, false},
+		{"meta-publish-10", rpc.KindPutBlock, 10, false},
+		{"commit-0", rpc.KindCommitObject, 0, true},
+		{"commit-2", rpc.KindCommitObject, 2, true},
+		{"gc-delete-0", rpc.KindBatch, 0, true},
+		{"gc-delete-3", rpc.KindBatch, 3, true},
 	}
 
 	for _, pt := range points {
@@ -204,6 +208,10 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 			_, putErr := s1.Put("obj", dataNew)
 			if !inj.Crashed() {
 				t.Fatalf("crash point never reached (putErr = %v)", putErr)
+			}
+			t.Logf("putErr = %v", putErr)
+			if pt.committed && putErr != nil {
+				t.Fatalf("Put failed past its commit point: %v", putErr)
 			}
 			inj.Reattach()
 

@@ -54,23 +54,29 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 	// KindPutBlock the first 7 calls of an overwrite are the epoch
 	// allocation's write phase (k+1 = 7 register replicas), so 0 and 3 crash
 	// inside epoch allocation and 7/10 crash partway through the metadata
-	// publish itself.
+	// publish itself. The previous epoch is collected as one KindBatch frame
+	// of deletes per node, and an overwriting Put sends no other batch.
+	// committed marks the post-commit windows — metadata published but not
+	// every node committed, commit fan-out done but the previous epoch not
+	// yet collected — where the Put must report success.
 	points := []struct {
-		name  string
-		kind  rpc.Kind
-		after int
+		name      string
+		kind      rpc.Kind
+		after     int
+		committed bool
 	}{
-		{"epoch-alloc-0", rpc.KindPutBlock, 0},
-		{"epoch-alloc-3", rpc.KindPutBlock, 3},
-		{"prepare-0", rpc.KindPrepareBlock, 0},
-		{"prepare-1", rpc.KindPrepareBlock, 1},
-		{"prepare-5", rpc.KindPrepareBlock, 5},
-		{"prepare-8", rpc.KindPrepareBlock, 8},
-		{"meta-publish-7", rpc.KindPutBlock, 7},
-		{"meta-publish-10", rpc.KindPutBlock, 10},
-		{"commit-0", rpc.KindCommitObject, 0},
-		{"commit-2", rpc.KindCommitObject, 2},
-		{"gc-delete-0", rpc.KindDeleteBlock, 0},
+		{"epoch-alloc-0", rpc.KindPutBlock, 0, false},
+		{"epoch-alloc-3", rpc.KindPutBlock, 3, false},
+		{"prepare-0", rpc.KindPrepareBlock, 0, false},
+		{"prepare-1", rpc.KindPrepareBlock, 1, false},
+		{"prepare-5", rpc.KindPrepareBlock, 5, false},
+		{"prepare-8", rpc.KindPrepareBlock, 8, false},
+		{"meta-publish-7", rpc.KindPutBlock, 7, false},
+		{"meta-publish-10", rpc.KindPutBlock, 10, false},
+		{"commit-0", rpc.KindCommitObject, 0, true},
+		{"commit-2", rpc.KindCommitObject, 2, true},
+		{"gc-delete-0", rpc.KindBatch, 0, true},
+		{"gc-delete-3", rpc.KindBatch, 3, true},
 	}
 
 	for _, pt := range points {
@@ -85,6 +91,10 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 			putErr := put(s1, "obj", dataNew)
 			if !inj.Crashed() {
 				t.Fatalf("crash point never reached (putErr = %v)", putErr)
+			}
+			t.Logf("putErr = %v", putErr)
+			if pt.committed && putErr != nil {
+				t.Fatalf("seed %d: Put failed past its commit point: %v", seed, putErr)
 			}
 			inj.Reattach()
 

@@ -154,6 +154,18 @@ func (m *ObjectMeta) LocMapBytes() int {
 	return m.NumChunkItems() * LocMapEntryBytes
 }
 
+// blocks lists every data and parity block of this object version with the
+// node holding it.
+func (m *ObjectMeta) blocks() []placedBlock {
+	var out []placedBlock
+	for _, st := range m.Stripes {
+		for j, id := range st.BlockIDs {
+			out = append(out, placedBlock{node: st.Nodes[j], id: id})
+		}
+	}
+	return out
+}
+
 // buildItemsSized tiles the object into items from its parsed footer:
 // leading magic, every chunk in rg-major order, then the footer region. It
 // verifies the tiling is exact (no gaps, no overlaps). It needs only the

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
-	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sched"
@@ -142,12 +142,14 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	lsp.End()
 	meta.Mode = mode
 
-	// Every block this attempt scatters is recorded so a failure anywhere
-	// before the commit point can roll the whole attempt back instead of
-	// stranding blocks on the nodes that did accept the write.
+	// Every block a node accepts is recorded so a failure anywhere before
+	// the commit point can roll the whole attempt back instead of stranding
+	// blocks on the nodes that did accept the write. A node that is down
+	// keeps its debris for the orphan reconciler (the attempt's epoch can
+	// never commit, so the debris is unreachable either way).
 	var placed []placedBlock
 	if err := s.streamStripes(ctx, sp, meta, src, plans, stats, &placed); err != nil {
-		s.undoPlacement(placed)
+		s.dropBlocks(placed)
 		return nil, err
 	}
 	// Overhead relative to the optimal footprint size × n/k, from the bytes
@@ -165,7 +167,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// committing an object nobody is waiting for. Past this check the
 	// publish and cleanup run to completion.
 	if err := ctx.Err(); err != nil {
-		s.undoPlacement(placed)
+		s.dropBlocks(placed)
 		return nil, err
 	}
 	// Overwrites are fresh inserts (§5): new blocks are written under a
@@ -193,7 +195,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	err = s.replicateMeta(meta)
 	rsp.End()
 	if err != nil {
-		s.undoPlacement(placed)
+		s.dropBlocks(placed)
 		return nil, err
 	}
 	// Refresh the coordinator cache at the commit point, before the GC of
@@ -204,9 +206,9 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// prompt, the keying makes it safe.)
 	s.cache.PutMeta(name, meta)
 	s.cache.InvalidateObject(meta.Name, meta.Epoch)
-	s.commitBlocks(sp, meta)
+	s.commitBlocks(sp, meta.Name, meta.Epoch, placed)
 	if prev != nil && prev.Epoch != meta.Epoch {
-		s.deleteBlocks(prev)
+		s.dropBlocks(prev.blocks())
 	}
 	stats.TotalTime = time.Since(start)
 	return stats, nil
@@ -228,91 +230,95 @@ func (s *Store) fixedBlockSizeFor(size uint64) uint64 {
 	return bs
 }
 
-// placedBlock records one block this Put attempt wrote, for rollback.
+// placedBlock names one stored block and the node holding it: what a Put
+// attempt records for rollback, and what every block removal is planned from.
 type placedBlock struct {
 	node int
 	id   string
 }
 
-// undoPlacement rolls back a failed attempt's scattered blocks, best
-// effort: a node that is down keeps its debris, which the orphan
-// reconciler garbage-collects later (the attempt's epoch can never commit,
-// so the debris is unreachable either way).
-func (s *Store) undoPlacement(placed []placedBlock) {
-	for _, pb := range placed {
-		_, _ = s.call(context.Background(), nil, pb.node, &rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: pb.id})
+// dropBlocks is the one way the coordinator removes blocks — rollback of a
+// failed attempt, GC of a superseded epoch, Delete, orphan reconciliation:
+// a DeleteBlock sub-request per block, shipped by scatter as one frame per
+// node. Best effort and past caller cancellation: what a lost frame or a
+// down node keeps is an orphan for the reconciler.
+func (s *Store) dropBlocks(blocks []placedBlock) {
+	reqs := make([]nodeReq, len(blocks))
+	for i, b := range blocks {
+		reqs[i] = nodeReq{b.node, rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: b.id}}
 	}
+	s.scatter(context.Background(), nil, nil, reqs)
 }
 
-// commitBlocks fans KindCommitObject out to every node holding one of the
-// object's blocks, flipping them pending→committed. Best effort and
-// idempotent: the metadata publish already made the write durable, and the
-// reconciler re-commits any node this fan-out misses.
-func (s *Store) commitBlocks(sp *trace.Span, meta *ObjectMeta) {
-	nodes := map[int]bool{}
-	for _, st := range meta.Stripes {
-		for _, n := range st.Nodes {
-			nodes[n] = true
-		}
+// commitBlocks sends CommitObject(object, epoch) to every node holding one of
+// blocks, concurrently, flipping them pending→committed. Best effort,
+// idempotent and past caller cancellation: the metadata publish already made
+// the write durable, and the reconciler re-commits any node this misses.
+func (s *Store) commitBlocks(sp *trace.Span, object string, epoch uint64, blocks []placedBlock) {
+	nodes := make([]int, len(blocks))
+	for i, b := range blocks {
+		nodes[i] = b.node
 	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
 	csp := sp.Child("commit-blocks")
 	defer csp.End()
-	for n := range nodes {
-		// Post-commit fan-out is best effort and survives caller
-		// cancellation: the write is already durable.
-		_, _ = s.call(context.Background(), csp, n, &rpc.Request{
-			Kind: rpc.KindCommitObject, Object: meta.Name, Epoch: meta.Epoch,
+	runTasks(s.queryWorkers(), len(nodes), func(i int) {
+		_, _ = s.call(context.Background(), csp, nodes[i], &rpc.Request{
+			Kind: rpc.KindCommitObject, Object: object, Epoch: epoch,
 		})
-	}
+	})
 }
 
-// placeStripe writes a stripe's n blocks to n distinct nodes, trying
-// candidates in random order and skipping nodes that refuse the write
-// (down or full) — Put succeeds as long as n healthy nodes exist. Blocks go
-// out as PrepareBlock (phase one): the node verifies the payload CRC,
-// stores the block tagged pending under (object, epoch), and serves it like
-// any other block; the epoch only becomes reachable at the metadata commit
-// point. Every accepted write is appended to tracker for rollback.
-func (s *Store) placeStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, si int, blocks [][]byte, sm *StripeMeta, stats *PutStats, tracker *[]placedBlock) error {
+// placeStripe writes a stripe's n blocks to n distinct nodes, recorded in
+// job.sm.Nodes. One candidate permutation is drawn per stripe and block j
+// goes to candidates[j], all n at once, as PrepareBlock (phase one): the node
+// verifies the payload CRC, stores the block tagged pending under (object,
+// epoch), and serves it like any other block; the epoch only becomes
+// reachable at the metadata commit point. A block whose first choice refused
+// (down or full) is then offered to the spares candidates[n:] in order — Put
+// succeeds as long as n healthy nodes exist. Every block a node accepted is
+// appended to tracker for rollback, also when a sibling failed.
+func (s *Store) placeStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, job *stripeJob, tracker *[]placedBlock) error {
 	ssp := sp.Child("place-stripe")
 	defer ssp.End()
-	p := s.opts.Params
+	sm := &job.sm
+	n := len(sm.Nodes)
 	candidates := s.nodeOrder()
-	next := 0
-	for j := 0; j < p.N; j++ {
-		// A cancelled or expired Put must surface the context error, not
-		// burn through every candidate into ErrTooManyFailures.
-		if err := ctx.Err(); err != nil {
-			return err
+	copy(sm.Nodes, candidates)
+	errs := make([]error, n)
+	prepare := func(j int) {
+		_, errs[j] = s.callChecked(ctx, ssp, sm.Nodes[j], &rpc.Request{
+			Kind: rpc.KindPrepareBlock, BlockID: sm.BlockIDs[j], Data: job.blocks[j],
+			Object: meta.Name, Epoch: meta.Epoch, Crc: sm.Checksums[j],
+		})
+	}
+	runTasks(s.queryWorkers(), n, prepare)
+	var failed error
+	spare := n
+	for j := 0; j < n && failed == nil; j++ {
+		for errs[j] != nil && spare < len(candidates) && ctxErr(ctx) == nil {
+			sm.Nodes[j] = candidates[spare]
+			spare++
+			prepare(j)
 		}
-		id := blockID(meta.Name, meta.Epoch, si, j)
-		crc := cluster.Checksum(blocks[j])
-		placed := false
-		for ; next < len(candidates); next++ {
-			node := candidates[next]
-			if _, err := s.callChecked(ctx, ssp, node, &rpc.Request{
-				Kind: rpc.KindPrepareBlock, BlockID: id, Data: blocks[j],
-				Object: meta.Name, Epoch: meta.Epoch, Crc: crc,
-			}); err != nil {
-				continue // unhealthy candidate: try the next
+		// A cancelled or expired Put surfaces the context error. Otherwise a
+		// stripe needs n distinct healthy nodes (no degraded writes): running
+		// out of candidates is the write-side "too many failures", the same
+		// sentinel degraded reads exhaust into.
+		if errs[j] != nil {
+			if failed = ctxErr(ctx); failed == nil {
+				failed = fmt.Errorf("%w: stripe %d block %d: no healthy node left (%d candidates): %v",
+					ErrTooManyFailures, job.si, j, len(candidates), errs[j])
 			}
-			sm.Nodes[j] = node
-			sm.BlockIDs[j] = id
-			sm.Checksums[j] = crc
-			*tracker = append(*tracker, placedBlock{node: node, id: id})
-			stats.StoredBytes += uint64(len(blocks[j]))
-			next++
-			placed = true
-			break
-		}
-		if !placed {
-			// A stripe needs n distinct healthy nodes (no degraded writes):
-			// running out of candidates is the write-side "too many
-			// failures", the same sentinel degraded reads exhaust into.
-			return fmt.Errorf("%w: stripe %d block %d: no healthy node left (%d candidates)", ErrTooManyFailures, si, j, len(candidates))
 		}
 	}
-	return nil
+	for j, err := range errs {
+		if err == nil {
+			*tracker = append(*tracker, placedBlock{node: sm.Nodes[j], id: sm.BlockIDs[j]})
+		}
+	}
+	return failed
 }
 
 // replicateMeta publishes the object metadata through the k+1-replica
@@ -347,16 +353,6 @@ func (s *Store) Meta(name string) (*ObjectMeta, error) {
 	return m, nil
 }
 
-// deleteBlocks removes an object version's data/parity blocks, best
-// effort: a down node's blocks are simply orphaned.
-func (s *Store) deleteBlocks(meta *ObjectMeta) {
-	for _, st := range meta.Stripes {
-		for j, id := range st.BlockIDs {
-			_, _ = s.call(context.Background(), nil, st.Nodes[j], &rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: id})
-		}
-	}
-}
-
 // Delete removes an object's blocks and metadata replicas. The quorum is
 // consulted directly — deleting from a cached (possibly superseded) view
 // would miss the blocks of a newer epoch written through another
@@ -381,7 +377,7 @@ func (s *Store) DeleteContext(ctx context.Context, name string) error {
 	if err != nil {
 		return fmt.Errorf("store: object %q: %w", name, err)
 	}
-	s.deleteBlocks(meta)
+	s.dropBlocks(meta.blocks())
 	if kv, kerr := s.metaKV(name); kerr == nil {
 		_ = kv.Delete(metaKey(name)) // best effort; blocks are already gone
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -179,13 +180,14 @@ func (g *memGauge) add(n int64) {
 }
 
 // stripeJob is one stripe in flight: pooled arenas holding the gathered
-// data bins (zero-padded to capacity for encoding) and the computed parity.
+// data bins (zero-padded to capacity for encoding) and the computed parity,
+// and the stripe's metadata record, complete but for the nodes.
 type stripeJob struct {
 	si     int
-	blocks [][]byte // n views to scatter: data bins unpadded, parity at capacity
-	bufs   [][]byte // pooled backing arenas, released after scatter
-	lens   []uint64 // stored length of each data bin (j < k)
-	bytes  int64    // resident footprint: sum of arena capacities
+	blocks [][]byte   // n views to scatter: data bins unpadded, parity at capacity
+	sm     StripeMeta // ids, data lengths and checksums of blocks; placeStripe fills Nodes
+	bufs   [][]byte   // pooled backing arenas, released after scatter
+	bytes  int64      // resident footprint: sum of arena capacities
 }
 
 // release returns the job's arenas to the pool and retires its footprint
@@ -201,11 +203,16 @@ func (j *stripeJob) release(g *memGauge) {
 }
 
 // buildStripe gathers one stripe's data-bin bytes from the source into
-// pooled arenas and computes its parity — the read+encode half of the
-// pipeline, overlapped with the previous stripe's scatter.
-func (s *Store) buildStripe(src *putSource, si int, pl stripePlan, g *memGauge) (*stripeJob, error) {
+// pooled arenas, computes its parity, and names and checksums the n blocks —
+// the read+encode half of the pipeline, overlapped with the previous stripe's
+// scatter. The CRC pass runs here, on the core that just gathered and encoded
+// the bytes, so the scatter is pure I/O.
+func (s *Store) buildStripe(meta *ObjectMeta, src *putSource, si int, pl stripePlan, g *memGauge) (*stripeJob, error) {
 	p := s.opts.Params
-	job := &stripeJob{si: si, blocks: make([][]byte, p.N), lens: make([]uint64, p.K)}
+	job := &stripeJob{si: si, blocks: make([][]byte, p.N), sm: StripeMeta{
+		Capacity: pl.capacity, Nodes: make([]int, p.N), BlockIDs: make([]string, p.N),
+		DataLens: make([]uint64, p.K), Checksums: make([]uint32, p.N),
+	}}
 	rent := func(n uint64) []byte {
 		b := bufpool.GetLen(int(n))
 		job.bufs = append(job.bufs, b)
@@ -217,7 +224,6 @@ func (s *Store) buildStripe(src *putSource, si int, pl stripePlan, g *memGauge) 
 		job.release(g)
 		return nil, err
 	}
-	shards := make([][]byte, p.N)
 	for j := 0; j < p.K; j++ {
 		bp := pl.bins[j]
 		buf := rent(pl.capacity)
@@ -236,18 +242,16 @@ func (s *Store) buildStripe(src *putSource, si int, pl stripePlan, g *memGauge) 
 		// zero-extension decode performs on unpadded stored bins.
 		clear(buf[pos:])
 		job.blocks[j] = buf[:pos]
-		job.lens[j] = pos
-		shards[j] = buf
+		job.sm.DataLens[j] = pos
 	}
 	if pl.capacity > 0 {
 		// Parity arenas need no zeroing: Encode fully overwrites them
-		// (multiply into, then multiply-accumulate).
+		// (multiply into, then multiply-accumulate). The rented arenas are
+		// then the n shards at capacity, in order.
 		for j := p.K; j < p.N; j++ {
-			buf := rent(pl.capacity)
-			shards[j] = buf
-			job.blocks[j] = buf
+			job.blocks[j] = rent(pl.capacity)
 		}
-		if err := s.coder.Encode(shards); err != nil {
+		if err := s.coder.Encode(job.bufs); err != nil {
 			return fail(fmt.Errorf("store: encoding stripe %d: %w", si, err))
 		}
 	} else {
@@ -255,33 +259,35 @@ func (s *Store) buildStripe(src *putSource, si int, pl stripePlan, g *memGauge) 
 			job.blocks[j] = []byte{}
 		}
 	}
+	for j, b := range job.blocks {
+		job.sm.BlockIDs[j] = blockID(meta.Name, meta.Epoch, si, j)
+		job.sm.Checksums[j] = cluster.Checksum(b)
+	}
 	return job, nil
 }
 
 // streamStripes runs the bounded-memory half of Put: a builder goroutine
-// gathers and encodes stripe i+1 while this goroutine scatters stripe i
-// over an unbuffered channel, so at most two stripes of pooled arenas are
-// resident regardless of object size. Scatter stays strictly sequential in
-// stripe order — placement draws its candidate permutation per stripe from
-// the store's seeded rng, so the streamed node assignment is bit-identical
-// to the materialized path's. On any failure the pipeline drains, every
-// arena is returned, and the caller rolls back the placed blocks.
+// gathers, encodes and checksums stripe i+1 while this goroutine scatters
+// stripe i over an unbuffered channel, so at most two stripes of pooled
+// arenas are resident regardless of object size. Within a stripe the n
+// prepares go out concurrently (placeStripe); the stripes are scattered one
+// at a time in stripe order — placement draws one candidate permutation per
+// stripe from the store's seeded rng, so the node assignment is a function of
+// Options.Seed whatever the source. On any failure the pipeline drains, every
+// arena is retired, and the caller rolls back the placed blocks.
 func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectMeta, src *putSource, plans []stripePlan, stats *PutStats, placed *[]placedBlock) error {
-	p := s.opts.Params
 	var g memGauge
 	jobs := make(chan *stripeJob) // unbuffered: builder runs ≤1 stripe ahead
 	stop := make(chan struct{})
-	builderErr := make(chan error, 1)
+	var buildErr error // the builder's, read once it has closed jobs
 	go func() {
 		defer close(jobs)
 		for si := range plans {
-			if err := ctx.Err(); err != nil {
-				builderErr <- err
+			if buildErr = ctx.Err(); buildErr != nil {
 				return
 			}
-			job, err := s.buildStripe(src, si, plans[si], &g)
-			if err != nil {
-				builderErr <- err
+			var job *stripeJob
+			if job, buildErr = s.buildStripe(meta, src, si, plans[si], &g); buildErr != nil {
 				return
 			}
 			select {
@@ -298,33 +304,24 @@ func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectM
 			job.release(&g)
 			continue
 		}
-		if uint64(job.bytes) > stats.MaxStripeBytes {
-			stats.MaxStripeBytes = uint64(job.bytes)
-		}
-		sm := StripeMeta{
-			Capacity:  plans[job.si].capacity,
-			Nodes:     make([]int, p.N),
-			BlockIDs:  make([]string, p.N),
-			DataLens:  append([]uint64(nil), job.lens...),
-			Checksums: make([]uint32, p.N),
-		}
-		err := s.placeStripe(ctx, sp, meta, job.si, job.blocks, &sm, stats, placed)
-		job.release(&g)
-		if err != nil {
+		stats.MaxStripeBytes = max(stats.MaxStripeBytes, uint64(job.bytes))
+		if err := s.placeStripe(ctx, sp, meta, job, placed); err != nil {
+			// Not recycled: a call abandoned at a cancel or a deadline may
+			// still be reading the arenas, so the collector gets them.
+			g.add(-job.bytes)
 			failed = err
 			close(stop)
 			continue
 		}
-		meta.Stripes = append(meta.Stripes, sm)
+		job.release(&g)
+		for _, b := range job.blocks {
+			stats.StoredBytes += uint64(len(b))
+		}
+		meta.Stripes = append(meta.Stripes, job.sm)
 	}
-	if failed != nil {
-		return failed
-	}
-	select {
-	case err := <-builderErr:
-		return err
-	default:
+	if failed == nil {
+		failed = buildErr
 	}
 	stats.PeakPipelineBytes = uint64(g.peak.Load())
-	return nil
+	return failed
 }

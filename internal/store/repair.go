@@ -401,6 +401,11 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 		states[object] = st
 		return st
 	}
+	// The scan only decides; what it finds goes out afterwards through the
+	// write side's two fan-outs: one delete frame per node, one CommitObject
+	// per node holding a half-committed block.
+	var orphans []placedBlock
+	halfCommits := map[string][]placedBlock{} // by object; the epoch is its committed one
 	answered := 0
 	for node := 0; node < s.client.NumNodes(); node++ {
 		resp, err := s.call(context.Background(), nil, node, &rpc.Request{Kind: rpc.KindListBlocks})
@@ -424,9 +429,7 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 				if b.Pending {
 					// Half-commit: the metadata publish made this epoch
 					// durable, the per-node commit never arrived.
-					_, _ = s.call(context.Background(), nil, node, &rpc.Request{
-						Kind: rpc.KindCommitObject, Object: object, Epoch: epoch,
-					})
+					halfCommits[object] = append(halfCommits[object], placedBlock{node: node, id: b.ID})
 					report.Committed++
 				}
 				continue
@@ -445,13 +448,17 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 				report.Skipped++
 				continue
 			}
-			_, _ = s.call(context.Background(), nil, node, &rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: b.ID})
+			orphans = append(orphans, placedBlock{node: node, id: b.ID})
 			report.Deleted++
 		}
 	}
 	if answered == 0 {
 		return report, fmt.Errorf("store: no node answered inventory scan")
 	}
+	for object, blocks := range halfCommits {
+		s.commitBlocks(nil, object, states[object].epoch, blocks)
+	}
+	s.dropBlocks(orphans)
 	return report, nil
 }
 

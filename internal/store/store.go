@@ -337,6 +337,8 @@ func ctxErr(ctx context.Context) error {
 // Only two such kinds reach call bare: block reads, and the scatter-gather
 // frame — every pushed operator (filter, project, aggregate, group-agg,
 // top-k) leaves the coordinator inside a KindBatch frame, never on its own.
+// (The write side's delete frames are KindBatch too, but are sent under no
+// span, so they count nowhere.)
 func isDataKind(k rpc.Kind) bool {
 	return k == rpc.KindGetBlock || k == rpc.KindBatch
 }
