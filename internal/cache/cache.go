@@ -167,21 +167,42 @@ func (c *Cache) Get(k Key) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	el, ok := sh.items[k]
-	var val any
+	val, ok := c.lookup(k)
 	if ok {
-		sh.lru.MoveToFront(el)
-		val = el.Value.(*entry).val
-	}
-	sh.mu.Unlock()
-	if !ok {
+		c.hit(k.Kind)
+	} else {
 		c.miss(k.Kind)
+	}
+	return val, ok
+}
+
+// Recheck is Get for a caller that missed k a moment ago and has since become
+// the leader of k's flight (Do): the first thing such a leader does is look
+// again, because a reader that misses just before an earlier flight fills the
+// cache and leaves the flight map would otherwise repeat that flight's work. A
+// hit counts as one; the miss was counted the first time.
+func (c *Cache) Recheck(k Key) (any, bool) {
+	if c == nil {
 		return nil, false
 	}
-	c.hit(k.Kind)
-	return val, true
+	val, ok := c.lookup(k)
+	if ok {
+		c.hit(k.Kind)
+	}
+	return val, ok
+}
+
+// lookup finds k and marks it most recently used; it counts nothing.
+func (c *Cache) lookup(k Key) (any, bool) {
+	sh := c.shardOf(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.items[k]
+	if !ok {
+		return nil, false
+	}
+	sh.lru.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // Put inserts a value of the given resident size, evicting LRU entries as

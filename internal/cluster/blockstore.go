@@ -24,7 +24,11 @@ type BlockStore interface {
 	// tcpnet, data aliases a pooled frame buffer that is recycled as soon as
 	// the response is sent.
 	Put(id string, data []byte) error
-	// Get reads length bytes at offset; length 0 means to the end.
+	// Get reads length bytes at offset; length 0 means to the end. The
+	// returned bytes are read-only to the caller, for as long as it likes: a
+	// store may return a view of memory it keeps (MemStore does), and a
+	// handler sends it to the socket, or hands it to a reader over simnet,
+	// without a copy. A caller that wants to change them clones first.
 	Get(id string, offset, length uint64) ([]byte, error)
 	// Size returns a block's byte size.
 	Size(id string) (uint64, error)
@@ -34,8 +38,15 @@ type BlockStore interface {
 	IDs() []string
 }
 
-// MemStore is an in-memory BlockStore, used by the simulated cluster and by
-// tests.
+// MemStore is an in-memory BlockStore, used by the simulated cluster, the
+// repository benchmark and tests.
+//
+// A stored block is immutable: Put installs a fresh copy of its argument,
+// Delete only drops the map entry, and nothing writes a stored slice in
+// place. That is what lets Get return a view of the stored slice instead of
+// a copy — a view taken before an overwrite or a delete keeps reading the
+// bytes it was taken over, which the collector frees once the last view is
+// gone.
 type MemStore struct {
 	mu     sync.RWMutex
 	blocks map[string][]byte
@@ -57,11 +68,13 @@ func (s *MemStore) Put(id string, data []byte) error {
 	return nil
 }
 
-// Get implements BlockStore.
+// Get implements BlockStore. The result is a view of the stored block (see
+// the type's comment), its capacity clipped so that an append cannot reach
+// the bytes behind it.
 func (s *MemStore) Get(id string, offset, length uint64) ([]byte, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	b, ok := s.blocks[id]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -110,18 +123,31 @@ func (s *MemStore) TotalBytes() uint64 {
 	return total
 }
 
+// rangeEnd bounds-checks a read of length bytes at offset (length 0 means to
+// the end) against a block of size bytes and returns where it ends. The
+// comparison is overflow-safe: offset+length may wrap uint64.
+func rangeEnd(size, offset, length uint64) (uint64, error) {
+	if offset > size {
+		return 0, fmt.Errorf("cluster: offset %d beyond block of %d bytes", offset, size)
+	}
+	if length == 0 {
+		return size, nil
+	}
+	if length > size-offset {
+		return 0, fmt.Errorf("cluster: range [%d,+%d) beyond block of %d bytes", offset, length, size)
+	}
+	return offset + length, nil
+}
+
+// sliceRange is the bounds-checked view b[offset:offset+length] (length 0
+// means to the end) — a reslice, never a copy — with its capacity clipped so
+// that an append by the holder cannot reach the bytes behind it.
 func sliceRange(b []byte, offset, length uint64) ([]byte, error) {
-	if offset > uint64(len(b)) {
-		return nil, fmt.Errorf("cluster: offset %d beyond block of %d bytes", offset, len(b))
+	end, err := rangeEnd(uint64(len(b)), offset, length)
+	if err != nil {
+		return nil, err
 	}
-	end := uint64(len(b))
-	if length > 0 {
-		end = offset + length
-		if end > uint64(len(b)) {
-			return nil, fmt.Errorf("cluster: range [%d,%d) beyond block of %d bytes", offset, end, len(b))
-		}
-	}
-	return append([]byte(nil), b[offset:end]...), nil
+	return b[offset:end:end], nil
 }
 
 // DiskStore is a BlockStore persisting each block as a file under a
@@ -172,16 +198,9 @@ func (s *DiskStore) Get(id string, offset, length uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := uint64(st.Size())
-	if offset > size {
-		return nil, fmt.Errorf("cluster: offset %d beyond block of %d bytes", offset, size)
-	}
-	end := size
-	if length > 0 {
-		end = offset + length
-		if end > size {
-			return nil, fmt.Errorf("cluster: range [%d,%d) beyond block of %d bytes", offset, end, size)
-		}
+	end, err := rangeEnd(uint64(st.Size()), offset, length)
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, end-offset)
 	if _, err := f.ReadAt(buf, int64(offset)); err != nil {

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -99,6 +102,109 @@ func TestMemStorePutCopies(t *testing.T) {
 	}
 }
 
+// TestMemStoreViewOutlivesOverwriteAndDelete pins what lets MemStore.Get
+// return a view instead of a copy: stored blocks are immutable. A view taken
+// before an overwriting Put, and one taken before a Delete, keep reading the
+// bytes they were taken over; a view's capacity ends where the view does, so
+// an append by its holder cannot reach the stored bytes behind it; and a range
+// that overflows uint64 is an error, not a panic.
+func TestMemStoreViewOutlivesOverwriteAndDelete(t *testing.T) {
+	ms := NewMemStore()
+	if err := ms.Put("a", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := ms.Get("a", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := ms.Get("a", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(whole) != len(whole) || cap(part) != len(part) {
+		t.Fatalf("view capacities %d and %d exceed lengths %d and %d", cap(whole), cap(part), len(whole), len(part))
+	}
+	if grown := append(part, 'X'); &grown[0] == &part[0] {
+		t.Fatal("append to a view grew in place")
+	}
+	if again, _ := ms.Get("a", 0, 0); string(again) != "0123456789" {
+		t.Fatalf("append to a view reached the stored block: %q", again)
+	}
+	if err := ms.Put("a", []byte("overwritten")); err != nil {
+		t.Fatal(err)
+	}
+	if string(whole) != "0123456789" || string(part) != "234" {
+		t.Fatalf("views changed under an overwrite: %q %q", whole, part)
+	}
+	fresh, _ := ms.Get("a", 0, 0)
+	if err := ms.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if string(fresh) != "overwritten" || string(whole) != "0123456789" {
+		t.Fatalf("views changed under a delete: %q %q", fresh, whole)
+	}
+	if _, err := ms.Get("a", 0, 0); err == nil {
+		t.Fatal("deleted block still readable")
+	}
+	ms.Put("b", []byte("0123456789"))
+	for _, r := range [][2]uint64{{5, ^uint64(0) - 2}, {11, 0}, {0, 11}, {10, 1}} {
+		if got, err := ms.Get("b", r[0], r[1]); err == nil {
+			t.Fatalf("Get(%d, %d) of a 10-byte block returned %d bytes", r[0], r[1], len(got))
+		}
+	}
+}
+
+// TestMemStoreViewConcurrent: writers, deleters and readers of one id at once.
+// Every view a reader gets is one whole version, never a mix, and stays that
+// version while the id is overwritten under it. Run under -race.
+func TestMemStoreViewConcurrent(t *testing.T) {
+	ms := NewMemStore()
+	const size = 4 << 10
+	version := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%5 == 4 {
+					ms.Delete("blk")
+				} else {
+					ms.Put("blk", version(byte(1+w*100+i%50)))
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 2000; i++ {
+				view, err := ms.Get("blk", 0, 0)
+				if err != nil {
+					continue // between a Delete and the next Put
+				}
+				first := view[0]
+				runtime.Gosched() // let a writer replace the block under the view
+				if len(view) != size || !bytes.Equal(view, version(first)) {
+					t.Errorf("a view mixes versions or changed while held (first byte %d)", first)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+}
+
 // chunkFixture builds one encoded chunk and stores it in a block at a
 // nonzero offset, returning the node and a ChunkRef.
 func chunkFixture(t *testing.T, vals []int64) (*Node, rpc.ChunkRef) {
@@ -163,7 +269,7 @@ func TestNodeProject(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	col, err := DecodePlain(resp.Data)
+	col, err := DecodePlain(lpq.ColumnData{Type: lpq.Int64}, resp.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +336,7 @@ func TestEncodeDecodePlain(t *testing.T) {
 		lpq.IntColumn(nil),
 	}
 	for _, c := range cases {
-		got, err := DecodePlain(EncodePlain(c))
+		got, err := DecodePlain(lpq.ColumnData{Type: c.Type}, EncodePlain(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,11 +344,18 @@ func TestEncodeDecodePlain(t *testing.T) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", got, c)
 		}
 	}
-	if _, err := DecodePlain(nil); err == nil {
+	if _, err := DecodePlain(lpq.ColumnData{}, nil); err == nil {
 		t.Fatal("empty payload must fail")
 	}
-	if _, err := DecodePlain([]byte{9, 1, 0}); err == nil {
+	if _, err := DecodePlain(lpq.ColumnData{Type: 9}, []byte{9, 1, 0}); err == nil {
 		t.Fatal("unknown type must fail")
+	}
+	// A count the bytes present cannot hold is refused before it sizes anything.
+	for _, c := range cases[:3] {
+		huge := binary.AppendUvarint([]byte{byte(c.Type)}, 1<<40)
+		if _, err := DecodePlain(lpq.ColumnData{Type: c.Type}, append(huge, 1, 2, 3)); err == nil {
+			t.Fatalf("%v: a count beyond the payload must fail", c.Type)
+		}
 	}
 }
 
@@ -294,19 +407,60 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
-func TestAppendColumn(t *testing.T) {
-	var dst lpq.ColumnData
-	if err := AppendColumn(&dst, lpq.IntColumn([]int64{1, 2})); err != nil {
-		t.Fatal(err)
+// TestDecodePlainIntoWindow: DecodePlain appends, so replies decode one after
+// another onto a column, and a reply handed a zero-length, capacity-clipped
+// window of a larger column lands in that window — at an offset other than 0 —
+// without touching the rows on either side. A reply with more values than the
+// window holds moves away instead of overwriting the next row; one of another
+// type is refused.
+func TestDecodePlainIntoWindow(t *testing.T) {
+	rows := func(col lpq.ColumnData, off, n int) lpq.ColumnData {
+		switch col.Type {
+		case lpq.Int64:
+			col.Ints = col.Ints[off : off+n : off+n]
+		case lpq.Float64:
+			col.Floats = col.Floats[off : off+n : off+n]
+		default:
+			col.Strings = col.Strings[off : off+n : off+n]
+		}
+		return col
 	}
-	if err := AppendColumn(&dst, lpq.IntColumn([]int64{3})); err != nil {
-		t.Fatal(err)
+	window := lpq.ColumnData.Window
+	cases := []struct {
+		vals, col, filled lpq.ColumnData // filled: col with vals decoded into rows [2,5)
+	}{
+		{lpq.IntColumn([]int64{1, -2, 3}), lpq.IntColumn([]int64{7, 7, 7, 7, 7, 7, 7}), lpq.IntColumn([]int64{7, 7, 1, -2, 3, 7, 7})},
+		{lpq.FloatColumn([]float64{1.5, -2.5, 3.5}), lpq.FloatColumn([]float64{7, 7, 7, 7, 7, 7, 7}), lpq.FloatColumn([]float64{7, 7, 1.5, -2.5, 3.5, 7, 7})},
+		{lpq.StringColumn([]string{"a", "", "ccc"}), lpq.StringColumn([]string{"7", "7", "7", "7", "7", "7", "7"}), lpq.StringColumn([]string{"7", "7", "a", "", "ccc", "7", "7"})},
 	}
-	if !reflect.DeepEqual(dst.Ints, []int64{1, 2, 3}) {
-		t.Fatalf("AppendColumn = %v", dst.Ints)
-	}
-	if err := AppendColumn(&dst, lpq.FloatColumn([]float64{1})); err == nil {
-		t.Fatal("type mismatch must fail")
+	for _, c := range cases {
+		payload := EncodePlain(c.vals)
+		// Appending twice concatenates.
+		got, err := DecodePlain(lpq.ColumnData{Type: c.vals.Type}, payload)
+		if err == nil {
+			got, err = DecodePlain(got, payload)
+		}
+		if err != nil || got.Len() != 2*c.vals.Len() {
+			t.Fatalf("%v: two appends gave %d values, %v", c.vals.Type, got.Len(), err)
+		}
+		// Into rows [2,5) of a column of seven.
+		got, err = DecodePlain(window(c.col, 2, 3), payload)
+		if err != nil || !reflect.DeepEqual(got, rows(c.filled, 2, 3)) || !reflect.DeepEqual(c.col, c.filled) {
+			t.Fatalf("%v: window decode returned %v and left the column %v, want %v (err %v)", c.vals.Type, got, c.col, c.filled, err)
+		}
+		// One value too many for rows [0,2): it is decoded elsewhere, and row 2
+		// keeps what it held.
+		got, err = DecodePlain(window(c.col, 0, 2), payload)
+		if err != nil || got.Len() != 3 {
+			t.Fatalf("%v: overlong decode: %d values, %v", c.vals.Type, got.Len(), err)
+		}
+		if !reflect.DeepEqual(rows(c.col, 2, 5), rows(c.filled, 2, 5)) {
+			t.Fatalf("%v: an overlong reply wrote past its window: %v", c.vals.Type, c.col)
+		}
+		// Another type is refused.
+		if _, err := DecodePlain(lpq.ColumnData{Type: (c.vals.Type + 1) % 3}, payload); err == nil {
+			t.Fatalf("%v: decoded into a column of another type", c.vals.Type)
+		}
 	}
 }
 

@@ -281,7 +281,10 @@ func (n *Node) handleList() *rpc.Response {
 // range for end-to-end (in-flight) verification at the coordinator; a
 // whole-block serve reuses the CRC the at-rest pass already computed (or
 // the recorded one under CallerVerifies) instead of hashing the bytes
-// again.
+// again. The reply's Data is whatever the block store returned, resliced:
+// from a MemStore a view of the stored block itself, which the transport
+// sends (or, over simnet, the coordinator reads) without a copy having been
+// made on this side.
 func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 	n.mu.Lock()
 	e, verified := n.entries[req.BlockID]
@@ -387,7 +390,8 @@ func newFrame(n *Node, req *rpc.Request) *frame {
 // frame already holds it, and the disk/processing cost of one use. The cost
 // is charged per use, shared or not, so a sub-op's accounting does not depend
 // on what else rode in its frame. Every successful open is paired with a
-// close.
+// close. The chunk's bytes are the block store's own (BlockStore.Get), which
+// OpenChunk and the kernels only read.
 func (f *frame) open(ref rpc.ChunkRef) (*lpq.Chunk, rpc.Cost, error) {
 	cost := rpc.Cost{DiskBytes: ref.Meta.Size, ProcBytes: ref.Meta.RawSize}
 	key := keyOf(&ref)

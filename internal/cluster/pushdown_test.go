@@ -466,14 +466,14 @@ func TestDecodePlainStringsShareOneAllocation(t *testing.T) {
 	}
 	payload := EncodePlain(lpq.StringColumn(vals))
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := DecodePlain(payload); err != nil {
+		if _, err := DecodePlain(lpq.ColumnData{Type: lpq.String}, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 4 {
 		t.Fatalf("decoding %d strings allocated %.0f times, want one backing string and one slice", len(vals), allocs)
 	}
-	col, err := DecodePlain(payload)
+	col, err := DecodePlain(lpq.ColumnData{Type: lpq.String}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,4 +503,109 @@ func TestBlockOpsGetNoFrame(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { node.Handle(&rpc.Request{Kind: rpc.KindPing}) }); allocs > 1 {
 		t.Fatalf("a ping allocates %.0f times, want only its response", allocs)
 	}
+}
+
+// TestFloatDictionaryKeepsBitPatterns writes, through the real writer, a float
+// column the dictionary encoder takes — +0, −0, two NaNs, 1.5 and −0 again,
+// repeated — and reads it back three ways: every row gathered from the opened
+// chunk, a selection gathered into a window that does not start at row 0, and
+// a pushed KindProject. Each value must come back with its own bit pattern (a
+// dictionary keyed by float64 value hands −0 back as +0, or the other way
+// round, whichever came first) and the dictionary must hold one NaN, not one
+// per occurrence (NaN != NaN).
+func TestFloatDictionaryKeepsBitPatterns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pattern := []float64{0, negZero, math.NaN(), math.NaN(), 1.5, negZero}
+	vals := make([]float64, 0, 600)
+	for len(vals) < cap(vals) {
+		vals = append(vals, pattern...)
+	}
+	w := lpq.NewWriter([]lpq.Column{{Name: "v", Type: lpq.Float64}}, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup([]lpq.ColumnData{lpq.FloatColumn(vals)}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := lpq.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := f.Footer().RowGroups[0].Chunks[0]
+	raw, err := f.ChunkBytes(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := lpq.OpenChunk(lpq.Float64, meta, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Release()
+	dict, isDict := ch.Dict()
+	if !isDict {
+		t.Fatal("the writer did not dictionary-encode the column: the test needs a longer one")
+	}
+	nans := 0
+	for _, v := range dict.Floats {
+		if v != v {
+			nans++
+		}
+	}
+	if len(dict.Floats) != 4 || nans != 1 {
+		t.Fatalf("dictionary %v: want +0, -0, one NaN and 1.5", dict.Floats)
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d reads back as %x, written as %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	all, err := ch.Gather(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("Gather of every row", all.Floats, vals)
+
+	// Every third row, into rows [5, 5+n) of a longer column.
+	bm := bitmap.New(len(vals))
+	var picked []float64
+	for i := 0; i < len(vals); i += 3 {
+		bm.Set(i)
+		picked = append(picked, vals[i])
+	}
+	col := make([]float64, len(picked)+9)
+	for i := range col {
+		col[i] = 7
+	}
+	win, err := ch.AppendGather(lpq.ColumnData{Type: lpq.Float64, Floats: col[5 : 5 : 5+len(picked)]}, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("AppendGather's result", win.Floats, picked)
+	sameBits("the window's rows of the column", col[5:5+len(picked)], picked)
+	sameBits("the rows before the window", col[:5], []float64{7, 7, 7, 7, 7})
+	sameBits("the rows after the window", col[5+len(picked):], []float64{7, 7, 7, 7})
+
+	node := NewNode(0, NewMemStore())
+	if err := node.Blocks.Put("blk", raw); err != nil {
+		t.Fatal(err)
+	}
+	resp := node.Handle(&rpc.Request{
+		Kind: rpc.KindProject, Bitmap: bm.Marshal(),
+		Chunk: rpc.ChunkRef{BlockID: "blk", Type: lpq.Float64, Meta: meta},
+	})
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	pushed, err := DecodePlain(lpq.ColumnData{Type: lpq.Float64}, resp.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("pushed KindProject", pushed.Floats, picked)
 }

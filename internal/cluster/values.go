@@ -21,43 +21,37 @@ func appendPlainHeader(dst []byte, t lpq.Type, count int) []byte {
 	return binary.AppendUvarint(append(dst, byte(t)), uint64(count))
 }
 
-// DecodePlain parses a projection reply. The values own their memory (strings
-// share one allocation), never aliasing data.
-func DecodePlain(data []byte) (lpq.ColumnData, error) {
+// DecodePlain parses a projection reply and appends its values to dst, a
+// column of the reply's type — the counterpart of lpq.Chunk.AppendGather for
+// a chunk a node gathered: handed a zero-length, capacity-clipped window of a
+// result column, it decodes straight into the window. A reply of another type
+// is an error; how many values it holds is for the caller to compare with what
+// it asked for (dst's length afterwards). The values own their memory (the
+// strings of one reply share one allocation), never aliasing data. On error
+// dst comes back as it went in.
+func DecodePlain(dst lpq.ColumnData, data []byte) (lpq.ColumnData, error) {
 	if len(data) < 1 {
-		return lpq.ColumnData{}, fmt.Errorf("cluster: empty value payload")
+		return dst, fmt.Errorf("cluster: empty value payload")
 	}
-	t := lpq.Type(data[0])
+	switch t := lpq.Type(data[0]); {
+	case t > lpq.String:
+		return dst, fmt.Errorf("cluster: unknown value type %d", t)
+	case t != dst.Type:
+		return dst, fmt.Errorf("cluster: %v values for a %v column", t, dst.Type)
+	}
 	count, n := binary.Uvarint(data[1:])
 	if n <= 0 {
-		return lpq.ColumnData{}, fmt.Errorf("cluster: bad value count")
+		return dst, fmt.Errorf("cluster: bad value count")
 	}
 	body := data[1+n:]
-	out := lpq.ColumnData{Type: t}
-	var err error
-	switch t {
+	var err error // a count past the int range is negative below: corrupt
+	switch dst.Type {
 	case lpq.Int64:
-		out.Ints, err = colenc.GetInt64s(body, int(count))
+		dst.Ints, err = colenc.AppendInt64s(dst.Ints, body, int(count))
 	case lpq.Float64:
-		out.Floats, err = colenc.GetFloat64s(body, int(count))
-	case lpq.String:
-		out.Strings, err = colenc.GetStrings(body, int(count))
+		dst.Floats, err = colenc.AppendFloat64s(dst.Floats, body, int(count))
 	default:
-		return lpq.ColumnData{}, fmt.Errorf("cluster: unknown value type %d", t)
+		dst.Strings, err = colenc.AppendStrings(dst.Strings, body, int(count))
 	}
-	return out, err
-}
-
-// AppendColumn concatenates src's values onto dst (same type).
-func AppendColumn(dst *lpq.ColumnData, src lpq.ColumnData) error {
-	if dst.Len() == 0 && dst.Ints == nil && dst.Floats == nil && dst.Strings == nil {
-		dst.Type = src.Type
-	}
-	if dst.Type != src.Type {
-		return fmt.Errorf("cluster: cannot append %v values to %v column", src.Type, dst.Type)
-	}
-	dst.Ints = append(dst.Ints, src.Ints...)
-	dst.Floats = append(dst.Floats, src.Floats...)
-	dst.Strings = append(dst.Strings, src.Strings...)
-	return nil
+	return dst, err
 }

@@ -53,16 +53,32 @@ func PutInt64s(dst []byte, vals []int64) []byte {
 	return dst
 }
 
+// grow returns s with room for n more values: s itself when it has the room
+// (a window of a result column always does), else one exact-size reallocation.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
 // GetInt64s decodes count plain int64 values.
 func GetInt64s(src []byte, count int) ([]int64, error) {
+	return AppendInt64s(nil, src, count)
+}
+
+// AppendInt64s decodes count plain int64 values onto dst: GetInt64s for a
+// caller with somewhere for them to go. dst is untouched on error.
+func AppendInt64s(dst []int64, src []byte, count int) ([]int64, error) {
 	if count < 0 || count > len(src)/8 {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
-	out := make([]int64, count)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	at := len(dst)
+	dst = grow(dst, count)[:at+count]
+	for i := range dst[at:] {
+		dst[at+i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PutFloat64s appends the plain encoding of vals to dst.
@@ -75,14 +91,20 @@ func PutFloat64s(dst []byte, vals []float64) []byte {
 
 // GetFloat64s decodes count plain float64 values.
 func GetFloat64s(src []byte, count int) ([]float64, error) {
+	return AppendFloat64s(nil, src, count)
+}
+
+// AppendFloat64s is AppendInt64s for float64 values.
+func AppendFloat64s(dst []float64, src []byte, count int) ([]float64, error) {
 	if count < 0 || count > len(src)/8 {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	at := len(dst)
+	dst = grow(dst, count)[:at+count]
+	for i := range dst[at:] {
+		dst[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PutStrings appends the plain encoding of vals (uvarint length + bytes each)
@@ -119,19 +141,24 @@ func StringsSize(src []byte, count int) (int, error) {
 // page costs two allocations however many strings it holds, and nothing
 // returned aliases src.
 func GetStrings(src []byte, count int) ([]string, error) {
+	return AppendStrings(nil, src, count)
+}
+
+// AppendStrings decodes count plain string values onto dst, with GetStrings'
+// one backing allocation for the values it adds. dst is untouched on error.
+func AppendStrings(dst []string, src []byte, count int) ([]string, error) {
 	end, err := StringsSize(src, count)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	backing := string(src[:end])
-	out := make([]string, count)
-	pos := 0
-	for i := range out {
+	dst = grow(dst, count)
+	for pos := 0; pos < end; {
 		l, n := binary.Uvarint(src[pos:])
-		out[i] = backing[pos+n : pos+n+int(l)]
+		dst = append(dst, backing[pos+n:pos+n+int(l)])
 		pos += n + int(l)
 	}
-	return out, nil
+	return dst, nil
 }
 
 //

@@ -170,10 +170,13 @@ var (
 	ErrShardCount = errors.New("erasure: wrong number of shards")
 	ErrShardSize  = errors.New("erasure: shards have mismatched or zero sizes")
 	ErrTooFewLeft = errors.New("erasure: too many shards lost to reconstruct")
+	ErrShardAlias = errors.New("erasure: two shards are the same memory")
 )
 
 // checkShards validates shape: exactly n shards; all non-nil shards share one
-// non-zero size. It returns that size.
+// non-zero size and no two of them are the same slice (a parity shard that is
+// also a data shard would be encoded over its own input, and a stripe decoded
+// from one survivor counted twice is garbage). It returns that size.
 func (c *Coder) checkShards(shards [][]byte, allowNil bool) (int, error) {
 	if len(shards) != c.params.N {
 		return 0, fmt.Errorf("%w: have %d, want %d", ErrShardCount, len(shards), c.params.N)
@@ -194,6 +197,16 @@ func (c *Coder) checkShards(shards [][]byte, allowNil bool) (int, error) {
 	}
 	if size <= 0 {
 		return 0, fmt.Errorf("%w: no data present", ErrShardSize)
+	}
+	for i, s := range shards {
+		if s == nil {
+			continue
+		}
+		for j, prev := range shards[:i] {
+			if prev != nil && &s[0] == &prev[0] {
+				return 0, fmt.Errorf("%w: %d and %d", ErrShardAlias, j, i)
+			}
+		}
 	}
 	return size, nil
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/bufpool"
@@ -654,49 +655,68 @@ func (sc *Scanner) walkStrings(p *page, i, j int) error {
 const gatherFlush = 256 << 10
 
 // Gather decodes the rows sel selects (nil selects every row) into column
-// values. Strings cost one allocation per dictionary or per gatherFlush bytes
-// gathered, not one per value, and never alias the chunk.
+// values: AppendGather onto an empty column sized for them.
 func (c *Chunk) Gather(sel *bitmap.Bitmap) (ColumnData, error) {
 	count := c.rows
 	if sel != nil {
 		count = sel.Count()
 	}
-	out := ColumnData{Type: c.typ}
+	out, err := c.AppendGather(MakeColumn(c.typ, count).Window(0, count), sel)
+	if err != nil {
+		return ColumnData{}, err
+	}
+	return out, nil
+}
+
+// AppendGather appends the values of the rows sel selects (nil selects every
+// row) to dst, a column of the chunk's type, and returns it — Gather for a
+// caller that has somewhere for the values to go. Handed a zero-length,
+// capacity-clipped window of a larger column (dst.Ints[off:off:off+n] for a
+// selection of n rows), it decodes straight into that window and touches
+// nothing outside it, so the chunks of a result column decode into their own
+// windows in parallel (ColumnData.Window). Strings cost one allocation per
+// dictionary or per gatherFlush bytes gathered, not one per value, and never
+// alias the chunk. On error dst's appended tail is unspecified.
+func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, error) {
+	if dst.Type != c.typ {
+		return dst, fmt.Errorf("lpq: cannot gather a %v chunk into a %v column", c.typ, dst.Type)
+	}
 	var sc Scanner
 	if err := c.Scan(&sc, sel); err != nil {
-		return ColumnData{}, err
+		return dst, err
 	}
 	switch {
 	case c.typ == Int64:
-		out.Ints = make([]int64, 0, count)
 		for sc.Next() {
-			out.Ints = append(out.Ints, sc.Ints()...)
+			dst.Ints = append(dst.Ints, sc.Ints()...)
 		}
 	case c.typ == Float64:
-		out.Floats = make([]float64, 0, count)
 		for sc.Next() {
-			out.Floats = append(out.Floats, sc.Floats()...)
+			dst.Floats = append(dst.Floats, sc.Floats()...)
 		}
 	case c.isDict:
-		out.Strings = make([]string, count)
-		dict, n := c.dict.Strings, 0
+		dict := c.dict.Strings
 		for sc.Next() {
-			dst := out.Strings[n:]
-			for k, code := range sc.Codes() {
-				dst[k] = dict[code]
+			codes := sc.Codes()
+			n := len(dst.Strings)
+			dst.Strings = slices.Grow(dst.Strings, len(codes))[:n+len(codes)]
+			for k, code := range codes {
+				dst.Strings[n+k] = dict[code]
 			}
-			n += len(sc.Codes())
 		}
 	default:
 		// Selected bytes collect in a pooled buffer and become one string,
 		// which the values then slice.
-		out.Strings = make([]string, 0, count)
 		buf := bufpool.Get(gatherFlush)
-		var lens []int
+		count := c.rows
+		if sel != nil {
+			count = sel.Count()
+		}
+		lens := make([]int, 0, count) // sized once: it never grows
 		flush := func() {
 			backing := string(buf)
 			for pos, i := 0, 0; i < len(lens); i++ {
-				out.Strings = append(out.Strings, backing[pos:pos+lens[i]])
+				dst.Strings = append(dst.Strings, backing[pos:pos+lens[i]])
 				pos += lens[i]
 			}
 			buf, lens = buf[:0], lens[:0]
@@ -714,10 +734,7 @@ func (c *Chunk) Gather(sel *bitmap.Bitmap) (ColumnData, error) {
 		flush()
 		bufpool.Put(buf)
 	}
-	if err := sc.Err(); err != nil {
-		return ColumnData{}, err
-	}
-	return out, nil
+	return dst, sc.Err()
 }
 
 // AppendSelected appends the plain encoding (colenc.PutInt64s, PutFloat64s

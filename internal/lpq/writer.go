@@ -29,6 +29,35 @@ func (c ColumnData) Len() int {
 	}
 }
 
+// MakeColumn returns a column of n zero values of type t.
+func MakeColumn(t Type, n int) ColumnData {
+	c := ColumnData{Type: t}
+	switch t {
+	case Int64:
+		c.Ints = make([]int64, n)
+	case Float64:
+		c.Floats = make([]float64, n)
+	default:
+		c.Strings = make([]string, n)
+	}
+	return c
+}
+
+// Window returns rows [off, off+n) of c as a window to append into: zero
+// length, capacity n, so n appended values land in c's own memory and one more
+// would move the window away instead of overwriting row off+n.
+func (c ColumnData) Window(off, n int) ColumnData {
+	switch c.Type {
+	case Int64:
+		c.Ints = c.Ints[off : off : off+n]
+	case Float64:
+		c.Floats = c.Floats[off : off : off+n]
+	default:
+		c.Strings = c.Strings[off : off : off+n]
+	}
+	return c
+}
+
 // IntColumn, FloatColumn and StringColumn are ColumnData constructors.
 func IntColumn(vals []int64) ColumnData     { return ColumnData{Type: Int64, Ints: vals} }
 func FloatColumn(vals []float64) ColumnData { return ColumnData{Type: Float64, Floats: vals} }
@@ -235,7 +264,7 @@ func tryDictEncode(c ColumnData, opts WriterOptions, rawLen int) ([]byte, bool) 
 		dictBytes = colenc.PutInt64s(nil, dict)
 		codes, dictLen = cs, len(dict)
 	case Float64:
-		dict, cs := colenc.BuildDict(c.Floats)
+		dict, cs := colenc.BuildFloatDict(c.Floats)
 		if float64(len(dict)) > maxFraction*float64(len(c.Floats)) {
 			return nil, false
 		}

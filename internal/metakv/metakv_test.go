@@ -251,6 +251,7 @@ func TestCorruptReplicaAtRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk = bytes.Clone(blk) // a block read from a store is read-only
 	blk[7] ^= 0xFF
 	if err := cl.Node(1).Blocks.Put(BlockID("obj"), blk); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@
 package rpc
 
 import (
+	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
 )
@@ -288,6 +289,28 @@ type Response struct {
 	// with the request's Subs. A sub-op failure sets that sub-response's Err;
 	// the outer Err stays empty unless the batch itself was malformed.
 	Subs []Response
+
+	// frame is the bufpool buffer a transport read this reply into, which Data
+	// and every sub-response's Data alias (DecodePooledResponse); nil for a
+	// reply that never crossed a socket. Unexported: it is not on the wire.
+	frame []byte
+}
+
+// Release hands the reply's frame buffer back to bufpool, after which Data —
+// and, for a batch reply, the Data of every sub-response: one frame, one
+// Release on the outer response — must not be read again. Releasing is
+// optional and is the exception: an unreleased frame is collected like any
+// allocation and never reused, so a holder that keeps the bytes (a cache), or
+// cannot tell whether someone else still reads them (an abandoned call, a
+// race's loser), simply does nothing. Only a consumer that has copied out
+// everything it wanted and knows no one else holds the reply may release it.
+// A second Release, or one on a reply with no frame (simnet, faultnet), is a
+// no-op.
+func (r *Response) Release() {
+	if r.frame != nil {
+		bufpool.Put(r.frame)
+		r.frame = nil
+	}
 }
 
 // reqFixedOverhead approximates per-message framing/header bytes on the

@@ -94,7 +94,19 @@ func DecodeRequest(b []byte, r *Request) error {
 func DecodeResponse(b []byte, r *Response) error {
 	d := decoder{b: b}
 	d.response(r, true)
+	r.frame = nil
 	return d.finish()
+}
+
+// DecodePooledResponse is DecodeResponse for a frame b rented from bufpool: on
+// success r remembers b, and r.Release returns it (see Release for who may).
+// On failure b stays the caller's.
+func DecodePooledResponse(b []byte, r *Response) error {
+	err := DecodeResponse(b, r)
+	if err == nil {
+		r.frame = b
+	}
+	return err
 }
 
 // cut marks a payload that belongs at offset off of the encoded bytes but

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/sql"
 )
 
@@ -96,6 +97,11 @@ func (f *filler) fill(v reflect.Value, sub bool) {
 			if sub && v.Type().Field(i).Name == "Subs" {
 				continue // one level deep only
 			}
+			// Unexported means "not on the wire": state a message carries on
+			// one side of the socket only (Response.frame).
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
 			f.fill(v.Field(i), sub)
 		}
 	default:
@@ -125,8 +131,8 @@ func requireNoZero(t *testing.T, v reflect.Value, path string, sub bool) {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			name := v.Type().Field(i).Name
-			if sub && name == "Subs" {
-				continue
+			if sub && name == "Subs" || !v.Type().Field(i).IsExported() {
+				continue // unexported: not on the wire, left zero by the filler
 			}
 			requireNoZero(t, v.Field(i), path+"."+name, sub)
 		}
@@ -441,5 +447,56 @@ func TestFrameWithinWireSize(t *testing.T) {
 		if got, est := uint64(len(enc)+4), r.WireSize(); got > est+wireSlack {
 			t.Errorf("%s: frame %d bytes > WireSize %d + %d", name, got, est, wireSlack)
 		}
+	}
+}
+
+// TestResponseRelease: a response decoded from a pooled frame gives the frame
+// back once — one Release for a batch reply and all its sub-responses, a
+// second Release a no-op — and one decoded from plain bytes, or never decoded
+// at all, has nothing to give back. A frame that fails to decode stays the
+// caller's.
+func TestResponseRelease(t *testing.T) {
+	puts := func() uint64 { _, n, _ := bufpool.Stats(); return n }
+	enc, err := encodeResponse(&Response{Subs: []Response{{Data: bytes.Repeat([]byte{1}, 600)}, {Data: []byte("xy")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bufpool.GetLen(len(enc))
+	copy(frame, enc)
+	resp := &Response{}
+	if err := DecodePooledResponse(frame, resp); err != nil {
+		t.Fatal(err)
+	}
+	defer bufpool.SetPoison(bufpool.SetPoison(true))
+	sub0, sub1 := resp.Subs[0].Data, resp.Subs[1].Data
+	before := puts()
+	resp.Release()
+	if puts() != before+1 || !bufpool.Poisoned(sub0) || !bufpool.Poisoned(sub1) {
+		t.Fatal("Release did not return the frame both sub-responses alias")
+	}
+	resp.Release()
+	if puts() != before+1 {
+		t.Fatal("a second Release returned the frame again")
+	}
+
+	plain := &Response{}
+	if err := DecodeResponse(enc, plain); err != nil {
+		t.Fatal(err)
+	}
+	plain.Release()
+	new(Response).Release()
+	if puts() != before+1 || bufpool.Poisoned(plain.Subs[0].Data) {
+		t.Fatal("Release of a frameless response touched the arena")
+	}
+
+	bad := bufpool.GetLen(len(enc) - 1)
+	copy(bad, enc)
+	failed := &Response{}
+	if err := DecodePooledResponse(bad, failed); err == nil {
+		t.Fatal("truncated frame decoded")
+	}
+	failed.Release()
+	if puts() != before+1 {
+		t.Fatal("a response that failed to decode released its caller's frame")
 	}
 }

@@ -91,7 +91,19 @@ func (g *GroupTable) Sorted() []GroupPartial {
 		out = append(out, *gp)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return CompareKeys(out[i].Key, out[j].Key) < 0
+		if c := CompareKeys(out[i].Key, out[j].Key); c != 0 {
+			return c < 0
+		}
+		// Groups are told apart by bit pattern (appendKeyLit), values ordered
+		// numerically: +0 and −0 are two groups that compare equal, as are
+		// NaNs of different payloads. The bits order those, so the order is
+		// total and does not depend on map iteration.
+		for k := range out[i].Key {
+			if a, b := math.Float64bits(out[i].Key[k].F), math.Float64bits(out[j].Key[k].F); a != b {
+				return a < b
+			}
+		}
+		return false
 	})
 	return out
 }

@@ -19,22 +19,26 @@ import (
 // is one round trip per node per stage instead of one per chunk.
 
 // batchCall dispatches subs to one node as scatter-gather frames (chunked at
-// rpc.MaxBatchOps) and returns index-aligned sub-responses. A transport or
-// outer application error fails the whole call — callers treat that as "all
-// subs failed" and fall back. When st is non-nil the call accounts
-// one simulated operation per frame (the whole point: one RPC overhead and
-// one round trip amortized over every sub-request in the frame).
-func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, error) {
+// rpc.MaxBatchOps) and returns index-aligned sub-responses, with the outer
+// responses they arrived in: the sub-responses' payloads alias those frames,
+// and one Release per outer response is how a caller done with all of them
+// hands the buffers back (see scatter). A transport or outer application error
+// fails the whole call — callers treat that as "all subs failed" and fall
+// back. When st is non-nil the call accounts one simulated operation per frame
+// (the whole point: one RPC overhead and one round trip amortized over every
+// sub-request in the frame).
+func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, []*rpc.Response, error) {
 	out := make([]rpc.Response, 0, len(subs))
+	var frames []*rpc.Response
 	for start := 0; start < len(subs); start += rpc.MaxBatchOps {
 		end := min(start+rpc.MaxBatchOps, len(subs))
 		req := &rpc.Request{Kind: rpc.KindBatch, Subs: subs[start:end]}
 		resp, err := s.callChecked(ctx, sp, node, req)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(resp.Subs) != end-start {
-			return nil, fmt.Errorf("store: batch to node %d returned %d sub-responses, want %d",
+			return nil, nil, fmt.Errorf("store: batch to node %d returned %d sub-responses, want %d",
 				node, len(resp.Subs), end-start)
 		}
 		if st != nil {
@@ -50,8 +54,9 @@ func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, no
 			})
 		}
 		out = append(out, resp.Subs...)
+		frames = append(frames, resp)
 	}
-	return out, nil
+	return out, frames, nil
 }
 
 // chunkLocation resolves the node hosting chunk (rg, ci) under FAC layout
@@ -129,12 +134,18 @@ type nodeReq struct {
 // (st non-nil) each frame accounts into a forked state, joined in
 // node-first-appearance order, so the stage's cost sheet is independent of
 // worker scheduling.
-func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs []nodeReq) []*rpc.Response {
+//
+// The sub-responses alias the reply frames they arrived in, returned beside
+// them as the outer responses: a caller that copies out what it wants and is
+// then done with every sub-response may Release those (readSegments does);
+// dropping them leaves the frames to the collector.
+func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs []nodeReq) (subs, frames []*rpc.Response) {
 	type nodeGroup struct {
-		node int
-		subs []rpc.Request
-		idx  []int // position in reqs of each sub
-		sub  *execState
+		node   int
+		subs   []rpc.Request
+		idx    []int // position in reqs of each sub
+		sub    *execState
+		frames []*rpc.Response
 	}
 	groups := make(map[int]*nodeGroup)
 	var order []*nodeGroup
@@ -148,23 +159,25 @@ func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs
 		g.subs = append(g.subs, reqs[i].req)
 		g.idx = append(g.idx, i)
 	}
-	out := make([]*rpc.Response, len(reqs))
+	subs = make([]*rpc.Response, len(reqs))
 	runTasks(s.queryWorkers(), len(order), func(i int) {
 		g := order[i]
-		resps, err := s.batchCall(ctx, g.sub, sp, g.node, g.subs)
+		resps, outer, err := s.batchCall(ctx, g.sub, sp, g.node, g.subs)
 		if err != nil {
 			return // whole frame lost: every sub on this node falls back
 		}
+		g.frames = outer
 		for j := range resps {
 			if resps[j].Err == "" {
-				out[g.idx[j]] = &resps[j]
+				subs[g.idx[j]] = &resps[j]
 			}
 		}
 	})
 	for _, g := range order {
 		st.join(g.sub)
+		frames = append(frames, g.frames...)
 	}
-	return out
+	return subs, frames
 }
 
 // filterStage computes the selection bitmap of every row group; a nil entry
@@ -235,7 +248,8 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 			refs = append(refs, leafRef{rg: rg, cmp: c, ch: ch})
 		}
 	}
-	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
+	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
+	for j, resp := range resps {
 		if resp == nil {
 			continue
 		}
@@ -321,13 +335,18 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 // aggregating) the selected rows of one chunk. pre is the chunk's pushed
 // sub-response; nil means the task fetches the chunk and works locally.
 type chunkTask struct {
-	rg, ci  int
-	name    string
-	agg     bool // planned as an in-situ aggregation (aggregate pushdown)
-	plain   bool // the SELECT list projects the column: its values are wanted
-	folds   bool // some aggregate reads the column: a partial is wanted
-	sub     *execState
-	vals    lpq.ColumnData
+	rg, ci int
+	name   string
+	agg    bool // planned as an in-situ aggregation (aggregate pushdown)
+	plain  bool // the SELECT list projects the column: its values are wanted
+	folds  bool // some aggregate reads the column: a partial is wanted
+	sub    *execState
+	// dst is where the task's values are decoded: for a plain column its own
+	// window of the result column — zero length, capacity clipped to the row
+	// group's selected rows, so tasks fill one column in parallel and none can
+	// reach its neighbour's rows — otherwise an empty column of the chunk's
+	// type.
+	dst     lpq.ColumnData
 	partial *sql.AggState
 	err     error
 	pre     *rpc.Response

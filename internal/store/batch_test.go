@@ -3,11 +3,16 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/cluster"
+	"github.com/fusionstore/fusion/internal/faultnet"
+	"github.com/fusionstore/fusion/internal/tcpnet"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -186,7 +191,19 @@ func TestBatchedGetRoundTrips(t *testing.T) {
 // The queries cover every reply form that could carry chunk bytes out of a
 // frame: projected strings from plain and dictionary pages, string MIN/MAX,
 // string group keys and string top-k keys, pushed to the nodes by one store
-// and evaluated by the coordinator fallback of another.
+// and evaluated by the coordinator fallback of another; projections decode
+// into windows of the result column, most of them not at row 0 (four row
+// groups).
+//
+// Over simnet a reply is the node's own memory and has no frame. The loopback
+// tcpnet legs are where reply frames are rented and readSegments releases
+// them: whole-object and ranged Gets and the same queries with every node up
+// (every block read directly, every frame released) and then with one down —
+// also hedged, where a race's winner is released and its loser, perhaps still
+// running, is not, and with the cache on, where a flight's leader releases the
+// frame whose block its followers and the cache were given a copy of; a
+// cached block outlives the Get that fetched it; and after a Get abandoned
+// mid-flight, whose late replies are dropped, never released.
 func TestPooledBuffersNotAliased(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 300, 17)
 	queries := []string{
@@ -224,15 +241,11 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
-	for name, opts := range configs {
-		s, cl := newSimStore(t, opts)
-		if _, err := s.Put("obj", data); err != nil {
-			t.Fatal(err)
-		}
-		// A down node forces every covering Get into RS reconstruction, the
-		// heaviest pooled path (survivor shards are rented and returned).
-		cl.SetDown(0, true)
 
+	// hammer reads the object whole and in part and queries it from several
+	// goroutines at once, checking every answer.
+	hammer := func(t *testing.T, name string, s *Store) {
+		t.Helper()
 		const goroutines = 8
 		var wg sync.WaitGroup
 		errs := make(chan error, goroutines*2)
@@ -262,8 +275,9 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 					}
 					// Rendered after more pooled traffic has had the chance to
 					// overwrite whatever the result might still reference.
-					if _, err := s.Get("obj", 0, 0); err != nil {
-						errs <- err
+					off, n := uint64(100*g+i), uint64(len(data)/3+i)
+					if part, err := s.Get("obj", off, n); err != nil || !bytes.Equal(part, data[off:off+n]) {
+						errs <- fmt.Errorf("ranged Get [%d,+%d) returned corrupted bytes (pool aliasing?): %v", off, n, err)
 						return
 					}
 					if got := fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues); got != want[q] {
@@ -278,6 +292,112 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
+	}
+
+	for name, opts := range configs {
+		s, cl := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		// A down node forces every covering Get into RS reconstruction, the
+		// heaviest pooled path (survivor shards are rented and returned).
+		cl.SetDown(0, true)
+		hammer(t, name, s)
 		cl.SetDown(0, false)
 	}
+
+	hedged := fusionTestOptions()
+	hedged.HedgeAfter = 200 * time.Microsecond // about a loopback block read: both racers win some
+	configs["hedged"], configs["cached"] = hedged, cacheTestOptions()
+	for name, opts := range configs {
+		net := faultnet.New(newTCPCluster(t, opts.Params.N), 1)
+		s, err := New(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, "tcpnet/"+name, s)
+		net.SetDown(0, true)
+		hammer(t, "tcpnet/"+name+"/node 0 down", s)
+	}
+
+	// Cache on: the first Get releases the frames its blocks arrived in (under
+	// poisoning a released frame reads 0xDB at once), so what the cache
+	// admitted must be a copy — the second Get is served from it.
+	{
+		s, err := New(newTCPCluster(t, 9), cacheTestOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("cache-filling Get: %v", err)
+		}
+		hits := s.CacheStats().Block.Hits
+		got, err := s.Get("obj", 0, 0)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("a cached block did not survive the Get that fetched it (err %v)", err)
+		}
+		if s.CacheStats().Block.Hits == hits {
+			t.Fatal("the second Get was not served from the cache: the leg proves nothing")
+		}
+	}
+
+	// A Get abandoned mid-flight: two nodes answer late, the caller is gone by
+	// then, and their replies land in goroutines nobody waits for. They are
+	// dropped, never released, so the Get that follows — running while they
+	// arrive — reads clean frames.
+	{
+		net := faultnet.New(newTCPCluster(t, 9), 1)
+		s, err := New(net, fusionTestOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		for _, node := range []int{1, 2} {
+			net.Add(faultnet.Rule{Node: node, Kind: faultnet.KindAny, Fault: faultnet.FaultSlow, Delay: 30 * time.Millisecond, Count: 1})
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() { // cancel once a slowed call is in flight
+			for net.InjectedTotal() == 0 && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		if _, err := s.GetContext(ctx, "obj", 0, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned Get returned %v, want the context's error", err)
+		}
+		for i := 0; i < 3; i++ { // spans the late replies' arrival
+			if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("Get %d after an abandoned one: wrong bytes (err %v)", i, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// newTCPCluster starts n storage nodes over in-memory block stores on loopback
+// sockets — the repository benchmark's topology — and returns the client; the
+// test's cleanup stops them.
+func newTCPCluster(tb testing.TB, n int) *tcpnet.Client {
+	tb.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv, err := tcpnet.NewServer(cluster.NewNode(i, cluster.NewMemStore()), "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	client := tcpnet.NewClient(addrs)
+	tb.Cleanup(client.Close)
+	return client
 }

@@ -28,6 +28,7 @@ func rotDataBlock(t *testing.T, s *Store, cl *simnet.Cluster, name string) (int,
 		if err != nil {
 			t.Fatal(err)
 		}
+		block = bytes.Clone(block) // a block read from a store is read-only
 		block[3] ^= 0x55
 		if err := bs.Put(st.BlockIDs[loc.Bin], block); err != nil {
 			t.Fatal(err)

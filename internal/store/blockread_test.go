@@ -136,6 +136,7 @@ func TestBlockReadFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			block = bytes.Clone(block) // a block read from a store is read-only
 			block[tg.off] ^= 0x55
 			if err := bs.Put(st.BlockIDs[tg.bin], block); err != nil {
 				t.Fatal(err)
@@ -154,6 +155,7 @@ func TestBlockReadFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				block = bytes.Clone(block) // a block read from a store is read-only
 				block[tg.off] ^= 0x55
 				if resp := node.Handle(&rpc.Request{
 					Kind: rpc.KindPutBlock, BlockID: st.BlockIDs[tg.bin], Data: block,

@@ -34,6 +34,7 @@ func TestQuerySurvivesChunkCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block = bytes.Clone(block)     // a block read from a store is read-only
 	block[loc.BinOffset+3] ^= 0xff // flip a byte inside the chunk
 	if err := node.Blocks.Put(blockID, block); err != nil {
 		t.Fatal(err)
@@ -70,6 +71,7 @@ func TestProjectionSurvivesChunkCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block = bytes.Clone(block) // a block read from a store is read-only
 	block[loc.BinOffset] ^= 0x5a
 	if err := node.Blocks.Put(blockID, block); err != nil {
 		t.Fatal(err)

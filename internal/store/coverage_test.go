@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -83,6 +84,7 @@ func TestFixedLayoutCorruptionReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte beyond the magic header so some chunk's CRC breaks.
+	block = bytes.Clone(block) // a block read from a store is read-only
 	block[len(block)/2] ^= 0x3c
 	if err := node.Blocks.Put(st.BlockIDs[0], block); err != nil {
 		t.Fatal(err)

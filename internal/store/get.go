@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -163,8 +164,23 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // (lost frame, failed sub-read) leaves that block to readBlock's bare call.
 // Hedged stores skip the prefetch: a frame cannot race a reconstruction per
 // block.
+//
+// This is also the one place reply frames are released (rpc.Response.Release):
+// every GetBlock reply the read is served from — the prefetch frames and the
+// replies readBlock hands back beside the bytes that alias them — is verified,
+// copied into out, and after the last copy handed back to bufpool, so the next
+// read's frames cost no fresh zeroed memory. A reply gets here only once
+// nobody else can reach it: the cache and a flight's followers are given a
+// copy (readBlock), a race's loser never returns. Replies of abandoned calls
+// and failed reads do not get here and are left to the collector.
 func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64) ([]byte, error) {
 	out := make([]byte, length)
+	var replies []*rpc.Response // released once the last byte is in out
+	defer func() {
+		for _, reply := range replies {
+			reply.Release()
+		}
+	}()
 	// Bytes requested per block; ranges never overlap (items are disjoint),
 	// so covering DataLens bytes means tiling the whole block.
 	covered := make(map[blockKey]uint64, len(segs))
@@ -206,7 +222,9 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 				n++
 			}
 		}
-		for i, resp := range s.scatter(ctx, sp, nil, reqs[:n]) {
+		var subs []*rpc.Response
+		subs, replies = s.scatter(ctx, sp, nil, reqs[:n])
+		for i, resp := range subs {
 			pre[keys[i]] = resp
 		}
 	}
@@ -214,18 +232,22 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 		key := blockKey{g.stripe, g.bin}
 		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
 		var data []byte
+		var reply *rpc.Response
 		var err error
 		if covered[key] != blockLen {
-			data, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
+			data, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
 		} else {
 			block, ok := whole[key]
 			if !ok {
-				if block, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
+				if block, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
 					return nil, err
 				}
 				whole[key] = block
 			}
 			data, err = sliceBlock(block, g.off, g.length)
+		}
+		if reply != nil {
+			replies = append(replies, reply)
 		}
 		if err != nil {
 			return nil, err
@@ -286,12 +308,15 @@ func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, who
 }
 
 // fetchBlock is one bare, verified GetBlock of block j (data or parity): the
-// range [off, off+length), or the whole block when length is 0.
-func (s *Store) fetchBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int, off, length uint64) ([]byte, error) {
+// range [off, off+length), or the whole block when length is 0. The bytes
+// alias the reply returned beside them, which a caller that has copied them
+// out may Release (readSegments does, through readBlock; the rest drop it).
+func (s *Store) fetchBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int, off, length uint64) ([]byte, *rpc.Response, error) {
 	st := &meta.Stripes[stripe]
 	req := s.getBlockReq(st, j, off, length)
 	resp, err := s.call(ctx, sp, st.Nodes[j], &req)
-	return s.verifyBlock(sp, meta, stripe, j, length == 0, resp, err)
+	data, err := s.verifyBlock(sp, meta, stripe, j, length == 0, resp, err)
+	return data, resp, err
 }
 
 // cachedBlock returns a data block's bytes from the coordinator cache. Cached
@@ -310,7 +335,24 @@ func (s *Store) cachedBlock(sp *trace.Span, meta *ObjectMeta, stripe, bin int) (
 	return v.([]byte), true
 }
 
-// cacheFillBlock admits one block's bytes to the cache. Admission requires
+// recheckBlock is cachedBlock as the first step of a flight that fetches or
+// rebuilds the block. Checking the cache and then joining the flight are two
+// steps: a reader that misses just before an earlier leader fills the cache
+// and leaves the flight map finds no flight to join and leads one of its own.
+// Looking again from inside the flight closes that window exactly — a leader
+// fills the cache before its flight ends — so one lost block costs one RS
+// decode however its readers interleave.
+func (s *Store) recheckBlock(sp *trace.Span, meta *ObjectMeta, stripe, bin int) ([]byte, bool) {
+	v, ok := s.cache.Recheck(blockKeyOf(meta, stripe, bin))
+	if !ok {
+		return nil, false
+	}
+	sp.Count(trace.CacheHits, 1)
+	return v.([]byte), true
+}
+
+// cacheFillBlock admits one block's bytes to the cache, which keeps them: the
+// caller hands over memory nobody will release or write. Admission requires
 // a successful CRC check against the stripe metadata — that verification is
 // what lets hits skip the read path's own pass — so nothing is cached when
 // verification is off.
@@ -326,77 +368,93 @@ func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) 
 
 // readBlock serves one planned read — bytes [off, off+length) of data block
 // bin — and is the only way block bytes reach a Get or a query's chunk fetch.
-// pre is the block's prefetched reply, if the planner got one. With the
-// cache on, reads are served at block granularity: a hit slices resident
-// bytes, and a miss fetches (and caches) the whole block under singleflight,
-// so the next range of the block is a hit and N concurrent readers of one
-// block trigger one fetch.
-func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, error) {
+// pre is the block's prefetched reply, if the planner got one. The bytes may
+// alias the reply a bare call fetched them in, returned beside them (else
+// nil): the caller's to Release once it has copied them out, and nobody
+// else's. With the cache on, reads are served at block granularity: a hit
+// slices resident bytes, and a miss fetches (and caches) the whole block under
+// singleflight, so the next range of the block is a hit and N concurrent
+// readers of one block trigger one fetch.
+func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, *rpc.Response, error) {
 	if !s.cacheOn() {
 		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
 	}
 	if pre == nil { // a prefetched reply means the planner just missed the cache
 		if block, ok := s.cachedBlock(sp, meta, stripe, bin); ok {
-			return sliceBlock(block, off, length)
+			data, err := sliceBlock(block, off, length)
+			return data, nil, err
 		}
 	}
 	st := &meta.Stripes[stripe]
+	var reply *rpc.Response // set by the flight's leader, the one caller that runs the function
 	v, err, _ := s.cache.Do("b/"+st.BlockIDs[bin], func() (any, error) {
-		block, err := s.directOrDegraded(ctx, sp, meta, stripe, bin, 0, st.DataLens[bin], pre)
+		if block, ok := s.recheckBlock(sp, meta, stripe, bin); ok {
+			return block, nil
+		}
+		block, r, err := s.directOrDegraded(ctx, sp, meta, stripe, bin, 0, st.DataLens[bin], pre)
 		if err != nil {
 			return nil, err
 		}
+		// What the cache keeps and the flight's followers share is a copy of
+		// exactly the block: the bytes read may be a window of a reply frame
+		// (a rented buffer up to twice the block, which the leader's Get is
+		// about to release) or, over simnet, of the node's own memory.
+		reply, block = r, bytes.Clone(block)
 		s.cacheFillBlock(meta, stripe, bin, block)
 		return block, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return sliceBlock(v.([]byte), off, length)
+	data, err := sliceBlock(v.([]byte), off, length)
+	return data, reply, err
 }
 
 // directOrDegraded is the read rule of §5 "Recovery and Fault Tolerance":
 // read the block where it lives, and if that fails — node unreachable, block
 // gone, or a checksum fault, which has already queued the repair — treat it
 // as an erasure and rebuild it from any k of the stripe's survivors. The
-// direct step is the prefetched reply when there is one, else a bare call;
-// a read of the whole block is verified against the stripe checksum. With
+// direct step is the prefetched reply when there is one, else a bare call,
+// whose reply is returned beside the bytes that alias it (fetchBlock); a read
+// of the whole block is verified against the stripe checksum. With
 // Options.HedgeAfter set the two steps race once the direct read has been
 // outstanding that long, instead of running in sequence.
-func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, error) {
+func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, *rpc.Response, error) {
 	bsp := sp.Child("block")
 	defer bsp.End()
-	direct := func() ([]byte, error) {
+	direct := func() ([]byte, *rpc.Response, error) {
 		if pre != nil {
-			return s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
+			data, err := s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
+			return data, nil, err // the planner holds pre's frame
 		}
 		if length == meta.Stripes[stripe].DataLens[bin] {
 			return s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0)
 		}
 		return s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length)
 	}
-	degraded := func() ([]byte, error) {
+	degraded := func() ([]byte, *rpc.Response, error) {
 		block, err := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return sliceBlock(block, off, length)
+		data, err := sliceBlock(block, off, length)
+		return data, nil, err
 	}
 	if s.opts.HedgeAfter > 0 {
 		return s.raceReads(ctx, bsp, meta.Stripes[stripe].Nodes[bin], direct, degraded)
 	}
-	data, derr := direct()
+	data, reply, derr := direct()
 	if derr == nil {
-		return data, nil
+		return data, reply, nil
 	}
 	// A dead context dooms the reconstruction fan-out too: don't start it.
 	var rerr error
 	if ctxErr(ctx) == nil {
-		if data, rerr = degraded(); rerr == nil {
-			return data, nil
+		if data, _, rerr = degraded(); rerr == nil {
+			return data, nil, nil
 		}
 	}
-	return nil, readFailed(ctx, derr, rerr)
+	return nil, nil, readFailed(ctx, derr, rerr)
 }
 
 // readFailed is the error of a block read whose direct and degraded steps
@@ -413,18 +471,20 @@ func readFailed(ctx context.Context, direct, degraded error) error {
 
 // raceReads runs a block's direct read and, once it has been outstanding for
 // Options.HedgeAfter (or has failed), its degraded read; the first success
-// wins.
-func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct, degraded func() ([]byte, error)) ([]byte, error) {
+// wins, and only the winner's reply is returned: a loser still running keeps
+// its own, which nobody then releases.
+func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct, degraded func() ([]byte, *rpc.Response, error)) ([]byte, *rpc.Response, error) {
 	type result struct {
 		data   []byte
+		reply  *rpc.Response
 		err    error
 		hedged bool
 	}
 	results := make(chan result, 2) // one slot per racer: late finishers never block
-	run := func(read func() ([]byte, error), hedged bool) {
+	run := func(read func() ([]byte, *rpc.Response, error), hedged bool) {
 		go func() {
-			data, err := read()
-			results <- result{data, err, hedged}
+			data, reply, err := read()
+			results <- result{data, reply, err, hedged}
 		}()
 	}
 	run(direct, false)
@@ -438,7 +498,7 @@ func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct,
 			// The caller gave up: stop waiting. Both racers write to a
 			// buffered channel and their own RPCs observe ctx, so nothing
 			// leaks.
-			return nil, readFailed(ctx, derr, rerr)
+			return nil, nil, readFailed(ctx, derr, rerr)
 		case r := <-results:
 			switch {
 			case r.err == nil:
@@ -446,7 +506,7 @@ func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct,
 					s.health.HedgeWin(node)
 					sp.Count(trace.HedgeWins, 1)
 				}
-				return r.data, nil
+				return r.data, r.reply, nil
 			case r.hedged:
 				rerr = r.err
 			default:
@@ -457,7 +517,7 @@ func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct,
 				hedgeLaunched = true
 				run(degraded, true)
 			} else if derr != nil && rerr != nil {
-				return nil, readFailed(ctx, derr, rerr)
+				return nil, nil, readFailed(ctx, derr, rerr)
 			}
 		case <-timer.C:
 			if !hedgeLaunched {
@@ -501,7 +561,7 @@ func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMe
 			continue
 		}
 		go func(j int) {
-			data, err := s.fetchBlock(ctx, sp, meta, stripe, j, 0, 0)
+			data, _, err := s.fetchBlock(ctx, sp, meta, stripe, j, 0, 0)
 			results <- blockResult{j, data, err}
 		}(j)
 	}
@@ -543,6 +603,9 @@ func (s *Store) reconstructBlock(ctx context.Context, sp *trace.Span, meta *Obje
 		return s.rebuildBlock(ctx, sp, meta, stripe, j)
 	}
 	v, err, _ := s.cache.Do("r/"+meta.Stripes[stripe].BlockIDs[j], func() (any, error) {
+		if block, ok := s.recheckBlock(sp, meta, stripe, j); ok {
+			return block, nil
+		}
 		block, err := s.rebuildBlock(ctx, sp, meta, stripe, j)
 		if err != nil {
 			return nil, err
@@ -640,7 +703,7 @@ func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (i
 			}
 			// Fast path for rejoin catch-up: a block the node still holds
 			// with verifying bytes needs no reconstruction.
-			if _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0); err == nil {
+			if _, _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0); err == nil {
 				continue
 			}
 			block, err := s.reconstructBlock(ctx, sp, meta, si, j)

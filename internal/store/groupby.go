@@ -127,7 +127,8 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		}
 		works = append(works, w)
 	}
-	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
+	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
+	for j, resp := range resps {
 		if resp == nil {
 			continue
 		}

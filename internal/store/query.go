@@ -462,7 +462,7 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 		for i, sp := range spans {
 			// A sibling that is unreadable or fails its own block checksum
 			// stays nil and is rebuilt like the suspect.
-			stored[i], _ = s.fetchBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin, 0, 0)
+			stored[i], _, _ = s.fetchBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin, 0, 0)
 		}
 	}
 	for suspect := range spans {
@@ -603,10 +603,18 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	}
 	needCols = dedupStrings(needCols)
 
-	colData := make(map[string]*lpq.ColumnData, len(plainCols))
+	// Each plain result column is sized once, for the rows the filter selected,
+	// and every task decodes into its own window of it: no per-chunk value
+	// slice, no re-growing, nothing left for the join below to copy.
+	selected := 0
+	for rg := range meta.Footer.RowGroups {
+		if bm := rgBitmaps[rg]; bm != nil {
+			selected += bm.Count()
+		}
+	}
+	colData := make(map[string]lpq.ColumnData, len(plainCols))
 	for _, name := range plainCols {
-		ci := colIdx[name]
-		colData[name] = &lpq.ColumnData{Type: meta.Footer.Columns[ci].Type}
+		colData[name] = lpq.MakeColumn(meta.Footer.Columns[colIdx[name]].Type, selected)
 	}
 
 	// One task per needed chunk, generated in row-group-major, SELECT-list-
@@ -631,6 +639,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			reqTasks = append(reqTasks, t)
 		}
 	}
+	before := 0 // selected rows of the row groups before rg: where rg's window starts
 	for rg, rgMeta := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
 		if bm == nil || bm.Count() == 0 {
@@ -638,6 +647,11 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		}
 		for _, name := range needCols {
 			t := &chunkTask{rg: rg, ci: colIdx[name], name: name, plain: seen[name], folds: feeds[name]}
+			if t.plain {
+				t.dst = colData[name].Window(before, bm.Count())
+			} else {
+				t.dst.Type = meta.Footer.Columns[t.ci].Type
+			}
 			tasks = append(tasks, t)
 			if ch := rgMeta.Chunks[t.ci]; s.pushProjection(meta, ch, bm.Selectivity()) {
 				planPush(t, rpc.KindProject, ch)
@@ -648,8 +662,10 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			tasks = append(tasks, t)
 			planPush(t, rpc.KindAggregate, rgMeta.Chunks[t.ci])
 		}
+		before += bm.Count()
 	}
-	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
+	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
+	for j, resp := range resps {
 		if resp == nil {
 			continue
 		}
@@ -678,9 +694,10 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, t.ci, bm, t.pre)
 		case t.plain || t.pre != nil:
 			// The values are wanted, or a pushed projection already sent them.
-			if t.vals, t.err = s.projectChunk(t.sub, t.rg, t.ci, bm, t.pre); t.err == nil && t.folds {
+			var vals lpq.ColumnData
+			if vals, t.err = s.projectChunk(t.sub, t.rg, t.ci, bm, t.pre, t.dst); t.err == nil && t.folds {
 				t.partial = sql.NewAggState(sql.AggCount)
-				t.partial.AddColumn(t.vals)
+				t.partial.AddColumn(vals)
 			}
 		default:
 			// Only aggregates read the column and nothing was pushed: fold
@@ -703,11 +720,6 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 				}
 			}
 		}
-		if t.plain {
-			if err := cluster.AppendColumn(colData[t.name], t.vals); err != nil {
-				return nil, err
-			}
-		}
 	}
 	for rg := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
@@ -722,7 +734,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	}
 	for _, name := range plainCols {
 		res.Columns = append(res.Columns, name)
-		res.Data = append(res.Data, *colData[name])
+		res.Data = append(res.Data, colData[name])
 	}
 	for _, a := range aggs {
 		res.AggLabels = append(res.AggLabels, a.proj.String())
@@ -731,19 +743,22 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	return res, nil
 }
 
-// projectChunk returns the selected values of one chunk. Whether to push
-// the projection down or fetch the compressed chunk was decided per chunk at
-// planning time by the Cost Equation (§4.3): push down iff
-// selectivity × compressibility < 1. pre, when non-nil, is the pushed
-// projection's reply — only decoding remains; otherwise (not pushed, or the
-// pushed attempt got no answer) the chunk is fetched and filtered here.
-func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response) (lpq.ColumnData, error) {
+// projectChunk decodes the selected values of one chunk onto dst (empty on
+// entry: see chunkTask.dst) and returns it. Whether to push the projection
+// down or fetch the compressed chunk was decided per chunk at planning time by
+// the Cost Equation (§4.3): push down iff selectivity × compressibility < 1.
+// pre, when non-nil, is the pushed projection's reply — only decoding remains;
+// otherwise (not pushed, or the pushed attempt got no answer) the chunk is
+// fetched and filtered here.
+func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response, dst lpq.ColumnData) (lpq.ColumnData, error) {
 	if pre != nil {
-		if vals, err := cluster.DecodePlain(pre.Data); err == nil {
+		if vals, err := cluster.DecodePlain(dst, pre.Data); err == nil && vals.Len() == bm.Count() {
 			st.stats.PushdownOn++
 			return vals, nil
 		}
-		// Malformed reply: fall through to fetching.
+		// Malformed reply — undecodable, or not the type or the number of
+		// values the selection asked for: fall through to fetching, which
+		// starts dst over.
 	}
 	if s.pushdownOn(st.meta) {
 		st.stats.PushdownOff++
@@ -753,7 +768,7 @@ func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *
 		return lpq.ColumnData{}, err
 	}
 	defer ch.Release()
-	return ch.Gather(bm)
+	return ch.AppendGather(dst, bm)
 }
 
 // aggregateChunk reduces one chunk's selected rows to a partial aggregate:

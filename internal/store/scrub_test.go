@@ -88,6 +88,7 @@ func TestScrubDetectsAndRepairsCorruptDataBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block = bytes.Clone(block) // a block read from a store is read-only
 	block[4] ^= 0x77
 	if err := node.Blocks.Put(st.BlockIDs[bin], block); err != nil {
 		t.Fatal(err)
@@ -136,6 +137,7 @@ func TestScrubRepairsCorruptParity(t *testing.T) {
 	if len(block) == 0 {
 		t.Skip("empty parity block")
 	}
+	block = bytes.Clone(block) // a block read from a store is read-only
 	block[0] ^= 0x01
 	if err := node.Blocks.Put(st.BlockIDs[parityIdx], block); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func TestSegmentsPlanner(t *testing.T) {
 					t.Fatalf("%s/%s: segment %+v overruns its bin (%d bytes)",
 						cfg.name, r.name, g, meta.Stripes[g.stripe].DataLens[g.bin])
 				}
-				block, err := s.fetchBlock(context.Background(), nil, meta, g.stripe, g.bin, 0, 0)
+				block, _, err := s.fetchBlock(context.Background(), nil, meta, g.stripe, g.bin, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

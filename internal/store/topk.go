@@ -143,7 +143,8 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 			reqWorks = append(reqWorks, w)
 		}
 	}
-	for j, resp := range s.scatter(st.ctx, st.sp, st, reqs) {
+	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
+	for j, resp := range resps {
 		if resp == nil {
 			continue
 		}

@@ -15,7 +15,7 @@ import (
 
 // TestFrameOverWire drives batch and plain messages, with payloads on both
 // sides of the codec's copy-or-reference threshold, through the frame writer
-// and both kinds of frame reader.
+// and the frame reader.
 func TestFrameOverWire(t *testing.T) {
 	big := bytes.Repeat([]byte{0xA5}, 300<<10)
 	requests := []*rpc.Request{
@@ -34,38 +34,36 @@ func TestFrameOverWire(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	var f framer
-	for _, pooled := range []bool{true, false} {
-		for i, req := range requests {
-			if err := f.writeRequest(&wire, req); err != nil {
-				t.Fatal(err)
-			}
-			frame, err := f.read(&wire, pooled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := &rpc.Request{}
-			if err := rpc.DecodeRequest(frame, got); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(req, got) {
-				t.Fatalf("request %d (pooled=%v): wire round trip mismatch", i, pooled)
-			}
+	for i, req := range requests {
+		if err := f.writeRequest(&wire, req); err != nil {
+			t.Fatal(err)
 		}
-		for i, resp := range responses {
-			if err := f.writeResponse(&wire, resp); err != nil {
-				t.Fatal(err)
-			}
-			frame, err := f.read(&wire, pooled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := &rpc.Response{}
-			if err := rpc.DecodeResponse(frame, got); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(resp, got) {
-				t.Fatalf("response %d (pooled=%v): wire round trip mismatch", i, pooled)
-			}
+		frame, err := f.read(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &rpc.Request{}
+		if err := rpc.DecodeRequest(frame, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req, got) {
+			t.Fatalf("request %d: wire round trip mismatch", i)
+		}
+	}
+	for i, resp := range responses {
+		if err := f.writeResponse(&wire, resp); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := f.read(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &rpc.Response{}
+		if err := rpc.DecodeResponse(frame, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp, got) {
+			t.Fatalf("response %d: wire round trip mismatch", i)
 		}
 	}
 	if wire.Len() != 0 {
@@ -117,23 +115,20 @@ func TestBatchOverTCP(t *testing.T) {
 // header-only OOM: a 4-byte prefix declaring a 2 GiB frame, then EOF, must
 // fail having allocated a few MiB, not the declared length.
 func TestHeaderOnlyFrameAllocatesLittle(t *testing.T) {
-	for _, pooled := range []bool{true, false} {
-		hdr := binary.BigEndian.AppendUint32(nil, maxFrame)
-		var f framer
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := f.read(bytes.NewReader(hdr), pooled)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("pooled=%v: header-only frame was accepted", pooled)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
-			t.Fatalf("pooled=%v: a 4-byte header made the reader allocate %d bytes", pooled, got)
-		}
+	hdr := binary.BigEndian.AppendUint32(nil, maxFrame)
+	var f framer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := f.read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header-only frame was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("a 4-byte header made the reader allocate %d bytes", got)
 	}
 	// The next size up from the limit is refused outright.
-	var f framer
-	if _, err := f.read(bytes.NewReader(binary.BigEndian.AppendUint32(nil, maxFrame+1)), false); err == nil {
+	if _, err := f.read(bytes.NewReader(binary.BigEndian.AppendUint32(nil, maxFrame+1))); err == nil {
 		t.Fatal("frame beyond maxFrame was accepted")
 	}
 }
@@ -147,15 +142,13 @@ func TestFrameLongerThanUpfront(t *testing.T) {
 		body[i] = byte(i * 7)
 	}
 	wire := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
-	for _, pooled := range []bool{true, false} {
-		var f framer
-		got, err := f.read(bytes.NewReader(wire), pooled)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("pooled=%v: long frame corrupted (err %v)", pooled, err)
-		}
-		if _, err := f.read(bytes.NewReader(wire[:len(wire)-1]), pooled); err == nil {
-			t.Fatalf("pooled=%v: truncated long frame was accepted", pooled)
-		}
+	var f framer
+	got, err := f.read(bytes.NewReader(wire))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("long frame corrupted (err %v)", err)
+	}
+	if _, err := f.read(bytes.NewReader(wire[:len(wire)-1])); err == nil {
+		t.Fatal("truncated long frame was accepted")
 	}
 }
 
@@ -187,14 +180,21 @@ func (s *holdStore) Put(id string, data []byte) error {
 	return err
 }
 
-// TestPayloadsOutlivePool runs under arena poisoning (and -race in CI). A
-// decoded payload aliases its frame buffer, so: the server must keep the
-// pooled request frame out of the arena until Handle and the response write
-// are done, and a client response's Data — held here across 100 further
-// calls, as a cache would — must never have been a pooled buffer at all.
+// TestPayloadsOutlivePool runs under arena poisoning (and -race in CI) and pins
+// who owns a frame buffer on each side. A decoded payload aliases its frame,
+// so the server keeps a request frame out of the arena until Handle and the
+// response write are done (holdStore checks that from inside Handle). A
+// client's reply frame is rented too, and giving it back is the holder's
+// choice: a response that is never released — held here across 100 further
+// calls and arena churn, as a cache holds one — stays intact; a released
+// one's buffer goes back (its bytes read as poison at once, a batch reply's
+// sub-responses all with it), is handed out again, and no response received
+// afterwards is disturbed by it; releasing twice, or releasing a reply that
+// never crossed a socket, does nothing.
 func TestPayloadsOutlivePool(t *testing.T) {
 	defer bufpool.SetPoison(bufpool.SetPoison(true))
-	srv, err := NewServer(cluster.NewNode(0, &holdStore{MemStore: cluster.NewMemStore(), t: t}), "127.0.0.1:0")
+	node := cluster.NewNode(0, &holdStore{MemStore: cluster.NewMemStore(), t: t})
+	srv, err := NewServer(node, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +224,55 @@ func TestPayloadsOutlivePool(t *testing.T) {
 			{Kind: rpc.KindGetBlock, BlockID: fmt.Sprint("b", i)},
 			{Kind: rpc.KindGetBlock, BlockID: "b0", Offset: 10, Length: 10},
 		}})
-		if err != nil || !bytes.Equal(resp.Subs[0].Data, block(i)) {
+		if err != nil || !bytes.Equal(resp.Subs[0].Data, block(i)) || !bytes.Equal(resp.Subs[1].Data, block(0)[:10]) {
 			t.Fatalf("batched get %d: %v", i, err)
+		}
+		// One Release on the outer response returns the one frame both
+		// sub-responses alias; a second does nothing (rpc's
+		// TestResponseRelease counts the buffers).
+		sub0, sub1 := resp.Subs[0].Data, resp.Subs[1].Data
+		resp.Release()
+		resp.Release()
+		if !bufpool.Poisoned(sub0) || !bufpool.Poisoned(sub1) {
+			t.Fatalf("batched get %d: a sub-response outlived the release of its frame", i)
 		}
 		churnArena(len(held.Data) + 64)
 	}
 	if bufpool.Poisoned(held.Data) || !bytes.Equal(held.Data, block(0)) {
-		t.Fatal("a response held across 100 calls was overwritten")
+		t.Fatal("an unreleased response held across 100 calls was overwritten")
+	}
+
+	// A released frame is handed out again. sync.Pool returns the buffer put
+	// last unless the goroutine changed processors in between (or, under the
+	// race detector, the pool dropped it on purpose), so a few tries.
+	reused := false
+	for try := 0; try < 20 && !reused; try++ {
+		resp, err := client.Call(0, &rpc.Request{Kind: rpc.KindGetBlock, BlockID: "b0"})
+		if err != nil || !bytes.Equal(resp.Data, block(0)) {
+			t.Fatalf("get after releases: %v", err)
+		}
+		old := resp.Data
+		resp.Release()
+		rented := bufpool.GetLen(len(old) + 64)
+		for i := range rented[:cap(rented)] {
+			rented[:cap(rented)][i] = 0x11
+		}
+		reused = old[0] == 0x11 && old[len(old)-1] == 0x11
+		bufpool.Put(rented)
+	}
+	if !reused {
+		t.Fatal("a released reply frame was never handed out again in 20 tries")
+	}
+	if bufpool.Poisoned(held.Data) || !bytes.Equal(held.Data, block(0)) {
+		t.Fatal("releasing other responses disturbed one that was not released")
+	}
+
+	// A reply that never crossed a socket has no frame to give back.
+	local := node.Handle(&rpc.Request{Kind: rpc.KindGetBlock, BlockID: "b0"})
+	local.Release()
+	new(rpc.Response).Release()
+	if !bytes.Equal(local.Data, block(0)) {
+		t.Fatal("Release of a frameless response touched its data")
 	}
 }
 
@@ -248,14 +290,14 @@ var frameCases = []struct {
 }
 
 // frameRoundTrip frames, reads back and decodes req as a server does and
-// resp as a client does, over an in-memory wire: everything an RPC costs
-// but the socket and Node.Handle.
+// resp as a client whose caller releases it does, over an in-memory wire:
+// everything an RPC costs but the socket and Node.Handle.
 func frameRoundTrip(tb testing.TB, wire *bytes.Buffer, f *framer, req *rpc.Request, resp *rpc.Response) {
 	if req != nil {
 		if err := f.writeRequest(wire, req); err != nil {
 			tb.Fatal(err)
 		}
-		frame, err := f.read(wire, true)
+		frame, err := f.read(wire)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -268,13 +310,15 @@ func frameRoundTrip(tb testing.TB, wire *bytes.Buffer, f *framer, req *rpc.Reque
 		if err := f.writeResponse(wire, resp); err != nil {
 			tb.Fatal(err)
 		}
-		frame, err := f.read(wire, false)
+		frame, err := f.read(wire)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := rpc.DecodeResponse(frame, new(rpc.Response)); err != nil {
+		got := new(rpc.Response)
+		if err := rpc.DecodePooledResponse(frame, got); err != nil {
 			tb.Fatal(err)
 		}
+		got.Release()
 	}
 }
 

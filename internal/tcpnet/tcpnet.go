@@ -79,11 +79,13 @@ func (f *framer) write(w io.Writer, head []byte, segs [][]byte, err error) error
 	return err
 }
 
-// read receives one frame body. A pooled body comes from bufpool and the
-// caller returns it with bufpool.Put once nothing decoded from it is live
-// (decoded payloads alias it); an unpooled one is a plain allocation that
-// the decoded message owns.
-func (f *framer) read(r io.Reader, pooled bool) ([]byte, error) {
+// read receives one frame body into a buffer from bufpool. Decoded payloads
+// alias it, so whoever decodes the frame decides when — and whether — it goes
+// back: the server returns a request frame once the response is on the wire,
+// a client's reply frame belongs to the decoded response
+// (rpc.DecodePooledResponse), whose holder may release it or let it be
+// collected.
+func (f *framer) read(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return nil, err
 	}
@@ -91,25 +93,21 @@ func (f *framer) read(r io.Reader, pooled bool) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	get, put := func(n int) []byte { return make([]byte, n) }, func([]byte) {}
-	if pooled {
-		get, put = bufpool.GetLen, bufpool.Put
-	}
 	// A prefix alone earns at most maxUpfront; the rest of a longer frame is
-	// allocated as its bytes actually arrive, doubling.
-	buf := get(min(n, maxUpfront))
+	// rented as its bytes actually arrive, doubling.
+	buf := bufpool.GetLen(min(n, maxUpfront))
 	have := 0
 	for {
 		if _, err := io.ReadFull(r, buf[have:]); err != nil {
-			put(buf)
+			bufpool.Put(buf)
 			return nil, err
 		}
 		if have = len(buf); have == n {
 			return buf, nil
 		}
-		next := get(min(n, 2*have))
+		next := bufpool.GetLen(min(n, 2*have))
 		copy(next, buf)
-		put(buf)
+		bufpool.Put(buf)
 		buf = next
 	}
 }
@@ -171,7 +169,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	var f framer
 	for {
-		frame, err := f.read(conn, true)
+		frame, err := f.read(conn)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
@@ -253,7 +251,8 @@ func (c *Client) NumNodes() int { return len(c.addrs) }
 
 // exchange performs one request/response pair on nc's connection, applying
 // the per-frame IO deadline when configured and recording per-frame timings
-// when a histogram set is installed. The caller holds nc.mu.
+// when a histogram set is installed. The returned response owns its pooled
+// reply frame. The caller holds nc.mu.
 func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Response, error) {
 	conn := nc.conn
 	timeout := time.Duration(c.ioTimeout.Load())
@@ -280,15 +279,18 @@ func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Respon
 			return nil, err
 		}
 	}
-	// The frame is a plain allocation that the response's payloads alias
-	// and thereby own: the store hands Data to caches and callers, so it
-	// must never come from, or go back to, the arena.
-	frame, err := nc.f.read(conn, false)
+	// The reply frame is rented, like the server's request frames, so a bulk
+	// reply costs no fresh zeroed allocation; the response's payloads alias
+	// it and the response owns it. Nothing here ever puts it back: a caller
+	// that is done with the bytes may (rpc.Response.Release), and one that
+	// keeps them, or drops the response, leaves the frame to the collector.
+	frame, err := nc.f.read(conn)
 	if err != nil {
 		return nil, err
 	}
 	resp := new(rpc.Response)
-	if err := rpc.DecodeResponse(frame, resp); err != nil {
+	if err := rpc.DecodePooledResponse(frame, resp); err != nil {
+		bufpool.Put(frame)
 		return nil, err
 	}
 	if hist != nil {
