@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -150,7 +151,7 @@ func TestCallRetryBreakerFailsFast(t *testing.T) {
 	}
 	req := &rpc.Request{Kind: rpc.KindPing}
 	for i := 0; i < 2; i++ {
-		if _, err := CallRetry(fc, 0, req, p); err == nil {
+		if _, _, err := CallRetryCtx(context.Background(), fc, 0, req, p); err == nil {
 			t.Fatal("failing transport must error")
 		}
 	}
@@ -158,7 +159,7 @@ func TestCallRetryBreakerFailsFast(t *testing.T) {
 		t.Fatalf("transport attempts before trip = %d, want 2", fc.count())
 	}
 	// Circuit open: the next call is rejected without touching the transport.
-	_, err := CallRetry(fc, 0, req, p)
+	_, _, err := CallRetryCtx(context.Background(), fc, 0, req, p)
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("open circuit: want ErrNodeDown, got %v", err)
 	}
@@ -166,7 +167,7 @@ func TestCallRetryBreakerFailsFast(t *testing.T) {
 		t.Fatalf("open circuit must not issue transport calls (calls = %d)", fc.count())
 	}
 	// Other nodes are unaffected (they still reach the transport).
-	if _, err := CallRetry(fc, 1, req, p); errors.Is(err, ErrNodeDown) {
+	if _, _, err := CallRetryCtx(context.Background(), fc, 1, req, p); errors.Is(err, ErrNodeDown) {
 		t.Fatalf("node 1 must not be short-circuited: %v", err)
 	}
 	if fc.count() != 3 {

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"fmt"
 
 	"github.com/fusionstore/fusion/internal/rpc"
 )
@@ -21,25 +23,16 @@ type Client interface {
 // ErrNodeDown reports a call to an unreachable node.
 var ErrNodeDown = errors.New("cluster: node down")
 
-// CallChecked performs a Call under DefaultPolicy (bounded retries with
+// CallChecked performs a Call under the default Policy (bounded retries with
 // backoff for transient transport errors; ErrNodeDown fails fast) and
 // converts application errors to Go errors.
 func CallChecked(c Client, node int, req *rpc.Request) (*rpc.Response, error) {
-	return CallCheckedPolicy(c, node, req, DefaultPolicy())
-}
-
-// ParallelResult is one completed call from Parallel.
-type ParallelResult struct {
-	Index int
-	Node  int
-	Req   *rpc.Request
-	Resp  *rpc.Response
-	Err   error
-}
-
-// Parallel issues all calls concurrently under DefaultPolicy and returns
-// results indexed like the input. The coordinator fans its filter and
-// projection stages out this way (§4.3).
-func Parallel(c Client, nodes []int, reqs []*rpc.Request) []ParallelResult {
-	return ParallelPolicy(c, nodes, reqs, DefaultPolicy())
+	resp, _, err := CallRetryCtx(context.Background(), c, node, req, Policy{})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Err != "" {
+		return resp, fmt.Errorf("cluster: node %d: %s", node, resp.Err)
+	}
+	return resp, nil
 }

@@ -464,24 +464,18 @@ func TestDecodePlainIntoWindow(t *testing.T) {
 	}
 }
 
-func TestParallel(t *testing.T) {
+func TestCallChecked(t *testing.T) {
 	node := NewNode(0, NewMemStore())
 	node.Blocks.Put("b", []byte("data"))
 	client := singleNodeClient{node}
-	reqs := []*rpc.Request{
-		{Kind: rpc.KindGetBlock, BlockID: "b"},
-		{Kind: rpc.KindPing},
-		{Kind: rpc.KindGetBlock, BlockID: "missing"},
+	resp, err := CallChecked(client, 0, &rpc.Request{Kind: rpc.KindGetBlock, BlockID: "b"})
+	if err != nil || string(resp.Data) != "data" {
+		t.Fatalf("read of a stored block: %v, %v", resp, err)
 	}
-	results := Parallel(client, []int{0, 0, 0}, reqs)
-	if len(results) != 3 {
-		t.Fatal("wrong result count")
-	}
-	if string(results[0].Resp.Data) != "data" {
-		t.Fatal("result 0 wrong")
-	}
-	if results[2].Resp.Err == "" {
-		t.Fatal("result 2 must carry the error")
+	// An application error comes back as a Go error beside the response.
+	resp, err = CallChecked(client, 0, &rpc.Request{Kind: rpc.KindGetBlock, BlockID: "missing"})
+	if err == nil || resp == nil || resp.Err == "" {
+		t.Fatalf("read of a missing block: %v, %v", resp, err)
 	}
 }
 

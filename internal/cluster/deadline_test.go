@@ -70,7 +70,7 @@ func TestRetryNoAttemptAfterCancel(t *testing.T) {
 	c := &alwaysFailClient{nodes: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, attempts, err := CallRetryCtx(ctx, c, 0, &rpc.Request{Kind: rpc.KindPing}, DefaultPolicy())
+	_, attempts, err := CallRetryCtx(ctx, c, 0, &rpc.Request{Kind: rpc.KindPing}, Policy{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v must wrap context.Canceled", err)
 	}
@@ -79,8 +79,8 @@ func TestRetryNoAttemptAfterCancel(t *testing.T) {
 	}
 }
 
-// TestRetryBackgroundKeepsLegacyBehavior: without a deadline the ctx path
-// must retry exactly like CallRetryN always has.
+// TestRetryBackgroundKeepsLegacyBehavior: without a deadline the loop
+// exhausts MaxAttempts.
 func TestRetryBackgroundKeepsLegacyBehavior(t *testing.T) {
 	c := &alwaysFailClient{nodes: 1}
 	p := Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}

@@ -18,8 +18,10 @@ import (
 var ErrCallTimeout = errors.New("cluster: call timed out")
 
 // Policy bounds the retry/backoff/deadline behavior of the hardened call
-// path. The zero value means "defaults": 3 attempts, 1ms base backoff
-// doubling to 100ms, 50% jitter, no per-attempt deadline.
+// path. The zero value is the default: 3 attempts, 1ms base backoff doubling
+// to 100ms, no jitter, no per-attempt deadline. ErrNodeDown is never retried:
+// a refused connection is a definitive answer, and for reads the caller's
+// better retry is the reconstruction fan-out over other nodes.
 type Policy struct {
 	// MaxAttempts is the total number of tries (first call included).
 	MaxAttempts int
@@ -29,15 +31,12 @@ type Policy struct {
 	// MaxBackoff caps the exponential backoff.
 	MaxBackoff time.Duration
 	// JitterFrac scales each backoff by a uniform factor in
-	// [1, 1+JitterFrac], decorrelating retry storms across callers.
+	// [1, 1+JitterFrac], decorrelating retry storms across callers. 0 (the
+	// default) sleeps the exact exponential schedule.
 	JitterFrac float64
 	// Timeout, when positive, bounds each attempt; an attempt that exceeds
 	// it fails with ErrCallTimeout and is retried like any transport error.
 	Timeout time.Duration
-	// RetryNodeDown also retries ErrNodeDown. Off by default: a refused
-	// connection is a definitive answer, and for reads the caller's better
-	// retry is the reconstruction fan-out over other nodes.
-	RetryNodeDown bool
 	// Jitter is the randomness source for backoff jitter. Nil means the
 	// package's locked, fixed-seed default — NOT the global math/rand
 	// source, so fault-injection runs under a fixed FUSION_FAULT_SEED
@@ -83,20 +82,10 @@ func (s *lockedSource) Float64() float64 {
 }
 
 // defaultJitter decorrelates retry storms without depending on the global
-// math/rand state, keeping default-policy runs reproducible.
+// math/rand state, keeping runs that set no source reproducible.
 var defaultJitter = NewJitterSource(1)
 
-// DefaultPolicy returns the policy CallChecked and Parallel apply.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts: 3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		JitterFrac:  0.5,
-	}
-}
-
-// withDefaults fills unset bounds.
+// withDefaults fills unset bounds: the one definition of the default policy.
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
@@ -129,64 +118,20 @@ func (p Policy) backoff(retry int) time.Duration {
 	return d
 }
 
-// retryable reports whether a transport error is worth another attempt.
-func (p Policy) retryable(err error) bool {
-	if errors.Is(err, ErrNodeDown) {
-		return p.RetryNodeDown
-	}
-	return true
-}
-
-// CallTimeout performs one Call bounded by d (d <= 0 means unbounded). On
-// timeout the in-flight call is abandoned to a buffered channel, so the
-// transport goroutine never blocks.
-func CallTimeout(c Client, node int, req *rpc.Request, d time.Duration) (*rpc.Response, error) {
-	if d <= 0 {
-		return c.Call(node, req)
-	}
-	type result struct {
-		resp *rpc.Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := c.Call(node, req)
-		ch <- result{resp, err}
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timer.C:
-		return nil, fmt.Errorf("%w: node %d after %v", ErrCallTimeout, node, d)
-	}
-}
-
-// CallRetry is the hardened transport call: per-attempt deadline, bounded
-// retries with exponential backoff + jitter, and per-node health accounting.
-// Only transport-level failures are retried; an rpc.Response carrying an
-// application error is returned as a success at this layer. All node RPCs
-// are idempotent (Put rewrites the same bytes, reads have no side effects),
-// so re-sending a request whose response was lost is safe.
-func CallRetry(c Client, node int, req *rpc.Request, p Policy) (*rpc.Response, error) {
-	resp, _, err := CallRetryN(c, node, req, p)
-	return resp, err
-}
-
-// CallRetryN is CallRetry reporting how many attempts ran (>= 1), so
-// request-scoped tracing can attribute retries to the request that paid for
-// them.
-func CallRetryN(c Client, node int, req *rpc.Request, p Policy) (*rpc.Response, int, error) {
-	return CallRetryCtx(context.Background(), c, node, req, p)
-}
-
-// CallRetryCtx is CallRetryN bounded end to end by the caller's context:
-// no attempt is issued once ctx is done, a backoff that would sleep past
-// the context deadline fails immediately instead of sleeping into a
-// guaranteed-useless retry, and each attempt's per-call timeout is capped
-// at the remaining deadline budget. A Background context restores plain
-// CallRetryN behavior.
+// CallRetryCtx is the hardened transport call: per-attempt deadline, bounded
+// retries with exponential backoff, the per-node circuit breaker and health
+// accounting. It reports how many attempts ran, so request-scoped tracing can
+// attribute retries to the request that paid for them. Only transport-level
+// failures are retried; an rpc.Response carrying an application error is a
+// success at this layer. All node RPCs are idempotent (Put rewrites the same
+// bytes, reads have no side effects), so re-sending a request whose response
+// was lost is safe.
+//
+// The loop is bounded end to end by the caller's context: no attempt is
+// issued once ctx is done, a backoff that would sleep past the context
+// deadline fails immediately instead of sleeping into a guaranteed-useless
+// retry, and each attempt's per-call timeout is capped at the remaining
+// deadline budget.
 func CallRetryCtx(ctx context.Context, c Client, node int, req *rpc.Request, p Policy) (*rpc.Response, int, error) {
 	p = p.withDefaults()
 	var lastErr error
@@ -249,7 +194,7 @@ func CallRetryCtx(ctx context.Context, c Client, node int, req *rpc.Request, p P
 			return nil, attempts, fmt.Errorf("cluster: attempt %d to node %d abandoned (%v): %w", attempts, node, err, ctxErr)
 		}
 		lastErr = err
-		if !p.retryable(err) {
+		if errors.Is(err, ErrNodeDown) {
 			return nil, attempts, err
 		}
 	}
@@ -273,8 +218,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// callTimeoutCtx is CallTimeout that additionally abandons the in-flight
-// attempt the moment ctx is done.
+// callTimeoutCtx performs one Call bounded by d (d <= 0 means unbounded) and
+// by ctx. At the timeout, or the moment ctx is done, the in-flight call is
+// abandoned to a buffered channel, so the transport goroutine never blocks;
+// a context that cannot be cancelled and no timeout is a plain Call.
 func callTimeoutCtx(ctx context.Context, c Client, node int, req *rpc.Request, d time.Duration) (*rpc.Response, error) {
 	if d <= 0 && ctx.Done() == nil {
 		return c.Call(node, req)
@@ -302,37 +249,4 @@ func callTimeoutCtx(ctx context.Context, c Client, node int, req *rpc.Request, d
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// CallCheckedPolicy is CallChecked under an explicit policy.
-func CallCheckedPolicy(c Client, node int, req *rpc.Request, p Policy) (*rpc.Response, error) {
-	resp, err := CallRetry(c, node, req, p)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return resp, fmt.Errorf("cluster: node %d: %s", node, resp.Err)
-	}
-	return resp, nil
-}
-
-// ParallelPolicy issues all calls concurrently under the given retry policy,
-// returning results indexed like the input.
-func ParallelPolicy(c Client, nodes []int, reqs []*rpc.Request, p Policy) []ParallelResult {
-	if len(nodes) != len(reqs) {
-		panic("cluster: nodes and reqs length mismatch")
-	}
-	results := make([]ParallelResult, len(reqs))
-	done := make(chan int, len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			resp, err := CallRetry(c, nodes[i], reqs[i], p)
-			results[i] = ParallelResult{Index: i, Node: nodes[i], Req: reqs[i], Resp: resp, Err: err}
-			done <- i
-		}(i)
-	}
-	for range reqs {
-		<-done
-	}
-	return results
 }

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,12 @@ import (
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
 )
+
+// callRetry is the cluster retry loop under no context.
+func callRetry(c cluster.Client, node int, req *rpc.Request, p cluster.Policy) (*rpc.Response, error) {
+	resp, _, err := cluster.CallRetryCtx(context.Background(), c, node, req, p)
+	return resp, err
+}
 
 func newInjector(t testing.TB, nodes int, seed int64) (*Injector, *simnet.Cluster) {
 	t.Helper()
@@ -112,7 +119,7 @@ func TestFaultHangObeysCallTimeout(t *testing.T) {
 	pol := cluster.Policy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond, Timeout: 20 * time.Millisecond}
 	start := time.Now()
 	// First attempt hangs past the deadline, the retry passes through.
-	resp, err := cluster.CallRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
+	resp, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
 	if err != nil || resp.Err != "" {
 		t.Fatalf("retry after hang: %v", err)
 	}
@@ -125,7 +132,7 @@ func TestCallTimeoutSentinel(t *testing.T) {
 	inj, _ := newInjector(t, 2, 1)
 	inj.Add(Rule{Node: 0, Kind: rpc.KindPing, Fault: FaultHang, Delay: 500 * time.Millisecond})
 	pol := cluster.Policy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond, Timeout: 15 * time.Millisecond}
-	_, err := cluster.CallRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
+	_, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
 	if !errors.Is(err, cluster.ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
 	}
@@ -162,7 +169,7 @@ func TestRetryExhaustionReportsLastError(t *testing.T) {
 	inj, _ := newInjector(t, 2, 1)
 	inj.Add(Rule{Node: 0, Kind: rpc.KindPing, Fault: FaultError})
 	pol := cluster.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond}
-	_, err := cluster.CallRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
+	_, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("exhausted retries should wrap the last error, got %v", err)
 	}
@@ -176,7 +183,7 @@ func TestNodeDownFailsFastByDefault(t *testing.T) {
 	inj.SetDown(0, true)
 	pol := cluster.Policy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond}
 	start := time.Now()
-	_, err := cluster.CallRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
+	_, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
 	if !errors.Is(err, cluster.ErrNodeDown) {
 		t.Fatalf("want ErrNodeDown, got %v", err)
 	}
@@ -213,8 +220,8 @@ func TestRetryIdempotentSafe(t *testing.T) {
 		putReq := func() *rpc.Request {
 			return &rpc.Request{Kind: rpc.KindPutBlock, BlockID: "obj", Data: payload}
 		}
-		respC, errC := cluster.CallRetry(control, 0, putReq(), pol)
-		respF, errF := cluster.CallRetry(inj, 0, putReq(), pol)
+		respC, errC := callRetry(control, 0, putReq(), pol)
+		respF, errF := callRetry(inj, 0, putReq(), pol)
 		if errC != nil || errF != nil || respC.Err != "" || respF.Err != "" {
 			return false
 		}
@@ -222,8 +229,8 @@ func TestRetryIdempotentSafe(t *testing.T) {
 		getReq := func() *rpc.Request {
 			return &rpc.Request{Kind: rpc.KindGetBlock, BlockID: "obj"}
 		}
-		gotC, errC := cluster.CallRetry(control, 0, getReq(), pol)
-		gotF, errF := cluster.CallRetry(inj, 0, getReq(), pol)
+		gotC, errC := callRetry(control, 0, getReq(), pol)
+		gotF, errF := callRetry(inj, 0, getReq(), pol)
 		if errC != nil || errF != nil {
 			return false
 		}

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/rpc"
@@ -96,57 +97,71 @@ func decodeVersioned(data []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(data[4:]), data[12:], nil
 }
 
+// send issues req to each of nodes at once and returns their responses
+// index-aligned with nodes; nil marks a node that did not answer. Every phase
+// of the register leaves through here, one goroutine per replica: a quorum
+// phase waits on the slowest of its round trips, so they must all be in
+// flight together (a CPU-sized worker pool would serialise them into rounds).
+// Each call gets its own copy of the request, for a client that stamps what
+// it sends. Retries, deadlines and accounting are the client's.
+func (kv *KV) send(nodes []int, req rpc.Request) []*rpc.Response {
+	resps := make([]*rpc.Response, len(nodes))
+	var wg sync.WaitGroup
+	wg.Add(len(nodes))
+	for i, node := range nodes {
+		req := req
+		go func() {
+			defer wg.Done()
+			if resp, err := kv.client.Call(node, &req); err == nil {
+				resps[i] = resp
+			}
+		}()
+	}
+	wg.Wait()
+	return resps
+}
+
 // readPhase collects each reachable replica's current (version, value).
 func (kv *KV) readPhase(key string) ([]versioned, error) {
-	reqs := make([]*rpc.Request, len(kv.replicas))
-	for i := range kv.replicas {
-		reqs[i] = &rpc.Request{Kind: rpc.KindGetBlock, BlockID: keyBlock(key)}
-	}
-	results := cluster.Parallel(kv.client, kv.replicas, reqs)
 	var out []versioned
-	answered := 0
-	for _, r := range results {
-		if r.Err != nil {
+	for i, resp := range kv.send(kv.replicas, rpc.Request{Kind: rpc.KindGetBlock, BlockID: keyBlock(key)}) {
+		if resp == nil {
 			continue // unreachable
 		}
-		answered++
-		if r.Resp.Err != "" {
-			// Reachable but no value: counts toward the quorum.
-			out = append(out, versioned{node: r.Node})
-			continue
+		// Reachable but no value, or one that rotted at rest: still counts
+		// toward the quorum.
+		v := versioned{node: kv.replicas[i]}
+		if resp.Err == "" {
+			if ver, val, err := decodeVersioned(resp.Data); err == nil {
+				v = versioned{version: ver, value: val, exists: true, node: v.node}
+			}
 		}
-		ver, val, err := decodeVersioned(r.Resp.Data)
-		if err != nil {
-			out = append(out, versioned{node: r.Node})
-			continue
-		}
-		out = append(out, versioned{version: ver, value: val, exists: true, node: r.Node})
+		out = append(out, v)
 	}
-	if answered < kv.Majority() {
-		return nil, fmt.Errorf("%w: %d of %d replicas answered", ErrNoQuorum, answered, len(kv.replicas))
+	if len(out) < kv.Majority() {
+		return nil, fmt.Errorf("%w: %d of %d replicas answered", ErrNoQuorum, len(out), len(kv.replicas))
 	}
 	return out, nil
 }
 
-// writePhase writes (version, value) to the replicas, requiring a majority
-// of acks.
-func (kv *KV) writePhase(key string, version uint64, value []byte) error {
-	payload := encodeVersioned(version, value)
-	reqs := make([]*rpc.Request, len(kv.replicas))
-	for i := range kv.replicas {
-		reqs[i] = &rpc.Request{Kind: rpc.KindPutBlock, BlockID: keyBlock(key), Data: payload}
-	}
-	results := cluster.Parallel(kv.client, kv.replicas, reqs)
+// quorumWrite sends one mutation of the key's block — a versioned write or a
+// delete — to every replica, requiring a majority of acks.
+func (kv *KV) quorumWrite(req rpc.Request) error {
 	acks := 0
-	for _, r := range results {
-		if r.Err == nil && r.Resp.Err == "" {
+	for _, resp := range kv.send(kv.replicas, req) {
+		if resp != nil && resp.Err == "" {
 			acks++
 		}
 	}
 	if acks < kv.Majority() {
-		return fmt.Errorf("%w: %d of %d replicas acked", ErrNoQuorum, acks, len(kv.replicas))
+		return fmt.Errorf("%w: %d of %d replicas acked %v", ErrNoQuorum, acks, len(kv.replicas), req.Kind)
 	}
 	return nil
+}
+
+// writeReq is the request that stores (version, value) under key.
+func writeReq(key string, version uint64, value []byte) rpc.Request {
+	return rpc.Request{Kind: rpc.KindPutBlock, BlockID: keyBlock(key), Data: encodeVersioned(version, value)}
 }
 
 // Get returns the key's value and version, repairing stale replicas.
@@ -164,14 +179,16 @@ func (kv *KV) Get(key string) ([]byte, uint64, error) {
 	if !best.exists {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	// Read repair: replicas below the winning version get the value back.
-	payload := encodeVersioned(best.version, best.value)
+	// Read repair: replicas below the winning version get the value back,
+	// best effort.
+	var stale []int
 	for _, r := range reads {
 		if !r.exists || r.version < best.version {
-			_, _ = kv.client.Call(r.node, &rpc.Request{
-				Kind: rpc.KindPutBlock, BlockID: keyBlock(key), Data: payload,
-			})
+			stale = append(stale, r.node)
 		}
+	}
+	if len(stale) > 0 {
+		kv.send(stale, writeReq(key, best.version, best.value))
 	}
 	return best.value, best.version, nil
 }
@@ -190,7 +207,7 @@ func (kv *KV) Put(key string, value []byte) (uint64, error) {
 		}
 	}
 	next := maxVer + 1
-	if err := kv.writePhase(key, next, value); err != nil {
+	if err := kv.quorumWrite(writeReq(key, next, value)); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -215,7 +232,7 @@ func (kv *KV) Incr(key string) (uint64, error) {
 		}
 	}
 	next := maxVer + 1
-	if err := kv.writePhase(key, next, value); err != nil {
+	if err := kv.quorumWrite(writeReq(key, next, value)); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -242,19 +259,5 @@ func (kv *KV) Head(key string) (uint64, error) {
 // Delete removes the key from every reachable replica (best effort beyond
 // the required majority).
 func (kv *KV) Delete(key string) error {
-	reqs := make([]*rpc.Request, len(kv.replicas))
-	for i := range kv.replicas {
-		reqs[i] = &rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: keyBlock(key)}
-	}
-	results := cluster.Parallel(kv.client, kv.replicas, reqs)
-	acks := 0
-	for _, r := range results {
-		if r.Err == nil && r.Resp.Err == "" {
-			acks++
-		}
-	}
-	if acks < kv.Majority() {
-		return fmt.Errorf("%w: %d of %d replicas acked delete", ErrNoQuorum, acks, len(kv.replicas))
-	}
-	return nil
+	return kv.quorumWrite(rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: keyBlock(key)})
 }

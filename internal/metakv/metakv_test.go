@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
 )
@@ -267,5 +269,64 @@ func TestCorruptReplicaAtRest(t *testing.T) {
 	}
 	if gotVer, gotVal, err := decodeVersioned(fixed); err != nil || gotVer != 1 || string(gotVal) != "good" {
 		t.Fatalf("replica not repaired: v%d %q, %v", gotVer, gotVal, err)
+	}
+}
+
+// barrierClient holds every call until a full round of width calls has
+// arrived. A phase that issues its calls one after another, or through a pool
+// narrower than the replica set, never fills a round: its calls time out.
+type barrierClient struct {
+	cluster.Client
+	width int
+
+	mu      sync.Mutex
+	arrived int
+	rounds  []chan struct{} // rounds[r] is closed by arrival (r+1)*width
+}
+
+func (c *barrierClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	c.mu.Lock()
+	r := c.arrived / c.width
+	c.arrived++
+	if r == len(c.rounds) {
+		c.rounds = append(c.rounds, make(chan struct{}))
+	}
+	full := c.rounds[r]
+	if c.arrived%c.width == 0 {
+		close(full)
+	}
+	c.mu.Unlock()
+	select {
+	case <-full:
+		return c.Client.Call(node, req)
+	case <-time.After(time.Second):
+		return nil, errors.New("barrier: the round never filled")
+	}
+}
+
+// TestPhaseCallsOverlap: every quorum phase — read, write, delete — has all
+// k+1 of its calls in flight together, whatever the CPU count. A phase costs
+// the slowest of its round trips, not their sum.
+func TestPhaseCallsOverlap(t *testing.T) {
+	replicas := []int{0, 1, 2, 3, 4, 5, 6}
+	cl := &barrierClient{Client: simnet.New(simnet.Config{Nodes: 7, ProcessRate: 1e9, NetCPURate: 1e9}), width: len(replicas)}
+	kv, err := New(cl, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kv.Put("obj", []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if _, err := kv.Incr("obj"); err != nil {
+		t.Fatalf("Incr: %v", err)
+	}
+	if val, ver, err := kv.Get("obj"); err != nil || string(val) != "v" || ver != 2 {
+		t.Fatalf("Get: %q v%d, %v", val, ver, err)
+	}
+	if err := kv.Delete("obj"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if rounds := cl.arrived / cl.width; rounds != 6 || cl.arrived%cl.width != 0 {
+		t.Fatalf("%d calls in rounds of %d, want 6 full rounds", cl.arrived, cl.width)
 	}
 }

@@ -2,11 +2,9 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/simnet"
-	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // rotDataBlock flips one byte of a stored data block that backs at least one
@@ -42,40 +40,3 @@ func rotDataBlock(t *testing.T, s *Store, cl *simnet.Cluster, name string) (int,
 // (The at-rest and in-flight bit-rot cycles — detect, serve via
 // reconstruction, queue, repair, scrub clean — are rows of
 // TestBlockReadFaults.)
-
-// TestSkipChecksumVerifyDisablesEndToEndCheck pins the benchmark escape
-// hatch: with SkipChecksumVerify set, the coordinator does not checksum node
-// replies — an in-flight flip of a directly-read data block reaches the
-// caller uncounted and unrepaired — which is exactly why it is
-// benchmark-only.
-func TestSkipChecksumVerifyDisablesEndToEndCheck(t *testing.T) {
-	opts := fusionTestOptions()
-	opts.SkipChecksumVerify = true
-	tap := &tapClient{inner: simnet.New(simnet.DefaultConfig())}
-	s, err := New(tap, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _, _ := makeObject(t, 2, 200, 1)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	meta, _ := s.Meta("obj")
-	loc := meta.ItemLocs[meta.ChunkItemIndex(0, 0)]
-	tap.set(meta.Stripes[loc.Stripe].BlockIDs[loc.Bin])
-	ctx, sp := trace.Start(context.Background(), "read")
-	got, err := s.GetContext(ctx, "obj", 0, 0)
-	sp.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, data) {
-		t.Fatal("the flipped byte did not reach the caller: something still verifies")
-	}
-	if n := sp.Total(trace.ChecksumFailures); n != 0 {
-		t.Fatalf("skip mode counted %d checksum failures", n)
-	}
-	if rs := s.RepairStats(); rs.Enqueued != 0 {
-		t.Fatalf("skip mode must not enqueue repairs: %+v", rs)
-	}
-}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -98,7 +99,7 @@ func TestBackoffTraceDeterminism(t *testing.T) {
 
 // TestChaosReplayDeterminism is the soak-reproducibility assertion: a fixed
 // seed must replay the entire fault schedule AND the retry/backoff schedule
-// byte-identically. The workload is driven serially through CallRetryN so
+// byte-identically. The workload is driven serially through CallRetryCtx so
 // the trace order is the call order, exactly as a FUSION_FAULT_SEED replay
 // of a failing chaos run would be debugged.
 func TestChaosReplayDeterminism(t *testing.T) {
@@ -120,7 +121,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			req := &rpc.Request{Kind: rpc.KindGetBlock, BlockID: fmt.Sprintf("b%d", i)}
-			_, _, _ = cluster.CallRetryN(inj, i%cfg.Nodes, req, p)
+			_, _, _ = cluster.CallRetryCtx(context.Background(), inj, i%cfg.Nodes, req, p)
 		}
 		return trace.String(), inj.InjectedTotal()
 	}

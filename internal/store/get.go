@@ -41,7 +41,7 @@ func (s *Store) GetContext(ctx context.Context, name string, offset, length uint
 	}
 	defer end()
 	msp := sp.Child("meta")
-	meta, err := s.Meta(name)
+	meta, err := s.meta(ctx, msp, name)
 	msp.End()
 	if err != nil {
 		return nil, err
@@ -54,7 +54,7 @@ func (s *Store) GetContext(ctx context.Context, name string, offset, length uint
 		// overwrite committed: the blocks it points at can be
 		// garbage-collected mid-read. Re-resolve against the quorum and
 		// retry once iff the object really moved to a newer epoch.
-		if fresh := s.refreshedMeta(name, meta); fresh != nil {
+		if fresh := s.refreshedMeta(ctx, sp, name, meta); fresh != nil {
 			return s.getWithMeta(ctx, sp, fresh, offset, length)
 		}
 	}
@@ -86,8 +86,8 @@ func (s *Store) getWithMeta(ctx context.Context, sp *trace.Span, meta *ObjectMet
 // different epoch (the stale-snapshot case worth retrying). The fresh
 // metadata replaces the cached entry and every data-tier entry of older
 // epochs is dropped.
-func (s *Store) refreshedMeta(name string, old *ObjectMeta) *ObjectMeta {
-	fresh, err := s.metaQuorum(name)
+func (s *Store) refreshedMeta(ctx context.Context, sp *trace.Span, name string, old *ObjectMeta) *ObjectMeta {
+	fresh, err := s.metaQuorum(ctx, sp, name)
 	if err != nil || fresh.Epoch == old.Epoch {
 		return nil
 	}
@@ -271,7 +271,7 @@ var errBlockChecksum = errors.New("store: block failed checksum verification")
 func (s *Store) getBlockReq(st *StripeMeta, j int, off, length uint64) rpc.Request {
 	return rpc.Request{
 		Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[j], Offset: off, Length: length,
-		CallerVerifies: length == 0 && !s.opts.SkipChecksumVerify,
+		CallerVerifies: length == 0,
 	}
 }
 
@@ -293,8 +293,6 @@ func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, who
 		return nil, errors.New(resp.Err)
 	case resp.Err != "":
 		err = fmt.Errorf("%w: %s", errBlockChecksum, resp.Err)
-	case s.opts.SkipChecksumVerify:
-		return resp.Data, nil
 	case whole && cluster.Checksum(resp.Data) != st.Checksums[j]:
 		err = fmt.Errorf("%w: %s does not match its stripe checksum", errBlockChecksum, st.BlockIDs[j])
 	case !whole && cluster.Checksum(resp.Data) != resp.Crc:
@@ -354,10 +352,9 @@ func (s *Store) recheckBlock(sp *trace.Span, meta *ObjectMeta, stripe, bin int) 
 // cacheFillBlock admits one block's bytes to the cache, which keeps them: the
 // caller hands over memory nobody will release or write. Admission requires
 // a successful CRC check against the stripe metadata — that verification is
-// what lets hits skip the read path's own pass — so nothing is cached when
-// verification is off.
+// what lets hits skip the read path's own pass.
 func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) {
-	if !s.cacheOn() || s.opts.SkipChecksumVerify {
+	if !s.cacheOn() {
 		return
 	}
 	if cluster.Checksum(block) != meta.Stripes[stripe].Checksums[bin] {
@@ -684,14 +681,14 @@ func (s *Store) RepairNode(name string, node int) (int, error) {
 func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (int, error) {
 	sp, end := s.beginOp(ctx, "RepairNode")
 	defer end()
-	meta, err := s.Meta(name)
+	meta, err := s.meta(ctx, sp, name)
 	if err != nil {
 		return 0, err
 	}
 	repaired := 0
 	if slices.Contains(s.metaReplicaNodes(name), node) {
 		// A quorum read repairs the replica from the register's majority.
-		if _, err := s.metaQuorum(name); err != nil {
+		if _, err := s.metaQuorum(ctx, sp, name); err != nil {
 			return 0, err
 		}
 		repaired++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/fusionstore/fusion/internal/fac"
+	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -102,7 +103,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// Reserve the write epoch on a quorum before any block exists. If this
 	// attempt dies, the epoch is burned — a retry allocates a higher one, so
 	// its blocks never collide with this attempt's debris.
-	epoch, err := s.allocEpoch(name)
+	epoch, err := s.allocEpoch(ctx, sp, name)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +150,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// never commit, so the debris is unreachable either way).
 	var placed []placedBlock
 	if err := s.streamStripes(ctx, sp, meta, src, plans, stats, &placed); err != nil {
-		s.dropBlocks(placed)
+		s.dropBlocks(sp, placed)
 		return nil, err
 	}
 	// Overhead relative to the optimal footprint size × n/k, from the bytes
@@ -165,11 +166,12 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// Cancellation checkpoint at the commit point: a Put whose caller gave
 	// up before the metadata publish rolls the attempt back instead of
 	// committing an object nobody is waiting for. Past this check the
-	// publish and cleanup run to completion.
+	// publish and cleanup run to completion, deaf to the caller's context.
 	if err := ctx.Err(); err != nil {
-		s.dropBlocks(placed)
+		s.dropBlocks(sp, placed)
 		return nil, err
 	}
+	ctx = context.WithoutCancel(ctx)
 	// Overwrites are fresh inserts (§5): new blocks are written under a
 	// fresh epoch, the metadata swap publishes them, and only then is the
 	// previous version garbage-collected. The previous version is resolved
@@ -178,11 +180,16 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// two concurrent overwriters publish the same Version+1 and leave the
 	// real previous epoch's blocks stranded while re-deleting long-gone
 	// ones; the quorum read pins prev to the version this publish actually
-	// supersedes.
-	var prev *ObjectMeta
-	if old, err := s.metaQuorum(name); err == nil {
-		prev = old
-		meta.Version = old.Version + 1
+	// supersedes. Only the register saying "not found" makes this a fresh
+	// insert: a quorum read that failed says nothing about a previous version,
+	// and publishing over it would reset Version and strand its blocks.
+	prev, err := s.metaQuorum(ctx, sp, name)
+	switch {
+	case err == nil:
+		meta.Version = prev.Version + 1
+	case !errors.Is(err, metakv.ErrNotFound):
+		s.dropBlocks(sp, placed)
+		return nil, fmt.Errorf("store: resolving the previous version of %q: %w", name, err)
 	}
 
 	// The metadata publish is the commit point: once the new metadata lands
@@ -192,10 +199,10 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// (commit fan-out, previous-version GC) are best-effort — orphan
 	// reconciliation finishes either if the coordinator dies here.
 	rsp := sp.Child("replicate-meta")
-	err = s.replicateMeta(meta)
+	err = s.replicateMeta(ctx, rsp, meta)
 	rsp.End()
 	if err != nil {
-		s.dropBlocks(placed)
+		s.dropBlocks(sp, placed)
 		return nil, err
 	}
 	// Refresh the coordinator cache at the commit point, before the GC of
@@ -208,7 +215,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	s.cache.InvalidateObject(meta.Name, meta.Epoch)
 	s.commitBlocks(sp, meta.Name, meta.Epoch, placed)
 	if prev != nil && prev.Epoch != meta.Epoch {
-		s.dropBlocks(prev.blocks())
+		s.dropBlocks(sp, prev.blocks())
 	}
 	stats.TotalTime = time.Since(start)
 	return stats, nil
@@ -240,14 +247,14 @@ type placedBlock struct {
 // dropBlocks is the one way the coordinator removes blocks — rollback of a
 // failed attempt, GC of a superseded epoch, Delete, orphan reconciliation:
 // a DeleteBlock sub-request per block, shipped by scatter as one frame per
-// node. Best effort and past caller cancellation: what a lost frame or a
-// down node keeps is an orphan for the reconciler.
-func (s *Store) dropBlocks(blocks []placedBlock) {
+// node, charged to sp. Best effort and past caller cancellation: what a lost
+// frame or a down node keeps is an orphan for the reconciler.
+func (s *Store) dropBlocks(sp *trace.Span, blocks []placedBlock) {
 	reqs := make([]nodeReq, len(blocks))
 	for i, b := range blocks {
 		reqs[i] = nodeReq{b.node, rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: b.id}}
 	}
-	s.scatter(context.Background(), nil, nil, reqs)
+	s.scatter(context.Background(), sp, nil, reqs)
 }
 
 // commitBlocks sends CommitObject(object, epoch) to every node holding one of
@@ -324,12 +331,12 @@ func (s *Store) placeStripe(ctx context.Context, sp *trace.Span, meta *ObjectMet
 // replicateMeta publishes the object metadata through the k+1-replica
 // quorum register (§5): the write lands on a majority, so every subsequent
 // quorum read observes it even if a minority of replicas missed it.
-func (s *Store) replicateMeta(meta *ObjectMeta) error {
+func (s *Store) replicateMeta(ctx context.Context, sp *trace.Span, meta *ObjectMeta) error {
 	enc, err := EncodeMeta(meta)
 	if err != nil {
 		return err
 	}
-	kv, err := s.metaKV(meta.Name)
+	kv, err := s.metaKV(ctx, sp, meta.Name)
 	if err != nil {
 		return err
 	}
@@ -342,10 +349,15 @@ func (s *Store) replicateMeta(meta *ObjectMeta) error {
 // Meta returns the object's metadata, performing a quorum read (with read
 // repair of stale replicas) when it is not cached.
 func (s *Store) Meta(name string) (*ObjectMeta, error) {
+	return s.meta(context.Background(), nil, name)
+}
+
+// meta is Meta under an operation's context, its quorum read charged to sp.
+func (s *Store) meta(ctx context.Context, sp *trace.Span, name string) (*ObjectMeta, error) {
 	if v, ok := s.cache.GetMeta(name); ok {
 		return v.(*ObjectMeta), nil
 	}
-	m, err := s.metaQuorum(name)
+	m, err := s.metaQuorum(ctx, sp, name)
 	if err != nil {
 		return nil, fmt.Errorf("store: object %q: %w", name, err)
 	}
@@ -368,17 +380,17 @@ func (s *Store) DeleteContext(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, end, err := s.admitOp(ctx, "Delete", sched.ClassPut)
+	sp, end, err := s.admitOp(ctx, "Delete", sched.ClassPut)
 	if err != nil {
 		return err
 	}
 	defer end()
-	meta, err := s.metaQuorum(name)
+	meta, err := s.metaQuorum(ctx, sp, name)
 	if err != nil {
 		return fmt.Errorf("store: object %q: %w", name, err)
 	}
-	s.dropBlocks(meta.blocks())
-	if kv, kerr := s.metaKV(name); kerr == nil {
+	s.dropBlocks(sp, meta.blocks())
+	if kv, kerr := s.metaKV(ctx, sp, name); kerr == nil {
 		_ = kv.Delete(metaKey(name)) // best effort; blocks are already gone
 	}
 	// Tombstone the cache: drop the meta entry and every data entry of

@@ -186,7 +186,7 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 		return nil, err
 	}
 	msp := qsp.Child("meta")
-	meta, err := s.Meta(q.Table)
+	meta, err := s.meta(ctx, msp, q.Table)
 	msp.End()
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 		// A concurrent overwrite can garbage-collect the blocks this
 		// metadata snapshot points at mid-query. Re-resolve against the
 		// quorum and retry once iff the object moved to a newer epoch.
-		if fresh := s.refreshedMeta(q.Table, meta); fresh != nil {
+		if fresh := s.refreshedMeta(ctx, qsp, q.Table, meta); fresh != nil {
 			return s.runQuery(ctx, qsp, q, fresh, start)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // RepairConfig paces the background repair manager.
@@ -207,7 +208,7 @@ func (s *Store) repairBlock(it RepairItem) error {
 	// Resolve against the quorum, not the coordinator cache: a repair
 	// must target the committed version, and a stale cached epoch would
 	// make it rewrite garbage-collected blocks.
-	meta, err := s.metaQuorum(it.Object)
+	meta, err := s.metaQuorum(context.Background(), sp, it.Object)
 	if err != nil {
 		if errors.Is(err, metakv.ErrNotFound) {
 			return fmt.Errorf("%w: object %q deleted", errStaleRepair, it.Object)
@@ -372,7 +373,8 @@ type ReconcileReport struct {
 // Blocks that don't parse as object blocks (including the metadata
 // register's kv/ blocks) are never touched.
 func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
-	_, end := s.beginOp(context.Background(), "repair.reconcile")
+	ctx := context.Background()
+	sp, end := s.beginOp(ctx, "repair.reconcile")
 	defer end()
 	report := &ReconcileReport{}
 	// Committed epoch per object, resolved lazily; ok=false means the
@@ -388,11 +390,11 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 			return st
 		}
 		st := &objState{}
-		if meta, err := s.metaQuorum(object); err == nil {
+		if meta, err := s.metaQuorum(ctx, sp, object); err == nil {
 			st.epoch, st.committed = meta.Epoch, true
 		}
 		if !force {
-			if kv, err := s.metaKV(object); err == nil {
+			if kv, err := s.metaKV(ctx, sp, object); err == nil {
 				if head, err := kv.Head(epochKey(object)); err == nil {
 					st.head = head
 				}
@@ -408,13 +410,13 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 	halfCommits := map[string][]placedBlock{} // by object; the epoch is its committed one
 	answered := 0
 	for node := 0; node < s.client.NumNodes(); node++ {
-		resp, err := s.call(context.Background(), nil, node, &rpc.Request{Kind: rpc.KindListBlocks})
+		resp, err := s.call(ctx, sp, node, &rpc.Request{Kind: rpc.KindListBlocks})
 		if err != nil || resp.Err != "" {
 			continue
 		}
 		answered++
 		for _, b := range resp.Blocks {
-			if strings.HasPrefix(b.ID, "kv/") {
+			if strings.HasPrefix(b.ID, registerBlocks) {
 				continue // metadata/epoch register blocks
 			}
 			object, epoch, _, _, ok := parseBlockID(b.ID)
@@ -456,17 +458,17 @@ func (s *Store) ReconcileOrphans(force bool) (*ReconcileReport, error) {
 		return report, fmt.Errorf("store: no node answered inventory scan")
 	}
 	for object, blocks := range halfCommits {
-		s.commitBlocks(nil, object, states[object].epoch, blocks)
+		s.commitBlocks(sp, object, states[object].epoch, blocks)
 	}
-	s.dropBlocks(orphans)
+	s.dropBlocks(sp, orphans)
 	return report, nil
 }
 
 // metaQuorum reads an object's metadata from the quorum register without
 // consulting or filling the coordinator cache — reconciliation must see the
 // committed truth, not a stale cached epoch.
-func (s *Store) metaQuorum(name string) (*ObjectMeta, error) {
-	kv, err := s.metaKV(name)
+func (s *Store) metaQuorum(ctx context.Context, sp *trace.Span, name string) (*ObjectMeta, error) {
+	kv, err := s.metaKV(ctx, sp, name)
 	if err != nil {
 		return nil, err
 	}
@@ -595,9 +597,11 @@ func (m *RepairManager) heartbeatLoop() {
 		}
 		var rejoined []int
 		for node := 0; node < s.client.NumNodes(); node++ {
-			// One unretried probe with a bounded deadline; the breaker's
-			// threshold absorbs isolated blips.
-			resp, err := cluster.CallTimeout(s.client, node, &rpc.Request{Kind: rpc.KindPing}, m.cfg.HeartbeatEvery)
+			// One unretried probe with a bounded deadline, outside Store.call:
+			// the breaker it feeds must not gate it, and its threshold absorbs
+			// isolated blips.
+			probe := cluster.Policy{MaxAttempts: 1, Timeout: m.cfg.HeartbeatEvery}
+			resp, _, err := cluster.CallRetryCtx(context.Background(), s.client, node, &rpc.Request{Kind: rpc.KindPing}, probe)
 			up := err == nil && resp.Err == ""
 			if up {
 				s.retry.Breaker.Success(node)

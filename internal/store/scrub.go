@@ -53,7 +53,7 @@ func (s *Store) Scrub(name string, opts ScrubOptions) (*ScrubReport, error) {
 func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions) (*ScrubReport, error) {
 	sp, end := s.beginOp(ctx, "Scrub")
 	defer end()
-	meta, err := s.Meta(name)
+	meta, err := s.meta(ctx, sp, name)
 	if err != nil {
 		return nil, err
 	}

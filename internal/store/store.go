@@ -87,9 +87,11 @@ type Options struct {
 	// every pool size.
 	QueryWorkers int
 	// Retry bounds the transport retry/backoff/deadline behavior of every
-	// coordinator→node call. The zero value applies cluster.DefaultPolicy
-	// semantics: 3 attempts, exponential backoff with jitter, ErrNodeDown
-	// fails fast (the reconstruction fan-out is the better retry).
+	// coordinator→node call, the metadata register's included. The zero value
+	// is cluster.Policy's default: 3 attempts, exponential backoff from 1ms
+	// to 100ms without jitter, ErrNodeDown fails fast (the reconstruction
+	// fan-out is the better retry). Its Health and Breaker fields are the
+	// store's own: the per-node counters behind Health(), and Breaker below.
 	Retry cluster.Policy
 	// HedgeAfter, when positive, hedges block reads: if a direct read has
 	// not completed within this threshold, Get fires the RS reconstruction
@@ -102,11 +104,6 @@ type Options struct {
 	// behind /debug/fusionz and fusion-bench's percentile tables. Nil (the
 	// default) disables all timing.
 	Metrics *metrics.HistogramSet
-	// SkipChecksumVerify disables the coordinator-side end-to-end checksum
-	// checks on reads (node replies and pre-decode survivor verification).
-	// Node-side at-rest verification still runs. Intended for benchmarking
-	// the verification cost, not for production use.
-	SkipChecksumVerify bool
 	// Breaker, when set, is the per-node circuit breaker consulted by every
 	// coordinator→node call: a node whose circuit is open fails fast with
 	// ErrNodeDown instead of burning a transport attempt. Nil disables
@@ -201,9 +198,7 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 	health := metrics.NewHealth()
 	retry := opts.Retry
 	retry.Health = health
-	if retry.Breaker == nil {
-		retry.Breaker = opts.Breaker
-	}
+	retry.Breaker = opts.Breaker
 	return &Store{
 		client:  client,
 		opts:    opts,
@@ -269,16 +264,20 @@ func (s *Store) Breaker() *cluster.Breaker { return s.retry.Breaker }
 // Options.Metrics was set).
 func (s *Store) Metrics() *metrics.HistogramSet { return s.hist }
 
-// call is the hardened transport entry for coordinator→node RPCs: bounded
-// retries with backoff and per-attempt deadlines per Options.Retry, with
-// per-node health accounting, all bounded end to end by ctx — a done
-// context issues no attempt, and a context deadline is stamped onto the
-// request as a relative microsecond budget (rpc.Request.DeadlineMicros) so
-// the node, too, can refuse or abandon expired work. When sp is non-nil the
-// call charges its RPC, retry and bytes-from-node counters to that request
-// span; when the store has a histogram set, the call's latency is recorded
-// under the node and request kind. Both are nil by default and then cost
-// nothing.
+// call is the only way a request leaves the coordinator — block traffic,
+// pushed operators, the metadata register (registerClient) and maintenance
+// scans alike; the repair manager's heartbeat probe is the one exception. It
+// is the hardened transport entry: bounded retries with backoff and
+// per-attempt deadlines per Options.Retry, the circuit breaker and per-node
+// health accounting, all bounded end to end by ctx — a done context issues no
+// attempt, and a context deadline is stamped onto the request as a relative
+// microsecond budget (rpc.Request.DeadlineMicros) so the node, too, can
+// refuse or abandon expired work. When sp is non-nil the call charges its
+// attempts and retries — and, for a data-plane request, its round trips and
+// bytes from the node — to that request span, so a traced operation's rpcs
+// total is the calls the transport saw; when the store has a histogram set,
+// the call's latency is recorded under the node and request kind. Both are
+// nil by default and then cost nothing.
 func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Request) (*rpc.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -300,21 +299,21 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 	resp, attempts, err := cluster.CallRetryCtx(ctx, s.client, node, req, s.retry)
 	s.hist.Observe(metrics.Key{Op: "rpc." + req.Kind.String(), Node: node}, time.Since(start))
 	sp.Count(trace.RPCs, uint64(attempts))
-	if isDataKind(req.Kind) {
+	if attempts > 1 {
+		sp.Count(trace.Retries, uint64(attempts-1))
+	}
+	if isDataPlane(req) {
 		// Every transport attempt of a data-plane request is one network
 		// round trip — a whole scatter-gather batch counts once, which is
 		// exactly the economy the batching layer buys.
 		sp.Count(trace.RoundTrips, uint64(attempts))
-	}
-	if attempts > 1 {
-		sp.Count(trace.Retries, uint64(attempts-1))
-	}
-	if resp != nil {
-		n := uint64(len(resp.Data))
-		for i := range resp.Subs {
-			n += uint64(len(resp.Subs[i].Data))
+		if resp != nil {
+			n := uint64(len(resp.Data))
+			for i := range resp.Subs {
+				n += uint64(len(resp.Subs[i].Data))
+			}
+			sp.Count(trace.BytesFromNodes, n)
 		}
-		sp.Count(trace.BytesFromNodes, n)
 	}
 	return resp, err
 }
@@ -332,16 +331,49 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// isDataKind reports whether a request kind moves or scans block data (the
-// round-trip-counted data plane, as opposed to metadata and control traffic).
-// Only two such kinds reach call bare: block reads, and the scatter-gather
-// frame — every pushed operator (filter, project, aggregate, group-agg,
-// top-k) leaves the coordinator inside a KindBatch frame, never on its own.
-// (The write side's delete frames are KindBatch too, but are sent under no
-// span, so they count nowhere.)
-func isDataKind(k rpc.Kind) bool {
-	return k == rpc.KindGetBlock || k == rpc.KindBatch
+// registerBlocks prefixes the node-side name of every metadata-register block.
+var registerBlocks = metakv.BlockID("")
+
+// isDataPlane reports whether a request moves or scans an object's block data
+// for a reader: the traffic round trips, bytes from nodes and read
+// amplification are figures of. Only two kinds of it reach call bare: block
+// reads, and the scatter-gather frame — every pushed operator (filter,
+// project, aggregate, group-agg, top-k) leaves the coordinator inside a
+// KindBatch frame, never on its own. The metadata register reads its replicas
+// with GetBlock too and the write side deletes blocks a frame per node; both
+// are control traffic and count as RPCs only.
+func isDataPlane(req *rpc.Request) bool {
+	switch req.Kind {
+	case rpc.KindGetBlock:
+		return !strings.HasPrefix(req.BlockID, registerBlocks)
+	case rpc.KindBatch:
+		return req.Subs[0].Kind != rpc.KindDeleteBlock
+	}
+	return false
 }
+
+// registerClient is the cluster.Client an operation's metadata register is
+// built over: every Call is Store.call charged to the operation's span.
+// Register reads observe the operation's context and deadline. Register
+// writes — the epoch Incr's write phase, the publish, read repair, Delete —
+// run under context.WithoutCancel: a cancelled attempt is abandoned in flight,
+// not recalled (cluster.CallRetryCtx), and an abandoned versioned write can
+// land after a newer one and roll its replica back.
+type registerClient struct {
+	s   *Store
+	ctx context.Context
+	sp  *trace.Span
+}
+
+func (c registerClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	ctx := c.ctx
+	if req.Kind != rpc.KindGetBlock {
+		ctx = context.WithoutCancel(ctx)
+	}
+	return c.s.call(ctx, c.sp, node, req)
+}
+
+func (c registerClient) NumNodes() int { return c.s.client.NumNodes() }
 
 // callChecked is call with application errors converted to Go errors. A
 // node-side deadline rejection surfaces as context.DeadlineExceeded (via
@@ -440,8 +472,8 @@ func epochKey(object string) string { return "epoch/" + object }
 // allocEpoch reserves the object's next write epoch on a metadata-replica
 // majority. The reservation is durable before any block carries the epoch,
 // so a crashed attempt's epoch is burned, never recycled.
-func (s *Store) allocEpoch(name string) (uint64, error) {
-	kv, err := s.metaKV(name)
+func (s *Store) allocEpoch(ctx context.Context, sp *trace.Span, name string) (uint64, error) {
+	kv, err := s.metaKV(ctx, sp, name)
 	if err != nil {
 		return 0, err
 	}
@@ -461,9 +493,10 @@ func metaBlockID(object string) string { return metakv.BlockID(metaKey(object)) 
 // work, here an ABD majority register). It tolerates floor(k/2) metadata
 // replica failures with linearizable reads — in particular, a replica that
 // missed an overwrite can never serve stale metadata pointing at
-// garbage-collected blocks.
-func (s *Store) metaKV(name string) (*metakv.KV, error) {
-	return metakv.New(s.client, s.metaReplicaNodes(name))
+// garbage-collected blocks. The register is bound to one operation: its calls
+// run under ctx and charge sp (registerClient).
+func (s *Store) metaKV(ctx context.Context, sp *trace.Span, name string) (*metakv.KV, error) {
+	return metakv.New(registerClient{s, ctx, sp}, s.metaReplicaNodes(name))
 }
 
 // metaReplicaNodes returns the k+1 nodes that hold an object's metadata
