@@ -44,8 +44,9 @@ type rowGroupFixture struct {
 // newRowGroupFixture writes rows rows of shipdate (a 2,526-value dictionary),
 // quantity, discount, price (plain floats), flag (a 3-string dictionary),
 // comment (plain strings) and rebate (floats with NaN at row 0 and every 97th
-// after, so the writer's min/max statistics for it are NaN) and stores the
-// chunks on a fresh node.
+// after; its reference is given the NaN min/max a footer written before the
+// writer withheld such statistics carries) and stores the chunks on a fresh
+// node.
 func newRowGroupFixture(t testing.TB, rows int) *rowGroupFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
@@ -100,9 +101,12 @@ func newRowGroupFixture(t testing.TB, rows int) *rowGroupFixture {
 			t.Fatal(err)
 		}
 	}
-	if st := fx.refs["rebate"].Meta.Stats; !math.IsNaN(st.MinF) || !math.IsNaN(st.MaxF) {
-		t.Fatalf("rebate's statistics are %v..%v, the fixture wants NaN bounds", st.MinF, st.MaxF)
+	rebateRef := fx.refs["rebate"]
+	if rebateRef.Meta.Stats.Valid {
+		t.Fatalf("the writer recorded statistics %+v for a chunk holding NaNs", rebateRef.Meta.Stats)
 	}
+	rebateRef.Meta.Stats = lpq.Stats{Valid: true, MinF: math.NaN(), MaxF: math.NaN()}
+	fx.refs["rebate"] = rebateRef
 	return fx
 }
 
@@ -361,9 +365,15 @@ func TestFrameOpensSharedChunkOnce(t *testing.T) {
 	if n := fx.store.gets.Load(); n != 3 {
 		t.Fatalf("the frame made %d block reads, want 3 (l_shipdate once)", n)
 	}
-	if opens := gets1 - gets0; opens != opensAlone-1 || puts1-puts0 != opens {
-		t.Fatalf("the frame rented %d buffers (returned %d), want one fewer than the %d of four separate opens",
-			opens, puts1-puts0, opensAlone)
+	// An open rents a buffer only to decompress into: the second l_shipdate
+	// open the frame saves shows here when the writer kept that chunk's Snappy.
+	saved := uint64(0)
+	if fx.refs["shipdate"].Meta.Compressed {
+		saved = 1
+	}
+	if opens := gets1 - gets0; opens != opensAlone-saved || puts1-puts0 != opens {
+		t.Fatalf("the frame rented %d buffers (returned %d), want %d fewer than the %d of four separate opens",
+			opens, puts1-puts0, saved, opensAlone)
 	}
 	var sum rpc.Cost
 	for i := range subs {

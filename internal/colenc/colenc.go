@@ -1,8 +1,9 @@
 // Package colenc implements the physical column encodings used by the lpq
-// PAX file format: plain, fixed-width bit-packing, run-length encoding, and
-// dictionary encoding (§2, Fig. 3 of the paper). Each encoding is a
-// self-contained byte-slice codec; the lpq writer composes them per column
-// chunk and layers Snappy compression on top.
+// PAX file format: plain, fixed-width bit-packing, run-length encoding,
+// dictionary encoding (§2, Fig. 3 of the paper) and frame-of-reference
+// offsets. Each encoding is a self-contained byte-slice codec; the lpq writer
+// composes them per column chunk and layers Snappy compression on top where
+// it still pays.
 package colenc
 
 import (
@@ -23,6 +24,13 @@ const (
 	Dict
 	// RLE stores (run-length, value) pairs of unsigned integers.
 	RLEEnc
+	// FOR stores each Int64 value of a page as its offset from the page's
+	// smallest value (the frame of reference), bit-packed.
+	FOR
+	// Decimal stores each Float64 value v of a page that is exactly an
+	// integer i over a power of ten (float64(i)/scale has v's bits) as a
+	// frame-of-reference i, and every other value raw, as an exception.
+	Decimal
 )
 
 func (e Encoding) String() string {
@@ -33,6 +41,10 @@ func (e Encoding) String() string {
 		return "DICT"
 	case RLEEnc:
 		return "RLE"
+	case FOR:
+		return "FOR"
+	case Decimal:
+		return "DECIMAL"
 	default:
 		return fmt.Sprintf("Encoding(%d)", uint8(e))
 	}
@@ -175,9 +187,42 @@ func BitWidth(max uint64) int {
 }
 
 // MaxPackWidth is the widest supported bit width. Bit-packing is only used
-// for dictionary codes, whose width never approaches this; the bound keeps
-// the accumulator arithmetic overflow-free.
+// for dictionary codes and frame-of-reference offsets (MaxFrameWidth), whose
+// width never approaches this; the bound keeps the accumulator arithmetic
+// overflow-free.
 const MaxPackWidth = 56
+
+// MaxFrameWidth is the widest offset a frame-of-reference page packs: readers
+// hold a page's offsets, like dictionary codes, in 32 bits.
+const MaxFrameWidth = 32
+
+// Frame returns the frame of reference for a page whose values span
+// [min, max] — the base offsets are taken from and the bit width that packs
+// the largest — and whether a page can hold them: false when the span needs
+// more than MaxFrameWidth bits (a span that overflows int64 included). The
+// base is min, lowered where it must be so that base plus the widest offset
+// of that width still fits int64, which readers require of a page.
+func Frame(min, max int64) (base int64, width int, ok bool) {
+	span := uint64(max) - uint64(min) // exact for max >= min, even across zero
+	if max < min || span >= 1<<MaxFrameWidth {
+		return 0, 0, false
+	}
+	width = BitWidth(span)
+	if top := int64(1)<<width - 1; min > math.MaxInt64-top {
+		min = math.MaxInt64 - top
+	}
+	return min, width, true
+}
+
+// PackOffsets appends vals as offsets from base, packed at the given width,
+// to dst. Every value must lie in [base, base + 2^width).
+func PackOffsets(dst []byte, vals []int64, base int64, width int) []byte {
+	offs := make([]uint64, len(vals))
+	for i, v := range vals {
+		offs[i] = uint64(v) - uint64(base)
+	}
+	return PackUints(dst, offs, width)
+}
 
 // PackUints appends vals packed at the given bit width (1..MaxPackWidth) to
 // dst. Values must fit in width bits.
@@ -245,13 +290,14 @@ func RLESize(vals []uint64) int {
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		size += uvarintLen(uint64(j-i)) + uvarintLen(vals[i])
+		size += UvarintLen(uint64(j-i)) + UvarintLen(vals[i])
 		i = j
 	}
 	return size
 }
 
-func uvarintLen(v uint64) int {
+// UvarintLen returns the number of bytes binary.AppendUvarint takes for v.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7

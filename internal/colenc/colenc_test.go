@@ -222,7 +222,7 @@ func TestDecodeCodesBadEncoding(t *testing.T) {
 }
 
 func TestEncodingString(t *testing.T) {
-	if Plain.String() != "PLAIN" || Dict.String() != "DICT" || RLEEnc.String() != "RLE" {
+	if Plain.String() != "PLAIN" || Dict.String() != "DICT" || RLEEnc.String() != "RLE" || FOR.String() != "FOR" || Decimal.String() != "DECIMAL" {
 		t.Fatal("Encoding.String wrong")
 	}
 	if Encoding(99).String() == "" {
@@ -303,5 +303,47 @@ func TestGetStringsOneBackingAllocation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, vals) {
 		t.Fatal("decoded strings alias the source")
+	}
+}
+
+// TestFrame: the frame of a span is its minimum and the width of the span,
+// refused past MaxFrameWidth bits (overflowing spans included), with the base
+// lowered just enough at the top of int64 that base plus the widest offset
+// still fits; PackOffsets round-trips through UnpackUints at every case.
+func TestFrame(t *testing.T) {
+	for _, tc := range []struct {
+		min, max int64
+		base     int64
+		width    int
+		ok       bool
+	}{
+		{min: 5, max: 5, base: 5, width: 1, ok: true},
+		{min: -3, max: 4, base: -3, width: 3, ok: true},
+		{min: 1, max: 200000, base: 1, width: 18, ok: true},
+		{min: -5, max: 1<<32 - 6, base: -5, width: 32, ok: true},
+		{min: -5, max: 1<<32 - 5, ok: false},
+		{min: math.MinInt64, max: math.MaxInt64, ok: false},
+		{min: math.MinInt64, max: math.MinInt64 + 299, base: math.MinInt64, width: 9, ok: true},
+		{min: math.MaxInt64 - 299, max: math.MaxInt64, base: math.MaxInt64 - 511, width: 9, ok: true},
+		{min: math.MaxInt64, max: math.MaxInt64, base: math.MaxInt64 - 1, width: 1, ok: true},
+		{min: 7, max: 6, ok: false},
+	} {
+		base, width, ok := Frame(tc.min, tc.max)
+		if ok != tc.ok || (ok && (base != tc.base || width != tc.width)) {
+			t.Fatalf("Frame(%d, %d) = %d, %d, %v; want %d, %d, %v", tc.min, tc.max, base, width, ok, tc.base, tc.width, tc.ok)
+		}
+		if !ok {
+			continue
+		}
+		vals := []int64{tc.min, tc.max, tc.min + (tc.max-tc.min)/2}
+		offs, err := UnpackUints(PackOffsets(nil, vals, base, width), len(vals), width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, off := range offs {
+			if base+int64(off) != vals[i] {
+				t.Fatalf("Frame(%d, %d): value %d came back %d", tc.min, tc.max, vals[i], base+int64(off))
+			}
+		}
 	}
 }

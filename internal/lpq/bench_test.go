@@ -2,6 +2,7 @@ package lpq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -14,30 +15,34 @@ const benchRows = 60000
 
 // benchColumns generates the column shapes of a lineitem row group that the
 // scan workloads read, under the encodings the default writer gives them:
-// l_shipdate (2,526 dates: dictionary, 12-bit packed codes), l_returnflag
-// (3 strings: 2-bit codes), l_extendedprice (near-unique floats: plain),
-// l_comment (plain strings), and a sorted date column for run-length pages.
+// l_shipdate (2,526 dates: a frame of reference, 12-bit offsets), l_quantity
+// (50 values: dictionary, 6-bit packed codes), l_returnflag (3 strings: 2-bit
+// codes), l_extendedprice (cents, a third of them an ulp off: decimal pages
+// with exceptions), l_comment (plain strings, Snappy), and a sorted date
+// column for run-length pages.
 func benchColumns() map[string]ColumnData {
 	rng := rand.New(rand.NewSource(7))
-	ship, sorted := make([]int64, benchRows), make([]int64, benchRows)
+	ship, sorted, qty := make([]int64, benchRows), make([]int64, benchRows), make([]int64, benchRows)
 	price := make([]float64, benchRows)
 	flag, comment := make([]string, benchRows), make([]string, benchRows)
 	for i := range ship {
 		ship[i] = rng.Int63n(2526)
 		sorted[i] = ship[i]
-		price[i] = float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100)
+		qty[i] = int64(1 + rng.Intn(50))
+		price[i] = float64(qty[i]) * (900 + float64(rng.Intn(200000))/100)
 		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
 		comment[i] = fmt.Sprintf("carefully final %d deposits sleep %d", rng.Intn(1<<20), rng.Intn(1<<20))[:10+rng.Intn(26)]
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return map[string]ColumnData{
-		"shipdate-packed12": IntColumn(ship), "returnflag-packed2": StringColumn(flag),
-		"price-plain": FloatColumn(price), "comment-plain": StringColumn(comment),
-		"sorted-rle": IntColumn(sorted),
+		"quantity-packed6": IntColumn(qty), "returnflag-packed2": StringColumn(flag),
+		"sorted-rle": IntColumn(sorted), "shipdate-frame12": IntColumn(ship),
+		"price-decimal": FloatColumn(price), "comment-plain": StringColumn(comment),
 	}
 }
 
-var benchOrder = []string{"shipdate-packed12", "returnflag-packed2", "sorted-rle", "price-plain", "comment-plain"}
+// benchOrder lists the columns, the three dictionary ones first.
+var benchOrder = []string{"quantity-packed6", "returnflag-packed2", "sorted-rle", "shipdate-frame12", "price-decimal", "comment-plain"}
 
 type benchChunk struct {
 	typ Type
@@ -64,8 +69,8 @@ func mustOpen(b *testing.B, c benchChunk) *Chunk {
 
 var benchSink int
 
-// BenchmarkKernelOpen times OpenChunk: CRC, Snappy into a recycled buffer,
-// dictionary and page directory. MB/s is of decoded (plain) bytes, as in the
+// BenchmarkKernelOpen times OpenChunk: CRC, Snappy into a recycled buffer
+// where the writer kept it, dictionary and page directory. MB/s is of decoded (plain) bytes, as in the
 // repository benchmark's lpq.decode_* rows.
 func BenchmarkKernelOpen(b *testing.B) {
 	chunks := benchChunks()
@@ -81,8 +86,9 @@ func BenchmarkKernelOpen(b *testing.B) {
 }
 
 // BenchmarkKernelSelectCodes times the code scan of a dictionary filter
-// (opened chunk in hand, verdict on every other entry) per encoding; the
-// rows/s is SetBytes with one "byte" per row.
+// (opened chunk in hand, verdict on every other entry) per encoding, and
+// beside it the offset scan of a frame-of-reference filter (a 1.4% range of
+// l_shipdate); the rows/s is SetBytes with one "byte" per row.
 func BenchmarkKernelSelectCodes(b *testing.B) {
 	chunks := benchChunks()
 	for _, name := range benchOrder[:3] {
@@ -104,6 +110,18 @@ func BenchmarkKernelSelectCodes(b *testing.B) {
 		})
 		ch.Release()
 	}
+	ch := mustOpen(b, chunks["shipdate-frame12"])
+	defer ch.Release()
+	b.Run("shipdate-frame12", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			bm, err := ch.SelectInts(35, math.MaxInt64, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += bm.Len()
+		}
+	})
 }
 
 // BenchmarkKernelGather1pct times the projection of 1% of the rows from an

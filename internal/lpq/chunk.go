@@ -42,21 +42,34 @@ type Chunk struct {
 	arena []byte // pooled backing of blob; nil when blob is the caller's or owned
 	pages []page
 
+	// The kind of the chunk's pages: Plain, Dict, FOR or Decimal.
+	enc colenc.Encoding
+
 	// Dictionary-encoded chunks only: the dictionary page decoded (it owns
 	// its memory — string entries share one allocation, never the arena)
 	// and the bit width of packed codes.
-	isDict bool
-	dict   ColumnData
-	width  int
+	dict  ColumnData
+	width int
+
+	// Decimal chunks only: the power of ten a row's integer is divided by.
+	scale float64
 }
 
 // page is one data page of the directory: rows [first, first+rows) encoded
 // in blob[off:end]. In a dictionary chunk the page holds codes, run-length
-// encoded when rle is set and bit-packed otherwise.
+// encoded when rle is set and bit-packed otherwise. A frame-of-reference or
+// decimal page holds offsets from base, bit-packed at width; the decimal
+// page's nexc exceptions follow them, their ascending page rows packed at
+// BitWidth(rows-1) from blob[end:] on and their raw values from blob[excVals:].
 type page struct {
 	first, rows int
 	off, end    int
 	rle         bool
+
+	base    int64
+	width   int
+	nexc    int
+	excVals int
 }
 
 // OpenChunk opens a self-contained chunk blob given its metadata. The chunk
@@ -119,9 +132,12 @@ func (c *Chunk) Type() Type { return c.typ }
 // NumRows returns the chunk's row count.
 func (c *Chunk) NumRows() int { return c.rows }
 
+// Encoding returns the kind of the chunk's pages.
+func (c *Chunk) Encoding() colenc.Encoding { return c.enc }
+
 // Dict returns the dictionary page's values and true for a
 // dictionary-encoded chunk. Callers must not modify them.
-func (c *Chunk) Dict() (ColumnData, bool) { return c.dict, c.isDict }
+func (c *Chunk) Dict() (ColumnData, bool) { return c.dict, c.enc == colenc.Dict }
 
 // parse reads the chunk header, the dictionary page and the page directory.
 // A count is compared with the bytes that remain before anything is sized by
@@ -134,15 +150,25 @@ func (c *Chunk) parse() error {
 		return ErrFormat
 	}
 	d := &decBuf{b: c.blob[1:]}
-	switch enc := colenc.Encoding(c.blob[0]); enc {
+	c.enc = colenc.Encoding(c.blob[0])
+	switch c.enc {
 	case colenc.Plain:
 	case colenc.Dict:
-		c.isDict = true
 		if err := c.parseDict(d); err != nil {
 			return err
 		}
+	case colenc.FOR:
+		if c.typ != Int64 {
+			return fmt.Errorf("lpq: frame-of-reference chunk of a %v column: %w", c.typ, ErrFormat)
+		}
+	case colenc.Decimal:
+		scale := int(d.byteVal())
+		if c.typ != Float64 || d.err != nil || scale >= len(decimalScales) {
+			return fmt.Errorf("lpq: decimal chunk of a %v column, scale %d: %w", c.typ, scale, ErrFormat)
+		}
+		c.scale = decimalScales[scale]
 	default:
-		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
+		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", c.enc, ErrFormat)
 	}
 	numPages := d.uvarint()
 	if d.err != nil || numPages > uint64(c.rows) {
@@ -152,12 +178,12 @@ func (c *Chunk) parse() error {
 	left := uint64(c.rows)
 	for p := uint64(0); p < numPages; p++ {
 		rows := d.uvarint()
-		rle := false
-		if c.isDict {
+		pg := page{width: c.width}
+		if c.enc == colenc.Dict {
 			switch colenc.Encoding(d.byteVal()) {
 			case colenc.Plain:
 			case colenc.RLEEnc:
-				rle = true
+				pg.rle = true
 			default:
 				return colenc.ErrCorrupt
 			}
@@ -169,35 +195,70 @@ func (c *Chunk) parse() error {
 		if rows > left {
 			return fmt.Errorf("lpq: pages hold more than the %d rows chunk metadata says: %w", c.rows, ErrFormat)
 		}
+		body := &decBuf{b: d.b[:byteLen]}
+		d.b = d.b[byteLen:]
+		if c.enc == colenc.FOR || c.enc == colenc.Decimal {
+			if err := pg.parseFrame(body, c.enc == colenc.Decimal); err != nil {
+				return err
+			}
+		}
 		// The page must be long enough for its rows. A run-length page has
 		// no such minimum — two bytes can stand for any number of rows — so
 		// its runs are walked here, and the kernels rely on it.
 		var minBits uint64
 		switch {
-		case rle:
-			if err := checkRuns(d.b[:byteLen], rows, uint64(c.dict.Len())); err != nil {
+		case pg.rle:
+			if err := checkRuns(body.b, rows, uint64(c.dict.Len())); err != nil {
 				return err
 			}
-		case c.isDict:
-			minBits = rows * uint64(c.width)
+		case c.enc != colenc.Plain:
+			minBits = rows * uint64(pg.width)
 		case c.typ == String:
 			minBits = rows * 8 // a length byte per value
 		default:
 			minBits = rows * 64
 		}
-		if minBits > 8*byteLen {
+		if minBits > 8*uint64(len(body.b)) {
 			return colenc.ErrCorrupt
 		}
-		off := len(c.blob) - len(d.b)
-		c.pages = append(c.pages, page{
-			first: c.rows - int(left), rows: int(rows),
-			off: off, end: off + int(byteLen), rle: rle,
-		})
-		d.b = d.b[byteLen:]
+		pg.first, pg.rows = c.rows-int(left), int(rows)
+		pg.off = len(c.blob) - len(d.b) - len(body.b)
+		pg.end = pg.off + len(body.b)
+		if c.enc == colenc.Decimal {
+			// The packed offsets end where the exceptions begin: their rows,
+			// then their values, all of which must be there.
+			pg.end = pg.off + int((minBits+7)/8)
+			rowBytes := (uint64(pg.nexc)*uint64(colenc.BitWidth(rows-1)) + 7) / 8
+			pg.excVals = pg.end + int(rowBytes)
+			if uint64(pg.nexc) > rows || rowBytes+8*uint64(pg.nexc) > uint64(len(body.b))-(minBits+7)/8 {
+				return colenc.ErrCorrupt
+			}
+		}
+		c.pages = append(c.pages, pg)
 		left -= rows
 	}
 	if left != 0 {
 		return fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", uint64(c.rows)-left, c.rows, ErrFormat)
+	}
+	return nil
+}
+
+// parseFrame reads the header of a frame-of-reference or decimal page — base,
+// width and, for a decimal page, the exception count — leaving body at the
+// packed offsets. The largest offset must not carry base past int64.
+func (pg *page) parseFrame(body *decBuf, decimal bool) error {
+	pg.base = body.i64()
+	pg.width = int(body.byteVal())
+	if decimal {
+		nexc := body.uvarint()
+		if nexc > MaxChunkRows {
+			return colenc.ErrCorrupt
+		}
+		pg.nexc = int(nexc)
+	}
+	if body.err != nil || pg.width < 1 || pg.width > colenc.MaxFrameWidth ||
+		pg.base > math.MaxInt64-(1<<pg.width-1) {
+		return colenc.ErrCorrupt
 	}
 	return nil
 }
@@ -272,20 +333,29 @@ func packedTailCode(data []byte, width, bit int) uint32 {
 }
 
 // unpackCodes extracts the len(dst) consecutive codes starting at the
-// first-th: one 64-bit load yields as many codes as fit above the load's bit
-// offset (four at 12 bits, twenty-eight at 2).
+// first-th. Up to 14 bits wide, one 64-bit load yields as many codes as fit
+// above the load's bit offset (four at 12 bits, twenty-eight at 2); a wider
+// code — three or fewer to a load — is as cheap to load where it lies.
 func unpackCodes(dst []uint32, data []byte, width, first int) {
 	per := (64 - 7) / width
 	mask := uint64(1)<<width - 1
 	bit := first * width
 	i := 0
-	for ; i+per <= len(dst) && bit>>3+8 <= len(data); i += per {
-		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
-		for j := range dst[i : i+per] {
-			dst[i+j] = uint32(u & mask)
-			u >>= width
+	if per >= 4 {
+		for ; i+per <= len(dst) && bit>>3+8 <= len(data); i += per {
+			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+			out := dst[i : i+per] // indexed from 0: no bounds check per code
+			for j := range out {
+				out[j] = uint32(u & mask)
+				u >>= width
+			}
+			bit += per * width
 		}
-		bit += per * width
+	} else {
+		for ; i < len(dst) && bit>>3+8 <= len(data); i++ {
+			dst[i] = uint32(binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7) & mask)
+			bit += width
+		}
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = packedCode(data, width, first+i)
@@ -299,7 +369,7 @@ func unpackCodes(dst []uint32, data []byte, width, first int) {
 // run-length page a run at a time (skipped, or set in bulk).
 func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	dictLen := c.dict.Len()
-	if !c.isDict || match.Len() != dictLen {
+	if c.enc != colenc.Dict || match.Len() != dictLen {
 		return nil, fmt.Errorf("lpq: SelectCodes: verdict over %d entries, dictionary has %d", match.Len(), dictLen)
 	}
 	out := bitmap.New(c.rows)
@@ -334,7 +404,7 @@ func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 		var seen uint8
 		for r, end := p.first, p.first+p.rows; r < end; {
 			n := min(64-r&63, end-r)
-			unpackCodes(codes[:n], data, c.width, r-p.first)
+			unpackCodes(codes[:n], data, p.width, r-p.first)
 			var acc uint64
 			for j, code := range codes[:n] {
 				m := lut[code]
@@ -372,6 +442,59 @@ func (c *Chunk) selectWideCodes(verdict []uint64, out *bitmap.Bitmap) error {
 	return sc.Err()
 }
 
+// SelectInts is the filter over a frame-of-reference chunk: the result has bit
+// r set iff row r's value lies in [lo, hi] — or, with outside set, iff it does
+// not. Each of the six comparisons with an integer is one such test. The
+// bounds are translated once per page into offset space (v in [lo, hi] iff
+// v-base in [lo-base, hi-base], clamped to the page's width), so a row costs
+// an unpack and one unsigned compare, as SelectCodes' costs an unpack and a
+// lookup; a page the bounds cover or miss entirely is not read at all.
+func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
+	if c.enc != colenc.FOR {
+		return nil, fmt.Errorf("lpq: SelectInts over a %v chunk", c.enc)
+	}
+	out := bitmap.New(c.rows)
+	words := out.Words()
+	for _, p := range c.pages {
+		top := p.base + (1<<p.width - 1) // the directory checked it fits
+		if lo > hi || hi < p.base || lo > top {
+			if outside {
+				out.SetRange(p.first, p.first+p.rows)
+			}
+			continue
+		}
+		// Offsets of the bounds, exact as unsigned differences.
+		from := uint64(max(lo, p.base)) - uint64(p.base)
+		span := uint64(min(hi, top)) - uint64(max(lo, p.base))
+		if span == 1<<p.width-1 {
+			if !outside {
+				out.SetRange(p.first, p.first+p.rows)
+			}
+			continue
+		}
+		// One result word's worth of rows at a time: unpack, then one
+		// unsigned compare per row — offset-from wraps far above any span
+		// below from.
+		data := c.blob[p.off:p.end]
+		var codes [64]uint32
+		from32, bound := uint32(from), span+1
+		for r, end := p.first, p.first+p.rows; r < end; {
+			n := min(64-r&63, end-r)
+			unpackCodes(codes[:n], data, p.width, r-p.first)
+			var acc uint64
+			for j, code := range codes[:n] {
+				acc |= (uint64(code-from32) - bound) >> 63 << j
+			}
+			if outside {
+				acc ^= 1<<n - 1
+			}
+			words[r>>6] |= acc << (r & 63)
+			r += n
+		}
+	}
+	return out, nil
+}
+
 // BatchRows is the most rows a Scanner yields per step.
 const BatchRows = 256
 
@@ -402,13 +525,15 @@ type Scanner struct {
 	first int // with no selection: the current batch's first row
 	next  int
 
-	// Page cursor, and the forward-walk state inside that page for the two
+	// Page cursor, and the forward-walk state inside that page for the
 	// encodings without random access: pos is the blob offset of the next
-	// unread run or string, at the row it starts at.
+	// unread run or string, at the row it starts at; exc is the index of the
+	// first exception of a decimal page the scan has not passed.
 	pi      int
 	walking int // page the walk state belongs to, -1 for none
 	pos, at int
 	runCode uint32
+	exc     int
 
 	n      int
 	rows   [BatchRows]int32
@@ -524,7 +649,7 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 	first := int(sc.Row(i))
 	dense := sc.all || int(sc.rows[j-1])-first == j-i-1
 	rows := sc.rows[i:j]
-	if !c.isDict {
+	if c.enc == colenc.Plain {
 		if c.typ == String {
 			return sc.walkStrings(p, i, j)
 		}
@@ -551,18 +676,32 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 		}
 		return nil
 	}
+	// Every other kind reads a bit-packed or run-length code per row first.
 	codes := sc.codes[i:j]
 	if p.rle {
 		sc.walkRuns(p, i, j, dense)
 	} else {
 		data := c.blob[p.off:p.end]
 		if dense {
-			unpackCodes(codes, data, c.width, first-p.first)
+			unpackCodes(codes, data, p.width, first-p.first)
 		} else {
 			for k, r := range rows {
-				codes[k] = packedCode(data, c.width, int(r)-p.first)
+				codes[k] = packedCode(data, p.width, int(r)-p.first)
 			}
 		}
+	}
+	switch c.enc {
+	case colenc.FOR:
+		// The page directory made sure base plus the widest offset fits.
+		for k, code := range codes {
+			sc.ints[i+k] = p.base + int64(code)
+		}
+		return nil
+	case colenc.Decimal:
+		for k, code := range codes {
+			sc.floats[i+k] = float64(p.base+int64(code)) / c.scale
+		}
+		return sc.patchExceptions(p, i, j, dense)
 	}
 	// Resolve the values, checking bit-packed codes as they are used (a
 	// run-length page's were checked when the chunk was opened).
@@ -596,8 +735,75 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 // enter resets the forward-walk state on first touching a page.
 func (sc *Scanner) enter(p *page) {
 	if sc.walking != sc.pi {
-		sc.walking, sc.pos, sc.at = sc.pi, p.off, p.first
+		sc.walking, sc.pos, sc.at, sc.exc = sc.pi, p.off, p.first, 0
 	}
+}
+
+// patchExceptions overwrites the elements i to j of the batch that are
+// exceptions of decimal page p with their raw values. The exception cursor
+// moves forward with the scan, like the run and string walks. A dense stretch
+// walks every exception in it and holds them to the format — page rows strictly
+// ascending and inside the page — so decoding a whole chunk rejects a
+// malformed list; a sparse selection looks its rows up (seekException) and a
+// malformed list costs it, at worst, a wrong value.
+func (sc *Scanner) patchExceptions(p *page, i, j int, dense bool) error {
+	if p.nexc == 0 {
+		return nil
+	}
+	sc.enter(p)
+	blob := sc.c.blob
+	excRows := blob[p.end:p.excVals]
+	rowWidth := colenc.BitWidth(uint64(p.rows - 1))
+	value := func(e int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(blob[p.excVals+8*e:]))
+	}
+	if !dense {
+		for k := i; k < j; k++ {
+			r := int(sc.rows[k]) - p.first
+			sc.exc = sc.seekException(p, excRows, rowWidth, r)
+			if sc.exc < p.nexc && int(packedCode(excRows, rowWidth, sc.exc)) == r {
+				sc.floats[k] = value(sc.exc)
+			}
+		}
+		return nil
+	}
+	lo := int(sc.Row(i)) - p.first
+	hi := lo + j - i
+	e := sc.seekException(p, excRows, rowWidth, lo)
+	for prev := lo - 1; e < p.nexc; e++ {
+		r := int(packedCode(excRows, rowWidth, e))
+		if r >= hi {
+			break
+		}
+		if r <= prev {
+			return fmt.Errorf("lpq: decimal page's exceptions out of order: %w", colenc.ErrCorrupt)
+		}
+		sc.floats[i+r-lo], prev = value(e), r
+	}
+	if sc.exc = e; hi == p.rows && e < p.nexc {
+		return fmt.Errorf("lpq: decimal page's exceptions beyond its rows: %w", colenc.ErrCorrupt)
+	}
+	return nil
+}
+
+// seekException returns the index of page p's first exception at or after
+// page row r, looking on from the cursor: a gallop, then a binary search of
+// the stretch it brackets, so a scan pays for the exceptions it passes only
+// logarithmically.
+func (sc *Scanner) seekException(p *page, excRows []byte, rowWidth, r int) int {
+	lo, hi := sc.exc, sc.exc
+	for step := 1; hi < p.nexc && int(packedCode(excRows, rowWidth, hi)) < r; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, p.nexc)
+	for lo < hi {
+		if mid := (lo + hi) / 2; int(packedCode(excRows, rowWidth, mid)) < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // walkRuns resolves rows[i:j] of a run-length page (checked when the chunk
@@ -694,7 +900,7 @@ func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, er
 		for sc.Next() {
 			dst.Floats = append(dst.Floats, sc.Floats()...)
 		}
-	case c.isDict:
+	case c.enc == colenc.Dict:
 		dict := c.dict.Strings
 		for sc.Next() {
 			codes := sc.Codes()
@@ -751,7 +957,7 @@ func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 			dst = colenc.PutInt64s(dst, sc.Ints())
 		case c.typ == Float64:
 			dst = colenc.PutFloat64s(dst, sc.Floats())
-		case c.isDict:
+		case c.enc == colenc.Dict:
 			for _, code := range sc.Codes() {
 				s := c.dict.Strings[code]
 				dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)

@@ -26,10 +26,12 @@ const (
 	shapePacked                  // few values in random order: dictionary, bit-packed codes
 	shapeRuns                    // few values in long runs: dictionary, run-length codes
 	shapeMixed                   // runs then noise: a dictionary chunk with both kinds of page
+	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions
+	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame"}[s]
 }
 
 // genColumn draws rows values of type t in the given shape. Floats include
@@ -39,7 +41,7 @@ func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
 	domain := 37
 	pick := func(i int) int {
 		switch shape {
-		case shapePlain:
+		case shapePlain, shapeFrame:
 			return i
 		case shapeRuns:
 			return i * 5 / rows
@@ -62,9 +64,12 @@ func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
 		case Int64:
 			col.Ints = append(col.Ints, int64(v)*1_000_003-7)
 		case Float64:
-			f := float64(v)*1.25 - 3
-			if v < len(floats) {
+			f := float64(v)*1.25 - 3 // hundredths, exactly
+			switch {
+			case v < len(floats):
 				f = floats[v]
+			case shape == shapeFrame && v%3 == 0:
+				f = math.Nextafter(f, 0) // an ulp off: no scale recovers it
 			}
 			col.Floats = append(col.Floats, f)
 		default:
@@ -157,10 +162,11 @@ func referenceCodes(t Type, m ChunkMeta, raw []byte) ([]uint64, error) {
 
 // TestChunkKernelsMatchReference is the equivalence matrix for the kernels in
 // this package: {Int64, Float64, String} x {plain, bit-packed, run-length,
-// mixed code pages} x {Snappy on, off} x {one page, several pages with a
-// short last one, one row} x {no selection, empty, full, one bit, 1%, 50%}.
-// Gather, AppendSelected, the Scanner's batches and SelectCodes must agree
-// with decoding the whole chunk page by page and picking values one at a time.
+// mixed code pages, frame-of-reference / decimal pages} x {Snappy on, off} x
+// {one page, several pages with a short last one, one row} x {no selection,
+// empty, full, one bit, 1%, 50%}. Gather, AppendSelected, the Scanner's
+// batches, SelectCodes and SelectInts must agree with decoding the whole chunk
+// page by page and picking values one at a time.
 func TestChunkKernelsMatchReference(t *testing.T) {
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
@@ -169,7 +175,7 @@ func TestChunkKernelsMatchReference(t *testing.T) {
 		rows, pageRows int
 	}{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape <= shapeMixed; shape++ {
+		for shape := shapePlain; shape < numShapes; shape++ {
 			for _, compress := range []bool{true, false} {
 				for _, lay := range layouts {
 					name := fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
@@ -262,11 +268,22 @@ func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw 
 		// (one page cannot mix two).
 		var rle, packed bool
 		for _, p := range c.pages {
-			rle, packed = rle || p.rle, packed || (c.isDict && !p.rle)
+			rle, packed = rle || p.rle, packed || (c.enc == colenc.Dict && !p.rle)
 		}
-		got := [...]bool{!c.isDict, packed && !rle, rle && !packed, rle && packed}[shape]
+		frame := [...]colenc.Encoding{Int64: colenc.FOR, Float64: colenc.Decimal, String: colenc.Plain}[typ]
+		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame}[shape]
 		if !got {
-			t.Fatalf("chunk is dict=%v rle=%v packed=%v, not shape %v", c.isDict, rle, packed, shape)
+			t.Fatalf("chunk is %v rle=%v packed=%v, not shape %v", c.enc, rle, packed, shape)
+		}
+		if c.enc == colenc.Decimal {
+			// A third of the rows are an ulp off, and the specials besides.
+			nexc := 0
+			for _, p := range c.pages {
+				nexc += p.nexc
+			}
+			if nexc < c.rows/4 || nexc > c.rows/2 {
+				t.Fatalf("decimal chunk of %d rows has %d exceptions, want about a third", c.rows, nexc)
+			}
 		}
 	}
 	if all, err := DecodeChunk(typ, m, raw); err != nil || !sameColumn(all, want) {
@@ -312,6 +329,33 @@ func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw 
 			}
 		}
 	}
+	if c.enc == colenc.FOR {
+		// Bounds drawn from the values (so pages are cut, covered and missed),
+		// the extremes of int64, and an empty range.
+		bound := func() int64 {
+			switch rng.Intn(5) {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			}
+			return want.Ints[rng.Intn(len(want.Ints))] + int64(rng.Intn(3)) - 1
+		}
+		for trial := 0; trial < 60; trial++ {
+			lo, hi, outside := bound(), bound(), trial%2 == 0
+			got, err := c.SelectInts(lo, hi, outside)
+			if err != nil {
+				t.Fatalf("SelectInts: %v", err)
+			}
+			for r, v := range want.Ints {
+				if got.Get(r) != ((lo <= v && v <= hi) != outside) {
+					t.Fatalf("SelectInts(%d, %d, outside=%v): row %d (value %d) is %v", lo, hi, outside, r, v, got.Get(r))
+				}
+			}
+		}
+	} else if _, err := c.SelectInts(0, 1, false); err == nil {
+		t.Fatalf("SelectInts ran over a %v chunk", c.enc)
+	}
 	c.Release()
 	// With the pool poisoned, whatever was gathered must have survived the
 	// release: nothing a kernel returned may reference the arena.
@@ -328,7 +372,7 @@ func TestSelectCodesWideDictionary(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	col := ColumnData{Type: Int64}
 	for i := 0; i < rows; i++ {
-		v := int64(rng.Intn(distinct))
+		v := int64(rng.Intn(distinct)) << 20 // too wide a span for a frame of reference
 		if i >= rows-20000 {
 			v = col.Ints[i/5000] // a run-length last page, of values seen before
 		}
@@ -448,6 +492,65 @@ func metaFor(blob []byte, rows int) ChunkMeta {
 	return ChunkMeta{Size: uint64(len(blob)), NumValues: rows, CRC: crc32.ChecksumIEEE(blob)}
 }
 
+// framePage appends one frame-of-reference page: header, then the packed
+// offsets as given.
+func (w *blobWriter) framePage(rows uint64, base int64, width byte, packed ...byte) *blobWriter {
+	return w.uvarint(rows).uvarint(uint64(9 + len(packed))).ints(base).bytes(width).bytes(packed...)
+}
+
+// decimalPage appends one decimal page of rows rows whose offsets are a byte
+// each (1, 2, 3, … over base 100: at scale 100 the values 1.01, 1.02, …),
+// declaring nexc exceptions with the given packed page rows (BitWidth(rows-1)
+// bits each) and raw values.
+func (w *blobWriter) decimalPage(rows int, nexc uint64, excRows []byte, excVals ...float64) *blobWriter {
+	body := new(blobWriter).ints(100).bytes(8).uvarint(nexc)
+	for r := 1; r <= rows; r++ {
+		body.bytes(byte(r))
+	}
+	body.bytes(excRows...)
+	body.b = colenc.PutFloat64s(body.b, excVals)
+	return w.uvarint(uint64(rows)).uvarint(uint64(len(body.b))).bytes(body.b...)
+}
+
+// malformedFrameChunk is a hand-assembled frame-of-reference or decimal chunk
+// that the format forbids, named by what is wrong with it, under metadata
+// that declares rows rows.
+type malformedFrameChunk struct {
+	name string
+	typ  Type
+	rows int
+	raw  []byte
+}
+
+// malformedFrameChunks lists them; the unit test and the fuzz seeds share it.
+func malformedFrameChunks() []malformedFrameChunk {
+	frame := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1) }
+	decimal := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1) }
+	nan := math.NaN()
+	return []malformedFrameChunk{
+		{"frame width 0", Int64, 4, frame().framePage(4, 7, 0, 0, 0, 0, 0).b},
+		{"frame width over 32", Int64, 4, frame().framePage(4, 7, 33, make([]byte, 17)...).b},
+		{"frame page shorter than rows x width bits", Int64, 4, frame().framePage(4, 7, 8, 1, 2, 3).b},
+		{"frame page without its header", Int64, 4, frame().uvarint(4).uvarint(5).bytes(1, 2, 3, 4, 5).b},
+		{"frame base plus the widest offset overflows", Int64, 4, frame().framePage(4, math.MaxInt64-5, 3, 0, 0).b},
+		{"frame chunk of a float column", Float64, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
+		{"frame chunk of a string column", String, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
+		{"decimal chunk of an int column", Int64, 4, decimal().decimalPage(4, 0, nil).b},
+		{"decimal scale outside the set", Float64, 4,
+			new(blobWriter).bytes(byte(colenc.Decimal), byte(len(decimalScales))).uvarint(1).decimalPage(4, 0, nil).b},
+		{"decimal chunk cut before its scale", Float64, 4, []byte{byte(colenc.Decimal)}},
+		{"decimal exception rows unsorted", Float64, 4, decimal().decimalPage(4, 2, []byte{0b00_11}, nan, nan).b},
+		{"decimal exception rows duplicated", Float64, 4, decimal().decimalPage(4, 2, []byte{0b10_10}, nan, nan).b},
+		{"decimal exception row beyond the page", Float64, 3, decimal().decimalPage(3, 2, []byte{0b11_01}, nan, nan).b},
+		{"decimal exceptions outnumber the rows", Float64, 4,
+			decimal().decimalPage(4, 5, []byte{0b11_10_01_00, 0b11}, nan, nan, nan, nan, nan).b},
+		{"decimal exception count larger than the bytes left", Float64, 4, decimal().decimalPage(4, 3, []byte{0b10_01_00}, nan).b},
+		{"decimal exception count of 2^40", Float64, 4, decimal().decimalPage(4, 1<<40, []byte{0}, nan).b},
+		{"decimal page shorter than its offsets", Float64, 4,
+			decimal().uvarint(4).uvarint(12).ints(100).bytes(8).uvarint(0).bytes(1, 2).b},
+	}
+}
+
 // TestMalformedChunksAreErrors: every input the page-by-page decoder rejects
 // is an error from the opened chunk too — at open, or from each kernel that
 // would read the bad bytes — and never a panic.
@@ -513,6 +616,25 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 		{"string dictionary truncated", String, ChunkMeta{},
 			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(2).bytes(1, 'a', 5, 'b').b},
 	}
+	for _, bad := range malformedFrameChunks() {
+		cases = append(cases, struct {
+			name string
+			typ  Type
+			m    ChunkMeta
+			raw  []byte
+		}{bad.name, bad.typ, metaFor(bad.raw, bad.rows), bad.raw})
+	}
+	// The well-formed neighbours of those: four rows in one frame, and a
+	// decimal page whose rows 1 and 3 are exceptions.
+	frame := new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1).framePage(4, -3, 8, 0, 1, 2, 255).b
+	if col, err := DecodeChunk(Int64, metaFor(frame, 4), frame); err != nil || !reflect.DeepEqual(col.Ints, []int64{-3, -2, -1, 252}) {
+		t.Fatalf("well-formed frame chunk: %v, %v", col.Ints, err)
+	}
+	decimal := new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1).decimalPage(4, 2, []byte{0b11_01}, math.Inf(-1), math.Copysign(0, -1)).b
+	if col, err := DecodeChunk(Float64, metaFor(decimal, 4), decimal); err != nil ||
+		!sameColumn(col, FloatColumn([]float64{1.01, math.Inf(-1), 1.03, math.Copysign(0, -1)})) {
+		t.Fatalf("well-formed decimal chunk: %v, %v", col.Floats, err)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.m
@@ -555,7 +677,7 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 func TestMutatedChunksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape <= shapeMixed; shape++ {
+		for shape := shapePlain; shape < numShapes; shape++ {
 			col := genColumn(rng, typ, shape, 300)
 			m, raw := encodeTestChunk(col, shape, false, 128)
 			sel := testSelections(rng, 300)["50%"]
@@ -592,6 +714,159 @@ func TestMutatedChunksMatchReference(t *testing.T) {
 				c.Release()
 			}
 		}
+	}
+}
+
+// TestNumericEncodingsRoundTripBits: whatever kind the writer picks for a
+// numeric column, every value comes back with the bits it went in with — the
+// values a scaled decimal must not round (the zeros, NaNs of distinct payloads,
+// infinities, subnormals, magnitudes at and past 2^53 over the scale, prices an
+// ulp off their cents) and the ranges a frame of reference must not wrap (both
+// ends of int64 in one page, one row, one distinct value) — at the default page
+// size, at one that cuts the column into short pages, and in the benchmark
+// smoke test's 2,000-row chunks.
+func TestNumericEncodingsRoundTripBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(2121))
+	nanPayload := func(p uint64) float64 { return math.Float64frombits(0x7FF0000000000000 | p) }
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), nanPayload(1), nanPayload(0xDEADBEEF), -nanPayload(7),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+		1 << 53, -(1 << 53), (1 << 53) / 100.0, -(1 << 53) / 100.0, math.Nextafter((1<<53)/100.0, 0),
+		(1<<53 - 1) / 100.0, (1 << 53) / 10000.0, math.MaxFloat64, 0.1, 0.07, 1e-5, 12345.6789,
+	}
+	cents := func(n int, off float64) []float64 { // lineitem's extended price
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100) * off
+		}
+		return out
+	}
+	withSpecials := cents(3000, 1)
+	for i := range withSpecials {
+		if i%17 == 0 {
+			withSpecials[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	seq := func(n int, from, step int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = from + int64(i)*step
+		}
+		return out
+	}
+	keys := make([]int64, 2000) // lineitem's l_partkey
+	for i := range keys {
+		keys[i] = 1 + rng.Int63n(200000)
+	}
+	cols := map[string]ColumnData{
+		"specials alone":        FloatColumn(specials),
+		"prices":                FloatColumn(cents(2000, 1)),
+		"prices and specials":   FloatColumn(withSpecials),
+		"negative prices":       FloatColumn(cents(500, -1)),
+		"tenths of thousandths": FloatColumn(cents(500, 1e-2)),
+		"one float":             FloatColumn([]float64{19.99}),
+		"one NaN":               FloatColumn([]float64{nanPayload(3)}),
+		"one distinct float":    FloatColumn(filled(400, 7.25)),
+		"all exceptions":        FloatColumn(filled(300, math.Pi)),
+		"2^53 neighbours":       FloatColumn([]float64{1<<53 - 1, 1 << 53, 1<<53 + 2, -(1<<53 - 1), 1, 2, 3, 4, 5}),
+		"int64 extremes":        IntColumn([]int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1}),
+		"span of 2^32 exactly":  IntColumn(append(seq(50, -5, 1), 1<<32-5)),
+		"span just inside 2^32": IntColumn(append(seq(50, -5, 1), 1<<32-6)),
+		"near MaxInt64":         IntColumn(seq(300, math.MaxInt64-299, 1)),
+		"near MinInt64":         IntColumn(seq(300, math.MinInt64, 1)),
+		"one int":               IntColumn([]int64{-42}),
+		"one distinct int":      IntColumn(filled(400, int64(1)<<40)),
+		"ascending keys":        IntColumn(seq(2000, 1_000_000, 3)),
+		"part keys":             IntColumn(keys),
+	}
+	kinds := map[colenc.Encoding]int{}
+	for name, col := range cols {
+		for _, pageRows := range []int{20000, 64, 1} {
+			for _, compress := range []bool{true, false} {
+				opts := WriterOptions{Compress: compress, DictMaxFraction: 0.5, PageRows: pageRows}
+				m, raw := encodeChunk(col, opts)
+				kinds[m.Encoding]++
+				got, err := DecodeChunk(col.Type, m, raw)
+				if err != nil || !sameColumn(got, col) {
+					t.Fatalf("%s, %d-row pages, %v: decoded values differ from the written ones (%v)", name, pageRows, m.Encoding, err)
+				}
+				if ref, err := referenceDecodeChunk(col.Type, m, raw); err != nil || !sameColumn(ref, col) {
+					t.Fatalf("%s, %d-row pages, %v: the reference decoder differs from the written values (%v)", name, pageRows, m.Encoding, err)
+				}
+				if m.Size > m.RawSize+16+uint64(3*(col.Len()/pageRows+1)) {
+					t.Fatalf("%s, %d-row pages: %v chunk of %d bytes for %d bytes of values", name, pageRows, m.Encoding, m.Size, m.RawSize)
+				}
+			}
+		}
+	}
+	for _, enc := range []colenc.Encoding{colenc.Plain, colenc.Dict, colenc.FOR, colenc.Decimal} {
+		if kinds[enc] == 0 {
+			t.Errorf("no column came out %v: %v", enc, kinds)
+		}
+	}
+	// What must not be framed or scaled is not: both ends of int64 span more
+	// than 32 bits, and a column of one irrational repeated is a dictionary.
+	if m, _ := encodeChunk(cols["int64 extremes"], DefaultWriterOptions()); m.Encoding == colenc.FOR {
+		t.Error("both ends of int64 in one frame of reference")
+	}
+	if m, _ := encodeChunk(cols["span of 2^32 exactly"], DefaultWriterOptions()); m.Encoding == colenc.FOR {
+		t.Error("a span of 2^32 does not fit 32-bit offsets")
+	}
+	if m, _ := encodeChunk(cols["span just inside 2^32"], DefaultWriterOptions()); m.Encoding != colenc.FOR {
+		t.Errorf("a span of 2^32-1 came out %v, want FOR", m.Encoding)
+	}
+	if m, _ := encodeChunk(cols["near MaxInt64"], DefaultWriterOptions()); m.Encoding != colenc.FOR {
+		t.Errorf("a narrow range ending at MaxInt64 came out %v, want FOR", m.Encoding)
+	}
+}
+
+// TestCompressedFlagOpensWhateverTheSaving: the writer keeps Snappy only where
+// it saves snappyMinSaving, but that is the writer's rule, not the format's —
+// a chunk of any kind flagged Compressed opens however little (or however much
+// less than nothing) the compression saved, so objects written when one byte
+// was enough stay readable.
+func TestCompressedFlagOpensWhateverTheSaving(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	noise := make([]int64, 3000) // incompressible: Snappy makes it larger
+	for i := range noise {
+		noise[i] = rng.Int63() - rng.Int63()
+	}
+	for name, tc := range map[string]struct {
+		col  ColumnData
+		opts WriterOptions
+		want colenc.Encoding
+	}{
+		"plain noise":   {IntColumn(noise), WriterOptions{DisableDict: true}, colenc.Plain},
+		"plain strings": {genColumn(rng, String, shapePlain, 800), WriterOptions{DisableDict: true}, colenc.Plain},
+		"dictionary":    {genColumn(rng, Float64, shapePacked, 3000), WriterOptions{}, colenc.Dict},
+		"frame":         {genColumn(rng, Int64, shapeFrame, 3000), WriterOptions{}, colenc.FOR},
+		"decimal":       {genColumn(rng, Float64, shapeFrame, 3000), WriterOptions{}, colenc.Decimal},
+	} {
+		tc.opts.DictMaxFraction, tc.opts.PageRows = 0.5, 1000
+		m, blob := encodeChunk(tc.col, tc.opts)
+		if m.Encoding != tc.want || m.Compressed {
+			t.Fatalf("%s: the writer made a %v chunk, compressed=%v", name, m.Encoding, m.Compressed)
+		}
+		raw := snappy.Encode(blob)
+		saving := 1 - float64(len(raw))/float64(len(blob))
+		if name == "plain noise" && saving >= 0 {
+			t.Fatalf("%s: Snappy saved %.1f%% of noise", name, 100*saving)
+		}
+		m.Compressed, m.Size, m.CRC = true, uint64(len(raw)), crc32.ChecksumIEEE(raw)
+		got, err := DecodeChunk(tc.col.Type, m, raw)
+		if err != nil || !sameColumn(got, tc.col) {
+			t.Errorf("%s (Snappy saved %.1f%%): %v", name, 100*saving, err)
+		}
+	}
+	// And the writer's side of it: a chunk Snappy barely helps is stored as
+	// encoded, one it helps by a fifth or more is stored compressed.
+	m, _ := encodeChunk(IntColumn(noise), WriterOptions{Compress: true, DisableDict: true, PageRows: 1000})
+	if m.Compressed {
+		t.Error("the writer kept Snappy over noise")
+	}
+	m, _ = encodeChunk(genColumn(rng, String, shapePlain, 800), WriterOptions{Compress: true, DisableDict: true, PageRows: 1000})
+	if !m.Compressed {
+		t.Error("the writer dropped Snappy over text it shrinks by more than a fifth")
 	}
 }
 

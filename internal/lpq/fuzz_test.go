@@ -2,10 +2,12 @@ package lpq
 
 import (
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/colenc"
 )
 
 // FuzzOpenChunk feeds arbitrary bytes under arbitrary metadata to the opened
@@ -18,13 +20,16 @@ import (
 func FuzzOpenChunk(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape <= shapeMixed; shape++ {
+		for shape := shapePlain; shape < numShapes; shape++ {
 			col := genColumn(rng, typ, shape, 200)
 			for _, compress := range []bool{true, false} {
 				m, raw := encodeTestChunk(col, shape, compress, 64)
 				f.Add(raw, uint8(typ), m.NumValues, m.Compressed)
 			}
 		}
+	}
+	for _, bad := range malformedFrameChunks() {
+		f.Add(bad.raw, uint8(bad.typ), bad.rows, false)
 	}
 	f.Add(rleBomb(), uint8(Int64), 1<<36, false)
 	f.Add(rleBomb(), uint8(Int64), 10, false)
@@ -60,6 +65,17 @@ func FuzzOpenChunk(f *testing.F) {
 			t.Fatal("partial Gather differs from the reference")
 		}
 		_, _ = c.AppendSelected(nil, sel) // may fail, may not panic
+		if c.enc == colenc.FOR {
+			rows, err := c.SelectInts(c.pages[0].base+1, math.MaxInt64, numValues%2 == 0)
+			if err != nil {
+				t.Fatalf("SelectInts over an opened frame-of-reference chunk: %v", err)
+			}
+			for r, v := range want.Ints {
+				if refErr == nil && rows.Get(r) != ((v > c.pages[0].base) != (numValues%2 == 0)) {
+					t.Fatalf("SelectInts disagrees with the reference's value %d at row %d", v, r)
+				}
+			}
+		}
 		if dict, ok := c.Dict(); ok {
 			verdict := bitmap.New(dict.Len())
 			for i := 0; i < dict.Len(); i += 2 {

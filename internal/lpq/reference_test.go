@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/colenc"
@@ -50,6 +51,8 @@ func referenceDecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
 		return referenceDecodePlain(t, body, m.NumValues)
 	case colenc.Dict:
 		return referenceDecodeDict(t, body, m.NumValues)
+	case colenc.FOR, colenc.Decimal:
+		return referenceDecodeFrames(t, enc, body, m.NumValues)
 	default:
 		return ColumnData{}, fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
 	}
@@ -156,6 +159,90 @@ func referenceDecodeDict(t Type, body []byte, n int) (ColumnData, error) {
 		out.Strings, err = referenceApplyDict(dict, codes)
 		return out, err
 	}
+}
+
+// referenceScales is the decimal chunk's scale table, spelled out again.
+var referenceScales = []float64{1, 10, 100, 1000, 10000}
+
+// referenceDecodeFrames decodes a frame-of-reference (Int64) or decimal
+// (Float64) chunk page by page: every offset unpacked a bit at a time, every
+// exception located by a scan of the page's whole list.
+func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (ColumnData, error) {
+	d := &decBuf{b: body}
+	scale := 1.0
+	if enc == colenc.Decimal {
+		si := int(d.byteVal())
+		if t != Float64 || d.err != nil || si >= len(referenceScales) {
+			return ColumnData{}, ErrFormat
+		}
+		scale = referenceScales[si]
+	} else if t != Int64 {
+		return ColumnData{}, ErrFormat
+	}
+	numPages := int(d.uvarint())
+	if d.err != nil || numPages < 0 || numPages > n+1 {
+		return ColumnData{}, ErrFormat
+	}
+	out := ColumnData{Type: t}
+	total := 0
+	for p := 0; p < numPages; p++ {
+		rows := int(d.uvarint())
+		byteLen := int(d.uvarint())
+		if d.err != nil || rows <= 0 || rows > n-total || byteLen < 0 || byteLen > len(d.b) {
+			return ColumnData{}, ErrFormat
+		}
+		page := &decBuf{b: d.b[:byteLen]}
+		d.b = d.b[byteLen:]
+		base := page.i64()
+		width := int(page.byteVal())
+		nexc := 0
+		if enc == colenc.Decimal {
+			nexc = int(page.uvarint())
+		}
+		if page.err != nil || width < 1 || width > 32 || nexc < 0 || nexc > rows {
+			return ColumnData{}, colenc.ErrCorrupt
+		}
+		if base >= 0 && uint64(base)+(1<<width-1) > math.MaxInt64 {
+			return ColumnData{}, colenc.ErrCorrupt // the largest offset would carry base past int64
+		}
+		offsets, err := referenceDecodeCodes(colenc.Plain, page.b, rows, width)
+		if err != nil {
+			return ColumnData{}, err
+		}
+		if enc == colenc.FOR {
+			for _, off := range offsets {
+				out.Ints = append(out.Ints, base+int64(off))
+			}
+			total += rows
+			continue
+		}
+		vals := make([]float64, rows)
+		for r, off := range offsets {
+			vals[r] = float64(base+int64(off)) / scale
+		}
+		rest := page.b[(rows*width+7)/8:]
+		rowWidth := colenc.BitWidth(uint64(rows - 1))
+		rowBytes := (nexc*rowWidth + 7) / 8
+		if rowBytes+8*nexc > len(rest) {
+			return ColumnData{}, colenc.ErrCorrupt
+		}
+		excRows, err := referenceDecodeCodes(colenc.Plain, rest[:rowBytes], nexc, rowWidth)
+		if err != nil {
+			return ColumnData{}, err
+		}
+		for e, r := range excRows {
+			if int(r) >= rows || (e > 0 && r <= excRows[e-1]) {
+				return ColumnData{}, colenc.ErrCorrupt
+			}
+			vals[r] = math.Float64frombits(binary.LittleEndian.Uint64(rest[rowBytes+8*e:]))
+		}
+		out.Floats = append(out.Floats, vals...)
+		total += rows
+	}
+	if total != n {
+		return ColumnData{}, fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", total, n, ErrFormat)
+	}
+	return out, nil
 }
 
 // referenceCodePages decodes the data pages following a dictionary page.

@@ -1,8 +1,10 @@
 package lpq
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/snappy"
@@ -163,54 +165,88 @@ func (w *Writer) Finish() ([]byte, error) {
 	return w.buf, nil
 }
 
+// snappyMinSaving is the share of a chunk's encoded bytes Snappy has to save
+// to be kept: below it a reader would run a decompression pass over the whole
+// chunk, on every open, for next to nothing.
+const snappyMinSaving = 0.20
+
+// dictKeepShare is how much smaller than a dictionary chunk a
+// frame-of-reference or decimal chunk has to be to replace it (1/16 of the
+// dictionary chunk's bytes). On a near tie the dictionary stays: its codes
+// serve more kernels than offsets do — any predicate is one verdict per entry,
+// and a lone grouping key resolves its group once per code.
+const dictKeepShare = 16
+
+// decimalScales are the powers of ten a decimal chunk may scale by. A chunk's
+// header names its scale by index, so the order is part of the format.
+var decimalScales = [...]float64{1, 10, 100, 1000, 10000}
+
 // encodeChunk encodes one column chunk into a self-contained blob and its
 // metadata (offset left to the caller). A chunk is a sequence of pages, as
 // in Fig. 3 of the paper: dictionary-encoded chunks carry one dictionary
-// page followed by encoded data pages; plain chunks carry plain data pages.
+// page followed by encoded data pages; the other kinds carry data pages only.
 //
 // Blob layout (before optional Snappy):
 //
 //	[encoding byte]
-//	Plain: uvarint numPages,
-//	       per page: uvarint rowCount, uvarint byteLen, plain values
-//	Dict:  uvarint dictLen, plain-encoded dict values,   // dictionary page
-//	       uvarint numPages,
-//	       per page: uvarint rowCount, codes-encoding byte,
-//	                 uvarint byteLen, encoded codes
+//	Plain:   uvarint numPages,
+//	         per page: uvarint rowCount, uvarint byteLen, plain values
+//	Dict:    uvarint dictLen, plain-encoded dict values,   // dictionary page
+//	         uvarint numPages,
+//	         per page: uvarint rowCount, codes-encoding byte,
+//	                   uvarint byteLen, encoded codes
+//	FOR:     uvarint numPages,                             // Int64 only
+//	         per page: uvarint rowCount, uvarint byteLen,
+//	                   int64 base, byte width, offsets packed at width
+//	Decimal: byte scale (index into decimalScales),        // Float64 only
+//	         uvarint numPages,
+//	         per page: uvarint rowCount, uvarint byteLen,
+//	                   int64 base, byte width, uvarint numExceptions,
+//	                   offsets packed at width (an exception's is 0),
+//	                   the exceptions' page rows, ascending, packed at
+//	                   BitWidth(rowCount-1), then their values, 8 raw bytes each
 //
-// If compressed, the whole blob is one Snappy block.
+// The writer picks the smallest form: plain, or — unless DisableDict asks for
+// plain only — a dictionary, or a frame of reference (Int64) or scaled decimal
+// (Float64) when that is smaller than the dictionary chunk by more than a
+// dictKeepShare-th. The whole blob is then one Snappy block if Snappy saves
+// snappyMinSaving of it.
 func encodeChunk(c ColumnData, opts WriterOptions) (ChunkMeta, []byte) {
 	var meta ChunkMeta
 	meta.NumValues = c.Len()
 	meta.Stats = computeStats(c)
-
-	// Raw (plain) representation; also the fallback encoding.
-	var raw []byte
-	switch c.Type {
-	case Int64:
-		raw = colenc.PutInt64s(nil, c.Ints)
-	case Float64:
-		raw = colenc.PutFloat64s(nil, c.Floats)
-	default:
-		raw = colenc.PutStrings(nil, c.Strings)
-	}
-	meta.RawSize = uint64(len(raw))
+	meta.RawSize = plainSize(c)
 
 	var blob []byte
-	useDict := false
 	if !opts.DisableDict {
-		blob, useDict = tryDictEncode(c, opts, len(raw))
+		// Each attempt reports failure unless it beats the plain form.
+		var ok bool
+		if blob, ok = tryDictEncode(c, opts, int(meta.RawSize)); ok {
+			meta.Encoding = colenc.Dict
+		}
+		limit := int(meta.RawSize)
+		if ok {
+			limit = len(blob) - len(blob)/dictKeepShare
+		}
+		switch c.Type {
+		case Int64:
+			if b, ok := tryFrameEncode(c.Ints, opts.PageRows, limit); ok {
+				blob, meta.Encoding = b, colenc.FOR
+			}
+		case Float64:
+			if b, ok := tryDecimalEncode(c.Floats, opts.PageRows, limit); ok {
+				blob, meta.Encoding = b, colenc.Decimal
+			}
+		}
 	}
-	if useDict {
-		meta.Encoding = colenc.Dict
-	} else {
+	if blob == nil {
 		meta.Encoding = colenc.Plain
 		blob = encodePlainPages(c, opts.PageRows)
 	}
 
 	if opts.Compress {
 		comp := snappy.Encode(blob)
-		if len(comp) < len(blob) {
+		if float64(len(comp)) <= (1-snappyMinSaving)*float64(len(blob)) {
 			meta.Compressed = true
 			blob = comp
 		}
@@ -218,6 +254,18 @@ func encodeChunk(c ColumnData, opts WriterOptions) (ChunkMeta, []byte) {
 	meta.Size = uint64(len(blob))
 	meta.CRC = crc32.ChecksumIEEE(blob)
 	return meta, blob
+}
+
+// plainSize returns the size of c's values in plain form.
+func plainSize(c ColumnData) uint64 {
+	if c.Type != String {
+		return 8 * uint64(c.Len())
+	}
+	var n uint64
+	for _, s := range c.Strings {
+		n += uint64(colenc.UvarintLen(uint64(len(s))) + len(s))
+	}
+	return n
 }
 
 // encodePlainPages lays a chunk out as plain data pages.
@@ -302,6 +350,146 @@ func tryDictEncode(c ColumnData, opts WriterOptions, rawLen int) ([]byte, bool) 
 	return e.b, true
 }
 
+// packedLen is the byte length of count values packed at width bits.
+func packedLen(count, width int) int { return (count*width + 7) / 8 }
+
+// tryFrameEncode lays vals out as frame-of-reference pages. It reports failure
+// when some page's values span more than colenc.MaxFrameWidth bits or the
+// chunk would not be smaller than limit bytes.
+func tryFrameEncode(vals []int64, pageRows, limit int) ([]byte, bool) {
+	e := &encBuf{b: []byte{byte(colenc.FOR)}}
+	e.uvarint(uint64((len(vals) + pageRows - 1) / pageRows))
+	for start := 0; start < len(vals); start += pageRows {
+		page := vals[start:min(start+pageRows, len(vals))]
+		lo, hi := page[0], page[0]
+		for _, v := range page[1:] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		base, width, ok := colenc.Frame(lo, hi)
+		if !ok || len(e.b)+packedLen(len(page), width) >= limit {
+			return nil, false
+		}
+		e.uvarint(uint64(len(page)))
+		e.uvarint(uint64(9 + packedLen(len(page), width)))
+		e.i64(base)
+		e.byteVal(byte(width))
+		e.b = colenc.PackOffsets(e.b, page, base, width)
+	}
+	return e.b, len(e.b) < limit
+}
+
+// decimalInt returns v scaled to an integer and whether that integer stands
+// for v exactly: float64(i)/scale must have v's bits, which no NaN, infinity,
+// negative zero or product of 2^53 and beyond does. Readers divide, so the
+// test divides: multiplying by 1/scale recovers fewer values.
+func decimalInt(v, scale float64) (int64, bool) {
+	x := math.RoundToEven(v * scale)
+	if !(math.Abs(x) < 1<<53) {
+		return 0, false
+	}
+	i := int64(x)
+	return i, math.Float64bits(float64(i)/scale) == math.Float64bits(v)
+}
+
+// decimalPage is the shape of one decimal page: the frame of its exact values
+// and how many of its rows are exceptions.
+type decimalPage struct {
+	base       int64
+	width      int
+	exceptions int
+}
+
+// planDecimalPage frames vals at scale; ok is false when the exact values span
+// more than colenc.MaxFrameWidth bits.
+func planDecimalPage(vals []float64, scale float64) (p decimalPage, ok bool) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, v := range vals {
+		if i, exact := decimalInt(v, scale); exact {
+			lo, hi = min(lo, i), max(hi, i)
+		} else {
+			p.exceptions++
+		}
+	}
+	if p.exceptions == len(vals) {
+		p.width = 1 // nothing to frame: every offset is the exceptions' 0
+		return p, true
+	}
+	p.base, p.width, ok = colenc.Frame(lo, hi)
+	return p, ok
+}
+
+// bodyLen is the byte length of the page's body for rows rows.
+func (p decimalPage) bodyLen(rows int) int {
+	return 9 + colenc.UvarintLen(uint64(p.exceptions)) + packedLen(rows, p.width) +
+		packedLen(p.exceptions, colenc.BitWidth(uint64(rows-1))) + 8*p.exceptions
+}
+
+// planDecimalPages frames every page of vals at scale. It returns the pages,
+// the bytes their bodies take and how many rows are exceptions; ok is false
+// when a page cannot be framed or the bodies reach limit bytes.
+func planDecimalPages(vals []float64, scale float64, pageRows, limit int) (pages []decimalPage, size, exceptions int, ok bool) {
+	for start := 0; start < len(vals); start += pageRows {
+		page := vals[start:min(start+pageRows, len(vals))]
+		p, framed := planDecimalPage(page, scale)
+		if !framed {
+			return nil, 0, 0, false
+		}
+		if size += p.bodyLen(len(page)); size >= limit {
+			return nil, 0, 0, false
+		}
+		pages = append(pages, p)
+		exceptions += p.exceptions
+	}
+	return pages, size, exceptions, true
+}
+
+// tryDecimalEncode lays vals out as decimal pages at the scale of
+// decimalScales that makes the chunk smallest. It reports failure when no
+// scale makes it smaller than limit bytes.
+func tryDecimalEncode(vals []float64, pageRows, limit int) ([]byte, bool) {
+	var best []decimalPage
+	bestScale, bestLen := 0, limit
+	for si, scale := range decimalScales {
+		pages, size, exceptions, ok := planDecimalPages(vals, scale, pageRows, bestLen)
+		if !ok {
+			continue
+		}
+		best, bestScale, bestLen = pages, si, size
+		if exceptions == 0 {
+			break // a larger scale would only widen the same integers
+		}
+	}
+	if best == nil {
+		return nil, false
+	}
+	e := &encBuf{b: []byte{byte(colenc.Decimal), byte(bestScale)}}
+	e.uvarint(uint64(len(best)))
+	scale := decimalScales[bestScale]
+	for pi, p := range best {
+		page := vals[pi*pageRows : min((pi+1)*pageRows, len(vals))]
+		offsets := make([]uint64, len(page))
+		excRows := make([]uint64, 0, p.exceptions)
+		excVals := make([]byte, 0, 8*p.exceptions)
+		for r, v := range page {
+			if i, exact := decimalInt(v, scale); exact {
+				offsets[r] = uint64(i) - uint64(p.base)
+			} else {
+				excRows = append(excRows, uint64(r))
+				excVals = binary.LittleEndian.AppendUint64(excVals, math.Float64bits(v))
+			}
+		}
+		e.uvarint(uint64(len(page)))
+		e.uvarint(uint64(p.bodyLen(len(page))))
+		e.i64(p.base)
+		e.byteVal(byte(p.width))
+		e.uvarint(uint64(p.exceptions))
+		e.b = colenc.PackUints(e.b, offsets, p.width)
+		e.b = colenc.PackUints(e.b, excRows, colenc.BitWidth(uint64(len(page)-1)))
+		e.b = append(e.b, excVals...)
+	}
+	return e.b, len(e.b) < limit
+}
+
 func computeStats(c ColumnData) Stats {
 	s := Stats{}
 	switch c.Type {
@@ -324,9 +512,16 @@ func computeStats(c ColumnData) Stats {
 		if len(c.Floats) == 0 {
 			return s
 		}
+		// A NaN is invisible in min/max (every comparison with it is false)
+		// and satisfies no predicate but !=, so bounds that ignore one would
+		// let the planner answer for its row without reading the chunk: a
+		// chunk holding a NaN has no valid statistics.
 		s.Valid = true
 		s.MinF, s.MaxF = c.Floats[0], c.Floats[0]
-		for _, v := range c.Floats[1:] {
+		for _, v := range c.Floats {
+			if v != v {
+				return Stats{}
+			}
 			if v < s.MinF {
 				s.MinF = v
 			}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 )
 
@@ -18,8 +20,9 @@ import (
 
 // FilterChunk is EvalCompare over an opened chunk. A dictionary chunk
 // evaluates the comparison once over its dictionary and maps the verdicts
-// through the codes; plain pages are compared a batch at a time straight
-// from the page bytes.
+// through the codes; a frame-of-reference chunk meets an integer literal in
+// offset space, the bound translated once per page; every other page is
+// compared a batch at a time as the Scanner reads it.
 func FilterChunk(c *Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
 	if dict, ok := ch.Dict(); ok {
 		verdict, err := EvalCompare(c, dict)
@@ -27,6 +30,25 @@ func FilterChunk(c *Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
 			return nil, err
 		}
 		return ch.SelectCodes(verdict)
+	}
+	if ch.Encoding() == colenc.FOR && c.Value.Kind == LitInt {
+		// Each operator is membership of one closed range, or of its
+		// complement: no bound is moved by one, so none can overflow.
+		v := c.Value.I
+		switch c.Op {
+		case OpEq:
+			return ch.SelectInts(v, v, false)
+		case OpNe:
+			return ch.SelectInts(v, v, true)
+		case OpLt:
+			return ch.SelectInts(v, math.MaxInt64, true)
+		case OpLe:
+			return ch.SelectInts(math.MinInt64, v, false)
+		case OpGt:
+			return ch.SelectInts(math.MinInt64, v, true)
+		default:
+			return ch.SelectInts(v, math.MaxInt64, false)
+		}
 	}
 	out := bitmap.New(ch.NumRows())
 	words := out.Words()

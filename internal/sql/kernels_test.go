@@ -10,6 +10,7 @@ import (
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 )
 
@@ -27,20 +28,36 @@ const (
 	shapePacked                  // few values in random order: bit-packed codes
 	shapeRuns                    // few values in long runs: run-length codes
 	shapeMixed                   // runs then noise: both kinds of code page
+	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame"}[s]
+}
+
+// wantEncoding is the kind of chunk the writer must make of a column of type
+// t drawn in the given shape: the cases are forced by the data, not a switch.
+func (s codeShape) wantEncoding(t lpq.Type) colenc.Encoding {
+	switch {
+	case s == shapePlain || (s == shapeFrame && t == lpq.String):
+		return colenc.Plain
+	case s == shapeFrame && t == lpq.Int64:
+		return colenc.FOR
+	case s == shapeFrame:
+		return colenc.Decimal
+	}
+	return colenc.Dict
 }
 
 // genColumn draws rows values of type t in the given shape from a domain of
-// the given size (plain ignores it). Floats include NaN, both zeros and an
-// infinity.
+// the given size (plain and frame ignore it). Floats include NaN, both zeros
+// and an infinity. Ints are spread wide, so that a handful of them keeps its
+// dictionary and only the frame shape's dense draw fits a frame of reference.
 func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lpq.ColumnData {
 	pick := func(i int) int {
 		switch shape {
-		case shapePlain:
+		case shapePlain, shapeFrame:
 			return rng.Intn(4 * rows)
 		case shapeRuns:
 			return i * 5 / rows
@@ -60,11 +77,14 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 		v := pick(i)
 		switch t {
 		case lpq.Int64:
-			col.Ints = append(col.Ints, int64(v)-3)
+			col.Ints = append(col.Ints, int64(v)*1_000_003-3)
 		case lpq.Float64:
 			f := float64(v)*0.5 - 3
-			if v < len(floats) {
+			switch {
+			case v < len(floats):
 				f = floats[v]
+			case shape == shapeFrame && v%3 == 0:
+				f = math.Nextafter(f, 0) // an ulp off: an exception at any scale
 			}
 			col.Floats = append(col.Floats, f)
 		default:
@@ -150,9 +170,10 @@ var kernelLayouts = []struct {
 }{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 
 // forEachChunkCase runs fn over {Int64, Float64, String} x {plain, bit-packed,
-// run-length, mixed code pages} x {Snappy on, off} x {one page, several pages
-// with a short last one, one row}, with the pool poisoned so that anything a
-// kernel returns that references a released chunk shows.
+// run-length, mixed code pages, frame-of-reference / decimal pages} x {Snappy
+// on, off} x {one page, several pages with a short last one, one row}, with
+// the pool poisoned so that anything a kernel returns that references a
+// released chunk shows.
 func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions)) {
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
@@ -164,7 +185,15 @@ func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lp
 					t.Run(name, func(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(len(name))*7919 + int64(shape)))
 						col := genColumn(rng, typ, shape, lay.rows, 37)
-						fn(t, rng, col, writerOpts(shape, compress, lay.pageRows))
+						opts := writerOpts(shape, compress, lay.pageRows)
+						if lay.rows > 1 { // one row cannot have a shape
+							ch, _ := openColumn(t, opts, col)
+							if got, want := ch.Encoding(), shape.wantEncoding(typ); got != want {
+								t.Fatalf("the writer made a %v chunk of this column, the case is about %v", got, want)
+							}
+							ch.Release()
+						}
+						fn(t, rng, col, opts)
 					})
 				}
 			}
@@ -205,7 +234,8 @@ func TestFilterChunkMatchesReference(t *testing.T) {
 		ch, col := openColumn(t, opts, col)
 		defer ch.Release()
 		lits := []Literal{
-			IntLit(5), IntLit(-1000), IntLit(1 << 40), FloatLit(2.5), FloatLit(6), FloatLit(-0.25),
+			IntLit(5), IntLit(-1000), IntLit(1 << 40), IntLit(math.MinInt64), IntLit(math.MaxInt64),
+			FloatLit(2.5), FloatLit(6), FloatLit(-0.25),
 			FloatLit(math.NaN()), FloatLit(math.Inf(1)), FloatLit(0),
 			StringLit("v0005"), StringLit("v0005x"), StringLit(""), StringLit("zzz"),
 		}

@@ -142,13 +142,14 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	runTasks(s.queryWorkers(), len(works), func(i int) {
 		w := works[i]
 		w.sub = st.fork()
-		if w.pre != nil {
+		if w.pre != nil && acceptGroups(w.pre.Groups, meta, keyIdx, len(kinds)) {
 			w.partials = w.pre.Groups
 			return
 		}
 		if w.push {
-			// The pushed attempt failed — node down, or it hit the
-			// cardinality cap — so this row group spills to the coordinator.
+			// The pushed attempt failed — node down, it hit the cardinality
+			// cap, or what came back is not partials of this grouping — so
+			// this row group spills to the coordinator.
 			w.sub.stats.GroupSpills++
 			w.sub.sp.Count(trace.GroupSpills, 1)
 		}
@@ -217,15 +218,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 			ki := q.GroupKeyIndex(p.Column)
 			col := lpq.ColumnData{Type: meta.Footer.Columns[colIdx[p.Column]].Type}
 			for gi := range groups {
-				l := groups[gi].Key[ki]
-				switch col.Type {
-				case lpq.Int64:
-					col.Ints = append(col.Ints, l.I)
-				case lpq.Float64:
-					col.Floats = append(col.Floats, l.F)
-				default:
-					col.Strings = append(col.Strings, l.S)
-				}
+				appendLiteral(&col, groups[gi].Key[ki])
 			}
 			res.Columns = append(res.Columns, p.Column)
 			res.Data = append(res.Data, col)
@@ -236,6 +229,25 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		res.Data = append(res.Data, aggColumn(meta, aggs[ai], groups, ai))
 	}
 	return res, nil
+}
+
+// acceptGroups reports whether a node's reply can be partial states of this
+// grouping: every group keyed by one literal per grouping column, of that
+// column's type, with one state per aggregate. The result table indexes both,
+// so a reply that fails this is treated as no reply at all.
+func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx []int, nAggs int) bool {
+	for gi := range groups {
+		g := &groups[gi]
+		if len(g.Key) != len(keyIdx) || len(g.Aggs) != nAggs {
+			return false
+		}
+		for i, ci := range keyIdx {
+			if g.Key[i].Kind != litKindOf(meta.Footer.Columns[ci].Type) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // localGroupRG groups one row group at the coordinator: fetch and open the key

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/lpq"
@@ -48,6 +49,8 @@ var groupEquivQueries = []string{
 	"SELECT flag, SUM(price) FROM obj GROUP BY flag ORDER BY AVG(price) DESC",
 	"SELECT id, price FROM obj WHERE qty >= 10 ORDER BY price DESC LIMIT 7",
 	"SELECT id FROM obj ORDER BY price LIMIT 5",
+	"SELECT price FROM obj ORDER BY price DESC LIMIT 3",
+	"SELECT comment, price, id, price FROM obj WHERE qty < 3 ORDER BY price LIMIT 6",
 	"SELECT id, flag, qty FROM obj WHERE qty > 30 ORDER BY flag, qty DESC LIMIT 9",
 	"SELECT id, qty FROM obj WHERE flag = 'A' ORDER BY qty",
 	"SELECT id FROM obj ORDER BY id LIMIT 4",
@@ -245,6 +248,69 @@ func TestTopKStatsPruning(t *testing.T) {
 	for i, id := range res.Data[0].Ints {
 		if id != wantIDs[i] {
 			t.Fatalf("top-5 ids = %v, want %v", res.Data[0].Ints, wantIDs)
+		}
+	}
+}
+
+// TestTopKOrderColumnComesWithTheWinners: the winners of a pushed top-k carry
+// their keys, so the order column's values are in hand and only the other
+// SELECT-list columns are projected — none at all when the order column is the
+// whole list — and what comes back is the rows a full sort of the object's
+// values ranks first, ties by position, the order column bit for bit.
+func TestTopKOrderColumnComesWithTheWinners(t *testing.T) {
+	const rgs, rows, k = 4, 1500, 7
+	data, _, groups := makeObject(t, rgs, rows, 97)
+	opts := fusionTestOptions()
+	opts.Pushdown = PushdownAlways
+	s, _ := newSimStore(t, opts)
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	// Ground truth: every row as (price, position), sorted price-descending.
+	type row struct {
+		price float64
+		id    int64
+		rg    int
+	}
+	var all []row
+	for rg, cols := range groups {
+		for i, p := range cols[2].Floats {
+			all = append(all, row{p, cols[0].Ints[i], rg})
+		}
+	}
+	sort.SliceStable(all, func(a, b int) bool { return all[a].price > all[b].price })
+	winnerRGs := map[int]bool{}
+	for _, r := range all[:k] {
+		winnerRGs[r.rg] = true
+	}
+
+	res, err := s.Query(fmt.Sprintf("SELECT id, price FROM obj ORDER BY price DESC LIMIT %d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Data) != 2 || res.Columns[0] != "id" || res.Columns[1] != "price" || res.Data[1].Len() != k {
+		t.Fatalf("result shape: columns %v, %d values", res.Columns, res.Data[1].Len())
+	}
+	for i, r := range all[:k] {
+		if res.Data[0].Ints[i] != r.id || math.Float64bits(res.Data[1].Floats[i]) != math.Float64bits(r.price) {
+			t.Fatalf("rank %d is (%d, %v), want (%d, %v)", i, res.Data[0].Ints[i], res.Data[1].Floats[i], r.id, r.price)
+		}
+	}
+	if res.Stats.TopKRPCs != rgs || res.Stats.ProjectRPCs != len(winnerRGs) || res.Stats.FetchRPCs != 0 {
+		t.Fatalf("%d top-k, %d projection and %d fetch RPCs; want %d, %d (id alone, once per winning row group) and 0",
+			res.Stats.TopKRPCs, res.Stats.ProjectRPCs, res.Stats.FetchRPCs, rgs, len(winnerRGs))
+	}
+	res, err = s.Query(fmt.Sprintf("SELECT price FROM obj ORDER BY price DESC LIMIT %d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Data) != 1 || res.Data[0].Len() != k || res.Stats.ProjectRPCs != 0 || res.Stats.FetchRPCs != 0 {
+		t.Fatalf("order column alone: %d columns, %d projection and %d fetch RPCs; want 1, 0, 0",
+			len(res.Data), res.Stats.ProjectRPCs, res.Stats.FetchRPCs)
+	}
+	for i, r := range all[:k] {
+		if math.Float64bits(res.Data[0].Floats[i]) != math.Float64bits(r.price) {
+			t.Fatalf("rank %d is %v, want %v", i, res.Data[0].Floats[i], r.price)
 		}
 	}
 }

@@ -1,0 +1,168 @@
+package store
+
+import (
+	"bytes"
+	"math"
+	"sync"
+	"testing"
+
+	"github.com/fusionstore/fusion/internal/cluster"
+	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/simnet"
+	"github.com/fusionstore/fusion/internal/sql"
+)
+
+// The partial states a node returns — per-group aggregate states for a pushed
+// GROUP BY, ranked candidates for a pushed top-k — are merged by the
+// coordinator and end up indexing the footer and filling result columns. The
+// fuzz targets below put arbitrary bytes through the wire decoder and hand
+// what decodes to a real query as every node's reply: the query must return a
+// well-formed table or an error, never panic, and never hold more than it was
+// sent.
+
+// forgingClient answers like the cluster it wraps, except that while forged
+// is set every GroupAgg and TopK reply carries forged's partial states. It
+// also keeps the genuine replies it saw, as seeds.
+type forgingClient struct {
+	cluster.Client
+	mu      sync.Mutex
+	forged  *rpc.Response
+	genuine map[rpc.Kind]*rpc.Response
+}
+
+func (c *forgingClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	resp, err := c.Client.Call(node, req)
+	if err != nil {
+		return resp, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	patch := func(kind rpc.Kind, r *rpc.Response) {
+		if (kind != rpc.KindGroupAgg && kind != rpc.KindTopK) || r.Err != "" {
+			return
+		}
+		if c.forged == nil {
+			c.genuine[kind] = &rpc.Response{Groups: r.Groups, TopRows: r.TopRows, Matches: r.Matches}
+			return
+		}
+		r.Groups, r.TopRows = c.forged.Groups, c.forged.TopRows
+	}
+	patch(req.Kind, resp)
+	for i := range req.Subs {
+		if i < len(resp.Subs) {
+			patch(req.Subs[i].Kind, &resp.Subs[i])
+		}
+	}
+	return resp, nil
+}
+
+func (c *forgingClient) forge(r *rpc.Response) {
+	c.mu.Lock()
+	c.forged = r
+	c.mu.Unlock()
+}
+
+// fuzzReplies runs query against a four-row-group object with every node's
+// reply of the given kind forged from the fuzzer's frame.
+func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Response) {
+	cl := &forgingClient{Client: simnet.New(simnet.DefaultConfig()), genuine: map[rpc.Kind]*rpc.Response{}}
+	opts := fusionTestOptions()
+	opts.QueryWorkers = 8
+	s, err := New(cl, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, _, _ := makeObject(f, 4, 3000, 123)
+	if _, err := s.Put("obj", data); err != nil {
+		f.Fatal(err)
+	}
+	want, err := s.Query(query)
+	if err != nil || cl.genuine[kind] == nil {
+		f.Fatalf("%q pushed no %v to a node (%v): the target would fuzz nothing", query, kind, err)
+	}
+	frame := func(r *rpc.Response) []byte {
+		_, segs, err := rpc.AppendResponse(nil, nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return bytes.Join(segs, nil)
+	}
+	good := frame(cl.genuine[kind])
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	for _, r := range hostile {
+		f.Add(frame(r))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		forged := &rpc.Response{}
+		if err := rpc.DecodeResponse(b, forged); err != nil {
+			return
+		}
+		if n := len(forged.Groups) + len(forged.TopRows); n > len(b) {
+			t.Fatalf("%d partial states decoded from %d bytes", n, len(b))
+		}
+		cl.forge(forged)
+		res, err := s.Query(query)
+		cl.forge(nil)
+		if err != nil {
+			return
+		}
+		if len(res.Columns) != len(want.Columns) || len(res.Data) != len(want.Data) {
+			t.Fatalf("result has columns %v, want %v", res.Columns, want.Columns)
+		}
+		for i, col := range res.Data {
+			if col.Type != want.Data[i].Type || col.Len() != res.Data[0].Len() {
+				t.Fatalf("column %s is %v x %d beside a first column of %d rows, want %v", res.Columns[i], col.Type, col.Len(), res.Data[0].Len(), want.Data[i].Type)
+			}
+		}
+		// Four row groups each answered with the forged states: nothing
+		// larger than that, plus the genuine answer, can come of merging them.
+		if rows := res.Data[0].Len(); rows > 4*(len(forged.Groups)+len(forged.TopRows))+want.Data[0].Len() {
+			t.Fatalf("%d result rows from %d forged states", rows, len(forged.Groups)+len(forged.TopRows))
+		}
+	})
+}
+
+// FuzzGroupAggReply forges the partial states of a pushed GROUP BY. The
+// hand-made seeds: no key at all, a key of the wrong kind, one key too many,
+// too few states, states of other aggregates, and counters at their limits.
+func FuzzGroupAggReply(f *testing.F) {
+	agg := func(kind sql.AggKind) sql.AggState { return sql.AggState{Kind: kind, Count: 3, Sum: 1.5, Init: true} }
+	group := func(key []sql.Literal, aggs ...sql.AggState) *rpc.Response {
+		return &rpc.Response{Groups: []sql.GroupPartial{{Key: key, Rows: 3, Aggs: aggs}}}
+	}
+	a, b := sql.StringLit("A"), sql.StringLit("B")
+	fuzzReplies(f, rpc.KindGroupAgg,
+		"SELECT flag, COUNT(*), SUM(price), AVG(price) FROM obj WHERE qty < 40 GROUP BY flag ORDER BY SUM(price) DESC, flag",
+		[]*rpc.Response{
+			group(nil, agg(sql.AggCount), agg(sql.AggSum), agg(sql.AggAvg)),
+			group([]sql.Literal{sql.IntLit(7)}, agg(sql.AggCount), agg(sql.AggSum), agg(sql.AggAvg)),
+			group([]sql.Literal{a, b}, agg(sql.AggCount), agg(sql.AggSum), agg(sql.AggAvg)),
+			group([]sql.Literal{a}, agg(sql.AggCount)),
+			group([]sql.Literal{a}, agg(sql.AggMin), agg(sql.AggMin), sql.AggState{Kind: sql.AggKind(99), IsString: true, MinS: "x"}),
+			group([]sql.Literal{b}, sql.AggState{Count: math.MinInt64}, sql.AggState{Sum: math.NaN()}, sql.AggState{}),
+		})
+}
+
+// FuzzTopKReply forges the ranked candidates of a pushed top-k. The hand-made
+// seeds: a row group and a row that do not exist (above and below), a key of
+// the wrong kind, a NaN key (legitimate, if odd), more candidates than k, and
+// one row twice.
+func FuzzTopKReply(f *testing.F) {
+	row := func(key sql.Literal, rg, row int32) sql.TopRow { return sql.TopRow{Key: key, RG: rg, Row: row} }
+	rows := func(rs ...sql.TopRow) *rpc.Response { return &rpc.Response{TopRows: rs} }
+	one := sql.FloatLit(1)
+	fuzzReplies(f, rpc.KindTopK,
+		"SELECT id, price, comment FROM obj WHERE qty >= 10 ORDER BY price DESC LIMIT 7",
+		[]*rpc.Response{
+			rows(row(one, 99, 0)),
+			rows(row(one, -1, 0)),
+			rows(row(one, 0, 1<<30)),
+			rows(row(one, 0, -5)),
+			rows(row(sql.StringLit("x"), 0, 1)),
+			rows(row(sql.FloatLit(math.NaN()), 0, 1)),
+			rows(make([]sql.TopRow, 100)...),
+			rows(row(sql.FloatLit(9e9), 0, 2), row(sql.FloatLit(9e9), 0, 2)),
+		})
+}

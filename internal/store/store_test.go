@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,10 +64,13 @@ func makeObject(t testing.TB, rowGroups, rowsPer int, seed int64) ([]byte, []lpq
 // fusionTestOptions is FusionOptions with a loosened storage budget: the
 // paper's 2% default assumes hundreds of chunks per object (Fig. 16a);
 // the small objects these tests build have tens, where Algorithm 1's
-// overhead is legitimately a few percent.
+// overhead is legitimately a few percent — and a one-row-group object has
+// five, the comment chunk three fifths of its bytes now that the numeric ones
+// are bit-packed, which packs at ≈0.9 over optimal. Past the budget a Put
+// falls back to the fixed layout, and these tests are about FAC.
 func fusionTestOptions() Options {
 	o := FusionOptions()
-	o.StorageBudget = 0.5
+	o.StorageBudget = 1
 	return o
 }
 
@@ -547,6 +551,57 @@ func TestQueryStatsPruning(t *testing.T) {
 	}
 	if res.Rows != 50 {
 		t.Fatalf("want 50 rows, got %d", res.Rows)
+	}
+}
+
+// TestNaNChunkIsNotAnsweredFromStatistics: a NaN satisfies no comparison but
+// !=, and min/max cannot see one that is not first, so a chunk holding a NaN
+// carries no statistics and a predicate its other values all satisfy still
+// reads it. (With bounds of 0..6 the planner answered x < 100 for all 1000
+// rows, under both option sets alike, so no oracle saw it.)
+func TestNaNChunkIsNotAnsweredFromStatistics(t *testing.T) {
+	const rows = 1000
+	ids, x := make([]int64, rows), make([]float64, rows)
+	for i := range ids {
+		ids[i], x[i] = int64(i), float64(i%7)
+	}
+	x[500] = math.NaN()
+	schema := []lpq.Column{{Name: "id", Type: lpq.Int64}, {Name: "x", Type: lpq.Float64}}
+	w := lpq.NewWriter(schema, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup([]lpq.ColumnData{lpq.IntColumn(ids), lpq.FloatColumn(x)}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(pred func(float64) bool) int {
+		n := 0
+		for _, v := range x {
+			if pred(v) {
+				n++
+			}
+		}
+		return n
+	}
+	for name, opts := range map[string]Options{"fusion": fusionTestOptions(), "baseline": BaselineOptions()} {
+		s, _ := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string]int{
+			"SELECT COUNT(id) FROM obj WHERE x < 100": count(func(v float64) bool { return v < 100 }),
+			"SELECT COUNT(id) FROM obj WHERE x >= 0":  count(func(v float64) bool { return v >= 0 }),
+			"SELECT COUNT(id) FROM obj WHERE x < 5.5": count(func(v float64) bool { return v < 5.5 }),
+		} {
+			res, err := s.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", name, q, err)
+			}
+			if got := res.AggValues[0].I; got != int64(want) || want == rows {
+				t.Errorf("%s: %q counts %d rows, want %d (the NaN row excluded)", name, q, got, want)
+			}
+		}
 	}
 }
 

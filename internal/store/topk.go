@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -158,12 +159,13 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 		w.sub = st.fork()
 		bm := rgBitmaps[w.rg]
 		ch := meta.Footer.RowGroups[w.rg].Chunks[ci]
-		if w.pre != nil {
+		if w.pre != nil && acceptTopRows(w.pre.TopRows, w.rg, bm.Len(), meta.Footer.Columns[ci].Type, k) {
 			w.rows = w.pre.TopRows
 			return
 		}
-		// Coordinator-side fallback: fetch the order column and run the
-		// same top-k kernel a node runs.
+		// Coordinator-side fallback (nothing pushed, no answer, or one that
+		// is not a top-k of this row group): fetch the order column and run
+		// the same top-k kernel a node runs.
 		oc, err := s.openSelected(w.sub, w.rg, ci, bm)
 		if err != nil {
 			w.err = err
@@ -186,41 +188,125 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 	}
 	winners := merged.Rows()
 
-	// Materialize the SELECT list for just the winning rows, then permute
-	// the (rg, row)-ordered projection output into rank order.
-	winBm := make(map[int]*bitmap.Bitmap)
-	for _, w := range winners {
-		bm := winBm[int(w.RG)]
-		if bm == nil {
-			bm = bitmap.New(meta.Footer.RowGroups[w.RG].NumRows)
-			winBm[int(w.RG)] = bm
+	// Materialize the SELECT list for just the winning rows. The winners
+	// carry their keys — the order column's values, already in rank order —
+	// so only the other columns are projected, and the (rg, row)-ordered
+	// projection output is permuted into rank order.
+	rest := *q
+	rest.Projections = nil
+	for _, p := range q.Projections {
+		if p.Column != o.Proj.Column {
+			rest.Projections = append(rest.Projections, p)
 		}
-		bm.Set(int(w.Row))
 	}
-	res, err := s.projectionStage(st, q, colIdx, winBm)
-	if err != nil {
-		return nil, err
-	}
-	type rowPos struct{ rg, row int32 }
-	concat := append([]sql.TopRow(nil), winners...)
-	sort.Slice(concat, func(a, b int) bool {
-		if concat[a].RG != concat[b].RG {
-			return concat[a].RG < concat[b].RG
+	res := &Result{}
+	if len(rest.Projections) > 0 {
+		winBm := make(map[int]*bitmap.Bitmap)
+		for _, w := range winners {
+			bm := winBm[int(w.RG)]
+			if bm == nil {
+				bm = bitmap.New(meta.Footer.RowGroups[w.RG].NumRows)
+				winBm[int(w.RG)] = bm
+			}
+			bm.Set(int(w.Row))
 		}
-		return concat[a].Row < concat[b].Row
-	})
-	idx := make(map[rowPos]int, len(concat))
-	for i, w := range concat {
-		idx[rowPos{w.RG, w.Row}] = i
+		var err error
+		if res, err = s.projectionStage(st, &rest, colIdx, winBm); err != nil {
+			return nil, err
+		}
+		type rowPos struct{ rg, row int32 }
+		concat := append([]sql.TopRow(nil), winners...)
+		sort.Slice(concat, func(a, b int) bool {
+			if concat[a].RG != concat[b].RG {
+				return concat[a].RG < concat[b].RG
+			}
+			return concat[a].Row < concat[b].Row
+		})
+		idx := make(map[rowPos]int, len(concat))
+		for i, w := range concat {
+			idx[rowPos{w.RG, w.Row}] = i
+		}
+		perm := make([]int, len(winners))
+		for i, w := range winners {
+			perm[i] = idx[rowPos{w.RG, w.Row}]
+		}
+		for i := range res.Data {
+			res.Data[i] = permuteColumn(res.Data[i], perm)
+		}
 	}
-	perm := make([]int, len(winners))
-	for i, w := range winners {
-		perm[i] = idx[rowPos{w.RG, w.Row}]
+	if len(rest.Projections) == len(q.Projections) {
+		return res, nil // the order column is not in the SELECT list
 	}
-	for i := range res.Data {
-		res.Data[i] = permuteColumn(res.Data[i], perm)
+	// Put the order column where the SELECT list first names it.
+	at := 0
+	for _, p := range q.Projections {
+		if p.Column == o.Proj.Column {
+			break
+		}
+		if at < len(res.Columns) && res.Columns[at] == p.Column {
+			at++
+		}
 	}
+	res.Columns = slices.Insert(res.Columns, at, o.Proj.Column)
+	res.Data = slices.Insert(res.Data, at, keyColumn(meta.Footer.Columns[ci].Type, winners))
 	return res, nil
+}
+
+// acceptTopRows reports whether a node's reply can be the local top-k of row
+// group rg — at most k candidates, each a different row of that row group with
+// a key of the order column's type. The winners' positions index the footer
+// and the projection of the other columns, and their keys become result
+// values, so a reply that fails this is treated as no reply at all.
+func acceptTopRows(rows []sql.TopRow, rg, numRows int, t lpq.Type, k int) bool {
+	if len(rows) > k {
+		return false
+	}
+	kind := litKindOf(t)
+	seen := make(map[int32]struct{}, len(rows))
+	for _, r := range rows {
+		if int(r.RG) != rg || r.Row < 0 || int(r.Row) >= numRows || r.Key.Kind != kind {
+			return false
+		}
+		if _, dup := seen[r.Row]; dup {
+			return false
+		}
+		seen[r.Row] = struct{}{}
+	}
+	return true
+}
+
+// litKindOf is the kind of literal a value of column type t boxes to.
+func litKindOf(t lpq.Type) sql.LitKind {
+	switch t {
+	case lpq.Int64:
+		return sql.LitInt
+	case lpq.Float64:
+		return sql.LitFloat
+	default:
+		return sql.LitString
+	}
+}
+
+// keyColumn is the order column's values for ranked rows: their sort keys.
+func keyColumn(t lpq.Type, rows []sql.TopRow) lpq.ColumnData {
+	col := lpq.ColumnData{Type: t}
+	for _, r := range rows {
+		appendLiteral(&col, r.Key)
+	}
+	return col
+}
+
+// appendLiteral appends l's value to col, a column of the type l's kind
+// boxes (litKindOf).
+func appendLiteral(col *lpq.ColumnData, l sql.Literal) {
+	switch col.Type {
+	case lpq.Int64:
+		col.Ints = append(col.Ints, l.I)
+	case lpq.Float64:
+		col.Floats = append(col.Floats, l.F)
+	default:
+		col.Strings = append(col.Strings, l.S)
+	}
 }
 
 // compareRows orders rows i and j of a result column as sql.CompareLiterals

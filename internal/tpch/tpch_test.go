@@ -1,9 +1,11 @@
 package tpch
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
 )
@@ -146,6 +148,79 @@ func TestCompressionProfile(t *testing.T) {
 	}
 	if maxSz < 50*minSz {
 		t.Fatalf("chunk sizes must be strongly bimodal: min %d max %d", minSz, maxSz)
+	}
+}
+
+// TestWriterChoicesOnLineitem pins what the writer makes of the benchmark's
+// own object, column by column: which kind of page, whether Snappy is kept,
+// and the size against the writer that had only plain and dictionary pages
+// and kept Snappy for a byte (sizeBefore: its bytes per column, all ten row
+// groups).
+func TestWriterChoicesOnLineitem(t *testing.T) {
+	f := generate(t, DefaultConfig())
+	footer := f.Footer()
+	want := [NumColumns]struct {
+		enc        colenc.Encoding
+		compressed bool
+		sizeBefore uint64
+	}{
+		ColOrderKey:      {colenc.FOR, false, 1428438},
+		ColPartKey:       {colenc.FOR, false, 2809009},
+		ColSuppKey:       {colenc.FOR, false, 1449588},
+		ColLineNumber:    {colenc.Dict, true, 157834}, // 3-bit codes in order-sized runs: Snappy saves 30%
+		ColQuantity:      {colenc.Dict, false, 452304},
+		ColExtendedPrice: {colenc.Decimal, false, 3550050},
+		ColDiscount:      {colenc.Dict, false, 300927},
+		ColTax:           {colenc.Dict, false, 300877},
+		ColReturnFlag:    {colenc.Dict, false, 150270},
+		ColLineStatus:    {colenc.Dict, false, 75250},
+		ColShipDate:      {colenc.FOR, false, 1001160},
+		ColCommitDate:    {colenc.FOR, false, 1003419},
+		ColReceiptDate:   {colenc.FOR, false, 1002337},
+		ColShipInstruct:  {colenc.Dict, false, 150730},
+		ColShipMode:      {colenc.Dict, false, 225580},
+		ColComment:       {colenc.Plain, true, 5333503},
+	}
+	var total uint64
+	for rg, g := range footer.RowGroups {
+		for ci, m := range g.Chunks {
+			name, w := footer.Columns[ci].Name, want[ci]
+			if m.Encoding != w.enc || m.Compressed != w.compressed {
+				t.Errorf("%s row group %d: %v compressed=%v, want %v compressed=%v", name, rg, m.Encoding, m.Compressed, w.enc, w.compressed)
+			}
+			// Chunks of one column are within a percent of one another.
+			if before := w.sizeBefore / uint64(len(footer.RowGroups)); 4*m.Size > 5*before {
+				t.Errorf("%s row group %d: %d bytes, over 25%% more than the %d it took", name, rg, m.Size, before)
+			}
+			total += m.Size
+		}
+		// The price column: about a third of its values are an ulp off their
+		// cents (the generator multiplies in floating point), so it is a
+		// decimal chunk with that many exceptions — counted here by the
+		// format's rule, not by asking the chunk — and no larger for it.
+		price, err := f.ReadChunk(rg, ColExtendedPrice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inexact := 0
+		for _, v := range price.Floats {
+			if float64(int64(math.RoundToEven(v*100)))/100 != v {
+				inexact++
+			}
+		}
+		if share := float64(inexact) / float64(len(price.Floats)); share < 0.25 || share > 0.40 {
+			t.Errorf("l_extendedprice row group %d: %.1f%% of the values are not exact cents, want 25-40%%", rg, 100*share)
+		}
+		m, before := g.Chunks[ColExtendedPrice], want[ColExtendedPrice].sizeBefore/uint64(len(footer.RowGroups))
+		if size := 9*3 + 3*60000 + inexact*8 + (inexact*15+7)/8; uint64(size) > m.Size || m.Size > uint64(size)+64 {
+			t.Errorf("l_extendedprice row group %d: %d bytes, want 24-bit offsets and %d exceptions (%d bytes)", rg, m.Size, inexact, size)
+		}
+		if 20*m.Size > 21*before {
+			t.Errorf("l_extendedprice row group %d: %d bytes, over 5%% more than the %d it took", rg, m.Size, before)
+		}
+	}
+	if before := uint64(19397559); uint64(len(f.Bytes())) >= before || total > 17_200_000 {
+		t.Errorf("the object is %d bytes (%d of chunks), want under 17.2 MB of chunks and under the %d it took", len(f.Bytes()), total, before)
 	}
 }
 
