@@ -103,11 +103,8 @@ func benchStore(b testing.TB, opts store.Options) (*store.Store, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	simCfg := simnet.DefaultConfig()
-	cl := simnet.New(simCfg)
-	opts.Model = simnet.NewLatencyModel(simCfg)
 	opts.StorageBudget = 0.2
-	s, err := store.New(cl, opts)
+	s, err := store.New(simnet.New(simnet.DefaultConfig()), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,11 +23,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	simCfg := simnet.DefaultConfig()
-	cl := simnet.New(simCfg)
+	cl := simnet.New(simnet.DefaultConfig())
 	opts := store.FusionOptions()
 	opts.StorageBudget = 0.2
-	opts.Model = simnet.NewLatencyModel(simCfg)
 	s, err := store.New(cl, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 	cl := simnet.New(simCfg)
 	opts := store.FusionOptions()
 	opts.StorageBudget = 0.10
-	opts.Model = simnet.NewLatencyModel(simCfg)
+	model := simnet.NewLatencyModel(simCfg) // prices the ledger a query hands back
 	s, err := store.New(cl, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +58,7 @@ func main() {
 		}
 		fmt.Printf("%s\n  %s\n", q.name, q.sql)
 		fmt.Printf("  rows=%d measured-selectivity=%.1f%% latency=%v\n",
-			res.Rows, res.Stats.Selectivity*100, res.Stats.Sim.Total.Round(1000))
+			res.Rows, res.Stats.Selectivity*100, model.QueryTime(res.Stats.Stages, res.WireBytes()).Total.Round(1000))
 		fmt.Printf("  cost-model: %d chunk projections pushed down, %d fetched compressed\n",
 			res.Stats.PushdownOn, res.Stats.PushdownOff)
 		for i, label := range res.AggLabels {

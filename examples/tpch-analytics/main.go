@@ -13,15 +13,15 @@ import (
 	"github.com/fusionstore/fusion/internal/tpch"
 )
 
-func deploy(opts store.Options) (*store.Store, *simnet.Cluster) {
+// deploy builds a store over a simulated cluster, and the latency model that
+// prices the cost ledger each of its queries hands back.
+func deploy(opts store.Options) (*store.Store, *simnet.LatencyModel) {
 	cfg := simnet.DefaultConfig()
-	cl := simnet.New(cfg)
-	opts.Model = simnet.NewLatencyModel(cfg)
-	s, err := store.New(cl, opts)
+	s, err := store.New(simnet.New(cfg), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return s, cl
+	return s, simnet.NewLatencyModel(cfg)
 }
 
 func main() {
@@ -36,11 +36,11 @@ func main() {
 
 	fusionOpts := store.FusionOptions()
 	fusionOpts.StorageBudget = 0.10
-	fusion, _ := deploy(fusionOpts)
+	fusion, fusionModel := deploy(fusionOpts)
 
 	baseOpts := store.BaselineOptions()
 	baseOpts.FixedBlockSize = uint64(len(data)) / 100 // paper's 100MB-per-10GB ratio
-	baseline, _ := deploy(baseOpts)
+	baseline, baseModel := deploy(baseOpts)
 
 	for name, s := range map[string]*store.Store{"fusion": fusion, "baseline": baseline} {
 		stats, err := s.Put("lineitem", data)
@@ -70,11 +70,13 @@ func main() {
 		if fRes.Rows != bRes.Rows {
 			log.Fatalf("result mismatch: %d vs %d rows", fRes.Rows, bRes.Rows)
 		}
-		reduction := 1 - float64(fRes.Stats.Sim.Total)/float64(bRes.Stats.Sim.Total)
+		fSim := fusionModel.QueryTime(fRes.Stats.Stages, fRes.WireBytes()).Total
+		bSim := baseModel.QueryTime(bRes.Stats.Stages, bRes.WireBytes()).Total
+		reduction := 1 - float64(fSim)/float64(bSim)
 		traffic := float64(bRes.Stats.TrafficBytes) / float64(fRes.Stats.TrafficBytes)
 		fmt.Printf("%-32s rows=%-6d latency: fusion %v vs baseline %v (%.0f%% faster), traffic %.1fx lower\n",
 			q.name, fRes.Rows,
-			fRes.Stats.Sim.Total.Round(1000), bRes.Stats.Sim.Total.Round(1000),
+			fSim.Round(1000), bSim.Round(1000),
 			reduction*100, traffic)
 		fmt.Printf("%-32s pushdown decisions: %d on / %d off; pruned row groups: %d\n",
 			"", fRes.Stats.PushdownOn, fRes.Stats.PushdownOff, fRes.Stats.PrunedRowGroups)

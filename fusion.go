@@ -100,8 +100,8 @@ type (
 	NodeState          = store.NodeState
 )
 
-// Breaker is a per-node circuit breaker; install one on Options.Breaker to
-// fail fast against persistently unhealthy nodes (DESIGN.md §9).
+// Breaker is a per-node circuit breaker; install one on Options.Retry.Breaker
+// to fail fast against persistently unhealthy nodes (DESIGN.md §9).
 type (
 	Breaker       = cluster.Breaker
 	BreakerConfig = cluster.BreakerConfig
@@ -185,8 +185,13 @@ func DefaultSimConfig() SimConfig { return simnet.DefaultConfig() }
 // NewSimCluster starts an in-process cluster.
 func NewSimCluster(cfg SimConfig) *SimCluster { return simnet.New(cfg) }
 
-// NewSimLatencyModel builds the latency model matching a sim config; set it
-// on Options.Model to get simulated per-query latencies.
+// NewSimLatencyModel builds the latency model matching a sim config. The store
+// only counts — every Result carries its cost ledger — and the model prices:
+//
+//	sample := model.QueryTime(res.Stats.Stages, res.WireBytes())
+//
+// A model draws its jitter from one stream, so price a deployment's queries
+// in the order they ran.
 func NewSimLatencyModel(cfg SimConfig) *simnet.LatencyModel { return simnet.NewLatencyModel(cfg) }
 
 // NewTCPClient connects to fusion-server nodes (node i at addrs[i]).

@@ -47,9 +47,7 @@ func gateResultKey(res *store.Result) string {
 
 func gateStore(t *testing.T, opts store.Options, data []byte) (*store.Store, *simnet.Cluster) {
 	t.Helper()
-	cfg := simnet.DefaultConfig()
-	cl := simnet.New(cfg)
-	opts.Model = simnet.NewLatencyModel(cfg)
+	cl := simnet.New(simnet.DefaultConfig())
 	opts.StorageBudget = 0.2
 	s, err := store.New(cl, opts)
 	if err != nil {

@@ -80,7 +80,7 @@ func TestLRUOrder(t *testing.T) {
 	a, b, d := blockKey("o", 1, stripes[0], 0), blockKey("o", 1, stripes[1], 0), blockKey("o", 1, stripes[2], 0)
 	c.Put(a, []byte("a"), 10)
 	c.Put(b, []byte("b"), 10)
-	c.Get(a)               // a is now MRU
+	c.Get(a)                  // a is now MRU
 	c.Put(d, []byte("d"), 10) // evicts b (LRU)
 	if _, ok := c.Get(b); ok {
 		t.Fatal("expected LRU entry b evicted")

@@ -158,8 +158,8 @@ func TestOracleToleranceRelativeOrAbsolute(t *testing.T) {
 		want, got float64
 		ok        bool
 	}{
-		{1e9, 1e9 + 0.4, true},    // large SUM: 4e-10 relative, within 1e-9·1e9
-		{1e9, 1e9 + 10, false},    // large SUM: 1e-8 relative, out
+		{1e9, 1e9 + 0.4, true}, // large SUM: 4e-10 relative, within 1e-9·1e9
+		{1e9, 1e9 + 10, false}, // large SUM: 1e-8 relative, out
 		{1e-3, 1e-3 + 5e-10, true},
 		{1e-3, 1e-3 + 1e-6, false}, // the old flat 1e-6 would have passed this
 		{0, 5e-10, true},

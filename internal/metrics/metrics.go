@@ -134,6 +134,21 @@ func Reduction(baseline, b time.Duration) float64 {
 	return float64(baseline-b) / float64(baseline)
 }
 
+// OpCost is one entry of a query's cost ledger: where an operation of a
+// query stage ran, how many bytes crossed the network, how many were read
+// from disk and how many uncompressed bytes were decoded/scanned. The store
+// counts these; a latency model (internal/simnet) turns them into time.
+type OpCost struct {
+	Node      int
+	ReqBytes  uint64
+	RespBytes uint64
+	DiskBytes uint64
+	ProcBytes uint64
+	// Local marks operations executed on the coordinator itself (no
+	// network traversal).
+	Local bool
+}
+
 // Traffic accumulates network byte counts.
 type Traffic struct {
 	Bytes    uint64

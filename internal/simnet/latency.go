@@ -8,20 +8,6 @@ import (
 	"github.com/fusionstore/fusion/internal/metrics"
 )
 
-// OpCost describes the cost of one operation within a query stage: where it
-// ran, how many bytes crossed the network, how many were read from disk and
-// how many uncompressed bytes were decoded/scanned.
-type OpCost struct {
-	Node      int
-	ReqBytes  uint64
-	RespBytes uint64
-	DiskBytes uint64
-	ProcBytes uint64
-	// Local marks operations executed on the coordinator itself (no
-	// network traversal).
-	Local bool
-}
-
 // LatencyModel converts the measured per-operation byte counts of a query
 // stage into a stage latency, following the structure of a real fan-out:
 // the coordinator serializes its requests out, nodes work in parallel
@@ -38,9 +24,6 @@ type LatencyModel struct {
 func NewLatencyModel(cfg Config) *LatencyModel {
 	return &LatencyModel{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// ProcessRate returns the model's decode+scan rate in bytes/sec.
-func (m *LatencyModel) ProcessRate() float64 { return m.cfg.ProcessRate }
 
 // jitter returns a multiplicative factor 1±JitterFrac.
 func (m *LatencyModel) jitter() float64 {
@@ -59,7 +42,7 @@ func (m *LatencyModel) jitter() float64 {
 // transfers serialize through the coordinator's shaped link (the fan-in
 // bottleneck, exactly what wondershaper throttles in §6), so the stage pays
 // the sum of request and reply bytes over that link plus one RTT.
-func (m *LatencyModel) StageTime(ops []OpCost) (time.Duration, metrics.Breakdown) {
+func (m *LatencyModel) StageTime(ops []metrics.OpCost) (time.Duration, metrics.Breakdown) {
 	if len(ops) == 0 {
 		return 0, metrics.Breakdown{}
 	}
@@ -120,13 +103,17 @@ func (m *LatencyModel) ClientLeg(resultBytes uint64) time.Duration {
 	return secs(m.cfg.RTT + float64(resultBytes)/m.cfg.NetBandwidth*m.jitter())
 }
 
-// LocalWork returns the time for coordinator-local processing of n
-// uncompressed bytes (result assembly, chunk decode at the coordinator).
-func (m *LatencyModel) LocalWork(procBytes uint64) time.Duration {
-	return secs(float64(procBytes) / m.cfg.ProcessRate * m.jitter())
-}
-
-// TransferTime returns the time to move n bytes through one node's link.
-func (m *LatencyModel) TransferTime(bytes uint64) time.Duration {
-	return secs(float64(bytes) / m.cfg.NetBandwidth)
+// QueryTime prices a query's cost ledger (store.QueryStats.Stages): the
+// filter stage, then the projection stage, then the client leg — the query
+// arrives at and its result leaves the coordinator over the network (the
+// paper's dedicated client node, §6), so every query pays at least one RTT
+// plus the result transfer. The order is fixed: the three draw from one
+// jitter stream.
+func (m *LatencyModel) QueryTime(stages [2][]metrics.OpCost, resultBytes uint64) metrics.LatencySample {
+	t1, phase := m.StageTime(stages[0])
+	t2, b2 := m.StageTime(stages[1])
+	phase.Add(b2)
+	client := m.ClientLeg(resultBytes)
+	phase.Network += client
+	return metrics.LatencySample{Total: t1 + t2 + client, Phase: phase}
 }

@@ -148,13 +148,6 @@ func (c *Cluster) ResetTraffic() {
 	c.traffic = metrics.Traffic{}
 }
 
-// AddCPU charges extra CPU seconds to a node (coordinator-side work).
-func (c *Cluster) AddCPU(node int, seconds float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cpuSec[node] += seconds
-}
-
 // CPUSeconds returns a copy of the per-node CPU second counters.
 func (c *Cluster) CPUSeconds() []float64 {
 	c.mu.Lock()

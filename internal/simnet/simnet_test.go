@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/fusionstore/fusion/internal/cluster"
+	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
 )
 
@@ -59,9 +60,9 @@ func TestTrafficAccounting(t *testing.T) {
 
 func TestCPUAccounting(t *testing.T) {
 	cl := New(Config{Nodes: 2, ProcessRate: 1e9, NetCPURate: 1e9})
-	cl.AddCPU(1, 0.5)
+	cl.Call(1, &rpc.Request{Kind: rpc.KindPutBlock, BlockID: "b", Data: make([]byte, 1000)})
 	cpu := cl.CPUSeconds()
-	if cpu[0] != 0 || cpu[1] != 0.5 {
+	if cpu[0] != 0 || cpu[1] < 1000/1e9 {
 		t.Fatalf("CPUSeconds = %v", cpu)
 	}
 	cl.ResetCPU()
@@ -88,12 +89,12 @@ func TestStageTimeParallelism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterFrac = 0
 	m := NewLatencyModel(cfg)
-	oneOp := []OpCost{{Node: 0, DiskBytes: 1 << 30, ProcBytes: 0, RespBytes: 100, ReqBytes: 100}}
+	oneOp := []metrics.OpCost{{Node: 0, DiskBytes: 1 << 30, ProcBytes: 0, RespBytes: 100, ReqBytes: 100}}
 	tOne, _ := m.StageTime(oneOp)
 	// The same disk work split across 4 nodes must be ~4x faster.
-	fourOps := make([]OpCost, 4)
+	fourOps := make([]metrics.OpCost, 4)
 	for i := range fourOps {
-		fourOps[i] = OpCost{Node: i, DiskBytes: 1 << 28, RespBytes: 25, ReqBytes: 25}
+		fourOps[i] = metrics.OpCost{Node: i, DiskBytes: 1 << 28, RespBytes: 25, ReqBytes: 25}
 	}
 	tFour, _ := m.StageTime(fourOps)
 	if tFour >= tOne {
@@ -111,8 +112,8 @@ func TestStageTimeNetworkSerializes(t *testing.T) {
 	m := NewLatencyModel(cfg)
 	// Two ops on different nodes, but the replies share the coordinator's
 	// ingress link: doubling reply bytes must roughly double network time.
-	small := []OpCost{{Node: 0, RespBytes: 1 << 30}}
-	big := []OpCost{{Node: 0, RespBytes: 1 << 30}, {Node: 1, RespBytes: 1 << 30}}
+	small := []metrics.OpCost{{Node: 0, RespBytes: 1 << 30}}
+	big := []metrics.OpCost{{Node: 0, RespBytes: 1 << 30}, {Node: 1, RespBytes: 1 << 30}}
 	tSmall, bdSmall := m.StageTime(small)
 	tBig, bdBig := m.StageTime(big)
 	if bdBig.Network <= bdSmall.Network {
@@ -128,7 +129,7 @@ func TestStageTimeLocalOpsSkipNetwork(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterFrac = 0
 	m := NewLatencyModel(cfg)
-	local := []OpCost{{Local: true, ProcBytes: 1 << 30}}
+	local := []metrics.OpCost{{Local: true, ProcBytes: 1 << 30}}
 	tLocal, bd := m.StageTime(local)
 	if bd.Network != 0 {
 		t.Fatalf("local ops must not pay network: %v", bd)
@@ -156,7 +157,7 @@ func TestBandwidthSweepMonotone(t *testing.T) {
 		cfg.JitterFrac = 0
 		cfg.NetBandwidth = gbps * 1e9 / 8
 		m := NewLatencyModel(cfg)
-		d, _ := m.StageTime([]OpCost{{Node: 0, RespBytes: 1 << 30}})
+		d, _ := m.StageTime([]metrics.OpCost{{Node: 0, RespBytes: 1 << 30}})
 		if i > 0 && d <= prev {
 			t.Fatalf("latency must grow as bandwidth shrinks: %v then %v", prev, d)
 		}
@@ -166,7 +167,7 @@ func TestBandwidthSweepMonotone(t *testing.T) {
 
 func TestJitterDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	ops := []OpCost{{Node: 0, DiskBytes: 1 << 20, ProcBytes: 1 << 20, RespBytes: 1 << 20}}
+	ops := []metrics.OpCost{{Node: 0, DiskBytes: 1 << 20, ProcBytes: 1 << 20, RespBytes: 1 << 20}}
 	m1 := NewLatencyModel(cfg)
 	m2 := NewLatencyModel(cfg)
 	for i := 0; i < 10; i++ {
@@ -178,18 +179,24 @@ func TestJitterDeterministic(t *testing.T) {
 	}
 }
 
-func TestTransferAndLocalWork(t *testing.T) {
+// QueryTime is the filter stage, the projection stage and the client leg, drawn
+// from the jitter stream in that order: the simulated figures of EXPERIMENTS.md
+// depend on the order as much as on the formula.
+func TestQueryTimeIsStagesThenClientLeg(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.JitterFrac = 0
+	stages := [2][]metrics.OpCost{
+		{{Node: 0, ReqBytes: 100, RespBytes: 1 << 20, DiskBytes: 1 << 22, ProcBytes: 1 << 24}},
+		{{Node: 1, ReqBytes: 100, RespBytes: 1 << 22, DiskBytes: 1 << 20}, {Local: true, ProcBytes: 1 << 23}},
+	}
+	got := NewLatencyModel(cfg).QueryTime(stages, 1<<16)
 	m := NewLatencyModel(cfg)
-	if m.TransferTime(uint64(cfg.NetBandwidth)) != time.Second {
-		t.Fatal("TransferTime wrong")
-	}
-	if m.LocalWork(uint64(cfg.ProcessRate)) != time.Second {
-		t.Fatal("LocalWork wrong")
-	}
-	if m.ProcessRate() != cfg.ProcessRate {
-		t.Fatal("ProcessRate accessor wrong")
+	t1, b1 := m.StageTime(stages[0])
+	t2, b2 := m.StageTime(stages[1])
+	client := m.ClientLeg(1 << 16)
+	b1.Add(b2)
+	b1.Network += client
+	if want := (metrics.LatencySample{Total: t1 + t2 + client, Phase: b1}); got != want {
+		t.Fatalf("QueryTime = %+v, want %+v", got, want)
 	}
 }
 

@@ -95,22 +95,22 @@ func TestParseLimitZero(t *testing.T) {
 
 func TestParseGroupByErrors(t *testing.T) {
 	for _, bad := range []string{
-		"SELECT * FROM t GROUP BY a",                        // star with grouping
-		"SELECT a, b FROM t GROUP BY a",                     // b not grouped
-		"SELECT a, SUM(x) AS s FROM t GROUP BY a, s",        // grouping an aggregate alias
-		"SELECT a FROM t GROUP BY",                          // missing column
-		"SELECT a FROM t GROUP a",                           // missing BY
-		"SELECT a FROM t GROUP BY SUM(a)",                   // aggregate key
-		"SELECT SUM(x) FROM t ORDER BY y",                   // plain order on aggregate-only query
-		"SELECT a, SUM(x) FROM t GROUP BY a ORDER BY x",     // order col not a group key
-		"SELECT a FROM t ORDER BY SUM(x)",                   // aggregate order without aggregates
-		"SELECT a FROM t ORDER BY",                          // missing item
-		"SELECT a FROM t ORDER BY a DESC,",                  // trailing comma
-		"SELECT a AS FROM FROM t",                           // reserved word as alias
-		"SELECT a FROM t GROUP BY where",                    // reserved word as key
-		"SELECT group FROM t",                               // reserved word as column
-		"SELECT a FROM order",                               // reserved word as table
-		"SELECT a, b AS a2 FROM t GROUP BY a ORDER BY SUM",  // bare agg keyword
+		"SELECT * FROM t GROUP BY a",                       // star with grouping
+		"SELECT a, b FROM t GROUP BY a",                    // b not grouped
+		"SELECT a, SUM(x) AS s FROM t GROUP BY a, s",       // grouping an aggregate alias
+		"SELECT a FROM t GROUP BY",                         // missing column
+		"SELECT a FROM t GROUP a",                          // missing BY
+		"SELECT a FROM t GROUP BY SUM(a)",                  // aggregate key
+		"SELECT SUM(x) FROM t ORDER BY y",                  // plain order on aggregate-only query
+		"SELECT a, SUM(x) FROM t GROUP BY a ORDER BY x",    // order col not a group key
+		"SELECT a FROM t ORDER BY SUM(x)",                  // aggregate order without aggregates
+		"SELECT a FROM t ORDER BY",                         // missing item
+		"SELECT a FROM t ORDER BY a DESC,",                 // trailing comma
+		"SELECT a AS FROM FROM t",                          // reserved word as alias
+		"SELECT a FROM t GROUP BY where",                   // reserved word as key
+		"SELECT group FROM t",                              // reserved word as column
+		"SELECT a FROM order",                              // reserved word as table
+		"SELECT a, b AS a2 FROM t GROUP BY a ORDER BY SUM", // bare agg keyword
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) must fail", bad)

@@ -6,8 +6,8 @@ import (
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
+	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -24,7 +24,7 @@ import (
 // and one Release per outer response is how a caller done with all of them
 // hands the buffers back (see scatter). A transport or outer application error
 // fails the whole call — callers treat that as "all subs failed" and fall
-// back. When st is non-nil the call accounts one simulated operation per frame
+// back. When st is non-nil the call enters one ledger operation per frame
 // (the whole point: one RPC overhead and one round trip amortized over every
 // sub-request in the frame).
 func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, []*rpc.Response, error) {
@@ -45,7 +45,7 @@ func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, no
 			st.mu.Lock()
 			st.stats.BatchRPCs++
 			st.mu.Unlock()
-			st.addOp(simnet.OpCost{
+			st.addOp(metrics.OpCost{
 				Node:      node,
 				ReqBytes:  req.WireSize(),
 				RespBytes: resp.WireSize(),
@@ -132,7 +132,7 @@ type nodeReq struct {
 // (baseline, fixed-layout fallback, no WHERE) callers plan nothing, scatter
 // does nothing, and every unit of work takes that same fallback. For a query
 // (st non-nil) each frame accounts into a forked state, joined in
-// node-first-appearance order, so the stage's cost sheet is independent of
+// node-first-appearance order, so the stage's cost ledger is independent of
 // worker scheduling.
 //
 // The sub-responses alias the reply frames they arrived in, returned beside
@@ -267,7 +267,7 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 	// Consolidate per row group on the worker pool (the fallback fetches
 	// chunks, so this can do real I/O). Each task accounts into a forked
 	// state and the forks are joined in row-group order, so the stage's
-	// output and cost sheet match a serial run exactly.
+	// output and cost ledger match a serial run exactly.
 	type rgResult struct {
 		bm  *bitmap.Bitmap
 		sub *execState
@@ -302,7 +302,7 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 				return nil, err
 			}
 			defer ch.Release()
-			r.sub.chargeCoordCPU(rgs[rg].Chunks[ci].RawSize)
+			r.sub.stats.CoordProcBytes += rgs[rg].Chunks[ci].RawSize
 			return sql.FilterChunk(c, ch)
 		}
 		bm, err := sql.EvalExpr(q.Where, nRows, leaf)

@@ -146,7 +146,7 @@ func TestQueryRoundTrips(t *testing.T) {
 			t.Fatalf("%q: baseline round trips = %d, want %d (one per fetch)", c.query, baseTotal, want.Stats.FetchRPCs)
 		}
 		t.Logf("%q round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
-			c.query, total, filter, baseTotal, res.Stats.Sim.Total, want.Stats.Sim.Total)
+			c.query, total, filter, baseTotal, simLatency(newSimModel(), res).Total, simLatency(newSimModel(), want).Total)
 	}
 }
 

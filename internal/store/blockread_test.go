@@ -99,7 +99,7 @@ func TestBlockReadFaults(t *testing.T) {
 			},
 			read: func(ctx context.Context, s *Store, tg target) ([]byte, uint64, uint64, error) {
 				ch := tg.meta.Footer.RowGroups[0].Chunks[1]
-				st := &execState{store: s, ctx: ctx, meta: tg.meta, sp: trace.FromContext(ctx)}
+				st := &execState{ctx: ctx, meta: tg.meta, sp: trace.FromContext(ctx)}
 				got, err := s.fetchChunkBytes(st, 0, 1)
 				return got, ch.Offset, ch.Size, err
 			}},

@@ -56,15 +56,14 @@ func newFaultStore(t testing.TB, nodes int, seed int64, opts Options) (*Store, *
 	cfg.Nodes = nodes
 	inj := faultnet.New(simnet.New(cfg), seed)
 	// Tight backoff keeps the exhaustive matrix fast while still walking
-	// the full retry path for injected transient errors.
-	opts.Retry = cluster.Policy{
-		MaxAttempts: 3,
-		BaseBackoff: 50 * time.Microsecond,
-		MaxBackoff:  500 * time.Microsecond,
-		// Tie the backoff jitter to the fault seed so the whole run —
-		// injected faults AND retry schedules — replays from one number.
-		Jitter: cluster.NewJitterSource(seed),
-	}
+	// the full retry path for injected transient errors. The rest of the
+	// caller's policy (its breaker) stands.
+	opts.Retry.MaxAttempts = 3
+	opts.Retry.BaseBackoff = 50 * time.Microsecond
+	opts.Retry.MaxBackoff = 500 * time.Microsecond
+	// Tie the backoff jitter to the fault seed so the whole run —
+	// injected faults AND retry schedules — replays from one number.
+	opts.Retry.Jitter = cluster.NewJitterSource(seed)
 	s, err := New(inj, opts)
 	if err != nil {
 		t.Fatal(err)

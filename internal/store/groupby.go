@@ -187,7 +187,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 				ords[i] = orderRef{key: q.GroupKeyIndex(o.Proj.Column), agg: -1, desc: o.Desc}
 			}
 		}
-		st.chargeCoordCPU(uint64(len(groups)) * 16)
+		st.stats.CoordProcBytes += uint64(len(groups)) * 16
 		sort.SliceStable(groups, func(i, j int) bool {
 			for _, o := range ords {
 				var c int
@@ -291,7 +291,7 @@ func (s *Store) localGroupRG(st *execState, rg int, keyIdx, valIdx []int, kinds 
 			return nil, err
 		}
 	}
-	st.chargeCoordCPU(proc)
+	st.stats.CoordProcBytes += proc
 	g := sql.NewGroupTable(kinds, 0)
 	if err := g.AddChunks(keys, vals, bm); err != nil {
 		return nil, err

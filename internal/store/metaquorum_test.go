@@ -20,7 +20,6 @@ func TestOverwriteMetaNeverStale(t *testing.T) {
 	cfg.Nodes = 12
 	cl := simnet.New(cfg)
 	opts := fusionTestOptions()
-	opts.Model = simnet.NewLatencyModel(cfg)
 	s, err := New(cl, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,6 @@ func TestPutRoutesAroundDownNodes(t *testing.T) {
 	cfg.Nodes = 12
 	cl := simnet.New(cfg)
 	opts := fusionTestOptions()
-	opts.Model = simnet.NewLatencyModel(cfg)
 	s, err := New(cl, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"go/parser"
+	"go/token"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,7 +163,7 @@ func TestMetaReadSkipsOpenCircuit(t *testing.T) {
 		attempts[node].Add(1)
 	}}
 	opts := fusionTestOptions()
-	opts.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
+	opts.Retry.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
 	s, err := New(cl, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +174,44 @@ func TestMetaReadSkipsOpenCircuit(t *testing.T) {
 	}
 	s.cache.DeleteMeta("obj")
 	open := s.metaReplicaNodes("obj")[1]
-	opts.Breaker.Failure(open)
+	s.Breaker().Failure(open)
 	before := attempts[open].Load()
 	if _, err := s.Meta("obj"); err != nil {
 		t.Fatalf("metadata read with one replica's circuit open: %v", err)
 	}
 	if n := attempts[open].Load() - before; n != 0 {
 		t.Fatalf("the metadata read sent %d attempts to the open-circuit node", n)
+	}
+}
+
+// TestRetryBreakerHonoured: Options.Retry.Breaker is the store's breaker. One
+// failed call trips it (threshold 1), and the next call to that node — which
+// the transport would now answer — fails fast without reaching the transport.
+func TestRetryBreakerHonoured(t *testing.T) {
+	sim := simnet.New(simnet.DefaultConfig())
+	var attempts atomic.Int64
+	cl := &hookClient{Client: sim, before: func(int, *rpc.Request) { attempts.Add(1) }}
+	opts := fusionTestOptions()
+	opts.Retry.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
+	s, err := New(cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Breaker() != opts.Retry.Breaker {
+		t.Fatal("Store.Breaker() is not the breaker installed on Options.Retry.Breaker")
+	}
+	const node = 3
+	ping := func() error {
+		_, err := s.call(context.Background(), nil, node, &rpc.Request{Kind: rpc.KindPing})
+		return err
+	}
+	sim.SetDown(node, true)
+	if err := ping(); !errors.Is(err, cluster.ErrNodeDown) || attempts.Load() != 1 {
+		t.Fatalf("call to a down node: err %v after %d attempts, want ErrNodeDown after 1", err, attempts.Load())
+	}
+	sim.SetDown(node, false)
+	if err := ping(); !errors.Is(err, cluster.ErrNodeDown) || attempts.Load() != 1 {
+		t.Fatalf("call to an open-circuit node: err %v, %d transport attempts, want ErrNodeDown and none", err, attempts.Load()-1)
 	}
 }
 
@@ -272,5 +307,35 @@ func TestOverwriteFailsWhenPrevUnresolved(t *testing.T) {
 	}
 	if left := nonRegisterBlocks(t, cl); len(left) != clean {
 		t.Fatalf("a clean overwrite leaves %d blocks, want %d", len(left), clean)
+	}
+}
+
+// TestStoreImportsNoSimulator: the store counts, the simulator prices. The
+// coordinator's code imports neither the latency model nor the experiment
+// harness that pairs the two; only its tests may.
+func TestStoreImportsNoSimulator(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); strings.HasSuffix(p, "/internal/simnet") || strings.HasSuffix(p, "/internal/workload") {
+				t.Errorf("%s imports %s", name, p)
+			}
+		}
+	}
+	if files == 0 {
+		t.Fatal("found no non-test file of internal/store")
 	}
 }

@@ -13,10 +13,8 @@ import (
 // concurrent-overwrite bugs.
 func twoCoordinators(t *testing.T) (*Store, *Store, *simnet.Cluster) {
 	t.Helper()
-	cfg := simnet.DefaultConfig()
-	cl := simnet.New(cfg)
+	cl := simnet.New(simnet.DefaultConfig())
 	opts := fusionTestOptions()
-	opts.Model = simnet.NewLatencyModel(cfg)
 	a, err := New(cl, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +115,7 @@ func TestOverwriteStormTwoWriters(t *testing.T) {
 	}
 
 	// A fresh coordinator (no cache) must read one complete payload.
-	cfg := simnet.DefaultConfig()
-	opts := fusionTestOptions()
-	opts.Model = simnet.NewLatencyModel(cfg)
-	c, err := New(cl, opts)
+	c, err := New(cl, fusionTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

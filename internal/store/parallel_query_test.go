@@ -8,8 +8,11 @@ import (
 // TestQueryParallelMatchesSerial is the determinism guarantee of the query
 // fan-out: for every execution configuration, a store running the stage
 // worker pool at size 8 must produce Results identical to a store running
-// it at size 1 (serial), including stats and the simulated latency sample —
-// only wall-clock time may differ.
+// it at size 1 (serial) — only wall-clock time may differ. The comparison is
+// deep equality on the whole Result minus Stats.Wall, so it covers every
+// counter, Stats.CoordProcBytes and the cost ledger Stats.Stages entry by
+// entry and in order: what a latency model reads, and so any latency it
+// prices, cannot depend on worker scheduling.
 func TestQueryParallelMatchesSerial(t *testing.T) {
 	queries := []string{
 		"SELECT id, price FROM obj WHERE qty < 10",
@@ -18,6 +21,8 @@ func TestQueryParallelMatchesSerial(t *testing.T) {
 		"SELECT flag, SUM(price) FROM obj WHERE id < 900",
 		"SELECT id FROM obj WHERE qty < 12 LIMIT 7",
 		"SELECT comment FROM obj WHERE flag = 'R' OR qty < 3",
+		"SELECT flag, COUNT(*), SUM(price) FROM obj WHERE qty < 40 GROUP BY flag ORDER BY flag",
+		"SELECT id, price FROM obj WHERE qty >= 10 ORDER BY price DESC LIMIT 7",
 	}
 	configs := []struct {
 		name string

@@ -13,7 +13,6 @@ import (
 	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sched"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -43,9 +42,15 @@ type Result struct {
 type QueryStats struct {
 	// Wall is the measured wall-clock time.
 	Wall time.Duration
-	// Sim is the simulated latency sample (zero when no cost model is
-	// configured).
-	Sim metrics.LatencySample
+	// Stages is the query's cost ledger: one entry per operation of the
+	// filter stage and of the projection stage — where it ran and the bytes
+	// it moved, read and scanned — in an order independent of worker
+	// scheduling. The store only counts; a latency model prices the ledger
+	// (simnet.LatencyModel.QueryTime).
+	Stages [2][]metrics.OpCost
+	// CoordProcBytes is the uncompressed bytes the coordinator itself
+	// scanned, grouped or sorted: its share of the cluster's CPU work.
+	CoordProcBytes uint64
 	// TrafficBytes is the network traffic this query generated.
 	TrafficBytes uint64
 	// FilterRPCs, ProjectRPCs, AggregateRPCs and FetchRPCs count remote
@@ -77,28 +82,25 @@ type QueryStats struct {
 	Selectivity float64
 }
 
-// execState accumulates per-stage operation costs during one query. The
-// stage fan-out gives every concurrent task a forked child state and joins
-// the children back in deterministic row-group/chunk order, so the merged
-// stats and cost sheets — and therefore the simulated latency sample — are
-// byte-identical to a serial run. The mutex additionally makes direct
-// concurrent accounting on a shared state safe.
+// execState accumulates a query's statistics and cost ledger. The stage
+// fan-out gives every concurrent task a forked child state and joins the
+// children back in deterministic row-group/chunk order, so the merged stats
+// and ledger — and therefore any latency priced from it — are byte-identical
+// to a serial run. The mutex additionally makes direct concurrent accounting
+// on a shared state safe.
 type execState struct {
-	store *Store
 	ctx   context.Context // caller's context; fan-out tasks observe it
 	meta  *ObjectMeta
-	coord int
 	nowSt int         // current stage index
 	sp    *trace.Span // current stage's trace span (nil when untraced)
 
 	mu    sync.Mutex
 	stats QueryStats
-	stage [2][]simnet.OpCost
 }
 
-func (e *execState) addOp(op simnet.OpCost) {
+func (e *execState) addOp(op metrics.OpCost) {
 	e.mu.Lock()
-	e.stage[e.nowSt] = append(e.stage[e.nowSt], op)
+	e.stats.Stages[e.nowSt] = append(e.stats.Stages[e.nowSt], op)
 	if !op.Local {
 		e.stats.TrafficBytes += op.ReqBytes + op.RespBytes
 	}
@@ -112,22 +114,23 @@ func (e *execState) fork() *execState {
 	if e == nil {
 		return nil // a Get's prefetch scatters without accounting
 	}
-	return &execState{store: e.store, ctx: e.ctx, meta: e.meta, coord: e.coord, nowSt: e.nowSt, sp: e.sp}
+	return &execState{ctx: e.ctx, meta: e.meta, nowSt: e.nowSt, sp: e.sp}
 }
 
 // join folds a child's accounting back into e. Callers join children in
-// task order, which keeps the cost-sheet op order — and with it the jitter
-// draws of the latency model — independent of worker scheduling.
+// task order, which keeps the ledger's op order — and with it the jitter
+// draws of a latency model — independent of worker scheduling.
 func (e *execState) join(c *execState) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.stage {
-		e.stage[i] = append(e.stage[i], c.stage[i]...)
-	}
 	s, cs := &e.stats, &c.stats
+	for i := range s.Stages {
+		s.Stages[i] = append(s.Stages[i], cs.Stages[i]...)
+	}
+	s.CoordProcBytes += cs.CoordProcBytes
 	s.TrafficBytes += cs.TrafficBytes
 	s.FilterRPCs += cs.FilterRPCs
 	s.ProjectRPCs += cs.ProjectRPCs
@@ -141,20 +144,6 @@ func (e *execState) join(c *execState) {
 	s.PushdownOn += cs.PushdownOn
 	s.PushdownOff += cs.PushdownOff
 	s.PrunedRowGroups += cs.PrunedRowGroups
-}
-
-// chargeCoordCPU adds coordinator-side processing to the cluster's CPU
-// accounting when the transport supports it (simnet).
-func (e *execState) chargeCoordCPU(procBytes uint64) {
-	acc, ok := e.store.client.(interface{ AddCPU(int, float64) })
-	if !ok {
-		return
-	}
-	rate := simnet.DefaultConfig().ProcessRate
-	if m := e.store.opts.Model; m != nil {
-		rate = m.ProcessRate()
-	}
-	acc.AddCPU(e.coord, float64(procBytes)/rate)
 }
 
 // Query parses and executes a SELECT statement; the FROM clause names the
@@ -216,7 +205,7 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 	qc := *orig
 	qc.Projections = append([]sql.Projection(nil), orig.Projections...)
 	q := &qc
-	st := &execState{store: s, ctx: ctx, meta: meta, coord: s.CoordinatorFor(q.Table), sp: qsp}
+	st := &execState{ctx: ctx, meta: meta, sp: qsp}
 
 	// Resolve the SELECT list.
 	if q.Star {
@@ -296,18 +285,6 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 		}
 	}
 	st.stats.Wall = time.Since(start)
-	if m := s.opts.Model; m != nil {
-		t1, b1 := m.StageTime(st.stage[0])
-		t2, b2 := m.StageTime(st.stage[1])
-		b1.Add(b2)
-		// Client leg: the query arrives at and its result leaves the
-		// coordinator over the network (the paper's dedicated client node,
-		// §6), so every query pays at least one RTT plus the result
-		// transfer.
-		client := m.ClientLeg(resultWireBytes(res))
-		b1.Network += client
-		st.stats.Sim = metrics.LatencySample{Total: t1 + t2 + client, Phase: b1}
-	}
 	res.Stats = st.stats
 	return res, nil
 }
@@ -414,7 +391,7 @@ func (s *Store) openChunkUncached(st *execState, rg, ci int) (*lpq.Chunk, error)
 	}
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
-	st.addOp(simnet.OpCost{Local: true, ProcBytes: ch.RawSize})
+	st.addOp(metrics.OpCost{Local: true, ProcBytes: ch.RawSize})
 	dsp := st.sp.Child("decode")
 	c, err := lpq.OpenChunk(meta.Footer.Columns[ci].Type, ch, raw)
 	dsp.End()
@@ -426,7 +403,7 @@ func (s *Store) openChunkUncached(st *execState, rg, ci int) (*lpq.Chunk, error)
 	if rerr != nil {
 		return nil, fmt.Errorf("store: chunk (%d,%d) corrupt (%v) and unreconstructable: %w", rg, ci, err, rerr)
 	}
-	st.addOp(simnet.OpCost{Local: true, ProcBytes: ch.RawSize})
+	st.addOp(metrics.OpCost{Local: true, ProcBytes: ch.RawSize})
 	return lpq.OpenChunk(meta.Footer.Columns[ci].Type, ch, raw)
 }
 
@@ -497,7 +474,7 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) {
 	sm := meta.Stripes[stripe]
 	for j := 0; j < s.opts.Params.K; j++ {
-		st.addOp(simnet.OpCost{
+		st.addOp(metrics.OpCost{
 			Node:      sm.Nodes[j],
 			ReqBytes:  rpcOverhead,
 			RespBytes: sm.Capacity + rpcOverhead,
@@ -523,7 +500,7 @@ func (s *Store) fetchChunkBytes(st *execState, rg, ci int) ([]byte, error) {
 	}
 	for _, g := range segs {
 		st.stats.FetchRPCs++
-		st.addOp(simnet.OpCost{
+		st.addOp(metrics.OpCost{
 			Node:      meta.Stripes[g.stripe].Nodes[g.bin],
 			ReqBytes:  rpcOverhead,
 			RespBytes: g.length + rpcOverhead,
@@ -619,8 +596,8 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 
 	// One task per needed chunk, generated in row-group-major, SELECT-list-
 	// minor order and merged back in exactly that order, so the result —
-	// including float aggregate accumulation order and the cost sheets
-	// feeding the latency model — is identical to a serial run. Planning a
+	// including float aggregate accumulation order and the cost ledger's
+	// entry order — is identical to a serial run. Planning a
 	// task also plans its pushdown: a projection the policy pushes, or an
 	// in-situ aggregation (aggregate-only columns exist only when aggregate
 	// pushdown is on), becomes a sub-request for the chunk's node.
@@ -813,8 +790,8 @@ func truncateResult(res *Result, limit int) {
 	}
 }
 
-// resultWireBytes estimates the result's size on the client connection.
-func resultWireBytes(res *Result) uint64 {
+// WireBytes estimates the result's size on the client connection.
+func (res *Result) WireBytes() uint64 {
 	n := uint64(rpcOverhead)
 	for _, col := range res.Data {
 		switch col.Type {

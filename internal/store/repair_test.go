@@ -232,7 +232,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestRepairManagerHeartbeatBreakerAndRejoin(t *testing.T) {
 	seed := faultSeed(t)
 	opts := fusionTestOptions()
-	opts.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 2, Cooldown: 5 * time.Millisecond})
+	opts.Retry.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 2, Cooldown: 5 * time.Millisecond})
 	s, inj := newFaultStore(t, 9, seed, opts)
 	data, _, _ := makeObject(t, 1, 150, seed)
 	if _, err := s.Put("obj", data); err != nil {

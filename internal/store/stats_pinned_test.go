@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/fusionstore/fusion/internal/simnet"
 )
 
-// pinnedQueries run in order against one store per configuration; the
-// latency model's jitter stream is shared across them, so a change in any
-// query's cost sheet (op count or op order) moves every later Sim figure too.
+// pinnedQueries run in order against one store per configuration and are
+// priced by one latency model; its jitter stream is shared across them, so a
+// change in any query's cost ledger (op count or op order) moves every later
+// sim figure too.
 var pinnedQueries = []string{
 	"SELECT id, price FROM obj WHERE qty < 5",
 	"SELECT * FROM obj WHERE qty < 45 AND price > 10.0",
@@ -59,12 +62,15 @@ var pinnedStats = map[string][]string{
 	},
 }
 
-// statsKey renders every QueryStats field except Wall, durations in integer
-// nanoseconds so nothing is rounded away.
-func statsKey(st QueryStats) string {
+// statsKey renders the query's counters and the latency m reads off its cost
+// ledger (Stages and the result's wire size; CoordProcBytes feeds only Fig.
+// 14d's CPU seconds), durations in integer nanoseconds so nothing is rounded
+// away.
+func statsKey(m *simnet.LatencyModel, res *Result) string {
+	st, sim := res.Stats, simLatency(m, res)
 	return fmt.Sprintf("sim=%d disk=%d proc=%d net=%d traffic=%d filter=%d project=%d agg=%d fetch=%d batch=%d "+
 		"groupagg=%d topk=%d partials=%d spills=%d on=%d off=%d pruned=%d sel=%v",
-		st.Sim.Total, st.Sim.Phase.DiskRead, st.Sim.Phase.Processing, st.Sim.Phase.Network, st.TrafficBytes,
+		sim.Total, sim.Phase.DiskRead, sim.Phase.Processing, sim.Phase.Network, st.TrafficBytes,
 		st.FilterRPCs, st.ProjectRPCs, st.AggregateRPCs, st.FetchRPCs, st.BatchRPCs,
 		st.GroupAggRPCs, st.TopKRPCs, st.PartialGroups, st.GroupSpills, st.PushdownOn, st.PushdownOff,
 		st.PrunedRowGroups, st.Selectivity)
@@ -94,13 +100,14 @@ func TestQueryStatsPinned(t *testing.T) {
 		if _, err := s.Put("obj", data); err != nil {
 			t.Fatal(err)
 		}
+		model := newSimModel()
 		var got []string
 		for _, q := range pinnedQueries {
 			res, err := s.Query(q)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", cfg.name, q, err)
 			}
-			got = append(got, statsKey(res.Stats))
+			got = append(got, statsKey(model, res))
 		}
 		want := pinnedStats[cfg.name]
 		for i := range got {

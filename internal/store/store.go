@@ -18,7 +18,6 @@ import (
 	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sched"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -90,8 +89,10 @@ type Options struct {
 	// coordinator→node call, the metadata register's included. The zero value
 	// is cluster.Policy's default: 3 attempts, exponential backoff from 1ms
 	// to 100ms without jitter, ErrNodeDown fails fast (the reconstruction
-	// fan-out is the better retry). Its Health and Breaker fields are the
-	// store's own: the per-node counters behind Health(), and Breaker below.
+	// fan-out is the better retry). Retry.Breaker, when set, is the per-node
+	// circuit breaker every call consults: a node whose circuit is open fails
+	// fast with ErrNodeDown instead of burning a transport attempt. Retry.Health
+	// is the store's own: the per-node counters behind Health().
 	Retry cluster.Policy
 	// HedgeAfter, when positive, hedges block reads: if a direct read has
 	// not completed within this threshold, Get fires the RS reconstruction
@@ -104,11 +105,6 @@ type Options struct {
 	// behind /debug/fusionz and fusion-bench's percentile tables. Nil (the
 	// default) disables all timing.
 	Metrics *metrics.HistogramSet
-	// Breaker, when set, is the per-node circuit breaker consulted by every
-	// coordinator→node call: a node whose circuit is open fails fast with
-	// ErrNodeDown instead of burning a transport attempt. Nil disables
-	// circuit breaking.
-	Breaker *cluster.Breaker
 	// CacheBytes is the byte budget of the coordinator's read cache for
 	// verified block bytes and decoded column chunks, shared across both
 	// data tiers. It also arms the singleflight layer that dedups
@@ -127,9 +123,6 @@ type Options struct {
 	Sched *sched.Scheduler
 	// Seed drives stripe placement.
 	Seed int64
-	// Model, when set, computes simulated query latencies from the
-	// operation cost sheets (simnet experiments). Nil for TCP deployments.
-	Model *simnet.LatencyModel
 }
 
 // FusionOptions returns Fusion's configuration: FAC coding, two-stage
@@ -198,7 +191,6 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 	health := metrics.NewHealth()
 	retry := opts.Retry
 	retry.Health = health
-	retry.Breaker = opts.Breaker
 	return &Store{
 		client:  client,
 		opts:    opts,

@@ -71,7 +71,7 @@ func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]
 	for i := range perm {
 		perm[i] = i
 	}
-	st.chargeCoordCPU(uint64(n) * 16)
+	st.stats.CoordProcBytes += uint64(n) * 16
 	sort.SliceStable(perm, func(a, b int) bool {
 		for _, o := range q.OrderBy {
 			if o.Proj.Agg != sql.AggNone {
@@ -172,7 +172,7 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 			return
 		}
 		defer oc.Release()
-		w.sub.chargeCoordCPU(ch.RawSize)
+		w.sub.stats.CoordProcBytes += ch.RawSize
 		tk := sql.NewTopK(k, o.Desc)
 		if w.err = tk.PushChunk(oc, bm, int32(w.rg)); w.err == nil {
 			w.rows = tk.Rows()

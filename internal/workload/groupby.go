@@ -37,18 +37,18 @@ func (l *Lab) GroupBy() *Report {
 		run := func(sys *System, collect bool) *RunResult {
 			out := &RunResult{}
 			for _, q := range batch {
-				res, err := sys.Store.Query(q)
+				res, sim, err := sys.Query(q)
 				if err != nil {
-					panic(fmt.Errorf("workload: %q: %w", q, err))
+					panic(err)
 				}
-				out.Latency.Record(res.Stats.Sim)
+				out.Latency.Record(sim)
 				out.Traffic += res.Stats.TrafficBytes
 				if collect {
 					groupRPCs += res.Stats.GroupAggRPCs
 					topkRPCs += res.Stats.TopKRPCs
 					spills += res.Stats.GroupSpills
 				}
-				Hist.Observe(metrics.Key{Op: "query.total", Node: metrics.NodeNone}, res.Stats.Sim.Total)
+				Hist.Observe(metrics.Key{Op: "query.total", Node: metrics.NodeNone}, sim.Total)
 			}
 			return out
 		}

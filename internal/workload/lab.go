@@ -14,6 +14,7 @@ import (
 	"github.com/fusionstore/fusion/internal/datasets"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/lpq"
+	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/store"
 	"github.com/fusionstore/fusion/internal/tpch"
@@ -92,12 +93,24 @@ func objectName(d DatasetName) string {
 	}
 }
 
-// System is one store deployment under test: a cluster, its latency model
-// and a Store facade.
+// System is one store deployment under test: a cluster, a Store facade and
+// the latency model that prices what the store counts.
 type System struct {
 	Cluster *simnet.Cluster
 	Model   *simnet.LatencyModel
 	Store   *store.Store
+}
+
+// Query runs q on the system's store and prices the cost ledger it hands
+// back. Every query an experiment runs goes through here, wanted latency or
+// not: a system's model draws its jitter from one stream, so a query run but
+// not priced shifts every later sample.
+func (sys *System) Query(q string) (*store.Result, metrics.LatencySample, error) {
+	res, err := sys.Store.Query(q)
+	if err != nil {
+		return nil, metrics.LatencySample{}, fmt.Errorf("workload: %q: %w", q, err)
+	}
+	return res, sys.Model.QueryTime(res.Stats.Stages, res.WireBytes()), nil
 }
 
 // Lab builds and caches the evaluation artifacts (generated datasets,
@@ -230,8 +243,6 @@ func (l *Lab) systemFor(key string, d DatasetName, opts store.Options, netBandwi
 		cfg.NetBandwidth = netBandwidth
 	}
 	cl := simnet.New(cfg)
-	model := simnet.NewLatencyModel(cfg)
-	opts.Model = model
 	opts.CacheBytes = CacheBytes
 	s, err := store.New(cl, opts)
 	if err != nil {
@@ -240,7 +251,7 @@ func (l *Lab) systemFor(key string, d DatasetName, opts store.Options, netBandwi
 	if _, err := s.Put(objectName(d), data); err != nil {
 		panic(fmt.Sprintf("workload: loading %s: %v", d, err))
 	}
-	sys := &System{Cluster: cl, Model: model, Store: s}
+	sys := &System{Cluster: cl, Model: simnet.NewLatencyModel(cfg), Store: s}
 	l.mu.Lock()
 	l.systems[key] = sys
 	l.mu.Unlock()

@@ -179,10 +179,13 @@ func (l *Lab) Fig14d() *Report {
 		queries := l.MicroBatch(Lineitem, col, 0.01, int64(500+i))
 		cpuPerQuery := func(sys *System) float64 {
 			sys.Cluster.ResetCPU()
-			if _, err := RunQueries(sys, queries); err != nil {
+			run, err := RunQueries(sys, queries)
+			if err != nil {
 				panic(err)
 			}
-			total := 0.0
+			// Node-side CPU is the cluster's count; the coordinator's own
+			// scanning is the store's, priced at the same rate.
+			total := float64(run.CoordProcBytes) / sys.Cluster.Config().ProcessRate
 			for _, c := range sys.Cluster.CPUSeconds() {
 				total += c
 			}

@@ -107,6 +107,7 @@ func (l *Lab) MicroQuery(d DatasetName, col string, sel float64, rng *rand.Rand)
 type RunResult struct {
 	Latency                 metrics.LatencyRecorder
 	Traffic                 uint64
+	CoordProcBytes          uint64
 	Selectivity             float64
 	PushdownOn, PushdownOff int
 }
@@ -123,19 +124,20 @@ var Hist *metrics.HistogramSet
 func RunQueries(sys *System, queries []string) (*RunResult, error) {
 	out := &RunResult{}
 	for _, q := range queries {
-		res, err := sys.Store.Query(q)
+		res, sim, err := sys.Query(q)
 		if err != nil {
-			return nil, fmt.Errorf("workload: %q: %w", q, err)
+			return nil, err
 		}
-		out.Latency.Record(res.Stats.Sim)
+		out.Latency.Record(sim)
 		out.Traffic += res.Stats.TrafficBytes
+		out.CoordProcBytes += res.Stats.CoordProcBytes
 		out.Selectivity += res.Stats.Selectivity
 		out.PushdownOn += res.Stats.PushdownOn
 		out.PushdownOff += res.Stats.PushdownOff
-		Hist.Observe(metrics.Key{Op: "query.total", Node: metrics.NodeNone}, res.Stats.Sim.Total)
-		Hist.Observe(metrics.Key{Op: "query.disk", Node: metrics.NodeNone}, res.Stats.Sim.Phase.DiskRead)
-		Hist.Observe(metrics.Key{Op: "query.proc", Node: metrics.NodeNone}, res.Stats.Sim.Phase.Processing)
-		Hist.Observe(metrics.Key{Op: "query.net", Node: metrics.NodeNone}, res.Stats.Sim.Phase.Network)
+		Hist.Observe(metrics.Key{Op: "query.total", Node: metrics.NodeNone}, sim.Total)
+		Hist.Observe(metrics.Key{Op: "query.disk", Node: metrics.NodeNone}, sim.Phase.DiskRead)
+		Hist.Observe(metrics.Key{Op: "query.proc", Node: metrics.NodeNone}, sim.Phase.Processing)
+		Hist.Observe(metrics.Key{Op: "query.net", Node: metrics.NodeNone}, sim.Phase.Network)
 	}
 	if len(queries) > 0 {
 		out.Selectivity /= float64(len(queries))

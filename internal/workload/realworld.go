@@ -50,7 +50,7 @@ func (l *Lab) Tab4() *Report {
 		if err != nil {
 			panic(err)
 		}
-		res, err := l.Fusion(rq.Dataset).Store.Query(rq.SQL)
+		res, _, err := l.Fusion(rq.Dataset).Query(rq.SQL)
 		if err != nil {
 			panic(err)
 		}
