@@ -28,7 +28,10 @@ var pinnedQueries = []string{
 // again when PR 21 changed the chunk encodings (the byte-derived fields moved
 // in every row; docs/results/PR-21.md explains each other field that did). The
 // simulated figures behind EXPERIMENTS.md are functions of exactly these
-// numbers, so a refactor that keeps this table kept them.
+// numbers, so a refactor that keeps this table kept them. The node-down
+// tables, captured before the stages were folded into one executor, pin what
+// a lost reply costs: which units fall back, how they are counted, and the
+// reconstruction reads behind them.
 var pinnedStats = map[string][]string{
 	"fusion": {
 		"sim=1077148 disk=17583 proc=31494 net=1028069 traffic=51473 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
@@ -60,6 +63,26 @@ var pinnedStats = map[string][]string{
 		"sim=1924459 disk=0 proc=91032 net=1833425 traffic=102260 filter=0 project=0 agg=0 fetch=24 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.79275",
 		"sim=821229 disk=0 proc=15071 net=806157 traffic=20042 filter=0 project=0 agg=0 fetch=4 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
+	"fusion, node 8 down": {
+		"sim=1184329 disk=16886 proc=32833 net=1134609 traffic=68185 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
+		"sim=2472991 disk=10656 proc=189433 net=2272899 traffic=267693 filter=5 project=0 agg=0 fetch=23 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
+		"sim=1448553 disk=2854 proc=72354 net=1373345 traffic=73203 filter=5 project=0 agg=0 fetch=11 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
+		"sim=884015 disk=0 proc=64972 net=819042 traffic=61152 filter=0 project=0 agg=0 fetch=8 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=1",
+		"sim=1208465 disk=2259 proc=41614 net=1164591 traffic=46101 filter=3 project=0 agg=0 fetch=7 batch=4 groupagg=1 topk=0 partials=3 spills=3 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1095635 disk=0 proc=73760 net=1021874 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
+		"sim=1216267 disk=19890 proc=31782 net=1164592 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=723634 disk=0 proc=17146 net=706487 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+	},
+	"always+aggpush, node 8 down": {
+		"sim=1184329 disk=16886 proc=32833 net=1134609 traffic=68185 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
+		"sim=2210093 disk=34211 proc=39444 net=2136435 traffic=763890 filter=5 project=14 agg=0 fetch=9 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=14 off=6 pruned=0 sel=0.8125416666666667",
+		"sim=1352124 disk=10176 proc=29091 net=1312856 traffic=43011 filter=5 project=0 agg=5 fetch=6 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=786198 disk=10594 proc=16740 net=758863 traffic=27390 filter=0 project=0 agg=5 fetch=3 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=1206864 disk=2088 proc=39705 net=1165068 traffic=46101 filter=3 project=0 agg=0 fetch=7 batch=4 groupagg=1 topk=0 partials=3 spills=3 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1091259 disk=0 proc=69811 net=1021447 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
+		"sim=1216667 disk=19449 proc=33435 net=1163782 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=722299 disk=0 proc=16379 net=705918 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+	},
 }
 
 // statsKey renders the query's counters and the latency m reads off its cost
@@ -90,15 +113,25 @@ func TestQueryStatsPinned(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
 		opts Options
+		down []int // nodes taken down after the Put
 	}{
-		{"fusion", fusionTestOptions()},
-		{"always+aggpush", always},
-		{"baseline", baseline},
+		{"fusion", fusionTestOptions(), nil},
+		{"always+aggpush", always, nil},
+		{"baseline", baseline, nil},
+		// Node 8 hosts chunks every pushed kind asks about — filter,
+		// project, aggregate, group-agg and top-k each lose replies — so
+		// these pin the fallback paths: fetched (and reconstructed) filter
+		// leaves, PushdownOff projections, grouped spills, local top-k.
+		{"fusion, node 8 down", fusionTestOptions(), []int{8}},
+		{"always+aggpush, node 8 down", always, []int{8}},
 	} {
 		cfg.opts.QueryWorkers = 8 // real fan-out: fork/join order, not luck, keeps the sheets stable
-		s, _ := newSimStore(t, cfg.opts)
+		s, cl := newSimStore(t, cfg.opts)
 		if _, err := s.Put("obj", data); err != nil {
 			t.Fatal(err)
+		}
+		for _, n := range cfg.down {
+			cl.SetDown(n, true)
 		}
 		model := newSimModel()
 		var got []string
