@@ -13,12 +13,11 @@ import (
 // is exactly what the decoded-chunk cache is supposed to eliminate.
 const hotQuery = "SELECT SUM(l_extendedprice), AVG(l_quantity) FROM lineitem WHERE l_quantity > 10"
 
-// cacheGateOptions puts the store in coordinator-reassembly mode (every
-// chunk is fetched, decoded and cacheable) with the given cache budget.
+// cacheGateOptions puts the store in the baseline's coordinator-reassembly
+// mode (fixed blocks: every chunk is fetched, decoded and cacheable) with the
+// given cache budget.
 func cacheGateOptions(cacheBytes int64) store.Options {
-	opts := store.FusionOptions()
-	opts.Exec = store.ExecReassemble
-	opts.Pushdown = store.PushdownNever
+	opts := store.BaselineOptions()
 	opts.CacheBytes = cacheBytes
 	return opts
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
@@ -78,16 +79,16 @@ func chunkLocation(meta *ObjectMeta, rg, ci int, ch lpq.ChunkMeta) (node int, re
 }
 
 // pushdownOn reports whether operators may run on storage nodes for this
-// object: the store executes by pushdown and FAC kept every chunk whole on
-// one node. (A Fusion store's fixed-layout fallback objects answer false.)
-func (s *Store) pushdownOn(meta *ObjectMeta) bool {
-	return s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+// object: FAC kept every chunk whole on one node. (Fixed-block objects — the
+// baseline's, and a Fusion store's fallback — answer false.)
+func pushdownOn(meta *ObjectMeta) bool {
+	return meta.Mode == LayoutFAC
 }
 
 // pushProjection applies the projection pushdown policy (the Cost Equation
 // under PushdownAdaptive, §4.3) to one chunk.
 func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64) bool {
-	if !s.pushdownOn(meta) {
+	if !pushdownOn(meta) {
 		return false
 	}
 	switch s.opts.Pushdown {
@@ -180,167 +181,216 @@ func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs
 	return subs, frames
 }
 
-// filterStage computes the selection bitmap of every row group; a nil entry
-// means the row group is provably empty. The stage's leaf pushdowns are
-// planned globally — every (row group, leaf) pair a node hosts rides that
-// node's one frame, sub-ops carrying the row-group id in Request.RG — after
-// the planner's shortcuts, which never touch the network: whole row groups
-// pruned (or accepted) by the footer-stats verdict, then per-leaf chunk-stats
-// verdicts. Leaves without a pushed bitmap (nothing planned, node down,
-// corrupt chunk, lost frame) are evaluated at the coordinator over the
-// fetched chunk during consolidation.
-func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
-	meta := st.meta
-	rgs := meta.Footer.RowGroups
-	push := s.pushdownOn(meta)
-	leaves := exprLeaves(q.Where, nil)
-	type rgState struct {
-		pruned bool // footer stats prove no row matches
-		full   bool // no WHERE, or footer stats prove every row matches
-		pre    map[*sql.Compare]*bitmap.Bitmap
+// stagePlan is a query stage as a value: its tasks, in merge order, and
+// every task's pushed sub-requests, flattened in the same order.
+type stagePlan struct {
+	tasks []stageTask
+	reqs  []nodeReq
+}
+
+// stageTask is one unit of a query stage — a row group, or one chunk of the
+// projection stage — as its planner left it and runStage served it.
+type stageTask struct {
+	rg     int
+	n      int  // sub-requests planned for it (push)
+	pruned bool // footer statistics settled it: no work, no I/O
+	values bool // a chunk's values: counts PushdownOn, or PushdownOff if not answered
+	spills bool // a row group's grouping: counts GroupSpills if not answered
+	// Set by runStage: the replies (nil: no usable answer), whether they served
+	// the task with no chunk fetched, and the task's accounting and error.
+	resps    []*rpc.Response
+	answered bool
+	sub      *execState
+	err      error
+}
+
+// push plans one sub-request for the task appended last.
+func (p *stagePlan) push(node int, req rpc.Request) {
+	p.reqs = append(p.reqs, nodeReq{node, req})
+	p.tasks[len(p.tasks)-1].n++
+}
+
+// reply is the answer to the task's one sub-request: nil if none was answered.
+func (t *stageTask) reply() *rpc.Response {
+	if t.n == 0 {
+		return nil
 	}
-	states := make([]rgState, len(rgs))
-	type leafRef struct {
-		rg  int
-		cmp *sql.Compare
-		ch  lpq.ChunkMeta
-	}
-	var reqs []nodeReq
-	var refs []leafRef // refs[j] is the leaf reqs[j] answers
-	for rg := range rgs {
-		rs := &states[rg]
-		verdict := sql.StatsAll
-		if q.Where != nil {
-			verdict = rgVerdict(q.Where, meta.Footer, colIdx, rg)
-		}
-		switch verdict {
-		case sql.StatsNone:
-			rs.pruned = true
-			continue
-		case sql.StatsAll:
-			rs.full = true
-			continue
-		}
-		rs.pre = make(map[*sql.Compare]*bitmap.Bitmap, len(leaves))
-		nRows := rgs[rg].NumRows
-		for _, c := range leaves {
-			ci := colIdx[c.Column]
-			ch := rgs[rg].Chunks[ci]
-			// Chunk-level stats shortcut (no I/O at all).
-			switch sql.CheckStats(c, meta.Footer.Columns[ci].Type, ch.Stats) {
-			case sql.StatsNone:
-				rs.pre[c] = bitmap.New(nRows)
-				continue
-			case sql.StatsAll:
-				rs.pre[c] = bitmap.NewFull(nRows)
-				continue
-			}
-			if !push {
-				continue
-			}
-			node, ref, ok := chunkLocation(meta, rg, ci, ch)
-			if !ok {
-				continue // no item: consolidation fetches the chunk
-			}
-			reqs = append(reqs, nodeReq{node, rpc.Request{
-				Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg),
-			}})
-			refs = append(refs, leafRef{rg: rg, cmp: c, ch: ch})
-		}
-	}
-	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
+	return t.resps[0]
+}
+
+// runStage is the one query-stage executor. It applies the rule Fusion runs
+// every operator by (§4.3): a pushed operator is served by the node's reply,
+// anything else — nothing pushed, no answer, a reply work rejects — by the
+// coordinator fetching the chunks and running the same kernel. It ships every
+// task's sub-requests in one scatter, runs work (which reports whether a reply
+// served the task) for each unpruned task on the worker pool with a forked
+// execState, and joins the forks in task order, so the stage's output and cost
+// ledger match a serial run exactly. It is also where a stage is counted: a
+// pushed sub-request when its reply arrives, a task by its outcome.
+func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *execState) (answered bool, err error)) error {
+	resps, _ := s.scatter(st.ctx, st.sp, st, p.reqs)
 	for j, resp := range resps {
 		if resp == nil {
 			continue
 		}
-		lr := refs[j]
-		bm, err := bitmap.Unmarshal(resp.Data)
-		if err != nil || bm.Len() != rgs[lr.rg].NumRows {
+		// The op logically touched its chunks though only its reply crossed
+		// the network — this is what pulls query read amplification below 1.
+		req := &p.reqs[j].req
+		touched := req.Chunk.Meta.Size
+		switch req.Kind {
+		case rpc.KindFilter:
+			st.stats.FilterRPCs++
+		case rpc.KindProject:
+			st.stats.ProjectRPCs++
+		case rpc.KindAggregate:
+			st.stats.AggregateRPCs++
+		case rpc.KindTopK:
+			st.stats.TopKRPCs++
+		case rpc.KindGroupAgg:
+			st.stats.GroupAggRPCs++
+			st.stats.PartialGroups += len(resp.Groups)
+			st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
+			for _, refs := range [2][]rpc.ChunkRef{req.KeyChunks, req.ValChunks} {
+				for _, ref := range refs {
+					touched += ref.Meta.Size
+				}
+			}
+		}
+		st.sp.Count(trace.BytesRequested, touched)
+	}
+	for i := range p.tasks {
+		p.tasks[i].resps, resps = resps[:p.tasks[i].n], resps[p.tasks[i].n:]
+	}
+	runTasks(s.queryWorkers(), len(p.tasks), func(i int) {
+		t := &p.tasks[i]
+		if t.pruned {
+			return
+		}
+		// The task boundary is the stage's cancellation checkpoint: once the
+		// caller gives up, the remaining tasks do no work.
+		if t.err = st.ctx.Err(); t.err != nil {
+			return
+		}
+		t.sub = st.fork()
+		t.answered, t.err = work(i, t.sub)
+	})
+	push := pushdownOn(st.meta)
+	for i := range p.tasks {
+		t := &p.tasks[i]
+		if t.sub != nil {
+			st.join(t.sub)
+		}
+		if t.err != nil {
+			return t.err
+		}
+		switch {
+		case t.pruned:
+			st.stats.PrunedRowGroups++
+		case !push:
+		case t.values && t.answered:
+			st.stats.PushdownOn++
+		case t.values:
+			st.stats.PushdownOff++
+		case t.spills && !t.answered:
+			st.stats.GroupSpills++
+			st.sp.Count(trace.GroupSpills, 1)
+		}
+	}
+	return nil
+}
+
+// filterStage computes the selection bitmap of every row group; a nil entry
+// means the row group is provably empty. The planner's shortcuts never touch
+// the network: whole row groups pruned (or accepted) by the footer-stats
+// verdict, then per-leaf chunk-stats verdicts. The other leaves are pushed —
+// every (row group, leaf) pair a node hosts rides that node's one frame,
+// sub-ops carrying the row-group id in Request.RG — and a leaf without a
+// pushed bitmap (nothing planned, node down, corrupt chunk, lost frame,
+// malformed reply) is evaluated at the coordinator over the fetched chunk.
+func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) ([]*bitmap.Bitmap, error) {
+	meta := st.meta
+	rgs := meta.Footer.RowGroups
+	push := pushdownOn(meta)
+	leaves := exprLeaves(q.Where, nil)
+	// leafStats is the chunk-stats verdict on leaf c in row group rg.
+	leafStats := func(c *sql.Compare, rg int) sql.StatsVerdict {
+		ci := colIdx[c.Column]
+		return sql.CheckStats(c, meta.Footer.Columns[ci].Type, rgs[rg].Chunks[ci].Stats)
+	}
+	out := make([]*bitmap.Bitmap, len(rgs))
+	pushed := make([][]*sql.Compare, len(rgs)) // leaves pushed, in sub-request order
+	var p stagePlan
+	for rg := range rgs {
+		verdict := sql.StatsAll
+		if q.Where != nil {
+			verdict = rgVerdict(q.Where, meta.Footer, colIdx, rg)
+		}
+		if verdict == sql.StatsAll { // no WHERE, or footer stats prove every row matches
+			out[rg] = bitmap.NewFull(rgs[rg].NumRows)
 			continue
 		}
-		// The filter logically touched the chunk but only the bitmap crossed
-		// the network — this is what pulls query read amplification below 1.
-		st.sp.Count(trace.BytesRequested, lr.ch.Size)
-		st.stats.FilterRPCs++
-		states[lr.rg].pre[lr.cmp] = bm
-	}
-	// Consolidate per row group on the worker pool (the fallback fetches
-	// chunks, so this can do real I/O). Each task accounts into a forked
-	// state and the forks are joined in row-group order, so the stage's
-	// output and cost ledger match a serial run exactly.
-	type rgResult struct {
-		bm  *bitmap.Bitmap
-		sub *execState
-		err error
-	}
-	results := make([]rgResult, len(rgs))
-	runTasks(s.queryWorkers(), len(rgs), func(rg int) {
-		r := &results[rg]
-		rs := &states[rg]
-		if rs.pruned {
-			return
+		p.tasks = append(p.tasks, stageTask{rg: rg, pruned: verdict == sql.StatsNone})
+		if verdict == sql.StatsNone || !push {
+			continue
 		}
-		nRows := rgs[rg].NumRows
-		if rs.full {
-			r.bm = bitmap.NewFull(nRows)
-			return
-		}
-		// Row-group boundary is the stage's cancellation checkpoint: once the
-		// caller gives up, the remaining row groups do no work.
-		if err := st.ctx.Err(); err != nil {
-			r.err = err
-			return
-		}
-		r.sub = st.fork()
-		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
-			if bm, ok := rs.pre[c]; ok {
-				return bm, nil
-			}
+		for _, c := range leaves {
 			ci := colIdx[c.Column]
-			ch, err := s.openChunk(r.sub, rg, ci)
+			if leafStats(c, rg) != sql.StatsUnknown {
+				continue
+			}
+			if node, ref, ok := chunkLocation(meta, rg, ci, rgs[rg].Chunks[ci]); ok {
+				p.push(node, rpc.Request{Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg)})
+				pushed[rg] = append(pushed[rg], c)
+			}
+		}
+	}
+	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
+		rg := p.tasks[i].rg
+		nRows := rgs[rg].NumRows
+		fetched := false
+		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
+			// Chunk-level stats shortcut (no I/O at all).
+			switch leafStats(c, rg) {
+			case sql.StatsNone:
+				return bitmap.New(nRows), nil
+			case sql.StatsAll:
+				return bitmap.NewFull(nRows), nil
+			}
+			if j := slices.Index(pushed[rg], c); j >= 0 && p.tasks[i].resps[j] != nil {
+				if bm, err := bitmap.Unmarshal(p.tasks[i].resps[j].Data); err == nil && bm.Len() == nRows {
+					return bm, nil
+				}
+			}
+			fetched = true
+			ci := colIdx[c.Column]
+			ch, err := s.openChunk(sub, rg, ci)
 			if err != nil {
 				return nil, err
 			}
 			defer ch.Release()
-			r.sub.stats.CoordProcBytes += rgs[rg].Chunks[ci].RawSize
+			sub.stats.CoordProcBytes += rgs[rg].Chunks[ci].RawSize
 			return sql.FilterChunk(c, ch)
 		}
 		bm, err := sql.EvalExpr(q.Where, nRows, leaf)
-		if err != nil {
-			r.err = err
-			return
+		if err == nil && bm.Count() > 0 {
+			out[rg] = bm // else leave nil: empty after exact filtering
 		}
-		if bm.Count() > 0 {
-			r.bm = bm // else leave nil: empty after exact filtering
-		}
+		return len(pushed[rg]) > 0 && !fetched, err
 	})
-	out := make(map[int]*bitmap.Bitmap, len(rgs))
-	for rg := range results {
-		r := &results[rg]
-		if r.sub != nil {
-			st.join(r.sub)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if states[rg].pruned {
-			st.stats.PrunedRowGroups++
-		}
-		out[rg] = r.bm
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// chunkTask is one unit of projection-stage work: materializing (or in-situ
-// aggregating) the selected rows of one chunk. pre is the chunk's pushed
-// sub-response; nil means the task fetches the chunk and works locally.
+// chunkTask is the projection stage's part of one chunk's task: materializing
+// (or in-situ aggregating) the selected rows of the chunk.
 type chunkTask struct {
-	rg, ci int
-	name   string
-	agg    bool // planned as an in-situ aggregation (aggregate pushdown)
-	plain  bool // the SELECT list projects the column: its values are wanted
-	folds  bool // some aggregate reads the column: a partial is wanted
-	sub    *execState
+	ci    int
+	name  string
+	agg   bool // planned as an in-situ aggregation (aggregate pushdown)
+	plain bool // the SELECT list projects the column: its values are wanted
+	folds bool // some aggregate reads the column: a partial is wanted
 	// dst is where the task's values are decoded: for a plain column its own
 	// window of the result column — zero length, capacity clipped to the row
 	// group's selected rows, so tasks fill one column in parallel and none can
@@ -348,8 +398,6 @@ type chunkTask struct {
 	// type.
 	dst     lpq.ColumnData
 	partial *sql.AggState
-	err     error
-	pre     *rpc.Response
 }
 
 // blockKey identifies one data block of an object: (stripe, bin).

@@ -219,8 +219,7 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 	always.Pushdown = PushdownAlways
 	always.AggregatePushdown = true
 	fallback := fusionTestOptions()
-	fallback.Pushdown = PushdownNever
-	fallback.Exec = ExecReassemble
+	fallback.Layout = LayoutFixed // no pushdown: every chunk is fetched
 	configs := map[string]Options{"pushed": always, "adaptive": fusionTestOptions(), "fallback": fallback}
 
 	// The answers, before the pool is poisoned.

@@ -68,8 +68,7 @@ func TestCacheHitZeroBytesFromNodes(t *testing.T) {
 func TestCacheHitQueryZeroBytesFromNodes(t *testing.T) {
 	data, _, _ := makeObject(t, 3, 400, 1)
 	opts := cacheTestOptions()
-	opts.Exec = ExecReassemble
-	opts.Pushdown = PushdownNever
+	opts.Layout = LayoutFixed // no pushdown: every chunk is fetched
 	s, _ := newSimStore(t, opts)
 	if _, err := s.Put("obj", data); err != nil {
 		t.Fatal(err)

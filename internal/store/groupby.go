@@ -7,7 +7,6 @@ import (
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
-	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // This file is the grouped-aggregation stage: GROUP BY queries reduce each
@@ -28,24 +27,10 @@ type groupAgg struct {
 	ci   int
 }
 
-// groupWork is one row group's unit of grouped-stage work.
-type groupWork struct {
-	rg       int
-	sub      *execState
-	partials []sql.GroupPartial
-	err      error
-	pre      *rpc.Response // the node's partial states, when pushed and answered
-	push     bool          // planner chose node-side partial aggregation
-	// chunkBytes is the stored size of the row group's key and argument
-	// chunks — the bytes a pushed op logically touched, for trace
-	// accounting.
-	chunkBytes uint64
-}
-
 // groupByStage executes a GROUP BY query over the filtered row groups and
 // returns the finished result table (ORDER BY and LIMIT applied, one row
 // per group).
-func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap) (*Result, error) {
+func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
 	meta := st.meta
 	keyIdx := make([]int, len(q.GroupBy))
 	for i, c := range q.GroupBy {
@@ -92,78 +77,53 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 
 	// Plan each surviving row group: node-side partial aggregation needs the
 	// key and argument chunks co-located on one node AND the planner's
-	// partial-vs-chunk cost check to pass.
-	cfgPush := s.pushdownOn(meta)
-	var works []*groupWork
-	var reqs []nodeReq
-	var reqWorks []*groupWork // reqWorks[j] is the row group reqs[j] answers
+	// partial-vs-chunk cost check to pass. A row group of a pushdown object
+	// that plans no push spills to the coordinator.
+	cfgPush := pushdownOn(meta)
+	var p stagePlan
 	for rg := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
 		if bm == nil || bm.Count() == 0 {
 			continue
 		}
-		w := &groupWork{rg: rg}
-		if cfgPush {
-			node, keyRefs, valRefs, chunkBytes, ok := groupChunkRefs(meta, rg, keyIdx, valIdx)
-			if ok && planGroupPush(meta, rg, keyIdx, valIdx, bm.Count()) {
-				w.push, w.chunkBytes = true, chunkBytes
-				reqs = append(reqs, nodeReq{node, rpc.Request{
-					Kind:      rpc.KindGroupAgg,
-					Bitmap:    bm.Marshal(),
-					KeyChunks: keyRefs,
-					ValChunks: valRefs,
-					AggKinds:  kinds,
-					MaxGroups: maxNodeGroups,
-				}})
-				reqWorks = append(reqWorks, w)
-			} else {
-				// A pushdown deployment couldn't offload this row group:
-				// either the key/argument chunks are not co-located on one
-				// node, or the planner predicted the partial states would
-				// outweigh the chunks.
-				st.stats.GroupSpills++
-				st.sp.Count(trace.GroupSpills, 1)
-			}
-		}
-		works = append(works, w)
-	}
-	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
-	for j, resp := range resps {
-		if resp == nil {
+		p.tasks = append(p.tasks, stageTask{rg: rg, spills: true})
+		if !cfgPush {
 			continue
 		}
-		w := reqWorks[j]
-		w.pre = resp
-		st.sp.Count(trace.BytesRequested, w.chunkBytes)
-		st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
-		st.stats.GroupAggRPCs++
-		st.stats.PartialGroups += len(resp.Groups)
+		node, keyRefs, valRefs, ok := groupChunkRefs(meta, rg, keyIdx, valIdx)
+		if ok && planGroupPush(meta, rg, keyIdx, valIdx, bm.Count()) {
+			p.push(node, rpc.Request{
+				Kind:      rpc.KindGroupAgg,
+				Bitmap:    bm.Marshal(),
+				KeyChunks: keyRefs,
+				ValChunks: valRefs,
+				AggKinds:  kinds,
+				MaxGroups: maxNodeGroups,
+			})
+		}
 	}
-	runTasks(s.queryWorkers(), len(works), func(i int) {
-		w := works[i]
-		w.sub = st.fork()
-		if w.pre != nil && acceptGroups(w.pre.Groups, meta, keyIdx, len(kinds)) {
-			w.partials = w.pre.Groups
-			return
+	partials := make([][]sql.GroupPartial, len(p.tasks))
+	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
+		t := &p.tasks[i]
+		if pre := t.reply(); pre != nil && acceptGroups(pre.Groups, meta, keyIdx, len(kinds)) {
+			partials[i] = pre.Groups
+			return true, nil
 		}
-		if w.push {
-			// The pushed attempt failed — node down, it hit the cardinality
-			// cap, or what came back is not partials of this grouping — so
-			// this row group spills to the coordinator.
-			w.sub.stats.GroupSpills++
-			w.sub.sp.Count(trace.GroupSpills, 1)
-		}
-		w.partials, w.err = s.localGroupRG(w.sub, w.rg, keyIdx, valIdx, kinds, rgBitmaps[w.rg])
+		// Nothing pushed, or the pushed attempt failed — node down, it hit
+		// the cardinality cap, or what came back is not partials of this
+		// grouping: group the row group at the coordinator.
+		var err error
+		partials[i], err = s.localGroupRG(sub, t.rg, keyIdx, valIdx, kinds, rgBitmaps[t.rg])
+		return false, err
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Merge partials in row-group order — the canonical reduction.
 	global := sql.NewGroupTable(kinds, 0)
-	for _, w := range works {
-		st.join(w.sub)
-		if w.err != nil {
-			return nil, w.err
-		}
-		if err := global.Merge(w.partials); err != nil {
+	for _, part := range partials {
+		if err := global.Merge(part); err != nil {
 			return nil, err
 		}
 	}

@@ -77,9 +77,8 @@ func planGroupPush(meta *ObjectMeta, rg int, keyIdx, valIdx []int, selected int)
 // groupChunkRefs resolves a row group's key and aggregate-argument chunks
 // and reports whether they are co-located on one node — grouped pushdown
 // needs the whole key/argument row visible to a single node. valIdx entries
-// of -1 (COUNT(*)) yield an empty ChunkRef. chunkBytes is the stored size
-// of the resolved chunks, the fetch cost the planner weighs against.
-func groupChunkRefs(meta *ObjectMeta, rg int, keyIdx, valIdx []int) (node int, keyRefs, valRefs []rpc.ChunkRef, chunkBytes uint64, ok bool) {
+// of -1 (COUNT(*)) yield an empty ChunkRef.
+func groupChunkRefs(meta *ObjectMeta, rg int, keyIdx, valIdx []int) (node int, keyRefs, valRefs []rpc.ChunkRef, ok bool) {
 	chs := meta.Footer.RowGroups[rg].Chunks
 	node = -1
 	resolve := func(ci int) (rpc.ChunkRef, bool) {
@@ -92,13 +91,12 @@ func groupChunkRefs(meta *ObjectMeta, rg int, keyIdx, valIdx []int) (node int, k
 		} else if node != n {
 			return rpc.ChunkRef{}, false
 		}
-		chunkBytes += chs[ci].Size
 		return ref, true
 	}
 	for _, ci := range keyIdx {
 		ref, rok := resolve(ci)
 		if !rok {
-			return 0, nil, nil, 0, false
+			return 0, nil, nil, false
 		}
 		keyRefs = append(keyRefs, ref)
 	}
@@ -109,11 +107,11 @@ func groupChunkRefs(meta *ObjectMeta, rg int, keyIdx, valIdx []int) (node int, k
 		}
 		ref, rok := resolve(ci)
 		if !rok {
-			return 0, nil, nil, 0, false
+			return 0, nil, nil, false
 		}
 		valRefs = append(valRefs, ref)
 	}
-	return node, keyRefs, valRefs, chunkBytes, true
+	return node, keyRefs, valRefs, true
 }
 
 // planTopKPush decides whether pushing one row group's top-k beats fetching
@@ -129,7 +127,7 @@ func planTopKPush(ch lpq.ChunkMeta, k int) bool {
 // entire range already hold at least k selected rows. This is the top-k
 // analogue of filter-stage row-group pruning — whole row groups drop out of
 // the scan before any I/O.
-func topKPrunable(meta *ObjectMeta, ci int, rgBitmaps map[int]*bitmap.Bitmap, k int, desc bool) map[int]bool {
+func topKPrunable(meta *ObjectMeta, ci int, rgBitmaps []*bitmap.Bitmap, k int, desc bool) map[int]bool {
 	type bound struct {
 		rg       int
 		lo, hi   sql.Literal

@@ -13,16 +13,17 @@ import (
 )
 
 // The partial states a node returns — per-group aggregate states for a pushed
-// GROUP BY, ranked candidates for a pushed top-k — are merged by the
-// coordinator and end up indexing the footer and filling result columns. The
+// GROUP BY, ranked candidates for a pushed top-k, a chunk's aggregate state for
+// a pushed aggregate — are merged by the coordinator and end up indexing the
+// footer and filling result columns and values. The
 // fuzz targets below put arbitrary bytes through the wire decoder and hand
 // what decodes to a real query as every node's reply: the query must return a
 // well-formed table or an error, never panic, and never hold more than it was
 // sent.
 
 // forgingClient answers like the cluster it wraps, except that while forged
-// is set every GroupAgg and TopK reply carries forged's partial states. It
-// also keeps the genuine replies it saw, as seeds.
+// is set every GroupAgg, TopK and Aggregate reply carries forged's partial
+// states. It also keeps the genuine replies it saw, as seeds.
 type forgingClient struct {
 	cluster.Client
 	mu      sync.Mutex
@@ -38,14 +39,14 @@ func (c *forgingClient) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	patch := func(kind rpc.Kind, r *rpc.Response) {
-		if (kind != rpc.KindGroupAgg && kind != rpc.KindTopK) || r.Err != "" {
+		if (kind != rpc.KindGroupAgg && kind != rpc.KindTopK && kind != rpc.KindAggregate) || r.Err != "" {
 			return
 		}
 		if c.forged == nil {
-			c.genuine[kind] = &rpc.Response{Groups: r.Groups, TopRows: r.TopRows, Matches: r.Matches}
+			c.genuine[kind] = &rpc.Response{Groups: r.Groups, TopRows: r.TopRows, Agg: r.Agg, Matches: r.Matches}
 			return
 		}
-		r.Groups, r.TopRows = c.forged.Groups, c.forged.TopRows
+		r.Groups, r.TopRows, r.Agg = c.forged.Groups, c.forged.TopRows, c.forged.Agg
 	}
 	patch(req.Kind, resp)
 	for i := range req.Subs {
@@ -68,11 +69,13 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 	cl := &forgingClient{Client: simnet.New(simnet.DefaultConfig()), genuine: map[rpc.Kind]*rpc.Response{}}
 	opts := fusionTestOptions()
 	opts.QueryWorkers = 8
+	opts.AggregatePushdown = true
 	s, err := New(cl, opts)
 	if err != nil {
 		f.Fatal(err)
 	}
-	data, _, _ := makeObject(f, 4, 3000, 123)
+	const rowGroups, rowsPer = 4, 3000
+	data, _, _ := makeObject(f, rowGroups, rowsPer, 123)
 	if _, err := s.Put("obj", data); err != nil {
 		f.Fatal(err)
 	}
@@ -108,8 +111,15 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 		if err != nil {
 			return
 		}
-		if len(res.Columns) != len(want.Columns) || len(res.Data) != len(want.Data) {
-			t.Fatalf("result has columns %v, want %v", res.Columns, want.Columns)
+		if len(res.Columns) != len(want.Columns) || len(res.Data) != len(want.Data) || len(res.AggValues) != len(want.AggValues) {
+			t.Fatalf("result has columns %v and %d values, want %v and %d", res.Columns, len(res.AggValues), want.Columns, len(want.AggValues))
+		}
+		// An ungrouped aggregate is a literal of its reference's kind, and a
+		// COUNT (the only integer one) counts at most every row of the object.
+		for i, v := range res.AggValues {
+			if v.Kind != want.AggValues[i].Kind || (v.Kind == sql.LitInt && (v.I < 0 || v.I > rowGroups*rowsPer)) {
+				t.Fatalf("%s = %v, want a value of the kind of %v, counting at most %d rows", res.AggLabels[i], v, want.AggValues[i], rowGroups*rowsPer)
+			}
 		}
 		for i, col := range res.Data {
 			if col.Type != want.Data[i].Type || col.Len() != res.Data[0].Len() {
@@ -118,8 +128,8 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 		}
 		// Four row groups each answered with the forged states: nothing
 		// larger than that, plus the genuine answer, can come of merging them.
-		if rows := res.Data[0].Len(); rows > 4*(len(forged.Groups)+len(forged.TopRows))+want.Data[0].Len() {
-			t.Fatalf("%d result rows from %d forged states", rows, len(forged.Groups)+len(forged.TopRows))
+		if len(res.Data) > 0 && res.Data[0].Len() > rowGroups*(len(forged.Groups)+len(forged.TopRows))+want.Data[0].Len() {
+			t.Fatalf("%d result rows from %d forged states", res.Data[0].Len(), len(forged.Groups)+len(forged.TopRows))
 		}
 	})
 }
@@ -164,5 +174,19 @@ func FuzzTopKReply(f *testing.F) {
 			rows(row(sql.FloatLit(math.NaN()), 0, 1)),
 			rows(make([]sql.TopRow, 100)...),
 			rows(row(sql.FloatLit(9e9), 0, 2), row(sql.FloatLit(9e9), 0, 2)),
+		})
+}
+
+// FuzzAggregateReply forges the partial aggregate of a pushed aggregate. The
+// hand-made seeds: extrema of the wrong kind (string extrema for numeric
+// columns), a count 2^40 rows beyond a genuine one, and a negative count.
+func FuzzAggregateReply(f *testing.F) {
+	state := func(a sql.AggState) *rpc.Response { return &rpc.Response{Agg: &a} }
+	fuzzReplies(f, rpc.KindAggregate,
+		"SELECT COUNT(price), MIN(price), MAX(qty) FROM obj WHERE qty < 40",
+		[]*rpc.Response{
+			state(sql.AggState{Count: 2, Init: true, IsString: true, MinS: "forged", MaxS: "forged"}),
+			state(sql.AggState{Count: 2400 + 1<<40, Sum: 1, Init: true, MinF: 1, MaxF: 2}),
+			state(sql.AggState{Count: -1 << 40}),
 		})
 }

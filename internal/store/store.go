@@ -45,26 +45,14 @@ func (p PushdownPolicy) String() string {
 	}
 }
 
-// ExecMode selects the query execution strategy.
-type ExecMode uint8
-
-const (
-	// ExecPushdown is Fusion's two-stage distributed execution.
-	ExecPushdown ExecMode = iota
-	// ExecReassemble is the baseline: fetch the needed chunk bytes to the
-	// coordinator (reassembling splits), then process locally.
-	ExecReassemble
-)
-
 // Options configure a Store.
 type Options struct {
 	// Params is the erasure code; default RS(9,6).
 	Params erasure.Params
 	// Layout selects FAC or fixed-block coding on Put.
 	Layout LayoutMode
-	// Exec selects the query execution strategy.
-	Exec ExecMode
-	// Pushdown is the projection pushdown policy under ExecPushdown.
+	// Pushdown is the projection pushdown policy for FAC objects (the only
+	// ones whose chunks a node holds whole).
 	Pushdown PushdownPolicy
 	// StorageBudget is the FAC overhead budget relative to optimal; if
 	// Algorithm 1 exceeds it, Put falls back to fixed blocks (§4.2).
@@ -131,7 +119,6 @@ func FusionOptions() Options {
 	return Options{
 		Params:         erasure.RS96,
 		Layout:         LayoutFAC,
-		Exec:           ExecPushdown,
 		Pushdown:       PushdownAdaptive,
 		StorageBudget:  0.02,
 		FixedBlockSize: 100 << 20,
@@ -145,7 +132,6 @@ func FusionOptions() Options {
 func BaselineOptions() Options {
 	o := FusionOptions()
 	o.Layout = LayoutFixed
-	o.Exec = ExecReassemble
 	o.Pushdown = PushdownNever
 	return o
 }

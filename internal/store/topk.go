@@ -9,7 +9,6 @@ import (
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
-	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // This file is the ORDER BY execution path for ungrouped queries. The
@@ -24,7 +23,7 @@ import (
 
 // orderedProjection runs the projection stage and applies the query's ORDER
 // BY (LIMIT is applied by the caller).
-func (s *Store) orderedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap) (*Result, error) {
+func (s *Store) orderedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
 	if len(q.OrderColumns()) == 0 {
 		// No ORDER BY, or ORDER BY over aggregates only — an ungrouped
 		// aggregate result is a single row, so there is nothing to sort.
@@ -41,7 +40,7 @@ func (s *Store) orderedProjection(st *execState, q *sql.Query, colIdx map[string
 // along as hidden projections, the materialized rows are permuted by a
 // stable sort (ties keep row-group-major row order), and the hidden columns
 // are stripped before returning.
-func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap) (*Result, error) {
+func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
 	projected := make(map[string]bool)
 	for _, p := range q.Projections {
 		if p.Agg == sql.AggNone {
@@ -100,91 +99,63 @@ func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]
 	return res, nil
 }
 
-// topKWork is one row group's unit of top-k work.
-type topKWork struct {
-	rg   int
-	sub  *execState
-	rows []sql.TopRow
-	err  error
-	pre  *rpc.Response // the node's local top-k, when pushed and answered
-}
-
 // topKStage executes ORDER BY <col> [DESC] LIMIT k via top-k pushdown:
 // footer bounds prune row groups that provably cannot place, each surviving
 // row group yields its local top-k (on the node or at the coordinator), and
 // a bounded merge picks the winners — only then are the other projected
 // columns materialized, for just those k rows.
-func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap) (*Result, error) {
+func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
 	meta := st.meta
 	o := q.OrderBy[0]
 	ci := colIdx[o.Proj.Column]
 	k := q.Limit
 	skip := topKPrunable(meta, ci, rgBitmaps, k, o.Desc)
-	st.stats.PrunedRowGroups += len(skip)
-
-	var works []*topKWork
-	var reqs []nodeReq
-	var reqWorks []*topKWork // reqWorks[j] is the row group reqs[j] answers
-	push := s.pushdownOn(meta)
+	push := pushdownOn(meta)
+	var p stagePlan
 	for rg := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
-		if bm == nil || bm.Count() == 0 || skip[rg] {
+		if bm == nil || bm.Count() == 0 {
 			continue
 		}
-		w := &topKWork{rg: rg}
-		works = append(works, w)
+		p.tasks = append(p.tasks, stageTask{rg: rg, pruned: skip[rg]})
 		ch := meta.Footer.RowGroups[rg].Chunks[ci]
-		if !push || !planTopKPush(ch, k) {
+		if skip[rg] || !push || !planTopKPush(ch, k) {
 			continue
 		}
 		if node, ref, ok := chunkLocation(meta, rg, ci, ch); ok {
-			reqs = append(reqs, nodeReq{node, rpc.Request{
+			p.push(node, rpc.Request{
 				Kind: rpc.KindTopK, Chunk: ref, Bitmap: bm.Marshal(), K: k, Desc: o.Desc, RG: int32(rg),
-			}})
-			reqWorks = append(reqWorks, w)
+			})
 		}
 	}
-	resps, _ := s.scatter(st.ctx, st.sp, st, reqs)
-	for j, resp := range resps {
-		if resp == nil {
-			continue
-		}
-		w := reqWorks[j]
-		w.pre = resp
-		st.sp.Count(trace.BytesRequested, meta.Footer.RowGroups[w.rg].Chunks[ci].Size)
-		st.stats.TopKRPCs++
-	}
-	runTasks(s.queryWorkers(), len(works), func(i int) {
-		w := works[i]
-		w.sub = st.fork()
-		bm := rgBitmaps[w.rg]
-		ch := meta.Footer.RowGroups[w.rg].Chunks[ci]
-		if w.pre != nil && acceptTopRows(w.pre.TopRows, w.rg, bm.Len(), meta.Footer.Columns[ci].Type, k) {
-			w.rows = w.pre.TopRows
-			return
+	rows := make([][]sql.TopRow, len(p.tasks))
+	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
+		rg := p.tasks[i].rg
+		bm := rgBitmaps[rg]
+		if pre := p.tasks[i].reply(); pre != nil && acceptTopRows(pre.TopRows, rg, bm.Len(), meta.Footer.Columns[ci].Type, k) {
+			rows[i] = pre.TopRows
+			return true, nil
 		}
 		// Coordinator-side fallback (nothing pushed, no answer, or one that
 		// is not a top-k of this row group): fetch the order column and run
 		// the same top-k kernel a node runs.
-		oc, err := s.openSelected(w.sub, w.rg, ci, bm)
+		oc, err := s.openSelected(sub, rg, ci, bm)
 		if err != nil {
-			w.err = err
-			return
+			return false, err
 		}
 		defer oc.Release()
-		w.sub.stats.CoordProcBytes += ch.RawSize
+		sub.stats.CoordProcBytes += meta.Footer.RowGroups[rg].Chunks[ci].RawSize
 		tk := sql.NewTopK(k, o.Desc)
-		if w.err = tk.PushChunk(oc, bm, int32(w.rg)); w.err == nil {
-			w.rows = tk.Rows()
-		}
+		err = tk.PushChunk(oc, bm, int32(rg))
+		rows[i] = tk.Rows()
+		return false, err
 	})
+	if err != nil {
+		return nil, err
+	}
 	merged := sql.NewTopK(k, o.Desc)
-	for _, w := range works {
-		st.join(w.sub)
-		if w.err != nil {
-			return nil, w.err
-		}
-		merged.Merge(w.rows)
+	for _, r := range rows {
+		merged.Merge(r)
 	}
 	winners := merged.Rows()
 
@@ -201,34 +172,30 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 	}
 	res := &Result{}
 	if len(rest.Projections) > 0 {
-		winBm := make(map[int]*bitmap.Bitmap)
+		winBm := make([]*bitmap.Bitmap, len(meta.Footer.RowGroups))
 		for _, w := range winners {
-			bm := winBm[int(w.RG)]
-			if bm == nil {
-				bm = bitmap.New(meta.Footer.RowGroups[w.RG].NumRows)
-				winBm[int(w.RG)] = bm
+			if winBm[w.RG] == nil {
+				winBm[w.RG] = bitmap.New(meta.Footer.RowGroups[w.RG].NumRows)
 			}
-			bm.Set(int(w.Row))
+			winBm[w.RG].Set(int(w.Row))
 		}
 		var err error
 		if res, err = s.projectionStage(st, &rest, colIdx, winBm); err != nil {
 			return nil, err
 		}
-		type rowPos struct{ rg, row int32 }
-		concat := append([]sql.TopRow(nil), winners...)
-		sort.Slice(concat, func(a, b int) bool {
-			if concat[a].RG != concat[b].RG {
-				return concat[a].RG < concat[b].RG
-			}
-			return concat[a].Row < concat[b].Row
-		})
-		idx := make(map[rowPos]int, len(concat))
-		for i, w := range concat {
-			idx[rowPos{w.RG, w.Row}] = i
+		// order lists the winners in (rg, row) order, the projection's row
+		// order; perm maps each rank to its row there.
+		order := make([]int, len(winners))
+		for i := range order {
+			order[i] = i
 		}
+		sort.Slice(order, func(a, b int) bool {
+			wa, wb := winners[order[a]], winners[order[b]]
+			return wa.RG < wb.RG || wa.RG == wb.RG && wa.Row < wb.Row
+		})
 		perm := make([]int, len(winners))
-		for i, w := range winners {
-			perm[i] = idx[rowPos{w.RG, w.Row}]
+		for row, i := range order {
+			perm[i] = row
 		}
 		for i := range res.Data {
 			res.Data[i] = permuteColumn(res.Data[i], perm)
