@@ -369,12 +369,13 @@ func newFrame(n *Node, req *rpc.Request) *frame {
 		case rpc.KindFilter, rpc.KindProject, rpc.KindAggregate, rpc.KindTopK:
 			use(&r.Chunk)
 		case rpc.KindGroupAgg:
-			for i := range r.KeyChunks {
-				use(&r.KeyChunks[i])
-			}
-			for i := range r.ValChunks {
-				if r.ValChunks[i].BlockID != "" {
-					use(&r.ValChunks[i])
+			// A reference without a BlockID is shipped in the sub-op's Data,
+			// or is a COUNT's: not the frame's to open.
+			for _, refs := range [2][]rpc.ChunkRef{r.KeyChunks, r.ValChunks} {
+				for i := range refs {
+					if refs[i].BlockID != "" {
+						use(&refs[i])
+					}
 				}
 			}
 		}
@@ -516,6 +517,12 @@ func (f *frame) handleAggregate(req *rpc.Request) *rpc.Response {
 // partial states cross the network — (count, sum, min, max) per group and
 // aggregate, never a pre-divided AVG — so the coordinator's merge is exact
 // regardless of how rows were split across nodes.
+//
+// A reference with a BlockID names a chunk in this node's blocks, opened
+// through the frame. One without names req.Data[Offset:Offset+Meta.Size], a
+// chunk the coordinator shipped from another node: opened once for this
+// sub-op alone (the frame's chunks are keyed by block), checked against its
+// CRC like any chunk, and read from no disk here.
 func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	var cost rpc.Cost
 	if len(req.KeyChunks) == 0 {
@@ -529,14 +536,43 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	if err != nil {
 		return errResp(err)
 	}
-	open := func(ref rpc.ChunkRef, what string) (*lpq.Chunk, error) {
-		ch, c, err := f.open(ref)
-		cost.Add(c)
-		if err != nil {
-			return nil, err
+	var local []rpc.ChunkRef // opened through the frame: closed on return
+	var shipped map[chunkKey]*lpq.Chunk
+	defer func() {
+		for _, ref := range local {
+			f.close(ref)
+		}
+		for _, ch := range shipped {
+			ch.Release()
+		}
+	}()
+	open := func(ref rpc.ChunkRef, what string) (ch *lpq.Chunk, err error) {
+		if ref.BlockID != "" {
+			var c rpc.Cost
+			ch, c, err = f.open(ref)
+			cost.Add(c)
+			if err != nil {
+				return nil, err
+			}
+			local = append(local, ref)
+		} else {
+			key := keyOf(&ref)
+			if ch = shipped[key]; ch == nil {
+				raw, err := sliceRange(req.Data, ref.Offset, ref.Meta.Size)
+				if err == nil {
+					ch, err = lpq.OpenChunk(ref.Type, ref.Meta, raw)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("cluster: shipped %s: %w", what, err)
+				}
+				if shipped == nil {
+					shipped = make(map[chunkKey]*lpq.Chunk)
+				}
+				shipped[key] = ch
+			}
+			cost.ProcBytes += ref.Meta.RawSize
 		}
 		if ch.NumRows() != bm.Len() {
-			f.close(ref)
 			return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
 		}
 		return ch, nil
@@ -546,17 +582,15 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 		if keys[i], err = open(ref, "key chunk"); err != nil {
 			return errRespCost(err, cost)
 		}
-		defer f.close(ref)
 	}
 	vals := make([]*lpq.Chunk, len(req.ValChunks))
 	for i, ref := range req.ValChunks {
-		if ref.BlockID == "" {
-			continue // COUNT(*): no argument column
+		if ref.BlockID == "" && ref.Meta.Size == 0 {
+			continue // the zero ref, a COUNT's: no argument column
 		}
 		if vals[i], err = open(ref, "value chunk"); err != nil {
 			return errRespCost(err, cost)
 		}
-		defer f.close(ref)
 	}
 	g := sql.NewGroupTable(req.AggKinds, req.MaxGroups)
 	if err := g.AddChunks(keys, vals, bm); err != nil {

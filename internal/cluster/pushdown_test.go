@@ -110,6 +110,18 @@ func newRowGroupFixture(t testing.TB, rows int) *rowGroupFixture {
 	return fx
 }
 
+// shipped returns a copy of the named column's stored chunk bytes, as a
+// coordinator ships them to another node in a GroupAgg's Data.
+func (fx *rowGroupFixture) shipped(t testing.TB, name string) []byte {
+	t.Helper()
+	ref := fx.refs[name]
+	raw, err := fx.store.MemStore.Get(ref.BlockID, ref.Offset, ref.Meta.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(raw)
+}
+
 func (fx *rowGroupFixture) selection(rng *rand.Rand, percent int) *bitmap.Bitmap {
 	sel := bitmap.New(fx.rows)
 	for i := 0; i < fx.rows; i++ {
@@ -176,12 +188,27 @@ func TestPushedOpsMatchReference(t *testing.T) {
 			}
 		}
 		// GroupAgg: GROUP BY flag with SUM(price), COUNT(*), MIN(comment), AVG(price).
-		resp := fx.handled(t, &rpc.Request{
+		groupReq := rpc.Request{
 			Kind: rpc.KindGroupAgg, Bitmap: wire, MaxGroups: 100,
 			KeyChunks: []rpc.ChunkRef{fx.refs["flag"]},
 			ValChunks: []rpc.ChunkRef{fx.refs["price"], {}, fx.refs["comment"], fx.refs["price"]},
 			AggKinds:  []sql.AggKind{sql.AggSum, sql.AggCount, sql.AggMin, sql.AggAvg},
-		})
+		}
+		resp := fx.handled(t, &groupReq)
+		// The same with price shipped in Data, as from another node: the same
+		// partials, and price (read twice, for SUM and AVG) read from no disk.
+		price := fx.refs["price"]
+		price.BlockID, price.Offset = "", 0
+		shipped := groupReq
+		shipped.Data = fx.shipped(t, "price")
+		shipped.ValChunks = []rpc.ChunkRef{price, {}, fx.refs["comment"], price}
+		moved := fx.handled(t, &shipped)
+		if moved.Cost.DiskBytes+2*price.Meta.Size != resp.Cost.DiskBytes || moved.Cost.ProcBytes != resp.Cost.ProcBytes {
+			t.Fatalf("GroupAgg at %d%%: cost %+v with price shipped, %+v without", percent, moved.Cost, resp.Cost)
+		}
+		if moved.Cost = resp.Cost; !sameResponse(moved, resp) {
+			t.Fatalf("GroupAgg at %d%%: %+v with price shipped, %+v without", percent, *moved, *resp)
+		}
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}

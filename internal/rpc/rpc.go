@@ -59,7 +59,8 @@ const (
 	KindBatch
 	// KindGroupAgg computes per-group partial aggregates over one row
 	// group's selected rows: the node reads the key chunks and aggregate
-	// argument chunks it holds, folds them into a sql.GroupTable, and
+	// argument chunks it holds, or that arrive in the request's Data, folds
+	// them into a sql.GroupTable, and
 	// returns the partial states in deterministic key order — never a
 	// pre-divided AVG (GROUP BY pushdown, the OASIS-style extension of the
 	// paper's aggregation offload).
@@ -105,11 +106,13 @@ func (k Kind) String() string {
 	}
 }
 
-// ChunkRef locates a column chunk inside a block on a node and carries the
-// metadata needed to decode it in place.
+// ChunkRef locates a column chunk inside a block on a node — or, with no
+// BlockID, inside the request's Data (GroupAgg) — and carries the metadata
+// needed to decode it in place.
 type ChunkRef struct {
 	BlockID string
-	// Offset and the metadata's Size give the chunk's range in the block.
+	// Offset and the metadata's Size give the chunk's range in the block, or
+	// in Data.
 	Offset uint64
 	Type   lpq.Type
 	Meta   lpq.ChunkMeta
@@ -131,7 +134,7 @@ type Request struct {
 
 	// Block operations.
 	BlockID string
-	Data    []byte // PutBlock/PrepareBlock payload
+	Data    []byte // PutBlock/PrepareBlock payload; GroupAgg's shipped chunks
 	Offset  uint64 // GetBlock range start
 	Length  uint64 // GetBlock range length (0 = rest of block)
 	// CallerVerifies tells a GetBlock that the caller will verify the
@@ -158,10 +161,12 @@ type Request struct {
 
 	// Grouped-aggregation pushdown (GroupAgg). KeyChunks are the grouping
 	// columns' chunks for one row group; ValChunks[i] is the argument chunk
-	// of aggregate i (an empty BlockID means COUNT(*), which needs no
-	// column); AggKinds[i] is its function. MaxGroups caps the node-side
-	// group table — exceeding it fails the op so the coordinator falls back
-	// to coordinator-side execution for the row group.
+	// of aggregate i (the zero ChunkRef — no BlockID, Meta.Size 0 — for a
+	// COUNT, which needs no column); AggKinds[i] is its function. A reference
+	// with no BlockID and a nonzero size is a chunk the coordinator shipped
+	// from another node: it names Data[Offset:Offset+Meta.Size]. MaxGroups
+	// caps the node-side group table — exceeding it fails the op so the
+	// coordinator falls back to coordinator-side execution for the row group.
 	KeyChunks []ChunkRef
 	ValChunks []ChunkRef
 	AggKinds  []sql.AggKind

@@ -250,9 +250,15 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 			st.stats.GroupAggRPCs++
 			st.stats.PartialGroups += len(resp.Groups)
 			st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
+			// Each distinct chunk the node read from its own blocks, once; a
+			// chunk shipped in Data was counted by its fetch.
+			seen := make(map[uint64]bool) // by file offset
 			for _, refs := range [2][]rpc.ChunkRef{req.KeyChunks, req.ValChunks} {
 				for _, ref := range refs {
-					touched += ref.Meta.Size
+					if ref.BlockID != "" && !seen[ref.Meta.Offset] {
+						seen[ref.Meta.Offset] = true
+						touched += ref.Meta.Size
+					}
 				}
 			}
 		}

@@ -334,11 +334,11 @@ func TestStaleReadAfterOverwriteRecovers(t *testing.T) {
 		t.Fatal("stale-snapshot read returned wrong bytes")
 	}
 	// The same holds for queries.
-	res1, err := s1.Query("SELECT COUNT(id) FROM obj")
+	res1, err := s1.Query("SELECT SUM(id) FROM obj")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := s2.Query("SELECT COUNT(id) FROM obj")
+	res2, err := s2.Query("SELECT SUM(id) FROM obj")
 	if err != nil {
 		t.Fatalf("stale-snapshot query did not recover: %v", err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/crc32"
 	"sort"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -10,9 +11,10 @@ import (
 )
 
 // This file is the grouped-aggregation stage: GROUP BY queries reduce each
-// surviving row group to per-group partial states — on the hosting node when
-// the stats-driven planner says the partials are cheaper than the chunks,
-// at the coordinator otherwise — then merge the partials in row-group order.
+// surviving row group to per-group partial states — on a storage node when
+// the stats-driven planner says the partials, plus any chunks shipped to that
+// node, are cheaper than the chunks, at the coordinator otherwise — then merge
+// the partials in row-group order.
 // That per-row-group-partials-merged-in-order reduction is the canonical
 // one every execution path shares (pushed, fetched, cached, degraded), so a
 // query's groups are bit-identical no matter which mix of paths served it.
@@ -20,8 +22,8 @@ import (
 // AggState and divides once, at result rendering.
 
 // groupAgg is one aggregate the grouped stage computes: its projection (for
-// labels and ORDER BY matching) and its argument column index, -1 for
-// COUNT(*).
+// labels and ORDER BY matching) and its argument column index, -1 for a
+// COUNT, which reads no column (readsColumn).
 type groupAgg struct {
 	proj sql.Projection
 	ci   int
@@ -53,7 +55,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 			return
 		}
 		ci := -1
-		if !p.Star {
+		if readsColumn(p) {
 			ci = colIdx[p.Column]
 		}
 		aggs = append(aggs, groupAgg{proj: p, ci: ci})
@@ -75,26 +77,59 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		valIdx[i] = a.ci
 	}
 
-	// Plan each surviving row group: node-side partial aggregation needs the
-	// key and argument chunks co-located on one node AND the planner's
-	// partial-vs-chunk cost check to pass. A row group of a pushdown object
-	// that plans no push spills to the coordinator.
-	cfgPush := pushdownOn(meta)
-	var p stagePlan
+	// Plan each surviving row group (planGroupPush). A row group of a
+	// pushdown object that plans no push spills to the coordinator.
+	type rgPush struct {
+		rg   int
+		plan groupPush
+		ok   bool
+		data []byte // the shipped chunks' bytes, in plan.ship order
+		sub  *execState
+	}
+	var rgs []rgPush
 	for rg := range meta.Footer.RowGroups {
-		bm := rgBitmaps[rg]
-		if bm == nil || bm.Count() == 0 {
-			continue
+		if bm := rgBitmaps[rg]; bm != nil && bm.Count() > 0 {
+			r := rgPush{rg: rg}
+			if pushdownOn(meta) {
+				r.plan, r.ok = planGroupPush(meta, rg, keyIdx, valIdx, bm.Count())
+			}
+			rgs = append(rgs, r)
 		}
-		p.tasks = append(p.tasks, stageTask{rg: rg, spills: true})
-		if !cfgPush {
-			continue
+	}
+	// The chunks a push ships are fetched first, in one fan-out joined in
+	// row-group order: CRC-checked, and rebuilt from parity when corrupt or
+	// when their node is down. A row group whose chunks cannot be fetched is
+	// grouped at the coordinator.
+	runTasks(s.queryWorkers(), len(rgs), func(i int) {
+		r := &rgs[i]
+		if !r.ok || len(r.plan.ship) == 0 {
+			return
 		}
-		node, keyRefs, valRefs, ok := groupChunkRefs(meta, rg, keyIdx, valIdx)
-		if ok && planGroupPush(meta, rg, keyIdx, valIdx, bm.Count()) {
-			p.push(node, rpc.Request{
+		r.sub = st.fork()
+		for _, ci := range r.plan.ship {
+			raw, err := s.fetchChunkBytes(r.sub, r.rg, ci)
+			if err == nil && crc32.ChecksumIEEE(raw) != meta.Footer.RowGroups[r.rg].Chunks[ci].CRC {
+				raw, err = s.reconstructChunkBytes(r.sub, r.rg, ci)
+			}
+			if err != nil {
+				r.ok = false
+				return
+			}
+			r.data = append(r.data, raw...)
+		}
+	})
+	var p stagePlan
+	for _, r := range rgs {
+		if r.sub != nil {
+			st.join(r.sub)
+		}
+		p.tasks = append(p.tasks, stageTask{rg: r.rg, spills: true})
+		if r.ok {
+			keyRefs, valRefs := groupRefs(meta, r.rg, keyIdx, valIdx, r.plan.ship)
+			p.push(r.plan.node, rpc.Request{
 				Kind:      rpc.KindGroupAgg,
-				Bitmap:    bm.Marshal(),
+				Data:      r.data,
+				Bitmap:    rgBitmaps[r.rg].Marshal(),
 				KeyChunks: keyRefs,
 				ValChunks: valRefs,
 				AggKinds:  kinds,
@@ -105,7 +140,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	partials := make([][]sql.GroupPartial, len(p.tasks))
 	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
 		t := &p.tasks[i]
-		if pre := t.reply(); pre != nil && acceptGroups(pre.Groups, meta, keyIdx, len(kinds)) {
+		if pre := t.reply(); pre != nil && acceptGroups(pre.Groups, meta, keyIdx, aggs, rgBitmaps[t.rg].Count()) {
 			partials[i] = pre.Groups
 			return true, nil
 		}
@@ -192,17 +227,30 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 }
 
 // acceptGroups reports whether a node's reply can be partial states of this
-// grouping: every group keyed by one literal per grouping column, of that
-// column's type, with one state per aggregate. The result table indexes both,
-// so a reply that fails this is treated as no reply at all.
-func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx []int, nAggs int) bool {
+// grouping over a row group's selected rows: every group keyed by one literal
+// per grouping column, of that column's type, with one state per aggregate, of
+// that aggregate's kind; no count, and no sum of the groups' rows, beyond the
+// selection; MIN/MAX extrema of the argument column's kind. The result table
+// renders these, so a reply that fails this is treated as no reply at all.
+func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx []int, aggs []groupAgg, selected int) bool {
+	sel, rows := int64(selected), int64(0)
 	for gi := range groups {
 		g := &groups[gi]
-		if len(g.Key) != len(keyIdx) || len(g.Aggs) != nAggs {
+		if len(g.Key) != len(keyIdx) || len(g.Aggs) != len(aggs) || g.Rows < 0 || g.Rows > sel-rows {
 			return false
 		}
+		rows += g.Rows
 		for i, ci := range keyIdx {
 			if g.Key[i].Kind != litKindOf(meta.Footer.Columns[ci].Type) {
+				return false
+			}
+		}
+		for i, a := range aggs {
+			st := &g.Aggs[i]
+			if st.Kind != a.proj.Agg || st.Count < 0 || st.Count > sel {
+				return false
+			}
+			if (st.Kind == sql.AggMin || st.Kind == sql.AggMax) && st.IsString != (meta.Footer.Columns[a.ci].Type == lpq.String) {
 				return false
 			}
 		}
@@ -245,7 +293,7 @@ func (s *Store) localGroupRG(st *execState, rg int, keyIdx, valIdx []int, kinds 
 	vals := make([]*lpq.Chunk, len(valIdx))
 	for i, ci := range valIdx {
 		if ci < 0 {
-			continue // COUNT(*): no argument column
+			continue // a COUNT: no argument column
 		}
 		if vals[i], err = get(ci); err != nil {
 			return nil, err

@@ -1,12 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/lpq"
+	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/sql"
 )
 
 // This file is the GROUP BY / ORDER BY+LIMIT equivalence suite: every
@@ -42,6 +48,8 @@ func resultKey(res *Result) string {
 
 var groupEquivQueries = []string{
 	"SELECT flag, COUNT(*), SUM(price), AVG(price), MIN(qty), MAX(qty) FROM obj WHERE qty < 40 GROUP BY flag",
+	"SELECT flag, COUNT(*), MIN(price) FROM obj WHERE qty < 40 GROUP BY flag ORDER BY flag",
+	"SELECT flag, COUNT(price), MAX(flag) FROM obj GROUP BY flag",
 	"SELECT qty, COUNT(*) FROM obj GROUP BY qty ORDER BY COUNT(*) DESC, qty LIMIT 5",
 	"SELECT flag, MIN(comment), AVG(qty) FROM obj GROUP BY flag ORDER BY flag DESC",
 	"SELECT flag, qty, SUM(price) FROM obj WHERE price > 20 GROUP BY flag, qty ORDER BY flag, qty LIMIT 10",
@@ -58,19 +66,66 @@ var groupEquivQueries = []string{
 	"SELECT id FROM obj LIMIT 0",
 }
 
-// TestGroupOrderEquivalenceMatrix runs every query under three
-// configurations — pushdown, cached pushdown (second run against a warm
-// cache), and the fixed-block baseline with coordinator-side execution —
-// and requires bit-identical results.
-func TestGroupOrderEquivalenceMatrix(t *testing.T) {
-	// Row groups must be big enough that partial states undercut compressed
-	// chunks, or the cost model (correctly) refuses to push anything.
-	data, _, _ := makeObject(t, 3, 6000, 95)
+// partialForger rewrites every aggregate state of every GroupAgg reply that
+// passes through it.
+type partialForger struct {
+	cluster.Client
+	forge  func(*sql.AggState)
+	forged atomic.Int64 // frames go out concurrently
+}
 
+func (c *partialForger) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	resp, err := c.Client.Call(node, req)
+	if err != nil {
+		return resp, err
+	}
+	for i := range resp.Subs {
+		if i < len(req.Subs) && req.Subs[i].Kind == rpc.KindGroupAgg {
+			for _, g := range resp.Subs[i].Groups {
+				for j := range g.Aggs {
+					c.forge(&g.Aggs[j])
+					c.forged.Add(1)
+				}
+			}
+		}
+	}
+	return resp, nil
+}
+
+// splitRowGroup returns a row group of obj whose chunks of columns key and arg
+// live on different nodes, and those nodes; it fails the test if every row
+// group holds the two on one node, which would leave shipping untested.
+func splitRowGroup(t *testing.T, s *Store, key, arg int) (rg, keyNode, argNode int) {
+	t.Helper()
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rg, rgm := range meta.Footer.RowGroups {
+		kn, _, _ := chunkLocation(meta, rg, key, rgm.Chunks[key])
+		an, _, _ := chunkLocation(meta, rg, arg, rgm.Chunks[arg])
+		if kn != an {
+			return rg, kn, an
+		}
+	}
+	t.Fatal("every row group holds the key and argument chunks on one node: nothing is shipped")
+	return 0, 0, 0
+}
+
+// The columns of makeObject.
+const colQty, colPrice, colFlag = 1, 2, 3
+
+// TestGroupOrderEquivalenceMatrix runs every query under five
+// configurations — pushdown, cached pushdown (second run against a warm
+// cache), the fixed-block baseline with coordinator-side execution, and
+// pushdown with every group partial forged (counts 2^40 rows too large;
+// extrema of the wrong kind) — and requires bit-identical results.
+func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 	type config struct {
-		name string
-		opts Options
-		warm bool // query twice, keep the cache-served run
+		name  string
+		opts  Options
+		warm  bool                // query twice, keep the cache-served run
+		forge func(*sql.AggState) // rewrites every pushed group partial
 	}
 	cached := fusionTestOptions()
 	cached.CacheBytes = 64 << 20
@@ -78,58 +133,95 @@ func TestGroupOrderEquivalenceMatrix(t *testing.T) {
 		{name: "pushdown", opts: fusionTestOptions()},
 		{name: "pushdown-cached", opts: cached, warm: true},
 		{name: "baseline", opts: BaselineOptions()},
+		{name: "forged counts", opts: fusionTestOptions(), forge: func(a *sql.AggState) { a.Count += 1 << 40 }},
+		{name: "forged extrema kinds", opts: fusionTestOptions(), forge: func(a *sql.AggState) {
+			if a.Kind == sql.AggMin || a.Kind == sql.AggMax {
+				a.IsString = !a.IsString
+			}
+		}},
 	}
 
-	results := make(map[string]map[string]*Result) // config -> query -> result
-	for _, cfg := range configs {
-		s, _ := newSimStore(t, cfg.opts)
-		if _, err := s.Put("obj", data); err != nil {
-			t.Fatal(err)
-		}
-		results[cfg.name] = make(map[string]*Result)
-		for _, q := range groupEquivQueries {
-			res, err := s.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %q: %v", cfg.name, q, err)
-			}
-			if cfg.warm {
-				if res, err = s.Query(q); err != nil {
-					t.Fatalf("%s warm: %q: %v", cfg.name, q, err)
+	// Row groups must be big enough that partial states undercut compressed
+	// chunks, or the cost model (correctly) refuses to push anything.
+	for _, in := range []struct {
+		rgs, rows int
+		split     bool // some row group holds flag and price on different nodes: pushdown ships chunks
+	}{{3, 6000, false}, {5, 4000, true}} {
+		t.Run(fmt.Sprintf("%dx%d", in.rgs, in.rows), func(t *testing.T) {
+			data, _, _ := makeObject(t, in.rgs, in.rows, 95)
+			results := make(map[string]map[string]*Result) // config -> query -> result
+			for _, cfg := range configs {
+				s, cl := newSimStore(t, cfg.opts)
+				var forger *partialForger
+				if cfg.forge != nil {
+					forger = &partialForger{Client: cl, forge: cfg.forge}
+					var err error
+					if s, err = New(forger, cfg.opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.Put("obj", data); err != nil {
+					t.Fatal(err)
+				}
+				if cfg.name == "pushdown" && in.split {
+					splitRowGroup(t, s, colFlag, colPrice)
+				}
+				results[cfg.name] = make(map[string]*Result)
+				for _, q := range groupEquivQueries {
+					res, err := s.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %q: %v", cfg.name, q, err)
+					}
+					if cfg.warm {
+						if res, err = s.Query(q); err != nil {
+							t.Fatalf("%s warm: %q: %v", cfg.name, q, err)
+						}
+					}
+					results[cfg.name][q] = res
+				}
+				if forger != nil && forger.forged.Load() == 0 {
+					t.Errorf("%s: no group partial came back to forge", cfg.name)
 				}
 			}
-			results[cfg.name][q] = res
-		}
-	}
 
-	ref := results["baseline"]
-	for _, cfg := range configs[:2] {
-		for _, q := range groupEquivQueries {
-			got, want := resultKey(results[cfg.name][q]), resultKey(ref[q])
-			if got != want {
-				t.Errorf("%s diverges from baseline on %q:\n--- got ---\n%s--- want ---\n%s", cfg.name, q, got, want)
+			ref := results["baseline"]
+			for _, cfg := range configs {
+				for _, q := range groupEquivQueries {
+					got, want := resultKey(results[cfg.name][q]), resultKey(ref[q])
+					if got != want {
+						t.Errorf("%s diverges from baseline on %q:\n--- got ---\n%s--- want ---\n%s", cfg.name, q, got, want)
+					}
+				}
 			}
-		}
-	}
 
-	// The pushed configuration must actually push: grouped row groups as
-	// partial-state RPCs, top-k row groups as TopK RPCs.
-	var groupRPCs, topkRPCs, partials int
-	for _, res := range results["pushdown"] {
-		groupRPCs += res.Stats.GroupAggRPCs
-		topkRPCs += res.Stats.TopKRPCs
-		partials += res.Stats.PartialGroups
-	}
-	if groupRPCs == 0 || partials == 0 {
-		t.Errorf("pushdown never issued GroupAgg RPCs (rpcs=%d partials=%d)", groupRPCs, partials)
-	}
-	if topkRPCs == 0 {
-		t.Error("pushdown never issued TopK RPCs")
+			// The pushed configuration must actually push: grouped row groups as
+			// partial-state RPCs, top-k row groups as TopK RPCs. With every node up,
+			// whatever the planner pushes is answered: no row group of a pushed
+			// grouping spills.
+			var groupRPCs, topkRPCs, partials int
+			for q, res := range results["pushdown"] {
+				groupRPCs += res.Stats.GroupAggRPCs
+				topkRPCs += res.Stats.TopKRPCs
+				partials += res.Stats.PartialGroups
+				if res.Stats.GroupAggRPCs > 0 && res.Stats.GroupSpills > 0 {
+					t.Errorf("%q: %d row groups pushed, %d spilled", q, res.Stats.GroupAggRPCs, res.Stats.GroupSpills)
+				}
+			}
+			if groupRPCs == 0 || partials == 0 {
+				t.Errorf("pushdown never issued GroupAgg RPCs (rpcs=%d partials=%d)", groupRPCs, partials)
+			}
+			if topkRPCs == 0 {
+				t.Error("pushdown never issued TopK RPCs")
+			}
+		})
 	}
 }
 
 // TestGroupOrderDegradedEquivalence: with a storage node down, grouped and
 // top-k queries spill to coordinator-side execution over reconstructed
-// chunks and still return bit-identical results.
+// chunks and still return bit-identical results — and a grouping whose key
+// chunk is shipped to its argument's node does too, with either node down or
+// the shipped chunk's block rotten.
 func TestGroupOrderDegradedEquivalence(t *testing.T) {
 	data, _, _ := makeObject(t, 3, 600, 96)
 	opts := fusionTestOptions()
@@ -162,6 +254,75 @@ func TestGroupOrderDegradedEquivalence(t *testing.T) {
 			}
 		}
 		cl.SetDown(node, false)
+	}
+
+	// Split placement: a row group whose key chunk (flag) is shipped to the
+	// node holding its argument chunk (price). With the key's node down the key
+	// is rebuilt from parity and still shipped; with the argument's node down
+	// the row group spills; with the key's stored bytes rotten the shipped
+	// bytes are rebuilt. The same table every time.
+	data, _, _ = makeObject(t, 5, 4000, 95)
+	s, cl = newSimStore(t, opts)
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	const split = "SELECT flag, COUNT(*), SUM(price), AVG(price), MIN(price) FROM obj WHERE qty < 40 GROUP BY flag"
+	rg, keyNode, argNode := splitRowGroup(t, s, colFlag, colPrice)
+	rot := func() {
+		meta, err := s.Meta("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ref, _ := chunkLocation(meta, rg, colFlag, meta.Footer.RowGroups[rg].Chunks[colFlag])
+		bs := cl.Node(keyNode).Blocks
+		block, err := bs.Get(ref.BlockID, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block = bytes.Clone(block) // a block read from a store is read-only
+		block[ref.Offset+ref.Meta.Size/2] ^= 0x55
+		if err := bs.Put(ref.BlockID, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wantSplit string
+	for _, leg := range []struct {
+		name  string
+		down  int // -1: none
+		rot   bool
+		check func(QueryStats) bool
+	}{
+		{"all up", -1, false, func(st QueryStats) bool { return st.GroupAggRPCs == 5 && st.GroupSpills == 0 }},
+		{"key's node down", keyNode, false, func(st QueryStats) bool { return st.GroupAggRPCs > 0 }},
+		{"argument's node down", argNode, false, func(st QueryStats) bool { return st.GroupSpills > 0 }},
+		{"key's block rotten", -1, true, func(st QueryStats) bool { return st.GroupAggRPCs == 5 && st.GroupSpills == 0 }},
+	} {
+		if leg.rot {
+			rot()
+		}
+		if leg.down >= 0 {
+			cl.SetDown(leg.down, true)
+		}
+		res, err := s.Query(split)
+		if leg.down >= 0 {
+			cl.SetDown(leg.down, false)
+		}
+		if err != nil {
+			t.Fatalf("split placement, %s: %v", leg.name, err)
+		}
+		if wantSplit == "" {
+			wantSplit = resultKey(res)
+		}
+		if got := resultKey(res); got != wantSplit {
+			t.Errorf("split placement, %s: diverges:\n--- got ---\n%s--- want ---\n%s", leg.name, got, wantSplit)
+		}
+		if !leg.check(res.Stats) {
+			t.Errorf("split placement, %s: %d row groups pushed, %d spilled", leg.name, res.Stats.GroupAggRPCs, res.Stats.GroupSpills)
+		}
+		// Only a checksum fault queues a repair: the rot was read, and rebuilt.
+		if got := s.RepairStats().Enqueued > 0; got != leg.rot {
+			t.Errorf("split placement, %s: repair queued %v, want %v", leg.name, got, leg.rot)
+		}
 	}
 }
 
@@ -346,5 +507,71 @@ func TestGroupByCardinalitySpill(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("COUNT(*) per unique id = %v, want all 1", res.Data[1].Ints)
 		}
+	}
+}
+
+// TestGroupPushPlanCountsDistinctChunks: the planner weighs each distinct chunk
+// a row group's grouping reads once — a key that is also an argument, MIN and
+// MAX of one column, SUM and AVG of another — and ships each chunk that is not
+// on the host once, at its own range of the request's Data, which every
+// reference to it names.
+func TestGroupPushPlanCountsDistinctChunks(t *testing.T) {
+	data, _, _ := makeObject(t, 5, 4000, 95)
+	s, _ := newSimStore(t, fusionTestOptions())
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// GROUP BY flag: MIN(price), MAX(price), SUM(qty), AVG(qty), COUNT(*), MAX(flag).
+	keyIdx := []int{colFlag}
+	valIdx := []int{colPrice, colPrice, colQty, colQty, -1, colFlag}
+	shippedAny := false
+	for rg, rgm := range meta.Footer.RowGroups {
+		chs := rgm.Chunks
+		p, ok := planGroupPush(meta, rg, keyIdx, valIdx, rgm.NumRows)
+		if want := chs[colFlag].Size + chs[colPrice].Size + chs[colQty].Size; p.fetch != want {
+			t.Fatalf("row group %d: fetch weighed as %d bytes, want %d (flag, price and qty once each)", rg, p.fetch, want)
+		}
+		held := map[int]uint64{}
+		for _, ci := range []int{colFlag, colPrice, colQty} {
+			n, _, _ := chunkLocation(meta, rg, ci, chs[ci])
+			held[n] += chs[ci].Size
+		}
+		var shipped uint64
+		for i, ci := range p.ship {
+			if n, _, _ := chunkLocation(meta, rg, ci, chs[ci]); n == p.node || slices.Index(p.ship, ci) != i {
+				t.Fatalf("row group %d: ships %v to node %d, which holds column %d already or ships it twice", rg, p.ship, p.node, ci)
+			}
+			shipped += chs[ci].Size
+		}
+		for n, b := range held {
+			if b > held[p.node] {
+				t.Fatalf("row group %d: host node %d holds %d bytes, node %d holds %d", rg, p.node, held[p.node], n, b)
+			}
+		}
+		if want := estGroups(meta, rg, keyIdx, rgm.NumRows)*groupPartialBytes(1, len(valIdx)) + 2*shipped; p.push != want || ok != (want < p.fetch) {
+			t.Fatalf("row group %d: push weighed as %d bytes (ok %v), want %d against %d", rg, p.push, ok, want, p.fetch)
+		}
+		shippedAny = shippedAny || len(p.ship) > 0
+
+		keys, vals := groupRefs(meta, rg, keyIdx, valIdx, p.ship)
+		if vals[0] != vals[1] || vals[2] != vals[3] || vals[5] != keys[0] || vals[4] != (rpc.ChunkRef{}) {
+			t.Fatalf("row group %d: references to one chunk differ, or COUNT's is not the zero ref: %+v %+v", rg, keys, vals)
+		}
+		var off uint64
+		for _, ci := range p.ship {
+			for _, ref := range append(keys, vals...) {
+				if ref.Meta.Offset == chs[ci].Offset && (ref.BlockID != "" || ref.Offset != off) {
+					t.Fatalf("row group %d: shipped column %d referenced as %+v, want Data offset %d", rg, ci, ref, off)
+				}
+			}
+			off += chs[ci].Size
+		}
+	}
+	if !shippedAny {
+		t.Fatal("no row group ships a chunk: the object tests nothing")
 	}
 }

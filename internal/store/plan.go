@@ -1,6 +1,8 @@
 package store
 
 import (
+	"slices"
+
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
@@ -52,66 +54,83 @@ func estGroups(meta *ObjectMeta, rg int, keyIdx []int, selected int) uint64 {
 	return est
 }
 
-// planGroupPush decides whether pushing one row group's grouped aggregation
-// to its node beats fetching the chunks: the estimated partial-state payload
-// must undercut the key and argument chunks' stored bytes, and the estimated
-// cardinality must fit the node-side cap.
-func planGroupPush(meta *ObjectMeta, rg int, keyIdx, valIdx []int, selected int) bool {
-	groups := estGroups(meta, rg, keyIdx, selected)
-	if groups > maxNodeGroups {
-		return false
-	}
-	var fetch uint64
-	chs := meta.Footer.RowGroups[rg].Chunks
-	for _, ci := range keyIdx {
-		fetch += chs[ci].Size
-	}
-	for _, ci := range valIdx {
-		if ci >= 0 {
-			fetch += chs[ci].Size
-		}
-	}
-	return groups*groupPartialBytes(len(keyIdx), len(valIdx)) < fetch
+// groupPush is one row group's grouped-aggregation plan: the node it runs on,
+// the chunks (column indices, in the request's Data order) shipped there from
+// other nodes, and the byte sums the planner weighed — fetch, the distinct
+// referenced chunks' stored bytes, against push, the estimated partials plus
+// each shipped chunk twice (fetched to the coordinator, then sent on).
+type groupPush struct {
+	node        int
+	ship        []int
+	fetch, push uint64
 }
 
-// groupChunkRefs resolves a row group's key and aggregate-argument chunks
-// and reports whether they are co-located on one node — grouped pushdown
-// needs the whole key/argument row visible to a single node. valIdx entries
-// of -1 (COUNT(*)) yield an empty ChunkRef.
-func groupChunkRefs(meta *ObjectMeta, rg int, keyIdx, valIdx []int) (node int, keyRefs, valRefs []rpc.ChunkRef, ok bool) {
+// planGroupPush plans one row group's grouped aggregation over the distinct
+// chunks it reads: keyIdx, then valIdx (-1, a COUNT, reads none). It runs on
+// the node holding the most stored bytes of them — the first chunk's node on
+// a tie — and the others are shipped there. It pushes iff push < fetch and
+// the estimated cardinality fits the node-side cap; with nothing shipped that
+// is the Cost Equation with cardinality standing in for selectivity.
+func planGroupPush(meta *ObjectMeta, rg int, keyIdx, valIdx []int, selected int) (p groupPush, ok bool) {
+	var cols []int
+	for _, ci := range append(append([]int(nil), keyIdx...), valIdx...) {
+		if ci >= 0 && !slices.Contains(cols, ci) {
+			cols = append(cols, ci)
+		}
+	}
 	chs := meta.Footer.RowGroups[rg].Chunks
-	node = -1
-	resolve := func(ci int) (rpc.ChunkRef, bool) {
-		n, ref, ok := chunkLocation(meta, rg, ci, chs[ci])
-		if !ok {
-			return rpc.ChunkRef{}, false
+	nodes := make([]int, len(cols))
+	held := make(map[int]uint64) // stored bytes of cols per node
+	for i, ci := range cols {
+		if nodes[i], _, ok = chunkLocation(meta, rg, ci, chs[ci]); !ok {
+			return p, false
 		}
-		if node < 0 {
-			node = n
-		} else if node != n {
-			return rpc.ChunkRef{}, false
+		held[nodes[i]] += chs[ci].Size
+		p.fetch += chs[ci].Size
+	}
+	p.node = nodes[0]
+	for _, n := range nodes {
+		if held[n] > held[p.node] {
+			p.node = n
 		}
-		return ref, true
+	}
+	groups := estGroups(meta, rg, keyIdx, selected)
+	p.push = groups * groupPartialBytes(len(keyIdx), len(valIdx))
+	for i, ci := range cols {
+		if nodes[i] != p.node {
+			p.ship = append(p.ship, ci)
+			p.push += 2 * chs[ci].Size
+		}
+	}
+	return p, groups <= maxNodeGroups && p.push < p.fetch
+}
+
+// groupRefs builds a planned row group's GroupAgg references, index-aligned
+// with keyIdx and valIdx: a chunk on the host by its block, a shipped one by
+// its range in the request's Data (no BlockID), a COUNT by the zero ref.
+func groupRefs(meta *ObjectMeta, rg int, keyIdx, valIdx, ship []int) (keys, vals []rpc.ChunkRef) {
+	chs := meta.Footer.RowGroups[rg].Chunks
+	ref := func(ci int) rpc.ChunkRef {
+		if ci < 0 {
+			return rpc.ChunkRef{}
+		}
+		_, r, _ := chunkLocation(meta, rg, ci, chs[ci])
+		var off uint64
+		for _, sci := range ship {
+			if sci == ci {
+				return rpc.ChunkRef{Offset: off, Type: r.Type, Meta: r.Meta}
+			}
+			off += chs[sci].Size
+		}
+		return r
 	}
 	for _, ci := range keyIdx {
-		ref, rok := resolve(ci)
-		if !rok {
-			return 0, nil, nil, false
-		}
-		keyRefs = append(keyRefs, ref)
+		keys = append(keys, ref(ci))
 	}
 	for _, ci := range valIdx {
-		if ci < 0 {
-			valRefs = append(valRefs, rpc.ChunkRef{}) // COUNT(*): no column
-			continue
-		}
-		ref, rok := resolve(ci)
-		if !rok {
-			return 0, nil, nil, false
-		}
-		valRefs = append(valRefs, ref)
+		vals = append(vals, ref(ci))
 	}
-	return node, keyRefs, valRefs, true
+	return keys, vals
 }
 
 // planTopKPush decides whether pushing one row group's top-k beats fetching

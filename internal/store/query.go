@@ -71,10 +71,10 @@ type QueryStats struct {
 	// — the wire payload the stats-driven planner weighed against shipping
 	// the raw chunks.
 	PartialGroups int
-	// GroupSpills counts row groups whose grouped pushdown was abandoned —
-	// the planner predicted the partial states would outweigh the chunks,
-	// or the node hit its cardinality cap — and fell back to
-	// coordinator-side grouping.
+	// GroupSpills counts row groups grouped at the coordinator on a pushdown
+	// object: the planner predicted the partial states plus the chunks to
+	// ship would outweigh the chunks, a chunk to ship could not be fetched,
+	// or the push got no usable reply (node down, cardinality cap hit).
 	GroupSpills int
 	// PushdownOn/PushdownOff count the cost model's per-chunk decisions.
 	PushdownOn, PushdownOff int
@@ -562,7 +562,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	feeds := map[string]bool{} // columns some aggregate reads
 	needCols := append([]string(nil), plainCols...)
 	for _, a := range aggs {
-		if !a.proj.Star {
+		if readsColumn(a.proj) {
 			feeds[a.proj.Column] = true
 			needCols = append(needCols, a.proj.Column)
 		}
@@ -658,14 +658,14 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	for i := range chunks {
 		if c := &chunks[i]; c.partial != nil {
 			for j := range aggs {
-				if !aggs[j].proj.Star && aggs[j].proj.Column == c.name {
+				if readsColumn(aggs[j].proj) && aggs[j].proj.Column == c.name {
 					aggs[j].state.Merge(c.partial)
 				}
 			}
 		}
 	}
 	for i := range aggs {
-		if aggs[i].proj.Star {
+		if !readsColumn(aggs[i].proj) {
 			aggs[i].state.AddCount(selected)
 		}
 	}
@@ -704,6 +704,11 @@ func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *
 	vals, err := ch.AppendGather(dst, bm)
 	return vals, false, err
 }
+
+// readsColumn reports whether aggregate p reads its argument's values. lpq
+// has no NULLs and the dialect no DISTINCT, so COUNT(col) is COUNT(*) over the
+// selection: no COUNT reads a column.
+func readsColumn(p sql.Projection) bool { return p.Agg != sql.AggCount }
 
 // acceptAgg reports whether a node's reply can be the partial aggregate of a
 // chunk's selected rows: it counts no more rows than the selection holds, and

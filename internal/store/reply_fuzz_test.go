@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -125,6 +126,14 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 			if col.Type != want.Data[i].Type || col.Len() != res.Data[0].Len() {
 				t.Fatalf("column %s is %v x %d beside a first column of %d rows, want %v", res.Columns[i], col.Type, col.Len(), res.Data[0].Len(), want.Data[i].Type)
 			}
+			// A grouped COUNT counts at most every row of the object.
+			if strings.HasPrefix(res.Columns[i], "COUNT(") {
+				for _, n := range col.Ints {
+					if n < 0 || n > rowGroups*rowsPer {
+						t.Fatalf("%s holds %d, counting at most %d rows", res.Columns[i], n, rowGroups*rowsPer)
+					}
+				}
+			}
 		}
 		// Four row groups each answered with the forged states: nothing
 		// larger than that, plus the genuine answer, can come of merging them.
@@ -136,7 +145,8 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 
 // FuzzGroupAggReply forges the partial states of a pushed GROUP BY. The
 // hand-made seeds: no key at all, a key of the wrong kind, one key too many,
-// too few states, states of other aggregates, and counters at their limits.
+// too few states, states of other aggregates, counters at their limits, a
+// count 2^40 rows beyond a genuine one, and a group of 2^40 rows.
 func FuzzGroupAggReply(f *testing.F) {
 	agg := func(kind sql.AggKind) sql.AggState { return sql.AggState{Kind: kind, Count: 3, Sum: 1.5, Init: true} }
 	group := func(key []sql.Literal, aggs ...sql.AggState) *rpc.Response {
@@ -152,6 +162,8 @@ func FuzzGroupAggReply(f *testing.F) {
 			group([]sql.Literal{a}, agg(sql.AggCount)),
 			group([]sql.Literal{a}, agg(sql.AggMin), agg(sql.AggMin), sql.AggState{Kind: sql.AggKind(99), IsString: true, MinS: "x"}),
 			group([]sql.Literal{b}, sql.AggState{Count: math.MinInt64}, sql.AggState{Sum: math.NaN()}, sql.AggState{}),
+			group([]sql.Literal{a}, sql.AggState{Kind: sql.AggCount, Count: 3309 + 1<<40}, agg(sql.AggSum), agg(sql.AggAvg)),
+			{Groups: []sql.GroupPartial{{Key: []sql.Literal{a}, Rows: 1 << 40, Aggs: []sql.AggState{agg(sql.AggCount), agg(sql.AggSum), agg(sql.AggAvg)}}}},
 		})
 }
 

@@ -26,7 +26,10 @@ var pinnedQueries = []string{
 // pinnedStats is Result.Stats minus Wall for every (configuration, query),
 // captured at the commit before the per-op executor was deleted and taken
 // again when PR 21 changed the chunk encodings (the byte-derived fields moved
-// in every row; docs/results/PR-21.md explains each other field that did). The
+// in every row; docs/results/PR-21.md explains each other field that did), and
+// again when grouped pushdown began shipping a row group's smaller chunks to
+// the node holding its largest (the GROUP BY rows' counters moved; the rows
+// after them only in their priced fields, the jitter stream being shared). The
 // simulated figures behind EXPERIMENTS.md are functions of exactly these
 // numbers, so a refactor that keeps this table kept them. The node-down
 // tables, captured before the stages were folded into one executor, pin what
@@ -38,20 +41,20 @@ var pinnedStats = map[string][]string{
 		"sim=2392781 disk=11996 proc=202007 net=2178777 traffic=244383 filter=8 project=0 agg=0 fetch=20 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
 		"sim=1349041 disk=3916 proc=74386 net=1270739 traffic=67836 filter=8 project=0 agg=0 fetch=8 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
 		"sim=885381 disk=0 proc=65992 net=819389 traffic=61152 filter=0 project=0 agg=0 fetch=8 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=1",
-		"sim=1051755 disk=12966 proc=31786 net=1007001 traffic=20791 filter=4 project=0 agg=0 fetch=2 batch=6 groupagg=3 topk=0 partials=9 spills=1 on=0 off=0 pruned=0 sel=0.805",
-		"sim=976567 disk=0 proc=56337 net=920229 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=1155981 disk=18585 proc=34027 net=1103366 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=727025 disk=9771 proc=16998 net=700253 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1001299 disk=16275 proc=30805 net=954217 traffic=13024 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=976295 disk=0 proc=55425 net=920869 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1157785 disk=19225 proc=35316 net=1103241 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=726571 disk=10272 proc=16022 net=700275 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always+aggpush": {
 		"sim=1077148 disk=17583 proc=31494 net=1028069 traffic=51473 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
 		"sim=1889745 disk=29287 proc=62261 net=1798194 traffic=882234 filter=8 project=20 agg=0 fetch=0 batch=13 groupagg=0 topk=0 partials=0 spills=0 on=20 off=0 pruned=0 sel=0.8125416666666667",
 		"sim=1158927 disk=17444 proc=36736 net=1104746 traffic=14548 filter=8 project=0 agg=8 fetch=0 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
 		"sim=685300 disk=13265 proc=21312 net=650722 traffic=2152 filter=0 project=0 agg=8 fetch=0 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1049676 disk=13598 proc=29757 net=1006319 traffic=20791 filter=4 project=0 agg=0 fetch=2 batch=6 groupagg=3 topk=0 partials=9 spills=1 on=0 off=0 pruned=0 sel=0.805",
-		"sim=972670 disk=0 proc=52616 net=920053 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=1156865 disk=18671 proc=35020 net=1103173 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=725823 disk=9975 proc=15589 net=700257 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=996979 disk=13324 proc=29462 net=954191 traffic=13024 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=973554 disk=0 proc=52895 net=920659 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1151976 disk=16923 proc=31755 net=1103296 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=725835 disk=9599 proc=15957 net=700276 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"baseline": {
 		"sim=1941669 disk=0 proc=95756 net=1845911 traffic=102260 filter=0 project=0 agg=0 fetch=24 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.10504166666666667",
@@ -68,20 +71,20 @@ var pinnedStats = map[string][]string{
 		"sim=2472991 disk=10656 proc=189433 net=2272899 traffic=267693 filter=5 project=0 agg=0 fetch=23 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
 		"sim=1448553 disk=2854 proc=72354 net=1373345 traffic=73203 filter=5 project=0 agg=0 fetch=11 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
 		"sim=884015 disk=0 proc=64972 net=819042 traffic=61152 filter=0 project=0 agg=0 fetch=8 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=1",
-		"sim=1208465 disk=2259 proc=41614 net=1164591 traffic=46101 filter=3 project=0 agg=0 fetch=7 batch=4 groupagg=1 topk=0 partials=3 spills=3 on=0 off=0 pruned=0 sel=0.805",
-		"sim=1095635 disk=0 proc=73760 net=1021874 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1216267 disk=19890 proc=31782 net=1164592 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
-		"sim=723634 disk=0 proc=17146 net=706487 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1152435 disk=12729 proc=27896 net=1111809 traffic=38334 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1092304 disk=0 proc=70818 net=1021485 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
+		"sim=1212986 disk=19570 proc=30989 net=1162427 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=722804 disk=0 proc=16727 net=706077 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always+aggpush, node 8 down": {
 		"sim=1184329 disk=16886 proc=32833 net=1134609 traffic=68185 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
 		"sim=2210093 disk=34211 proc=39444 net=2136435 traffic=763890 filter=5 project=14 agg=0 fetch=9 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=14 off=6 pruned=0 sel=0.8125416666666667",
 		"sim=1352124 disk=10176 proc=29091 net=1312856 traffic=43011 filter=5 project=0 agg=5 fetch=6 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
 		"sim=786198 disk=10594 proc=16740 net=758863 traffic=27390 filter=0 project=0 agg=5 fetch=3 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1206864 disk=2088 proc=39705 net=1165068 traffic=46101 filter=3 project=0 agg=0 fetch=7 batch=4 groupagg=1 topk=0 partials=3 spills=3 on=0 off=0 pruned=0 sel=0.805",
-		"sim=1091259 disk=0 proc=69811 net=1021447 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1216667 disk=19449 proc=33435 net=1163782 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
-		"sim=722299 disk=0 proc=16379 net=705918 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1158558 disk=14715 proc=31535 net=1112305 traffic=38334 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1092812 disk=0 proc=70877 net=1021935 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
+		"sim=1216354 disk=18415 proc=34079 net=1163858 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=721222 disk=0 proc=14755 net=706465 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 }
 

@@ -20,7 +20,7 @@ func (l *Lab) GroupBy() *Report {
 		Header: []string{"query", "fusion p50", "fusion traffic", "baseline p50", "baseline traffic",
 			"group rpcs", "topk rpcs", "spills"},
 		Notes: []string{
-			"group rpcs / topk rpcs count row groups reduced in situ; spills count planner vetoes (cardinality or co-location)",
+			"group rpcs / topk rpcs count row groups reduced in situ; spills count row groups grouped at the coordinator (the planner found the partials plus the chunks to ship dearer than the chunks)",
 		},
 	}
 	fusion := l.Fusion(Lineitem)
