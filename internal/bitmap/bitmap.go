@@ -75,11 +75,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i/64] |= 1 << (i % 64)
 }
 
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	b.words[i/64] &^= 1 << (i % 64)
-}
-
 // Get reports bit i.
 func (b *Bitmap) Get(i int) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0

@@ -34,12 +34,6 @@ type Params struct {
 	K int // data shards per stripe
 }
 
-// Parity returns the number of parity shards, n − k.
-func (p Params) Parity() int { return p.N - p.K }
-
-// Overhead returns the optimal storage overhead of the code, (n−k)/k.
-func (p Params) Overhead() float64 { return float64(p.N-p.K) / float64(p.K) }
-
 // Validate reports whether the parameters describe a usable code.
 func (p Params) Validate() error {
 	switch {
@@ -137,9 +131,6 @@ func MustCoder(p Params) *Coder {
 	}
 	return c
 }
-
-// Params returns the coder's (n, k).
-func (c *Coder) Params() Params { return c.params }
 
 // buildMatrix constructs the systematic n×k code matrix: a raw Vandermonde
 // matrix normalized so its top k×k block is the identity. Every k-row

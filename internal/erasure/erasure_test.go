@@ -28,16 +28,7 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestParamsOverhead(t *testing.T) {
-	if RS96.Overhead() != 0.5 {
-		t.Fatalf("RS(9,6) overhead must be 0.5, got %v", RS96.Overhead())
-	}
-	if RS1410.Overhead() != 0.4 {
-		t.Fatalf("RS(14,10) overhead must be 0.4, got %v", RS1410.Overhead())
-	}
-	if RS96.Parity() != 3 {
-		t.Fatal("RS(9,6) parity count must be 3")
-	}
+func TestParamsString(t *testing.T) {
 	if RS96.String() != "RS(9,6)" {
 		t.Fatalf("String() = %q", RS96.String())
 	}

@@ -81,14 +81,6 @@ func (l FixedBlockLayout) SplitFraction(chunks []ChunkExtent) float64 {
 	return float64(split) / float64(len(chunks))
 }
 
-// StoredBytes returns the bytes persisted under an (n, k) code: every block
-// (including the padded tail block) plus same-sized parity blocks.
-func (l FixedBlockLayout) StoredBytes(n int) uint64 {
-	dataBlocks := uint64(l.NumBlocks) * l.BlockSize
-	parityBlocks := uint64(l.NumStripes) * uint64(n-l.K) * l.BlockSize
-	return dataBlocks + parityBlocks
-}
-
 // PaddingPlacement is the Adams et al. approach (§3.2): walk the chunks in
 // file order and, whenever placing a chunk in the current block would split
 // it, fill the block's remainder with padding and start the chunk at the

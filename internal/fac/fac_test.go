@@ -233,14 +233,6 @@ func TestFixedBlockLayoutSplits(t *testing.T) {
 	}
 }
 
-func TestFixedBlockStoredBytes(t *testing.T) {
-	l := NewFixedBlockLayout(1200, 100, 6)
-	// 12 blocks, 2 stripes, RS(9,6): 12*100 + 2*3*100 = 1800.
-	if got := l.StoredBytes(9); got != 1800 {
-		t.Fatalf("StoredBytes = %d, want 1800", got)
-	}
-}
-
 func TestPaddingPlacement(t *testing.T) {
 	// Blocks of 100. Chunks 60, 60: second would split, so pad 40 and
 	// relocate. Total padding = 40 + tail 40 = 80.

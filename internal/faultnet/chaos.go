@@ -67,9 +67,6 @@ func StartChaos(inj *Injector, seed int64, cfg ChaosConfig) *Chaos {
 	return c
 }
 
-// Seed returns the chaos controller's seed.
-func (c *Chaos) Seed() int64 { return c.seed }
-
 // String identifies the schedule for failure logs.
 func (c *Chaos) String() string {
 	return fmt.Sprintf("chaos{seed=%d injectorSeed=%d maxDown=%d step=%v}",

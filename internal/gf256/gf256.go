@@ -33,9 +33,6 @@ func init() {
 // Add returns a + b. Addition in GF(2^8) is XOR.
 func Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a - b, which equals a + b in characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns the product a * b.
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -44,32 +41,12 @@ func Mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b. It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])-int(logTable[b])+255]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[255-int(logTable[a])]
-}
-
-// Exp returns the generator 2 raised to the power e (mod 255).
-func Exp(e int) byte {
-	e %= 255
-	if e < 0 {
-		e += 255
-	}
-	return expTable[e]
 }
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the same

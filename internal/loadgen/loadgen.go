@@ -1,24 +1,21 @@
-// Package loadgen is the open-loop load harness: it drives a Fusion store
-// with a fixed *arrival rate* of mixed Get/Put/Query traffic against a
-// seeded multi-object corpus, measures per-op latency percentiles from the
-// scheduled arrival time (not the dispatch time, so queueing under overload
-// is charged to the system — no coordinated omission), verifies every read
-// against a content oracle, and renders SLO pass/fail verdicts.
+// Package loadgen is the oracle-checked fault-traffic generator: it drives a
+// Fusion store with mixed Get/Put/Query traffic against a seeded
+// multi-object corpus while faults fire, verifies every response against a
+// content oracle, and files every failed op under one class of an error
+// taxonomy.
 //
-// Open loop versus closed loop: a closed-loop driver with N workers issues
-// the next request only after the previous one returns, so when the system
-// slows down the offered load politely slows down with it and tail latency
-// is hidden. An open-loop driver commits to an arrival schedule up front
-// (here: seeded Poisson arrivals at Config.Rate) and charges each request's
-// latency from its scheduled arrival; a stall shows up as a growing backlog
-// and exploding p99.9, which is what a latency SLO is supposed to see.
+// The traffic follows a schedule computed before the clock starts: seeded
+// Poisson arrivals at Config.Rate over Config.Duration, each op's kind,
+// target object and range or query parameters drawn from the same
+// generator. Ops are dispatched at their scheduled times, so traffic is
+// spread across the fault windows a test or soak opens rather than bunched
+// ahead of them, and a failing run reproduces from its logged seed.
 //
-// The whole schedule — arrival times, op kinds, object choices, range and
-// query parameters — is computed deterministically from (Config.Seed,
-// Config) before the clock starts, so a failing soak reproduces from its
-// logged seed.
+// What a run reports is correctness, not speed: availability per op kind,
+// the oracle's checks and mismatches (any mismatch is a bug), the error
+// classes, and the degraded reads and retries the faults caused.
 //
-// The harness is transport-agnostic: anything implementing Target (a
+// The generator is transport-agnostic: anything implementing Target (a
 // *store.Store via StoreTarget, over simnet or real tcpnet sockets, with or
 // without a faultnet injector in between) can be driven.
 package loadgen
@@ -77,10 +74,10 @@ func (m Mix) normalized() Mix {
 type Config struct {
 	// Seed drives the whole schedule and the corpus contents.
 	Seed int64
-	// Rate is the open-loop arrival rate in operations per second.
+	// Rate is the arrival rate in operations per second.
 	Rate float64
 	// Duration is the arrival-schedule horizon; arrivals stop after it
-	// (in-flight operations still drain and are measured).
+	// (in-flight operations still drain and are counted).
 	Duration time.Duration
 	// MaxOps caps the schedule length regardless of Duration (0 = no cap).
 	MaxOps int
@@ -93,31 +90,15 @@ type Config struct {
 	// RowsPerObject scales each corpus object (rows per row group,
 	// default 160).
 	RowsPerObject int
-	// RangeFrac is the fraction of Gets that are range reads on immutable
-	// objects rather than full-object reads (default 0.5).
-	RangeFrac float64
 	// MaxInflight bounds concurrently outstanding operations — a memory
 	// guard, not a concurrency knob: when the bound is hit the dispatcher
-	// stalls, but latency is still charged from the scheduled arrival time,
-	// so the overload stays visible in the percentiles. Default 4096.
+	// stalls until an op completes. Default 4096.
 	MaxInflight int
-	// Tenant, when non-empty, tags every operation's context with this
-	// tenant (sched.WithTenant) so the store's admission scheduler accounts
-	// and queues the stream under that tenant's weight. It does not affect
-	// the schedule: the same (Seed, rates, mix) yields byte-identical
-	// arrivals with or without a tenant.
-	Tenant string
-	// OpDeadline, when positive, attaches an end-to-end deadline to every
-	// operation's context — the budget the deadline-propagation path carries
-	// through retries, hedges and onto the wire to the nodes. Expired and
-	// shed operations fail with classified errors (deadline, overloaded);
-	// they are data, not harness failures. Like Tenant, it never perturbs
-	// the arrival schedule.
-	OpDeadline time.Duration
-	// SLOs are the pass/fail targets evaluated over the run. Nil applies
-	// DefaultSLOs.
-	SLOs []SLO
 }
+
+// rangeFrac is the fraction of Gets that are range reads on immutable
+// objects rather than full-object reads.
+const rangeFrac = 0.5
 
 func (c Config) withDefaults() Config {
 	if c.Rate <= 0 {
@@ -135,16 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.RowsPerObject <= 0 {
 		c.RowsPerObject = 160
 	}
-	if c.RangeFrac < 0 || c.RangeFrac > 1 {
-		c.RangeFrac = 0.5
-	} else if c.RangeFrac == 0 {
-		c.RangeFrac = 0.5
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4096
-	}
-	if c.SLOs == nil {
-		c.SLOs = DefaultSLOs()
 	}
 	c.Mix = c.Mix.normalized()
 	return c
@@ -168,11 +141,11 @@ type Op struct {
 // fullGetArg marks a full-object Get in Op.Arg.
 const fullGetArg = ^uint64(0)
 
-// BuildSchedule computes the deterministic open-loop arrival schedule for a
-// config: Poisson arrivals (seeded exponential inter-arrival gaps) at
-// cfg.Rate over cfg.Duration, each op's kind drawn from the mix and its
-// target and parameters drawn from the same generator. The same (seed,
-// config) always yields the identical schedule, byte for byte.
+// BuildSchedule computes the deterministic arrival schedule for a config:
+// Poisson arrivals (seeded exponential inter-arrival gaps) at cfg.Rate over
+// cfg.Duration, each op's kind drawn from the mix and its target and
+// parameters drawn from the same generator. The same (seed, config) always
+// yields the identical schedule, byte for byte.
 func BuildSchedule(cfg Config) []Op {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -195,7 +168,7 @@ func BuildSchedule(cfg Config) []Op {
 		switch {
 		case draw < cfg.Mix.Get:
 			op.Kind = OpGet
-			if rng.Float64() < cfg.RangeFrac {
+			if rng.Float64() < rangeFrac {
 				// Range read: immutable objects only, so the expected bytes
 				// are version-independent.
 				op.Object = immutable[rng.Intn(len(immutable))]

@@ -149,18 +149,6 @@ type OpCost struct {
 	Local bool
 }
 
-// Traffic accumulates network byte counts.
-type Traffic struct {
-	Bytes    uint64
-	Messages uint64
-}
-
-// Add records one message of n bytes.
-func (t *Traffic) Add(n uint64) {
-	t.Bytes += n
-	t.Messages++
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Value      float64
@@ -179,20 +167,6 @@ func CDF(values []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: v, Percentile: float64(i+1) / float64(len(sorted)) * 100}
 	}
 	return out
-}
-
-// CDFAt returns the fraction of values ≤ x.
-func CDFAt(values []float64, x float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range values {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(values))
 }
 
 // Normalize scales values into [0, 1] by the maximum (Fig. 4c's

@@ -81,15 +81,6 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-func TestTraffic(t *testing.T) {
-	var tr Traffic
-	tr.Add(100)
-	tr.Add(50)
-	if tr.Bytes != 150 || tr.Messages != 2 {
-		t.Fatalf("Traffic = %+v", tr)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	pts := CDF([]float64{3, 1, 2})
 	if len(pts) != 3 {
@@ -103,12 +94,6 @@ func TestCDF(t *testing.T) {
 	}
 	if CDF(nil) != nil {
 		t.Fatal("empty CDF must be nil")
-	}
-	if got := CDFAt([]float64{1, 2, 3, 4}, 2.5); got != 0.5 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if CDFAt(nil, 1) != 0 {
-		t.Fatal("empty CDFAt must be 0")
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"github.com/fusionstore/fusion/internal/cluster"
-	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
 )
 
@@ -74,10 +73,9 @@ type Cluster struct {
 	cfg   Config
 	nodes []*cluster.Node
 
-	mu      sync.Mutex
-	down    []bool
-	traffic metrics.Traffic
-	cpuSec  []float64 // per node accumulated CPU seconds
+	mu     sync.Mutex
+	down   []bool
+	cpuSec []float64 // per node accumulated CPU seconds
 }
 
 // New builds a simulated cluster with in-memory block stores.
@@ -105,8 +103,7 @@ func (c *Cluster) NumNodes() int { return len(c.nodes) }
 // Node exposes a node for tests and storage audits.
 func (c *Cluster) Node(i int) *cluster.Node { return c.nodes[i] }
 
-// Call implements cluster.Client: direct dispatch plus traffic and CPU
-// accounting.
+// Call implements cluster.Client: direct dispatch plus CPU accounting.
 func (c *Cluster) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	if node < 0 || node >= len(c.nodes) {
 		return nil, fmt.Errorf("simnet: node %d out of range", node)
@@ -120,7 +117,6 @@ func (c *Cluster) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	resp := c.nodes[node].Handle(req)
 	reqB, respB := req.WireSize(), resp.WireSize()
 	c.mu.Lock()
-	c.traffic.Add(reqB + respB)
 	c.cpuSec[node] += float64(resp.Cost.ProcBytes)/c.cfg.ProcessRate +
 		float64(reqB+respB)/c.cfg.NetCPURate
 	c.mu.Unlock()
@@ -132,20 +128,6 @@ func (c *Cluster) SetDown(node int, down bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.down[node] = down
-}
-
-// Traffic returns the accumulated network traffic.
-func (c *Cluster) Traffic() metrics.Traffic {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traffic
-}
-
-// ResetTraffic zeroes the traffic counters.
-func (c *Cluster) ResetTraffic() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.traffic = metrics.Traffic{}
 }
 
 // CPUSeconds returns a copy of the per-node CPU second counters.

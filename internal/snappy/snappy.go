@@ -336,12 +336,3 @@ func decodeBlock(dst, src []byte) bool {
 	}
 	return d == len(dst)
 }
-
-// Ratio returns the compression ratio achieved by Encode on data — the
-// "compressibility" quantity in the paper's pushdown cost model (§4.3).
-func Ratio(data []byte) float64 {
-	if len(data) == 0 {
-		return 1
-	}
-	return float64(len(data)) / float64(len(Encode(data)))
-}

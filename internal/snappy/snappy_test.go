@@ -154,15 +154,6 @@ func TestIncompressibleExpandsWithinBound(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(nil) != 1 {
-		t.Fatal("Ratio of empty input must be 1")
-	}
-	if r := Ratio(bytes.Repeat([]byte("ab"), 10000)); r < 10 {
-		t.Fatalf("Ratio of repetitive input too low: %v", r)
-	}
-}
-
 func BenchmarkEncode1MB(b *testing.B) {
 	data := []byte(strings.Repeat("SELECT l_extendedprice FROM lineitem; ", 1<<20/38))
 	b.SetBytes(int64(len(data)))

@@ -66,12 +66,6 @@ func (p Projection) exprString() string {
 	return fmt.Sprintf("%s(%s)", p.Agg, arg)
 }
 
-// sameExpr reports whether two projections denote the same expression,
-// ignoring aliases.
-func (p Projection) sameExpr(o Projection) bool {
-	return p.Column == o.Column && p.Agg == o.Agg && p.Star == o.Star
-}
-
 // CmpOp enumerates comparison operators.
 type CmpOp int
 

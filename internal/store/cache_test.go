@@ -100,6 +100,31 @@ func TestCacheHitQueryZeroBytesFromNodes(t *testing.T) {
 	if cs := s.CacheStats(); cs.Chunk.Hits == 0 {
 		t.Fatalf("chunk tier saw no hits: %+v", cs)
 	}
+
+	// A block-tier hit is not a fetch: with the blocks warmed by a Get and the
+	// chunk tier of a fresh store still cold, every chunk is sliced from
+	// memory, so the query charges no fetch and no network byte.
+	s, _ = newSimStore(t, opts)
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("obj", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.AggValues) != fmt.Sprint(resCold.AggValues) {
+		t.Fatalf("block-tier query changed the answer: %v vs %v", res.AggValues, resCold.AggValues)
+	}
+	if cs := s.CacheStats(); cs.Block.Hits == 0 {
+		t.Fatalf("query saw no block-tier hits: %+v", cs)
+	}
+	if res.Stats.FetchRPCs != 0 || res.Stats.TrafficBytes != 0 {
+		t.Fatalf("block-tier hits charged as fetches: %d fetch RPCs, %d traffic bytes",
+			res.Stats.FetchRPCs, res.Stats.TrafficBytes)
+	}
 }
 
 // TestCacheInvalidationOnOverwrite: the commit point of an overwrite must

@@ -78,7 +78,7 @@ func (s *Store) getWithMeta(ctx context.Context, sp *trace.Span, meta *ObjectMet
 		return []byte{}, nil
 	}
 	sp.Count(trace.BytesRequested, length)
-	return s.readSegments(ctx, sp, meta, s.segments(meta, offset, length), length)
+	return s.readSegments(ctx, sp, meta, s.segments(meta, offset, length), length, nil)
 }
 
 // refreshedMeta re-resolves an object's metadata against the quorum after a
@@ -173,7 +173,11 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // nobody else can reach it: the cache and a flight's followers are given a
 // copy (readBlock), a race's loser never returns. Replies of abandoned calls
 // and failed reads do not get here and are left to the collector.
-func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64) ([]byte, error) {
+//
+// A non-nil fromNode (one entry per segment) is set where a node served the
+// segment's bytes, and left false where the coordinator's memory did: a cache
+// hit or another reader's flight.
+func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64, fromNode []bool) ([]byte, error) {
 	out := make([]byte, length)
 	var replies []*rpc.Response // released once the last byte is in out
 	defer func() {
@@ -228,18 +232,20 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 			pre[keys[i]] = resp
 		}
 	}
-	for _, g := range segs {
+	for i, g := range segs {
 		key := blockKey{g.stripe, g.bin}
 		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
 		var data []byte
 		var reply *rpc.Response
+		var inMemory bool
 		var err error
 		if covered[key] != blockLen {
-			data, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
+			data, reply, inMemory, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
 		} else {
-			block, ok := whole[key]
+			block, ok := whole[key] // a planner cache hit, or an earlier segment's block
+			inMemory = ok
 			if !ok {
-				if block, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
+				if block, reply, inMemory, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
 					return nil, err
 				}
 				whole[key] = block
@@ -253,6 +259,9 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 			return nil, err
 		}
 		copy(out[g.outStart:], data)
+		if fromNode != nil {
+			fromNode[i] = !inMemory
+		}
 	}
 	return out, nil
 }
@@ -371,19 +380,21 @@ func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) 
 // else's. With the cache on, reads are served at block granularity: a hit
 // slices resident bytes, and a miss fetches (and caches) the whole block under
 // singleflight, so the next range of the block is a hit and N concurrent
-// readers of one block trigger one fetch.
-func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, *rpc.Response, error) {
+// readers of one block trigger one fetch. inMemory reports that no node served
+// this call: the bytes were a cache hit or another reader's flight.
+func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) (data []byte, reply *rpc.Response, inMemory bool, err error) {
 	if !s.cacheOn() {
-		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
+		data, reply, err = s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
+		return data, reply, false, err
 	}
 	if pre == nil { // a prefetched reply means the planner just missed the cache
 		if block, ok := s.cachedBlock(sp, meta, stripe, bin); ok {
 			data, err := sliceBlock(block, off, length)
-			return data, nil, err
+			return data, nil, true, err
 		}
 	}
 	st := &meta.Stripes[stripe]
-	var reply *rpc.Response // set by the flight's leader, the one caller that runs the function
+	inMemory = true // until the flight's leader, the one caller that runs the function, reads a node
 	v, err, _ := s.cache.Do("b/"+st.BlockIDs[bin], func() (any, error) {
 		if block, ok := s.recheckBlock(sp, meta, stripe, bin); ok {
 			return block, nil
@@ -392,6 +403,7 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 		if err != nil {
 			return nil, err
 		}
+		inMemory = false
 		// What the cache keeps and the flight's followers share is a copy of
 		// exactly the block: the bytes read may be a window of a reply frame
 		// (a rented buffer up to twice the block, which the leader's Get is
@@ -401,10 +413,10 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 		return block, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	data, err := sliceBlock(v.([]byte), off, length)
-	return data, reply, err
+	data, err = sliceBlock(v.([]byte), off, length)
+	return data, reply, inMemory, err
 }
 
 // directOrDegraded is the read rule of §5 "Recovery and Fault Tolerance":

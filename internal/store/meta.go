@@ -113,17 +113,6 @@ type ObjectMeta struct {
 	BlockSize uint64
 }
 
-// NumChunkItems returns the number of real column-chunk items.
-func (m *ObjectMeta) NumChunkItems() int {
-	n := 0
-	for _, it := range m.Items {
-		if it.Kind == ItemChunk {
-			n++
-		}
-	}
-	return n
-}
-
 // ChunkItemIndex returns the index in Items of chunk (rg, col), or -1.
 func (m *ObjectMeta) ChunkItemIndex(rg, col int) int {
 	if m.Footer == nil {
@@ -142,16 +131,6 @@ func (m *ObjectMeta) ChunkItemIndex(rg, col int) int {
 		return -1
 	}
 	return idx
-}
-
-// LocMapEntryBytes is the size of one chunk-location-map entry in the
-// paper's accounting: 4 bytes of chunk offset + 4 bytes of node id (§5).
-const LocMapEntryBytes = 8
-
-// LocMapBytes returns the paper-accounted size of the object's chunk
-// location map.
-func (m *ObjectMeta) LocMapBytes() int {
-	return m.NumChunkItems() * LocMapEntryBytes
 }
 
 // blocks lists every data and parity block of this object version with the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -81,8 +82,8 @@ func TestQueryDeadlineNoGoroutineLeak(t *testing.T) {
 
 // TestStoreShedsTypedErrorWhenQueueFull: with the only slot held and the
 // tenant's queue at depth, the store's public API must fail with the typed,
-// classifiable ErrOverloaded — the contract clients and the load harness
-// retry against.
+// classifiable ErrOverloaded — the contract clients retry against and the
+// load generator's taxonomy files as "overloaded".
 func TestStoreShedsTypedErrorWhenQueueFull(t *testing.T) {
 	data, _, _ := makeObject(t, 2, 200, 43)
 	opts := fusionTestOptions()
@@ -137,8 +138,9 @@ func TestStoreShedsTypedErrorWhenQueueFull(t *testing.T) {
 
 // TestStorePointReadsSurviveAggressor: a scan-heavy aggressor tenant
 // saturating the scan slots must not starve a weighted point-read tenant —
-// the store-level fairness property the scheduler exists for. Run with
-// -race in CI.
+// the store-level fairness property the scheduler exists for — and overload
+// must never corrupt a read it admits: every point read returns the object's
+// first 64 bytes exactly. Run with -race in CI.
 func TestStorePointReadsSurviveAggressor(t *testing.T) {
 	data, _, _ := makeObject(t, 3, 400, 44)
 	opts := fusionTestOptions()
@@ -179,9 +181,14 @@ func TestStorePointReadsSurviveAggressor(t *testing.T) {
 	const pointOps = 50
 	start := time.Now()
 	for i := 0; i < pointOps; i++ {
-		if _, err := s.GetContext(ctx, "obj", 0, 64); err != nil {
+		got, err := s.GetContext(ctx, "obj", 0, 64)
+		if err != nil {
 			close(stop)
 			t.Fatalf("point read %d failed under aggressor: %v", i, err)
+		}
+		if !bytes.Equal(got, data[:64]) {
+			close(stop)
+			t.Fatalf("point read %d returned wrong bytes under aggressor", i)
 		}
 	}
 	elapsed := time.Since(start)

@@ -491,17 +491,23 @@ func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) 
 // so it shares Get's coalescing, cache, hedging and repair-enqueue. Under
 // FAC that is one segment on one node; under fixed blocks the chunk may span
 // several blocks on several nodes (§3.1) — the reassembly the paper
-// identifies as the bottleneck — and each segment is charged as one fetch.
+// identifies as the bottleneck — and each segment a node served is charged
+// as one fetch. A segment sliced from the coordinator's block cache costs
+// nothing.
 func (s *Store) fetchChunkBytes(st *execState, rg, ci int) ([]byte, error) {
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]
 	st.sp.Count(trace.BytesRequested, ch.Size)
 	segs := s.segments(meta, ch.Offset, ch.Size)
-	data, err := s.readSegments(st.ctx, st.sp, meta, segs, ch.Size)
+	fromNode := make([]bool, len(segs))
+	data, err := s.readSegments(st.ctx, st.sp, meta, segs, ch.Size, fromNode)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range segs {
+	for i, g := range segs {
+		if !fromNode[i] {
+			continue
+		}
 		st.stats.FetchRPCs++
 		st.addOp(metrics.OpCost{
 			Node:      meta.Stripes[g.stripe].Nodes[g.bin],

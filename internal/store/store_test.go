@@ -874,12 +874,6 @@ func TestMetaEncodeDecode(t *testing.T) {
 	if got.Name != "x" || got.Size != m.Size || len(got.Items) != len(items) {
 		t.Fatal("meta round trip failed")
 	}
-	if got.NumChunkItems() != footer.NumChunks() {
-		t.Fatal("chunk item count wrong")
-	}
-	if got.LocMapBytes() != footer.NumChunks()*8 {
-		t.Fatal("LocMapBytes wrong")
-	}
 	if _, err := DecodeMeta([]byte("garbage"), p); err == nil {
 		t.Fatal("DecodeMeta must reject garbage")
 	}

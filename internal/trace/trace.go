@@ -166,14 +166,6 @@ func (s *Span) count(c Counter, delta uint64) {
 	s.mu.Unlock()
 }
 
-// Name returns the span's label ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Duration returns the span's wall time; an unfinished span reads as
 // elapsed-so-far.
 func (s *Span) Duration() time.Duration {
