@@ -217,7 +217,7 @@ func NewGatewayHandler(s *Store) *gateway.Handler { return gateway.New(s) }
 
 // Span is one timed stage of a request-scoped trace. Spans form a tree,
 // carry per-stage wall times plus byte/event counters (read amplification,
-// retries, hedges, degraded reads), and every method is safe on a nil
+// retries, degraded reads), and every method is safe on a nil
 // receiver — untraced requests pay <5 ns per instrumentation site.
 type Span = trace.Span
 

@@ -9,15 +9,12 @@ import (
 
 // NodeHealth is one node's transport-reliability counters as seen from a
 // coordinator: how often it was called, how often calls failed or timed out,
-// how many retries it cost, and how often slow direct reads made the caller
-// hedge with a reconstruction fan-out.
+// and how many retries it cost.
 type NodeHealth struct {
-	Calls     uint64
-	Failures  uint64
-	Retries   uint64
-	Timeouts  uint64
-	Hedges    uint64
-	HedgeWins uint64
+	Calls    uint64
+	Failures uint64
+	Retries  uint64
+	Timeouts uint64
 }
 
 // add accumulates another node's counters.
@@ -26,11 +23,9 @@ func (n *NodeHealth) add(o NodeHealth) {
 	n.Failures += o.Failures
 	n.Retries += o.Retries
 	n.Timeouts += o.Timeouts
-	n.Hedges += o.Hedges
-	n.HedgeWins += o.HedgeWins
 }
 
-// Health collects per-node failure/retry/hedge counters. All methods are
+// Health collects per-node call/failure/retry/timeout counters. All methods are
 // safe for concurrent use and safe on a nil receiver (a nil *Health records
 // nothing), so callers can thread an optional recorder without nil checks.
 type Health struct {
@@ -72,12 +67,6 @@ func (h *Health) Retry(node int) { h.record(node, func(n *NodeHealth) { n.Retrie
 
 // Timeout records an attempt abandoned at its deadline.
 func (h *Health) Timeout(node int) { h.record(node, func(n *NodeHealth) { n.Timeouts++ }) }
-
-// Hedge records a hedged read fired because the node's direct read was slow.
-func (h *Health) Hedge(node int) { h.record(node, func(n *NodeHealth) { n.Hedges++ }) }
-
-// HedgeWin records a hedged read that beat the direct read.
-func (h *Health) HedgeWin(node int) { h.record(node, func(n *NodeHealth) { n.HedgeWins++ }) }
 
 // Node returns a snapshot of one node's counters.
 func (h *Health) Node(node int) NodeHealth {
@@ -141,8 +130,8 @@ func (h *Health) String() string {
 	var b strings.Builder
 	for _, id := range ids {
 		n := snap[id]
-		fmt.Fprintf(&b, "node %d: calls %d fail %d retry %d timeout %d hedge %d hedgewin %d\n",
-			id, n.Calls, n.Failures, n.Retries, n.Timeouts, n.Hedges, n.HedgeWins)
+		fmt.Fprintf(&b, "node %d: calls %d fail %d retry %d timeout %d\n",
+			id, n.Calls, n.Failures, n.Retries, n.Timeouts)
 	}
 	return b.String()
 }

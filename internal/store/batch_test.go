@@ -199,11 +199,10 @@ func TestBatchedGetRoundTrips(t *testing.T) {
 // tcpnet legs are where reply frames are rented and readSegments releases
 // them: whole-object and ranged Gets and the same queries with every node up
 // (every block read directly, every frame released) and then with one down —
-// also hedged, where a race's winner is released and its loser, perhaps still
-// running, is not, and with the cache on, where a flight's leader releases the
-// frame whose block its followers and the cache were given a copy of; a
-// cached block outlives the Get that fetched it; and after a Get abandoned
-// mid-flight, whose late replies are dropped, never released.
+// also with the cache on, where a flight's leader releases the frame whose
+// block its followers and the cache were given a copy of; a cached block
+// outlives the Get that fetched it; and after a Get abandoned mid-flight,
+// whose late replies are dropped, never released.
 func TestPooledBuffersNotAliased(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 300, 17)
 	queries := []string{
@@ -305,9 +304,7 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 		cl.SetDown(0, false)
 	}
 
-	hedged := fusionTestOptions()
-	hedged.HedgeAfter = 200 * time.Microsecond // about a loopback block read: both racers win some
-	configs["hedged"], configs["cached"] = hedged, cacheTestOptions()
+	configs["cached"] = cacheTestOptions()
 	for name, opts := range configs {
 		net := faultnet.New(newTCPCluster(t, opts.Params.N), 1)
 		s, err := New(net, opts)

@@ -103,11 +103,6 @@ func TestBlockReadFaults(t *testing.T) {
 				got, err := s.fetchChunkBytes(st, 0, 1)
 				return got, ch.Offset, ch.Size, err
 			}},
-		{name: "HedgeAfter set", opts: func() Options {
-			o := fusionTestOptions()
-			o.HedgeAfter = time.Minute // only a failed direct read starts the race
-			return o
-		}},
 		{name: "CacheBytes set", opts: cacheTestOptions},
 	}
 	faults := []struct {
@@ -272,39 +267,6 @@ func TestBlockReadFaults(t *testing.T) {
 	}
 }
 
-// TestHedgedGetRoundTrips pins that hedging changes only how a block read
-// falls back, not what is read: with every node healthy, a hedged
-// whole-object Get reads each data block once — not each item.
-func TestHedgedGetRoundTrips(t *testing.T) {
-	data, _, _ := makeObject(t, 12, 400, 13)
-	opts := fusionTestOptions()
-	opts.HedgeAfter = time.Minute
-	s, _ := newSimStore(t, opts)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	ctx, sp := trace.Start(context.Background(), "test.get")
-	got, err := s.GetContext(ctx, "obj", 0, 0)
-	sp.End()
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("hedged Get: %v", err)
-	}
-	meta, err := s.Meta("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := uint64(len(meta.Stripes) * s.opts.Params.K)
-	if items := uint64(len(meta.Items)); items <= blocks {
-		t.Fatalf("object too small to tell blocks from items: %d items in %d data blocks", items, blocks)
-	}
-	if rt := sp.Total(trace.RoundTrips); rt > blocks {
-		t.Fatalf("hedged Get of %d data blocks (%d items) took %d round trips, want ≤ 1 per block", blocks, len(meta.Items), rt)
-	}
-	if h := sp.Total(trace.Hedges); h != 0 {
-		t.Fatalf("%d hedges fired against healthy nodes", h)
-	}
-}
-
 // TestCancelledGetDoesNotRetry: the second pass against re-resolved metadata
 // exists for concurrent overwrites. A Get whose caller has already given up
 // must not spend a quorum read on it.
@@ -336,18 +298,34 @@ type lateTimerCtx struct{ context.Context }
 
 func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
 
-// TestExpiredDeadlineIsNotTooManyFailures: call refuses a request whose
-// deadline has passed from the clock alone, so every direct and survivor read
-// fails at once. The read must report the caller's deadline — not shard
-// availability — even when the context's own timer has yet to fire.
+// TestExpiredDeadlineIsNotTooManyFailures: a read that runs out of the
+// caller's budget must report the caller's deadline — not shard availability.
+// The object sits behind a slow node (putBehindSlowNode), and the budget runs
+// out two ways: call refuses a request whose deadline has passed from the
+// clock alone, so every direct and survivor read fails at once, even when the
+// context's own timer has yet to fire; and the slow node, which is waited for
+// rather than raced by a reconstruction, outlasts a 10ms deadline.
 func TestExpiredDeadlineIsNotTooManyFailures(t *testing.T) {
-	data, _, _ := makeObject(t, 2, 300, 1)
-	s, _ := newSimStore(t, fusionTestOptions())
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"deadline passed before the read", func() (context.Context, context.CancelFunc) {
+			return lateTimerCtx{context.Background()}, func() {}
+		}},
+		{"slow node outlasts a 10ms deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 10*time.Millisecond)
+		}},
 	}
-	_, err := s.GetContext(lateTimerCtx{context.Background()}, "obj", 0, 0)
-	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTooManyFailures) {
-		t.Fatalf("Get past its deadline = %v, want DeadlineExceeded and not ErrTooManyFailures", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, _, _ := putBehindSlowNode(t, 1, fusionTestOptions())
+			ctx, cancel := c.ctx()
+			defer cancel()
+			_, err := s.GetContext(ctx, "obj", 0, 0)
+			if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTooManyFailures) {
+				t.Fatalf("Get past its deadline = %v, want DeadlineExceeded and not ErrTooManyFailures", err)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,12 +12,13 @@ import (
 
 	"github.com/fusionstore/fusion/internal/faultnet"
 	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // TestChaosSoak runs concurrent Put/Get/Query/Scrub for a short, seeded
 // window under a random fault schedule: up to 2 crashed nodes (revived and
 // re-crashed by the chaos controller), one flaky node injecting transient
-// errors, and one slow node that trips read hedging. With at most
+// errors, and one node whose block reads are sometimes slow. With at most
 // 2 (down) + 1 (flaky) = n−k unreliable nodes, every read and query must
 // succeed bit-identically; the only permitted failure anywhere is the
 // ErrTooManyFailures sentinel (a Put can hit it: a stripe needs n healthy
@@ -28,9 +30,7 @@ func TestChaosSoak(t *testing.T) {
 		slowNode  = 1
 		maxDown   = 2 // + 1 flaky = n−k for RS(9,6)
 	)
-	opts := fusionTestOptions()
-	opts.HedgeAfter = 2 * time.Millisecond
-	s, inj := newFaultStore(t, 9, seed, opts)
+	s, inj := newFaultStore(t, 9, seed, fusionTestOptions())
 
 	// Stable objects are written healthy and never overwritten: their
 	// contents and query results are the ground truth the workers check.
@@ -165,8 +165,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("seed %d (%s): %v\nhealth:\n%s", seed, chaos, err, s.Health())
 	}
 	total := s.Health().Total()
-	t.Logf("soak done: %d injected faults; calls %d fail %d retry %d hedge %d hedgewin %d",
-		inj.InjectedTotal(), total.Calls, total.Failures, total.Retries, total.Hedges, total.HedgeWins)
+	t.Logf("soak done: %d injected faults; calls %d fail %d retry %d timeout %d",
+		inj.InjectedTotal(), total.Calls, total.Failures, total.Retries, total.Timeouts)
 	if total.Retries == 0 {
 		t.Error("soak never exercised the retry path")
 	}
@@ -186,15 +186,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestHedgedReadBeatsSlowNode pins hedging behavior: with the node holding
-// stripe 0's first data bin serving block reads 50ms slow and a 1ms hedging
-// threshold, Get must return the correct bytes via the reconstruction
-// fan-out instead of waiting out the direct read, and the health counters
-// must record the hedge and its win.
-func TestHedgedReadBeatsSlowNode(t *testing.T) {
-	seed := faultSeed(t)
-	opts := fusionTestOptions()
-	opts.HedgeAfter = time.Millisecond
+// putBehindSlowNode stores an object and then delays every block read of the
+// node holding stripe 0's data bin 0 by 50ms, bare or in a batch frame.
+func putBehindSlowNode(t *testing.T, seed int64, opts Options) (*Store, *faultnet.Injector, []byte) {
+	t.Helper()
 	s, inj := newFaultStore(t, 9, seed, opts)
 	data, _, _ := makeObject(t, 2, 200, seed)
 	if _, err := s.Put("obj", data); err != nil {
@@ -204,25 +199,100 @@ func TestHedgedReadBeatsSlowNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Slow down a node that definitely serves a direct data-bin read; its
-	// reconstruction fan-out touches only the other 8 (fast) nodes.
-	slowNode := meta.Stripes[0].Nodes[0]
-	inj.Add(faultnet.Rule{Node: slowNode, Kind: rpc.KindGetBlock, Fault: faultnet.FaultSlow, Delay: 50 * time.Millisecond})
-	start := time.Now()
-	got, err := s.Get("obj", 0, 0)
-	if err != nil {
-		t.Fatalf("seed %d: hedged Get: %v", seed, err)
+	slow := meta.Stripes[0].Nodes[0]
+	for _, kind := range []rpc.Kind{rpc.KindGetBlock, rpc.KindBatch} {
+		inj.Add(faultnet.Rule{Node: slow, Kind: kind, Fault: faultnet.FaultSlow, Delay: 50 * time.Millisecond})
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("seed %d: hedged Get bytes differ", seed)
+	return s, inj, data
+}
+
+// TestSlowNodeIsWaitedFor pins the read rule's one strategy: a node that is
+// slow but healthy is waited for. Only a failed direct read starts the
+// reconstruction fan-out, so every way block bytes are read returns the
+// right bytes with no degraded read, and a whole-object Get costs no more
+// round trips than its data blocks. (A slow node that outlasts the caller's
+// deadline is a case of TestExpiredDeadlineIsNotTooManyFailures.)
+func TestSlowNodeIsWaitedFor(t *testing.T) {
+	seed := faultSeed(t)
+	const query = "SELECT id, qty, price, flag, comment FROM obj WHERE qty > 10"
+	legs := []struct {
+		name  string
+		opts  func() Options
+		whole bool // a whole-object Get: at most one round trip per data block
+		// read returns what the read got and what it should have got.
+		read func(t *testing.T, ctx context.Context, s *Store, data []byte) (got, want string, err error)
+	}{
+		{name: "whole-object Get", opts: fusionTestOptions, whole: true},
+		{name: "whole-object Get, cache on", opts: cacheTestOptions, whole: true},
+		{name: "ranged Get inside the slow block", opts: fusionTestOptions,
+			read: func(t *testing.T, ctx context.Context, s *Store, data []byte) (string, string, error) {
+				meta, err := s.Meta("obj")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, loc := range meta.ItemLocs {
+					if it := meta.Items[i]; loc.Stripe == 0 && loc.Bin == 0 && it.Size > 8 {
+						got, err := s.GetContext(ctx, "obj", it.Offset+2, 5)
+						return string(got), string(data[it.Offset+2 : it.Offset+7]), err
+					}
+				}
+				t.Fatal("no item of six or more bytes in stripe 0's data bin 0")
+				return "", "", nil
+			}},
+		{name: "query chunk fetch (baseline)", opts: BaselineOptions,
+			read: func(t *testing.T, ctx context.Context, s *Store, data []byte) (string, string, error) {
+				healthy, _ := newSimStore(t, BaselineOptions())
+				if _, err := healthy.Put("obj", data); err != nil {
+					t.Fatal(err)
+				}
+				want, err := healthy.Query(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.QueryContext(ctx, query)
+				if err != nil {
+					return "", "", err
+				}
+				return fmt.Sprint(got.Rows, got.Data), fmt.Sprint(want.Rows, want.Data), nil
+			}},
 	}
-	elapsed := time.Since(start)
-	h := s.Health().Node(slowNode)
-	if h.Hedges == 0 {
-		t.Fatalf("seed %d: no hedge fired against slow node %d (health:\n%s)", seed, slowNode, s.Health())
-	}
-	if h.HedgeWins == 0 {
-		t.Fatalf("seed %d: hedge never won against a 50ms-slow direct read (took %v)", seed, elapsed)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			s, inj, data := putBehindSlowNode(t, seed, leg.opts())
+			read := leg.read
+			if read == nil {
+				read = func(_ *testing.T, ctx context.Context, s *Store, data []byte) (string, string, error) {
+					got, err := s.GetContext(ctx, "obj", 0, 0)
+					return string(got), string(data), err
+				}
+			}
+			ctx, sp := trace.Start(context.Background(), "test.read")
+			got, want, err := read(t, ctx, s, data)
+			sp.End()
+			if err != nil {
+				t.Fatalf("seed %d: read behind a slow node: %v", seed, err)
+			}
+			if got != want {
+				t.Fatalf("seed %d: read behind a slow node returned wrong bytes", seed)
+			}
+			if inj.InjectedTotal() == 0 {
+				t.Fatalf("seed %d: the read never reached the slow node", seed)
+			}
+			if d := sp.Total(trace.DegradedReads); d != 0 {
+				t.Fatalf("seed %d: %d degraded reads against a slow but healthy node", seed, d)
+			}
+			if !leg.whole {
+				return
+			}
+			meta, err := s.Meta("obj")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := uint64(len(meta.Stripes) * s.opts.Params.K)
+			if rt := sp.Total(trace.RoundTrips); rt > blocks {
+				t.Fatalf("seed %d: Get of %d data blocks took %d round trips", seed, blocks, rt)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/cluster"
@@ -162,8 +161,6 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // not already cached are prefetched through scatter, one frame per node
 // instead of one round trip per block; under scatter's contract a nil reply
 // (lost frame, failed sub-read) leaves that block to readBlock's bare call.
-// Hedged stores skip the prefetch: a frame cannot race a reconstruction per
-// block.
 //
 // This is also the one place reply frames are released (rpc.Response.Release):
 // every GetBlock reply the read is served from — the prefetch frames and the
@@ -171,8 +168,8 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // copied into out, and after the last copy handed back to bufpool, so the next
 // read's frames cost no fresh zeroed memory. A reply gets here only once
 // nobody else can reach it: the cache and a flight's followers are given a
-// copy (readBlock), a race's loser never returns. Replies of abandoned calls
-// and failed reads do not get here and are left to the collector.
+// copy (readBlock). Replies of abandoned calls and failed reads do not get
+// here and are left to the collector.
 //
 // A non-nil fromNode (one entry per segment) is set where a node served the
 // segment's bytes, and left false where the coordinator's memory did: a cache
@@ -198,39 +195,37 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 	}
 	whole := make(map[blockKey][]byte, len(covered))      // whole blocks in hand
 	pre := make(map[blockKey]*rpc.Response, len(covered)) // whole blocks planned, and their prefetched replies
-	if s.opts.HedgeAfter <= 0 {
-		var reqs []nodeReq
-		var keys []blockKey // keys[i] is the block reqs[i] reads
-		perNode := make(map[int]int)
-		for _, g := range segs {
-			key := blockKey{g.stripe, g.bin}
-			st := &meta.Stripes[g.stripe]
-			if _, dup := pre[key]; dup || covered[key] != st.DataLens[g.bin] {
-				continue
-			}
-			pre[key] = nil
-			if block, ok := s.cachedBlock(sp, meta, g.stripe, g.bin); ok {
-				whole[key] = block
-				continue
-			}
-			reqs = append(reqs, nodeReq{st.Nodes[g.bin], s.getBlockReq(st, g.bin, 0, 0)})
-			keys = append(keys, key)
-			perNode[st.Nodes[g.bin]]++
+	var reqs []nodeReq
+	var keys []blockKey // keys[i] is the block reqs[i] reads
+	perNode := make(map[int]int)
+	for _, g := range segs {
+		key := blockKey{g.stripe, g.bin}
+		st := &meta.Stripes[g.stripe]
+		if _, dup := pre[key]; dup || covered[key] != st.DataLens[g.bin] {
+			continue
 		}
-		// A node asked for one block gains nothing from a frame: its request
-		// is dropped here and readBlock's bare call reads the block.
-		n := 0
-		for i, r := range reqs {
-			if perNode[r.node] > 1 {
-				reqs[n], keys[n] = r, keys[i]
-				n++
-			}
+		pre[key] = nil
+		if block, ok := s.cachedBlock(sp, meta, g.stripe, g.bin); ok {
+			whole[key] = block
+			continue
 		}
-		var subs []*rpc.Response
-		subs, replies = s.scatter(ctx, sp, nil, reqs[:n])
-		for i, resp := range subs {
-			pre[keys[i]] = resp
+		reqs = append(reqs, nodeReq{st.Nodes[g.bin], s.getBlockReq(st, g.bin, 0, 0)})
+		keys = append(keys, key)
+		perNode[st.Nodes[g.bin]]++
+	}
+	// A node asked for one block gains nothing from a frame: its request
+	// is dropped here and readBlock's bare call reads the block.
+	n := 0
+	for i, r := range reqs {
+		if perNode[r.node] > 1 {
+			reqs[n], keys[n] = r, keys[i]
+			n++
 		}
+	}
+	var subs []*rpc.Response
+	subs, replies = s.scatter(ctx, sp, nil, reqs[:n])
+	for i, resp := range subs {
+		pre[keys[i]] = resp
 	}
 	for i, g := range segs {
 		key := blockKey{g.stripe, g.bin}
@@ -425,41 +420,33 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 // as an erasure and rebuild it from any k of the stripe's survivors. The
 // direct step is the prefetched reply when there is one, else a bare call,
 // whose reply is returned beside the bytes that alias it (fetchBlock); a read
-// of the whole block is verified against the stripe checksum. With
-// Options.HedgeAfter set the two steps race once the direct read has been
-// outstanding that long, instead of running in sequence.
+// of the whole block is verified against the stripe checksum. A slow node is
+// waited for, up to the caller's deadline: only a failed direct read starts
+// the reconstruction fan-out.
 func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, *rpc.Response, error) {
 	bsp := sp.Child("block")
 	defer bsp.End()
-	direct := func() ([]byte, *rpc.Response, error) {
-		if pre != nil {
-			data, err := s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
-			return data, nil, err // the planner holds pre's frame
-		}
-		if length == meta.Stripes[stripe].DataLens[bin] {
-			return s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0)
-		}
-		return s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length)
+	var data []byte
+	var reply *rpc.Response
+	var derr error
+	switch {
+	case pre != nil: // the planner holds pre's frame
+		data, derr = s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
+	case length == meta.Stripes[stripe].DataLens[bin]:
+		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0)
+	default:
+		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length)
 	}
-	degraded := func() ([]byte, *rpc.Response, error) {
-		block, err := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
-		if err != nil {
-			return nil, nil, err
-		}
-		data, err := sliceBlock(block, off, length)
-		return data, nil, err
-	}
-	if s.opts.HedgeAfter > 0 {
-		return s.raceReads(ctx, bsp, meta.Stripes[stripe].Nodes[bin], direct, degraded)
-	}
-	data, reply, derr := direct()
 	if derr == nil {
 		return data, reply, nil
 	}
 	// A dead context dooms the reconstruction fan-out too: don't start it.
-	var rerr error
-	if ctxErr(ctx) == nil {
-		if data, _, rerr = degraded(); rerr == nil {
+	if ctxErr(ctx) != nil {
+		return nil, nil, readFailed(ctx, derr, nil)
+	}
+	block, rerr := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
+	if rerr == nil {
+		if data, rerr = sliceBlock(block, off, length); rerr == nil {
 			return data, nil, nil
 		}
 	}
@@ -476,67 +463,6 @@ func readFailed(ctx context.Context, direct, degraded error) error {
 		return fmt.Errorf("store: read abandoned (direct: %v; degraded: %v): %w", direct, degraded, cerr)
 	}
 	return fmt.Errorf("store: degraded read failed (direct: %v): %w", direct, degraded)
-}
-
-// raceReads runs a block's direct read and, once it has been outstanding for
-// Options.HedgeAfter (or has failed), its degraded read; the first success
-// wins, and only the winner's reply is returned: a loser still running keeps
-// its own, which nobody then releases.
-func (s *Store) raceReads(ctx context.Context, sp *trace.Span, node int, direct, degraded func() ([]byte, *rpc.Response, error)) ([]byte, *rpc.Response, error) {
-	type result struct {
-		data   []byte
-		reply  *rpc.Response
-		err    error
-		hedged bool
-	}
-	results := make(chan result, 2) // one slot per racer: late finishers never block
-	run := func(read func() ([]byte, *rpc.Response, error), hedged bool) {
-		go func() {
-			data, reply, err := read()
-			results <- result{data, reply, err, hedged}
-		}()
-	}
-	run(direct, false)
-	timer := time.NewTimer(s.opts.HedgeAfter)
-	defer timer.Stop()
-	hedgeLaunched := false
-	var derr, rerr error
-	for {
-		select {
-		case <-ctx.Done():
-			// The caller gave up: stop waiting. Both racers write to a
-			// buffered channel and their own RPCs observe ctx, so nothing
-			// leaks.
-			return nil, nil, readFailed(ctx, derr, rerr)
-		case r := <-results:
-			switch {
-			case r.err == nil:
-				if r.hedged {
-					s.health.HedgeWin(node)
-					sp.Count(trace.HedgeWins, 1)
-				}
-				return r.data, r.reply, nil
-			case r.hedged:
-				rerr = r.err
-			default:
-				derr = r.err
-			}
-			if !hedgeLaunched {
-				// Direct read failed before the threshold: reconstruct now.
-				hedgeLaunched = true
-				run(degraded, true)
-			} else if derr != nil && rerr != nil {
-				return nil, nil, readFailed(ctx, derr, rerr)
-			}
-		case <-timer.C:
-			if !hedgeLaunched {
-				hedgeLaunched = true
-				s.health.Hedge(node)
-				sp.Count(trace.Hedges, 1)
-				run(degraded, true)
-			}
-		}
-	}
 }
 
 // sliceBlock bounds-checks and slices [off, off+length) of a reconstructed
@@ -582,8 +508,7 @@ func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMe
 // indexed by bin. Survivors feed RS decode, so a silently rotted shard would
 // corrupt every block rebuilt from it: fetchBlock verifies each against the
 // checksum recorded at write time, and one that fails is an erasure. This is
-// the one survivor-gathering path shared by block reconstruction, parity
-// reconstruction and the hedged-read fan-out.
+// the one survivor-gathering path shared by block and parity reconstruction.
 func (s *Store) gatherSurvivors(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip int) ([][]byte, error) {
 	p := s.opts.Params
 	results := s.fanOutStripe(ctx, sp, meta, stripe, skip)

@@ -488,12 +488,12 @@ func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) 
 
 // fetchChunkBytes reads the chunk's on-disk bytes from wherever they live: a
 // ranged read of [ch.Offset, ch.Offset+ch.Size) through the one read path,
-// so it shares Get's coalescing, cache, hedging and repair-enqueue. Under
-// FAC that is one segment on one node; under fixed blocks the chunk may span
-// several blocks on several nodes (§3.1) — the reassembly the paper
-// identifies as the bottleneck — and each segment a node served is charged
-// as one fetch. A segment sliced from the coordinator's block cache costs
-// nothing.
+// so it shares Get's coalescing, cache, degraded fallback and
+// repair-enqueue. Under FAC that is one segment on one node; under fixed
+// blocks the chunk may span several blocks on several nodes (§3.1) — the
+// reassembly the paper identifies as the bottleneck — and each segment a
+// node served is charged as one fetch. A segment sliced from the
+// coordinator's block cache costs nothing.
 func (s *Store) fetchChunkBytes(st *execState, rg, ci int) ([]byte, error) {
 	meta := st.meta
 	ch := meta.Footer.RowGroups[rg].Chunks[ci]

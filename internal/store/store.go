@@ -82,12 +82,6 @@ type Options struct {
 	// fast with ErrNodeDown instead of burning a transport attempt. Retry.Health
 	// is the store's own: the per-node counters behind Health().
 	Retry cluster.Policy
-	// HedgeAfter, when positive, hedges block reads: if a direct read has
-	// not completed within this threshold, Get fires the RS reconstruction
-	// fan-out concurrently and takes whichever finishes first. 0 disables
-	// hedging (the reconstruction still runs, but only after the direct
-	// read has failed outright).
-	HedgeAfter time.Duration
 	// Metrics, when set, receives per-(op, node) latency histograms from
 	// every coordinator→node RPC and every top-level operation — the data
 	// behind /debug/fusionz and fusion-bench's percentile tables. Nil (the
@@ -231,7 +225,7 @@ func (s *Store) admitOp(ctx context.Context, op string, class sched.Class) (*tra
 	return sp, func() { release(); end() }, nil
 }
 
-// Health returns the store's per-node failure/retry/hedge counters.
+// Health returns the store's per-node call/failure/retry/timeout counters.
 func (s *Store) Health() *metrics.Health { return s.health }
 
 // Breaker returns the circuit breaker guarding coordinator→node calls

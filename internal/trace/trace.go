@@ -1,8 +1,8 @@
 // Package trace is Fusion's zero-dependency request-scoped tracing layer:
 // a span tree per request recording per-stage wall times plus the byte and
 // event counters the paper's evaluation is built on (§6) — bytes requested
-// vs bytes read from storage nodes (read amplification), retries, hedge
-// fires/wins, and degraded reads.
+// vs bytes read from storage nodes (read amplification), retries, degraded
+// reads and checksum failures.
 //
 // Tracing is strictly optional. Every method is safe on a nil *Span and
 // compiles down to a single nil check, so the hot paths thread a span
@@ -39,10 +39,6 @@ const (
 	RPCs
 	// Retries counts retried attempts beyond each call's first.
 	Retries
-	// Hedges counts hedged reconstruction fan-outs fired on slow reads.
-	Hedges
-	// HedgeWins counts hedges that beat the direct read.
-	HedgeWins
 	// DegradedReads counts block reads served via RS reconstruction.
 	DegradedReads
 	// ChecksumFailures counts blocks whose bytes failed CRC verification
@@ -75,9 +71,8 @@ const (
 
 var counterNames = [numCounters]string{
 	"bytes_requested", "bytes_from_nodes", "rpcs", "retries",
-	"hedges", "hedge_wins", "degraded_reads", "checksum_failures",
-	"cache_hits", "round_trips", "group_partials", "group_spills",
-	"queue_wait_us",
+	"degraded_reads", "checksum_failures", "cache_hits", "round_trips",
+	"group_partials", "group_spills", "queue_wait_us",
 }
 
 func (c Counter) String() string {
