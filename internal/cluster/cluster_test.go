@@ -244,7 +244,7 @@ func TestNodeFilter(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	bm, err := bitmap.Unmarshal(resp.Data)
+	bm, err := bitmap.Unmarshal(resp.Data, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}

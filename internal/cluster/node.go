@@ -437,22 +437,20 @@ func (f *frame) release() {
 	}
 }
 
-// selection parses a request's row bitmap and checks it against the chunk.
+// selection parses a request's row bitmap, which must cover the chunk's rows.
 func selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitmap, error) {
-	bm, err := bitmap.Unmarshal(data)
+	bm, err := bitmap.Unmarshal(data, ch.NumRows())
 	if err != nil {
-		return nil, err
-	}
-	if bm.Len() != ch.NumRows() {
-		return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
+		return nil, fmt.Errorf("cluster: selection over the %s: %w", what, err)
 	}
 	return bm, nil
 }
 
 // handleFilter runs a pushed-down comparison on a local chunk and returns
-// the compressed result bitmap (§5: the node reads the chunk, runs the filter
-// and Snappy-compresses the bitmap). The filter runs on the opened chunk: over
-// the dictionary and then the codes, or over the plain pages' bytes.
+// the result bitmap in its smallest wire form (§5 has the node read the
+// chunk, run the filter and Snappy-compress the bitmap; bitmap.Marshal says
+// why this one does not). The filter runs on the opened chunk: over the
+// dictionary and then the codes, or over the plain pages' bytes.
 func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
 	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
@@ -532,10 +530,7 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 		return errResp(fmt.Errorf("cluster: GroupAgg has %d value chunks, %d aggregate kinds",
 			len(req.ValChunks), len(req.AggKinds)))
 	}
-	bm, err := bitmap.Unmarshal(req.Bitmap)
-	if err != nil {
-		return errResp(err)
-	}
+	var bm *bitmap.Bitmap    // parsed against the first chunk opened
 	var local []rpc.ChunkRef // opened through the frame: closed on return
 	var shipped map[chunkKey]*lpq.Chunk
 	defer func() {
@@ -572,11 +567,17 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 			}
 			cost.ProcBytes += ref.Meta.RawSize
 		}
+		if bm == nil {
+			if bm, err = selection(req.Bitmap, ch, what); err != nil {
+				return nil, err
+			}
+		}
 		if ch.NumRows() != bm.Len() {
 			return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
 		}
 		return ch, nil
 	}
+	var err error
 	keys := make([]*lpq.Chunk, len(req.KeyChunks))
 	for i, ref := range req.KeyChunks {
 		if keys[i], err = open(ref, "key chunk"); err != nil {

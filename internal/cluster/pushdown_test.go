@@ -236,7 +236,7 @@ func TestPushedOpsMatchReference(t *testing.T) {
 			if err != nil || resp.Err != "" {
 				t.Fatal(err, resp.Err)
 			}
-			got, err := bitmap.Unmarshal(resp.Data)
+			got, err := bitmap.Unmarshal(resp.Data, fx.rows)
 			if err != nil || !reflect.DeepEqual(got.Indexes(), want.Indexes()) || resp.Matches != want.Count() {
 				t.Fatalf("Filter %s %v: %d rows, want %d (%v)", name, op, resp.Matches, want.Count(), err)
 			}

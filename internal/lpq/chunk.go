@@ -545,12 +545,14 @@ type Scanner struct {
 }
 
 // Scan points sc at the rows of c that sel selects (nil selects every row).
+// A selection of every row scans as nil does, with no row list kept.
 func (c *Chunk) Scan(sc *Scanner, sel *bitmap.Bitmap) error {
 	*sc = Scanner{c: c, all: sel == nil, wi: -1, walking: -1}
 	if sel != nil {
 		if sel.Len() != c.rows {
 			return fmt.Errorf("lpq: selection has %d rows, chunk has %d", sel.Len(), c.rows)
 		}
+		sc.all = sel.Full()
 		sc.sel = sel.Words()
 	}
 	return nil

@@ -107,9 +107,14 @@ func testSelections(rng *rand.Rand, rows int) map[string]*bitmap.Bitmap {
 			half.Set(i)
 		}
 	}
+	// All rows but one at either end: a hair short of full, which a scan of
+	// every row would get wrong.
+	butFirst, butLast := bitmap.New(rows), bitmap.New(rows)
+	butFirst.SetRange(1, rows)
+	butLast.SetRange(0, rows-1)
 	return map[string]*bitmap.Bitmap{
 		"nil": nil, "empty": bitmap.New(rows), "full": bitmap.NewFull(rows),
-		"one": one, "1%": sparse, "50%": half,
+		"one": one, "1%": sparse, "50%": half, "all but the first": butFirst, "all but the last": butLast,
 	}
 }
 

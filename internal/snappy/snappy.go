@@ -1,7 +1,10 @@
 // Package snappy implements the Snappy block compression format from
 // scratch, wire-compatible with the reference implementation. Fusion uses it
-// to compress column-chunk pages when writing PAX files (§2) and to compress
-// filter bitmaps before they cross the network (§5).
+// to compress a column chunk's pages when writing PAX files (§2), where it
+// saves at least a fifth. It does not compress filter bitmaps, as the paper's
+// implementation does (§5): package bitmap sends each in its smallest exact
+// form, which is smaller than Snappy's output for the selective filters
+// pushdown serves and costs less CPU to write and read.
 //
 // The format is a little-endian uvarint with the decompressed length,
 // followed by a sequence of literal and copy elements. See

@@ -363,8 +363,8 @@ func benchDecode(b *testing.B, block []byte, decode func(dst, src []byte) ([]byt
 	}
 }
 
-// BenchmarkSnappyDecode times the decoder on the blocks the store decodes
-// most: a near-unique float page, a sparse row bitmap and text, each against
+// BenchmarkSnappyDecode times the decoder on a near-unique float page, a
+// block of long zero runs (a sparse bitmap's words) and text, each against
 // the byte-at-a-time reference.
 func BenchmarkSnappyDecode(b *testing.B) {
 	corpus := decodeCorpus()
@@ -374,13 +374,5 @@ func BenchmarkSnappyDecode(b *testing.B) {
 		b.Run(name+"-ref", func(b *testing.B) {
 			benchDecode(b, block, func(_, src []byte) ([]byte, error) { return referenceDecode(src) })
 		})
-	}
-}
-
-func BenchmarkSnappyEncodeBitmap(b *testing.B) {
-	bm := sparseBitmapBlock()
-	b.SetBytes(int64(len(bm)))
-	for i := 0; i < b.N; i++ {
-		Encode(bm)
 	}
 }

@@ -151,9 +151,14 @@ func testSelections(rng *rand.Rand, rows int) map[string]*bitmap.Bitmap {
 			half.Set(i)
 		}
 	}
+	// All rows but one at either end: a hair short of full, which a scan of
+	// every row would get wrong.
+	butFirst, butLast := bitmap.New(rows), bitmap.New(rows)
+	butFirst.SetRange(1, rows)
+	butLast.SetRange(0, rows-1)
 	return map[string]*bitmap.Bitmap{
 		"nil": nil, "empty": bitmap.New(rows), "full": bitmap.NewFull(rows),
-		"one": one, "1%": sparse, "50%": half,
+		"one": one, "1%": sparse, "50%": half, "all but the first": butFirst, "all but the last": butLast,
 	}
 }
 
@@ -569,6 +574,91 @@ func TestTopKTiesAcrossRowGroups(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFullSelectionScansAsNil: a selection of every row is no selection. Over
+// the chunk matrix — plain ints, floats and strings, dictionary codes bit-packed
+// and run-length, frame-of-reference, decimal with exceptions — a full bitmap
+// gives the same Scanner batches, row numbers and values as nil, and the same
+// result from every kernel that scans.
+func TestFullSelectionScansAsNil(t *testing.T) {
+	forEachChunkCase(t, func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions) {
+		ch, col := openColumn(t, opts, col)
+		defer ch.Release()
+		full := bitmap.NewFull(col.Len())
+		var none, all lpq.Scanner
+		if err := ch.Scan(&none, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.Scan(&all, full); err != nil {
+			t.Fatal(err)
+		}
+		plainStrings := ch.Type() == lpq.String && ch.Encoding() == colenc.Plain
+		for batch := 0; ; batch++ {
+			more := none.Next()
+			if all.Next() != more {
+				t.Fatalf("batch %d: the scans end apart", batch)
+			}
+			if !more {
+				break
+			}
+			if none.Len() != all.Len() {
+				t.Fatalf("batch %d: %d rows under nil, %d under the full bitmap", batch, none.Len(), all.Len())
+			}
+			for i := 0; i < none.Len(); i++ {
+				if none.Row(i) != all.Row(i) || (plainStrings && !bytes.Equal(none.Bytes(i), all.Bytes(i))) {
+					t.Fatalf("batch %d element %d: row %d under nil, %d under the full bitmap", batch, i, none.Row(i), all.Row(i))
+				}
+			}
+			if !reflect.DeepEqual(none.Codes(), all.Codes()) || !reflect.DeepEqual(none.Ints(), all.Ints()) ||
+				!bytes.Equal(colenc.PutFloat64s(nil, none.Floats()), colenc.PutFloat64s(nil, all.Floats())) {
+				t.Fatalf("batch %d: values differ", batch)
+			}
+		}
+		if none.Err() != nil || all.Err() != nil {
+			t.Fatalf("scan errors: %v under nil, %v under the full bitmap", none.Err(), all.Err())
+		}
+		plain := func(sel *bitmap.Bitmap) []byte {
+			gathered, err := ch.Gather(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := append(colenc.PutInt64s(nil, gathered.Ints), colenc.PutFloat64s(nil, gathered.Floats)...)
+			out = append(out, colenc.PutStrings(nil, gathered.Strings)...)
+			selected, err := ch.AppendSelected(nil, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(out, selected...)
+		}
+		if !bytes.Equal(plain(nil), plain(full)) {
+			t.Fatal("Gather or AppendSelected differs under the full bitmap")
+		}
+		aggs := [2]*AggState{NewAggState(AggSum), NewAggState(AggSum)}
+		desc := rng.Intn(2) == 0
+		tops := [2]*TopK{NewTopK(10, desc), NewTopK(10, desc)}
+		groups := [2]*GroupTable{NewGroupTable([]AggKind{AggMin, AggCount}, 0), NewGroupTable([]AggKind{AggMin, AggCount}, 0)}
+		for i, sel := range []*bitmap.Bitmap{nil, full} {
+			if err := aggs[i].AddChunk(ch, sel); err != nil {
+				t.Fatal(err)
+			}
+			if err := tops[i].PushChunk(ch, sel, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := groups[i].AddChunks([]*lpq.Chunk{ch}, []*lpq.Chunk{ch, nil}, sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !sameAgg(aggs[0], aggs[1]) {
+			t.Fatalf("AddChunk: %+v under nil, %+v under the full bitmap", *aggs[0], *aggs[1])
+		}
+		if got, want := tops[1].Rows(), tops[0].Rows(); !sameTopRows(got, want) {
+			t.Fatalf("PushChunk under the full bitmap: %s", firstDiff(got, want))
+		}
+		if err := samePartials(groups[1].Sorted(), groups[0].Sorted()); err != nil {
+			t.Fatalf("AddChunks under the full bitmap: %v", err)
+		}
+	})
 }
 
 // TestKernelsRejectMismatchedSelection: a selection of the wrong length is an

@@ -363,7 +363,7 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 				return bitmap.NewFull(nRows), nil
 			}
 			if j := slices.Index(pushed[rg], c); j >= 0 && p.tasks[i].resps[j] != nil {
-				if bm, err := bitmap.Unmarshal(p.tasks[i].resps[j].Data); err == nil && bm.Len() == nRows {
+				if bm, err := bitmap.Unmarshal(p.tasks[i].resps[j].Data, nRows); err == nil {
 					return bm, nil
 				}
 			}

@@ -29,7 +29,9 @@ var pinnedQueries = []string{
 // in every row; docs/results/PR-21.md explains each other field that did), and
 // again when grouped pushdown began shipping a row group's smaller chunks to
 // the node holding its largest (the GROUP BY rows' counters moved; the rows
-// after them only in their priced fields, the jitter stream being shared). The
+// after them only in their priced fields, the jitter stream being shared), and
+// again when bitmaps stopped crossing the network Snappy-compressed (traffic
+// and the priced fields moved in every row that carries a bitmap). The
 // simulated figures behind EXPERIMENTS.md are functions of exactly these
 // numbers, so a refactor that keeps this table kept them. The node-down
 // tables, captured before the stages were folded into one executor, pin what
@@ -37,24 +39,24 @@ var pinnedQueries = []string{
 // reconstruction reads behind them.
 var pinnedStats = map[string][]string{
 	"fusion": {
-		"sim=1077148 disk=17583 proc=31494 net=1028069 traffic=51473 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
-		"sim=2392781 disk=11996 proc=202007 net=2178777 traffic=244383 filter=8 project=0 agg=0 fetch=20 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
-		"sim=1349041 disk=3916 proc=74386 net=1270739 traffic=67836 filter=8 project=0 agg=0 fetch=8 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
+		"sim=1076886 disk=17583 proc=31494 net=1027807 traffic=50663 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
+		"sim=2392951 disk=11996 proc=202007 net=2178946 traffic=244926 filter=8 project=0 agg=0 fetch=20 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
+		"sim=1348759 disk=3916 proc=74386 net=1270457 traffic=66905 filter=8 project=0 agg=0 fetch=8 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
 		"sim=885381 disk=0 proc=65992 net=819389 traffic=61152 filter=0 project=0 agg=0 fetch=8 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=1",
-		"sim=1001299 disk=16275 proc=30805 net=954217 traffic=13024 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
-		"sim=976295 disk=0 proc=55425 net=920869 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=1157785 disk=19225 proc=35316 net=1103241 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=726571 disk=10272 proc=16022 net=700275 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1001280 disk=16275 proc=30805 net=954198 traffic=12964 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=976281 disk=0 proc=55425 net=920856 traffic=64535 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1157709 disk=19225 proc=35316 net=1103167 traffic=9762 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=726542 disk=10272 proc=16022 net=700247 traffic=646 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always+aggpush": {
-		"sim=1077148 disk=17583 proc=31494 net=1028069 traffic=51473 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
-		"sim=1889745 disk=29287 proc=62261 net=1798194 traffic=882234 filter=8 project=20 agg=0 fetch=0 batch=13 groupagg=0 topk=0 partials=0 spills=0 on=20 off=0 pruned=0 sel=0.8125416666666667",
-		"sim=1158927 disk=17444 proc=36736 net=1104746 traffic=14548 filter=8 project=0 agg=8 fetch=0 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=685300 disk=13265 proc=21312 net=650722 traffic=2152 filter=0 project=0 agg=8 fetch=0 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=996979 disk=13324 proc=29462 net=954191 traffic=13024 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
-		"sim=973554 disk=0 proc=52895 net=920659 traffic=64578 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=1151976 disk=16923 proc=31755 net=1103296 traffic=9995 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=725835 disk=9599 proc=15957 net=700276 traffic=736 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1076886 disk=17583 proc=31494 net=1027807 traffic=50663 filter=4 project=8 agg=0 fetch=0 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
+		"sim=1889867 disk=29287 proc=62261 net=1798315 traffic=882627 filter=8 project=20 agg=0 fetch=0 batch=13 groupagg=0 topk=0 partials=0 spills=0 on=20 off=0 pruned=0 sel=0.8125416666666667",
+		"sim=1158590 disk=17444 proc=36736 net=1104408 traffic=13553 filter=8 project=0 agg=8 fetch=0 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=685190 disk=13265 proc=21312 net=650612 traffic=1808 filter=0 project=0 agg=8 fetch=0 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=996959 disk=13324 proc=29462 net=954172 traffic=12964 filter=4 project=0 agg=0 fetch=1 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=973541 disk=0 proc=52895 net=920645 traffic=64535 filter=0 project=0 agg=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1151902 disk=16923 proc=31755 net=1103221 traffic=9762 filter=4 project=4 agg=0 fetch=0 batch=10 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=725805 disk=9599 proc=15957 net=700247 traffic=646 filter=1 project=0 agg=0 fetch=0 batch=2 groupagg=0 topk=1 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"baseline": {
 		"sim=1941669 disk=0 proc=95756 net=1845911 traffic=102260 filter=0 project=0 agg=0 fetch=24 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.10504166666666667",
@@ -67,23 +69,23 @@ var pinnedStats = map[string][]string{
 		"sim=821229 disk=0 proc=15071 net=806157 traffic=20042 filter=0 project=0 agg=0 fetch=4 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"fusion, node 8 down": {
-		"sim=1184329 disk=16886 proc=32833 net=1134609 traffic=68185 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
-		"sim=2472991 disk=10656 proc=189433 net=2272899 traffic=267693 filter=5 project=0 agg=0 fetch=23 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
-		"sim=1448553 disk=2854 proc=72354 net=1373345 traffic=73203 filter=5 project=0 agg=0 fetch=11 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
+		"sim=1184143 disk=16886 proc=32833 net=1134422 traffic=67601 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
+		"sim=2473103 disk=10656 proc=189433 net=2273012 traffic=268046 filter=5 project=0 agg=0 fetch=23 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=20 pruned=0 sel=0.8125416666666667",
+		"sim=1448322 disk=2854 proc=72354 net=1373114 traffic=72511 filter=5 project=0 agg=0 fetch=11 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=0.3625833333333333",
 		"sim=884015 disk=0 proc=64972 net=819042 traffic=61152 filter=0 project=0 agg=0 fetch=8 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=8 pruned=0 sel=1",
-		"sim=1152435 disk=12729 proc=27896 net=1111809 traffic=38334 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1152423 disk=12729 proc=27896 net=1111796 traffic=38294 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
 		"sim=1092304 disk=0 proc=70818 net=1021485 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1212986 disk=19570 proc=30989 net=1162427 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=1212933 disk=19570 proc=30989 net=1162373 traffic=42018 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
 		"sim=722804 disk=0 proc=16727 net=706077 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always+aggpush, node 8 down": {
-		"sim=1184329 disk=16886 proc=32833 net=1134609 traffic=68185 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
-		"sim=2210093 disk=34211 proc=39444 net=2136435 traffic=763890 filter=5 project=14 agg=0 fetch=9 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=14 off=6 pruned=0 sel=0.8125416666666667",
-		"sim=1352124 disk=10176 proc=29091 net=1312856 traffic=43011 filter=5 project=0 agg=5 fetch=6 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=786198 disk=10594 proc=16740 net=758863 traffic=27390 filter=0 project=0 agg=5 fetch=3 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1158558 disk=14715 proc=31535 net=1112305 traffic=38334 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=1184143 disk=16886 proc=32833 net=1134422 traffic=67601 filter=3 project=5 agg=0 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=5 off=3 pruned=0 sel=0.10504166666666667",
+		"sim=2210170 disk=34211 proc=39444 net=2136514 traffic=764135 filter=5 project=14 agg=0 fetch=9 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=14 off=6 pruned=0 sel=0.8125416666666667",
+		"sim=1351881 disk=10176 proc=29091 net=1312612 traffic=42279 filter=5 project=0 agg=5 fetch=6 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=786129 disk=10594 proc=16740 net=758795 traffic=27175 filter=0 project=0 agg=5 fetch=3 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=1158544 disk=14715 proc=31535 net=1112292 traffic=38294 filter=3 project=0 agg=0 fetch=6 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
 		"sim=1092812 disk=0 proc=70877 net=1021935 traffic=67720 filter=0 project=0 agg=0 fetch=12 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1216354 disk=18415 proc=34079 net=1163858 traffic=42185 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
+		"sim=1216302 disk=18415 proc=34079 net=1163804 traffic=42018 filter=3 project=3 agg=0 fetch=4 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=3 off=1 pruned=0 sel=0.79275",
 		"sim=721222 disk=0 proc=14755 net=706465 traffic=19786 filter=0 project=0 agg=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 }
