@@ -607,27 +607,23 @@ func putSurvivors(shards [][]byte, keep int) {
 	}
 }
 
-// RepairNode rebuilds every block an object had on the given node and
-// rewrites it there — the conventional recovery procedure run after a node
-// is replaced. Metadata replicas hosted by the node are restored too.
+// RepairNode restores every block an object had on the given node — the
+// conventional recovery procedure run after a node is replaced — and returns
+// how many it rewrote. Metadata replicas hosted by the node are restored too,
+// by the quorum read the blocks are found with. A block the node still holds
+// with verifying bytes is skipped; every other goes to repairBlock at the
+// epoch read. An object overwritten or deleted meanwhile ends the sweep
+// without error.
 func (s *Store) RepairNode(name string, node int) (int, error) {
-	return s.RepairNodeContext(context.Background(), name, node)
-}
-
-// RepairNodeContext is RepairNode under a (possibly traced) context.
-func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (int, error) {
+	ctx := context.Background()
 	sp, end := s.beginOp(ctx, "RepairNode")
 	defer end()
-	meta, err := s.meta(ctx, sp, name)
+	meta, err := s.metaQuorum(ctx, sp, name)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("store: object %q: %w", name, err)
 	}
 	repaired := 0
 	if slices.Contains(s.metaReplicaNodes(name), node) {
-		// A quorum read repairs the replica from the register's majority.
-		if _, err := s.metaQuorum(ctx, sp, name); err != nil {
-			return 0, err
-		}
 		repaired++
 	}
 	for si, st := range meta.Stripes {
@@ -635,42 +631,18 @@ func (s *Store) RepairNodeContext(ctx context.Context, name string, node int) (i
 			if blkNode != node {
 				continue
 			}
-			// Fast path for rejoin catch-up: a block the node still holds
-			// with verifying bytes needs no reconstruction.
 			if _, _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0); err == nil {
 				continue
 			}
-			block, err := s.reconstructBlock(ctx, sp, meta, si, j)
+			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
+			if errors.Is(err, errStaleRepair) {
+				return repaired, nil
+			}
 			if err != nil {
 				return repaired, fmt.Errorf("store: repairing stripe %d block %d: %w", si, j, err)
-			}
-			if err := s.rewriteBlock(ctx, sp, meta, si, j, block); err != nil {
-				return repaired, err
 			}
 			repaired++
 		}
 	}
 	return repaired, nil
-}
-
-// rewriteBlock writes a rebuilt block back to its home node as a committed,
-// checksummed write, verifying the rebuilt bytes against the stripe
-// metadata first — a repair must never replace a rotted block with
-// different garbage.
-func (s *Store) rewriteBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, block []byte) error {
-	st := meta.Stripes[stripe]
-	crc := cluster.Checksum(block)
-	if crc != st.Checksums[bin] {
-		return fmt.Errorf("store: rebuilt block %s failed checksum verification", st.BlockIDs[bin])
-	}
-	_, err := s.callChecked(ctx, sp, st.Nodes[bin], &rpc.Request{
-		Kind: rpc.KindPutBlock, BlockID: st.BlockIDs[bin], Data: block,
-		Object: meta.Name, Epoch: meta.Epoch, Crc: crc,
-	})
-	if err == nil {
-		// The rewrite replaced the block on its node; drop any cached
-		// copy so readers go back to the (now healthy) source of truth.
-		s.cache.Invalidate(blockKeyOf(meta, stripe, bin))
-	}
-	return err
 }

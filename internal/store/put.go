@@ -389,10 +389,14 @@ func (s *Store) DeleteContext(ctx context.Context, name string) error {
 	if err != nil {
 		return fmt.Errorf("store: object %q: %w", name, err)
 	}
-	s.dropBlocks(sp, meta.blocks())
+	// The metadata goes before the blocks, as a Put publishes before its GC.
+	// A repair write whose closing read still found the object then landed
+	// before this drop, which removes it; one whose read came later removes
+	// its block itself (repairBlock).
 	if kv, kerr := s.metaKV(ctx, sp, name); kerr == nil {
-		_ = kv.Delete(metaKey(name)) // best effort; blocks are already gone
+		_ = kv.Delete(metaKey(name)) // best effort; the blocks go either way
 	}
+	s.dropBlocks(sp, meta.blocks())
 	// Tombstone the cache: drop the meta entry and every data entry of
 	// every epoch, so no reader can be served bytes of a deleted object.
 	s.cache.DeleteMeta(name)

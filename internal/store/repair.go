@@ -45,9 +45,9 @@ func (c RepairConfig) withDefaults() RepairConfig {
 
 // RepairItem identifies one block needing repair. Epoch pins the object
 // version the failure was observed at: if the object is overwritten (or
-// deleted) between enqueue and processing, the item is stale — its blocks
+// deleted) before the block is rewritten, the item is stale — its blocks
 // are garbage-collected or about to be — and is dropped rather than
-// retried. 0 (items enqueued by pre-epoch tooling) skips the check.
+// retried.
 type RepairItem struct {
 	Object string
 	Epoch  uint64
@@ -158,8 +158,8 @@ func (s *Store) enqueueRepair(it RepairItem) { s.repairs.push(it) }
 func (s *Store) RepairStats() RepairStats { return s.repairs.snapshot() }
 
 // errStaleRepair marks a repair item whose object was deleted or
-// overwritten after the item was enqueued: its blocks are (or are about to
-// be) garbage, so the repair is dropped, not retried.
+// overwritten after its block was found lost: its blocks are (or are about
+// to be) garbage, so the repair is dropped, not retried.
 var errStaleRepair = errors.New("store: repair item superseded or deleted")
 
 // ProcessRepairs synchronously drains up to max queued repairs (max <= 0
@@ -180,7 +180,7 @@ func (s *Store) ProcessRepairs(max int) (int, error) {
 		if !ok {
 			break
 		}
-		if err := s.repairBlock(it); err != nil {
+		if err := s.repairBlock(context.Background(), nil, it); err != nil {
 			if errors.Is(err, errStaleRepair) {
 				s.repairs.stale()
 				continue
@@ -199,36 +199,65 @@ func (s *Store) ProcessRepairs(max int) (int, error) {
 	return processed, firstErr
 }
 
-// repairBlock rebuilds one block from its stripe's survivors, verifies the
-// rebuilt bytes against the stripe metadata checksum, and rewrites it to
-// its home node as a committed checksummed block.
-func (s *Store) repairBlock(it RepairItem) error {
-	sp, end := s.beginOp(context.Background(), "repair.block")
+// repairBlock is the one writer of a rebuilt block, for the queue, Scrub and
+// RepairNode alike. It resolves the object by quorum, never from the cache,
+// and drops an item whose epoch has moved: rewriting a superseded epoch would
+// bring back blocks its GC removed. It then rebuilds the block from any k
+// survivors, checks it against the checksum recorded at write time (a repair
+// must never replace rot with different garbage), writes it committed to its
+// home node and drops any cached copy. Last it resolves again: an overwrite or
+// Delete that published between the two reads may have collected the epoch
+// before the write landed, so the block just written is removed. A publish
+// after the second read is followed by its writer's own GC. If the second read
+// fails, the write stands and the error is returned. A moved epoch at either
+// read is errStaleRepair. The op's span is a child of parent.
+func (s *Store) repairBlock(ctx context.Context, parent *trace.Span, it RepairItem) error {
+	sp, end := s.beginOp(trace.NewContext(ctx, parent), "repair.block")
 	defer end()
-	// Resolve against the quorum, not the coordinator cache: a repair
-	// must target the committed version, and a stale cached epoch would
-	// make it rewrite garbage-collected blocks.
-	meta, err := s.metaQuorum(context.Background(), sp, it.Object)
+	meta, err := s.resolveRepair(ctx, sp, it)
 	if err != nil {
-		if errors.Is(err, metakv.ErrNotFound) {
-			return fmt.Errorf("%w: object %q deleted", errStaleRepair, it.Object)
-		}
 		return err
-	}
-	if it.Epoch != 0 && meta.Epoch != it.Epoch {
-		return fmt.Errorf("%w: object %q now at epoch %d, item enqueued at %d",
-			errStaleRepair, it.Object, meta.Epoch, it.Epoch)
 	}
 	if it.Stripe < 0 || it.Stripe >= len(meta.Stripes) || it.Block < 0 || it.Block >= s.opts.Params.N {
 		return fmt.Errorf("store: stripe %d block %d out of range", it.Stripe, it.Block)
 	}
-	// Repair is background maintenance: it runs under Background, never a
-	// caller's context, so foreground cancellation cannot strand a rebuild.
-	block, err := s.reconstructBlock(context.Background(), sp, meta, it.Stripe, it.Block)
+	block, err := s.reconstructBlock(ctx, sp, meta, it.Stripe, it.Block)
 	if err != nil {
 		return err
 	}
-	return s.rewriteBlock(context.Background(), sp, meta, it.Stripe, it.Block, block)
+	st := &meta.Stripes[it.Stripe]
+	crc := cluster.Checksum(block)
+	if crc != st.Checksums[it.Block] {
+		return fmt.Errorf("store: rebuilt block %s failed checksum verification", st.BlockIDs[it.Block])
+	}
+	written := placedBlock{node: st.Nodes[it.Block], id: st.BlockIDs[it.Block]}
+	if _, err := s.callChecked(ctx, sp, written.node, &rpc.Request{
+		Kind: rpc.KindPutBlock, BlockID: written.id, Data: block,
+		Object: meta.Name, Epoch: meta.Epoch, Crc: crc,
+	}); err != nil {
+		return err
+	}
+	s.cache.Invalidate(blockKeyOf(meta, it.Stripe, it.Block))
+	if _, err = s.resolveRepair(ctx, sp, it); errors.Is(err, errStaleRepair) {
+		s.dropBlocks(sp, []placedBlock{written})
+	}
+	return err
+}
+
+// resolveRepair reads an item's object from the metadata quorum, failing with
+// errStaleRepair when the object is gone or no longer at the item's epoch.
+func (s *Store) resolveRepair(ctx context.Context, sp *trace.Span, it RepairItem) (*ObjectMeta, error) {
+	meta, err := s.metaQuorum(ctx, sp, it.Object)
+	switch {
+	case errors.Is(err, metakv.ErrNotFound):
+		return nil, fmt.Errorf("%w: object %q deleted", errStaleRepair, it.Object)
+	case err != nil:
+		return nil, err
+	case meta.Epoch != it.Epoch:
+		return nil, fmt.Errorf("%w: object %q now at epoch %d, block lost at %d",
+			errStaleRepair, it.Object, meta.Epoch, it.Epoch)
+	}
+	return meta, nil
 }
 
 // DiscoverObjects returns every object name any reachable node holds
@@ -654,9 +683,9 @@ func (m *RepairManager) repairLoop() {
 	}
 }
 
-// scrubLoop runs a full verification pass per period; what it finds flows
-// into the repair queue (and, with Repair set on the pass itself, is fixed
-// inline).
+// scrubLoop runs a full repairing verification pass per period: each block it
+// finds missing or corrupt is rewritten through repairBlock, the writer the
+// queue worker uses.
 func (m *RepairManager) scrubLoop() {
 	defer m.wg.Done()
 	for {

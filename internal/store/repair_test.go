@@ -2,13 +2,18 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/fusionstore/fusion/internal/cluster"
+	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
 )
@@ -209,6 +214,179 @@ func TestRepairNodeAllRestoresWipedNode(t *testing.T) {
 	}
 	if tot := rep.Totals(); tot.MissingBlocks != 0 {
 		t.Fatalf("blocks still missing after catch-up: %+v", tot)
+	}
+}
+
+// TestRepairNeverResurrectsSupersededEpoch: a repair that found a block of
+// epoch 1 lost must not leave that block on a node once a second coordinator
+// has overwritten or deleted the object, whichever window the other write
+// lands in. Nothing runs ReconcileOrphans: the repair writer alone keeps the
+// superseded epoch collected.
+func TestRepairNeverResurrectsSupersededEpoch(t *testing.T) {
+	opts := fusionTestOptions()
+	v1, _, _ := makeObject(t, 1, 200, 41)
+	v2, _, _ := makeObject(t, 1, 220, 42)
+	const lost = 2 // stripe 0's block deleted before each repair
+	lostID := blockID("obj", 1, 0, lost)
+	repairs := []struct {
+		name   string
+		detect int // distinct stripe-0 blocks read by the time the loss is found
+		run    func(s *Store, node int) (int, error)
+	}{
+		{"Scrub", opts.Params.N, func(s *Store, _ int) (int, error) {
+			rep, err := s.Scrub("obj", ScrubOptions{Repair: true})
+			if err != nil {
+				return 0, err
+			}
+			return rep.Repaired, nil
+		}},
+		{"RepairNode", 1, func(s *Store, node int) (int, error) {
+			n, err := s.RepairNode("obj", node)
+			if slices.Contains(s.metaReplicaNodes("obj"), node) {
+				n-- // the node's metadata replica, which the sweep counts
+			}
+			return n, err
+		}},
+	}
+	windows := []struct {
+		name    string
+		atWrite bool // just before the repair's PutBlock, else right after detection
+		del     bool // the second coordinator deletes the object instead of overwriting it
+		split   bool // the Delete is held between its two mutations until the repair returns
+	}{
+		{"overwrite after detection", false, false, false},
+		{"overwrite before the write", true, false, false},
+		{"delete before the write", true, true, false},
+		{"delete around the write", true, true, true},
+	}
+	for _, r := range repairs {
+		for _, w := range windows {
+			t.Run(r.name+"/"+w.name, func(t *testing.T) {
+				sim := simnet.New(simnet.DefaultConfig())
+				// The other coordinator's Delete removes metadata and blocks in
+				// two mutation phases; with split, its first call of the second
+				// phase waits for release.
+				held, release := make(chan struct{}), make(chan struct{})
+				var firstPhase atomic.Int32 // 1 register, 2 blocks
+				var holdOnce sync.Once
+				s2, err := New(&hookClient{Client: sim, before: func(_ int, req *rpc.Request) {
+					if !w.split || (req.Kind != rpc.KindDeleteBlock && req.Kind != rpc.KindBatch) {
+						return
+					}
+					phase := int32(2)
+					if strings.HasPrefix(req.BlockID, "kv/") {
+						phase = 1
+					}
+					if firstPhase.CompareAndSwap(0, phase) || firstPhase.Load() == phase {
+						return
+					}
+					holdOnce.Do(func() { close(held) })
+					<-release
+				}}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				otherErr := make(chan error, 1)
+				other := func() {
+					switch {
+					case !w.del:
+						_, err := s2.Put("obj", v2)
+						otherErr <- err
+					case !w.split:
+						otherErr <- s2.Delete("obj")
+					default:
+						go func() { otherErr <- s2.Delete("obj") }()
+						select {
+						case <-held:
+						case err := <-otherErr:
+							otherErr <- err
+						}
+					}
+				}
+				var armed, fired atomic.Bool
+				var fire sync.Once
+				trigger := func() { fire.Do(func() { fired.Store(true); other() }) }
+				var mu sync.Mutex
+				seen := map[string]bool{}
+				s1, err := New(&hookClient{
+					Client: sim,
+					before: func(_ int, req *rpc.Request) {
+						if armed.Load() && w.atWrite && req.Kind == rpc.KindPutBlock && req.BlockID == lostID {
+							trigger()
+						}
+					},
+					after: func(_ int, req *rpc.Request) {
+						if !armed.Load() || w.atWrite || req.Kind != rpc.KindGetBlock || !strings.HasPrefix(req.BlockID, "obj/e1/s0/") {
+							return
+						}
+						mu.Lock()
+						seen[req.BlockID] = true
+						detected := len(seen) == r.detect
+						mu.Unlock()
+						if detected {
+							trigger()
+						}
+					},
+				}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s1.Put("obj", v1); err != nil {
+					t.Fatal(err)
+				}
+				meta, err := s1.Meta("obj")
+				if err != nil || meta.Epoch != 1 || len(meta.Stripes) != 1 {
+					t.Fatalf("want one stripe at epoch 1: %v", err)
+				}
+				node := meta.Stripes[0].Nodes[lost]
+				if err := sim.Node(node).Blocks.Delete(lostID); err != nil {
+					t.Fatal(err)
+				}
+
+				armed.Store(true)
+				repaired, err := r.run(s1, node)
+				close(release)
+				if !fired.Load() {
+					t.Fatal("the second coordinator's write never ran")
+				}
+				if oerr := <-otherErr; oerr != nil {
+					t.Fatalf("second coordinator: %v", oerr)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				if repaired != 0 {
+					t.Errorf("%s counted %d repaired blocks of a superseded epoch", r.name, repaired)
+				}
+
+				fresh, err := New(sim, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var published uint64 // 0: deleted
+				if !w.del {
+					m, err := fresh.metaQuorum(context.Background(), nil, "obj")
+					if err != nil {
+						t.Fatal(err)
+					}
+					published = m.Epoch
+				}
+				for n := 0; n < sim.NumNodes(); n++ {
+					for _, b := range sim.Node(n).Handle(&rpc.Request{Kind: rpc.KindListBlocks}).Blocks {
+						if object, epoch, _, _, ok := parseBlockID(b.ID); ok && object == "obj" && epoch != published {
+							t.Errorf("node %d holds %s of superseded epoch (published %d)", n, b.ID, published)
+						}
+					}
+				}
+				got, err := fresh.Get("obj", 0, 0)
+				switch {
+				case w.del && !errors.Is(err, metakv.ErrNotFound):
+					t.Errorf("Get after the Delete: %v, want ErrNotFound", err)
+				case !w.del && (err != nil || !bytes.Equal(got, v2)):
+					t.Errorf("the new version does not read back: %v", err)
+				}
+			})
+		}
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"github.com/fusionstore/fusion/internal/lpq"
-	"github.com/fusionstore/fusion/internal/trace"
 )
 
 // ScrubReport summarizes one object's integrity scrub.
@@ -22,34 +19,40 @@ type ScrubReport struct {
 	// bytes not matching the checksum recorded in the stripe metadata. Such
 	// blocks are treated like missing ones for repair purposes.
 	ChecksumFailures int
-	// CorruptStripes counts stripes whose parity did not verify.
+	// CorruptStripes counts complete stripes whose parity did not verify.
+	// It is a report only: Scrub never rewrites a block for it.
 	CorruptStripes int
-	// Repaired counts blocks rewritten by the scrub (with Repair set).
+	// Repaired counts blocks rewritten by the scrub (with Repair set). A block
+	// whose object was overwritten or deleted before its rewrite is not.
 	Repaired int
 }
 
 // ScrubOptions configure Scrub.
 type ScrubOptions struct {
-	// Repair rewrites missing or corrupt blocks from the stripe's
-	// survivors; without it the scrub only reports.
+	// Repair rebuilds missing or corrupt blocks from the stripe's survivors
+	// and rewrites them; without it the scrub only reports.
 	Repair bool
 }
 
-// Scrub verifies every stripe of an object: all n blocks are fetched,
-// zero-extended to the stripe capacity, and the parity relation is checked
-// (erasure.Coder.Verify). With Repair set, unreadable blocks are rebuilt
-// and rewritten, and corrupt stripes are re-encoded from the chunk data's
-// checksummed source of truth where recoverable.
+// Scrub verifies every stripe of an object: all n blocks are fetched and
+// checked against the checksums recorded at write time, and the parity
+// relation of each complete stripe is checked (erasure.Coder.Verify). With
+// Repair set, each missing or checksum-failing block goes to repairBlock, the
+// one writer of rebuilt blocks, at the epoch the scrub read.
+//
+// A stripe failing Verify is reported, not repaired. Every shard Verify sees
+// has matched its write-time CRC, and a rebuilt block must match that same CRC
+// to be written, so a rewrite could change a stored byte only under a CRC32C
+// collision.
 //
 // This is the conventional background-scrubbing companion to §5's recovery
-// procedure: RS parity detects whole-stripe inconsistency, while per-chunk
-// CRCs (lpq) localize which copy is bad.
+// procedure.
 func (s *Store) Scrub(name string, opts ScrubOptions) (*ScrubReport, error) {
 	return s.ScrubContext(context.Background(), name, opts)
 }
 
 // ScrubContext is Scrub under a (possibly traced) context: the span records
-// one child per stripe with its block-fetch RPCs and any repair writes.
+// one child per stripe with its block-fetch RPCs, and one per repair.
 func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions) (*ScrubReport, error) {
 	sp, end := s.beginOp(ctx, "Scrub")
 	defer end()
@@ -79,92 +82,33 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 			}
 			missing = append(missing, r.bin)
 		}
-		// Arrival order → block order: repairs rewrite deterministically.
-		slices.Sort(missing)
-		ssp.End() // the fetch phase; repair writes charge to the parent
+		ssp.End()
 		report.MissingBlocks += len(missing)
-		if len(missing) > 0 {
-			if !opts.Repair {
-				continue
+		if len(missing) == 0 {
+			ok, err := s.coder.Verify(shards)
+			if err != nil {
+				return report, fmt.Errorf("store: verifying stripe %d of %q: %w", si, name, err)
 			}
-			n, err := s.rebuildLost(ctx, sp, meta, si, shards, missing)
-			report.Repaired += n
+			if !ok {
+				report.CorruptStripes++
+			}
+			continue
+		}
+		if !opts.Repair {
+			continue
+		}
+		// Arrival order → block order: repairs run deterministically.
+		slices.Sort(missing)
+		for _, j := range missing {
+			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
+			if errors.Is(err, errStaleRepair) {
+				return report, nil // overwritten or deleted since the scrub read it
+			}
 			if err != nil {
 				return report, fmt.Errorf("store: scrubbing %q: %w", name, err)
 			}
-		}
-		ok, err := s.coder.Verify(shards)
-		if err != nil {
-			return report, fmt.Errorf("store: verifying stripe %d of %q: %w", si, name, err)
-		}
-		if !ok {
-			report.CorruptStripes++
-			if opts.Repair {
-				n, err := s.repairCorruptStripe(ctx, sp, meta, si, shards)
-				if err != nil {
-					return report, err
-				}
-				report.Repaired += n
-			}
+			report.Repaired++
 		}
 	}
 	return report, nil
-}
-
-// repairCorruptStripe localizes corruption within a parity-inconsistent
-// stripe using the per-chunk CRCs (FAC mode), then rebuilds the bad blocks
-// from the remaining ones. It returns the number of blocks rewritten.
-func (s *Store) repairCorruptStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, si int, shards [][]byte) (int, error) {
-	p := s.opts.Params
-	var bad []int
-	if meta.Mode == LayoutFAC {
-		// A data bin is bad iff any chunk stored in it fails its CRC.
-		for itemIdx, loc := range meta.ItemLocs {
-			if loc.Stripe != si {
-				continue
-			}
-			it := meta.Items[itemIdx]
-			if it.Kind != ItemChunk || it.Size == 0 {
-				continue
-			}
-			ch := meta.Footer.RowGroups[it.RG].Chunks[it.Col]
-			raw := shards[loc.Bin][loc.BinOffset : loc.BinOffset+it.Size]
-			if _, err := lpq.DecodeChunk(meta.Footer.Columns[it.Col].Type, ch, raw); err != nil && !slices.Contains(bad, loc.Bin) {
-				bad = append(bad, loc.Bin)
-			}
-		}
-	}
-	if len(bad) == 0 {
-		// Cannot localize (parity block corrupt, or fixed layout): assume
-		// the parity blocks are stale and re-encode them from data.
-		for j := p.K; j < p.N; j++ {
-			bad = append(bad, j)
-		}
-	}
-	return s.rebuildLost(ctx, sp, meta, si, shards, bad)
-}
-
-// rebuildLost reconstructs the lost blocks of a stripe in place from the rest
-// of shards and rewrites each to its node, returning how many it rewrote.
-func (s *Store) rebuildLost(ctx context.Context, sp *trace.Span, meta *ObjectMeta, si int, shards [][]byte, lost []int) (int, error) {
-	p := s.opts.Params
-	if len(lost) > p.N-p.K {
-		return 0, fmt.Errorf("%w: stripe %d has %d blocks missing or corrupt, unrecoverable", ErrTooManyFailures, si, len(lost))
-	}
-	for _, j := range lost {
-		shards[j] = nil
-	}
-	if err := s.coder.Reconstruct(shards); err != nil {
-		return 0, fmt.Errorf("store: rebuilding stripe %d: %w", si, err)
-	}
-	for n, j := range lost {
-		data := shards[j]
-		if j < p.K {
-			data = data[:meta.Stripes[si].DataLens[j]]
-		}
-		if err := s.rewriteBlock(ctx, sp, meta, si, j, data); err != nil {
-			return n, err
-		}
-	}
-	return len(lost), nil
 }
