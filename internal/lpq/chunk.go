@@ -332,41 +332,143 @@ func packedTailCode(data []byte, width, bit int) uint32 {
 	return uint32(u>>(bit&7)) & (1<<width - 1)
 }
 
-// unpackCodes extracts the len(dst) consecutive codes starting at the
-// first-th. Up to 14 bits wide, one 64-bit load yields as many codes as fit
-// above the load's bit offset (four at 12 bits, twenty-eight at 2); a wider
-// code — three or fewer to a load — is as cheap to load where it lies.
-func unpackCodes(dst []uint32, data []byte, width, first int) {
-	per := (64 - 7) / width
-	mask := uint64(1)<<width - 1
-	bit := first * width
-	i := 0
-	if per >= 4 {
-		for ; i+per <= len(dst) && bit>>3+8 <= len(data); i += per {
-			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
-			out := dst[i : i+per] // indexed from 0: no bounds check per code
-			for j := range out {
-				out[j] = uint32(u & mask)
-				u >>= width
-			}
-			bit += per * width
+// packedPage reads runs of a bit-packed page's codes straight from 64-bit
+// loads, which a kernel takes off the word with a shift and a mask and folds
+// into its result: no array of codes sits between the page and the kernel.
+// A run is read in place, or — when it ends within 8 bytes of the page's end —
+// from a copy of its bytes with 8 zero bytes after them (window), so every
+// load is a whole one and no page end is special.
+//
+// The filters read a page 64 codes — one result word — at a time. Such a
+// group starts on a byte boundary (a page's first code does, and so every
+// 64th after it), so each load holds perGroupLoad whole codes: 8, 4 or 2 for
+// widths up to 8, 15 and 28 bits, one if wider. unpack starts anywhere and
+// takes the codes a load holds at any bit offset.
+type packedPage struct {
+	data  []byte
+	width int
+}
+
+// windowBytes bounds a run's bytes: BatchRows codes of the widest width, from
+// any bit offset, and the 8 a load may read past them.
+const windowBytes = BatchRows*colenc.MaxFrameWidth/8 + 1 + 8
+
+// window returns the bytes the n codes from the idx-th are loaded from, at
+// least 8 past the last, and the bit offset there of the first. n is at most
+// BatchRows.
+func (pp packedPage) window(idx, n int, buf *[windowBytes]byte) ([]byte, int) {
+	bit := idx * pp.width
+	at, end := bit>>3, (bit+n*pp.width+7)>>3
+	if end+8 <= len(pp.data) {
+		return pp.data, bit
+	}
+	m := copy(buf[:], pp.data[at:end])
+	clear(buf[m : m+8])
+	return buf[:m+8], bit & 7
+}
+
+// perGroupLoad is how many whole codes each load of a group holds.
+func (pp packedPage) perGroupLoad() int {
+	switch {
+	case pp.width <= 8:
+		return 8
+	case pp.width <= 15:
+		return 4
+	case pp.width <= 28:
+		return 2
+	}
+	return 1
+}
+
+// inRange returns the n (at most 64) codes from the idx-th, the first of a
+// group, as a word: bit k set iff code idx+k lies in [from, from+bound). Its
+// difference from from, wrapping far above bound below from, borrows when
+// bound is subtracted; the borrow is added into the word doubled, so the
+// first code ends up highest and the word is reversed at the end. Every load
+// is used whole, and the bits of codes past the n-th are dropped.
+func (pp packedPage) inRange(idx, n int, from, bound uint64, buf *[windowBytes]byte) uint64 {
+	data, bit := pp.window(idx, n, buf)
+	w, per := pp.width, pp.perGroupLoad()
+	mask, sh := uint64(1)<<w-1, uint(w)&63
+	var acc uint64
+	k := 0
+	for ; k < n; k += per {
+		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+		for j := per; j > 0; j-- {
+			_, in := bits.Sub64(u&mask-from, bound, 0)
+			acc, _ = bits.Add64(acc, acc, in)
+			u >>= sh
 		}
-	} else {
-		for ; i < len(dst) && bit>>3+8 <= len(data); i++ {
-			dst[i] = uint32(binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7) & mask)
-			bit += width
+		bit += per * w
+	}
+	return bits.Reverse64(acc) >> (64 - k) & (1<<n - 1)
+}
+
+// lookup returns the verdicts lut holds for the n (at most 64) codes from the
+// idx-th, the first of a group, as a word, as inRange does, and whether one
+// of them is beyond the dictionary (lut value 2).
+func (pp packedPage) lookup(idx, n int, lut []uint8, buf *[windowBytes]byte) (uint64, bool) {
+	data, bit := pp.window(idx, n, buf)
+	w, per := pp.width, pp.perGroupLoad()
+	mask, sh := uint64(1)<<w-1, uint(w)&63
+	var acc uint64
+	var seen uint8
+	for k := 0; k < n; k += per {
+		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+		for j := min(per, n-k); j > 0; j-- {
+			m := lut[u&mask]
+			seen |= m
+			acc += acc + uint64(m&1)
+			u >>= sh
+		}
+		bit += per * w
+	}
+	return bits.Reverse64(acc) >> (64 - n), seen&2 != 0
+}
+
+// unpack extracts the len(dst) codes from the idx-th on. Where one load holds
+// four codes or more at any bit offset (57/width of them), each load is used
+// whole; wider codes are loaded one at a time.
+func (pp packedPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
+	data, bit := pp.window(idx, len(dst), buf)
+	w := pp.width
+	mask, sh := uint64(1)<<w-1, uint(w)&63
+	k := 0
+	if per := 57 / w; per >= 4 {
+		for ; k+per <= len(dst); k += per {
+			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+			out := dst[k : k+per]
+			for i := range out {
+				out[i] = uint32(u & mask)
+				u >>= sh
+			}
+			bit += per * w
 		}
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = packedCode(data, width, first+i)
+	for ; k < len(dst); k++ {
+		dst[k] = uint32(binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7) & mask)
+		bit += w
+	}
+}
+
+// orWord ORs acc's bits into words from row r on, r not necessarily on a word
+// boundary. acc has no bit past the bitmap's last row, so the second word is
+// touched only when it exists.
+func orWord(words []uint64, r int, acc uint64) {
+	words[r>>6] |= acc << (r & 63)
+	if hi := acc >> (64 - r&63); hi != 0 {
+		words[r>>6+1] |= hi
 	}
 }
 
 // SelectCodes turns a verdict per dictionary entry into a verdict per row:
 // the result has bit r set iff match has the bit of row r's code set. With a
-// predicate evaluated once over the dictionary this is the whole filter — a
-// bit-packed page is read a code at a time straight into result words, a
-// run-length page a run at a time (skipped, or set in bulk).
+// predicate evaluated once over the dictionary this is the whole filter. A
+// bit-packed page is read 64 rows — one result word — at a time: 1-, 2-, 4-
+// and 8-bit codes a packed byte at a time through a table of their verdicts,
+// other widths a code at a time through a table indexed by code, both built
+// once per call. A run-length page is read a run at a time (skipped, or set in
+// bulk).
 func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	dictLen := c.dict.Len()
 	if c.enc != colenc.Dict || match.Len() != dictLen {
@@ -386,6 +488,9 @@ func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 			lut[i] = uint8(verdict[i>>6] >> (i & 63) & 1)
 		}
 	}
+	var byteTab *[256]uint16 // built at the first whole group of 1-, 2-, 4- or 8-bit codes
+	var seen uint16
+	var buf [windowBytes]byte
 	for _, p := range c.pages {
 		data := c.blob[p.off:p.end]
 		if p.rle {
@@ -398,28 +503,52 @@ func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 			}
 			continue
 		}
-		// One result word's worth of codes at a time: unpack, look each
-		// verdict up, store the bits once.
-		var codes [64]uint32
-		var seen uint8
-		for r, end := p.first, p.first+p.rows; r < end; {
-			n := min(64-r&63, end-r)
-			unpackCodes(codes[:n], data, p.width, r-p.first)
+		pp := packedPage{data, p.width}
+		for g := 0; g < p.rows; g += 64 {
 			var acc uint64
-			for j, code := range codes[:n] {
-				m := lut[code]
-				seen |= m
-				acc |= uint64(m&1) << j
+			if n := min(64, p.rows-g); n == 64 && 8%p.width == 0 {
+				// A whole group is 8·width bytes, every bit of them its codes'.
+				if byteTab == nil {
+					byteTab = byteVerdicts(lut, p.width)
+				}
+				step := 8 / p.width
+				for i, b := range data[g*p.width/8 : (g+64)*p.width/8] {
+					m := byteTab[b]
+					seen |= m
+					acc |= uint64(m&0xff) << (i * step)
+				}
+			} else {
+				var miss bool
+				if acc, miss = pp.lookup(g, n, lut, &buf); miss {
+					return nil, errCode
+				}
 			}
-			words[r>>6] |= acc << (r & 63)
-			r += n
+			orWord(words, p.first+g, acc)
 		}
-		if seen&2 != 0 {
-			return nil, errCode
-		}
+	}
+	if seen&byteMiss != 0 {
+		return nil, errCode
 	}
 	return out, nil
 }
+
+// byteVerdicts is SelectCodes' table for codes that fill a byte exactly
+// (width 1, 2, 4 or 8): for every byte value, the verdicts of its 8/width
+// codes in its low bits, lowest code first, and byteMiss if one of them is
+// beyond the dictionary.
+func byteVerdicts(lut []uint8, width int) *[256]uint16 {
+	tab := new([256]uint16)
+	for b := range tab {
+		for i := 0; i < 8/width; i++ {
+			m := uint16(lut[b>>(i*width)&(1<<width-1)])
+			tab[b] |= m&1<<i | m>>1*byteMiss
+		}
+	}
+	return tab
+}
+
+// byteMiss marks an entry of byteVerdicts with a code beyond the dictionary.
+const byteMiss = 1 << 8
 
 // maxLUTWidth is the widest code SelectCodes builds a lookup table for: 64 KB.
 const maxLUTWidth = 16
@@ -446,15 +575,17 @@ func (c *Chunk) selectWideCodes(verdict []uint64, out *bitmap.Bitmap) error {
 // r set iff row r's value lies in [lo, hi] — or, with outside set, iff it does
 // not. Each of the six comparisons with an integer is one such test. The
 // bounds are translated once per page into offset space (v in [lo, hi] iff
-// v-base in [lo-base, hi-base], clamped to the page's width), so a row costs
-// an unpack and one unsigned compare, as SelectCodes' costs an unpack and a
-// lookup; a page the bounds cover or miss entirely is not read at all.
+// v-base in [lo-base, hi-base], clamped to the page's width), and a page is
+// read 64 rows — one result word — at a time, each offset compared as its
+// load yields it: one unsigned compare folded into the word. A page the bounds
+// cover or miss entirely is not read at all.
 func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 	if c.enc != colenc.FOR {
 		return nil, fmt.Errorf("lpq: SelectInts over a %v chunk", c.enc)
 	}
 	out := bitmap.New(c.rows)
 	words := out.Words()
+	var buf [windowBytes]byte
 	for _, p := range c.pages {
 		top := p.base + (1<<p.width - 1) // the directory checked it fits
 		if lo > hi || hi < p.base || lo > top {
@@ -472,24 +603,14 @@ func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 			}
 			continue
 		}
-		// One result word's worth of rows at a time: unpack, then one
-		// unsigned compare per row — offset-from wraps far above any span
-		// below from.
-		data := c.blob[p.off:p.end]
-		var codes [64]uint32
-		from32, bound := uint32(from), span+1
-		for r, end := p.first, p.first+p.rows; r < end; {
-			n := min(64-r&63, end-r)
-			unpackCodes(codes[:n], data, p.width, r-p.first)
-			var acc uint64
-			for j, code := range codes[:n] {
-				acc |= (uint64(code-from32) - bound) >> 63 << j
-			}
+		pp := packedPage{c.blob[p.off:p.end], p.width}
+		for g := 0; g < p.rows; g += 64 {
+			n := min(64, p.rows-g)
+			acc := pp.inRange(g, n, from, span+1, &buf)
 			if outside {
 				acc ^= 1<<n - 1
 			}
-			words[r>>6] |= acc << (r & 63)
-			r += n
+			orWord(words, p.first+g, acc)
 		}
 	}
 	return out, nil
@@ -509,7 +630,7 @@ const BatchRows = 256
 // A batch exposes Len and Row, plus Codes for a dictionary chunk, plus the
 // values: Ints or Floats for the numeric types (read through the dictionary
 // if there is one), and for strings the dictionary entry of each code or, for
-// a plain chunk, Bytes. The zero Scanner is ready for Chunk.Scan; it is large (≈8
+// a plain chunk, Bytes. The zero Scanner is ready for Chunk.Scan; it is large (≈9
 // KB), so kernels keep it on their stack.
 type Scanner struct {
 	c   *Chunk
@@ -542,6 +663,7 @@ type Scanner struct {
 	floats [BatchRows]float64
 	from   [BatchRows]uint32 // plain strings: blob[from[i]:to[i]]
 	to     [BatchRows]uint32
+	window [windowBytes]byte // a dense run's bytes near its page's end
 }
 
 // Scan points sc at the rows of c that sel selects (nil selects every row).
@@ -685,7 +807,7 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 	} else {
 		data := c.blob[p.off:p.end]
 		if dense {
-			unpackCodes(codes, data, p.width, first-p.first)
+			packedPage{data, p.width}.unpack(codes, first-p.first, &sc.window)
 		} else {
 			for k, r := range rows {
 				codes[k] = packedCode(data, p.width, int(r)-p.first)

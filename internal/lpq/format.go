@@ -99,7 +99,8 @@ type ChunkMeta struct {
 	Stats Stats
 }
 
-// Compressibility returns RawSize/Size, clamped to at least 1e-9.
+// Compressibility returns RawSize/Size, unclamped: 0 for a chunk with no raw
+// bytes, and 1 for one with no stored bytes.
 func (m ChunkMeta) Compressibility() float64 {
 	if m.Size == 0 {
 		return 1

@@ -13,8 +13,9 @@ import (
 // FuzzOpenChunk feeds arbitrary bytes under arbitrary metadata to the opened
 // chunk, differentially against the page-by-page decoder: decoding every row
 // gives the reference's values or both fail, a partial selection never
-// panics and never returns anything but the reference's values, and no input
-// makes either side allocate out of proportion (the process would die). The
+// panics and never returns anything but the reference's values, the filters
+// set a row's bit exactly when the reference's value or code passes, and no
+// input makes either side allocate out of proportion (the process would die). The
 // size and checksum are made to match, as an attacker who controls the bytes
 // would: those two checks are covered by the unit tests.
 func FuzzOpenChunk(f *testing.F) {
@@ -23,8 +24,12 @@ func FuzzOpenChunk(f *testing.F) {
 		for shape := shapePlain; shape < numShapes; shape++ {
 			col := genColumn(rng, typ, shape, 200)
 			for _, compress := range []bool{true, false} {
-				m, raw := encodeTestChunk(col, shape, compress, 64)
-				f.Add(raw, uint8(typ), m.NumValues, m.Compressed)
+				// Pages of 72 and 100 rows start off a result word, and 100
+				// rows of an odd width off a byte.
+				for _, pageRows := range []int{64, 72, 100} {
+					m, raw := encodeTestChunk(col, shape, compress, pageRows)
+					f.Add(raw, uint8(typ), m.NumValues, m.Compressed)
+				}
 			}
 		}
 	}
@@ -81,8 +86,22 @@ func FuzzOpenChunk(f *testing.F) {
 			for i := 0; i < dict.Len(); i += 2 {
 				verdict.Set(i)
 			}
-			if rows, err := c.SelectCodes(verdict); err == nil && refErr != nil {
+			rows, err := c.SelectCodes(verdict)
+			switch {
+			case err == nil && refErr != nil:
 				t.Fatalf("SelectCodes read every code of a chunk the reference rejects (%v) and found %d rows", refErr, rows.Count())
+			case err != nil && refErr == nil:
+				t.Fatalf("SelectCodes failed on a chunk the reference decodes: %v", err)
+			case err == nil:
+				codes, err := referenceCodes(tp, m, raw)
+				if err != nil {
+					t.Fatalf("reference codes of a chunk the reference decodes: %v", err)
+				}
+				for r, code := range codes {
+					if rows.Get(r) != verdict.Get(int(code)) {
+						t.Fatalf("SelectCodes disagrees with the reference's code %d at row %d", code, r)
+					}
+				}
 			}
 		}
 	})

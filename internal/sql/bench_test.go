@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/tpch"
 )
@@ -17,7 +18,9 @@ const benchRows = 60000
 // (2,526 dates: a frame of reference, 12-bit offsets), l_returnflag (3
 // strings: dictionary, 2-bit codes), l_extendedprice (cents, a third of them
 // an ulp off: decimal pages with exceptions), l_orderkey (ascending with
-// repeats: a frame of reference).
+// repeats: a frame of reference), l_discount (11 values: dictionary, 4-bit
+// codes), l_quantity (50 values: dictionary, 6-bit codes) and l_partkey
+// (200,000 keys: a frame of reference, 18-bit offsets).
 func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
 	rng := rand.New(rand.NewSource(7))
 	ship, order := make([]int64, benchRows), make([]int64, benchRows)
@@ -29,7 +32,15 @@ func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
 		price[i] = float64(1+rng.Intn(50)) * (900 + float64(rng.Intn(200000))/100)
 		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
 	}
-	cols = []lpq.ColumnData{lpq.IntColumn(ship), lpq.StringColumn(flag), lpq.FloatColumn(price), lpq.IntColumn(order)}
+	rng = rand.New(rand.NewSource(8)) // the columns above stay as they were
+	discount, qty, part := make([]float64, benchRows), make([]int64, benchRows), make([]int64, benchRows)
+	for i := range discount {
+		discount[i] = float64(rng.Intn(11)) / 100
+		qty[i] = 1 + rng.Int63n(50)
+		part[i] = 1 + rng.Int63n(200000)
+	}
+	cols = []lpq.ColumnData{lpq.IntColumn(ship), lpq.StringColumn(flag), lpq.FloatColumn(price), lpq.IntColumn(order),
+		lpq.FloatColumn(discount), lpq.IntColumn(qty), lpq.IntColumn(part)}
 	chunks = openColumns(b, lpq.DefaultWriterOptions(), cols)
 	b.Cleanup(func() {
 		for _, ch := range chunks {
@@ -44,24 +55,37 @@ const (
 	benchFlag
 	benchPrice
 	benchOrder
+	benchDiscount
+	benchQuantity
+	benchPart
 )
 
 var benchSink int
 
 // BenchmarkKernelFilter times the filter over an opened chunk per encoding
 // against EvalCompare over the decoded column (decoding not counted, so the
-// reference rows understate what a node paid). MB/s reads as Mrows/s.
+// reference rows understate what a node paid): each branch of the packed-page
+// reader — a frame of reference at 12 and at 18 bits, dictionary codes through
+// the byte table at 2 and 4 bits and through the code table at 6 — and a
+// decimal page. MB/s reads as Mrows/s.
 func BenchmarkKernelFilter(b *testing.B) {
 	chunks, cols := benchRowGroup(b)
 	for _, tc := range []struct {
 		name string
 		col  int
+		enc  colenc.Encoding
 		cmp  *Compare
 	}{
-		{"shipdate-frame12", benchShip, &Compare{Op: OpLt, Value: IntLit(35)}},
-		{"returnflag-packed2", benchFlag, &Compare{Op: OpEq, Value: StringLit("R")}},
-		{"price-decimal", benchPrice, &Compare{Op: OpLt, Value: FloatLit(2000)}},
+		{"shipdate-frame12", benchShip, colenc.FOR, &Compare{Op: OpLt, Value: IntLit(35)}},
+		{"partkey-frame18", benchPart, colenc.FOR, &Compare{Op: OpLt, Value: IntLit(2000)}},
+		{"returnflag-packed2", benchFlag, colenc.Dict, &Compare{Op: OpEq, Value: StringLit("R")}},
+		{"discount-dict4", benchDiscount, colenc.Dict, &Compare{Op: OpGe, Value: FloatLit(0.06)}},
+		{"quantity-dict6", benchQuantity, colenc.Dict, &Compare{Op: OpLt, Value: IntLit(25)}},
+		{"price-decimal", benchPrice, colenc.Decimal, &Compare{Op: OpLt, Value: FloatLit(2000)}},
 	} {
+		if enc := chunks[tc.col].Encoding(); enc != tc.enc {
+			b.Fatalf("%s: the writer chose %v", tc.name, enc)
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(benchRows)
 			for i := 0; i < b.N; i++ {
