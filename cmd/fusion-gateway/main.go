@@ -24,7 +24,6 @@ func main() {
 		nodes    = flag.String("nodes", "127.0.0.1:7070", "comma-separated storage node addresses")
 		baseline = flag.Bool("baseline", false, "use the fixed-block baseline configuration")
 		budget   = flag.Float64("budget", 0.02, "FAC storage budget vs optimal (fraction)")
-		aggPush  = flag.Bool("aggregate-pushdown", false, "enable in-situ aggregate pushdown")
 	)
 	flag.Parse()
 
@@ -35,7 +34,6 @@ func main() {
 		opts = store.BaselineOptions()
 	}
 	opts.StorageBudget = *budget
-	opts.AggregatePushdown = *aggPush
 	// One histogram set feeds both layers: op/rpc timings from the store and
 	// per-frame net.write/net.read timings from the transport, all served by
 	// GET /debug/fusionz.

@@ -48,7 +48,6 @@ func main() {
 	cl := simnet.New(simnet.DefaultConfig())
 	opts := store.FusionOptions()
 	opts.StorageBudget = 0.2
-	opts.AggregatePushdown = true // the §5 future-work extension
 	s, err := store.New(cl, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -82,8 +81,8 @@ func main() {
 				fmt.Printf("  %s  %.1f\n", res.Data[0].Strings[row], res.Data[1].Floats[row])
 			}
 		}
-		fmt.Printf("  [%d rows, %.2f%% selectivity, %d filter / %d project / %d aggregate RPCs]\n\n",
+		fmt.Printf("  [%d rows, %.2f%% selectivity, %d filter / %d project / %d group-agg RPCs]\n\n",
 			res.Rows, res.Stats.Selectivity*100,
-			res.Stats.FilterRPCs, res.Stats.ProjectRPCs, res.Stats.AggregateRPCs)
+			res.Stats.FilterRPCs, res.Stats.ProjectRPCs, res.Stats.GroupAggRPCs)
 	}
 }

@@ -70,7 +70,8 @@ func main() {
 	}
 	fmt.Printf("object magic: %q\n", head)
 
-	// 6. Aggregates run at the coordinator over pushed-down selections.
+	// 6. An aggregate is reduced where its column chunk lives, and only the
+	// partial states reach the coordinator.
 	res, err = s.Query("SELECT COUNT(*), AVG(salary) FROM Employees WHERE salary >= 70000")
 	if err != nil {
 		log.Fatal(err)

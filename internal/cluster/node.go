@@ -196,8 +196,6 @@ func (n *Node) dispatch(f *frame, req *rpc.Request) *rpc.Response {
 		return f.handleFilter(req)
 	case rpc.KindProject:
 		return f.handleProject(req)
-	case rpc.KindAggregate:
-		return f.handleAggregate(req)
 	case rpc.KindGroupAgg:
 		return f.handleGroupAgg(req)
 	case rpc.KindTopK:
@@ -321,11 +319,11 @@ func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 // frame is the column chunks one request frame has open. A pushed operator
 // computes on an opened chunk (lpq.Chunk: read, CRC-checked, decompressed and
 // indexed, no row decoded), and sub-ops of one KindBatch frame that name the
-// same chunk — a range predicate's two bounds, an aggregate and a projection
-// of one column — share one read and one open. The frame counts up front how
-// often each chunk is named, so a chunk is released the moment its last use
-// ends and a long frame holds one chunk's buffer at a time, not one per
-// sub-op. Nothing outlives the frame: this is not a cache.
+// same chunk — a range predicate's two bounds, the key and the argument of
+// GROUP BY x with SUM(x) — share one read and one open. The frame counts up
+// front how often each chunk is named, so a chunk is released the moment its
+// last use ends and a long frame holds one chunk's buffer at a time, not one
+// per sub-op. Nothing outlives the frame: this is not a cache.
 type frame struct {
 	node   *Node
 	uses   map[chunkKey]int        // uses of each chunk yet to finish
@@ -366,7 +364,7 @@ func newFrame(n *Node, req *rpc.Request) *frame {
 	// Mirrors which chunks each handler opens.
 	count := func(r *rpc.Request) {
 		switch r.Kind {
-		case rpc.KindFilter, rpc.KindProject, rpc.KindAggregate, rpc.KindTopK:
+		case rpc.KindFilter, rpc.KindProject, rpc.KindTopK:
 			use(&r.Chunk)
 		case rpc.KindGroupAgg:
 			// A reference without a BlockID is shipped in the sub-op's Data,
@@ -489,32 +487,12 @@ func (f *frame) handleProject(req *rpc.Request) *rpc.Response {
 	return &rpc.Response{Data: data, Matches: matches, Cost: cost}
 }
 
-// handleAggregate computes a partial aggregate over the selected rows of a
-// local chunk: only the accumulator crosses the network, never the values.
-func (f *frame) handleAggregate(req *rpc.Request) *rpc.Response {
-	ch, cost, err := f.open(req.Chunk)
-	if err != nil {
-		return errRespCost(err, cost)
-	}
-	defer f.close(req.Chunk)
-	bm, err := selection(req.Bitmap, ch, "chunk")
-	if err != nil {
-		return errRespCost(err, cost)
-	}
-	// The accumulator gathers count, sum and extrema at once; the
-	// coordinator extracts whichever the query's aggregates need.
-	state := sql.NewAggState(sql.AggCount)
-	if err := state.AddChunk(ch, bm); err != nil {
-		return errRespCost(err, cost)
-	}
-	return &rpc.Response{Matches: bm.Count(), Agg: state, Cost: cost}
-}
-
 // handleGroupAgg folds one row group's selected rows into per-group partial
 // aggregate states and returns them in deterministic key order. Only the
 // partial states cross the network — (count, sum, min, max) per group and
 // aggregate, never a pre-divided AVG — so the coordinator's merge is exact
-// regardless of how rows were split across nodes.
+// regardless of how rows were split across nodes. With no key chunks it
+// is an ungrouped aggregate; a request that names no chunk at all is refused.
 //
 // A reference with a BlockID names a chunk in this node's blocks, opened
 // through the frame. One without names req.Data[Offset:Offset+Meta.Size], a
@@ -523,9 +501,6 @@ func (f *frame) handleAggregate(req *rpc.Request) *rpc.Response {
 // CRC like any chunk, and read from no disk here.
 func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	var cost rpc.Cost
-	if len(req.KeyChunks) == 0 {
-		return errResp(fmt.Errorf("cluster: GroupAgg without key chunks"))
-	}
 	if len(req.ValChunks) != len(req.AggKinds) {
 		return errResp(fmt.Errorf("cluster: GroupAgg has %d value chunks, %d aggregate kinds",
 			len(req.ValChunks), len(req.AggKinds)))
@@ -592,6 +567,9 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 		if vals[i], err = open(ref, "value chunk"); err != nil {
 			return errRespCost(err, cost)
 		}
+	}
+	if bm == nil { // set by the first chunk opened
+		return errResp(fmt.Errorf("cluster: GroupAgg reads no column"))
 	}
 	g := sql.NewGroupTable(req.AggKinds, req.MaxGroups)
 	if err := g.AddChunks(keys, vals, bm); err != nil {

@@ -170,12 +170,14 @@ func TestPushedOpsMatchReference(t *testing.T) {
 			if want := EncodePlain(SelectRows(col, sel)); resp.Err != "" || !bytes.Equal(resp.Data, want) || resp.Matches != sel.Count() {
 				t.Fatalf("Project %s at %d%%: %q, %d bytes vs %d", name, percent, resp.Err, len(resp.Data), len(want))
 			}
-			// Aggregate: every accumulator field.
-			resp = fx.handled(t, &rpc.Request{Kind: rpc.KindAggregate, Chunk: fx.refs[name], Bitmap: wire})
-			want := sql.NewAggState(sql.AggCount)
+			// An ungrouped aggregate, a GroupAgg with no key: one group of every
+			// selected row (none when no row is selected), every state field.
+			resp = fx.handled(t, keyless(fx.refs[name], wire, sql.AggMin))
+			want := sql.AggState{Kind: sql.AggMin}
 			want.AddColumn(SelectRows(col, sel))
-			if resp.Err != "" || !sameAggState(resp.Agg, want) {
-				t.Fatalf("Aggregate %s at %d%%: %q, %+v vs %+v", name, percent, resp.Err, resp.Agg, want)
+			if resp.Err != "" || len(resp.Groups) != min(1, sel.Count()) ||
+				len(resp.Groups) == 1 && (len(resp.Groups[0].Key) != 0 || resp.Groups[0].Rows != int64(sel.Count()) || !sameAggState(&resp.Groups[0].Aggs[0], &want)) {
+				t.Fatalf("keyless GroupAgg %s at %d%%: %q, %+v vs %+v", name, percent, resp.Err, resp.Groups, want)
 			}
 			// TopK, both directions.
 			for _, desc := range []bool{false, true} {
@@ -252,7 +254,7 @@ func TestPushedOpsMatchReference(t *testing.T) {
 		subs := []rpc.Request{
 			{Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpLt, Value: sql.FloatLit(0.03)},
 			{Kind: rpc.KindProject, Chunk: ref, Bitmap: wire},
-			{Kind: rpc.KindAggregate, Chunk: ref, Bitmap: wire},
+			*keyless(ref, wire, sql.AggMax),
 			{Kind: rpc.KindTopK, Chunk: ref, Bitmap: wire, K: 7, Desc: true, RG: 3},
 			{Kind: rpc.KindGroupAgg, Bitmap: wire, KeyChunks: []rpc.ChunkRef{fx.refs["flag"]},
 				ValChunks: []rpc.ChunkRef{ref}, AggKinds: []sql.AggKind{sql.AggSum}},
@@ -273,11 +275,34 @@ func TestPushedOpsMatchReference(t *testing.T) {
 	}
 }
 
+// keyless is the GroupAgg of an ungrouped aggregate over one chunk: no key
+// chunk, one argument.
+func keyless(ref rpc.ChunkRef, sel []byte, kind sql.AggKind) *rpc.Request {
+	return &rpc.Request{Kind: rpc.KindGroupAgg, Bitmap: sel, ValChunks: []rpc.ChunkRef{ref}, AggKinds: []sql.AggKind{kind}}
+}
+
+// TestGroupAggRefusesReadingNoColumn: a GroupAgg must read some column, or
+// nothing says how many rows its selection covers — with no key chunk and
+// only COUNTs it is an error reply, not a node panic. The retired Aggregate
+// kind is refused as unknown.
+func TestGroupAggRefusesReadingNoColumn(t *testing.T) {
+	fx := newRowGroupFixture(t, 100)
+	sel := bitmap.NewFull(fx.rows).Marshal()
+	for _, req := range []*rpc.Request{
+		{Kind: rpc.KindGroupAgg, Bitmap: sel},
+		{Kind: rpc.KindGroupAgg, Bitmap: sel, ValChunks: make([]rpc.ChunkRef, 2), AggKinds: []sql.AggKind{sql.AggCount, sql.AggCount}},
+		{Kind: rpc.KindAggregate, Chunk: fx.refs["price"], Bitmap: sel},
+	} {
+		if resp := fx.handled(t, req); resp.Err == "" {
+			t.Fatalf("%v request %+v answered %+v", req.Kind, req, *resp)
+		}
+	}
+}
+
 // sameResponse compares two operator replies field by field, floats by their
 // bits.
 func sameResponse(a, b *rpc.Response) bool {
 	if a.Err != b.Err || !bytes.Equal(a.Data, b.Data) || a.Matches != b.Matches || a.Cost != b.Cost ||
-		(a.Agg == nil) != (b.Agg == nil) || a.Agg != nil && !sameAggState(a.Agg, b.Agg) ||
 		!sameTopRows(a.TopRows, b.TopRows) || len(a.Groups) != len(b.Groups) {
 		return false
 	}
@@ -426,14 +451,15 @@ func TestFrameHoldsOneChunkAtATime(t *testing.T) {
 	bad := fx.refs["price"]
 	bad.Meta.CRC++
 	sel := bitmap.NewFull(fx.rows).Marshal()
+	sum := func(ref rpc.ChunkRef) rpc.Request { return *keyless(ref, sel, sql.AggSum) }
 	subs := []rpc.Request{
-		{Kind: rpc.KindAggregate, Chunk: fx.refs["price"], Bitmap: sel},
-		{Kind: rpc.KindAggregate, Chunk: bad, Bitmap: sel},
-		{Kind: rpc.KindAggregate, Chunk: fx.refs["comment"], Bitmap: sel},
+		sum(fx.refs["price"]),
+		sum(bad),
+		sum(fx.refs["comment"]),
 		{Kind: rpc.KindProject, Chunk: fx.refs["price"], Bitmap: []byte("not a bitmap")},
-		{Kind: rpc.KindAggregate, Chunk: fx.refs["shipdate"], Bitmap: sel},
-		{Kind: rpc.KindAggregate, Chunk: rpc.ChunkRef{BlockID: "missing"}, Bitmap: sel},
-		{Kind: rpc.KindAggregate, Chunk: fx.refs["price"], Bitmap: sel},
+		sum(fx.refs["shipdate"]),
+		sum(rpc.ChunkRef{BlockID: "missing"}),
+		sum(fx.refs["price"]),
 	}
 	// Count, by hand, what the frame's accounting says is open after each
 	// sub-op: dispatch is what handleBatch loops over.

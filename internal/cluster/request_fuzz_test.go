@@ -17,8 +17,9 @@ import (
 // never panic. Each input gets a fresh node, so no input's writes reach the
 // next. The seeds: a genuine GroupAgg whose key chunk is shipped, then the
 // same with Data truncated, the shipped Offset beyond Data, one shipped byte
-// flipped (a CRC mismatch), and the zero reference as the key; and all five in
-// one batch.
+// flipped (a CRC mismatch), the zero reference as the key, no key (an
+// ungrouped aggregate), and no key with only a COUNT (a fold that reads no
+// column); and all seven in one batch.
 func FuzzNodeRequest(f *testing.F) {
 	fx := newRowGroupFixture(f, 300)
 	file, err := fx.store.MemStore.Get("blk", 0, 0)
@@ -37,14 +38,20 @@ func FuzzNodeRequest(f *testing.F) {
 	if resp := fx.node.Handle(&genuine); resp.Err != "" || len(resp.Groups) != 3 {
 		f.Fatalf("the genuine GroupAgg is answered %q with %d groups, want 3", resp.Err, len(resp.Groups))
 	}
-	truncated, beyond, flipped, zeroKey := genuine, genuine, genuine, genuine
+	truncated, beyond, flipped, zeroKey, keyless, noColumn := genuine, genuine, genuine, genuine, genuine, genuine
 	truncated.Data = genuine.Data[:len(genuine.Data)/2]
 	beyond.KeyChunks = []rpc.ChunkRef{flag}
 	beyond.KeyChunks[0].Offset = uint64(len(genuine.Data)) + 1
 	flipped.Data = bytes.Clone(genuine.Data)
 	flipped.Data[len(flipped.Data)/2] ^= 0x10
 	zeroKey.KeyChunks = []rpc.ChunkRef{{}}
-	seeds := []rpc.Request{genuine, truncated, beyond, flipped, zeroKey}
+	keyless.KeyChunks, keyless.Data = nil, nil
+	noColumn.KeyChunks, noColumn.Data = nil, nil
+	noColumn.ValChunks, noColumn.AggKinds = []rpc.ChunkRef{{}}, []sql.AggKind{sql.AggCount}
+	if resp := fx.node.Handle(&keyless); resp.Err != "" || len(resp.Groups) != 1 {
+		f.Fatalf("the keyless GroupAgg is answered %q with %d groups, want 1", resp.Err, len(resp.Groups))
+	}
+	seeds := []rpc.Request{genuine, truncated, beyond, flipped, zeroKey, keyless, noColumn}
 	for _, r := range append(seeds, rpc.Request{Kind: rpc.KindBatch, Subs: seeds}) {
 		_, segs, err := rpc.AppendRequest(nil, nil, &r)
 		if err != nil {

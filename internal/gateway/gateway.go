@@ -211,7 +211,7 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 			"traffic_bytes":     res.Stats.TrafficBytes,
 			"filter_rpcs":       res.Stats.FilterRPCs,
 			"project_rpcs":      res.Stats.ProjectRPCs,
-			"aggregate_rpcs":    res.Stats.AggregateRPCs,
+			"group_agg_rpcs":    res.Stats.GroupAggRPCs,
 			"fetch_rpcs":        res.Stats.FetchRPCs,
 			"pushdown_on":       res.Stats.PushdownOn,
 			"pushdown_off":      res.Stats.PushdownOff,

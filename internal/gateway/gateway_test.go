@@ -143,6 +143,11 @@ func TestGatewayLifecycle(t *testing.T) {
 	if qr.Aggregates["COUNT(*)"].(float64) != 400 {
 		t.Fatalf("COUNT(*) = %v", qr.Aggregates["COUNT(*)"])
 	}
+	// AVG(v) reads a column nothing projects: each row group's chunk is
+	// reduced on its node, and the stats say so.
+	if n, _ := qr.Stats["group_agg_rpcs"].(float64); n == 0 {
+		t.Fatalf("no pushed ungrouped aggregate in the stats %v", qr.Stats)
+	}
 
 	// Scrub.
 	resp, body = do(t, "POST", srv.URL+"/scrub/tbl", nil)

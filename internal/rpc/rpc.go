@@ -32,9 +32,10 @@ const (
 	// KindProject returns the chunk's values selected by a bitmap, in plain
 	// encoding (projection-stage pushdown).
 	KindProject
-	// KindAggregate computes a partial aggregate (count/sum/min/max) over
-	// the chunk rows selected by a bitmap, returning only the accumulator —
-	// the aggregate-pushdown extension the paper lists as future work (§5).
+	// KindAggregate is retired: an ungrouped aggregate is pushed as a
+	// KindGroupAgg with no key chunks. The value keeps its place so the kinds
+	// after it keep theirs; no coordinator sends it and a node refuses it as
+	// an unknown kind.
 	KindAggregate
 	// KindPrepareBlock is phase one of the crash-consistent write protocol:
 	// it stores a named block like KindPutBlock but tags it pending under
@@ -54,7 +55,7 @@ const (
 	// (scatter-gather). The node executes each sub-request independently and
 	// returns a sub-response per sub-request in order, so one slow or failed
 	// op never poisons its siblings. The data-plane reads (GetBlock, Filter,
-	// Project, Aggregate, GroupAgg, TopK) and one mutation, DeleteBlock, may
+	// Project, GroupAgg, TopK) and one mutation, DeleteBlock, may
 	// be batched; nesting batches is an error.
 	KindBatch
 	// KindGroupAgg computes per-group partial aggregates over one row
@@ -63,7 +64,8 @@ const (
 	// them into a sql.GroupTable, and
 	// returns the partial states in deterministic key order — never a
 	// pre-divided AVG (GROUP BY pushdown, the OASIS-style extension of the
-	// paper's aggregation offload).
+	// paper's aggregation offload). With no key chunks it is an ungrouped
+	// aggregate: at most one group, keyed by nothing.
 	KindGroupAgg
 	// KindTopK returns the row group's local top-k rows by one order
 	// column: (value, row) pairs the coordinator feeds into a bounded
@@ -204,7 +206,7 @@ const MaxBatchOps = 1024
 // what a lost frame missed to the reconciler.
 func batchable(k Kind) bool {
 	switch k {
-	case KindGetBlock, KindFilter, KindProject, KindAggregate, KindGroupAgg, KindTopK, KindDeleteBlock:
+	case KindGetBlock, KindFilter, KindProject, KindGroupAgg, KindTopK, KindDeleteBlock:
 		return true
 	}
 	return false
@@ -280,8 +282,6 @@ type Response struct {
 	Blocks []BlockInfo
 	// Matches is the number of selected rows (Filter/Project).
 	Matches int
-	// Agg is the partial aggregate accumulator (Aggregate).
-	Agg *sql.AggState
 	// Groups holds per-group partial states in deterministic key order
 	// (GroupAgg).
 	Groups []sql.GroupPartial

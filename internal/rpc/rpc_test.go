@@ -77,7 +77,8 @@ func TestValidateBatch(t *testing.T) {
 		req  *Request
 		ok   bool
 	}{
-		{"reads", batch(KindGetBlock, KindFilter, KindProject, KindAggregate, KindGroupAgg, KindTopK), true},
+		{"reads", batch(KindGetBlock, KindFilter, KindProject, KindGroupAgg, KindTopK), true},
+		{"retired Aggregate", batch(KindAggregate), false},
 		{"deletes", batch(KindDeleteBlock, KindDeleteBlock), true},
 		{"deletes beside reads", batch(KindGetBlock, KindDeleteBlock), true},
 		{"PutBlock", batch(KindDeleteBlock, KindPutBlock), false},

@@ -22,7 +22,6 @@ import (
 //	bool, Kind          one byte (a bool is exactly 0 or 1)
 //	string, []byte      uvarint length, then the bytes
 //	slice               uvarint count, then the elements
-//	*AggState           one presence byte, then the value
 //
 // Subs are encoded by the same functions one level deep: a sub-message
 // carries a zero Subs count. An empty slice decodes as nil.
@@ -265,10 +264,6 @@ func (e *encoder) response(r *Response, top bool) error {
 		e.blockInfo(&r.Blocks[i])
 	}
 	e.varint(int64(r.Matches))
-	e.bool(r.Agg != nil)
-	if r.Agg != nil {
-		e.aggState(r.Agg)
-	}
 	e.uvarint(uint64(len(r.Groups)))
 	for i := range r.Groups {
 		e.groupPartial(&r.Groups[i])
@@ -577,11 +572,6 @@ func (d *decoder) response(r *Response, top bool) {
 		}
 	}
 	r.Matches = d.int()
-	r.Agg = nil
-	if d.bool() {
-		r.Agg = new(sql.AggState)
-		d.aggState(r.Agg)
-	}
 	r.Groups = nil
 	if n := d.count(minGroupPartial); n > 0 {
 		r.Groups = make([]sql.GroupPartial, n)

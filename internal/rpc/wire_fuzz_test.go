@@ -3,6 +3,8 @@ package rpc
 import (
 	"reflect"
 	"testing"
+
+	"github.com/fusionstore/fusion/internal/sql"
 )
 
 // FuzzFrame throws arbitrary bytes at both decoders. The invariants: never
@@ -30,6 +32,25 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{0x00})
 	hostileReq, hostileResp := hostileFrames(f)
 	for _, frame := range append(hostileReq, hostileResp...) {
+		f.Add(frame)
+	}
+	// An ungrouped aggregate: a GroupAgg naming no key chunk, its one-group
+	// reply keyed by nothing, and a request of the retired Aggregate kind.
+	ungrouped := &Request{Kind: KindGroupAgg, Bitmap: []byte{1},
+		ValChunks: []ChunkRef{{BlockID: "obj/e1/s0/b0", Offset: 8}, {}},
+		AggKinds:  []sql.AggKind{sql.AggSum, sql.AggCount}}
+	retired := &Request{Kind: KindAggregate, Chunk: ChunkRef{BlockID: "obj/e1/s0/b0"}, Bitmap: []byte{1}}
+	reply := &Response{Matches: 3, Groups: []sql.GroupPartial{{Rows: 3, Aggs: []sql.AggState{
+		{Kind: sql.AggSum, Count: 3, Sum: 7.5}, {Kind: sql.AggCount, Count: 3}}}}}
+	for _, seed := range []func() ([]byte, error){
+		func() ([]byte, error) { return encodeRequest(ungrouped) },
+		func() ([]byte, error) { return encodeResponse(reply) },
+		func() ([]byte, error) { return encodeRequest(retired) },
+	} {
+		frame, err := seed()
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(frame)
 	}
 

@@ -180,7 +180,6 @@ func TestWireZeroElements(t *testing.T) {
 	requireRequestRoundTrip(t, req)
 	resp := &Response{
 		Blocks:  make([]BlockInfo, 2),
-		Agg:     &sql.AggState{},
 		Groups:  []sql.GroupPartial{{}, {Key: make([]sql.Literal, 2), Aggs: make([]sql.AggState, 2)}},
 		TopRows: make([]sql.TopRow, 3),
 		Subs:    make([]Response, MaxBatchOps),

@@ -7,7 +7,8 @@ import (
 )
 
 // AggKind enumerates the aggregate functions (aggregate pushdown is the
-// paper's stated future work; Fusion evaluates them at the coordinator).
+// paper's stated future work; here every aggregate folds through a
+// GroupTable, an ungrouped one being a grouping with no key).
 type AggKind int
 
 const (

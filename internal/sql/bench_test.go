@@ -175,14 +175,16 @@ func benchSelection(percent int) *bitmap.Bitmap {
 }
 
 // BenchmarkKernelAggregate1pct times the fused gather-and-fold of 1% of a
-// decimal float chunk against folding the decoded column.
+// decimal float chunk — an ungrouped SUM, a GROUP BY with no key — against
+// folding the decoded column.
 func BenchmarkKernelAggregate1pct(b *testing.B) {
 	chunks, cols := benchRowGroup(b)
 	sel := benchSelection(1)
 	b.Run("price-decimal", func(b *testing.B) {
 		b.SetBytes(benchRows)
 		for i := 0; i < b.N; i++ {
-			if err := NewAggState(AggSum).AddChunk(chunks[benchPrice], sel); err != nil {
+			g := NewGroupTable([]AggKind{AggSum}, 0)
+			if err := g.AddChunks(nil, chunks[benchPrice:benchPrice+1], sel); err != nil {
 				b.Fatal(err)
 			}
 		}

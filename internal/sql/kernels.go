@@ -12,11 +12,12 @@ import (
 )
 
 // This file is the query kernels over an opened chunk (lpq.Chunk): filter,
-// aggregate, group-by and top-k computed on the encoded pages, touching only
-// the rows a selection names and building no value slice. Storage nodes and
-// the coordinator's fallback call the same four, so a result is bit-identical
-// wherever it was computed; each is property-tested against decoding the
-// whole chunk and going value by value (kernels_test.go).
+// group-by (an ungrouped aggregate being a grouping with no key) and top-k
+// computed on the encoded pages, touching only the rows a selection names and
+// building no value slice. Storage nodes and the coordinator's fallback call
+// the same three, so a result is bit-identical wherever it was computed; each
+// is property-tested against decoding the whole chunk and going value by
+// value (kernels_test.go).
 
 // FilterChunk is EvalCompare over an opened chunk. A dictionary chunk
 // evaluates the comparison once over its dictionary and maps the verdicts
@@ -186,41 +187,31 @@ func (c *chunkCursor) appendKey(dst []byte, i int) []byte {
 	return appendKeyLit(dst, c.literal(i))
 }
 
-// AddChunk folds the rows of an opened chunk that sel selects (nil selects
-// every row) into the accumulator, in row order. On error the accumulator
-// holds a partial fold and must be discarded.
-func (a *AggState) AddChunk(ch *lpq.Chunk, sel *bitmap.Bitmap) error {
-	var c chunkCursor
-	if err := c.start(ch, sel); err != nil {
-		return err
-	}
-	var accs [lpq.BatchRows]*AggState
-	for i := range accs {
-		accs[i] = a
-	}
-	for c.next() {
-		c.foldBatch(accs[:c.n])
-	}
-	return c.sc.Err()
-}
-
 // AddChunks folds the selected rows of one row group into the table, reading
 // the grouping and argument columns from opened chunks in lockstep. keys
 // holds the grouping columns; vals[i] is the argument column of aggregate i,
-// or nil for COUNT(*). A lone dictionary-encoded key resolves its group once
-// per dictionary code, not once per row; every other key shape goes through
-// the key-bytes map. On error the table holds a partial fold and must be
-// discarded.
+// or nil for COUNT(*). With no key — an ungrouped aggregate — every row joins
+// one group and no key bytes are built. A lone dictionary-encoded key
+// resolves its group once per dictionary code, not once per row; every other
+// key shape goes through the key-bytes map. A fold that reads no column at
+// all is refused: nothing would say how many rows there are. On error the
+// table holds a partial fold and must be discarded.
 func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) error {
 	if len(vals) != len(g.kinds) {
 		return errors.New("sql: GroupTable.AddChunks: vals/kinds length mismatch")
 	}
-	if len(keys) == 0 {
-		return errors.New("sql: GroupTable.AddChunks: no grouping column")
-	}
+	var cols []*lpq.Chunk
 	for _, ch := range append(append([]*lpq.Chunk(nil), keys...), vals...) {
+		if ch != nil {
+			cols = append(cols, ch)
+		}
+	}
+	if len(cols) == 0 {
+		return errors.New("sql: GroupTable.AddChunks: reads no column")
+	}
+	for _, ch := range cols {
 		// With a selection, Scan checks each chunk against it as well.
-		if ch != nil && ch.NumRows() != keys[0].NumRows() {
+		if ch.NumRows() != cols[0].NumRows() {
 			return errors.New("sql: GroupTable.AddChunks: columns differ in row count")
 		}
 	}
@@ -253,6 +244,7 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 			return err
 		}
 	}
+	var one *GroupPartial     // the group of every row, with no key
 	var slots []*GroupPartial // by code of the lone dictionary key
 	if len(keys) == 1 && keyCur[0].isDict {
 		slots = make([]*GroupPartial, keyCur[0].dict.Len())
@@ -276,7 +268,7 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 		// First each row's group, then one column at a time: an aggregate
 		// still sees its group's rows in row order.
 		for i := 0; i < n; i++ {
-			var gp *GroupPartial
+			gp := one
 			if slots != nil {
 				gp = slots[keyCur[0].codes[i]]
 			}
@@ -298,6 +290,9 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 				}
 				if slots != nil {
 					slots[keyCur[0].codes[i]] = gp
+				}
+				if len(keyCur) == 0 {
+					one = gp
 				}
 			}
 			gp.Rows++

@@ -298,10 +298,32 @@ func sameAgg(a, b *AggState) bool {
 		a.MinS == b.MinS && a.MaxS == b.MaxS
 }
 
-// TestAddChunkMatchesReference: the aggregate kernel against AddValue over
-// the decoded column, every AggState field bit for bit, under every selection;
-// and AddColumn over all of it.
-func TestAddChunkMatchesReference(t *testing.T) {
+// keyless folds the rows of ch that sel selects through AddChunks with no
+// key, as an ungrouped SUM, and returns the state of its one group: a zero
+// state when nothing is selected, which must then leave no group at all.
+func keyless(ch *lpq.Chunk, sel *bitmap.Bitmap) (*AggState, error) {
+	g := NewGroupTable([]AggKind{AggSum}, 0)
+	if err := g.AddChunks(nil, []*lpq.Chunk{ch}, sel); err != nil {
+		return nil, err
+	}
+	got := NewAggState(AggSum)
+	groups := g.Sorted()
+	switch {
+	case len(groups) > 1:
+		return nil, fmt.Errorf("%d groups with no key", len(groups))
+	case len(groups) == 1 && (len(groups[0].Key) != 0 || groups[0].Rows != groups[0].Aggs[0].Count):
+		return nil, fmt.Errorf("the one group is keyed %v with %d rows, its state counts %d", groups[0].Key, groups[0].Rows, groups[0].Aggs[0].Count)
+	case len(groups) == 1:
+		*got = groups[0].Aggs[0]
+	}
+	return got, nil
+}
+
+// TestKeylessFoldMatchesReference: the fold of an ungrouped aggregate (a
+// GROUP BY with no key) against AddValue over the decoded column, every
+// AggState field bit for bit, under every selection; and AddColumn over all
+// of it.
+func TestKeylessFoldMatchesReference(t *testing.T) {
 	forEachChunkCase(t, func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions) {
 		ch, col := openColumn(t, opts, col)
 		type pair struct{ got, want *AggState }
@@ -309,8 +331,8 @@ func TestAddChunkMatchesReference(t *testing.T) {
 		for name, sel := range testSelections(rng, col.Len()) {
 			want := NewAggState(AggSum)
 			want.addSelected(col, orFull(sel, col.Len()))
-			got := NewAggState(AggSum)
-			if err := got.AddChunk(ch, sel); err != nil {
+			got, err := keyless(ch, sel)
+			if err != nil {
 				t.Fatalf("selection %s: %v", name, err)
 			}
 			if !sameAgg(got, want) {
@@ -634,12 +656,13 @@ func TestFullSelectionScansAsNil(t *testing.T) {
 		if !bytes.Equal(plain(nil), plain(full)) {
 			t.Fatal("Gather or AppendSelected differs under the full bitmap")
 		}
-		aggs := [2]*AggState{NewAggState(AggSum), NewAggState(AggSum)}
+		var aggs [2]*AggState
 		desc := rng.Intn(2) == 0
 		tops := [2]*TopK{NewTopK(10, desc), NewTopK(10, desc)}
 		groups := [2]*GroupTable{NewGroupTable([]AggKind{AggMin, AggCount}, 0), NewGroupTable([]AggKind{AggMin, AggCount}, 0)}
 		for i, sel := range []*bitmap.Bitmap{nil, full} {
-			if err := aggs[i].AddChunk(ch, sel); err != nil {
+			var err error
+			if aggs[i], err = keyless(ch, sel); err != nil {
 				t.Fatal(err)
 			}
 			if err := tops[i].PushChunk(ch, sel, 0); err != nil {
@@ -650,7 +673,7 @@ func TestFullSelectionScansAsNil(t *testing.T) {
 			}
 		}
 		if !sameAgg(aggs[0], aggs[1]) {
-			t.Fatalf("AddChunk: %+v under nil, %+v under the full bitmap", *aggs[0], *aggs[1])
+			t.Fatalf("keyless AddChunks: %+v under nil, %+v under the full bitmap", *aggs[0], *aggs[1])
 		}
 		if got, want := tops[1].Rows(), tops[0].Rows(); !sameTopRows(got, want) {
 			t.Fatalf("PushChunk under the full bitmap: %s", firstDiff(got, want))
@@ -672,8 +695,8 @@ func TestKernelsRejectMismatchedSelection(t *testing.T) {
 	defer ch.Release()
 	defer short.Release()
 	wrong := bitmap.NewFull(99)
-	if err := NewAggState(AggSum).AddChunk(ch, wrong); err == nil {
-		t.Error("AddChunk accepted a 99-row selection over 100 rows")
+	if _, err := keyless(ch, wrong); err == nil {
+		t.Error("keyless AddChunks accepted a 99-row selection over 100 rows")
 	}
 	if err := NewTopK(3, false).PushChunk(ch, wrong, 0); err == nil {
 		t.Error("PushChunk accepted a 99-row selection over 100 rows")
@@ -685,8 +708,8 @@ func TestKernelsRejectMismatchedSelection(t *testing.T) {
 	if err := g.AddChunks([]*lpq.Chunk{ch}, []*lpq.Chunk{short}, nil); err == nil {
 		t.Error("AddChunks accepted columns of 100 and 90 rows")
 	}
-	if err := g.AddChunks(nil, []*lpq.Chunk{ch}, nil); err == nil {
-		t.Error("AddChunks accepted no grouping column")
+	if err := NewGroupTable([]AggKind{AggCount}, 0).AddChunks(nil, []*lpq.Chunk{nil}, nil); err == nil {
+		t.Error("AddChunks accepted a fold that reads no column")
 	}
 	if err := g.AddChunks([]*lpq.Chunk{ch}, nil, nil); err == nil {
 		t.Error("AddChunks accepted fewer argument columns than aggregates")

@@ -242,8 +242,6 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 			st.stats.FilterRPCs++
 		case rpc.KindProject:
 			st.stats.ProjectRPCs++
-		case rpc.KindAggregate:
-			st.stats.AggregateRPCs++
 		case rpc.KindTopK:
 			st.stats.TopKRPCs++
 		case rpc.KindGroupAgg:
@@ -389,21 +387,26 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 	return out, nil
 }
 
-// chunkTask is the projection stage's part of one chunk's task: materializing
-// (or in-situ aggregating) the selected rows of the chunk.
+// chunkTask is the projection stage's part of one chunk's task: the selected
+// rows of the chunk, materialized when the SELECT list projects the column,
+// else reduced for the aggregates that read it as a GROUP BY with no key.
 type chunkTask struct {
 	ci    int
-	name  string
-	agg   bool // planned as an in-situ aggregation (aggregate pushdown)
 	plain bool // the SELECT list projects the column: its values are wanted
-	folds bool // some aggregate reads the column: a partial is wanted
-	// dst is where the task's values are decoded: for a plain column its own
-	// window of the result column — zero length, capacity clipped to the row
-	// group's selected rows, so tasks fill one column in parallel and none can
-	// reach its neighbour's rows — otherwise an empty column of the chunk's
-	// type.
-	dst     lpq.ColumnData
-	partial *sql.AggState
+	// The aggregates that read the column, as positions in the SELECT list's
+	// aggregates, with their argument column (ci, for each) and kinds: the
+	// reduction's valIdx and kinds.
+	folds  []int
+	valIdx []int
+	kinds  []sql.AggKind
+	// dst is where a plain column's values are decoded: its own window of the
+	// result column — zero length, capacity clipped to the row group's
+	// selected rows, so tasks fill one column in parallel and none can reach
+	// its neighbour's rows.
+	dst lpq.ColumnData
+	// partials[k] is aggregate folds[k]'s partial state over the selected
+	// rows; nil when none came.
+	partials []sql.AggState
 }
 
 // blockKey identifies one data block of an object: (stripe, bin).

@@ -61,8 +61,8 @@ func pushdownAndBaselineStores(t *testing.T, opts Options, data []byte) (push, b
 }
 
 // TestPushdownQueryEquivalence checks that node-side execution is invisible
-// to query results across pushdown policies and aggregate pushdown: every
-// configuration must agree with coordinator-side evaluation bit for bit.
+// to query results across pushdown policies: every configuration must agree
+// with coordinator-side evaluation bit for bit.
 func TestPushdownQueryEquivalence(t *testing.T) {
 	data, _, _ := makeObject(t, 6, 300, 11)
 	queries := []string{
@@ -72,24 +72,21 @@ func TestPushdownQueryEquivalence(t *testing.T) {
 		"SELECT min(qty), max(price), avg(price) FROM obj WHERE qty >= 40 OR flag = 'R'",
 	}
 	for _, policy := range []PushdownPolicy{PushdownAdaptive, PushdownAlways, PushdownNever} {
-		for _, aggPush := range []bool{false, true} {
-			opts := fusionTestOptions()
-			opts.Pushdown = policy
-			opts.AggregatePushdown = aggPush
-			p, b := pushdownAndBaselineStores(t, opts, data)
-			for _, q := range queries {
-				got, err := p.Query(q)
-				if err != nil {
-					t.Fatalf("%v/agg=%v %q: %v", policy, aggPush, q, err)
-				}
-				want, err := b.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g, w := resultKey(got), resultKey(want); g != w {
-					t.Fatalf("%v/agg=%v %q: pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s",
-						policy, aggPush, q, g, w)
-				}
+		opts := fusionTestOptions()
+		opts.Pushdown = policy
+		p, b := pushdownAndBaselineStores(t, opts, data)
+		for _, q := range queries {
+			got, err := p.Query(q)
+			if err != nil {
+				t.Fatalf("%v %q: %v", policy, q, err)
+			}
+			want, err := b.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := resultKey(got), resultKey(want); g != w {
+				t.Fatalf("%v %q: pushdown diverges from baseline:\n--- got ---\n%s--- want ---\n%s",
+					policy, q, g, w)
 			}
 		}
 	}
@@ -103,19 +100,16 @@ func TestQueryRoundTrips(t *testing.T) {
 	const rowGroups = 10
 	data, _, _ := makeObject(t, rowGroups, 200, 7)
 	for _, c := range []struct {
-		query   string
-		aggPush bool
+		query string
 		// The work the frames carry, per row group: filter leaves, then
 		// projected or aggregated chunks.
 		filters, projects, aggs int
 	}{
 		{query: "SELECT * FROM obj WHERE qty < 25", filters: 1, projects: 5},
-		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0",
-			aggPush: true, filters: 2, aggs: 2},
+		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0", filters: 2, aggs: 2},
 	} {
 		opts := fusionTestOptions()
 		opts.Pushdown = PushdownAlways
-		opts.AggregatePushdown = c.aggPush
 		p, b := pushdownAndBaselineStores(t, opts, data)
 
 		res, total, filter := queryRoundTrips(t, p, c.query)
@@ -134,9 +128,9 @@ func TestQueryRoundTrips(t *testing.T) {
 		}
 		st := res.Stats
 		if st.FilterRPCs != c.filters*rowGroups || st.ProjectRPCs != c.projects*rowGroups ||
-			st.AggregateRPCs != c.aggs*rowGroups || st.FetchRPCs != 0 {
-			t.Fatalf("%q: pushed ops: filter %d project %d aggregate %d fetch %d, want %d/%d/%d/0 per row group",
-				c.query, st.FilterRPCs, st.ProjectRPCs, st.AggregateRPCs, st.FetchRPCs, c.filters, c.projects, c.aggs)
+			st.GroupAggRPCs != c.aggs*rowGroups || st.FetchRPCs != 0 {
+			t.Fatalf("%q: pushed ops: filter %d project %d group-agg %d fetch %d, want %d/%d/%d/0 per row group",
+				c.query, st.FilterRPCs, st.ProjectRPCs, st.GroupAggRPCs, st.FetchRPCs, c.filters, c.projects, c.aggs)
 		}
 		if uint64(st.BatchRPCs) != total {
 			t.Fatalf("%q: BatchRPCs = %d, trace recorded %d round trips", c.query, st.BatchRPCs, total)
@@ -216,7 +210,6 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 	}
 	always := fusionTestOptions()
 	always.Pushdown = PushdownAlways
-	always.AggregatePushdown = true
 	fallback := fusionTestOptions()
 	fallback.Layout = LayoutFixed // no pushdown: every chunk is fetched
 	configs := map[string]Options{"pushed": always, "adaptive": fusionTestOptions(), "fallback": fallback}

@@ -89,11 +89,8 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	var rgs []rgPush
 	for rg := range meta.Footer.RowGroups {
 		if bm := rgBitmaps[rg]; bm != nil && bm.Count() > 0 {
-			r := rgPush{rg: rg}
-			if pushdownOn(meta) {
-				r.plan, r.ok = planGroupPush(meta, rg, keyIdx, valIdx, bm.Count())
-			}
-			rgs = append(rgs, r)
+			plan, ok := planGroupPush(meta, rg, keyIdx, valIdx, bm.Count())
+			rgs = append(rgs, rgPush{rg: rg, plan: plan, ok: ok})
 		}
 	}
 	// The chunks a push ships are fetched first, in one fan-out joined in
@@ -140,7 +137,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	partials := make([][]sql.GroupPartial, len(p.tasks))
 	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
 		t := &p.tasks[i]
-		if pre := t.reply(); pre != nil && acceptGroups(pre.Groups, meta, keyIdx, aggs, rgBitmaps[t.rg].Count()) {
+		if pre := t.reply(); pre != nil && acceptGroups(pre.Groups, meta, keyIdx, valIdx, kinds, rgBitmaps[t.rg].Count()) {
 			partials[i] = pre.Groups
 			return true, nil
 		}
@@ -227,16 +224,17 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 }
 
 // acceptGroups reports whether a node's reply can be partial states of this
-// grouping over a row group's selected rows: every group keyed by one literal
-// per grouping column, of that column's type, with one state per aggregate, of
-// that aggregate's kind; no count, and no sum of the groups' rows, beyond the
-// selection; MIN/MAX extrema of the argument column's kind. The result table
-// renders these, so a reply that fails this is treated as no reply at all.
-func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx []int, aggs []groupAgg, selected int) bool {
-	sel, rows := int64(selected), int64(0)
+// grouping over a row group's selected rows: every selected row in exactly one
+// group, keyed by one literal per grouping column, of that column's type, with
+// one state per aggregate, of that aggregate's kind, counting its group's rows
+// (lpq has no NULLs); MIN/MAX extrema of the argument column's kind. With no
+// grouping column that is one group with an empty key. The result renders
+// these, so a reply that fails this is treated as no reply at all.
+func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx, valIdx []int, kinds []sql.AggKind, selected int) bool {
+	rows := int64(0)
 	for gi := range groups {
 		g := &groups[gi]
-		if len(g.Key) != len(keyIdx) || len(g.Aggs) != len(aggs) || g.Rows < 0 || g.Rows > sel-rows {
+		if len(g.Key) != len(keyIdx) || len(g.Aggs) != len(kinds) || g.Rows < 1 || g.Rows > int64(selected)-rows {
 			return false
 		}
 		rows += g.Rows
@@ -245,17 +243,17 @@ func acceptGroups(groups []sql.GroupPartial, meta *ObjectMeta, keyIdx []int, agg
 				return false
 			}
 		}
-		for i, a := range aggs {
+		for i, kind := range kinds {
 			st := &g.Aggs[i]
-			if st.Kind != a.proj.Agg || st.Count < 0 || st.Count > sel {
+			if st.Kind != kind || st.Count != g.Rows {
 				return false
 			}
-			if (st.Kind == sql.AggMin || st.Kind == sql.AggMax) && st.IsString != (meta.Footer.Columns[a.ci].Type == lpq.String) {
+			if (kind == sql.AggMin || kind == sql.AggMax) && st.IsString != (meta.Footer.Columns[valIdx[i]].Type == lpq.String) {
 				return false
 			}
 		}
 	}
-	return true
+	return rows == int64(selected)
 }
 
 // localGroupRG groups one row group at the coordinator: fetch and open the key

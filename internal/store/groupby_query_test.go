@@ -64,6 +64,8 @@ var groupEquivQueries = []string{
 	"SELECT id FROM obj ORDER BY id LIMIT 4",
 	"SELECT flag, COUNT(*) FROM obj GROUP BY flag LIMIT 0",
 	"SELECT id FROM obj LIMIT 0",
+	"SELECT COUNT(*), SUM(price), AVG(price), MIN(qty), MAX(qty) FROM obj WHERE qty < 40",
+	"SELECT MIN(comment), MAX(flag), AVG(qty), COUNT(price) FROM obj",
 }
 
 // partialForger rewrites every aggregate state of every GroupAgg reply that
@@ -357,7 +359,6 @@ func TestFloatAggregateDeterminism(t *testing.T) {
 	}{
 		{"parallel", func(o *Options) { o.QueryWorkers = 8 }},
 		{"parallel-cached", func(o *Options) { o.QueryWorkers = 8; o.CacheBytes = 64 << 20 }},
-		{"aggregate-pushdown", func(o *Options) { o.QueryWorkers = 8; o.AggregatePushdown = true }},
 		{"baseline", func(o *Options) {}},
 	} {
 		opts := cfg.name

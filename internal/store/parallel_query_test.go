@@ -30,11 +30,6 @@ func TestQueryParallelMatchesSerial(t *testing.T) {
 	}{
 		{"fusion", fusionTestOptions},
 		{"baseline", BaselineOptions},
-		{"aggpush", func() Options {
-			o := fusionTestOptions()
-			o.AggregatePushdown = true
-			return o
-		}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -68,10 +68,15 @@ type groupPush struct {
 // planGroupPush plans one row group's grouped aggregation over the distinct
 // chunks it reads: keyIdx, then valIdx (-1, a COUNT, reads none). It runs on
 // the node holding the most stored bytes of them — the first chunk's node on
-// a tie — and the others are shipped there. It pushes iff push < fetch and
-// the estimated cardinality fits the node-side cap; with nothing shipped that
-// is the Cost Equation with cardinality standing in for selectivity.
+// a tie — and the others are shipped there. It pushes iff the object is a
+// pushdown one, push < fetch and the estimated cardinality fits the node-side
+// cap; with nothing shipped that is the Cost Equation with cardinality
+// standing in for selectivity. With no key it is one group: an ungrouped
+// aggregate's chunk is pushed to its own node iff one partial is smaller.
 func planGroupPush(meta *ObjectMeta, rg int, keyIdx, valIdx []int, selected int) (p groupPush, ok bool) {
+	if !pushdownOn(meta) {
+		return p, false
+	}
 	var cols []int
 	for _, ci := range append(append([]int(nil), keyIdx...), valIdx...) {
 		if ci >= 0 && !slices.Contains(cols, ci) {

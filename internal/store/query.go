@@ -56,23 +56,23 @@ type QueryStats struct {
 	CoordProcBytes uint64
 	// TrafficBytes is the network traffic this query generated.
 	TrafficBytes uint64
-	// FilterRPCs, ProjectRPCs, AggregateRPCs and FetchRPCs count remote
-	// operations.
-	FilterRPCs, ProjectRPCs, AggregateRPCs, FetchRPCs int
+	// FilterRPCs, ProjectRPCs and FetchRPCs count remote operations.
+	FilterRPCs, ProjectRPCs, FetchRPCs int
 	// BatchRPCs counts the scatter-gather frames that carried the pushed
 	// share of those operations — each frame is one network round trip, so
-	// FilterRPCs+ProjectRPCs+AggregateRPCs-sized work arrives in few
-	// BatchRPCs.
+	// FilterRPCs+ProjectRPCs-sized work arrives in few BatchRPCs.
 	BatchRPCs int
 	// GroupAggRPCs and TopKRPCs count grouped-aggregation and top-k
-	// pushdown operations (each reduces a whole row group in situ).
+	// pushdown operations (each reduces a whole row group in situ). An
+	// ungrouped aggregate is a grouped one with no key, so its pushed
+	// chunks count as GroupAggRPCs too.
 	GroupAggRPCs, TopKRPCs int
 	// PartialGroups counts the per-group partial states received from nodes
 	// — the wire payload the stats-driven planner weighed against shipping
 	// the raw chunks.
 	PartialGroups int
-	// GroupSpills counts row groups grouped at the coordinator on a pushdown
-	// object: the planner predicted the partial states plus the chunks to
+	// GroupSpills counts row groups — for an ungrouped aggregate, chunks —
+	// grouped at the coordinator on a pushdown object: the planner predicted the partial states plus the chunks to
 	// ship would outweigh the chunks, a chunk to ship could not be fetched,
 	// or the push got no usable reply (node down, cardinality cap hit).
 	GroupSpills int
@@ -137,7 +137,6 @@ func (e *execState) join(c *execState) {
 	s.TrafficBytes += cs.TrafficBytes
 	s.FilterRPCs += cs.FilterRPCs
 	s.ProjectRPCs += cs.ProjectRPCs
-	s.AggregateRPCs += cs.AggregateRPCs
 	s.FetchRPCs += cs.FetchRPCs
 	s.BatchRPCs += cs.BatchRPCs
 	s.GroupAggRPCs += cs.GroupAggRPCs
@@ -544,36 +543,41 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// Plain projected columns (in SELECT order, deduplicated).
 	plainCols := make([]string, 0, len(q.Projections))
 	seen := map[string]bool{}
+	var aggs []groupAgg
 	for _, p := range q.Projections {
 		if p.Agg == sql.AggNone && !seen[p.Column] {
 			seen[p.Column] = true
 			plainCols = append(plainCols, p.Column)
 		}
-	}
-	// Aggregate accumulators.
-	type aggWork struct {
-		proj  sql.Projection
-		state *sql.AggState
-	}
-	var aggs []aggWork
-	for _, p := range q.Projections {
 		if p.Agg != sql.AggNone {
-			aggs = append(aggs, aggWork{proj: p, state: sql.NewAggState(p.Agg)})
+			a := groupAgg{proj: p, ci: -1}
+			if readsColumn(p) {
+				a.ci = colIdx[p.Column]
+			}
+			aggs = append(aggs, a)
 		}
 	}
 	// The columns read per row group, in SELECT-list order: the plain ones,
-	// then those only aggregates read — which aggregate pushdown, when it
-	// applies, reduces in situ instead.
-	aggPush := s.opts.AggregatePushdown && pushdownOn(meta)
-	feeds := map[string]bool{} // columns some aggregate reads
+	// then those only aggregates read. Each carries the part of its tasks
+	// every row group shares.
 	needCols := append([]string(nil), plainCols...)
 	for _, a := range aggs {
-		if readsColumn(a.proj) {
-			feeds[a.proj.Column] = true
+		if a.ci >= 0 {
 			needCols = append(needCols, a.proj.Column)
 		}
 	}
-	needCols = dedupStrings(needCols)
+	cols := make([]chunkTask, 0, len(needCols))
+	for _, name := range dedupStrings(needCols) {
+		c := chunkTask{ci: colIdx[name], plain: seen[name]}
+		for j, a := range aggs {
+			if a.ci == c.ci {
+				c.folds = append(c.folds, j)
+				c.valIdx = append(c.valIdx, c.ci)
+				c.kinds = append(c.kinds, a.proj.Agg)
+			}
+		}
+		cols = append(cols, c)
+	}
 
 	// Each plain result column is sized once, for the rows the filter selected,
 	// and every task decodes into its own window of it: no per-chunk value
@@ -592,22 +596,20 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// One task per needed chunk, generated in row-group-major, SELECT-list-
 	// minor order and merged back in exactly that order, so the result —
 	// including float aggregate accumulation order and the cost ledger's
-	// entry order — is identical to a serial run. Planning a
-	// task also plans its pushdown: a projection the policy pushes, or an
-	// in-situ aggregation (of a column only aggregates read, when aggregate
-	// pushdown applies), becomes a sub-request for the chunk's node.
+	// entry order — is identical to a serial run. Planning a task also plans
+	// its pushdown: a projection the policy pushes, or — for a column only
+	// aggregates read — the grouped stage's rule (planGroupPush) with no key,
+	// which pushes iff the one partial is smaller than the chunk.
 	var p stagePlan
 	var chunks []chunkTask // chunks[i] is p.tasks[i]'s chunk
 	// A row group's selection is marshalled once, however many of its
 	// chunks are pushed; the sub-requests share the bytes.
 	wire := make(map[int][]byte)
-	planPush := func(rg int, kind rpc.Kind, ci int, ch lpq.ChunkMeta) {
-		if node, ref, ok := chunkLocation(meta, rg, ci, ch); ok {
-			if wire[rg] == nil {
-				wire[rg] = rgBitmaps[rg].Marshal()
-			}
-			p.push(node, rpc.Request{Kind: kind, Chunk: ref, Bitmap: wire[rg]})
+	selection := func(rg int) []byte {
+		if wire[rg] == nil {
+			wire[rg] = rgBitmaps[rg].Marshal()
 		}
+		return wire[rg]
 	}
 	before := 0 // selected rows of the row groups before rg: where rg's window starts
 	for rg, rgMeta := range meta.Footer.RowGroups {
@@ -615,18 +617,21 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		if bm == nil || bm.Count() == 0 {
 			continue
 		}
-		for _, name := range needCols {
-			c := chunkTask{ci: colIdx[name], name: name, plain: seen[name], folds: feeds[name]}
-			c.agg = aggPush && !c.plain
-			c.dst.Type = meta.Footer.Columns[c.ci].Type
-			if c.plain {
-				c.dst = colData[name].Window(before, bm.Count())
+		for _, c := range cols {
+			if !c.plain {
+				chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, spills: true})
+				if gp, ok := planGroupPush(meta, rg, nil, c.valIdx, bm.Count()); ok {
+					_, vals := groupRefs(meta, rg, nil, c.valIdx, nil)
+					p.push(gp.node, rpc.Request{Kind: rpc.KindGroupAgg, Bitmap: selection(rg), ValChunks: vals, AggKinds: c.kinds, MaxGroups: 1})
+				}
+				continue
 			}
-			chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, values: !c.agg})
-			if ch := rgMeta.Chunks[c.ci]; c.agg {
-				planPush(rg, rpc.KindAggregate, c.ci, ch)
-			} else if s.pushProjection(meta, ch, bm.Selectivity()) {
-				planPush(rg, rpc.KindProject, c.ci, ch)
+			c.dst = colData[meta.Footer.Columns[c.ci].Name].Window(before, bm.Count())
+			chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, values: true})
+			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm.Selectivity()) {
+				if node, ref, ok := chunkLocation(meta, rg, c.ci, ch); ok {
+					p.push(node, rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: selection(rg)})
+				}
 			}
 		}
 		before += bm.Count()
@@ -641,47 +646,54 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	err := s.runStage(st, &p, func(i int, sub *execState) (answered bool, err error) {
 		c, rg, pre := &chunks[i], p.tasks[i].rg, p.tasks[i].reply()
 		bm := rgBitmaps[rg]
-		switch {
-		case c.agg && pre != nil && acceptAgg(pre.Agg, bm.Count(), c.dst.Type):
-			c.partial, answered = pre.Agg, true
-		case c.plain || (pre != nil && !c.agg):
-			// The values are wanted, or a pushed projection already sent them.
-			var vals lpq.ColumnData
-			if vals, answered, err = s.projectChunk(sub, rg, c.ci, bm, pre, c.dst); err == nil && c.folds {
-				c.partial = sql.NewAggState(sql.AggCount)
-				c.partial.AddColumn(vals)
+		if !c.plain {
+			// Only aggregates read the column: a GROUP BY with no key, answered
+			// by the node or grouped here.
+			var groups []sql.GroupPartial
+			if pre != nil && acceptGroups(pre.Groups, meta, nil, c.valIdx, c.kinds, bm.Count()) {
+				groups, answered = pre.Groups, true
+			} else if groups, err = s.localGroupRG(sub, rg, nil, c.valIdx, c.kinds, bm); err != nil {
+				return false, err
 			}
-		default:
-			// Only aggregates read the column and no usable reply came: fold
-			// straight from the fetched chunk, with no value slice between.
-			c.partial, err = s.aggregateChunk(sub, rg, c.ci, bm)
+			if len(groups) == 1 {
+				c.partials = groups[0].Aggs
+			}
+			return answered, nil
+		}
+		var vals lpq.ColumnData
+		if vals, answered, err = s.projectChunk(sub, rg, c.ci, bm, pre, c.dst); err == nil && len(c.folds) > 0 {
+			// A projected column's aggregates fold the values it already holds.
+			var partial sql.AggState
+			partial.AddColumn(vals)
+			c.partials = make([]sql.AggState, len(c.folds))
+			for k := range c.partials {
+				c.partials[k] = partial
+			}
 		}
 		return answered, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range chunks {
-		if c := &chunks[i]; c.partial != nil {
-			for j := range aggs {
-				if readsColumn(aggs[j].proj) && aggs[j].proj.Column == c.name {
-					aggs[j].state.Merge(c.partial)
-				}
-			}
+	states := make([]sql.AggState, len(aggs))
+	for j, a := range aggs {
+		states[j].Kind = a.proj.Agg
+		if !readsColumn(a.proj) {
+			states[j].AddCount(selected)
 		}
 	}
-	for i := range aggs {
-		if !readsColumn(aggs[i].proj) {
-			aggs[i].state.AddCount(selected)
+	for _, c := range chunks {
+		for k := range c.partials {
+			states[c.folds[k]].Merge(&c.partials[k])
 		}
 	}
 	for _, name := range plainCols {
 		res.Columns = append(res.Columns, name)
 		res.Data = append(res.Data, colData[name])
 	}
-	for _, a := range aggs {
+	for j, a := range aggs {
 		res.AggLabels = append(res.AggLabels, a.proj.String())
-		res.AggValues = append(res.AggValues, a.state.Result())
+		res.AggValues = append(res.AggValues, states[j].Result())
 	}
 	return res, nil
 }
@@ -715,29 +727,6 @@ func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *
 // has no NULLs and the dialect no DISTINCT, so COUNT(col) is COUNT(*) over the
 // selection: no COUNT reads a column.
 func readsColumn(p sql.Projection) bool { return p.Agg != sql.AggCount }
-
-// acceptAgg reports whether a node's reply can be the partial aggregate of a
-// chunk's selected rows: it counts no more rows than the selection holds, and
-// extrema it carries are of the column's kind. The partial becomes COUNT,
-// MIN and MAX results, so a reply that fails this is treated as no reply.
-func acceptAgg(a *sql.AggState, selected int, t lpq.Type) bool {
-	return a != nil && a.Count >= 0 && a.Count <= int64(selected) && (!a.Init || a.IsString == (t == lpq.String))
-}
-
-// aggregateChunk fetches a chunk and reduces its selected rows to a partial
-// aggregate — the same kernel a node runs for a pushed aggregate.
-func (s *Store) aggregateChunk(st *execState, rg, ci int, bm *bitmap.Bitmap) (*sql.AggState, error) {
-	ch, err := s.openSelected(st, rg, ci, bm)
-	if err != nil {
-		return nil, err
-	}
-	defer ch.Release()
-	state := sql.NewAggState(sql.AggCount)
-	if err := state.AddChunk(ch, bm); err != nil {
-		return nil, err
-	}
-	return state, nil
-}
 
 // truncateResult applies a LIMIT clause: returned rows are capped after
 // projection (LIMIT does not change which chunks execute, matching S3

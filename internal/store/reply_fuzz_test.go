@@ -14,17 +14,16 @@ import (
 )
 
 // The partial states a node returns — per-group aggregate states for a pushed
-// GROUP BY, ranked candidates for a pushed top-k, a chunk's aggregate state for
-// a pushed aggregate — are merged by the coordinator and end up indexing the
-// footer and filling result columns and values. The
+// GROUP BY (an ungrouped aggregate's being one group with no key), ranked
+// candidates for a pushed top-k — are merged by the coordinator and end up
+// indexing the footer and filling result columns and values. The
 // fuzz targets below put arbitrary bytes through the wire decoder and hand
 // what decodes to a real query as every node's reply: the query must return a
 // well-formed table or an error, never panic, and never hold more than it was
 // sent.
 
 // forgingClient answers like the cluster it wraps, except that while forged
-// is set every GroupAgg, TopK and Aggregate reply carries forged's partial
-// states. It also keeps the genuine replies it saw, as seeds.
+// is set every GroupAgg and TopK reply carries forged's partial states. It also keeps the genuine replies it saw, as seeds.
 type forgingClient struct {
 	cluster.Client
 	mu      sync.Mutex
@@ -40,14 +39,14 @@ func (c *forgingClient) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	patch := func(kind rpc.Kind, r *rpc.Response) {
-		if (kind != rpc.KindGroupAgg && kind != rpc.KindTopK && kind != rpc.KindAggregate) || r.Err != "" {
+		if (kind != rpc.KindGroupAgg && kind != rpc.KindTopK) || r.Err != "" {
 			return
 		}
 		if c.forged == nil {
-			c.genuine[kind] = &rpc.Response{Groups: r.Groups, TopRows: r.TopRows, Agg: r.Agg, Matches: r.Matches}
+			c.genuine[kind] = &rpc.Response{Groups: r.Groups, TopRows: r.TopRows, Matches: r.Matches}
 			return
 		}
-		r.Groups, r.TopRows, r.Agg = c.forged.Groups, c.forged.TopRows, c.forged.Agg
+		r.Groups, r.TopRows = c.forged.Groups, c.forged.TopRows
 	}
 	patch(req.Kind, resp)
 	for i := range req.Subs {
@@ -70,7 +69,6 @@ func fuzzReplies(f *testing.F, kind rpc.Kind, query string, hostile []*rpc.Respo
 	cl := &forgingClient{Client: simnet.New(simnet.DefaultConfig()), genuine: map[rpc.Kind]*rpc.Response{}}
 	opts := fusionTestOptions()
 	opts.QueryWorkers = 8
-	opts.AggregatePushdown = true
 	s, err := New(cl, opts)
 	if err != nil {
 		f.Fatal(err)
@@ -189,16 +187,22 @@ func FuzzTopKReply(f *testing.F) {
 		})
 }
 
-// FuzzAggregateReply forges the partial aggregate of a pushed aggregate. The
-// hand-made seeds: extrema of the wrong kind (string extrema for numeric
-// columns), a count 2^40 rows beyond a genuine one, and a negative count.
-func FuzzAggregateReply(f *testing.F) {
-	state := func(a sql.AggState) *rpc.Response { return &rpc.Response{Agg: &a} }
-	fuzzReplies(f, rpc.KindAggregate,
+// FuzzUngroupedAggReply forges the partial states of a pushed ungrouped
+// aggregate: a GroupAgg with no key, one per chunk only aggregates read. The
+// hand-made seeds: two groups, a non-empty key, a group 2^40 rows beyond the
+// selection, string extrema for a numeric column, and a state of another
+// aggregate kind.
+func FuzzUngroupedAggReply(f *testing.F) {
+	groups := func(gs ...sql.GroupPartial) *rpc.Response { return &rpc.Response{Groups: gs} }
+	max := sql.AggState{Kind: sql.AggMax, Count: 3, Sum: 1.5, Init: true, MinF: 0.5, MaxF: 1}
+	one := func(a sql.AggState) sql.GroupPartial { return sql.GroupPartial{Rows: a.Count, Aggs: []sql.AggState{a}} }
+	fuzzReplies(f, rpc.KindGroupAgg,
 		"SELECT COUNT(price), MIN(price), MAX(qty) FROM obj WHERE qty < 40",
 		[]*rpc.Response{
-			state(sql.AggState{Count: 2, Init: true, IsString: true, MinS: "forged", MaxS: "forged"}),
-			state(sql.AggState{Count: 2400 + 1<<40, Sum: 1, Init: true, MinF: 1, MaxF: 2}),
-			state(sql.AggState{Count: -1 << 40}),
+			groups(one(max), one(max)),
+			groups(sql.GroupPartial{Key: []sql.Literal{sql.IntLit(7)}, Rows: 3, Aggs: []sql.AggState{max}}),
+			groups(one(sql.AggState{Kind: sql.AggMax, Count: 2400 + 1<<40, Sum: 1, Init: true, MinF: 1, MaxF: 2})),
+			groups(one(sql.AggState{Kind: sql.AggMax, Count: 2, Init: true, IsString: true, MinS: "forged", MaxS: "forged"})),
+			groups(one(sql.AggState{Kind: sql.AggSum, Count: 3, Sum: 1e300, Init: true})),
 		})
 }

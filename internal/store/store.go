@@ -61,12 +61,6 @@ type Options struct {
 	// FixedBlockSize is the block size for fixed-block coding; default
 	// 100MB (§6), scaled down by benchmarks alongside their datasets.
 	FixedBlockSize uint64
-	// AggregatePushdown enables computing aggregates in-situ on storage
-	// nodes (partial accumulators instead of values cross the network).
-	// This is the aggregate-pushdown extension the paper lists as future
-	// work (§5); it applies to aggregate columns that are not also plainly
-	// projected.
-	AggregatePushdown bool
 	// QueryWorkers bounds the worker pool that fans the filter stage out
 	// across row groups and the projection/aggregation stage out across
 	// chunks. 0 means runtime.GOMAXPROCS; 1 runs queries serially. Results

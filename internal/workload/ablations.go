@@ -8,7 +8,6 @@ import (
 	"github.com/fusionstore/fusion/internal/erasure"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/store"
-	"github.com/fusionstore/fusion/internal/tpch"
 )
 
 // AblLeastLoaded isolates Algorithm 1's least-occupied-bin rule against
@@ -125,46 +124,6 @@ func (l *Lab) AblBudget() *Report {
 		r.Rows = append(r.Rows, []string{
 			pct(budget), pct(float64(fallbacks) / trials), mean,
 		})
-	}
-	return r
-}
-
-// AblAggPush measures the aggregate-pushdown extension (§5 future work):
-// aggregate-only queries with in-situ partial aggregation vs value
-// shipping. Only the accumulator crosses the network when enabled.
-func (l *Lab) AblAggPush() *Report {
-	r := &Report{
-		ID:     "abl-aggpush",
-		Title:  "extension: aggregate pushdown (in-situ partial aggregation)",
-		Header: []string{"query", "agg-push p50", "agg-push traffic", "values p50", "values traffic"},
-		Notes:  []string{"aggregate pushdown is the paper's stated future work, implemented here as an opt-in extension"},
-	}
-	on := l.FusionAggPush(Lineitem)
-	off := l.Fusion(Lineitem)
-	span := float64(tpch.ShipDateDays)
-	cutoff := int64(span * 0.10)
-	queries := map[string]string{
-		"SUM/AVG(l_extendedprice), 10% sel": fmt.Sprintf(
-			"SELECT SUM(l_extendedprice), AVG(l_extendedprice) FROM lineitem WHERE l_shipdate < %d", cutoff),
-		"MIN/MAX(l_quantity), full scan": "SELECT MIN(l_quantity), MAX(l_quantity) FROM lineitem WHERE l_orderkey >= 0",
-	}
-	i := 0
-	for name, q := range queries {
-		batch := repeatQuery(q)
-		a, err := RunQueries(on, batch)
-		if err != nil {
-			panic(err)
-		}
-		b, err := RunQueries(off, batch)
-		if err != nil {
-			panic(err)
-		}
-		r.Rows = append(r.Rows, []string{
-			name,
-			a.Latency.P50().String(), mb(a.Traffic),
-			b.Latency.P50().String(), mb(b.Traffic),
-		})
-		i++
 	}
 	return r
 }

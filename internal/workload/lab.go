@@ -284,16 +284,6 @@ func (l *Lab) FusionWithPolicy(d DatasetName, p store.PushdownPolicy) *System {
 	return l.systemFor(fmt.Sprintf("fusion-%v/%s", p, d), d, opts, 0)
 }
 
-// FusionAggPush returns a Fusion deployment with the aggregate-pushdown
-// extension enabled (abl-aggpush).
-func (l *Lab) FusionAggPush(d DatasetName) *System {
-	opts := store.FusionOptions()
-	opts.StorageBudget = ExperimentBudget
-	opts.FixedBlockSize = l.ScaledBlockSize(d)
-	opts.AggregatePushdown = true
-	return l.systemFor("fusion-aggpush/"+string(d), d, opts, 0)
-}
-
 // FusionAt and BaselineAt return deployments with a specific per-node
 // network bandwidth (Fig. 14c).
 func (l *Lab) FusionAt(d DatasetName, gbps float64) *System {

@@ -41,7 +41,6 @@ var Experiments = []Experiment{
 	{"abl-costmodel", "ablation: pushdown policy", (*Lab).AblCostModel},
 	{"abl-budget", "ablation: storage budget sweep", (*Lab).AblBudget},
 	{"abl-rs1410", "FAC overhead under RS(14,10)", (*Lab).AblRS1410},
-	{"abl-aggpush", "extension: aggregate pushdown", (*Lab).AblAggPush},
 	{"groupby", "extension: GROUP BY / ORDER BY+LIMIT pushdown", (*Lab).GroupBy},
 }
 

@@ -39,7 +39,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig14c", "fig14d", "fig15a", "fig15b", "fig16a", "fig16b",
 		"fig16c", "headline",
 		"abl-leastloaded", "abl-sortdesc", "abl-costmodel", "abl-budget",
-		"abl-rs1410", "abl-aggpush", "groupby",
+		"abl-rs1410", "groupby",
 	}
 	got := make([]string, len(Experiments))
 	for i, e := range Experiments {
