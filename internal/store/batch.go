@@ -7,7 +7,6 @@ import (
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
-	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -25,10 +24,9 @@ import (
 // and one Release per outer response is how a caller done with all of them
 // hands the buffers back (see scatter). A transport or outer application error
 // fails the whole call — callers treat that as "all subs failed" and fall
-// back. When st is non-nil the call enters one ledger operation per frame
-// (the whole point: one RPC overhead and one round trip amortized over every
-// sub-request in the frame).
-func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, []*rpc.Response, error) {
+// back. A query's ledger gets one entry per frame (Store.call): one RPC
+// overhead and one round trip amortized over every sub-request in it.
+func (s *Store) batchCall(ctx context.Context, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, []*rpc.Response, error) {
 	out := make([]rpc.Response, 0, len(subs))
 	var frames []*rpc.Response
 	for start := 0; start < len(subs); start += rpc.MaxBatchOps {
@@ -41,18 +39,6 @@ func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, no
 		if len(resp.Subs) != end-start {
 			return nil, nil, fmt.Errorf("store: batch to node %d returned %d sub-responses, want %d",
 				node, len(resp.Subs), end-start)
-		}
-		if st != nil {
-			st.mu.Lock()
-			st.stats.BatchRPCs++
-			st.mu.Unlock()
-			st.addOp(metrics.OpCost{
-				Node:      node,
-				ReqBytes:  req.WireSize(),
-				RespBytes: resp.WireSize(),
-				DiskBytes: resp.Cost.DiskBytes,
-				ProcBytes: resp.Cost.ProcBytes,
-			})
 		}
 		out = append(out, resp.Subs...)
 		frames = append(frames, resp)
@@ -131,8 +117,8 @@ type nodeReq struct {
 // coordinator-side path (a query's chunk fetch, readBlock's bare call);
 // scatter itself never fails an operation. With pushdown impossible
 // (baseline, fixed-layout fallback, no WHERE) callers plan nothing, scatter
-// does nothing, and every unit of work takes that same fallback. For a query
-// (st non-nil) each frame accounts into a forked state, joined in
+// does nothing, and every unit of work takes that same fallback. Under a
+// query's ctx each node's frames are charged to a forked state, joined in
 // node-first-appearance order, so the stage's cost ledger is independent of
 // worker scheduling.
 //
@@ -140,11 +126,12 @@ type nodeReq struct {
 // them as the outer responses: a caller that copies out what it wants and is
 // then done with every sub-response may Release those (readSegments does);
 // dropping them leaves the frames to the collector.
-func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs []nodeReq) (subs, frames []*rpc.Response) {
+func (s *Store) scatter(ctx context.Context, sp *trace.Span, reqs []nodeReq) (subs, frames []*rpc.Response) {
 	type nodeGroup struct {
 		node   int
 		subs   []rpc.Request
 		idx    []int // position in reqs of each sub
+		ctx    context.Context
 		sub    *execState
 		frames []*rpc.Response
 	}
@@ -153,7 +140,8 @@ func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs
 	for i := range reqs {
 		g := groups[reqs[i].node]
 		if g == nil {
-			g = &nodeGroup{node: reqs[i].node, sub: st.fork()}
+			g = &nodeGroup{node: reqs[i].node}
+			g.ctx, g.sub = forkCtx(ctx)
 			groups[g.node] = g
 			order = append(order, g)
 		}
@@ -163,7 +151,7 @@ func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs
 	subs = make([]*rpc.Response, len(reqs))
 	runTasks(s.queryWorkers(), len(order), func(i int) {
 		g := order[i]
-		resps, outer, err := s.batchCall(ctx, g.sub, sp, g.node, g.subs)
+		resps, outer, err := s.batchCall(g.ctx, sp, g.node, g.subs)
 		if err != nil {
 			return // whole frame lost: every sub on this node falls back
 		}
@@ -174,6 +162,7 @@ func (s *Store) scatter(ctx context.Context, sp *trace.Span, st *execState, reqs
 			}
 		}
 	})
+	st := ledgerOf(ctx)
 	for _, g := range order {
 		st.join(g.sub)
 		frames = append(frames, g.frames...)
@@ -228,7 +217,7 @@ func (t *stageTask) reply() *rpc.Response {
 // ledger match a serial run exactly. It is also where a stage is counted: a
 // pushed sub-request when its reply arrives, a task by its outcome.
 func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *execState) (answered bool, err error)) error {
-	resps, _ := s.scatter(st.ctx, st.sp, st, p.reqs)
+	resps, _ := s.scatter(st.ctx, st.sp, p.reqs)
 	for j, resp := range resps {
 		if resp == nil {
 			continue

@@ -15,16 +15,25 @@ import (
 )
 
 // tapClient sits between a store and its cluster. It counts the calls that
-// reach it and, when armed with a block id, flips the first byte of every
-// GetBlock reply for that block — bare or a sub-response of a batch frame
-// (faultnet's FaultCorrupt only sees the outer reply, whose Data a frame
-// leaves empty). The stored copy is untouched.
+// reach it, tallies the data-plane replies it passes back per node, and,
+// when armed with a block id, flips the first byte of every GetBlock reply
+// for that block — bare or a sub-response of a batch frame (faultnet's
+// FaultCorrupt only sees the outer reply, whose Data a frame leaves empty).
+// The stored copy is untouched.
 type tapClient struct {
 	inner cluster.Client
 
 	mu      sync.Mutex
 	calls   int
+	replies map[int]wireTally // data-plane replies by node, since the last take
+	getTo   map[string]int    // GetBlock calls by block id, since the last take
 	corrupt string
+}
+
+// wireTally is a count of replies and the request and reply bytes they moved.
+type wireTally struct {
+	n         int
+	req, resp uint64
 }
 
 func (c *tapClient) NumNodes() int { return c.inner.NumNodes() }
@@ -41,12 +50,33 @@ func (c *tapClient) count() int {
 	return c.calls
 }
 
+// take returns the data-plane replies and the GetBlock calls tallied since the
+// last take, and starts new tallies.
+func (c *tapClient) take() (map[int]wireTally, map[string]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	replies, gets := c.replies, c.getTo
+	c.replies, c.getTo = map[int]wireTally{}, map[string]int{}
+	return replies, gets
+}
+
 func (c *tapClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	c.mu.Lock()
 	c.calls++
+	if c.getTo != nil && req.Kind == rpc.KindGetBlock {
+		c.getTo[req.BlockID]++
+	}
 	target := c.corrupt
 	c.mu.Unlock()
 	resp, err := c.inner.Call(node, req)
+	if err == nil && isDataPlane(req) {
+		c.mu.Lock()
+		if c.replies != nil {
+			w := c.replies[node]
+			c.replies[node] = wireTally{w.n + 1, w.req + req.WireSize(), w.resp + resp.WireSize()}
+		}
+		c.mu.Unlock()
+	}
 	if err != nil || target == "" {
 		return resp, err
 	}

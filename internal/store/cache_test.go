@@ -94,6 +94,9 @@ func TestCacheHitQueryZeroBytesFromNodes(t *testing.T) {
 	if n := hot.Total(trace.BytesFromNodes); n != 0 {
 		t.Fatalf("hot query moved %d bytes from nodes, want 0", n)
 	}
+	if l := remoteLedger(resHot.Stats); len(l) != 0 {
+		t.Fatalf("hot query's ledger has remote entries: %v", l)
+	}
 	if hot.Total(trace.CacheHits) == 0 {
 		t.Fatal("hot query recorded no cache hits")
 	}
@@ -121,7 +124,7 @@ func TestCacheHitQueryZeroBytesFromNodes(t *testing.T) {
 	if cs := s.CacheStats(); cs.Block.Hits == 0 {
 		t.Fatalf("query saw no block-tier hits: %+v", cs)
 	}
-	if res.Stats.FetchRPCs != 0 || res.Stats.TrafficBytes != 0 {
+	if res.Stats.FetchRPCs != 0 || res.Stats.TrafficBytes != 0 || len(remoteLedger(res.Stats)) != 0 {
 		t.Fatalf("block-tier hits charged as fetches: %d fetch RPCs, %d traffic bytes",
 			res.Stats.FetchRPCs, res.Stats.TrafficBytes)
 	}

@@ -192,3 +192,71 @@ func TestDegradedMatrixBeyondTolerance(t *testing.T) {
 	}
 	t.Logf("%d over-tolerance patterns verified", checked)
 }
+
+// TestDegradedReadGathersKSurvivors pins what a rebuild reads: a cold ranged
+// Get of a block on a down node reads the k lowest-numbered other bins of its
+// stripe, one GetBlock each; a survivor that also fails is replaced by the next
+// untried bin, one more GetBlock; and past n−k failures the read fails with
+// ErrTooManyFailures.
+func TestDegradedReadGathersKSurvivors(t *testing.T) {
+	data, _, _ := makeObject(t, 3, 400, 1)
+	p := fusionTestOptions().Params
+	for _, tc := range []struct {
+		name      string
+		alsoDown  int // survivors taken down beside the lost block's node
+		wantGets  int
+		wantError bool
+	}{
+		{"one node down", 0, p.K, false},
+		{"one survivor fails too", 1, p.K + 1, false},
+		{"past n-k failures", p.N - p.K, p.N - 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := simnet.New(simnet.DefaultConfig())
+			tap := &tapClient{inner: cl}
+			s, err := New(tap, fusionTestOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Put("obj", data); err != nil {
+				t.Fatal(err)
+			}
+			meta, err := s.Meta("obj")
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := meta.ChunkItemIndex(0, 1)
+			loc := meta.ItemLocs[idx]
+			st := meta.Stripes[loc.Stripe]
+			cl.SetDown(st.Nodes[loc.Bin], true)
+			for j, down := 0, 0; down < tc.alsoDown; j++ {
+				if j != loc.Bin {
+					cl.SetDown(st.Nodes[j], true)
+					down++
+				}
+			}
+			tap.take()
+			got, err := s.Get("obj", meta.Items[idx].Offset, 5)
+			_, gets := tap.take()
+			survivorGets := 0
+			for j, id := range st.BlockIDs {
+				if j != loc.Bin {
+					survivorGets += gets[id]
+				}
+			}
+			if survivorGets != tc.wantGets {
+				t.Errorf("%d survivor GetBlocks, want %d", survivorGets, tc.wantGets)
+			}
+			if tc.wantError {
+				if !errors.Is(err, ErrTooManyFailures) {
+					t.Fatalf("Get past n-k failures = %v, want ErrTooManyFailures", err)
+				}
+				return
+			}
+			off := meta.Items[idx].Offset
+			if err != nil || !bytes.Equal(got, data[off:off+5]) {
+				t.Fatalf("degraded Get = %v; bytes right: %v", err, bytes.Equal(got, data[off:off+5]))
+			}
+		})
+	}
+}

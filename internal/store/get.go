@@ -77,7 +77,7 @@ func (s *Store) getWithMeta(ctx context.Context, sp *trace.Span, meta *ObjectMet
 		return []byte{}, nil
 	}
 	sp.Count(trace.BytesRequested, length)
-	return s.readSegments(ctx, sp, meta, s.segments(meta, offset, length), length, nil)
+	return s.readSegments(ctx, sp, meta, s.segments(meta, offset, length), length)
 }
 
 // refreshedMeta re-resolves an object's metadata against the quorum after a
@@ -170,11 +170,7 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 // nobody else can reach it: the cache and a flight's followers are given a
 // copy (readBlock). Replies of abandoned calls and failed reads do not get
 // here and are left to the collector.
-//
-// A non-nil fromNode (one entry per segment) is set where a node served the
-// segment's bytes, and left false where the coordinator's memory did: a cache
-// hit or another reader's flight.
-func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64, fromNode []bool) ([]byte, error) {
+func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64) ([]byte, error) {
 	out := make([]byte, length)
 	var replies []*rpc.Response // released once the last byte is in out
 	defer func() {
@@ -223,24 +219,22 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 		}
 	}
 	var subs []*rpc.Response
-	subs, replies = s.scatter(ctx, sp, nil, reqs[:n])
+	subs, replies = s.scatter(ctx, sp, reqs[:n])
 	for i, resp := range subs {
 		pre[keys[i]] = resp
 	}
-	for i, g := range segs {
+	for _, g := range segs {
 		key := blockKey{g.stripe, g.bin}
 		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
 		var data []byte
 		var reply *rpc.Response
-		var inMemory bool
 		var err error
 		if covered[key] != blockLen {
-			data, reply, inMemory, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
+			data, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
 		} else {
 			block, ok := whole[key] // a planner cache hit, or an earlier segment's block
-			inMemory = ok
 			if !ok {
-				if block, reply, inMemory, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
+				if block, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
 					return nil, err
 				}
 				whole[key] = block
@@ -254,9 +248,6 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 			return nil, err
 		}
 		copy(out[g.outStart:], data)
-		if fromNode != nil {
-			fromNode[i] = !inMemory
-		}
 	}
 	return out, nil
 }
@@ -375,21 +366,18 @@ func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) 
 // else's. With the cache on, reads are served at block granularity: a hit
 // slices resident bytes, and a miss fetches (and caches) the whole block under
 // singleflight, so the next range of the block is a hit and N concurrent
-// readers of one block trigger one fetch. inMemory reports that no node served
-// this call: the bytes were a cache hit or another reader's flight.
-func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) (data []byte, reply *rpc.Response, inMemory bool, err error) {
+// readers of one block trigger one fetch.
+func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) (data []byte, reply *rpc.Response, err error) {
 	if !s.cacheOn() {
-		data, reply, err = s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
-		return data, reply, false, err
+		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
 	}
 	if pre == nil { // a prefetched reply means the planner just missed the cache
 		if block, ok := s.cachedBlock(sp, meta, stripe, bin); ok {
 			data, err := sliceBlock(block, off, length)
-			return data, nil, true, err
+			return data, nil, err
 		}
 	}
 	st := &meta.Stripes[stripe]
-	inMemory = true // until the flight's leader, the one caller that runs the function, reads a node
 	v, err, _ := s.cache.Do("b/"+st.BlockIDs[bin], func() (any, error) {
 		if block, ok := s.recheckBlock(sp, meta, stripe, bin); ok {
 			return block, nil
@@ -398,7 +386,6 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 		if err != nil {
 			return nil, err
 		}
-		inMemory = false
 		// What the cache keeps and the flight's followers share is a copy of
 		// exactly the block: the bytes read may be a window of a reply frame
 		// (a rented buffer up to twice the block, which the leader's Get is
@@ -408,16 +395,16 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 		return block, nil
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	data, err = sliceBlock(v.([]byte), off, length)
-	return data, reply, inMemory, err
+	return data, reply, err
 }
 
 // directOrDegraded is the read rule of §5 "Recovery and Fault Tolerance":
 // read the block where it lives, and if that fails — node unreachable, block
 // gone, or a checksum fault, which has already queued the repair — treat it
-// as an erasure and rebuild it from any k of the stripe's survivors. The
+// as an erasure and rebuild it from k of the stripe's survivors. The
 // direct step is the prefetched reply when there is one, else a bare call,
 // whose reply is returned beside the bytes that alias it (fetchBlock); a read
 // of the whole block is verified against the stripe checksum. A slow node is
@@ -475,58 +462,69 @@ func sliceBlock(block []byte, off, length uint64) ([]byte, error) {
 	return block[off : off+length : off+length], nil
 }
 
-// blockResult is one block's outcome in a stripe fan-out.
-type blockResult struct {
-	bin  int
-	data []byte
-	err  error
-}
-
-// fanOutStripe issues a verified whole-block read for every block of a
-// stripe but skip (-1 reads all n), concurrently, and returns the channel the
-// results arrive on. The channel holds every result, so a consumer may stop
-// early: abandoned reads never block (cluster.Client calls cannot be
-// cancelled mid-flight; every RPC is idempotent, so a late response is
-// harmless).
-func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip int) <-chan blockResult {
+// fanOutStripe reads verified whole blocks of a stripe until want of them are
+// in hand or every bin but skip (-1 skips none) has been tried: the want
+// lowest-numbered bins first, concurrently, then the next untried bin for
+// each failure. It waits for every read it starts and charges a query's
+// ledger in bin order, so which blocks it reads, and their cost, depend only
+// on which reads fail. shards[j] is bin j's block padded to the stripe's
+// capacity, errs[j] the failure of a bin read that failed.
+func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip, want int) (shards [][]byte, errs []error) {
 	n := s.opts.Params.N
-	results := make(chan blockResult, n)
-	for j := 0; j < n; j++ {
-		if j == skip {
-			continue
+	shards, errs = make([][]byte, n), make([]error, n)
+	subs := make([]*execState, n)
+	for next, got := 0, 0; got < want && next < n; {
+		var wave []int
+		for ; next < n && len(wave) < want-got; next++ {
+			if next != skip {
+				wave = append(wave, next)
+			}
 		}
-		go func(j int) {
-			data, _, err := s.fetchBlock(ctx, sp, meta, stripe, j, 0, 0)
-			results <- blockResult{j, data, err}
-		}(j)
+		runTasks(len(wave), len(wave), func(i int) {
+			j := wave[i]
+			var rctx context.Context
+			rctx, subs[j] = forkCtx(ctx)
+			data, _, err := s.fetchBlock(rctx, sp, meta, stripe, j, 0, 0)
+			if errs[j] = err; err == nil {
+				shards[j] = padShard(data, meta.Stripes[stripe].Capacity)
+			}
+		})
+		for _, j := range wave {
+			if errs[j] == nil {
+				got++
+			}
+		}
 	}
-	return results
+	st := ledgerOf(ctx)
+	for _, sub := range subs {
+		st.join(sub)
+	}
+	return shards, errs
 }
 
-// gatherSurvivors reads a stripe's blocks (skipping the one being rebuilt) in
-// parallel and returns as soon as any k shards arrive, capacity-padded and
-// indexed by bin. Survivors feed RS decode, so a silently rotted shard would
-// corrupt every block rebuilt from it: fetchBlock verifies each against the
-// checksum recorded at write time, and one that fails is an erasure. This is
-// the one survivor-gathering path shared by block and parity reconstruction.
+// gatherSurvivors reads k of a stripe's blocks other than skip, the one being
+// rebuilt (fanOutStripe), and returns them capacity-padded and indexed by bin.
+// Survivors feed RS decode, so a silently rotted shard would corrupt every
+// block rebuilt from it: fetchBlock verifies each against the checksum
+// recorded at write time, and one that fails is an erasure. This is the one
+// survivor-gathering path shared by block and parity reconstruction.
 func (s *Store) gatherSurvivors(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, skip int) ([][]byte, error) {
 	p := s.opts.Params
-	results := s.fanOutStripe(ctx, sp, meta, stripe, skip)
-	shards := make([][]byte, p.N)
+	shards, _ := s.fanOutStripe(ctx, sp, meta, stripe, skip, p.K)
 	available := 0
-	for i := 1; i < p.N && available < p.K; i++ { // n−1 reads: all but skip
-		if r := <-results; r.err == nil {
-			shards[r.bin] = padShard(r.data, meta.Stripes[stripe].Capacity)
+	for _, sh := range shards {
+		if sh != nil {
 			available++
 		}
 	}
 	if available < p.K {
+		putSurvivors(shards, -1)
 		return nil, fmt.Errorf("%w: only %d of %d shards available for stripe %d", ErrTooManyFailures, available, p.K, stripe)
 	}
 	return shards, nil
 }
 
-// reconstructBlock rebuilds block j of a stripe — data or parity — from any k
+// reconstructBlock rebuilds block j of a stripe — data or parity — from k
 // surviving blocks and returns its stored (unpadded) bytes. With the cache
 // enabled the rebuild runs under singleflight: a thundering herd of readers
 // hitting the same lost block triggers exactly one survivor fan-out and one RS

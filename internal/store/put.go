@@ -254,7 +254,7 @@ func (s *Store) dropBlocks(sp *trace.Span, blocks []placedBlock) {
 	for i, b := range blocks {
 		reqs[i] = nodeReq{b.node, rpc.Request{Kind: rpc.KindDeleteBlock, BlockID: b.id}}
 	}
-	s.scatter(context.Background(), sp, nil, reqs)
+	s.scatter(context.Background(), sp, reqs)
 }
 
 // commitBlocks sends CommitObject(object, epoch) to every node holding one of

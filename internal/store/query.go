@@ -45,21 +45,26 @@ type Result struct {
 type QueryStats struct {
 	// Wall is the measured wall-clock time.
 	Wall time.Duration
-	// Stages is the query's cost ledger: one entry per operation of the
-	// filter stage and of the projection stage — where it ran and the bytes
-	// it moved, read and scanned — in an order independent of worker
-	// scheduling. The store only counts; a latency model prices the ledger
-	// (simnet.LatencyModel.QueryTime).
+	// Stages is the query's cost ledger for the filter stage and for the
+	// projection stage, in an order independent of worker scheduling. Each
+	// data-plane reply a node returned is one remote entry, written by
+	// Store.call: the node, the request and reply wire sizes, and the disk
+	// and processed bytes the node reported. Local entries are the
+	// coordinator's own decodes. The store only counts; a latency model prices
+	// the ledger (simnet.LatencyModel.QueryTime).
 	Stages [2][]metrics.OpCost
 	// CoordProcBytes is the uncompressed bytes the coordinator itself
 	// scanned, grouped or sorted: its share of the cluster's CPU work.
 	CoordProcBytes uint64
-	// TrafficBytes is the network traffic this query generated.
+	// TrafficBytes is the network traffic this query generated: the remote
+	// entries' request and reply bytes.
 	TrafficBytes uint64
-	// FilterRPCs, ProjectRPCs and FetchRPCs count remote operations.
+	// FilterRPCs and ProjectRPCs count pushed filter and projection
+	// sub-requests answered; FetchRPCs counts bare block reads (chunk
+	// fetches and the survivor reads of a rebuild).
 	FilterRPCs, ProjectRPCs, FetchRPCs int
-	// BatchRPCs counts the scatter-gather frames that carried the pushed
-	// share of those operations — each frame is one network round trip, so
+	// BatchRPCs counts the scatter-gather frames — each one network round
+	// trip — that carried pushed sub-requests or prefetched blocks, so
 	// FilterRPCs+ProjectRPCs-sized work arrives in few BatchRPCs.
 	BatchRPCs int
 	// GroupAggRPCs and TopKRPCs count grouped-aggregation and top-k
@@ -72,9 +77,10 @@ type QueryStats struct {
 	// the raw chunks.
 	PartialGroups int
 	// GroupSpills counts row groups — for an ungrouped aggregate, chunks —
-	// grouped at the coordinator on a pushdown object: the planner predicted the partial states plus the chunks to
-	// ship would outweigh the chunks, a chunk to ship could not be fetched,
-	// or the push got no usable reply (node down, cardinality cap hit).
+	// grouped at the coordinator on a pushdown object: the planner predicted
+	// the partial states plus the chunks to ship would outweigh the chunks, a
+	// chunk to ship could not be fetched, or the push got no usable reply
+	// (node down, cardinality cap hit).
 	GroupSpills int
 	// PushdownOn/PushdownOff count the cost model's per-chunk decisions.
 	PushdownOn, PushdownOff int
@@ -85,20 +91,47 @@ type QueryStats struct {
 	Selectivity float64
 }
 
-// execState accumulates a query's statistics and cost ledger. The stage
-// fan-out gives every concurrent task a forked child state and joins the
-// children back in deterministic row-group/chunk order, so the merged stats
-// and ledger — and therefore any latency priced from it — are byte-identical
-// to a serial run. The mutex additionally makes direct concurrent accounting
-// on a shared state safe.
+// execState accumulates a query's statistics and cost ledger. Its ctx carries
+// the state itself, so every call made under it charges its replies here
+// (Store.call). Every concurrent task — a stage's, a scatter's per-node frame,
+// a rebuild's survivor read — runs under a forked child, and the children are
+// joined back in a deterministic order, so the merged stats and ledger — and
+// any latency priced from it — are byte-identical to a serial run.
 type execState struct {
-	ctx   context.Context // caller's context; fan-out tasks observe it
+	ctx   context.Context // caller's context, carrying this state; tasks observe it
 	meta  *ObjectMeta
 	nowSt int         // current stage index
 	sp    *trace.Span // current stage's trace span (nil when untraced)
 
 	mu    sync.Mutex
 	stats QueryStats
+}
+
+type ledgerKey struct{}
+
+// ledgerOf returns the query state ctx carries: nil outside a query.
+func ledgerOf(ctx context.Context) *execState {
+	e, _ := ctx.Value(ledgerKey{}).(*execState)
+	return e
+}
+
+// forkCtx returns ctx carrying a child of the state ctx carries, and the
+// child, which one goroutine owns; outside a query, ctx and nil.
+func forkCtx(ctx context.Context) (context.Context, *execState) {
+	e := ledgerOf(ctx)
+	if e == nil {
+		return ctx, nil
+	}
+	c := &execState{meta: e.meta, nowSt: e.nowSt, sp: e.sp}
+	c.ctx = context.WithValue(ctx, ledgerKey{}, c)
+	return c.ctx, c
+}
+
+// fork returns a child state for one fan-out task, with the parent's stage
+// index and span (the span itself is concurrency-safe).
+func (e *execState) fork() *execState {
+	_, c := forkCtx(e.ctx)
+	return c
 }
 
 func (e *execState) addOp(op metrics.OpCost) {
@@ -110,21 +143,11 @@ func (e *execState) addOp(op metrics.OpCost) {
 	e.mu.Unlock()
 }
 
-// fork returns a child state for one fan-out task. Children are owned by a
-// single worker goroutine and carry the parent's stage index and span (the
-// span itself is concurrency-safe, so tasks account into it directly).
-func (e *execState) fork() *execState {
-	if e == nil {
-		return nil // a Get's prefetch scatters without accounting
-	}
-	return &execState{ctx: e.ctx, meta: e.meta, nowSt: e.nowSt, sp: e.sp}
-}
-
 // join folds a child's accounting back into e. Callers join children in
 // task order, which keeps the ledger's op order — and with it the jitter
 // draws of a latency model — independent of worker scheduling.
 func (e *execState) join(c *execState) {
-	if e == nil {
+	if e == nil || c == nil {
 		return
 	}
 	e.mu.Lock()
@@ -207,7 +230,8 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 	qc := *orig
 	qc.Projections = append([]sql.Projection(nil), orig.Projections...)
 	q := &qc
-	st := &execState{ctx: ctx, meta: meta, sp: qsp}
+	st := &execState{meta: meta, sp: qsp}
+	st.ctx = context.WithValue(ctx, ledgerKey{}, st)
 
 	// Resolve the SELECT list.
 	if q.Star {
@@ -455,7 +479,6 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 					ok = false
 					break
 				}
-				s.accountReconstruct(st, meta, sp.stripe)
 			}
 			part, err := sliceBlock(block, sp.off, sp.length)
 			if err != nil {
@@ -471,54 +494,18 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 	return nil, fmt.Errorf("store: chunk (%d,%d): no single-block repair restores its checksum", rg, ci)
 }
 
-// accountReconstruct charges the cost of reading a whole stripe for
-// reconstruction (k blocks over the network).
-func (s *Store) accountReconstruct(st *execState, meta *ObjectMeta, stripe int) {
-	sm := meta.Stripes[stripe]
-	for j := 0; j < s.opts.Params.K; j++ {
-		st.addOp(metrics.OpCost{
-			Node:      sm.Nodes[j],
-			ReqBytes:  rpcOverhead,
-			RespBytes: sm.Capacity + rpcOverhead,
-			DiskBytes: sm.Capacity,
-		})
-	}
-}
-
 // fetchChunkBytes reads the chunk's on-disk bytes from wherever they live: a
 // ranged read of [ch.Offset, ch.Offset+ch.Size) through the one read path,
 // so it shares Get's coalescing, cache, degraded fallback and
 // repair-enqueue. Under FAC that is one segment on one node; under fixed
 // blocks the chunk may span several blocks on several nodes (§3.1) — the
-// reassembly the paper identifies as the bottleneck — and each segment a
-// node served is charged as one fetch. A segment sliced from the
-// coordinator's block cache costs nothing.
+// reassembly the paper identifies as the bottleneck. Every reply a node
+// serves it is charged by Store.call; a cache hit costs nothing.
 func (s *Store) fetchChunkBytes(st *execState, rg, ci int) ([]byte, error) {
-	meta := st.meta
-	ch := meta.Footer.RowGroups[rg].Chunks[ci]
+	ch := st.meta.Footer.RowGroups[rg].Chunks[ci]
 	st.sp.Count(trace.BytesRequested, ch.Size)
-	segs := s.segments(meta, ch.Offset, ch.Size)
-	fromNode := make([]bool, len(segs))
-	data, err := s.readSegments(st.ctx, st.sp, meta, segs, ch.Size, fromNode)
-	if err != nil {
-		return nil, err
-	}
-	for i, g := range segs {
-		if !fromNode[i] {
-			continue
-		}
-		st.stats.FetchRPCs++
-		st.addOp(metrics.OpCost{
-			Node:      meta.Stripes[g.stripe].Nodes[g.bin],
-			ReqBytes:  rpcOverhead,
-			RespBytes: g.length + rpcOverhead,
-			DiskBytes: g.length,
-		})
-	}
-	return data, nil
+	return s.readSegments(st.ctx, st.sp, st.meta, s.segments(st.meta, ch.Offset, ch.Size), ch.Size)
 }
-
-const rpcOverhead = 64
 
 // ChunkNodeSpan returns how many distinct nodes hold parts of chunk
 // (rg, ci) — 1 under FAC; possibly several under fixed blocks (Fig. 12).
@@ -751,9 +738,12 @@ func truncateResult(res *Result, limit int) {
 	}
 }
 
+// resultHeaderBytes is WireBytes' allowance for a result's framing.
+const resultHeaderBytes = 64
+
 // WireBytes estimates the result's size on the client connection.
 func (res *Result) WireBytes() uint64 {
-	n := uint64(rpcOverhead)
+	n := uint64(resultHeaderBytes)
 	for _, col := range res.Data {
 		switch col.Type {
 		case lpq.Int64:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ScrubReport summarizes one object's integrity scrub.
@@ -62,25 +61,22 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 	}
 	p := s.opts.Params
 	report := &ScrubReport{}
-	for si, st := range meta.Stripes {
+	for si := range meta.Stripes {
 		ssp := sp.Child("stripe")
 		report.Stripes++
 		// The same verified fan-out a reconstruction gathers survivors with,
-		// read to the end. The CRC recorded at write time localizes a bad copy
-		// exactly; a block failing it is an erasure, not a parity puzzle.
-		results := s.fanOutStripe(ctx, ssp, meta, si, -1)
-		shards := make([][]byte, p.N)
+		// over all n blocks. The CRC recorded at write time localizes a bad
+		// copy exactly; a block failing it is an erasure, not a parity puzzle.
+		shards, errs := s.fanOutStripe(ctx, ssp, meta, si, -1, p.N)
 		var missing []int
-		for range shards {
-			r := <-results
-			if r.err == nil {
-				shards[r.bin] = padShard(r.data, st.Capacity)
+		for j, err := range errs {
+			if err == nil {
 				continue
 			}
-			if errors.Is(r.err, errBlockChecksum) {
+			if errors.Is(err, errBlockChecksum) {
 				report.ChecksumFailures++
 			}
-			missing = append(missing, r.bin)
+			missing = append(missing, j)
 		}
 		ssp.End()
 		report.MissingBlocks += len(missing)
@@ -97,8 +93,6 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 		if !opts.Repair {
 			continue
 		}
-		// Arrival order → block order: repairs run deterministically.
-		slices.Sort(missing)
 		for _, j := range missing {
 			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
 			if errors.Is(err, errStaleRepair) {

@@ -243,7 +243,9 @@ func (s *Store) Metrics() *metrics.HistogramSet { return s.hist }
 // bytes from the node — to that request span, so a traced operation's rpcs
 // total is the calls the transport saw; when the store has a histogram set,
 // the call's latency is recorded under the node and request kind. Both are
-// nil by default and then cost nothing.
+// nil by default and then cost nothing. When ctx carries a query's state,
+// each data-plane reply is one entry of its cost ledger, written here and
+// nowhere else, so the ledger is the transport's record of the query.
 func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Request) (*rpc.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -257,7 +259,8 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 		// stamped as "no deadline".
 		req.DeadlineMicros = rem.Microseconds() + 1
 	}
-	if sp == nil && s.hist == nil {
+	ledger := ledgerOf(ctx)
+	if sp == nil && s.hist == nil && ledger == nil {
 		resp, _, err := cluster.CallRetryCtx(ctx, s.client, node, req, s.retry)
 		return resp, err
 	}
@@ -279,9 +282,27 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 				n += uint64(len(resp.Subs[i].Data))
 			}
 			sp.Count(trace.BytesFromNodes, n)
+			ledger.charge(node, req, resp)
 		}
 	}
 	return resp, err
+}
+
+// charge enters one data-plane reply in the query's ledger: a bare block read
+// is a fetch, a frame one batch.
+func (e *execState) charge(node int, req *rpc.Request, resp *rpc.Response) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	if req.Kind == rpc.KindBatch {
+		e.stats.BatchRPCs++
+	} else {
+		e.stats.FetchRPCs++
+	}
+	e.mu.Unlock()
+	e.addOp(metrics.OpCost{Node: node, ReqBytes: req.WireSize(), RespBytes: resp.WireSize(),
+		DiskBytes: resp.Cost.DiskBytes, ProcBytes: resp.Cost.ProcBytes})
 }
 
 // ctxErr is ctx.Err() that also sees a deadline the clock has passed but the
@@ -301,13 +322,13 @@ func ctxErr(ctx context.Context) error {
 var registerBlocks = metakv.BlockID("")
 
 // isDataPlane reports whether a request moves or scans an object's block data
-// for a reader: the traffic round trips, bytes from nodes and read
-// amplification are figures of. Only two kinds of it reach call bare: block
-// reads, and the scatter-gather frame — every pushed operator (filter,
-// project, aggregate, group-agg, top-k) leaves the coordinator inside a
-// KindBatch frame, never on its own. The metadata register reads its replicas
-// with GetBlock too and the write side deletes blocks a frame per node; both
-// are control traffic and count as RPCs only.
+// for a reader: the traffic round trips, bytes from nodes, read amplification
+// and a query's ledger are figures of. Only two kinds of it reach call bare:
+// block reads, and the scatter-gather frame — every pushed operator (filter,
+// project, group-agg, top-k) leaves the coordinator inside a KindBatch frame,
+// never on its own. The metadata register reads its replicas with GetBlock
+// too and the write side deletes blocks a frame per node; both are control
+// traffic and count as RPCs only.
 func isDataPlane(req *rpc.Request) bool {
 	switch req.Kind {
 	case rpc.KindGetBlock:
