@@ -15,6 +15,7 @@
 package bufpool
 
 import (
+	"io"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,29 @@ func Get(n int) []byte {
 // GetLen is Get resliced to length n (contents unspecified).
 func GetLen(n int) []byte {
 	return Get(n)[:n]
+}
+
+// ReadAppend reads n bytes from r onto the end of b — a buffer from Get, or
+// nil — and returns the extended buffer. Room is rented as the bytes arrive:
+// at most ahead bytes past those already read at first, then doubling, so a
+// length a peer declares but never sends costs little. An outgrown buffer
+// goes back to the pool, and on a read error so does the extended one.
+func ReadAppend(r io.Reader, b []byte, n, ahead int) ([]byte, error) {
+	end := len(b) + n
+	for len(b) < end {
+		if len(b) == cap(b) {
+			next := append(Get(min(end, max(2*len(b), len(b)+max(ahead, 1)))), b...)
+			Put(b)
+			b = next
+		}
+		m := min(end, cap(b))
+		if _, err := io.ReadFull(r, b[len(b):m]); err != nil {
+			Put(b)
+			return nil, err
+		}
+		b = b[:m]
+	}
+	return b, nil
 }
 
 // Put returns a buffer to its size-class pool. Only buffers whose capacity

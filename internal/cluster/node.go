@@ -24,6 +24,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // over the stored (unpadded) block bytes.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
+// ChecksumAll is Checksum of the concatenation of bs: a block read in
+// pieces, such as one landed in windows (rpc.Response.Landed).
+func ChecksumAll(bs [][]byte) uint32 {
+	var c uint32
+	for _, b := range bs {
+		c = crc32.Update(c, castagnoli, b)
+	}
+	return c
+}
+
 // ErrChecksum reports a block whose bytes no longer match its recorded
 // CRC32C — bit rot at rest, or a write whose payload was corrupted in
 // flight. It crosses the wire as a Response.Err string; use IsChecksumErr

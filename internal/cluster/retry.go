@@ -12,9 +12,9 @@ import (
 	"github.com/fusionstore/fusion/internal/rpc"
 )
 
-// ErrCallTimeout reports an attempt abandoned at its per-call deadline. The
-// underlying transport call keeps running in the background; every node RPC
-// is idempotent, so a retried attempt racing a late response is harmless.
+// ErrCallTimeout reports an attempt that ran out its per-attempt deadline
+// (Policy.Timeout). The attempt ended with it, like any call whose context is
+// done: the transport stopped touching the request before returning.
 var ErrCallTimeout = errors.New("cluster: call timed out")
 
 // Policy bounds the retry/backoff/deadline behavior of the hardened call
@@ -34,8 +34,9 @@ type Policy struct {
 	// [1, 1+JitterFrac], decorrelating retry storms across callers. 0 (the
 	// default) sleeps the exact exponential schedule.
 	JitterFrac float64
-	// Timeout, when positive, bounds each attempt; an attempt that exceeds
-	// it fails with ErrCallTimeout and is retried like any transport error.
+	// Timeout, when positive, bounds each attempt: the attempt runs under a
+	// context derived with it, and one that exceeds it fails with
+	// ErrCallTimeout and is retried like any transport error.
 	Timeout time.Duration
 	// Jitter is the randomness source for backoff jitter. Nil means the
 	// package's locked, fixed-seed default — NOT the global math/rand
@@ -130,9 +131,13 @@ func (p Policy) backoff(retry int) time.Duration {
 // The loop is bounded end to end by the caller's context: no attempt is
 // issued once ctx is done, a backoff that would sleep past the context
 // deadline fails immediately instead of sleeping into a guaranteed-useless
-// retry, and each attempt's per-call timeout is capped at the remaining
-// deadline budget.
+// retry, and each attempt is bound to ctx (rpc.Request.SetContext), or to a
+// context derived from it with the per-attempt timeout, which the transport
+// honours. No attempt outlives the call: when CallRetryCtx returns, nothing
+// touches req or the memory it names, and the call's state is dropped from
+// req (rpc.Request.EndCall).
 func CallRetryCtx(ctx context.Context, c Client, node int, req *rpc.Request, p Policy) (*rpc.Response, int, error) {
+	defer req.EndCall()
 	p = p.withDefaults()
 	var lastErr error
 	attempts := 0
@@ -168,17 +173,10 @@ func CallRetryCtx(ctx context.Context, c Client, node int, req *rpc.Request, p P
 		}
 		attempts = attempt
 		p.Health.Call(node)
-		timeout := p.Timeout
-		if dl, ok := ctx.Deadline(); ok {
-			rem := time.Until(dl)
-			if rem <= 0 {
-				return nil, attempts, context.DeadlineExceeded
-			}
-			if timeout <= 0 || rem < timeout {
-				timeout = rem
-			}
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= 0 {
+			return nil, attempts, context.DeadlineExceeded
 		}
-		resp, err := callTimeoutCtx(ctx, c, node, req, timeout)
+		resp, err := callAttempt(ctx, c, node, req, p.Timeout)
 		if err == nil {
 			p.Breaker.Success(node)
 			return resp, attempts, nil
@@ -218,35 +216,18 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// callTimeoutCtx performs one Call bounded by d (d <= 0 means unbounded) and
-// by ctx. At the timeout, or the moment ctx is done, the in-flight call is
-// abandoned to a buffered channel, so the transport goroutine never blocks;
-// a context that cannot be cancelled and no timeout is a plain Call.
-func callTimeoutCtx(ctx context.Context, c Client, node int, req *rpc.Request, d time.Duration) (*rpc.Response, error) {
-	if d <= 0 && ctx.Done() == nil {
-		return c.Call(node, req)
-	}
-	type result struct {
-		resp *rpc.Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := c.Call(node, req)
-		ch <- result{resp, err}
-	}()
-	var timeC <-chan time.Time
+// callAttempt performs one Call bound to ctx, and bounded by d when d > 0.
+func callAttempt(ctx context.Context, c Client, node int, req *rpc.Request, d time.Duration) (*rpc.Response, error) {
+	actx := ctx
 	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeC = timer.C
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timeC:
+	req.SetContext(actx)
+	resp, err := c.Call(node, req)
+	if err != nil && d > 0 && ctx.Err() == nil && actx.Err() != nil {
 		return nil, fmt.Errorf("%w: node %d after %v", ErrCallTimeout, node, d)
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	return resp, err
 }

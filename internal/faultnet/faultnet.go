@@ -9,6 +9,7 @@
 package faultnet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,12 +44,15 @@ const (
 	// FaultError returns ErrInjected instead of performing the call.
 	FaultError Fault = iota
 	// FaultHang blocks for Delay (default 30s — effectively forever next
-	// to any sane call deadline), then returns ErrInjected.
+	// to any sane call deadline), then returns ErrInjected. Like every wait
+	// here it ends with the call's context, with the context's error.
 	FaultHang
 	// FaultSlow delays the call by Delay (default 1ms), then performs it.
 	FaultSlow
 	// FaultCorrupt performs the call and flips one byte of the response
-	// payload — an in-flight bit flip. The node's stored copy is untouched.
+	// payload — an in-flight bit flip: of Data, or of the caller's windows
+	// when the payload landed there (rpc.Response.Landed). The node's stored
+	// copy is untouched.
 	FaultCorrupt
 	// FaultDown marks the node down (as if crashed) until Revive; the
 	// triggering call and all later calls fail with cluster.ErrNodeDown.
@@ -301,19 +305,38 @@ func (in *Injector) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 		if d <= 0 {
 			d = 30 * time.Second
 		}
-		time.Sleep(d)
+		if err := sleepCtx(req.Context(), d); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: node %d %s (hung %v)", ErrInjected, node, req.Kind, d)
 	case FaultSlow:
 		d := fired.Delay
 		if d <= 0 {
 			d = time.Millisecond
 		}
-		time.Sleep(d)
+		if err := sleepCtx(req.Context(), d); err != nil {
+			return nil, err
+		}
 		return in.inner.Call(node, req)
 	case FaultCorrupt:
 		resp, err := in.inner.Call(node, req)
-		if err != nil || resp == nil || len(resp.Data) == 0 {
+		if err != nil || resp == nil {
 			return resp, err
+		}
+		if windows := resp.Landed(); windows != nil {
+			// The payload is already in the caller's memory: flip it there.
+			off := corruptDraw % resp.PayloadBytes()
+			for _, w := range windows {
+				if off < uint64(len(w)) {
+					w[off] ^= 0xFF
+					break
+				}
+				off -= uint64(len(w))
+			}
+			return resp, nil
+		}
+		if len(resp.Data) == 0 {
+			return resp, nil
 		}
 		// Flip one byte of a copy: the inner transport may alias stored
 		// memory, and an in-flight flip must not corrupt the node at rest.
@@ -325,5 +348,17 @@ func (in *Injector) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 		return nil, fmt.Errorf("%w: %d (faultnet crash)", cluster.ErrNodeDown, node)
 	default:
 		return in.inner.Call(node, req)
+	}
+}
+
+// sleepCtx sleeps for d, or until ctx is done, then returning its error.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -135,6 +136,29 @@ func TestCallTimeoutSentinel(t *testing.T) {
 	_, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol)
 	if !errors.Is(err, cluster.ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
+	}
+}
+
+// TestHangLeavesNoGoroutine: an attempt that runs out its deadline on a
+// hung node ends there, and with it the hang, so the goroutine count is back
+// at its baseline as soon as the calls have returned: nothing is left to
+// sleep out the 30 s hang.
+func TestHangLeavesNoGoroutine(t *testing.T) {
+	inj, _ := newInjector(t, 2, 1)
+	inj.Add(Rule{Node: 0, Kind: rpc.KindPing, Fault: FaultHang})
+	pol := cluster.Policy{MaxAttempts: 1, Timeout: 5 * time.Millisecond}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := callRetry(inj, 0, &rpc.Request{Kind: rpc.KindPing}, pol); !errors.Is(err, cluster.ErrCallTimeout) {
+			t.Fatalf("call %d: want ErrCallTimeout, got %v", i, err)
+		}
+	}
+	// A goroutine that is ending may still be counted for a moment.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after ten timed-out calls to a hung node, %d before", n, base)
 	}
 }
 

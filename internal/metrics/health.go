@@ -65,7 +65,7 @@ func (h *Health) Failure(node int) { h.record(node, func(n *NodeHealth) { n.Fail
 // Retry records a retried attempt (counted before the attempt runs).
 func (h *Health) Retry(node int) { h.record(node, func(n *NodeHealth) { n.Retries++ }) }
 
-// Timeout records an attempt abandoned at its deadline.
+// Timeout records an attempt that ran out its deadline.
 func (h *Health) Timeout(node int) { h.record(node, func(n *NodeHealth) { n.Timeouts++ }) }
 
 // Node returns a snapshot of one node's counters.

@@ -7,6 +7,8 @@
 package rpc
 
 import (
+	"context"
+
 	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
@@ -189,6 +191,45 @@ type Request struct {
 	// Subs carries the sub-requests of a KindBatch frame, at most
 	// MaxBatchOps, none itself a batch.
 	Subs []Request
+
+	// ctx and land belong to the call carrying the request, not to the
+	// message, and are not on the wire: ctx is the caller's context
+	// (SetContext), land the windows of the caller's memory a GetBlock's
+	// payload is read straight into (LandIn).
+	ctx  context.Context
+	land [][]byte
+}
+
+// SetContext binds r to the context of the call about to carry it. A
+// transport stops touching r, and the memory r names (LandIn), before its
+// Call returns — at the latest once ctx is done.
+func (r *Request) SetContext(ctx context.Context) { r.ctx = ctx }
+
+// Context returns the context r was bound to, or context.Background().
+func (r *Request) Context() context.Context {
+	if r.ctx == nil {
+		return context.Background()
+	}
+	return r.ctx
+}
+
+// LandIn names the windows of the caller's memory a GetBlock's payload is to
+// be read into, in order, instead of into a reply frame: a transport that
+// reads the payload off a socket (ReadResponse) lands it there when the reply
+// carries no error and exactly as many bytes as the windows hold, and the
+// payload follows the header (it is inlineMax bytes or more), and records
+// that in the response (Response.Landed). Any other reply leaves the windows
+// untouched, and its payload is in Data as usual.
+func (r *Request) LandIn(windows ...[]byte) { r.land = windows }
+
+// EndCall drops what ties r to the call that carried it — its context and
+// the windows of it and its sub-requests — so a request kept afterwards (a
+// tap's log, a replay) pins none of its caller's memory.
+func (r *Request) EndCall() {
+	r.ctx, r.land = nil, nil
+	for i := range r.Subs {
+		r.Subs[i].land = nil
+	}
 }
 
 // MaxBatchOps bounds a batch frame's sub-request count. A row-group scan
@@ -295,27 +336,54 @@ type Response struct {
 	// the outer Err stays empty unless the batch itself was malformed.
 	Subs []Response
 
-	// frame is the bufpool buffer a transport read this reply into, which Data
-	// and every sub-response's Data alias (DecodePooledResponse); nil for a
-	// reply that never crossed a socket. Unexported: it is not on the wire.
-	frame []byte
+	// landed is the windows of the request's caller Data was read into
+	// instead of a frame (Request.LandIn); Data is then nil.
+	landed [][]byte
+	// frame and tail are the bufpool buffers a transport read this reply's
+	// header and its payloads that did not land into (ReadResponse), which
+	// Data and every sub-response's Data alias; nil for a reply that never
+	// crossed a socket. Unexported: they are not on the wire.
+	frame, tail []byte
 }
 
-// Release hands the reply's frame buffer back to bufpool, after which Data —
-// and, for a batch reply, the Data of every sub-response: one frame, one
-// Release on the outer response — must not be read again. Releasing is
-// optional and is the exception: an unreleased frame is collected like any
-// allocation and never reused, so a holder that keeps the bytes (a cache), or
-// cannot tell whether someone else still reads them (an abandoned call, a
-// race's loser), simply does nothing. Only a consumer that has copied out
-// everything it wanted and knows no one else holds the reply may release it.
-// A second Release, or one on a reply with no frame (simnet, faultnet), is a
-// no-op.
-func (r *Response) Release() {
-	if r.frame != nil {
-		bufpool.Put(r.frame)
-		r.frame = nil
+// Landed returns the windows of the caller's memory this reply's payload was
+// read into (Request.LandIn), or nil when it is in Data.
+func (r *Response) Landed() [][]byte { return r.landed }
+
+// PayloadBytes is the block bytes, values or bitmap the reply carried, its
+// sub-responses' included: what is in Data, or landed in the caller's
+// windows instead. It is what a reply moves; WireSize adds the rest.
+func (r *Response) PayloadBytes() uint64 {
+	n := r.payload()
+	for i := range r.Subs {
+		n += r.Subs[i].payload()
 	}
+	return n
+}
+
+// payload is the reply's own payload, without its sub-responses'.
+func (r *Response) payload() uint64 {
+	n := len(r.Data)
+	for _, w := range r.landed {
+		n += len(w)
+	}
+	return uint64(n)
+}
+
+// Release hands the reply's frame buffers back to bufpool, after which Data —
+// and, for a batch reply, the Data of every sub-response: one reply, one
+// Release on the outer response — must not be read again. Landed bytes are
+// the caller's and are not affected. Releasing is optional and is the
+// exception: an unreleased frame is collected like any allocation and never
+// reused, so a holder that keeps the bytes (a cache), or cannot tell whether
+// someone else still reads them, simply does nothing. Only a consumer that
+// has copied out everything it wanted and knows no one else holds the reply
+// may release it. A second Release, or one on a reply with no frame (simnet,
+// faultnet), is a no-op.
+func (r *Response) Release() {
+	bufpool.Put(r.frame)
+	bufpool.Put(r.tail)
+	r.frame, r.tail = nil, nil
 }
 
 // reqFixedOverhead approximates per-message framing/header bytes on the
@@ -339,9 +407,10 @@ func (r *Request) WireSize() uint64 {
 	return n
 }
 
-// WireSize estimates the serialized size of the response.
+// WireSize estimates the serialized size of the response, landed bytes
+// included: they crossed the wire like any other.
 func (r *Response) WireSize() uint64 {
-	n := uint64(fixedOverhead + len(r.Err) + len(r.Data))
+	n := uint64(fixedOverhead+len(r.Err)) + r.payload()
 	for i := range r.Blocks {
 		n += uint64(len(r.Blocks[i].ID) + len(r.Blocks[i].Object) + 16)
 	}

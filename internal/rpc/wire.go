@@ -4,43 +4,53 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 
+	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
 )
 
-// Wire format. A message is its fields in declaration order, nested structs
-// and slice elements inline, with no type descriptors and no field tags:
+// Wire format. A message is a header, its fields in declaration order,
+// nested structs and slice elements inline, with no type descriptors and no
+// field tags, followed by its payload region:
 //
 //	unsigned integers   uvarint
 //	signed integers     zigzag varint
 //	float64             uvarint of the byte-reversed IEEE bits (0, and
 //	                    values with few mantissa bits, take 1–3 bytes)
 //	bool, Kind          one byte (a bool is exactly 0 or 1)
-//	string, []byte      uvarint length, then the bytes
+//	string              uvarint length, then the bytes
+//	payload             uvarint length, then — below inlineMax — the bytes
 //	slice               uvarint count, then the elements
 //
 // Subs are encoded by the same functions one level deep: a sub-message
 // carries a zero Subs count. An empty slice decodes as nil.
 //
+// Payload fields (Request.Data, Request.Bitmap, Response.Data) are the bulk
+// of the traffic and are never copied on either side. A payload of inlineMax
+// bytes or more is not in the header: the header gives its length, and its
+// bytes follow the header, in the order the header names them, as the
+// payload region. Encoding returns the header and those
+// payloads as the segments of one vectored write. Decoding a whole message
+// (DecodeRequest, DecodeResponse) returns payloads as capacity-clipped
+// sub-slices of its buffer, which must therefore outlive the decoded
+// message. ReadResponse decodes a header alone and then reads each payload of
+// the region off the connection to where it belongs: into the caller's
+// windows (Request.LandIn), or into one rented buffer.
+//
 // Every length and count is checked against the bytes still unread before
 // anything is allocated (a count against the smallest encoding of that many
-// elements), so a decode allocates in proportion to the frame it was given
-// whatever the frame declares. FuzzFrame pins that.
-//
-// Payload fields (Request.Data, Request.Bitmap, Response.Data) are the bulk
-// of the traffic and are never copied on either side. Encoding leaves a
-// payload of inlineMax bytes or more out of the header buffer and returns the
-// message as wire-order segments for one vectored write; decoding returns
-// payloads as capacity-clipped sub-slices of the frame buffer, which must
-// therefore outlive the decoded message.
+// elements, a payload length against the region), so a decode allocates in
+// proportion to the frame it was given whatever the frame declares. FuzzFrame
+// pins that.
 
-// inlineMax is the payload size from which encoding references the caller's
-// slice instead of copying it: below it the copy is cheaper than one more
-// entry in the write vector.
+// inlineMax is the payload size from which a payload moves from the header to
+// the payload region: below it the copy into the header, and out of it, is
+// cheaper than one more entry in the write vector and one more read.
 const inlineMax = 4 << 10
 
 var (
@@ -52,83 +62,127 @@ var (
 	errTrailing  = errors.New("rpc: wire: trailing bytes")
 	errNested    = errors.New("rpc: wire: Subs outside a top-level batch")
 	errBatchSize = errors.New("rpc: wire: more than MaxBatchOps sub-messages")
+	errRegion    = errors.New("rpc: wire: payload region is not the length the header declares")
 )
 
-// AppendRequest appends r's encoding to dst and returns the extended buffer
-// together with the message's wire-order segments appended to segs: slices
-// of the buffer (the first starts at dst[0], so a caller's prefix goes out
-// with it) alternating with the payloads of r left out of it. The segments
-// alias both the buffer and r. A malformed batch (ValidateBatch) or Subs
-// anywhere but on a top-level KindBatch request is an error.
+// AppendRequest appends r's header to dst and returns the extended buffer
+// together with the message's wire-order segments appended to segs: the
+// buffer (dst's existing bytes lead it, so a caller's prefix goes out with
+// it), then the payloads of r's region, which alias r. A malformed batch
+// (ValidateBatch) or Subs anywhere but on a top-level KindBatch request is an
+// error.
 func AppendRequest(dst []byte, segs [][]byte, r *Request) ([]byte, [][]byte, error) {
-	var scratch [4]cut
-	e := encoder{b: dst, cuts: scratch[:0]}
+	var scratch [4][]byte
+	e := encoder{b: dst, region: scratch[:0]}
 	if err := e.request(r, true); err != nil {
 		return dst, segs, err
 	}
-	return e.b, e.segments(segs), nil
+	return e.b, append(append(segs, e.b), e.region...), nil
 }
 
 // AppendResponse is AppendRequest for a response. More than MaxBatchOps
 // sub-responses, or a sub-response with Subs of its own, is an error.
 func AppendResponse(dst []byte, segs [][]byte, r *Response) ([]byte, [][]byte, error) {
-	var scratch [4]cut
-	e := encoder{b: dst, cuts: scratch[:0]}
+	var scratch [4][]byte
+	e := encoder{b: dst, region: scratch[:0]}
 	if err := e.response(r, true); err != nil {
 		return dst, segs, err
 	}
-	return e.b, e.segments(segs), nil
+	return e.b, append(append(segs, e.b), e.region...), nil
 }
 
-// DecodeRequest decodes one request occupying all of b into r, overwriting
-// every field. r.Data and r.Bitmap (and those of r.Subs) alias b.
+// DecodeRequest decodes one request occupying all of b, header and payload
+// region, into r, overwriting every field. r.Data and r.Bitmap (and those of
+// r.Subs) alias b.
 func DecodeRequest(b []byte, r *Request) error {
 	d := decoder{b: b}
 	d.request(r, true)
-	return d.finish()
-}
-
-// DecodeResponse decodes one response occupying all of b into r, overwriting
-// every field. r.Data (and that of r.Subs) aliases b.
-func DecodeResponse(b []byte, r *Response) error {
-	d := decoder{b: b}
-	d.response(r, true)
-	r.frame = nil
-	return d.finish()
-}
-
-// DecodePooledResponse is DecodeResponse for a frame b rented from bufpool: on
-// success r remembers b, and r.Release returns it (see Release for who may).
-// On failure b stays the caller's.
-func DecodePooledResponse(b []byte, r *Response) error {
-	err := DecodeResponse(b, r)
-	if err == nil {
-		r.frame = b
+	region, err := d.takeRegion()
+	for _, p := range d.region {
+		m := r
+		if p.sub > 0 {
+			m = &r.Subs[p.sub-1]
+		}
+		if p.bitmap {
+			m.Bitmap = p.of(region)
+		} else {
+			m.Data = p.of(region)
+		}
 	}
 	return err
 }
 
-// cut marks a payload that belongs at offset off of the encoded bytes but
-// was not copied into them.
-type cut struct {
-	off int
-	p   []byte
+// DecodeResponse decodes one response occupying all of b, header and payload
+// region, into r, overwriting every field. r.Data (and that of r.Subs)
+// aliases b.
+func DecodeResponse(b []byte, r *Response) error {
+	d := decoder{b: b}
+	d.response(r, true, nil)
+	r.frame, r.tail = nil, nil
+	region, err := d.takeRegion()
+	for _, p := range d.region {
+		r.sub(p.sub).Data = p.of(region)
+	}
+	return err
+}
+
+// ReadResponse decodes the response to req whose header is head into r and
+// reads the payload region the header declares, size bytes, from rd. A
+// GetBlock payload lands in its request's windows (Request.LandIn) when it
+// can; every other payload of the region is read into one buffer rented from
+// bufpool as its bytes arrive (ahead bounds the rental before they do). head
+// must be a bufpool buffer: on success r owns it and that buffer, which r's
+// payloads alias, and Release returns both. On failure head stays the
+// caller's, and windows may hold part of a payload.
+func ReadResponse(rd io.Reader, head []byte, size, ahead int, req *Request, r *Response) error {
+	d := decoder{b: head, header: true, size: size}
+	d.response(r, true, req)
+	if err := d.finish(); err != nil {
+		return err
+	}
+	if d.regionLen != size {
+		return errRegion
+	}
+	var tail []byte
+	for i := range d.region {
+		p := &d.region[i]
+		if p.land != nil {
+			for _, w := range p.land {
+				if _, err := io.ReadFull(rd, w); err != nil {
+					bufpool.Put(tail)
+					return err
+				}
+			}
+			r.sub(p.sub).landed = p.land
+			continue
+		}
+		p.off = len(tail)
+		var err error
+		if tail, err = bufpool.ReadAppend(rd, tail, p.n, ahead); err != nil {
+			return err
+		}
+	}
+	// tail may have moved as it grew: the views are taken once it is whole.
+	for _, p := range d.region {
+		if p.land == nil {
+			r.sub(p.sub).Data = p.of(tail)
+		}
+	}
+	r.frame, r.tail = head, tail
+	return nil
+}
+
+// sub returns sub-message i-1 of r, or r itself for i = 0.
+func (r *Response) sub(i int) *Response {
+	if i > 0 {
+		return &r.Subs[i-1]
+	}
+	return r
 }
 
 type encoder struct {
-	b    []byte
-	cuts []cut
-}
-
-// segments appends the message's wire-order segments to segs. It runs once
-// encoding is finished, because appends may have moved e.b.
-func (e *encoder) segments(segs [][]byte) [][]byte {
-	prev := 0
-	for _, c := range e.cuts {
-		segs = append(segs, e.b[prev:c.off], c.p)
-		prev = c.off
-	}
-	return append(segs, e.b[prev:])
+	b      []byte
+	region [][]byte // the payloads left out of b, in wire order
 }
 
 func (e *encoder) byte(v byte)      { e.b = append(e.b, v) }
@@ -155,7 +209,7 @@ func (e *encoder) payload(p []byte) {
 		e.b = append(e.b, p...)
 		return
 	}
-	e.cuts = append(e.cuts, cut{len(e.b), p})
+	e.region = append(e.region, p)
 }
 
 func (e *encoder) request(r *Request, top bool) error {
@@ -330,13 +384,42 @@ func zeroSize(encode func(*encoder)) int {
 	return len(e.b)
 }
 
-// decoder reads fields off the front of b. The first failure sticks: err is
-// set, b is emptied, and every later read returns zero, so callers check
-// once at the end — and count, which gates every allocation, returns 0.
+// decoder reads a header's fields off the front of b. The first failure
+// sticks: err is set, b is emptied, and every later read returns zero, so
+// callers check once at the end — and count, which gates every allocation,
+// returns 0.
+//
+// A payload in the region is not read where the header names it: it is
+// pending until the header is decoded, and then taken from the rest of a
+// whole message (takeRegion) or read off a connection (ReadResponse). A
+// pending payload names its field by position, not by pointer, so the
+// message being decoded does not escape to the heap with the list.
 type decoder struct {
 	b   []byte
 	err error
+	// header is set when b is a header alone, whose payload region, size
+	// bytes, is elsewhere; a whole message's region is at the end of b.
+	header    bool
+	size      int
+	sub       int // 1 + the index of the sub-message being decoded; 0: the message itself
+	subs      int // how many sub-messages there are: the region's first allocation holds a payload each
+	region    []pending
+	regionLen int
 }
+
+// pending is one payload of the region: the field it fills — Data, or a
+// request's Bitmap, of the message or of sub-message sub-1 — its length and
+// its offset in the buffer it is read into, and, when it lands, the caller's
+// windows.
+type pending struct {
+	sub    int
+	bitmap bool
+	n, off int
+	land   [][]byte
+}
+
+// of returns the payload's bytes in buf, capacity-clipped.
+func (p pending) of(buf []byte) []byte { return buf[p.off : p.off+p.n : p.off+p.n] }
 
 func (d *decoder) fail(err error) {
 	if d.err == nil {
@@ -350,6 +433,27 @@ func (d *decoder) finish() error {
 		return errTrailing
 	}
 	return d.err
+}
+
+// takeRegion ends the decode of a whole message: what follows the header is
+// the payload region, which must hold exactly the pending payloads, and each
+// is given its offset in it. On failure the region is nil and so is the list.
+func (d *decoder) takeRegion() ([]byte, error) {
+	if d.err == nil && len(d.b) != d.regionLen {
+		d.fail(errRegion)
+	}
+	if d.err != nil {
+		d.region = nil
+		return nil, d.err
+	}
+	off := 0
+	for i := range d.region {
+		d.region[i].off = off
+		off += d.region[i].n
+	}
+	region := d.b
+	d.b = nil
+	return region, nil
 }
 
 func (d *decoder) byte() byte {
@@ -417,11 +521,13 @@ func (d *decoder) float() float64 {
 	return math.Float64frombits(bits.ReverseBytes64(d.uvarint()))
 }
 
-// payload returns the next length-prefixed byte field as a sub-slice of the
-// frame, its capacity clipped so an append by the holder cannot reach the
-// bytes behind it.
-func (d *decoder) payload() []byte {
-	n := d.uvarint()
+// bytes returns the next length-prefixed byte field of the header as a
+// sub-slice of it, its capacity clipped so an append by the holder cannot
+// reach the bytes behind it.
+func (d *decoder) bytes() []byte { return d.inline(d.uvarint()) }
+
+// inline returns the next n bytes of the header (see bytes).
+func (d *decoder) inline(n uint64) []byte {
 	if n > uint64(len(d.b)) {
 		d.fail(errTruncated)
 		return nil
@@ -434,7 +540,47 @@ func (d *decoder) payload() []byte {
 	return p
 }
 
-func (d *decoder) str() string { return string(d.payload()) }
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// payload decodes a payload field: at once when the header holds it, and
+// else as a pending payload of the region (see decoder), for which it
+// returns nil. bitmap says which field it is (a request's Bitmap, or Data). A
+// region payload of exactly the bytes land's windows hold lands in them
+// (ReadResponse; a whole message's decode passes no windows).
+func (d *decoder) payload(bitmap bool, land [][]byte) []byte {
+	n := d.uvarint()
+	if n < inlineMax {
+		return d.inline(n)
+	}
+	// A whole message's region is in b, behind the rest of the header.
+	room := len(d.b)
+	if d.header {
+		room = d.size
+	}
+	if room -= d.regionLen; room < 0 || n > uint64(room) {
+		d.fail(errRegion)
+		return nil
+	}
+	p := pending{sub: d.sub, bitmap: bitmap, n: int(n)}
+	if windowsLen(land) == p.n {
+		p.land = land
+	}
+	if d.region == nil {
+		d.region = make([]pending, 0, max(d.subs, 1))
+	}
+	d.region = append(d.region, p)
+	d.regionLen += p.n
+	return nil
+}
+
+// windowsLen is the bytes windows hold.
+func windowsLen(windows [][]byte) int {
+	n := 0
+	for _, w := range windows {
+		n += len(w)
+	}
+	return n
+}
 
 // count reads a slice length and rejects one that elemMin-byte elements
 // could not fit in the unread bytes.
@@ -466,7 +612,7 @@ func (d *decoder) request(r *Request, top bool) {
 	r.Kind = Kind(d.byte())
 	r.DeadlineMicros = d.varint()
 	r.BlockID = d.str()
-	r.Data = d.payload()
+	r.Data = d.payload(false, nil)
 	r.Offset = d.uvarint()
 	r.Length = d.uvarint()
 	r.CallerVerifies = d.bool()
@@ -476,7 +622,7 @@ func (d *decoder) request(r *Request, top bool) {
 	d.chunkRef(&r.Chunk)
 	r.Op = sql.CmpOp(d.int())
 	d.literal(&r.Value)
-	r.Bitmap = d.payload()
+	r.Bitmap = d.payload(true, nil)
 	r.KeyChunks = d.chunkRefs()
 	r.ValChunks = d.chunkRefs()
 	r.AggKinds = nil
@@ -495,6 +641,7 @@ func (d *decoder) request(r *Request, top bool) {
 	if n := d.subCount(minRequest, batch); n > 0 {
 		r.Subs = make([]Request, n)
 		for i := range r.Subs {
+			d.sub = i + 1
 			d.request(&r.Subs[i], false)
 		}
 	}
@@ -559,9 +706,15 @@ func (d *decoder) aggState(a *sql.AggState) {
 	a.IsString = d.bool()
 }
 
-func (d *decoder) response(r *Response, top bool) {
+// response decodes a response; q is the request it answers, when its
+// payload may land (ReadResponse), else nil.
+func (d *decoder) response(r *Response, top bool, q *Request) {
 	r.Err = d.str()
-	r.Data = d.payload()
+	var land [][]byte
+	if q != nil && q.Kind == KindGetBlock && r.Err == "" {
+		land = q.land
+	}
+	r.Data, r.landed = d.payload(false, land), nil
 	r.Size = d.uvarint()
 	r.Crc = d.uint32()
 	r.Blocks = nil
@@ -591,8 +744,16 @@ func (d *decoder) response(r *Response, top bool) {
 	r.Subs = nil
 	if n := d.subCount(minResponse, top); n > 0 {
 		r.Subs = make([]Response, n)
+		d.subs = n
+		// Sub-response i answers sub-request i of a batch of as many.
+		batch := q != nil && q.Kind == KindBatch && len(q.Subs) == n
 		for i := range r.Subs {
-			d.response(&r.Subs[i], false)
+			var sq *Request
+			if batch {
+				sq = &q.Subs[i]
+			}
+			d.sub = i + 1
+			d.response(&r.Subs[i], false, sq)
 		}
 	}
 }

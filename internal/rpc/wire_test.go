@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -188,8 +189,8 @@ func TestWireZeroElements(t *testing.T) {
 }
 
 // TestWireSegments: a payload of inlineMax bytes or more goes out as the
-// caller's own slice, never copied into the header buffer, and dst's
-// existing bytes lead the first segment.
+// caller's own slice after the header, never copied into it, and dst's
+// existing bytes lead the header.
 func TestWireSegments(t *testing.T) {
 	big := bytes.Repeat([]byte{7}, inlineMax)
 	small := []byte{1, 2, 3}
@@ -197,11 +198,11 @@ func TestWireSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 3 || &segs[1][0] != &big[0] || len(segs[1]) != len(big) {
-		t.Fatalf("want [head, payload, head], got %d segments", len(segs))
+	if len(segs) != 2 || &segs[1][0] != &big[0] || len(segs[1]) != len(big) {
+		t.Fatalf("want [header, payload], got %d segments", len(segs))
 	}
-	if !bytes.HasPrefix(segs[0], []byte("pre")) || &segs[0][0] != &head[0] {
-		t.Fatal("first segment must start at dst[0]")
+	if !bytes.HasPrefix(segs[0], []byte("pre")) || &segs[0][0] != &head[0] || len(segs[0]) != len(head) {
+		t.Fatal("the first segment must be the whole header buffer, starting at dst[0]")
 	}
 	if len(head) >= inlineMax {
 		t.Fatalf("header buffer holds %d bytes: the payload was copied", len(head))
@@ -210,8 +211,8 @@ func TestWireSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 5 || &segs[1][0] != &big[0] || &segs[3][0] != &big[0] {
-		t.Fatalf("want two cut-out sub-payloads in 5 segments, got %d", len(segs))
+	if len(segs) != 3 || &segs[1][0] != &big[0] || &segs[2][0] != &big[0] {
+		t.Fatalf("want the header and two sub-payloads in 3 segments, got %d", len(segs))
 	}
 }
 
@@ -417,7 +418,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 }
 
 // TestFrameWithinWireSize anchors the traffic figure: for the kinds that
-// carry the bytes, the real encoding (plus tcpnet's 4-byte length prefix) is
+// carry the bytes, the real encoding (plus tcpnet's 8-byte length prefix) is
 // no longer than WireSize() + wireSlack, so net_bytes_per_op — a sum of
 // WireSize() — is an upper bound on the bytes sent, not an estimate.
 func TestFrameWithinWireSize(t *testing.T) {
@@ -435,7 +436,7 @@ func TestFrameWithinWireSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, est := uint64(len(reqEnc)+4), prepare.WireSize(); got > est+wireSlack {
+	if got, est := uint64(len(reqEnc)+8), prepare.WireSize(); got > est+wireSlack {
 		t.Errorf("PrepareBlock: frame %d bytes > WireSize %d + %d", got, est, wireSlack)
 	}
 	for name, r := range map[string]*Response{"GetBlock reply": getReply, "batched GetBlock reply": batchReply, "Project reply": projectReply} {
@@ -443,59 +444,158 @@ func TestFrameWithinWireSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, est := uint64(len(enc)+4), r.WireSize(); got > est+wireSlack {
+		if got, est := uint64(len(enc)+8), r.WireSize(); got > est+wireSlack {
 			t.Errorf("%s: frame %d bytes > WireSize %d + %d", name, got, est, wireSlack)
 		}
 	}
 }
 
-// TestResponseRelease: a response decoded from a pooled frame gives the frame
-// back once — one Release for a batch reply and all its sub-responses, a
-// second Release a no-op — and one decoded from plain bytes, or never decoded
-// at all, has nothing to give back. A frame that fails to decode stays the
-// caller's.
-func TestResponseRelease(t *testing.T) {
-	puts := func() uint64 { _, n, _ := bufpool.Stats(); return n }
-	enc, err := encodeResponse(&Response{Subs: []Response{{Data: bytes.Repeat([]byte{1}, 600)}, {Data: []byte("xy")}}})
+// readPooled reads r's encoding as a client does (ReadResponse): its header
+// from a buffer rented from bufpool, its payload region off a reader.
+func readPooled(t testing.TB, r *Response, req *Request) (*Response, []byte, error) {
+	t.Helper()
+	_, segs, err := AppendResponse(nil, nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := bufpool.GetLen(len(enc))
-	copy(frame, enc)
-	resp := &Response{}
-	if err := DecodePooledResponse(frame, resp); err != nil {
+	head := append(bufpool.Get(len(segs[0])), segs[0]...)
+	region := bytes.Join(segs[1:], nil)
+	got := &Response{}
+	return got, head, ReadResponse(bytes.NewReader(region), head, len(region), 1<<20, req, got)
+}
+
+// TestResponseRelease: a response read off a connection gives its buffers
+// back once — its header's and its payload region's, one Release for a batch
+// reply and all its sub-responses, a second Release a no-op — and one decoded
+// from plain bytes, or never decoded at all, has nothing to give back. A
+// header that fails to decode stays the caller's.
+func TestResponseRelease(t *testing.T) {
+	puts := func() uint64 { _, n, _ := bufpool.Stats(); return n }
+	msg := &Response{Subs: []Response{{Data: bytes.Repeat([]byte{1}, inlineMax+600)}, {Data: bytes.Repeat([]byte{2}, 600)}}}
+	resp, _, err := readPooled(t, msg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer bufpool.SetPoison(bufpool.SetPoison(true))
 	sub0, sub1 := resp.Subs[0].Data, resp.Subs[1].Data
 	before := puts()
 	resp.Release()
-	if puts() != before+1 || !bufpool.Poisoned(sub0) || !bufpool.Poisoned(sub1) {
-		t.Fatal("Release did not return the frame both sub-responses alias")
+	if puts() != before+2 || !bufpool.Poisoned(sub0) || !bufpool.Poisoned(sub1) {
+		t.Fatal("Release did not return the header and the region both sub-responses alias")
 	}
 	resp.Release()
-	if puts() != before+1 {
-		t.Fatal("a second Release returned the frame again")
+	if puts() != before+2 {
+		t.Fatal("a second Release returned the buffers again")
 	}
 
+	enc, err := encodeResponse(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plain := &Response{}
 	if err := DecodeResponse(enc, plain); err != nil {
 		t.Fatal(err)
 	}
 	plain.Release()
 	new(Response).Release()
-	if puts() != before+1 || bufpool.Poisoned(plain.Subs[0].Data) {
+	if puts() != before+2 || bufpool.Poisoned(plain.Subs[0].Data) {
 		t.Fatal("Release of a frameless response touched the arena")
 	}
 
-	bad := bufpool.GetLen(len(enc) - 1)
-	copy(bad, enc)
+	head := append(bufpool.Get(len(enc)), enc[:len(enc)-inlineMax-601]...)
 	failed := &Response{}
-	if err := DecodePooledResponse(bad, failed); err == nil {
-		t.Fatal("truncated frame decoded")
+	if err := ReadResponse(bytes.NewReader(nil), head, 0, 1<<20, nil, failed); err == nil {
+		t.Fatal("truncated header decoded")
 	}
 	failed.Release()
-	if puts() != before+1 {
-		t.Fatal("a response that failed to decode released its caller's frame")
+	if puts() != before+2 {
+		t.Fatal("a response that failed to decode released its caller's header")
+	}
+}
+
+// landingRequest is a batch of three GetBlocks naming windows of inlineMax,
+// 10+inlineMax and inlineMax+1 bytes, every byte 0xEE, and a Filter.
+func landingRequest() (*Request, [][]byte) {
+	fill := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
+	windows := [][]byte{fill(inlineMax), fill(10), fill(inlineMax), fill(inlineMax + 1)}
+	req := &Request{Kind: KindBatch, Subs: make([]Request, 4)}
+	for i := range req.Subs {
+		req.Subs[i] = Request{Kind: KindGetBlock, BlockID: fmt.Sprint("b", i)}
+	}
+	req.Subs[3].Kind = KindFilter
+	req.Subs[0].LandIn(windows[0])
+	req.Subs[1].LandIn(windows[1], windows[2])
+	req.Subs[2].LandIn(windows[3])
+	return req, windows
+}
+
+// mixedReply answers landingRequest: sub 0 with exactly its windows' bytes,
+// sub 1 with an error, sub 2 with one byte too many and the Filter with a
+// bitmap of inlineMax bytes, the last two in the region but not landing.
+func mixedReply() *Response {
+	payload := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	return &Response{Subs: []Response{
+		{Data: payload(inlineMax, 1), Crc: 7},
+		{Err: "no such block"},
+		{Data: payload(inlineMax+2, 3)},
+		{Data: payload(inlineMax, 4), Matches: 9},
+	}}
+}
+
+// TestReadResponseLandsInWindows: a GetBlock payload that fills its windows
+// exactly lands there and nowhere else — Data nil, Landed the windows,
+// PayloadBytes and WireSize what they would be had it stayed in Data — and
+// the error reply, the wrong-length reply and the other kind's payload leave
+// their windows untouched and arrive in Data as before. A bare GetBlock lands
+// the same way. A region that is not the length the header declares fails
+// before any payload is read.
+func TestReadResponseLandsInWindows(t *testing.T) {
+	req, windows := landingRequest()
+	want := mixedReply()
+	got, _, err := readPooled(t, want, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := got.Subs
+	if sub[0].Data != nil || len(sub[0].Landed()) != 1 || !bytes.Equal(windows[0], want.Subs[0].Data) {
+		t.Fatalf("sub 0 did not land in its window: Data %d bytes, landed %d windows", len(sub[0].Data), len(sub[0].Landed()))
+	}
+	for i, w := range windows[1:] {
+		if bytes.Count(w, []byte{0xEE}) != len(w) {
+			t.Fatalf("window %d of a reply that did not land was written", i+1)
+		}
+	}
+	for i := 1; i < 4; i++ {
+		if sub[i].Landed() != nil || !bytes.Equal(sub[i].Data, want.Subs[i].Data) || sub[i].Err != want.Subs[i].Err {
+			t.Fatalf("sub %d: want its reply in Data, as sent", i)
+		}
+	}
+	if got.PayloadBytes() != want.PayloadBytes() || got.WireSize() != want.WireSize() {
+		t.Fatalf("landed reply counts %d payload / %d wire bytes, want %d / %d",
+			got.PayloadBytes(), got.WireSize(), want.PayloadBytes(), want.WireSize())
+	}
+
+	bare := &Request{Kind: KindGetBlock, BlockID: "b"}
+	w1, w2 := make([]byte, 3000), make([]byte, inlineMax)
+	bare.LandIn(w1, w2)
+	block := bytes.Repeat([]byte("0123456789abcdef"), (3000+inlineMax)/16+1)[:3000+inlineMax]
+	got, _, err = readPooled(t, &Response{Data: block}, bare)
+	if err != nil || got.Data != nil || !bytes.Equal(append(append([]byte(nil), w1...), w2...), block) {
+		t.Fatalf("bare GetBlock did not land across its two windows (err %v)", err)
+	}
+
+	_, segs, err := AppendResponse(nil, nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := bytes.Join(segs[1:], nil)
+	req, windows = landingRequest()
+	for _, size := range []int{len(region) - 1, len(region) + 1} {
+		if err := ReadResponse(bytes.NewReader(region), segs[0], size, 1<<20, req, &Response{}); !errors.Is(err, errRegion) {
+			t.Fatalf("region of %d bytes where the header declares %d: err %v, want errRegion", size, len(region), err)
+		}
+	}
+	if bytes.Count(windows[0], []byte{0xEE}) != inlineMax {
+		t.Fatal("a reply whose region was the wrong length wrote a window")
 	}
 }

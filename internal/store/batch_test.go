@@ -195,8 +195,8 @@ func TestBatchedGetRoundTrips(t *testing.T) {
 // (every block read directly, every frame released) and then with one down —
 // also with the cache on, where a flight's leader releases the frame whose
 // block its followers and the cache were given a copy of; a cached block
-// outlives the Get that fetched it; and after a Get abandoned mid-flight,
-// whose late replies are dropped, never released.
+// outlives the Get that fetched it; and after a Get cancelled mid-flight,
+// whose calls end with it.
 func TestPooledBuffersNotAliased(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 300, 17)
 	queries := []string{
@@ -336,10 +336,8 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 		}
 	}
 
-	// A Get abandoned mid-flight: two nodes answer late, the caller is gone by
-	// then, and their replies land in goroutines nobody waits for. They are
-	// dropped, never released, so the Get that follows — running while they
-	// arrive — reads clean frames.
+	// A Get cancelled mid-flight, while two nodes are slow to answer: its
+	// calls end with it, and the Gets that follow read clean bytes.
 	{
 		net := faultnet.New(newTCPCluster(t, 9), 1)
 		s, err := New(net, fusionTestOptions())
@@ -361,11 +359,11 @@ func TestPooledBuffersNotAliased(t *testing.T) {
 			cancel()
 		}()
 		if _, err := s.GetContext(ctx, "obj", 0, 0); !errors.Is(err, context.Canceled) {
-			t.Fatalf("abandoned Get returned %v, want the context's error", err)
+			t.Fatalf("cancelled Get returned %v, want the context's error", err)
 		}
-		for i := 0; i < 3; i++ { // spans the late replies' arrival
+		for i := 0; i < 3; i++ { // spans the time the slowed replies were due
 			if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("Get %d after an abandoned one: wrong bytes (err %v)", i, err)
+				t.Fatalf("Get %d after a cancelled one: wrong bytes (err %v)", i, err)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

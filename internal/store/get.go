@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -153,23 +154,41 @@ func (s *Store) segments(meta *ObjectMeta, offset, length uint64) []segment {
 	return segs
 }
 
-// readSegments assembles a read's planned segments into one buffer. Segments
-// that together cover their whole block — the common case for full-object
-// and row-group reads, where the items of a block tile it exactly — are
-// served by a single whole-block read, fetched and verified once no matter how
-// many items it holds; the rest are per-range reads. The distinct whole blocks
-// not already cached are prefetched through scatter, one frame per node
-// instead of one round trip per block; under scatter's contract a nil reply
-// (lost frame, failed sub-read) leaves that block to readBlock's bare call.
+// blockRead is one read of a planned Get or chunk fetch: bytes [off,
+// off+length) of a data block — the whole of it when whole — and the windows
+// of the read's buffer they belong in, in block order.
+type blockRead struct {
+	stripe, bin int
+	off, length uint64
+	whole       bool
+	windows     [][]byte
+	data        []byte        // the block from the cache, when the planner found it there
+	pre         *rpc.Response // its prefetched reply, if any
+}
+
+// readSegments assembles a read's planned segments into one buffer. A block
+// whose segments together cover it whole — the common case for full-object
+// and row-group reads, where the items of a block tile it exactly — is read
+// once, whole, however many items it holds, and verified against the stripe
+// checksum; every other segment is a ranged read, verified against the CRC
+// the node computed over it. Each read names the windows of out its bytes
+// belong in, and with the cache off the transport lands them straight there
+// (rpc.Request.LandIn): a block's bytes are written once, by the socket read.
+// The distinct whole blocks not already cached are prefetched through
+// scatter, one frame per node instead of one round trip per block; under
+// scatter's contract a nil reply (lost frame, failed sub-read) leaves that
+// block to readBlock's bare call, which lands in the same windows.
 //
-// This is also the one place reply frames are released (rpc.Response.Release):
-// every GetBlock reply the read is served from — the prefetch frames and the
-// replies readBlock hands back beside the bytes that alias them — is verified,
-// copied into out, and after the last copy handed back to bufpool, so the next
-// read's frames cost no fresh zeroed memory. A reply gets here only once
-// nobody else can reach it: the cache and a flight's followers are given a
-// copy (readBlock). Replies of abandoned calls and failed reads do not get
-// here and are left to the collector.
+// This is the one place bytes that did not land are copied into out — a
+// reply over a transport that does not land (simnet), one too short to leave
+// the header or not the length asked for, a cached block, a rebuilt one — and
+// the one place reply frames are released (rpc.Response.Release): every
+// GetBlock reply the read is served from — the prefetch frames and the
+// replies readBlock hands back — is verified, landed or copied, and after the
+// last copy handed back to bufpool, so the next read's frames cost no fresh
+// zeroed memory. A reply gets here only once nobody else can reach it: the
+// cache and a flight's followers are given a copy (readBlock). Replies of
+// failed reads do not get here and are left to the collector.
 func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMeta, segs []segment, length uint64) ([]byte, error) {
 	out := make([]byte, length)
 	var replies []*rpc.Response // released once the last byte is in out
@@ -189,65 +208,96 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 	if planned != length {
 		return nil, fmt.Errorf("store: assembled %d bytes, want %d", planned, length)
 	}
-	whole := make(map[blockKey][]byte, len(covered))      // whole blocks in hand
-	pre := make(map[blockKey]*rpc.Response, len(covered)) // whole blocks planned, and their prefetched replies
-	var reqs []nodeReq
-	var keys []blockKey // keys[i] is the block reqs[i] reads
-	perNode := make(map[int]int)
-	for _, g := range segs {
+	// One read per whole block and per other segment; a segment's window is
+	// its share of out, and a read's windows are in block order — the order
+	// the bytes arrive in, which for a whole block is not object order: the
+	// items of a bin need not be.
+	type part struct {
+		read   int
+		off    uint64
+		window []byte
+	}
+	reads := make([]blockRead, 0, len(segs))
+	parts := make([]part, len(segs))
+	wholeAt := make(map[blockKey]int, len(covered)) // a whole block's index in reads
+	for i, g := range segs {
 		key := blockKey{g.stripe, g.bin}
-		st := &meta.Stripes[g.stripe]
-		if _, dup := pre[key]; dup || covered[key] != st.DataLens[g.bin] {
+		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
+		at, ok := wholeAt[key]
+		switch {
+		case covered[key] != blockLen:
+			at = len(reads)
+			reads = append(reads, blockRead{stripe: g.stripe, bin: g.bin, off: g.off, length: g.length})
+		case !ok:
+			at = len(reads)
+			wholeAt[key] = at
+			reads = append(reads, blockRead{stripe: g.stripe, bin: g.bin, length: blockLen, whole: true})
+		}
+		parts[i] = part{at, g.off, out[g.outStart : g.outStart+g.length : g.outStart+g.length]}
+	}
+	slices.SortFunc(parts, func(a, b part) int { return cmp.Or(cmp.Compare(a.read, b.read), cmp.Compare(a.off, b.off)) })
+	windows := make([][]byte, len(parts))
+	for i := 0; i < len(parts); {
+		j := i
+		for ; j < len(parts) && parts[j].read == parts[i].read; j++ {
+			windows[j] = parts[j].window
+		}
+		reads[parts[i].read].windows = windows[i:j:j]
+		i = j
+	}
+	reqs := make([]nodeReq, 0, len(reads))
+	reqOf := make([]int, 0, len(reads)) // reqs[i] reads reads[reqOf[i]]
+	perNode := make(map[int]int)
+	for i := range reads {
+		r := &reads[i]
+		if !r.whole {
 			continue
 		}
-		pre[key] = nil
-		if block, ok := s.cachedBlock(sp, meta, g.stripe, g.bin); ok {
-			whole[key] = block
+		if block, ok := s.cachedBlock(sp, meta, r.stripe, r.bin); ok {
+			r.data = block
 			continue
 		}
-		reqs = append(reqs, nodeReq{st.Nodes[g.bin], s.getBlockReq(st, g.bin, 0, 0)})
-		keys = append(keys, key)
-		perNode[st.Nodes[g.bin]]++
+		st := &meta.Stripes[r.stripe]
+		req := s.getBlockReq(st, r.bin, 0, 0)
+		if !s.cacheOn() {
+			req.LandIn(r.windows...)
+		}
+		reqs = append(reqs, nodeReq{st.Nodes[r.bin], req})
+		reqOf = append(reqOf, i)
+		perNode[st.Nodes[r.bin]]++
 	}
 	// A node asked for one block gains nothing from a frame: its request
 	// is dropped here and readBlock's bare call reads the block.
 	n := 0
 	for i, r := range reqs {
 		if perNode[r.node] > 1 {
-			reqs[n], keys[n] = r, keys[i]
+			reqs[n], reqOf[n] = r, reqOf[i]
 			n++
 		}
 	}
 	var subs []*rpc.Response
 	subs, replies = s.scatter(ctx, sp, reqs[:n])
 	for i, resp := range subs {
-		pre[keys[i]] = resp
+		reads[reqOf[i]].pre = resp
 	}
-	for _, g := range segs {
-		key := blockKey{g.stripe, g.bin}
-		blockLen := meta.Stripes[g.stripe].DataLens[g.bin]
-		var data []byte
-		var reply *rpc.Response
-		var err error
-		if covered[key] != blockLen {
-			data, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, g.off, g.length, nil)
-		} else {
-			block, ok := whole[key] // a planner cache hit, or an earlier segment's block
-			if !ok {
-				if block, reply, err = s.readBlock(ctx, sp, meta, g.stripe, g.bin, 0, blockLen, pre[key]); err != nil {
-					return nil, err
-				}
-				whole[key] = block
+	for i := range reads {
+		r := &reads[i]
+		data := r.data
+		if data == nil {
+			var reply *rpc.Response
+			var err error
+			data, reply, err = s.readBlock(ctx, sp, meta, r.stripe, r.bin, r.off, r.length, r.pre, r.windows)
+			if reply != nil {
+				replies = append(replies, reply)
 			}
-			data, err = sliceBlock(block, g.off, g.length)
+			if err != nil {
+				return nil, err
+			}
 		}
-		if reply != nil {
-			replies = append(replies, reply)
+		// data is nil when the bytes landed; else this is their one copy.
+		for _, w := range r.windows {
+			data = data[copy(w, data):]
 		}
-		if err != nil {
-			return nil, err
-		}
-		copy(out[g.outStart:], data)
 	}
 	return out, nil
 }
@@ -272,13 +322,16 @@ func (s *Store) getBlockReq(st *StripeMeta, j int, off, length uint64) rpc.Reque
 
 // verifyBlock is the one place a GetBlock reply — bare or a batch
 // sub-response — becomes verified bytes or an error. Transport and plain
-// application errors pass through. A whole block must match the stripe
-// checksum recorded at write time, a range the CRC the node computed over the
-// bytes it served. Every checksum fault (those two, or the node refusing a
-// block that failed its at-rest check) wraps errBlockChecksum, counts one
-// ChecksumFailure and queues the block for repair; the caller then treats the
-// block as an erasure.
-func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, whole bool, resp *rpc.Response, err error) ([]byte, error) {
+// application errors pass through. A whole block (length 0) must match the
+// stripe checksum recorded at write time, a range of length bytes must be
+// that long and match the CRC the node computed over the bytes it served;
+// either is checked where the payload is — in Data, or in the caller's
+// windows when it landed there, in which case the bytes returned are nil.
+// Every checksum fault (those, or the node refusing a block that failed its
+// at-rest check) wraps errBlockChecksum, counts one ChecksumFailure and
+// queues the block for repair; the caller then treats the block as an
+// erasure.
+func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, length uint64, resp *rpc.Response, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +341,9 @@ func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, who
 		return nil, errors.New(resp.Err)
 	case resp.Err != "":
 		err = fmt.Errorf("%w: %s", errBlockChecksum, resp.Err)
-	case whole && cluster.Checksum(resp.Data) != st.Checksums[j]:
+	case length == 0 && replyChecksum(resp) != st.Checksums[j]:
 		err = fmt.Errorf("%w: %s does not match its stripe checksum", errBlockChecksum, st.BlockIDs[j])
-	case !whole && cluster.Checksum(resp.Data) != resp.Crc:
+	case length != 0 && (resp.PayloadBytes() != length || replyChecksum(resp) != resp.Crc):
 		err = fmt.Errorf("%w: %s: reply failed its end-to-end checksum", errBlockChecksum, st.BlockIDs[j])
 	default:
 		return resp.Data, nil
@@ -300,15 +353,26 @@ func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, who
 	return nil, err
 }
 
+// replyChecksum is the CRC32C of a GetBlock reply's payload, wherever it is.
+func replyChecksum(resp *rpc.Response) uint32 {
+	if windows := resp.Landed(); windows != nil {
+		return cluster.ChecksumAll(windows)
+	}
+	return cluster.Checksum(resp.Data)
+}
+
 // fetchBlock is one bare, verified GetBlock of block j (data or parity): the
-// range [off, off+length), or the whole block when length is 0. The bytes
-// alias the reply returned beside them, which a caller that has copied them
-// out may Release (readSegments does, through readBlock; the rest drop it).
-func (s *Store) fetchBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int, off, length uint64) ([]byte, *rpc.Response, error) {
+// range [off, off+length), or the whole block when length is 0, landing in
+// windows when the caller names them (nil bytes are returned then). Bytes
+// that did not land alias the reply returned beside them, which a caller
+// that has copied them out may Release (readSegments does, through
+// readBlock; the rest drop it).
+func (s *Store) fetchBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, j int, off, length uint64, windows [][]byte) ([]byte, *rpc.Response, error) {
 	st := &meta.Stripes[stripe]
 	req := s.getBlockReq(st, j, off, length)
+	req.LandIn(windows...)
 	resp, err := s.call(ctx, sp, st.Nodes[j], &req)
-	data, err := s.verifyBlock(sp, meta, stripe, j, length == 0, resp, err)
+	data, err := s.verifyBlock(sp, meta, stripe, j, length, resp, err)
 	return data, resp, err
 }
 
@@ -359,17 +423,19 @@ func (s *Store) cacheFillBlock(meta *ObjectMeta, stripe, bin int, block []byte) 
 }
 
 // readBlock serves one planned read — bytes [off, off+length) of data block
-// bin — and is the only way block bytes reach a Get or a query's chunk fetch.
-// pre is the block's prefetched reply, if the planner got one. The bytes may
-// alias the reply a bare call fetched them in, returned beside them (else
-// nil): the caller's to Release once it has copied them out, and nobody
-// else's. With the cache on, reads are served at block granularity: a hit
-// slices resident bytes, and a miss fetches (and caches) the whole block under
-// singleflight, so the next range of the block is a hit and N concurrent
-// readers of one block trigger one fetch.
-func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) (data []byte, reply *rpc.Response, err error) {
+// bin, which belong in windows — and is the only way block bytes reach a Get
+// or a query's chunk fetch. pre is the block's prefetched reply, if the
+// planner got one. With the cache off a reply lands in windows when it can,
+// and the bytes returned are then nil; otherwise they are the bytes, for the
+// caller to copy, and may alias the reply a bare call fetched them in,
+// returned beside them (else nil): the caller's to Release once it has
+// copied them out, and nobody else's. With the cache on, reads are served at
+// block granularity: a hit slices resident bytes, and a miss fetches (and
+// caches) the whole block under singleflight, so the next range of the block
+// is a hit and N concurrent readers of one block trigger one fetch.
+func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response, windows [][]byte) (data []byte, reply *rpc.Response, err error) {
 	if !s.cacheOn() {
-		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre)
+		return s.directOrDegraded(ctx, sp, meta, stripe, bin, off, length, pre, windows)
 	}
 	if pre == nil { // a prefetched reply means the planner just missed the cache
 		if block, ok := s.cachedBlock(sp, meta, stripe, bin); ok {
@@ -382,7 +448,7 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 		if block, ok := s.recheckBlock(sp, meta, stripe, bin); ok {
 			return block, nil
 		}
-		block, r, err := s.directOrDegraded(ctx, sp, meta, stripe, bin, 0, st.DataLens[bin], pre)
+		block, r, err := s.directOrDegraded(ctx, sp, meta, stripe, bin, 0, st.DataLens[bin], pre, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -407,10 +473,11 @@ func (s *Store) readBlock(ctx context.Context, sp *trace.Span, meta *ObjectMeta,
 // as an erasure and rebuild it from k of the stripe's survivors. The
 // direct step is the prefetched reply when there is one, else a bare call,
 // whose reply is returned beside the bytes that alias it (fetchBlock); a read
-// of the whole block is verified against the stripe checksum. A slow node is
-// waited for, up to the caller's deadline: only a failed direct read starts
-// the reconstruction fan-out.
-func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response) ([]byte, *rpc.Response, error) {
+// of the whole block is verified against the stripe checksum. Either lands in
+// windows when it can (nil bytes), and a rebuilt block is returned for the
+// caller to copy into them. A slow node is waited for, up to the caller's
+// deadline: only a failed direct read starts the reconstruction fan-out.
+func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *ObjectMeta, stripe, bin int, off, length uint64, pre *rpc.Response, windows [][]byte) ([]byte, *rpc.Response, error) {
 	bsp := sp.Child("block")
 	defer bsp.End()
 	var data []byte
@@ -418,11 +485,11 @@ func (s *Store) directOrDegraded(ctx context.Context, sp *trace.Span, meta *Obje
 	var derr error
 	switch {
 	case pre != nil: // the planner holds pre's frame
-		data, derr = s.verifyBlock(bsp, meta, stripe, bin, true, pre, nil)
+		data, derr = s.verifyBlock(bsp, meta, stripe, bin, 0, pre, nil)
 	case length == meta.Stripes[stripe].DataLens[bin]:
-		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0)
+		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, 0, 0, windows)
 	default:
-		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length)
+		data, reply, derr = s.fetchBlock(ctx, bsp, meta, stripe, bin, off, length, windows)
 	}
 	if derr == nil {
 		return data, reply, nil
@@ -484,7 +551,7 @@ func (s *Store) fanOutStripe(ctx context.Context, sp *trace.Span, meta *ObjectMe
 			j := wave[i]
 			var rctx context.Context
 			rctx, subs[j] = forkCtx(ctx)
-			data, _, err := s.fetchBlock(rctx, sp, meta, stripe, j, 0, 0)
+			data, _, err := s.fetchBlock(rctx, sp, meta, stripe, j, 0, 0, nil)
 			if errs[j] = err; err == nil {
 				shards[j] = padShard(data, meta.Stripes[stripe].Capacity)
 			}
@@ -629,7 +696,7 @@ func (s *Store) RepairNode(name string, node int) (int, error) {
 			if blkNode != node {
 				continue
 			}
-			if _, _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0); err == nil {
+			if _, _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0, nil); err == nil {
 				continue
 			}
 			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})

@@ -204,12 +204,13 @@ func TestPutRoundTrips(t *testing.T) {
 }
 
 // TestStreamingPutPooledCancelMidStripe extends the poison-on-put discipline
-// to a Put abandoned while a stripe's prepares are in flight: two slow nodes
-// hold their calls past the cancel, so the abandoned attempts deliver after
-// the Put has returned. The Put must report the context's error, every block
-// any node then holds must still match its recorded CRC — a stripe whose
-// scatter failed keeps its arenas out of the pool, so a late attempt reads the
-// bytes it was given — and the name must stay writable.
+// to a Put cancelled while a stripe's prepares are in flight: two slow nodes
+// hold their calls past the cancel. Those calls end with the Put — a call
+// never outlives its caller — so nothing reads the stripe's arenas once the
+// Put has returned, and they go straight back to the pool. The Put must
+// report the context's error, the slowed prepares must never land, every
+// block any node holds must still match its recorded CRC, and the name must
+// stay writable.
 func TestStreamingPutPooledCancelMidStripe(t *testing.T) {
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
@@ -226,17 +227,13 @@ func TestStreamingPutPooledCancelMidStripe(t *testing.T) {
 	if _, err := s.PutContext(ctx, "obj", data); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled from a Put cancelled mid-stripe, got %v", err)
 	}
-	// Wait for the two abandoned calls to land: each leaves its block on its
-	// node after the rollback has run.
+	// Past the time the slowed prepares would have been sent, neither node
+	// holds a block of the object: the cancelled calls ended with the Put.
+	time.Sleep(2 * slow)
 	cl := inj.Inner().(*simnet.Cluster)
 	for _, node := range []int{2, 5} {
-		landed := func() bool {
-			return slices.ContainsFunc(cl.Node(node).Blocks.IDs(), func(id string) bool { return !strings.HasPrefix(id, "kv/") })
-		}
-		for deadline := time.Now().Add(10 * time.Second); !landed(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("the abandoned PrepareBlock to node %d never landed", node)
-			}
+		if slices.ContainsFunc(cl.Node(node).Blocks.IDs(), func(id string) bool { return !strings.HasPrefix(id, "kv/") }) {
+			t.Fatalf("a prepare to node %d landed after the Put that sent it had returned", node)
 		}
 	}
 	for node := 0; node < cl.NumNodes(); node++ {

@@ -305,15 +305,15 @@ func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectM
 			continue
 		}
 		stats.MaxStripeBytes = max(stats.MaxStripeBytes, uint64(job.bytes))
-		if err := s.placeStripe(ctx, sp, meta, job, placed); err != nil {
-			// Not recycled: a call abandoned at a cancel or a deadline may
-			// still be reading the arenas, so the collector gets them.
-			g.add(-job.bytes)
+		// Every call placeStripe made has ended, a cancelled one too, so
+		// nothing reads the arenas any more whatever the outcome.
+		err := s.placeStripe(ctx, sp, meta, job, placed)
+		job.release(&g)
+		if err != nil {
 			failed = err
 			close(stop)
 			continue
 		}
-		job.release(&g)
 		for _, b := range job.blocks {
 			stats.StoredBytes += uint64(len(b))
 		}

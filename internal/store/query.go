@@ -465,7 +465,7 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 		for i, sp := range spans {
 			// A sibling that is unreadable or fails its own block checksum
 			// stays nil and is rebuilt like the suspect.
-			stored[i], _, _ = s.fetchBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin, 0, 0)
+			stored[i], _, _ = s.fetchBlock(st.ctx, st.sp, meta, sp.stripe, sp.bin, 0, 0, nil)
 		}
 	}
 	for suspect := range spans {

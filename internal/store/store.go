@@ -277,11 +277,7 @@ func (s *Store) call(ctx context.Context, sp *trace.Span, node int, req *rpc.Req
 		// exactly the economy the batching layer buys.
 		sp.Count(trace.RoundTrips, uint64(attempts))
 		if resp != nil {
-			n := uint64(len(resp.Data))
-			for i := range resp.Subs {
-				n += uint64(len(resp.Subs[i].Data))
-			}
-			sp.Count(trace.BytesFromNodes, n)
+			sp.Count(trace.BytesFromNodes, resp.PayloadBytes())
 			ledger.charge(node, req, resp)
 		}
 	}
@@ -343,9 +339,10 @@ func isDataPlane(req *rpc.Request) bool {
 // built over: every Call is Store.call charged to the operation's span.
 // Register reads observe the operation's context and deadline. Register
 // writes — the epoch Incr's write phase, the publish, read repair, Delete —
-// run under context.WithoutCancel: a cancelled attempt is abandoned in flight,
-// not recalled (cluster.CallRetryCtx), and an abandoned versioned write can
-// land after a newer one and roll its replica back.
+// run under context.WithoutCancel: a cancelled call ends with its caller, but
+// its frame may already be on the wire — the node applies it anyway — so a
+// cancelled versioned write can land after a newer one and roll its replica
+// back.
 type registerClient struct {
 	s   *Store
 	ctx context.Context

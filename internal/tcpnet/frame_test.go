@@ -112,10 +112,10 @@ func TestBatchOverTCP(t *testing.T) {
 }
 
 // TestHeaderOnlyFrameAllocatesLittle is the regression test for the
-// header-only OOM: a 4-byte prefix declaring a 2 GiB frame, then EOF, must
-// fail having allocated a few MiB, not the declared length.
+// header-only OOM: a prefix declaring a 2 GiB frame, then EOF, must fail
+// having allocated a few MiB, not the declared length.
 func TestHeaderOnlyFrameAllocatesLittle(t *testing.T) {
-	hdr := binary.BigEndian.AppendUint32(nil, maxFrame)
+	hdr := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, maxFrame), 0)
 	var f framer
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -128,7 +128,7 @@ func TestHeaderOnlyFrameAllocatesLittle(t *testing.T) {
 		t.Fatalf("a 4-byte header made the reader allocate %d bytes", got)
 	}
 	// The next size up from the limit is refused outright.
-	if _, err := f.read(bytes.NewReader(binary.BigEndian.AppendUint32(nil, maxFrame+1))); err == nil {
+	if _, err := f.read(bytes.NewReader(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, maxFrame+1), 0))); err == nil {
 		t.Fatal("frame beyond maxFrame was accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestFrameLongerThanUpfront(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 7)
 	}
-	wire := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	wire := append(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(len(body))), 0), body...)
 	var f framer
 	got, err := f.read(bytes.NewReader(wire))
 	if err != nil || !bytes.Equal(got, body) {
@@ -310,12 +310,8 @@ func frameRoundTrip(tb testing.TB, wire *bytes.Buffer, f *framer, req *rpc.Reque
 		if err := f.writeResponse(wire, resp); err != nil {
 			tb.Fatal(err)
 		}
-		frame, err := f.read(wire)
+		got, err := f.readResponse(wire, nil)
 		if err != nil {
-			tb.Fatal(err)
-		}
-		got := new(rpc.Response)
-		if err := rpc.DecodePooledResponse(frame, got); err != nil {
 			tb.Fatal(err)
 		}
 		got.Release()

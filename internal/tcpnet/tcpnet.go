@@ -1,13 +1,15 @@
 // Package tcpnet is the real-socket transport: a storage-node server and a
 // client implementing cluster.Client against a set of node addresses. A
-// frame is a uint32 big-endian length followed by that many bytes of one
-// rpc.Request or rpc.Response in the binary encoding of internal/rpc
-// (wire.go); this package owns only the length prefix and the socket I/O.
-// The fusion-server, fusion-cli and fusion-gateway binaries, the repository
+// frame is two uint32 big-endian lengths — the message's, then its header's
+// — followed by that many bytes of one rpc.Request or rpc.Response in the
+// binary encoding of internal/rpc (wire.go): the header, then its payload
+// region. This package owns only the length prefix and the socket I/O. The
+// fusion-server, fusion-cli and fusion-gateway binaries, the repository
 // benchmark and the integration tests run on this transport.
 package tcpnet
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,21 +27,21 @@ import (
 const (
 	// maxFrame bounds a single message to guard against corrupt peers.
 	maxFrame = 1 << 31
-	// maxUpfront bounds what a length prefix alone makes a reader allocate.
+	// maxUpfront bounds what a length alone makes a reader allocate.
 	maxUpfront = 4 << 20
 	// maxKeepHead is the largest header buffer a connection keeps between
 	// frames; a rare larger one (a long ListBlocks reply) is dropped.
 	maxKeepHead = 64 << 10
-	prefixLen   = 4
+	prefixLen   = 8
 )
 
 // framer is one connection's reusable framing scratch, so a frame costs no
 // allocation beyond the message itself in the steady state. It is owned by
 // whoever owns the connection: the server's per-connection goroutine, or
-// the holder of the client's per-node lock.
+// the holder of the client's per-node slot.
 type framer struct {
 	hdr  [prefixLen]byte // the incoming length prefix
-	head []byte          // outgoing: length prefix, then everything but the cut-out payloads
+	head []byte          // outgoing: length prefix, then the message header
 	segs [][]byte        // the outgoing frame in wire order (see rpc.AppendRequest)
 	out  net.Buffers     // the view of segs that WriteTo consumes
 }
@@ -69,6 +71,7 @@ func (f *framer) write(w io.Writer, head []byte, segs [][]byte, err error) error
 		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
 	binary.BigEndian.PutUint32(head, uint32(n))
+	binary.BigEndian.PutUint32(head[4:], uint32(len(head)-prefixLen))
 	f.out = segs
 	_, err = f.out.WriteTo(w)
 	clear(segs) // the kept scratch must not pin the message's payloads
@@ -79,37 +82,53 @@ func (f *framer) write(w io.Writer, head []byte, segs [][]byte, err error) error
 	return err
 }
 
-// read receives one frame body into a buffer from bufpool. Decoded payloads
-// alias it, so whoever decodes the frame decides when — and whether — it goes
-// back: the server returns a request frame once the response is on the wire,
-// a client's reply frame belongs to the decoded response
-// (rpc.DecodePooledResponse), whose holder may release it or let it be
-// collected.
-func (f *framer) read(r io.Reader) ([]byte, error) {
+// prefix reads a frame's length prefix: the message's length and its
+// header's.
+func (f *framer) prefix(r io.Reader) (n, h int, err error) {
 	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	n = int(binary.BigEndian.Uint32(f.hdr[:]))
+	h = int(binary.BigEndian.Uint32(f.hdr[4:]))
+	if n > maxFrame || h > n {
+		return 0, 0, fmt.Errorf("tcpnet: frame of %d bytes with a %d-byte header", n, h)
+	}
+	return n, h, nil
+}
+
+// read receives one whole frame body into a buffer from bufpool, rented as
+// its bytes arrive (bufpool.ReadAppend). Decoded payloads alias it, so the
+// server returns a request frame only once the response is on the wire.
+func (f *framer) read(r io.Reader) ([]byte, error) {
+	n, _, err := f.prefix(r)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(f.hdr[:]))
-	if n > maxFrame {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
+	return bufpool.ReadAppend(r, nil, n, maxUpfront)
+}
+
+// readResponse receives the reply to req: its header into a buffer from
+// bufpool, then each payload of the region where it belongs
+// (rpc.ReadResponse) — a GetBlock's into the caller's windows when it named
+// them. The response owns the buffers its payloads alias; nothing here ever
+// puts them back: a caller that is done with the bytes may
+// (rpc.Response.Release), and one that keeps them, or drops the response,
+// leaves them to the collector.
+func (f *framer) readResponse(r io.Reader, req *rpc.Request) (*rpc.Response, error) {
+	n, h, err := f.prefix(r)
+	if err != nil {
+		return nil, err
 	}
-	// A prefix alone earns at most maxUpfront; the rest of a longer frame is
-	// rented as its bytes actually arrive, doubling.
-	buf := bufpool.GetLen(min(n, maxUpfront))
-	have := 0
-	for {
-		if _, err := io.ReadFull(r, buf[have:]); err != nil {
-			bufpool.Put(buf)
-			return nil, err
-		}
-		if have = len(buf); have == n {
-			return buf, nil
-		}
-		next := bufpool.GetLen(min(n, 2*have))
-		copy(next, buf)
-		bufpool.Put(buf)
-		buf = next
+	head, err := bufpool.ReadAppend(r, nil, h, maxUpfront)
+	if err != nil {
+		return nil, err
 	}
+	resp := new(rpc.Response)
+	if err := rpc.ReadResponse(r, head, n-h, maxUpfront, req, resp); err != nil {
+		bufpool.Put(head)
+		return nil, err
+	}
+	return resp, nil
 }
 
 // Server wraps a storage node and serves its RPC interface on a listener.
@@ -209,6 +228,13 @@ func (s *Server) Close() error {
 // Connections are cached per node; a failed exchange on a pooled connection
 // (e.g. the server restarted since the last call) re-dials once and retries
 // transparently — safe because every node RPC is idempotent.
+//
+// A call ends with its caller: it honours the request's context
+// (rpc.Request.Context) while it waits for the node's connection, dials, and
+// exchanges the frame, and it returns only once it has stopped touching the
+// request and the memory it names. A context done mid-exchange puts a past
+// deadline on the connection, which fails the read or write in progress; the
+// connection, left mid-frame, is then closed.
 type Client struct {
 	addrs     []string
 	ioTimeout atomic.Int64 // a time.Duration
@@ -216,10 +242,11 @@ type Client struct {
 	nodes     []nodeConn
 }
 
-// nodeConn is one node's connection state. mu serializes request/response
-// pairs on the connection and guards every field.
+// nodeConn is one node's connection state. Holding slot (a one-token
+// semaphore, so a waiter can give up with its context) serializes
+// request/response pairs on the connection and guards every field.
 type nodeConn struct {
-	mu   sync.Mutex
+	slot chan struct{}
 	conn net.Conn
 	f    framer
 }
@@ -227,10 +254,14 @@ type nodeConn struct {
 // NewClient returns a client for the given node addresses (node i is
 // addrs[i]).
 func NewClient(addrs []string) *Client {
-	return &Client{
+	c := &Client{
 		addrs: append([]string(nil), addrs...),
 		nodes: make([]nodeConn, len(addrs)),
 	}
+	for i := range c.nodes {
+		c.nodes[i].slot = make(chan struct{}, 1)
+	}
+	return c
 }
 
 // SetIOTimeout installs a per-frame read/write deadline on every connection
@@ -249,18 +280,38 @@ func (c *Client) SetMetrics(h *metrics.HistogramSet) { c.hist.Store(h) }
 // NumNodes implements cluster.Client.
 func (c *Client) NumNodes() int { return len(c.addrs) }
 
-// exchange performs one request/response pair on nc's connection, applying
-// the per-frame IO deadline when configured and recording per-frame timings
-// when a histogram set is installed. The returned response owns its pooled
-// reply frame. The caller holds nc.mu.
-func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Response, error) {
+// exchange performs one request/response pair on nc's connection under ctx,
+// applying the per-frame IO deadline when configured and recording per-frame
+// timings when a histogram set is installed. The caller holds nc's slot.
+func (c *Client) exchange(ctx context.Context, nc *nodeConn, node int, req *rpc.Request) (resp *rpc.Response, err error) {
 	conn := nc.conn
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+		defer func() {
+			if !stop() && err == nil {
+				// The past deadline is set, or about to be, on a connection
+				// whose exchange was whole: the reply stands, the
+				// connection is spent.
+				conn.Close()
+				nc.conn = nil
+			}
+		}()
+	}
 	timeout := time.Duration(c.ioTimeout.Load())
 	hist := c.hist.Load()
-	if timeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
+	// deadline sets an IO deadline, unless the context is done — its past
+	// deadline, set by AfterFunc, must not be moved.
+	deadline := func(set func(time.Time) error) error {
+		if timeout <= 0 {
+			return nil
 		}
+		if err := set(time.Now().Add(timeout)); err != nil {
+			return err
+		}
+		return ctx.Err()
+	}
+	if err := deadline(conn.SetWriteDeadline); err != nil {
+		return nil, err
 	}
 	start := time.Time{}
 	if hist != nil {
@@ -274,23 +325,11 @@ func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Respon
 		hist.Observe(metrics.Key{Op: "net.write", Node: node}, now.Sub(start))
 		start = now
 	}
-	if timeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-	}
-	// The reply frame is rented, like the server's request frames, so a bulk
-	// reply costs no fresh zeroed allocation; the response's payloads alias
-	// it and the response owns it. Nothing here ever puts it back: a caller
-	// that is done with the bytes may (rpc.Response.Release), and one that
-	// keeps them, or drops the response, leaves the frame to the collector.
-	frame, err := nc.f.read(conn)
-	if err != nil {
+	if err := deadline(conn.SetReadDeadline); err != nil {
 		return nil, err
 	}
-	resp := new(rpc.Response)
-	if err := rpc.DecodePooledResponse(frame, resp); err != nil {
-		bufpool.Put(frame)
+	resp, err = nc.f.readResponse(conn, req)
+	if err != nil {
 		return nil, err
 	}
 	if hist != nil {
@@ -303,29 +342,42 @@ func (c *Client) exchange(nc *nodeConn, node int, req *rpc.Request) (*rpc.Respon
 // parallelism across nodes is what the query stages need. A pooled
 // connection that fails mid-exchange is closed and the call retried once on
 // a fresh dial, so a server restart between calls is invisible to callers;
-// a failure on a freshly-dialed connection is returned as ErrNodeDown.
+// a failure on a freshly-dialed connection is returned as ErrNodeDown. A
+// call its context ended returns the context's error.
 func (c *Client) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	if node < 0 || node >= len(c.addrs) {
 		return nil, fmt.Errorf("tcpnet: node %d out of range", node)
 	}
+	ctx := req.Context()
 	nc := &c.nodes[node]
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
+	select {
+	case nc.slot <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-nc.slot }()
 	for {
 		fresh := nc.conn == nil
 		if fresh {
-			conn, err := net.Dial("tcp", c.addrs[node])
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", c.addrs[node])
 			if err != nil {
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
 				return nil, fmt.Errorf("%w: %d: %v", cluster.ErrNodeDown, node, err)
 			}
 			nc.conn = conn
 		}
-		resp, err := c.exchange(nc, node, req)
+		resp, err := c.exchange(ctx, nc, node, req)
 		if err == nil {
 			return resp, nil
 		}
 		nc.conn.Close()
 		nc.conn = nil
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		if fresh {
 			return nil, fmt.Errorf("%w: %d: %v", cluster.ErrNodeDown, node, err)
 		}
@@ -339,11 +391,11 @@ func (c *Client) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 func (c *Client) Close() {
 	for i := range c.nodes {
 		nc := &c.nodes[i]
-		nc.mu.Lock()
+		nc.slot <- struct{}{}
 		if nc.conn != nil {
 			nc.conn.Close()
 			nc.conn = nil
 		}
-		nc.mu.Unlock()
+		<-nc.slot
 	}
 }
