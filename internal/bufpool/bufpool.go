@@ -74,6 +74,15 @@ func Get(n int) []byte {
 	return make([]byte, 0, 1<<(cls+minClassBits))
 }
 
+// Cap returns the capacity Get(n) hands out: n rounded up to its size
+// class, or n itself outside the pooled range.
+func Cap(n int) int {
+	if cls := classFor(n); cls >= 0 {
+		return 1 << (cls + minClassBits)
+	}
+	return max(n, 0)
+}
+
 // GetLen is Get resliced to length n (contents unspecified).
 func GetLen(n int) []byte {
 	return Get(n)[:n]
@@ -103,13 +112,14 @@ func ReadAppend(r io.Reader, b []byte, n, ahead int) ([]byte, error) {
 }
 
 // Put returns a buffer to its size-class pool. Only buffers whose capacity
-// is an exact pooled class size are retained (anything Get handed out is;
-// foreign buffers of odd capacities are dropped so a later Get never
-// returns less capacity than its class promises). The caller must not touch
-// the buffer afterwards.
+// is an exact pooled class size are retained (anything Get handed out in
+// the pooled range is; foreign buffers of odd capacities, and power-of-two
+// buffers above the largest class, are dropped so a later Get never returns
+// less capacity than its class promises). The caller must not touch the
+// buffer afterwards.
 func Put(b []byte) {
 	c := cap(b)
-	if c < 1<<minClassBits || c&(c-1) != 0 {
+	if c < 1<<minClassBits || c > 1<<maxClassBits || c&(c-1) != 0 {
 		return
 	}
 	puts.Add(1)

@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -103,5 +104,42 @@ func BenchmarkGetPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := GetLen(64 << 10)
 		Put(buf)
+	}
+}
+
+// TestOversizedBuffersDropped: a power-of-two buffer above the largest class
+// — what Get hands out for such a size, and what ReadAppend's doubling
+// reaches past 16 MiB — is dropped by Put, not filed under a class that does
+// not exist.
+func TestOversizedBuffersDropped(t *testing.T) {
+	for _, n := range []int{32 << 20, 64 << 20} {
+		b := Get(n)
+		if cap(b) < n {
+			t.Fatalf("Get(%d): cap %d", n, cap(b))
+		}
+		Put(b)
+		Put(make([]byte, n))
+	}
+	const n = 40 << 20
+	src := bytes.Repeat([]byte{0x5a}, n)
+	got, err := ReadAppend(bytes.NewReader(src), nil, n, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatal("ReadAppend of 40 MiB returned other bytes")
+	}
+	Put(got)
+}
+
+// TestCapMatchesGet: Cap predicts the capacity Get hands out, pooled or not
+// — what the streaming Put sizes its rounds by before renting anything.
+func TestCapMatchesGet(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 4096, 100 << 10, 1 << 24, 1<<24 + 1} {
+		b := Get(n)
+		if got := Cap(n); got != cap(b) {
+			t.Errorf("Cap(%d) = %d, Get(%d) has cap %d", n, got, n, cap(b))
+		}
+		Put(b)
 	}
 }

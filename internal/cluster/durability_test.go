@@ -240,3 +240,37 @@ func BenchmarkCommitObject(b *testing.B) {
 		}
 	}
 }
+
+// TestPrepareFrame: a node CRC-checks and stores every block of a
+// multi-block prepare frame on its own and answers each in its sub-response.
+// A block whose payload fails its CRC is refused alone; a frame that names a
+// block twice is malformed and stores nothing.
+func TestPrepareFrame(t *testing.T) {
+	n := NewNode(0, NewMemStore())
+	block := func(id string) rpc.Request {
+		data := []byte("payload of " + id)
+		return rpc.Request{Kind: rpc.KindPrepareBlock, BlockID: id, Data: data, Object: "obj", Epoch: 4, Crc: Checksum(data)}
+	}
+	bad := block("obj/e4/s1/b0")
+	bad.Crc ^= 1
+	resp := n.Handle(&rpc.Request{Kind: rpc.KindPrepareBlock, Subs: []rpc.Request{block("obj/e4/s0/b0"), bad, block("obj/e4/s2/b0")}})
+	if resp.Err != "" || len(resp.Subs) != 3 {
+		t.Fatalf("frame answered %q with %d sub-responses, want 3", resp.Err, len(resp.Subs))
+	}
+	if resp.Subs[0].Err != "" || resp.Subs[2].Err != "" || !IsChecksumErr(resp.Subs[1].Err) {
+		t.Fatalf("sub-responses %q, %q, %q: want ok, checksum mismatch, ok", resp.Subs[0].Err, resp.Subs[1].Err, resp.Subs[2].Err)
+	}
+	want := map[string]bool{"obj/e4/s0/b0": true, "obj/e4/s2/b0": true}
+	if got := inventory(t, n); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("node holds %v, want the two good blocks pending: %v", got, want)
+	}
+	commit(t, n, "obj", 4)
+
+	dup := n.Handle(&rpc.Request{Kind: rpc.KindPrepareBlock, Subs: []rpc.Request{block("obj/e5/s0/b0"), block("obj/e5/s0/b0")}})
+	if dup.Err == "" {
+		t.Fatal("a frame naming one block twice was accepted")
+	}
+	if got := inventory(t, n); len(got) != 2 {
+		t.Fatalf("the malformed frame stored blocks: %v", got)
+	}
+}

@@ -164,7 +164,7 @@ func (n *Node) handle(req *rpc.Request, deadline time.Time) *rpc.Response {
 	if expired(deadline) {
 		return errResp(fmt.Errorf("%w: %s", ErrExpired, req.Kind))
 	}
-	if req.Kind == rpc.KindBatch {
+	if req.Kind == rpc.KindBatch || len(req.Subs) != 0 {
 		return n.handleBatch(req, deadline)
 	}
 	f := newFrame(n, req)
@@ -609,12 +609,14 @@ func (f *frame) handleTopK(req *rpc.Request) *rpc.Response {
 	return &rpc.Response{TopRows: tk.Rows(), Matches: bm.Count(), Cost: cost}
 }
 
-// handleBatch executes a scatter-gather frame: each sub-request runs through
-// the regular dispatch and its result lands in the index-aligned
-// sub-response. Failures stay per-op (a missing block fails only its slot);
-// only a malformed batch — over the op cap, nested, or carrying a
-// non-batchable kind — fails the frame as a whole. The outer Cost aggregates
-// the sub-ops' so transports and the latency model account the frame as one
+// handleBatch executes a multi-op frame — a scatter-gather batch, or a
+// prepare frame carrying several blocks: each sub-request runs through the
+// regular dispatch and its result lands in the index-aligned sub-response.
+// Failures stay per-op (a missing block fails only its slot, a block whose
+// payload fails its CRC is refused alone); only a malformed frame — over the
+// op cap, nested, carrying a kind it may not, or for a prepare frame naming
+// a block twice — fails the frame as a whole. The outer Cost aggregates the
+// sub-ops' so transports and the latency model account the frame as one
 // round trip of combined work.
 //
 // Sub-op boundaries are the frame's deadline checkpoints: once the request
@@ -622,7 +624,7 @@ func (f *frame) handleTopK(req *rpc.Request) *rpc.Response {
 // running — a long scan aborts mid-row-group rather than finishing work its
 // caller abandoned.
 func (n *Node) handleBatch(req *rpc.Request, deadline time.Time) *rpc.Response {
-	if msg := rpc.ValidateBatch(req); msg != "" {
+	if msg := rpc.ValidateFrame(req); msg != "" {
 		return errResp(fmt.Errorf("cluster: %s", msg))
 	}
 	f := newFrame(n, req)

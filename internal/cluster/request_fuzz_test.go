@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -19,7 +22,9 @@ import (
 // same with Data truncated, the shipped Offset beyond Data, one shipped byte
 // flipped (a CRC mismatch), the zero reference as the key, no key (an
 // ungrouped aggregate), and no key with only a COUNT (a fold that reads no
-// column); and all seven in one batch.
+// column); and all seven in one batch. Then multi-block prepare frames: one
+// whose middle block fails its CRC, one naming a block twice, a prepare with
+// no sub-blocks, and one of more than MaxBatchOps sub-blocks.
 func FuzzNodeRequest(f *testing.F) {
 	fx := newRowGroupFixture(f, 300)
 	file, err := fx.store.MemStore.Get("blk", 0, 0)
@@ -59,6 +64,9 @@ func FuzzNodeRequest(f *testing.F) {
 		}
 		f.Add(bytes.Join(segs, nil))
 	}
+	for _, frame := range prepareFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req := &rpc.Request{}
 		if rpc.DecodeRequest(b, req) != nil {
@@ -69,7 +77,7 @@ func FuzzNodeRequest(f *testing.F) {
 			t.Fatal(err)
 		}
 		resp := NewNode(0, bs).Handle(req)
-		if req.Kind == rpc.KindBatch && resp.Err == "" && len(resp.Subs) != len(req.Subs) {
+		if (req.Kind == rpc.KindBatch || len(req.Subs) != 0) && resp.Err == "" && len(resp.Subs) != len(req.Subs) {
 			t.Fatalf("%d sub-responses to %d sub-requests", len(resp.Subs), len(req.Subs))
 		}
 		_, segs, err := rpc.AppendResponse(nil, nil, resp)
@@ -80,4 +88,58 @@ func FuzzNodeRequest(f *testing.F) {
 			t.Fatalf("reply does not decode: %v", err)
 		}
 	})
+}
+
+// prepareFrames encodes the multi-block prepare seeds: a frame whose middle
+// block fails its CRC, the same frame naming its first block twice, a
+// prepare with no sub-blocks, and a frame of MaxBatchOps+1 sub-blocks. The
+// last two shapes no encoder writes, so they are spliced from valid frames.
+func prepareFrames(t testing.TB) [][]byte {
+	t.Helper()
+	block := func(i int) rpc.Request {
+		data := []byte("block payload")
+		return rpc.Request{Kind: rpc.KindPrepareBlock, BlockID: fmt.Sprintf("obj/e1/s%04d/b0", i),
+			Data: data, Object: "obj", Epoch: 1, Crc: Checksum(data)}
+	}
+	encode := func(blocks ...rpc.Request) []byte {
+		req := &rpc.Request{Kind: rpc.KindPrepareBlock, Subs: blocks}
+		if len(blocks) == 0 {
+			req = &rpc.Request{Kind: rpc.KindPrepareBlock, Object: "obj", Epoch: 1}
+		}
+		_, segs, err := rpc.AppendRequest(nil, nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Join(segs, nil)
+	}
+	bad := block(1)
+	bad.Crc ^= 1
+	badCRC := encode(block(0), bad, block(2))
+	dup := bytes.Replace(bytes.Clone(badCRC), []byte("s0001"), []byte("s0000"), 1)
+	// Every block encodes to the same length, so a frame of MaxBatchOps
+	// blocks gains one more by repeating its last and raising the count —
+	// uvarint 1024 and 1025 are both two bytes.
+	blocks := make([]rpc.Request, rpc.MaxBatchOps)
+	for i := range blocks {
+		blocks[i] = block(i)
+	}
+	full := encode(blocks...)
+	one := len(full) - len(encode(blocks[1:]...))
+	count := len(encode(blocks[0])) - one - 1
+	over := append(bytes.Clone(full), full[len(full)-one:]...)
+	binary.PutUvarint(over[count:], rpc.MaxBatchOps+1)
+	return [][]byte{badCRC, dup, encode(), over}
+}
+
+// TestPrepareFrameSeedsDecode pins what FuzzNodeRequest's prepare seeds are:
+// the CRC seed and the empty prepare decode; the duplicate and the oversized
+// frame are refused for exactly that.
+func TestPrepareFrameSeedsDecode(t *testing.T) {
+	frames := prepareFrames(t)
+	for i, want := range []string{"", "twice", "", "MaxBatchOps"} {
+		err := rpc.DecodeRequest(frames[i], &rpc.Request{})
+		if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("seed %d: decode error %v, want %q", i, err, want)
+		}
+	}
 }

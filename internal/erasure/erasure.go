@@ -55,22 +55,14 @@ type Coder struct {
 	// matrix is the n×k systematic code matrix: the top k rows are the
 	// identity, the bottom n−k rows generate parity.
 	matrix *gf256.Matrix
-	// tables[r][c] is the precomputed multiply kernel for matrix entry
-	// (r, c). The matrix is fixed at construction, so the kernels are
-	// built once and shared by every Encode/Verify/Reconstruct; distinct
-	// entries with equal coefficients share one kernel.
-	tables [][]gf256.Kernel
-	// newKernel builds the kernel for one coefficient — the selection seam.
-	// NewCoder installs gf256.NewKernel (the nibble split-table kernel);
-	// NewCoderKernel pins a specific implementation for benchmarking one
-	// kernel generation against another.
-	newKernel func(byte) gf256.Kernel
+	// parity is the fused kernel of the n−k parity rows, built once and
+	// shared by every Encode and Verify.
+	parity *gf256.MatrixKernel
 
-	// mu guards the coefficient-kernel dedup map and the decode-plan cache
-	// (decode matrices depend on which shards survive, so they are built
-	// lazily and memoized per erasure pattern).
+	// mu guards the decode-plan cache (decode matrices depend on which
+	// shards survive, so they are built lazily and memoized per erasure
+	// pattern).
 	mu       sync.RWMutex
-	byCoeff  map[byte]gf256.Kernel
 	decCache map[string]*decodePlan
 }
 
@@ -79,48 +71,27 @@ type Coder struct {
 // guards against adversarial churn.
 const maxDecodePlans = 256
 
-// NewCoder builds a Coder for the given parameters, running the fastest
-// multiply kernel (the nibble split-table kernel).
+// NewCoder builds a Coder for the given parameters.
 func NewCoder(p Params) (*Coder, error) {
-	return NewCoderKernel(p, gf256.NewKernel)
-}
-
-// NewCoderKernel builds a Coder whose bulk multiplies run the given kernel
-// constructor — the selection seam for racing a candidate kernel against
-// the production one.
-func NewCoderKernel(p Params, kernel func(byte) gf256.Kernel) (*Coder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Coder{
-		params:    p,
-		matrix:    buildMatrix(p.N, p.K),
-		newKernel: kernel,
-		byCoeff:   make(map[byte]gf256.Kernel),
-		decCache:  make(map[string]*decodePlan),
+		params:   p,
+		matrix:   buildMatrix(p.N, p.K),
+		decCache: make(map[string]*decodePlan),
 	}
-	c.tables = make([][]gf256.Kernel, p.N)
-	for r := 0; r < p.N; r++ {
-		c.tables[r] = c.rowTables(c.matrix.Row(r))
-	}
+	c.parity = gf256.NewMatrixKernel(rowsOf(c.matrix, rangeInts(p.N)[p.K:]))
 	return c, nil
 }
 
-// rowTables returns one multiply kernel per coefficient of row,
-// deduplicated through the coder's coefficient map.
-func (c *Coder) rowTables(row []byte) []gf256.Kernel {
-	tabs := make([]gf256.Kernel, len(row))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, coeff := range row {
-		t := c.byCoeff[coeff]
-		if t == nil {
-			t = c.newKernel(coeff)
-			c.byCoeff[coeff] = t
-		}
-		tabs[i] = t
+// rowsOf returns rows idx of m, as a MatrixKernel's coefficient rows.
+func rowsOf(m *gf256.Matrix, idx []int) [][]byte {
+	out := make([][]byte, len(idx))
+	for i, r := range idx {
+		out[i] = m.Row(r)
 	}
-	return tabs
+	return out
 }
 
 // MustCoder is NewCoder for parameters known to be valid; it panics on error.
@@ -205,37 +176,24 @@ func (c *Coder) checkShards(shards [][]byte, allowNil bool) (int, error) {
 // Encode fills shards[k:] with parity computed from shards[:k]. All n shards
 // must be allocated with the same length; the first k hold data.
 //
-// The hot loop runs the table-driven kernels over cache-sized sub-stripe
-// ranges, fanned out across up to GOMAXPROCS goroutines (forEachRange).
+// The fused kernel computes every parity row in one pass over the data,
+// over sub-stripe ranges fanned out across up to GOMAXPROCS goroutines
+// (forEachRange).
 func (c *Coder) Encode(shards [][]byte) error {
 	size, err := c.checkShards(shards, false)
 	if err != nil {
 		return err
 	}
-	forEachRange(size, func(lo, hi int) { c.encodeRange(shards, lo, hi) })
+	k := c.params.K
+	forEachRange(size, func(lo, hi int) { c.parity.Mul(shards[:k], lo, hi, shards[k:], lo) })
 	return nil
-}
-
-// encodeRange computes every parity shard over the byte range [lo, hi).
-// The first data shard is multiplied straight into the output (no clear
-// pass or read-back of zeroes); the rest accumulate.
-func (c *Coder) encodeRange(shards [][]byte, lo, hi int) {
-	k, n := c.params.K, c.params.N
-	for p := k; p < n; p++ {
-		out := shards[p][lo:hi]
-		tabs := c.tables[p]
-		tabs[0].Mul(shards[0][lo:hi], out)
-		for d := 1; d < k; d++ {
-			tabs[d].MulAdd(shards[d][lo:hi], out)
-		}
-	}
 }
 
 // encodeNaive is the seed byte-wise encode kernel (log/exp MulAddSlice, one
 // full-stripe pass per matrix coefficient). It is retained as the reference
-// implementation: property tests assert the table-driven parallel kernels
-// are bit-identical to it, and benchmarks report its throughput as the
-// baseline the kernel rewrite is measured against.
+// implementation: property tests assert the fused parallel kernel is
+// bit-identical to it, and benchmarks report its throughput as the baseline
+// the kernel is measured against.
 func (c *Coder) encodeNaive(shards [][]byte) error {
 	if _, err := c.checkShards(shards, false); err != nil {
 		return err
@@ -302,22 +260,22 @@ func (c *Coder) Verify(shards [][]byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	k, n := c.params.K, c.params.N
+	k, m := c.params.K, c.params.N-c.params.K
 	var mismatch atomic.Bool
 	forEachRange(size, func(lo, hi int) {
 		if mismatch.Load() {
 			return
 		}
-		bufp := getScratch(hi - lo)
+		w := hi - lo
+		bufp := getScratch(m * w)
 		defer putScratch(bufp)
-		buf := *bufp
-		for p := k; p < n; p++ {
-			tabs := c.tables[p]
-			tabs[0].Mul(shards[0][lo:hi], buf)
-			for d := 1; d < k; d++ {
-				tabs[d].MulAdd(shards[d][lo:hi], buf)
-			}
-			if !bytes.Equal(buf, shards[p][lo:hi]) {
+		var rows [256][]byte
+		for p := range m {
+			rows[p] = (*bufp)[p*w : (p+1)*w]
+		}
+		c.parity.Mul(shards[:k], lo, hi, rows[:m], 0)
+		for p := range m {
+			if !bytes.Equal(rows[p], shards[k+p][lo:hi]) {
 				mismatch.Store(true)
 				return
 			}
@@ -327,24 +285,32 @@ func (c *Coder) Verify(shards [][]byte) (bool, error) {
 }
 
 // decodePlan is a memoized decode strategy for one erasure pattern: which k
-// present shards to read, which data shards to rebuild, and the
-// multiplication tables of the inverted decode matrix rows that do it.
-// Plans are cached per pattern so repeated reconstructions (scrubs, node
-// repair loops, degraded-read storms) skip the matrix inversion and table
-// builds entirely.
+// present shards to read, which shards to rebuild, and the fused kernel
+// that rebuilds them all in one pass. Plans are cached per pattern so
+// repeated reconstructions (scrubs, node repair loops, degraded-read
+// storms) skip the matrix inversion and table builds entirely.
 type decodePlan struct {
-	rows    []int            // the k present shard indices the plan reads
-	missing []int            // data shard indices the plan rebuilds
-	tables  [][]gf256.Kernel // tables[i][j] multiplies shards[rows[j]] into missing[i]
+	rows    []int               // the k present shard indices the plan reads
+	missing []int               // the shard indices the plan rebuilds, data then parity
+	kernel  *gf256.MatrixKernel // row i rebuilds missing[i] from shards[rows]
 }
 
-// decodePlanFor returns the (cached) plan that rebuilds the data shards
-// absent from rows, where rows holds k present shard indices in ascending
-// order.
-func (c *Coder) decodePlanFor(rows []int) (*decodePlan, error) {
-	keyBytes := make([]byte, len(rows))
-	for i, r := range rows {
-		keyBytes[i] = byte(r)
+// decodePlanFor returns the (cached) plan that rebuilds missing from rows,
+// where rows holds k present shard indices in ascending order.
+//
+// The plan is one product over the k survivors. Inverting the code matrix's
+// rows for them gives dec, which maps the survivors back to the data; the
+// code matrix times dec maps them to every shard. A missing data shard's row
+// of that product is its row of dec; a missing parity shard's is its code
+// row folded through dec, so parity is rebuilt straight from the survivors
+// too, in the same pass as the data.
+func (c *Coder) decodePlanFor(rows, missing []int) (*decodePlan, error) {
+	keyBytes := make([]byte, 0, len(rows)+len(missing))
+	for _, r := range rows {
+		keyBytes = append(keyBytes, byte(r))
+	}
+	for _, m := range missing {
+		keyBytes = append(keyBytes, byte(m))
 	}
 	key := string(keyBytes)
 	c.mu.RLock()
@@ -359,20 +325,10 @@ func (c *Coder) decodePlanFor(rows []int) (*decodePlan, error) {
 		// invertible by construction.
 		return nil, fmt.Errorf("erasure: decode matrix singular: %v", err)
 	}
-	k := c.params.K
-	inRows := make([]bool, k)
-	for _, r := range rows {
-		if r < k {
-			inRows[r] = true
-		}
-	}
-	plan = &decodePlan{rows: append([]int(nil), rows...)}
-	for d := 0; d < k; d++ {
-		if inRows[d] {
-			continue
-		}
-		plan.missing = append(plan.missing, d)
-		plan.tables = append(plan.tables, c.rowTables(dec.Row(d)))
+	plan = &decodePlan{
+		rows:    append([]int(nil), rows...),
+		missing: append([]int(nil), missing...),
+		kernel:  gf256.NewMatrixKernel(rowsOf(c.matrix.Mul(dec), missing)),
 	}
 	c.mu.Lock()
 	if len(c.decCache) < maxDecodePlans {
@@ -403,57 +359,36 @@ func (c *Coder) reconstruct(shards [][]byte, parity bool) error {
 	}
 	n, k := c.params.N, c.params.K
 	present := make([]int, 0, n)
-	var missData, missParity []int
+	var missing []int
 	for i, s := range shards {
 		switch {
 		case s != nil:
 			present = append(present, i)
-		case i < k:
-			missData = append(missData, i)
-		case parity:
-			missParity = append(missParity, i)
+		case i < k || parity:
+			missing = append(missing, i)
 		}
 	}
-	if len(missData) == 0 && len(missParity) == 0 {
+	if len(missing) == 0 {
 		return nil
 	}
 	if len(present) < k {
 		return fmt.Errorf("%w: %d present, need %d", ErrTooFewLeft, len(present), k)
 	}
-	// Any k present shards decode. Every present data index sits within the
-	// first k of the ascending present list, so the plan's missing-data set
-	// matches missData exactly.
-	rows := present[:k]
-	plan, err := c.decodePlanFor(rows)
+	// Any k present shards decode.
+	plan, err := c.decodePlanFor(present[:k], missing)
 	if err != nil {
 		return err
 	}
-	for _, m := range missData {
-		shards[m] = make([]byte, size)
+	in := make([][]byte, k)
+	for j, r := range plan.rows {
+		in[j] = shards[r]
 	}
-	for _, m := range missParity {
+	out := make([][]byte, len(missing))
+	for i, m := range missing {
 		shards[m] = make([]byte, size)
+		out[i] = shards[m]
 	}
-	// One pass per sub-stripe range: rebuild missing data in [lo, hi), then
-	// missing parity from the (range-complete) data shards. Ranges are
-	// disjoint, so the fan-out needs no further synchronization.
-	forEachRange(size, func(lo, hi int) {
-		for i, d := range plan.missing {
-			out := shards[d][lo:hi]
-			tabs := plan.tables[i]
-			tabs[0].Mul(shards[rows[0]][lo:hi], out)
-			for j := 1; j < k; j++ {
-				tabs[j].MulAdd(shards[rows[j]][lo:hi], out)
-			}
-		}
-		for _, p := range missParity {
-			out := shards[p][lo:hi]
-			tabs := c.tables[p]
-			tabs[0].Mul(shards[0][lo:hi], out)
-			for d := 1; d < k; d++ {
-				tabs[d].MulAdd(shards[d][lo:hi], out)
-			}
-		}
-	})
+	// Ranges are disjoint, so the fan-out needs no further synchronization.
+	forEachRange(size, func(lo, hi int) { plan.kernel.Mul(in, lo, hi, out, lo) })
 	return nil
 }

@@ -9,16 +9,28 @@ import (
 )
 
 // randShards builds n shards of the given size; the first k hold random
-// data, the rest are zeroed parity slots.
+// data, the rest are zeroed parity slots. Each shard is an unaligned
+// sub-slice of a larger buffer, so the kernel never sees only the
+// allocator's alignment.
 func randShards(rng *rand.Rand, p Params, size int) [][]byte {
 	shards := make([][]byte, p.N)
 	for i := range shards {
-		shards[i] = make([]byte, size)
+		skew := 1 + rng.Intn(31)
+		shards[i] = make([]byte, skew+size+3)[skew : skew+size]
 		if i < p.K {
 			rng.Read(shards[i])
 		}
 	}
 	return shards
+}
+
+// randShape draws a code with 1–8 parity rows (one and two register groups
+// of the fused kernel) and a shard size straddling the block granule whose
+// tail past whole 32-byte columns is 1–31 bytes.
+func randShape(r *rand.Rand) (Params, int) {
+	k := 1 + r.Intn(12)
+	n := k + 1 + r.Intn(8)
+	return Params{N: n, K: k}, 32*r.Intn(3*blockSize/32) + 1 + r.Intn(31)
 }
 
 func cloneShards(shards [][]byte) [][]byte {
@@ -31,18 +43,17 @@ func cloneShards(shards [][]byte) [][]byte {
 	return out
 }
 
-// TestEncodeMatchesNaive is the property test of the tentpole kernels: over
-// random (n, k), shard sizes with odd tails, and payloads, the table-driven
-// parallel Encode must be bit-identical to the retained seed kernel.
+// TestEncodeMatchesNaive is the property test of the fused kernel: over
+// random (n, k) with 1–8 parity rows, shard sizes with 1–31-byte tails,
+// unaligned shards and random payloads, the parallel Encode must be
+// bit-identical to the retained seed kernel.
 func TestEncodeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(12)
-		n := k + 1 + r.Intn(6)
-		// Sizes straddle the block granule and include odd tails.
-		size := 1 + r.Intn(3*blockSize)
-		c := MustCoder(Params{N: n, K: k})
+		p, size := randShape(r)
+		n, k := p.N, p.K
+		c := MustCoder(p)
 		shards := randShards(r, c.params, size)
 		naive := cloneShards(shards)
 		if err := c.Encode(shards); err != nil {
@@ -73,16 +84,15 @@ func TestEncodeMatchesNaive(t *testing.T) {
 }
 
 // TestReconstructMatchesOriginal checks that across random erasure patterns
-// (up to n−k lost shards, data and parity alike) the parallel Reconstruct
-// restores exactly the encoded stripe.
+// (up to n−k lost shards, data and parity alike, so 1–8 rebuilt rows) the
+// parallel Reconstruct restores exactly the encoded stripe.
 func TestReconstructMatchesOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(12)
-		n := k + 1 + r.Intn(6)
-		size := 1 + r.Intn(3*blockSize)
-		c := MustCoder(Params{N: n, K: k})
+		p, size := randShape(r)
+		n, k := p.N, p.K
+		c := MustCoder(p)
 		shards := randShards(r, c.params, size)
 		if err := c.Encode(shards); err != nil {
 			t.Logf("Encode: %v", err)
@@ -158,47 +168,50 @@ func TestDecodePlanCacheReuse(t *testing.T) {
 	}
 }
 
-// TestCoderKernelsAgree encodes the same stripes through the nibble coder
-// and the naive encoder (the oracle) and requires bit-identical output — the
-// seam-level companion to the gf256 property tests.
+// TestCoderKernelsAgree sweeps the fused kernel's shapes deterministically:
+// every parity row count 1–8 and every tail 0–31 past whole 32-byte columns,
+// over unaligned shards. Encode must match the naive encoder (the oracle)
+// bit for bit, Verify must accept the result, and Verify must reject it
+// once any single parity byte is flipped.
 func TestCoderKernelsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(12)
-		n := k + 1 + r.Intn(6)
-		size := 1 + r.Intn(2*blockSize)
-		p := Params{N: n, K: k}
-		c := MustCoder(p)
-		a := randShards(r, p, size)
-		bShards := cloneShards(a)
-		if err := c.encodeNaive(a); err != nil {
-			t.Logf("naive Encode: %v", err)
-			return false
-		}
-		if err := c.Encode(bShards); err != nil {
-			t.Logf("nibble Encode: %v", err)
-			return false
-		}
-		for i := range a {
-			if !bytes.Equal(a[i], bShards[i]) {
-				t.Logf("RS(%d,%d) size %d: shard %d differs across kernels", n, k, size, i)
-				return false
+	r := rand.New(rand.NewSource(48))
+	for m := 1; m <= 8; m++ {
+		for tail := 0; tail < 32; tail++ {
+			k := 1 + r.Intn(12)
+			p := Params{N: k + m, K: k}
+			size := 32*r.Intn(40) + tail
+			if size == 0 {
+				size = 32
+			}
+			c := MustCoder(p)
+			naive := randShards(r, p, size)
+			fused := cloneShards(naive)
+			if err := c.encodeNaive(naive); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Encode(fused); err != nil {
+				t.Fatal(err)
+			}
+			for i := range naive {
+				if !bytes.Equal(naive[i], fused[i]) {
+					t.Fatalf("RS(%d,%d) size %d: shard %d differs from the oracle", p.N, k, size, i)
+				}
+			}
+			if ok, err := c.Verify(fused); err != nil || !ok {
+				t.Fatalf("RS(%d,%d) size %d: Verify rejects a fresh encode: %v", p.N, k, size, err)
+			}
+			row, at := k+r.Intn(m), r.Intn(size)
+			fused[row][at] ^= 1 << r.Intn(8)
+			if ok, err := c.Verify(fused); err != nil || ok {
+				t.Fatalf("RS(%d,%d) size %d: Verify misses a flipped bit in parity %d byte %d (err %v)",
+					p.N, k, size, row, at, err)
 			}
 		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 40, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func benchEncode(b *testing.B, p Params, shardSize int, naive bool) {
-	benchEncodeCoder(b, MustCoder(p), p, shardSize, naive)
-}
-
-func benchEncodeCoder(b *testing.B, c *Coder, p Params, shardSize int, naive bool) {
+	c := MustCoder(p)
 	shards := make([][]byte, p.N)
 	rng := rand.New(rand.NewSource(45))
 	for i := range shards {
@@ -223,9 +236,9 @@ func benchEncodeCoder(b *testing.B, c *Coder, p Params, shardSize int, naive boo
 	}
 }
 
-// BenchmarkEncodeRS96 / RS1410 measure the default (nibble split-table)
-// parallel kernels on 1 MiB shards; the Naive variants pin the seed kernel
-// the production one is tested against.
+// BenchmarkEncodeRS96 / RS1410 measure the fused parallel kernel on 1 MiB
+// shards; the Naive variants pin the seed kernel the production one is
+// tested against.
 func BenchmarkEncodeRS96(b *testing.B)        { benchEncode(b, RS96, 1<<20, false) }
 func BenchmarkEncodeRS1410(b *testing.B)      { benchEncode(b, RS1410, 1<<20, false) }
 func BenchmarkEncodeNaiveRS96(b *testing.B)   { benchEncode(b, RS96, 1<<20, true) }

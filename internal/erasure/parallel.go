@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// blockSize is the sub-stripe granule the coders shard work by: small
-// enough that one output block stays L1-resident across the k accumulation
-// passes (the cache-blocking that makes even single-core encodes faster),
-// large enough to amortize the goroutine handoff when fanning out.
+// blockSize is the sub-stripe granule the coders shard work by: large
+// enough to amortize the goroutine handoff when fanning out, small enough
+// that a Verify range's recomputed parity stays cache-resident until it is
+// compared.
 const blockSize = 32 << 10
 
 // forEachRange invokes fn over consecutive [lo, hi) sub-ranges covering
@@ -48,7 +48,7 @@ func forEachRange(size int, fn func(lo, hi int)) {
 }
 
 // scratchPool recycles parity scratch buffers across Verify calls and range
-// workers, so verification and reconstruction stop allocating per call.
+// workers, so verification stops allocating per call.
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, blockSize)

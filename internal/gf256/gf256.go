@@ -1,7 +1,8 @@
 // Package gf256 implements arithmetic over the Galois field GF(2^8) with the
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the field used by most
-// storage-system Reed–Solomon implementations. All operations run on single
-// bytes; bulk helpers operate over slices for the erasure coder's hot path.
+// storage-system Reed–Solomon implementations. The scalar operations and the
+// byte-wise slice helpers serve matrix algebra and test oracles; the erasure
+// coder's hot path is the fused MatrixKernel.
 package gf256
 
 // Irreducible polynomial used to generate the field, without the x^8 term.
@@ -50,7 +51,7 @@ func Inv(a byte) byte {
 }
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the same
-// length. This is the coder's row-scaling primitive.
+// length. It is matrix inversion's row-scaling primitive.
 func MulSlice(c byte, src, dst []byte) {
 	if c == 0 {
 		clear(dst)

@@ -45,6 +45,12 @@ const (
 	// do not match Crc. Pending blocks are readable (a committed metadata
 	// record may reference them before the commit fan-out lands) but are
 	// garbage unless the object's metadata commits their epoch.
+	//
+	// One frame may prepare several blocks on a node: a KindPrepareBlock
+	// with Subs, each a bare PrepareBlock of its own (ValidatePrepare). The
+	// node checks and stores each independently and answers each in the
+	// index-aligned sub-response, so one refused block never fails its
+	// siblings.
 	KindPrepareBlock
 	// KindCommitObject is phase two: it flips every pending block of
 	// (Object, Epoch) on the node to committed. Idempotent.
@@ -189,7 +195,8 @@ type Request struct {
 	RG   int32
 
 	// Subs carries the sub-requests of a KindBatch frame, at most
-	// MaxBatchOps, none itself a batch.
+	// MaxBatchOps, none itself a batch — or the blocks of a multi-block
+	// KindPrepareBlock frame (ValidatePrepare).
 	Subs []Request
 
 	// ctx and land belong to the call carrying the request, not to the
@@ -273,6 +280,45 @@ func ValidateBatch(r *Request) string {
 		}
 	}
 	return ""
+}
+
+// ValidatePrepare checks a multi-block KindPrepareBlock frame's shape: its
+// blocks only in Subs (no block of its own), at most MaxBatchOps of them,
+// each a bare PrepareBlock, no two with one id. It returns a description of
+// the first violation, or "" when the frame is well-formed. A prepare with
+// no Subs is a bare one and is not a frame.
+func ValidatePrepare(r *Request) string {
+	switch {
+	case r.Kind != KindPrepareBlock:
+		return "not a prepare request"
+	case len(r.Subs) == 0:
+		return "prepare frame without sub-blocks"
+	case len(r.Subs) > MaxBatchOps:
+		return "prepare frame exceeds MaxBatchOps"
+	case r.BlockID != "" || len(r.Data) != 0:
+		return "prepare frame carries a block of its own"
+	}
+	ids := make(map[string]struct{}, len(r.Subs))
+	for i := range r.Subs {
+		sub := &r.Subs[i]
+		if sub.Kind != KindPrepareBlock || len(sub.Subs) != 0 {
+			return "sub-request " + sub.Kind.String() + " in a prepare frame"
+		}
+		if _, dup := ids[sub.BlockID]; dup {
+			return "prepare frame names block " + sub.BlockID + " twice"
+		}
+		ids[sub.BlockID] = struct{}{}
+	}
+	return ""
+}
+
+// ValidateFrame checks a top-level request that carries Subs, or must: a
+// batch (ValidateBatch), or a multi-block prepare (ValidatePrepare).
+func ValidateFrame(r *Request) string {
+	if r.Kind == KindPrepareBlock {
+		return ValidatePrepare(r)
+	}
+	return ValidateBatch(r)
 }
 
 // Cost reports the node-local work a request incurred, used by the

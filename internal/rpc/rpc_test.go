@@ -99,3 +99,38 @@ func TestValidateBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestValidatePrepare pins a multi-block prepare frame's shape: bare
+// PrepareBlocks as sub-blocks, at most MaxBatchOps, each id once, and no
+// block on the frame itself.
+func TestValidatePrepare(t *testing.T) {
+	block := func(id string) Request { return Request{Kind: KindPrepareBlock, BlockID: id, Data: []byte(id)} }
+	frame := func(subs ...Request) *Request { return &Request{Kind: KindPrepareBlock, Subs: subs} }
+	overCap := make([]Request, MaxBatchOps+1)
+	for i := range overCap {
+		overCap[i] = block(string(rune('a'+i%26)) + string(rune(i)))
+	}
+	own := frame(block("a"), block("b"))
+	own.BlockID = "c"
+	cases := []struct {
+		name string
+		req  *Request
+		ok   bool
+	}{
+		{"blocks", frame(block("a"), block("b")), true},
+		{"one block", frame(block("a")), true},
+		{"at the cap", frame(overCap[1:]...), true},
+		{"over the cap", frame(overCap...), false},
+		{"duplicate id", frame(block("a"), block("b"), block("a")), false},
+		{"no sub-blocks", frame(), false},
+		{"a block of its own", own, false},
+		{"a PutBlock", frame(block("a"), Request{Kind: KindPutBlock, BlockID: "b"}), false},
+		{"a nested frame", frame(*frame(block("a"))), false},
+		{"a batch", &Request{Kind: KindBatch, Subs: []Request{block("a")}}, false},
+	}
+	for _, tc := range cases {
+		if msg := ValidatePrepare(tc.req); (msg == "") != tc.ok {
+			t.Errorf("%s: ValidatePrepare = %q, want ok=%v", tc.name, msg, tc.ok)
+		}
+	}
+}

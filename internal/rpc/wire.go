@@ -60,7 +60,7 @@ var (
 	errBool      = errors.New("rpc: wire: bool is neither 0 nor 1")
 	errCount     = errors.New("rpc: wire: count exceeds the bytes present")
 	errTrailing  = errors.New("rpc: wire: trailing bytes")
-	errNested    = errors.New("rpc: wire: Subs outside a top-level batch")
+	errNested    = errors.New("rpc: wire: Subs outside a top-level batch or prepare frame")
 	errBatchSize = errors.New("rpc: wire: more than MaxBatchOps sub-messages")
 	errRegion    = errors.New("rpc: wire: payload region is not the length the header declares")
 )
@@ -69,8 +69,8 @@ var (
 // together with the message's wire-order segments appended to segs: the
 // buffer (dst's existing bytes lead it, so a caller's prefix goes out with
 // it), then the payloads of r's region, which alias r. A malformed batch
-// (ValidateBatch) or Subs anywhere but on a top-level KindBatch request is an
-// error.
+// (ValidateBatch) or prepare frame (ValidatePrepare), or Subs anywhere but on
+// a top-level KindBatch or KindPrepareBlock request, is an error.
 func AppendRequest(dst []byte, segs [][]byte, r *Request) ([]byte, [][]byte, error) {
 	var scratch [4][]byte
 	e := encoder{b: dst, region: scratch[:0]}
@@ -213,11 +213,12 @@ func (e *encoder) payload(p []byte) {
 }
 
 func (e *encoder) request(r *Request, top bool) error {
-	if r.Kind == KindBatch && top {
-		if msg := ValidateBatch(r); msg != "" {
+	switch {
+	case top && (r.Kind == KindBatch || len(r.Subs) != 0):
+		if msg := ValidateFrame(r); msg != "" {
 			return fmt.Errorf("rpc: wire: encode: %s", msg)
 		}
-	} else if len(r.Subs) != 0 {
+	case len(r.Subs) != 0:
 		return errNested
 	}
 	e.byte(byte(r.Kind))
@@ -637,16 +638,16 @@ func (d *decoder) request(r *Request, top bool) {
 	r.Desc = d.bool()
 	r.RG = d.int32()
 	r.Subs = nil
-	batch := top && r.Kind == KindBatch
-	if n := d.subCount(minRequest, batch); n > 0 {
+	framed := top && (r.Kind == KindBatch || r.Kind == KindPrepareBlock)
+	if n := d.subCount(minRequest, framed); n > 0 {
 		r.Subs = make([]Request, n)
 		for i := range r.Subs {
 			d.sub = i + 1
 			d.request(&r.Subs[i], false)
 		}
 	}
-	if batch && d.err == nil {
-		if msg := ValidateBatch(r); msg != "" {
+	if framed && d.err == nil && (r.Kind == KindBatch || len(r.Subs) != 0) {
+		if msg := ValidateFrame(r); msg != "" {
 			d.fail(fmt.Errorf("rpc: wire: %s", msg))
 		}
 	}

@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -22,7 +24,7 @@ import (
 // TestDecodeAllocationBounded, and for the payload region: one shorter or
 // longer than its header declares, a short length whose bytes sit in the
 // region, and a batch reply mixing landed, error and wrong-length
-// sub-responses.
+// sub-responses. Multi-block prepare frames (prepareSeeds) close the list.
 func FuzzFrame(f *testing.F) {
 	add := func(frame []byte) { f.Add(frame, uint16(min(len(frame), 1<<16-1))) }
 	goodReq, err := encodeRequest(sampleBatchRequest())
@@ -82,6 +84,10 @@ func FuzzFrame(f *testing.F) {
 	at := bytes.Index(segs[0], small.Subs[0].Data)
 	moved := append(append(append([]byte(nil), segs[0][:at]...), segs[0][at+100:]...), small.Subs[0].Data...)
 	f.Add(append(moved, bytes.Join(segs[1:], nil)...), uint16(len(segs[0])-100))
+
+	for _, frame := range prepareSeeds(f) {
+		add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte, head uint16) {
 		req := &Request{}
@@ -191,4 +197,38 @@ func elements(v reflect.Value) int {
 		}
 	}
 	return n
+}
+
+// rawPrepare encodes a prepare frame carrying blocks without checking its
+// shape — the frames ValidatePrepare refuses, which no encoder writes.
+func rawPrepare(blocks []Request) []byte {
+	var e encoder
+	_ = e.request(&Request{Kind: KindPrepareBlock}, true)
+	e.b = binary.AppendUvarint(e.b[:len(e.b)-1], uint64(len(blocks))) // over the zero Subs count
+	for i := range blocks {
+		_ = e.request(&blocks[i], false)
+	}
+	return append(e.b, bytes.Join(e.region, nil)...)
+}
+
+// prepareSeeds are the multi-block prepare frames: one whose middle block
+// does not match its CRC (the wire carries it; the node refuses that block),
+// one naming a block twice, a prepare with no sub-blocks, and one of
+// MaxBatchOps+1 sub-blocks.
+func prepareSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	blocks := make([]Request, MaxBatchOps+1)
+	for i := range blocks {
+		blocks[i] = Request{Kind: KindPrepareBlock, BlockID: fmt.Sprintf("obj/e1/s%d/b0", i),
+			Data: []byte("block payload"), Object: "obj", Epoch: 1, Crc: 0x1234}
+	}
+	badCRC, err := encodeRequest(&Request{Kind: KindPrepareBlock, Subs: []Request{blocks[0], blocks[1], blocks[2]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := encodeRequest(&Request{Kind: KindPrepareBlock, Object: "obj", Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{badCRC, rawPrepare([]Request{blocks[0], blocks[0]}), empty, rawPrepare(blocks)}
 }

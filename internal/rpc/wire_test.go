@@ -599,3 +599,29 @@ func TestReadResponseLandsInWindows(t *testing.T) {
 		t.Fatal("a reply whose region was the wrong length wrote a window")
 	}
 }
+
+// TestPrepareFrameRoundTrip: a multi-block prepare frame — payloads inline
+// and in the region — and its per-block reply cross the wire intact, and
+// the shapes ValidatePrepare refuses are refused by both the encoder and
+// the decoder.
+func TestPrepareFrameRoundTrip(t *testing.T) {
+	big := bytes.Repeat([]byte{9}, inlineMax+5)
+	req := &Request{Kind: KindPrepareBlock, Subs: []Request{
+		{Kind: KindPrepareBlock, BlockID: "obj/e2/s0/b3", Data: big, Object: "obj", Epoch: 2, Crc: 7},
+		{Kind: KindPrepareBlock, BlockID: "obj/e2/s1/b3", Data: []byte("small"), Object: "obj", Epoch: 2, Crc: 8},
+		{Kind: KindPrepareBlock, BlockID: "obj/e2/s2/b3", Data: big[1:], Object: "obj", Epoch: 2, Crc: 9},
+	}}
+	requireRequestRoundTrip(t, req)
+	requireResponseRoundTrip(t, &Response{Subs: []Response{{}, {Err: "cluster: block checksum mismatch"}, {}}})
+	dup := &Request{Kind: KindPrepareBlock, Subs: []Request{req.Subs[1], req.Subs[1]}}
+	if _, err := encodeRequest(dup); err == nil {
+		t.Error("a frame naming one block twice encodes")
+	}
+	if err := DecodeRequest(rawPrepare(dup.Subs), &Request{}); err == nil {
+		t.Error("a frame naming one block twice decodes")
+	}
+	nested := &Request{Kind: KindGetBlock, Subs: req.Subs}
+	if _, err := encodeRequest(nested); err == nil {
+		t.Error("a GetBlock carrying sub-requests encodes")
+	}
+}

@@ -231,7 +231,7 @@ func DecodeMeta(data []byte, p erasure.Params) (*ObjectMeta, error) {
 }
 
 // validate checks that every stripe names its n blocks (node, id, checksum)
-// and k data lengths — placeStripe records exactly that — and that the layout
+// and k data lengths — placeRound records exactly that — and that the layout
 // points inside them: under FAC each item's bytes lie within a data bin, under
 // fixed blocks the stripes hold every block of the object.
 func (m *ObjectMeta) validate(p erasure.Params) error {

@@ -65,9 +65,10 @@ func (s *Store) PutContext(ctx context.Context, name string, data []byte) (*PutS
 // PutReader stores an lpq object of exactly size bytes read from r, without
 // ever materializing the whole object on the coordinator. The pipeline is
 // footer-parse (tail probe) → FAC layout (from footer sizes alone) →
-// per-stripe gather + erasure encode → scatter, with the gather/encode of
-// stripe i+1 overlapped with the scatter of stripe i, so at most two
-// stripes of pooled arenas are resident at once.
+// per-stripe gather + erasure encode → scatter, stripes grouped into rounds
+// that fit the largest stripe's arenas, with the gather/encode of round i+1
+// overlapped with the scatter of round i, so at most two largest stripes of
+// pooled arenas are resident at once.
 //
 // Bounded memory requires random access (the lpq footer lives at the file
 // tail): when r implements io.ReaderAt the body is read stripe by stripe;
@@ -277,55 +278,107 @@ func (s *Store) commitBlocks(sp *trace.Span, object string, epoch uint64, blocks
 	})
 }
 
-// placeStripe writes a stripe's n blocks to n distinct nodes, recorded in
-// job.sm.Nodes. One candidate permutation is drawn per stripe and block j
-// goes to candidates[j], all n at once, as PrepareBlock (phase one): the node
-// verifies the payload CRC, stores the block tagged pending under (object,
-// epoch), and serves it like any other block; the epoch only becomes
-// reachable at the metadata commit point. A block whose first choice refused
-// (down or full) is then offered to the spares candidates[n:] in order — Put
-// succeeds as long as n healthy nodes exist. Every block a node accepted is
-// appended to tracker for rollback, also when a sibling failed.
-func (s *Store) placeStripe(ctx context.Context, sp *trace.Span, meta *ObjectMeta, job *stripeJob, tracker *[]placedBlock) error {
+// placeRound writes the blocks of a round's stripes, each stripe's n blocks
+// to n distinct nodes recorded in its sm.Nodes, as PrepareBlock (phase one):
+// the node verifies each payload's CRC, stores the block tagged pending under
+// (object, epoch), and serves it like any other block; the epoch only
+// becomes reachable at the metadata commit point. One candidate permutation
+// is drawn per stripe, in stripe order, and block j goes to candidates[j]. A
+// node's blocks of the whole round travel as one frame, the frames of all
+// nodes at once. A block its first choice refused (down or full, or its
+// frame lost) is then offered bare to its own stripe's spares
+// candidates[n:] in order — Put succeeds as long as n healthy nodes exist.
+// Every block a node accepted is appended to tracker for rollback, also when
+// a sibling failed.
+func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta, round []*stripeJob, tracker *[]placedBlock) error {
 	ssp := sp.Child("place-stripe")
 	defer ssp.End()
-	sm := &job.sm
-	n := len(sm.Nodes)
-	candidates := s.nodeOrder()
-	copy(sm.Nodes, candidates)
-	errs := make([]error, n)
-	prepare := func(j int) {
-		_, errs[j] = s.callChecked(ctx, ssp, sm.Nodes[j], &rpc.Request{
-			Kind: rpc.KindPrepareBlock, BlockID: sm.BlockIDs[j], Data: job.blocks[j],
-			Object: meta.Name, Epoch: meta.Epoch, Crc: sm.Checksums[j],
-		})
-	}
-	runTasks(s.queryWorkers(), n, prepare)
-	var failed error
-	spare := n
-	for j := 0; j < n && failed == nil; j++ {
-		for errs[j] != nil && spare < len(candidates) && ctxErr(ctx) == nil {
-			sm.Nodes[j] = candidates[spare]
-			spare++
-			prepare(j)
+	type slot struct{ stripe, j int } // block j of round[stripe]
+	candidates := make([][]int, len(round))
+	errs := make([][]error, len(round))
+	frames := make(map[int][]slot)
+	var nodes []int // in order of first appearance
+	for i, job := range round {
+		candidates[i] = s.nodeOrder()
+		copy(job.sm.Nodes, candidates[i])
+		errs[i] = make([]error, len(job.sm.Nodes))
+		for j, node := range job.sm.Nodes {
+			if frames[node] == nil {
+				nodes = append(nodes, node)
+			}
+			frames[node] = append(frames[node], slot{i, j})
 		}
-		// A cancelled or expired Put surfaces the context error. Otherwise a
-		// stripe needs n distinct healthy nodes (no degraded writes): running
-		// out of candidates is the write-side "too many failures", the same
-		// sentinel degraded reads exhaust into.
-		if errs[j] != nil {
-			if failed = ctxErr(ctx); failed == nil {
-				failed = fmt.Errorf("%w: stripe %d block %d: no healthy node left (%d candidates): %v",
-					ErrTooManyFailures, job.si, j, len(candidates), errs[j])
+	}
+	prepare := func(job *stripeJob, j int) rpc.Request {
+		return rpc.Request{
+			Kind: rpc.KindPrepareBlock, BlockID: job.sm.BlockIDs[j], Data: job.blocks[j],
+			Object: meta.Name, Epoch: meta.Epoch, Crc: job.sm.Checksums[j],
+		}
+	}
+	runTasks(s.queryWorkers(), len(nodes), func(x int) {
+		slots := frames[nodes[x]]
+		blocks := make([]rpc.Request, len(slots))
+		for i, sl := range slots {
+			blocks[i] = prepare(round[sl.stripe], sl.j)
+		}
+		for i, err := range s.prepareFrame(ctx, ssp, nodes[x], blocks) {
+			errs[slots[i].stripe][slots[i].j] = err
+		}
+	})
+	var failed error
+	for i, job := range round {
+		sm, cands := &job.sm, candidates[i]
+		n := len(sm.Nodes)
+		spare := n
+		for j := 0; j < n && failed == nil; j++ {
+			for errs[i][j] != nil && spare < len(cands) && ctxErr(ctx) == nil {
+				sm.Nodes[j] = cands[spare]
+				spare++
+				errs[i][j] = s.prepareFrame(ctx, ssp, sm.Nodes[j], []rpc.Request{prepare(job, j)})[0]
+			}
+			// A cancelled or expired Put surfaces the context error. Otherwise
+			// a stripe needs n distinct healthy nodes (no degraded writes):
+			// running out of candidates is the write-side "too many failures",
+			// the same sentinel degraded reads exhaust into.
+			if errs[i][j] != nil {
+				if failed = ctxErr(ctx); failed == nil {
+					failed = fmt.Errorf("%w: stripe %d block %d: no healthy node left (%d candidates): %v",
+						ErrTooManyFailures, job.si, j, len(cands), errs[i][j])
+				}
+			}
+		}
+		for j, err := range errs[i] {
+			if err == nil {
+				*tracker = append(*tracker, placedBlock{node: sm.Nodes[j], id: sm.BlockIDs[j]})
 			}
 		}
 	}
-	for j, err := range errs {
-		if err == nil {
-			*tracker = append(*tracker, placedBlock{node: sm.Nodes[j], id: sm.BlockIDs[j]})
+	return failed
+}
+
+// prepareFrame sends one node's prepares as one frame — bare when there is
+// just one — and returns each block's outcome: the frame's error when the
+// frame itself failed (every block in it is refused), else the block's own.
+func (s *Store) prepareFrame(ctx context.Context, sp *trace.Span, node int, blocks []rpc.Request) []error {
+	req := &blocks[0]
+	if len(blocks) > 1 {
+		req = &rpc.Request{Kind: rpc.KindPrepareBlock, Subs: blocks}
+	}
+	resp, err := s.callChecked(ctx, sp, node, req)
+	errs := make([]error, len(blocks))
+	for i := range errs {
+		switch {
+		case err != nil:
+			errs[i] = err
+		case len(blocks) == 1:
+		case len(resp.Subs) != len(blocks):
+			errs[i] = fmt.Errorf("store: prepare frame to node %d answered %d of %d blocks",
+				node, len(resp.Subs), len(blocks))
+		case resp.Subs[i].Err != "":
+			errs[i] = fmt.Errorf("cluster: node %d: %s", node, resp.Subs[i].Err)
 		}
 	}
-	return failed
+	return errs
 }
 
 // replicateMeta publishes the object metadata through the k+1-replica

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/faultnet"
+	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
 )
@@ -148,9 +150,10 @@ func (c *kindCounter) reset() {
 }
 
 // TestPutRoundTrips pins the write side's call count: an overwrite is one
-// PrepareBlock per block, one CommitObject per node and one delete frame per
-// node for the previous epoch; Delete is one delete frame per node and the
-// register delete. No block is ever deleted by a call of its own.
+// PrepareBlock frame per node per round (putRounds), one CommitObject per
+// node and one delete frame per node for the previous epoch; Delete is one
+// delete frame per node and the register delete. No block is ever deleted by
+// a call of its own.
 func TestPutRoundTrips(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 350, 63)
 	cl := &kindCounter{Client: simnet.New(simnet.DefaultConfig()), kinds: map[rpc.Kind]int{}}
@@ -171,8 +174,12 @@ func TestPutRoundTrips(t *testing.T) {
 	if _, err := s.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cl.kinds[rpc.KindPrepareBlock], nodes*stats.Stripes; got != want {
-		t.Errorf("overwrite: %d PrepareBlock calls, want %d (9 per stripe)", got, want)
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cl.kinds[rpc.KindPrepareBlock], nodes*len(putRounds(meta, nodes)); got != want {
+		t.Errorf("overwrite: %d PrepareBlock frames, want %d (one per node per round)", got, want)
 	}
 	if got := cl.kinds[rpc.KindCommitObject]; got != nodes {
 		t.Errorf("overwrite: %d CommitObject calls, want %d", got, nodes)
@@ -200,6 +207,255 @@ func TestPutRoundTrips(t *testing.T) {
 	}
 	if left := nonRegisterBlocks(t, cl.Client.(*simnet.Cluster)); len(left) != 0 {
 		t.Fatalf("Delete left %d blocks: %v", len(left), left)
+	}
+}
+
+// putRounds groups an object's stripes the way the streaming Put scatters
+// them: consecutive stripes while their arenas (n blocks of each stripe's
+// capacity class) fit in the largest stripe's. It returns each round's
+// stripe count.
+func putRounds(meta *ObjectMeta, n int) []int {
+	footprint := func(st StripeMeta) int { return n * bufpool.Cap(int(st.Capacity)) }
+	budget := 0
+	for _, st := range meta.Stripes {
+		budget = max(budget, footprint(st))
+	}
+	var rounds []int
+	used := 0
+	for _, st := range meta.Stripes {
+		if len(rounds) == 0 || used+footprint(st) > budget {
+			rounds, used = append(rounds, 0), 0
+		}
+		rounds[len(rounds)-1]++
+		used += footprint(st)
+	}
+	return rounds
+}
+
+// skewedObject is an lpq object whose FAC layout has a few large stripes and
+// many small ones: six string columns, 23 row groups of 40 rows and one of
+// 400, its strings drawn from seed.
+func skewedObject(t *testing.T, seed int64) []byte {
+	t.Helper()
+	var schema []lpq.Column
+	for c := 0; c < 6; c++ {
+		schema = append(schema, lpq.Column{Name: fmt.Sprintf("c%d", c), Type: lpq.String})
+	}
+	w := lpq.NewWriter(schema, lpq.DefaultWriterOptions())
+	rng := rand.New(rand.NewSource(seed))
+	for g := 0; g < 24; g++ {
+		rows := 40
+		if g == 6 {
+			rows = 400
+		}
+		cols := make([]lpq.ColumnData, len(schema))
+		for c := range cols {
+			vals := make([]string, rows)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("g%d note %d %d", g, rng.Intn(100000), rng.Int63())
+			}
+			cols[c] = lpq.StringColumn(vals)
+		}
+		if err := w.WriteRowGroup(cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// prepareLog records, in order, each PrepareBlock call that reached it: the
+// node it went to, the blocks it named and the payload bytes it carried.
+type prepareLog struct {
+	cluster.Client
+	mu    sync.Mutex
+	calls []prepareCall
+}
+
+type prepareCall struct {
+	node  int
+	ids   []string
+	bytes int
+}
+
+func (c *prepareLog) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	if req.Kind == rpc.KindPrepareBlock {
+		call := prepareCall{node: node}
+		for _, b := range append([]rpc.Request{*req}, req.Subs...) {
+			if b.BlockID != "" {
+				call.ids = append(call.ids, b.BlockID)
+				call.bytes += len(b.Data)
+			}
+		}
+		c.mu.Lock()
+		c.calls = append(c.calls, call)
+		c.mu.Unlock()
+	}
+	return c.Client.Call(node, req)
+}
+
+// TestPutRoundsKeepTwoStripeBound: a Put of an object with one large stripe
+// among many small ones groups the small stripes into rounds that share one
+// prepare frame per node, yet keeps the pipeline's two-stripe memory bound:
+// the peak stays within two largest stripes, every node gets exactly one
+// frame per round, no frame carries more than the largest stripe's block
+// class, and every stripe still lands on its seeded permutation.
+func TestPutRoundsKeepTwoStripeBound(t *testing.T) {
+	data := skewedObject(t, 65)
+	const nodes = 9
+	log := &prepareLog{Client: simnet.New(simnet.DefaultConfig())}
+	opts := scatterTestOptions()
+	opts.Seed = 7
+	s, err := New(log, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.Put("obj", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := putRounds(meta, nodes)
+	if stats.Mode != LayoutFAC || len(rounds) < 3 || len(rounds) >= stats.Stripes || slices.Max(rounds) < 2 {
+		t.Fatalf("want a FAC object whose stripes form several rounds, some shared: %v layout, %d stripes in rounds %v",
+			stats.Mode, stats.Stripes, rounds)
+	}
+	if stats.PeakPipelineBytes > 2*stats.MaxStripeBytes {
+		t.Errorf("peak pipeline bytes %d exceed two largest stripes (%d each)", stats.PeakPipelineBytes, stats.MaxStripeBytes)
+	}
+	var largest uint64
+	for _, st := range meta.Stripes {
+		largest = max(largest, st.Capacity)
+	}
+	frames := map[int]int{}
+	for _, call := range log.calls {
+		frames[call.node]++
+		if class := bufpool.Cap(int(largest)); call.bytes > class {
+			t.Errorf("a prepare frame carried %d bytes, more than the largest stripe's block class %d", call.bytes, class)
+		}
+	}
+	for node := 0; node < nodes; node++ {
+		if frames[node] != len(rounds) {
+			t.Errorf("node %d got %d prepare frames, want one per round: %d", node, frames[node], len(rounds))
+		}
+	}
+	// Rounds change how blocks travel, not where they go: one permutation
+	// per stripe, in stripe order, from the seeded generator.
+	rng := rand.New(rand.NewSource(opts.Seed))
+	for si, st := range meta.Stripes {
+		if want := rng.Perm(nodes); !slices.Equal(st.Nodes, want) {
+			t.Fatalf("stripe %d placed on %v, its permutation is %v", si, st.Nodes, want)
+		}
+	}
+	if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestPutFrameRefusalRetriesEveryBlock: a fault rule keyed on PrepareBlock
+// refuses a whole multi-block frame, which refuses every block in it. Each of
+// those blocks is then offered bare to its own stripe's spares, and the Put
+// succeeds with none of them on the refusing node.
+func TestPutFrameRefusalRetriesEveryBlock(t *testing.T) {
+	data := skewedObject(t, 65)
+	const refusing = 3
+	_, inj := newFaultStore(t, 12, 1, scatterTestOptions())
+	log := &prepareLog{Client: inj}
+	opts := scatterTestOptions()
+	opts.Retry.MaxAttempts = 1 // a refused frame stays refused
+	s, err := New(log, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first two frames to the node are the two large stripes' rounds:
+	// refuse its third, a shared round's.
+	inj.Add(faultnet.Rule{Node: refusing, Kind: rpc.KindPrepareBlock, Fault: faultnet.FaultError, After: 2, Count: 1})
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	var refused []string
+	seen := 0
+	for i, call := range log.calls {
+		if call.node != refusing {
+			continue
+		}
+		if seen++; seen == 3 {
+			refused = call.ids
+			for _, id := range refused {
+				if !slices.ContainsFunc(log.calls[i+1:], func(c prepareCall) bool {
+					return c.node != refusing && len(c.ids) == 1 && c.ids[0] == id
+				}) {
+					t.Errorf("refused block %s was never offered bare to a spare", id)
+				}
+			}
+		}
+	}
+	if len(refused) < 2 {
+		t.Fatalf("the refused frame carried %d blocks, want a multi-block frame", len(refused))
+	}
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range meta.Stripes {
+		for j, id := range st.BlockIDs {
+			if slices.Contains(refused, id) && st.Nodes[j] == refusing {
+				t.Errorf("refused block %s placed on the refusing node", id)
+			}
+		}
+	}
+	if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestCrashMidRoundRollsBack cuts an overwrite at a multi-block prepare
+// frame: the coordinator dies after 20 PrepareBlock frames, inside the third
+// round. A fresh coordinator reads exactly the old bytes, a forced orphan
+// reconciliation leaves only the committed epoch's blocks, and the object
+// scrubs clean.
+func TestCrashMidRoundRollsBack(t *testing.T) {
+	dataOld, dataNew := skewedObject(t, 66), skewedObject(t, 67)
+	s1, inj := newFaultStore(t, 9, 1, fusionTestOptions())
+	if _, err := s1.Put("obj", dataOld); err != nil {
+		t.Fatal(err)
+	}
+	inj.CrashClientAfter(rpc.KindPrepareBlock, 20)
+	if _, err := s1.Put("obj", dataNew); err == nil || !inj.Crashed() {
+		t.Fatalf("the Put must die at its 21st prepare frame: err %v, crashed %v", err, inj.Crashed())
+	}
+	inj.Reattach()
+	s2, err := New(inj, fusionTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Get("obj", 0, 0); err != nil || !bytes.Equal(got, dataOld) {
+		t.Fatalf("fresh read after the crash: %v", err)
+	}
+	if _, err := s2.ReconcileOrphans(true); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s2.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := nonRegisterBlocks(t, inj.Inner().(*simnet.Cluster))
+	if want := len(meta.Stripes) * s2.opts.Params.N; len(left) != want {
+		t.Fatalf("after reconcile the nodes hold %d object blocks, want the committed %d: %v", len(left), want, left)
+	}
+	for _, b := range left {
+		if !strings.Contains(b, fmt.Sprintf(":obj/e%d/", meta.Epoch)) {
+			t.Fatalf("debris %s survived reconcile", b)
+		}
+	}
+	if rep, err := s2.Scrub("obj", ScrubOptions{}); err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 {
+		t.Fatalf("scrub after reconcile: %+v, %v", rep, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/lpq"
+	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -185,7 +186,7 @@ func (g *memGauge) add(n int64) {
 type stripeJob struct {
 	si     int
 	blocks [][]byte   // n views to scatter: data bins unpadded, parity at capacity
-	sm     StripeMeta // ids, data lengths and checksums of blocks; placeStripe fills Nodes
+	sm     StripeMeta // ids, data lengths and checksums of blocks; placeRound fills Nodes
 	bufs   [][]byte   // pooled backing arenas, released after scatter
 	bytes  int64      // resident footprint: sum of arena capacities
 }
@@ -204,7 +205,7 @@ func (j *stripeJob) release(g *memGauge) {
 
 // buildStripe gathers one stripe's data-bin bytes from the source into
 // pooled arenas, computes its parity, and names and checksums the n blocks —
-// the read+encode half of the pipeline, overlapped with the previous stripe's
+// the read+encode half of the pipeline, overlapped with the previous round's
 // scatter. The CRC pass runs here, on the core that just gathered and encoded
 // the bytes, so the scatter is pure I/O.
 func (s *Store) buildStripe(meta *ObjectMeta, src *putSource, si int, pl stripePlan, g *memGauge) (*stripeJob, error) {
@@ -266,58 +267,95 @@ func (s *Store) buildStripe(meta *ObjectMeta, src *putSource, si int, pl stripeP
 	return job, nil
 }
 
+// stripeBytes is a stripe's arena footprint, known from its plan before a
+// byte is rented: n arenas of its capacity's size class (buildStripe).
+func stripeBytes(pl stripePlan, n int) int64 {
+	return int64(n * bufpool.Cap(int(pl.capacity)))
+}
+
 // streamStripes runs the bounded-memory half of Put: a builder goroutine
-// gathers, encodes and checksums stripe i+1 while this goroutine scatters
-// stripe i over an unbuffered channel, so at most two stripes of pooled
-// arenas are resident regardless of object size. Within a stripe the n
-// prepares go out concurrently (placeStripe); the stripes are scattered one
-// at a time in stripe order — placement draws one candidate permutation per
-// stripe from the store's seeded rng, so the node assignment is a function of
-// Options.Seed whatever the source. On any failure the pipeline drains, every
-// arena is retired, and the caller rolls back the placed blocks.
+// gathers, encodes and checksums round i+1 while this goroutine scatters
+// round i over an unbuffered channel. A round is a run of consecutive
+// stripes whose arenas together fit in the plan's largest stripe — a budget
+// derived from the plans, at most rpc.MaxBatchOps stripes — so at most two
+// largest stripes of pooled arenas are resident regardless of object size,
+// while a run of small stripes shares one frame per node (placeRound). The
+// rounds are scattered one at a time in stripe order — placement draws one
+// candidate permutation per stripe from the store's seeded rng, so the node
+// assignment is a function of Options.Seed whatever the source. On any
+// failure the pipeline drains, every arena is retired, and the caller rolls
+// back the placed blocks.
 func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectMeta, src *putSource, plans []stripePlan, stats *PutStats, placed *[]placedBlock) error {
 	var g memGauge
-	jobs := make(chan *stripeJob) // unbuffered: builder runs ≤1 stripe ahead
+	n := s.opts.Params.N
+	var budget int64
+	for _, pl := range plans {
+		budget = max(budget, stripeBytes(pl, n))
+	}
+	release := func(round []*stripeJob) {
+		for _, job := range round {
+			job.release(&g)
+		}
+	}
+	rounds := make(chan []*stripeJob) // unbuffered: builder runs ≤1 round ahead
 	stop := make(chan struct{})
-	var buildErr error // the builder's, read once it has closed jobs
+	var buildErr error // the builder's, read once it has closed rounds
 	go func() {
-		defer close(jobs)
-		for si := range plans {
-			if buildErr = ctx.Err(); buildErr != nil {
-				return
-			}
-			var job *stripeJob
-			if job, buildErr = s.buildStripe(meta, src, si, plans[si], &g); buildErr != nil {
-				return
-			}
+		defer close(rounds)
+		var round []*stripeJob
+		var held int64 // the round's arena bytes
+		send := func() bool {
 			select {
-			case jobs <- job:
+			case rounds <- round:
+				round, held = nil, 0
+				return true
 			case <-stop:
-				job.release(&g)
+				release(round)
+				return false
+			}
+		}
+		for si := range plans {
+			fits := held+stripeBytes(plans[si], n) <= budget && len(round) < rpc.MaxBatchOps
+			if len(round) > 0 && !fits && !send() {
 				return
 			}
+			if buildErr = ctx.Err(); buildErr != nil {
+				release(round)
+				return
+			}
+			job, err := s.buildStripe(meta, src, si, plans[si], &g)
+			if err != nil {
+				buildErr = err
+				release(round)
+				return
+			}
+			round = append(round, job)
+			held += job.bytes
+		}
+		if len(round) > 0 {
+			send()
 		}
 	}()
 	var failed error
-	for job := range jobs {
-		if failed != nil {
-			job.release(&g)
-			continue
+	for round := range rounds {
+		if failed == nil {
+			for _, job := range round {
+				stats.MaxStripeBytes = max(stats.MaxStripeBytes, uint64(job.bytes))
+			}
+			// Every call placeRound made has ended, a cancelled one too, so
+			// nothing reads the arenas once it returns, whatever the outcome.
+			if failed = s.placeRound(ctx, sp, meta, round, placed); failed != nil {
+				close(stop)
+			} else {
+				for _, job := range round {
+					for _, b := range job.blocks {
+						stats.StoredBytes += uint64(len(b))
+					}
+					meta.Stripes = append(meta.Stripes, job.sm)
+				}
+			}
 		}
-		stats.MaxStripeBytes = max(stats.MaxStripeBytes, uint64(job.bytes))
-		// Every call placeStripe made has ended, a cancelled one too, so
-		// nothing reads the arenas any more whatever the outcome.
-		err := s.placeStripe(ctx, sp, meta, job, placed)
-		job.release(&g)
-		if err != nil {
-			failed = err
-			close(stop)
-			continue
-		}
-		for _, b := range job.blocks {
-			stats.StoredBytes += uint64(len(b))
-		}
-		meta.Stripes = append(meta.Stripes, job.sm)
+		release(round)
 	}
 	if failed == nil {
 		failed = buildErr
