@@ -20,6 +20,10 @@ func FuzzSnappyDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})        // huge declared length
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x04})        // 1 GiB declared by 5 bytes
 	f.Add([]byte{0x0a, 0x00, 'a', (9-4)<<2 | 1, 0x01}) // overlapping copy
+	f.Add(Encode(commentLikeBlock(64)))
+	for _, b := range edgeBlocks() {
+		f.Add(b)
+	}
 	scratch := make([]byte, 0, 1<<12)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)

@@ -174,10 +174,7 @@ func decodedLen(src []byte) (n, hdr int, err error) {
 // DecodedLen returns the declared decompressed length of a block.
 func DecodedLen(src []byte) (int, error) {
 	n, _, err := decodedLen(src)
-	if err != nil {
-		return 0, ErrCorrupt
-	}
-	return n, nil
+	return n, err
 }
 
 // Decode decompresses a Snappy block produced by Encode (or any conforming
@@ -209,10 +206,11 @@ func DecodeInto(dst, src []byte) ([]byte, error) {
 
 // copyTable describes each copy tag byte: bits 0-7 the copy's length, bits
 // 8-10 the high bits of a copy-1 offset, bits 11-13 the number of offset bytes
-// that follow the tag. trailerMask keeps that many bytes of a 4-byte load.
+// that follow the tag. trailerMask keeps that many bytes of a 4-byte load; it
+// has eight entries so that indexing it with three bits needs no check.
 var (
 	copyTable   [256]uint16
-	trailerMask = [5]uint32{0, 0xff, 0xffff, 0, 0xffffffff}
+	trailerMask = [8]uint32{0, 0xff, 0xffff, 0, 0xffffffff}
 )
 
 func init() {
@@ -231,87 +229,85 @@ func init() {
 // decodeBlock expands the elements of src into dst, which has exactly the
 // declared length, and reports whether they were well formed and filled it.
 //
-// Column pages are dominated by short elements — a numeric chunk is roughly
-// one 2-3 byte literal and one 5-6 byte copy per value — so both kinds have
-// a fast path that moves 8 or 16 bytes at once whenever that many bytes are
-// readable and writable, ignoring the element's exact length: the bytes
-// written beyond it are overwritten by the next element, and dst is
-// discarded when decoding fails.
+// The store keeps Snappy only for string pages such as l_comment's, whose
+// blocks are about sixteen copies to every literal: 99% of the copies are at
+// most 16 bytes long (7.5 on average), 98% reach back more than 16 bytes, and
+// the literals average 1.2 bytes. So the inner loop is a fast zone, entered
+// while 5 bytes of src (the longest tag and trailer) are readable and 16
+// bytes of dst writable. There a literal of at most 16 bytes, or a copy of at
+// most 16 from at least 16 back, is two unconditional 8-byte moves whatever
+// its exact length, so no branch depends on that length; a longer copy from
+// as far back takes one such pair per 16 bytes. The bytes written beyond an
+// element are overwritten by the next one, and dst is discarded when
+// decoding fails. A copy reads only bytes before d, which are final, so a
+// reused dst's old contents are never read. Any other element, and the tail,
+// goes to the general decoder below the zone, which checks every bound.
 func decodeBlock(dst, src []byte) bool {
 	d, s := 0, 0
-	for s < len(src) {
-		tag := src[s]
-		var length, offset int
-		switch tag & 0x03 {
-		case tagLiteral:
-			n := int(tag >> 2)
-			s++
-			switch {
-			case n < 60:
-				n++
-				if n <= 16 && s+16 <= len(src) && d+16 <= len(dst) {
-					binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(src[s:]))
-					binary.LittleEndian.PutUint64(dst[d+8:], binary.LittleEndian.Uint64(src[s+8:]))
-					s += n
-					d += n
-					continue
+	for {
+		// The moves take full slice expressions: a slice whose capacity
+		// is known to be 16 needs no pointer masking.
+		for s+5 <= len(src) && d+16 <= len(dst) {
+			tag := src[s]
+			if tag&0x03 == tagLiteral {
+				n := int(tag>>2) + 1
+				if n > 16 || s+17 > len(src) {
+					break
 				}
-			case n == 60:
-				if s >= len(src) {
-					return false
-				}
-				n = int(src[s]) + 1
-				s++
-			case n == 61:
-				if s+1 >= len(src) {
-					return false
-				}
-				n = int(src[s]) | int(src[s+1])<<8
-				n++
-				s += 2
-			case n == 62:
-				if s+2 >= len(src) {
-					return false
-				}
-				n = int(src[s]) | int(src[s+1])<<8 | int(src[s+2])<<16
-				n++
-				s += 3
-			default: // 63
-				if s+3 >= len(src) {
-					return false
-				}
-				n = int(src[s]) | int(src[s+1])<<8 | int(src[s+2])<<16 | int(src[s+3])<<24
-				n++
-				s += 4
+				move16(dst[d:d+16:d+16], src[s+1:s+17:s+17])
+				d += n
+				s += 1 + n
+				continue
 			}
-			if n <= 0 || n > len(src)-s || n > len(dst)-d {
-				return false
-			}
-			copy(dst[d:d+n], src[s:s+n])
-			s += n
-			d += n
-			continue
-		default:
 			// The tag byte fixes a copy's length, the high bits of a copy-1
 			// offset and how many offset bytes trail it; reading those from
 			// a table keeps the three copy forms off the branch predictor.
 			e := copyTable[tag]
 			trailer := int(e >> 11)
-			if s+trailer >= len(src) {
-				return false
+			length := int(e & 0xff)
+			offset := int(e&0x700) | int(binary.LittleEndian.Uint32(src[s+1:s+5:s+5])&trailerMask[trailer&7])
+			if offset < 16 || offset > d || length > len(dst)-d-16 {
+				break
 			}
-			var raw uint32
-			if s+5 <= len(src) {
-				raw = binary.LittleEndian.Uint32(src[s+1:]) & trailerMask[trailer]
-			} else {
-				for i := trailer; i > 0; i-- {
-					raw = raw<<8 | uint32(src[s+i])
-				}
+			move16(dst[d:d+16:d+16], dst[d-offset:d-offset+16:d-offset+16])
+			for i := 16; i < length; i += 16 {
+				move16(dst[d+i:d+i+16], dst[d+i-offset:d+i-offset+16])
 			}
-			length = int(e & 0xff)
-			offset = int(e&0x700) | int(raw)
+			d += length
 			s += 1 + trailer
 		}
+		if s >= len(src) {
+			return d == len(dst)
+		}
+		// The general decoder: one element, every bound checked.
+		tag := src[s]
+		s++
+		if tag&0x03 == tagLiteral {
+			// The length is tag>>2 + 1, or for 60..63 the next 1..4 bytes + 1.
+			n := int(tag>>2) + 1
+			if k := n - 60; k > 0 {
+				if k > len(src)-s {
+					return false
+				}
+				n = int(readLE(src[s:s+k])) + 1
+				s += k
+			}
+			if n > len(src)-s || n > len(dst)-d {
+				return false
+			}
+			copy(dst[d:], src[s:s+n])
+			s += n
+			d += n
+			continue
+		}
+		e := copyTable[tag]
+		k := int(e >> 11)
+		if k > len(src)-s {
+			return false
+		}
+		length := int(e & 0xff)
+		offset := int(e&0x700) | int(readLE(src[s:s+k]))
+		s += k
 		// A back-reference: length bytes starting offset bytes behind d,
 		// which may overlap the bytes it writes (offset < length repeats
 		// the pattern).
@@ -337,5 +333,19 @@ func decodeBlock(dst, src []byte) bool {
 		}
 		d = end
 	}
-	return d == len(dst)
+}
+
+// move16 copies src to dst, both 16 bytes long, as two 8-byte moves.
+func move16(dst, src []byte) {
+	binary.LittleEndian.PutUint64(dst[:8], binary.LittleEndian.Uint64(src[:8]))
+	binary.LittleEndian.PutUint64(dst[8:16], binary.LittleEndian.Uint64(src[8:16]))
+}
+
+// readLE returns b, at most four bytes, as a little-endian integer.
+func readLE(b []byte) uint32 {
+	var v uint32
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint32(b[i])
+	}
+	return v
 }
