@@ -36,7 +36,6 @@ import (
 	"github.com/fusionstore/fusion/internal/gateway"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/metrics"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/store"
 	"github.com/fusionstore/fusion/internal/tcpnet"
@@ -114,40 +113,11 @@ func NewBreaker(cfg BreakerConfig) *Breaker { return cluster.NewBreaker(cfg) }
 func DefaultBreakerConfig() BreakerConfig { return cluster.DefaultBreakerConfig() }
 
 //
-// Overload resilience (DESIGN.md §14).
+// Stores, clusters and deadlines (DESIGN.md §14). Get, Put, Delete and Query
+// have *Context variants whose deadline travels with each node call: nodes
+// refuse expired work, a query stops at its next stage boundary, and a Put
+// that expires before its commit point rolls back.
 //
-
-// Scheduler is the admission controller: per-tenant weighted-fair queues
-// with concurrency caps by cost class. Install one on Options.Sched to make
-// Get/Put/Query/Delete admission-controlled; a nil scheduler admits
-// everything. SchedConfig bounds it (zero fields take host-sized defaults)
-// and SchedStats/TenantStats snapshot it (Store.SchedStats, /debug/fusionz).
-type (
-	Scheduler   = sched.Scheduler
-	SchedConfig = sched.Config
-	SchedStats  = sched.Stats
-	TenantStats = sched.TenantStats
-)
-
-// NewScheduler builds an admission scheduler.
-func NewScheduler(cfg SchedConfig) *Scheduler { return sched.New(cfg) }
-
-// ErrOverloaded is the typed load-shed sentinel: an operation the scheduler
-// refused because the tenant's queue is full or the estimated queue wait
-// exceeds the request deadline. Check with errors.Is; errors.As against
-// *Overloaded exposes the tenant, class and a retry-after hint.
-var ErrOverloaded = sched.ErrOverloaded
-
-// Overloaded carries one shed operation's detail (tenant, cost class,
-// reason, RetryAfter hint).
-type Overloaded = sched.Overloaded
-
-// WithTenant tags a context with a tenant name; admission-controlled stores
-// account and queue the request under that tenant's fair-share weight.
-// Untagged requests run as the "default" tenant.
-func WithTenant(ctx context.Context, tenant string) context.Context {
-	return sched.WithTenant(ctx, tenant)
-}
 
 // NewStore builds a store over a cluster transport.
 func NewStore(client Cluster, opts Options) (*Store, error) { return store.New(client, opts) }

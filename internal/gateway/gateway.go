@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"github.com/fusionstore/fusion/internal/lpq"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/store"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -103,7 +102,7 @@ func (h *Handler) putObject(w http.ResponseWriter, r *http.Request) {
 	defer finish()
 	stats, err := h.store.PutContext(ctx, name, body)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+		httpError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -321,7 +320,6 @@ func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 	hist := h.store.Metrics()
 	repair := h.store.RepairStats()
 	cstats := h.store.CacheStats()
-	sstats := h.store.SchedStats()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "== histograms ==\n")
@@ -346,17 +344,6 @@ func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 				fmt.Fprintf(w, "node %d: %s\n", node, state)
 			}
 		}
-		if sstats.Slots > 0 {
-			fmt.Fprintf(w, "\n== admission scheduler ==\n")
-			fmt.Fprintf(w, "slots %d (scan %d, put %d)  queue-depth %d  running %d (scan %d, put %d)\n",
-				sstats.Slots, sstats.ScanSlots, sstats.PutSlots, sstats.QueueDepth,
-				sstats.Running, sstats.RunningScan, sstats.RunningPut)
-			for _, t := range sstats.Tenants {
-				fmt.Fprintf(w, "tenant %-12s w=%d  admitted %d  shed %d  queued %d  wait p50 %v p99 %v\n",
-					t.Tenant, t.Weight, t.Admitted, t.Shed, t.Queued,
-					t.QueueWait.P50, t.QueueWait.P99)
-			}
-		}
 		fmt.Fprintf(w, "\n== recent traces (%d seen) ==\n", h.ring.Seen())
 		for _, tree := range h.ring.Trees() {
 			fmt.Fprintf(w, "%s\n", tree)
@@ -374,25 +361,20 @@ func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 	if b := h.store.Breaker(); b != nil {
 		out["breakers"] = b.Snapshot()
 	}
-	if sstats.Slots > 0 {
-		out["sched"] = sstats
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// statusFor maps store errors onto HTTP codes. A shed operation maps to 503
-// (the client should back off and retry; the Overloaded error's RetryAfter
-// is in the body) and an expired deadline to 504.
+// statusFor maps store errors onto HTTP codes. An expired deadline maps to
+// 504 and an object the store cannot parse to 422.
 func statusFor(err error) int {
-	if errors.Is(err, sched.ErrOverloaded) {
-		return http.StatusServiceUnavailable
-	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout
 	}
 	msg := err.Error()
 	switch {
+	case strings.Contains(msg, "is not a valid lpq object"):
+		return http.StatusUnprocessableEntity
 	case strings.Contains(msg, "not found"):
 		return http.StatusNotFound
 	case strings.Contains(msg, "parse error"),

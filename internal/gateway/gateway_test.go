@@ -2,13 +2,16 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/metrics"
@@ -302,5 +305,90 @@ func TestGatewayErrors(t *testing.T) {
 	resp, _ = do(t, "GET", srv.URL+"/objects/tbl?offset=999999999", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range offset = %d", resp.StatusCode)
+	}
+	// A valid object whose request deadline has already passed: the Put
+	// fails with the deadline, which is a timeout, not a bad object.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	req := httptest.NewRequest("PUT", "/objects/late", bytes.NewReader(object)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Config.Handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("expired put = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestExpiredRequestsTimeOut: every route that carries the request's context
+// into the store answers a request whose deadline has already passed with
+// 504 — the deadline is the only overload signal the gateway gives — and the
+// refused request leaves the stored object as it was.
+func TestExpiredRequestsTimeOut(t *testing.T) {
+	srv, object := testServer(t)
+	if resp, body := do(t, "PUT", srv.URL+"/objects/tbl", object); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put = %d: %s", resp.StatusCode, body)
+	}
+	routes := []struct {
+		name, method, target string
+		body                 []byte
+	}{
+		{"put", "PUT", "/objects/late", object},
+		{"overwrite", "PUT", "/objects/tbl", object[:len(object)/2]},
+		{"get", "GET", "/objects/tbl", nil},
+		{"ranged-get", "GET", "/objects/tbl?offset=0&length=64", nil},
+		{"delete", "DELETE", "/objects/tbl", nil},
+		{"query", "POST", "/query", []byte("SELECT COUNT(*) FROM tbl WHERE k < 10")},
+		{"scrub", "POST", "/scrub/tbl?repair=1", nil},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancel()
+			req := httptest.NewRequest(rt.method, rt.target, bytes.NewReader(rt.body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			srv.Config.Handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("expired %s %s = %d: %s", rt.method, rt.target, rec.Code, rec.Body)
+			}
+			if !strings.Contains(rec.Body.String(), "deadline") {
+				t.Fatalf("504 body must name the deadline: %s", rec.Body)
+			}
+			resp, got := do(t, "GET", srv.URL+"/objects/tbl", nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, object) {
+				t.Fatalf("tbl after a refused %s: %d, %d bytes (want %d, byte-exact)",
+					rt.name, resp.StatusCode, len(got), len(object))
+			}
+			if resp, _ := do(t, "GET", srv.URL+"/objects/late", nil); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("a refused %s left an object named late: %d", rt.name, resp.StatusCode)
+			}
+		})
+	}
+}
+
+// TestStatusFor pins the error → HTTP status mapping: a deadline anywhere in
+// the chain is 504 whatever the message says, only an object the store cannot
+// parse is 422, and a failure the client cannot fix (no quorum, nodes down)
+// is 500 — never 422.
+func TestStatusFor(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"deadline", fmt.Errorf("store: put obj: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"deadline-beats-message", fmt.Errorf("object obj not found: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"invalid-object", errors.New("store: obj is not a valid lpq object: bad magic"), http.StatusUnprocessableEntity},
+		{"not-found", errors.New("store: object obj not found"), http.StatusNotFound},
+		{"parse-error", errors.New("sql: parse error at 1:1"), http.StatusBadRequest},
+		{"unknown-column", errors.New("sql: unknown column nope"), http.StatusBadRequest},
+		{"range-beyond-object", errors.New("store: range 10+5 beyond object of 12 bytes"), http.StatusBadRequest},
+		{"no-quorum", errors.New("metakv: epoch read: no quorum"), http.StatusInternalServerError},
+		{"cancelled", fmt.Errorf("store: get obj: %w", context.Canceled), http.StatusInternalServerError},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := statusFor(c.err); got != c.want {
+				t.Errorf("statusFor(%v) = %d, want %d", c.err, got, c.want)
+			}
+		})
 	}
 }

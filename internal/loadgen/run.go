@@ -10,7 +10,6 @@ import (
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/faultnet"
 	"github.com/fusionstore/fusion/internal/lpq"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/store"
 	"github.com/fusionstore/fusion/internal/trace"
@@ -51,10 +50,6 @@ const (
 	ErrClassInjected        = "injected"
 	ErrClassClientCrashed   = "client_crashed"
 	ErrClassOracleMismatch  = "oracle_mismatch"
-	// ErrClassOverloaded marks ops the admission scheduler shed
-	// (sched.ErrOverloaded): the system explicitly refusing work it cannot
-	// serve in time, as opposed to timing out while pretending it can.
-	ErrClassOverloaded = "overloaded"
 	// ErrClassDeadline marks ops that ran out of their end-to-end budget
 	// (context deadline exceeded or cancelled), whether the coordinator, a
 	// retry/backoff, or a node-side expiry check called it.
@@ -65,8 +60,6 @@ const (
 // classify maps an op error to its taxonomy class.
 func classify(err error) string {
 	switch {
-	case errors.Is(err, sched.ErrOverloaded):
-		return ErrClassOverloaded
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return ErrClassDeadline
 	case errors.Is(err, store.ErrTooManyFailures):

@@ -10,7 +10,6 @@ import (
 
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/faultnet"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/store"
 	"github.com/fusionstore/fusion/internal/tcpnet"
@@ -174,19 +173,17 @@ func TestRunDetectsEndToEndCorruption(t *testing.T) {
 	}
 }
 
-// TestClassifyErrors pins the error taxonomy: each sentinel the store, its
-// scheduler and its transports fail with, wrapped the way they wrap it,
-// lands in its own class — a shed op is "overloaded", an expired or
-// cancelled one "deadline" — and anything else in "other". (The eighth
-// class, oracle_mismatch, is assigned by the runner, not classify;
-// TestRunDetectsEndToEndCorruption covers it.)
+// TestClassifyErrors pins the error taxonomy: each sentinel the store and
+// its transports fail with, wrapped the way they wrap it, lands in its own
+// class — an expired or cancelled op is "deadline" — and anything else in
+// "other". (The seventh class, oracle_mismatch, is assigned by the runner,
+// not classify; TestRunDetectsEndToEndCorruption covers it.)
 func TestClassifyErrors(t *testing.T) {
 	cases := []struct {
 		name  string
 		err   error
 		class string
 	}{
-		{"shed", sched.ErrOverloaded, ErrClassOverloaded},
 		{"deadline-exceeded", context.DeadlineExceeded, ErrClassDeadline},
 		{"canceled", context.Canceled, ErrClassDeadline},
 		{"too-many-failures", store.ErrTooManyFailures, ErrClassTooManyFailures},
@@ -205,8 +202,8 @@ func TestClassifyErrors(t *testing.T) {
 	}
 }
 
-// rejectTarget fails every op with err, the way a store whose scheduler
-// sheds everything does.
+// rejectTarget fails every op with err, the way a store whose every call
+// runs out of its deadline does.
 type rejectTarget struct{ err error }
 
 func (r rejectTarget) Get(context.Context, string, uint64, uint64) ([]byte, error) {
@@ -217,35 +214,36 @@ func (r rejectTarget) Query(context.Context, string) (*store.Result, error) {
 	return nil, r.err
 }
 
-// TestRunFilesShedOpsAsOverloaded: against a target that sheds every op, the
-// runner must count each one attempted and failed, file every failure of
-// every kind under "overloaded" — never "other" — and verify nothing.
-func TestRunFilesShedOpsAsOverloaded(t *testing.T) {
+// TestRunFilesExpiredOpsAsDeadline: against a target that fails every op
+// with an expired deadline, the runner must count each one attempted and
+// failed, file every failure of every kind under "deadline" — never
+// "other" — and verify nothing.
+func TestRunFilesExpiredOpsAsDeadline(t *testing.T) {
 	cfg := Config{Seed: 4, Rate: 2000, Duration: 50 * time.Millisecond, Objects: 4, RowsPerObject: 20}
 	oracle, err := NewOracle(cfg.Seed, cfg.Objects, cfg.RowsPerObject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed := rejectTarget{err: fmt.Errorf("store: admit: %w", sched.ErrOverloaded)}
-	run, err := RunPreloaded(shed, oracle, cfg)
+	expired := rejectTarget{err: fmt.Errorf("store: get obj: %w", context.DeadlineExceeded)}
+	run, err := RunPreloaded(expired, oracle, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var failed uint64
 	for kind, ops := range run.PerOp {
 		if ops.Succeeded != 0 || ops.Failed != ops.Attempted {
-			t.Errorf("%s: %d of %d shed ops succeeded", kind, ops.Succeeded, ops.Attempted)
+			t.Errorf("%s: %d of %d expired ops succeeded", kind, ops.Succeeded, ops.Attempted)
 		}
-		if ops.Errors[ErrClassOverloaded] != ops.Failed || len(ops.Errors) > 1 {
-			t.Errorf("%s: %d failures filed as %v, want all overloaded", kind, ops.Failed, ops.Errors)
+		if ops.Errors[ErrClassDeadline] != ops.Failed || len(ops.Errors) > 1 {
+			t.Errorf("%s: %d failures filed as %v, want all deadline", kind, ops.Failed, ops.Errors)
 		}
 		failed += ops.Failed
 	}
 	if failed == 0 || run.Availability() != 0 {
-		t.Fatalf("%d ops failed, availability %.4f: the target shed nothing", failed, run.Availability())
+		t.Fatalf("%d ops failed, availability %.4f: the target failed nothing", failed, run.Availability())
 	}
 	if run.OracleChecks != 0 || run.OracleMismatches != 0 {
-		t.Fatalf("shed ops verified: checks=%d mismatches=%d", run.OracleChecks, run.OracleMismatches)
+		t.Fatalf("expired ops verified: checks=%d mismatches=%d", run.OracleChecks, run.OracleMismatches)
 	}
 }
 

@@ -97,10 +97,11 @@ func TestConcurrentPuts(t *testing.T) {
 }
 
 // TestParallelQueryUnderConcurrentLoad drives the fan-out query path (stage
-// worker pools forced wide) while other goroutines Put fresh objects and
-// Scrub the queried one, so `go test -race` exercises the execState locking
-// and the fork/join merging together with the erasure coder's parallel
-// Verify/Reconstruct ranges.
+// worker pools forced wide) while other goroutines Put fresh objects, read
+// the queried one's first 64 bytes and Scrub it, so `go test -race`
+// exercises the execState locking and the fork/join merging together with
+// the erasure coder's parallel Verify/Reconstruct ranges, and a ranged Get
+// must stay byte-exact while queries run on the same object.
 func TestParallelQueryUnderConcurrentLoad(t *testing.T) {
 	data, _, _ := makeObject(t, 3, 400, 55)
 	opts := fusionTestOptions()
@@ -119,11 +120,11 @@ func TestParallelQueryUnderConcurrentLoad(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 30; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			switch i % 4 {
+			switch i % 5 {
 			case 0:
 				res, err := s.Query("SELECT id, price FROM obj WHERE qty < 20")
 				if err != nil {
@@ -151,6 +152,15 @@ func TestParallelQueryUnderConcurrentLoad(t *testing.T) {
 				}
 				if got, err := s.Get(name, 0, 0); err != nil || !bytes.Equal(got, other) {
 					errs <- fmt.Errorf("goroutine %d: side object round trip: %v", i, err)
+				}
+			case 3:
+				got, err := s.Get("obj", 0, 64)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, data[:64]) {
+					errs <- fmt.Errorf("goroutine %d: ranged get returned wrong bytes beside queries", i)
 				}
 			default:
 				rep, err := s.Scrub("obj", ScrubOptions{Repair: true})

@@ -11,7 +11,6 @@ import (
 	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -35,10 +34,7 @@ func (s *Store) Get(name string, offset, length uint64) ([]byte, error) {
 // reconstructions — plus byte counters for read amplification; an untraced
 // context costs nothing.
 func (s *Store) GetContext(ctx context.Context, name string, offset, length uint64) ([]byte, error) {
-	sp, end, err := s.admitOp(ctx, "Get", sched.ClassPoint)
-	if err != nil {
-		return nil, err
-	}
+	sp, end := s.beginOp(ctx, "Get")
 	defer end()
 	msp := sp.Child("meta")
 	meta, err := s.meta(ctx, msp, name)

@@ -5,11 +5,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/fusionstore/fusion/internal/sched"
+	"github.com/fusionstore/fusion/internal/simnet"
 )
 
 // TestCancelledContextFailsOps: a context dead before the call must fail
@@ -36,6 +35,94 @@ func TestCancelledContextFailsOps(t *testing.T) {
 	// The object must have survived the cancelled delete.
 	if _, err := s.Get("obj", 0, 0); err != nil {
 		t.Fatalf("object damaged by cancelled delete: %v", err)
+	}
+}
+
+// TestDoneContextFailsBeforeAnyCall: with no admission layer in front of the
+// foreground ops, each one must itself refuse a context that is already
+// cancelled or past its deadline — with that context's error, before a single
+// request leaves the coordinator, and without touching the stored objects.
+func TestDoneContextFailsBeforeAnyCall(t *testing.T) {
+	data, _, _ := makeObject(t, 2, 200, 43)
+	tap := &tapClient{inner: simnet.New(simnet.DefaultConfig())}
+	s, err := New(tap, fusionTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the metadata cache, so a Get or Query that skipped its context
+	// check would find the layout locally and go straight to the nodes.
+	if _, err := s.Get("obj", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	dones := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"cancelled", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}, context.Canceled},
+		{"expired", func() (context.Context, context.CancelFunc) {
+			return context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		}, context.DeadlineExceeded},
+	}
+	ops := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"Get", func(ctx context.Context) error {
+			_, err := s.GetContext(ctx, "obj", 0, 0)
+			return err
+		}},
+		{"RangedGet", func(ctx context.Context) error {
+			_, err := s.GetContext(ctx, "obj", 0, 64)
+			return err
+		}},
+		{"Put", func(ctx context.Context) error {
+			_, err := s.PutContext(ctx, "fresh", data)
+			return err
+		}},
+		{"Overwrite", func(ctx context.Context) error {
+			_, err := s.PutContext(ctx, "obj", data[:len(data)/2])
+			return err
+		}},
+		{"Delete", func(ctx context.Context) error { return s.DeleteContext(ctx, "obj") }},
+		{"Query", func(ctx context.Context) error {
+			_, err := s.QueryContext(ctx, "SELECT id FROM obj WHERE qty < 10")
+			return err
+		}},
+		{"Scrub", func(ctx context.Context) error {
+			_, err := s.ScrubContext(ctx, "obj", ScrubOptions{Repair: true})
+			return err
+		}},
+	}
+	for _, d := range dones {
+		for _, op := range ops {
+			t.Run(d.name+"/"+op.name, func(t *testing.T) {
+				ctx, cancel := d.ctx()
+				defer cancel()
+				before := tap.count()
+				if err := op.run(ctx); !errors.Is(err, d.want) {
+					t.Fatalf("%s = %v, want %v", op.name, err, d.want)
+				}
+				if n := tap.count() - before; n != 0 {
+					t.Fatalf("%s with a done context made %d node calls, want 0", op.name, n)
+				}
+				if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("obj after a refused %s: err %v, %d bytes (want %d, byte-exact)",
+						op.name, err, len(got), len(data))
+				}
+				if _, err := s.Get("fresh", 0, 0); err == nil {
+					t.Fatalf("a refused %s left an object named fresh", op.name)
+				}
+			})
+		}
 	}
 }
 
@@ -77,145 +164,5 @@ func TestQueryDeadlineNoGoroutineLeak(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStoreShedsTypedErrorWhenQueueFull: with the only slot held and the
-// tenant's queue at depth, the store's public API must fail with the typed,
-// classifiable ErrOverloaded — the contract clients retry against and the
-// load generator's taxonomy files as "overloaded".
-func TestStoreShedsTypedErrorWhenQueueFull(t *testing.T) {
-	data, _, _ := makeObject(t, 2, 200, 43)
-	opts := fusionTestOptions()
-	opts.Sched = sched.New(sched.Config{Slots: 1, ScanSlots: 1, PutSlots: 1, QueueDepth: 1})
-	s, _ := newSimStore(t, opts)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hold the only slot, then park one waiter to fill the depth-1 queue.
-	release, _, err := s.sched.Acquire(context.Background(), "hog", sched.ClassPoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, err := s.GetContext(context.Background(), "obj", 0, 0)
-		waiterDone <- err
-	}()
-	for {
-		st := s.SchedStats()
-		queued := 0
-		for _, tn := range st.Tenants {
-			queued += tn.Queued
-		}
-		if queued == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, err = s.GetContext(context.Background(), "obj", 0, 0)
-	if !errors.Is(err, sched.ErrOverloaded) {
-		t.Fatalf("full queue must shed with ErrOverloaded; got %v", err)
-	}
-	var ov *sched.Overloaded
-	if !errors.As(err, &ov) {
-		t.Fatalf("shed error %v must carry *sched.Overloaded", err)
-	}
-	if ov.Reason != "queue full" {
-		t.Fatalf("Overloaded.Reason = %q, want \"queue full\"", ov.Reason)
-	}
-
-	release()
-	if err := <-waiterDone; err != nil {
-		t.Fatalf("queued op failed after the slot freed: %v", err)
-	}
-	if st := s.SchedStats(); st.Running != 0 {
-		t.Fatalf("slots leaked: %d still running after drain", st.Running)
-	}
-}
-
-// TestStorePointReadsSurviveAggressor: a scan-heavy aggressor tenant
-// saturating the scan slots must not starve a weighted point-read tenant —
-// the store-level fairness property the scheduler exists for — and overload
-// must never corrupt a read it admits: every point read returns the object's
-// first 64 bytes exactly. Run with -race in CI.
-func TestStorePointReadsSurviveAggressor(t *testing.T) {
-	data, _, _ := makeObject(t, 3, 400, 44)
-	opts := fusionTestOptions()
-	opts.Sched = sched.New(sched.Config{
-		Slots: 4, ScanSlots: 2, PutSlots: 2, QueueDepth: 32,
-		Weights: map[string]int{"point": 8, "aggressor": 1},
-	})
-	s, _ := newSimStore(t, opts)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var aggressorOps atomic.Int64
-	for i := 0; i < 6; i++ {
-		go func() {
-			ctx := sched.WithTenant(context.Background(), "aggressor")
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, err := s.QueryContext(ctx, "SELECT id FROM obj WHERE qty < 10")
-				if err == nil {
-					aggressorOps.Add(1)
-				}
-			}
-		}()
-	}
-
-	// Wait until the aggressor is actually applying pressure.
-	for aggressorOps.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx := sched.WithTenant(context.Background(), "point")
-	const pointOps = 50
-	start := time.Now()
-	for i := 0; i < pointOps; i++ {
-		got, err := s.GetContext(ctx, "obj", 0, 64)
-		if err != nil {
-			close(stop)
-			t.Fatalf("point read %d failed under aggressor: %v", i, err)
-		}
-		if !bytes.Equal(got, data[:64]) {
-			close(stop)
-			t.Fatalf("point read %d returned wrong bytes under aggressor", i)
-		}
-	}
-	elapsed := time.Since(start)
-	close(stop)
-
-	// Starvation would push sequential point reads toward the test timeout;
-	// fairness keeps each read bounded by a few queue turns.
-	if avg := elapsed / pointOps; avg > 200*time.Millisecond {
-		t.Fatalf("point reads averaged %v each under aggressor — starved", avg)
-	}
-	var pointStats, aggStats *sched.TenantStats
-	st := s.SchedStats()
-	for i := range st.Tenants {
-		switch st.Tenants[i].Tenant {
-		case "point":
-			pointStats = &st.Tenants[i]
-		case "aggressor":
-			aggStats = &st.Tenants[i]
-		}
-	}
-	if pointStats == nil || pointStats.Admitted < pointOps {
-		t.Fatalf("point tenant admissions not accounted: %+v", pointStats)
-	}
-	if pointStats.Shed != 0 {
-		t.Fatalf("point tenant was shed %d times despite its weight", pointStats.Shed)
-	}
-	if aggStats == nil || aggStats.Admitted == 0 {
-		t.Fatal("aggressor made no progress — fairness must not invert into starvation")
 	}
 }

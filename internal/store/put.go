@@ -12,7 +12,6 @@ import (
 	"github.com/fusionstore/fusion/internal/fac"
 	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -75,11 +74,12 @@ func (s *Store) PutContext(ctx context.Context, name string, data []byte) (*PutS
 // a purely sequential reader is materialized once and fed through the same
 // pipeline. The two-phase epoch protocol, rollback on failure, CRCs at
 // every layer and cache invalidation are identical to the in-memory path.
+// A context already done fails the Put with its own error before any work.
 func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size uint64) (*PutStats, error) {
-	sp, end, err := s.admitOp(ctx, "Put", sched.ClassPut)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sp, end := s.beginOp(ctx, "Put")
 	defer end()
 	start := time.Now()
 
@@ -433,10 +433,7 @@ func (s *Store) DeleteContext(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sp, end, err := s.admitOp(ctx, "Delete", sched.ClassPut)
-	if err != nil {
-		return err
-	}
+	sp, end := s.beginOp(ctx, "Delete")
 	defer end()
 	meta, err := s.metaQuorum(ctx, sp, name)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -189,10 +188,7 @@ func (s *Store) Query(query string) (*Result, error) {
 // pushdown query the amplification drops below 1, which is the paper's
 // headline effect.
 func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error) {
-	qsp, end, err := s.admitOp(ctx, "Query", sched.ClassScan)
-	if err != nil {
-		return nil, err
-	}
+	qsp, end := s.beginOp(ctx, "Query")
 	defer end()
 	start := time.Now()
 	q, err := sql.Parse(query)

@@ -68,6 +68,12 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 		// over all n blocks. The CRC recorded at write time localizes a bad
 		// copy exactly; a block failing it is an erasure, not a parity puzzle.
 		shards, errs := s.fanOutStripe(ctx, ssp, meta, si, -1, p.N)
+		if err := ctx.Err(); err != nil {
+			// Reads the context cut short are not missing blocks: report
+			// the deadline, not a stripe of erasures to rebuild.
+			ssp.End()
+			return report, fmt.Errorf("store: scrubbing %q: %w", name, err)
+		}
 		var missing []int
 		for j, err := range errs {
 			if err == nil {

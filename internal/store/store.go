@@ -17,7 +17,6 @@ import (
 	"github.com/fusionstore/fusion/internal/metakv"
 	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/sched"
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
@@ -88,15 +87,6 @@ type Options struct {
 	// default) disables the data tiers and singleflight; the metadata
 	// cache (4096 objects, epoch-safe) stays on regardless.
 	CacheBytes int64
-	// Sched, when set, is the admission scheduler every top-level operation
-	// (Get, Put, Delete, Query) passes through before doing any work:
-	// per-tenant weighted-fair queuing under global and per-class concurrency
-	// caps, with explicit load shedding (sched.ErrOverloaded) once a tenant's
-	// queue is full or the estimated wait exceeds the caller's deadline. A
-	// request is accounted to the tenant its context carries
-	// (sched.WithTenant), else to sched.DefaultTenant. Nil (the default)
-	// disables admission control entirely.
-	Sched *sched.Scheduler
 	// Seed drives stripe placement.
 	Seed int64
 }
@@ -137,7 +127,6 @@ type Store struct {
 	hist    *metrics.HistogramSet
 	repairs *repairQueue
 	cache   *cache.Cache
-	sched   *sched.Scheduler
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -174,20 +163,14 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 		hist:    opts.Metrics,
 		repairs: newRepairQueue(repairQueueLimit),
 		cache:   cache.New(cache.Config{Bytes: opts.CacheBytes}),
-		sched:   opts.Sched,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 	}, nil
 }
 
-// SchedStats snapshots the admission scheduler's per-tenant counters (the
-// zero value when no scheduler is configured).
-func (s *Store) SchedStats() sched.Stats { return s.sched.Stats() }
-
 // beginOp is the one prologue of a top-level operation: it opens the op's
 // span under the caller's trace and returns it with the end func the op
 // defers, which records the op's latency histogram and closes the span. Both
-// are off by default and then cost nothing. Maintenance ops (scrub, repair,
-// reconcile) begin here; foreground ops begin with admitOp.
+// are off by default and then cost nothing.
 func (s *Store) beginOp(ctx context.Context, op string) (*trace.Span, func()) {
 	parent := trace.FromContext(ctx)
 	if parent == nil && s.hist == nil {
@@ -199,24 +182,6 @@ func (s *Store) beginOp(ctx context.Context, op string) (*trace.Span, func()) {
 		s.hist.Observe(metrics.Key{Op: "op." + op, Node: metrics.NodeNone}, time.Since(start))
 		sp.End()
 	}
-}
-
-// admitOp is beginOp for the foreground ops (Get, Put, Delete, Query), which
-// first pass the admission scheduler; with none configured they are admitted
-// immediately. end also frees the slot (dispatching the next queued waiter).
-// Time spent queued is charged to the op's span, so traces show
-// added-by-choice latency separately from service time.
-func (s *Store) admitOp(ctx context.Context, op string, class sched.Class) (*trace.Span, func(), error) {
-	sp, end := s.beginOp(ctx, op)
-	release, wait, err := s.sched.Acquire(ctx, "", class)
-	if err != nil {
-		sp.End() // a shed op has a span but no service time to record
-		return nil, nil, err
-	}
-	if wait > 0 {
-		sp.Count(trace.QueueWaitMicros, uint64(wait.Microseconds()))
-	}
-	return sp, func() { release(); end() }, nil
 }
 
 // Health returns the store's per-node call/failure/retry/timeout counters.

@@ -62,17 +62,13 @@ const (
 	// partial states would outweigh the chunks) and fell back to
 	// coordinator-side grouping.
 	GroupSpills
-	// QueueWaitMicros is the time (in microseconds) the operation spent in
-	// the admission scheduler's fair queue before running — latency the
-	// store chose to add under load, distinct from service time.
-	QueueWaitMicros
 	numCounters
 )
 
 var counterNames = [numCounters]string{
 	"bytes_requested", "bytes_from_nodes", "rpcs", "retries",
 	"degraded_reads", "checksum_failures", "cache_hits", "round_trips",
-	"group_partials", "group_spills", "queue_wait_us",
+	"group_partials", "group_spills",
 }
 
 func (c Counter) String() string {
