@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -109,7 +110,7 @@ func main() {
 		}
 		switch len(rest) {
 		case 0:
-			rep, err := s.ScrubAll(store.ScrubOptions{Repair: repair})
+			rep, err := s.ScrubAll(context.Background(), store.ScrubOptions{Repair: repair})
 			die(err)
 			t := rep.Totals()
 			fmt.Printf("scrubbed %d objects: %d stripes, %d missing blocks, %d checksum failures, %d corrupt stripes, %d repaired\n",
@@ -121,7 +122,7 @@ func main() {
 				os.Exit(1)
 			}
 		case 1:
-			rep, err := s.Scrub(rest[0], store.ScrubOptions{Repair: repair})
+			rep, err := s.Scrub(context.Background(), rest[0], store.ScrubOptions{Repair: repair})
 			die(err)
 			fmt.Printf("scrubbed %s: %d stripes, %d missing blocks, %d checksum failures, %d corrupt stripes, %d repaired\n",
 				rest[0], rep.Stripes, rep.MissingBlocks, rep.ChecksumFailures, rep.CorruptStripes, rep.Repaired)
@@ -134,7 +135,7 @@ func main() {
 		}
 		node, err := strconv.Atoi(args[1])
 		die(err)
-		n, err := s.RepairNodeAll(node)
+		n, err := s.RepairNodeAll(context.Background(), node)
 		die(err)
 		fmt.Printf("repaired %d blocks/replicas on node %d\n", n, node)
 	case "repair-node":
@@ -143,14 +144,14 @@ func main() {
 		}
 		node, err := strconv.Atoi(args[2])
 		die(err)
-		n, err := s.RepairNode(args[1], node)
+		n, err := s.RepairNode(context.Background(), args[1], node)
 		die(err)
 		fmt.Printf("repaired %d blocks of %s on node %d\n", n, args[1], node)
 	case "reconcile":
 		if len(args) != 1 && !(len(args) == 2 && args[1] == "-force") {
 			usage()
 		}
-		rep, err := s.ReconcileOrphans(len(args) == 2)
+		rep, err := s.ReconcileOrphans(context.Background(), len(args) == 2)
 		die(err)
 		fmt.Printf("reconciled: %d blocks scanned, %d live, %d half-commits finished, %d orphans deleted, %d skipped (possible in-flight)\n",
 			rep.Scanned, rep.Live, rep.Committed, rep.Deleted, rep.Skipped)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -83,7 +84,7 @@ func main() {
 	}
 	cl.SetDown(5, false)
 	cl.SetDown(7, false)
-	repaired, err := s.RepairNode("lineitem", victim)
+	repaired, err := s.RepairNode(context.Background(), "lineitem", victim)
 	if err != nil {
 		log.Fatal(err)
 	}

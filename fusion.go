@@ -63,20 +63,12 @@ type (
 )
 
 //
-// Durability & self-healing (DESIGN.md §9).
+// Durability and repair (DESIGN.md §9). Reads survive lost and rotted blocks
+// by rebuilding them from the stripe's survivors; nothing rewrites a block in
+// the background. An operator repairs with Store.Scrub or ScrubAll (with
+// ScrubOptions.Repair), RepairNode or RepairNodeAll, and ReconcileOrphans,
+// each taking the caller's context first.
 //
-
-// RepairConfig paces the background RepairManager (heartbeat cadence, repair
-// rate limit, scrub and reconcile periods) and is passed to
-// Store.StartRepairManager; the zero value applies sensible defaults.
-type RepairConfig = store.RepairConfig
-
-// RepairItem identifies one block awaiting repair; RepairStats snapshots the
-// repair queue (depth, enqueued, dropped, processed, failed).
-type (
-	RepairItem  = store.RepairItem
-	RepairStats = store.RepairStats
-)
 
 // ScrubAllReport aggregates per-object scrub reports for a whole-cluster
 // scrub (Store.ScrubAll); Totals sums them.
@@ -87,36 +79,12 @@ type ScrubAllReport = store.ScrubAllReport
 // orphans deleted, conservatively skipped.
 type ReconcileReport = store.ReconcileReport
 
-// RepairManager runs the self-healing background loops (heartbeats with
-// circuit-breaker wiring, rate-limited repairs, periodic scrub and orphan
-// reconciliation); start one with Store.StartRepairManager.
-type RepairManager = store.RepairManager
-
-// RepairManagerStats counts the manager's background activity; NodeState is
-// the heartbeat view of one storage node.
-type (
-	RepairManagerStats = store.RepairManagerStats
-	NodeState          = store.NodeState
-)
-
-// Breaker is a per-node circuit breaker; install one on Options.Retry.Breaker
-// to fail fast against persistently unhealthy nodes (DESIGN.md §9).
-type (
-	Breaker       = cluster.Breaker
-	BreakerConfig = cluster.BreakerConfig
-)
-
-// NewBreaker builds a circuit breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker { return cluster.NewBreaker(cfg) }
-
-// DefaultBreakerConfig returns the default trip threshold and cooldown.
-func DefaultBreakerConfig() BreakerConfig { return cluster.DefaultBreakerConfig() }
-
 //
 // Stores, clusters and deadlines (DESIGN.md §14). Get, Put, Delete and Query
-// have *Context variants whose deadline travels with each node call: nodes
-// refuse expired work, a query stops at its next stage boundary, and a Put
-// that expires before its commit point rolls back.
+// have *Context variants, and the maintenance calls take a context first;
+// the deadline travels with each node call: nodes refuse expired work, a
+// query stops at its next stage boundary, and a Put that expires before its
+// commit point rolls back.
 //
 
 // NewStore builds a store over a cluster transport.

@@ -261,7 +261,7 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 	repair := r.URL.Query().Get("repair") == "1"
 	ctx, finish := h.traced(r, "http.scrub "+r.PathValue("name"))
 	defer finish()
-	rep, err := h.store.ScrubContext(ctx, r.PathValue("name"), store.ScrubOptions{Repair: repair})
+	rep, err := h.store.Scrub(ctx, r.PathValue("name"), store.ScrubOptions{Repair: repair})
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -272,7 +272,9 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) scrubAll(w http.ResponseWriter, r *http.Request) {
 	repair := r.URL.Query().Get("repair") == "1"
-	rep, err := h.store.ScrubAll(store.ScrubOptions{Repair: repair})
+	ctx, finish := h.traced(r, "http.scruball")
+	defer finish()
+	rep, err := h.store.ScrubAll(ctx, store.ScrubOptions{Repair: repair})
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -292,7 +294,9 @@ func (h *Handler) repairNode(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad node id: %w", err))
 		return
 	}
-	n, err := h.store.RepairNodeAll(node)
+	ctx, finish := h.traced(r, "http.repair "+r.PathValue("node"))
+	defer finish()
+	n, err := h.store.RepairNodeAll(ctx, node)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -303,7 +307,9 @@ func (h *Handler) repairNode(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) reconcile(w http.ResponseWriter, r *http.Request) {
 	force := r.URL.Query().Get("force") == "1"
-	rep, err := h.store.ReconcileOrphans(force)
+	ctx, finish := h.traced(r, "http.reconcile")
+	defer finish()
+	rep, err := h.store.ReconcileOrphans(ctx, force)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -318,15 +324,12 @@ func (h *Handler) reconcile(w http.ResponseWriter, r *http.Request) {
 // ?format=text renders the aligned tables and indented trees.
 func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 	hist := h.store.Metrics()
-	repair := h.store.RepairStats()
 	cstats := h.store.CacheStats()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "== histograms ==\n")
 		hist.WriteText(w)
 		fmt.Fprintf(w, "\n== node health ==\n%s", h.store.Health())
-		fmt.Fprintf(w, "\n== repair queue ==\ndepth %d  enqueued %d  processed %d  failed %d  dropped %d  stale %d\n",
-			repair.QueueDepth, repair.Enqueued, repair.Processed, repair.Failed, repair.Dropped, repair.Stale)
 		fmt.Fprintf(w, "\n== cache ==\n")
 		fmt.Fprintf(w, "meta:  hits %d  misses %d  rate %.2f  entries %d\n",
 			cstats.Meta.Hits, cstats.Meta.Misses, cstats.Meta.HitRate(), cstats.Meta.Entries)
@@ -338,12 +341,6 @@ func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 			cstats.DataEntries, cstats.DataBytes, cstats.Fills, cstats.Evictions, cstats.Invalidations, cstats.Rejected)
 		fmt.Fprintf(w, "flight: leaders %d  dedups %d  decodes %d\n",
 			cstats.FlightLeaders, cstats.FlightDedups, cstats.Decodes)
-		if b := h.store.Breaker(); b != nil {
-			fmt.Fprintf(w, "\n== circuit breakers ==\n")
-			for node, state := range b.Snapshot() {
-				fmt.Fprintf(w, "node %d: %s\n", node, state)
-			}
-		}
 		fmt.Fprintf(w, "\n== recent traces (%d seen) ==\n", h.ring.Seen())
 		for _, tree := range h.ring.Trees() {
 			fmt.Fprintf(w, "%s\n", tree)
@@ -353,13 +350,9 @@ func (h *Handler) debugFusionz(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"histograms":  hist.Snapshot(),
 		"health":      h.store.Health().Snapshot(),
-		"repair":      repair,
 		"cache":       cstats,
 		"traces":      h.ring.Snapshot(),
 		"traces_seen": h.ring.Seen(),
-	}
-	if b := h.store.Breaker(); b != nil {
-		out["breakers"] = b.Snapshot()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)

@@ -22,6 +22,14 @@ import (
 
 func testServer(t *testing.T) (*httptest.Server, []byte) {
 	t.Helper()
+	srv, _, _, data := testStack(t)
+	return srv, data
+}
+
+// testStack is testServer with the store and the cluster behind it, for tests
+// that reach past the gateway to fault a node.
+func testStack(t *testing.T) (*httptest.Server, *store.Store, *simnet.Cluster, []byte) {
+	t.Helper()
 	cl := simnet.New(simnet.DefaultConfig())
 	opts := store.FusionOptions()
 	opts.StorageBudget = 1
@@ -53,7 +61,7 @@ func testServer(t *testing.T) (*httptest.Server, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, data
+	return srv, s, cl, data
 }
 
 func do(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
@@ -271,6 +279,102 @@ func TestDebugFusionz(t *testing.T) {
 	}
 }
 
+// TestReadRotShowsInFusionz: a block rotted at rest costs a read nothing —
+// the GET is bit-exact, rebuilt from the stripe's survivors — and leaves its
+// record in the block's node health on /debug/fusionz, which has no repair
+// queue or breaker sections. Nothing rewrites the block until an operator
+// scrubs with repair, which rewrites exactly that one; a second scrub is clean.
+func TestReadRotShowsInFusionz(t *testing.T) {
+	srv, s, cl, object := testStack(t)
+	if resp, body := do(t, "PUT", srv.URL+"/objects/tbl", object); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put = %d: %s", resp.StatusCode, body)
+	}
+	meta, err := s.Meta("tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := meta.Stripes[0]
+	rotted := st.Nodes[0]
+	bs := cl.Node(rotted).Blocks
+	block, err := bs.Get(st.BlockIDs[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block = bytes.Clone(block) // a block read from a store is read-only
+	block[len(block)/2] ^= 0x55
+	if err := bs.Put(st.BlockIDs[0], block); err != nil {
+		t.Fatal(err)
+	}
+
+	if resp, got := do(t, "GET", srv.URL+"/objects/tbl", nil); resp.StatusCode != http.StatusOK || !bytes.Equal(got, object) {
+		t.Fatalf("get over a rotted block = %d, %d bytes (want %d, bit-exact)", resp.StatusCode, len(got), len(object))
+	}
+
+	resp, body := do(t, "GET", srv.URL+"/debug/fusionz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fusionz = %d", resp.StatusCode)
+	}
+	var dump map[string]json.RawMessage
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("fusionz json: %v\n%s", err, body)
+	}
+	for _, gone := range []string{"repair", "breakers"} {
+		if _, ok := dump[gone]; ok {
+			t.Errorf("fusionz still has a %q section", gone)
+		}
+	}
+	var health map[int]metrics.NodeHealth
+	if err := json.Unmarshal(dump["health"], &health); err != nil {
+		t.Fatalf("fusionz health: %v\n%s", err, dump["health"])
+	}
+	for node := 0; node < cl.NumNodes(); node++ {
+		want := uint64(0)
+		if node == rotted {
+			want = 1
+		}
+		if got := health[node].Checksums; got != want {
+			t.Errorf("node %d health counts %d checksum failures, want %d", node, got, want)
+		}
+	}
+	resp, body = do(t, "GET", srv.URL+"/debug/fusionz?format=text", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fusionz text = %d", resp.StatusCode)
+	}
+	var line string
+	for _, l := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(l, fmt.Sprintf("node %d: ", rotted)) {
+			line = l
+		}
+	}
+	if !strings.HasSuffix(line, " checksums 1") {
+		t.Errorf("text health line for node %d = %q, want it to end in checksums 1", rotted, line)
+	}
+	for _, gone := range []string{"repair queue", "circuit breakers"} {
+		if strings.Contains(string(body), gone) {
+			t.Errorf("text dump still has a %q section", gone)
+		}
+	}
+
+	scrub := func(target string) store.ScrubReport {
+		t.Helper()
+		resp, body := do(t, "POST", srv.URL+target, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d: %s", target, resp.StatusCode, body)
+		}
+		var rep store.ScrubReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatalf("%s: %v\n%s", target, err, body)
+		}
+		return rep
+	}
+	if rep := scrub("/scrub/tbl?repair=1"); rep.ChecksumFailures != 1 || rep.Repaired != 1 {
+		t.Fatalf("repairing scrub = %+v, want the one rotted block found and rewritten", rep)
+	}
+	if rep := scrub("/scrub/tbl"); rep.MissingBlocks != 0 || rep.ChecksumFailures != 0 || rep.CorruptStripes != 0 || rep.Repaired != 0 {
+		t.Fatalf("scrub after the repair = %+v, want clean", rep)
+	}
+}
+
 func TestGatewayErrors(t *testing.T) {
 	srv, object := testServer(t)
 	// Garbage object.
@@ -338,6 +442,9 @@ func TestExpiredRequestsTimeOut(t *testing.T) {
 		{"delete", "DELETE", "/objects/tbl", nil},
 		{"query", "POST", "/query", []byte("SELECT COUNT(*) FROM tbl WHERE k < 10")},
 		{"scrub", "POST", "/scrub/tbl?repair=1", nil},
+		{"scruball", "POST", "/scruball?repair=1", nil},
+		{"repair", "POST", "/repair/0", nil},
+		{"reconcile", "POST", "/reconcile?force=1", nil},
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {

@@ -25,7 +25,6 @@ func testStore(t testing.TB, client cluster.Client, seed int64) *store.Store {
 		MaxAttempts: 3,
 		BaseBackoff: 50 * time.Microsecond,
 		MaxBackoff:  500 * time.Microsecond,
-		Jitter:      cluster.NewJitterSource(seed),
 	}
 	s, err := store.New(client, opts)
 	if err != nil {

@@ -7,14 +7,15 @@ import (
 	"sync"
 )
 
-// NodeHealth is one node's transport-reliability counters as seen from a
-// coordinator: how often it was called, how often calls failed or timed out,
-// and how many retries it cost.
+// NodeHealth is one node's reliability counters as seen from a coordinator:
+// how often it was called, how often calls failed or timed out, how many
+// retries it cost, and how many blocks it served failed their checksum.
 type NodeHealth struct {
-	Calls    uint64
-	Failures uint64
-	Retries  uint64
-	Timeouts uint64
+	Calls     uint64
+	Failures  uint64
+	Retries   uint64
+	Timeouts  uint64
+	Checksums uint64
 }
 
 // add accumulates another node's counters.
@@ -23,11 +24,13 @@ func (n *NodeHealth) add(o NodeHealth) {
 	n.Failures += o.Failures
 	n.Retries += o.Retries
 	n.Timeouts += o.Timeouts
+	n.Checksums += o.Checksums
 }
 
-// Health collects per-node call/failure/retry/timeout counters. All methods are
-// safe for concurrent use and safe on a nil receiver (a nil *Health records
-// nothing), so callers can thread an optional recorder without nil checks.
+// Health collects per-node call/failure/retry/timeout/checksum counters. All
+// methods are safe for concurrent use and safe on a nil receiver (a nil
+// *Health records nothing), so callers can thread an optional recorder without
+// nil checks.
 type Health struct {
 	mu    sync.Mutex
 	nodes map[int]*NodeHealth
@@ -67,6 +70,10 @@ func (h *Health) Retry(node int) { h.record(node, func(n *NodeHealth) { n.Retrie
 
 // Timeout records an attempt that ran out its deadline.
 func (h *Health) Timeout(node int) { h.record(node, func(n *NodeHealth) { n.Timeouts++ }) }
+
+// Checksum records a block from the node that failed its checksum: rot at
+// rest or a reply corrupted in flight.
+func (h *Health) Checksum(node int) { h.record(node, func(n *NodeHealth) { n.Checksums++ }) }
 
 // Node returns a snapshot of one node's counters.
 func (h *Health) Node(node int) NodeHealth {
@@ -130,8 +137,8 @@ func (h *Health) String() string {
 	var b strings.Builder
 	for _, id := range ids {
 		n := snap[id]
-		fmt.Fprintf(&b, "node %d: calls %d fail %d retry %d timeout %d\n",
-			id, n.Calls, n.Failures, n.Retries, n.Timeouts)
+		fmt.Fprintf(&b, "node %d: calls %d fail %d retry %d timeout %d checksums %d\n",
+			id, n.Calls, n.Failures, n.Retries, n.Timeouts, n.Checksums)
 	}
 	return b.String()
 }

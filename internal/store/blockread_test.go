@@ -98,8 +98,9 @@ func (c *tapClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 // TestBlockReadFaults drives every way one block read can go wrong through
 // every way block bytes are read, and pins what the one verified read path
 // promises: the bytes are right, each faulted block the read touches costs one
-// degraded read, and each checksum fault is counted once and queues one
-// repair — after which the repair drains and the object scrubs clean.
+// degraded read, and each checksum fault is counted once, on the span and in
+// the block's node health — after which a repairing scrub rewrites that one
+// block and the object scrubs clean.
 func TestBlockReadFaults(t *testing.T) {
 	type target struct {
 		meta        *ObjectMeta
@@ -137,7 +138,7 @@ func TestBlockReadFaults(t *testing.T) {
 	}
 	faults := []struct {
 		name     string
-		checksum bool // a checksum fault: counted once, one repair queued
+		checksum bool // a checksum fault: counted once, one block to rewrite
 		// needsWhole: only a whole-block read, checked against the stripe
 		// metadata, can notice — a range is checked against the node's CRC.
 		needsWhole bool
@@ -267,25 +268,26 @@ func TestBlockReadFaults(t *testing.T) {
 				if c := sp.Total(trace.ChecksumFailures); c != wantSum {
 					t.Errorf("%d checksum failures counted, want %d", c, wantSum)
 				}
-				rs := s.RepairStats()
-				if rs.Enqueued != wantSum || rs.QueueDepth != int(wantSum) {
-					t.Errorf("repair queue %+v, want %d item(s)", rs, wantSum)
+				st := meta.Stripes[tg.stripe]
+				if c := s.Health().Node(st.Nodes[tg.bin]).Checksums; c != wantSum {
+					t.Errorf("node %d health counts %d checksum failures, want %d", st.Nodes[tg.bin], c, wantSum)
 				}
 				if !fault.checksum {
 					return
 				}
-				// Self-healing: the queued repair rebuilds the block, verifies it
-				// against the stripe metadata and rewrites it (a no-op rewrite
-				// when only the reply was bad); the object then scrubs clean.
-				tap.set("")
-				if n, err := s.ProcessRepairs(0); err != nil || n != 1 {
-					t.Fatalf("ProcessRepairs = %d, %v; want 1 block rewritten", n, err)
+				// Repair: a repairing scrub finds the block bad, rebuilds it,
+				// verifies it against the stripe metadata and rewrites it (a
+				// no-op rewrite when only the reply was bad, so the tap stays
+				// armed through it); the object then scrubs clean.
+				rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{Repair: true})
+				if err != nil || rep.ChecksumFailures != 1 || rep.Repaired != 1 {
+					t.Fatalf("repairing scrub = %+v, %v; want 1 checksum failure, 1 block rewritten", rep, err)
 				}
-				st := meta.Stripes[tg.stripe]
+				tap.set("")
 				if resp := cl.Node(st.Nodes[tg.bin]).Handle(&rpc.Request{Kind: rpc.KindGetBlock, BlockID: st.BlockIDs[tg.bin]}); resp.Err != "" {
 					t.Fatalf("repaired block must read clean at the node: %s", resp.Err)
 				}
-				rep, err := s.Scrub("obj", ScrubOptions{})
+				rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{})
 				if err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 || rep.ChecksumFailures != 0 {
 					t.Fatalf("post-repair scrub: %+v, %v", rep, err)
 				}

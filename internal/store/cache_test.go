@@ -442,74 +442,6 @@ func TestStaleReadConcurrentOverwrite(t *testing.T) {
 	}
 }
 
-// TestRepairQueueDropsDeleted: a repair enqueued for an object that is
-// deleted before processing must be dropped and counted, not retried
-// forever.
-func TestRepairQueueDropsDeleted(t *testing.T) {
-	data, _, _ := makeObject(t, 2, 300, 1)
-	s, _ := newSimStore(t, fusionTestOptions())
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := s.Meta("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.enqueueRepair(RepairItem{Object: "obj", Epoch: meta.Epoch, Stripe: 0, Block: 0})
-	if err := s.Delete("obj"); err != nil {
-		t.Fatal(err)
-	}
-	// Two passes: before the fix the item bounced back into the queue on
-	// every pass, so a drained queue after processing is the regression.
-	for i := 0; i < 2; i++ {
-		if _, err := s.ProcessRepairs(0); err != nil {
-			t.Fatalf("pass %d: stale repair surfaced an error: %v", i, err)
-		}
-	}
-	st := s.RepairStats()
-	if st.QueueDepth != 0 {
-		t.Fatalf("stale repair still queued (depth %d): endless retry", st.QueueDepth)
-	}
-	if st.Stale != 1 {
-		t.Fatalf("stale count = %d, want 1 (%+v)", st.Stale, st)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("stale drop must not count as failure (%+v)", st)
-	}
-}
-
-// TestRepairQueueDropsSuperseded: same for an overwrite between enqueue and
-// processing — the old epoch's blocks are gone; repairing them is at best
-// wasted work and at worst resurrection.
-func TestRepairQueueDropsSuperseded(t *testing.T) {
-	dataOld, _, _ := makeObject(t, 2, 300, 1)
-	dataNew, _, _ := makeObject(t, 2, 250, 2)
-	s, _ := newSimStore(t, fusionTestOptions())
-	if _, err := s.Put("obj", dataOld); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := s.Meta("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.enqueueRepair(RepairItem{Object: "obj", Epoch: meta.Epoch, Stripe: 0, Block: 0})
-	if _, err := s.Put("obj", dataNew); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ProcessRepairs(0); err != nil {
-		t.Fatalf("superseded repair surfaced an error: %v", err)
-	}
-	st := s.RepairStats()
-	if st.QueueDepth != 0 || st.Stale != 1 || st.Failed != 0 {
-		t.Fatalf("superseded repair not dropped cleanly: %+v", st)
-	}
-	// The new version is untouched and healthy.
-	got, err := s.Get("obj", 0, 0)
-	if err != nil || !bytes.Equal(got, dataNew) {
-		t.Fatalf("object damaged by stale-repair handling: %v", err)
-	}
-}
-
 // TestDeleteUsesQuorumNotCache: Delete through a coordinator whose cached
 // metadata is superseded must delete the *current* version's blocks (via a
 // quorum read), not the stale cached one's — the latter stranded the new

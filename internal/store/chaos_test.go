@@ -151,7 +151,7 @@ func TestChaosSoak(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 300))
 		for time.Now().Before(deadline) {
 			st := stables[rng.Intn(len(stables))]
-			if _, err := s.Scrub(st.name, ScrubOptions{}); err != nil {
+			if _, err := s.Scrub(context.Background(), st.name, ScrubOptions{}); err != nil {
 				report(fmt.Errorf("scrub %s: %w", st.name, err))
 				return
 			}
@@ -308,14 +308,14 @@ func TestScrubDetectsInFlightCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Add(faultnet.Rule{Node: faultnet.NodeAny, Kind: rpc.KindGetBlock, Fault: faultnet.FaultCorrupt, Count: 1})
-	rep, err := s.Scrub("obj", ScrubOptions{})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil {
 		t.Fatalf("seed %d: scrub: %v", seed, err)
 	}
 	if rep.ChecksumFailures == 0 {
 		t.Fatalf("seed %d: scrub missed the corrupted shard: %+v", seed, rep)
 	}
-	rep, err = s.Scrub("obj", ScrubOptions{})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil || rep.CorruptStripes != 0 || rep.MissingBlocks != 0 || rep.ChecksumFailures != 0 {
 		t.Fatalf("seed %d: clean scrub after fault exhausted: %+v %v", seed, rep, err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -163,7 +164,7 @@ func TestParallelQueryUnderConcurrentLoad(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: ranged get returned wrong bytes beside queries", i)
 				}
 			default:
-				rep, err := s.Scrub("obj", ScrubOptions{Repair: true})
+				rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{Repair: true})
 				if err != nil {
 					errs <- err
 					return
@@ -196,7 +197,7 @@ func TestRepairNodeRestoresMetaReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.RepairNode("obj", victim); err != nil {
+	if _, err := s.RepairNode(context.Background(), "obj", victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := node.Blocks.Size(metaBlockID("obj")); err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -47,14 +48,14 @@ func TestRepairNodeParityBlock(t *testing.T) {
 	if err := cl.Node(victim).Blocks.Delete(st.BlockIDs[j]); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.RepairNode("obj", victim)
+	n, err := s.RepairNode(context.Background(), "obj", victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("repair must rewrite the parity block")
 	}
-	rep, err := s.Scrub("obj", ScrubOptions{})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 {
 		t.Fatalf("post-repair scrub: %+v, %v", rep, err)
 	}

@@ -120,7 +120,7 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 			}
 
 			// Quiesced cluster: force-reconcile GCs every orphan.
-			rep, err := s2.ReconcileOrphans(true)
+			rep, err := s2.ReconcileOrphans(context.Background(), true)
 			if err != nil {
 				t.Fatalf("seed %d: reconcile: %v", seed, err)
 			}
@@ -159,7 +159,7 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 			if err != nil || !bytes.Equal(got2, got) {
 				t.Fatalf("seed %d: post-reconcile read changed: %v", seed, err)
 			}
-			srep, err := s2.Scrub("obj", ScrubOptions{})
+			srep, err := s2.Scrub(context.Background(), "obj", ScrubOptions{})
 			if err != nil || srep.MissingBlocks != 0 || srep.CorruptStripes != 0 || srep.ChecksumFailures != 0 {
 				t.Fatalf("seed %d: post-reconcile scrub: %+v, %v", seed, srep, err)
 			}
@@ -190,7 +190,7 @@ func TestCrashMidPutInvisibleUntilCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s2.ReconcileOrphans(false)
+	rep, err := s2.ReconcileOrphans(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCrashMidPutInvisibleUntilCommit(t *testing.T) {
 	if rep.Deleted != 0 {
 		t.Fatalf("non-force reconcile must not GC possibly-in-flight blocks: %+v", rep)
 	}
-	rep, err = s2.ReconcileOrphans(true)
+	rep, err = s2.ReconcileOrphans(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/erasure"
 	"github.com/fusionstore/fusion/internal/faultnet"
 	"github.com/fusionstore/fusion/internal/simnet"
@@ -56,14 +55,10 @@ func newFaultStore(t testing.TB, nodes int, seed int64, opts Options) (*Store, *
 	cfg.Nodes = nodes
 	inj := faultnet.New(simnet.New(cfg), seed)
 	// Tight backoff keeps the exhaustive matrix fast while still walking
-	// the full retry path for injected transient errors. The rest of the
-	// caller's policy (its breaker) stands.
+	// the full retry path for injected transient errors.
 	opts.Retry.MaxAttempts = 3
 	opts.Retry.BaseBackoff = 50 * time.Microsecond
 	opts.Retry.MaxBackoff = 500 * time.Microsecond
-	// Tie the backoff jitter to the fault seed so the whole run —
-	// injected faults AND retry schedules — replays from one number.
-	opts.Retry.Jitter = cluster.NewJitterSource(seed)
 	s, err := New(inj, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -324,9 +324,9 @@ func (s *Store) getBlockReq(st *StripeMeta, j int, off, length uint64) rpc.Reque
 // either is checked where the payload is — in Data, or in the caller's
 // windows when it landed there, in which case the bytes returned are nil.
 // Every checksum fault (those, or the node refusing a block that failed its
-// at-rest check) wraps errBlockChecksum, counts one ChecksumFailure and
-// queues the block for repair; the caller then treats the block as an
-// erasure.
+// at-rest check) wraps errBlockChecksum and counts one ChecksumFailure on the
+// span and one in the block's node health; the caller then treats the block as
+// an erasure. Nothing rewrites it here: Scrub and RepairNode do.
 func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, length uint64, resp *rpc.Response, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
@@ -345,7 +345,7 @@ func (s *Store) verifyBlock(sp *trace.Span, meta *ObjectMeta, stripe, j int, len
 		return resp.Data, nil
 	}
 	sp.Count(trace.ChecksumFailures, 1)
-	s.enqueueRepair(RepairItem{Object: meta.Name, Epoch: meta.Epoch, Stripe: stripe, Block: j})
+	s.health.Checksum(st.Nodes[j])
 	return nil, err
 }
 
@@ -675,8 +675,7 @@ func putSurvivors(shards [][]byte, keep int) {
 // with verifying bytes is skipped; every other goes to repairBlock at the
 // epoch read. An object overwritten or deleted meanwhile ends the sweep
 // without error.
-func (s *Store) RepairNode(name string, node int) (int, error) {
-	ctx := context.Background()
+func (s *Store) RepairNode(ctx context.Context, name string, node int) (int, error) {
 	sp, end := s.beginOp(ctx, "RepairNode")
 	defer end()
 	meta, err := s.metaQuorum(ctx, sp, name)
@@ -695,7 +694,7 @@ func (s *Store) RepairNode(name string, node int) (int, error) {
 			if _, _, err := s.fetchBlock(ctx, sp, meta, si, j, 0, 0, nil); err == nil {
 				continue
 			}
-			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
+			err := s.repairBlock(ctx, sp, repairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
 			if errors.Is(err, errStaleRepair) {
 				return repaired, nil
 			}

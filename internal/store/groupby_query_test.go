@@ -321,9 +321,10 @@ func TestGroupOrderDegradedEquivalence(t *testing.T) {
 		if !leg.check(res.Stats) {
 			t.Errorf("split placement, %s: %d row groups pushed, %d spilled", leg.name, res.Stats.GroupAggRPCs, res.Stats.GroupSpills)
 		}
-		// Only a checksum fault queues a repair: the rot was read, and rebuilt.
-		if got := s.RepairStats().Enqueued > 0; got != leg.rot {
-			t.Errorf("split placement, %s: repair queued %v, want %v", leg.name, got, leg.rot)
+		// Only a checksum fault is counted in node health: the rot was read,
+		// and rebuilt.
+		if got := s.Health().Total().Checksums > 0; got != leg.rot {
+			t.Errorf("split placement, %s: checksum failure counted %v, want %v", leg.name, got, leg.rot)
 		}
 	}
 }

@@ -92,8 +92,8 @@ func TestColdGetLandsEveryBlock(t *testing.T) {
 // TestLandedReplyCorruptionIsCaught: over tcpnet a block lands in the
 // caller's buffer, so that is where faultnet's in-flight corruption flips its
 // byte. The Get still returns the object's exact bytes: the block fails its
-// stripe checksum, counts a ChecksumFailure, queues its repair and is rebuilt
-// from the stripe's survivors into the same windows.
+// stripe checksum, counts a ChecksumFailure on the span and in its node's
+// health, and is rebuilt from the stripe's survivors into the same windows.
 func TestLandedReplyCorruptionIsCaught(t *testing.T) {
 	data, _, _ := makeObject(t, 1, 4000, 35) // one stripe: one block per node, each read bare
 	inj := faultnet.New(newTCPCluster(t, 9), 1)
@@ -124,7 +124,7 @@ func TestLandedReplyCorruptionIsCaught(t *testing.T) {
 	if n := sp.Total(trace.ChecksumFailures); n < 1 {
 		t.Fatalf("%d checksum failures counted, want the corrupted block's", n)
 	}
-	if q := s.RepairStats().Enqueued; q < 1 {
-		t.Fatalf("%d repairs queued, want the corrupted block's", q)
+	if n := s.Health().Node(meta.Stripes[0].Nodes[0]).Checksums; n != 1 {
+		t.Fatalf("the corrupted block's node health counts %d checksum failures, want 1", n)
 	}
 }

@@ -33,7 +33,6 @@ func TestDegradedReadsUnderLoad(t *testing.T) {
 		MaxAttempts: 3,
 		BaseBackoff: 50 * time.Microsecond,
 		MaxBackoff:  500 * time.Microsecond,
-		Jitter:      cluster.NewJitterSource(seed),
 	}
 	s, err := store.New(inj, opts)
 	if err != nil {

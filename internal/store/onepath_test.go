@@ -22,7 +22,7 @@ import (
 
 // These tests pin the one path off the coordinator: the metadata register's
 // calls are Store.call like every other, so they observe the caller's
-// deadline, the breaker, Options.Retry, and show up in the health counters,
+// deadline and Options.Retry, and show up in the health counters,
 // the rpc histograms and the span tree.
 
 // hookClient runs before as a call enters the transport and after once it has
@@ -151,67 +151,6 @@ func TestMetaReadObservesDeadline(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-}
-
-// TestMetaReadSkipsOpenCircuit: the register consults the breaker like every
-// other call — a metadata read sends nothing to a replica whose circuit is
-// open, and still reaches its quorum.
-func TestMetaReadSkipsOpenCircuit(t *testing.T) {
-	var attempts [9]atomic.Int64 // by node
-	cl := &hookClient{Client: simnet.New(simnet.DefaultConfig()), before: func(node int, _ *rpc.Request) {
-		attempts[node].Add(1)
-	}}
-	opts := fusionTestOptions()
-	opts.Retry.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	s, err := New(cl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _, _ := makeObject(t, 1, 200, 73)
-	if _, err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	s.cache.DeleteMeta("obj")
-	open := s.metaReplicaNodes("obj")[1]
-	s.Breaker().Failure(open)
-	before := attempts[open].Load()
-	if _, err := s.Meta("obj"); err != nil {
-		t.Fatalf("metadata read with one replica's circuit open: %v", err)
-	}
-	if n := attempts[open].Load() - before; n != 0 {
-		t.Fatalf("the metadata read sent %d attempts to the open-circuit node", n)
-	}
-}
-
-// TestRetryBreakerHonoured: Options.Retry.Breaker is the store's breaker. One
-// failed call trips it (threshold 1), and the next call to that node — which
-// the transport would now answer — fails fast without reaching the transport.
-func TestRetryBreakerHonoured(t *testing.T) {
-	sim := simnet.New(simnet.DefaultConfig())
-	var attempts atomic.Int64
-	cl := &hookClient{Client: sim, before: func(int, *rpc.Request) { attempts.Add(1) }}
-	opts := fusionTestOptions()
-	opts.Retry.Breaker = cluster.NewBreaker(cluster.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	s, err := New(cl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Breaker() != opts.Retry.Breaker {
-		t.Fatal("Store.Breaker() is not the breaker installed on Options.Retry.Breaker")
-	}
-	const node = 3
-	ping := func() error {
-		_, err := s.call(context.Background(), nil, node, &rpc.Request{Kind: rpc.KindPing})
-		return err
-	}
-	sim.SetDown(node, true)
-	if err := ping(); !errors.Is(err, cluster.ErrNodeDown) || attempts.Load() != 1 {
-		t.Fatalf("call to a down node: err %v after %d attempts, want ErrNodeDown after 1", err, attempts.Load())
-	}
-	sim.SetDown(node, false)
-	if err := ping(); !errors.Is(err, cluster.ErrNodeDown) || attempts.Load() != 1 {
-		t.Fatalf("call to an open-circuit node: err %v, %d transport attempts, want ErrNodeDown and none", err, attempts.Load()-1)
 	}
 }
 

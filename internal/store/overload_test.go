@@ -98,7 +98,19 @@ func TestDoneContextFailsBeforeAnyCall(t *testing.T) {
 			return err
 		}},
 		{"Scrub", func(ctx context.Context) error {
-			_, err := s.ScrubContext(ctx, "obj", ScrubOptions{Repair: true})
+			_, err := s.Scrub(ctx, "obj", ScrubOptions{Repair: true})
+			return err
+		}},
+		{"ScrubAll", func(ctx context.Context) error {
+			_, err := s.ScrubAll(ctx, ScrubOptions{Repair: true})
+			return err
+		}},
+		{"RepairNodeAll", func(ctx context.Context) error {
+			_, err := s.RepairNodeAll(ctx, 0)
+			return err
+		}},
+		{"ReconcileOrphans", func(ctx context.Context) error {
+			_, err := s.ReconcileOrphans(ctx, true)
 			return err
 		}},
 	}

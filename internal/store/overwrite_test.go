@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestOverwriteStormTwoWriters(t *testing.T) {
 	}
 	// Losing attempts' blocks are orphans (their metadata was superseded by
 	// a concurrent publish); reconciliation must leave only the winner.
-	if _, err := c.ReconcileOrphans(true); err != nil {
+	if _, err := c.ReconcileOrphans(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.Meta("obj")

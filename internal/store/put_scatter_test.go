@@ -438,7 +438,7 @@ func TestCrashMidRoundRollsBack(t *testing.T) {
 	if got, err := s2.Get("obj", 0, 0); err != nil || !bytes.Equal(got, dataOld) {
 		t.Fatalf("fresh read after the crash: %v", err)
 	}
-	if _, err := s2.ReconcileOrphans(true); err != nil {
+	if _, err := s2.ReconcileOrphans(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
 	meta, err := s2.Meta("obj")
@@ -454,7 +454,7 @@ func TestCrashMidRoundRollsBack(t *testing.T) {
 			t.Fatalf("debris %s survived reconcile", b)
 		}
 	}
-	if rep, err := s2.Scrub("obj", ScrubOptions{}); err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 {
+	if rep, err := s2.Scrub(context.Background(), "obj", ScrubOptions{}); err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 {
 		t.Fatalf("scrub after reconcile: %+v, %v", rep, err)
 	}
 }

@@ -492,8 +492,8 @@ func (s *Store) reconstructChunkBytes(st *execState, rg, ci int) ([]byte, error)
 
 // fetchChunkBytes reads the chunk's on-disk bytes from wherever they live: a
 // ranged read of [ch.Offset, ch.Offset+ch.Size) through the one read path,
-// so it shares Get's coalescing, cache, degraded fallback and
-// repair-enqueue. Under FAC that is one segment on one node; under fixed
+// so it shares Get's coalescing, cache, degraded fallback and checksum
+// accounting. Under FAC that is one segment on one node; under fixed
 // blocks the chunk may span several blocks on several nodes (§3.1) — the
 // reassembly the paper identifies as the bottleneck. Every reply a node
 // serves it is charged by Store.call; a cache hit costs nothing.

@@ -44,15 +44,10 @@ type ScrubOptions struct {
 // to be written, so a rewrite could change a stored byte only under a CRC32C
 // collision.
 //
-// This is the conventional background-scrubbing companion to §5's recovery
-// procedure.
-func (s *Store) Scrub(name string, opts ScrubOptions) (*ScrubReport, error) {
-	return s.ScrubContext(context.Background(), name, opts)
-}
-
-// ScrubContext is Scrub under a (possibly traced) context: the span records
-// one child per stripe with its block-fetch RPCs, and one per repair.
-func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions) (*ScrubReport, error) {
+// This is the conventional scrubbing companion to §5's recovery procedure.
+// Under a traced ctx the span records one child per stripe with its
+// block-fetch RPCs, and one per repair.
+func (s *Store) Scrub(ctx context.Context, name string, opts ScrubOptions) (*ScrubReport, error) {
 	sp, end := s.beginOp(ctx, "Scrub")
 	defer end()
 	meta, err := s.meta(ctx, sp, name)
@@ -100,7 +95,7 @@ func (s *Store) ScrubContext(ctx context.Context, name string, opts ScrubOptions
 			continue
 		}
 		for _, j := range missing {
-			err := s.repairBlock(ctx, sp, RepairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
+			err := s.repairBlock(ctx, sp, repairItem{Object: name, Epoch: meta.Epoch, Stripe: si, Block: j})
 			if errors.Is(err, errStaleRepair) {
 				return report, nil // overwritten or deleted since the scrub read it
 			}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestScrubCleanObject(t *testing.T) {
 	if _, err := s.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Scrub("obj", ScrubOptions{})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestScrubDetectsAndRepairsMissingBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Report-only first.
-	rep, err := s.Scrub("obj", ScrubOptions{})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestScrubDetectsAndRepairsMissingBlock(t *testing.T) {
 		t.Fatalf("scrub must find the missing block: %+v", rep)
 	}
 	// Now repair.
-	rep, err = s.Scrub("obj", ScrubOptions{Repair: true})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestScrubDetectsAndRepairsMissingBlock(t *testing.T) {
 		t.Fatalf("scrub must repair the missing block: %+v", rep)
 	}
 	// Object must now scrub clean and read back intact.
-	rep, err = s.Scrub("obj", ScrubOptions{})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil || rep.MissingBlocks != 0 || rep.CorruptStripes != 0 {
 		t.Fatalf("post-repair scrub: %+v, %v", rep, err)
 	}
@@ -96,21 +97,21 @@ func TestScrubDetectsAndRepairsCorruptDataBlock(t *testing.T) {
 	// The node's at-rest verification refuses the rotted block, so the
 	// scrub sees a checksum failure (treated as an erasure), not a parity
 	// puzzle.
-	rep, err := s.Scrub("obj", ScrubOptions{})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ChecksumFailures != 1 {
 		t.Fatalf("scrub must flag the corrupt block: %+v", rep)
 	}
-	rep, err = s.Scrub("obj", ScrubOptions{Repair: true})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Repaired == 0 {
 		t.Fatalf("scrub must rewrite the corrupt block: %+v", rep)
 	}
-	rep, err = s.Scrub("obj", ScrubOptions{})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil || rep.CorruptStripes != 0 || rep.ChecksumFailures != 0 {
 		t.Fatalf("post-repair scrub: %+v, %v", rep, err)
 	}
@@ -142,14 +143,14 @@ func TestScrubRepairsCorruptParity(t *testing.T) {
 	if err := node.Blocks.Put(st.BlockIDs[parityIdx], block); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Scrub("obj", ScrubOptions{Repair: true})
+	rep, err := s.Scrub(context.Background(), "obj", ScrubOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ChecksumFailures != 1 || rep.Repaired == 0 {
 		t.Fatalf("scrub must rewrite parity: %+v", rep)
 	}
-	rep, err = s.Scrub("obj", ScrubOptions{})
+	rep, err = s.Scrub(context.Background(), "obj", ScrubOptions{})
 	if err != nil || rep.CorruptStripes != 0 || rep.ChecksumFailures != 0 {
 		t.Fatalf("post-repair scrub: %+v, %v", rep, err)
 	}

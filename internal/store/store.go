@@ -69,11 +69,9 @@ type Options struct {
 	// Retry bounds the transport retry/backoff/deadline behavior of every
 	// coordinator→node call, the metadata register's included. The zero value
 	// is cluster.Policy's default: 3 attempts, exponential backoff from 1ms
-	// to 100ms without jitter, ErrNodeDown fails fast (the reconstruction
-	// fan-out is the better retry). Retry.Breaker, when set, is the per-node
-	// circuit breaker every call consults: a node whose circuit is open fails
-	// fast with ErrNodeDown instead of burning a transport attempt. Retry.Health
-	// is the store's own: the per-node counters behind Health().
+	// to 100ms, ErrNodeDown fails fast (the reconstruction fan-out is the
+	// better retry). Retry.Health is the store's own: the per-node counters
+	// behind Health().
 	Retry cluster.Policy
 	// Metrics, when set, receives per-(op, node) latency histograms from
 	// every coordinator→node RPC and every top-level operation — the data
@@ -119,14 +117,13 @@ func BaselineOptions() Options {
 // for the requests routed to it (§5: requests route to a node by object-name
 // hash — see CoordinatorFor).
 type Store struct {
-	client  cluster.Client
-	opts    Options
-	coder   *erasure.Coder
-	retry   cluster.Policy
-	health  *metrics.Health
-	hist    *metrics.HistogramSet
-	repairs *repairQueue
-	cache   *cache.Cache
+	client cluster.Client
+	opts   Options
+	coder  *erasure.Coder
+	retry  cluster.Policy
+	health *metrics.Health
+	hist   *metrics.HistogramSet
+	cache  *cache.Cache
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -155,15 +152,14 @@ func New(client cluster.Client, opts Options) (*Store, error) {
 	retry := opts.Retry
 	retry.Health = health
 	return &Store{
-		client:  client,
-		opts:    opts,
-		coder:   coder,
-		retry:   retry,
-		health:  health,
-		hist:    opts.Metrics,
-		repairs: newRepairQueue(repairQueueLimit),
-		cache:   cache.New(cache.Config{Bytes: opts.CacheBytes}),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		client: client,
+		opts:   opts,
+		coder:  coder,
+		retry:  retry,
+		health: health,
+		hist:   opts.Metrics,
+		cache:  cache.New(cache.Config{Bytes: opts.CacheBytes}),
+		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}, nil
 }
 
@@ -184,12 +180,9 @@ func (s *Store) beginOp(ctx context.Context, op string) (*trace.Span, func()) {
 	}
 }
 
-// Health returns the store's per-node call/failure/retry/timeout counters.
+// Health returns the store's per-node call/failure/retry/timeout/checksum
+// counters.
 func (s *Store) Health() *metrics.Health { return s.health }
-
-// Breaker returns the circuit breaker guarding coordinator→node calls
-// (nil when none is configured).
-func (s *Store) Breaker() *cluster.Breaker { return s.retry.Breaker }
 
 // Metrics returns the store's latency histogram set (nil unless
 // Options.Metrics was set).
@@ -197,13 +190,12 @@ func (s *Store) Metrics() *metrics.HistogramSet { return s.hist }
 
 // call is the only way a request leaves the coordinator — block traffic,
 // pushed operators, the metadata register (registerClient) and maintenance
-// scans alike; the repair manager's heartbeat probe is the one exception. It
-// is the hardened transport entry: bounded retries with backoff and
-// per-attempt deadlines per Options.Retry, the circuit breaker and per-node
-// health accounting, all bounded end to end by ctx — a done context issues no
-// attempt, and a context deadline is stamped onto the request as a relative
-// microsecond budget (rpc.Request.DeadlineMicros) so the node, too, can
-// refuse or abandon expired work. When sp is non-nil the call charges its
+// scans alike, with no exception. It is the hardened transport entry: bounded
+// retries with backoff and per-attempt deadlines per Options.Retry, and
+// per-node health accounting, all bounded end to end by ctx — a done context
+// issues no attempt, and a context deadline is stamped onto the request as a
+// relative microsecond budget (rpc.Request.DeadlineMicros) so the node, too,
+// can refuse or abandon expired work. When sp is non-nil the call charges its
 // attempts and retries — and, for a data-plane request, its round trips and
 // bytes from the node — to that request span, so a traced operation's rpcs
 // total is the calls the transport saw; when the store has a histogram set,

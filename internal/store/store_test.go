@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -296,7 +297,7 @@ func TestRepairNode(t *testing.T) {
 			}
 		}
 	}
-	n, err := s.RepairNode("obj", victim)
+	n, err := s.RepairNode(context.Background(), "obj", victim)
 	if err != nil {
 		t.Fatal(err)
 	}
