@@ -43,7 +43,7 @@ type rowGroupFixture struct {
 
 // newRowGroupFixture writes rows rows of shipdate (a 2,526-value dictionary),
 // quantity, discount, price (plain floats), flag (a 3-string dictionary),
-// comment (plain strings) and rebate (floats with NaN at row 0 and every 97th
+// comment (FSST strings) and rebate (floats with NaN at row 0 and every 97th
 // after; its reference is given the NaN min/max a footer written before the
 // writer withheld such statistics carries) and stores the chunks on a fresh
 // node.
@@ -160,6 +160,9 @@ func TestPushedOpsMatchReference(t *testing.T) {
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
 	fx := newRowGroupFixture(t, 5000)
+	if enc := fx.refs["comment"].Meta.Encoding; enc != colenc.FSST {
+		t.Fatalf("the comment chunk is %v: no pushed operator runs over FSST pages", enc)
+	}
 	rng := rand.New(rand.NewSource(4))
 	for _, percent := range []int{0, 1, 50, 100} {
 		sel := fx.selection(rng, percent)

@@ -3,7 +3,7 @@
 // dictionary encoding (§2, Fig. 3 of the paper) and frame-of-reference
 // offsets. Each encoding is a self-contained byte-slice codec; the lpq writer
 // composes them per column chunk and layers Snappy compression on top where
-// it still pays.
+// it still pays. The FSST kind's codec is package fsst.
 package colenc
 
 import (
@@ -31,6 +31,10 @@ const (
 	// integer i over a power of ten (float64(i)/scale has v's bits) as a
 	// frame-of-reference i, and every other value raw, as an exception.
 	Decimal
+	// FSST stores each String value of a page as its code string under the
+	// chunk's FSST symbol table (package fsst), length-prefixed as a plain
+	// string is.
+	FSST
 )
 
 func (e Encoding) String() string {
@@ -45,6 +49,8 @@ func (e Encoding) String() string {
 		return "FOR"
 	case Decimal:
 		return "DECIMAL"
+	case FSST:
+		return "FSST"
 	default:
 		return fmt.Sprintf("Encoding(%d)", uint8(e))
 	}

@@ -18,7 +18,7 @@ const benchRows = 60000
 // l_shipdate (2,526 dates: a frame of reference, 12-bit offsets), l_quantity
 // (50 values: dictionary, 6-bit packed codes), l_returnflag (3 strings: 2-bit
 // codes), l_extendedprice (cents, a third of them an ulp off: decimal pages
-// with exceptions), l_comment (plain strings, Snappy), and a sorted date
+// with exceptions), l_comment (FSST strings), and a sorted date
 // column for run-length pages.
 func benchColumns() map[string]ColumnData {
 	rng := rand.New(rand.NewSource(7))
@@ -37,12 +37,12 @@ func benchColumns() map[string]ColumnData {
 	return map[string]ColumnData{
 		"quantity-packed6": IntColumn(qty), "returnflag-packed2": StringColumn(flag),
 		"sorted-rle": IntColumn(sorted), "shipdate-frame12": IntColumn(ship),
-		"price-decimal": FloatColumn(price), "comment-plain": StringColumn(comment),
+		"price-decimal": FloatColumn(price), "comment-fsst": StringColumn(comment),
 	}
 }
 
 // benchOrder lists the columns, the three dictionary ones first.
-var benchOrder = []string{"quantity-packed6", "returnflag-packed2", "sorted-rle", "shipdate-frame12", "price-decimal", "comment-plain"}
+var benchOrder = []string{"quantity-packed6", "returnflag-packed2", "sorted-rle", "shipdate-frame12", "price-decimal", "comment-fsst"}
 
 type benchChunk struct {
 	typ Type

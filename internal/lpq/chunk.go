@@ -11,6 +11,7 @@ import (
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/bufpool"
 	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/fsst"
 	"github.com/fusionstore/fusion/internal/snappy"
 )
 
@@ -29,9 +30,10 @@ const MaxChunkRows = 1 << 25
 // encoded pages and touch only the rows a selection names.
 //
 // Values are validated where they are read: a bit-packed code beyond the
-// dictionary or a string overrunning its page is an error from the kernel
-// that reads it, never a panic, and decoding every row (DecodeChunk) rejects
-// exactly what decoding page by page would.
+// dictionary, a string overrunning its page, or an FSST code past the symbol
+// table or escaping nothing is an error from the kernel that reads it, never
+// a panic, and decoding every row (DecodeChunk) rejects exactly what decoding
+// page by page would.
 //
 // A Chunk is immutable after OpenChunk and safe for concurrent kernels. One
 // opened from compressed bytes holds a pooled buffer until Release.
@@ -42,7 +44,7 @@ type Chunk struct {
 	arena []byte // pooled backing of blob; nil when blob is the caller's or owned
 	pages []page
 
-	// The kind of the chunk's pages: Plain, Dict, FOR or Decimal.
+	// The kind of the chunk's pages: Plain, Dict, FOR, Decimal or FSST.
 	enc colenc.Encoding
 
 	// Dictionary-encoded chunks only: the dictionary page decoded (it owns
@@ -53,6 +55,9 @@ type Chunk struct {
 
 	// Decimal chunks only: the power of ten a row's integer is divided by.
 	scale float64
+
+	// FSST chunks only: the symbol table the code strings are decoded by.
+	table *fsst.Table
 }
 
 // page is one data page of the directory: rows [first, first+rows) encoded
@@ -167,6 +172,15 @@ func (c *Chunk) parse() error {
 			return fmt.Errorf("lpq: decimal chunk of a %v column, scale %d: %w", c.typ, scale, ErrFormat)
 		}
 		c.scale = decimalScales[scale]
+	case colenc.FSST:
+		if c.typ != String {
+			return fmt.Errorf("lpq: FSST chunk of a %v column: %w", c.typ, ErrFormat)
+		}
+		table, n, err := fsst.ParseTable(d.b)
+		if err != nil {
+			return fmt.Errorf("lpq: FSST symbol table: %w", colenc.ErrCorrupt)
+		}
+		c.table, d.b = table, d.b[n:]
 	default:
 		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", c.enc, ErrFormat)
 	}
@@ -211,10 +225,10 @@ func (c *Chunk) parse() error {
 			if err := checkRuns(body.b, rows, uint64(c.dict.Len())); err != nil {
 				return err
 			}
+		case c.typ == String && c.enc != colenc.Dict:
+			minBits = rows * 8 // a length byte per value
 		case c.enc != colenc.Plain:
 			minBits = rows * uint64(pg.width)
-		case c.typ == String:
-			minBits = rows * 8 // a length byte per value
 		default:
 			minBits = rows * 64
 		}
@@ -622,7 +636,8 @@ const BatchRows = 256
 // Scanner walks an opened chunk's selected rows in ascending order, a batch
 // of up to BatchRows at a time, fetching only those rows from the encoded
 // pages: a plain numeric value by its offset, a dictionary value by
-// unpacking just its code, run-length and string pages in one forward walk.
+// unpacking just its code, run-length and string pages in one forward walk
+// (an FSST page's code strings decoded as the batch is fetched).
 // Scanners over chunks of one row group under the same selection step in
 // lockstep — batch boundaries depend on the selection alone — which is what
 // lets a kernel fold several columns row by row with no column materialised.
@@ -630,8 +645,8 @@ const BatchRows = 256
 // A batch exposes Len and Row, plus Codes for a dictionary chunk, plus the
 // values: Ints or Floats for the numeric types (read through the dictionary
 // if there is one), and for strings the dictionary entry of each code or, for
-// a plain chunk, Bytes. The zero Scanner is ready for Chunk.Scan; it is large (≈9
-// KB), so kernels keep it on their stack.
+// a plain or FSST chunk, Bytes. The zero Scanner is ready for Chunk.Scan; it
+// is large (≈9 KB), so kernels keep it on their stack.
 type Scanner struct {
 	c   *Chunk
 	err error
@@ -661,15 +676,23 @@ type Scanner struct {
 	codes  [BatchRows]uint32
 	ints   [BatchRows]int64
 	floats [BatchRows]float64
-	from   [BatchRows]uint32 // plain strings: blob[from[i]:to[i]]
+	from   [BatchRows]uint32 // strings: strs[from[i]:to[i]]
 	to     [BatchRows]uint32
 	window [windowBytes]byte // a dense run's bytes near its page's end
+
+	// Strings: the bytes from and to index — the chunk's for plain pages,
+	// decoded (the batch's values, the buffer kept across batches and scans)
+	// for FSST pages, or the chunk's code strings when codesOnly leaves
+	// decoding to the kernel.
+	strs      []byte
+	decoded   []byte
+	codesOnly bool
 }
 
 // Scan points sc at the rows of c that sel selects (nil selects every row).
 // A selection of every row scans as nil does, with no row list kept.
 func (c *Chunk) Scan(sc *Scanner, sel *bitmap.Bitmap) error {
-	*sc = Scanner{c: c, all: sel == nil, wi: -1, walking: -1}
+	*sc = Scanner{c: c, all: sel == nil, wi: -1, walking: -1, decoded: sc.decoded[:0]}
 	if sel != nil {
 		if sel.Len() != c.rows {
 			return fmt.Errorf("lpq: selection has %d rows, chunk has %d", sel.Len(), c.rows)
@@ -704,9 +727,10 @@ func (sc *Scanner) Ints() []int64 { return sc.ints[:sc.n] }
 // Floats returns the current batch's values (Float64 chunks).
 func (sc *Scanner) Floats() []float64 { return sc.floats[:sc.n] }
 
-// Bytes returns value i of the current batch of a plain string chunk. It
-// aliases the chunk: copy what must outlive Release.
-func (sc *Scanner) Bytes(i int) []byte { return sc.c.blob[sc.from[i]:sc.to[i]] }
+// Bytes returns value i of the current batch of a plain or FSST string chunk.
+// It aliases the chunk, or for FSST the batch's decoded values, which the next
+// batch overwrites: copy what must outlive either.
+func (sc *Scanner) Bytes(i int) []byte { return sc.strs[sc.from[i]:sc.to[i]] }
 
 // Next advances to the next batch and reports whether there is one; false
 // means the selection is exhausted or, if Err is set, a page was malformed.
@@ -715,6 +739,7 @@ func (sc *Scanner) Next() bool {
 		return false
 	}
 	sc.n = sc.selectRows()
+	sc.decoded = sc.decoded[:0]
 	for i := 0; i < sc.n; {
 		r := int(sc.Row(i))
 		for sc.pi < len(sc.c.pages) && r >= sc.c.pages[sc.pi].first+sc.c.pages[sc.pi].rows {
@@ -738,6 +763,10 @@ func (sc *Scanner) Next() bool {
 			return false
 		}
 		i = j
+	}
+	sc.strs = sc.c.blob
+	if sc.c.enc == colenc.FSST && !sc.codesOnly {
+		sc.strs = sc.decoded
 	}
 	return sc.n > 0
 }
@@ -773,6 +802,16 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 	first := int(sc.Row(i))
 	dense := sc.all || int(sc.rows[j-1])-first == j-i-1
 	rows := sc.rows[i:j]
+	if c.enc == colenc.FSST {
+		if err := sc.walkStrings(p, i, j); err != nil || sc.codesOnly {
+			return err
+		}
+		var err error
+		if sc.decoded, err = c.table.DecodeSpans(sc.decoded, c.blob, sc.from[i:j], sc.to[i:j]); err != nil {
+			return errFSSTCode
+		}
+		return nil
+	}
 	if c.enc == colenc.Plain {
 		if c.typ == String {
 			return sc.walkStrings(p, i, j)
@@ -953,8 +992,12 @@ func (sc *Scanner) walkRuns(p *page, i, j int, dense bool) {
 	}
 }
 
-// walkStrings locates rows[i:j] of a plain string page, skipping over the
-// values between them by their length prefixes.
+// errFSSTCode reports an FSST code past the symbol table, or an escape as the
+// last byte of a code string.
+var errFSSTCode = fmt.Errorf("lpq: FSST code string does not decode: %w", colenc.ErrCorrupt)
+
+// walkStrings locates rows[i:j] of a plain or FSST string page, skipping over
+// the values between them by their length prefixes.
 func (sc *Scanner) walkStrings(p *page, i, j int) error {
 	sc.enter(p)
 	blob := sc.c.blob
@@ -1036,7 +1079,9 @@ func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, er
 		}
 	default:
 		// Selected bytes collect in a pooled buffer and become one string,
-		// which the values then slice.
+		// which the values then slice. An FSST chunk's selected rows are
+		// decoded straight into it, a batch per call.
+		sc.codesOnly = c.enc == colenc.FSST
 		buf := bufpool.Get(gatherFlush)
 		count := c.rows
 		if sel != nil {
@@ -1051,12 +1096,37 @@ func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, er
 			}
 			buf, lens = buf[:0], lens[:0]
 		}
+		// room makes the rented buffer hold n more bytes.
+		room := func(n int) {
+			if len(buf)+n > cap(buf) && len(buf) > 0 {
+				flush()
+			}
+			if n > cap(buf) {
+				bufpool.Put(buf)
+				buf = bufpool.Get(n)
+			}
+		}
 		for sc.Next() {
+			if sc.codesOnly {
+				from, to := sc.from[:sc.n], sc.to[:sc.n]
+				need := 0
+				for k := range from {
+					need += fsst.MaxDecodedLen(int(to[k] - from[k]))
+				}
+				room(need)
+				var err error
+				if buf, err = c.table.DecodeSpans(buf, c.blob, from, to); err != nil {
+					bufpool.Put(buf)
+					return dst, errFSSTCode
+				}
+				for k := range from {
+					lens = append(lens, int(to[k]-from[k]))
+				}
+				continue
+			}
 			for i := 0; i < sc.Len(); i++ {
 				b := sc.Bytes(i)
-				if len(buf)+len(b) > cap(buf) && len(buf) > 0 {
-					flush() // stay inside the rented buffer
-				}
+				room(len(b))
 				buf = append(buf, b...)
 				lens = append(lens, len(b))
 			}

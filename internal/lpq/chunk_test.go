@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -27,17 +28,24 @@ const (
 	shapeRuns                    // few values in long runs: dictionary, run-length codes
 	shapeMixed                   // runs then noise: a dictionary chunk with both kinds of page
 	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions
+	shapeText                    // comment-like strings, all but unique, some bytes no symbol covers: FSST; numbers as in frame
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text"}[s]
 }
 
 // genColumn draws rows values of type t in the given shape. Floats include
 // NaN, both zeros and infinities; strings include the empty string and one
 // whose length prefix takes two bytes.
 func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
+	if shape == shapeText {
+		if t == String {
+			return genText(rng, rows)
+		}
+		shape = shapeFrame
+	}
 	domain := 37
 	pick := func(i int) int {
 		switch shape {
@@ -82,6 +90,38 @@ func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
 			}
 			col.Strings = append(col.Strings, s)
 		}
+	}
+	return col
+}
+
+// textWords is the vocabulary of the text shape.
+var textWords = strings.Fields("furiously quickly carefully blithely slyly express pending regular " +
+	"special ironic final bold even accounts deposits packages requests instructions " +
+	"theodolites foxes pinto beans dependencies asymptotes sleep nag haggle wake")
+
+// genText draws rows comment-like strings of 10 to 43 bytes, all but unique.
+// Every seventh carries a byte no text has, which the symbol table cannot
+// cover; row 1 is empty, row 2 is 200 bytes (its decoded length prefix takes
+// two bytes) and row 3 is 1,200 bytes whose code string's length prefix
+// takes two bytes too.
+func genText(rng *rand.Rand, rows int) ColumnData {
+	col := ColumnData{Type: String, Strings: make([]string, rows)}
+	for i := range col.Strings {
+		s := textWords[rng.Intn(len(textWords))]
+		for len(s) < 10+rng.Intn(34) {
+			s += " " + textWords[rng.Intn(len(textWords))]
+		}
+		switch {
+		case i == 1:
+			s = ""
+		case i == 2:
+			s = strings.Repeat("x", 200)
+		case i == 3:
+			s = strings.Repeat(string(rune('a'+rng.Intn(26)))+"q\x01", 400)
+		case i%7 == 0:
+			s += string([]byte{0xF0 | byte(rng.Intn(16)), byte(rng.Intn(32))})
+		}
+		col.Strings[i] = s
 	}
 	return col
 }
@@ -275,8 +315,8 @@ func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw 
 		for _, p := range c.pages {
 			rle, packed = rle || p.rle, packed || (c.enc == colenc.Dict && !p.rle)
 		}
-		frame := [...]colenc.Encoding{Int64: colenc.FOR, Float64: colenc.Decimal, String: colenc.Plain}[typ]
-		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame}[shape]
+		frame := [...]colenc.Encoding{Int64: colenc.FOR, Float64: colenc.Decimal, String: colenc.FSST}[typ]
+		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame, c.enc == frame}[shape]
 		if !got {
 			t.Fatalf("chunk is %v rle=%v packed=%v, not shape %v", c.enc, rle, packed, shape)
 		}
@@ -517,22 +557,23 @@ func (w *blobWriter) decimalPage(rows int, nexc uint64, excRows []byte, excVals 
 	return w.uvarint(uint64(rows)).uvarint(uint64(len(body.b))).bytes(body.b...)
 }
 
-// malformedFrameChunk is a hand-assembled frame-of-reference or decimal chunk
-// that the format forbids, named by what is wrong with it, under metadata
-// that declares rows rows.
-type malformedFrameChunk struct {
+// malformedChunk is a hand-assembled frame-of-reference, decimal or FSST
+// chunk that the format forbids, named by what is wrong with it, under
+// metadata that declares rows rows.
+type malformedChunk struct {
 	name string
 	typ  Type
 	rows int
 	raw  []byte
 }
 
-// malformedFrameChunks lists them; the unit test and the fuzz seeds share it.
-func malformedFrameChunks() []malformedFrameChunk {
+// malformedFrameChunks lists the frame-of-reference and decimal ones; the
+// unit test and the fuzz seeds share it.
+func malformedFrameChunks() []malformedChunk {
 	frame := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1) }
 	decimal := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1) }
 	nan := math.NaN()
-	return []malformedFrameChunk{
+	return []malformedChunk{
 		{"frame width 0", Int64, 4, frame().framePage(4, 7, 0, 0, 0, 0, 0).b},
 		{"frame width over 32", Int64, 4, frame().framePage(4, 7, 33, make([]byte, 17)...).b},
 		{"frame page shorter than rows x width bits", Int64, 4, frame().framePage(4, 7, 8, 1, 2, 3).b},
@@ -553,6 +594,42 @@ func malformedFrameChunks() []malformedFrameChunk {
 		{"decimal exception count of 2^40", Float64, 4, decimal().decimalPage(4, 1<<40, []byte{0}, nan).b},
 		{"decimal page shorter than its offsets", Float64, 4,
 			decimal().uvarint(4).uvarint(12).ints(100).bytes(8).uvarint(0).bytes(1, 2).b},
+	}
+}
+
+// fsstChunk assembles an FSST chunk: the given symbols, then one page of the
+// given body declaring rows rows.
+func fsstChunk(symbols []string, rows int, body ...byte) []byte {
+	w := new(blobWriter).bytes(byte(colenc.FSST)).uvarint(uint64(len(symbols)))
+	for _, s := range symbols {
+		w.bytes(byte(len(s))).bytes([]byte(s)...)
+	}
+	return w.uvarint(1).uvarint(uint64(rows)).uvarint(uint64(len(body))).bytes(body...).b
+}
+
+// fsstSymbols is a two-symbol table: code 0 is "ab", code 1 is "c".
+var fsstSymbols = []string{"ab", "c"}
+
+// malformedFSSTChunks lists the FSST ones, four rows each; the unit test and
+// the fuzz seeds share it.
+func malformedFSSTChunks() []malformedChunk {
+	// Three well-formed values ("ab", "c", ""), then the last as given.
+	page := func(last ...byte) []byte {
+		return append([]byte{1, 0, 1, 1, 0}, last...)
+	}
+	many := make([]string, 256)
+	for i := range many {
+		many[i] = "s"
+	}
+	return []malformedChunk{
+		{"FSST symbol of 0 bytes", String, 4, fsstChunk([]string{"ab", ""}, 4, page(1, 0)...)},
+		{"FSST symbol of 9 bytes", String, 4, fsstChunk([]string{"ab", "123456789"}, 4, page(1, 0)...)},
+		{"FSST table of 256 symbols", String, 4, fsstChunk(many, 4, page(1, 0)...)},
+		{"FSST table cut inside a symbol", String, 4, []byte{byte(colenc.FSST), 2, 2, 'a', 'b', 4, 'c'}},
+		{"FSST escape as a string's last byte", String, 4, fsstChunk(fsstSymbols, 4, page(2, 0, 255)...)},
+		{"FSST code past the table", String, 4, fsstChunk(fsstSymbols, 4, page(2, 0, 2)...)},
+		{"FSST code length overruns its page", String, 4, fsstChunk(fsstSymbols, 4, page(3, 0, 255)...)},
+		{"FSST chunk of an int column", Int64, 4, fsstChunk(fsstSymbols, 4, page(1, 0)...)},
 	}
 }
 
@@ -621,7 +698,7 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 		{"string dictionary truncated", String, ChunkMeta{},
 			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(2).bytes(1, 'a', 5, 'b').b},
 	}
-	for _, bad := range malformedFrameChunks() {
+	for _, bad := range append(malformedFrameChunks(), malformedFSSTChunks()...) {
 		cases = append(cases, struct {
 			name string
 			typ  Type
@@ -629,8 +706,13 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 			raw  []byte
 		}{bad.name, bad.typ, metaFor(bad.raw, bad.rows), bad.raw})
 	}
-	// The well-formed neighbours of those: four rows in one frame, and a
-	// decimal page whose rows 1 and 3 are exceptions.
+	// The well-formed neighbours of those: four FSST values, one escaped
+	// byte among them, four rows in one frame, and a decimal page whose rows
+	// 1 and 3 are exceptions.
+	text := fsstChunk(fsstSymbols, 4, 1, 0, 1, 1, 0, 3, 0, 255, 'x')
+	if col, err := DecodeChunk(String, metaFor(text, 4), text); err != nil || !reflect.DeepEqual(col.Strings, []string{"ab", "c", "", "abx"}) {
+		t.Fatalf("well-formed FSST chunk: %q, %v", col.Strings, err)
+	}
 	frame := new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1).framePage(4, -3, 8, 0, 1, 2, 255).b
 	if col, err := DecodeChunk(Int64, metaFor(frame, 4), frame); err != nil || !reflect.DeepEqual(col.Ints, []int64{-3, -2, -1, 252}) {
 		t.Fatalf("well-formed frame chunk: %v, %v", col.Ints, err)

@@ -87,11 +87,12 @@ type ChunkMeta struct {
 	RawSize uint64
 	// NumValues is the number of rows in the chunk (== its row group's).
 	NumValues int
-	// Encoding is the kind of the chunk's pages: Plain, Dict, FOR (Int64) or
-	// Decimal (Float64).
+	// Encoding is the kind of the chunk's pages: Plain, Dict, FOR (Int64),
+	// Decimal (Float64) or FSST (String).
 	Encoding colenc.Encoding
 	// Compressed reports whether the chunk blob is Snappy-compressed: the
-	// writer keeps Snappy only where it saves a fifth of the encoded bytes.
+	// writer keeps Snappy only where it saves a fifth of the encoded bytes,
+	// and never over FSST.
 	Compressed bool
 	// CRC is the CRC-32 (IEEE) of the on-disk chunk bytes.
 	CRC uint32

@@ -33,7 +33,7 @@ func FuzzOpenChunk(f *testing.F) {
 			}
 		}
 	}
-	for _, bad := range malformedFrameChunks() {
+	for _, bad := range append(malformedFrameChunks(), malformedFSSTChunks()...) {
 		f.Add(bad.raw, uint8(bad.typ), bad.rows, false)
 	}
 	f.Add(rleBomb(), uint8(Int64), 1<<36, false)

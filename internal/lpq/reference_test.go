@@ -20,7 +20,9 @@ import (
 // MaxChunkRows, a page may not declare more rows than the chunk has left, and
 // a string dictionary may not declare more entries than it has bytes. Codes
 // are unpacked a bit at a time and runs expanded a value at a time
-// (referenceDecodeCodes), sharing nothing with the kernels' word-at-a-time reads.
+// (referenceDecodeCodes), sharing nothing with the kernels' word-at-a-time reads,
+// and FSST code strings are decoded a byte at a time (referenceDecodeFSST)
+// under a symbol table read here, sharing nothing with package fsst.
 
 // referenceDecodeChunk decodes a self-contained chunk blob page by page.
 func referenceDecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
@@ -53,6 +55,8 @@ func referenceDecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
 		return referenceDecodeDict(t, body, m.NumValues)
 	case colenc.FOR, colenc.Decimal:
 		return referenceDecodeFrames(t, enc, body, m.NumValues)
+	case colenc.FSST:
+		return referenceDecodeFSST(t, body, m.NumValues)
 	default:
 		return ColumnData{}, fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
 	}
@@ -241,6 +245,50 @@ func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (Col
 	}
 	if total != n {
 		return ColumnData{}, fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", total, n, ErrFormat)
+	}
+	return out, nil
+}
+
+// referenceDecodeFSST decodes an FSST chunk: the symbol table as declared —
+// at most 255 symbols of 1 to 8 bytes — then the pages as plain string pages
+// of code strings, each decoded a byte at a time: code 255 takes the next
+// byte literally, any other code below the table's length is its symbol.
+func referenceDecodeFSST(t Type, body []byte, n int) (ColumnData, error) {
+	if t != String {
+		return ColumnData{}, ErrFormat
+	}
+	d := &decBuf{b: body}
+	count := d.uvarint()
+	if d.err != nil || count > 255 {
+		return ColumnData{}, colenc.ErrCorrupt
+	}
+	symbols := make([]string, count)
+	for i := range symbols {
+		l := int(d.byteVal())
+		if d.err != nil || l < 1 || l > 8 || l > len(d.b) {
+			return ColumnData{}, colenc.ErrCorrupt
+		}
+		symbols[i], d.b = string(d.b[:l]), d.b[l:]
+	}
+	codes, err := referenceDecodePlain(String, d.b, n)
+	if err != nil {
+		return ColumnData{}, err
+	}
+	out := ColumnData{Type: String}
+	for _, cs := range codes.Strings {
+		var v []byte
+		for i := 0; i < len(cs); i++ {
+			switch code := int(cs[i]); {
+			case code == 255 && i+1 < len(cs):
+				i++
+				v = append(v, cs[i])
+			case code < len(symbols):
+				v = append(v, symbols[code]...)
+			default:
+				return ColumnData{}, colenc.ErrCorrupt
+			}
+		}
+		out.Strings = append(out.Strings, string(v))
 	}
 	return out, nil
 }

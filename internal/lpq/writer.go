@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/fsst"
 	"github.com/fusionstore/fusion/internal/snappy"
 )
 
@@ -205,12 +206,20 @@ var decimalScales = [...]float64{1, 10, 100, 1000, 10000}
 //	                   offsets packed at width (an exception's is 0),
 //	                   the exceptions' page rows, ascending, packed at
 //	                   BitWidth(rowCount-1), then their values, 8 raw bytes each
+//	FSST:    uvarint numSymbols (at most 255),               // String only
+//	         per symbol: byte length (1 to 8), its bytes,
+//	         uvarint numPages,
+//	         per page: uvarint rowCount, uvarint byteLen,
+//	                   per value: uvarint codesLen, its FSST code string
 //
 // The writer picks the smallest form: plain, or — unless DisableDict asks for
 // plain only — a dictionary, or a frame of reference (Int64) or scaled decimal
 // (Float64) when that is smaller than the dictionary chunk by more than a
 // dictKeepShare-th. The whole blob is then one Snappy block if Snappy saves
-// snappyMinSaving of it.
+// snappyMinSaving of it. A String chunk with no dictionary is FSST instead of
+// plain (plain only under DisableDict), and an FSST chunk is never
+// Snappy-compressed: a reader runs no Snappy pass over it, and a kernel
+// decodes only the rows it selects.
 func encodeChunk(c ColumnData, opts WriterOptions) (ChunkMeta, []byte) {
 	var meta ChunkMeta
 	meta.NumValues = c.Len()
@@ -239,12 +248,17 @@ func encodeChunk(c ColumnData, opts WriterOptions) (ChunkMeta, []byte) {
 			}
 		}
 	}
-	if blob == nil {
+	switch {
+	case blob != nil:
+	case c.Type == String && !opts.DisableDict:
+		meta.Encoding = colenc.FSST
+		blob = encodeFSSTPages(c.Strings, opts.PageRows)
+	default:
 		meta.Encoding = colenc.Plain
 		blob = encodePlainPages(c, opts.PageRows)
 	}
 
-	if opts.Compress {
+	if opts.Compress && meta.Encoding != colenc.FSST {
 		comp := snappy.Encode(blob)
 		if float64(len(comp)) <= (1-snappyMinSaving)*float64(len(blob)) {
 			meta.Compressed = true
@@ -286,6 +300,26 @@ func encodePlainPages(c ColumnData, pageRows int) []byte {
 			body = colenc.PutStrings(nil, c.Strings[start:end])
 		}
 		e.uvarint(uint64(end - start))
+		e.uvarint(uint64(len(body)))
+		e.b = append(e.b, body...)
+	}
+	return e.b
+}
+
+// encodeFSSTPages lays vals out as FSST pages under one symbol table, built
+// from a sample of vals.
+func encodeFSSTPages(vals []string, pageRows int) []byte {
+	table := fsst.Build(vals)
+	e := &encBuf{b: table.AppendTable([]byte{byte(colenc.FSST)})}
+	e.uvarint(uint64((len(vals) + pageRows - 1) / pageRows))
+	var body, codes []byte
+	for start := 0; start < len(vals); start += pageRows {
+		body = body[:0]
+		for _, v := range vals[start:min(start+pageRows, len(vals))] {
+			codes = table.Encode(codes[:0], v)
+			body = append(binary.AppendUvarint(body, uint64(len(codes))), codes...)
+		}
+		e.uvarint(uint64(min(pageRows, len(vals)-start)))
 		e.uvarint(uint64(len(body)))
 		e.b = append(e.b, body...)
 	}

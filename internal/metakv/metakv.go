@@ -215,9 +215,13 @@ func (kv *KV) Put(key string, value []byte) (uint64, error) {
 
 // Incr bumps the key's version without changing its (typically empty)
 // value and returns the new version — a crash-safe monotonic counter. The
-// store uses one register per object as its epoch allocator: two write
-// attempts, even either side of a coordinator crash, can never share an
-// epoch because every allocation lands on a majority before it is used.
+// store uses one register per object as its epoch allocator. While one
+// coordinator allocates at a time, two write attempts, even either side of
+// a crash, never share an epoch, because every allocation lands on a
+// majority before it is used. Two coordinators allocating at once can: Incr
+// reads the maximum version and then writes max+1 blind, so both may read
+// the same maximum and both own the next epoch (ROADMAP item 1 is the
+// node-side compare that closes this).
 func (kv *KV) Incr(key string) (uint64, error) {
 	reads, err := kv.readPhase(key)
 	if err != nil {

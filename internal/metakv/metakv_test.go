@@ -185,10 +185,13 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestIncrMonotonicCounter pins the epoch-allocator contract: Incr bumps
-// the register version without touching its value, every allocation lands
-// on a majority, and Head observes the latest allocation without inventing
-// values for unwritten keys.
+// TestIncrMonotonicCounter pins the epoch-allocator contract for one
+// allocating coordinator: Incr bumps the register version without touching
+// its value, every allocation lands on a majority, and Head observes the
+// latest allocation without inventing values for unwritten keys. Two
+// coordinators allocating at once can both be handed the same version —
+// Incr reads the maximum, then writes blind — which this test does not
+// exercise (ROADMAP item 1).
 func TestIncrMonotonicCounter(t *testing.T) {
 	kv, _ := newKV(t, 0, 1, 2, 3, 4)
 	if head, err := kv.Head("ctr"); err != nil || head != 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -28,20 +29,23 @@ const (
 	shapePacked                  // few values in random order: bit-packed codes
 	shapeRuns                    // few values in long runs: run-length codes
 	shapeMixed                   // runs then noise: both kinds of code page
-	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions
+	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions, FSST strings
+	shapeText                    // comment-like strings, all but unique, some bytes no symbol covers: FSST (strings only)
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text"}[s]
 }
 
 // wantEncoding is the kind of chunk the writer must make of a column of type
 // t drawn in the given shape: the cases are forced by the data, not a switch.
 func (s codeShape) wantEncoding(t lpq.Type) colenc.Encoding {
 	switch {
-	case s == shapePlain || (s == shapeFrame && t == lpq.String):
+	case s == shapePlain:
 		return colenc.Plain
+	case s == shapeText || (s == shapeFrame && t == lpq.String):
+		return colenc.FSST
 	case s == shapeFrame && t == lpq.Int64:
 		return colenc.FOR
 	case s == shapeFrame:
@@ -51,10 +55,14 @@ func (s codeShape) wantEncoding(t lpq.Type) colenc.Encoding {
 }
 
 // genColumn draws rows values of type t in the given shape from a domain of
-// the given size (plain and frame ignore it). Floats include NaN, both zeros
-// and an infinity. Ints are spread wide, so that a handful of them keeps its
-// dictionary and only the frame shape's dense draw fits a frame of reference.
+// the given size (plain, frame and text ignore it). Floats include NaN, both
+// zeros and an infinity. Ints are spread wide, so that a handful of them keeps
+// its dictionary and only the frame shape's dense draw fits a frame of
+// reference.
 func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lpq.ColumnData {
+	if shape == shapeText {
+		return genText(rng, rows)
+	}
 	pick := func(i int) int {
 		switch shape {
 		case shapePlain, shapeFrame:
@@ -90,6 +98,32 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 		default:
 			col.Strings = append(col.Strings, fmt.Sprintf("v%04d", v))
 		}
+	}
+	return col
+}
+
+// textWords is the vocabulary of the text shape.
+var textWords = strings.Fields("furiously quickly carefully blithely slyly express pending regular " +
+	"special ironic final bold even accounts deposits packages requests instructions " +
+	"theodolites foxes pinto beans dependencies asymptotes sleep nag haggle wake")
+
+// genText draws rows comment-like strings of 10 to 43 bytes, all but unique,
+// every fifth ending in a byte no other text has (an escaped byte, which sorts
+// above every letter), and row 1 empty.
+func genText(rng *rand.Rand, rows int) lpq.ColumnData {
+	col := lpq.ColumnData{Type: lpq.String, Strings: make([]string, rows)}
+	for i := range col.Strings {
+		s := textWords[rng.Intn(len(textWords))]
+		for len(s) < 10+rng.Intn(34) {
+			s += " " + textWords[rng.Intn(len(textWords))]
+		}
+		switch {
+		case i == 1:
+			s = ""
+		case i%5 == 0:
+			s += string([]byte{0xF0 | byte(rng.Intn(16))})
+		}
+		col.Strings[i] = s
 	}
 	return col
 }
@@ -175,8 +209,9 @@ var kernelLayouts = []struct {
 }{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 
 // forEachChunkCase runs fn over {Int64, Float64, String} x {plain, bit-packed,
-// run-length, mixed code pages, frame-of-reference / decimal pages} x {Snappy
-// on, off} x {one page, several pages with a short last one, one row}, with
+// run-length, mixed code pages, frame-of-reference / decimal / FSST pages, FSST
+// pages of text (strings only)} x {Snappy on, off} x {one page, several pages
+// with a short last one, one row}, with
 // the pool poisoned so that anything a kernel returns that references a
 // released chunk shows.
 func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions)) {
@@ -184,6 +219,9 @@ func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lp
 	defer bufpool.SetPoison(prev)
 	for _, typ := range []lpq.Type{lpq.Int64, lpq.Float64, lpq.String} {
 		for shape := shapePlain; shape < numShapes; shape++ {
+			if shape == shapeText && typ != lpq.String {
+				continue
+			}
 			for _, compress := range []bool{true, false} {
 				for _, lay := range kernelLayouts {
 					name := fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
@@ -600,7 +638,7 @@ func TestTopKTiesAcrossRowGroups(t *testing.T) {
 
 // TestFullSelectionScansAsNil: a selection of every row is no selection. Over
 // the chunk matrix — plain ints, floats and strings, dictionary codes bit-packed
-// and run-length, frame-of-reference, decimal with exceptions — a full bitmap
+// and run-length, frame-of-reference, decimal with exceptions, FSST — a full bitmap
 // gives the same Scanner batches, row numbers and values as nil, and the same
 // result from every kernel that scans.
 func TestFullSelectionScansAsNil(t *testing.T) {
@@ -615,7 +653,8 @@ func TestFullSelectionScansAsNil(t *testing.T) {
 		if err := ch.Scan(&all, full); err != nil {
 			t.Fatal(err)
 		}
-		plainStrings := ch.Type() == lpq.String && ch.Encoding() == colenc.Plain
+		_, isDict := ch.Dict()
+		plainStrings := ch.Type() == lpq.String && !isDict // plain or FSST: values through Bytes
 		for batch := 0; ; batch++ {
 			more := none.Next()
 			if all.Next() != more {
@@ -717,24 +756,30 @@ func TestKernelsRejectMismatchedSelection(t *testing.T) {
 }
 
 // TestPushChunkBoxesOnlyRowsThatPlace: once k rows are held, a row that
-// cannot place costs a typed compare and no allocation — over a plain string
-// chunk, where boxing a row copies its bytes.
+// cannot place costs a typed compare and no allocation — over a plain and an
+// FSST string chunk, where boxing a row copies its bytes.
 func TestPushChunkBoxesOnlyRowsThatPlace(t *testing.T) {
 	rows := 5000
 	col := lpq.ColumnData{Type: lpq.String}
-	for i := 0; i < rows; i++ {
-		col.Strings = append(col.Strings, fmt.Sprintf("key-%06d-%s", i, bytes.Repeat([]byte("p"), 20)))
+	for i, text := range genText(rand.New(rand.NewSource(6)), rows).Strings {
+		// At most 32 bytes: the compare converts a longer one on the heap.
+		col.Strings = append(col.Strings, fmt.Sprintf("key-%06d-%.21s", i, text))
 	}
-	ch, _ := openColumn(t, writerOpts(shapePlain, true, 20000), col)
-	defer ch.Release()
-	// Ascending keys, ascending order: after the first ten, nothing places.
-	allocs := testing.AllocsPerRun(5, func() {
-		tk := NewTopK(10, false)
-		if err := tk.PushChunk(ch, nil, 0); err != nil {
-			t.Fatal(err)
+	for _, shape := range []codeShape{shapePlain, shapeFrame} {
+		ch, _ := openColumn(t, writerOpts(shape, true, 20000), col)
+		defer ch.Release()
+		if ch.Encoding() != shape.wantEncoding(lpq.String) {
+			t.Fatalf("the writer made a %v chunk, the case is about %v", ch.Encoding(), shape.wantEncoding(lpq.String))
 		}
-	})
-	if allocs > 40 {
-		t.Fatalf("top-10 of %d ascending strings allocated %.0f times, want a few per placed row", rows, allocs)
+		// Ascending keys, ascending order: after the first ten, nothing places.
+		allocs := testing.AllocsPerRun(5, func() {
+			tk := NewTopK(10, false)
+			if err := tk.PushChunk(ch, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 40 {
+			t.Fatalf("%v: top-10 of %d ascending strings allocated %.0f times, want a few per placed row", ch.Encoding(), rows, allocs)
+		}
 	}
 }

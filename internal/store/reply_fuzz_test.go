@@ -2,12 +2,17 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/cluster"
+	"github.com/fusionstore/fusion/internal/colenc"
+	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
@@ -205,4 +210,143 @@ func FuzzUngroupedAggReply(f *testing.F) {
 			groups(one(sql.AggState{Kind: sql.AggMax, Count: 2, Init: true, IsString: true, MinS: "forged", MaxS: "forged"})),
 			groups(one(sql.AggState{Kind: sql.AggSum, Count: 3, Sum: 1e300, Init: true})),
 		})
+}
+
+// projectForger answers like the cluster it wraps, except that the reply to
+// the pushed projection of one chunk (by file offset) carries forged as its
+// values while forged is set. It keeps the genuine reply's values, as a seed.
+type projectForger struct {
+	cluster.Client
+	target  uint64
+	mu      sync.Mutex
+	forged  []byte
+	genuine []byte
+	seen    int
+}
+
+func (c *projectForger) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	resp, err := c.Client.Call(node, req)
+	if err != nil {
+		return resp, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range req.Subs {
+		sub := &req.Subs[i]
+		if sub.Kind != rpc.KindProject || sub.Chunk.Meta.Offset != c.target || i >= len(resp.Subs) || resp.Subs[i].Err != "" {
+			continue
+		}
+		c.seen++
+		if c.forged == nil {
+			c.genuine = resp.Subs[i].Data
+			continue
+		}
+		out := *resp
+		out.Subs = append([]rpc.Response(nil), resp.Subs...)
+		out.Subs[i].Data = c.forged
+		resp = &out
+	}
+	return resp, nil
+}
+
+// FuzzProjectReply forges the values of one pushed projection — the comment
+// column of the second row group, an FSST chunk — under a query that pushes
+// every projection. A reply that decodes as the selection's count of strings
+// is taken at its word: the result is the genuine one with those values in
+// that row group's window. Any other reply is malformed: that one chunk is
+// fetched and projected here, and the result is the genuine one exactly. No
+// reply panics the store. The hand-made seeds: one value too few and one too
+// many, another type's byte in front, a length overrunning the reply, a count
+// of 2^40, and nothing at all.
+func FuzzProjectReply(f *testing.F) {
+	const rowGroups, rowsPer, target = 4, 800, 1
+	data, _, groups := makeObject(f, rowGroups, rowsPer, 123)
+	footer, err := lpq.ParseFooter(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	comment := footer.ColumnIndex("comment")
+	if enc := footer.RowGroups[target].Chunks[comment].Encoding; enc != colenc.FSST {
+		f.Fatalf("the comment chunk is %v: the target would not fuzz an FSST projection", enc)
+	}
+	cl := &projectForger{Client: simnet.New(simnet.DefaultConfig()), target: footer.RowGroups[target].Chunks[comment].Offset}
+	opts := fusionTestOptions()
+	opts.Pushdown = PushdownAlways
+	opts.QueryWorkers = 8
+	s, err := New(cl, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Put("obj", data); err != nil {
+		f.Fatal(err)
+	}
+	const query = "SELECT id, price, comment FROM obj WHERE qty < 25"
+	want, err := s.Query(query)
+	if err != nil || cl.seen == 0 {
+		f.Fatalf("%q pushed no projection of the target chunk (%v): the target would fuzz nothing", query, err)
+	}
+	// The target row group's window of the result: the rows the filter
+	// selected in the row groups before it, and in it.
+	before, selected := 0, 0
+	for rg := 0; rg <= target; rg++ {
+		n := 0
+		for _, q := range groups[rg][1].Ints {
+			if q < 25 {
+				n++
+			}
+		}
+		if rg < target {
+			before += n
+		} else {
+			selected = n
+		}
+	}
+	reply := func(count uint64, vals ...string) []byte {
+		return colenc.PutStrings(binary.AppendUvarint([]byte{byte(lpq.String)}, count), vals)
+	}
+	some := make([]string, selected)
+	for i := range some {
+		some[i] = fmt.Sprintf("forged %d", i)
+	}
+	f.Add(cl.genuine)
+	f.Add(reply(uint64(selected), some...))
+	f.Add(reply(uint64(selected-1), some[1:]...))
+	f.Add(reply(uint64(selected+1), append(some, "extra")...))
+	f.Add(append([]byte{byte(lpq.Int64)}, cl.genuine[1:]...))
+	f.Add(append(reply(uint64(selected), some[1:]...), 40, 'x'))
+	f.Add(reply(1<<40, some...))
+	f.Add([]byte{})
+	render := func(res *Result) string {
+		return fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cl.mu.Lock()
+		cl.forged = append([]byte{}, b...) // a nil reply is forged too
+		cl.mu.Unlock()
+		res, err := s.Query(query)
+		cl.mu.Lock()
+		cl.forged = nil
+		cl.mu.Unlock()
+		if err != nil {
+			t.Fatalf("query failed over a forged projection: %v", err)
+		}
+		expect, taken := want, false
+		if vals, err := cluster.DecodePlain(lpq.ColumnData{Type: lpq.String}, b); err == nil && vals.Len() == selected {
+			// Taken at its word: the genuine result, those values in the window.
+			taken = true
+			shown := *want
+			shown.Data = append([]lpq.ColumnData(nil), want.Data...)
+			ci := slices.Index(want.Columns, "comment")
+			col := append([]string(nil), want.Data[ci].Strings...)
+			copy(col[before:before+selected], vals.Strings)
+			shown.Data[ci] = lpq.StringColumn(col)
+			expect = &shown
+		}
+		if got := render(res); got != render(expect) {
+			t.Fatalf("reply taken=%v: result differs:\n got %.300s\nwant %.300s", taken, got, render(expect))
+		}
+		if wantOff := map[bool]int{true: 0, false: 1}[taken]; res.Stats.PushdownOff != wantOff {
+			t.Fatalf("reply taken=%v, but %d chunks fetched", taken, res.Stats.PushdownOff)
+		}
+	})
 }
