@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -269,7 +270,7 @@ func TestNodeProject(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	col, err := DecodePlain(lpq.ColumnData{Type: lpq.Int64}, resp.Data)
+	col, err := gatherReply(lpq.ColumnData{Type: lpq.Int64}, 2, resp.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,50 +329,121 @@ func TestNodeBlockOps(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodePlain(t *testing.T) {
+// gatherReply opens a projection reply of rows rows of dst's type and gathers
+// it onto dst, as the coordinator does.
+func gatherReply(dst lpq.ColumnData, rows int, data []byte) (lpq.ColumnData, error) {
+	ch, err := lpq.OpenReply(dst.Type, rows, data)
+	if err != nil {
+		return dst, err
+	}
+	return ch.AppendGather(dst, nil)
+}
+
+// replyOf is the projection reply a node sends for the rows of vals that sel
+// selects (nil: every row), the column written as the default writer writes
+// it.
+func replyOf(t *testing.T, vals lpq.ColumnData, sel *bitmap.Bitmap) []byte {
+	t.Helper()
+	w := lpq.NewWriter([]lpq.Column{{Name: "v", Type: vals.Type}}, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup([]lpq.ColumnData{vals}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNode(0, NewMemStore())
+	if err := node.Blocks.Put("blk", data); err != nil {
+		t.Fatal(err)
+	}
+	if sel == nil {
+		sel = bitmap.NewFull(vals.Len())
+	}
+	f, err := lpq.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := f.Footer().RowGroups[0].Chunks[0]
+	resp := node.Handle(&rpc.Request{
+		Kind: rpc.KindProject, Bitmap: sel.Marshal(),
+		Chunk: rpc.ChunkRef{BlockID: "blk", Offset: meta.Offset, Type: vals.Type, Meta: meta},
+	})
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	return resp.Data
+}
+
+// TestProjectReplyRoundTrip: a projection reply of each type and of none of
+// its rows gathers to the selected values; no reply opens as a type its
+// encoding cannot hold, nor as an unknown type, nor from no bytes; a column
+// of another type is refused; and a reply opens only for the rows it holds —
+// a page declaring 2^40 rows is refused before it sizes anything.
+func TestProjectReplyRoundTrip(t *testing.T) {
 	cases := []lpq.ColumnData{
 		lpq.IntColumn([]int64{1, -5, 1 << 40}),
 		lpq.FloatColumn([]float64{1.5, -2.25}),
 		lpq.StringColumn([]string{"a", "", "xyz"}),
-		lpq.IntColumn(nil),
 	}
 	for _, c := range cases {
-		got, err := DecodePlain(lpq.ColumnData{Type: c.Type}, EncodePlain(c))
+		data := replyOf(t, c, nil)
+		got, err := gatherReply(lpq.ColumnData{Type: c.Type}, c.Len(), data)
+		if err != nil || !reflect.DeepEqual(got, c) {
+			t.Fatalf("%v: round trip gave %+v, %v", c.Type, got, err)
+		}
+		none := replyOf(t, c, bitmap.New(c.Len()))
+		if got, err := gatherReply(lpq.ColumnData{Type: c.Type}, 0, none); err != nil || got.Len() != 0 {
+			t.Fatalf("%v: the reply of no row gave %d values, %v", c.Type, got.Len(), err)
+		}
+		for _, rows := range []int{c.Len() + 1, c.Len() - 1, 1 << 40} {
+			if _, err := lpq.OpenReply(c.Type, rows, data); err == nil {
+				t.Fatalf("%v: a reply of %d rows opened as %d", c.Type, c.Len(), rows)
+			}
+		}
+		ch, err := lpq.OpenReply(c.Type, c.Len(), data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != c.Type || got.Len() != c.Len() {
-			t.Fatalf("round trip changed shape: %+v vs %+v", got, c)
+		if _, err := ch.AppendGather(lpq.ColumnData{Type: (c.Type + 1) % 3}, nil); err == nil {
+			t.Fatalf("%v: a reply gathered into a column of another type", c.Type)
+		}
+		if _, err := lpq.OpenReply(9, c.Len(), data); err == nil {
+			t.Fatalf("%v: a reply opened as an unknown type", c.Type)
+		}
+		if _, err := lpq.OpenReply(c.Type, 0, nil); err == nil {
+			t.Fatalf("%v: no bytes opened as a reply", c.Type)
 		}
 	}
-	if _, err := DecodePlain(lpq.ColumnData{}, nil); err == nil {
-		t.Fatal("empty payload must fail")
-	}
-	if _, err := DecodePlain(lpq.ColumnData{Type: 9}, []byte{9, 1, 0}); err == nil {
-		t.Fatal("unknown type must fail")
-	}
-	// A count the bytes present cannot hold is refused before it sizes anything.
-	for _, c := range cases[:3] {
-		huge := binary.AppendUvarint([]byte{byte(c.Type)}, 1<<40)
-		if _, err := DecodePlain(lpq.ColumnData{Type: c.Type}, append(huge, 1, 2, 3)); err == nil {
-			t.Fatalf("%v: a count beyond the payload must fail", c.Type)
+	// Frame-of-reference, decimal and FSST pages hold one type only.
+	for _, c := range []struct {
+		vals  lpq.ColumnData
+		other []lpq.Type
+	}{
+		{lpq.IntColumn(seq(1000, func(i int) int64 { return int64(i * 7) })), []lpq.Type{lpq.Float64, lpq.String}},
+		{lpq.FloatColumn(seq(1000, func(i int) float64 { return float64(i) / 100 })), []lpq.Type{lpq.Int64, lpq.String}},
+		{lpq.StringColumn(seq(1000, func(i int) string { return fmt.Sprintf("value %d", i) })), []lpq.Type{lpq.Int64, lpq.Float64}},
+	} {
+		data := replyOf(t, c.vals, nil)
+		if enc := colenc.Encoding(data[0]); enc != colenc.FOR && enc != colenc.Decimal && enc != colenc.FSST {
+			t.Fatalf("%v column replied as %v", c.vals.Type, enc)
 		}
+		for _, typ := range c.other {
+			if _, err := lpq.OpenReply(typ, c.vals.Len(), data); err == nil {
+				t.Fatalf("a %v reply opened as %v", colenc.Encoding(data[0]), typ)
+			}
+		}
+	}
+	// A plain page declaring 2^40 rows.
+	bomb := binary.AppendUvarint(binary.AppendUvarint([]byte{byte(colenc.Plain), 1}, 1<<40), 8)
+	if _, err := lpq.OpenReply(lpq.Int64, 1<<40, append(bomb, make([]byte, 8)...)); err == nil {
+		t.Fatal("a reply of 2^40 rows opened")
 	}
 }
 
-// EncodePlain serializes already-selected column values in the projection
-// reply form, [type byte][uvarint count][plain values] — what handleProject
-// sent before it wrote the reply straight from the opened chunk. Kept, with
-// SelectRows, as the reference its reply is checked against.
-func EncodePlain(col lpq.ColumnData) []byte {
-	out := appendPlainHeader(nil, col.Type, col.Len())
-	switch col.Type {
-	case lpq.Int64:
-		out = colenc.PutInt64s(out, col.Ints)
-	case lpq.Float64:
-		out = colenc.PutFloat64s(out, col.Floats)
-	default:
-		out = colenc.PutStrings(out, col.Strings)
+func seq[T any](n int, f func(int) T) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = f(i)
 	}
 	return out
 }
@@ -407,13 +479,13 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
-// TestDecodePlainIntoWindow: DecodePlain appends, so replies decode one after
-// another onto a column, and a reply handed a zero-length, capacity-clipped
-// window of a larger column lands in that window — at an offset other than 0 —
-// without touching the rows on either side. A reply with more values than the
-// window holds moves away instead of overwriting the next row; one of another
-// type is refused.
-func TestDecodePlainIntoWindow(t *testing.T) {
+// TestProjectReplyIntoWindow: a reply gathers by appending, so replies land
+// one after another on a column, and one handed a zero-length,
+// capacity-clipped window of a larger column lands in that window — at an
+// offset other than 0 — without touching the rows on either side. A reply with
+// more values than the window holds moves away instead of overwriting the next
+// row.
+func TestProjectReplyIntoWindow(t *testing.T) {
 	rows := func(col lpq.ColumnData, off, n int) lpq.ColumnData {
 		switch col.Type {
 		case lpq.Int64:
@@ -427,39 +499,36 @@ func TestDecodePlainIntoWindow(t *testing.T) {
 	}
 	window := lpq.ColumnData.Window
 	cases := []struct {
-		vals, col, filled lpq.ColumnData // filled: col with vals decoded into rows [2,5)
+		vals, col, filled lpq.ColumnData // filled: col with vals gathered into rows [2,5)
 	}{
 		{lpq.IntColumn([]int64{1, -2, 3}), lpq.IntColumn([]int64{7, 7, 7, 7, 7, 7, 7}), lpq.IntColumn([]int64{7, 7, 1, -2, 3, 7, 7})},
 		{lpq.FloatColumn([]float64{1.5, -2.5, 3.5}), lpq.FloatColumn([]float64{7, 7, 7, 7, 7, 7, 7}), lpq.FloatColumn([]float64{7, 7, 1.5, -2.5, 3.5, 7, 7})},
 		{lpq.StringColumn([]string{"a", "", "ccc"}), lpq.StringColumn([]string{"7", "7", "7", "7", "7", "7", "7"}), lpq.StringColumn([]string{"7", "7", "a", "", "ccc", "7", "7"})},
 	}
 	for _, c := range cases {
-		payload := EncodePlain(c.vals)
+		payload := replyOf(t, c.vals, nil)
+		n := c.vals.Len()
 		// Appending twice concatenates.
-		got, err := DecodePlain(lpq.ColumnData{Type: c.vals.Type}, payload)
+		got, err := gatherReply(lpq.ColumnData{Type: c.vals.Type}, n, payload)
 		if err == nil {
-			got, err = DecodePlain(got, payload)
+			got, err = gatherReply(got, n, payload)
 		}
-		if err != nil || got.Len() != 2*c.vals.Len() {
+		if err != nil || got.Len() != 2*n {
 			t.Fatalf("%v: two appends gave %d values, %v", c.vals.Type, got.Len(), err)
 		}
 		// Into rows [2,5) of a column of seven.
-		got, err = DecodePlain(window(c.col, 2, 3), payload)
+		got, err = gatherReply(window(c.col, 2, 3), n, payload)
 		if err != nil || !reflect.DeepEqual(got, rows(c.filled, 2, 3)) || !reflect.DeepEqual(c.col, c.filled) {
-			t.Fatalf("%v: window decode returned %v and left the column %v, want %v (err %v)", c.vals.Type, got, c.col, c.filled, err)
+			t.Fatalf("%v: window gather returned %v and left the column %v, want %v (err %v)", c.vals.Type, got, c.col, c.filled, err)
 		}
-		// One value too many for rows [0,2): it is decoded elsewhere, and row 2
-		// keeps what it held.
-		got, err = DecodePlain(window(c.col, 0, 2), payload)
+		// One value too many for rows [0,2): it is gathered elsewhere, and
+		// row 2 keeps what it held.
+		got, err = gatherReply(window(c.col, 0, 2), n, payload)
 		if err != nil || got.Len() != 3 {
-			t.Fatalf("%v: overlong decode: %d values, %v", c.vals.Type, got.Len(), err)
+			t.Fatalf("%v: overlong gather: %d values, %v", c.vals.Type, got.Len(), err)
 		}
 		if !reflect.DeepEqual(rows(c.col, 2, 5), rows(c.filled, 2, 5)) {
 			t.Fatalf("%v: an overlong reply wrote past its window: %v", c.vals.Type, c.col)
-		}
-		// Another type is refused.
-		if _, err := DecodePlain(lpq.ColumnData{Type: (c.vals.Type + 1) % 3}, payload); err == nil {
-			t.Fatalf("%v: decoded into a column of another type", c.vals.Type)
 		}
 	}
 }

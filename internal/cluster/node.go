@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -334,10 +334,17 @@ func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 // front how often each chunk is named, so a chunk is released the moment its
 // last use ends and a long frame holds one chunk's buffer at a time, not one
 // per sub-op. Nothing outlives the frame: this is not a cache.
+//
+// The frame also keeps the last row selection it parsed: the sub-ops of one
+// row group — a projection per column, an aggregate beside them — carry the
+// same selection bytes, which are parsed once.
 type frame struct {
 	node   *Node
 	uses   map[chunkKey]int        // uses of each chunk yet to finish
 	chunks map[chunkKey]*lpq.Chunk // open now: in use, or awaiting a later use
+
+	sel     *bitmap.Bitmap // the last selection parsed, nil before the first
+	selWire []byte         // the bytes it was parsed from
 }
 
 // chunkKey identifies a chunk within a frame: where its bytes are and what
@@ -445,12 +452,18 @@ func (f *frame) release() {
 	}
 }
 
-// selection parses a request's row bitmap, which must cover the chunk's rows.
-func selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitmap, error) {
+// selection parses a request's row bitmap, which must cover the chunk's rows:
+// the frame's last selection again when the bytes and rows are its. Kernels
+// only read a selection, so sub-ops share it.
+func (f *frame) selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitmap, error) {
+	if f.sel != nil && f.sel.Len() == ch.NumRows() && bytes.Equal(f.selWire, data) {
+		return f.sel, nil
+	}
 	bm, err := bitmap.Unmarshal(data, ch.NumRows())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: selection over the %s: %w", what, err)
 	}
+	f.sel, f.selWire = bm, data
 	return bm, nil
 }
 
@@ -473,28 +486,26 @@ func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
 	return &rpc.Response{Data: bm.Marshal(), Matches: bm.Count(), Cost: cost}
 }
 
-// handleProject returns the chunk values selected by the request bitmap in
-// plain (uncompressed) encoding — the projection-stage reply whose size the
-// cost model weighs against shipping the compressed chunk (§4.3). Only the
-// selected rows are read from the pages, straight into the reply.
+// handleProject returns the rows of the chunk the request bitmap selects as a
+// projection reply: a chunk of just those rows in the chunk's own encoding,
+// uncompressed (lpq.Chunk.AppendSelected), which the coordinator opens with
+// lpq.OpenReply. Codes, offsets and FSST code strings are copied from the
+// pages, never decoded here.
 func (f *frame) handleProject(req *rpc.Request) *rpc.Response {
 	ch, cost, err := f.open(req.Chunk)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
 	defer f.close(req.Chunk)
-	bm, err := selection(req.Bitmap, ch, "chunk")
+	bm, err := f.selection(req.Bitmap, ch, "chunk")
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	matches := bm.Count()
-	// Exact for the numeric types, a first guess for strings.
-	data := make([]byte, 0, binary.MaxVarintLen64+1+8*matches)
-	data, err = ch.AppendSelected(appendPlainHeader(data, ch.Type(), matches), bm)
+	data, err := ch.AppendSelected(nil, bm)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	return &rpc.Response{Data: data, Matches: matches, Cost: cost}
+	return &rpc.Response{Data: data, Matches: bm.Count(), Cost: cost}
 }
 
 // handleGroupAgg folds one row group's selected rows into per-group partial
@@ -553,7 +564,7 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 			cost.ProcBytes += ref.Meta.RawSize
 		}
 		if bm == nil {
-			if bm, err = selection(req.Bitmap, ch, what); err != nil {
+			if bm, err = f.selection(req.Bitmap, ch, what); err != nil {
 				return nil, err
 			}
 		}
@@ -598,7 +609,7 @@ func (f *frame) handleTopK(req *rpc.Request) *rpc.Response {
 		return errRespCost(err, cost)
 	}
 	defer f.close(req.Chunk)
-	bm, err := selection(req.Bitmap, ch, "chunk")
+	bm, err := f.selection(req.Bitmap, ch, "chunk")
 	if err != nil {
 		return errRespCost(err, cost)
 	}

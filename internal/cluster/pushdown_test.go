@@ -168,10 +168,14 @@ func TestPushedOpsMatchReference(t *testing.T) {
 		sel := fx.selection(rng, percent)
 		wire := sel.Marshal()
 		for name, col := range fx.cols {
-			// Project: the plain encoding of the selected values.
+			// Project: the selected rows in the chunk's encoding, which gather
+			// to the selected values.
 			resp := fx.handled(t, &rpc.Request{Kind: rpc.KindProject, Chunk: fx.refs[name], Bitmap: wire})
-			if want := EncodePlain(SelectRows(col, sel)); resp.Err != "" || !bytes.Equal(resp.Data, want) || resp.Matches != sel.Count() {
-				t.Fatalf("Project %s at %d%%: %q, %d bytes vs %d", name, percent, resp.Err, len(resp.Data), len(want))
+			if resp.Err != "" || resp.Matches != sel.Count() || len(resp.Data) == 0 || colenc.Encoding(resp.Data[0]) != fx.refs[name].Meta.Encoding {
+				t.Fatalf("Project %s at %d%%: %q, %d matches", name, percent, resp.Err, resp.Matches)
+			}
+			if got, err := gatherReply(lpq.ColumnData{Type: col.Type}, sel.Count(), resp.Data); err != nil || !sameValues(got, SelectRows(col, sel)) {
+				t.Fatalf("Project %s at %d%%: the reply gathers to other values (%v)", name, percent, err)
 			}
 			// An ungrouped aggregate, a GroupAgg with no key: one group of every
 			// selected row (none when no row is selected), every state field.
@@ -522,24 +526,28 @@ func TestPushedFilterRejectsAllocationBomb(t *testing.T) {
 	}
 }
 
-// TestDecodePlainStringsShareOneAllocation: a projection reply's strings are
-// sliced from one backing copy — not one allocation per value — and do not
-// alias the reply buffer, which over tcpnet is pooled.
-func TestDecodePlainStringsShareOneAllocation(t *testing.T) {
+// TestProjectReplyStringsShareOneAllocation: the strings gathered from a
+// projection reply are sliced from one backing copy — not one allocation per
+// value — and do not alias the reply buffer, which over tcpnet is pooled.
+func TestProjectReplyStringsShareOneAllocation(t *testing.T) {
 	vals := make([]string, 2000)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("value number %d", i)
 	}
-	payload := EncodePlain(lpq.StringColumn(vals))
+	payload := replyOf(t, lpq.StringColumn(vals), nil)
+	if enc := colenc.Encoding(payload[0]); enc != colenc.FSST {
+		t.Fatalf("the strings replied as %v, not FSST code strings", enc)
+	}
+	col := lpq.MakeColumn(lpq.String, len(vals))
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := DecodePlain(lpq.ColumnData{Type: lpq.String}, payload); err != nil {
+		if _, err := gatherReply(col.Window(0, len(vals)), len(vals), payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Fatalf("decoding %d strings allocated %.0f times, want one backing string and one slice", len(vals), allocs)
+	if allocs > 6 {
+		t.Fatalf("gathering %d strings into their window allocated %.0f times, want six: opening the reply, one backing string and a length list", len(vals), allocs)
 	}
-	col, err := DecodePlain(lpq.ColumnData{Type: lpq.String}, payload)
+	col, err := gatherReply(lpq.ColumnData{Type: lpq.String}, len(vals), payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,8 +555,77 @@ func TestDecodePlainStringsShareOneAllocation(t *testing.T) {
 		payload[i] = 0xDB
 	}
 	if !reflect.DeepEqual(col.Strings, vals) {
-		t.Fatal("decoded strings alias the payload")
+		t.Fatal("gathered strings alias the payload")
 	}
+}
+
+// TestFrameParsesRowGroupSelectionOnce: the sub-ops of one row group carry the
+// same selection bytes, and a frame parses them once. Looking up the selection
+// of each of six projections — their bytes equal, not shared, as the wire
+// decoder hands them over — allocates what one bitmap.Unmarshal does; a
+// different selection is parsed anew; and the handled frame's six replies
+// gather to the selected rows.
+func TestFrameParsesRowGroupSelectionOnce(t *testing.T) {
+	fx := newRowGroupFixture(t, 5000)
+	rng := rand.New(rand.NewSource(9))
+	sel := fx.selection(rng, 50)
+	wire := sel.Marshal()
+	names := []string{"shipdate", "quantity", "discount", "price", "flag", "comment"}
+	req := &rpc.Request{Kind: rpc.KindBatch}
+	for _, name := range names {
+		req.Subs = append(req.Subs, rpc.Request{Kind: rpc.KindProject, Chunk: fx.refs[name], Bitmap: bytes.Clone(wire)})
+	}
+	f := newFrame(fx.node, req)
+	chunks := make([]*lpq.Chunk, len(names))
+	for i := range req.Subs {
+		ch, _, err := f.open(req.Subs[i].Chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks[i] = ch
+	}
+	parse := testing.AllocsPerRun(20, func() {
+		if _, err := bitmap.Unmarshal(wire, fx.rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lookups := testing.AllocsPerRun(20, func() {
+		f.sel = nil
+		for i := range req.Subs {
+			if _, err := f.selection(req.Subs[i].Bitmap, chunks[i], "chunk"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if parse == 0 || lookups != parse {
+		t.Fatalf("six lookups of one selection allocated %.0f times, one parse %.0f", lookups, parse)
+	}
+	other := fx.selection(rng, 10)
+	if bm, err := f.selection(other.Marshal(), chunks[0], "chunk"); err != nil || bm.Count() != other.Count() {
+		t.Fatalf("a second selection came back with %d rows, want %d (%v)", bm.Count(), other.Count(), err)
+	}
+	f.release()
+
+	resp := fx.handled(t, req)
+	for i, name := range names {
+		got, err := gatherReply(lpq.ColumnData{Type: fx.cols[name].Type}, sel.Count(), resp.Subs[i].Data)
+		if err != nil || !sameValues(got, SelectRows(fx.cols[name], sel)) {
+			t.Fatalf("%s: the frame's reply gathers to other values (%v, %q)", name, err, resp.Subs[i].Err)
+		}
+	}
+}
+
+// sameValues compares two columns value for value, floats by their bits.
+func sameValues(a, b lpq.ColumnData) bool {
+	if a.Type != b.Type || a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Floats {
+		if math.Float64bits(a.Floats[i]) != math.Float64bits(b.Floats[i]) {
+			return false
+		}
+	}
+	return a.Len() == 0 || a.Type == lpq.Float64 || reflect.DeepEqual(a, b)
 }
 
 // TestBlockOpsGetNoFrame: a request that names no chunk — the whole write
@@ -669,7 +746,7 @@ func TestFloatDictionaryKeepsBitPatterns(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	pushed, err := DecodePlain(lpq.ColumnData{Type: lpq.Float64}, resp.Data)
+	pushed, err := gatherReply(lpq.ColumnData{Type: lpq.Float64}, len(picked), resp.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,30 +71,14 @@ func PutInt64s(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// grow returns s with room for n more values: s itself when it has the room
-// (a window of a result column always does), else one exact-size reallocation.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+n), s...)
-}
-
 // GetInt64s decodes count plain int64 values.
 func GetInt64s(src []byte, count int) ([]int64, error) {
-	return AppendInt64s(nil, src, count)
-}
-
-// AppendInt64s decodes count plain int64 values onto dst: GetInt64s for a
-// caller with somewhere for them to go. dst is untouched on error.
-func AppendInt64s(dst []int64, src []byte, count int) ([]int64, error) {
 	if count < 0 || count > len(src)/8 {
-		return dst, ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	at := len(dst)
-	dst = grow(dst, count)[:at+count]
-	for i := range dst[at:] {
-		dst[at+i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	dst := make([]int64, count)
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return dst, nil
 }
@@ -109,18 +93,12 @@ func PutFloat64s(dst []byte, vals []float64) []byte {
 
 // GetFloat64s decodes count plain float64 values.
 func GetFloat64s(src []byte, count int) ([]float64, error) {
-	return AppendFloat64s(nil, src, count)
-}
-
-// AppendFloat64s is AppendInt64s for float64 values.
-func AppendFloat64s(dst []float64, src []byte, count int) ([]float64, error) {
 	if count < 0 || count > len(src)/8 {
-		return dst, ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	at := len(dst)
-	dst = grow(dst, count)[:at+count]
-	for i := range dst[at:] {
-		dst[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	dst := make([]float64, count)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return dst, nil
 }
@@ -159,18 +137,12 @@ func StringsSize(src []byte, count int) (int, error) {
 // page costs two allocations however many strings it holds, and nothing
 // returned aliases src.
 func GetStrings(src []byte, count int) ([]string, error) {
-	return AppendStrings(nil, src, count)
-}
-
-// AppendStrings decodes count plain string values onto dst, with GetStrings'
-// one backing allocation for the values it adds. dst is untouched on error.
-func AppendStrings(dst []string, src []byte, count int) ([]string, error) {
 	end, err := StringsSize(src, count)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
 	backing := string(src[:end])
-	dst = grow(dst, count)
+	dst := make([]string, 0, count)
 	for pos := 0; pos < end; {
 		l, n := binary.Uvarint(src[pos:])
 		dst = append(dst, backing[pos+n:pos+n+int(l)])
@@ -236,19 +208,21 @@ func PackUints(dst []byte, vals []uint64, width int) []byte {
 	if width <= 0 || width > MaxPackWidth {
 		panic(fmt.Sprintf("colenc: invalid bit width %d", width))
 	}
+	// The bits collect in acc and leave it a whole word at a time; a value
+	// that straddles two words leaves its high bits for the next.
 	var acc uint64
 	var nbits int
 	for _, v := range vals {
-		acc |= v << nbits // nbits ≤ 7 here, so width+nbits ≤ 63: no overflow
-		nbits += width
-		for nbits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			nbits -= 8
+		acc |= v << nbits
+		if nbits += width; nbits >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			nbits -= 64
+			acc = v >> (width - nbits)
 		}
 	}
-	if nbits > 0 {
+	for ; nbits > 0; nbits -= 8 {
 		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }

@@ -124,9 +124,9 @@ func BenchmarkKernelSelectCodes(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelGather1pct times the projection of 1% of the rows from an
-// opened chunk, in the reply's plain form, against decoding the whole chunk
-// and picking (which is what a node did).
+// BenchmarkKernelGather1pct times a node's projection reply of 1% of the rows
+// from an opened chunk against decoding the whole chunk and picking (which is
+// what a node did).
 func BenchmarkKernelGather1pct(b *testing.B) {
 	chunks := benchChunks()
 	rng := rand.New(rand.NewSource(3))
@@ -192,5 +192,57 @@ func BenchmarkKernelDecodeChunk(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAppendSelected times both ends of a pushed projection of half the
+// rows, per encoding: a node writing the reply from the opened chunk, and the
+// coordinator opening the reply and gathering it into its window of a result
+// column. reply-B is the reply's size. The plain case is l_extendedprice
+// written with no dictionary.
+func BenchmarkAppendSelected(b *testing.B) {
+	chunks := benchChunks()
+	prices := benchColumns()["price-decimal"]
+	m, raw := encodeChunk(prices, WriterOptions{DisableDict: true, PageRows: 20000})
+	chunks["price-plain"] = benchChunk{Float64, m, raw}
+	rng := rand.New(rand.NewSource(5))
+	sel := bitmap.New(benchRows)
+	for i := 0; i < benchRows; i++ {
+		if rng.Intn(2) == 0 {
+			sel.Set(i)
+		}
+	}
+	n := sel.Count()
+	for _, name := range append(benchOrder, "price-plain") {
+		c := chunks[name]
+		ch := mustOpen(b, c)
+		reply, err := ch.AppendSelected(nil, sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(benchRows)
+			b.ReportMetric(float64(len(reply)), "reply-B")
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				if buf, err = ch.AppendSelected(buf[:0], sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"-open+gather", func(b *testing.B) {
+			b.SetBytes(benchRows)
+			col := MakeColumn(c.typ, n)
+			for i := 0; i < b.N; i++ {
+				r, err := OpenReply(c.typ, n, reply)
+				if err == nil {
+					_, err = r.AppendGather(col.Window(0, n), nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		ch.Release()
 	}
 }

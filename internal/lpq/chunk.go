@@ -58,6 +58,10 @@ type Chunk struct {
 
 	// FSST chunks only: the symbol table the code strings are decoded by.
 	table *fsst.Table
+
+	// Where the page count starts in blob: before it are the encoding byte
+	// and the header of the kind — a decimal scale, a symbol table.
+	head int
 }
 
 // page is one data page of the directory: rows [first, first+rows) encoded
@@ -81,20 +85,25 @@ type page struct {
 // aliases raw when stored uncompressed, so raw must stay untouched until the
 // chunk is released (or Own is called).
 func OpenChunk(t Type, m ChunkMeta, raw []byte) (*Chunk, error) {
-	if t > String {
-		return nil, fmt.Errorf("lpq: unknown column type %d: %w", t, ErrFormat)
-	}
 	if uint64(len(raw)) != m.Size {
 		return nil, fmt.Errorf("lpq: chunk is %d bytes, metadata says %d: %w", len(raw), m.Size, ErrFormat)
 	}
 	if crc32.ChecksumIEEE(raw) != m.CRC {
 		return nil, fmt.Errorf("lpq: chunk checksum mismatch: %w", ErrFormat)
 	}
-	if m.NumValues < 0 || m.NumValues > MaxChunkRows {
-		return nil, fmt.Errorf("lpq: chunk declares %d rows, the format allows %d: %w", m.NumValues, MaxChunkRows, ErrFormat)
+	return openBlob(t, m.NumValues, raw, m.Compressed)
+}
+
+// openBlob opens a chunk blob of rows rows of type t, Snappy-compressed or not.
+func openBlob(t Type, rows int, raw []byte, compressed bool) (*Chunk, error) {
+	if t > String {
+		return nil, fmt.Errorf("lpq: unknown column type %d: %w", t, ErrFormat)
 	}
-	c := &Chunk{typ: t, rows: m.NumValues, blob: raw}
-	if m.Compressed {
+	if rows < 0 || rows > MaxChunkRows {
+		return nil, fmt.Errorf("lpq: chunk declares %d rows, the format allows %d: %w", rows, MaxChunkRows, ErrFormat)
+	}
+	c := &Chunk{typ: t, rows: rows, blob: raw}
+	if compressed {
 		n, err := snappy.DecodedLen(raw)
 		if err != nil {
 			return nil, fmt.Errorf("lpq: chunk decompression: %w", err)
@@ -184,6 +193,7 @@ func (c *Chunk) parse() error {
 	default:
 		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", c.enc, ErrFormat)
 	}
+	c.head = len(c.blob) - len(d.b)
 	numPages := d.uvarint()
 	if d.err != nil || numPages > uint64(c.rows) {
 		return ErrFormat
@@ -923,7 +933,7 @@ func (sc *Scanner) patchExceptions(p *page, i, j int, dense bool) error {
 	if !dense {
 		for k := i; k < j; k++ {
 			r := int(sc.rows[k]) - p.first
-			sc.exc = sc.seekException(p, excRows, rowWidth, r)
+			sc.exc = seekException(excRows, rowWidth, p.nexc, sc.exc, r)
 			if sc.exc < p.nexc && int(packedCode(excRows, rowWidth, sc.exc)) == r {
 				sc.floats[k] = value(sc.exc)
 			}
@@ -932,7 +942,7 @@ func (sc *Scanner) patchExceptions(p *page, i, j int, dense bool) error {
 	}
 	lo := int(sc.Row(i)) - p.first
 	hi := lo + j - i
-	e := sc.seekException(p, excRows, rowWidth, lo)
+	e := seekException(excRows, rowWidth, p.nexc, sc.exc, lo)
 	for prev := lo - 1; e < p.nexc; e++ {
 		r := int(packedCode(excRows, rowWidth, e))
 		if r >= hi {
@@ -949,16 +959,17 @@ func (sc *Scanner) patchExceptions(p *page, i, j int, dense bool) error {
 	return nil
 }
 
-// seekException returns the index of page p's first exception at or after
-// page row r, looking on from the cursor: a gallop, then a binary search of
-// the stretch it brackets, so a scan pays for the exceptions it passes only
-// logarithmically.
-func (sc *Scanner) seekException(p *page, excRows []byte, rowWidth, r int) int {
-	lo, hi := sc.exc, sc.exc
-	for step := 1; hi < p.nexc && int(packedCode(excRows, rowWidth, hi)) < r; step *= 2 {
+// seekException returns the index of a decimal page's first exception at or
+// after page row r, looking on from exception from: a gallop, then a binary
+// search of the stretch it brackets, so a scan pays for the exceptions it
+// passes only logarithmically. The page has nexc exceptions, their rows
+// packed at rowWidth in excRows.
+func seekException(excRows []byte, rowWidth, nexc, from, r int) int {
+	lo, hi := from, from
+	for step := 1; hi < nexc && int(packedCode(excRows, rowWidth, hi)) < r; step *= 2 {
 		lo, hi = hi+1, hi+step
 	}
-	hi = min(hi, p.nexc)
+	hi = min(hi, nexc)
 	for lo < hi {
 		if mid := (lo + hi) / 2; int(packedCode(excRows, rowWidth, mid)) < r {
 			lo = mid + 1
@@ -1133,35 +1144,6 @@ func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, er
 		}
 		flush()
 		bufpool.Put(buf)
-	}
-	return dst, sc.Err()
-}
-
-// AppendSelected appends the plain encoding (colenc.PutInt64s, PutFloat64s
-// or PutStrings) of the rows sel selects to dst — a projection reply's body,
-// written from the encoded pages with no value slice in between.
-func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
-	var sc Scanner
-	if err := c.Scan(&sc, sel); err != nil {
-		return dst, err
-	}
-	for sc.Next() {
-		switch {
-		case c.typ == Int64:
-			dst = colenc.PutInt64s(dst, sc.Ints())
-		case c.typ == Float64:
-			dst = colenc.PutFloat64s(dst, sc.Floats())
-		case c.enc == colenc.Dict:
-			for _, code := range sc.Codes() {
-				s := c.dict.Strings[code]
-				dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-			}
-		default:
-			for i := 0; i < sc.Len(); i++ {
-				b := sc.Bytes(i)
-				dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
-			}
-		}
 	}
 	return dst, sc.Err()
 }

@@ -13,7 +13,8 @@ import (
 // FuzzOpenChunk feeds arbitrary bytes under arbitrary metadata to the opened
 // chunk, differentially against the page-by-page decoder: decoding every row
 // gives the reference's values or both fail, a partial selection never
-// panics and never returns anything but the reference's values, the filters
+// panics and never returns anything but the reference's values — gathered
+// here or through a projection reply — the filters
 // set a row's bit exactly when the reference's value or code passes, and no
 // input makes either side allocate out of proportion (the process would die). The
 // size and checksum are made to match, as an attacker who controls the bytes
@@ -69,7 +70,26 @@ func FuzzOpenChunk(f *testing.F) {
 		if part, err := c.Gather(sel); err == nil && refErr == nil && !sameColumn(part, referenceSelect(want, sel)) {
 			t.Fatal("partial Gather differs from the reference")
 		}
-		_, _ = c.AppendSelected(nil, sel) // may fail, may not panic
+		// The reply of the selection may fail to be written, but not panic.
+		// Written, it opens and gathers as the reference decoder reads it,
+		// and from a chunk the reference reads, to the selected values.
+		if reply, err := c.AppendSelected(nil, sel); err == nil {
+			r, err := OpenReply(tp, sel.Count(), reply)
+			if err != nil {
+				if refErr == nil {
+					t.Fatalf("the reply of a well-formed chunk does not open: %v", err)
+				}
+				return
+			}
+			got, err := r.Gather(nil)
+			ref, replyErr := referenceDecodeReply(tp, reply, sel.Count())
+			if (err == nil) != (replyErr == nil) || err == nil && !sameColumn(got, ref) {
+				t.Fatalf("the reply gathers (%v) otherwise than the reference decoder reads it (%v)", err, replyErr)
+			}
+			if refErr == nil && (err != nil || !sameColumn(got, referenceSelect(want, sel))) {
+				t.Fatalf("the reply of a well-formed chunk gathers to other values (%v)", err)
+			}
+		}
 		if c.enc == colenc.FOR {
 			rows, err := c.SelectInts(c.pages[0].base+1, math.MaxInt64, numValues%2 == 0)
 			if err != nil {

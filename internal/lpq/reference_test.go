@@ -43,6 +43,20 @@ func referenceDecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
 			return ColumnData{}, fmt.Errorf("lpq: chunk decompression: %w", err)
 		}
 	}
+	return referenceDecodeBlob(t, blob, m.NumValues)
+}
+
+// referenceDecodeReply decodes a projection reply of n rows: a chunk blob with
+// no checksum, never compressed.
+func referenceDecodeReply(t Type, body []byte, n int) (ColumnData, error) {
+	if n < 0 || n > MaxChunkRows {
+		return ColumnData{}, ErrFormat
+	}
+	return referenceDecodeBlob(t, body, n)
+}
+
+// referenceDecodeBlob decodes the n rows of an uncompressed chunk blob.
+func referenceDecodeBlob(t Type, blob []byte, n int) (ColumnData, error) {
 	if len(blob) < 1 {
 		return ColumnData{}, ErrFormat
 	}
@@ -50,13 +64,13 @@ func referenceDecodeChunk(t Type, m ChunkMeta, raw []byte) (ColumnData, error) {
 	body := blob[1:]
 	switch enc {
 	case colenc.Plain:
-		return referenceDecodePlain(t, body, m.NumValues)
+		return referenceDecodePlain(t, body, n)
 	case colenc.Dict:
-		return referenceDecodeDict(t, body, m.NumValues)
+		return referenceDecodeDict(t, body, n)
 	case colenc.FOR, colenc.Decimal:
-		return referenceDecodeFrames(t, enc, body, m.NumValues)
+		return referenceDecodeFrames(t, enc, body, n)
 	case colenc.FSST:
-		return referenceDecodeFSST(t, body, m.NumValues)
+		return referenceDecodeFSST(t, body, n)
 	default:
 		return ColumnData{}, fmt.Errorf("lpq: unknown chunk encoding %d: %w", enc, ErrFormat)
 	}

@@ -31,8 +31,9 @@ const (
 	// KindFilter executes a comparison predicate on a column chunk held by
 	// the node and returns a compressed row bitmap (filter-stage pushdown).
 	KindFilter
-	// KindProject returns the chunk's values selected by a bitmap, in plain
-	// encoding (projection-stage pushdown).
+	// KindProject returns the chunk's rows selected by a bitmap, as a chunk
+	// of their own in the chunk's encoding, uncompressed (projection-stage
+	// pushdown; lpq.Chunk.AppendSelected writes it, lpq.OpenReply opens it).
 	KindProject
 	// KindAggregate is retired: an ungrouped aggregate is pushed as a
 	// KindGroupAgg with no key chunks. The value keeps its place so the kinds

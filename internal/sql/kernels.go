@@ -344,9 +344,9 @@ func (t *TopK) PushChunk(ch *lpq.Chunk, sel *bitmap.Bitmap, rg int32) error {
 			}
 		default:
 			for i := 0; i < c.n; i++ {
-				// Copied out of the chunk only if it may place.
+				// Compared in place, copied out of the chunk only if it may place.
 				b := c.sc.Bytes(i)
-				if last, ok := t.lastKey(LitString); !ok || !sortsAfter(string(b), last.S, t.desc) {
+				if last, ok := t.lastKey(LitString); !ok || !bytesSortAfter(b, last.S, t.desc) {
 					t.Push(StringLit(string(b)), rg, c.sc.Row(i))
 				}
 			}
@@ -363,6 +363,16 @@ func (t *TopK) lastKey(kind LitKind) (*Literal, bool) {
 		return nil, false
 	}
 	return &t.rows[0].Key, true
+}
+
+// bytesSortAfter is sortsAfter for a string still in a chunk's bytes. The
+// conversions in the comparisons read b in place, at any length; passed to
+// sortsAfter, a value of more than 32 bytes would be copied to the heap.
+func bytesSortAfter(b []byte, key string, desc bool) bool {
+	if desc {
+		return string(b) < key
+	}
+	return string(b) > key
 }
 
 // sortsAfter reports whether v sorts strictly after key in the given

@@ -760,26 +760,30 @@ func TestKernelsRejectMismatchedSelection(t *testing.T) {
 // FSST string chunk, where boxing a row copies its bytes.
 func TestPushChunkBoxesOnlyRowsThatPlace(t *testing.T) {
 	rows := 5000
-	col := lpq.ColumnData{Type: lpq.String}
-	for i, text := range genText(rand.New(rand.NewSource(6)), rows).Strings {
-		// At most 32 bytes: the compare converts a longer one on the heap.
-		col.Strings = append(col.Strings, fmt.Sprintf("key-%06d-%.21s", i, text))
-	}
-	for _, shape := range []codeShape{shapePlain, shapeFrame} {
-		ch, _ := openColumn(t, writerOpts(shape, true, 20000), col)
-		defer ch.Release()
-		if ch.Encoding() != shape.wantEncoding(lpq.String) {
-			t.Fatalf("the writer made a %v chunk, the case is about %v", ch.Encoding(), shape.wantEncoding(lpq.String))
+	text := genText(rand.New(rand.NewSource(6)), rows).Strings
+	// 32 bytes, and 43 — l_comment's longest — past the 32 a string
+	// conversion can keep off the heap.
+	for _, long := range []int{21, 32} {
+		col := lpq.ColumnData{Type: lpq.String}
+		for i, s := range text {
+			col.Strings = append(col.Strings, fmt.Sprintf("key-%06d-%-*.*s", i, long, long, s))
 		}
-		// Ascending keys, ascending order: after the first ten, nothing places.
-		allocs := testing.AllocsPerRun(5, func() {
-			tk := NewTopK(10, false)
-			if err := tk.PushChunk(ch, nil, 0); err != nil {
-				t.Fatal(err)
+		for _, shape := range []codeShape{shapePlain, shapeFrame} {
+			ch, _ := openColumn(t, writerOpts(shape, true, 20000), col)
+			defer ch.Release()
+			if ch.Encoding() != shape.wantEncoding(lpq.String) {
+				t.Fatalf("the writer made a %v chunk, the case is about %v", ch.Encoding(), shape.wantEncoding(lpq.String))
 			}
-		})
-		if allocs > 40 {
-			t.Fatalf("%v: top-10 of %d ascending strings allocated %.0f times, want a few per placed row", ch.Encoding(), rows, allocs)
+			// Ascending keys, ascending order: after the first ten, nothing places.
+			allocs := testing.AllocsPerRun(5, func() {
+				tk := NewTopK(10, false)
+				if err := tk.PushChunk(ch, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 40 {
+				t.Fatalf("%v, %d-byte keys: top-10 of %d ascending strings allocated %.0f times, want a few per placed row", ch.Encoding(), len(col.Strings[0]), rows, allocs)
+			}
 		}
 	}
 }

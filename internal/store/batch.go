@@ -71,9 +71,17 @@ func pushdownOn(meta *ObjectMeta) bool {
 	return meta.Mode == LayoutFAC
 }
 
-// pushProjection applies the projection pushdown policy (the Cost Equation
-// under PushdownAdaptive, §4.3) to one chunk.
-func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64) bool {
+// pushProjection applies the projection pushdown policy to one chunk, of a
+// row group whose selection picks sel of its rows and rides the request in
+// wire() bytes. Under PushdownAdaptive a projection is pushed iff its reply
+// and the selection together are smaller than the stored chunk the
+// coordinator would fetch instead. A reply is the selected rows in the
+// chunk's own encoding, uncompressed (lpq.Chunk.AppendSelected), estimated as
+// sel × Size — or sel × RawSize for a Snappy-compressed chunk, whose encoded
+// size the footer does not give. So a full selection is never pushed. This
+// departs from §4.3's sel × compressibility < 1, which prices a reply of plain
+// values (DESIGN.md).
+func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64, wire func() int) bool {
 	if !pushdownOn(meta) {
 		return false
 	}
@@ -83,7 +91,11 @@ func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64) 
 	case PushdownNever:
 		return false
 	default:
-		return sel*ch.Compressibility() < 1
+		reply := ch.Size
+		if ch.Compressed {
+			reply = ch.RawSize
+		}
+		return sel*float64(reply)+float64(wire()) < float64(ch.Size)
 	}
 }
 

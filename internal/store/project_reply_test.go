@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -13,10 +12,11 @@ import (
 )
 
 // projectRewriter sits between a store and its cluster and rewrites the
-// payload of every pushed KindProject reply it sees.
+// payload of every pushed KindProject reply it sees, given the reply and the
+// values it gathers to.
 type projectRewriter struct {
 	cluster.Client
-	rewrite func(lpq.ColumnData) []byte
+	rewrite func(reply []byte, col lpq.ColumnData) []byte
 	seen    atomic.Int64 // frames go out concurrently
 }
 
@@ -31,37 +31,90 @@ func (c *projectRewriter) Call(node int, req *rpc.Request) (*rpc.Response, error
 		if req.Subs[i].Kind != rpc.KindProject || out.Subs[i].Err != "" {
 			continue
 		}
-		col, err := cluster.DecodePlain(lpq.ColumnData{Type: req.Subs[i].Chunk.Type}, out.Subs[i].Data)
+		col, err := gatherReply(req.Subs[i].Chunk.Type, out.Subs[i].Matches, out.Subs[i].Data)
 		if err != nil {
 			return nil, err
 		}
-		out.Subs[i].Data = c.rewrite(col)
+		out.Subs[i].Data = c.rewrite(out.Subs[i].Data, col)
 		c.seen.Add(1)
 	}
 	return &out, nil
 }
 
-// plainReply encodes a projection reply: [type byte][uvarint count][values].
-func plainReply(t lpq.Type, col lpq.ColumnData) []byte {
-	out := binary.AppendUvarint([]byte{byte(t)}, uint64(col.Len()))
-	switch col.Type {
-	case lpq.Int64:
-		return colenc.PutInt64s(out, col.Ints)
-	case lpq.Float64:
-		return colenc.PutFloat64s(out, col.Floats)
-	default:
-		return colenc.PutStrings(out, col.Strings)
+// gatherReply opens a projection reply of rows rows of type t and gathers it,
+// as the coordinator does.
+func gatherReply(t lpq.Type, rows int, reply []byte) (lpq.ColumnData, error) {
+	ch, err := lpq.OpenReply(t, rows, reply)
+	if err != nil {
+		return lpq.ColumnData{}, err
 	}
+	return ch.Gather(nil)
 }
 
-// TestMalformedProjectReplyFallsBack: a pushed projection's reply must hold
-// values of the chunk's type, one per selected row. One value short, one too
-// many, or another type's byte in front — each decodes without an error, and
-// taken at its word would leave the result column ragged or its neighbour's
-// window overwritten — is malformed: the chunk is fetched instead, as for a
-// reply that does not decode, and the result equals the reference. The query
-// projects ints, floats, dictionary and plain strings over four row groups and
-// folds one projected column into an aggregate as well, from its window.
+// encodeReply is the projection reply of every row of col, written as the
+// default writer writes the column: a well-formed reply of any values.
+func encodeReply(t testing.TB, col lpq.ColumnData) []byte {
+	t.Helper()
+	w := lpq.NewWriter([]lpq.Column{{Name: "v", Type: col.Type}}, lpq.DefaultWriterOptions())
+	if err := w.WriteRowGroup([]lpq.ColumnData{col}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := lpq.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := f.ChunkBytes(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := lpq.OpenChunk(col.Type, f.Footer().RowGroups[0].Chunks[0], raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Release()
+	reply, err := ch.AppendSelected(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
+// otherTypeReply is a well-formed reply of n values of the type after t, in an
+// encoding only that type has: frame-of-reference ints, decimals or FSST
+// strings. No reply in it opens as a t column.
+func otherTypeReply(tb testing.TB, t lpq.Type, n int) []byte {
+	tb.Helper()
+	col := lpq.MakeColumn((t+1)%3, n)
+	for i := 0; i < n; i++ {
+		switch col.Type {
+		case lpq.Int64:
+			col.Ints[i] = int64(i) * 7919
+		case lpq.Float64:
+			col.Floats[i] = float64(i) / 100
+		default:
+			col.Strings[i] = fmt.Sprintf("forged value %d", i)
+		}
+	}
+	reply := encodeReply(tb, col)
+	if enc := colenc.Encoding(reply[0]); enc != colenc.FOR && enc != colenc.Decimal && enc != colenc.FSST {
+		tb.Fatalf("%d %v values replied as %v: the forgery would open as any numeric type", n, col.Type, enc)
+	}
+	return reply
+}
+
+// TestMalformedProjectReplyFallsBack: a pushed projection's reply must be a
+// chunk of the column's type holding one row per selected row. One value
+// short, one too many, a byte short, or in an encoding only another type has —
+// each well-formed but the last two, and taken at its word the first two would
+// leave the result column ragged or its neighbour's window overwritten — is
+// malformed: the chunk is fetched instead, and the result equals the
+// reference. The query projects ints, floats, dictionary and FSST strings over
+// four row groups and folds one projected column into an aggregate as well,
+// from its window.
 func TestMalformedProjectReplyFallsBack(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 300, 23)
 	const query = "SELECT id, price, flag, comment, SUM(price) FROM obj WHERE qty < 25"
@@ -70,14 +123,14 @@ func TestMalformedProjectReplyFallsBack(t *testing.T) {
 	render := func(res *Result) string {
 		return fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
 	}
-	rewrites := map[string]func(lpq.ColumnData) []byte{
-		"intact": func(col lpq.ColumnData) []byte { return plainReply(col.Type, col) },
-		"one value too few": func(col lpq.ColumnData) []byte {
+	rewrites := map[string]func([]byte, lpq.ColumnData) []byte{
+		"intact": func(reply []byte, _ lpq.ColumnData) []byte { return reply },
+		"one value too few": func(_ []byte, col lpq.ColumnData) []byte {
 			n := col.Len() - 1
 			col.Ints, col.Floats, col.Strings = col.Ints[:min(n, len(col.Ints))], col.Floats[:min(n, len(col.Floats))], col.Strings[:min(n, len(col.Strings))]
-			return plainReply(col.Type, col)
+			return encodeReply(t, col)
 		},
-		"one value too many": func(col lpq.ColumnData) []byte {
+		"one value too many": func(_ []byte, col lpq.ColumnData) []byte {
 			switch col.Type {
 			case lpq.Int64:
 				col.Ints = append(col.Ints[:len(col.Ints):len(col.Ints)], -1)
@@ -86,14 +139,13 @@ func TestMalformedProjectReplyFallsBack(t *testing.T) {
 			default:
 				col.Strings = append(col.Strings[:len(col.Strings):len(col.Strings)], "extra")
 			}
-			return plainReply(col.Type, col)
+			return encodeReply(t, col)
 		},
-		// Ints and floats are both eight bytes a value, so the body still
-		// parses under the other's type byte.
-		"wrong type byte": func(col lpq.ColumnData) []byte { return plainReply((col.Type+1)%3, col) },
+		"a byte short":            func(reply []byte, _ lpq.ColumnData) []byte { return reply[:len(reply)-1] },
+		"another type's encoding": func(_ []byte, col lpq.ColumnData) []byte { return otherTypeReply(t, col.Type, col.Len()) },
 	}
 	var want string
-	for _, name := range []string{"intact", "one value too few", "one value too many", "wrong type byte"} {
+	for _, name := range []string{"intact", "one value too few", "one value too many", "a byte short", "another type's encoding"} {
 		t.Run(name, func(t *testing.T) {
 			_, cl := newSimStore(t, opts)
 			tap := &projectRewriter{Client: cl}
@@ -125,6 +177,104 @@ func TestMalformedProjectReplyFallsBack(t *testing.T) {
 			}
 			if res.Stats.PushdownOn != 0 || res.Stats.PushdownOff != seen {
 				t.Fatalf("%d malformed replies, but %d chunks taken from the push and %d fetched", seen, res.Stats.PushdownOn, res.Stats.PushdownOff)
+			}
+		})
+	}
+}
+
+// TestPushProjectionRule is pushProjection's rule, case by case: adaptive
+// pushes iff sel × the reply estimate + the selection's bytes < the stored
+// chunk, the estimate being the stored bytes, or the plain bytes for a
+// Snappy-compressed chunk; Always and Never mean what they say; and an object
+// laid out in fixed blocks, whose chunks no node holds whole, never pushes.
+func TestPushProjectionRule(t *testing.T) {
+	fsstComment := lpq.ChunkMeta{Size: 3_623_796, RawSize: 5_332_604, Encoding: colenc.FSST}
+	snappyDict := lpq.ChunkMeta{Size: 30_000, RawSize: 480_000, Encoding: colenc.Dict, Compressed: true}
+	decimal := lpq.ChunkMeta{Size: 1_000, RawSize: 8_000, Encoding: colenc.Decimal}
+	fac, fixed := &ObjectMeta{Mode: LayoutFAC}, &ObjectMeta{Mode: LayoutFixed}
+	cases := []struct {
+		name   string
+		policy PushdownPolicy
+		meta   *ObjectMeta
+		ch     lpq.ChunkMeta
+		sel    float64
+		wire   int
+		push   bool
+	}{
+		{"FSST at 50% pushes", PushdownAdaptive, fac, fsstComment, 0.5, 75_080, true},
+		{"FSST at 99% pushes no more", PushdownAdaptive, fac, fsstComment, 0.99, 75_080, false},
+		{"a full selection never pushes", PushdownAdaptive, fac, fsstComment, 1, 1, false},
+		{"Snappy chunk at 5%: sel × plain bytes fits", PushdownAdaptive, fac, snappyDict, 0.05, 100, true},
+		{"Snappy chunk at 7%: sel × plain bytes does not", PushdownAdaptive, fac, snappyDict, 0.07, 100, false},
+		{"selection bytes tip it: under", PushdownAdaptive, fac, decimal, 0.5, 499, true},
+		{"selection bytes tip it: over", PushdownAdaptive, fac, decimal, 0.5, 500, false},
+		{"fixed blocks never push", PushdownAdaptive, fixed, fsstComment, 0.01, 10, false},
+		{"Always pushes a full selection", PushdownAlways, fac, fsstComment, 1, 1, true},
+		{"Always pushes a Snappy chunk", PushdownAlways, fac, snappyDict, 0.9, 100, true},
+		{"Always, fixed blocks: no", PushdownAlways, fixed, fsstComment, 0.5, 10, false},
+		{"Never pushes nothing", PushdownNever, fac, fsstComment, 0.01, 10, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := &Store{opts: Options{Pushdown: c.policy}}
+			if got := s.pushProjection(c.meta, c.ch, c.sel, func() int { return c.wire }); got != c.push {
+				t.Fatalf("pushed %v, want %v", got, c.push)
+			}
+		})
+	}
+}
+
+// TestProjectReplyEquivalence: every projection pushed, or none, the query
+// returns the same table — over a column of every reply form
+// (replyFormsObject: frame-of-reference, decimal with exceptions, dictionaries
+// of ints, floats and strings in run-length and Snappy-compressed chunks, FSST
+// and plain) and selections of no row, one row, a sparse few, a dense run
+// across a page boundary and every row. Where a row is selected, the pushed
+// run took every projection from a reply.
+func TestProjectReplyEquivalence(t *testing.T) {
+	data, _ := replyFormsObject(t)
+	const cols = "id, price, qty, disc, status, mode, comment, noise"
+	render := func(res *Result) string {
+		return fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
+	}
+	stores := map[PushdownPolicy]*Store{}
+	for _, policy := range []PushdownPolicy{PushdownAlways, PushdownNever} {
+		opts := fusionTestOptions()
+		opts.Pushdown, opts.QueryWorkers = policy, 8
+		s, _ := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		stores[policy] = s
+	}
+	for _, c := range []struct {
+		name, where string
+		rows        int // -1: not known up front
+	}{
+		{"none", "id < 0", 0},
+		{"one row", "id = 1234", 1},
+		{"sparse", "noise < 0.01", -1},
+		{"dense run across a page boundary", "id >= 250 AND id < 700", 450},
+		{"all", "id >= 0", 3200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			query := "SELECT " + cols + " FROM obj WHERE " + c.where
+			pushed, err := stores[PushdownAlways].Query(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched, err := stores[PushdownNever].Query(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := render(pushed), render(fetched); got != want {
+				t.Fatalf("pushed projections differ from fetched chunks:\n got %.300s\nwant %.300s", got, want)
+			}
+			if c.rows >= 0 && pushed.Rows != c.rows {
+				t.Fatalf("%d rows, want %d", pushed.Rows, c.rows)
+			}
+			if pushed.Rows > 0 && (pushed.Stats.PushdownOn == 0 || pushed.Stats.PushdownOff != 0) {
+				t.Fatalf("%d projections taken from replies, %d fetched", pushed.Stats.PushdownOn, pushed.Stats.PushdownOff)
 			}
 		})
 	}

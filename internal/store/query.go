@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
-	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/metrics"
 	"github.com/fusionstore/fusion/internal/rpc"
@@ -611,7 +610,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			}
 			c.dst = colData[meta.Footer.Columns[c.ci].Name].Window(before, bm.Count())
 			chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, values: true})
-			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm.Selectivity()) {
+			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm.Selectivity(), func() int { return len(selection(rg)) }) {
 				if node, ref, ok := chunkLocation(meta, rg, c.ci, ch); ok {
 					p.push(node, rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: selection(rg)})
 				}
@@ -683,19 +682,24 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 
 // projectChunk decodes the selected values of one chunk onto dst (empty on
 // entry: see chunkTask.dst) and returns it, and whether pre supplied them.
-// Whether to push the projection down or fetch the compressed chunk was
-// decided per chunk at planning time by the Cost Equation (§4.3): push down
-// iff selectivity × compressibility < 1. pre, when non-nil, is the pushed
-// projection's reply — only decoding remains; otherwise (not pushed, or the
-// pushed attempt got no answer) the chunk is fetched and filtered here.
+// Whether to push the projection down or fetch the chunk was decided per chunk
+// at planning time (pushProjection). pre, when non-nil, is the pushed
+// projection's reply: the selected rows as a chunk of their own in the stored
+// chunk's encoding, opened (lpq.OpenReply) and gathered here. Otherwise — not
+// pushed, or the pushed attempt got no answer — the chunk is fetched and
+// filtered here.
 func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response, dst lpq.ColumnData) (lpq.ColumnData, bool, error) {
 	if pre != nil {
-		if vals, err := cluster.DecodePlain(dst, pre.Data); err == nil && vals.Len() == bm.Count() {
-			return vals, true, nil
+		ch, err := lpq.OpenReply(dst.Type, bm.Count(), pre.Data)
+		if err == nil {
+			var vals lpq.ColumnData
+			if vals, err = ch.AppendGather(dst, nil); err == nil {
+				return vals, true, nil
+			}
 		}
-		// Malformed reply — undecodable, or not the type or the number of
-		// values the selection asked for: fall through to fetching, which
-		// starts dst over.
+		// Malformed reply — not a chunk of the column's type and the
+		// selection's count of rows, or a value that does not decode: fall
+		// through to fetching, which starts dst over.
 	}
 	ch, err := s.openSelected(st, rg, ci, bm)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -212,15 +213,16 @@ func FuzzUngroupedAggReply(f *testing.F) {
 		})
 }
 
-// projectForger answers like the cluster it wraps, except that the reply to
-// the pushed projection of one chunk (by file offset) carries forged as its
-// values while forged is set. It keeps the genuine reply's values, as a seed.
+// projectForger answers like the cluster it wraps, except that while forged
+// is set the reply to the pushed projection of the target chunk (by file
+// offset) is forged. It keeps the genuine replies it saw, by chunk offset, as
+// seeds.
 type projectForger struct {
 	cluster.Client
-	target  uint64
 	mu      sync.Mutex
+	target  uint64
 	forged  []byte
-	genuine []byte
+	genuine map[uint64][]byte
 	seen    int
 }
 
@@ -233,14 +235,17 @@ func (c *projectForger) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 	defer c.mu.Unlock()
 	for i := range req.Subs {
 		sub := &req.Subs[i]
-		if sub.Kind != rpc.KindProject || sub.Chunk.Meta.Offset != c.target || i >= len(resp.Subs) || resp.Subs[i].Err != "" {
+		if sub.Kind != rpc.KindProject || i >= len(resp.Subs) || resp.Subs[i].Err != "" {
+			continue
+		}
+		if c.forged == nil {
+			c.genuine[sub.Chunk.Meta.Offset] = bytes.Clone(resp.Subs[i].Data)
+			continue
+		}
+		if sub.Chunk.Meta.Offset != c.target {
 			continue
 		}
 		c.seen++
-		if c.forged == nil {
-			c.genuine = resp.Subs[i].Data
-			continue
-		}
 		out := *resp
 		out.Subs = append([]rpc.Response(nil), resp.Subs...)
 		out.Subs[i].Data = c.forged
@@ -249,27 +254,82 @@ func (c *projectForger) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 	return resp, nil
 }
 
-// FuzzProjectReply forges the values of one pushed projection — the comment
-// column of the second row group, an FSST chunk — under a query that pushes
-// every projection. A reply that decodes as the selection's count of strings
-// is taken at its word: the result is the genuine one with those values in
-// that row group's window. Any other reply is malformed: that one chunk is
+// replyFormsObject writes four row groups of 800 rows in 300-row pages whose
+// columns give every projection reply form: id frame-of-reference ints,
+// price decimals with exceptions (every third value an ulp off), qty a
+// dictionary of ints too far apart to frame, disc a dictionary of floats no
+// scale makes exact, status a dictionary of strings in run-length pages,
+// mode a dictionary of strings Snappy-compressed, comment FSST strings and
+// noise plain floats. It returns the file and each row group's columns.
+func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
+	t.Helper()
+	const rowGroups, rows = 4, 800
+	names := []string{"id", "price", "qty", "disc", "status", "mode", "comment", "noise"}
+	types := []lpq.Type{lpq.Int64, lpq.Float64, lpq.Int64, lpq.Float64, lpq.String, lpq.String, lpq.String, lpq.Float64}
+	schema := make([]lpq.Column, len(names))
+	for i := range names {
+		schema[i] = lpq.Column{Name: names[i], Type: types[i]}
+	}
+	w := lpq.NewWriter(schema, lpq.WriterOptions{Compress: true, DictMaxFraction: 0.5, PageRows: 300})
+	rng := rand.New(rand.NewSource(5))
+	var groups [][]lpq.ColumnData
+	for g := 0; g < rowGroups; g++ {
+		cols := make([]lpq.ColumnData, len(types))
+		for i, typ := range types {
+			cols[i] = lpq.MakeColumn(typ, rows)
+		}
+		for r := 0; r < rows; r++ {
+			cols[0].Ints[r] = int64(g*rows + r)
+			if cols[1].Floats[r] = float64(rng.Intn(100000)) / 100; r%3 == 0 {
+				cols[1].Floats[r] = math.Nextafter(cols[1].Floats[r], math.Inf(1))
+			}
+			cols[2].Ints[r] = []int64{3, 1 << 40, -5, 1 << 50}[rng.Intn(4)]
+			cols[3].Floats[r] = []float64{math.Pi, math.E, math.Sqrt2}[rng.Intn(3)]
+			cols[4].Strings[r] = map[bool]string{true: "F", false: "O"}[r < rows/2]
+			cols[5].Strings[r] = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN", "AIR"}[r%5]
+			cols[6].Strings[r] = fmt.Sprintf("carefully final %d deposits sleep %d", rng.Intn(1<<20), rng.Intn(1<<10))
+			cols[7].Floats[r] = rng.Float64()
+		}
+		if err := w.WriteRowGroup(cols); err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, cols)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, groups
+}
+
+// FuzzProjectReply forges the reply of one pushed projection — column col of
+// the second row group of replyFormsObject — under a query that pushes every
+// projection. A reply that gathers to the selection's count of the column's
+// values is taken at its word: the result is the genuine one with those values
+// in that row group's window. Any other reply is malformed: that one chunk is
 // fetched and projected here, and the result is the genuine one exactly. No
-// reply panics the store. The hand-made seeds: one value too few and one too
-// many, another type's byte in front, a length overrunning the reply, a count
-// of 2^40, and nothing at all.
+// reply panics the store. The seeds, for each column and so for every reply
+// form: the genuine reply, it a byte short, well-formed replies of one value
+// too few and one too many, one in an encoding only another type has; and for
+// the FSST column nothing at all and a page of 2^40 rows.
 func FuzzProjectReply(f *testing.F) {
-	const rowGroups, rowsPer, target = 4, 800, 1
-	data, _, groups := makeObject(f, rowGroups, rowsPer, 123)
+	const target = 1
+	data, groups := replyFormsObject(f)
 	footer, err := lpq.ParseFooter(data)
 	if err != nil {
 		f.Fatal(err)
 	}
-	comment := footer.ColumnIndex("comment")
-	if enc := footer.RowGroups[target].Chunks[comment].Encoding; enc != colenc.FSST {
-		f.Fatalf("the comment chunk is %v: the target would not fuzz an FSST projection", enc)
+	chunks := footer.RowGroups[target].Chunks
+	wantEnc := []colenc.Encoding{colenc.FOR, colenc.Decimal, colenc.Dict, colenc.Dict, colenc.Dict, colenc.Dict, colenc.FSST, colenc.Plain}
+	for ci, m := range chunks {
+		if m.Encoding != wantEnc[ci] {
+			f.Fatalf("column %s is %v, want %v: a reply form would go unfuzzed", footer.Columns[ci].Name, m.Encoding, wantEnc[ci])
+		}
 	}
-	cl := &projectForger{Client: simnet.New(simnet.DefaultConfig()), target: footer.RowGroups[target].Chunks[comment].Offset}
+	if !chunks[5].Compressed {
+		f.Fatal("the mode chunk is not Snappy-compressed: no reply from a compressed dictionary would be fuzzed")
+	}
+	cl := &projectForger{Client: simnet.New(simnet.DefaultConfig()), genuine: map[uint64][]byte{}}
 	opts := fusionTestOptions()
 	opts.Pushdown = PushdownAlways
 	opts.QueryWorkers = 8
@@ -280,18 +340,18 @@ func FuzzProjectReply(f *testing.F) {
 	if _, err := s.Put("obj", data); err != nil {
 		f.Fatal(err)
 	}
-	const query = "SELECT id, price, comment FROM obj WHERE qty < 25"
+	const query = "SELECT id, price, qty, disc, status, mode, comment, noise FROM obj WHERE noise < 0.5"
 	want, err := s.Query(query)
-	if err != nil || cl.seen == 0 {
-		f.Fatalf("%q pushed no projection of the target chunk (%v): the target would fuzz nothing", query, err)
+	if err != nil {
+		f.Fatal(err)
 	}
 	// The target row group's window of the result: the rows the filter
 	// selected in the row groups before it, and in it.
 	before, selected := 0, 0
 	for rg := 0; rg <= target; rg++ {
 		n := 0
-		for _, q := range groups[rg][1].Ints {
-			if q < 25 {
+		for _, v := range groups[rg][7].Floats {
+			if v < 0.5 {
 				n++
 			}
 		}
@@ -301,27 +361,35 @@ func FuzzProjectReply(f *testing.F) {
 			selected = n
 		}
 	}
-	reply := func(count uint64, vals ...string) []byte {
-		return colenc.PutStrings(binary.AppendUvarint([]byte{byte(lpq.String)}, count), vals)
+	pick := func(col uint8) int { return int(col) % len(chunks) }
+	for ci, m := range chunks {
+		genuine := cl.genuine[m.Offset]
+		if genuine == nil {
+			f.Fatalf("%q pushed no projection of column %s", query, footer.Columns[ci].Name)
+		}
+		vals, err := gatherReply(footer.Columns[ci].Type, selected, genuine)
+		if err != nil {
+			f.Fatal(err)
+		}
+		fewer, more := lpq.MakeColumn(vals.Type, selected-1), lpq.MakeColumn(vals.Type, selected+1)
+		for _, c := range []lpq.ColumnData{fewer, more} {
+			copy(c.Ints, vals.Ints)
+			copy(c.Floats, vals.Floats)
+			copy(c.Strings, vals.Strings)
+		}
+		for _, seed := range [][]byte{genuine, genuine[:len(genuine)-1], encodeReply(f, fewer), encodeReply(f, more), otherTypeReply(f, vals.Type, selected)} {
+			f.Add(uint8(ci), seed)
+		}
 	}
-	some := make([]string, selected)
-	for i := range some {
-		some[i] = fmt.Sprintf("forged %d", i)
-	}
-	f.Add(cl.genuine)
-	f.Add(reply(uint64(selected), some...))
-	f.Add(reply(uint64(selected-1), some[1:]...))
-	f.Add(reply(uint64(selected+1), append(some, "extra")...))
-	f.Add(append([]byte{byte(lpq.Int64)}, cl.genuine[1:]...))
-	f.Add(append(reply(uint64(selected), some[1:]...), 40, 'x'))
-	f.Add(reply(1<<40, some...))
-	f.Add([]byte{})
+	f.Add(uint8(6), []byte{})
+	f.Add(uint8(6), binary.AppendUvarint([]byte{byte(colenc.Plain), 1}, 1<<40))
 	render := func(res *Result) string {
 		return fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Fuzz(func(t *testing.T, col uint8, b []byte) {
+		ci := pick(col)
 		cl.mu.Lock()
-		cl.forged = append([]byte{}, b...) // a nil reply is forged too
+		cl.target, cl.forged = chunks[ci].Offset, append([]byte{}, b...) // a nil reply is forged too
 		cl.mu.Unlock()
 		res, err := s.Query(query)
 		cl.mu.Lock()
@@ -331,22 +399,23 @@ func FuzzProjectReply(f *testing.F) {
 			t.Fatalf("query failed over a forged projection: %v", err)
 		}
 		expect, taken := want, false
-		if vals, err := cluster.DecodePlain(lpq.ColumnData{Type: lpq.String}, b); err == nil && vals.Len() == selected {
+		if vals, err := gatherReply(footer.Columns[ci].Type, selected, b); err == nil {
 			// Taken at its word: the genuine result, those values in the window.
 			taken = true
 			shown := *want
 			shown.Data = append([]lpq.ColumnData(nil), want.Data...)
-			ci := slices.Index(want.Columns, "comment")
-			col := append([]string(nil), want.Data[ci].Strings...)
-			copy(col[before:before+selected], vals.Strings)
-			shown.Data[ci] = lpq.StringColumn(col)
+			col, end := want.Data[ci], before+selected
+			col.Ints = slices.Concat(col.Ints[:min(before, len(col.Ints))], vals.Ints, col.Ints[min(end, len(col.Ints)):])
+			col.Floats = slices.Concat(col.Floats[:min(before, len(col.Floats))], vals.Floats, col.Floats[min(end, len(col.Floats)):])
+			col.Strings = slices.Concat(col.Strings[:min(before, len(col.Strings))], vals.Strings, col.Strings[min(end, len(col.Strings)):])
+			shown.Data[ci] = col
 			expect = &shown
 		}
 		if got := render(res); got != render(expect) {
-			t.Fatalf("reply taken=%v: result differs:\n got %.300s\nwant %.300s", taken, got, render(expect))
+			t.Fatalf("%s reply taken=%v: result differs:\n got %.300s\nwant %.300s", footer.Columns[ci].Name, taken, got, render(expect))
 		}
 		if wantOff := map[bool]int{true: 0, false: 1}[taken]; res.Stats.PushdownOff != wantOff {
-			t.Fatalf("reply taken=%v, but %d chunks fetched", taken, res.Stats.PushdownOff)
+			t.Fatalf("%s reply taken=%v, but %d chunks fetched", footer.Columns[ci].Name, taken, res.Stats.PushdownOff)
 		}
 	})
 }

@@ -24,8 +24,9 @@ import (
 type PushdownPolicy uint8
 
 const (
-	// PushdownAdaptive applies the paper's cost equation per chunk:
-	// selectivity × compressibility < 1 (§4.3). Fusion's default.
+	// PushdownAdaptive applies the cost equation per chunk: push iff the
+	// estimated reply and the selection are smaller than the stored chunk
+	// (pushProjection; §4.3 prices a plain reply instead). Fusion's default.
 	PushdownAdaptive PushdownPolicy = iota
 	// PushdownAlways pushes every projection down (ablation).
 	PushdownAlways

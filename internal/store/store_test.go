@@ -619,13 +619,15 @@ func TestNaNChunkIsNotAnsweredFromStatistics(t *testing.T) {
 }
 
 func TestCostModelDecisions(t *testing.T) {
-	// The Cost Equation (§4.3): push down iff selectivity × compressibility
-	// < 1. A highly compressible chunk must not be pushed even at low
-	// selectivity; an incompressible chunk must be pushed whenever
-	// selectivity < 1.
+	// The Cost Equation as this store prices a reply (pushProjection): push
+	// down iff the estimated reply plus the selection is smaller than the
+	// stored chunk, the reply of a Snappy-compressed chunk estimated as
+	// selectivity × its plain bytes. A highly compressible chunk must not be
+	// pushed even at low selectivity; an incompressible chunk is pushed at a
+	// selectivity that leaves room for the selection.
 	schema := []lpq.Column{
 		{Name: "k", Type: lpq.Int64},
-		{Name: "comp", Type: lpq.Int64}, // constant: compressibility ≫ 1
+		{Name: "comp", Type: lpq.Int64}, // five values in turn: dictionary codes Snappy shrinks ≫ 1
 		{Name: "rnd", Type: lpq.Int64},  // random: compressibility ≈ 1
 	}
 	n := 20000
@@ -635,7 +637,7 @@ func TestCostModelDecisions(t *testing.T) {
 	rs := make([]int64, n)
 	for i := range ks {
 		ks[i] = int64(i)
-		cs[i] = 7
+		cs[i] = int64(i%5) << 40
 		rs[i] = rng.Int63()
 	}
 	w := lpq.NewWriter(schema, lpq.DefaultWriterOptions())
@@ -656,13 +658,14 @@ func TestCostModelDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := meta.Footer.RowGroups[0].Chunks[1].Compressibility(); c < 10 {
-		t.Fatalf("constant column compressibility %v too low for the test", c)
+	if m := meta.Footer.RowGroups[0].Chunks[1]; m.Compressibility() < 100 || !m.Compressed {
+		t.Fatalf("patterned column compressibility %v, Snappy %v: too low for the test", m.Compressibility(), m.Compressed)
 	}
 	if c := meta.Footer.RowGroups[0].Chunks[2].Compressibility(); c > 2 {
 		t.Fatalf("random column compressibility %v too high for the test", c)
 	}
-	// Compressible chunk, 1%% selectivity: sel × comp ≫ 1 → no pushdown.
+	// Compressible chunk, 1% selectivity: sel × plain bytes ≫ stored bytes →
+	// no pushdown.
 	res, err := s.Query("SELECT comp FROM obj WHERE k < 200")
 	if err != nil {
 		t.Fatal(err)
@@ -670,7 +673,8 @@ func TestCostModelDecisions(t *testing.T) {
 	if res.Stats.PushdownOff == 0 || res.Stats.PushdownOn != 0 {
 		t.Fatalf("compressible chunk must not be pushed: %+v", res.Stats)
 	}
-	// Incompressible chunk, 1%% selectivity: sel × comp < 1 → pushdown.
+	// Incompressible chunk, 1% selectivity: a hundredth of the chunk and a
+	// short selection → pushdown.
 	res, err = s.Query("SELECT rnd FROM obj WHERE k < 200")
 	if err != nil {
 		t.Fatal(err)
