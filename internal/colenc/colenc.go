@@ -27,9 +27,11 @@ const (
 	// FOR stores each Int64 value of a page as its offset from the page's
 	// smallest value (the frame of reference), bit-packed.
 	FOR
-	// Decimal stores each Float64 value v of a page that is exactly an
-	// integer i over a power of ten (float64(i)/scale has v's bits) as a
-	// frame-of-reference i, and every other value raw, as an exception.
+	// Decimal stores each Float64 value v of a page as an integer i, v times
+	// a power of ten rounded, packed as a frame-of-reference offset beside a
+	// two-bit correction: the ulp that takes float64(i)/scale to v's bits
+	// (none, one up, one down), or an escape to v's raw bits where none does
+	// (NaN, ±Inf, −0, two ulps or more).
 	Decimal
 	// FSST stores each String value of a page as its code string under the
 	// chunk's FSST symbol table (package fsst), length-prefixed as a plain

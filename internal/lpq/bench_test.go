@@ -18,7 +18,7 @@ const benchRows = 60000
 // l_shipdate (2,526 dates: a frame of reference, 12-bit offsets), l_quantity
 // (50 values: dictionary, 6-bit packed codes), l_returnflag (3 strings: 2-bit
 // codes), l_extendedprice (cents, a third of them an ulp off: decimal pages
-// with exceptions), l_comment (FSST strings), and a sorted date
+// whose codes carry the ulp), l_comment (FSST strings), and a sorted date
 // column for run-length pages.
 func benchColumns() map[string]ColumnData {
 	rng := rand.New(rand.NewSource(7))
@@ -195,54 +195,56 @@ func BenchmarkKernelDecodeChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendSelected times both ends of a pushed projection of half the
-// rows, per encoding: a node writing the reply from the opened chunk, and the
-// coordinator opening the reply and gathering it into its window of a result
-// column. reply-B is the reply's size. The plain case is l_extendedprice
-// written with no dictionary.
+// BenchmarkAppendSelected times both ends of a pushed projection of 1%, half
+// and 90% of the rows, per encoding: a node writing the reply from the opened
+// chunk, and the coordinator opening the reply and gathering it into its
+// window of a result column. reply-B is the reply's size. The plain case is
+// l_extendedprice written with no dictionary.
 func BenchmarkAppendSelected(b *testing.B) {
 	chunks := benchChunks()
 	prices := benchColumns()["price-decimal"]
 	m, raw := encodeChunk(prices, WriterOptions{DisableDict: true, PageRows: 20000})
 	chunks["price-plain"] = benchChunk{Float64, m, raw}
-	rng := rand.New(rand.NewSource(5))
-	sel := bitmap.New(benchRows)
-	for i := 0; i < benchRows; i++ {
-		if rng.Intn(2) == 0 {
-			sel.Set(i)
-		}
-	}
-	n := sel.Count()
-	for _, name := range append(benchOrder, "price-plain") {
-		c := chunks[name]
-		ch := mustOpen(b, c)
-		reply, err := ch.AppendSelected(nil, sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchRows)
-			b.ReportMetric(float64(len(reply)), "reply-B")
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				if buf, err = ch.AppendSelected(buf[:0], sel); err != nil {
-					b.Fatal(err)
-				}
+	for _, pct := range []int{1, 50, 90} {
+		rng := rand.New(rand.NewSource(5))
+		sel := bitmap.New(benchRows)
+		for i := 0; i < benchRows; i++ {
+			if rng.Intn(100) < pct {
+				sel.Set(i)
 			}
-		})
-		b.Run(name+"-open+gather", func(b *testing.B) {
-			b.SetBytes(benchRows)
-			col := MakeColumn(c.typ, n)
-			for i := 0; i < b.N; i++ {
-				r, err := OpenReply(c.typ, n, reply)
-				if err == nil {
-					_, err = r.AppendGather(col.Window(0, n), nil)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
+		}
+		n := sel.Count()
+		for _, name := range append(benchOrder, "price-plain") {
+			c := chunks[name]
+			ch := mustOpen(b, c)
+			reply, err := ch.AppendSelected(nil, sel)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		ch.Release()
+			b.Run(fmt.Sprintf("%s/%d%%", name, pct), func(b *testing.B) {
+				b.SetBytes(benchRows)
+				b.ReportMetric(float64(len(reply)), "reply-B")
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					if buf, err = ch.AppendSelected(buf[:0], sel); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d%%/open+gather", name, pct), func(b *testing.B) {
+				b.SetBytes(benchRows)
+				col := MakeColumn(c.typ, n)
+				for i := 0; i < b.N; i++ {
+					r, err := OpenReply(c.typ, n, reply)
+					if err == nil {
+						_, err = r.AppendGather(col.Window(0, n), nil)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			ch.Release()
+		}
 	}
 }

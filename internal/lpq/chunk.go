@@ -30,10 +30,10 @@ const MaxChunkRows = 1 << 25
 // encoded pages and touch only the rows a selection names.
 //
 // Values are validated where they are read: a bit-packed code beyond the
-// dictionary, a string overrunning its page, or an FSST code past the symbol
-// table or escaping nothing is an error from the kernel that reads it, never
-// a panic, and decoding every row (DecodeChunk) rejects exactly what decoding
-// page by page would.
+// dictionary, a string overrunning its page, an FSST code past the symbol
+// table or escaping nothing, or a decimal escape past its page's values is an
+// error from the kernel that reads it, never a panic, and decoding every row
+// (DecodeChunk) rejects exactly what decoding page by page would.
 //
 // A Chunk is immutable after OpenChunk and safe for concurrent kernels. One
 // opened from compressed bytes holds a pooled buffer until Release.
@@ -66,10 +66,11 @@ type Chunk struct {
 
 // page is one data page of the directory: rows [first, first+rows) encoded
 // in blob[off:end]. In a dictionary chunk the page holds codes, run-length
-// encoded when rle is set and bit-packed otherwise. A frame-of-reference or
-// decimal page holds offsets from base, bit-packed at width; the decimal
-// page's nexc exceptions follow them, their ascending page rows packed at
-// BitWidth(rows-1) from blob[end:] on and their raw values from blob[excVals:].
+// encoded when rle is set and bit-packed otherwise. A frame-of-reference page
+// holds offsets from base, bit-packed at width. A decimal page's codes are
+// packed at width too, each an offset from base above corr bits of correction
+// (corrBits, or none on a page of exact rows); its escapes' raw values follow
+// them, 8 bytes each from blob[end:] on.
 type page struct {
 	first, rows int
 	off, end    int
@@ -77,8 +78,8 @@ type page struct {
 
 	base    int64
 	width   int
-	nexc    int
-	excVals int
+	corr    int
+	escapes int
 }
 
 // OpenChunk opens a self-contained chunk blob given its metadata. The chunk
@@ -249,12 +250,10 @@ func (c *Chunk) parse() error {
 		pg.off = len(c.blob) - len(d.b) - len(body.b)
 		pg.end = pg.off + len(body.b)
 		if c.enc == colenc.Decimal {
-			// The packed offsets end where the exceptions begin: their rows,
-			// then their values, all of which must be there.
+			// The packed codes end where the escapes' values begin, all of
+			// which must be there.
 			pg.end = pg.off + int((minBits+7)/8)
-			rowBytes := (uint64(pg.nexc)*uint64(colenc.BitWidth(rows-1)) + 7) / 8
-			pg.excVals = pg.end + int(rowBytes)
-			if uint64(pg.nexc) > rows || rowBytes+8*uint64(pg.nexc) > uint64(len(body.b))-(minBits+7)/8 {
+			if 8*uint64(pg.escapes) > uint64(len(body.b))-(minBits+7)/8 {
 				return colenc.ErrCorrupt
 			}
 		}
@@ -268,22 +267,25 @@ func (c *Chunk) parse() error {
 }
 
 // parseFrame reads the header of a frame-of-reference or decimal page — base,
-// width and, for a decimal page, the exception count — leaving body at the
-// packed offsets. The largest offset must not carry base past int64.
+// width and, for a decimal page, the escape count — leaving body at the packed
+// offsets or codes. The largest offset must not carry base past int64, a code
+// must fit 32 bits, and a decimal page's offset field must index every escape
+// (a page with no corrections has none). A decimal page's width becomes its
+// codes': the offset's and the correction's.
 func (pg *page) parseFrame(body *decBuf, decimal bool) error {
 	pg.base = body.i64()
 	pg.width = int(body.byteVal())
+	var escapes uint64
 	if decimal {
-		nexc := body.uvarint()
-		if nexc > MaxChunkRows {
-			return colenc.ErrCorrupt
+		if escapes = body.uvarint(); pg.width&corrected != 0 {
+			pg.width, pg.corr = pg.width&^corrected, corrBits
 		}
-		pg.nexc = int(nexc)
 	}
-	if body.err != nil || pg.width < 1 || pg.width > colenc.MaxFrameWidth ||
-		pg.base > math.MaxInt64-(1<<pg.width-1) {
+	if body.err != nil || pg.width < 1 || pg.width+pg.corr > colenc.MaxFrameWidth ||
+		pg.base > math.MaxInt64-(1<<pg.width-1) || escapes > uint64(pg.corr/corrBits)<<pg.width {
 		return colenc.ErrCorrupt
 	}
+	pg.escapes, pg.width = int(escapes), pg.width+pg.corr
 	return nil
 }
 
@@ -673,13 +675,11 @@ type Scanner struct {
 
 	// Page cursor, and the forward-walk state inside that page for the
 	// encodings without random access: pos is the blob offset of the next
-	// unread run or string, at the row it starts at; exc is the index of the
-	// first exception of a decimal page the scan has not passed.
+	// unread run or string, at the row it starts at.
 	pi      int
 	walking int // page the walk state belongs to, -1 for none
 	pos, at int
 	runCode uint32
-	exc     int
 
 	n      int
 	rows   [BatchRows]int32
@@ -871,10 +871,7 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 		}
 		return nil
 	case colenc.Decimal:
-		for k, code := range codes {
-			sc.floats[i+k] = float64(p.base+int64(code)) / c.scale
-		}
-		return sc.patchExceptions(p, i, j, dense)
+		return c.decimals(p, codes, sc.floats[i:j])
 	}
 	// Resolve the values, checking bit-packed codes as they are used (a
 	// run-length page's were checked when the chunk was opened).
@@ -908,76 +905,41 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 // enter resets the forward-walk state on first touching a page.
 func (sc *Scanner) enter(p *page) {
 	if sc.walking != sc.pi {
-		sc.walking, sc.pos, sc.at, sc.exc = sc.pi, p.off, p.first, 0
+		sc.walking, sc.pos, sc.at = sc.pi, p.off, p.first
 	}
 }
 
-// patchExceptions overwrites the elements i to j of the batch that are
-// exceptions of decimal page p with their raw values. The exception cursor
-// moves forward with the scan, like the run and string walks. A dense stretch
-// walks every exception in it and holds them to the format — page rows strictly
-// ascending and inside the page — so decoding a whole chunk rejects a
-// malformed list; a sparse selection looks its rows up (seekException) and a
-// malformed list costs it, at worst, a wrong value.
-func (sc *Scanner) patchExceptions(p *page, i, j int, dense bool) error {
-	if p.nexc == 0 {
+// errEscape reports a decimal code that escapes to a value past its page's
+// list.
+var errEscape = fmt.Errorf("lpq: decimal escape past its page's values: %w", colenc.ErrCorrupt)
+
+// decimals turns codes of decimal page p into dst's values: each row's integer
+// divided by the scale and its bits moved by the ulp its correction names —
+// one table load, no branch — and then, only if a code escaped, each escape's
+// raw value from the page's list, its index checked against the list.
+func (c *Chunk) decimals(p *page, codes []uint32, dst []float64) error {
+	shift, mask := uint(p.corr), uint32(1)<<p.corr-1
+	var escaped uint32
+	for k, code := range codes {
+		corr := code & mask
+		v := math.Float64bits(float64(p.base+int64(code>>shift)) / c.scale)
+		dst[k] = math.Float64frombits(v + ulpDelta[corr&3])
+		escaped |= corr & (corr >> 1)
+	}
+	if escaped == 0 {
 		return nil
 	}
-	sc.enter(p)
-	blob := sc.c.blob
-	excRows := blob[p.end:p.excVals]
-	rowWidth := colenc.BitWidth(uint64(p.rows - 1))
-	value := func(e int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(blob[p.excVals+8*e:]))
-	}
-	if !dense {
-		for k := i; k < j; k++ {
-			r := int(sc.rows[k]) - p.first
-			sc.exc = seekException(excRows, rowWidth, p.nexc, sc.exc, r)
-			if sc.exc < p.nexc && int(packedCode(excRows, rowWidth, sc.exc)) == r {
-				sc.floats[k] = value(sc.exc)
-			}
+	for k, code := range codes {
+		if code&3 != corrEscape {
+			continue
 		}
-		return nil
-	}
-	lo := int(sc.Row(i)) - p.first
-	hi := lo + j - i
-	e := seekException(excRows, rowWidth, p.nexc, sc.exc, lo)
-	for prev := lo - 1; e < p.nexc; e++ {
-		r := int(packedCode(excRows, rowWidth, e))
-		if r >= hi {
-			break
+		e := int(code >> 2)
+		if e >= p.escapes {
+			return errEscape
 		}
-		if r <= prev {
-			return fmt.Errorf("lpq: decimal page's exceptions out of order: %w", colenc.ErrCorrupt)
-		}
-		sc.floats[i+r-lo], prev = value(e), r
-	}
-	if sc.exc = e; hi == p.rows && e < p.nexc {
-		return fmt.Errorf("lpq: decimal page's exceptions beyond its rows: %w", colenc.ErrCorrupt)
+		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(c.blob[p.end+8*e:]))
 	}
 	return nil
-}
-
-// seekException returns the index of a decimal page's first exception at or
-// after page row r, looking on from exception from: a gallop, then a binary
-// search of the stretch it brackets, so a scan pays for the exceptions it
-// passes only logarithmically. The page has nexc exceptions, their rows
-// packed at rowWidth in excRows.
-func seekException(excRows []byte, rowWidth, nexc, from, r int) int {
-	lo, hi := from, from
-	for step := 1; hi < nexc && int(packedCode(excRows, rowWidth, hi)) < r; step *= 2 {
-		lo, hi = hi+1, hi+step
-	}
-	hi = min(hi, nexc)
-	for lo < hi {
-		if mid := (lo + hi) / 2; int(packedCode(excRows, rowWidth, mid)) < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // walkRuns resolves rows[i:j] of a run-length page (checked when the chunk

@@ -23,33 +23,31 @@ import (
 type codeShape int
 
 const (
-	shapePlain  codeShape = iota // all but unique: plain pages
-	shapePacked                  // few values in random order: dictionary, bit-packed codes
-	shapeRuns                    // few values in long runs: dictionary, run-length codes
-	shapeMixed                   // runs then noise: a dictionary chunk with both kinds of page
-	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions
-	shapeText                    // comment-like strings, all but unique, some bytes no symbol covers: FSST; numbers as in frame
+	shapePlain   codeShape = iota // all but unique: plain pages
+	shapePacked                   // few values in random order: dictionary, bit-packed codes
+	shapeRuns                     // few values in long runs: dictionary, run-length codes
+	shapeMixed                    // runs then noise: a dictionary chunk with both kinds of page
+	shapeFrame                    // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them an ulp off (corrections)
+	shapeText                     // comment-like strings, all but unique, some bytes no symbol covers: FSST; numbers as in frame
+	shapeEscapes                  // decimal floats as in frame, a fifth of them besides two ulps off or random bits (escapes); ints and strings as in frame
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes"}[s]
 }
 
 // genColumn draws rows values of type t in the given shape. Floats include
 // NaN, both zeros and infinities; strings include the empty string and one
 // whose length prefix takes two bytes.
 func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
-	if shape == shapeText {
-		if t == String {
-			return genText(rng, rows)
-		}
-		shape = shapeFrame
+	if shape == shapeText && t == String {
+		return genText(rng, rows)
 	}
 	domain := 37
 	pick := func(i int) int {
 		switch shape {
-		case shapePlain, shapeFrame:
+		case shapePlain, shapeFrame, shapeText, shapeEscapes:
 			return i
 		case shapeRuns:
 			return i * 5 / rows
@@ -73,11 +71,18 @@ func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
 			col.Ints = append(col.Ints, int64(v)*1_000_003-7)
 		case Float64:
 			f := float64(v)*1.25 - 3 // hundredths, exactly
+			framed := shape == shapeFrame || shape == shapeText || shape == shapeEscapes
 			switch {
 			case v < len(floats):
 				f = floats[v]
-			case shape == shapeFrame && v%3 == 0:
-				f = math.Nextafter(f, 0) // an ulp off: no scale recovers it
+			case shape == shapeEscapes && v%10 == 1:
+				f = math.Float64frombits(math.Float64bits(f) + 2) // two ulps off: an escape
+			case shape == shapeEscapes && v%10 == 2:
+				f = math.Float64frombits(rng.Uint64()) // random bits: an escape but by chance
+			case framed && v%6 == 0:
+				f = math.Nextafter(f, 0) // an ulp toward zero: a correction
+			case framed && v%6 == 3:
+				f = math.Nextafter(f, math.Copysign(math.Inf(1), f)) // an ulp away from it
 			}
 			col.Floats = append(col.Floats, f)
 		default:
@@ -355,18 +360,26 @@ func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw 
 			rle, packed = rle || p.rle, packed || (c.enc == colenc.Dict && !p.rle)
 		}
 		frame := [...]colenc.Encoding{Int64: colenc.FOR, Float64: colenc.Decimal, String: colenc.FSST}[typ]
-		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame, c.enc == frame}[shape]
+		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame, c.enc == frame, c.enc == frame}[shape]
 		if !got {
 			t.Fatalf("chunk is %v rle=%v packed=%v, not shape %v", c.enc, rle, packed, shape)
 		}
 		if c.enc == colenc.Decimal {
-			// A third of the rows are an ulp off, and the specials besides.
-			nexc := 0
+			// A third of the rows are an ulp off, half of them either way:
+			// corrections. Only the specials escape, and in the escapes
+			// shape a fifth of the rows besides.
+			var corr [4]int
 			for _, p := range c.pages {
-				nexc += p.nexc
+				for r := 0; r < p.rows && p.corr != 0; r++ {
+					corr[packedCode(c.blob[p.off:p.end], p.width, r)&3]++
+				}
 			}
-			if nexc < c.rows/4 || nexc > c.rows/2 {
-				t.Fatalf("decimal chunk of %d rows has %d exceptions, want about a third", c.rows, nexc)
+			lo, hi := 0, 7
+			if shape == shapeEscapes {
+				lo, hi = c.rows/8, c.rows/3
+			}
+			if corr[corrUp] < c.rows/9 || corr[corrDown] < c.rows/9 || corr[corrEscape] < lo || corr[corrEscape] > hi {
+				t.Fatalf("decimal chunk of %d rows has %d rows an ulp up, %d down and %d escapes", c.rows, corr[corrUp], corr[corrDown], corr[corrEscape])
 			}
 		}
 	}
@@ -579,19 +592,18 @@ func (w *blobWriter) framePage(rows uint64, base int64, width byte, packed ...by
 	return w.uvarint(rows).uvarint(uint64(9 + len(packed))).ints(base).bytes(width).bytes(packed...)
 }
 
-// decimalPage appends one decimal page of rows rows whose offsets are a byte
-// each (1, 2, 3, … over base 100: at scale 100 the values 1.01, 1.02, …),
-// declaring nexc exceptions with the given packed page rows (BitWidth(rows-1)
-// bits each) and raw values.
-func (w *blobWriter) decimalPage(rows int, nexc uint64, excRows []byte, excVals ...float64) *blobWriter {
-	body := new(blobWriter).ints(100).bytes(8).uvarint(nexc)
-	for r := 1; r <= rows; r++ {
-		body.bytes(byte(r))
-	}
-	body.bytes(excRows...)
-	body.b = colenc.PutFloat64s(body.b, excVals)
+// decimalPage appends one decimal page of rows rows over base 100 (at scale
+// 100, offset 1 is 1.01) whose offset field is width bits, declaring escapes
+// escapes: the packed codes and the raw values as given.
+func (w *blobWriter) decimalPage(rows int, width byte, escapes uint64, packed []byte, raw ...float64) *blobWriter {
+	body := new(blobWriter).ints(100).bytes(width).uvarint(escapes).bytes(packed...)
+	body.b = colenc.PutFloat64s(body.b, raw)
 	return w.uvarint(uint64(rows)).uvarint(uint64(len(body.b))).bytes(body.b...)
 }
+
+// dcode is the decimal code of an offset and a correction; at a 6-bit offset
+// width it is one byte of a page's packed codes.
+func dcode(off, corr byte) byte { return off<<2 | corr }
 
 // malformedChunk is a hand-assembled frame-of-reference, decimal or FSST
 // chunk that the format forbids, named by what is wrong with it, under
@@ -608,6 +620,7 @@ type malformedChunk struct {
 func malformedFrameChunks() []malformedChunk {
 	frame := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1) }
 	decimal := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1) }
+	exact := []byte{dcode(1, corrExact), dcode(2, corrExact), dcode(3, corrExact), dcode(4, corrExact)}
 	nan := math.NaN()
 	return []malformedChunk{
 		{"frame width 0", Int64, 4, frame().framePage(4, 7, 0, 0, 0, 0, 0).b},
@@ -617,19 +630,24 @@ func malformedFrameChunks() []malformedChunk {
 		{"frame base plus the widest offset overflows", Int64, 4, frame().framePage(4, math.MaxInt64-5, 3, 0, 0).b},
 		{"frame chunk of a float column", Float64, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
 		{"frame chunk of a string column", String, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
-		{"decimal chunk of an int column", Int64, 4, decimal().decimalPage(4, 0, nil).b},
+		{"decimal chunk of an int column", Int64, 4, decimal().decimalPage(4, 6|corrected, 0, exact).b},
 		{"decimal scale outside the set", Float64, 4,
-			new(blobWriter).bytes(byte(colenc.Decimal), byte(len(decimalScales))).uvarint(1).decimalPage(4, 0, nil).b},
+			new(blobWriter).bytes(byte(colenc.Decimal), byte(len(decimalScales))).uvarint(1).decimalPage(4, 6|corrected, 0, exact).b},
 		{"decimal chunk cut before its scale", Float64, 4, []byte{byte(colenc.Decimal)}},
-		{"decimal exception rows unsorted", Float64, 4, decimal().decimalPage(4, 2, []byte{0b00_11}, nan, nan).b},
-		{"decimal exception rows duplicated", Float64, 4, decimal().decimalPage(4, 2, []byte{0b10_10}, nan, nan).b},
-		{"decimal exception row beyond the page", Float64, 3, decimal().decimalPage(3, 2, []byte{0b11_01}, nan, nan).b},
-		{"decimal exceptions outnumber the rows", Float64, 4,
-			decimal().decimalPage(4, 5, []byte{0b11_10_01_00, 0b11}, nan, nan, nan, nan, nan).b},
-		{"decimal exception count larger than the bytes left", Float64, 4, decimal().decimalPage(4, 3, []byte{0b10_01_00}, nan).b},
-		{"decimal exception count of 2^40", Float64, 4, decimal().decimalPage(4, 1<<40, []byte{0}, nan).b},
-		{"decimal page shorter than its offsets", Float64, 4,
-			decimal().uvarint(4).uvarint(12).ints(100).bytes(8).uvarint(0).bytes(1, 2).b},
+		{"decimal escape index past the raw list", Float64, 4,
+			decimal().decimalPage(4, 6|corrected, 1, []byte{dcode(1, corrExact), dcode(1, corrEscape), dcode(3, corrExact), dcode(4, corrExact)}, nan).b},
+		{"decimal raw list shorter than its escapes", Float64, 4,
+			decimal().decimalPage(4, 6|corrected, 2, []byte{dcode(1, corrExact), dcode(0, corrEscape), dcode(3, corrExact), dcode(1, corrEscape)}, nan).b},
+		// Four 3-bit codes, escapes 0, 1, 0 and 1: a 1-bit offset field
+		// indexes two escapes, and the page declares three.
+		{"decimal offset width cannot hold the escape count", Float64, 4,
+			decimal().decimalPage(4, 1|corrected, 3, []byte{0b11_111_011, 0b1110}, nan, nan, nan).b},
+		{"decimal escape on a page of exact rows", Float64, 4,
+			decimal().decimalPage(4, 8, 1, []byte{1, 2, 3, 4}, nan).b},
+		{"decimal escape count of 2^40", Float64, 4, decimal().decimalPage(4, 6|corrected, 1<<40, exact, nan).b},
+		{"decimal offset width over 30", Float64, 4, decimal().decimalPage(4, 31|corrected, 0, make([]byte, 17)).b},
+		{"decimal page shorter than its codes", Float64, 4,
+			decimal().uvarint(4).uvarint(12).ints(100).bytes(6|corrected).uvarint(0).bytes(1, 2).b},
 	}
 }
 
@@ -743,8 +761,9 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 		}{bad.name, bad.typ, metaFor(bad.raw, bad.rows), bad.raw})
 	}
 	// The well-formed neighbours of those: four FSST values, one escaped
-	// byte among them, four rows in one frame, and a decimal page whose rows
-	// 1 and 3 are exceptions.
+	// byte among them, four rows in one frame, a decimal page of five
+	// corrected rows — exact, escape 1, an ulp up, escape 0, an ulp down —
+	// and one of four exact rows, its codes bare offsets.
 	text := fsstChunk(fsstSymbols, 4, 1, 0, 1, 1, 0, 3, 0, 255, 'x')
 	if col, err := DecodeChunk(String, metaFor(text, 4), text); err != nil || !reflect.DeepEqual(col.Strings, []string{"ab", "c", "", "abx"}) {
 		t.Fatalf("well-formed FSST chunk: %q, %v", col.Strings, err)
@@ -753,10 +772,17 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 	if col, err := DecodeChunk(Int64, metaFor(frame, 4), frame); err != nil || !reflect.DeepEqual(col.Ints, []int64{-3, -2, -1, 252}) {
 		t.Fatalf("well-formed frame chunk: %v, %v", col.Ints, err)
 	}
-	decimal := new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1).decimalPage(4, 2, []byte{0b11_01}, math.Inf(-1), math.Copysign(0, -1)).b
-	if col, err := DecodeChunk(Float64, metaFor(decimal, 4), decimal); err != nil ||
-		!sameColumn(col, FloatColumn([]float64{1.01, math.Inf(-1), 1.03, math.Copysign(0, -1)})) {
+	decimal := new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1).decimalPage(5, 6|corrected, 2,
+		[]byte{dcode(1, corrExact), dcode(1, corrEscape), dcode(3, corrUp), dcode(0, corrEscape), dcode(5, corrDown)},
+		math.Copysign(0, -1), math.Inf(-1)).b
+	if col, err := DecodeChunk(Float64, metaFor(decimal, 5), decimal); err != nil ||
+		!sameColumn(col, FloatColumn([]float64{1.01, math.Inf(-1), math.Nextafter(1.03, 2), math.Copysign(0, -1), math.Nextafter(1.05, 1)})) {
 		t.Fatalf("well-formed decimal chunk: %v, %v", col.Floats, err)
+	}
+	exactPage := new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1).decimalPage(4, 8, 0, []byte{1, 2, 3, 255}).b
+	if col, err := DecodeChunk(Float64, metaFor(exactPage, 4), exactPage); err != nil ||
+		!sameColumn(col, FloatColumn([]float64{1.01, 1.02, 1.03, 3.55})) {
+		t.Fatalf("well-formed decimal chunk of exact rows: %v, %v", col.Floats, err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -896,7 +922,7 @@ func TestNumericEncodingsRoundTripBits(t *testing.T) {
 		"one float":             FloatColumn([]float64{19.99}),
 		"one NaN":               FloatColumn([]float64{nanPayload(3)}),
 		"one distinct float":    FloatColumn(filled(400, 7.25)),
-		"all exceptions":        FloatColumn(filled(300, math.Pi)),
+		"all escapes":           FloatColumn(filled(300, math.Pi)),
 		"2^53 neighbours":       FloatColumn([]float64{1<<53 - 1, 1 << 53, 1<<53 + 2, -(1<<53 - 1), 1, 2, 3, 4, 5}),
 		"int64 extremes":        IntColumn([]int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1}),
 		"span of 2^32 exactly":  IntColumn(append(seq(50, -5, 1), 1<<32-5)),

@@ -1,6 +1,8 @@
 package lpq
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -157,4 +159,86 @@ func FuzzParseFooterTail(f *testing.F) {
 			t.Fatalf("accepted footer does not survive re-encoding: %v", err)
 		}
 	})
+}
+
+// FuzzDecimalRoundTrip: every float64 bit pattern comes back bit for bit from
+// a decimal page. The input is one page of patterns, written as they are and,
+// at every scale of decimalScales, moved onto a decimal near each: an integer
+// of either sign across zero divided by the scale, its bits then moved a few
+// ulps either way (at zero, into negative NaNs). Each column is written by the
+// writer, as whatever kind it picks, and forced into a decimal page where its
+// integers frame; each is read back through OpenChunk and a Scanner over every
+// row, through the projection reply of every other row (AppendSelected,
+// OpenReply, Gather), and by the reference decoder.
+func FuzzDecimalRoundTrip(f *testing.F) {
+	patterns := func(vals ...float64) []byte {
+		return colenc.PutFloat64s(nil, vals)
+	}
+	f.Add(patterns(0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, 1<<53, -(1 << 53), (1<<53)/100.0, 0.1, 0.07, -12345.6789))
+	f.Add(patterns(1.01, math.Nextafter(1.02, 2), math.Nextafter(1.03, 0), 2004.5, -0.25, 99999.99, 1e-5, 1e300))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/8, 1024)
+		if n == 0 {
+			return
+		}
+		bitsIn := make([]uint64, n)
+		for i := range bitsIn {
+			bitsIn[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		cols := [][]float64{make([]float64, n)}
+		for i, u := range bitsIn {
+			cols[0][i] = math.Float64frombits(u)
+		}
+		for _, scale := range decimalScales {
+			vals := make([]float64, n)
+			for i, u := range bitsIn {
+				k := int64(u>>16%20001) - 10000
+				ulps := uint64(u&7) - 3
+				vals[i] = math.Float64frombits(math.Float64bits(float64(k)/scale) + ulps)
+			}
+			cols = append(cols, vals)
+		}
+		half := bitmap.New(n)
+		for i := 0; i < n; i += 2 {
+			half.Set(i)
+		}
+		for ci, vals := range cols {
+			col := FloatColumn(vals)
+			m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 0.5, PageRows: n})
+			checkRoundTrip(t, fmt.Sprintf("column %d as %v", ci, m.Encoding), col, m, raw, half)
+			if blob, ok := tryDecimalEncode(vals, n, math.MaxInt); ok {
+				checkRoundTrip(t, fmt.Sprintf("column %d as decimal", ci), col, metaFor(blob, n), blob, half)
+			}
+		}
+	})
+}
+
+// checkRoundTrip reads chunk raw of col's values back every way a reader can:
+// a Scanner over every row, the reply of the rows sel selects (checkReply),
+// and the reference decoder. Each must give back col's bits.
+func checkRoundTrip(t *testing.T, name string, col ColumnData, m ChunkMeta, raw []byte, sel *bitmap.Bitmap) {
+	t.Helper()
+	c, err := OpenChunk(Float64, m, raw)
+	if err != nil {
+		t.Fatalf("%s: OpenChunk: %v", name, err)
+	}
+	defer c.Release()
+	var sc Scanner
+	if err := c.Scan(&sc, nil); err != nil {
+		t.Fatalf("%s: Scan: %v", name, err)
+	}
+	var got []float64
+	for sc.Next() {
+		got = append(got, sc.Floats()...)
+	}
+	if err := sc.Err(); err != nil || !sameColumn(FloatColumn(got), col) {
+		t.Fatalf("%s: the Scanner reads other bits than were written (%v)", name, err)
+	}
+	checkReply(t, c, sel, referenceSelect(col, sel), name)
+	if ref, err := referenceDecodeChunk(Float64, m, raw); err != nil || !sameColumn(ref, col) {
+		t.Fatalf("%s: the reference decoder reads other bits than were written (%v)", name, err)
+	}
 }

@@ -183,8 +183,8 @@ func referenceDecodeDict(t Type, body []byte, n int) (ColumnData, error) {
 var referenceScales = []float64{1, 10, 100, 1000, 10000}
 
 // referenceDecodeFrames decodes a frame-of-reference (Int64) or decimal
-// (Float64) chunk page by page: every offset unpacked a bit at a time, every
-// exception located by a scan of the page's whole list.
+// (Float64) chunk page by page: every offset or code unpacked a bit at a time,
+// and a decimal code's correction applied by a switch over its two low bits.
 func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (ColumnData, error) {
 	d := &decBuf{b: body}
 	scale := 1.0
@@ -213,48 +213,67 @@ func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (Col
 		d.b = d.b[byteLen:]
 		base := page.i64()
 		width := int(page.byteVal())
-		nexc := 0
-		if enc == colenc.Decimal {
-			nexc = int(page.uvarint())
-		}
-		if page.err != nil || width < 1 || width > 32 || nexc < 0 || nexc > rows {
-			return ColumnData{}, colenc.ErrCorrupt
-		}
-		if base >= 0 && uint64(base)+(1<<width-1) > math.MaxInt64 {
-			return ColumnData{}, colenc.ErrCorrupt // the largest offset would carry base past int64
-		}
-		offsets, err := referenceDecodeCodes(colenc.Plain, page.b, rows, width)
-		if err != nil {
-			return ColumnData{}, err
-		}
 		if enc == colenc.FOR {
+			if page.err != nil || width < 1 || width > 32 {
+				return ColumnData{}, colenc.ErrCorrupt
+			}
+			if base >= 0 && uint64(base)+(1<<width-1) > math.MaxInt64 {
+				return ColumnData{}, colenc.ErrCorrupt // the largest offset would carry base past int64
+			}
+			offsets, err := referenceDecodeCodes(colenc.Plain, page.b, rows, width)
+			if err != nil {
+				return ColumnData{}, err
+			}
 			for _, off := range offsets {
 				out.Ints = append(out.Ints, base+int64(off))
 			}
 			total += rows
 			continue
 		}
-		vals := make([]float64, rows)
-		for r, off := range offsets {
-			vals[r] = float64(base+int64(off)) / scale
+		// A decimal page: its escape count, then a code per row — an offset
+		// of width bits, above a two-bit correction where the width byte's
+		// top bit says so — then the escapes' values.
+		escapes := page.uvarint()
+		corr := 0
+		if width >= 0x80 {
+			width, corr = width-0x80, 2
 		}
-		rest := page.b[(rows*width+7)/8:]
-		rowWidth := colenc.BitWidth(uint64(rows - 1))
-		rowBytes := (nexc*rowWidth + 7) / 8
-		if rowBytes+8*nexc > len(rest) {
+		if page.err != nil || width < 1 || width+corr > 32 {
 			return ColumnData{}, colenc.ErrCorrupt
 		}
-		excRows, err := referenceDecodeCodes(colenc.Plain, rest[:rowBytes], nexc, rowWidth)
+		if corr == 0 && escapes > 0 || escapes > 1<<width {
+			return ColumnData{}, colenc.ErrCorrupt // the offset field cannot index every escape
+		}
+		if base >= 0 && uint64(base)+(1<<width-1) > math.MaxInt64 {
+			return ColumnData{}, colenc.ErrCorrupt
+		}
+		codes, err := referenceDecodeCodes(colenc.Plain, page.b, rows, width+corr)
 		if err != nil {
 			return ColumnData{}, err
 		}
-		for e, r := range excRows {
-			if int(r) >= rows || (e > 0 && r <= excRows[e-1]) {
-				return ColumnData{}, colenc.ErrCorrupt
-			}
-			vals[r] = math.Float64frombits(binary.LittleEndian.Uint64(rest[rowBytes+8*e:]))
+		raw := page.b[(rows*(width+corr)+7)/8:]
+		if uint64(len(raw)) < 8*escapes {
+			return ColumnData{}, colenc.ErrCorrupt // the raw list is shorter than its escapes
 		}
-		out.Floats = append(out.Floats, vals...)
+		for _, code := range codes {
+			off, c := code>>corr, code&(1<<corr-1)
+			exact := math.Float64bits(float64(base+int64(off)) / scale)
+			var v float64
+			switch c {
+			case 0:
+				v = math.Float64frombits(exact)
+			case 1:
+				v = math.Float64frombits(exact + 1)
+			case 2:
+				v = math.Float64frombits(exact - 1)
+			default:
+				if off >= escapes {
+					return ColumnData{}, colenc.ErrCorrupt // an escape past the raw list
+				}
+				v = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*off:]))
+			}
+			out.Floats = append(out.Floats, v)
+		}
 		total += rows
 	}
 	if total != n {

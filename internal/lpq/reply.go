@@ -23,8 +23,8 @@ import (
 //	FOR:     per page, its base and width and the selected offsets re-packed
 //	         at that width.
 //	Decimal: the chunk's scale; per page, its base and width, the selected
-//	         offsets re-packed at that width and the selected exceptions,
-//	         re-indexed to the reply page's rows.
+//	         codes re-packed at that width — an escape renumbered to the reply
+//	         page's list — and that list: the selected escapes' raw values.
 //	Dict:    only the dictionary entries the selection uses, in the chunk's
 //	         order; per page, the codes remapped to them, bit-packed at the
 //	         width their count needs, or run-length encoded where that is
@@ -87,8 +87,7 @@ type replyWriter struct {
 	codes []uint64    // every selected row's code or offset
 	pages []replyPage // the source pages they fall on, in order
 
-	excRows []uint64 // decimal chunks: a page's selected exceptions' reply rows
-	excSrc  []int    // and their indices on the source page
+	raw []byte // decimal chunks: a reply page's escapes' values
 }
 
 // replyPage is a source page and how many of its rows are selected.
@@ -362,70 +361,26 @@ func (w *replyWriter) dictPage(codes []uint64, width int) {
 	w.b = colenc.PackUints(w.b, codes, width)
 }
 
-// decimalPage writes the selected rows of decimal page p, their offsets
-// given: the page's frame, the offsets, and those of its exceptions that are
-// selected. Where the rows are many beside the exceptions, the exceptions are
-// walked beside the selection words — an exception's reply row is the
-// popcount of the selected rows ahead of it — and held to the format, page
-// rows strictly ascending. Where they are few, each selected row looks itself
-// up from where the last one stopped (seekException), paying for the
-// exceptions it passes only logarithmically; a malformed list costs that, at
-// worst, a wrong value, as it does the Scanner.
+// decimalPage writes the selected rows of decimal page p, their codes given:
+// the page's frame, the codes re-packed at its width, each escape renumbered
+// to its place among the selected escapes, and those escapes' values in row
+// order. The page's offset width indexes them all, as it did the page's.
 func (w *replyWriter) decimalPage(p *page, codes []uint64) error {
 	blob := w.c.blob
-	excRows := blob[p.end:p.excVals]
-	rowWidth := colenc.BitWidth(uint64(p.rows - 1))
-	if most := min(len(codes), p.nexc); cap(w.excSrc) < most {
-		w.excRows, w.excSrc = make([]uint64, 0, most), make([]int, 0, most)
-	}
-	w.excRows, w.excSrc = w.excRows[:0], w.excSrc[:0]
-	if 4*len(codes) < p.nexc {
-		k, e := 0, 0 // reply row of the next selected row; exception cursor
-		for g := 0; g < p.rows && e < p.nexc; g += 64 {
-			for m := w.pageWord(p, g); m != 0; m, k = m&(m-1), k+1 {
-				r := g + bits.TrailingZeros64(m)
-				if e = seekException(excRows, rowWidth, p.nexc, e, r); e < p.nexc && int(packedCode(excRows, rowWidth, e)) == r {
-					w.excRows, w.excSrc = append(w.excRows, uint64(k)), append(w.excSrc, e)
-				}
-			}
+	w.raw = w.raw[:0]
+	for k, code := range codes {
+		if p.corr == 0 || code&3 != corrEscape { // bare offsets never escape
+			continue
 		}
-	} else {
-		var buf [windowBytes]byte
-		var batch [BatchRows]uint32
-		// before: the selected rows ahead of row at; m: the selection word
-		// of rows [at, at+64).
-		prev, at, before, m := -1, 0, 0, w.selWord(p.first)
-		for e0 := 0; e0 < p.nexc; e0 += BatchRows {
-			part := batch[:min(BatchRows, p.nexc-e0)]
-			packedPage{excRows, rowWidth}.unpack(part, e0, &buf)
-			for i, r32 := range part {
-				r := int(r32)
-				if r <= prev || r >= p.rows {
-					return fmt.Errorf("lpq: decimal page's exceptions out of order: %w", colenc.ErrCorrupt)
-				}
-				prev = r
-				for at+64 <= r {
-					before, at = before+bits.OnesCount64(m), at+64
-					m = w.selWord(p.first + at)
-				}
-				if m>>(r-at)&1 != 0 {
-					k := before + bits.OnesCount64(m&(1<<(r-at)-1))
-					w.excRows, w.excSrc = append(w.excRows, uint64(k)), append(w.excSrc, e0+i)
-				}
-			}
+		e := int(code >> 2)
+		if e >= p.escapes {
+			return errEscape
 		}
+		codes[k] = uint64(len(w.raw)/8)<<2 | corrEscape
+		w.raw = append(w.raw, blob[p.end+8*e:p.end+8*e+8]...)
 	}
-	n, nexc := len(codes), len(w.excSrc)
-	replyWidth := colenc.BitWidth(uint64(n - 1))
-	w.uvarint(uint64(n))
-	w.uvarint(uint64(9 + colenc.UvarintLen(uint64(nexc)) + packedLen(n, p.width) + packedLen(nexc, replyWidth) + 8*nexc))
-	w.i64(p.base)
-	w.byteVal(byte(p.width))
-	w.uvarint(uint64(nexc))
+	decimalPage{p.base, p.width - p.corr, p.corr, len(w.raw) / 8}.appendHeader(&w.encBuf, len(codes))
 	w.b = colenc.PackUints(w.b, codes, p.width)
-	w.b = colenc.PackUints(w.b, w.excRows, replyWidth)
-	for _, e := range w.excSrc {
-		w.b = append(w.b, blob[p.excVals+8*e:p.excVals+8*e+8]...)
-	}
+	w.b = append(w.b, w.raw...)
 	return nil
 }

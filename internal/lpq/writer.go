@@ -202,10 +202,13 @@ var decimalScales = [...]float64{1, 10, 100, 1000, 10000}
 //	Decimal: byte scale (index into decimalScales),        // Float64 only
 //	         uvarint numPages,
 //	         per page: uvarint rowCount, uvarint byteLen,
-//	                   int64 base, byte width, uvarint numExceptions,
-//	                   offsets packed at width (an exception's is 0),
-//	                   the exceptions' page rows, ascending, packed at
-//	                   BitWidth(rowCount-1), then their values, 8 raw bytes each
+//	                   int64 base, byte width (| 0x80: corrected),
+//	                   uvarint numEscapes, a code per row packed at width+2:
+//	                   offset<<2 | correction (exact, +1 ulp, -1 ulp, or
+//	                   escape, whose offset is its index in the raw list), then
+//	                   the escapes' values, 8 raw bytes each; a page of exact
+//	                   rows only is not corrected: its codes are the offsets,
+//	                   packed at width, and it has no escapes
 //	FSST:    uvarint numSymbols (at most 255),               // String only
 //	         per symbol: byte length (1 to 8), its bytes,
 //	         uvarint numPages,
@@ -412,56 +415,108 @@ func tryFrameEncode(vals []int64, pageRows, limit int) ([]byte, bool) {
 	return e.b, len(e.b) < limit
 }
 
-// decimalInt returns v scaled to an integer and whether that integer stands
-// for v exactly: float64(i)/scale must have v's bits, which no NaN, infinity,
-// negative zero or product of 2^53 and beyond does. Readers divide, so the
-// test divides: multiplying by 1/scale recovers fewer values.
-func decimalInt(v, scale float64) (int64, bool) {
+// Corrections, the low corrBits bits of a decimal row's code: how v's bits
+// differ from those of float64(i)/scale, i its integer — not at all, by one
+// ulp up or down — or an escape, whose offset field indexes the page's raw
+// values.
+const (
+	corrExact  = 0
+	corrUp     = 1
+	corrDown   = 2
+	corrEscape = 3
+	corrBits   = 2
+)
+
+// ulpDelta is what a correction adds to the bits of float64(i)/scale, modulo
+// 2^64; an escape's entry is never used.
+var ulpDelta = [4]uint64{corrExact: 0, corrUp: 1, corrDown: ^uint64(0)}
+
+// corrected, set in a decimal page's width byte, says that each of its codes
+// carries a two-bit correction below its offset. A page whose rows are all
+// exact packs bare offsets, as a frame of reference does, and has no escapes.
+const corrected = 0x80
+
+// decimalCode returns v scaled to an integer and the correction that gives
+// back v's bits from float64(i)/scale, or corrEscape when none does: a NaN, an
+// infinity, a negative zero, a product of 2^53 and beyond, or a value two ulps
+// or more away. Readers divide, so the test divides: multiplying by 1/scale
+// recovers fewer values.
+func decimalCode(v, scale float64) (int64, uint64) {
 	x := math.RoundToEven(v * scale)
 	if !(math.Abs(x) < 1<<53) {
-		return 0, false
+		return 0, corrEscape
 	}
 	i := int64(x)
-	return i, math.Float64bits(float64(i)/scale) == math.Float64bits(v)
+	switch math.Float64bits(v) - math.Float64bits(float64(i)/scale) {
+	case 0:
+		return i, corrExact
+	case 1:
+		return i, corrUp
+	case ^uint64(0):
+		return i, corrDown
+	}
+	return 0, corrEscape
 }
 
-// decimalPage is the shape of one decimal page: the frame of its exact values
-// and how many of its rows are exceptions.
+// decimalPage is the shape of one decimal page: the frame of its rows'
+// integers, widened where it must be for the offset field to index every
+// escape, the bits of correction below each offset (corrBits, or 0 when every
+// row is exact) and how many of its rows escape.
 type decimalPage struct {
-	base       int64
-	width      int
-	exceptions int
+	base    int64
+	width   int
+	corr    int
+	escapes int
 }
 
-// planDecimalPage frames vals at scale; ok is false when the exact values span
-// more than colenc.MaxFrameWidth bits.
+// planDecimalPage frames vals at scale; ok is false when a code, offset and
+// correction, would take more than colenc.MaxFrameWidth bits.
 func planDecimalPage(vals []float64, scale float64) (p decimalPage, ok bool) {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, v := range vals {
-		if i, exact := decimalInt(v, scale); exact {
-			lo, hi = min(lo, i), max(hi, i)
+		i, corr := decimalCode(v, scale)
+		if corr != corrExact {
+			p.corr = corrBits
+		}
+		if corr == corrEscape {
+			p.escapes++
 		} else {
-			p.exceptions++
+			lo, hi = min(lo, i), max(hi, i)
 		}
 	}
-	if p.exceptions == len(vals) {
-		p.width = 1 // nothing to frame: every offset is the exceptions' 0
-		return p, true
+	if p.escapes < len(vals) {
+		if p.base, p.width, ok = colenc.Frame(lo, hi); !ok || p.width+p.corr > colenc.MaxFrameWidth {
+			return p, false
+		}
 	}
-	p.base, p.width, ok = colenc.Frame(lo, hi)
-	return p, ok
+	p.width = max(p.width, colenc.BitWidth(uint64(max(p.escapes-1, 0))))
+	return p, true
 }
 
-// bodyLen is the byte length of the page's body for rows rows.
+// bodyLen is the byte length of the page's body for rows rows: the offset
+// width plus the correction's bits a row, and 8 bytes an escape.
 func (p decimalPage) bodyLen(rows int) int {
-	return 9 + colenc.UvarintLen(uint64(p.exceptions)) + packedLen(rows, p.width) +
-		packedLen(p.exceptions, colenc.BitWidth(uint64(rows-1))) + 8*p.exceptions
+	return 9 + colenc.UvarintLen(uint64(p.escapes)) + packedLen(rows, p.width+p.corr) + 8*p.escapes
+}
+
+// appendHeader appends the page's header for rows rows: its row and byte
+// counts, base, width byte and escape count.
+func (p decimalPage) appendHeader(e *encBuf, rows int) {
+	e.uvarint(uint64(rows))
+	e.uvarint(uint64(p.bodyLen(rows)))
+	e.i64(p.base)
+	if p.corr != 0 {
+		e.byteVal(byte(p.width) | corrected)
+	} else {
+		e.byteVal(byte(p.width))
+	}
+	e.uvarint(uint64(p.escapes))
 }
 
 // planDecimalPages frames every page of vals at scale. It returns the pages,
-// the bytes their bodies take and how many rows are exceptions; ok is false
-// when a page cannot be framed or the bodies reach limit bytes.
-func planDecimalPages(vals []float64, scale float64, pageRows, limit int) (pages []decimalPage, size, exceptions int, ok bool) {
+// the bytes their bodies take and how many rows escape; ok is false when a
+// page cannot be framed or the bodies reach limit bytes.
+func planDecimalPages(vals []float64, scale float64, pageRows, limit int) (pages []decimalPage, size, escapes int, ok bool) {
 	for start := 0; start < len(vals); start += pageRows {
 		page := vals[start:min(start+pageRows, len(vals))]
 		p, framed := planDecimalPage(page, scale)
@@ -472,9 +527,9 @@ func planDecimalPages(vals []float64, scale float64, pageRows, limit int) (pages
 			return nil, 0, 0, false
 		}
 		pages = append(pages, p)
-		exceptions += p.exceptions
+		escapes += p.escapes
 	}
-	return pages, size, exceptions, true
+	return pages, size, escapes, true
 }
 
 // tryDecimalEncode lays vals out as decimal pages at the scale of
@@ -484,12 +539,12 @@ func tryDecimalEncode(vals []float64, pageRows, limit int) ([]byte, bool) {
 	var best []decimalPage
 	bestScale, bestLen := 0, limit
 	for si, scale := range decimalScales {
-		pages, size, exceptions, ok := planDecimalPages(vals, scale, pageRows, bestLen)
+		pages, size, escapes, ok := planDecimalPages(vals, scale, pageRows, bestLen)
 		if !ok {
 			continue
 		}
 		best, bestScale, bestLen = pages, si, size
-		if exceptions == 0 {
+		if escapes == 0 {
 			break // a larger scale would only widen the same integers
 		}
 	}
@@ -499,27 +554,22 @@ func tryDecimalEncode(vals []float64, pageRows, limit int) ([]byte, bool) {
 	e := &encBuf{b: []byte{byte(colenc.Decimal), byte(bestScale)}}
 	e.uvarint(uint64(len(best)))
 	scale := decimalScales[bestScale]
+	codes := make([]uint64, min(pageRows, len(vals)))
 	for pi, p := range best {
 		page := vals[pi*pageRows : min((pi+1)*pageRows, len(vals))]
-		offsets := make([]uint64, len(page))
-		excRows := make([]uint64, 0, p.exceptions)
-		excVals := make([]byte, 0, 8*p.exceptions)
+		p.appendHeader(e, len(page))
+		raw := make([]byte, 0, 8*p.escapes)
 		for r, v := range page {
-			if i, exact := decimalInt(v, scale); exact {
-				offsets[r] = uint64(i) - uint64(p.base)
-			} else {
-				excRows = append(excRows, uint64(r))
-				excVals = binary.LittleEndian.AppendUint64(excVals, math.Float64bits(v))
+			i, corr := decimalCode(v, scale)
+			off := uint64(i) - uint64(p.base)
+			if corr == corrEscape {
+				off = uint64(len(raw) / 8)
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 			}
+			codes[r] = off<<p.corr | corr
 		}
-		e.uvarint(uint64(len(page)))
-		e.uvarint(uint64(p.bodyLen(len(page))))
-		e.i64(p.base)
-		e.byteVal(byte(p.width))
-		e.uvarint(uint64(p.exceptions))
-		e.b = colenc.PackUints(e.b, offsets, p.width)
-		e.b = colenc.PackUints(e.b, excRows, colenc.BitWidth(uint64(len(page)-1)))
-		e.b = append(e.b, excVals...)
+		e.b = colenc.PackUints(e.b, codes[:len(page)], p.width+p.corr)
+		e.b = append(e.b, raw...)
 	}
 	return e.b, len(e.b) < limit
 }

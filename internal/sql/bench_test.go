@@ -17,9 +17,9 @@ const benchRows = 60000
 // compute on, under the encodings the default writer gives them: l_shipdate
 // (2,526 dates: a frame of reference, 12-bit offsets), l_returnflag (3
 // strings: dictionary, 2-bit codes), l_extendedprice (cents, a third of them
-// an ulp off: decimal pages with exceptions), l_orderkey (ascending with
-// repeats: a frame of reference), l_discount (11 values: dictionary, 4-bit
-// codes), l_quantity (50 values: dictionary, 6-bit codes) and l_partkey
+// an ulp off: decimal pages whose codes carry the ulp), l_orderkey (ascending
+// with repeats: a frame of reference), l_discount (11 values: dictionary,
+// 4-bit codes), l_quantity (50 values: dictionary, 6-bit codes) and l_partkey
 // (200,000 keys: a frame of reference, 18-bit offsets).
 func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
 	rng := rand.New(rand.NewSource(7))

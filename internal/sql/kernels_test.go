@@ -25,17 +25,18 @@ import (
 type codeShape int
 
 const (
-	shapePlain  codeShape = iota // all but unique, dictionary off: plain pages
-	shapePacked                  // few values in random order: bit-packed codes
-	shapeRuns                    // few values in long runs: run-length codes
-	shapeMixed                   // runs then noise: both kinds of code page
-	shapeFrame                   // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them exceptions, FSST strings
-	shapeText                    // comment-like strings, all but unique, some bytes no symbol covers: FSST (strings only)
+	shapePlain   codeShape = iota // all but unique, dictionary off: plain pages
+	shapePacked                   // few values in random order: bit-packed codes
+	shapeRuns                     // few values in long runs: run-length codes
+	shapeMixed                    // runs then noise: both kinds of code page
+	shapeFrame                    // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them an ulp off (corrections), FSST strings
+	shapeText                     // comment-like strings, all but unique, some bytes no symbol covers: FSST (strings only)
+	shapeEscapes                  // decimal floats as in frame, a fifth of them besides two ulps off or random bits: escapes (floats only)
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes"}[s]
 }
 
 // wantEncoding is the kind of chunk the writer must make of a column of type
@@ -48,7 +49,7 @@ func (s codeShape) wantEncoding(t lpq.Type) colenc.Encoding {
 		return colenc.FSST
 	case s == shapeFrame && t == lpq.Int64:
 		return colenc.FOR
-	case s == shapeFrame:
+	case s == shapeFrame || s == shapeEscapes:
 		return colenc.Decimal
 	}
 	return colenc.Dict
@@ -65,7 +66,7 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 	}
 	pick := func(i int) int {
 		switch shape {
-		case shapePlain, shapeFrame:
+		case shapePlain, shapeFrame, shapeEscapes:
 			return rng.Intn(4 * rows)
 		case shapeRuns:
 			return i * 5 / rows
@@ -91,8 +92,14 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 			switch {
 			case v < len(floats):
 				f = floats[v]
-			case shape == shapeFrame && v%3 == 0:
-				f = math.Nextafter(f, 0) // an ulp off: an exception at any scale
+			case shape == shapeEscapes && v%10 == 1:
+				f = math.Float64frombits(math.Float64bits(f) + 2) // two ulps off: an escape
+			case shape == shapeEscapes && v%10 == 2:
+				f = math.Float64frombits(rng.Uint64()) // random bits: an escape but by chance
+			case (shape == shapeFrame || shape == shapeEscapes) && v%6 == 0:
+				f = math.Nextafter(f, 0) // an ulp toward zero: a correction
+			case (shape == shapeFrame || shape == shapeEscapes) && v%6 == 3:
+				f = math.Nextafter(f, math.Copysign(math.Inf(1), f)) // an ulp away from it
 			}
 			col.Floats = append(col.Floats, f)
 		default:
@@ -210,8 +217,9 @@ var kernelLayouts = []struct {
 
 // forEachChunkCase runs fn over {Int64, Float64, String} x {plain, bit-packed,
 // run-length, mixed code pages, frame-of-reference / decimal / FSST pages, FSST
-// pages of text (strings only)} x {Snappy on, off} x {one page, several pages
-// with a short last one, one row}, with
+// pages of text (strings only), decimal pages with escapes (floats only)} x
+// {Snappy on, off} x {one page, several pages with a short last one, one row},
+// with
 // the pool poisoned so that anything a kernel returns that references a
 // released chunk shows.
 func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions)) {
@@ -219,7 +227,7 @@ func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lp
 	defer bufpool.SetPoison(prev)
 	for _, typ := range []lpq.Type{lpq.Int64, lpq.Float64, lpq.String} {
 		for shape := shapePlain; shape < numShapes; shape++ {
-			if shape == shapeText && typ != lpq.String {
+			if shape == shapeText && typ != lpq.String || shape == shapeEscapes && typ != lpq.Float64 {
 				continue
 			}
 			for _, compress := range []bool{true, false} {
@@ -638,7 +646,7 @@ func TestTopKTiesAcrossRowGroups(t *testing.T) {
 
 // TestFullSelectionScansAsNil: a selection of every row is no selection. Over
 // the chunk matrix — plain ints, floats and strings, dictionary codes bit-packed
-// and run-length, frame-of-reference, decimal with exceptions, FSST — a full bitmap
+// and run-length, frame-of-reference, decimal with escapes, FSST — a full bitmap
 // gives the same Scanner batches, row numbers and values as nil, and the same
 // result from every kernel that scans.
 func TestFullSelectionScansAsNil(t *testing.T) {

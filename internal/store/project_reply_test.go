@@ -226,10 +226,10 @@ func TestPushProjectionRule(t *testing.T) {
 
 // TestProjectReplyEquivalence: every projection pushed, or none, the query
 // returns the same table — over a column of every reply form
-// (replyFormsObject: frame-of-reference, decimal with exceptions, dictionaries
-// of ints, floats and strings in run-length and Snappy-compressed chunks, FSST
-// and plain) and selections of no row, one row, a sparse few, a dense run
-// across a page boundary and every row. Where a row is selected, the pushed
+// (replyFormsObject: frame-of-reference, decimal with corrections and
+// escapes, dictionaries of ints, floats and strings in run-length and
+// Snappy-compressed chunks, FSST and plain) and selections of no row, one row,
+// a sparse few, a dense run across a page boundary and every row. Where a row is selected, the pushed
 // run took every projection from a reply.
 func TestProjectReplyEquivalence(t *testing.T) {
 	data, _ := replyFormsObject(t)

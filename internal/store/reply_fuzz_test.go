@@ -256,7 +256,8 @@ func (c *projectForger) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 
 // replyFormsObject writes four row groups of 800 rows in 300-row pages whose
 // columns give every projection reply form: id frame-of-reference ints,
-// price decimals with exceptions (every third value an ulp off), qty a
+// price decimals with corrections (every third value an ulp off) and escapes
+// (about every tenth two ulps off, an infinity in a hundred), qty a
 // dictionary of ints too far apart to frame, disc a dictionary of floats no
 // scale makes exact, status a dictionary of strings in run-length pages,
 // mode a dictionary of strings Snappy-compressed, comment FSST strings and
@@ -280,9 +281,16 @@ func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
 		}
 		for r := 0; r < rows; r++ {
 			cols[0].Ints[r] = int64(g*rows + r)
-			if cols[1].Floats[r] = float64(rng.Intn(100000)) / 100; r%3 == 0 {
-				cols[1].Floats[r] = math.Nextafter(cols[1].Floats[r], math.Inf(1))
+			price := float64(rng.Intn(100000)) / 100
+			switch {
+			case r%3 == 0:
+				price = math.Nextafter(price, math.Inf(1)) // a correction
+			case r%7 == 1:
+				price = math.Float64frombits(math.Float64bits(price) + 2) // an escape
+			case r%100 == 2:
+				price = math.Inf(-1) // an escape
 			}
+			cols[1].Floats[r] = price
 			cols[2].Ints[r] = []int64{3, 1 << 40, -5, 1 << 50}[rng.Intn(4)]
 			cols[3].Floats[r] = []float64{math.Pi, math.E, math.Sqrt2}[rng.Intn(3)]
 			cols[4].Strings[r] = map[bool]string{true: "F", false: "O"}[r < rows/2]

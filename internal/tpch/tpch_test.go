@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -160,7 +161,8 @@ func TestCompressionProfile(t *testing.T) {
 // and the size against the writer that had only plain and dictionary pages
 // and kept Snappy for a byte (sizeBefore: its bytes per column, all ten row
 // groups). l_comment, which that writer stored as plain pages under Snappy,
-// is FSST and at least a quarter smaller.
+// is FSST and at least a quarter smaller; l_extendedprice, which it stored
+// the same way, is decimal pages of at most 60% the bytes.
 func TestWriterChoicesOnLineitem(t *testing.T) {
 	f := generate(t, DefaultConfig())
 	footer := f.Footer()
@@ -201,28 +203,49 @@ func TestWriterChoicesOnLineitem(t *testing.T) {
 			total += m.Size
 		}
 		// The price column: about a third of its values are an ulp off their
-		// cents (the generator multiplies in floating point), so it is a
-		// decimal chunk with that many exceptions — counted here by the
-		// format's rule, not by asking the chunk — and no larger for it.
+		// cents (the generator multiplies in floating point), a few of them
+		// two. A decimal page carries an ulp in the row's code and stores the
+		// rest as escapes; its size is computed here from the values by the
+		// format's rule — the offset width plus 2 bits a row, 8 bytes an
+		// escape — not by asking the chunk.
 		price, err := f.ReadChunk(rg, ColExtendedPrice)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inexact := 0
-		for _, v := range price.Floats {
-			if float64(int64(math.RoundToEven(v*100)))/100 != v {
-				inexact++
+		var inexact, escapes int
+		size, pageRows := 3, lpq.DefaultWriterOptions().PageRows // 3: encoding, scale and page count
+		for start := 0; start < len(price.Floats); start += pageRows {
+			page := price.Floats[start:min(start+pageRows, len(price.Floats))]
+			lo, hi, pageEscapes := int64(math.MaxInt64), int64(math.MinInt64), 0
+			for _, v := range page {
+				i := int64(math.RoundToEven(v * 100))
+				switch math.Float64bits(v) - math.Float64bits(float64(i)/100) {
+				case 0:
+				case 1, math.MaxUint64:
+					inexact++
+				default:
+					inexact, pageEscapes = inexact+1, pageEscapes+1
+					continue
+				}
+				lo, hi = min(lo, i), max(hi, i)
 			}
+			width := max(bits.Len64(uint64(hi-lo)), bits.Len64(uint64(max(pageEscapes-1, 0))), 1)
+			body := 9 + colenc.UvarintLen(uint64(pageEscapes)) + (len(page)*(width+2)+7)/8 + 8*pageEscapes
+			size += colenc.UvarintLen(uint64(len(page))) + colenc.UvarintLen(uint64(body)) + body
+			escapes += pageEscapes
 		}
 		if share := float64(inexact) / float64(len(price.Floats)); share < 0.25 || share > 0.40 {
 			t.Errorf("l_extendedprice row group %d: %.1f%% of the values are not exact cents, want 25-40%%", rg, 100*share)
 		}
-		m, before := g.Chunks[ColExtendedPrice], want[ColExtendedPrice].sizeBefore/uint64(len(footer.RowGroups))
-		if size := 9*3 + 3*60000 + inexact*8 + (inexact*15+7)/8; uint64(size) > m.Size || m.Size > uint64(size)+64 {
-			t.Errorf("l_extendedprice row group %d: %d bytes, want 24-bit offsets and %d exceptions (%d bytes)", rg, m.Size, inexact, size)
+		if 100*escapes > len(price.Floats) {
+			t.Errorf("l_extendedprice row group %d: %d of %d values are two ulps or more off their cents, want under 1%%", rg, escapes, len(price.Floats))
 		}
-		if 20*m.Size > 21*before {
-			t.Errorf("l_extendedprice row group %d: %d bytes, over 5%% more than the %d it took", rg, m.Size, before)
+		m, before := g.Chunks[ColExtendedPrice], want[ColExtendedPrice].sizeBefore/uint64(len(footer.RowGroups))
+		if m.Size != uint64(size) {
+			t.Errorf("l_extendedprice row group %d: %d bytes, want %d by the decimal page's rule (%d escapes)", rg, m.Size, size, escapes)
+		}
+		if 5*m.Size > 3*before {
+			t.Errorf("l_extendedprice row group %d: %d bytes, over 60%% of the %d it took", rg, m.Size, before)
 		}
 	}
 	if before := want[ColComment].sizeBefore; 4*comment > 3*before {

@@ -246,14 +246,16 @@ func TestFig13FusionWinsOnBigColumns(t *testing.T) {
 // l_comment became FSST (the object shrank: the baseline's fixed-size blocks
 // cut l_extendedprice elsewhere, and Fusion's stripes moved), and Fusion's
 // again when a pushed projection began replying in the chunk's encoding (the
-// cell's pushed replies shrank); with Tab4 unpriced Fusion's p50/p99 read
-// 1.470944ms/1.477256ms.
+// cell's pushed replies shrank), and both again when decimal pages began
+// carrying an ulp's correction in the row's code (l_extendedprice shrank by
+// 46%: the cell reads and ships less, and the baseline's blocks cut it
+// elsewhere); with Tab4 unpriced Fusion's p50/p99 read 1.420588ms/1.421036ms.
 func TestEveryQueryIsPriced(t *testing.T) {
 	l := testLab(t)
 	l.Tab4()
 	f, b := l.columnCell("l_extendedprice", 0.01, 105)
 	got := []string{f.Latency.P50().String(), f.Latency.P99().String(), b.Latency.P50().String(), b.Latency.P99().String()}
-	want := []string{"1.476373ms", "1.483338ms", "6.293907ms", "6.299701ms"}
+	want := []string{"1.422408ms", "1.426837ms", "4.933748ms", "4.935267ms"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fig13 cell for l_extendedprice after tab4 (fusion p50, p99, baseline p50, p99):\n got %v\nwant %v", got, want)
 	}
