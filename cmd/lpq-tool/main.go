@@ -14,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/datasets"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/tpch"
@@ -52,7 +54,7 @@ func cmdInspect(args []string) {
 	fmt.Printf("%s: %d bytes, %d columns, %d row groups, %d rows, %d chunks\n\n",
 		args[0], len(data), len(footer.Columns), len(footer.RowGroups),
 		footer.NumRows(), footer.NumChunks())
-	fmt.Printf("%-4s %-24s %-8s %12s %12s %8s\n", "id", "column", "type", "disk bytes", "raw bytes", "ratio")
+	fmt.Printf("%-4s %-24s %-8s %-20s %12s %12s %8s\n", "id", "column", "type", "encoding", "disk bytes", "raw bytes", "ratio")
 	for ci, col := range footer.Columns {
 		var disk, raw uint64
 		for _, rg := range footer.RowGroups {
@@ -63,8 +65,37 @@ func cmdInspect(args []string) {
 		if disk > 0 {
 			ratio = float64(raw) / float64(disk)
 		}
-		fmt.Printf("%-4d %-24s %-8s %12d %12d %7.1fx\n", ci, col.Name, col.Type, disk, raw, ratio)
+		fmt.Printf("%-4d %-24s %-8s %-20s %12d %12d %7.1fx\n", ci, col.Name, col.Type, pageKinds(f, ci), disk, raw, ratio)
 	}
+}
+
+// pageKinds names the kinds of column ci's chunks, in the order the row groups
+// first use them, joined by "+". A frame-of-reference column with delta pages
+// says how many of its pages they are: "FOR·Δ 30/30 pages".
+func pageKinds(f *lpq.File, ci int) string {
+	footer := f.Footer()
+	var kinds []string
+	var delta, pages int
+	for rg, g := range footer.RowGroups {
+		m := g.Chunks[ci]
+		if name := m.Encoding.String(); !slices.Contains(kinds, name) {
+			kinds = append(kinds, name)
+		}
+		if m.Encoding != colenc.FOR {
+			continue
+		}
+		raw, err := f.ChunkBytes(rg, ci)
+		die(err)
+		c, err := lpq.OpenChunk(footer.Columns[ci].Type, m, raw)
+		die(err)
+		d, n := c.DeltaPages()
+		delta, pages = delta+d, pages+n
+		c.Release()
+	}
+	if i := slices.Index(kinds, colenc.FOR.String()); i >= 0 && delta > 0 {
+		kinds[i] = fmt.Sprintf("FOR·Δ %d/%d pages", delta, pages)
+	}
+	return strings.Join(kinds, "+")
 }
 
 func cmdConvert(args []string) {

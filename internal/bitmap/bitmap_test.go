@@ -158,7 +158,7 @@ func densityBitmap(n int, density string, rng *rand.Rand) *Bitmap {
 		}
 		return b
 	}
-	p := map[string]float64{"0.1%": 0.001, "1%": 0.01, "50%": 0.5, "99%": 0.99}[density]
+	p := map[string]float64{"0.1%": 0.001, "1%": 0.01, "50%": 0.5, "85%": 0.85, "90%": 0.9, "99%": 0.99}[density]
 	b := New(n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < p {
@@ -170,14 +170,14 @@ func densityBitmap(n int, density string, rng *rand.Rand) *Bitmap {
 
 var (
 	codecLengths   = []int{0, 1, 63, 64, 65, 60000}
-	codecDensities = []string{"empty", "one bit", "0.1%", "1%", "50%", "99%", "full"}
+	codecDensities = []string{"empty", "one bit", "0.1%", "1%", "50%", "85%", "90%", "99%", "full"}
 )
 
 // naiveForms encodes b in each wire form, a bit at a time: the reference
 // Marshal's pick is checked against.
-func naiveForms(b *Bitmap) [3][]byte {
+func naiveForms(b *Bitmap) [4][]byte {
 	n := b.Len()
-	var out [3][]byte
+	var out [4][]byte
 	for f := range out {
 		out[f] = binary.AppendUvarint([]byte{byte(f)}, uint64(n))
 	}
@@ -190,7 +190,7 @@ func naiveForms(b *Bitmap) [3][]byte {
 		}
 		out[formWords] = binary.LittleEndian.AppendUint64(out[formWords], w)
 	}
-	run, set, next := 0, false, 0
+	run, set, next, nextClear := 0, false, 0, 0
 	for i := 0; i < n; i++ {
 		if b.Get(i) != set {
 			out[formRuns] = binary.AppendUvarint(out[formRuns], uint64(run))
@@ -200,6 +200,9 @@ func naiveForms(b *Bitmap) [3][]byte {
 		if b.Get(i) {
 			out[formGaps] = binary.AppendUvarint(out[formGaps], uint64(i-next))
 			next = i + 1
+		} else {
+			out[formClearGaps] = binary.AppendUvarint(out[formClearGaps], uint64(i-nextClear))
+			nextClear = i + 1
 		}
 	}
 	out[formRuns] = binary.AppendUvarint(out[formRuns], uint64(run))
@@ -207,8 +210,9 @@ func naiveForms(b *Bitmap) [3][]byte {
 }
 
 // TestMarshalRoundTrip: for every length and density, Marshal writes exactly
-// the smallest of the three forms (the earliest on a tie) and Unmarshal gives
-// back the same bits.
+// the smallest of the four forms (the earliest on a tie) and Unmarshal gives
+// back the same bits. Over a 60,000-row row group, a random 90% of the rows
+// travel as clear gaps, smaller than the words; 85% as the words.
 func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range codecLengths {
@@ -223,9 +227,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(enc, want) {
-				t.Errorf("%d rows, %s: Marshal wrote form %d in %d bytes, want form %d in %d (words %d, runs %d, gaps %d)",
-					n, density, enc[0], len(enc), want[0], len(want), len(forms[0]), len(forms[1]), len(forms[2]))
+				t.Errorf("%d rows, %s: Marshal wrote form %d in %d bytes, want form %d in %d (words %d, gaps %d, runs %d, clear gaps %d)",
+					n, density, enc[0], len(enc), want[0], len(want), len(forms[0]), len(forms[1]), len(forms[2]), len(forms[3]))
 				continue
+			}
+			if wantForm, ok := map[string]byte{"85%": formWords, "90%": formClearGaps}[density]; ok && n == 60000 && enc[0] != wantForm {
+				t.Errorf("%d rows, %s: form %d in %d bytes, want form %d", n, density, enc[0], len(enc), wantForm)
 			}
 			got, err := Unmarshal(enc, n)
 			if err != nil {
@@ -273,13 +280,16 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}{
 		{"empty input", nil, "empty input"},
 		{"truncated length", []byte{formRuns, 0x80}, "truncated length"},
-		{"unknown form", append(head(3), 0), "unknown form"},
+		{"unknown form", append(head(4), 0), "unknown form"},
 		{"truncated varint", append(head(formGaps), 5, 0x80), "truncated varint"},
 		{"gap past the end", varints(formGaps, 3, 96), "at or past row 100"},
 		{"gap at the end", varints(formGaps, 100), "at or past row 100"},
+		{"clear gap past the end", varints(formClearGaps, 3, 96), "at or past row 100"},
+		{"truncated clear gap", append(head(formClearGaps), 5, 0x80), "truncated varint"},
 		{"runs short of the length", varints(formRuns, 10, 20), "runs sum to 30"},
 		{"runs past the length", varints(formRuns, 10, 91), "runs exceed"},
 		{"empty run", varints(formRuns, 10, 0, 90), "empty run"},
+		{"empty set run after an empty first run", varints(formRuns, 0, 0, 100), "empty run"},
 		{"wrong raw word count", append(head(formWords), make([]byte, 8)...), "8 bytes of words"},
 		{"raw bit past the end", tail, "at or past row 100"},
 		{"declared length other than the rows expected", NewFull(99).Marshal(), "declares 99 rows"},
@@ -293,7 +303,8 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		t.Error("Unmarshal accepted a negative row count")
 	}
 	// The valid neighbours of those cases are accepted.
-	for _, data := range [][]byte{varints(formGaps, 3, 95), varints(formRuns, 10, 90), varints(formRuns, 0, 100), head(formGaps)} {
+	for _, data := range [][]byte{varints(formGaps, 3, 95), varints(formRuns, 10, 90), varints(formRuns, 0, 100), head(formGaps),
+		varints(formClearGaps, 3, 95), head(formClearGaps)} {
 		if _, err := Unmarshal(data, 100); err != nil {
 			t.Errorf("Unmarshal refused %x: %v", data, err)
 		}

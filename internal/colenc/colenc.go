@@ -25,7 +25,9 @@ const (
 	// RLE stores (run-length, value) pairs of unsigned integers.
 	RLEEnc
 	// FOR stores each Int64 value of a page as its offset from the page's
-	// smallest value (the frame of reference), bit-packed.
+	// smallest value (the frame of reference), bit-packed — or, where that is
+	// smaller, the page's first value and each step to the next row less the
+	// smallest step, bit-packed (package lpq's delta pages).
 	FOR
 	// Decimal stores each Float64 value v of a page as an integer i, v times
 	// a power of ten rounded, packed as a frame-of-reference offset beside a
@@ -192,16 +194,6 @@ func Frame(min, max int64) (base int64, width int, ok bool) {
 		min = math.MaxInt64 - top
 	}
 	return min, width, true
-}
-
-// PackOffsets appends vals as offsets from base, packed at the given width,
-// to dst. Every value must lie in [base, base + 2^width).
-func PackOffsets(dst []byte, vals []int64, base int64, width int) []byte {
-	offs := make([]uint64, len(vals))
-	for i, v := range vals {
-		offs[i] = uint64(v) - uint64(base)
-	}
-	return PackUints(dst, offs, width)
 }
 
 // PackUints appends vals packed at the given bit width (1..MaxPackWidth) to

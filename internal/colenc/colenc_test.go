@@ -309,7 +309,8 @@ func TestGetStringsOneBackingAllocation(t *testing.T) {
 // TestFrame: the frame of a span is its minimum and the width of the span,
 // refused past MaxFrameWidth bits (overflowing spans included), with the base
 // lowered just enough at the top of int64 that base plus the widest offset
-// still fits; PackOffsets round-trips through UnpackUints at every case.
+// still fits; the offsets from it, packed, round-trip through UnpackUints at
+// every case.
 func TestFrame(t *testing.T) {
 	for _, tc := range []struct {
 		min, max int64
@@ -336,7 +337,11 @@ func TestFrame(t *testing.T) {
 			continue
 		}
 		vals := []int64{tc.min, tc.max, tc.min + (tc.max-tc.min)/2}
-		offs, err := UnpackUints(PackOffsets(nil, vals, base, width), len(vals), width)
+		packed := make([]uint64, len(vals))
+		for i, v := range vals {
+			packed[i] = uint64(v) - uint64(base)
+		}
+		offs, err := UnpackUints(PackUints(nil, packed, width), len(vals), width)
 		if err != nil {
 			t.Fatal(err)
 		}

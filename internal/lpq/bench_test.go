@@ -18,31 +18,40 @@ const benchRows = 60000
 // l_shipdate (2,526 dates: a frame of reference, 12-bit offsets), l_quantity
 // (50 values: dictionary, 6-bit packed codes), l_returnflag (3 strings: 2-bit
 // codes), l_extendedprice (cents, a third of them an ulp off: decimal pages
-// whose codes carry the ulp), l_comment (FSST strings), and a sorted date
-// column for run-length pages.
+// whose codes carry the ulp), l_comment (FSST strings), l_orderkey (ascending
+// by 0 or 1 a row: delta pages, a bit a row), and for run-length pages a
+// sorted date column whose dates lie 1,009 apart, so that its steps take 10
+// bits and a dictionary's runs beat them.
 func benchColumns() map[string]ColumnData {
 	rng := rand.New(rand.NewSource(7))
 	ship, sorted, qty := make([]int64, benchRows), make([]int64, benchRows), make([]int64, benchRows)
+	orderKey := make([]int64, benchRows)
 	price := make([]float64, benchRows)
 	flag, comment := make([]string, benchRows), make([]string, benchRows)
+	key := int64(1)
 	for i := range ship {
 		ship[i] = rng.Int63n(2526)
-		sorted[i] = ship[i]
+		sorted[i] = ship[i] * 1009
 		qty[i] = int64(1 + rng.Intn(50))
 		price[i] = float64(qty[i]) * (900 + float64(rng.Intn(200000))/100)
 		flag[i] = []string{"A", "N", "R"}[rng.Intn(3)]
 		comment[i] = fmt.Sprintf("carefully final %d deposits sleep %d", rng.Intn(1<<20), rng.Intn(1<<20))[:10+rng.Intn(26)]
+		if rng.Intn(4) == 0 { // lineitem's orders have 4 lines on average
+			key++
+		}
+		orderKey[i] = key
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return map[string]ColumnData{
 		"quantity-packed6": IntColumn(qty), "returnflag-packed2": StringColumn(flag),
 		"sorted-rle": IntColumn(sorted), "shipdate-frame12": IntColumn(ship),
 		"price-decimal": FloatColumn(price), "comment-fsst": StringColumn(comment),
+		"orderkey-delta1": IntColumn(orderKey),
 	}
 }
 
 // benchOrder lists the columns, the three dictionary ones first.
-var benchOrder = []string{"quantity-packed6", "returnflag-packed2", "sorted-rle", "shipdate-frame12", "price-decimal", "comment-fsst"}
+var benchOrder = []string{"quantity-packed6", "returnflag-packed2", "sorted-rle", "shipdate-frame12", "price-decimal", "comment-fsst", "orderkey-delta1"}
 
 type benchChunk struct {
 	typ Type
@@ -88,7 +97,9 @@ func BenchmarkKernelOpen(b *testing.B) {
 // BenchmarkKernelSelectCodes times the code scan of a dictionary filter
 // (opened chunk in hand, verdict on every other entry) per encoding, and
 // beside it the offset scan of a frame-of-reference filter (a 1.4% range of
-// l_shipdate); the rows/s is SetBytes with one "byte" per row.
+// l_shipdate) and the decode-and-compare of one over delta pages (a 1.4%
+// range of l_orderkey, cutting one page and missing the others); the rows/s
+// is SetBytes with one "byte" per row.
 func BenchmarkKernelSelectCodes(b *testing.B) {
 	chunks := benchChunks()
 	for _, name := range benchOrder[:3] {
@@ -110,18 +121,25 @@ func BenchmarkKernelSelectCodes(b *testing.B) {
 		})
 		ch.Release()
 	}
-	ch := mustOpen(b, chunks["shipdate-frame12"])
-	defer ch.Release()
-	b.Run("shipdate-frame12", func(b *testing.B) {
-		b.SetBytes(benchRows)
-		for i := 0; i < b.N; i++ {
-			bm, err := ch.SelectInts(35, math.MaxInt64, true)
-			if err != nil {
-				b.Fatal(err)
+	keys := benchColumns()["orderkey-delta1"].Ints
+	for _, c := range []struct {
+		name    string
+		lo, hi  int64
+		outside bool
+	}{{"shipdate-frame12", 35, math.MaxInt64, true}, {"orderkey-delta1", keys[benchRows/2], keys[benchRows/2] + 209, false}} {
+		ch := mustOpen(b, chunks[c.name])
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(benchRows)
+			for i := 0; i < b.N; i++ {
+				bm, err := ch.SelectInts(c.lo, c.hi, c.outside)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += bm.Len()
 			}
-			benchSink += bm.Len()
-		}
-	})
+		})
+		ch.Release()
+	}
 }
 
 // BenchmarkKernelGather1pct times a node's projection reply of 1% of the rows

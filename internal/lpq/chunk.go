@@ -67,7 +67,9 @@ type Chunk struct {
 // page is one data page of the directory: rows [first, first+rows) encoded
 // in blob[off:end]. In a dictionary chunk the page holds codes, run-length
 // encoded when rle is set and bit-packed otherwise. A frame-of-reference page
-// holds offsets from base, bit-packed at width. A decimal page's codes are
+// holds offsets from base, bit-packed at width, or, when delta is set, the
+// steps from each row to the next less step, the first row's value being
+// base (framePage). A decimal page's codes are
 // packed at width too, each an offset from base above corr bits of correction
 // (corrBits, or none on a page of exact rows); its escapes' raw values follow
 // them, 8 bytes each from blob[end:] on.
@@ -78,6 +80,8 @@ type page struct {
 
 	base    int64
 	width   int
+	delta   bool
+	step    int64
 	corr    int
 	escapes int
 }
@@ -149,6 +153,17 @@ func (c *Chunk) NumRows() int { return c.rows }
 
 // Encoding returns the kind of the chunk's pages.
 func (c *Chunk) Encoding() colenc.Encoding { return c.enc }
+
+// DeltaPages returns how many of the chunk's pages hold deltas between
+// consecutive rows (frame-of-reference chunks only) and how many pages it has.
+func (c *Chunk) DeltaPages() (delta, pages int) {
+	for _, p := range c.pages {
+		if p.delta {
+			delta++
+		}
+	}
+	return delta, len(c.pages)
+}
 
 // Dict returns the dictionary page's values and true for a
 // dictionary-encoded chunk. Callers must not modify them.
@@ -223,7 +238,7 @@ func (c *Chunk) parse() error {
 		body := &decBuf{b: d.b[:byteLen]}
 		d.b = d.b[byteLen:]
 		if c.enc == colenc.FOR || c.enc == colenc.Decimal {
-			if err := pg.parseFrame(body, c.enc == colenc.Decimal); err != nil {
+			if err := pg.parseFrame(body, c.enc == colenc.Decimal, int(rows)); err != nil {
 				return err
 			}
 		}
@@ -238,6 +253,8 @@ func (c *Chunk) parse() error {
 			}
 		case c.typ == String && c.enc != colenc.Dict:
 			minBits = rows * 8 // a length byte per value
+		case pg.delta:
+			minBits = (rows - 1) * uint64(pg.width)
 		case c.enc != colenc.Plain:
 			minBits = rows * uint64(pg.width)
 		default:
@@ -266,23 +283,36 @@ func (c *Chunk) parse() error {
 	return nil
 }
 
-// parseFrame reads the header of a frame-of-reference or decimal page — base,
-// width and, for a decimal page, the escape count — leaving body at the packed
-// offsets or codes. The largest offset must not carry base past int64, a code
-// must fit 32 bits, and a decimal page's offset field must index every escape
-// (a page with no corrections has none). A decimal page's width becomes its
-// codes': the offset's and the correction's.
-func (pg *page) parseFrame(body *decBuf, decimal bool) error {
+// parseFrame reads the header of a frame-of-reference or decimal page of rows
+// rows — base, width and, for a decimal page, the escape count, for a delta
+// page the minimum step — leaving body at the packed offsets, codes or steps.
+// The largest offset must not carry base past int64, no running sum of a
+// delta page may leave it (deltaBounds), a code must fit 32 bits, and a
+// decimal page's offset field must index every escape (a page with no
+// corrections has none). A decimal page's width becomes its codes': the
+// offset's and the correction's.
+func (pg *page) parseFrame(body *decBuf, decimal bool, rows int) error {
 	pg.base = body.i64()
 	pg.width = int(body.byteVal())
 	var escapes uint64
-	if decimal {
+	switch {
+	case decimal:
 		if escapes = body.uvarint(); pg.width&corrected != 0 {
 			pg.width, pg.corr = pg.width&^corrected, corrBits
 		}
+	case pg.width&deltaCoded != 0:
+		pg.width, pg.delta, pg.step = pg.width&^deltaCoded, true, body.varint()
 	}
-	if body.err != nil || pg.width < 1 || pg.width+pg.corr > colenc.MaxFrameWidth ||
-		pg.base > math.MaxInt64-(1<<pg.width-1) || escapes > uint64(pg.corr/corrBits)<<pg.width {
+	if body.err != nil || pg.width+pg.corr > colenc.MaxFrameWidth {
+		return colenc.ErrCorrupt
+	}
+	if pg.delta {
+		if _, _, ok := deltaBounds(pg.base, pg.step, rows, pg.width); !ok {
+			return colenc.ErrCorrupt
+		}
+		return nil
+	}
+	if pg.width < 1 || pg.base > math.MaxInt64-(1<<pg.width-1) || escapes > uint64(pg.corr/corrBits)<<pg.width {
 		return colenc.ErrCorrupt
 	}
 	pg.escapes, pg.width = int(escapes), pg.width+pg.corr
@@ -477,6 +507,92 @@ func (pp packedPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
 	}
 }
 
+// deltaPage reads the steps of a delta page: each row's value is the
+// previous row's plus step plus its packed delta (none at width 0, where
+// every step is the minimum). It walks forward from a row whose value is
+// known, a batch of deltas unpacked at a time.
+type deltaPage struct {
+	packedPage
+	step  int64
+	steps int // rows-1: the deltas packed
+}
+
+// deltas returns the reader of delta page p.
+func (c *Chunk) deltas(p *page) deltaPage {
+	return deltaPage{packedPage{c.blob[p.off:p.end], p.width}, p.step, p.rows - 1}
+}
+
+// unpack extracts the len(dst) deltas from the idx-th on, all zero at width 0.
+func (dp deltaPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
+	if dp.width == 0 {
+		clear(dst)
+		return
+	}
+	dp.packedPage.unpack(dst, idx, buf)
+}
+
+// advance returns what the n steps from the idx-th add to a value, modulo
+// 2^64: n minimum steps and n deltas. One-bit deltas are counted a word at a
+// time; a few wider ones are read one by one, more a batch at a time into
+// tmp.
+func (dp deltaPage) advance(idx, n int, tmp *[BatchRows]uint32, buf *[windowBytes]byte) int64 {
+	sum := uint64(n) * uint64(dp.step)
+	switch {
+	case dp.width == 0:
+	case dp.width == 1:
+		sum += uint64(ones(dp.data, idx, n))
+	case n < 16:
+		for k := idx; k < idx+n; k++ {
+			sum += uint64(packedCode(dp.data, dp.width, k))
+		}
+	default:
+		for n > 0 {
+			k := min(n, BatchRows)
+			dp.unpack(tmp[:k], idx, buf)
+			for _, d := range tmp[:k] {
+				sum += uint64(d)
+			}
+			idx, n = idx+k, n-k
+		}
+	}
+	return int64(sum)
+}
+
+// ones counts the set bits among data's n bits from the bit-th, 56 a load.
+func ones(data []byte, bit, n int) int {
+	c := 0
+	for ; n > 0; n -= 56 {
+		var u uint64
+		if at := bit >> 3; at+8 <= len(data) {
+			u = binary.LittleEndian.Uint64(data[at:])
+		} else {
+			for i, b := range data[at:] {
+				u |= uint64(b) << (8 * i)
+			}
+		}
+		c += bits.OnesCount64(u >> (bit & 7) & (1<<min(n, 56) - 1))
+		bit += 56
+	}
+	return c
+}
+
+// values writes to dst the values of the rows from the idx-th on, v being the
+// idx-th's — a prefix sum of their deltas, unpacked into tmp — and returns the
+// next row's (the last row's, at the page's end). dst holds at most
+// BatchRows.
+func (dp deltaPage) values(dst []int64, v int64, idx int, tmp *[BatchRows]uint32, buf *[windowBytes]byte) int64 {
+	steps := tmp[:min(len(dst), dp.steps-idx)]
+	dp.unpack(steps, idx, buf)
+	for k, d := range steps {
+		dst[k] = v
+		v += dp.step + int64(d)
+	}
+	if len(steps) < len(dst) {
+		dst[len(steps)] = v // the page's last row
+	}
+	return v
+}
+
 // orWord ORs acc's bits into words from row r on, r not necessarily on a word
 // boundary. acc has no bit past the bitmap's last row, so the second word is
 // touched only when it exists.
@@ -599,12 +715,13 @@ func (c *Chunk) selectWideCodes(verdict []uint64, out *bitmap.Bitmap) error {
 
 // SelectInts is the filter over a frame-of-reference chunk: the result has bit
 // r set iff row r's value lies in [lo, hi] — or, with outside set, iff it does
-// not. Each of the six comparisons with an integer is one such test. The
-// bounds are translated once per page into offset space (v in [lo, hi] iff
-// v-base in [lo-base, hi-base], clamped to the page's width), and a page is
-// read 64 rows — one result word — at a time, each offset compared as its
-// load yields it: one unsigned compare folded into the word. A page the bounds
-// cover or miss entirely is not read at all.
+// not. Each of the six comparisons with an integer is one such test. A page
+// the bounds cover or miss entirely is not read at all. On an offset page the
+// bounds are translated once into offset space (v in [lo, hi] iff v-base in
+// [lo-base, hi-base], clamped to the page's width), and the page is read 64
+// rows — one result word — at a time, each offset compared as its load yields
+// it: one unsigned compare folded into the word. A delta page is decoded a
+// batch at a time, and then each value compared.
 func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 	if c.enc != colenc.FOR {
 		return nil, fmt.Errorf("lpq: SelectInts over a %v chunk", c.enc)
@@ -612,23 +729,31 @@ func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 	out := bitmap.New(c.rows)
 	words := out.Words()
 	var buf [windowBytes]byte
-	for _, p := range c.pages {
-		top := p.base + (1<<p.width - 1) // the directory checked it fits
-		if lo > hi || hi < p.base || lo > top {
+	for pi := range c.pages {
+		p := &c.pages[pi]
+		bottom, top := p.base, p.base+(1<<p.width-1) // the directory checked they fit
+		if p.delta {
+			bottom, top, _ = deltaBounds(p.base, p.step, p.rows, p.width)
+		}
+		if lo > hi || hi < bottom || lo > top {
 			if outside {
 				out.SetRange(p.first, p.first+p.rows)
 			}
 			continue
 		}
-		// Offsets of the bounds, exact as unsigned differences.
-		from := uint64(max(lo, p.base)) - uint64(p.base)
-		span := uint64(min(hi, top)) - uint64(max(lo, p.base))
-		if span == 1<<p.width-1 {
+		if lo <= bottom && top <= hi {
 			if !outside {
 				out.SetRange(p.first, p.first+p.rows)
 			}
 			continue
 		}
+		if p.delta {
+			c.selectDeltas(p, lo, hi, outside, out, &buf)
+			continue
+		}
+		// Offsets of the bounds, exact as unsigned differences.
+		from := uint64(max(lo, p.base)) - uint64(p.base)
+		span := uint64(min(hi, top)) - uint64(max(lo, p.base))
 		pp := packedPage{c.blob[p.off:p.end], p.width}
 		for g := 0; g < p.rows; g += 64 {
 			n := min(64, p.rows-g)
@@ -642,14 +767,52 @@ func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 	return out, nil
 }
 
+// selectDeltas is SelectInts over delta page p, lo <= hi, a batch of rows at
+// a time. The batch's first value bounds the rest as the page's does its
+// rows (deltaBounds); a batch the bounds cover or miss is stepped over by the
+// sum of its deltas, any other decoded, and each value tested as an unsigned
+// difference from lo.
+func (c *Chunk) selectDeltas(p *page, lo, hi int64, outside bool, out *bitmap.Bitmap, buf *[windowBytes]byte) {
+	dp := c.deltas(p)
+	words, span := out.Words(), uint64(hi)-uint64(lo)
+	var vals [BatchRows]int64
+	var tmp [BatchRows]uint32
+	v := p.base
+	for g := 0; g < p.rows; g += BatchRows {
+		batch := vals[:min(BatchRows, p.rows-g)]
+		// Within the page's bounds, which the directory checked.
+		bottom, top, _ := deltaBounds(v, p.step, len(batch), p.width)
+		if miss, cover := hi < bottom || lo > top, lo <= bottom && top <= hi; miss || cover {
+			if miss == outside {
+				out.SetRange(p.first+g, p.first+g+len(batch))
+			}
+			v += dp.advance(g, min(len(batch), dp.steps-g), &tmp, buf)
+			continue
+		}
+		v = dp.values(batch, v, g, &tmp, buf)
+		for k := 0; k < len(batch); k += 64 {
+			var acc uint64
+			group := batch[k:min(k+64, len(batch))]
+			for i, x := range group {
+				_, above := bits.Sub64(span, uint64(x)-uint64(lo), 0)
+				acc |= (above ^ 1) << i
+			}
+			if outside {
+				acc ^= 1<<len(group) - 1
+			}
+			orWord(words, p.first+g+k, acc)
+		}
+	}
+}
+
 // BatchRows is the most rows a Scanner yields per step.
 const BatchRows = 256
 
 // Scanner walks an opened chunk's selected rows in ascending order, a batch
 // of up to BatchRows at a time, fetching only those rows from the encoded
 // pages: a plain numeric value by its offset, a dictionary value by
-// unpacking just its code, run-length and string pages in one forward walk
-// (an FSST page's code strings decoded as the batch is fetched).
+// unpacking just its code, run-length, delta and string pages in one forward
+// walk (an FSST page's code strings decoded as the batch is fetched).
 // Scanners over chunks of one row group under the same selection step in
 // lockstep — batch boundaries depend on the selection alone — which is what
 // lets a kernel fold several columns row by row with no column materialised.
@@ -680,6 +843,7 @@ type Scanner struct {
 	walking int // page the walk state belongs to, -1 for none
 	pos, at int
 	runCode uint32
+	value   int64 // delta pages: the value of row at
 
 	n      int
 	rows   [BatchRows]int32
@@ -849,6 +1013,10 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 		}
 		return nil
 	}
+	if p.delta {
+		sc.walkDeltas(p, i, j)
+		return nil
+	}
 	// Every other kind reads a bit-packed or run-length code per row first.
 	codes := sc.codes[i:j]
 	if p.rle {
@@ -905,8 +1073,50 @@ func (sc *Scanner) fetch(p *page, i, j int) error {
 // enter resets the forward-walk state on first touching a page.
 func (sc *Scanner) enter(p *page) {
 	if sc.walking != sc.pi {
-		sc.walking, sc.pos, sc.at = sc.pi, p.off, p.first
+		sc.walking, sc.pos, sc.at, sc.value = sc.pi, p.off, p.first, p.base
 	}
+}
+
+// walkDeltas resolves rows[i:j] of delta page p. Sparse rows — fewer than
+// three quarters of their span — are each reached by the sum of the steps
+// since the one before. Denser ones are a walk from the first of them, which
+// the running value is carried to by that sum: consecutive rows are a prefix
+// sum of their unpacked deltas, written straight into the batch, and other
+// rows keep the running value as it passes them. A frame chunk has no codes,
+// so the batch's serve as the deltas' scratch.
+func (sc *Scanner) walkDeltas(p *page, i, j int) {
+	sc.enter(p)
+	dp := sc.c.deltas(p)
+	first, last := int(sc.Row(i)), int(sc.Row(j-1))
+	if 3*(last-first+1) > 4*(j-i) {
+		for k := i; k < j; k++ {
+			r := int(sc.Row(k))
+			sc.value += dp.advance(sc.at-p.first, r-sc.at, &sc.codes, &sc.window)
+			sc.ints[k], sc.at = sc.value, r
+		}
+		return
+	}
+	sc.value += dp.advance(sc.at-p.first, first-sc.at, &sc.codes, &sc.window)
+	sc.at = first
+	if last-first+1 == j-i {
+		next := dp.values(sc.ints[i:j], sc.value, first-p.first, &sc.codes, &sc.window)
+		// Past the page's last row, next is that row's value.
+		sc.at, sc.value = min(last+1, p.first+p.rows-1), next
+		return
+	}
+	k := i // not every row is selected, so they are listed in sc.rows
+	for sc.at < last {
+		steps := sc.codes[:min(BatchRows, last-sc.at)]
+		dp.unpack(steps, sc.at-p.first, &sc.window)
+		for _, d := range steps {
+			if int(sc.rows[k]) == sc.at {
+				sc.ints[k], k = sc.value, k+1
+			}
+			sc.value += dp.step + int64(d)
+			sc.at++
+		}
+	}
+	sc.ints[k] = sc.value // the last row
 }
 
 // errEscape reports a decimal code that escapes to a value past its page's

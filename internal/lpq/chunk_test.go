@@ -27,14 +27,27 @@ const (
 	shapePacked                   // few values in random order: dictionary, bit-packed codes
 	shapeRuns                     // few values in long runs: dictionary, run-length codes
 	shapeMixed                    // runs then noise: a dictionary chunk with both kinds of page
-	shapeFrame                    // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them an ulp off (corrections)
+	shapeFrame                    // all but unique in a narrow range: frame-of-reference ints in random order (offset pages), decimal floats a third of them an ulp off (corrections)
 	shapeText                     // comment-like strings, all but unique, some bytes no symbol covers: FSST; numbers as in frame
 	shapeEscapes                  // decimal floats as in frame, a fifth of them besides two ulps off or random bits (escapes); ints and strings as in frame
+	shapeSorted                   // ints only: ascending in steps of 0 or 1, as l_orderkey: frame-of-reference delta pages
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes", "sorted"}[s]
+}
+
+// shapesOf returns the shapes a column of type t is drawn in: every one but
+// shapeSorted, which is for ints only.
+func shapesOf(t Type) []codeShape {
+	var out []codeShape
+	for s := shapePlain; s < numShapes; s++ {
+		if s != shapeSorted || t == Int64 {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // genColumn draws rows values of type t in the given shape. Floats include
@@ -64,12 +77,26 @@ func genColumn(rng *rand.Rand, t Type, shape codeShape, rows int) ColumnData {
 	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), -1.5, 1e300, math.NaN()}
 	long := string(bytes.Repeat([]byte("x"), 200))
 	col := ColumnData{Type: t}
+	// Framed ints are shuffled, so that their steps span more bits than
+	// their offsets; sorted ones climb from near 2^40.
+	var perm []int
+	if t == Int64 && (shape == shapeFrame || shape == shapeText || shape == shapeEscapes) {
+		perm = rng.Perm(rows)
+	}
+	key := int64(1)<<40 + 3
 	for i := 0; i < rows; i++ {
 		v := pick(i)
-		switch t {
-		case Int64:
+		switch {
+		case t == Int64 && shape == shapeSorted:
+			if rng.Intn(4) == 0 {
+				key++
+			}
+			col.Ints = append(col.Ints, key)
+		case t == Int64 && perm != nil:
+			col.Ints = append(col.Ints, int64(perm[i])*1_000_003-7)
+		case t == Int64:
 			col.Ints = append(col.Ints, int64(v)*1_000_003-7)
-		case Float64:
+		case t == Float64:
 			f := float64(v)*1.25 - 3 // hundredths, exactly
 			framed := shape == shapeFrame || shape == shapeText || shape == shapeEscapes
 			switch {
@@ -230,7 +257,7 @@ func TestChunkKernelsMatchReference(t *testing.T) {
 		rows, pageRows int
 	}{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape < numShapes; shape++ {
+		for _, shape := range shapesOf(typ) {
 			for _, compress := range []bool{true, false} {
 				for _, lay := range layouts {
 					name := fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
@@ -360,9 +387,12 @@ func checkChunkKernels(t *testing.T, rng *rand.Rand, typ Type, m ChunkMeta, raw 
 			rle, packed = rle || p.rle, packed || (c.enc == colenc.Dict && !p.rle)
 		}
 		frame := [...]colenc.Encoding{Int64: colenc.FOR, Float64: colenc.Decimal, String: colenc.FSST}[typ]
-		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, c.enc == frame, c.enc == frame, c.enc == frame}[shape]
+		delta, pages := c.DeltaPages()
+		offsets := c.enc == frame && (typ != Int64 || delta == 0)
+		got := [...]bool{c.enc == colenc.Plain, packed && !rle, rle && !packed, rle && packed, offsets, offsets, offsets,
+			c.enc == colenc.FOR && delta == pages}[shape]
 		if !got {
-			t.Fatalf("chunk is %v rle=%v packed=%v, not shape %v", c.enc, rle, packed, shape)
+			t.Fatalf("chunk is %v rle=%v packed=%v with %d of %d pages deltas, not shape %v", c.enc, rle, packed, delta, pages, shape)
 		}
 		if c.enc == colenc.Decimal {
 			// A third of the rows are an ulp off, half of them either way:
@@ -601,6 +631,15 @@ func (w *blobWriter) decimalPage(rows int, width byte, escapes uint64, packed []
 	return w.uvarint(uint64(rows)).uvarint(uint64(len(body.b))).bytes(body.b...)
 }
 
+// deltaPage appends one frame-of-reference delta page: header, the minimum
+// step's bytes as given (zz encodes one), then the packed deltas as given.
+func (w *blobWriter) deltaPage(rows uint64, base int64, width byte, step []byte, packed ...byte) *blobWriter {
+	return w.uvarint(rows).uvarint(uint64(9 + len(step) + len(packed))).ints(base).bytes(width | deltaCoded).bytes(step...).bytes(packed...)
+}
+
+// zz is the zigzag varint of a delta page's minimum step.
+func zz(step int64) []byte { return binary.AppendVarint(nil, step) }
+
 // dcode is the decimal code of an offset and a correction; at a 6-bit offset
 // width it is one byte of a page's packed codes.
 func dcode(off, corr byte) byte { return off<<2 | corr }
@@ -630,6 +669,17 @@ func malformedFrameChunks() []malformedChunk {
 		{"frame base plus the widest offset overflows", Int64, 4, frame().framePage(4, math.MaxInt64-5, 3, 0, 0).b},
 		{"frame chunk of a float column", Float64, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
 		{"frame chunk of a string column", String, 4, frame().framePage(4, 7, 8, 1, 2, 3, 4).b},
+		// Three steps of 1 from MaxInt64-1: the last row is past int64.
+		{"delta running sum leaves int64", Int64, 4, frame().deltaPage(4, math.MaxInt64-1, 1, zz(1), 0).b},
+		// Steps of 0 or 1 from MaxInt64-2: the rows are in range, but deltas
+		// of the width could carry the last past it.
+		{"delta width could carry the sum past int64", Int64, 4, frame().deltaPage(4, math.MaxInt64-2, 1, zz(0), 0).b},
+		{"delta sum below MinInt64", Int64, 4, frame().deltaPage(4, math.MinInt64+5, 0, zz(-2)).b},
+		{"delta minimum step that does not decode", Int64, 4,
+			frame().deltaPage(4, 7, 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, 0).b},
+		{"delta minimum step cut off", Int64, 4, frame().uvarint(4).uvarint(10).ints(7).bytes(1|deltaCoded, 0x80).b},
+		{"delta width over 32", Int64, 4, frame().deltaPage(4, 7, 33, zz(1), make([]byte, 13)...).b},
+		{"delta page shorter than rows-1 deltas", Int64, 20, frame().deltaPage(20, 7, 8, zz(1), make([]byte, 18)...).b},
 		{"decimal chunk of an int column", Int64, 4, decimal().decimalPage(4, 6|corrected, 0, exact).b},
 		{"decimal scale outside the set", Float64, 4,
 			new(blobWriter).bytes(byte(colenc.Decimal), byte(len(decimalScales))).uvarint(1).decimalPage(4, 6|corrected, 0, exact).b},
@@ -772,6 +822,23 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 	if col, err := DecodeChunk(Int64, metaFor(frame, 4), frame); err != nil || !reflect.DeepEqual(col.Ints, []int64{-3, -2, -1, 252}) {
 		t.Fatalf("well-formed frame chunk: %v, %v", col.Ints, err)
 	}
+	// Steps of 2, 3 and 5 from -3 (deltas 0, 1 and 3 above 2); steps of -1
+	// from MinInt64+3 at width 0, to the end of int64; and three steps of 0
+	// or 1 from MaxInt64-3, the widest that can stay in it.
+	for _, d := range []struct {
+		raw  []byte
+		want []int64
+	}{
+		{new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1).deltaPage(4, -3, 2, zz(2), 0b11_01_00).b, []int64{-3, -1, 2, 7}},
+		{new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1).deltaPage(4, math.MinInt64+3, 0, zz(-1)).b,
+			[]int64{math.MinInt64 + 3, math.MinInt64 + 2, math.MinInt64 + 1, math.MinInt64}},
+		{new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1).deltaPage(4, math.MaxInt64-3, 1, zz(0), 0b101).b,
+			[]int64{math.MaxInt64 - 3, math.MaxInt64 - 2, math.MaxInt64 - 2, math.MaxInt64 - 1}},
+	} {
+		if col, err := DecodeChunk(Int64, metaFor(d.raw, 4), d.raw); err != nil || !reflect.DeepEqual(col.Ints, d.want) {
+			t.Fatalf("well-formed delta chunk: %v, %v; want %v", col.Ints, err, d.want)
+		}
+	}
 	decimal := new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1).decimalPage(5, 6|corrected, 2,
 		[]byte{dcode(1, corrExact), dcode(1, corrEscape), dcode(3, corrUp), dcode(0, corrEscape), dcode(5, corrDown)},
 		math.Copysign(0, -1), math.Inf(-1)).b
@@ -832,7 +899,7 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 func TestMutatedChunksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape < numShapes; shape++ {
+		for _, shape := range shapesOf(typ) {
 			col := genColumn(rng, typ, shape, 300)
 			m, raw := encodeTestChunk(col, shape, false, 128)
 			sel := testSelections(rng, 300)["50%"]
@@ -964,14 +1031,50 @@ func TestNumericEncodingsRoundTripBits(t *testing.T) {
 	if m, _ := encodeChunk(cols["int64 extremes"], DefaultWriterOptions()); m.Encoding == colenc.FOR {
 		t.Error("both ends of int64 in one frame of reference")
 	}
-	if m, _ := encodeChunk(cols["span of 2^32 exactly"], DefaultWriterOptions()); m.Encoding == colenc.FOR {
-		t.Error("a span of 2^32 does not fit 32-bit offsets")
+	// A span of 2^32 does not fit 32-bit offsets; its steps, 1 and 2^32-50,
+	// fit 32-bit deltas.
+	if m, raw := encodeChunk(cols["span of 2^32 exactly"], DefaultWriterOptions()); m.Encoding != colenc.FOR {
+		t.Errorf("a span of 2^32 in steps of 32 bits came out %v, want FOR", m.Encoding)
+	} else if c, err := OpenChunk(Int64, m, raw); err != nil || !c.pages[0].delta {
+		t.Error("a span of 2^32 framed as 32-bit offsets")
 	}
 	if m, _ := encodeChunk(cols["span just inside 2^32"], DefaultWriterOptions()); m.Encoding != colenc.FOR {
 		t.Errorf("a span of 2^32-1 came out %v, want FOR", m.Encoding)
 	}
 	if m, _ := encodeChunk(cols["near MaxInt64"], DefaultWriterOptions()); m.Encoding != colenc.FOR {
 		t.Errorf("a narrow range ending at MaxInt64 came out %v, want FOR", m.Encoding)
+	}
+}
+
+// TestFrameReplySplitsWhereNoPageFits: rows 0, 1, 3, 7, … of one delta page
+// stepping 2^31 a row are 2^31, 2^32, 2^33, … apart and span more than 32
+// bits, so neither offsets nor deltas hold them in one page. The reply splits
+// them over several, and gathers to the selected values.
+func TestFrameReplySplitsWhereNoPageFits(t *testing.T) {
+	vals := make([]int64, 64)
+	for i := range vals {
+		vals[i] = int64(i) << 31
+	}
+	m, raw := encodeChunk(IntColumn(vals), WriterOptions{DictMaxFraction: 0.5, PageRows: 64})
+	c, err := OpenChunk(Int64, m, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta, pages := c.DeltaPages(); delta != 1 || pages != 1 || c.pages[0].width != 0 {
+		t.Fatalf("%d of %d pages deltas, width %d: not one constant-stride delta page", delta, pages, c.pages[0].width)
+	}
+	sel := bitmap.New(64)
+	for i := 1; i <= 64; i *= 2 {
+		sel.Set(i - 1)
+	}
+	checkReply(t, c, sel, referenceSelect(IntColumn(vals), sel), "rows 2^k-1")
+	reply, err := c.AppendSelected(nil, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReply(Int64, sel.Count(), reply)
+	if err != nil || len(r.pages) < 2 {
+		t.Fatalf("the reply opens (%v) as %d pages, want several", err, len(r.pages))
 	}
 }
 

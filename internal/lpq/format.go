@@ -206,6 +206,20 @@ func (d *decBuf) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zigzag varint (binary.AppendVarint).
+func (d *decBuf) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.err = ErrFormat
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
 func (d *decBuf) byteVal() byte {
 	if d.err != nil || len(d.b) < 1 {
 		d.err = ErrFormat

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -24,7 +25,7 @@ import (
 func FuzzOpenChunk(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, typ := range []Type{Int64, Float64, String} {
-		for shape := shapePlain; shape < numShapes; shape++ {
+		for _, shape := range shapesOf(typ) {
 			col := genColumn(rng, typ, shape, 200)
 			for _, compress := range []bool{true, false} {
 				// Pages of 72 and 100 rows start off a result word, and 100
@@ -216,12 +217,13 @@ func FuzzDecimalRoundTrip(f *testing.F) {
 	})
 }
 
-// checkRoundTrip reads chunk raw of col's values back every way a reader can:
-// a Scanner over every row, the reply of the rows sel selects (checkReply),
-// and the reference decoder. Each must give back col's bits.
-func checkRoundTrip(t *testing.T, name string, col ColumnData, m ChunkMeta, raw []byte, sel *bitmap.Bitmap) {
+// checkRoundTrip reads chunk raw of col's values, ints or floats, back every
+// way a reader can: a Scanner over every row, the reply of the rows each of
+// sels selects (checkReply), and the reference decoder. Each must give back
+// col's bits.
+func checkRoundTrip(t *testing.T, name string, col ColumnData, m ChunkMeta, raw []byte, sels ...*bitmap.Bitmap) {
 	t.Helper()
-	c, err := OpenChunk(Float64, m, raw)
+	c, err := OpenChunk(col.Type, m, raw)
 	if err != nil {
 		t.Fatalf("%s: OpenChunk: %v", name, err)
 	}
@@ -230,15 +232,81 @@ func checkRoundTrip(t *testing.T, name string, col ColumnData, m ChunkMeta, raw 
 	if err := c.Scan(&sc, nil); err != nil {
 		t.Fatalf("%s: Scan: %v", name, err)
 	}
-	var got []float64
+	got := ColumnData{Type: col.Type}
 	for sc.Next() {
-		got = append(got, sc.Floats()...)
+		if col.Type == Int64 {
+			got.Ints = append(got.Ints, sc.Ints()...)
+		} else {
+			got.Floats = append(got.Floats, sc.Floats()...)
+		}
 	}
-	if err := sc.Err(); err != nil || !sameColumn(FloatColumn(got), col) {
+	if err := sc.Err(); err != nil || !sameColumn(got, col) {
 		t.Fatalf("%s: the Scanner reads other bits than were written (%v)", name, err)
 	}
-	checkReply(t, c, sel, referenceSelect(col, sel), name)
-	if ref, err := referenceDecodeChunk(Float64, m, raw); err != nil || !sameColumn(ref, col) {
+	for _, sel := range sels {
+		checkReply(t, c, sel, referenceSelect(col, sel), name)
+	}
+	if ref, err := referenceDecodeChunk(col.Type, m, raw); err != nil || !sameColumn(ref, col) {
 		t.Fatalf("%s: the reference decoder reads other bits than were written (%v)", name, err)
 	}
+}
+
+// FuzzFrameRoundTrip: every int64 sequence comes back from a
+// frame-of-reference chunk, offsets or deltas. The input's 8-byte words are
+// drawn into sequences of every shape a page meets — as given, sorted, at a
+// constant stride, descending, sorted with ±1 jitter, and next to MinInt64
+// and MaxInt64 — cut into pages of the given rows. Each is written by the
+// writer, as whatever kind it picks, and forced into frame pages where they
+// fit; each is read back through OpenChunk and a Scanner, through the replies
+// of every other row and of rows 2^k-1, whose gaps double until no frame page
+// holds them (AppendSelected, OpenReply, Gather), and by the reference
+// decoder.
+func FuzzFrameRoundTrip(f *testing.F) {
+	words := func(vals ...int64) []byte { return colenc.PutInt64s(nil, vals) }
+	f.Add(words(1, 2, 3, 5, 8, 13, 21), uint8(3))
+	f.Add(words(math.MinInt64, math.MaxInt64, 0, -1, 1), uint8(0))
+	f.Add(words(1<<31, 7, -1<<40, 12345678901, 1<<62, -3), uint8(64))
+	f.Add(words(1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31, 1<<31), uint8(200))
+	f.Add([]byte{}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, pageRows uint8) {
+		n := min(len(data)/8, 1024)
+		if n == 0 {
+			return
+		}
+		given := make([]int64, n)
+		for i := range given {
+			given[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		sorted := slices.Clone(given)
+		slices.Sort(sorted)
+		stride, descending, jitter, edges := make([]int64, n), slices.Clone(sorted), slices.Clone(sorted), make([]int64, n)
+		slices.Reverse(descending)
+		for i, u := range given {
+			stride[i] = given[0] + int64(i)*(given[n-1]>>(uint64(u)&63))
+			jitter[i] += u&3 - 1 // -1, 0, +1 or +2
+			edges[i] = math.MinInt64 + u>>1&15
+			if u&1 != 0 {
+				edges[i] = math.MaxInt64 - u>>1&15
+			}
+		}
+		half, doubling := bitmap.New(n), bitmap.New(n)
+		for i := 0; i < n; i += 2 {
+			half.Set(i)
+		}
+		for i := 1; i <= n; i *= 2 {
+			doubling.Set(i - 1)
+		}
+		rows := max(int(pageRows), 1)
+		for name, vals := range map[string][]int64{
+			"as given": given, "sorted": sorted, "constant stride": stride,
+			"descending": descending, "jittered": jitter, "int64's ends": edges,
+		} {
+			col := IntColumn(vals)
+			m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 0.5, PageRows: rows})
+			checkRoundTrip(t, fmt.Sprintf("%s as %v", name, m.Encoding), col, m, raw, half, doubling)
+			if blob, ok := tryFrameEncode(vals, rows, math.MaxInt); ok {
+				checkRoundTrip(t, name+" as frames", col, metaFor(blob, n), blob, half, doubling)
+			}
+		}
+	})
 }

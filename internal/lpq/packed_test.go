@@ -19,8 +19,8 @@ var widthLayouts = []struct{ pageRows, rows int }{
 }
 
 // TestPackedKernelsEveryWidth checks the packed-page reader at every width a
-// page can have — frame-of-reference offsets of 1 to 32 bits, dictionary codes
-// of 1 to 16 — under every layout of widthLayouts: SelectInts over ranges that
+// page can have — frame-of-reference offsets of 1 to 32 bits, deltas of 0 to
+// 32, dictionary codes of 1 to 16 — under every layout of widthLayouts: SelectInts over ranges that
 // cut, cover and miss pages, with outside on and off; SelectCodes over several
 // verdicts; and the Scanner, reading every row, a dense stretch from an
 // unaligned row and every third row. Each row is held to the bit-at-a-time
@@ -37,6 +37,20 @@ func TestPackedKernelsEveryWidth(t *testing.T) {
 				c := checkPackedChunk(t, rng, m, raw, width)
 				if c.enc != colenc.FOR {
 					t.Fatalf("writer chose %v, not a frame of reference", c.enc)
+				}
+				checkSelectInts(t, rng, c, col.Ints)
+			})
+		}
+	}
+	for width := 0; width <= colenc.MaxFrameWidth; width++ {
+		for _, lay := range widthLayouts {
+			t.Run(fmt.Sprintf("delta/width=%d/pageRows=%d", width, lay.pageRows), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(width*100000 + lay.pageRows + 3)))
+				col := deltaColumn(rng, width, lay.rows, lay.pageRows)
+				m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 1e-9, PageRows: lay.pageRows})
+				c := checkPackedChunk(t, rng, m, raw, width)
+				if delta, pages := c.DeltaPages(); c.enc != colenc.FOR || delta != pages {
+					t.Fatalf("writer chose %v with %d of %d pages deltas, not delta pages", c.enc, delta, pages)
 				}
 				checkSelectInts(t, rng, c, col.Ints)
 			})
@@ -125,6 +139,35 @@ func frameColumn(rng *rand.Rand, width, rows, pageRows int) ColumnData {
 	return IntColumn(vals)
 }
 
+// deltaColumn draws rows values whose every page of pageRows steps by a
+// minimum plus a delta of exactly width bits: the first step is the minimum,
+// the second the minimum plus 2^width-1 (at width 0 every step is the
+// minimum), and the minimums alternate in sign from page to page, so pages
+// climb and fall and a range drawn from one cuts it.
+func deltaColumn(rng *rand.Rand, width, rows, pageRows int) ColumnData {
+	top := int64(1)<<width - 1
+	vals := make([]int64, rows)
+	v := int64(-1) << 40
+	for i := range vals {
+		k := i / pageRows
+		step := int64(2*k+1) << width
+		if k%2 == 1 {
+			step = -step - top
+		}
+		switch i % pageRows {
+		case 0:
+		case 1:
+			v += step
+		case 2:
+			v += step + top
+		default:
+			v += step + rng.Int63n(top+1)
+		}
+		vals[i] = v
+	}
+	return IntColumn(vals)
+}
+
 // packedDictChunk assembles an uncompressed Int64 dictionary chunk of dictLen
 // entries whose code pages, pageRows rows each, are all bit-packed at width
 // with the codes as given — whether or not the dictionary holds them.
@@ -184,8 +227,11 @@ func checkSelectInts(t *testing.T, rng *rand.Rand, c *Chunk, vals []int64) {
 	t.Helper()
 	bound := func() int64 {
 		p := c.pages[rng.Intn(len(c.pages))]
-		top := p.base + (1<<p.width - 1)
-		return [...]int64{p.base - 1, p.base, p.base + 1, top - 1, top, top + 1,
+		bottom, top := p.base, p.base+(1<<p.width-1)
+		if p.delta {
+			bottom, top, _ = deltaBounds(p.base, p.step, p.rows, p.width)
+		}
+		return [...]int64{bottom - 1, bottom, bottom + 1, top - 1, top, top + 1,
 			vals[rng.Intn(len(vals))], math.MinInt64, math.MaxInt64}[rng.Intn(9)]
 	}
 	for trial := 0; trial < 40; trial++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/big"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/colenc"
@@ -213,6 +214,15 @@ func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (Col
 		d.b = d.b[byteLen:]
 		base := page.i64()
 		width := int(page.byteVal())
+		if enc == colenc.FOR && width >= 0x80 {
+			vals, err := referenceDeltaPage(page, base, width-0x80, rows)
+			if err != nil {
+				return ColumnData{}, err
+			}
+			out.Ints = append(out.Ints, vals...)
+			total += rows
+			continue
+		}
 		if enc == colenc.FOR {
 			if page.err != nil || width < 1 || width > 32 {
 				return ColumnData{}, colenc.ErrCorrupt
@@ -280,6 +290,35 @@ func referenceDecodeFrames(t Type, enc colenc.Encoding, body []byte, n int) (Col
 		return ColumnData{}, fmt.Errorf("lpq: pages hold %d rows, chunk metadata says %d: %w", total, n, ErrFormat)
 	}
 	return out, nil
+}
+
+// referenceDeltaPage decodes the rest of a delta page of rows rows whose first
+// value is base: the minimum step as a zigzag varint, then rows-1 deltas of
+// width bits (0 to 32), each row the previous one plus the step plus its
+// delta. The page is rejected when the lowest or the highest value its width
+// allows — base plus rows-1 steps, and that plus rows-1 times the widest
+// delta — leaves int64, computed in arbitrary precision.
+func referenceDeltaPage(page *decBuf, base int64, width, rows int) ([]int64, error) {
+	zz := page.uvarint()
+	step := int64(zz>>1) ^ -int64(zz&1)
+	if page.err != nil || width > 32 {
+		return nil, colenc.ErrCorrupt
+	}
+	n := big.NewInt(int64(rows - 1))
+	lo := new(big.Int).Add(big.NewInt(base), new(big.Int).Mul(n, big.NewInt(step)))
+	hi := new(big.Int).Add(lo, new(big.Int).Mul(n, big.NewInt(1<<width-1)))
+	if !lo.IsInt64() || !hi.IsInt64() {
+		return nil, colenc.ErrCorrupt // a running sum could leave int64
+	}
+	deltas, err := referenceDecodeCodes(colenc.Plain, page.b, rows-1, width)
+	if err != nil {
+		return nil, err
+	}
+	vals := []int64{base}
+	for _, d := range deltas {
+		vals = append(vals, vals[len(vals)-1]+step+int64(d))
+	}
+	return vals, nil
 }
 
 // referenceDecodeFSST decodes an FSST chunk: the symbol table as declared —

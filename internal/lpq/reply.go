@@ -20,8 +20,13 @@ import (
 //	Plain:   the selected values.
 //	FSST:    the chunk's symbol table verbatim, then the selected rows' code
 //	         strings, copied, never decoded.
-//	FOR:     per page, its base and width and the selected offsets re-packed
-//	         at that width.
+//	FOR:     per offset page, its base and width and the selected offsets
+//	         re-packed at that width; per delta page, its selected values in
+//	         the form the writer would pick for them (planFrame): offsets
+//	         from their own frame, or the steps between them. Where neither
+//	         form holds them, which only a sparse selection of a delta page
+//	         with wide steps can meet, they are split over as many pages as
+//	         it takes.
 //	Decimal: the chunk's scale; per page, its base and width, the selected
 //	         codes re-packed at that width — an escape renumbered to the reply
 //	         page's list — and that list: the selected escapes' raw values.
@@ -30,8 +35,8 @@ import (
 //	         width their count needs, or run-length encoded where that is
 //	         smaller.
 //
-// A reply page holds the selected rows of one source page; a source page with
-// none is left out.
+// A reply page holds the selected rows of one source page (or of part of one,
+// FOR only); a source page with none is left out.
 
 // OpenReply opens a projection reply of rows rows of type t, as AppendSelected
 // wrote it. It checks everything OpenChunk checks but the checksum, which a
@@ -46,8 +51,9 @@ func OpenReply(t Type, rows int, body []byte) (*Chunk, error) {
 // selects every row) to dst: OpenReply opens it as a chunk of sel's count of
 // rows, which gathers to what AppendGather gathers from c under sel. Each page
 // is read under its selection words, 64 rows at a time; codes, offsets, plain
-// values and code strings are copied, never decoded. On error dst's appended
-// tail is unspecified.
+// values and code strings are copied, never decoded. A delta page's selected
+// values are decoded and framed anew. On error dst's appended tail is
+// unspecified.
 func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 	w := replyWriter{c: c}
 	count := c.rows
@@ -62,9 +68,13 @@ func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 	// Room for about the selected share of the chunk's bytes.
 	w.b = slices.Grow(dst, 64+len(c.blob)*count/max(c.rows, 1))
 	var err error
-	if c.enc == colenc.Plain || c.enc == colenc.FSST {
+	switch c.enc {
+	case colenc.Plain, colenc.FSST:
 		err = w.rowPages()
-	} else {
+	case colenc.FOR:
+		w.codes = make([]uint64, 0, count)
+		w.framePages()
+	default:
 		w.codes = make([]uint64, 0, count)
 		err = w.codePages()
 	}
@@ -76,15 +86,16 @@ func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 
 // replyWriter writes a projection reply. Plain values and code strings go
 // straight to the reply, each page's header put in front of them once the
-// page ends. Codes and offsets are kept until every page is read, because
-// what comes before them — the dictionary of the entries used, the page
-// count — depends on all of them.
+// page ends. Codes are kept until every page is read, because what comes
+// before them — the dictionary of the entries used, the page count — depends
+// on all of them. A frame-of-reference page is written as it is read, the
+// page count put in front of the pages at the end.
 type replyWriter struct {
 	encBuf
 	c   *Chunk
 	sel []uint64 // the selection's words, nil for every row
 
-	codes []uint64    // every selected row's code or offset
+	codes []uint64    // every selected row's code; for a frame chunk, one page's
 	pages []replyPage // the source pages they fall on, in order
 
 	raw []byte // decimal chunks: a reply page's escapes' values
@@ -212,11 +223,83 @@ func (w *replyWriter) copyRows(p *page) error {
 	return nil
 }
 
-// codePages writes a dictionary, frame-of-reference or decimal reply. Each
-// page's selected codes are read — a run-length page a run at a time, a
-// bit-packed one 64 codes at a time under their selection word — then the
-// header is written — for a dictionary chunk the entries the codes use, in
-// the chunk's order, the codes remapped to them — then the pages.
+// framePages writes a frame-of-reference reply: the encoding byte, the count
+// of reply pages, then each source page's selected rows. An offset page's
+// selected offsets (packedCodes) are re-packed in its own frame, as the
+// writer would pack them; a delta page's selected values (deltaValues) are
+// laid out by framePage, in the form the writer would pick for them.
+func (w *replyWriter) framePages() {
+	w.byteVal(byte(colenc.FOR))
+	start, pages := len(w.b), 0
+	var vals []int64
+	for i := range w.c.pages {
+		p := &w.c.pages[i]
+		vals = vals[:0]
+		if p.delta {
+			if vals = w.deltaValues(p, vals); len(vals) > 0 {
+				pages += w.framePage(vals)
+			}
+			continue
+		}
+		w.codes = w.codes[:0]
+		_ = w.packedCodes(p) // offsets are never out of range
+		if len(w.codes) > 0 {
+			framePage{base: p.base, width: p.width}.appendPacked(&w.encBuf, len(w.codes), w.codes)
+			pages++
+		}
+	}
+	w.b = slices.Insert(w.b, start, binary.AppendUvarint(nil, uint64(pages))...)
+}
+
+// deltaValues appends to vals the value of each selected row of delta page p,
+// walking the page from its base under its selection words, 64 rows at a
+// time, as the Scanner walks it: the running value is carried to a selected
+// row of a group with fewer than eight by the sum of the steps before it, and
+// a group with more is decoded, a prefix sum of its deltas, its selected
+// values kept.
+func (w *replyWriter) deltaValues(p *page, vals []int64) []int64 {
+	dp := w.c.deltas(p)
+	var group [64]int64
+	var tmp [BatchRows]uint32
+	var buf [windowBytes]byte
+	v, at := p.base, 0 // the running value, and the row of the page it is of
+	for g := 0; g < p.rows; g += 64 {
+		m := w.pageWord(p, g)
+		if bits.OnesCount64(m) < 8 {
+			for ; m != 0; m &= m - 1 {
+				r := g + bits.TrailingZeros64(m)
+				v += dp.advance(at, r-at, &tmp, &buf)
+				vals, at = append(vals, v), r
+			}
+			continue
+		}
+		n := min(64, p.rows-g)
+		v += dp.advance(at, g-at, &tmp, &buf)
+		v, at = dp.values(group[:n], v, g, &tmp, &buf), min(g+n, p.rows-1)
+		for ; m != 0; m &= m - 1 {
+			vals = append(vals, group[bits.TrailingZeros64(m)])
+		}
+	}
+	return vals
+}
+
+// framePage writes vals as one frame-of-reference page in the form planFrame
+// picks or, where neither form holds them, as the pages of each half, and
+// returns how many pages it wrote. One value always fits offsets.
+func (w *replyWriter) framePage(vals []int64) int {
+	if f, ok := planFrame(vals); ok {
+		w.codes = f.appendPage(&w.encBuf, vals, w.codes)
+		return 1
+	}
+	h := len(vals) / 2
+	return w.framePage(vals[:h]) + w.framePage(vals[h:])
+}
+
+// codePages writes a dictionary or decimal reply. Each page's selected codes
+// are read — a run-length page a run at a time, a bit-packed one 64 codes at
+// a time under their selection word — then the header is written — for a
+// dictionary chunk the entries the codes use, in the chunk's order, the codes
+// remapped to them — then the pages.
 func (w *replyWriter) codePages() error {
 	c := w.c
 	for pi := range c.pages {
@@ -269,19 +352,10 @@ func (w *replyWriter) codePages() error {
 	at := 0
 	for _, rp := range w.pages {
 		p, codes := &c.pages[rp.src], w.codes[at:at+rp.n]
-		switch c.enc {
-		case colenc.Dict:
+		if c.enc == colenc.Dict {
 			w.dictPage(codes, width)
-		case colenc.FOR:
-			w.uvarint(uint64(rp.n))
-			w.uvarint(uint64(9 + packedLen(rp.n, p.width)))
-			w.i64(p.base)
-			w.byteVal(byte(p.width))
-			w.b = colenc.PackUints(w.b, codes, p.width)
-		default:
-			if err := w.decimalPage(p, codes); err != nil {
-				return err
-			}
+		} else if err := w.decimalPage(p, codes); err != nil {
+			return err
 		}
 		at += rp.n
 	}

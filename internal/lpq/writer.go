@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/fsst"
@@ -198,7 +199,11 @@ var decimalScales = [...]float64{1, 10, 100, 1000, 10000}
 //	                   uvarint byteLen, encoded codes
 //	FOR:     uvarint numPages,                             // Int64 only
 //	         per page: uvarint rowCount, uvarint byteLen,
-//	                   int64 base, byte width, offsets packed at width
+//	                   int64 base, byte width, offsets packed at width;
+//	                   or, width byte | 0x80 (deltaCoded): int64 first
+//	                   value, byte width, zigzag varint minimum step, and
+//	                   rowCount-1 steps less that minimum packed at width
+//	                   (0 to 32; 0 packs nothing)
 //	Decimal: byte scale (index into decimalScales),        // Float64 only
 //	         uvarint numPages,
 //	         per page: uvarint rowCount, uvarint byteLen,
@@ -216,9 +221,10 @@ var decimalScales = [...]float64{1, 10, 100, 1000, 10000}
 //	                   per value: uvarint codesLen, its FSST code string
 //
 // The writer picks the smallest form: plain, or — unless DisableDict asks for
-// plain only — a dictionary, or a frame of reference (Int64) or scaled decimal
-// (Float64) when that is smaller than the dictionary chunk by more than a
-// dictKeepShare-th. The whole blob is then one Snappy block if Snappy saves
+// plain only — a dictionary, or a frame of reference (Int64, each page offsets
+// or deltas, whichever is smaller) or scaled decimal (Float64) when that is
+// smaller than the dictionary chunk by more than a dictKeepShare-th. The whole
+// blob is then one Snappy block if Snappy saves
 // snappyMinSaving of it. A String chunk with no dictionary is FSST instead of
 // plain (plain only under DisableDict), and an FSST chunk is never
 // Snappy-compressed: a reader runs no Snappy pass over it, and a kernel
@@ -390,29 +396,140 @@ func tryDictEncode(c ColumnData, opts WriterOptions, rawLen int) ([]byte, bool) 
 // packedLen is the byte length of count values packed at width bits.
 func packedLen(count, width int) int { return (count*width + 7) / 8 }
 
-// tryFrameEncode lays vals out as frame-of-reference pages. It reports failure
-// when some page's values span more than colenc.MaxFrameWidth bits or the
+// tryFrameEncode lays vals out as frame-of-reference pages, each in the form
+// planFrame picks. It reports failure when some page fits neither form or the
 // chunk would not be smaller than limit bytes.
 func tryFrameEncode(vals []int64, pageRows, limit int) ([]byte, bool) {
 	e := &encBuf{b: []byte{byte(colenc.FOR)}}
+	var buf []uint64
 	e.uvarint(uint64((len(vals) + pageRows - 1) / pageRows))
 	for start := 0; start < len(vals); start += pageRows {
 		page := vals[start:min(start+pageRows, len(vals))]
-		lo, hi := page[0], page[0]
-		for _, v := range page[1:] {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		base, width, ok := colenc.Frame(lo, hi)
-		if !ok || len(e.b)+packedLen(len(page), width) >= limit {
+		f, ok := planFrame(page)
+		if !ok || len(e.b)+f.bodyLen(len(page)) >= limit {
 			return nil, false
 		}
-		e.uvarint(uint64(len(page)))
-		e.uvarint(uint64(9 + packedLen(len(page), width)))
-		e.i64(base)
-		e.byteVal(byte(width))
-		e.b = colenc.PackOffsets(e.b, page, base, width)
+		buf = f.appendPage(e, page, buf)
 	}
 	return e.b, len(e.b) < limit
+}
+
+// deltaCoded, set in a frame-of-reference page's width byte, says that the
+// page packs the steps between consecutive rows rather than offsets from its
+// frame.
+const deltaCoded = 0x80
+
+// framePage is the form of one frame-of-reference page. Without delta it
+// packs each row's offset from base at width. With delta, base is the first
+// row's value, and the page packs the step from each row to the next less
+// step, the smallest of them, at width — which may be 0, for a constant
+// stride: rows-1 values, none for one row.
+type framePage struct {
+	base  int64
+	width int
+	delta bool
+	step  int64
+}
+
+// planFrame picks the smaller form of a page of vals: offsets, or deltas (on
+// a tie offsets, which a kernel reads at random). Deltas are out when a step
+// leaves int64, when the steps span more than colenc.MaxFrameWidth bits, or
+// when the page directory could not prove the running sum within int64
+// (deltaBounds); offsets are out when the values span more than that many
+// bits. ok is false when both are. The writer and the projection reply both
+// lay frame pages out by it.
+func planFrame(vals []int64) (f framePage, ok bool) {
+	lo, hi := vals[0], vals[0]
+	dlo, dhi := int64(math.MaxInt64), int64(math.MinInt64)
+	wraps := false
+	for i := 1; i < len(vals); i++ {
+		v, d := vals[i], vals[i]-vals[i-1]
+		lo, hi = min(lo, v), max(hi, v)
+		dlo, dhi = min(dlo, d), max(dhi, d)
+		wraps = wraps || (v < vals[i-1]) != (d < 0)
+	}
+	f.base, f.width, ok = colenc.Frame(lo, hi)
+	if len(vals) < 2 || wraps || uint64(dhi)-uint64(dlo) >= 1<<colenc.MaxFrameWidth {
+		return f, ok
+	}
+	d := framePage{base: vals[0], width: bits.Len64(uint64(dhi) - uint64(dlo)), delta: true, step: dlo}
+	if _, _, fits := deltaBounds(d.base, d.step, len(vals), d.width); fits && (!ok || d.bodyLen(len(vals)) < f.bodyLen(len(vals))) {
+		return d, true
+	}
+	return f, ok
+}
+
+// bodyLen is the byte length of the page's body for rows rows: base, width
+// byte, and the packed offsets, or the step's varint and the packed deltas.
+func (f framePage) bodyLen(rows int) int {
+	if f.delta {
+		return 9 + varintLen(f.step) + packedLen(rows-1, f.width)
+	}
+	return 9 + packedLen(rows, f.width)
+}
+
+// appendPage appends the page of vals in this form and returns buf, where
+// the offsets or steps were staged for appendPacked, for the next page to
+// reuse.
+func (f framePage) appendPage(e *encBuf, vals []int64, buf []uint64) []uint64 {
+	buf = buf[:0]
+	if !f.delta {
+		for _, v := range vals {
+			buf = append(buf, uint64(v)-uint64(f.base))
+		}
+	} else if f.width > 0 {
+		for i := 1; i < len(vals); i++ {
+			buf = append(buf, uint64(vals[i]-vals[i-1])-uint64(f.step))
+		}
+	}
+	f.appendPacked(e, len(vals), buf)
+	return buf
+}
+
+// appendPacked appends a page of rows rows in this form, given what it packs:
+// the offsets, or the steps less step (none at width 0) — its row and byte
+// counts, then its body.
+func (f framePage) appendPacked(e *encBuf, rows int, packed []uint64) {
+	e.uvarint(uint64(rows))
+	e.uvarint(uint64(f.bodyLen(rows)))
+	e.i64(f.base)
+	if !f.delta {
+		e.byteVal(byte(f.width))
+	} else {
+		e.byteVal(byte(f.width) | deltaCoded)
+		e.b = binary.AppendVarint(e.b, f.step)
+	}
+	if f.width > 0 {
+		e.b = colenc.PackUints(e.b, packed, f.width)
+	}
+}
+
+// varintLen is the byte length of v's zigzag varint (binary.AppendVarint).
+func varintLen(v int64) int { return colenc.UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// deltaBounds bounds every value of a delta page of rows rows over base, step
+// and width: the value k rows on lies between base+k·step and that plus
+// k·(2^width-1), so all lie between the smaller and the larger of those lines'
+// ends, at k = 0 and k = rows-1. ok is false when an end leaves int64, so
+// that no running sum of a page the directory accepts can wrap. The far end
+// of the lower line is computed in 128 bits; the upper one is at most
+// 2^25·2^32 above it.
+func deltaBounds(base, step int64, rows, width int) (lo, hi int64, ok bool) {
+	n := uint64(rows - 1)
+	h, l := bits.Mul64(uint64(step), n)
+	if step < 0 {
+		h -= n // uint64(step) is step + 2^64
+	}
+	l, carry := bits.Add64(l, uint64(base), 0)
+	h += carry
+	if base < 0 {
+		h-- // base's high word is all ones
+	}
+	end, spread := int64(l), int64(n*(1<<width-1))
+	if int64(h) != end>>63 || end > math.MaxInt64-spread {
+		return 0, 0, false
+	}
+	return min(base, end), max(base, end+spread), true
 }
 
 // Corrections, the low corrBits bits of a decimal row's code: how v's bits

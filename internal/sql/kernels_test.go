@@ -32,11 +32,12 @@ const (
 	shapeFrame                    // all but unique in a narrow range: frame-of-reference ints, decimal floats a third of them an ulp off (corrections), FSST strings
 	shapeText                     // comment-like strings, all but unique, some bytes no symbol covers: FSST (strings only)
 	shapeEscapes                  // decimal floats as in frame, a fifth of them besides two ulps off or random bits: escapes (floats only)
+	shapeSorted                   // ascending in steps of 0 or 1, as l_orderkey: frame-of-reference delta pages (ints only)
 	numShapes
 )
 
 func (s codeShape) String() string {
-	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes"}[s]
+	return [...]string{"plain", "packed", "runs", "mixed", "frame", "text", "escapes", "sorted"}[s]
 }
 
 // wantEncoding is the kind of chunk the writer must make of a column of type
@@ -47,7 +48,7 @@ func (s codeShape) wantEncoding(t lpq.Type) colenc.Encoding {
 		return colenc.Plain
 	case s == shapeText || (s == shapeFrame && t == lpq.String):
 		return colenc.FSST
-	case s == shapeFrame && t == lpq.Int64:
+	case (s == shapeFrame || s == shapeSorted) && t == lpq.Int64:
 		return colenc.FOR
 	case s == shapeFrame || s == shapeEscapes:
 		return colenc.Decimal
@@ -66,7 +67,7 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 	}
 	pick := func(i int) int {
 		switch shape {
-		case shapePlain, shapeFrame, shapeEscapes:
+		case shapePlain, shapeFrame, shapeEscapes, shapeSorted:
 			return rng.Intn(4 * rows)
 		case shapeRuns:
 			return i * 5 / rows
@@ -82,10 +83,16 @@ func genColumn(rng *rand.Rand, t lpq.Type, shape codeShape, rows, domain int) lp
 	// a run of codes.
 	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), -1.5, math.NaN()}
 	col := lpq.ColumnData{Type: t}
+	key := int64(1)<<40 + 3
 	for i := 0; i < rows; i++ {
 		v := pick(i)
 		switch t {
 		case lpq.Int64:
+			if shape == shapeSorted {
+				key += int64(v % 4 / 3) // a step of 1 every fourth row or so
+				col.Ints = append(col.Ints, key)
+				continue
+			}
 			col.Ints = append(col.Ints, int64(v)*1_000_003-3)
 		case lpq.Float64:
 			f := float64(v)*0.5 - 3
@@ -216,8 +223,9 @@ var kernelLayouts = []struct {
 }{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 
 // forEachChunkCase runs fn over {Int64, Float64, String} x {plain, bit-packed,
-// run-length, mixed code pages, frame-of-reference / decimal / FSST pages, FSST
-// pages of text (strings only), decimal pages with escapes (floats only)} x
+// run-length, mixed code pages, frame-of-reference offset / decimal / FSST
+// pages, FSST pages of text (strings only), decimal pages with escapes (floats
+// only), frame-of-reference delta pages (ints only)} x
 // {Snappy on, off} x {one page, several pages with a short last one, one row},
 // with
 // the pool poisoned so that anything a kernel returns that references a
@@ -227,7 +235,7 @@ func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lp
 	defer bufpool.SetPoison(prev)
 	for _, typ := range []lpq.Type{lpq.Int64, lpq.Float64, lpq.String} {
 		for shape := shapePlain; shape < numShapes; shape++ {
-			if shape == shapeText && typ != lpq.String || shape == shapeEscapes && typ != lpq.Float64 {
+			if shape == shapeText && typ != lpq.String || shape == shapeEscapes && typ != lpq.Float64 || shape == shapeSorted && typ != lpq.Int64 {
 				continue
 			}
 			for _, compress := range []bool{true, false} {
@@ -241,6 +249,9 @@ func forEachChunkCase(t *testing.T, fn func(t *testing.T, rng *rand.Rand, col lp
 							ch, _ := openColumn(t, opts, col)
 							if got, want := ch.Encoding(), shape.wantEncoding(typ); got != want {
 								t.Fatalf("the writer made a %v chunk of this column, the case is about %v", got, want)
+							}
+							if delta, pages := ch.DeltaPages(); (delta == pages && delta > 0) != (shape == shapeSorted) {
+								t.Fatalf("%d of the chunk's %d pages are deltas, in the %v shape", delta, pages, shape)
 							}
 							ch.Release()
 						}

@@ -226,14 +226,15 @@ func TestPushProjectionRule(t *testing.T) {
 
 // TestProjectReplyEquivalence: every projection pushed, or none, the query
 // returns the same table — over a column of every reply form
-// (replyFormsObject: frame-of-reference, decimal with corrections and
-// escapes, dictionaries of ints, floats and strings in run-length and
-// Snappy-compressed chunks, FSST and plain) and selections of no row, one row,
-// a sparse few, a dense run across a page boundary and every row. Where a row is selected, the pushed
-// run took every projection from a reply.
+// (replyFormsObject: frame-of-reference offsets and deltas, decimal with
+// corrections and escapes, dictionaries of ints, floats and strings in
+// run-length and Snappy-compressed chunks, FSST and plain) and selections of
+// no row, one row, a sparse few, a dense run across a page boundary and every
+// row. Where a row is selected, the pushed run took every projection from a
+// reply.
 func TestProjectReplyEquivalence(t *testing.T) {
 	data, _ := replyFormsObject(t)
-	const cols = "id, price, qty, disc, status, mode, comment, noise"
+	const cols = "id, price, qty, disc, status, mode, comment, noise, okey, ship"
 	render := func(res *Result) string {
 		return fmt.Sprint(res.Rows, res.Columns, res.Data, res.AggLabels, res.AggValues)
 	}

@@ -255,18 +255,20 @@ func (c *projectForger) Call(node int, req *rpc.Request) (*rpc.Response, error) 
 }
 
 // replyFormsObject writes four row groups of 800 rows in 300-row pages whose
-// columns give every projection reply form: id frame-of-reference ints,
-// price decimals with corrections (every third value an ulp off) and escapes
+// columns give every projection reply form: id frame-of-reference ints at a
+// constant stride (delta pages of width 0), price decimals with corrections (every third value an ulp off) and escapes
 // (about every tenth two ulps off, an infinity in a hundred), qty a
 // dictionary of ints too far apart to frame, disc a dictionary of floats no
 // scale makes exact, status a dictionary of strings in run-length pages,
-// mode a dictionary of strings Snappy-compressed, comment FSST strings and
-// noise plain floats. It returns the file and each row group's columns.
+// mode a dictionary of strings Snappy-compressed, comment FSST strings,
+// noise plain floats, okey ints ascending in steps of 0 or 1 as l_orderkey
+// does (delta pages of width 1) and ship ints in random order (offset pages).
+// It returns the file and each row group's columns.
 func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
 	t.Helper()
 	const rowGroups, rows = 4, 800
-	names := []string{"id", "price", "qty", "disc", "status", "mode", "comment", "noise"}
-	types := []lpq.Type{lpq.Int64, lpq.Float64, lpq.Int64, lpq.Float64, lpq.String, lpq.String, lpq.String, lpq.Float64}
+	names := []string{"id", "price", "qty", "disc", "status", "mode", "comment", "noise", "okey", "ship"}
+	types := []lpq.Type{lpq.Int64, lpq.Float64, lpq.Int64, lpq.Float64, lpq.String, lpq.String, lpq.String, lpq.Float64, lpq.Int64, lpq.Int64}
 	schema := make([]lpq.Column, len(names))
 	for i := range names {
 		schema[i] = lpq.Column{Name: names[i], Type: types[i]}
@@ -274,6 +276,7 @@ func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
 	w := lpq.NewWriter(schema, lpq.WriterOptions{Compress: true, DictMaxFraction: 0.5, PageRows: 300})
 	rng := rand.New(rand.NewSource(5))
 	var groups [][]lpq.ColumnData
+	okey := int64(1) << 33
 	for g := 0; g < rowGroups; g++ {
 		cols := make([]lpq.ColumnData, len(types))
 		for i, typ := range types {
@@ -297,6 +300,9 @@ func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
 			cols[5].Strings[r] = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN", "AIR"}[r%5]
 			cols[6].Strings[r] = fmt.Sprintf("carefully final %d deposits sleep %d", rng.Intn(1<<20), rng.Intn(1<<10))
 			cols[7].Floats[r] = rng.Float64()
+			okey += int64(rng.Intn(4) / 3)
+			cols[8].Ints[r] = okey
+			cols[9].Ints[r] = int64(rng.Intn(2500)) - 1000
 		}
 		if err := w.WriteRowGroup(cols); err != nil {
 			t.Fatal(err)
@@ -328,7 +334,7 @@ func FuzzProjectReply(f *testing.F) {
 		f.Fatal(err)
 	}
 	chunks := footer.RowGroups[target].Chunks
-	wantEnc := []colenc.Encoding{colenc.FOR, colenc.Decimal, colenc.Dict, colenc.Dict, colenc.Dict, colenc.Dict, colenc.FSST, colenc.Plain}
+	wantEnc := []colenc.Encoding{colenc.FOR, colenc.Decimal, colenc.Dict, colenc.Dict, colenc.Dict, colenc.Dict, colenc.FSST, colenc.Plain, colenc.FOR, colenc.FOR}
 	for ci, m := range chunks {
 		if m.Encoding != wantEnc[ci] {
 			f.Fatalf("column %s is %v, want %v: a reply form would go unfuzzed", footer.Columns[ci].Name, m.Encoding, wantEnc[ci])
@@ -336,6 +342,23 @@ func FuzzProjectReply(f *testing.F) {
 	}
 	if !chunks[5].Compressed {
 		f.Fatal("the mode chunk is not Snappy-compressed: no reply from a compressed dictionary would be fuzzed")
+	}
+	file, err := lpq.Open(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for ci, deltas := range map[int]bool{0: true, 8: true, 9: false} {
+		raw, err := file.ChunkBytes(target, ci)
+		if err != nil {
+			f.Fatal(err)
+		}
+		c, err := lpq.OpenChunk(lpq.Int64, chunks[ci], raw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if delta, pages := c.DeltaPages(); delta != map[bool]int{true: pages}[deltas] {
+			f.Fatalf("column %s has %d of %d pages deltas: a frame reply form would go unfuzzed", footer.Columns[ci].Name, delta, pages)
+		}
 	}
 	cl := &projectForger{Client: simnet.New(simnet.DefaultConfig()), genuine: map[uint64][]byte{}}
 	opts := fusionTestOptions()
@@ -348,7 +371,7 @@ func FuzzProjectReply(f *testing.F) {
 	if _, err := s.Put("obj", data); err != nil {
 		f.Fatal(err)
 	}
-	const query = "SELECT id, price, qty, disc, status, mode, comment, noise FROM obj WHERE noise < 0.5"
+	const query = "SELECT id, price, qty, disc, status, mode, comment, noise, okey, ship FROM obj WHERE noise < 0.5"
 	want, err := s.Query(query)
 	if err != nil {
 		f.Fatal(err)

@@ -14,7 +14,7 @@ import (
 func TestSegmentsPlanner(t *testing.T) {
 	data, _, _ := makeObject(t, 3, 2000, 21)
 	size := uint64(len(data))
-	const bs = 4096
+	const bs = 2048
 	fixed := fusionTestOptions()
 	fixed.Layout = LayoutFixed
 	fixed.FixedBlockSize = bs

@@ -3,6 +3,7 @@ package tpch
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,7 +163,8 @@ func TestCompressionProfile(t *testing.T) {
 // and kept Snappy for a byte (sizeBefore: its bytes per column, all ten row
 // groups). l_comment, which that writer stored as plain pages under Snappy,
 // is FSST and at least a quarter smaller; l_extendedprice, which it stored
-// the same way, is decimal pages of at most 60% the bytes.
+// the same way, is decimal pages of at most 60% the bytes; l_orderkey, which
+// it stored as 13-bit offsets, is delta pages of a bit a row, under 100 KB.
 func TestWriterChoicesOnLineitem(t *testing.T) {
 	f := generate(t, DefaultConfig())
 	footer := f.Footer()
@@ -188,9 +190,10 @@ func TestWriterChoicesOnLineitem(t *testing.T) {
 		ColShipMode:      {colenc.Dict, false, 225580},
 		ColComment:       {colenc.FSST, false, 5333503},
 	}
-	var total, comment uint64
+	var total, comment, orderKey uint64
 	for rg, g := range footer.RowGroups {
 		comment += g.Chunks[ColComment].Size
+		orderKey += g.Chunks[ColOrderKey].Size
 		for ci, m := range g.Chunks {
 			name, w := footer.Columns[ci].Name, want[ci]
 			if m.Encoding != w.enc || m.Compressed != w.compressed {
@@ -247,6 +250,37 @@ func TestWriterChoicesOnLineitem(t *testing.T) {
 		if 5*m.Size > 3*before {
 			t.Errorf("l_extendedprice row group %d: %d bytes, over 60%% of the %d it took", rg, m.Size, before)
 		}
+		// The order keys ascend by 0 or 1 a row. A frame-of-reference page
+		// holds whichever is smaller: offsets from its minimum, or the first
+		// value, the smallest step as a zigzag varint and each step less it.
+		keys, err := f.ReadChunk(rg, ColOrderKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = 2 // encoding and page count
+		for start := 0; start < len(keys.Ints); start += pageRows {
+			page := keys.Ints[start:min(start+pageRows, len(keys.Ints))]
+			lo, hi := slices.Min(page), slices.Max(page)
+			body := 9 + (len(page)*max(bits.Len64(uint64(hi-lo)), 1)+7)/8
+			minStep, maxStep := int64(math.MaxInt64), int64(math.MinInt64)
+			for i := 1; i < len(page); i++ {
+				minStep, maxStep = min(minStep, page[i]-page[i-1]), max(maxStep, page[i]-page[i-1])
+			}
+			if minStep < 0 || maxStep > 1 {
+				t.Fatalf("l_orderkey row group %d steps from %d to %d a row, not by 0 or 1", rg, minStep, maxStep)
+			}
+			zigzag := uint64(2 * minStep)
+			if delta := 9 + colenc.UvarintLen(zigzag) + ((len(page)-1)*bits.Len64(uint64(maxStep-minStep))+7)/8; delta < body {
+				body = delta
+			}
+			size += colenc.UvarintLen(uint64(len(page))) + colenc.UvarintLen(uint64(body)) + body
+		}
+		if m := g.Chunks[ColOrderKey]; m.Size != uint64(size) {
+			t.Errorf("l_orderkey row group %d: %d bytes, want %d by the frame page's rule", rg, m.Size, size)
+		}
+	}
+	if orderKey > 100_000 {
+		t.Errorf("l_orderkey is %d bytes, want at most 100 KB", orderKey)
 	}
 	if before := want[ColComment].sizeBefore; 4*comment > 3*before {
 		t.Errorf("l_comment is %d bytes, not a quarter smaller than the %d it took under Snappy", comment, before)

@@ -249,13 +249,18 @@ func TestFig13FusionWinsOnBigColumns(t *testing.T) {
 // cell's pushed replies shrank), and both again when decimal pages began
 // carrying an ulp's correction in the row's code (l_extendedprice shrank by
 // 46%: the cell reads and ships less, and the baseline's blocks cut it
-// elsewhere); with Tab4 unpriced Fusion's p50/p99 read 1.420588ms/1.421036ms.
+// elsewhere), and both again when sorted integer pages began holding the
+// steps between rows (l_orderkey shrank from 975 to 75 KB, so the baseline's
+// blocks cut l_extendedprice elsewhere, and Fusion's stripes moved, so Tab4's
+// two lineitem queries drew Fusion's jitter stream otherwise: the cell itself
+// is unchanged); with Tab4 unpriced Fusion's p50/p99 read
+// 1.420588ms/1.421036ms.
 func TestEveryQueryIsPriced(t *testing.T) {
 	l := testLab(t)
 	l.Tab4()
 	f, b := l.columnCell("l_extendedprice", 0.01, 105)
 	got := []string{f.Latency.P50().String(), f.Latency.P99().String(), b.Latency.P50().String(), b.Latency.P99().String()}
-	want := []string{"1.422408ms", "1.426837ms", "4.933748ms", "4.935267ms"}
+	want := []string{"1.422705ms", "1.425726ms", "4.784999ms", "4.789434ms"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fig13 cell for l_extendedprice after tab4 (fusion p50, p99, baseline p50, p99):\n got %v\nwant %v", got, want)
 	}
