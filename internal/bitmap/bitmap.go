@@ -1,10 +1,8 @@
 // Package bitmap implements the row-selection bitmaps that Fusion's filter
 // stage produces on storage nodes and the coordinator consolidates (§4.3,
-// §5). On the network a bitmap travels in the smallest of four exact forms —
+// §5). On the network a bitmap travels in the smallest of three exact forms —
 // raw words, run lengths or position gaps, the container kinds of Roaring
-// bitmaps, and the gaps between clear bits, the positions Roaring's
-// containers invert when they are denser — where the paper's implementation
-// Snappy-compresses the raw words.
+// bitmaps — where the paper's implementation Snappy-compresses the raw words.
 package bitmap
 
 import (
@@ -111,6 +109,33 @@ func (b *Bitmap) Selectivity() float64 {
 	return float64(b.Count()) / float64(b.n)
 }
 
+// MaxGap returns the most rows from one set bit to the next — 1 where two are
+// adjacent — or 0 with fewer than two set. Gaps across words are measured by
+// their ends; inside a word only while no gap of 64 has been seen, each the
+// longest run of clear bits between its lowest and highest set bit, found by
+// shortening every run a bit at a time.
+func (b *Bitmap) MaxGap() int {
+	most, last := 0, -1 // last: the highest set bit so far
+	for wi, w := range b.words {
+		if w == 0 {
+			continue
+		}
+		lo, hi := bits.TrailingZeros64(w), 63-bits.LeadingZeros64(w)
+		if last >= 0 {
+			most = max(most, wi*64+lo-last)
+		}
+		last = wi*64 + hi
+		if most < 64 && lo < hi {
+			run := 0
+			for clear := ^w & (1<<hi - 1) &^ (1<<lo - 1); clear != 0; clear &= clear >> 1 {
+				run++
+			}
+			most = max(most, run+1)
+		}
+	}
+	return most
+}
+
 // ErrLengthMismatch reports an operation over bitmaps of different lengths.
 var ErrLengthMismatch = errors.New("bitmap: length mismatch")
 
@@ -183,15 +208,11 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 //     since the previous one (or since bit 0), as uvarints;
 //   - formRuns: the lengths of the alternating runs of clear and set bits, a
 //     clear run first (empty when bit 0 is set), as uvarints summing to the
-//     length;
-//   - formClearGaps: formGaps of the complement — for each clear bit in
-//     ascending order, the number of set bits since the previous one (or
-//     since bit 0). A selection of most rows, scattered, is smaller so.
+//     length.
 const (
 	formWords byte = iota
 	formGaps
 	formRuns
-	formClearGaps
 )
 
 // Marshal serializes the bitmap in whichever wire form is smallest, ties
@@ -202,12 +223,9 @@ func (b *Bitmap) Marshal() []byte {
 	form, size := formWords, 8*len(b.words)
 	// Measure first, then write the winner into one buffer of its exact size.
 	// A form is measured only if its lower bound — a byte a set bit, a byte a
-	// run, a byte a clear bit — is below the best so far, and its walk stops
-	// once it no longer is. The last form is written as it is measured, into
-	// the buffer the best before it needs: no form follows to beat it.
-	set := b.Count()
-	if set < size {
-		if _, s := b.gaps(nil, size, 0); s >= 0 {
+	// run — is below the best so far, and its walk stops once it no longer is.
+	if b.Count() < size {
+		if _, s := b.gaps(nil, size); s >= 0 {
 			form, size = formGaps, s
 		}
 	}
@@ -217,17 +235,11 @@ func (b *Bitmap) Marshal() []byte {
 		}
 	}
 	out := make([]byte, 1, 1+binary.MaxVarintLen64+size)
-	out = binary.AppendUvarint(out, uint64(b.n))
-	if b.n-set < size {
-		if clear, s := b.gaps(out, size, ^uint64(0)); s >= 0 {
-			clear[0] = formClearGaps
-			return clear
-		}
-	}
 	out[0] = form
+	out = binary.AppendUvarint(out, uint64(b.n))
 	switch form {
 	case formGaps:
-		out, _ = b.gaps(out, math.MaxInt, 0)
+		out, _ = b.gaps(out, math.MaxInt)
 	case formRuns:
 		out, _ = b.runs(out, math.MaxInt)
 	default:
@@ -238,31 +250,22 @@ func (b *Bitmap) Marshal() []byte {
 	return out
 }
 
-// gaps walks the formGaps payload — of the complement, formClearGaps', when
-// flip is all ones (0 otherwise) — appending it to dst unless dst is nil, and
-// returns its size, or -1 once a word's gaps take it to limit.
-func (b *Bitmap) gaps(dst []byte, limit int, flip uint64) ([]byte, int) {
+// gaps walks the formGaps payload, appending it to dst unless dst is nil, and
+// returns its size, or -1 as soon as that reaches limit.
+func (b *Bitmap) gaps(dst []byte, limit int) ([]byte, int) {
 	size := 0
 	next := 0 // the first bit the next gap counts from
 	for wi, w := range b.words {
-		if w ^= flip; wi == len(b.words)-1 && b.n%64 != 0 {
-			w &= 1<<(b.n%64) - 1 // the complement's tail is not the bitmap's
-		}
 		for ; w != 0; w &= w - 1 {
 			pos := wi*64 + bits.TrailingZeros64(w)
-			switch gap := uint64(pos - next); {
-			case gap >= 0x80:
-				dst, size = emit(dst, size, gap)
-			case dst != nil:
-				dst, size = append(dst, byte(gap)), size+1
-			default:
-				size++ // most gaps take a byte
+			if dst, size = emit(dst, size, uint64(pos-next)); size >= limit {
+				return dst, -1
 			}
 			next = pos + 1
 		}
-		if size >= limit {
-			return dst, -1
-		}
+	}
+	if size >= limit {
+		return dst, -1
 	}
 	return dst, size
 }
@@ -319,10 +322,9 @@ func emit(dst []byte, size int, v uint64) ([]byte, int) {
 
 // Unmarshal parses the output of Marshal for a caller that expects a bitmap of
 // rows bits. Anything else — another declared length, runs not summing to it,
-// a set bit at or past it, a truncated or unknown payload — is an error. The
-// declared length is checked before anything is allocated, and the bitmap is
-// sized by the caller's row count, so it is never larger than the caller
-// asked for, whatever the input.
+// a set bit at or past it, a truncated or unknown payload — is an error,
+// found before anything is allocated; so the bitmap it returns is never
+// larger than the caller asked for, whatever the input.
 func Unmarshal(data []byte, rows int) (*Bitmap, error) {
 	if len(data) == 0 {
 		return nil, errors.New("bitmap: empty input")
@@ -348,44 +350,37 @@ func Unmarshal(data []byte, rows int) (*Bitmap, error) {
 			b.words[i] = binary.LittleEndian.Uint64(payload[8*i:])
 		}
 		return b, nil
-	case formGaps, formRuns, formClearGaps:
-		b := New(rows)
-		if form == formClearGaps {
-			b = NewFull(rows)
-		}
-		if err := setRanges(form, payload, b); err != nil {
+	case formGaps, formRuns:
+		if err := setRanges(form, payload, rows, nil); err != nil {
 			return nil, err
 		}
+		b := New(rows)
+		_ = setRanges(form, payload, rows, b)
 		return b, nil
 	}
 	return nil, fmt.Errorf("bitmap: unknown form %d", form)
 }
 
-// setRanges walks a formGaps, formRuns or formClearGaps payload over b's
-// bits, setting those it names — or, for formClearGaps, clearing them in a b
-// that starts full — and reports the first way the payload is malformed.
-func setRanges(form byte, p []byte, b *Bitmap) error {
-	rows := b.n
+// setRanges walks a formGaps or formRuns payload over rows bits, setting the
+// bits it names in b (when b is not nil), and reports the first way the
+// payload is malformed.
+func setRanges(form byte, p []byte, rows int, b *Bitmap) error {
 	at := 0      // bits accounted for
 	set := false // formRuns: whether the next run is of set bits
-	for i := 0; i < len(p); {
-		first := i == 0
-		v := uint64(p[i]) // most gaps and runs take a byte
-		if v < 0x80 {
-			i++
-		} else {
-			k := 0
-			if v, k = binary.Uvarint(p[i:]); k <= 0 {
-				return errors.New("bitmap: truncated varint")
-			}
-			i += k
+	for first := true; len(p) > 0; first = false {
+		v, k := binary.Uvarint(p)
+		if k <= 0 {
+			return errors.New("bitmap: truncated varint")
 		}
-		if form != formRuns {
+		p = p[k:]
+		if form == formGaps {
 			if v >= uint64(rows-at) {
-				return fmt.Errorf("bitmap: a gap ends at or past row %d", rows)
+				return fmt.Errorf("bitmap: a set bit at or past row %d", rows)
 			}
 			at += int(v)
-			b.words[at>>6] ^= 1 << (at & 63)
+			if b != nil {
+				b.Set(at)
+			}
 			at++
 			continue
 		}
@@ -395,7 +390,7 @@ func setRanges(form byte, p []byte, b *Bitmap) error {
 		if v == 0 && !first {
 			return errors.New("bitmap: empty run")
 		}
-		if set {
+		if set && b != nil {
 			b.SetRange(at, at+int(v))
 		}
 		at, set = at+int(v), !set

@@ -128,6 +128,36 @@ func TestSelectivity(t *testing.T) {
 	}
 }
 
+// TestMaxGap checks MaxGap against the set bits' positions, over bitmaps of
+// every length and density the codec tests use and a few placed by hand.
+func TestMaxGap(t *testing.T) {
+	naive := func(b *Bitmap) int {
+		most, idx := 0, b.Indexes()
+		for k := 1; k < len(idx); k++ {
+			most = max(most, idx[k]-idx[k-1])
+		}
+		return most
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range codecLengths {
+		for _, density := range codecDensities {
+			b := densityBitmap(n, density, rng)
+			if got, want := b.MaxGap(), naive(b); got != want {
+				t.Errorf("%d rows, %s: MaxGap %d, want %d", n, density, got, want)
+			}
+		}
+	}
+	for _, bitsSet := range [][]int{{5}, {0, 1}, {0, 63}, {63, 64}, {3, 70, 72}, {1, 2, 3, 62, 63, 130}, {10, 200, 201, 202}} {
+		b := New(256)
+		for _, i := range bitsSet {
+			b.Set(i)
+		}
+		if got, want := b.MaxGap(), naive(b); got != want {
+			t.Errorf("bits %v: MaxGap %d, want %d", bitsSet, got, want)
+		}
+	}
+}
+
 func TestForEachMatchesIndexes(t *testing.T) {
 	b := New(300)
 	rng := rand.New(rand.NewSource(3))
@@ -175,9 +205,9 @@ var (
 
 // naiveForms encodes b in each wire form, a bit at a time: the reference
 // Marshal's pick is checked against.
-func naiveForms(b *Bitmap) [4][]byte {
+func naiveForms(b *Bitmap) [3][]byte {
 	n := b.Len()
-	var out [4][]byte
+	var out [3][]byte
 	for f := range out {
 		out[f] = binary.AppendUvarint([]byte{byte(f)}, uint64(n))
 	}
@@ -190,7 +220,7 @@ func naiveForms(b *Bitmap) [4][]byte {
 		}
 		out[formWords] = binary.LittleEndian.AppendUint64(out[formWords], w)
 	}
-	run, set, next, nextClear := 0, false, 0, 0
+	run, set, next := 0, false, 0
 	for i := 0; i < n; i++ {
 		if b.Get(i) != set {
 			out[formRuns] = binary.AppendUvarint(out[formRuns], uint64(run))
@@ -200,9 +230,6 @@ func naiveForms(b *Bitmap) [4][]byte {
 		if b.Get(i) {
 			out[formGaps] = binary.AppendUvarint(out[formGaps], uint64(i-next))
 			next = i + 1
-		} else {
-			out[formClearGaps] = binary.AppendUvarint(out[formClearGaps], uint64(i-nextClear))
-			nextClear = i + 1
 		}
 	}
 	out[formRuns] = binary.AppendUvarint(out[formRuns], uint64(run))
@@ -210,9 +237,8 @@ func naiveForms(b *Bitmap) [4][]byte {
 }
 
 // TestMarshalRoundTrip: for every length and density, Marshal writes exactly
-// the smallest of the four forms (the earliest on a tie) and Unmarshal gives
-// back the same bits. Over a 60,000-row row group, a random 90% of the rows
-// travel as clear gaps, smaller than the words; 85% as the words.
+// the smallest of the three forms (the earliest on a tie) and Unmarshal gives
+// back the same bits.
 func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range codecLengths {
@@ -227,12 +253,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(enc, want) {
-				t.Errorf("%d rows, %s: Marshal wrote form %d in %d bytes, want form %d in %d (words %d, gaps %d, runs %d, clear gaps %d)",
-					n, density, enc[0], len(enc), want[0], len(want), len(forms[0]), len(forms[1]), len(forms[2]), len(forms[3]))
+				t.Errorf("%d rows, %s: Marshal wrote form %d in %d bytes, want form %d in %d (words %d, gaps %d, runs %d)",
+					n, density, enc[0], len(enc), want[0], len(want), len(forms[0]), len(forms[1]), len(forms[2]))
 				continue
-			}
-			if wantForm, ok := map[string]byte{"85%": formWords, "90%": formClearGaps}[density]; ok && n == 60000 && enc[0] != wantForm {
-				t.Errorf("%d rows, %s: form %d in %d bytes, want form %d", n, density, enc[0], len(enc), wantForm)
 			}
 			got, err := Unmarshal(enc, n)
 			if err != nil {
@@ -280,12 +303,10 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}{
 		{"empty input", nil, "empty input"},
 		{"truncated length", []byte{formRuns, 0x80}, "truncated length"},
-		{"unknown form", append(head(4), 0), "unknown form"},
+		{"unknown form", append(head(3), 0), "unknown form"},
 		{"truncated varint", append(head(formGaps), 5, 0x80), "truncated varint"},
 		{"gap past the end", varints(formGaps, 3, 96), "at or past row 100"},
 		{"gap at the end", varints(formGaps, 100), "at or past row 100"},
-		{"clear gap past the end", varints(formClearGaps, 3, 96), "at or past row 100"},
-		{"truncated clear gap", append(head(formClearGaps), 5, 0x80), "truncated varint"},
 		{"runs short of the length", varints(formRuns, 10, 20), "runs sum to 30"},
 		{"runs past the length", varints(formRuns, 10, 91), "runs exceed"},
 		{"empty run", varints(formRuns, 10, 0, 90), "empty run"},
@@ -303,8 +324,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		t.Error("Unmarshal accepted a negative row count")
 	}
 	// The valid neighbours of those cases are accepted.
-	for _, data := range [][]byte{varints(formGaps, 3, 95), varints(formRuns, 10, 90), varints(formRuns, 0, 100), head(formGaps),
-		varints(formClearGaps, 3, 95), head(formClearGaps)} {
+	for _, data := range [][]byte{varints(formGaps, 3, 95), varints(formRuns, 10, 90), varints(formRuns, 0, 100), head(formGaps)} {
 		if _, err := Unmarshal(data, 100); err != nil {
 			t.Errorf("Unmarshal refused %x: %v", data, err)
 		}

@@ -20,11 +20,8 @@ func FuzzBitmapUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{formRuns, 0x80}, uint16(100))
-	f.Add([]byte{4, 100, 0}, uint16(100))
+	f.Add([]byte{3, 100, 0}, uint16(100))
 	f.Add([]byte{formGaps, 100, 3, 96}, uint16(100))
-	f.Add([]byte{formClearGaps, 100, 3, 95}, uint16(100))
-	f.Add([]byte{formClearGaps, 100, 3, 96}, uint16(100))
-	f.Add([]byte{formClearGaps, 100}, uint16(100))
 	f.Add([]byte{formRuns, 100, 10, 0, 90}, uint16(100))
 	f.Add(NewFull(99).Marshal(), uint16(100))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{formRuns}, 1<<40), 1<<40), uint16(100))

@@ -1077,46 +1077,62 @@ func (sc *Scanner) enter(p *page) {
 	}
 }
 
-// walkDeltas resolves rows[i:j] of delta page p. Sparse rows — fewer than
-// three quarters of their span — are each reached by the sum of the steps
-// since the one before. Denser ones are a walk from the first of them, which
-// the running value is carried to by that sum: consecutive rows are a prefix
-// sum of their unpacked deltas, written straight into the batch, and other
-// rows keep the running value as it passes them. A frame chunk has no codes,
-// so the batch's serve as the deltas' scratch.
+// walkDeltas resolves rows[i:j] of delta page p, carrying the running value
+// forward from the row it is of. Consecutive rows — no selection at all, or a
+// dense stretch of one — are a prefix sum of their unpacked deltas, written
+// straight into the batch. Other rows are walked in groups of 64 rows from a
+// selected one, under their selection bits: the value is carried to each
+// selected row of a group with fewer than eight by the sum of the steps
+// before it, and a denser group is decoded whole, a prefix sum, its selected
+// values kept. A frame chunk has no codes, so the batch's serve as the
+// deltas' scratch.
 func (sc *Scanner) walkDeltas(p *page, i, j int) {
 	sc.enter(p)
 	dp := sc.c.deltas(p)
 	first, last := int(sc.Row(i)), int(sc.Row(j-1))
-	if 3*(last-first+1) > 4*(j-i) {
-		for k := i; k < j; k++ {
-			r := int(sc.Row(k))
-			sc.value += dp.advance(sc.at-p.first, r-sc.at, &sc.codes, &sc.window)
-			sc.ints[k], sc.at = sc.value, r
-		}
-		return
-	}
-	sc.value += dp.advance(sc.at-p.first, first-sc.at, &sc.codes, &sc.window)
-	sc.at = first
 	if last-first+1 == j-i {
+		sc.value += dp.advance(sc.at-p.first, first-sc.at, &sc.codes, &sc.window)
 		next := dp.values(sc.ints[i:j], sc.value, first-p.first, &sc.codes, &sc.window)
 		// Past the page's last row, next is that row's value.
 		sc.at, sc.value = min(last+1, p.first+p.rows-1), next
 		return
 	}
-	k := i // not every row is selected, so they are listed in sc.rows
-	for sc.at < last {
-		steps := sc.codes[:min(BatchRows, last-sc.at)]
-		dp.unpack(steps, sc.at-p.first, &sc.window)
-		for _, d := range steps {
-			if int(sc.rows[k]) == sc.at {
-				sc.ints[k], k = sc.value, k+1
+	var group [64]int64
+	for k := i; k < j; {
+		g := int(sc.rows[k]) // a group starts at a selected row
+		n := min(64, last+1-g)
+		m := selBits(sc.sel, g, n)
+		if bits.OnesCount64(m) < 8 {
+			for ; m != 0; m &= m - 1 {
+				r := g + bits.TrailingZeros64(m)
+				sc.value += dp.advance(sc.at-p.first, r-sc.at, &sc.codes, &sc.window)
+				sc.ints[k], sc.at, k = sc.value, r, k+1
 			}
-			sc.value += dp.step + int64(d)
-			sc.at++
+			continue
+		}
+		sc.value += dp.advance(sc.at-p.first, g-sc.at, &sc.codes, &sc.window)
+		sc.value = dp.values(group[:n], sc.value, g-p.first, &sc.codes, &sc.window)
+		sc.at = min(g+n, p.first+p.rows-1)
+		for ; m != 0; m &= m - 1 {
+			sc.ints[k], k = group[bits.TrailingZeros64(m)], k+1
 		}
 	}
-	sc.ints[k] = sc.value // the last row
+}
+
+// selBits returns the bits of rows [r, r+n) of the selection words sel, n at
+// most 64, lowest row lowest; all n set when sel is nil, selecting every row.
+func selBits(sel []uint64, r, n int) uint64 {
+	m := ^uint64(0)
+	if sel != nil {
+		w, sh := r>>6, uint(r&63)
+		if m = sel[w] >> sh; sh != 0 && w+1 < len(sel) {
+			m |= sel[w+1] << (64 - sh)
+		}
+	}
+	if n < 64 {
+		m &= 1<<n - 1
+	}
+	return m
 }
 
 // errEscape reports a decimal code that escapes to a value past its page's

@@ -52,7 +52,7 @@ func OpenReply(t Type, rows int, body []byte) (*Chunk, error) {
 // rows, which gathers to what AppendGather gathers from c under sel. Each page
 // is read under its selection words, 64 rows at a time; codes, offsets, plain
 // values and code strings are copied, never decoded. A delta page's selected
-// values are decoded and framed anew. On error dst's appended tail is
+// values are gathered and framed anew. On error dst's appended tail is
 // unspecified.
 func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 	w := replyWriter{c: c}
@@ -73,7 +73,7 @@ func (c *Chunk) AppendSelected(dst []byte, sel *bitmap.Bitmap) ([]byte, error) {
 		err = w.rowPages()
 	case colenc.FOR:
 		w.codes = make([]uint64, 0, count)
-		w.framePages()
+		err = w.framePages(sel, count)
 	default:
 		w.codes = make([]uint64, 0, count)
 		err = w.codePages()
@@ -104,39 +104,17 @@ type replyWriter struct {
 // replyPage is a source page and how many of its rows are selected.
 type replyPage struct{ src, n int }
 
-// selWord returns the selection bits of rows [a, a+64) as a word, lowest row
-// lowest; all ones with no selection.
-func (w *replyWriter) selWord(a int) uint64 {
-	if w.sel == nil {
-		return ^uint64(0)
-	}
-	i, sh := a>>6, uint(a&63)
-	m := w.sel[i] >> sh
-	if sh != 0 && i+1 < len(w.sel) {
-		m |= w.sel[i+1] << (64 - sh)
-	}
-	return m
-}
-
 // pageWord returns the selection bits of rows [g, g+64) of page p, none past
 // its end.
 func (w *replyWriter) pageWord(p *page, g int) uint64 {
-	m := w.selWord(p.first + g)
-	if n := p.rows - g; n < 64 {
-		m &= 1<<n - 1
-	}
-	return m
+	return selBits(w.sel, p.first+g, min(64, p.rows-g))
 }
 
 // selCount counts the selected rows of [lo, hi).
 func (w *replyWriter) selCount(lo, hi int) int {
 	n := 0
 	for ; lo < hi; lo += 64 {
-		m := w.selWord(lo)
-		if hi-lo < 64 {
-			m &= 1<<(hi-lo) - 1
-		}
-		n += bits.OnesCount64(m)
+		n += bits.OnesCount64(selBits(w.sel, lo, min(64, hi-lo)))
 	}
 	return n
 }
@@ -223,22 +201,27 @@ func (w *replyWriter) copyRows(p *page) error {
 	return nil
 }
 
-// framePages writes a frame-of-reference reply: the encoding byte, the count
-// of reply pages, then each source page's selected rows. An offset page's
-// selected offsets (packedCodes) are re-packed in its own frame, as the
-// writer would pack them; a delta page's selected values (deltaValues) are
-// laid out by framePage, in the form the writer would pick for them.
-func (w *replyWriter) framePages() {
+// framePages writes a frame-of-reference reply of the rows sel selects: the
+// encoding byte, the count of reply pages, then each source page's selected
+// rows. An offset page's selected offsets (packedCodes) are re-packed in its
+// own frame, as the writer would pack them. A delta page's selected values are
+// read as every kernel reads them, by a Scanner (deltaRows), and laid out by
+// framePage in the form the writer would pick for them.
+func (w *replyWriter) framePages(sel *bitmap.Bitmap, count int) error {
+	vals, err := w.deltaRows(sel, count)
+	if err != nil {
+		return err
+	}
 	w.byteVal(byte(colenc.FOR))
 	start, pages := len(w.b), 0
-	var vals []int64
 	for i := range w.c.pages {
 		p := &w.c.pages[i]
-		vals = vals[:0]
 		if p.delta {
-			if vals = w.deltaValues(p, vals); len(vals) > 0 {
-				pages += w.framePage(vals)
+			n := w.selCount(p.first, p.first+p.rows)
+			if n > 0 {
+				pages += w.framePage(vals[:n])
 			}
+			vals = vals[n:]
 			continue
 		}
 		w.codes = w.codes[:0]
@@ -249,38 +232,29 @@ func (w *replyWriter) framePages() {
 		}
 	}
 	w.b = slices.Insert(w.b, start, binary.AppendUvarint(nil, uint64(pages))...)
+	return nil
 }
 
-// deltaValues appends to vals the value of each selected row of delta page p,
-// walking the page from its base under its selection words, 64 rows at a
-// time, as the Scanner walks it: the running value is carried to a selected
-// row of a group with fewer than eight by the sum of the steps before it, and
-// a group with more is decoded, a prefix sum of its deltas, its selected
-// values kept.
-func (w *replyWriter) deltaValues(p *page, vals []int64) []int64 {
-	dp := w.c.deltas(p)
-	var group [64]int64
-	var tmp [BatchRows]uint32
-	var buf [windowBytes]byte
-	v, at := p.base, 0 // the running value, and the row of the page it is of
-	for g := 0; g < p.rows; g += 64 {
-		m := w.pageWord(p, g)
-		if bits.OnesCount64(m) < 8 {
-			for ; m != 0; m &= m - 1 {
-				r := g + bits.TrailingZeros64(m)
-				v += dp.advance(at, r-at, &tmp, &buf)
-				vals, at = append(vals, v), r
+// deltaRows gathers the values of the selected rows of the chunk's delta
+// pages, of which there are at most count, in row order: under sel when every
+// page holds deltas, else under sel less the offset pages' rows.
+func (w *replyWriter) deltaRows(sel *bitmap.Bitmap, count int) ([]int64, error) {
+	if delta, pages := w.c.DeltaPages(); delta == 0 {
+		return nil, nil
+	} else if delta < pages {
+		only := bitmap.New(w.c.rows)
+		for _, p := range w.c.pages {
+			if p.delta {
+				only.SetRange(p.first, p.first+p.rows)
 			}
-			continue
 		}
-		n := min(64, p.rows-g)
-		v += dp.advance(at, g-at, &tmp, &buf)
-		v, at = dp.values(group[:n], v, g, &tmp, &buf), min(g+n, p.rows-1)
-		for ; m != 0; m &= m - 1 {
-			vals = append(vals, group[bits.TrailingZeros64(m)])
+		if sel != nil {
+			_ = only.And(sel) // AppendSelected checked sel's length
 		}
+		sel = only
 	}
-	return vals
+	col, err := w.c.AppendGather(IntColumn(make([]int64, 0, count)), sel)
+	return col.Ints, err
 }
 
 // framePage writes vals as one frame-of-reference page in the form planFrame

@@ -3,9 +3,12 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
@@ -72,16 +75,13 @@ func pushdownOn(meta *ObjectMeta) bool {
 }
 
 // pushProjection applies the projection pushdown policy to one chunk, of a
-// row group whose selection picks sel of its rows and rides the request in
-// wire() bytes. Under PushdownAdaptive a projection is pushed iff its reply
-// and the selection together are smaller than the stored chunk the
-// coordinator would fetch instead. A reply is the selected rows in the
-// chunk's own encoding, uncompressed (lpq.Chunk.AppendSelected), estimated as
-// sel × Size — or sel × RawSize for a Snappy-compressed chunk, whose encoded
-// size the footer does not give. So a full selection is never pushed. This
-// departs from §4.3's sel × compressibility < 1, which prices a reply of plain
-// values (DESIGN.md).
-func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64, wire func() int) bool {
+// row group whose selection sel rides the request in wire() bytes. Under
+// PushdownAdaptive a projection is pushed iff its reply (replyEstimate) and
+// the selection together are smaller than the stored chunk the coordinator
+// would fetch instead. So a full selection is never pushed. This departs from
+// §4.3's sel × compressibility < 1, which prices a reply of plain values
+// (DESIGN.md).
+func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel *bitmap.Bitmap, wire func() int) bool {
 	if !pushdownOn(meta) {
 		return false
 	}
@@ -91,12 +91,39 @@ func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64, 
 	case PushdownNever:
 		return false
 	default:
-		reply := ch.Size
-		if ch.Compressed {
-			reply = ch.RawSize
-		}
-		return sel*float64(reply)+float64(wire()) < float64(ch.Size)
+		return replyEstimate(ch, sel)+float64(wire()) < float64(ch.Size)
 	}
+}
+
+// replyEstimate prices a pushed projection's reply, the selected rows in the
+// chunk's own encoding, uncompressed (lpq.Chunk.AppendSelected): the selected
+// share of Size — or of RawSize for a Snappy-compressed chunk, whose encoded
+// size the footer does not give. A frame-of-reference chunk's delta pages
+// reply with the steps between selected rows, each the sum of the steps over
+// as many rows as the selection skips, so a reply row is wider than a stored
+// one by up to log2 of the selection's widest gap (Bitmap.MaxGap), and never
+// wider than the chunk's span, where offsets hold it. A stored row is priced
+// at its bits in the chunk, or at the mean step between its values if that
+// is wider: a constant stride stores none. The footer does not say which
+// pages hold deltas, so every frame chunk is priced so, never below the
+// selected share of Size, which an offset page's reply is.
+func replyEstimate(ch lpq.ChunkMeta, sel *bitmap.Bitmap) float64 {
+	share := sel.Selectivity()
+	if ch.Compressed {
+		return share * float64(ch.RawSize)
+	}
+	est := share * float64(ch.Size)
+	if ch.Encoding != colenc.FOR || !ch.Stats.Valid || ch.NumValues < 2 {
+		return est
+	}
+	gap := sel.MaxGap()
+	if gap < 2 {
+		return est
+	}
+	span, rows := uint64(ch.Stats.MaxI)-uint64(ch.Stats.MinI), float64(ch.NumValues)
+	stored := max(8*float64(ch.Size)/rows, math.Log2(float64(span)/rows)) // bits a row
+	row := min(stored+math.Log2(float64(gap)), float64(bits.Len64(span)))
+	return max(est, float64(sel.Count())*row/8)
 }
 
 // exprLeaves collects a predicate tree's comparison leaves in evaluation

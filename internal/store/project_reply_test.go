@@ -2,9 +2,11 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
@@ -183,44 +185,140 @@ func TestMalformedProjectReplyFallsBack(t *testing.T) {
 }
 
 // TestPushProjectionRule is pushProjection's rule, case by case: adaptive
-// pushes iff sel × the reply estimate + the selection's bytes < the stored
-// chunk, the estimate being the stored bytes, or the plain bytes for a
-// Snappy-compressed chunk; Always and Never mean what they say; and an object
-// laid out in fixed blocks, whose chunks no node holds whole, never pushes.
+// pushes iff the reply estimate + the selection's bytes < the stored chunk,
+// the estimate being the selected share of the stored bytes, or of the plain
+// bytes for a Snappy-compressed chunk, and for a frame chunk of sorted keys
+// (l_orderkey's shape: 1-bit delta pages) as many bits a selected row as a
+// step over the selection's widest gap takes; Always and Never mean what they
+// say; and an object laid out in fixed blocks, whose chunks no node holds
+// whole, never pushes.
 func TestPushProjectionRule(t *testing.T) {
 	fsstComment := lpq.ChunkMeta{Size: 3_623_796, RawSize: 5_332_604, Encoding: colenc.FSST}
 	snappyDict := lpq.ChunkMeta{Size: 30_000, RawSize: 480_000, Encoding: colenc.Dict, Compressed: true}
 	decimal := lpq.ChunkMeta{Size: 1_000, RawSize: 8_000, Encoding: colenc.Decimal}
+	orderKey := lpq.ChunkMeta{Size: 7_547, RawSize: 480_000, NumValues: 60_000, Encoding: colenc.FOR,
+		Stats: lpq.Stats{Valid: true, MinI: 1, MaxI: 15_000}}
+	shipDate := lpq.ChunkMeta{Size: 90_027, RawSize: 480_000, NumValues: 60_000, Encoding: colenc.FOR,
+		Stats: lpq.Stats{Valid: true, MinI: 8_036, MaxI: 10_561}}
 	fac, fixed := &ObjectMeta{Mode: LayoutFAC}, &ObjectMeta{Mode: LayoutFixed}
+	// every selects one row in each run of k; random one row in k of 60,000.
+	every := func(k int) *bitmap.Bitmap {
+		b := bitmap.New(10_000)
+		for i := 0; i < b.Len(); i += k {
+			b.Set(i)
+		}
+		return b
+	}
+	random := func(k int) *bitmap.Bitmap {
+		rng, b := rand.New(rand.NewSource(int64(k))), bitmap.New(60_000)
+		for i := 0; i < b.Len(); i++ {
+			if rng.Intn(k) == 0 {
+				b.Set(i)
+			}
+		}
+		return b
+	}
+	half, most, all := bitmap.New(60_000), every(100), bitmap.NewFull(60_000)
+	half.SetRange(0, 30_000)
+	most.Not()
 	cases := []struct {
 		name   string
 		policy PushdownPolicy
 		meta   *ObjectMeta
 		ch     lpq.ChunkMeta
-		sel    float64
+		sel    *bitmap.Bitmap
 		wire   int
 		push   bool
 	}{
-		{"FSST at 50% pushes", PushdownAdaptive, fac, fsstComment, 0.5, 75_080, true},
-		{"FSST at 99% pushes no more", PushdownAdaptive, fac, fsstComment, 0.99, 75_080, false},
-		{"a full selection never pushes", PushdownAdaptive, fac, fsstComment, 1, 1, false},
-		{"Snappy chunk at 5%: sel × plain bytes fits", PushdownAdaptive, fac, snappyDict, 0.05, 100, true},
-		{"Snappy chunk at 7%: sel × plain bytes does not", PushdownAdaptive, fac, snappyDict, 0.07, 100, false},
-		{"selection bytes tip it: under", PushdownAdaptive, fac, decimal, 0.5, 499, true},
-		{"selection bytes tip it: over", PushdownAdaptive, fac, decimal, 0.5, 500, false},
-		{"fixed blocks never push", PushdownAdaptive, fixed, fsstComment, 0.01, 10, false},
-		{"Always pushes a full selection", PushdownAlways, fac, fsstComment, 1, 1, true},
-		{"Always pushes a Snappy chunk", PushdownAlways, fac, snappyDict, 0.9, 100, true},
-		{"Always, fixed blocks: no", PushdownAlways, fixed, fsstComment, 0.5, 10, false},
-		{"Never pushes nothing", PushdownNever, fac, fsstComment, 0.01, 10, false},
+		{"FSST at 50% pushes", PushdownAdaptive, fac, fsstComment, every(2), 75_080, true},
+		{"FSST at 99% pushes no more", PushdownAdaptive, fac, fsstComment, most, 75_080, false},
+		{"a full selection never pushes", PushdownAdaptive, fac, fsstComment, all, 1, false},
+		{"Snappy chunk at 5%: sel × plain bytes fits", PushdownAdaptive, fac, snappyDict, every(20), 100, true},
+		{"Snappy chunk at 7%: sel × plain bytes does not", PushdownAdaptive, fac, snappyDict, every(14), 100, false},
+		{"selection bytes tip it: under", PushdownAdaptive, fac, decimal, every(2), 499, true},
+		{"selection bytes tip it: over", PushdownAdaptive, fac, decimal, every(2), 500, false},
+		{"sorted keys at 1% push", PushdownAdaptive, fac, orderKey, random(100), len(random(100).Marshal()), true},
+		{"sorted keys at 10% are fetched", PushdownAdaptive, fac, orderKey, random(10), len(random(10).Marshal()), false},
+		{"sorted keys, a contiguous half: sel × Size fits", PushdownAdaptive, fac, orderKey, half, len(half.Marshal()), true},
+		{"offset frame at 10%: sel × Size", PushdownAdaptive, fac, shipDate, random(10), len(random(10).Marshal()), true},
+		{"fixed blocks never push", PushdownAdaptive, fixed, fsstComment, every(100), 10, false},
+		{"Always pushes a full selection", PushdownAlways, fac, fsstComment, all, 1, true},
+		{"Always pushes a Snappy chunk", PushdownAlways, fac, snappyDict, every(2), 100, true},
+		{"Always, fixed blocks: no", PushdownAlways, fixed, fsstComment, every(2), 10, false},
+		{"Never pushes nothing", PushdownNever, fac, fsstComment, every(100), 10, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := &Store{opts: Options{Pushdown: c.policy}}
 			if got := s.pushProjection(c.meta, c.ch, c.sel, func() int { return c.wire }); got != c.push {
-				t.Fatalf("pushed %v, want %v", got, c.push)
+				t.Fatalf("pushed %v, want %v (reply estimate %.0f B, selection %d B, chunk %d B)",
+					got, c.push, replyEstimate(c.ch, c.sel), c.wire, c.ch.Size)
 			}
 		})
+	}
+}
+
+// TestAdaptiveFetchesSparseSortedKeys runs the planner's frame-chunk price
+// against the replies themselves, over two 60,000-row row groups of
+// l_orderkey-shaped keys (ascending by 0 or 1 a row, 1-bit delta pages):
+// 1% of the rows, scattered, reply in fewer bytes than the chunk, and 10%
+// reply wider per row than the chunk stores them, so that reply and the
+// selection outweigh it. Adaptive pushdown pushes the first and fetches the
+// second, and moves no more bytes than pushing every projection does.
+func TestAdaptiveFetchesSparseSortedKeys(t *testing.T) {
+	const rowGroups, rows = 2, 60_000
+	schema := []lpq.Column{{Name: "okey", Type: lpq.Int64}, {Name: "noise", Type: lpq.Float64}}
+	w := lpq.NewWriter(schema, lpq.DefaultWriterOptions())
+	rng := rand.New(rand.NewSource(3))
+	key := int64(1)
+	for g := 0; g < rowGroups; g++ {
+		cols := []lpq.ColumnData{lpq.MakeColumn(lpq.Int64, rows), lpq.MakeColumn(lpq.Float64, rows)}
+		for r := 0; r < rows; r++ {
+			key += int64(rng.Intn(4) / 3)
+			cols[0].Ints[r], cols[1].Floats[r] = key, rng.Float64()
+		}
+		if err := w.WriteRowGroup(cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[PushdownPolicy]*Store{}
+	for _, policy := range []PushdownPolicy{PushdownAdaptive, PushdownAlways} {
+		opts := fusionTestOptions()
+		opts.Pushdown = policy
+		s, _ := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		stores[policy] = s
+	}
+	for _, c := range []struct {
+		where  string
+		pushed bool
+	}{{"noise < 0.01", true}, {"noise < 0.1", false}} {
+		query := "SELECT okey FROM obj WHERE " + c.where
+		adaptive, err := stores[PushdownAdaptive].Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		always, err := stores[PushdownAlways].Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(adaptive.Data) != fmt.Sprint(always.Data) {
+			t.Fatalf("%s: adaptive and always-push results differ", c.where)
+		}
+		on, off := adaptive.Stats.PushdownOn, adaptive.Stats.PushdownOff
+		if c.pushed && (on != rowGroups || off != 0) || !c.pushed && (on != 0 || off != rowGroups) {
+			t.Errorf("%s: %d projections pushed and %d fetched, want the %d chunks all %s", c.where, on, off, rowGroups,
+				map[bool]string{true: "pushed", false: "fetched"}[c.pushed])
+		}
+		if a, b := adaptive.Stats.TrafficBytes, always.Stats.TrafficBytes; c.pushed && a != b || !c.pushed && a >= b {
+			t.Errorf("%s: adaptive moved %d B, pushing every projection %d B", c.where, a, b)
+		}
 	}
 }
 

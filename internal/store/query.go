@@ -610,7 +610,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			}
 			c.dst = colData[meta.Footer.Columns[c.ci].Name].Window(before, bm.Count())
 			chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, values: true})
-			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm.Selectivity(), func() int { return len(selection(rg)) }) {
+			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm, func() int { return len(selection(rg)) }) {
 				if node, ref, ok := chunkLocation(meta, rg, c.ci, ch); ok {
 					p.push(node, rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: selection(rg)})
 				}
