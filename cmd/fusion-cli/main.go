@@ -75,6 +75,10 @@ func main() {
 		fmt.Printf("stored %s: %d bytes in %d stripes, layout %v, overhead %.2f%% vs optimal (%v)\n",
 			args[1], stats.StoredBytes, stats.Stripes, stats.Mode,
 			stats.OverheadVsOptimal*100, stats.TotalTime.Round(1e6))
+		pl, err := s.Placement(args[1])
+		die(err)
+		fmt.Printf("placement: a row group's chunks on %.2f nodes on average, data bytes per node max/mean %.2f\n",
+			pl.NodesPerRowGroup, pl.DataSkew())
 	case "get":
 		if len(args) != 2 && len(args) != 4 {
 			usage()

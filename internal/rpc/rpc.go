@@ -450,8 +450,22 @@ func (r *Request) WireSize() uint64 {
 	n += uint64(len(r.AggKinds))
 	for i := range r.Subs {
 		n += r.Subs[i].WireSize()
+		if sharesSelection(r.Subs, i) {
+			n -= uint64(len(r.Subs[i].Bitmap) - backRefSize)
+		}
 	}
 	return n
+}
+
+// sharesSelection reports whether sub-request i's Bitmap is sub-request
+// i-1's own slice — one row group's selection, marshalled once for all its
+// sub-ops — which the wire carries as a back-reference (wire.go).
+func sharesSelection(subs []Request, i int) bool {
+	if i == 0 || len(subs[i].Bitmap) == 0 {
+		return false
+	}
+	a, b := subs[i].Bitmap, subs[i-1].Bitmap
+	return len(a) == len(b) && &a[0] == &b[0]
 }
 
 // WireSize estimates the serialized size of the response, landed bytes

@@ -24,11 +24,19 @@ import (
 //	                    values with few mantissa bits, take 1–3 bytes)
 //	bool, Kind          one byte (a bool is exactly 0 or 1)
 //	string              uvarint length, then the bytes
-//	payload             uvarint length, then — below inlineMax — the bytes
+//	payload             uvarint length+1, then — below inlineMax — the bytes;
+//	                    0 is a back-reference (below)
 //	slice               uvarint count, then the elements
 //
 // Subs are encoded by the same functions one level deep: a sub-message
 // carries a zero Subs count. An empty slice decodes as nil.
+//
+// A row group's sub-ops in one frame carry one selection: the coordinator
+// marshals it once and every sub-request aliases the bytes. So a sub-request
+// whose Bitmap is the previous sub-request's own slice (sharesSelection)
+// carries a back-reference in its place, and decodes to that same slice. A
+// back-reference anywhere else — on the first sub-request, after one with no
+// Bitmap, on a top-level request, on a Data field — fails the decode.
 //
 // Payload fields (Request.Data, Request.Bitmap, Response.Data) are the bulk
 // of the traffic and are never copied on either side. A payload of inlineMax
@@ -63,7 +71,11 @@ var (
 	errNested    = errors.New("rpc: wire: Subs outside a top-level batch or prepare frame")
 	errBatchSize = errors.New("rpc: wire: more than MaxBatchOps sub-messages")
 	errRegion    = errors.New("rpc: wire: payload region is not the length the header declares")
+	errBackRef   = errors.New("rpc: wire: back-reference to no previous selection")
 )
+
+// backRef is a payload's tag for a back-reference, and its encoded size.
+const backRef, backRefSize = 0, 1
 
 // AppendRequest appends r's header to dst and returns the extended buffer
 // together with the message's wire-order segments appended to segs: the
@@ -74,7 +86,7 @@ var (
 func AppendRequest(dst []byte, segs [][]byte, r *Request) ([]byte, [][]byte, error) {
 	var scratch [4][]byte
 	e := encoder{b: dst, region: scratch[:0]}
-	if err := e.request(r, true); err != nil {
+	if err := e.request(r, true, false); err != nil {
 		return dst, segs, err
 	}
 	return e.b, append(append(segs, e.b), e.region...), nil
@@ -107,6 +119,12 @@ func DecodeRequest(b []byte, r *Request) error {
 			m.Bitmap = p.of(region)
 		} else {
 			m.Data = p.of(region)
+		}
+	}
+	if err == nil {
+		// In sub order, so a back-reference to a back-reference resolves.
+		for _, sub := range d.refs {
+			r.Subs[sub-1].Bitmap = r.Subs[sub-2].Bitmap
 		}
 	}
 	return err
@@ -204,7 +222,7 @@ func (e *encoder) str(s string) {
 }
 
 func (e *encoder) payload(p []byte) {
-	e.uvarint(uint64(len(p)))
+	e.uvarint(uint64(len(p)) + 1)
 	if len(p) < inlineMax {
 		e.b = append(e.b, p...)
 		return
@@ -212,7 +230,9 @@ func (e *encoder) payload(p []byte) {
 	e.region = append(e.region, p)
 }
 
-func (e *encoder) request(r *Request, top bool) error {
+// request encodes r; shared says r is a sub-request whose Bitmap is the
+// previous sub-request's (sharesSelection).
+func (e *encoder) request(r *Request, top, shared bool) error {
 	switch {
 	case top && (r.Kind == KindBatch || len(r.Subs) != 0):
 		if msg := ValidateFrame(r); msg != "" {
@@ -234,7 +254,11 @@ func (e *encoder) request(r *Request, top bool) error {
 	e.chunkRef(&r.Chunk)
 	e.varint(int64(r.Op))
 	e.literal(&r.Value)
-	e.payload(r.Bitmap)
+	if shared {
+		e.uvarint(backRef)
+	} else {
+		e.payload(r.Bitmap)
+	}
 	e.chunkRefs(r.KeyChunks)
 	e.chunkRefs(r.ValChunks)
 	e.uvarint(uint64(len(r.AggKinds)))
@@ -247,7 +271,7 @@ func (e *encoder) request(r *Request, top bool) error {
 	e.varint(int64(r.RG))
 	e.uvarint(uint64(len(r.Subs)))
 	for i := range r.Subs {
-		if err := e.request(&r.Subs[i], false); err != nil {
+		if err := e.request(&r.Subs[i], false, sharesSelection(r.Subs, i)); err != nil {
 			return err
 		}
 	}
@@ -369,7 +393,7 @@ func (e *encoder) topRow(t *sql.TopRow) {
 // zero value, every field's shortest form — which decoding divides the
 // unread bytes by to bound a declared count before allocating for it.
 var (
-	minRequest      = zeroSize(func(e *encoder) { _ = e.request(&Request{}, false) })
+	minRequest      = zeroSize(func(e *encoder) { _ = e.request(&Request{}, false, false) })
 	minResponse     = zeroSize(func(e *encoder) { _ = e.response(&Response{}, false) })
 	minChunkRef     = zeroSize(func(e *encoder) { e.chunkRef(&ChunkRef{}) })
 	minLiteral      = zeroSize(func(e *encoder) { e.literal(&sql.Literal{}) })
@@ -406,6 +430,11 @@ type decoder struct {
 	subs      int // how many sub-messages there are: the region's first allocation holds a payload each
 	region    []pending
 	regionLen int
+	// bitmap is whether the last request decoded carries a Bitmap, and refs
+	// the subs (1 + index) whose Bitmap is a back-reference to the previous
+	// sub's, resolved once the region is (DecodeRequest).
+	bitmap bool
+	refs   []int
 }
 
 // pending is one payload of the region: the field it fills — Data, or a
@@ -550,6 +579,19 @@ func (d *decoder) str() string { return string(d.bytes()) }
 // (ReadResponse; a whole message's decode passes no windows).
 func (d *decoder) payload(bitmap bool, land [][]byte) []byte {
 	n := d.uvarint()
+	if n == backRef {
+		// Only a sub-request's Bitmap may refer back, to the previous sub's.
+		if !bitmap || d.sub < 2 || !d.bitmap {
+			d.fail(errBackRef)
+			return nil
+		}
+		d.refs = append(d.refs, d.sub)
+		return nil
+	}
+	n--
+	if bitmap {
+		d.bitmap = n > 0
+	}
 	if n < inlineMax {
 		return d.inline(n)
 	}

@@ -24,7 +24,9 @@ import (
 // TestDecodeAllocationBounded, and for the payload region: one shorter or
 // longer than its header declares, a short length whose bytes sit in the
 // region, and a batch reply mixing landed, error and wrong-length
-// sub-responses. Multi-block prepare frames (prepareSeeds) close the list.
+// sub-responses. Multi-block prepare frames (prepareSeeds), and batches whose
+// subs share a selection below and above inlineMax, or whose back-reference
+// refers to nothing (badBackRefs), close the list.
 func FuzzFrame(f *testing.F) {
 	add := func(frame []byte) { f.Add(frame, uint16(min(len(frame), 1<<16-1))) }
 	goodReq, err := encodeRequest(sampleBatchRequest())
@@ -86,6 +88,16 @@ func FuzzFrame(f *testing.F) {
 	f.Add(append(moved, bytes.Join(segs[1:], nil)...), uint16(len(segs[0])-100))
 
 	for _, frame := range prepareSeeds(f) {
+		add(frame)
+	}
+	for _, n := range []int{3, inlineMax + 3} {
+		frame, err := encodeRequest(projectFrame(bytes.Repeat([]byte{0x5A}, n)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(frame)
+	}
+	for _, frame := range badBackRefs() {
 		add(frame)
 	}
 
@@ -174,26 +186,36 @@ func FuzzFrame(f *testing.F) {
 }
 
 // elements counts the slice elements (bytes included) and pointed-to values
-// reachable from v: what a decode allocated.
+// reachable from v: what a decode allocated. A byte slice counts once however
+// many fields alias it — a shared selection is one payload on the wire.
 func elements(v reflect.Value) int {
+	return countElements(v, map[uintptr]bool{})
+}
+
+func countElements(v reflect.Value, seen map[uintptr]bool) int {
 	n := 0
 	switch v.Kind() {
 	case reflect.Ptr:
 		if !v.IsNil() {
-			n = 1 + elements(v.Elem())
+			n = 1 + countElements(v.Elem(), seen)
 		}
 	case reflect.String:
 		n = v.Len()
 	case reflect.Slice:
-		n = v.Len()
-		if v.Type().Elem().Kind() != reflect.Uint8 {
-			for i := 0; i < v.Len(); i++ {
-				n += elements(v.Index(i))
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if v.Len() > 0 && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				n = v.Len()
 			}
+			break
+		}
+		n = v.Len()
+		for i := 0; i < v.Len(); i++ {
+			n += countElements(v.Index(i), seen)
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			n += elements(v.Field(i))
+			n += countElements(v.Field(i), seen)
 		}
 	}
 	return n
@@ -203,10 +225,10 @@ func elements(v reflect.Value) int {
 // shape — the frames ValidatePrepare refuses, which no encoder writes.
 func rawPrepare(blocks []Request) []byte {
 	var e encoder
-	_ = e.request(&Request{Kind: KindPrepareBlock}, true)
+	_ = e.request(&Request{Kind: KindPrepareBlock}, true, false)
 	e.b = binary.AppendUvarint(e.b[:len(e.b)-1], uint64(len(blocks))) // over the zero Subs count
 	for i := range blocks {
-		_ = e.request(&blocks[i], false)
+		_ = e.request(&blocks[i], false, false)
 	}
 	return append(e.b, bytes.Join(e.region, nil)...)
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bufpool"
+	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
 )
 
@@ -148,7 +150,9 @@ func requireNoZero(t *testing.T, v reflect.Value, path string, sub bool) {
 // with distinct non-zero values and requires the codec to return them all:
 // a field added to a wire struct and left out of wire.go fails here. It runs
 // with payloads below and above inlineMax, so both the copied and the
-// cut-out form of each payload field round-trip.
+// cut-out form of each payload field round-trip. The batch goes once more
+// with its two subs sharing one selection, which must come back shared — one
+// slice, not two copies — for a back-reference's size.
 func TestWireEveryField(t *testing.T) {
 	for _, bytesLen := range []int{3, inlineMax + 3} {
 		req := &Request{}
@@ -160,6 +164,22 @@ func TestWireEveryField(t *testing.T) {
 		req.Subs[1].Kind = KindGroupAgg
 		requireNoZero(t, reflect.ValueOf(req), "Request", false)
 		requireRequestRoundTrip(t, req)
+		copied, err := encodeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Subs[1].Bitmap = req.Subs[0].Bitmap
+		got := requireRequestRoundTrip(t, req)
+		if &got.Subs[1].Bitmap[0] != &got.Subs[0].Bitmap[0] {
+			t.Fatalf("payloads of %d bytes: a shared selection decoded to two copies", bytesLen)
+		}
+		shared, err := encodeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if saved, sel := len(copied)-len(shared), len(req.Subs[0].Bitmap); saved < sel-2 {
+			t.Fatalf("payloads of %d bytes: sharing a %d-byte selection saved %d bytes of the frame", bytesLen, sel, saved)
+		}
 
 		resp := &Response{}
 		f.fill(reflect.ValueOf(resp).Elem(), false)
@@ -321,6 +341,38 @@ func withSubs(t testing.TB, enc []byte, count uint64, tail ...byte) []byte {
 	return append(binary.AppendUvarint(enc[:len(enc)-1:len(enc)-1], count), tail...)
 }
 
+// rawBatch encodes a batch of subs without checking its shape, sub i's
+// Bitmap written as a back-reference iff i is in refs — whatever the previous
+// sub carries — so it writes the frames the decoder must refuse. The batch
+// itself carries a selection, which its first sub may not refer back to.
+func rawBatch(subs []Request, refs ...int) []byte {
+	var e encoder
+	_ = e.request(&Request{Kind: KindBatch, Bitmap: []byte{0x0F, 0x01}}, false, false)
+	e.b = binary.AppendUvarint(e.b[:len(e.b)-1], uint64(len(subs))) // over the zero Subs count
+	for i := range subs {
+		_ = e.request(&subs[i], false, slices.Contains(refs, i))
+	}
+	return append(e.b, bytes.Join(e.region, nil)...)
+}
+
+// badBackRefs are the request frames whose back-reference refers to nothing:
+// one on the first sub, one after a sub with no Bitmap, one on a top-level
+// request, and one on a sub's Data.
+func badBackRefs() map[string][]byte {
+	project := Request{Kind: KindProject, Bitmap: []byte{0x0F, 0x01}}
+	var top, get encoder
+	_ = top.request(&project, true, true)
+	_ = get.request(&Request{Kind: KindGetBlock}, false, false)
+	onData := rawBatch([]Request{project, {Kind: KindGetBlock}})
+	onData[len(onData)-len(get.b)+3] = backRef // the last sub's Data tag, behind its kind, deadline and BlockID
+	return map[string][]byte{
+		"back-reference on the first sub":   rawBatch([]Request{project, project}, 0),
+		"back-reference after no selection": rawBatch([]Request{{Kind: KindProject}, project}, 1),
+		"back-reference on a top-level":     top.b,
+		"back-reference on a sub's Data":    onData,
+	}
+}
+
 // TestDecodeRejects drives the decoder's bounds and shape checks with
 // hand-built malformed frames, each against both decoders.
 func TestDecodeRejects(t *testing.T) {
@@ -352,6 +404,17 @@ func TestDecodeRejects(t *testing.T) {
 		"subs on non-batch": withSubs(t, bareReq, 1, bareReq...),
 		"nested batch":      withSubs(t, bareBatch, 1, withSubs(t, bareBatch, 1, bareReq...)...),
 		"mutating batch":    withSubs(t, bareBatch, 1, append([]byte{byte(KindPutBlock)}, bareReq[1:]...)...),
+	}
+	// A response carries no selection to refer back to.
+	dataRef := append([]byte(nil), bareResp...)
+	dataRef[1] = backRef // the Data tag, behind the empty Err
+	for name, frame := range badBackRefs() {
+		if err := DecodeRequest(frame, &Request{}); !errors.Is(err, errBackRef) {
+			t.Errorf("request, %s: decode returned %v, want errBackRef", name, err)
+		}
+	}
+	if err := DecodeResponse(dataRef, &Response{}); !errors.Is(err, errBackRef) {
+		t.Errorf("response, back-reference on Data: decode returned %v, want errBackRef", err)
 	}
 	responses := map[string][]byte{
 		"truncated":     goodResp[:len(goodResp)-3],
@@ -448,6 +511,39 @@ func TestFrameWithinWireSize(t *testing.T) {
 			t.Errorf("%s: frame %d bytes > WireSize %d + %d", name, got, est, wireSlack)
 		}
 	}
+	// A row group's projections in one frame share its selection: WireSize
+	// counts it once and each back-reference at its encoded size, as the
+	// wire carries them, and so five copies fewer than unshared selections.
+	for _, n := range []int{7500, 1000} {
+		shared := projectFrame(make([]byte, n))
+		enc, err := encodeRequest(shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, est := uint64(len(enc)+8), shared.WireSize(); got > est+wireSlack {
+			t.Errorf("Project frame sharing a %d-byte selection: frame %d bytes > WireSize %d + %d", n, got, est, wireSlack)
+		}
+		copied := projectFrame(make([]byte, n))
+		for i := range copied.Subs {
+			copied.Subs[i].Bitmap = make([]byte, n)
+		}
+		if saved := copied.WireSize() - shared.WireSize(); saved < 5*uint64(n-backRefSize) {
+			t.Errorf("Project frame sharing a %d-byte selection: WireSize %d, only %d below unshared copies",
+				n, shared.WireSize(), saved)
+		}
+	}
+}
+
+// projectFrame is a batch of six Projects over one row group's chunks, every
+// one carrying sel.
+func projectFrame(sel []byte) *Request {
+	r := &Request{Kind: KindBatch, DeadlineMicros: 30_000_000}
+	for i := range 6 {
+		r.Subs = append(r.Subs, Request{Kind: KindProject, Bitmap: sel, Chunk: ChunkRef{
+			BlockID: fmt.Sprintf("lineitem/e12/s3/b%d", i), Offset: uint64(i) << 16,
+			Meta: lpq.ChunkMeta{Offset: uint64(i) << 20, Size: 60_000, RawSize: 480_000, NumValues: 60_000, CRC: 0xDEADBEEF}}})
+	}
+	return r
 }
 
 // readPooled reads r's encoding as a client does (ReadResponse): its header

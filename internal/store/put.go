@@ -283,14 +283,15 @@ func (s *Store) commitBlocks(sp *trace.Span, object string, epoch uint64, blocks
 // the node verifies each payload's CRC, stores the block tagged pending under
 // (object, epoch), and serves it like any other block; the epoch only
 // becomes reachable at the metadata commit point. One candidate permutation
-// is drawn per stripe, in stripe order, and block j goes to candidates[j]. A
+// is drawn per stripe, in stripe order, and aff orders it (affinity.order):
+// data bins beside their row groups, then parity and spares as drawn. A
 // node's blocks of the whole round travel as one frame, the frames of all
 // nodes at once. A block its first choice refused (down or full, or its
 // frame lost) is then offered bare to its own stripe's spares
 // candidates[n:] in order — Put succeeds as long as n healthy nodes exist.
 // Every block a node accepted is appended to tracker for rollback, also when
 // a sibling failed.
-func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta, round []*stripeJob, tracker *[]placedBlock) error {
+func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta, aff *affinity, round []*stripeJob, tracker *[]placedBlock) error {
 	ssp := sp.Child("place-stripe")
 	defer ssp.End()
 	type slot struct{ stripe, j int } // block j of round[stripe]
@@ -299,8 +300,9 @@ func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta
 	frames := make(map[int][]slot)
 	var nodes []int // in order of first appearance
 	for i, job := range round {
-		candidates[i] = s.nodeOrder()
+		candidates[i] = aff.order(job.si, s.nodeOrder())
 		copy(job.sm.Nodes, candidates[i])
+		aff.count(job.si, job.sm.Nodes, 1)
 		errs[i] = make([]error, len(job.sm.Nodes))
 		for j, node := range job.sm.Nodes {
 			if frames[node] == nil {
@@ -330,6 +332,7 @@ func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta
 		sm, cands := &job.sm, candidates[i]
 		n := len(sm.Nodes)
 		spare := n
+		aff.count(job.si, sm.Nodes, -1) // recounted below, on the spares that took over
 		for j := 0; j < n && failed == nil; j++ {
 			for errs[i][j] != nil && spare < len(cands) && ctxErr(ctx) == nil {
 				sm.Nodes[j] = cands[spare]
@@ -347,6 +350,7 @@ func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta
 				}
 			}
 		}
+		aff.count(job.si, sm.Nodes, 1)
 		for j, err := range errs[i] {
 			if err == nil {
 				*tracker = append(*tracker, placedBlock{node: sm.Nodes[j], id: sm.BlockIDs[j]})
@@ -354,6 +358,108 @@ func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta
 		}
 	}
 	return failed
+}
+
+// affinity is a Put's row-group-affine placement: the chunks each data bin
+// holds, per row group, and a running tally of the chunks of each row group
+// the Put's stripes so far placed on each node. Under the fixed layout no bin
+// holds a chunk, every score is 0, and order returns the permutation as
+// drawn.
+type affinity struct {
+	bins  [][][]rgChunks // stripe → data bin → its chunks, by row group
+	tally [][]int        // node → row group → chunks placed there
+}
+
+// rgChunks is how many chunks of row group rg a bin holds.
+type rgChunks struct{ rg, n int }
+
+// newAffinity indexes meta's chunk locations by stripe and bin: a FAC
+// layout's stripes stripes of k bins over nodes nodes.
+func newAffinity(meta *ObjectMeta, stripes, k, nodes int) *affinity {
+	a := &affinity{bins: make([][][]rgChunks, stripes), tally: make([][]int, nodes)}
+	for si := range a.bins {
+		a.bins[si] = make([][]rgChunks, k)
+	}
+	if meta.ItemLocs == nil {
+		return a
+	}
+	for node := range a.tally {
+		a.tally[node] = make([]int, len(meta.Footer.RowGroups))
+	}
+	// Items are rg-major, so a bin's chunks arrive grouped by row group.
+	for i, it := range meta.Items {
+		if it.Kind != ItemChunk {
+			continue
+		}
+		loc := meta.ItemLocs[i]
+		bin := &a.bins[loc.Stripe][loc.Bin]
+		if last := len(*bin) - 1; last >= 0 && (*bin)[last].rg == it.RG {
+			(*bin)[last].n++
+		} else {
+			*bin = append(*bin, rgChunks{it.RG, 1})
+		}
+	}
+	return a
+}
+
+// score is how many chunks placed on node share a row group with bin j of
+// stripe si.
+func (a *affinity) score(si, j, node int) int {
+	n := 0
+	for _, c := range a.bins[si][j] {
+		n += a.tally[node][c.rg]
+	}
+	return n
+}
+
+// order returns stripe si's candidate nodes from its permutation perm: the
+// k data bins first, each on the node it was paired with, then the rest of
+// perm in its order — the parity blocks' nodes, then the spares. Pairs are
+// taken greedily, the (bin, free node) of highest score first, a tie to the
+// earlier bin and then to the node earlier in perm; with every score 0 that
+// is perm itself.
+func (a *affinity) order(si int, perm []int) []int {
+	k, n := len(a.bins[si]), len(perm)
+	scores := make([]int, k*n) // bin j on perm[p] at j*n+p; -1 once either is taken
+	for j := range k {
+		for p, node := range perm {
+			scores[j*n+p] = a.score(si, j, node)
+		}
+	}
+	out := make([]int, k, n)
+	taken := make([]bool, n)
+	for range k {
+		at := 0
+		for i, sc := range scores {
+			if sc > scores[at] {
+				at = i
+			}
+		}
+		bin, p := at/n, at%n
+		out[bin], taken[p] = perm[p], true
+		for i := range n {
+			scores[bin*n+i] = -1
+		}
+		for j := range k {
+			scores[j*n+p] = -1
+		}
+	}
+	for p, node := range perm {
+		if !taken[p] {
+			out = append(out, node)
+		}
+	}
+	return out
+}
+
+// count adds sign times stripe si's chunks to the tally of the nodes holding
+// its data bins.
+func (a *affinity) count(si int, nodes []int, sign int) {
+	for j, bin := range a.bins[si] {
+		for _, c := range bin {
+			a.tally[nodes[j]][c.rg] += sign * c.n
+		}
+	}
 }
 
 // prepareFrame sends one node's prepares as one frame — bare when there is

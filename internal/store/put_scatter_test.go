@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -28,10 +29,68 @@ func scatterTestOptions() Options {
 	return o
 }
 
-// TestPutPlacementMatchesSeed: with no refusing node, block j of a stripe
-// goes to entry j of that stripe's candidate permutation, one draw per stripe
-// in stripe order from the store's seeded generator — whichever entry point
-// the object came through and however the prepares were scheduled.
+// seededPlacement replays the placement rule on meta's layout, stripe by
+// stripe with no rounds: one permutation of the nodes per stripe, in stripe
+// order, from a generator seeded with seed; the k data bins paired greedily
+// with nodes, the pair whose node holds the most chunks sharing a row group
+// with the bin first — a tie to the earlier bin, then to the node earlier in
+// the permutation — and the parity blocks on the rest of the permutation in
+// its order. Earlier stripes' chunks count on the nodes meta names.
+func seededPlacement(meta *ObjectMeta, nodes int, seed int64, k int) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	binRGs := map[[2]int][]int{} // {stripe, bin} → row groups of its chunks
+	for i, it := range meta.Items {
+		if it.Kind == ItemChunk && meta.ItemLocs != nil {
+			at := [2]int{meta.ItemLocs[i].Stripe, meta.ItemLocs[i].Bin}
+			binRGs[at] = append(binRGs[at], it.RG)
+		}
+	}
+	score := func(si, j, node int) int {
+		n := 0
+		for i, it := range meta.Items {
+			if it.Kind != ItemChunk || meta.ItemLocs == nil {
+				continue
+			}
+			loc := meta.ItemLocs[i]
+			if loc.Stripe < si && meta.Stripes[loc.Stripe].Nodes[loc.Bin] == node &&
+				slices.Contains(binRGs[[2]int{si, j}], it.RG) {
+				n++
+			}
+		}
+		return n
+	}
+	out := make([][]int, len(meta.Stripes))
+	for si, st := range meta.Stripes {
+		perm := rng.Perm(nodes)
+		out[si] = make([]int, k, len(st.Nodes))
+		binDone, nodeTaken := map[int]bool{}, map[int]bool{}
+		for range k {
+			bin, node, best := -1, -1, -1
+			for j := range k {
+				for _, cand := range perm {
+					if sc := score(si, j, cand); !binDone[j] && !nodeTaken[cand] && sc > best {
+						bin, node, best = j, cand, sc
+					}
+				}
+			}
+			out[si][bin], binDone[bin], nodeTaken[node] = node, true, true
+		}
+		for _, cand := range perm {
+			if len(out[si]) < len(st.Nodes) && !nodeTaken[cand] {
+				out[si] = append(out[si], cand)
+			}
+		}
+	}
+	return out
+}
+
+// TestPutPlacementMatchesSeed: with no refusing node, every stripe lands
+// where seededPlacement puts it — one permutation per stripe from the store's
+// seeded generator, data bins beside their row groups, parity blocks in
+// permutation order — whichever entry point the object came through and
+// however the prepares were scheduled; the affinity moved some data bins off
+// their permutation entries. A fixed-layout object's bins hold no chunk, and
+// its stripes land on their permutations as drawn.
 func TestPutPlacementMatchesSeed(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 350, 61)
 	const nodes, seed = 12, 7
@@ -49,6 +108,7 @@ func TestPutPlacementMatchesSeed(t *testing.T) {
 			return err
 		},
 	}
+	placed := map[string][][]int{}
 	for name, put := range puts {
 		t.Run(name, func(t *testing.T) {
 			opts := scatterTestOptions()
@@ -61,18 +121,50 @@ func TestPutPlacementMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(meta.Stripes) < 2 {
-				t.Fatalf("want a multi-stripe object, got %d stripes", len(meta.Stripes))
+			if meta.Mode != LayoutFAC || len(meta.Stripes) < 2 {
+				t.Fatalf("want a multi-stripe FAC object, got %v with %d stripes", meta.Mode, len(meta.Stripes))
 			}
+			want := seededPlacement(meta, nodes, seed, opts.Params.K)
 			rng := rand.New(rand.NewSource(seed))
+			moved := false
 			for si, st := range meta.Stripes {
-				want := rng.Perm(nodes)[:opts.Params.N]
-				if !slices.Equal(st.Nodes, want) {
-					t.Fatalf("stripe %d placed on %v, its permutation starts %v", si, st.Nodes, want)
+				if !slices.Equal(st.Nodes, want[si]) {
+					t.Fatalf("stripe %d placed on %v, the rule places it on %v", si, st.Nodes, want[si])
 				}
+				moved = moved || !slices.Equal(st.Nodes, rng.Perm(nodes)[:opts.Params.N])
+				placed[name] = append(placed[name], st.Nodes)
+			}
+			if !moved {
+				t.Fatal("every stripe landed on its permutation as drawn: the test exercised no affinity")
 			}
 		})
 	}
+	if !maps.EqualFunc(placed, map[string][][]int{"put": placed["put"], "reader-at": placed["put"], "sequential": placed["put"]},
+		func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }) {
+		t.Fatalf("entry points placed the object differently: %v", placed)
+	}
+
+	t.Run("fixed", func(t *testing.T) {
+		opts := scatterTestOptions()
+		opts.Seed, opts.Layout, opts.FixedBlockSize = seed, LayoutFixed, 512
+		s, _ := newFaultStore(t, nodes, 1, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := s.Meta("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Mode != LayoutFixed || len(meta.Stripes) < 2 {
+			t.Fatalf("want a multi-stripe fixed-layout object, got %v with %d stripes", meta.Mode, len(meta.Stripes))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for si, st := range meta.Stripes {
+			if want := rng.Perm(nodes)[:opts.Params.N]; !slices.Equal(st.Nodes, want) {
+				t.Fatalf("stripe %d placed on %v, its permutation starts %v", si, st.Nodes, want)
+			}
+		}
+	})
 }
 
 // TestPutScatterRefusalFallback: a node that refuses every PrepareBlock is
@@ -302,7 +394,7 @@ func (c *prepareLog) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 // prepare frame per node, yet keeps the pipeline's two-stripe memory bound:
 // the peak stays within two largest stripes, every node gets exactly one
 // frame per round, no frame carries more than the largest stripe's block
-// class, and every stripe still lands on its seeded permutation.
+// class, and every stripe still lands where the placement rule puts it.
 func TestPutRoundsKeepTwoStripeBound(t *testing.T) {
 	data := skewedObject(t, 65)
 	const nodes = 9
@@ -345,12 +437,12 @@ func TestPutRoundsKeepTwoStripeBound(t *testing.T) {
 			t.Errorf("node %d got %d prepare frames, want one per round: %d", node, frames[node], len(rounds))
 		}
 	}
-	// Rounds change how blocks travel, not where they go: one permutation
-	// per stripe, in stripe order, from the seeded generator.
-	rng := rand.New(rand.NewSource(opts.Seed))
+	// Rounds change how blocks travel, not where they go: the rule placed
+	// each stripe as it would one stripe at a time.
+	want := seededPlacement(meta, nodes, opts.Seed, opts.Params.K)
 	for si, st := range meta.Stripes {
-		if want := rng.Perm(nodes); !slices.Equal(st.Nodes, want) {
-			t.Fatalf("stripe %d placed on %v, its permutation is %v", si, st.Nodes, want)
+		if !slices.Equal(st.Nodes, want[si]) {
+			t.Fatalf("stripe %d placed on %v, the rule places it on %v", si, st.Nodes, want[si])
 		}
 	}
 	if got, err := s.Get("obj", 0, 0); err != nil || !bytes.Equal(got, data) {

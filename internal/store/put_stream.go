@@ -297,6 +297,7 @@ func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectM
 			job.release(&g)
 		}
 	}
+	aff := newAffinity(meta, len(plans), s.opts.Params.K, s.client.NumNodes())
 	rounds := make(chan []*stripeJob) // unbuffered: builder runs ≤1 round ahead
 	stop := make(chan struct{})
 	var buildErr error // the builder's, read once it has closed rounds
@@ -344,7 +345,7 @@ func (s *Store) streamStripes(ctx context.Context, sp *trace.Span, meta *ObjectM
 			}
 			// Every call placeRound made has ended, a cancelled one too, so
 			// nothing reads the arenas once it returns, whatever the outcome.
-			if failed = s.placeRound(ctx, sp, meta, round, placed); failed != nil {
+			if failed = s.placeRound(ctx, sp, meta, aff, round, placed); failed != nil {
 				close(stop)
 			} else {
 				for _, job := range round {

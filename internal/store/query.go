@@ -509,12 +509,77 @@ func (s *Store) ChunkNodeSpan(name string, rg, ci int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ch := meta.Footer.RowGroups[rg].Chunks[ci]
 	nodes := make(map[int]bool)
+	s.chunkNodes(meta, rg, ci, nodes)
+	return max(1, len(nodes)), nil
+}
+
+// chunkNodes adds the nodes holding parts of chunk (rg, ci) to nodes.
+func (s *Store) chunkNodes(meta *ObjectMeta, rg, ci int, nodes map[int]bool) {
+	ch := meta.Footer.RowGroups[rg].Chunks[ci]
 	for _, g := range s.segments(meta, ch.Offset, ch.Size) {
 		nodes[meta.Stripes[g.stripe].Nodes[g.bin]] = true
 	}
-	return max(1, len(nodes)), nil
+}
+
+// Placement says where an object's bytes landed.
+type Placement struct {
+	// NodesPerRowGroup is the mean, over row groups, of how many distinct
+	// nodes hold the chunks of the asked-for columns.
+	NodesPerRowGroup float64
+	// DataBytes is the data-bin bytes of the object on each node that holds
+	// any of its blocks; parity is left out.
+	DataBytes map[int]uint64
+}
+
+// DataSkew is the largest of DataBytes over their mean: 1 when every node
+// holding a block holds as many data bytes.
+func (p *Placement) DataSkew() float64 {
+	var sum, most uint64
+	for _, b := range p.DataBytes {
+		sum, most = sum+b, max(most, b)
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(most) * float64(len(p.DataBytes)) / float64(sum)
+}
+
+// Placement reports where the stored object's chunks of cols (every column
+// when cols is empty) and its data bytes sit, from its metadata alone.
+func (s *Store) Placement(name string, cols ...int) (*Placement, error) {
+	meta, err := s.Meta(name)
+	if err != nil {
+		return nil, err
+	}
+	p := &Placement{DataBytes: make(map[int]uint64)}
+	for _, st := range meta.Stripes {
+		for j, node := range st.Nodes {
+			var n uint64 // a parity block's
+			if j < len(st.DataLens) {
+				n = st.DataLens[j]
+			}
+			p.DataBytes[node] += n
+		}
+	}
+	if meta.Footer == nil || len(meta.Footer.RowGroups) == 0 {
+		return p, nil
+	}
+	if len(cols) == 0 {
+		for ci := range meta.Footer.Columns {
+			cols = append(cols, ci)
+		}
+	}
+	total := 0
+	for rg := range meta.Footer.RowGroups {
+		nodes := make(map[int]bool)
+		for _, ci := range cols {
+			s.chunkNodes(meta, rg, ci, nodes)
+		}
+		total += len(nodes)
+	}
+	p.NodesPerRowGroup = float64(total) / float64(len(meta.Footer.RowGroups))
+	return p, nil
 }
 
 // projectionStage materializes the SELECT list over the filtered rows.

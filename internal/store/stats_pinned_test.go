@@ -59,7 +59,14 @@ var pinnedQueries = []string{
 // four, a placement choice), and again when bitmaps went back to three wire
 // forms (the second row's 81% selections travel as words rather than as the
 // gaps between clear bits, and a full one as runs, 3 B more each: traffic
-// and the priced fields moved, no decision did). The simulated
+// and the priced fields moved, no decision did), and again when a stripe's
+// data bins began going beside the chunks of their row groups and a frame
+// began carrying a selection its sub-ops share once (the FAC stripes' nodes
+// moved, so every priced field moved with them; the SELECT * and OR-filter
+// rows send a frame fewer, and their selections and the MIN/MAX row's cross
+// once per frame; the GROUP BY flag row ships one chunk fewer; the GROUP BY
+// flag, qty row pushes two row groups where it pushed one, and one where it
+// pushed none with node 8 down). The simulated
 // figures behind EXPERIMENTS.md are functions of exactly these numbers, so a
 // refactor that keeps this table kept them. The node-down tables pin what a
 // lost reply costs: which units fall back, how they are counted, and the
@@ -67,23 +74,23 @@ var pinnedQueries = []string{
 var pinnedStats = map[string][]string{
 	"fusion": {
 		"sim=1183216 disk=56710 proc=9057 net=1117448 traffic=12056 filter=4 project=4 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=4 off=4 pruned=0 sel=0.10504166666666667",
-		"sim=1951971 disk=77969 proc=38003 net=1835997 traffic=158672 filter=8 project=12 fetch=8 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=12 off=8 pruned=0 sel=0.8125416666666667",
-		"sim=1202068 disk=16299 proc=31024 net=1154742 traffic=14393 filter=8 project=0 fetch=0 batch=11 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=639722 disk=14420 proc=24519 net=600782 traffic=2392 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1097491 disk=13965 proc=27455 net=1056068 traffic=19288 filter=4 project=0 fetch=3 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
-		"sim=974266 disk=0 proc=53332 net=920934 traffic=64643 filter=0 project=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=998075 disk=2609 proc=42383 net=953083 traffic=9374 filter=4 project=4 fetch=0 batch=7 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=721215 disk=11918 proc=9121 net=700174 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1950854 disk=82566 proc=44981 net=1823305 traffic=156282 filter=8 project=12 fetch=8 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=12 off=8 pruned=0 sel=0.8125416666666667",
+		"sim=1156372 disk=16237 proc=35991 net=1104140 traffic=12757 filter=8 project=0 fetch=0 batch=10 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=638037 disk=13264 proc=23988 net=600784 traffic=2382 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=1047848 disk=14210 proc=28515 net=1005119 traffic=16132 filter=4 project=0 fetch=2 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=857000 disk=22154 proc=15369 net=819477 traffic=61422 filter=0 project=0 fetch=6 batch=2 groupagg=2 topk=0 partials=300 spills=2 on=0 off=0 pruned=0 sel=1",
+		"sim=997445 disk=2399 proc=41912 net=953133 traffic=9374 filter=4 project=4 fetch=0 batch=7 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=723174 disk=14209 proc=8797 net=700167 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always": {
 		"sim=1009878 disk=2355 proc=39911 net=967610 traffic=16768 filter=4 project=8 fetch=0 batch=7 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
-		"sim=1609538 disk=28343 proc=71945 net=1509248 traffic=171034 filter=8 project=20 fetch=0 batch=12 groupagg=0 topk=0 partials=0 spills=0 on=20 off=0 pruned=0 sel=0.8125416666666667",
-		"sim=1210247 disk=17480 proc=38151 net=1154613 traffic=14393 filter=8 project=0 fetch=0 batch=11 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=635443 disk=12909 proc=21748 net=600785 traffic=2392 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1097680 disk=12709 proc=28770 net=1056200 traffic=19288 filter=4 project=0 fetch=3 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
-		"sim=973575 disk=0 proc=52895 net=920679 traffic=64643 filter=0 project=0 fetch=9 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=991782 disk=2194 proc=36496 net=953089 traffic=9374 filter=4 project=4 fetch=0 batch=7 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=720126 disk=10828 proc=9137 net=700160 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1550517 disk=30057 proc=77188 net=1443270 traffic=164874 filter=8 project=20 fetch=0 batch=11 groupagg=0 topk=0 partials=0 spills=0 on=20 off=0 pruned=0 sel=0.8125416666666667",
+		"sim=1156317 disk=15862 proc=36374 net=1104079 traffic=12757 filter=8 project=0 fetch=0 batch=10 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=637085 disk=13244 proc=23061 net=600778 traffic=2382 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=1050672 disk=14681 proc=30818 net=1005172 traffic=16132 filter=4 project=0 fetch=2 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=861053 disk=22362 proc=19697 net=818993 traffic=61422 filter=0 project=0 fetch=6 batch=2 groupagg=2 topk=0 partials=300 spills=2 on=0 off=0 pruned=0 sel=1",
+		"sim=991479 disk=13286 proc=25208 net=952982 traffic=9374 filter=4 project=4 fetch=0 batch=7 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=719503 disk=11706 proc=7634 net=700162 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"baseline": {
 		"sim=1627560 disk=0 proc=94527 net=1533033 traffic=62708 filter=0 project=0 fetch=18 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=0 sel=0.10504166666666667",
@@ -97,23 +104,23 @@ var pinnedStats = map[string][]string{
 	},
 	"fusion, node 8 down": {
 		"sim=2167318 disk=91321 proc=9057 net=2066939 traffic=468102 filter=3 project=2 fetch=22 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=2 off=6 pruned=0 sel=0.10504166666666667",
-		"sim=4282436 disk=149586 proc=39739 net=4093110 traffic=1071521 filter=5 project=9 fetch=49 batch=9 groupagg=0 topk=0 partials=0 spills=0 on=9 off=11 pruned=0 sel=0.8125416666666667",
-		"sim=2861261 disk=72265 proc=30211 net=2758784 traffic=643447 filter=6 project=0 fetch=30 batch=9 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=1672632 disk=49926 proc=22169 net=1600536 traffic=462533 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=2435607 disk=46181 proc=28511 net=2360913 traffic=495454 filter=3 project=0 fetch=28 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
-		"sim=2241248 disk=75943 proc=0 net=2165305 traffic=520142 filter=0 project=0 fetch=32 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1976375 disk=37474 proc=38355 net=1900544 traffic=467071 filter=3 project=4 fetch=18 batch=5 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=721540 disk=13877 proc=7495 net=700167 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=4291640 disk=153486 proc=47788 net=4090364 traffic=1069885 filter=5 project=9 fetch=49 batch=8 groupagg=0 topk=0 partials=0 spills=0 on=9 off=11 pruned=0 sel=0.8125416666666667",
+		"sim=2811478 disk=70336 proc=30416 net=2710724 traffic=642565 filter=6 project=0 fetch=30 batch=8 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=1680358 disk=52856 proc=24878 net=1602622 traffic=462528 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=2383647 disk=53576 proc=25435 net=2304634 traffic=492298 filter=3 project=0 fetch=27 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=2138334 disk=58465 proc=15807 net=2064061 traffic=516921 filter=0 project=0 fetch=29 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1979205 disk=41725 proc=36324 net=1901154 traffic=467071 filter=3 project=4 fetch=18 batch=5 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=720873 disk=13548 proc=7157 net=700165 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always, node 8 down": {
 		"sim=1997977 disk=38376 proc=41285 net=1918314 traffic=472814 filter=3 project=6 fetch=18 batch=5 groupagg=0 topk=0 partials=0 spills=0 on=6 off=2 pruned=0 sel=0.10504166666666667",
-		"sim=4015983 disk=103076 proc=77732 net=3835174 traffic=1083412 filter=5 project=16 fetch=42 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=16 off=4 pruned=0 sel=0.8125416666666667",
-		"sim=2866911 disk=68080 proc=31659 net=2767171 traffic=643447 filter=6 project=0 fetch=30 batch=9 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=1674326 disk=51547 proc=22052 net=1600726 traffic=462533 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=2435390 disk=47743 proc=30312 net=2357333 traffic=495454 filter=3 project=0 fetch=28 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
-		"sim=2244325 disk=78296 proc=0 net=2166029 traffic=520142 filter=0 project=0 fetch=32 batch=0 groupagg=0 topk=0 partials=0 spills=4 on=0 off=0 pruned=0 sel=1",
-		"sim=1982540 disk=42889 proc=42403 net=1897246 traffic=467071 filter=3 project=4 fetch=18 batch=5 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=719183 disk=10822 proc=8193 net=700167 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=3987761 disk=103745 proc=83893 net=3800121 traffic=1078760 filter=5 project=16 fetch=42 batch=9 groupagg=0 topk=0 partials=0 spills=0 on=16 off=4 pruned=0 sel=0.8125416666666667",
+		"sim=2817392 disk=70685 proc=34132 net=2712572 traffic=642565 filter=6 project=0 fetch=30 batch=8 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=1678799 disk=53110 proc=22251 net=1603437 traffic=462528 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=2378044 disk=49582 proc=25926 net=2302535 traffic=492298 filter=3 project=0 fetch=27 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=2146971 disk=58096 proc=20239 net=2068635 traffic=516921 filter=0 project=0 fetch=29 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=1979786 disk=41704 proc=42766 net=1895313 traffic=467071 filter=3 project=4 fetch=18 batch=5 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=722030 disk=13759 proc=8096 net=700173 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 }
 
