@@ -163,23 +163,22 @@ func cmdGen(args []string) {
 	if len(args) != 2 {
 		usage()
 	}
-	var data []byte
-	var err error
-	switch args[0] {
-	case "lineitem":
-		data, err = tpch.Generate(tpch.DefaultConfig())
-	case "taxi":
-		data, err = datasets.Taxi(datasets.TaxiConfig())
-	case "recipenlg":
-		data, err = datasets.RecipeNLG(datasets.RecipeConfig())
-	case "ukpp":
-		data, err = datasets.UKPP(datasets.UKPPConfig())
-	default:
+	gen, ok := generators[args[0]]
+	if !ok {
 		usage()
 	}
+	data, err := gen()
 	die(err)
 	die(os.WriteFile(args[1], data, 0o644))
 	fmt.Printf("wrote %s: %d bytes\n", args[1], len(data))
+}
+
+// generators are the datasets gen writes, each at its default scale.
+var generators = map[string]func() ([]byte, error){
+	"lineitem":  func() ([]byte, error) { return tpch.Generate(tpch.DefaultConfig()) },
+	"taxi":      func() ([]byte, error) { return datasets.Taxi(datasets.TaxiConfig()) },
+	"recipenlg": func() ([]byte, error) { return datasets.RecipeNLG(datasets.RecipeConfig()) },
+	"ukpp":      func() ([]byte, error) { return datasets.UKPP(datasets.UKPPConfig()) },
 }
 
 func die(err error) {

@@ -187,40 +187,6 @@ func TestDictPropertyInt64(t *testing.T) {
 	}
 }
 
-func TestCodesEncodingPicksRLEForRuns(t *testing.T) {
-	codes := make([]uint64, 10000) // all zero: a single run
-	enc, data := CodesEncoding(codes, 0)
-	if enc != RLEEnc {
-		t.Fatalf("constant stream must pick RLE, got %v", enc)
-	}
-	got, err := DecodeCodes(enc, data, len(codes), 0)
-	if err != nil || !reflect.DeepEqual(got, codes) {
-		t.Fatalf("decode failed: %v", err)
-	}
-}
-
-func TestCodesEncodingPicksPackForEntropy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	codes := make([]uint64, 5000)
-	for i := range codes {
-		codes[i] = uint64(rng.Intn(1000))
-	}
-	enc, data := CodesEncoding(codes, 999)
-	if enc != Plain {
-		t.Fatalf("high-entropy stream must pick bit-packing, got %v", enc)
-	}
-	got, err := DecodeCodes(enc, data, len(codes), 999)
-	if err != nil || !reflect.DeepEqual(got, codes) {
-		t.Fatalf("decode failed: %v", err)
-	}
-}
-
-func TestDecodeCodesBadEncoding(t *testing.T) {
-	if _, err := DecodeCodes(Dict, nil, 0, 0); err == nil {
-		t.Fatal("DecodeCodes must reject unknown encodings")
-	}
-}
-
 func TestEncodingString(t *testing.T) {
 	if Plain.String() != "PLAIN" || Dict.String() != "DICT" || RLEEnc.String() != "RLE" || FOR.String() != "FOR" || Decimal.String() != "DECIMAL" {
 		t.Fatal("Encoding.String wrong")

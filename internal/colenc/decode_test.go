@@ -6,9 +6,9 @@ import (
 )
 
 // The decode half of the code-stream encoders, kept for the round-trip tests
-// of PackUints, RLEEncode, BuildDict and CodesEncoding. Nothing outside this
-// package's tests decodes a whole page into a slice any more: lpq's opened
-// chunk reads bit-packed codes and runs in place (RLERun, lpq.Chunk).
+// of PackUints, RLEEncode and BuildDict. Nothing outside this package's tests
+// decodes a whole page into a slice any more: lpq's opened chunk reads
+// bit-packed codes and runs in place (RLERun, lpq.Chunk).
 
 // UnpackUints decodes count values packed at the given bit width
 // (1..MaxPackWidth).
@@ -71,16 +71,4 @@ func ApplyDict[T any](dict []T, codes []uint64) ([]T, error) {
 		out[i] = dict[c]
 	}
 	return out, nil
-}
-
-// DecodeCodes reverses CodesEncoding.
-func DecodeCodes(enc Encoding, data []byte, count int, maxCode uint64) ([]uint64, error) {
-	switch enc {
-	case RLEEnc:
-		return RLEDecode(data, count)
-	case Plain:
-		return UnpackUints(data, count, BitWidth(maxCode))
-	default:
-		return nil, ErrCorrupt
-	}
 }

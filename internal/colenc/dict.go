@@ -4,8 +4,8 @@ import "math"
 
 // Dictionary encoding: distinct values are collected into a dictionary page
 // in first-occurrence order, and each value is replaced by its uint64 code.
-// The codes are then bit-packed or run-length encoded by the caller,
-// whichever is smaller — mirroring Parquet's dictionary + RLE/bit-packed
+// The codes are then bit-packed or run-length encoded by the caller (lpq's
+// dictPage), whichever is smaller — mirroring Parquet's dictionary + RLE/bit-packed
 // hybrid that gives the paper's column chunks their extreme compression
 // ratios (Fig. 6).
 
@@ -39,17 +39,4 @@ func buildDict[T any, K comparable](vals []T, key func(T) K) (dict []T, codes []
 		codes[i] = code
 	}
 	return dict, codes
-}
-
-// CodesEncoding picks the cheaper physical encoding for a code stream and
-// returns it with the encoded bytes. RLE wins on sorted/repetitive streams,
-// bit-packing on high-entropy streams.
-func CodesEncoding(codes []uint64, maxCode uint64) (Encoding, []byte) {
-	width := BitWidth(maxCode)
-	packedSize := (len(codes)*width + 7) / 8
-	rleSize := RLESize(codes)
-	if rleSize < packedSize {
-		return RLEEnc, RLEEncode(nil, codes)
-	}
-	return Plain, PackUints(nil, codes, width)
 }

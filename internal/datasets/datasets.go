@@ -28,14 +28,6 @@ type Config struct {
 	RowGroups    int
 	RowsPerGroup int
 	Seed         int64
-	Writer       lpq.WriterOptions
-}
-
-func (c Config) writerOpts() lpq.WriterOptions {
-	if c.Writer.DictMaxFraction == 0 && !c.Writer.Compress && !c.Writer.DisableDict {
-		return lpq.DefaultWriterOptions()
-	}
-	return c.Writer
 }
 
 // TaxiConfig is the laptop-scale default preserving the paper's structure:
@@ -83,7 +75,7 @@ func TaxiSchema() []lpq.Column {
 
 // Taxi generates the NYC yellow taxi dataset.
 func Taxi(cfg Config) ([]byte, error) {
-	w := lpq.NewWriter(TaxiSchema(), cfg.writerOpts())
+	w := lpq.NewWriter(TaxiSchema(), lpq.DefaultWriterOptions())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.RowsPerGroup
 	rows := cfg.RowGroups * n
@@ -221,7 +213,7 @@ func randText(rng *rand.Rand, minWords, maxWords int) string {
 // strongly skewed chunk-size distribution (Fig. 4c) — directions and
 // ingredients dwarf the id and source columns.
 func RecipeNLG(cfg Config) ([]byte, error) {
-	w := lpq.NewWriter(RecipeSchema(), cfg.writerOpts())
+	w := lpq.NewWriter(RecipeSchema(), lpq.DefaultWriterOptions())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.RowsPerGroup
 	id := int64(0)
@@ -291,7 +283,7 @@ var (
 // near-incompressible transaction-id column, skewed integer prices, and
 // low-cardinality address columns.
 func UKPP(cfg Config) ([]byte, error) {
-	w := lpq.NewWriter(UKPPSchema(), cfg.writerOpts())
+	w := lpq.NewWriter(UKPPSchema(), lpq.DefaultWriterOptions())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.RowsPerGroup
 	for g := 0; g < cfg.RowGroups; g++ {

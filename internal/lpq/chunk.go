@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"slices"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/bufpool"
@@ -23,17 +22,14 @@ import (
 const MaxChunkRows = 1 << 25
 
 // Chunk is an opened column chunk: its CRC verified, its bytes decompressed,
-// its dictionary and page directory parsed, and every count and length they
+// its header and page directory parsed, and every count and length they
 // declare checked against the bytes present — but no row decoded. The query
-// kernels (SelectCodes, Scanner, Gather, AppendSelected here; filter,
-// aggregate, group-by and top-k over a Scanner in package sql) compute on the
-// encoded pages and touch only the rows a selection names.
+// kernels (SelectCodes, SelectInts, Scanner, Gather, AppendSelected here; the
+// rest over a Scanner in package sql) touch only the rows a selection names.
 //
-// Values are validated where they are read: a bit-packed code beyond the
-// dictionary, a string overrunning its page, an FSST code past the symbol
-// table or escaping nothing, or a decimal escape past its page's values is an
-// error from the kernel that reads it, never a panic, and decoding every row
-// (DecodeChunk) rejects exactly what decoding page by page would.
+// Values are validated where they are read: a bad code, string, FSST code
+// string or decimal escape is an error from the kernel that reads it, never a
+// panic, and DecodeChunk rejects exactly what decoding page by page would.
 //
 // A Chunk is immutable after OpenChunk and safe for concurrent kernels. One
 // opened from compressed bytes holds a pooled buffer until Release.
@@ -44,8 +40,8 @@ type Chunk struct {
 	arena []byte // pooled backing of blob; nil when blob is the caller's or owned
 	pages []page
 
-	// The kind of the chunk's pages: Plain, Dict, FOR, Decimal or FSST.
-	enc colenc.Encoding
+	enc  colenc.Encoding // the kind of the chunk's pages,
+	kind pageKind        // and its entry in kinds
 
 	// Dictionary-encoded chunks only: the dictionary page decoded (it owns
 	// its memory — string entries share one allocation, never the arena)
@@ -65,14 +61,9 @@ type Chunk struct {
 }
 
 // page is one data page of the directory: rows [first, first+rows) encoded
-// in blob[off:end]. In a dictionary chunk the page holds codes, run-length
-// encoded when rle is set and bit-packed otherwise. A frame-of-reference page
-// holds offsets from base, bit-packed at width, or, when delta is set, the
-// steps from each row to the next less step, the first row's value being
-// base (framePage). A decimal page's codes are
-// packed at width too, each an offset from base above corr bits of correction
-// (corrBits, or none on a page of exact rows); its escapes' raw values follow
-// them, 8 bytes each from blob[end:] on.
+// in blob[off:end]. The other fields are a kind's: rle a dictionary page's;
+// base, width, delta and step a frame-of-reference page's; base, width, corr
+// and escapes a decimal page's.
 type page struct {
 	first, rows int
 	off, end    int
@@ -85,6 +76,61 @@ type page struct {
 	corr    int
 	escapes int
 }
+
+// pageKind is everything the format says about one kind of page, each kind
+// in a file of its own (kind_*.go): the column types it holds, whether the
+// writer may Snappy-compress it, its chunk header, a directory entry after
+// its row count (parsePage checks the body can hold pg's rows), the writer's
+// attempt (encode beats raw, the plain size, or chosen, the chunk a kind
+// before it in writeOrder made), a Scanner's fetch and the projection reply.
+// No method takes a pointer its caller may keep on the stack, which an
+// interface call would move to the heap: Scanner.fetch dispatches by type.
+type pageKind interface {
+	holds(t Type) bool
+	snappy() bool
+	parseHeader(c *Chunk, b []byte) ([]byte, error)
+	parsePage(c *Chunk, pg *page, dir []byte) ([]byte, error)
+	encode(col ColumnData, pageRows, raw int, chosen []byte) ([]byte, bool)
+	fetch(sc *Scanner, p *page, i, j int) error
+	reply(w replyWriter) ([]byte, error)
+}
+
+// stringKind is a kind that holds String columns: it appends the values of
+// the rows sel selects to dst.
+type stringKind interface {
+	appendStrings(c *Chunk, dst []string, sel *bitmap.Bitmap) ([]string, error)
+}
+
+// kinds is the format's table of page kinds, indexed by the encoding byte
+// that opens a chunk.
+var kinds = [...]pageKind{
+	colenc.Plain:   plainKind{},
+	colenc.Dict:    dictKind{},
+	colenc.FOR:     frameKind{},
+	colenc.Decimal: decimalKind{},
+	colenc.FSST:    fsstKind{},
+}
+
+// fetch is the table's entry for a Scanner: it fills elements i to j of the
+// batch, all on page p, by a type switch over the kinds, not an interface
+// call, since the Scanner lives on its kernel's stack.
+func (sc *Scanner) fetch(p *page, i, j int) error {
+	switch k := sc.c.kind.(type) {
+	case plainKind:
+		return k.fetch(sc, p, i, j)
+	case dictKind:
+		return k.fetch(sc, p, i, j)
+	case frameKind:
+		return k.fetch(sc, p, i, j)
+	case decimalKind:
+		return k.fetch(sc, p, i, j)
+	}
+	return fsstKind{}.fetch(sc, p, i, j)
+}
+
+// writeOrder is the order the writer tries the kinds in: a dictionary, a
+// frame of reference or decimal that beats it, then FSST or plain.
+var writeOrder = [...]colenc.Encoding{colenc.Dict, colenc.FOR, colenc.Decimal, colenc.FSST, colenc.Plain}
 
 // OpenChunk opens a self-contained chunk blob given its metadata. The chunk
 // aliases raw when stored uncompressed, so raw must stay untouched until the
@@ -154,62 +200,27 @@ func (c *Chunk) NumRows() int { return c.rows }
 // Encoding returns the kind of the chunk's pages.
 func (c *Chunk) Encoding() colenc.Encoding { return c.enc }
 
-// DeltaPages returns how many of the chunk's pages hold deltas between
-// consecutive rows (frame-of-reference chunks only) and how many pages it has.
-func (c *Chunk) DeltaPages() (delta, pages int) {
-	for _, p := range c.pages {
-		if p.delta {
-			delta++
-		}
-	}
-	return delta, len(c.pages)
-}
-
-// Dict returns the dictionary page's values and true for a
-// dictionary-encoded chunk. Callers must not modify them.
-func (c *Chunk) Dict() (ColumnData, bool) { return c.dict, c.enc == colenc.Dict }
-
-// parse reads the chunk header, the dictionary page and the page directory.
-// A count is compared with the bytes that remain before anything is sized by
-// it, and the directory grows as pages validate, so what a header declares
-// costs nothing: memory follows the bytes actually present (at the worst a
-// directory entry per one-row page).
+// parse reads the chunk header and the page directory. A count is compared
+// with the bytes that remain before anything is sized by it, and the
+// directory grows as pages validate: memory follows the bytes present.
 func (c *Chunk) parse() error {
 	// Scanners address the bytes with 32-bit offsets.
 	if len(c.blob) < 1 || len(c.blob) > math.MaxInt32 {
 		return ErrFormat
 	}
-	d := &decBuf{b: c.blob[1:]}
 	c.enc = colenc.Encoding(c.blob[0])
-	switch c.enc {
-	case colenc.Plain:
-	case colenc.Dict:
-		if err := c.parseDict(d); err != nil {
-			return err
-		}
-	case colenc.FOR:
-		if c.typ != Int64 {
-			return fmt.Errorf("lpq: frame-of-reference chunk of a %v column: %w", c.typ, ErrFormat)
-		}
-	case colenc.Decimal:
-		scale := int(d.byteVal())
-		if c.typ != Float64 || d.err != nil || scale >= len(decimalScales) {
-			return fmt.Errorf("lpq: decimal chunk of a %v column, scale %d: %w", c.typ, scale, ErrFormat)
-		}
-		c.scale = decimalScales[scale]
-	case colenc.FSST:
-		if c.typ != String {
-			return fmt.Errorf("lpq: FSST chunk of a %v column: %w", c.typ, ErrFormat)
-		}
-		table, n, err := fsst.ParseTable(d.b)
-		if err != nil {
-			return fmt.Errorf("lpq: FSST symbol table: %w", colenc.ErrCorrupt)
-		}
-		c.table, d.b = table, d.b[n:]
-	default:
+	if int(c.enc) >= len(kinds) || kinds[c.enc] == nil {
 		return fmt.Errorf("lpq: unknown chunk encoding %d: %w", c.enc, ErrFormat)
 	}
-	c.head = len(c.blob) - len(d.b)
+	if c.kind = kinds[c.enc]; !c.kind.holds(c.typ) {
+		return fmt.Errorf("lpq: %v chunk of a %v column: %w", c.enc, c.typ, ErrFormat)
+	}
+	rest, err := c.kind.parseHeader(c, c.blob[1:])
+	if err != nil {
+		return err
+	}
+	c.head = len(c.blob) - len(rest)
+	d := decBuf{b: rest}
 	numPages := d.uvarint()
 	if d.err != nil || numPages > uint64(c.rows) {
 		return ErrFormat
@@ -218,63 +229,13 @@ func (c *Chunk) parse() error {
 	left := uint64(c.rows)
 	for p := uint64(0); p < numPages; p++ {
 		rows := d.uvarint()
-		pg := page{width: c.width}
-		if c.enc == colenc.Dict {
-			switch colenc.Encoding(d.byteVal()) {
-			case colenc.Plain:
-			case colenc.RLEEnc:
-				pg.rle = true
-			default:
-				return colenc.ErrCorrupt
-			}
+		if d.err != nil || rows == 0 || rows > left {
+			return fmt.Errorf("lpq: a page of %d rows where %d are left: %w", rows, left, ErrFormat)
 		}
-		byteLen := d.uvarint()
-		if d.err != nil || rows == 0 || byteLen > uint64(len(d.b)) {
-			return ErrFormat
+		c.pages = append(c.pages, page{first: c.rows - int(left), rows: int(rows)})
+		if d.b, err = c.kind.parsePage(c, &c.pages[len(c.pages)-1], d.b); err != nil {
+			return err
 		}
-		if rows > left {
-			return fmt.Errorf("lpq: pages hold more than the %d rows chunk metadata says: %w", c.rows, ErrFormat)
-		}
-		body := &decBuf{b: d.b[:byteLen]}
-		d.b = d.b[byteLen:]
-		if c.enc == colenc.FOR || c.enc == colenc.Decimal {
-			if err := pg.parseFrame(body, c.enc == colenc.Decimal, int(rows)); err != nil {
-				return err
-			}
-		}
-		// The page must be long enough for its rows. A run-length page has
-		// no such minimum — two bytes can stand for any number of rows — so
-		// its runs are walked here, and the kernels rely on it.
-		var minBits uint64
-		switch {
-		case pg.rle:
-			if err := checkRuns(body.b, rows, uint64(c.dict.Len())); err != nil {
-				return err
-			}
-		case c.typ == String && c.enc != colenc.Dict:
-			minBits = rows * 8 // a length byte per value
-		case pg.delta:
-			minBits = (rows - 1) * uint64(pg.width)
-		case c.enc != colenc.Plain:
-			minBits = rows * uint64(pg.width)
-		default:
-			minBits = rows * 64
-		}
-		if minBits > 8*uint64(len(body.b)) {
-			return colenc.ErrCorrupt
-		}
-		pg.first, pg.rows = c.rows-int(left), int(rows)
-		pg.off = len(c.blob) - len(d.b) - len(body.b)
-		pg.end = pg.off + len(body.b)
-		if c.enc == colenc.Decimal {
-			// The packed codes end where the escapes' values begin, all of
-			// which must be there.
-			pg.end = pg.off + int((minBits+7)/8)
-			if 8*uint64(pg.escapes) > uint64(len(body.b))-(minBits+7)/8 {
-				return colenc.ErrCorrupt
-			}
-		}
-		c.pages = append(c.pages, pg)
 		left -= rows
 	}
 	if left != 0 {
@@ -283,88 +244,25 @@ func (c *Chunk) parse() error {
 	return nil
 }
 
-// parseFrame reads the header of a frame-of-reference or decimal page of rows
-// rows — base, width and, for a decimal page, the escape count, for a delta
-// page the minimum step — leaving body at the packed offsets, codes or steps.
-// The largest offset must not carry base past int64, no running sum of a
-// delta page may leave it (deltaBounds), a code must fit 32 bits, and a
-// decimal page's offset field must index every escape (a page with no
-// corrections has none). A decimal page's width becomes its codes': the
-// offset's and the correction's.
-func (pg *page) parseFrame(body *decBuf, decimal bool, rows int) error {
-	pg.base = body.i64()
-	pg.width = int(body.byteVal())
-	var escapes uint64
-	switch {
-	case decimal:
-		if escapes = body.uvarint(); pg.width&corrected != 0 {
-			pg.width, pg.corr = pg.width&^corrected, corrBits
-		}
-	case pg.width&deltaCoded != 0:
-		pg.width, pg.delta, pg.step = pg.width&^deltaCoded, true, body.varint()
+// pageBody reads the byte length that ends a directory entry from dir, and
+// returns the body it covers, which pg.off and pg.end span, and what follows.
+func (c *Chunk) pageBody(pg *page, dir []byte) (body, rest []byte, err error) {
+	n, k := binary.Uvarint(dir)
+	if k <= 0 || n > uint64(len(dir)-k) {
+		return nil, nil, ErrFormat
 	}
-	if body.err != nil || pg.width+pg.corr > colenc.MaxFrameWidth {
+	pg.off = len(c.blob) - len(dir) + k
+	pg.end = pg.off + int(n)
+	return dir[k : k+int(n)], dir[k+int(n):], nil
+}
+
+// holdsBits checks that a page body has room for bits bits: its rows' least.
+func holdsBits(body []byte, bits uint64) error {
+	if bits > 8*uint64(len(body)) {
 		return colenc.ErrCorrupt
 	}
-	if pg.delta {
-		if _, _, ok := deltaBounds(pg.base, pg.step, rows, pg.width); !ok {
-			return colenc.ErrCorrupt
-		}
-		return nil
-	}
-	if pg.width < 1 || pg.base > math.MaxInt64-(1<<pg.width-1) || escapes > uint64(pg.corr/corrBits)<<pg.width {
-		return colenc.ErrCorrupt
-	}
-	pg.escapes, pg.width = int(escapes), pg.width+pg.corr
 	return nil
 }
-
-// checkRuns verifies that a run-length page's runs cover exactly rows rows
-// with codes the dictionary holds.
-func checkRuns(data []byte, rows, dictLen uint64) error {
-	for rows > 0 {
-		run, code, n := colenc.RLERun(data)
-		if n == 0 || run > rows {
-			return colenc.ErrCorrupt
-		}
-		if code >= dictLen {
-			return errCode
-		}
-		data, rows = data[n:], rows-run
-	}
-	return nil
-}
-
-// parseDict decodes the dictionary page.
-func (c *Chunk) parseDict(d *decBuf) error {
-	n := d.uvarint()
-	if d.err != nil || n > math.MaxInt32 {
-		return ErrFormat
-	}
-	dictLen := int(n)
-	c.dict.Type = c.typ
-	c.width = colenc.BitWidth(uint64(max(dictLen, 1) - 1))
-	var err error
-	size := 8 * dictLen
-	switch c.typ {
-	case Int64:
-		c.dict.Ints, err = colenc.GetInt64s(d.b, dictLen)
-	case Float64:
-		c.dict.Floats, err = colenc.GetFloat64s(d.b, dictLen)
-	default:
-		if size, err = colenc.StringsSize(d.b, dictLen); err == nil {
-			c.dict.Strings, err = colenc.GetStrings(d.b[:size], dictLen)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	d.b = d.b[size:]
-	return nil
-}
-
-// errCode reports a dictionary code with no dictionary entry.
-var errCode = fmt.Errorf("lpq: dictionary code out of range: %w", colenc.ErrCorrupt)
 
 // packedCode extracts the idx-th width-bit code of a bit-packed page. The
 // directory guarantees the page holds it.
@@ -389,17 +287,13 @@ func packedTailCode(data []byte, width, bit int) uint32 {
 }
 
 // packedPage reads runs of a bit-packed page's codes straight from 64-bit
-// loads, which a kernel takes off the word with a shift and a mask and folds
-// into its result: no array of codes sits between the page and the kernel.
-// A run is read in place, or — when it ends within 8 bytes of the page's end —
-// from a copy of its bytes with 8 zero bytes after them (window), so every
-// load is a whole one and no page end is special.
+// loads, which a kernel takes off the word with a shift and a mask. A run is
+// read in place, or — within 8 bytes of the page's end — from a copy with 8
+// zero bytes after it (window), so every load is a whole one.
 //
 // The filters read a page 64 codes — one result word — at a time. Such a
-// group starts on a byte boundary (a page's first code does, and so every
-// 64th after it), so each load holds perGroupLoad whole codes: 8, 4 or 2 for
-// widths up to 8, 15 and 28 bits, one if wider. unpack starts anywhere and
-// takes the codes a load holds at any bit offset.
+// group starts on a byte boundary, so each load holds perGroupLoad whole
+// codes. unpack starts anywhere and takes the codes a load holds.
 type packedPage struct {
 	data  []byte
 	width int
@@ -436,52 +330,6 @@ func (pp packedPage) perGroupLoad() int {
 	return 1
 }
 
-// inRange returns the n (at most 64) codes from the idx-th, the first of a
-// group, as a word: bit k set iff code idx+k lies in [from, from+bound). Its
-// difference from from, wrapping far above bound below from, borrows when
-// bound is subtracted; the borrow is added into the word doubled, so the
-// first code ends up highest and the word is reversed at the end. Every load
-// is used whole, and the bits of codes past the n-th are dropped.
-func (pp packedPage) inRange(idx, n int, from, bound uint64, buf *[windowBytes]byte) uint64 {
-	data, bit := pp.window(idx, n, buf)
-	w, per := pp.width, pp.perGroupLoad()
-	mask, sh := uint64(1)<<w-1, uint(w)&63
-	var acc uint64
-	k := 0
-	for ; k < n; k += per {
-		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
-		for j := per; j > 0; j-- {
-			_, in := bits.Sub64(u&mask-from, bound, 0)
-			acc, _ = bits.Add64(acc, acc, in)
-			u >>= sh
-		}
-		bit += per * w
-	}
-	return bits.Reverse64(acc) >> (64 - k) & (1<<n - 1)
-}
-
-// lookup returns the verdicts lut holds for the n (at most 64) codes from the
-// idx-th, the first of a group, as a word, as inRange does, and whether one
-// of them is beyond the dictionary (lut value 2).
-func (pp packedPage) lookup(idx, n int, lut []uint8, buf *[windowBytes]byte) (uint64, bool) {
-	data, bit := pp.window(idx, n, buf)
-	w, per := pp.width, pp.perGroupLoad()
-	mask, sh := uint64(1)<<w-1, uint(w)&63
-	var acc uint64
-	var seen uint8
-	for k := 0; k < n; k += per {
-		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
-		for j := min(per, n-k); j > 0; j-- {
-			m := lut[u&mask]
-			seen |= m
-			acc += acc + uint64(m&1)
-			u >>= sh
-		}
-		bit += per * w
-	}
-	return bits.Reverse64(acc) >> (64 - n), seen&2 != 0
-}
-
 // unpack extracts the len(dst) codes from the idx-th on. Where one load holds
 // four codes or more at any bit offset (57/width of them), each load is used
 // whole; wider codes are loaded one at a time.
@@ -507,92 +355,6 @@ func (pp packedPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
 	}
 }
 
-// deltaPage reads the steps of a delta page: each row's value is the
-// previous row's plus step plus its packed delta (none at width 0, where
-// every step is the minimum). It walks forward from a row whose value is
-// known, a batch of deltas unpacked at a time.
-type deltaPage struct {
-	packedPage
-	step  int64
-	steps int // rows-1: the deltas packed
-}
-
-// deltas returns the reader of delta page p.
-func (c *Chunk) deltas(p *page) deltaPage {
-	return deltaPage{packedPage{c.blob[p.off:p.end], p.width}, p.step, p.rows - 1}
-}
-
-// unpack extracts the len(dst) deltas from the idx-th on, all zero at width 0.
-func (dp deltaPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
-	if dp.width == 0 {
-		clear(dst)
-		return
-	}
-	dp.packedPage.unpack(dst, idx, buf)
-}
-
-// advance returns what the n steps from the idx-th add to a value, modulo
-// 2^64: n minimum steps and n deltas. One-bit deltas are counted a word at a
-// time; a few wider ones are read one by one, more a batch at a time into
-// tmp.
-func (dp deltaPage) advance(idx, n int, tmp *[BatchRows]uint32, buf *[windowBytes]byte) int64 {
-	sum := uint64(n) * uint64(dp.step)
-	switch {
-	case dp.width == 0:
-	case dp.width == 1:
-		sum += uint64(ones(dp.data, idx, n))
-	case n < 16:
-		for k := idx; k < idx+n; k++ {
-			sum += uint64(packedCode(dp.data, dp.width, k))
-		}
-	default:
-		for n > 0 {
-			k := min(n, BatchRows)
-			dp.unpack(tmp[:k], idx, buf)
-			for _, d := range tmp[:k] {
-				sum += uint64(d)
-			}
-			idx, n = idx+k, n-k
-		}
-	}
-	return int64(sum)
-}
-
-// ones counts the set bits among data's n bits from the bit-th, 56 a load.
-func ones(data []byte, bit, n int) int {
-	c := 0
-	for ; n > 0; n -= 56 {
-		var u uint64
-		if at := bit >> 3; at+8 <= len(data) {
-			u = binary.LittleEndian.Uint64(data[at:])
-		} else {
-			for i, b := range data[at:] {
-				u |= uint64(b) << (8 * i)
-			}
-		}
-		c += bits.OnesCount64(u >> (bit & 7) & (1<<min(n, 56) - 1))
-		bit += 56
-	}
-	return c
-}
-
-// values writes to dst the values of the rows from the idx-th on, v being the
-// idx-th's — a prefix sum of their deltas, unpacked into tmp — and returns the
-// next row's (the last row's, at the page's end). dst holds at most
-// BatchRows.
-func (dp deltaPage) values(dst []int64, v int64, idx int, tmp *[BatchRows]uint32, buf *[windowBytes]byte) int64 {
-	steps := tmp[:min(len(dst), dp.steps-idx)]
-	dp.unpack(steps, idx, buf)
-	for k, d := range steps {
-		dst[k] = v
-		v += dp.step + int64(d)
-	}
-	if len(steps) < len(dst) {
-		dst[len(steps)] = v // the page's last row
-	}
-	return v
-}
-
 // orWord ORs acc's bits into words from row r on, r not necessarily on a word
 // boundary. acc has no bit past the bitmap's last row, so the second word is
 // touched only when it exists.
@@ -603,206 +365,20 @@ func orWord(words []uint64, r int, acc uint64) {
 	}
 }
 
-// SelectCodes turns a verdict per dictionary entry into a verdict per row:
-// the result has bit r set iff match has the bit of row r's code set. With a
-// predicate evaluated once over the dictionary this is the whole filter. A
-// bit-packed page is read 64 rows — one result word — at a time: 1-, 2-, 4-
-// and 8-bit codes a packed byte at a time through a table of their verdicts,
-// other widths a code at a time through a table indexed by code, both built
-// once per call. A run-length page is read a run at a time (skipped, or set in
-// bulk).
-func (c *Chunk) SelectCodes(match *bitmap.Bitmap) (*bitmap.Bitmap, error) {
-	dictLen := c.dict.Len()
-	if c.enc != colenc.Dict || match.Len() != dictLen {
-		return nil, fmt.Errorf("lpq: SelectCodes: verdict over %d entries, dictionary has %d", match.Len(), dictLen)
-	}
-	out := bitmap.New(c.rows)
-	words, verdict := out.Words(), match.Words()
-	if c.width > maxLUTWidth {
-		return out, c.selectWideCodes(verdict, out)
-	}
-	// The verdicts as a byte per possible code, 2 for a code the dictionary
-	// lacks, so the scan below neither shifts nor branches per row.
-	lut := make([]uint8, 1<<c.width)
-	for i := range lut {
-		lut[i] = 2
-		if i < dictLen {
-			lut[i] = uint8(verdict[i>>6] >> (i & 63) & 1)
+// selBits returns the bits of rows [r, r+n) of the selection words sel, n at
+// most 64, lowest row lowest; all n set when sel is nil, selecting every row.
+func selBits(sel []uint64, r, n int) uint64 {
+	m := ^uint64(0)
+	if sel != nil {
+		w, sh := r>>6, uint(r&63)
+		if m = sel[w] >> sh; sh != 0 && w+1 < len(sel) {
+			m |= sel[w+1] << (64 - sh)
 		}
 	}
-	var byteTab *[256]uint16 // built at the first whole group of 1-, 2-, 4- or 8-bit codes
-	var seen uint16
-	var buf [windowBytes]byte
-	for _, p := range c.pages {
-		data := c.blob[p.off:p.end]
-		if p.rle {
-			for r, end := p.first, p.first+p.rows; r < end; {
-				run, code, n := colenc.RLERun(data)
-				if verdict[code>>6]>>(code&63)&1 != 0 {
-					out.SetRange(r, r+int(run))
-				}
-				data, r = data[n:], r+int(run)
-			}
-			continue
-		}
-		pp := packedPage{data, p.width}
-		for g := 0; g < p.rows; g += 64 {
-			var acc uint64
-			if n := min(64, p.rows-g); n == 64 && 8%p.width == 0 {
-				// A whole group is 8·width bytes, every bit of them its codes'.
-				if byteTab == nil {
-					byteTab = byteVerdicts(lut, p.width)
-				}
-				step := 8 / p.width
-				for i, b := range data[g*p.width/8 : (g+64)*p.width/8] {
-					m := byteTab[b]
-					seen |= m
-					acc |= uint64(m&0xff) << (i * step)
-				}
-			} else {
-				var miss bool
-				if acc, miss = pp.lookup(g, n, lut, &buf); miss {
-					return nil, errCode
-				}
-			}
-			orWord(words, p.first+g, acc)
-		}
+	if n < 64 {
+		m &= 1<<n - 1
 	}
-	if seen&byteMiss != 0 {
-		return nil, errCode
-	}
-	return out, nil
-}
-
-// byteVerdicts is SelectCodes' table for codes that fill a byte exactly
-// (width 1, 2, 4 or 8): for every byte value, the verdicts of its 8/width
-// codes in its low bits, lowest code first, and byteMiss if one of them is
-// beyond the dictionary.
-func byteVerdicts(lut []uint8, width int) *[256]uint16 {
-	tab := new([256]uint16)
-	for b := range tab {
-		for i := 0; i < 8/width; i++ {
-			m := uint16(lut[b>>(i*width)&(1<<width-1)])
-			tab[b] |= m&1<<i | m>>1*byteMiss
-		}
-	}
-	return tab
-}
-
-// byteMiss marks an entry of byteVerdicts with a code beyond the dictionary.
-const byteMiss = 1 << 8
-
-// maxLUTWidth is the widest code SelectCodes builds a lookup table for: 64 KB.
-const maxLUTWidth = 16
-
-// selectWideCodes is SelectCodes for a dictionary of more than 2^maxLUTWidth
-// entries, where a table per call would cost more than it saves: the codes
-// come through a Scanner, which checks them.
-func (c *Chunk) selectWideCodes(verdict []uint64, out *bitmap.Bitmap) error {
-	var sc Scanner
-	if err := c.Scan(&sc, nil); err != nil {
-		return err
-	}
-	for sc.Next() {
-		for i, code := range sc.Codes() {
-			if verdict[code>>6]>>(code&63)&1 != 0 {
-				out.Set(int(sc.Row(i)))
-			}
-		}
-	}
-	return sc.Err()
-}
-
-// SelectInts is the filter over a frame-of-reference chunk: the result has bit
-// r set iff row r's value lies in [lo, hi] — or, with outside set, iff it does
-// not. Each of the six comparisons with an integer is one such test. A page
-// the bounds cover or miss entirely is not read at all. On an offset page the
-// bounds are translated once into offset space (v in [lo, hi] iff v-base in
-// [lo-base, hi-base], clamped to the page's width), and the page is read 64
-// rows — one result word — at a time, each offset compared as its load yields
-// it: one unsigned compare folded into the word. A delta page is decoded a
-// batch at a time, and then each value compared.
-func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
-	if c.enc != colenc.FOR {
-		return nil, fmt.Errorf("lpq: SelectInts over a %v chunk", c.enc)
-	}
-	out := bitmap.New(c.rows)
-	words := out.Words()
-	var buf [windowBytes]byte
-	for pi := range c.pages {
-		p := &c.pages[pi]
-		bottom, top := p.base, p.base+(1<<p.width-1) // the directory checked they fit
-		if p.delta {
-			bottom, top, _ = deltaBounds(p.base, p.step, p.rows, p.width)
-		}
-		if lo > hi || hi < bottom || lo > top {
-			if outside {
-				out.SetRange(p.first, p.first+p.rows)
-			}
-			continue
-		}
-		if lo <= bottom && top <= hi {
-			if !outside {
-				out.SetRange(p.first, p.first+p.rows)
-			}
-			continue
-		}
-		if p.delta {
-			c.selectDeltas(p, lo, hi, outside, out, &buf)
-			continue
-		}
-		// Offsets of the bounds, exact as unsigned differences.
-		from := uint64(max(lo, p.base)) - uint64(p.base)
-		span := uint64(min(hi, top)) - uint64(max(lo, p.base))
-		pp := packedPage{c.blob[p.off:p.end], p.width}
-		for g := 0; g < p.rows; g += 64 {
-			n := min(64, p.rows-g)
-			acc := pp.inRange(g, n, from, span+1, &buf)
-			if outside {
-				acc ^= 1<<n - 1
-			}
-			orWord(words, p.first+g, acc)
-		}
-	}
-	return out, nil
-}
-
-// selectDeltas is SelectInts over delta page p, lo <= hi, a batch of rows at
-// a time. The batch's first value bounds the rest as the page's does its
-// rows (deltaBounds); a batch the bounds cover or miss is stepped over by the
-// sum of its deltas, any other decoded, and each value tested as an unsigned
-// difference from lo.
-func (c *Chunk) selectDeltas(p *page, lo, hi int64, outside bool, out *bitmap.Bitmap, buf *[windowBytes]byte) {
-	dp := c.deltas(p)
-	words, span := out.Words(), uint64(hi)-uint64(lo)
-	var vals [BatchRows]int64
-	var tmp [BatchRows]uint32
-	v := p.base
-	for g := 0; g < p.rows; g += BatchRows {
-		batch := vals[:min(BatchRows, p.rows-g)]
-		// Within the page's bounds, which the directory checked.
-		bottom, top, _ := deltaBounds(v, p.step, len(batch), p.width)
-		if miss, cover := hi < bottom || lo > top, lo <= bottom && top <= hi; miss || cover {
-			if miss == outside {
-				out.SetRange(p.first+g, p.first+g+len(batch))
-			}
-			v += dp.advance(g, min(len(batch), dp.steps-g), &tmp, buf)
-			continue
-		}
-		v = dp.values(batch, v, g, &tmp, buf)
-		for k := 0; k < len(batch); k += 64 {
-			var acc uint64
-			group := batch[k:min(k+64, len(batch))]
-			for i, x := range group {
-				_, above := bits.Sub64(span, uint64(x)-uint64(lo), 0)
-				acc |= (above ^ 1) << i
-			}
-			if outside {
-				acc ^= 1<<len(group) - 1
-			}
-			orWord(words, p.first+g+k, acc)
-		}
-	}
+	return m
 }
 
 // BatchRows is the most rows a Scanner yields per step.
@@ -810,12 +386,9 @@ const BatchRows = 256
 
 // Scanner walks an opened chunk's selected rows in ascending order, a batch
 // of up to BatchRows at a time, fetching only those rows from the encoded
-// pages: a plain numeric value by its offset, a dictionary value by
-// unpacking just its code, run-length, delta and string pages in one forward
-// walk (an FSST page's code strings decoded as the batch is fetched).
-// Scanners over chunks of one row group under the same selection step in
-// lockstep — batch boundaries depend on the selection alone — which is what
-// lets a kernel fold several columns row by row with no column materialised.
+// pages, each as its kind's fetch does. Scanners over the chunks of one row
+// group under the same selection step in lockstep — batch boundaries depend
+// on the selection alone — so a kernel folds several columns row by row.
 //
 // A batch exposes Len and Row, plus Codes for a dictionary chunk, plus the
 // values: Ints or Floats for the numeric types (read through the dictionary
@@ -913,7 +486,7 @@ func (sc *Scanner) Next() bool {
 		return false
 	}
 	sc.n = sc.selectRows()
-	sc.decoded = sc.decoded[:0]
+	sc.decoded, sc.strs = sc.decoded[:0], sc.c.blob
 	for i := 0; i < sc.n; {
 		r := int(sc.Row(i))
 		for sc.pi < len(sc.c.pages) && r >= sc.c.pages[sc.pi].first+sc.c.pages[sc.pi].rows {
@@ -937,10 +510,6 @@ func (sc *Scanner) Next() bool {
 			return false
 		}
 		i = j
-	}
-	sc.strs = sc.c.blob
-	if sc.c.enc == colenc.FSST && !sc.codesOnly {
-		sc.strs = sc.decoded
 	}
 	return sc.n > 0
 }
@@ -968,106 +537,28 @@ func (sc *Scanner) selectRows() int {
 	return n
 }
 
-// fetch fills the batch's codes and values for elements i to j, all on page p.
-func (sc *Scanner) fetch(p *page, i, j int) error {
-	c := sc.c
-	// Consecutive rows — no selection at all, or a dense stretch of one —
-	// are read as one run of the page; rows lists the others.
-	first := int(sc.Row(i))
-	dense := sc.all || int(sc.rows[j-1])-first == j-i-1
-	rows := sc.rows[i:j]
-	if c.enc == colenc.FSST {
-		if err := sc.walkStrings(p, i, j); err != nil || sc.codesOnly {
-			return err
-		}
-		var err error
-		if sc.decoded, err = c.table.DecodeSpans(sc.decoded, c.blob, sc.from[i:j], sc.to[i:j]); err != nil {
-			return errFSSTCode
-		}
-		return nil
-	}
-	if c.enc == colenc.Plain {
-		if c.typ == String {
-			return sc.walkStrings(p, i, j)
-		}
-		at := func(r int) int { return p.off + 8*(r-p.first) }
-		switch {
-		case c.typ == Int64 && dense:
-			src := c.blob[at(first):at(first+j-i)]
-			for k := range sc.ints[i:j] {
-				sc.ints[i+k] = int64(binary.LittleEndian.Uint64(src[8*k:]))
-			}
-		case c.typ == Int64:
-			for k, r := range rows {
-				sc.ints[i+k] = int64(binary.LittleEndian.Uint64(c.blob[at(int(r)):]))
-			}
-		case dense:
-			src := c.blob[at(first):at(first+j-i)]
-			for k := range sc.floats[i:j] {
-				sc.floats[i+k] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*k:]))
-			}
-		default:
-			for k, r := range rows {
-				sc.floats[i+k] = math.Float64frombits(binary.LittleEndian.Uint64(c.blob[at(int(r)):]))
-			}
-		}
-		return nil
-	}
-	if p.delta {
-		sc.walkDeltas(p, i, j)
-		return nil
-	}
-	// Every other kind reads a bit-packed or run-length code per row first.
+// dense reports whether elements i to j of the batch are consecutive rows:
+// no selection, or a dense stretch of one, read as one run of their page.
+func (sc *Scanner) dense(i, j int) bool {
+	return sc.all || int(sc.rows[j-1]-sc.rows[i]) == j-i-1
+}
+
+// readCodes reads the codes of elements i to j, all on page p, into the
+// batch: walking a run-length page, or unpacking a bit-packed one.
+func (sc *Scanner) readCodes(p *page, i, j int) []uint32 {
 	codes := sc.codes[i:j]
-	if p.rle {
+	switch dense := sc.dense(i, j); {
+	case p.rle:
 		sc.walkRuns(p, i, j, dense)
-	} else {
-		data := c.blob[p.off:p.end]
-		if dense {
-			packedPage{data, p.width}.unpack(codes, first-p.first, &sc.window)
-		} else {
-			for k, r := range rows {
-				codes[k] = packedCode(data, p.width, int(r)-p.first)
-			}
-		}
-	}
-	switch c.enc {
-	case colenc.FOR:
-		// The page directory made sure base plus the widest offset fits.
-		for k, code := range codes {
-			sc.ints[i+k] = p.base + int64(code)
-		}
-		return nil
-	case colenc.Decimal:
-		return c.decimals(p, codes, sc.floats[i:j])
-	}
-	// Resolve the values, checking bit-packed codes as they are used (a
-	// run-length page's were checked when the chunk was opened).
-	switch c.typ {
-	case Int64:
-		dict, dst := c.dict.Ints, sc.ints[i:j]
-		for k, code := range codes {
-			if int(code) >= len(dict) {
-				return errCode
-			}
-			dst[k] = dict[code]
-		}
-	case Float64:
-		dict, dst := c.dict.Floats, sc.floats[i:j]
-		for k, code := range codes {
-			if int(code) >= len(dict) {
-				return errCode
-			}
-			dst[k] = dict[code]
-		}
+	case dense:
+		packedPage{sc.c.blob[p.off:p.end], p.width}.unpack(codes, int(sc.Row(i))-p.first, &sc.window)
 	default:
-		for _, code := range codes {
-			if int(code) >= len(c.dict.Strings) {
-				return errCode
-			}
+		data := sc.c.blob[p.off:p.end]
+		for k, r := range sc.rows[i:j] {
+			codes[k] = packedCode(data, p.width, int(r)-p.first)
 		}
 	}
-	return nil
+	return codes
 }
 
 // enter resets the forward-walk state on first touching a page.
@@ -1076,124 +567,6 @@ func (sc *Scanner) enter(p *page) {
 		sc.walking, sc.pos, sc.at, sc.value = sc.pi, p.off, p.first, p.base
 	}
 }
-
-// walkDeltas resolves rows[i:j] of delta page p, carrying the running value
-// forward from the row it is of. Consecutive rows — no selection at all, or a
-// dense stretch of one — are a prefix sum of their unpacked deltas, written
-// straight into the batch. Other rows are walked in groups of 64 rows from a
-// selected one, under their selection bits: the value is carried to each
-// selected row of a group with fewer than eight by the sum of the steps
-// before it, and a denser group is decoded whole, a prefix sum, its selected
-// values kept. A frame chunk has no codes, so the batch's serve as the
-// deltas' scratch.
-func (sc *Scanner) walkDeltas(p *page, i, j int) {
-	sc.enter(p)
-	dp := sc.c.deltas(p)
-	first, last := int(sc.Row(i)), int(sc.Row(j-1))
-	if last-first+1 == j-i {
-		sc.value += dp.advance(sc.at-p.first, first-sc.at, &sc.codes, &sc.window)
-		next := dp.values(sc.ints[i:j], sc.value, first-p.first, &sc.codes, &sc.window)
-		// Past the page's last row, next is that row's value.
-		sc.at, sc.value = min(last+1, p.first+p.rows-1), next
-		return
-	}
-	var group [64]int64
-	for k := i; k < j; {
-		g := int(sc.rows[k]) // a group starts at a selected row
-		n := min(64, last+1-g)
-		m := selBits(sc.sel, g, n)
-		if bits.OnesCount64(m) < 8 {
-			for ; m != 0; m &= m - 1 {
-				r := g + bits.TrailingZeros64(m)
-				sc.value += dp.advance(sc.at-p.first, r-sc.at, &sc.codes, &sc.window)
-				sc.ints[k], sc.at, k = sc.value, r, k+1
-			}
-			continue
-		}
-		sc.value += dp.advance(sc.at-p.first, g-sc.at, &sc.codes, &sc.window)
-		sc.value = dp.values(group[:n], sc.value, g-p.first, &sc.codes, &sc.window)
-		sc.at = min(g+n, p.first+p.rows-1)
-		for ; m != 0; m &= m - 1 {
-			sc.ints[k], k = group[bits.TrailingZeros64(m)], k+1
-		}
-	}
-}
-
-// selBits returns the bits of rows [r, r+n) of the selection words sel, n at
-// most 64, lowest row lowest; all n set when sel is nil, selecting every row.
-func selBits(sel []uint64, r, n int) uint64 {
-	m := ^uint64(0)
-	if sel != nil {
-		w, sh := r>>6, uint(r&63)
-		if m = sel[w] >> sh; sh != 0 && w+1 < len(sel) {
-			m |= sel[w+1] << (64 - sh)
-		}
-	}
-	if n < 64 {
-		m &= 1<<n - 1
-	}
-	return m
-}
-
-// errEscape reports a decimal code that escapes to a value past its page's
-// list.
-var errEscape = fmt.Errorf("lpq: decimal escape past its page's values: %w", colenc.ErrCorrupt)
-
-// decimals turns codes of decimal page p into dst's values: each row's integer
-// divided by the scale and its bits moved by the ulp its correction names —
-// one table load, no branch — and then, only if a code escaped, each escape's
-// raw value from the page's list, its index checked against the list.
-func (c *Chunk) decimals(p *page, codes []uint32, dst []float64) error {
-	shift, mask := uint(p.corr), uint32(1)<<p.corr-1
-	var escaped uint32
-	for k, code := range codes {
-		corr := code & mask
-		v := math.Float64bits(float64(p.base+int64(code>>shift)) / c.scale)
-		dst[k] = math.Float64frombits(v + ulpDelta[corr&3])
-		escaped |= corr & (corr >> 1)
-	}
-	if escaped == 0 {
-		return nil
-	}
-	for k, code := range codes {
-		if code&3 != corrEscape {
-			continue
-		}
-		e := int(code >> 2)
-		if e >= p.escapes {
-			return errEscape
-		}
-		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(c.blob[p.end+8*e:]))
-	}
-	return nil
-}
-
-// walkRuns resolves rows[i:j] of a run-length page (checked when the chunk
-// was opened): runs are parsed forward until the one holding each row, so an
-// unselected run costs two varints, and consecutive rows are filled a run at a
-// time.
-func (sc *Scanner) walkRuns(p *page, i, j int, dense bool) {
-	sc.enter(p)
-	for k := i; k < j; {
-		// sc.at is the first row past the run in hand.
-		r := int(sc.Row(k))
-		for r >= sc.at {
-			run, code, n := colenc.RLERun(sc.c.blob[sc.pos:p.end])
-			sc.pos, sc.at, sc.runCode = sc.pos+n, sc.at+int(run), uint32(code)
-		}
-		n := 1
-		if dense {
-			n = min(j-k, sc.at-r)
-		}
-		for end := k + n; k < end; k++ {
-			sc.codes[k] = sc.runCode
-		}
-	}
-}
-
-// errFSSTCode reports an FSST code past the symbol table, or an escape as the
-// last byte of a code string.
-var errFSSTCode = fmt.Errorf("lpq: FSST code string does not decode: %w", colenc.ErrCorrupt)
 
 // walkStrings locates rows[i:j] of a plain or FSST string page, skipping over
 // the values between them by their length prefixes.
@@ -1222,116 +595,92 @@ func (sc *Scanner) walkStrings(p *page, i, j int) error {
 	return nil
 }
 
-// gatherFlush is how many bytes of plain strings Gather collects before it
-// turns them into one backing allocation: about a data page's worth.
-const gatherFlush = 256 << 10
-
 // Gather decodes the rows sel selects (nil selects every row) into column
 // values: AppendGather onto an empty column sized for them.
 func (c *Chunk) Gather(sel *bitmap.Bitmap) (ColumnData, error) {
-	count := c.rows
-	if sel != nil {
-		count = sel.Count()
+	n := c.count(sel)
+	return c.AppendGather(MakeColumn(c.typ, n).Window(0, n), sel)
+}
+
+// count returns how many rows sel selects, nil selecting every row.
+func (c *Chunk) count(sel *bitmap.Bitmap) int {
+	if sel == nil {
+		return c.rows
 	}
-	out, err := c.AppendGather(MakeColumn(c.typ, count).Window(0, count), sel)
-	if err != nil {
-		return ColumnData{}, err
-	}
-	return out, nil
+	return sel.Count()
 }
 
 // AppendGather appends the values of the rows sel selects (nil selects every
-// row) to dst, a column of the chunk's type, and returns it — Gather for a
-// caller that has somewhere for the values to go. Handed a zero-length,
-// capacity-clipped window of a larger column (dst.Ints[off:off:off+n] for a
-// selection of n rows), it decodes straight into that window and touches
-// nothing outside it, so the chunks of a result column decode into their own
-// windows in parallel (ColumnData.Window). Strings cost one allocation per
-// dictionary or per gatherFlush bytes gathered, not one per value, and never
-// alias the chunk. On error dst's appended tail is unspecified.
+// row) to dst, a column of the chunk's type, and returns it. Handed a
+// zero-length window of a larger column (ColumnData.Window), it decodes
+// straight into it and touches nothing outside, so the chunks of a result
+// column decode into their own windows in parallel. Strings cost one
+// allocation per dictionary or per gatherFlush bytes, and never alias the
+// chunk. On error dst's appended tail is unspecified.
 func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, error) {
 	if dst.Type != c.typ {
 		return dst, fmt.Errorf("lpq: cannot gather a %v chunk into a %v column", c.typ, dst.Type)
+	}
+	if c.typ == String {
+		var err error
+		dst.Strings, err = c.kind.(stringKind).appendStrings(c, dst.Strings, sel)
+		return dst, err
 	}
 	var sc Scanner
 	if err := c.Scan(&sc, sel); err != nil {
 		return dst, err
 	}
-	switch {
-	case c.typ == Int64:
-		for sc.Next() {
+	for sc.Next() {
+		if c.typ == Int64 {
 			dst.Ints = append(dst.Ints, sc.Ints()...)
-		}
-	case c.typ == Float64:
-		for sc.Next() {
+		} else {
 			dst.Floats = append(dst.Floats, sc.Floats()...)
 		}
-	case c.enc == colenc.Dict:
-		dict := c.dict.Strings
-		for sc.Next() {
-			codes := sc.Codes()
-			n := len(dst.Strings)
-			dst.Strings = slices.Grow(dst.Strings, len(codes))[:n+len(codes)]
-			for k, code := range codes {
-				dst.Strings[n+k] = dict[code]
-			}
-		}
-	default:
-		// Selected bytes collect in a pooled buffer and become one string,
-		// which the values then slice. An FSST chunk's selected rows are
-		// decoded straight into it, a batch per call.
-		sc.codesOnly = c.enc == colenc.FSST
-		buf := bufpool.Get(gatherFlush)
-		count := c.rows
-		if sel != nil {
-			count = sel.Count()
-		}
-		lens := make([]int, 0, count) // sized once: it never grows
-		flush := func() {
-			backing := string(buf)
-			for pos, i := 0, 0; i < len(lens); i++ {
-				dst.Strings = append(dst.Strings, backing[pos:pos+lens[i]])
-				pos += lens[i]
-			}
-			buf, lens = buf[:0], lens[:0]
-		}
-		// room makes the rented buffer hold n more bytes.
-		room := func(n int) {
-			if len(buf)+n > cap(buf) && len(buf) > 0 {
-				flush()
-			}
-			if n > cap(buf) {
-				bufpool.Put(buf)
-				buf = bufpool.Get(n)
-			}
-		}
-		for sc.Next() {
-			if sc.codesOnly {
-				from, to := sc.from[:sc.n], sc.to[:sc.n]
-				need := 0
-				for k := range from {
-					need += fsst.MaxDecodedLen(int(to[k] - from[k]))
-				}
-				room(need)
-				var err error
-				if buf, err = c.table.DecodeSpans(buf, c.blob, from, to); err != nil {
-					bufpool.Put(buf)
-					return dst, errFSSTCode
-				}
-				for k := range from {
-					lens = append(lens, int(to[k]-from[k]))
-				}
-				continue
-			}
-			for i := 0; i < sc.Len(); i++ {
-				b := sc.Bytes(i)
-				room(len(b))
-				buf = append(buf, b...)
-				lens = append(lens, len(b))
-			}
-		}
-		flush()
-		bufpool.Put(buf)
 	}
 	return dst, sc.Err()
+}
+
+// gatherFlush is how many bytes of strings Gather collects before it turns
+// them into one backing allocation: about a data page's worth.
+const gatherFlush = 256 << 10
+
+// stringBuf collects gathered strings' bytes in a pooled buffer, which
+// becomes one string, for the values to slice, whenever it fills.
+type stringBuf struct {
+	buf  []byte
+	lens []int
+	dst  []string
+}
+
+// newStringBuf returns a stringBuf appending the rows sel selects to dst.
+func newStringBuf(c *Chunk, dst []string, sel *bitmap.Bitmap) stringBuf {
+	return stringBuf{bufpool.Get(gatherFlush), make([]int, 0, c.count(sel)), dst}
+}
+
+// room makes room for n more bytes, for the caller to append to buf.
+func (g *stringBuf) room(n int) {
+	if len(g.buf)+n > cap(g.buf) && len(g.buf) > 0 {
+		g.flush()
+	}
+	if n > cap(g.buf) {
+		bufpool.Put(g.buf)
+		g.buf = bufpool.Get(n)
+	}
+}
+
+// flush turns the bytes collected into the values.
+func (g *stringBuf) flush() {
+	backing := string(g.buf)
+	for pos, i := 0, 0; i < len(g.lens); i++ {
+		g.dst = append(g.dst, backing[pos:pos+g.lens[i]])
+		pos += g.lens[i]
+	}
+	g.buf, g.lens = g.buf[:0], g.lens[:0]
+}
+
+// done flushes what is left, gives the buffer back and returns the values.
+func (g *stringBuf) done() []string {
+	g.flush()
+	bufpool.Put(g.buf)
+	return g.dst
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,7 +162,7 @@ func genText(rng *rand.Rand, rows int) ColumnData {
 // encodeTestChunk encodes col as the writer would and returns what a node
 // holds of it: type, metadata and bytes.
 func encodeTestChunk(col ColumnData, shape codeShape, compress bool, pageRows int) (ChunkMeta, []byte) {
-	opts := WriterOptions{Compress: compress, DisableDict: shape == shapePlain, DictMaxFraction: 0.5, PageRows: pageRows}
+	opts := WriterOptions{Compress: compress, DisableDict: shape == shapePlain, PageRows: pageRows}
 	return encodeChunk(col, opts)
 }
 
@@ -252,24 +253,86 @@ func referenceCodes(t Type, m ChunkMeta, raw []byte) ([]uint64, error) {
 func TestChunkKernelsMatchReference(t *testing.T) {
 	prev := bufpool.SetPoison(true)
 	defer bufpool.SetPoison(prev)
-	layouts := []struct {
-		name           string
-		rows, pageRows int
-	}{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
 	for _, typ := range []Type{Int64, Float64, String} {
 		for _, shape := range shapesOf(typ) {
 			for _, compress := range []bool{true, false} {
-				for _, lay := range layouts {
-					name := fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
-					t.Run(name, func(t *testing.T) {
-						rng := rand.New(rand.NewSource(int64(len(name))*7919 + int64(lay.rows)))
-						col := genColumn(rng, typ, shape, lay.rows)
-						m, raw := encodeTestChunk(col, shape, compress, lay.pageRows)
+				for _, lay := range kernelLayouts {
+					t.Run(lay.caseName(typ, shape, compress), func(t *testing.T) {
+						rng, _, m, raw := matrixChunk(typ, shape, compress, lay)
 						checkChunkKernels(t, rng, typ, m, raw, shape, lay.rows > 1)
 					})
 				}
 			}
 		}
+	}
+}
+
+// kernelLayout is a chunk length and page length of the kernel matrix.
+type kernelLayout struct {
+	name           string
+	rows, pageRows int
+}
+
+// kernelLayouts are one page, several with a short last one, and one row.
+var kernelLayouts = []kernelLayout{{"one-page", 1000, 20000}, {"short-last-page", 1000, 300}, {"one-row", 1, 20000}}
+
+func (lay kernelLayout) caseName(typ Type, shape codeShape, compress bool) string {
+	return fmt.Sprintf("%v/%v/snappy=%v/%s", typ, shape, compress, lay.name)
+}
+
+// matrixChunk returns the kernel matrix's case of typ, shape, Snappy and
+// layout: its random source, the column it draws and the chunk the writer
+// makes of it.
+func matrixChunk(typ Type, shape codeShape, compress bool, lay kernelLayout) (*rand.Rand, ColumnData, ChunkMeta, []byte) {
+	rng := rand.New(rand.NewSource(int64(len(lay.caseName(typ, shape, compress)))*7919 + int64(lay.rows)))
+	col := genColumn(rng, typ, shape, lay.rows)
+	m, raw := encodeTestChunk(col, shape, compress, lay.pageRows)
+	return rng, col, m, raw
+}
+
+// TestEveryPageKindCovered walks the kind table. Every kind must be one that
+// the kernel matrix (TestChunkKernelsMatchReference) writes as a chunk of
+// several pages, that the reference decoder reads, and that FuzzOpenChunk's
+// seeds hold a malformed chunk of: a kind added to the table fails here until
+// each of them covers it.
+func TestEveryPageKindCovered(t *testing.T) {
+	seeds := openChunkSeeds()
+	for i, kind := range kinds {
+		if kind == nil {
+			continue
+		}
+		enc := colenc.Encoding(i)
+		t.Run(enc.String(), func(t *testing.T) {
+			matrix := false
+			for _, typ := range []Type{Int64, Float64, String} {
+				for _, shape := range shapesOf(typ) {
+					for _, lay := range kernelLayouts {
+						_, col, m, raw := matrixChunk(typ, shape, false, lay)
+						if m.Encoding != enc {
+							continue
+						}
+						if c, err := OpenChunk(typ, m, raw); err != nil || len(c.pages) < 2 {
+							continue
+						}
+						if got, err := referenceDecodeBlob(typ, raw, m.NumValues); err != nil || !sameColumn(got, col) {
+							t.Fatalf("%s: the reference decoder reads the chunk otherwise (%v)", lay.caseName(typ, shape, false), err)
+						}
+						matrix = true
+					}
+				}
+			}
+			if !matrix {
+				t.Errorf("the kernel matrix writes no chunk of several %v pages", enc)
+			}
+			malformed := slices.ContainsFunc(malformedChunks(), func(m malformedChunk) bool {
+				_, err := referenceDecodeReply(m.typ, m.raw, m.rows)
+				return err != nil && len(m.raw) > 0 && colenc.Encoding(m.raw[0]) == enc &&
+					slices.ContainsFunc(seeds, func(s fuzzChunk) bool { return bytes.Equal(s.raw, m.raw) })
+			})
+			if !malformed {
+				t.Errorf("FuzzOpenChunk's seeds hold no hand-assembled malformed %v chunk", enc)
+			}
+		})
 	}
 }
 
@@ -644,9 +707,8 @@ func zz(step int64) []byte { return binary.AppendVarint(nil, step) }
 // width it is one byte of a page's packed codes.
 func dcode(off, corr byte) byte { return off<<2 | corr }
 
-// malformedChunk is a hand-assembled frame-of-reference, decimal or FSST
-// chunk that the format forbids, named by what is wrong with it, under
-// metadata that declares rows rows.
+// malformedChunk is a hand-assembled chunk that the format forbids, named by
+// what is wrong with it, under metadata that declares rows rows.
 type malformedChunk struct {
 	name string
 	typ  Type
@@ -654,8 +716,67 @@ type malformedChunk struct {
 	raw  []byte
 }
 
-// malformedFrameChunks lists the frame-of-reference and decimal ones; the
-// unit test and the fuzz seeds share it.
+// malformedChunks lists them kind by kind; TestMalformedChunksAreErrors and
+// FuzzOpenChunk's seeds share the list.
+func malformedChunks() []malformedChunk {
+	return slices.Concat(malformedPlainChunks(), malformedDictChunks(), malformedFrameChunks(), malformedFSSTChunks())
+}
+
+// malformedPlainChunks lists the plain ones, four rows each.
+func malformedPlainChunks() []malformedChunk {
+	plain := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.Plain)) }
+	return []malformedChunk{
+		{"more pages than rows", Int64, 4, plain().uvarint(9).b},
+		{"plain numeric page truncated", Int64, 4, plain().uvarint(1).uvarint(4).uvarint(24).ints(1, 2, 3).b},
+		{"plain string overruns its page", String, 4,
+			plain().uvarint(1).uvarint(4).uvarint(6).bytes(1, 'a', 1, 'b', 1, 'c').bytes(9, 'd').b},
+		{"plain string length varint truncated", String, 4,
+			plain().uvarint(1).uvarint(4).uvarint(7).bytes(1, 'a', 1, 'b', 1, 'c', 0x80).b},
+	}
+}
+
+// dictHdr starts an Int64 dictionary chunk of {10, 20, 30}: 2-bit codes.
+func dictHdr() *blobWriter {
+	return new(blobWriter).bytes(byte(colenc.Dict)).uvarint(3).ints(10, 20, 30)
+}
+
+// malformedDictChunks lists the dictionary ones, four rows each.
+func malformedDictChunks() []malformedChunk {
+	return []malformedChunk{
+		{"code beyond the dictionary", Int64, 4, // code 3 of a 3-entry dictionary
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0b11_01_00_10).b},
+		{"run-length code beyond the dictionary", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(4).uvarint(3).b},
+		{"run overruns its page", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(5).uvarint(1).b},
+		{"runs fall short of the page", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(3).uvarint(1).b},
+		{"zero-length run", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(0).uvarint(1).b},
+		{"unknown code-page encoding", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(9).uvarint(1).bytes(0).b},
+		{"bit-packed page truncated", Int64, 4, // 4 rows x 2 bits need a byte
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(0).b},
+		{"page longer than the chunk", Int64, 4,
+			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(9).bytes(0).b},
+		{"dictionary longer than the chunk", Int64, 4,
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 40).ints(1).uvarint(0).b},
+		{"dictionary count that overflows 8x", Int64, 4,
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 61).ints(1).uvarint(0).b},
+		{"pages hold fewer rows than the metadata", Int64, 4,
+			dictHdr().uvarint(1).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"pages hold more rows than the metadata", Int64, 4,
+			dictHdr().uvarint(2).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).
+				uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"zero-row page", Int64, 4,
+			dictHdr().uvarint(2).uvarint(0).bytes(byte(colenc.Plain)).uvarint(0).
+				uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
+		{"string dictionary truncated", String, 4,
+			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(2).bytes(1, 'a', 5, 'b').b},
+	}
+}
+
+// malformedFrameChunks lists the frame-of-reference and decimal ones.
 func malformedFrameChunks() []malformedChunk {
 	frame := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.FOR)).uvarint(1) }
 	decimal := func() *blobWriter { return new(blobWriter).bytes(byte(colenc.Decimal), 2).uvarint(1) }
@@ -714,8 +835,7 @@ func fsstChunk(symbols []string, rows int, body ...byte) []byte {
 // fsstSymbols is a two-symbol table: code 0 is "ab", code 1 is "c".
 var fsstSymbols = []string{"ab", "c"}
 
-// malformedFSSTChunks lists the FSST ones, four rows each; the unit test and
-// the fuzz seeds share it.
+// malformedFSSTChunks lists the FSST ones, four rows each.
 func malformedFSSTChunks() []malformedChunk {
 	// Three well-formed values ("ab", "c", ""), then the last as given.
 	page := func(last ...byte) []byte {
@@ -741,9 +861,6 @@ func malformedFSSTChunks() []malformedChunk {
 // is an error from the opened chunk too — at open, or from each kernel that
 // would read the bad bytes — and never a panic.
 func TestMalformedChunksAreErrors(t *testing.T) {
-	dictHdr := func() *blobWriter { // Int64 dictionary {10, 20, 30}: 2-bit codes
-		return new(blobWriter).bytes(byte(colenc.Dict)).uvarint(3).ints(10, 20, 30)
-	}
 	good := dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0b10_01_00_10).b
 	if col, err := DecodeChunk(Int64, metaFor(good, 4), good); err != nil || !reflect.DeepEqual(col.Ints, []int64{30, 10, 20, 30}) {
 		t.Fatalf("well-formed control chunk: %v, %v", col.Ints, err)
@@ -763,46 +880,8 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 		{"unknown column type", Type(9), metaFor(good, 4), good},
 		{"empty blob", Int64, metaFor(nil, 0), nil},
 		{"unknown chunk encoding", Int64, metaFor([]byte{7, 0}, 0), []byte{7, 0}},
-		{"code beyond the dictionary", Int64, ChunkMeta{}, // code 3 of a 3-entry dictionary
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0b11_01_00_10).b},
-		{"run-length code beyond the dictionary", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(4).uvarint(3).b},
-		{"run overruns its page", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(5).uvarint(1).b},
-		{"runs fall short of the page", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(3).uvarint(1).b},
-		{"zero-length run", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.RLEEnc)).uvarint(2).uvarint(0).uvarint(1).b},
-		{"unknown code-page encoding", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(9).uvarint(1).bytes(0).b},
-		{"bit-packed page truncated", Int64, ChunkMeta{}, // 4 rows x 2 bits need a byte
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(0).b},
-		{"page longer than the chunk", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(4).bytes(byte(colenc.Plain)).uvarint(9).bytes(0).b},
-		{"dictionary longer than the chunk", Int64, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 40).ints(1).uvarint(0).b},
-		{"dictionary count that overflows 8x", Int64, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(1 << 61).ints(1).uvarint(0).b},
-		{"pages hold fewer rows than the metadata", Int64, ChunkMeta{},
-			dictHdr().uvarint(1).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
-		{"pages hold more rows than the metadata", Int64, ChunkMeta{},
-			dictHdr().uvarint(2).uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).
-				uvarint(3).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
-		{"zero-row page", Int64, ChunkMeta{},
-			dictHdr().uvarint(2).uvarint(0).bytes(byte(colenc.Plain)).uvarint(0).
-				uvarint(4).bytes(byte(colenc.Plain)).uvarint(1).bytes(0).b},
-		{"more pages than rows", Int64, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(9).b},
-		{"plain numeric page truncated", Int64, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(24).ints(1, 2, 3).b},
-		{"plain string overruns its page", String, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(6).bytes(1, 'a', 1, 'b', 1, 'c').bytes(9, 'd').b},
-		{"plain string length varint truncated", String, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Plain)).uvarint(1).uvarint(4).uvarint(7).bytes(1, 'a', 1, 'b', 1, 'c', 0x80).b},
-		{"string dictionary truncated", String, ChunkMeta{},
-			new(blobWriter).bytes(byte(colenc.Dict)).uvarint(2).bytes(1, 'a', 5, 'b').b},
 	}
-	for _, bad := range append(malformedFrameChunks(), malformedFSSTChunks()...) {
+	for _, bad := range malformedChunks() {
 		cases = append(cases, struct {
 			name string
 			typ  Type
@@ -1005,7 +1084,7 @@ func TestNumericEncodingsRoundTripBits(t *testing.T) {
 	for name, col := range cols {
 		for _, pageRows := range []int{20000, 64, 1} {
 			for _, compress := range []bool{true, false} {
-				opts := WriterOptions{Compress: compress, DictMaxFraction: 0.5, PageRows: pageRows}
+				opts := WriterOptions{Compress: compress, PageRows: pageRows}
 				m, raw := encodeChunk(col, opts)
 				kinds[m.Encoding]++
 				got, err := DecodeChunk(col.Type, m, raw)
@@ -1055,7 +1134,7 @@ func TestFrameReplySplitsWhereNoPageFits(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) << 31
 	}
-	m, raw := encodeChunk(IntColumn(vals), WriterOptions{DictMaxFraction: 0.5, PageRows: 64})
+	m, raw := encodeChunk(IntColumn(vals), WriterOptions{PageRows: 64})
 	c, err := OpenChunk(Int64, m, raw)
 	if err != nil {
 		t.Fatal(err)
@@ -1100,7 +1179,7 @@ func TestCompressedFlagOpensWhateverTheSaving(t *testing.T) {
 		"frame":         {genColumn(rng, Int64, shapeFrame, 3000), WriterOptions{}, colenc.FOR},
 		"decimal":       {genColumn(rng, Float64, shapeFrame, 3000), WriterOptions{}, colenc.Decimal},
 	} {
-		tc.opts.DictMaxFraction, tc.opts.PageRows = 0.5, 1000
+		tc.opts.PageRows = 1000
 		m, blob := encodeChunk(tc.col, tc.opts)
 		if m.Encoding != tc.want || m.Compressed {
 			t.Fatalf("%s: the writer made a %v chunk, compressed=%v", name, m.Encoding, m.Compressed)

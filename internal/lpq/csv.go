@@ -11,8 +11,6 @@ import (
 type CSVOptions struct {
 	// RowGroupRows is the number of rows per row group (default 100000).
 	RowGroupRows int
-	// Writer configures encoding; zero value = DefaultWriterOptions.
-	Writer WriterOptions
 	// Comma is the field separator (default ',').
 	Comma rune
 }
@@ -20,7 +18,8 @@ type CSVOptions struct {
 // FromCSV converts CSV input (first record = header) into an lpq object,
 // inferring each column's type from its values: a column parses as Int64 if
 // every non-empty value is a base-10 integer, as Float64 if every value is
-// numeric, and as String otherwise. Empty cells become 0 / 0.0 / "".
+// numeric, and as String otherwise. Empty cells become 0 / 0.0 / "". The
+// object is written with DefaultWriterOptions.
 //
 // This is the "convert them to Parquet format" step of the paper's dataset
 // preparation (§6), available for arbitrary user data via cmd/lpq-tool.
@@ -28,45 +27,25 @@ func FromCSV(r io.Reader, opts CSVOptions) ([]byte, error) {
 	if opts.RowGroupRows <= 0 {
 		opts.RowGroupRows = 100000
 	}
-	zero := WriterOptions{}
-	if opts.Writer == zero {
-		opts.Writer = DefaultWriterOptions()
-	}
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
 		cr.Comma = opts.Comma
 	}
-	cr.ReuseRecord = false
-	header, err := cr.Read()
+	// Every record must have the header's fields (csv.Reader's default).
+	records, err := cr.ReadAll()
 	if err != nil {
-		return nil, fmt.Errorf("lpq: reading CSV header: %w", err)
+		return nil, fmt.Errorf("lpq: reading CSV: %w", err)
 	}
-	if len(header) == 0 {
-		return nil, fmt.Errorf("lpq: empty CSV header")
+	if len(records) < 2 {
+		return nil, fmt.Errorf("lpq: CSV has %d records, want a header and data rows", len(records))
 	}
-	var records [][]string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lpq: reading CSV: %w", err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("lpq: CSV row has %d fields, header has %d", len(rec), len(header))
-		}
-		records = append(records, rec)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("lpq: CSV has no data rows")
-	}
+	header, records := records[0], records[1:]
 	types := inferTypes(header, records)
 	schema := make([]Column, len(header))
 	for i, name := range header {
 		schema[i] = Column{Name: name, Type: types[i]}
 	}
-	w := NewWriter(schema, opts.Writer)
+	w := NewWriter(schema, DefaultWriterOptions())
 	for start := 0; start < len(records); start += opts.RowGroupRows {
 		end := min(start+opts.RowGroupRows, len(records))
 		cols, err := columnsFor(schema, records[start:end])
@@ -84,35 +63,26 @@ func FromCSV(r io.Reader, opts CSVOptions) ([]byte, error) {
 func inferTypes(header []string, records [][]string) []Type {
 	types := make([]Type, len(header))
 	for col := range header {
-		isInt, isFloat, any := true, true, false
+		t, empty := Int64, true // t widens as values fail to parse
 		for _, rec := range records {
 			v := rec[col]
 			if v == "" {
 				continue
 			}
-			any = true
-			if isInt {
+			empty = false
+			if t == Int64 {
 				if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-					isInt = false
+					t = Float64
 				}
 			}
-			if !isInt && isFloat {
+			if t == Float64 {
 				if _, err := strconv.ParseFloat(v, 64); err != nil {
-					isFloat = false
+					t = String
+					break
 				}
-			}
-			if !isInt && !isFloat {
-				break
 			}
 		}
-		switch {
-		case !any:
-			types[col] = String
-		case isInt:
-			types[col] = Int64
-		case isFloat:
-			types[col] = Float64
-		default:
+		if types[col] = t; empty {
 			types[col] = String
 		}
 	}
@@ -122,39 +92,21 @@ func inferTypes(header []string, records [][]string) []Type {
 func columnsFor(schema []Column, records [][]string) ([]ColumnData, error) {
 	cols := make([]ColumnData, len(schema))
 	for ci, sc := range schema {
-		switch sc.Type {
-		case Int64:
-			vals := make([]int64, len(records))
-			for ri, rec := range records {
-				if rec[ci] == "" {
-					continue
-				}
-				v, err := strconv.ParseInt(rec[ci], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("lpq: column %s row %d: %w", sc.Name, ri, err)
-				}
-				vals[ri] = v
+		cols[ci] = MakeColumn(sc.Type, len(records))
+		for ri, rec := range records {
+			var err error
+			switch v := rec[ci]; {
+			case sc.Type == String:
+				cols[ci].Strings[ri] = v
+			case v == "":
+			case sc.Type == Int64:
+				cols[ci].Ints[ri], err = strconv.ParseInt(v, 10, 64)
+			default:
+				cols[ci].Floats[ri], err = strconv.ParseFloat(v, 64)
 			}
-			cols[ci] = IntColumn(vals)
-		case Float64:
-			vals := make([]float64, len(records))
-			for ri, rec := range records {
-				if rec[ci] == "" {
-					continue
-				}
-				v, err := strconv.ParseFloat(rec[ci], 64)
-				if err != nil {
-					return nil, fmt.Errorf("lpq: column %s row %d: %w", sc.Name, ri, err)
-				}
-				vals[ri] = v
+			if err != nil {
+				return nil, fmt.Errorf("lpq: column %s row %d: %w", sc.Name, ri, err)
 			}
-			cols[ci] = FloatColumn(vals)
-		default:
-			vals := make([]string, len(records))
-			for ri, rec := range records {
-				vals[ri] = rec[ci]
-			}
-			cols[ci] = StringColumn(vals)
 		}
 	}
 	return cols, nil

@@ -194,81 +194,62 @@ type decBuf struct {
 }
 
 func (d *decBuf) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = ErrFormat
+	if !d.skip(n) {
 		return 0
 	}
-	d.b = d.b[n:]
 	return v
 }
 
 // varint reads a zigzag varint (binary.AppendVarint).
 func (d *decBuf) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = ErrFormat
+	if !d.skip(n) {
 		return 0
 	}
-	d.b = d.b[n:]
 	return v
 }
 
-func (d *decBuf) byteVal() byte {
-	if d.err != nil || len(d.b) < 1 {
+// skip moves past a varint of n bytes, as binary.Uvarint reports it, or sets
+// d.err if there is none.
+func (d *decBuf) skip(n int) bool {
+	if d.err != nil || n <= 0 {
 		d.err = ErrFormat
-		return 0
+		return false
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
+	d.b = d.b[n:]
+	return true
 }
+
+// take returns the next n bytes, or with d.err set n zero bytes (n at most 8)
+// when fewer remain.
+func (d *decBuf) take(n int) []byte {
+	if d.err != nil || len(d.b) < n {
+		d.err = ErrFormat
+		return zeros[:n]
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
+}
+
+// zeros is what take returns past the end.
+var zeros [8]byte
+
+func (d *decBuf) byteVal() byte { return d.take(1)[0] }
+func (d *decBuf) u32() uint32   { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *decBuf) i64() int64    { return int64(binary.LittleEndian.Uint64(d.take(8))) }
+func (d *decBuf) f64() float64  { return math.Float64frombits(binary.LittleEndian.Uint64(d.take(8))) }
 
 func (d *decBuf) str() string {
 	l := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < l {
+	if l > uint64(len(d.b)) {
 		d.err = ErrFormat
 		return ""
 	}
 	s := string(d.b[:l])
 	d.b = d.b[l:]
 	return s
-}
-
-func (d *decBuf) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.err = ErrFormat
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decBuf) i64() int64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.err = ErrFormat
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decBuf) f64() float64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.err = ErrFormat
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
 }
 
 func (d *decBuf) boolVal() bool { return d.byteVal() != 0 }

@@ -23,27 +23,9 @@ import (
 // size and checksum are made to match, as an attacker who controls the bytes
 // would: those two checks are covered by the unit tests.
 func FuzzOpenChunk(f *testing.F) {
-	rng := rand.New(rand.NewSource(1))
-	for _, typ := range []Type{Int64, Float64, String} {
-		for _, shape := range shapesOf(typ) {
-			col := genColumn(rng, typ, shape, 200)
-			for _, compress := range []bool{true, false} {
-				// Pages of 72 and 100 rows start off a result word, and 100
-				// rows of an odd width off a byte.
-				for _, pageRows := range []int{64, 72, 100} {
-					m, raw := encodeTestChunk(col, shape, compress, pageRows)
-					f.Add(raw, uint8(typ), m.NumValues, m.Compressed)
-				}
-			}
-		}
+	for _, s := range openChunkSeeds() {
+		f.Add(s.raw, uint8(s.typ), s.rows, s.compressed)
 	}
-	for _, bad := range append(malformedFrameChunks(), malformedFSSTChunks()...) {
-		f.Add(bad.raw, uint8(bad.typ), bad.rows, false)
-	}
-	f.Add(rleBomb(), uint8(Int64), 1<<36, false)
-	f.Add(rleBomb(), uint8(Int64), 10, false)
-	f.Add([]byte("\x01\xff\xff\xff\xff\xff<"), uint8(String), 200, false) // 2^41-entry string dictionary
-	f.Add([]byte{}, uint8(String), 0, false)
 	f.Fuzz(func(t *testing.T, raw []byte, typ uint8, numValues int, compressed bool) {
 		if numValues > 1<<16 && numValues <= MaxChunkRows {
 			// Legitimate, and a run-length page can deliver: hundreds of
@@ -130,6 +112,43 @@ func FuzzOpenChunk(f *testing.F) {
 	})
 }
 
+// fuzzChunk is a seed of FuzzOpenChunk: a chunk's bytes and the metadata it
+// is opened under.
+type fuzzChunk struct {
+	raw        []byte
+	typ        Type
+	rows       int
+	compressed bool
+}
+
+// openChunkSeeds is FuzzOpenChunk's seed corpus: chunks of every shape the
+// writer makes, every hand-assembled malformed chunk, and allocation bombs.
+func openChunkSeeds() []fuzzChunk {
+	var seeds []fuzzChunk
+	rng := rand.New(rand.NewSource(1))
+	for _, typ := range []Type{Int64, Float64, String} {
+		for _, shape := range shapesOf(typ) {
+			col := genColumn(rng, typ, shape, 200)
+			for _, compress := range []bool{true, false} {
+				// Pages of 72 and 100 rows start off a result word, and 100
+				// rows of an odd width off a byte.
+				for _, pageRows := range []int{64, 72, 100} {
+					m, raw := encodeTestChunk(col, shape, compress, pageRows)
+					seeds = append(seeds, fuzzChunk{raw, typ, m.NumValues, m.Compressed})
+				}
+			}
+		}
+	}
+	for _, bad := range malformedChunks() {
+		seeds = append(seeds, fuzzChunk{bad.raw, bad.typ, bad.rows, false})
+	}
+	return append(seeds,
+		fuzzChunk{rleBomb(), Int64, 1 << 36, false},
+		fuzzChunk{rleBomb(), Int64, 10, false},
+		fuzzChunk{[]byte("\x01\xff\xff\xff\xff\xff<"), String, 200, false}, // 2^41-entry string dictionary
+		fuzzChunk{[]byte{}, String, 0, false})
+}
+
 // FuzzParseFooterTail feeds arbitrary bytes to the footer parser a Put runs
 // on an uploaded object: it must fail cleanly or return a footer that keeps
 // the invariants every reader sizes things by, and that survives re-encoding.
@@ -208,7 +227,7 @@ func FuzzDecimalRoundTrip(f *testing.F) {
 		}
 		for ci, vals := range cols {
 			col := FloatColumn(vals)
-			m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 0.5, PageRows: n})
+			m, raw := encodeChunk(col, WriterOptions{PageRows: n})
 			checkRoundTrip(t, fmt.Sprintf("column %d as %v", ci, m.Encoding), col, m, raw, half)
 			if blob, ok := tryDecimalEncode(vals, n, math.MaxInt); ok {
 				checkRoundTrip(t, fmt.Sprintf("column %d as decimal", ci), col, metaFor(blob, n), blob, half)
@@ -302,7 +321,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			"descending": descending, "jittered": jitter, "int64's ends": edges,
 		} {
 			col := IntColumn(vals)
-			m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 0.5, PageRows: rows})
+			m, raw := encodeChunk(col, WriterOptions{PageRows: rows})
 			checkRoundTrip(t, fmt.Sprintf("%s as %v", name, m.Encoding), col, m, raw, half, doubling)
 			if blob, ok := tryFrameEncode(vals, rows, math.MaxInt); ok {
 				checkRoundTrip(t, name+" as frames", col, metaFor(blob, n), blob, half, doubling)

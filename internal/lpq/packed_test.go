@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
@@ -33,11 +34,8 @@ func TestPackedKernelsEveryWidth(t *testing.T) {
 			t.Run(fmt.Sprintf("frame/width=%d/pageRows=%d", width, lay.pageRows), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(width*100000 + lay.pageRows)))
 				col := frameColumn(rng, width, lay.rows, lay.pageRows)
-				m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 1e-9, PageRows: lay.pageRows})
+				m, raw := frameChunk(t, col, lay.pageRows)
 				c := checkPackedChunk(t, rng, m, raw, width)
-				if c.enc != colenc.FOR {
-					t.Fatalf("writer chose %v, not a frame of reference", c.enc)
-				}
 				checkSelectInts(t, rng, c, col.Ints)
 			})
 		}
@@ -47,10 +45,10 @@ func TestPackedKernelsEveryWidth(t *testing.T) {
 			t.Run(fmt.Sprintf("delta/width=%d/pageRows=%d", width, lay.pageRows), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(width*100000 + lay.pageRows + 3)))
 				col := deltaColumn(rng, width, lay.rows, lay.pageRows)
-				m, raw := encodeChunk(col, WriterOptions{DictMaxFraction: 1e-9, PageRows: lay.pageRows})
+				m, raw := frameChunk(t, col, lay.pageRows)
 				c := checkPackedChunk(t, rng, m, raw, width)
-				if delta, pages := c.DeltaPages(); c.enc != colenc.FOR || delta != pages {
-					t.Fatalf("writer chose %v with %d of %d pages deltas, not delta pages", c.enc, delta, pages)
+				if delta, pages := c.DeltaPages(); delta != pages {
+					t.Fatalf("%d of %d pages deltas, not delta pages", delta, pages)
 				}
 				checkSelectInts(t, rng, c, col.Ints)
 			})
@@ -112,6 +110,17 @@ func TestPackedKernelsEveryWidth(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameChunk writes col as the frame-of-reference kind of the table encodes
+// it, whatever a dictionary would make of it.
+func frameChunk(t *testing.T, col ColumnData, pageRows int) (ChunkMeta, []byte) {
+	t.Helper()
+	raw, ok := kinds[colenc.FOR].encode(col, pageRows, math.MaxInt, nil)
+	if !ok {
+		t.Fatal("the frame-of-reference kind declined the column")
+	}
+	return metaFor(raw, col.Len()), raw
 }
 
 // frameColumn draws rows values whose every page of pageRows spans exactly
@@ -269,5 +278,54 @@ func checkSelectCodes(t *testing.T, rng *rand.Rand, c *Chunk, codes []uint64) {
 				t.Fatalf("verdict on %d%% of entries: row %d (code %d) is %v", percent, r, code, got.Get(r))
 			}
 		}
+	}
+}
+
+// TestDictPageChoosesTheSmallerForm: dictPage, the one writer of dictionary
+// code pages for the file writer and the projection reply, stores codes
+// run-length encoded exactly when that is smaller than packing them — its
+// early exit from counting runs never changes the choice — and either form
+// decodes back under the reference decoder: one long run, high-entropy codes,
+// and streams of runs of every length in between.
+func TestDictPageChoosesTheSmallerForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	streams := map[string][]uint64{"one run": make([]uint64, 10000), "high entropy": make([]uint64, 5000)}
+	for i := range streams["high entropy"] {
+		streams["high entropy"][i] = uint64(rng.Intn(1000))
+	}
+	for _, run := range []int{1, 2, 3, 5, 8, 30, 200} {
+		codes := make([]uint64, 3000)
+		for i := range codes {
+			if i%run == 0 {
+				codes[i] = uint64(rng.Intn(1 << 12))
+			} else {
+				codes[i] = codes[i-1]
+			}
+		}
+		streams[fmt.Sprintf("runs of %d", run)] = codes
+	}
+	seen := map[colenc.Encoding]bool{}
+	for name, codes := range streams {
+		width := colenc.BitWidth(slices.Max(codes))
+		var e encBuf
+		e.dictPage(codes, width)
+		d := &decBuf{b: e.b}
+		rows, form, size := d.uvarint(), colenc.Encoding(d.byteVal()), d.uvarint()
+		if d.err != nil || rows != uint64(len(codes)) || size != uint64(len(d.b)) {
+			t.Fatalf("%s: page of %d rows, %d bytes, %d left (%v)", name, rows, size, len(d.b), d.err)
+		}
+		want := colenc.Plain
+		if colenc.RLESize(codes) < packedLen(len(codes), width) {
+			want = colenc.RLEEnc
+		}
+		if seen[form] = true; form != want {
+			t.Errorf("%s: stored as %v, the smaller form is %v", name, form, want)
+		}
+		if got, err := referenceDecodeCodes(form, d.b, len(codes), width); err != nil || !slices.Equal(got, codes) {
+			t.Errorf("%s: the %v page decodes otherwise (%v)", name, form, err)
+		}
+	}
+	if !seen[colenc.RLEEnc] || !seen[colenc.Plain] {
+		t.Errorf("the streams were stored in %v, not both forms", seen)
 	}
 }

@@ -61,10 +61,8 @@ func FooterSizeTail(tail []byte, size uint64) (int, error) {
 }
 
 // ParseFooterTail decodes the footer given only the trailing bytes of a
-// size-byte file. tail must cover at least the whole footer region (callers
-// probe with FooterSizeTail and re-read a longer tail when the first probe
-// was too short). The leading magic is not visible here; streaming callers
-// verify it with a separate 4-byte read of the file head.
+// size-byte file, at least the whole footer region (FooterSizeTail). The
+// leading magic is not visible here; streaming callers read it apart.
 func ParseFooterTail(tail []byte, size uint64) (*Footer, error) {
 	total, err := FooterSizeTail(tail, size)
 	if err != nil {

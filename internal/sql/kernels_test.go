@@ -182,7 +182,7 @@ func openColumn(tb testing.TB, opts lpq.WriterOptions, col lpq.ColumnData) (*lpq
 }
 
 func writerOpts(shape codeShape, compress bool, pageRows int) lpq.WriterOptions {
-	return lpq.WriterOptions{Compress: compress, DisableDict: shape == shapePlain, DictMaxFraction: 0.5, PageRows: pageRows}
+	return lpq.WriterOptions{Compress: compress, DisableDict: shape == shapePlain, PageRows: pageRows}
 }
 
 // testSelections returns the selections the kernels are checked under, nil

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/tpch"
@@ -10,11 +12,18 @@ import (
 // data bins go beside the chunks of their row groups that earlier stripes
 // placed, so the columns of one query meet on few nodes — the chunks a
 // grouped aggregate reads are co-resident instead of shipped between nodes —
-// while data bytes stay spread over every node.
+// while data bytes stay spread over every node. The lineitem is the one
+// `lpq-tool gen lineitem` writes, pinned here byte for byte (the other
+// datasets are pinned in cmd/lpq-tool): a change to the lpq format or its
+// writer that alters it must re-pin the sum on purpose.
 func TestPlacementAffinity(t *testing.T) {
 	data, err := tpch.Generate(tpch.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	const lineitemSHA256 = "8a254983fdc00a557d896b3ff48535796859f958d4fe4740ee5e16ff523fb12f"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != lineitemSHA256 {
+		t.Fatalf("lineitem: %d bytes with sha256 %x, want %s", len(data), sum, lineitemSHA256)
 	}
 	s, _ := newSimStore(t, FusionOptions())
 	if _, err := s.Put("lineitem", data); err != nil {

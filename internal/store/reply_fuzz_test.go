@@ -273,7 +273,7 @@ func replyFormsObject(t testing.TB) ([]byte, [][]lpq.ColumnData) {
 	for i := range names {
 		schema[i] = lpq.Column{Name: names[i], Type: types[i]}
 	}
-	w := lpq.NewWriter(schema, lpq.WriterOptions{Compress: true, DictMaxFraction: 0.5, PageRows: 300})
+	w := lpq.NewWriter(schema, lpq.WriterOptions{Compress: true, PageRows: 300})
 	rng := rand.New(rand.NewSource(5))
 	var groups [][]lpq.ColumnData
 	okey := int64(1) << 33

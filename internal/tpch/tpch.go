@@ -107,7 +107,7 @@ func Generate(cfg Config) ([]byte, error) {
 	if cfg.RowGroups <= 0 || cfg.RowsPerGroup <= 0 {
 		return nil, fmt.Errorf("tpch: invalid scale %d x %d", cfg.RowGroups, cfg.RowsPerGroup)
 	}
-	if cfg.Writer.DictMaxFraction == 0 && !cfg.Writer.Compress && !cfg.Writer.DisableDict {
+	if !cfg.Writer.Compress && !cfg.Writer.DisableDict {
 		cfg.Writer = lpq.DefaultWriterOptions()
 	}
 	w := lpq.NewWriter(Schema(), cfg.Writer)
