@@ -322,9 +322,10 @@ func emit(dst []byte, size int, v uint64) ([]byte, int) {
 
 // Unmarshal parses the output of Marshal for a caller that expects a bitmap of
 // rows bits. Anything else — another declared length, runs not summing to it,
-// a set bit at or past it, a truncated or unknown payload — is an error,
-// found before anything is allocated; so the bitmap it returns is never
-// larger than the caller asked for, whatever the input.
+// a set bit at or past it, a truncated or unknown payload — is an error, and
+// nothing is allocated before the declared length has matched rows; so the
+// bitmap it returns is never larger than the caller asked for, whatever the
+// input.
 func Unmarshal(data []byte, rows int) (*Bitmap, error) {
 	if len(data) == 0 {
 		return nil, errors.New("bitmap: empty input")
@@ -351,26 +352,26 @@ func Unmarshal(data []byte, rows int) (*Bitmap, error) {
 		}
 		return b, nil
 	case formGaps, formRuns:
-		if err := setRanges(form, payload, rows, nil); err != nil {
+		b := New(rows)
+		if err := setRanges(form, payload, rows, b); err != nil {
 			return nil, err
 		}
-		b := New(rows)
-		_ = setRanges(form, payload, rows, b)
 		return b, nil
 	}
 	return nil, fmt.Errorf("bitmap: unknown form %d", form)
 }
 
 // setRanges walks a formGaps or formRuns payload over rows bits, setting the
-// bits it names in b (when b is not nil), and reports the first way the
-// payload is malformed.
+// bits it names in b, and reports the first way the payload is malformed.
 func setRanges(form byte, p []byte, rows int, b *Bitmap) error {
 	at := 0      // bits accounted for
 	set := false // formRuns: whether the next run is of set bits
 	for first := true; len(p) > 0; first = false {
-		v, k := binary.Uvarint(p)
-		if k <= 0 {
-			return errors.New("bitmap: truncated varint")
+		v, k := uint64(p[0]), 1 // a gap or run below 128, the common case
+		if v >= 0x80 {
+			if v, k = binary.Uvarint(p); k <= 0 {
+				return errors.New("bitmap: truncated varint")
+			}
 		}
 		p = p[k:]
 		if form == formGaps {
@@ -378,9 +379,7 @@ func setRanges(form byte, p []byte, rows int, b *Bitmap) error {
 				return fmt.Errorf("bitmap: a set bit at or past row %d", rows)
 			}
 			at += int(v)
-			if b != nil {
-				b.Set(at)
-			}
+			b.Set(at)
 			at++
 			continue
 		}
@@ -390,7 +389,7 @@ func setRanges(form byte, p []byte, rows int, b *Bitmap) error {
 		if v == 0 && !first {
 			return errors.New("bitmap: empty run")
 		}
-		if set && b != nil {
+		if set {
 			b.SetRange(at, at+int(v))
 		}
 		at, set = at+int(v), !set

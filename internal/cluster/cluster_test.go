@@ -240,7 +240,7 @@ func TestNodeFilter(t *testing.T) {
 	vals := []int64{5, 10, 15, 20, 25}
 	node, ref := chunkFixture(t, vals)
 	resp := node.Handle(&rpc.Request{
-		Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpGt, Value: sql.IntLit(12),
+		Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{{Chunk: ref, Op: sql.OpGt, Value: sql.IntLit(12)}},
 	})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
@@ -303,7 +303,7 @@ func TestNodeErrors(t *testing.T) {
 	if resp := node.Handle(&rpc.Request{Kind: rpc.KindPing}); resp.Err != "" {
 		t.Fatal("ping must succeed")
 	}
-	if resp := node.Handle(&rpc.Request{Kind: rpc.KindFilter, Chunk: rpc.ChunkRef{BlockID: "nope"}}); resp.Err == "" {
+	if resp := node.Handle(&rpc.Request{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{{Chunk: rpc.ChunkRef{BlockID: "nope"}}}}); resp.Err == "" {
 		t.Fatal("filter on missing block must fail")
 	}
 }

@@ -328,9 +328,9 @@ func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 
 // frame is the column chunks one request frame has open. A pushed operator
 // computes on an opened chunk (lpq.Chunk: read, CRC-checked, decompressed and
-// indexed, no row decoded), and sub-ops of one KindBatch frame that name the
-// same chunk — a range predicate's two bounds, the key and the argument of
-// GROUP BY x with SUM(x) — share one read and one open. The frame counts up
+// indexed, no row decoded), and the uses of one frame that name the same
+// chunk — a range predicate's two bounds in one Filter, the key and the
+// argument of GROUP BY x with SUM(x) — share one read and one open. The frame counts up
 // front how often each chunk is named, so a chunk is released the moment its
 // last use ends and a long frame holds one chunk's buffer at a time, not one
 // per sub-op. Nothing outlives the frame: this is not a cache.
@@ -381,7 +381,11 @@ func newFrame(n *Node, req *rpc.Request) *frame {
 	// Mirrors which chunks each handler opens.
 	count := func(r *rpc.Request) {
 		switch r.Kind {
-		case rpc.KindFilter, rpc.KindProject, rpc.KindTopK:
+		case rpc.KindFilter:
+			for i := range r.Leaves {
+				use(&r.Leaves[i].Chunk)
+			}
+		case rpc.KindProject, rpc.KindTopK:
 			use(&r.Chunk)
 		case rpc.KindGroupAgg:
 			// A reference without a BlockID is shipped in the sub-op's Data,
@@ -467,23 +471,83 @@ func (f *frame) selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitm
 	return bm, nil
 }
 
-// handleFilter runs a pushed-down comparison on a local chunk and returns
-// the result bitmap in its smallest wire form (§5 has the node read the
-// chunk, run the filter and Snappy-compress the bitmap; bitmap.Marshal says
-// why this one does not). The filter runs on the opened chunk: over the
-// dictionary and then the codes, or over the plain pages' bytes.
+// handleFilter runs a pushed-down conjunction on local chunks and returns the
+// AND of its leaves as one bitmap in its smallest wire form (§5 has the node
+// read the chunk, run the filter and Snappy-compress the bitmap;
+// bitmap.Marshal says why this one does not). The leaves are taken chunk by
+// chunk, in the order their chunks first appear, each chunk's leaves by
+// sql.FilterAll: a chunk named twice is opened once, and its integer bounds
+// read its rows in one pass. The first empty result ends the evaluation, and
+// the chunks after it are not opened. Every leaf's chunk must have as many
+// rows as the first's, and every literal the type of its chunk.
 func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
-	ch, cost, err := f.open(req.Chunk)
-	if err != nil {
-		return errRespCost(err, cost)
+	leaves := req.Leaves
+	// Every leaf's use of its chunk ends here, evaluated or not.
+	done := make([]bool, len(leaves))
+	defer func() {
+		for i := range leaves {
+			if !done[i] {
+				f.close(leaves[i].Chunk)
+			}
+		}
+	}()
+	if len(leaves) == 0 || len(leaves) > rpc.MaxBatchOps {
+		return errResp(fmt.Errorf("cluster: Filter has %d leaves, want 1 to %d", len(leaves), rpc.MaxBatchOps))
 	}
-	defer f.close(req.Chunk)
-	cmp := &sql.Compare{Column: "pushdown", Op: req.Op, Value: req.Value}
-	bm, err := sql.FilterChunk(cmp, ch)
-	if err != nil {
-		return errRespCost(err, cost)
+	// Every leaf is checked before any is evaluated: the evaluation may stop
+	// early, and a leaf it skips is still an error if it is malformed.
+	cmps := make([]sql.Compare, len(leaves))
+	for i := range leaves {
+		if rows := leaves[i].Chunk.Meta.NumValues; rows != leaves[0].Chunk.Meta.NumValues {
+			return errResp(fmt.Errorf("cluster: Filter leaf %d's chunk has %d rows, the first's %d",
+				i, rows, leaves[0].Chunk.Meta.NumValues))
+		}
+		cmps[i] = sql.Compare{Column: "pushdown", Op: leaves[i].Op, Value: leaves[i].Value}
+		if err := sql.CheckType(&cmps[i], leaves[i].Chunk.Type); err != nil {
+			return errResp(err)
+		}
 	}
-	return &rpc.Response{Data: bm.Marshal(), Matches: bm.Count(), Cost: cost}
+	cs := make([]*sql.Compare, 0, len(leaves))
+	var cost rpc.Cost
+	var out *bitmap.Bitmap
+	for i := range leaves {
+		if done[i] {
+			continue
+		}
+		ch, c, err := f.open(leaves[i].Chunk)
+		cost.Add(c)
+		if err != nil {
+			done[i] = true // a failed open ends its use
+			return errRespCost(err, cost)
+		}
+		// This chunk's leaves, evaluated together.
+		key := keyOf(&leaves[i].Chunk)
+		cs = cs[:0]
+		for j := i; j < len(leaves); j++ {
+			if !done[j] && keyOf(&leaves[j].Chunk) == key {
+				cs = append(cs, &cmps[j])
+			}
+		}
+		bm, err := sql.FilterAll(cs, ch)
+		for j := i; j < len(leaves); j++ {
+			if !done[j] && keyOf(&leaves[j].Chunk) == key {
+				done[j] = true
+				f.close(leaves[j].Chunk)
+			}
+		}
+		if err != nil {
+			return errRespCost(err, cost)
+		}
+		if out == nil {
+			out = bm
+		} else if err := out.And(bm); err != nil {
+			return errRespCost(err, cost)
+		}
+		if out.Count() == 0 {
+			break
+		}
+	}
+	return &rpc.Response{Data: out.Marshal(), Matches: out.Count(), Cost: cost}
 }
 
 // handleProject returns the rows of the chunk the request bitmap selects as a

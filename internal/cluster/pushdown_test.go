@@ -240,7 +240,7 @@ func TestPushedOpsMatchReference(t *testing.T) {
 	// Filter, the six operators, on a dictionary chunk and a plain one.
 	for op := sql.OpEq; op <= sql.OpGe; op++ {
 		for name, lit := range map[string]sql.Literal{"shipdate": sql.IntLit(400), "price": sql.FloatLit(30000)} {
-			resp := fx.handled(t, &rpc.Request{Kind: rpc.KindFilter, Chunk: fx.refs[name], Op: op, Value: lit})
+			resp := fx.handled(t, &rpc.Request{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{{Chunk: fx.refs[name], Op: op, Value: lit}}})
 			want, err := sql.EvalCompare(&sql.Compare{Op: op, Value: lit}, fx.cols[name])
 			if err != nil || resp.Err != "" {
 				t.Fatal(err, resp.Err)
@@ -259,7 +259,7 @@ func TestPushedOpsMatchReference(t *testing.T) {
 	for _, name := range []string{"price", "rebate"} {
 		ref := fx.refs[name]
 		subs := []rpc.Request{
-			{Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpLt, Value: sql.FloatLit(0.03)},
+			{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{{Chunk: ref, Op: sql.OpLt, Value: sql.FloatLit(0.03)}}},
 			{Kind: rpc.KindProject, Chunk: ref, Bitmap: wire},
 			*keyless(ref, wire, sql.AggMax),
 			{Kind: rpc.KindTopK, Chunk: ref, Bitmap: wire, K: 7, Desc: true, RG: 3},
@@ -386,33 +386,59 @@ func referenceGroups(fx *rowGroupFixture, sel *bitmap.Bitmap) map[string]*sql.Gr
 	return out
 }
 
-// TestFrameOpensSharedChunkOnce: in the filter frame of TPC-H Q2 (a date
-// range — two comparisons on l_shipdate — plus one each on l_discount and
-// l_quantity, per row group) the node reads and opens l_shipdate once, while
-// every sub-op is still charged its own disk and processing bytes.
-func TestFrameOpensSharedChunkOnce(t *testing.T) {
+// TestConjunctionOpensSharedChunkOnce: TPC-H Q2's filter on one row group — a
+// date range (two comparisons on l_shipdate) plus one each on l_discount and
+// l_quantity — is one Filter of four leaves. The node reads and opens
+// l_shipdate once, charges each distinct chunk once, and replies one bitmap:
+// the AND of the four leaves answered alone. The four as one-leaf Filters in
+// one batch frame, as leaves under an OR go, read l_shipdate once too, and
+// each is charged its own disk and processing bytes.
+func TestConjunctionOpensSharedChunkOnce(t *testing.T) {
 	fx := newRowGroupFixture(t, 5000)
-	filter := func(col string, op sql.CmpOp, lit sql.Literal) rpc.Request {
-		return rpc.Request{Kind: rpc.KindFilter, Chunk: fx.refs[col], Op: op, Value: lit}
+	leaves := []rpc.FilterLeaf{
+		{Chunk: fx.refs["shipdate"], Op: sql.OpGe, Value: sql.IntLit(757)},
+		{Chunk: fx.refs["shipdate"], Op: sql.OpLt, Value: sql.IntLit(1480)},
+		{Chunk: fx.refs["discount"], Op: sql.OpGe, Value: sql.FloatLit(0.06)},
+		{Chunk: fx.refs["quantity"], Op: sql.OpLt, Value: sql.IntLit(25)},
 	}
-	subs := []rpc.Request{
-		filter("shipdate", sql.OpGe, sql.IntLit(757)),
-		filter("shipdate", sql.OpLt, sql.IntLit(1480)),
-		filter("discount", sql.OpGe, sql.FloatLit(0.06)),
-		filter("quantity", sql.OpLt, sql.IntLit(25)),
+	subs := make([]rpc.Request, len(leaves))
+	for i := range leaves {
+		subs[i] = rpc.Request{Kind: rpc.KindFilter, Leaves: leaves[i : i+1]}
 	}
-	// Sub-op by sub-op, each its own frame: four reads, four opens.
+	// Leaf by leaf, each its own frame: four reads, four opens.
 	var alone []*rpc.Response
+	want := bitmap.NewFull(fx.rows)
 	fx.store.gets.Store(0)
 	gets0, _, _ := bufpool.Stats()
 	for i := range subs {
 		alone = append(alone, fx.node.Handle(&subs[i]))
+		bm, err := bitmap.Unmarshal(alone[i].Data, fx.rows)
+		if err != nil || want.And(bm) != nil {
+			t.Fatalf("leaf %d alone: %v", i, err)
+		}
 	}
 	gets1, _, _ := bufpool.Stats()
 	if n := fx.store.gets.Load(); n != 4 {
 		t.Fatalf("four separate filters made %d block reads, want 4", n)
 	}
 	opensAlone := gets1 - gets0
+
+	fx.store.gets.Store(0)
+	conj := fx.handled(t, &rpc.Request{Kind: rpc.KindFilter, Leaves: leaves})
+	if n := fx.store.gets.Load(); n != 3 {
+		t.Fatalf("the conjunction made %d block reads, want 3 (l_shipdate once)", n)
+	}
+	got, err := bitmap.Unmarshal(conj.Data, fx.rows)
+	if err != nil || !reflect.DeepEqual(got.Indexes(), want.Indexes()) || conj.Matches != want.Count() {
+		t.Fatalf("the conjunction selects %d rows, the AND of its leaves %d (%v)", conj.Matches, want.Count(), err)
+	}
+	var distinct rpc.Cost
+	for _, i := range []int{0, 2, 3} {
+		distinct.Add(alone[i].Cost)
+	}
+	if conj.Cost != distinct {
+		t.Fatalf("the conjunction is charged %+v, its three chunks %+v", conj.Cost, distinct)
+	}
 
 	fx.store.gets.Store(0)
 	gets0, puts0, _ := bufpool.Stats()
@@ -439,7 +465,7 @@ func TestFrameOpensSharedChunkOnce(t *testing.T) {
 		if resp.Subs[i].Err != "" || !bytes.Equal(resp.Subs[i].Data, alone[i].Data) || resp.Subs[i].Matches != alone[i].Matches {
 			t.Fatalf("sub-op %d answers differently inside the frame: %q", i, resp.Subs[i].Err)
 		}
-		if resp.Subs[i].Cost != alone[i].Cost || resp.Subs[i].Cost.DiskBytes != subs[i].Chunk.Meta.Size {
+		if resp.Subs[i].Cost != alone[i].Cost || resp.Subs[i].Cost.DiskBytes != leaves[i].Chunk.Meta.Size {
 			t.Fatalf("sub-op %d is charged %+v in the frame, %+v alone", i, resp.Subs[i].Cost, alone[i].Cost)
 		}
 		sum.Add(resp.Subs[i].Cost)
@@ -515,7 +541,7 @@ func TestPushedFilterRejectsAllocationBomb(t *testing.T) {
 		}}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		resp := node.Handle(&rpc.Request{Kind: rpc.KindFilter, Chunk: ref, Op: sql.OpEq, Value: sql.IntLit(7)})
+		resp := node.Handle(&rpc.Request{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{{Chunk: ref, Op: sql.OpEq, Value: sql.IntLit(7)}}})
 		runtime.ReadMemStats(&after)
 		if resp.Err == "" {
 			t.Fatalf("metadata claiming %d rows: the bomb was filtered without error", rows)

@@ -24,7 +24,8 @@ import (
 // ungrouped aggregate), and no key with only a COUNT (a fold that reads no
 // column); and all seven in one batch. Then multi-block prepare frames: one
 // whose middle block fails its CRC, one naming a block twice, a prepare with
-// no sub-blocks, and one of more than MaxBatchOps sub-blocks.
+// no sub-blocks, and one of more than MaxBatchOps sub-blocks. Then the
+// Filters of several leaves (filterRequests).
 func FuzzNodeRequest(f *testing.F) {
 	fx := newRowGroupFixture(f, 300)
 	file, err := fx.store.MemStore.Get("blk", 0, 0)
@@ -66,6 +67,13 @@ func FuzzNodeRequest(f *testing.F) {
 	}
 	for _, frame := range prepareFrames(f) {
 		f.Add(frame)
+	}
+	for _, r := range filterRequests(fx) {
+		_, segs, err := rpc.AppendRequest(nil, nil, &r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Join(segs, nil))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req := &rpc.Request{}
@@ -141,5 +149,69 @@ func TestPrepareFrameSeedsDecode(t *testing.T) {
 		if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
 			t.Errorf("seed %d: decode error %v, want %q", i, err, want)
 		}
+	}
+}
+
+// filterRequests are Filters of several leaves over the fixture's chunks: one
+// of no leaf, one of MaxBatchOps+1 leaves, one whose second leaf's chunk
+// declares another row count than the first's, one naming l_shipdate twice
+// (a range's two bounds) beside l_quantity, one whose string literal on
+// l_quantity follows an empty l_shipdate range, and a batch of all but the
+// second, which no batch may carry.
+func filterRequests(fx *rowGroupFixture) []rpc.Request {
+	leaf := func(col string, op sql.CmpOp, v int64) rpc.FilterLeaf {
+		return rpc.FilterLeaf{Chunk: fx.refs[col], Op: op, Value: sql.IntLit(v)}
+	}
+	over := make([]rpc.FilterLeaf, rpc.MaxBatchOps+1)
+	for i := range over {
+		over[i] = leaf("quantity", sql.OpNe, int64(i))
+	}
+	other := leaf("shipdate", sql.OpGe, 100)
+	other.Chunk.Meta.NumValues++
+	filters := []rpc.Request{
+		{Kind: rpc.KindFilter},
+		{Kind: rpc.KindFilter, Leaves: over},
+		{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{leaf("quantity", sql.OpLt, 25), other}},
+		{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{
+			leaf("shipdate", sql.OpGe, 100), leaf("quantity", sql.OpLt, 25), leaf("shipdate", sql.OpLt, 900)}},
+		{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{leaf("shipdate", sql.OpGe, 900), leaf("shipdate", sql.OpLt, 100),
+			{Chunk: fx.refs["quantity"], Op: sql.OpLt, Value: sql.StringLit("25")}}},
+	}
+	return append(filters, rpc.Request{Kind: rpc.KindBatch, Subs: []rpc.Request{filters[0], filters[2], filters[3], filters[4]}})
+}
+
+// TestFilterRequestsArePerOpErrors pins what FuzzNodeRequest's Filter seeds
+// get from a node: the Filter of no leaf, of too many, of leaves of differing
+// row counts and of a misfit literal each an error reply, alone or in a frame
+// whose other sub-ops it leaves be; the one naming l_shipdate twice the AND
+// of its leaves.
+func TestFilterRequestsArePerOpErrors(t *testing.T) {
+	fx := newRowGroupFixture(t, 300)
+	reqs := filterRequests(fx)
+	for i, want := range []string{"0 leaves", "1025 leaves", "rows", "", "incompatible literal"} {
+		resp := fx.handled(t, &reqs[i])
+		if want == "" && resp.Err != "" || want != "" && !strings.Contains(resp.Err, want) {
+			t.Errorf("Filter %d: error %q, want %q", i, resp.Err, want)
+		}
+	}
+	ship, qty := fx.cols["shipdate"].Ints, fx.cols["quantity"].Ints
+	var rows []int
+	for r := range ship {
+		if ship[r] >= 100 && ship[r] < 900 && qty[r] < 25 {
+			rows = append(rows, r)
+		}
+	}
+	batch := fx.handled(t, &reqs[5])
+	if batch.Err != "" || len(batch.Subs) != 4 {
+		t.Fatalf("the frame is answered %q with %d sub-responses, want 4", batch.Err, len(batch.Subs))
+	}
+	for i, sub := range batch.Subs {
+		if (sub.Err == "") != (i == 2) {
+			t.Fatalf("in the frame: sub-op %d's error is %q; want the third alone answered", i, sub.Err)
+		}
+	}
+	bm, err := bitmap.Unmarshal(batch.Subs[2].Data, fx.rows)
+	if err != nil || fmt.Sprint(bm.Indexes()) != fmt.Sprint(rows) {
+		t.Fatalf("the range beside l_quantity selects %d rows, want %d (%v)", batch.Subs[2].Matches, len(rows), err)
 	}
 }

@@ -2,8 +2,8 @@
 // Fusion coordinator and storage nodes, shared by the simulated transport
 // (simnet) and the real TCP transport (tcpnet). Every node exposes the same
 // small service surface (§4.1: nodes are identical; any node coordinates):
-// block storage primitives plus the two pushdown operations, Filter and
-// Project.
+// block storage primitives plus the pushdown operations: Filter, Project,
+// GroupAgg and TopK.
 package rpc
 
 import (
@@ -28,8 +28,10 @@ const (
 	KindDeleteBlock
 	// KindBlockSize stats a block.
 	KindBlockSize
-	// KindFilter executes a comparison predicate on a column chunk held by
-	// the node and returns a compressed row bitmap (filter-stage pushdown).
+	// KindFilter executes a conjunction of comparisons (Leaves), each on a
+	// column chunk of one row group held by the node, and returns their AND
+	// as one compressed row bitmap (filter-stage pushdown). A single
+	// comparison is a one-leaf conjunction.
 	KindFilter
 	// KindProject returns the chunk's rows selected by a bitmap, as a chunk
 	// of their own in the chunk's encoding, uncompressed (projection-stage
@@ -129,6 +131,14 @@ type ChunkRef struct {
 	Meta   lpq.ChunkMeta
 }
 
+// FilterLeaf is one comparison of a Filter: the chunk it reads, and the
+// operator and literal each row of the chunk is compared with.
+type FilterLeaf struct {
+	Chunk ChunkRef
+	Op    sql.CmpOp
+	Value sql.Literal
+}
+
 // Request is the single message type sent to nodes.
 type Request struct {
 	Kind Kind
@@ -165,10 +175,9 @@ type Request struct {
 	Crc    uint32
 
 	// Pushdown operations.
-	Chunk  ChunkRef
-	Op     sql.CmpOp   // Filter comparison operator
-	Value  sql.Literal // Filter literal
-	Bitmap []byte      // Project/GroupAgg/TopK row selection (compressed bitmap)
+	Chunk  ChunkRef     // Project/TopK column chunk
+	Leaves []FilterLeaf // Filter conjunction, in WHERE order: 1 to MaxBatchOps leaves
+	Bitmap []byte       // Project/GroupAgg/TopK row selection (compressed bitmap)
 
 	// Grouped-aggregation pushdown (GroupAgg). KeyChunks are the grouping
 	// columns' chunks for one row group; ValChunks[i] is the argument chunk
@@ -240,11 +249,20 @@ func (r *Request) EndCall() {
 	}
 }
 
-// MaxBatchOps bounds a batch frame's sub-request count. A row-group scan
-// batches one op per chunk per node, so the cap comfortably exceeds any
-// planner fan-out while keeping a malicious frame from declaring an
-// unbounded amount of work.
+// MaxBatchOps bounds a batch frame's ops (Ops), and a Filter's leaves. A
+// row-group scan batches one op per chunk per node, so the cap comfortably
+// exceeds any planner fan-out while keeping a malicious frame from declaring
+// an unbounded amount of work.
 const MaxBatchOps = 1024
+
+// Ops is the work r counts for toward a frame's MaxBatchOps: a Filter's
+// leaves, or one.
+func (r *Request) Ops() int {
+	if r.Kind == KindFilter {
+		return max(1, len(r.Leaves))
+	}
+	return 1
+}
 
 // batchable reports whether a kind may appear inside a batch: the data-plane
 // reads, and DeleteBlock. PrepareBlock, PutBlock and CommitObject keep their
@@ -261,10 +279,10 @@ func batchable(k Kind) bool {
 	return false
 }
 
-// ValidateBatch checks a KindBatch request's shape: a positive sub-request
-// count within MaxBatchOps and every sub-request of a batchable kind (in
-// particular, no nested batches). It returns a description of the first
-// violation, or "" when the batch is well-formed.
+// ValidateBatch checks a KindBatch request's shape: at least one
+// sub-request, their ops (Ops) within MaxBatchOps, and every sub-request of a
+// batchable kind (in particular, no nested batches). It returns a description
+// of the first violation, or "" when the batch is well-formed.
 func ValidateBatch(r *Request) string {
 	if r.Kind != KindBatch {
 		return "not a batch request"
@@ -272,13 +290,15 @@ func ValidateBatch(r *Request) string {
 	if len(r.Subs) == 0 {
 		return "empty batch"
 	}
-	if len(r.Subs) > MaxBatchOps {
-		return "batch exceeds MaxBatchOps"
-	}
+	ops := 0
 	for i := range r.Subs {
 		if !batchable(r.Subs[i].Kind) {
 			return "sub-request " + r.Subs[i].Kind.String() + " not batchable"
 		}
+		ops += r.Subs[i].Ops()
+	}
+	if ops > MaxBatchOps {
+		return "batch exceeds MaxBatchOps"
 	}
 	return ""
 }
@@ -440,7 +460,10 @@ const fixedOverhead = 64
 // WireSize estimates the serialized size of the request.
 func (r *Request) WireSize() uint64 {
 	n := uint64(fixedOverhead + len(r.BlockID) + len(r.Data) + len(r.Bitmap))
-	n += uint64(len(r.Chunk.BlockID) + len(r.Value.S) + len(r.Object))
+	n += uint64(len(r.Chunk.BlockID) + len(r.Object))
+	for i := range r.Leaves {
+		n += uint64(len(r.Leaves[i].Chunk.BlockID) + len(r.Leaves[i].Value.S))
+	}
 	for i := range r.KeyChunks {
 		n += uint64(len(r.KeyChunks[i].BlockID) + 32)
 	}

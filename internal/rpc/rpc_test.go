@@ -42,8 +42,8 @@ func TestWireSizeScalesWithPayload(t *testing.T) {
 }
 
 func TestWireSizeCountsLiteralStrings(t *testing.T) {
-	a := &Request{Kind: KindFilter, Value: sql.StringLit("x")}
-	b := &Request{Kind: KindFilter, Value: sql.StringLit("a much longer literal value")}
+	a := &Request{Kind: KindFilter, Leaves: []FilterLeaf{{Value: sql.StringLit("x")}}}
+	b := &Request{Kind: KindFilter, Leaves: []FilterLeaf{{Value: sql.StringLit("a much longer literal value")}}}
 	if b.WireSize() <= a.WireSize() {
 		t.Fatal("string literals must count toward wire size")
 	}
@@ -59,7 +59,8 @@ func TestCostAdd(t *testing.T) {
 
 // TestValidateBatch pins what a batch may carry: the data-plane reads and the
 // one idempotent, best-effort mutation, DeleteBlock. The two-phase write's
-// calls, the inventory and nested batches keep their own frames.
+// calls, the inventory and nested batches keep their own frames. A Filter's
+// leaves count toward MaxBatchOps, one op each.
 func TestValidateBatch(t *testing.T) {
 	batch := func(kinds ...Kind) *Request {
 		r := &Request{Kind: KindBatch}
@@ -71,6 +72,11 @@ func TestValidateBatch(t *testing.T) {
 	overCap := make([]Kind, MaxBatchOps+1)
 	for i := range overCap {
 		overCap[i] = KindGetBlock
+	}
+	// leaves makes r's first sub a Filter of n leaves.
+	leaves := func(r *Request, n int) *Request {
+		r.Subs[0] = Request{Kind: KindFilter, Leaves: make([]FilterLeaf, n)}
+		return r
 	}
 	cases := []struct {
 		name string
@@ -92,6 +98,8 @@ func TestValidateBatch(t *testing.T) {
 		{"not a batch", &Request{Kind: KindDeleteBlock}, false},
 		{"at the cap", batch(overCap[1:]...), true},
 		{"over the cap", batch(overCap...), false},
+		{"leaves at the cap", leaves(batch(overCap[2:]...), 2), true},
+		{"leaves over the cap", leaves(batch(overCap[1:]...), 2), false},
 	}
 	for _, tc := range cases {
 		if msg := ValidateBatch(tc.req); (msg == "") != tc.ok {

@@ -252,8 +252,10 @@ func (e *encoder) request(r *Request, top, shared bool) error {
 	e.uvarint(r.Epoch)
 	e.uvarint(uint64(r.Crc))
 	e.chunkRef(&r.Chunk)
-	e.varint(int64(r.Op))
-	e.literal(&r.Value)
+	e.uvarint(uint64(len(r.Leaves)))
+	for i := range r.Leaves {
+		e.filterLeaf(&r.Leaves[i])
+	}
 	if shared {
 		e.uvarint(backRef)
 	} else {
@@ -306,6 +308,12 @@ func (e *encoder) chunkRef(c *ChunkRef) {
 	e.str(s.MinS)
 	e.str(s.MaxS)
 	e.uvarint(uint64(s.DistinctEst))
+}
+
+func (e *encoder) filterLeaf(l *FilterLeaf) {
+	e.chunkRef(&l.Chunk)
+	e.varint(int64(l.Op))
+	e.literal(&l.Value)
 }
 
 func (e *encoder) literal(l *sql.Literal) {
@@ -396,6 +404,7 @@ var (
 	minRequest      = zeroSize(func(e *encoder) { _ = e.request(&Request{}, false, false) })
 	minResponse     = zeroSize(func(e *encoder) { _ = e.response(&Response{}, false) })
 	minChunkRef     = zeroSize(func(e *encoder) { e.chunkRef(&ChunkRef{}) })
+	minFilterLeaf   = zeroSize(func(e *encoder) { e.filterLeaf(&FilterLeaf{}) })
 	minLiteral      = zeroSize(func(e *encoder) { e.literal(&sql.Literal{}) })
 	minAggState     = zeroSize(func(e *encoder) { e.aggState(&sql.AggState{}) })
 	minBlockInfo    = zeroSize(func(e *encoder) { e.blockInfo(&BlockInfo{}) })
@@ -663,8 +672,13 @@ func (d *decoder) request(r *Request, top bool) {
 	r.Epoch = d.uvarint()
 	r.Crc = d.uint32()
 	d.chunkRef(&r.Chunk)
-	r.Op = sql.CmpOp(d.int())
-	d.literal(&r.Value)
+	r.Leaves = nil
+	if n := d.count(minFilterLeaf); n > 0 {
+		r.Leaves = make([]FilterLeaf, n)
+		for i := range r.Leaves {
+			d.filterLeaf(&r.Leaves[i])
+		}
+	}
 	r.Bitmap = d.payload(true, nil)
 	r.KeyChunks = d.chunkRefs()
 	r.ValChunks = d.chunkRefs()
@@ -728,6 +742,12 @@ func (d *decoder) chunkRef(c *ChunkRef) {
 	s.MinS = d.str()
 	s.MaxS = d.str()
 	s.DistinctEst = d.uint32()
+}
+
+func (d *decoder) filterLeaf(l *FilterLeaf) {
+	d.chunkRef(&l.Chunk)
+	l.Op = sql.CmpOp(d.int())
+	d.literal(&l.Value)
 }
 
 func (d *decoder) literal(l *sql.Literal) {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/sql"
 )
 
@@ -24,9 +26,10 @@ import (
 // TestDecodeAllocationBounded, and for the payload region: one shorter or
 // longer than its header declares, a short length whose bytes sit in the
 // region, and a batch reply mixing landed, error and wrong-length
-// sub-responses. Multi-block prepare frames (prepareSeeds), and batches whose
+// sub-responses. Multi-block prepare frames (prepareSeeds), batches whose
 // subs share a selection below and above inlineMax, or whose back-reference
-// refers to nothing (badBackRefs), close the list.
+// refers to nothing (badBackRefs), and Filters of several leaves
+// (filterSeeds) close the list.
 func FuzzFrame(f *testing.F) {
 	add := func(frame []byte) { f.Add(frame, uint16(min(len(frame), 1<<16-1))) }
 	goodReq, err := encodeRequest(sampleBatchRequest())
@@ -98,6 +101,9 @@ func FuzzFrame(f *testing.F) {
 		add(frame)
 	}
 	for _, frame := range badBackRefs() {
+		add(frame)
+	}
+	for _, frame := range filterSeeds(f) {
 		add(frame)
 	}
 
@@ -221,16 +227,66 @@ func countElements(v reflect.Value, seen map[uintptr]bool) int {
 	return n
 }
 
-// rawPrepare encodes a prepare frame carrying blocks without checking its
-// shape — the frames ValidatePrepare refuses, which no encoder writes.
-func rawPrepare(blocks []Request) []byte {
+// TestFilterSeedsDecode pins what FuzzFrame's Filter seeds are: the wire
+// carries every Filter and the batch of three, whatever their leaves (the
+// node judges those); the batch over MaxBatchOps ops is refused for that.
+func TestFilterSeedsDecode(t *testing.T) {
+	frames := filterSeeds(t)
+	for i, want := range []string{"", "", "", "", "", "MaxBatchOps"} {
+		err := DecodeRequest(frames[i], &Request{})
+		if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("seed %d: decode error %v, want %q", i, err, want)
+		}
+	}
+}
+
+// rawFrame encodes a frame of kind carrying subs without checking its shape —
+// the frames ValidateFrame refuses, which no encoder writes.
+func rawFrame(kind Kind, subs []Request) []byte {
 	var e encoder
-	_ = e.request(&Request{Kind: KindPrepareBlock}, true, false)
-	e.b = binary.AppendUvarint(e.b[:len(e.b)-1], uint64(len(blocks))) // over the zero Subs count
-	for i := range blocks {
-		_ = e.request(&blocks[i], false, false)
+	_ = e.request(&Request{Kind: kind}, false, false)
+	e.b = binary.AppendUvarint(e.b[:len(e.b)-1], uint64(len(subs))) // over the zero Subs count
+	for i := range subs {
+		_ = e.request(&subs[i], false, false)
 	}
 	return append(e.b, bytes.Join(e.region, nil)...)
+}
+
+// rawPrepare is rawFrame of a prepare frame.
+func rawPrepare(blocks []Request) []byte { return rawFrame(KindPrepareBlock, blocks) }
+
+// filterSeeds are Filters of several leaves: one of no leaf, one of
+// MaxBatchOps+1, one whose second leaf's chunk has another row count than
+// the first's, one naming a chunk twice (a range's two bounds); a batch of
+// the first, third and fourth; and a batch whose one Filter's leaves take it
+// over MaxBatchOps ops.
+func filterSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	ref := func(rows int) ChunkRef {
+		return ChunkRef{BlockID: "obj/e1/s0/b0", Offset: 8, Type: 1, Meta: lpq.ChunkMeta{Size: 40, NumValues: rows}}
+	}
+	leaf := func(rows int, op sql.CmpOp, v int64) FilterLeaf {
+		return FilterLeaf{Chunk: ref(rows), Op: op, Value: sql.IntLit(v)}
+	}
+	over := make([]FilterLeaf, MaxBatchOps+1)
+	for i := range over {
+		over[i] = leaf(300, sql.OpNe, int64(i))
+	}
+	filters := []Request{
+		{Kind: KindFilter, RG: 2},
+		{Kind: KindFilter, Leaves: over},
+		{Kind: KindFilter, Leaves: []FilterLeaf{leaf(300, sql.OpLt, 9), leaf(301, sql.OpGe, 2)}},
+		{Kind: KindFilter, Leaves: []FilterLeaf{leaf(300, sql.OpGe, 2), leaf(300, sql.OpLt, 9)}},
+	}
+	var out [][]byte
+	for _, r := range append(filters, Request{Kind: KindBatch, Subs: []Request{filters[0], filters[2], filters[3]}}) {
+		frame, err := encodeRequest(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame)
+	}
+	return append(out, rawFrame(KindBatch, filters[1:2]))
 }
 
 // prepareSeeds are the multi-block prepare frames: one whose middle block

@@ -158,10 +158,11 @@ func TestWireEveryField(t *testing.T) {
 		req := &Request{}
 		f := &filler{t: t, bytesLen: bytesLen}
 		f.fill(reflect.ValueOf(req).Elem(), false)
-		// The only legal carrier of Subs is a batch of batchable kinds.
+		// The only legal carrier of Subs is a batch of batchable kinds; the
+		// second is a Filter, whose two leaves are its two ops.
 		req.Kind = KindBatch
 		req.Subs[0].Kind = KindGetBlock
-		req.Subs[1].Kind = KindGroupAgg
+		req.Subs[1].Kind = KindFilter
 		requireNoZero(t, reflect.ValueOf(req), "Request", false)
 		requireRequestRoundTrip(t, req)
 		copied, err := encodeRequest(req)

@@ -109,6 +109,40 @@ func BenchmarkKernelFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFilterRange times TPC-H Q2's date range, l_shipdate >= lo
+// AND l_shipdate < hi over a frame of reference, as a node evaluates it: the
+// two bounds folded into one pass (FilterAll), against a pass per bound and
+// their AND. MB/s reads as Mrows/s.
+func BenchmarkKernelFilterRange(b *testing.B) {
+	chunks, _ := benchRowGroup(b)
+	ch := chunks[benchShip]
+	cs := []*Compare{{Op: OpGe, Value: IntLit(757)}, {Op: OpLt, Value: IntLit(1480)}}
+	b.Run("shipdate-frame12-folded", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			bm, err := FilterAll(cs, ch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += bm.Len()
+		}
+	})
+	b.Run("shipdate-frame12-per-bound", func(b *testing.B) {
+		b.SetBytes(benchRows)
+		for i := 0; i < b.N; i++ {
+			bm, err := FilterChunk(cs[0], ch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hi, err := FilterChunk(cs[1], ch)
+			if err != nil || bm.And(hi) != nil {
+				b.Fatal(err)
+			}
+			benchSink += bm.Len()
+		}
+	})
+}
+
 // BenchmarkFilterChunk times the filter five of the repository benchmark's six
 // selective templates start with — l_shipdate < cutoff at about 1.4% — on an
 // l_shipdate chunk of the generator's own lineitem, as the writer encodes it:

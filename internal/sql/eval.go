@@ -19,6 +19,25 @@ func (e *ErrType) Error() string {
 	return fmt.Sprintf("sql: column %s has type %v, incompatible literal kind %d", e.Column, e.Col, e.Lit)
 }
 
+// CheckType reports an ErrType when c's literal cannot be compared with a
+// column of type t: a string column takes a string literal, an int column an
+// int or a float, a float column anything but a string. This is the type rule
+// of every comparison kernel.
+func CheckType(c *Compare, t lpq.Type) error {
+	k := c.Value.Kind
+	ok := k != LitString
+	switch t {
+	case lpq.String:
+		ok = k == LitString
+	case lpq.Int64:
+		ok = k == LitInt || k == LitFloat
+	}
+	if !ok {
+		return &ErrType{Column: c.Column, Col: t, Lit: k}
+	}
+	return nil
+}
+
 // EvalCompare evaluates a comparison over one column chunk's values and
 // returns the row bitmap. This is the operation Fusion pushes down to
 // storage nodes in the filter stage (there over an opened chunk, where these
@@ -37,30 +56,24 @@ func EvalCompare(c *Compare, col lpq.ColumnData) (*bitmap.Bitmap, error) {
 // space, a float column meets either literal in float space, and strings
 // compare bytewise.
 func compareInto(c *Compare, col lpq.ColumnData, words []uint64) error {
+	if err := CheckType(c, col.Type); err != nil {
+		return err
+	}
 	switch col.Type {
 	case lpq.Int64:
-		switch c.Value.Kind {
-		case LitInt:
+		if c.Value.Kind == LitInt {
 			compareValues(col.Ints, c.Value.I, c.Op, words)
-		case LitFloat:
-			lit := c.Value.F
-			for i, v := range col.Ints {
-				if cmpFloat(float64(v), lit, c.Op) {
-					words[i>>6] |= 1 << (i & 63)
-				}
+			break
+		}
+		lit := c.Value.F
+		for i, v := range col.Ints {
+			if cmpFloat(float64(v), lit, c.Op) {
+				words[i>>6] |= 1 << (i & 63)
 			}
-		default:
-			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
 		}
 	case lpq.Float64:
-		if c.Value.Kind == LitString {
-			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
-		}
 		compareValues(col.Floats, c.Value.AsFloat(), c.Op, words)
 	case lpq.String:
-		if c.Value.Kind != LitString {
-			return &ErrType{Column: c.Column, Col: col.Type, Lit: c.Value.Kind}
-		}
 		compareValues(col.Strings, c.Value.S, c.Op, words)
 	}
 	return nil

@@ -25,6 +25,9 @@ import (
 // offset space, the bound translated once per page; every other page is
 // compared a batch at a time as the Scanner reads it.
 func FilterChunk(c *Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
+	if err := CheckType(c, ch.Type()); err != nil {
+		return nil, err
+	}
 	if dict, ok := ch.Dict(); ok {
 		verdict, err := EvalCompare(c, dict)
 		if err != nil {
@@ -33,31 +36,18 @@ func FilterChunk(c *Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
 		return ch.SelectCodes(verdict)
 	}
 	if ch.Encoding() == colenc.FOR && c.Value.Kind == LitInt {
-		// Each operator is membership of one closed range, or of its
-		// complement: no bound is moved by one, so none can overflow.
-		v := c.Value.I
-		switch c.Op {
-		case OpEq:
-			return ch.SelectInts(v, v, false)
-		case OpNe:
+		// != is the complement of one value; every other operator admits one
+		// closed range.
+		if v := c.Value.I; c.Op == OpNe {
 			return ch.SelectInts(v, v, true)
-		case OpLt:
-			return ch.SelectInts(v, math.MaxInt64, true)
-		case OpLe:
-			return ch.SelectInts(math.MinInt64, v, false)
-		case OpGt:
-			return ch.SelectInts(math.MinInt64, v, true)
-		default:
-			return ch.SelectInts(v, math.MaxInt64, false)
 		}
+		lo, hi := narrowInts(math.MinInt64, math.MaxInt64, c)
+		return ch.SelectInts(lo, hi, false)
 	}
 	out := bitmap.New(ch.NumRows())
 	words := out.Words()
 	var lit []byte
 	if ch.Type() == lpq.String {
-		if c.Value.Kind != LitString {
-			return nil, &ErrType{Column: c.Column, Col: ch.Type(), Lit: c.Value.Kind}
-		}
 		lit = []byte(c.Value.S)
 	}
 	var sc lpq.Scanner
@@ -86,6 +76,87 @@ func FilterChunk(c *Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// FilterAll is the AND of FilterChunk(c, ch) over cs, every leaf reading the
+// one chunk ch; with no leaf it selects every row. On a frame-of-reference
+// chunk the integer bounds among them (=, <, <=, >, >=) are intersected into
+// one closed range and run as one SelectInts pass, so a range predicate's two
+// bounds read the rows once; a != is no one range and runs alone. The other
+// leaves follow in order, and the first empty result ends the evaluation —
+// after every leaf's type was checked, so a leaf that cannot be evaluated is
+// an error however the others turn out.
+func FilterAll(cs []*Compare, ch *lpq.Chunk) (*bitmap.Bitmap, error) {
+	for _, c := range cs {
+		if err := CheckType(c, ch.Type()); err != nil {
+			return nil, err
+		}
+	}
+	folds := func(c *Compare) bool {
+		return ch.Encoding() == colenc.FOR && c.Value.Kind == LitInt && c.Op != OpNe
+	}
+	var out *bitmap.Bitmap
+	lo, hi, folded := int64(math.MinInt64), int64(math.MaxInt64), false
+	for _, c := range cs {
+		if folds(c) {
+			lo, hi = narrowInts(lo, hi, c)
+			folded = true
+		}
+	}
+	if folded {
+		var err error
+		if out, err = ch.SelectInts(lo, hi, false); err != nil {
+			return nil, err
+		}
+	}
+	for _, c := range cs {
+		if folds(c) {
+			continue
+		}
+		if out != nil && out.Count() == 0 {
+			break
+		}
+		bm, err := FilterChunk(c, ch)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = bm
+		} else if err := out.And(bm); err != nil {
+			return nil, err
+		}
+	}
+	if out == nil {
+		out = bitmap.NewFull(ch.NumRows())
+	}
+	return out, nil
+}
+
+// narrowInts intersects the closed range [lo, hi] with the integers c admits,
+// c being an integer comparison other than !=. A bound moves by one only away
+// from the end of int64 it cannot cross: x < MinInt64 and x > MaxInt64 admit
+// nothing, and the range they leave is empty (lo > hi), as is every range
+// narrowed from an empty one.
+func narrowInts(lo, hi int64, c *Compare) (int64, int64) {
+	v := c.Value.I
+	switch c.Op {
+	case OpEq:
+		return max(lo, v), min(hi, v)
+	case OpLt:
+		if v == math.MinInt64 {
+			return 1, 0
+		}
+		return lo, min(hi, v-1)
+	case OpLe:
+		return lo, min(hi, v)
+	case OpGt:
+		if v == math.MaxInt64 {
+			return 1, 0
+		}
+		return max(lo, v+1), hi
+	default:
+		return max(lo, v), hi
+	}
 }
 
 // opHolds reports whether a three-way comparison result satisfies op.

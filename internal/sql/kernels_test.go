@@ -338,6 +338,93 @@ func TestFilterChunkMatchesReference(t *testing.T) {
 	})
 }
 
+// TestFilterAllMatchesAnd: a conjunction over one chunk, whose integer bounds
+// a frame-of-reference chunk folds into one range, against the AND of its
+// leaves filtered one by one, and that against the AND of value-at-a-time
+// comparisons — over the chunk matrix, with random conjunctions
+// of one to five leaves of every operator and, on integer columns, the edges:
+// bounds at MinInt64 and MaxInt64 (x < MinInt64 and x > MaxInt64 admit
+// nothing, x >= MinInt64 and x <= MaxInt64 everything), empty intersections,
+// a != inside the range it punctures, and no leaf at all. A leaf whose literal
+// does not fit the column is a type error, even behind an empty result.
+func TestFilterAllMatchesAnd(t *testing.T) {
+	forEachChunkCase(t, func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions) {
+		ch, col := openColumn(t, opts, col)
+		defer ch.Release()
+		var lits []Literal
+		switch col.Type {
+		case lpq.Int64:
+			v := col.Ints[rng.Intn(col.Len())]
+			lits = []Literal{IntLit(math.MinInt64), IntLit(math.MinInt64 + 1), IntLit(math.MaxInt64), IntLit(math.MaxInt64 - 1),
+				IntLit(-3), IntLit(v), IntLit(v + 1), IntLit(col.Ints[rng.Intn(col.Len())]), FloatLit(2.5)}
+		case lpq.Float64:
+			lits = []Literal{FloatLit(col.Floats[rng.Intn(col.Len())]), FloatLit(-0.5), FloatLit(math.NaN()), IntLit(5)}
+		default:
+			lits = []Literal{StringLit(col.Strings[rng.Intn(col.Len())]), StringLit("v0005"), StringLit("")}
+		}
+		check := func(cs []*Compare) {
+			t.Helper()
+			want, brute := bitmap.NewFull(col.Len()), bitmap.NewFull(col.Len())
+			for _, c := range cs {
+				bm, err := FilterChunk(c, ch)
+				if err != nil {
+					t.Fatalf("%v: %v", c, err)
+				}
+				ref, _ := bruteCompare(c, col)
+				if err := want.And(bm); err != nil || brute.And(ref) != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(want.Indexes(), brute.Indexes()) {
+				t.Fatalf("%v: the AND of FilterChunk selects %d rows, value-at-a-time %d", cs, want.Count(), brute.Count())
+			}
+			got, err := FilterAll(cs, ch)
+			if err != nil {
+				t.Fatalf("%v: %v", cs, err)
+			}
+			if got.Len() != want.Len() || !reflect.DeepEqual(got.Indexes(), want.Indexes()) {
+				t.Fatalf("%v: FilterAll selects %d rows, the AND of its leaves %d", cs, got.Count(), want.Count())
+			}
+		}
+		leaf := func(op CmpOp, lit Literal) *Compare { return &Compare{Column: "c", Op: op, Value: lit} }
+		// A leaf whose literal does not fit the column is an error, even
+		// behind a first leaf that leaves nothing to evaluate it on.
+		misfit := leaf(OpGt, StringLit("abc"))
+		if col.Type == lpq.String {
+			misfit = leaf(OpGt, IntLit(3))
+		}
+		var typeErr *ErrType
+		if _, err := FilterAll([]*Compare{leaf(OpNe, lits[0]), leaf(OpEq, lits[0]), misfit}, ch); !errorsAs(err, &typeErr) {
+			t.Fatalf("a misfit leaf behind an empty conjunction: %v, want a type error", err)
+		}
+		if col.Type == lpq.Int64 {
+			v := col.Ints[0]
+			for _, cs := range [][]*Compare{
+				nil,
+				{leaf(OpLt, IntLit(math.MinInt64))},
+				{leaf(OpGt, IntLit(math.MaxInt64))},
+				{leaf(OpGe, IntLit(math.MinInt64)), leaf(OpLe, IntLit(math.MaxInt64))},
+				{leaf(OpLe, IntLit(math.MinInt64)), leaf(OpGe, IntLit(math.MaxInt64))},
+				{leaf(OpGt, IntLit(math.MaxInt64)), leaf(OpLt, IntLit(math.MinInt64)), leaf(OpEq, IntLit(v))},
+				{leaf(OpGe, IntLit(v)), leaf(OpLt, IntLit(v))},
+				{leaf(OpGt, IntLit(v)), leaf(OpLe, IntLit(v))},
+				{leaf(OpEq, IntLit(v)), leaf(OpEq, IntLit(v+1))},
+				{leaf(OpGe, IntLit(v)), leaf(OpLe, IntLit(v))},
+				{leaf(OpGe, IntLit(v-1)), leaf(OpNe, IntLit(v)), leaf(OpLe, IntLit(v+1))},
+			} {
+				check(cs)
+			}
+		}
+		for range 60 {
+			cs := make([]*Compare, 1+rng.Intn(5))
+			for i := range cs {
+				cs[i] = leaf(OpEq+CmpOp(rng.Intn(int(OpGe-OpEq)+1)), lits[rng.Intn(len(lits))])
+			}
+			check(cs)
+		}
+	})
+}
+
 func errorsAs(err error, target **ErrType) bool {
 	e, ok := err.(*ErrType)
 	if ok {

@@ -22,7 +22,7 @@ import (
 // is one round trip per node per stage instead of one per chunk.
 
 // batchCall dispatches subs to one node as scatter-gather frames (chunked at
-// rpc.MaxBatchOps) and returns index-aligned sub-responses, with the outer
+// rpc.MaxBatchOps ops) and returns index-aligned sub-responses, with the outer
 // responses they arrived in: the sub-responses' payloads alias those frames,
 // and one Release per outer response is how a caller done with all of them
 // hands the buffers back (see scatter). A transport or outer application error
@@ -32,8 +32,11 @@ import (
 func (s *Store) batchCall(ctx context.Context, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, []*rpc.Response, error) {
 	out := make([]rpc.Response, 0, len(subs))
 	var frames []*rpc.Response
-	for start := 0; start < len(subs); start += rpc.MaxBatchOps {
-		end := min(start+rpc.MaxBatchOps, len(subs))
+	for start, end := 0, 0; start < len(subs); start = end {
+		// As many subs as MaxBatchOps admits (Request.Ops), and at least one.
+		for ops := 0; end < len(subs) && (end == start || ops+subs[end].Ops() <= rpc.MaxBatchOps); end++ {
+			ops += subs[end].Ops()
+		}
 		req := &rpc.Request{Kind: rpc.KindBatch, Subs: subs[start:end]}
 		resp, err := s.callChecked(ctx, sp, node, req)
 		if err != nil {
@@ -141,6 +144,24 @@ func exprLeaves(e sql.Expr, out []*sql.Compare) []*sql.Compare {
 	return out
 }
 
+// splitConjuncts flattens a WHERE clause's top-level ANDs and returns, in
+// WHERE order, the conjuncts that are single comparisons — the AND path — and
+// the leaves of the others, each under an OR or a NOT.
+func splitConjuncts(e sql.Expr, and, other []*sql.Compare) ([]*sql.Compare, []*sql.Compare) {
+	switch node := e.(type) {
+	case nil:
+		return and, other
+	case *sql.Compare:
+		return append(and, node), other
+	case *sql.Binary:
+		if node.Op == sql.OpAnd {
+			and, other = splitConjuncts(node.L, and, other)
+			return splitConjuncts(node.R, and, other)
+		}
+	}
+	return and, exprLeaves(e, other)
+}
+
 // nodeReq is one planned sub-request and the node it goes to.
 type nodeReq struct {
 	node int
@@ -246,6 +267,31 @@ func (t *stageTask) reply() *rpc.Response {
 	return t.resps[0]
 }
 
+// touchedBytes is the stored size of the chunks a pushed sub-op read from its
+// node's blocks, each distinct chunk once (by file offset), as the node's
+// frame opens it once: a range's two bounds, or GROUP BY x with SUM(x), read
+// one chunk. A chunk shipped in Data was counted by its fetch.
+func touchedBytes(req *rpc.Request) uint64 {
+	var n uint64
+	var seen []uint64
+	add := func(ref *rpc.ChunkRef) {
+		if ref.BlockID != "" && !slices.Contains(seen, ref.Meta.Offset) {
+			seen = append(seen, ref.Meta.Offset)
+			n += ref.Meta.Size
+		}
+	}
+	add(&req.Chunk)
+	for i := range req.Leaves {
+		add(&req.Leaves[i].Chunk)
+	}
+	for _, refs := range [2][]rpc.ChunkRef{req.KeyChunks, req.ValChunks} {
+		for i := range refs {
+			add(&refs[i])
+		}
+	}
+	return n
+}
+
 // runStage is the one query-stage executor. It applies the rule Fusion runs
 // every operator by (§4.3): a pushed operator is served by the node's reply,
 // anything else — nothing pushed, no answer, a reply work rejects — by the
@@ -261,10 +307,7 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 		if resp == nil {
 			continue
 		}
-		// The op logically touched its chunks though only its reply crossed
-		// the network — this is what pulls query read amplification below 1.
 		req := &p.reqs[j].req
-		touched := req.Chunk.Meta.Size
 		switch req.Kind {
 		case rpc.KindFilter:
 			st.stats.FilterRPCs++
@@ -276,19 +319,10 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 			st.stats.GroupAggRPCs++
 			st.stats.PartialGroups += len(resp.Groups)
 			st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
-			// Each distinct chunk the node read from its own blocks, once; a
-			// chunk shipped in Data was counted by its fetch.
-			seen := make(map[uint64]bool) // by file offset
-			for _, refs := range [2][]rpc.ChunkRef{req.KeyChunks, req.ValChunks} {
-				for _, ref := range refs {
-					if ref.BlockID != "" && !seen[ref.Meta.Offset] {
-						seen[ref.Meta.Offset] = true
-						touched += ref.Meta.Size
-					}
-				}
-			}
 		}
-		st.sp.Count(trace.BytesRequested, touched)
+		// The op logically touched its chunks though only its reply crossed
+		// the network — this is what pulls query read amplification below 1.
+		st.sp.Count(trace.BytesRequested, touchedBytes(req))
 	}
 	for i := range p.tasks {
 		p.tasks[i].resps, resps = resps[:p.tasks[i].n], resps[p.tasks[i].n:]
@@ -334,23 +368,40 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 // filterStage computes the selection bitmap of every row group; a nil entry
 // means the row group is provably empty. The planner's shortcuts never touch
 // the network: whole row groups pruned (or accepted) by the footer-stats
-// verdict, then per-leaf chunk-stats verdicts. The other leaves are pushed —
-// every (row group, leaf) pair a node hosts rides that node's one frame,
-// sub-ops carrying the row-group id in Request.RG — and a leaf without a
-// pushed bitmap (nothing planned, node down, corrupt chunk, lost frame,
-// malformed reply) is evaluated at the coordinator over the fetched chunk.
+// verdict, then per-leaf chunk-stats verdicts. The other leaves are pushed,
+// every row group's sub-ops riding its nodes' one frame each, tagged with the
+// row group in Request.RG. A conjunction is pushed, not a leaf: the leaves of
+// the WHERE clause's top-level ANDs that one node holds go as one Filter, in
+// WHERE order, whose reply is their AND; a leaf under an OR or a NOT goes
+// alone. A reply stands in for every leaf it covers — the first leaf
+// evaluated takes it, the others a full bitmap, so no bitmap is ANDed twice
+// or aliased. A leaf without a usable reply (nothing planned, node down,
+// corrupt chunk, lost frame, malformed reply), and so every leaf of a
+// conjunction without one, is evaluated at the coordinator over the fetched
+// chunk.
 func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) ([]*bitmap.Bitmap, error) {
 	meta := st.meta
 	rgs := meta.Footer.RowGroups
 	push := pushdownOn(meta)
-	leaves := exprLeaves(q.Where, nil)
+	andPath, other := splitConjuncts(q.Where, nil, nil)
+	leaves := append(andPath, other...)
+	index := make(map[*sql.Compare]int, len(leaves)) // a leaf's position in leaves
+	for i, c := range leaves {
+		index[c] = i
+	}
 	// leafStats is the chunk-stats verdict on leaf c in row group rg.
 	leafStats := func(c *sql.Compare, rg int) sql.StatsVerdict {
 		ci := colIdx[c.Column]
 		return sql.CheckStats(c, meta.Footer.Columns[ci].Type, rgs[rg].Chunks[ci].Stats)
 	}
 	out := make([]*bitmap.Bitmap, len(rgs))
-	pushed := make([][]*sql.Compare, len(rgs)) // leaves pushed, in sub-request order
+	// pushed[rg*len(leaves)+i] is the sub-op of row group rg's task that
+	// answers leaves[i], or -1.
+	pushed := make([]int, len(rgs)*len(leaves))
+	for i := range pushed {
+		pushed[i] = -1
+	}
+	var conj []int // a row group's conjunctions' nodes: the AND path plans them first, so sub-op j is conj[j]'s
 	var p stagePlan
 	for rg := range rgs {
 		verdict := sql.StatsAll
@@ -365,20 +416,47 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 		if verdict == sql.StatsNone || !push {
 			continue
 		}
-		for _, c := range leaves {
+		base := len(p.reqs)
+		conj = conj[:0]
+		for i, c := range leaves {
 			ci := colIdx[c.Column]
 			if leafStats(c, rg) != sql.StatsUnknown {
 				continue
 			}
-			if node, ref, ok := chunkLocation(meta, rg, ci, rgs[rg].Chunks[ci]); ok {
-				p.push(node, rpc.Request{Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg)})
-				pushed[rg] = append(pushed[rg], c)
+			node, ref, ok := chunkLocation(meta, rg, ci, rgs[rg].Chunks[ci])
+			if !ok {
+				continue
 			}
+			leaf := rpc.FilterLeaf{Chunk: ref, Op: c.Op, Value: c.Value}
+			onAND := i < len(andPath)
+			if j := slices.Index(conj, node); onAND && j >= 0 {
+				p.reqs[base+j].req.Leaves = append(p.reqs[base+j].req.Leaves, leaf)
+				pushed[rg*len(leaves)+i] = j
+				continue
+			}
+			if onAND {
+				conj = append(conj, node)
+			}
+			pushed[rg*len(leaves)+i] = p.tasks[len(p.tasks)-1].n
+			p.push(node, rpc.Request{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{leaf}, RG: int32(rg)})
 		}
 	}
 	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
-		rg := p.tasks[i].rg
+		t := &p.tasks[i]
+		rg := t.rg
 		nRows := rgs[rg].NumRows
+		// Each reply decoded once (nil if unusable), and taken by the first
+		// leaf it answers.
+		type reply struct {
+			bm    *bitmap.Bitmap
+			taken bool
+		}
+		replies := make([]reply, t.n)
+		for j, resp := range t.resps {
+			if resp != nil {
+				replies[j].bm, _ = bitmap.Unmarshal(resp.Data, nRows)
+			}
+		}
 		fetched := false
 		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
 			// Chunk-level stats shortcut (no I/O at all).
@@ -388,10 +466,12 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 			case sql.StatsAll:
 				return bitmap.NewFull(nRows), nil
 			}
-			if j := slices.Index(pushed[rg], c); j >= 0 && p.tasks[i].resps[j] != nil {
-				if bm, err := bitmap.Unmarshal(p.tasks[i].resps[j].Data, nRows); err == nil {
-					return bm, nil
+			if j := pushed[rg*len(leaves)+index[c]]; j >= 0 && replies[j].bm != nil {
+				if replies[j].taken {
+					return bitmap.NewFull(nRows), nil
 				}
+				replies[j].taken = true
+				return replies[j].bm, nil
 			}
 			fetched = true
 			ci := colIdx[c.Column]
@@ -407,7 +487,7 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 		if err == nil && bm.Count() > 0 {
 			out[rg] = bm // else leave nil: empty after exact filtering
 		}
-		return len(pushed[rg]) > 0 && !fetched, err
+		return t.n > 0 && !fetched, err
 	})
 	if err != nil {
 		return nil, err

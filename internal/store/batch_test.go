@@ -101,16 +101,31 @@ func TestQueryRoundTrips(t *testing.T) {
 	data, _, _ := makeObject(t, rowGroups, 200, 7)
 	for _, c := range []struct {
 		query string
-		// The work the frames carry, per row group: filter leaves, then
+		// The work the frames carry, per row group: the columns the WHERE
+		// clause's conjunction reads (one Filter per node holding some), then
 		// projected or aggregated chunks.
-		filters, projects, aggs int
+		conj           []int
+		projects, aggs int
 	}{
-		{query: "SELECT * FROM obj WHERE qty < 25", filters: 1, projects: 5},
-		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0", filters: 2, aggs: 2},
+		{query: "SELECT * FROM obj WHERE qty < 25", conj: []int{colQty}, projects: 5},
+		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0", conj: []int{colQty, colPrice}, aggs: 2},
 	} {
 		opts := fusionTestOptions()
 		opts.Pushdown = PushdownAlways
 		p, b := pushdownAndBaselineStores(t, opts, data)
+		meta, err := p.Meta("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters := 0
+		for rg, rgm := range meta.Footer.RowGroups {
+			nodes := map[int]bool{}
+			for _, ci := range c.conj {
+				node, _, _ := chunkLocation(meta, rg, ci, rgm.Chunks[ci])
+				nodes[node] = true
+			}
+			filters += len(nodes)
+		}
 
 		res, total, filter := queryRoundTrips(t, p, c.query)
 		want, baseTotal, _ := queryRoundTrips(t, b, c.query)
@@ -127,10 +142,10 @@ func TestQueryRoundTrips(t *testing.T) {
 			t.Fatalf("%q: query took %d data round trips, want ≤ %d (one frame per node per stage)", c.query, total, 2*nodes)
 		}
 		st := res.Stats
-		if st.FilterRPCs != c.filters*rowGroups || st.ProjectRPCs != c.projects*rowGroups ||
+		if st.FilterRPCs != filters || st.ProjectRPCs != c.projects*rowGroups ||
 			st.GroupAggRPCs != c.aggs*rowGroups || st.FetchRPCs != 0 {
-			t.Fatalf("%q: pushed ops: filter %d project %d group-agg %d fetch %d, want %d/%d/%d/0 per row group",
-				c.query, st.FilterRPCs, st.ProjectRPCs, st.GroupAggRPCs, st.FetchRPCs, c.filters, c.projects, c.aggs)
+			t.Fatalf("%q: pushed ops: filter %d project %d group-agg %d fetch %d, want %d in all, then %d/%d/0 per row group",
+				c.query, st.FilterRPCs, st.ProjectRPCs, st.GroupAggRPCs, st.FetchRPCs, filters, c.projects, c.aggs)
 		}
 		if uint64(st.BatchRPCs) != total {
 			t.Fatalf("%q: BatchRPCs = %d, trace recorded %d round trips", c.query, st.BatchRPCs, total)
@@ -141,6 +156,43 @@ func TestQueryRoundTrips(t *testing.T) {
 		}
 		t.Logf("%q round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
 			c.query, total, filter, baseTotal, simLatency(newSimModel(), res).Total, simLatency(newSimModel(), want).Total)
+	}
+}
+
+// TestFilterCountsChunkOnce: a pushed conjunction counts each distinct chunk
+// it reads once in the trace's bytes requested, as the node's frame opens it
+// once — the two bounds of a range on qty count the qty chunk once per row
+// group, not twice. Projections are not pushed, so the id chunks are fetched,
+// each counted once too.
+func TestFilterCountsChunkOnce(t *testing.T) {
+	const colID = 0
+	data, _, _ := makeObject(t, 4, 300, 11)
+	opts := fusionTestOptions()
+	opts.Pushdown = PushdownNever
+	s, _ := newSimStore(t, opts)
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, sp := trace.Start(context.Background(), "test.query")
+	res, err := s.QueryContext(ctx, "SELECT id FROM obj WHERE qty >= 10 AND qty < 30")
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, rgm := range meta.Footer.RowGroups {
+		want += rgm.Chunks[colQty].Size + rgm.Chunks[colID].Size
+	}
+	if rgs := len(meta.Footer.RowGroups); res.Stats.FilterRPCs != rgs || res.Stats.PushdownOff != rgs {
+		t.Fatalf("%d filters pushed and %d chunks fetched, want one each per row group (%d)",
+			res.Stats.FilterRPCs, res.Stats.PushdownOff, rgs)
+	}
+	if got := sp.Total(trace.BytesRequested); got != want {
+		t.Fatalf("bytes requested %d, want %d (qty and id once per row group)", got, want)
 	}
 }
 

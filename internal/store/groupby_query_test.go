@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -25,25 +26,26 @@ import (
 // resultKey renders a Result's table deterministically, with floats printed
 // as raw bits so "close enough" can never mask a divergent reduction.
 func resultKey(res *Result) string {
-	s := fmt.Sprintf("rows=%d cols=%v aggs=%v\n", res.Rows, res.Columns, res.AggLabels)
+	var s strings.Builder
+	fmt.Fprintf(&s, "rows=%d cols=%v aggs=%v\n", res.Rows, res.Columns, res.AggLabels)
 	for i, col := range res.Data {
-		s += fmt.Sprintf("col %d type=%v ", i, col.Type)
+		fmt.Fprintf(&s, "col %d type=%v ", i, col.Type)
 		switch col.Type {
 		case lpq.Int64:
-			s += fmt.Sprintf("%v", col.Ints)
+			fmt.Fprintf(&s, "%v", col.Ints)
 		case lpq.Float64:
 			for _, f := range col.Floats {
-				s += fmt.Sprintf(" %016x", math.Float64bits(f))
+				fmt.Fprintf(&s, " %016x", math.Float64bits(f))
 			}
 		default:
-			s += fmt.Sprintf("%q", col.Strings)
+			fmt.Fprintf(&s, "%q", col.Strings)
 		}
-		s += "\n"
+		s.WriteString("\n")
 	}
 	for i, v := range res.AggValues {
-		s += fmt.Sprintf("agg %d kind=%d i=%d f=%016x s=%q\n", i, v.Kind, v.I, math.Float64bits(v.F), v.S)
+		fmt.Fprintf(&s, "agg %d kind=%d i=%d f=%016x s=%q\n", i, v.Kind, v.I, math.Float64bits(v.F), v.S)
 	}
-	return s
+	return s.String()
 }
 
 var groupEquivQueries = []string{

@@ -58,8 +58,10 @@ type QueryStats struct {
 	// entries' request and reply bytes.
 	TrafficBytes uint64
 	// FilterRPCs and ProjectRPCs count pushed filter and projection
-	// sub-requests answered; FetchRPCs counts bare block reads (chunk
-	// fetches and the survivor reads of a rebuild).
+	// sub-requests answered — for a filter, sub-ops, not leaves: one per
+	// node's conjunction in a row group, and one per leaf under an OR or a
+	// NOT; FetchRPCs counts bare block reads (chunk fetches and the survivor
+	// reads of a rebuild).
 	FilterRPCs, ProjectRPCs, FetchRPCs int
 	// BatchRPCs counts the scatter-gather frames — each one network round
 	// trip — that carried pushed sub-requests or prefetched blocks, so
