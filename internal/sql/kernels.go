@@ -393,32 +393,42 @@ func (t *TopK) PushChunk(ch *lpq.Chunk, sel *bitmap.Bitmap, rg int32) error {
 	if err := c.start(ch, sel); err != nil {
 		return err
 	}
+	// The cut-off a row must beat is held here and read again only after a
+	// Push, the one call that moves it.
 	for c.next() {
 		switch {
 		case ch.Type() == lpq.Int64:
+			last, ok := t.lastKey(LitInt)
 			for i, v := range c.ints {
-				if last, ok := t.lastKey(LitInt); !ok || !sortsAfter(v, last.I, t.desc) {
+				if !ok || !sortsAfter(v, last.I, t.desc) {
 					t.Push(IntLit(v), rg, c.sc.Row(i))
+					last, ok = t.lastKey(LitInt)
 				}
 			}
 		case ch.Type() == lpq.Float64:
+			last, ok := t.lastKey(LitFloat)
 			for i, v := range c.floats {
-				if last, ok := t.lastKey(LitFloat); !ok || !sortsAfter(v, last.F, t.desc) {
+				if !ok || !sortsAfter(v, last.F, t.desc) {
 					t.Push(FloatLit(v), rg, c.sc.Row(i))
+					last, ok = t.lastKey(LitFloat)
 				}
 			}
 		case c.isDict:
+			last, ok := t.lastKey(LitString)
 			for i, code := range c.codes {
-				if last, ok := t.lastKey(LitString); !ok || !sortsAfter(c.dict.Strings[code], last.S, t.desc) {
+				if !ok || !sortsAfter(c.dict.Strings[code], last.S, t.desc) {
 					t.Push(StringLit(c.dict.Strings[code]), rg, c.sc.Row(i))
+					last, ok = t.lastKey(LitString)
 				}
 			}
 		default:
+			last, ok := t.lastKey(LitString)
 			for i := 0; i < c.n; i++ {
 				// Compared in place, copied out of the chunk only if it may place.
 				b := c.sc.Bytes(i)
-				if last, ok := t.lastKey(LitString); !ok || !bytesSortAfter(b, last.S, t.desc) {
+				if !ok || !bytesSortAfter(b, last.S, t.desc) {
 					t.Push(StringLit(string(b)), rg, c.sc.Row(i))
+					last, ok = t.lastKey(LitString)
 				}
 			}
 		}

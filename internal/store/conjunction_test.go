@@ -439,3 +439,35 @@ func TestConjunctionTypeErrorAsBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestPrunedQueryTypeErrorAsUnpruned: a WHERE literal that does not fit its
+// column fails the query with the same type error whether or not the footer
+// statistics prune every row group first (no qty is below 0), on the
+// baseline and under FAC alike.
+func TestPrunedQueryTypeErrorAsUnpruned(t *testing.T) {
+	data, _, _ := makeObject(t, 3, 300, 1)
+	for _, opts := range []Options{BaselineOptions(), fusionTestOptions()} {
+		s, _ := newSimStore(t, opts)
+		if _, err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		for _, q := range []string{
+			"SELECT id FROM obj WHERE qty > 'abc'",
+			"SELECT id FROM obj WHERE qty < 0 AND qty > 'abc'",
+			"SELECT COUNT(*) FROM obj WHERE NOT (qty < 0 OR qty > 'abc')",
+		} {
+			res, err := s.Query(q)
+			var typeErr *sql.ErrType
+			if !errors.As(err, &typeErr) {
+				t.Fatalf("%v layout: %q returned %v (%v), want a type error", opts.Layout, q, res, err)
+			}
+			if want == "" {
+				want = err.Error()
+			}
+			if err.Error() != want {
+				t.Errorf("%v layout: %q failed with %q, want %q", opts.Layout, q, err, want)
+			}
+		}
+	}
+}

@@ -190,6 +190,19 @@ func itemSizes(items []Item) []uint64 {
 	return sizes
 }
 
+// itemGroups labels each item with its row group for fac.GatherRowGroups:
+// a chunk's RG, -1 for the header and footer.
+func itemGroups(items []Item) []int {
+	groups := make([]int, len(items))
+	for i, it := range items {
+		groups[i] = -1
+		if it.Kind == ItemChunk {
+			groups[i] = it.RG
+		}
+	}
+	return groups
+}
+
 // facLayoutToMeta converts a fac.Layout plus per-stripe node/block choices
 // into item locations.
 func facLayoutToMeta(layout fac.Layout, items []Item) []ItemLoc {

@@ -121,9 +121,11 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	layoutStart := time.Now()
 	var plans []stripePlan
 	if mode == LayoutFAC {
-		l, err := fac.ConstructWithBudget(s.opts.Params.N, s.opts.Params.K, itemSizes(items), s.opts.StorageBudget)
+		sizes := itemSizes(items)
+		l, err := fac.ConstructWithBudget(s.opts.Params.N, s.opts.Params.K, sizes, s.opts.StorageBudget)
 		switch {
 		case err == nil:
+			l = fac.GatherRowGroups(l, sizes, itemGroups(items))
 			meta.ItemLocs = facLayoutToMeta(l, items)
 			plans = facStripePlans(l, items)
 		case errors.Is(err, fac.ErrBudgetExceeded):
@@ -361,13 +363,15 @@ func (s *Store) placeRound(ctx context.Context, sp *trace.Span, meta *ObjectMeta
 }
 
 // affinity is a Put's row-group-affine placement: the chunks each data bin
-// holds, per row group, and a running tally of the chunks of each row group
-// the Put's stripes so far placed on each node. Under the fixed layout no bin
-// holds a chunk, every score is 0, and order returns the permutation as
-// drawn.
+// holds, per row group, and a running tally of the chunks of each row group,
+// and of their bytes, that the Put's stripes so far placed on each node.
+// Under the fixed layout no bin holds a chunk, every score and load is 0, and
+// order returns the permutation as drawn.
 type affinity struct {
 	bins  [][][]rgChunks // stripe → data bin → its chunks, by row group
+	size  [][]uint64     // stripe → data bin → its chunks' bytes
 	tally [][]int        // node → row group → chunks placed there
+	load  []uint64       // node → chunk bytes placed there
 }
 
 // rgChunks is how many chunks of row group rg a bin holds.
@@ -376,9 +380,11 @@ type rgChunks struct{ rg, n int }
 // newAffinity indexes meta's chunk locations by stripe and bin: a FAC
 // layout's stripes stripes of k bins over nodes nodes.
 func newAffinity(meta *ObjectMeta, stripes, k, nodes int) *affinity {
-	a := &affinity{bins: make([][][]rgChunks, stripes), tally: make([][]int, nodes)}
+	a := &affinity{bins: make([][][]rgChunks, stripes), size: make([][]uint64, stripes),
+		tally: make([][]int, nodes), load: make([]uint64, nodes)}
 	for si := range a.bins {
 		a.bins[si] = make([][]rgChunks, k)
+		a.size[si] = make([]uint64, k)
 	}
 	if meta.ItemLocs == nil {
 		return a
@@ -392,6 +398,7 @@ func newAffinity(meta *ObjectMeta, stripes, k, nodes int) *affinity {
 			continue
 		}
 		loc := meta.ItemLocs[i]
+		a.size[loc.Stripe][loc.Bin] += it.Size
 		bin := &a.bins[loc.Stripe][loc.Bin]
 		if last := len(*bin) - 1; last >= 0 && (*bin)[last].rg == it.RG {
 			(*bin)[last].n++
@@ -416,8 +423,10 @@ func (a *affinity) score(si, j, node int) int {
 // k data bins first, each on the node it was paired with, then the rest of
 // perm in its order — the parity blocks' nodes, then the spares. Pairs are
 // taken greedily, the (bin, free node) of highest score first, a tie to the
-// earlier bin and then to the node earlier in perm; with every score 0 that
-// is perm itself.
+// node holding fewer of the Put's chunk bytes, then to the earlier bin and
+// then to the node earlier in perm: a row group's first bins, which no node
+// holds yet, go to the emptiest nodes, so row-group-pure bins do not pile up
+// beside each other. With every score and load 0 that is perm itself.
 func (a *affinity) order(si int, perm []int) []int {
 	k, n := len(a.bins[si]), len(perm)
 	scores := make([]int, k*n) // bin j on perm[p] at j*n+p; -1 once either is taken
@@ -431,7 +440,7 @@ func (a *affinity) order(si int, perm []int) []int {
 	for range k {
 		at := 0
 		for i, sc := range scores {
-			if sc > scores[at] {
+			if sc > scores[at] || sc >= 0 && sc == scores[at] && a.load[perm[i%n]] < a.load[perm[at%n]] {
 				at = i
 			}
 		}
@@ -452,10 +461,11 @@ func (a *affinity) order(si int, perm []int) []int {
 	return out
 }
 
-// count adds sign times stripe si's chunks to the tally of the nodes holding
-// its data bins.
+// count adds sign times stripe si's chunks, and their bytes, to the tallies
+// of the nodes holding its data bins.
 func (a *affinity) count(si int, nodes []int, sign int) {
 	for j, bin := range a.bins[si] {
+		a.load[nodes[j]] += uint64(sign) * a.size[si][j] // wraps to a subtraction for sign -1
 		for _, c := range bin {
 			a.tally[nodes[j]][c.rg] += sign * c.n
 		}

@@ -34,8 +34,9 @@ func scatterTestOptions() Options {
 // order, from a generator seeded with seed; the k data bins paired greedily
 // with nodes, the pair whose node holds the most chunks sharing a row group
 // with the bin first — a tie to the earlier bin, then to the node earlier in
-// the permutation — and the parity blocks on the rest of the permutation in
-// its order. Earlier stripes' chunks count on the nodes meta names.
+// the permutation, a tie to the node holding fewer chunk bytes — and the
+// parity blocks on the rest of the permutation in its order. Earlier stripes'
+// chunks count on the nodes meta names.
 func seededPlacement(meta *ObjectMeta, nodes int, seed int64, k int) [][]int {
 	rng := rand.New(rand.NewSource(seed))
 	binRGs := map[[2]int][]int{} // {stripe, bin} → row groups of its chunks
@@ -59,6 +60,17 @@ func seededPlacement(meta *ObjectMeta, nodes int, seed int64, k int) [][]int {
 		}
 		return n
 	}
+	load := func(si, node int) uint64 { // chunk bytes stripes before si put on node
+		var n uint64
+		for i, it := range meta.Items {
+			if it.Kind == ItemChunk && meta.ItemLocs != nil {
+				if loc := meta.ItemLocs[i]; loc.Stripe < si && meta.Stripes[loc.Stripe].Nodes[loc.Bin] == node {
+					n += it.Size
+				}
+			}
+		}
+		return n
+	}
 	out := make([][]int, len(meta.Stripes))
 	for si, st := range meta.Stripes {
 		perm := rng.Perm(nodes)
@@ -68,7 +80,10 @@ func seededPlacement(meta *ObjectMeta, nodes int, seed int64, k int) [][]int {
 			bin, node, best := -1, -1, -1
 			for j := range k {
 				for _, cand := range perm {
-					if sc := score(si, j, cand); !binDone[j] && !nodeTaken[cand] && sc > best {
+					if binDone[j] || nodeTaken[cand] {
+						continue
+					}
+					if sc := score(si, j, cand); sc > best || sc == best && load(si, cand) < load(si, node) {
 						bin, node, best = j, cand, sc
 					}
 				}

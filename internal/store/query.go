@@ -219,6 +219,23 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 	return res, err
 }
 
+// checkLiterals returns sql.CheckType's error for the first comparison in e
+// whose literal cannot be compared with its column.
+func checkLiterals(e sql.Expr, cols []lpq.Column, colIdx map[string]int) error {
+	switch e := e.(type) {
+	case *sql.Compare:
+		return sql.CheckType(e, cols[colIdx[e.Column]].Type)
+	case *sql.Binary:
+		if err := checkLiterals(e.L, cols, colIdx); err != nil {
+			return err
+		}
+		return checkLiterals(e.R, cols, colIdx)
+	case *sql.Not:
+		return checkLiterals(e.E, cols, colIdx)
+	}
+	return nil
+}
+
 // runQuery executes a parsed query against one specific metadata snapshot.
 // The parsed query is copied first: star expansion appends to Projections,
 // and a retry against fresh metadata must start from the original SELECT
@@ -249,6 +266,12 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 		return nil
 	}
 	if err := check(q.FilterColumns()); err != nil {
+		return nil, err
+	}
+	// Every WHERE literal must fit its column's type before any row group is
+	// pruned: a query whose footer statistics prune every row group still
+	// fails as one that reads them.
+	if err := checkLiterals(q.Where, meta.Footer.Columns, colIdx); err != nil {
 		return nil, err
 	}
 	if err := check(q.ProjectionColumns()); err != nil {

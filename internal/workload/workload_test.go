@@ -267,14 +267,20 @@ func TestFig13FusionWinsOnBigColumns(t *testing.T) {
 // and processing bytes halve) and replies one bitmap of the ≈1% selected
 // where two of about half the rows each came back (a node's filter reply
 // falls from ≈1.7 KB to ≈0.2 KB), so the cell reads 1.57 ms. No frame was
-// added or lost, so Tab4 draws Fusion's jitter as before. With Tab4 unpriced
-// Fusion's p50/p99 read 1.572965ms/1.573556ms.
+// added or lost, so Tab4 draws Fusion's jitter as before. And Fusion's again
+// when FAC began gathering each row group into bins of its own
+// (fac.GatherRowGroups) and a bin no node yet holds a row group of began
+// going to the emptiest node: Tab4's lineitem queries run over the new
+// placement and take a different number of jitter draws, so the cell draws a
+// different stretch of Fusion's jitter stream (1.570374/1.575679 ms before). The cell itself is
+// unchanged: with Tab4 unpriced Fusion's p50/p99 read 1.572965ms/1.573556ms
+// on both sides.
 func TestEveryQueryIsPriced(t *testing.T) {
 	l := testLab(t)
 	l.Tab4()
 	f, b := l.columnCell("l_extendedprice", 0.01, 105)
 	got := []string{f.Latency.P50().String(), f.Latency.P99().String(), b.Latency.P50().String(), b.Latency.P99().String()}
-	want := []string{"1.570374ms", "1.575679ms", "4.784999ms", "4.789434ms"}
+	want := []string{"1.573213ms", "1.574012ms", "4.784999ms", "4.789434ms"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fig13 cell for l_extendedprice after tab4 (fusion p50, p99, baseline p50, p99):\n got %v\nwant %v", got, want)
 	}
