@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -335,16 +336,21 @@ func (n *Node) handleGet(req *rpc.Request) *rpc.Response {
 // last use ends and a long frame holds one chunk's buffer at a time, not one
 // per sub-op. Nothing outlives the frame: this is not a cache.
 //
-// The frame also keeps the last row selection it parsed: the sub-ops of one
-// row group — a projection per column, an aggregate beside them — carry the
-// same selection bytes, which are parsed once.
+// The frame also keeps the last row selection a sub-op asked for: the sub-ops
+// of one row group — a projection per column, an aggregate beside them —
+// carry the same selection, which is parsed or evaluated once (selection).
 type frame struct {
 	node   *Node
 	uses   map[chunkKey]int        // uses of each chunk yet to finish
 	chunks map[chunkKey]*lpq.Chunk // open now: in use, or awaiting a later use
 
-	sel     *bitmap.Bitmap // the last selection parsed, nil before the first
-	selWire []byte         // the bytes it was parsed from
+	sel       *bitmap.Bitmap   // the last selection, nil before the first
+	selErr    error            // what evaluating selLeaves failed with
+	selLeaves []rpc.FilterLeaf // the conjunction it was evaluated from, or nil
+	selWire   []byte           // its wire form: the bytes it was parsed from, or nil until marshalled
+	selSent   bool             // a reply of this frame carried the conjunction's selection
+	selRead   []chunkKey       // the chunks evaluating selLeaves opened
+	selFresh  bool             // the current sub-op evaluated the selection: selRead is charged to it
 }
 
 // chunkKey identifies a chunk within a frame: where its bytes are and what
@@ -368,23 +374,24 @@ func keyOf(ref *rpc.ChunkRef) chunkKey {
 }
 
 // newFrame counts the chunk uses of a request and its sub-requests. A request
-// that names no chunk — every block operation — gets a nil frame and costs
-// nothing here.
+// with no pushed operator — every block operation — gets a nil frame and
+// costs nothing here.
 func newFrame(n *Node, req *rpc.Request) *frame {
 	var f *frame
-	use := func(ref *rpc.ChunkRef) {
-		if f == nil {
-			f = &frame{node: n, uses: make(map[chunkKey]int), chunks: make(map[chunkKey]*lpq.Chunk)}
-		}
-		f.uses[keyOf(ref)]++
-	}
-	// Mirrors which chunks each handler opens.
+	use := func(ref *rpc.ChunkRef) { f.uses[keyOf(ref)]++ }
+	// Mirrors which chunks each handler opens: a conjunction's leaves
+	// (selection ends their uses, evaluated or shared), and the operator's own.
 	count := func(r *rpc.Request) {
 		switch r.Kind {
-		case rpc.KindFilter:
+		case rpc.KindFilter, rpc.KindProject, rpc.KindTopK, rpc.KindGroupAgg:
+			if f == nil { // its selection lives in the frame, whatever it opens
+				f = &frame{node: n, uses: make(map[chunkKey]int), chunks: make(map[chunkKey]*lpq.Chunk)}
+			}
 			for i := range r.Leaves {
 				use(&r.Leaves[i].Chunk)
 			}
+		}
+		switch r.Kind {
 		case rpc.KindProject, rpc.KindTopK:
 			use(&r.Chunk)
 		case rpc.KindGroupAgg:
@@ -456,32 +463,53 @@ func (f *frame) release() {
 	}
 }
 
-// selection parses a request's row bitmap, which must cover the chunk's rows:
-// the frame's last selection again when the bytes and rows are its. Kernels
-// only read a selection, so sub-ops share it.
-func (f *frame) selection(data []byte, ch *lpq.Chunk, what string) (*bitmap.Bitmap, error) {
-	if f.sel != nil && f.sel.Len() == ch.NumRows() && bytes.Equal(f.selWire, data) {
-		return f.sel, nil
+// selection returns a sub-op's row selection, the AND of its Leaves
+// (conjunction) or else its Bitmap over rows rows, and ends the sub-op's use
+// of every leaf's chunk. A sub-op whose Leaves are the last selection's own
+// slice (a back-reference on the wire), or whose Bitmap has its bytes and
+// rows, shares it, and the error it failed with, at no cost.
+func (f *frame) selection(req *rpc.Request, rows int) (*bitmap.Bitmap, rpc.Cost, error) {
+	if len(req.Leaves) > 0 {
+		f.selFresh = f.selLeaves == nil || !rpc.SameSlice(f.selLeaves, req.Leaves)
+		if !f.selFresh {
+			for i := range req.Leaves {
+				f.close(req.Leaves[i].Chunk)
+			}
+			return f.sel, rpc.Cost{}, f.selErr
+		}
+		f.selRead = f.selRead[:0]
+		bm, cost, err := f.conjunction(req.Leaves)
+		f.sel, f.selErr, f.selLeaves, f.selWire, f.selSent = bm, err, req.Leaves, nil, false
+		return bm, cost, err
 	}
-	bm, err := bitmap.Unmarshal(data, ch.NumRows())
+	f.selFresh = false
+	if f.selLeaves == nil && f.sel != nil && f.sel.Len() == rows && bytes.Equal(f.selWire, req.Bitmap) {
+		return f.sel, rpc.Cost{}, nil
+	}
+	bm, err := bitmap.Unmarshal(req.Bitmap, rows)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: selection over the %s: %w", what, err)
+		return nil, rpc.Cost{}, fmt.Errorf("cluster: selection: %w", err)
 	}
-	f.sel, f.selWire = bm, data
-	return bm, nil
+	f.sel, f.selErr, f.selLeaves, f.selWire = bm, nil, nil, req.Bitmap
+	return bm, rpc.Cost{}, nil
 }
 
-// handleFilter runs a pushed-down conjunction on local chunks and returns the
-// AND of its leaves as one bitmap in its smallest wire form (§5 has the node
-// read the chunk, run the filter and Snappy-compress the bitmap;
-// bitmap.Marshal says why this one does not). The leaves are taken chunk by
-// chunk, in the order their chunks first appear, each chunk's leaves by
-// sql.FilterAll: a chunk named twice is opened once, and its integer bounds
-// read its rows in one pass. The first empty result ends the evaluation, and
-// the chunks after it are not opened. Every leaf's chunk must have as many
-// rows as the first's, and every literal the type of its chunk.
-func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
-	leaves := req.Leaves
+// selectionWire is the last selection in its wire form, marshalled once.
+func (f *frame) selectionWire() []byte {
+	if f.selWire == nil {
+		f.selWire = f.sel.Marshal()
+	}
+	return f.selWire
+}
+
+// conjunction evaluates a pushed-down conjunction on local chunks and
+// returns the AND of its leaves. The leaves are taken chunk by chunk, in the
+// order their chunks first appear, each chunk's leaves by sql.FilterAll: a
+// chunk named twice is opened once, and its integer bounds read its rows in
+// one pass. The first empty result ends the evaluation, and the chunks after
+// it are not opened. Every leaf's chunk must have as many rows as the
+// first's, and every literal the type of its chunk.
+func (f *frame) conjunction(leaves []rpc.FilterLeaf) (*bitmap.Bitmap, rpc.Cost, error) {
 	// Every leaf's use of its chunk ends here, evaluated or not.
 	done := make([]bool, len(leaves))
 	defer func() {
@@ -491,24 +519,24 @@ func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
 			}
 		}
 	}()
-	if len(leaves) == 0 || len(leaves) > rpc.MaxBatchOps {
-		return errResp(fmt.Errorf("cluster: Filter has %d leaves, want 1 to %d", len(leaves), rpc.MaxBatchOps))
+	var cost rpc.Cost
+	if len(leaves) > rpc.MaxBatchOps {
+		return nil, cost, fmt.Errorf("cluster: conjunction has %d leaves, want at most %d", len(leaves), rpc.MaxBatchOps)
 	}
 	// Every leaf is checked before any is evaluated: the evaluation may stop
 	// early, and a leaf it skips is still an error if it is malformed.
 	cmps := make([]sql.Compare, len(leaves))
 	for i := range leaves {
 		if rows := leaves[i].Chunk.Meta.NumValues; rows != leaves[0].Chunk.Meta.NumValues {
-			return errResp(fmt.Errorf("cluster: Filter leaf %d's chunk has %d rows, the first's %d",
-				i, rows, leaves[0].Chunk.Meta.NumValues))
+			return nil, cost, fmt.Errorf("cluster: conjunction leaf %d's chunk has %d rows, the first's %d",
+				i, rows, leaves[0].Chunk.Meta.NumValues)
 		}
 		cmps[i] = sql.Compare{Column: "pushdown", Op: leaves[i].Op, Value: leaves[i].Value}
 		if err := sql.CheckType(&cmps[i], leaves[i].Chunk.Type); err != nil {
-			return errResp(err)
+			return nil, cost, err
 		}
 	}
 	cs := make([]*sql.Compare, 0, len(leaves))
-	var cost rpc.Cost
 	var out *bitmap.Bitmap
 	for i := range leaves {
 		if done[i] {
@@ -518,10 +546,11 @@ func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
 		cost.Add(c)
 		if err != nil {
 			done[i] = true // a failed open ends its use
-			return errRespCost(err, cost)
+			return nil, cost, err
 		}
 		// This chunk's leaves, evaluated together.
 		key := keyOf(&leaves[i].Chunk)
+		f.selRead = append(f.selRead, key)
 		cs = cs[:0]
 		for j := i; j < len(leaves); j++ {
 			if !done[j] && keyOf(&leaves[j].Chunk) == key {
@@ -536,40 +565,85 @@ func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
 			}
 		}
 		if err != nil {
-			return errRespCost(err, cost)
+			return nil, cost, err
 		}
 		if out == nil {
 			out = bm
 		} else if err := out.And(bm); err != nil {
-			return errRespCost(err, cost)
+			return nil, cost, err
 		}
 		if out.Count() == 0 {
 			break
 		}
 	}
-	return &rpc.Response{Data: out.Marshal(), Matches: out.Count(), Cost: cost}
+	return out, cost, nil
 }
 
-// handleProject returns the rows of the chunk the request bitmap selects as a
-// projection reply: a chunk of just those rows in the chunk's own encoding,
-// uncompressed (lpq.Chunk.AppendSelected), which the coordinator opens with
-// lpq.OpenReply. Codes, offsets and FSST code strings are copied from the
-// pages, never decoded here.
+// handleFilter returns a conjunction's selection in its smallest wire form
+// (§5 has the node read the chunk, run the filter and Snappy-compress the
+// bitmap; bitmap.Marshal says why this one does not).
+func (f *frame) handleFilter(req *rpc.Request) *rpc.Response {
+	if len(req.Leaves) == 0 {
+		return errResp(fmt.Errorf("cluster: Filter has 0 leaves"))
+	}
+	bm, cost, err := f.selection(req, 0)
+	if err != nil {
+		return errRespCost(err, cost)
+	}
+	f.selSent = true
+	return &rpc.Response{Data: f.selectionWire(), Matches: bm.Count(), Cost: cost}
+}
+
+// ProjectionPays is a node's push rule for a projection whose selection it
+// evaluated, on exact bytes: the reply goes iff it is at most what declining
+// costs, the selection sent back and the stored chunk fetched.
+func ProjectionPays(reply, chunk, selection int) bool {
+	return reply <= chunk+selection
+}
+
+// openFor opens ref for a sub-op and adds the use's cost to cost unless the
+// sub-op's own conjunction read it: a sub-op pays once for each chunk.
+func (f *frame) openFor(ref *rpc.ChunkRef, cost *rpc.Cost) (*lpq.Chunk, error) {
+	ch, c, err := f.open(*ref)
+	if !f.selFresh || !slices.Contains(f.selRead, keyOf(ref)) {
+		cost.Add(c)
+	}
+	return ch, err
+}
+
+// handleProject returns the rows of the chunk the request's selection
+// selects as a projection reply: a chunk of just those rows in the chunk's
+// own encoding, uncompressed (lpq.Chunk.AppendSelected), which the
+// coordinator opens with lpq.OpenReply. Codes, offsets and FSST code strings
+// are copied from the pages, never decoded here. A selection this node
+// evaluated (Leaves) is priced here, by ProjectionPays: a reply that does not
+// pay is declined (rpc.Response.Size), and carries the selection instead if
+// no earlier reply of the frame did.
 func (f *frame) handleProject(req *rpc.Request) *rpc.Response {
-	ch, cost, err := f.open(req.Chunk)
+	bm, cost, err := f.selection(req, req.Chunk.Meta.NumValues)
+	var ch *lpq.Chunk
+	if err == nil {
+		ch, err = f.openFor(&req.Chunk, &cost)
+	} else {
+		f.close(req.Chunk) // its use ends unopened
+	}
 	if err != nil {
 		return errRespCost(err, cost)
 	}
 	defer f.close(req.Chunk)
-	bm, err := f.selection(req.Bitmap, ch, "chunk")
-	if err != nil {
-		return errRespCost(err, cost)
-	}
 	data, err := ch.AppendSelected(nil, bm)
 	if err != nil {
 		return errRespCost(err, cost)
 	}
-	return &rpc.Response{Data: data, Matches: bm.Count(), Cost: cost}
+	resp := &rpc.Response{Data: data, Matches: bm.Count(), Cost: cost}
+	if size := int(req.Chunk.Meta.Size); len(req.Leaves) > 0 && len(data) > size &&
+		!ProjectionPays(len(data), size, len(f.selectionWire())) {
+		resp.Size, resp.Data = uint64(len(data)), nil
+		if !f.selSent {
+			resp.Data, f.selSent = f.selectionWire(), true
+		}
+	}
+	return resp
 }
 
 // handleGroupAgg folds one row group's selected rows into per-group partial
@@ -585,12 +659,19 @@ func (f *frame) handleProject(req *rpc.Request) *rpc.Response {
 // sub-op alone (the frame's chunks are keyed by block), checked against its
 // CRC like any chunk, and read from no disk here.
 func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
-	var cost rpc.Cost
 	if len(req.ValChunks) != len(req.AggKinds) {
 		return errResp(fmt.Errorf("cluster: GroupAgg has %d value chunks, %d aggregate kinds",
 			len(req.ValChunks), len(req.AggKinds)))
 	}
-	var bm *bitmap.Bitmap    // parsed against the first chunk opened
+	// The selection covers the first chunk read; a COUNT's zero ref reads none.
+	i := slices.IndexFunc(slices.Concat(req.KeyChunks, req.ValChunks), func(r rpc.ChunkRef) bool { return r.BlockID != "" || r.Meta.Size != 0 })
+	if i < 0 {
+		return errResp(fmt.Errorf("cluster: GroupAgg reads no column"))
+	}
+	bm, cost, err := f.selection(req, slices.Concat(req.KeyChunks, req.ValChunks)[i].Meta.NumValues)
+	if err != nil {
+		return errRespCost(err, cost)
+	}
 	var local []rpc.ChunkRef // opened through the frame: closed on return
 	var shipped map[chunkKey]*lpq.Chunk
 	defer func() {
@@ -603,10 +684,7 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 	}()
 	open := func(ref rpc.ChunkRef, what string) (ch *lpq.Chunk, err error) {
 		if ref.BlockID != "" {
-			var c rpc.Cost
-			ch, c, err = f.open(ref)
-			cost.Add(c)
-			if err != nil {
+			if ch, err = f.openFor(&ref, &cost); err != nil {
 				return nil, err
 			}
 			local = append(local, ref)
@@ -627,17 +705,11 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 			}
 			cost.ProcBytes += ref.Meta.RawSize
 		}
-		if bm == nil {
-			if bm, err = f.selection(req.Bitmap, ch, what); err != nil {
-				return nil, err
-			}
-		}
 		if ch.NumRows() != bm.Len() {
 			return nil, fmt.Errorf("cluster: bitmap has %d rows, %s has %d", bm.Len(), what, ch.NumRows())
 		}
 		return ch, nil
 	}
-	var err error
 	keys := make([]*lpq.Chunk, len(req.KeyChunks))
 	for i, ref := range req.KeyChunks {
 		if keys[i], err = open(ref, "key chunk"); err != nil {
@@ -653,9 +725,6 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 			return errRespCost(err, cost)
 		}
 	}
-	if bm == nil { // set by the first chunk opened
-		return errResp(fmt.Errorf("cluster: GroupAgg reads no column"))
-	}
 	g := sql.NewGroupTable(req.AggKinds, req.MaxGroups)
 	if err := g.AddChunks(keys, vals, bm); err != nil {
 		return errRespCost(err, cost)
@@ -668,15 +737,17 @@ func (f *frame) handleGroupAgg(req *rpc.Request) *rpc.Response {
 // (rg, row) position, so the coordinator's bounded k-way merge stays
 // deterministic under ties.
 func (f *frame) handleTopK(req *rpc.Request) *rpc.Response {
-	ch, cost, err := f.open(req.Chunk)
+	bm, cost, err := f.selection(req, req.Chunk.Meta.NumValues)
+	var ch *lpq.Chunk
+	if err == nil {
+		ch, err = f.openFor(&req.Chunk, &cost)
+	} else {
+		f.close(req.Chunk) // its use ends unopened
+	}
 	if err != nil {
 		return errRespCost(err, cost)
 	}
 	defer f.close(req.Chunk)
-	bm, err := f.selection(req.Bitmap, ch, "chunk")
-	if err != nil {
-		return errRespCost(err, cost)
-	}
 	tk := sql.NewTopK(req.K, req.Desc)
 	if err := tk.PushChunk(ch, bm, req.RG); err != nil {
 		return errRespCost(err, cost)

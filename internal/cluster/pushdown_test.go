@@ -618,7 +618,7 @@ func TestFrameParsesRowGroupSelectionOnce(t *testing.T) {
 	lookups := testing.AllocsPerRun(20, func() {
 		f.sel = nil
 		for i := range req.Subs {
-			if _, err := f.selection(req.Subs[i].Bitmap, chunks[i], "chunk"); err != nil {
+			if _, _, err := f.selection(&req.Subs[i], chunks[i].NumRows()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -627,7 +627,7 @@ func TestFrameParsesRowGroupSelectionOnce(t *testing.T) {
 		t.Fatalf("six lookups of one selection allocated %.0f times, one parse %.0f", lookups, parse)
 	}
 	other := fx.selection(rng, 10)
-	if bm, err := f.selection(other.Marshal(), chunks[0], "chunk"); err != nil || bm.Count() != other.Count() {
+	if bm, _, err := f.selection(&rpc.Request{Kind: rpc.KindProject, Bitmap: other.Marshal()}, chunks[0].NumRows()); err != nil || bm.Count() != other.Count() {
 		t.Fatalf("a second selection came back with %d rows, want %d (%v)", bm.Count(), other.Count(), err)
 	}
 	f.release()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
+	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
 	"github.com/fusionstore/fusion/internal/sql"
 )
@@ -21,11 +22,16 @@ import (
 // next. The seeds: a genuine GroupAgg whose key chunk is shipped, then the
 // same with Data truncated, the shipped Offset beyond Data, one shipped byte
 // flipped (a CRC mismatch), the zero reference as the key, no key (an
-// ungrouped aggregate), and no key with only a COUNT (a fold that reads no
-// column); and all seven in one batch. Then multi-block prepare frames: one
+// ungrouped aggregate), no key with only a COUNT (a fold that reads no
+// column), and COUNT by the shipped key alone (no chunk of the node's
+// blocks, so nothing but the selection in the frame); and all eight in one
+// batch. Then multi-block prepare frames: one
 // whose middle block fails its CRC, one naming a block twice, a prepare with
 // no sub-blocks, and one of more than MaxBatchOps sub-blocks. Then the
-// Filters of several leaves (filterRequests).
+// Filters of several leaves (filterRequests), and the Project and GroupAgg
+// whose selection is a conjunction, alone, in a frame back-referencing its
+// Filter's leaves, and in one whose first sub-op back-references nothing
+// (fusedFrames).
 func FuzzNodeRequest(f *testing.F) {
 	fx := newRowGroupFixture(f, 300)
 	file, err := fx.store.MemStore.Get("blk", 0, 0)
@@ -57,7 +63,12 @@ func FuzzNodeRequest(f *testing.F) {
 	if resp := fx.node.Handle(&keyless); resp.Err != "" || len(resp.Groups) != 1 {
 		f.Fatalf("the keyless GroupAgg is answered %q with %d groups, want 1", resp.Err, len(resp.Groups))
 	}
-	seeds := []rpc.Request{genuine, truncated, beyond, flipped, zeroKey, keyless, noColumn}
+	shippedOnly := genuine
+	shippedOnly.ValChunks, shippedOnly.AggKinds = []rpc.ChunkRef{{}}, []sql.AggKind{sql.AggCount}
+	if resp := fx.node.Handle(&shippedOnly); resp.Err != "" || len(resp.Groups) != 3 {
+		f.Fatalf("the GroupAgg reading only a shipped chunk is answered %q with %d groups, want 3", resp.Err, len(resp.Groups))
+	}
+	seeds := []rpc.Request{genuine, truncated, beyond, flipped, zeroKey, keyless, noColumn, shippedOnly}
 	for _, r := range append(seeds, rpc.Request{Kind: rpc.KindBatch, Subs: seeds}) {
 		_, segs, err := rpc.AppendRequest(nil, nil, &r)
 		if err != nil {
@@ -74,6 +85,10 @@ func FuzzNodeRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Join(segs, nil))
+	}
+	project, groupAgg, frame, firstRef := fusedFrames(f, fx)
+	for _, b := range [][]byte{project, groupAgg, frame, firstRef} {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req := &rpc.Request{}
@@ -213,5 +228,80 @@ func TestFilterRequestsArePerOpErrors(t *testing.T) {
 	bm, err := bitmap.Unmarshal(batch.Subs[2].Data, fx.rows)
 	if err != nil || fmt.Sprint(bm.Indexes()) != fmt.Sprint(rows) {
 		t.Fatalf("the range beside l_quantity selects %d rows, want %d (%v)", batch.Subs[2].Matches, len(rows), err)
+	}
+}
+
+// fusedFrames are FuzzNodeRequest's seeds of selections that are
+// conjunctions: a Project of l_price whose selection is a range on
+// l_shipdate beside l_quantity, a keyless GroupAgg of l_price by the same
+// leaves, both in one frame behind the Filter of those leaves — the Project
+// and the GroupAgg back-references to its leaves — and that frame with its
+// first sub-op's selection rewritten to a back-reference, which no frame may
+// start with.
+func fusedFrames(t testing.TB, fx *rowGroupFixture) (project, groupAgg, frame, firstRef []byte) {
+	t.Helper()
+	leaves := filterRequests(fx)[3].Leaves
+	p := rpc.Request{Kind: rpc.KindProject, Chunk: fx.refs["price"], Leaves: leaves}
+	g := rpc.Request{Kind: rpc.KindGroupAgg, Leaves: leaves, ValChunks: []rpc.ChunkRef{fx.refs["price"]},
+		AggKinds: []sql.AggKind{sql.AggSum}, MaxGroups: 1}
+	encode := func(r *rpc.Request) []byte {
+		_, segs, err := rpc.AppendRequest(nil, nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Join(segs, nil)
+	}
+	frame = encode(&rpc.Request{Kind: rpc.KindBatch, Subs: []rpc.Request{{Kind: rpc.KindFilter, Leaves: leaves}, p, g}})
+	// A frame of one selection-less Project ends in its Bitmap's empty
+	// payload (1) and eight zero fields behind it; 0 there is a
+	// back-reference.
+	firstRef = encode(&rpc.Request{Kind: rpc.KindBatch, Subs: []rpc.Request{{Kind: rpc.KindProject, Chunk: fx.refs["price"]}}})
+	firstRef[len(firstRef)-9] = 0
+	return encode(&p), encode(&g), frame, firstRef
+}
+
+// TestFusedFramesAnswerAsFiltered pins FuzzNodeRequest's fused seeds: the
+// Project and GroupAgg whose selection is a conjunction answer with the rows
+// and the sum that conjunction's Filter selects, alone and sharing its leaves
+// in one frame; and a frame whose first sub-op back-references a selection
+// does not decode.
+func TestFusedFramesAnswerAsFiltered(t *testing.T) {
+	fx := newRowGroupFixture(t, 300)
+	project, groupAgg, frame, firstRef := fusedFrames(t, fx)
+	decode := func(b []byte) *rpc.Request {
+		req := &rpc.Request{}
+		if err := rpc.DecodeRequest(b, req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	batch := fx.handled(t, decode(frame))
+	if batch.Err != "" || len(batch.Subs) != 3 {
+		t.Fatalf("the frame is answered %q with %d sub-responses", batch.Err, len(batch.Subs))
+	}
+	sel, err := bitmap.Unmarshal(batch.Subs[0].Data, fx.rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SelectRows(fx.cols["price"], sel)
+	sum := 0.0
+	for _, v := range want.Floats {
+		sum += v
+	}
+	for name, resps := range map[string][2]rpc.Response{
+		"alone":    {*fx.handled(t, decode(project)), *fx.handled(t, decode(groupAgg))},
+		"in frame": {batch.Subs[1], batch.Subs[2]},
+	} {
+		p, g := resps[0], resps[1]
+		got, err := gatherReply(lpq.ColumnData{Type: lpq.Float64}, sel.Count(), p.Data)
+		if p.Err != "" || p.Size != 0 || err != nil || !sameValues(got, want) {
+			t.Fatalf("%s: the Project answered %q (declined %d B, %v) with other rows than the Filter's", name, p.Err, p.Size, err)
+		}
+		if g.Err != "" || len(g.Groups) != 1 || g.Groups[0].Rows != int64(sel.Count()) || g.Groups[0].Aggs[0].Sum != sum {
+			t.Fatalf("%s: the GroupAgg answered %q, %+v; want %d rows summing to %v", name, g.Err, g.Groups, sel.Count(), sum)
+		}
+	}
+	if err := rpc.DecodeRequest(firstRef, &rpc.Request{}); err == nil || !strings.Contains(err.Error(), "back-reference") {
+		t.Fatalf("a back-reference on the first sub-op decoded: %v", err)
 	}
 }

@@ -36,6 +36,8 @@ const (
 	// KindProject returns the chunk's rows selected by a bitmap, as a chunk
 	// of their own in the chunk's encoding, uncompressed (projection-stage
 	// pushdown; lpq.Chunk.AppendSelected writes it, lpq.OpenReply opens it).
+	// A Project whose selection is a conjunction (Leaves) may decline: see
+	// Response.Size.
 	KindProject
 	// KindAggregate is retired: an ungrouped aggregate is pushed as a
 	// KindGroupAgg with no key chunks. The value keeps its place so the kinds
@@ -178,6 +180,8 @@ type Request struct {
 	Chunk  ChunkRef     // Project/TopK column chunk
 	Leaves []FilterLeaf // Filter conjunction, in WHERE order: 1 to MaxBatchOps leaves
 	Bitmap []byte       // Project/GroupAgg/TopK row selection (compressed bitmap)
+	// A Project or GroupAgg may carry its row group's conjunction in Leaves
+	// in place of a Bitmap: the node evaluates it and selects its AND.
 
 	// Grouped-aggregation pushdown (GroupAgg). KeyChunks are the grouping
 	// columns' chunks for one row group; ValChunks[i] is the argument chunk
@@ -249,19 +253,16 @@ func (r *Request) EndCall() {
 	}
 }
 
-// MaxBatchOps bounds a batch frame's ops (Ops), and a Filter's leaves. A
+// MaxBatchOps bounds a batch frame's ops (Ops), and a conjunction's leaves. A
 // row-group scan batches one op per chunk per node, so the cap comfortably
 // exceeds any planner fan-out while keeping a malicious frame from declaring
 // an unbounded amount of work.
 const MaxBatchOps = 1024
 
-// Ops is the work r counts for toward a frame's MaxBatchOps: a Filter's
-// leaves, or one.
+// Ops is the work r counts for toward a frame's MaxBatchOps: its
+// conjunction's leaves, or one.
 func (r *Request) Ops() int {
-	if r.Kind == KindFilter {
-		return max(1, len(r.Leaves))
-	}
-	return 1
+	return max(1, len(r.Leaves))
 }
 
 // batchable reports whether a kind may appear inside a batch: the data-plane
@@ -380,7 +381,10 @@ type Response struct {
 	// Data carries block bytes (GetBlock), plain-encoded projected values
 	// (Project), or a compressed bitmap (Filter).
 	Data []byte
-	// Size is the block size for BlockSize.
+	// Size is the block size for BlockSize. A Project reply of nonzero Size
+	// is declined: a reply of Size bytes would outweigh the stored chunk and
+	// its conjunction's selection, which Data is instead (empty where an
+	// earlier reply of the frame carried it).
 	Size uint64
 	// Crc is the CRC32C of Data on GetBlock replies — the end-to-end
 	// checksum that catches in-flight corruption of a ranged read, where
@@ -461,9 +465,7 @@ const fixedOverhead = 64
 func (r *Request) WireSize() uint64 {
 	n := uint64(fixedOverhead + len(r.BlockID) + len(r.Data) + len(r.Bitmap))
 	n += uint64(len(r.Chunk.BlockID) + len(r.Object))
-	for i := range r.Leaves {
-		n += uint64(len(r.Leaves[i].Chunk.BlockID) + len(r.Leaves[i].Value.S))
-	}
+	n += leavesSize(r.Leaves)
 	for i := range r.KeyChunks {
 		n += uint64(len(r.KeyChunks[i].BlockID) + 32)
 	}
@@ -474,21 +476,37 @@ func (r *Request) WireSize() uint64 {
 	for i := range r.Subs {
 		n += r.Subs[i].WireSize()
 		if sharesSelection(r.Subs, i) {
-			n -= uint64(len(r.Subs[i].Bitmap) - backRefSize)
+			n = n + backRefSize - uint64(len(r.Subs[i].Bitmap)) - leavesSize(r.Subs[i].Leaves)
 		}
 	}
 	return n
 }
 
-// sharesSelection reports whether sub-request i's Bitmap is sub-request
-// i-1's own slice — one row group's selection, marshalled once for all its
-// sub-ops — which the wire carries as a back-reference (wire.go).
+// leavesSize is WireSize's estimate of a conjunction's variable bytes.
+func leavesSize(leaves []FilterLeaf) uint64 {
+	var n uint64
+	for i := range leaves {
+		n += uint64(len(leaves[i].Chunk.BlockID) + len(leaves[i].Value.S))
+	}
+	return n
+}
+
+// sharesSelection reports whether sub-request i's selection — its Bitmap, or
+// its Leaves — is sub-request i-1's own: one row group's selection, built
+// once for all its sub-ops, which the wire carries as a back-reference
+// (wire.go).
 func sharesSelection(subs []Request, i int) bool {
-	if i == 0 || len(subs[i].Bitmap) == 0 {
+	if i == 0 || len(subs[i].Bitmap) == 0 && len(subs[i].Leaves) == 0 {
 		return false
 	}
-	a, b := subs[i].Bitmap, subs[i-1].Bitmap
-	return len(a) == len(b) && &a[0] == &b[0]
+	a, b := &subs[i], &subs[i-1]
+	return SameSlice(a.Bitmap, b.Bitmap) && SameSlice(a.Leaves, b.Leaves)
+}
+
+// SameSlice reports whether a and b are one slice: both empty, or the same
+// elements of the same array.
+func SameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // WireSize estimates the serialized size of the response, landed bytes

@@ -31,12 +31,13 @@ import (
 // Subs are encoded by the same functions one level deep: a sub-message
 // carries a zero Subs count. An empty slice decodes as nil.
 //
-// A row group's sub-ops in one frame carry one selection: the coordinator
-// marshals it once and every sub-request aliases the bytes. So a sub-request
-// whose Bitmap is the previous sub-request's own slice (sharesSelection)
-// carries a back-reference in its place, and decodes to that same slice. A
-// back-reference anywhere else — on the first sub-request, after one with no
-// Bitmap, on a top-level request, on a Data field — fails the decode.
+// A row group's sub-ops in one frame carry one selection — a Bitmap, or the
+// conjunction's Leaves — built once, which every sub-request aliases. So a
+// sub-request whose selection is the previous sub-request's own slices
+// (sharesSelection) carries no Leaves and a back-reference in place of its
+// Bitmap, and decodes to those same slices. A back-reference anywhere else —
+// on the first sub-request, after one with no selection, beside Leaves of
+// its own, on a top-level request, on a Data field — fails the decode.
 //
 // Payload fields (Request.Data, Request.Bitmap, Response.Data) are the bulk
 // of the traffic and are never copied on either side. A payload of inlineMax
@@ -124,7 +125,8 @@ func DecodeRequest(b []byte, r *Request) error {
 	if err == nil {
 		// In sub order, so a back-reference to a back-reference resolves.
 		for _, sub := range d.refs {
-			r.Subs[sub-1].Bitmap = r.Subs[sub-2].Bitmap
+			m, prev := &r.Subs[sub-1], &r.Subs[sub-2]
+			m.Bitmap, m.Leaves = prev.Bitmap, prev.Leaves
 		}
 	}
 	return err
@@ -230,7 +232,7 @@ func (e *encoder) payload(p []byte) {
 	e.region = append(e.region, p)
 }
 
-// request encodes r; shared says r is a sub-request whose Bitmap is the
+// request encodes r; shared says r is a sub-request whose selection is the
 // previous sub-request's (sharesSelection).
 func (e *encoder) request(r *Request, top, shared bool) error {
 	switch {
@@ -252,13 +254,14 @@ func (e *encoder) request(r *Request, top, shared bool) error {
 	e.uvarint(r.Epoch)
 	e.uvarint(uint64(r.Crc))
 	e.chunkRef(&r.Chunk)
-	e.uvarint(uint64(len(r.Leaves)))
-	for i := range r.Leaves {
-		e.filterLeaf(&r.Leaves[i])
-	}
 	if shared {
+		e.uvarint(0)
 		e.uvarint(backRef)
 	} else {
+		e.uvarint(uint64(len(r.Leaves)))
+		for i := range r.Leaves {
+			e.filterLeaf(&r.Leaves[i])
+		}
 		e.payload(r.Bitmap)
 	}
 	e.chunkRefs(r.KeyChunks)
@@ -439,10 +442,12 @@ type decoder struct {
 	subs      int // how many sub-messages there are: the region's first allocation holds a payload each
 	region    []pending
 	regionLen int
-	// bitmap is whether the last request decoded carries a Bitmap, and refs
-	// the subs (1 + index) whose Bitmap is a back-reference to the previous
-	// sub's, resolved once the region is (DecodeRequest).
-	bitmap bool
+	// sel is whether the last request decoded carries a selection (a Bitmap
+	// or Leaves), leaves how many Leaves the one being decoded has, and refs
+	// the subs (1 + index) whose selection is a back-reference to the
+	// previous sub's, resolved once the region is (DecodeRequest).
+	sel    bool
+	leaves int
 	refs   []int
 }
 
@@ -589,8 +594,9 @@ func (d *decoder) str() string { return string(d.bytes()) }
 func (d *decoder) payload(bitmap bool, land [][]byte) []byte {
 	n := d.uvarint()
 	if n == backRef {
-		// Only a sub-request's Bitmap may refer back, to the previous sub's.
-		if !bitmap || d.sub < 2 || !d.bitmap {
+		// Only a sub-request's Bitmap may refer back, to the previous sub's
+		// selection, and only in place of a selection of its own.
+		if !bitmap || d.sub < 2 || !d.sel || d.leaves > 0 {
 			d.fail(errBackRef)
 			return nil
 		}
@@ -599,7 +605,7 @@ func (d *decoder) payload(bitmap bool, land [][]byte) []byte {
 	}
 	n--
 	if bitmap {
-		d.bitmap = n > 0
+		d.sel = n > 0 || d.leaves > 0
 	}
 	if n < inlineMax {
 		return d.inline(n)
@@ -679,6 +685,7 @@ func (d *decoder) request(r *Request, top bool) {
 			d.filterLeaf(&r.Leaves[i])
 		}
 	}
+	d.leaves = len(r.Leaves)
 	r.Bitmap = d.payload(true, nil)
 	r.KeyChunks = d.chunkRefs()
 	r.ValChunks = d.chunkRefs()

@@ -28,8 +28,10 @@ import (
 // region, and a batch reply mixing landed, error and wrong-length
 // sub-responses. Multi-block prepare frames (prepareSeeds), batches whose
 // subs share a selection below and above inlineMax, or whose back-reference
-// refers to nothing (badBackRefs), and Filters of several leaves
-// (filterSeeds) close the list.
+// refers to nothing (badBackRefs), Filters of several leaves (filterSeeds),
+// and a Project and a GroupAgg whose selection is a conjunction (fusedSubs),
+// alone and back-referencing the leaves of the sub-op before them, close the
+// list.
 func FuzzFrame(f *testing.F) {
 	add := func(frame []byte) { f.Add(frame, uint16(min(len(frame), 1<<16-1))) }
 	goodReq, err := encodeRequest(sampleBatchRequest())
@@ -104,6 +106,14 @@ func FuzzFrame(f *testing.F) {
 		add(frame)
 	}
 	for _, frame := range filterSeeds(f) {
+		add(frame)
+	}
+	subs := fusedSubs()
+	for _, r := range []*Request{&subs[1], &subs[2], {Kind: KindBatch, Subs: subs}, {Kind: KindBatch, Subs: subs[1:]}} {
+		frame, err := encodeRequest(r)
+		if err != nil {
+			f.Fatal(err)
+		}
 		add(frame)
 	}
 

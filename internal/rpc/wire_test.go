@@ -151,8 +151,8 @@ func requireNoZero(t *testing.T, v reflect.Value, path string, sub bool) {
 // a field added to a wire struct and left out of wire.go fails here. It runs
 // with payloads below and above inlineMax, so both the copied and the
 // cut-out form of each payload field round-trip. The batch goes once more
-// with its two subs sharing one selection, which must come back shared — one
-// slice, not two copies — for a back-reference's size.
+// with its two subs sharing one selection, Bitmap and Leaves, which must come
+// back shared — one slice each, not two copies — for a back-reference's size.
 func TestWireEveryField(t *testing.T) {
 	for _, bytesLen := range []int{3, inlineMax + 3} {
 		req := &Request{}
@@ -169,9 +169,9 @@ func TestWireEveryField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Subs[1].Bitmap = req.Subs[0].Bitmap
+		req.Subs[1].Bitmap, req.Subs[1].Leaves = req.Subs[0].Bitmap, req.Subs[0].Leaves
 		got := requireRequestRoundTrip(t, req)
-		if &got.Subs[1].Bitmap[0] != &got.Subs[0].Bitmap[0] {
+		if &got.Subs[1].Bitmap[0] != &got.Subs[0].Bitmap[0] || &got.Subs[1].Leaves[0] != &got.Subs[0].Leaves[0] {
 			t.Fatalf("payloads of %d bytes: a shared selection decoded to two copies", bytesLen)
 		}
 		shared, err := encodeRequest(req)
@@ -356,21 +356,82 @@ func rawBatch(subs []Request, refs ...int) []byte {
 	return append(e.b, bytes.Join(e.region, nil)...)
 }
 
-// badBackRefs are the request frames whose back-reference refers to nothing:
-// one on the first sub, one after a sub with no Bitmap, one on a top-level
-// request, and one on a sub's Data.
+// badBackRefs are the request frames whose back-reference refers to nothing
+// or stands beside a selection of its own: one on the first sub, of a Bitmap
+// and of Leaves, one after a sub with no selection, one on a top-level
+// request, one on a sub's Data, and one on a sub with Leaves of its own.
 func badBackRefs() map[string][]byte {
 	project := Request{Kind: KindProject, Bitmap: []byte{0x0F, 0x01}}
+	fused := fusedSubs()[1]
 	var top, get encoder
 	_ = top.request(&project, true, true)
 	_ = get.request(&Request{Kind: KindGetBlock}, false, false)
 	onData := rawBatch([]Request{project, {Kind: KindGetBlock}})
 	onData[len(onData)-len(get.b)+3] = backRef // the last sub's Data tag, behind its kind, deadline and BlockID
+	// The last sub's Bitmap tag, behind its leaves: eight zero fields follow.
+	besideLeaves := rawBatch([]Request{fused, fused})
+	besideLeaves[len(besideLeaves)-9] = backRef
 	return map[string][]byte{
-		"back-reference on the first sub":   rawBatch([]Request{project, project}, 0),
-		"back-reference after no selection": rawBatch([]Request{{Kind: KindProject}, project}, 1),
-		"back-reference on a top-level":     top.b,
-		"back-reference on a sub's Data":    onData,
+		"back-reference on the first sub":           rawBatch([]Request{project, project}, 0),
+		"back-reference to leaves on the first sub": rawBatch([]Request{fused, fused}, 0),
+		"back-reference after no selection":         rawBatch([]Request{{Kind: KindProject}, project}, 1),
+		"back-reference on a top-level":             top.b,
+		"back-reference on a sub's Data":            onData,
+		"back-reference beside leaves of its own":   besideLeaves,
+	}
+}
+
+// fusedSubs is a row group's sub-ops whose selection is a conjunction: its
+// Filter, a Project and a keyless GroupAgg carrying the Filter's leaves — one
+// slice, which the wire carries once.
+func fusedSubs() []Request {
+	leaves := []FilterLeaf{
+		{Chunk: ChunkRef{BlockID: "obj/e1/s0/b0", Offset: 8, Type: 1, Meta: lpq.ChunkMeta{Size: 40, NumValues: 300}}, Op: sql.OpLt, Value: sql.IntLit(9)},
+		{Chunk: ChunkRef{BlockID: "obj/e1/s0/b0", Offset: 48, Type: 1, Meta: lpq.ChunkMeta{Size: 40, NumValues: 300}}, Op: sql.OpGe, Value: sql.IntLit(2)},
+	}
+	val := ChunkRef{BlockID: "obj/e1/s0/b0", Offset: 88, Type: 1, Meta: lpq.ChunkMeta{Size: 40, NumValues: 300}}
+	return []Request{
+		{Kind: KindFilter, Leaves: leaves, RG: 3},
+		{Kind: KindProject, Chunk: val, Leaves: leaves, RG: 3},
+		{Kind: KindGroupAgg, Leaves: leaves, ValChunks: []ChunkRef{val}, AggKinds: []sql.AggKind{sql.AggSum}, MaxGroups: 1, RG: 3},
+	}
+}
+
+// TestWireSharesLeaves: a frame's sub-ops that carry their Filter's leaves
+// send them once — each later one is a back-reference of a byte — and decode
+// to one slice of leaves, the first sub-op's.
+func TestWireSharesLeaves(t *testing.T) {
+	subs := fusedSubs()
+	shared, err := encodeRequest(&Request{Kind: KindBatch, Subs: subs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := fusedSubs()
+	for i := range copied {
+		copied[i].Leaves = slices.Clone(copied[i].Leaves)
+	}
+	apart, err := encodeRequest(&Request{Kind: KindBatch, Subs: copied})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one encoder
+	for i := range subs[0].Leaves {
+		one.filterLeaf(&subs[0].Leaves[i])
+	}
+	if saved := len(apart) - len(shared); saved != 2*len(one.b) {
+		t.Fatalf("sharing the leaves saved %d bytes of the frame, want twice the leaves' %d", saved, len(one.b))
+	}
+	got := &Request{}
+	if err := DecodeRequest(shared, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3; i++ {
+		if !SameSlice(got.Subs[i].Leaves, got.Subs[0].Leaves) || got.Subs[i].Bitmap != nil {
+			t.Fatalf("sub %d decoded to leaves of its own (%d) or a bitmap (%d B)", i, len(got.Subs[i].Leaves), len(got.Subs[i].Bitmap))
+		}
+	}
+	if !reflect.DeepEqual(got.Subs[2].Leaves, subs[0].Leaves) || got.Subs[2].Kind != KindGroupAgg {
+		t.Fatal("the shared leaves decoded to others")
 	}
 }
 

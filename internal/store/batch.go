@@ -270,8 +270,9 @@ func (t *stageTask) reply() *rpc.Response {
 // touchedBytes is the stored size of the chunks a pushed sub-op read from its
 // node's blocks, each distinct chunk once (by file offset), as the node's
 // frame opens it once: a range's two bounds, or GROUP BY x with SUM(x), read
-// one chunk. A chunk shipped in Data was counted by its fetch.
-func touchedBytes(req *rpc.Request) uint64 {
+// one chunk. A chunk shipped in Data was counted by its fetch, and the leaves
+// of a selection shared with the sub-op before it (shared) by that sub-op.
+func touchedBytes(req *rpc.Request, shared bool) uint64 {
 	var n uint64
 	var seen []uint64
 	add := func(ref *rpc.ChunkRef) {
@@ -282,7 +283,9 @@ func touchedBytes(req *rpc.Request) uint64 {
 	}
 	add(&req.Chunk)
 	for i := range req.Leaves {
-		add(&req.Leaves[i].Chunk)
+		if !shared {
+			add(&req.Leaves[i].Chunk)
+		}
 	}
 	for _, refs := range [2][]rpc.ChunkRef{req.KeyChunks, req.ValChunks} {
 		for i := range refs {
@@ -322,7 +325,8 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 		}
 		// The op logically touched its chunks though only its reply crossed
 		// the network — this is what pulls query read amplification below 1.
-		st.sp.Count(trace.BytesRequested, touchedBytes(req))
+		shared := j > 0 && len(req.Leaves) > 0 && rpc.SameSlice(req.Leaves, p.reqs[j-1].req.Leaves)
+		st.sp.Count(trace.BytesRequested, touchedBytes(req, shared))
 	}
 	for i := range p.tasks {
 		p.tasks[i].resps, resps = resps[:p.tasks[i].n], resps[p.tasks[i].n:]
@@ -366,7 +370,8 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 }
 
 // filterStage computes the selection bitmap of every row group; a nil entry
-// means the row group is provably empty. The planner's shortcuts never touch
+// means the row group is provably empty — or, in a fusion, that its bitmap
+// stayed on the node (fusion.selected). The planner's shortcuts never touch
 // the network: whole row groups pruned (or accepted) by the footer-stats
 // verdict, then per-leaf chunk-stats verdicts. The other leaves are pushed,
 // every row group's sub-ops riding its nodes' one frame each, tagged with the
@@ -379,7 +384,11 @@ func (s *Store) runStage(st *execState, p *stagePlan, work func(i int, sub *exec
 // corrupt chunk, lost frame, malformed reply), and so every leaf of a
 // conjunction without one, is evaluated at the coordinator over the fetched
 // chunk.
-func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) ([]*bitmap.Bitmap, error) {
+//
+// fuse, if any, is the projection stage's tasks (projectionTasks): a row
+// group whose unsettled leaves are all one node's conjunction sends them
+// with it where their chunks sit on that node (fusion.plan).
+func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int, fuse []chunkTask) ([]*bitmap.Bitmap, *fusion, error) {
 	meta := st.meta
 	rgs := meta.Footer.RowGroups
 	push := pushdownOn(meta)
@@ -394,6 +403,37 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 		ci := colIdx[c.Column]
 		return sql.CheckStats(c, meta.Footer.Columns[ci].Type, rgs[rg].Chunks[ci].Stats)
 	}
+	// eval evaluates the WHERE clause on row group rg: each leaf by its
+	// chunk's statistics, else by replied's bitmap (nil: none), else over the
+	// fetched chunk.
+	eval := func(sub *execState, rg int, replied func(c *sql.Compare) *bitmap.Bitmap) (bm *bitmap.Bitmap, fetched bool, err error) {
+		nRows := rgs[rg].NumRows
+		bm, err = sql.EvalExpr(q.Where, nRows, func(c *sql.Compare) (*bitmap.Bitmap, error) {
+			switch leafStats(c, rg) {
+			case sql.StatsNone:
+				return bitmap.New(nRows), nil
+			case sql.StatsAll:
+				return bitmap.NewFull(nRows), nil
+			}
+			if bm := replied(c); bm != nil {
+				return bm, nil
+			}
+			fetched = true
+			ci := colIdx[c.Column]
+			ch, err := s.openChunk(sub, rg, ci)
+			if err != nil {
+				return nil, err
+			}
+			defer ch.Release()
+			sub.stats.CoordProcBytes += rgs[rg].Chunks[ci].RawSize
+			return sql.FilterChunk(c, ch)
+		})
+		return bm, fetched, err
+	}
+	fz := &fusion{rgs: make([]fusedRG, len(rgs)), eval: func(sub *execState, rg int) (*bitmap.Bitmap, error) {
+		bm, _, err := eval(sub, rg, func(*sql.Compare) *bitmap.Bitmap { return nil })
+		return bm, err
+	}}
 	out := make([]*bitmap.Bitmap, len(rgs))
 	// pushed[rg*len(leaves)+i] is the sub-op of row group rg's task that
 	// answers leaves[i], or -1.
@@ -416,13 +456,14 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 		if verdict == sql.StatsNone || !push {
 			continue
 		}
-		base := len(p.reqs)
+		base, unsettled := len(p.reqs), 0
 		conj = conj[:0]
 		for i, c := range leaves {
 			ci := colIdx[c.Column]
 			if leafStats(c, rg) != sql.StatsUnknown {
 				continue
 			}
+			unsettled++
 			node, ref, ok := chunkLocation(meta, rg, ci, rgs[rg].Chunks[ci])
 			if !ok {
 				continue
@@ -440,59 +481,138 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 			pushed[rg*len(leaves)+i] = p.tasks[len(p.tasks)-1].n
 			p.push(node, rpc.Request{Kind: rpc.KindFilter, Leaves: []rpc.FilterLeaf{leaf}, RG: int32(rg)})
 		}
+		if t := &p.tasks[len(p.tasks)-1]; len(fuse) > 0 && t.n == 1 && len(conj) == 1 && len(p.reqs[base].req.Leaves) == unsettled {
+			fz.plan(&p, meta, rg, fuse)
+		}
 	}
 	err := s.runStage(st, &p, func(i int, sub *execState) (bool, error) {
 		t := &p.tasks[i]
 		rg := t.rg
 		nRows := rgs[rg].NumRows
+		fr := &fz.rgs[rg]
+		nf := t.n - len(fr.cis) // the Filter's sub-ops; the fused ones follow
+		fr.resps = t.resps[nf:]
+		if n, ok := fr.settled(nf, nRows); ok {
+			fr.n = n
+			return true, nil
+		}
 		// Each reply decoded once (nil if unusable), and taken by the first
-		// leaf it answers.
+		// leaf it answers. A fusion's conjunction is reply 0: its Filter's, or
+		// the selection a declined projection carried.
 		type reply struct {
 			bm    *bitmap.Bitmap
 			taken bool
 		}
-		replies := make([]reply, t.n)
-		for j, resp := range t.resps {
+		replies := make([]reply, max(nf, min(len(fr.cis), 1)))
+		for j, resp := range t.resps[:nf] {
 			if resp != nil {
 				replies[j].bm, _ = bitmap.Unmarshal(resp.Data, nRows)
 			}
 		}
-		fetched := false
-		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
-			// Chunk-level stats shortcut (no I/O at all).
-			switch leafStats(c, rg) {
-			case sql.StatsNone:
-				return bitmap.New(nRows), nil
-			case sql.StatsAll:
-				return bitmap.NewFull(nRows), nil
+		for _, resp := range fr.resps {
+			if replies[0].bm == nil && resp != nil && resp.Size > 0 && len(resp.Data) > 0 {
+				replies[0].bm, _ = bitmap.Unmarshal(resp.Data, nRows)
 			}
-			if j := pushed[rg*len(leaves)+index[c]]; j >= 0 && replies[j].bm != nil {
-				if replies[j].taken {
-					return bitmap.NewFull(nRows), nil
-				}
-				replies[j].taken = true
-				return replies[j].bm, nil
-			}
-			fetched = true
-			ci := colIdx[c.Column]
-			ch, err := s.openChunk(sub, rg, ci)
-			if err != nil {
-				return nil, err
-			}
-			defer ch.Release()
-			sub.stats.CoordProcBytes += rgs[rg].Chunks[ci].RawSize
-			return sql.FilterChunk(c, ch)
 		}
-		bm, err := sql.EvalExpr(q.Where, nRows, leaf)
+		bm, fetched, err := eval(sub, rg, func(c *sql.Compare) *bitmap.Bitmap {
+			j := pushed[rg*len(leaves)+index[c]]
+			switch {
+			case j < 0 || replies[j].bm == nil:
+				return nil
+			case replies[j].taken:
+				return bitmap.NewFull(nRows)
+			}
+			replies[j].taken = true
+			return replies[j].bm
+		})
 		if err == nil && bm.Count() > 0 {
 			out[rg] = bm // else leave nil: empty after exact filtering
 		}
 		return t.n > 0 && !fetched, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, fz, nil
+}
+
+// fusion hands the projection stage the tasks that rode the filter stage's
+// frames, by row group, and eval, a row group's WHERE evaluated here.
+type fusion struct {
+	rgs  []fusedRG
+	eval func(st *execState, rg int) (*bitmap.Bitmap, error)
+}
+
+// fusedRG is one row group's part of a fusion: the columns whose tasks rode,
+// their replies (nil: no usable answer), and the rows the replies agree on.
+type fusedRG struct {
+	cis   []int
+	resps []*rpc.Response
+	n     int
+}
+
+// plan adds to row group rg's task, whose one sub-op is the conjunction, a
+// Project of each plain column on its node, and a keyless GroupAgg of each
+// column only aggregates read that planGroupPush sends there, each carrying
+// the leaves; the node prices each projection (cluster.ProjectionPays). With
+// no task left for the projection stage, the Filter is dropped.
+func (fz *fusion) plan(p *stagePlan, meta *ObjectMeta, rg int, fuse []chunkTask) {
+	at := len(p.reqs) - 1
+	conj, left := p.reqs[at], false
+	for _, c := range fuse {
+		req, node, ok := rpc.Request{Kind: rpc.KindProject, Leaves: conj.req.Leaves, RG: int32(rg)}, 0, false
+		if c.plain {
+			node, req.Chunk, ok = chunkLocation(meta, rg, c.ci, meta.Footer.RowGroups[rg].Chunks[c.ci])
+		} else if gp, pushes := planGroupPush(meta, rg, nil, c.valIdx, 0); pushes {
+			node, ok, req.Kind, req.AggKinds, req.MaxGroups = gp.node, true, rpc.KindGroupAgg, c.kinds, 1
+			_, req.ValChunks = groupRefs(meta, rg, nil, c.valIdx, nil)
+		}
+		if left = left || !ok || node != conj.node; ok && node == conj.node {
+			p.push(node, req)
+			fz.rgs[rg].cis = append(fz.rgs[rg].cis, c.ci)
+		}
+	}
+	if !left {
+		p.reqs = slices.Delete(p.reqs, at, at+1)
+		p.tasks[len(p.tasks)-1].n--
+	}
+}
+
+// settled reports whether the fused replies alone settle the row group, and
+// its selected rows: no Filter went, and every fused sub-op answered, none
+// declined, all with one count of selected rows.
+func (fr *fusedRG) settled(filters, rows int) (int, bool) {
+	n := -1
+	for _, r := range fr.resps {
+		if r == nil || r.Size > 0 || n >= 0 && r.Matches != n {
+			return 0, false
+		}
+		n = r.Matches
+	}
+	return n, filters == 0 && n >= 0 && n <= rows
+}
+
+// selected is the rows row group rg's filter selected, given its bitmap bm.
+func (fz *fusion) selected(rg int, bm *bitmap.Bitmap) int {
+	switch {
+	case bm != nil:
+		return bm.Count()
+	case fz != nil:
+		return fz.rgs[rg].n
+	}
+	return 0
+}
+
+// reply returns the reply of column ci's fused task in row group rg (nil if
+// it has none usable, or declined), and whether the task rode the frame.
+func (fz *fusion) reply(rg, ci int) (*rpc.Response, bool) {
+	if fz == nil || !slices.Contains(fz.rgs[rg].cis, ci) {
+		return nil, false
+	}
+	if r := fz.rgs[rg].resps[slices.Index(fz.rgs[rg].cis, ci)]; r != nil && r.Size == 0 {
+		return r, true
+	}
+	return nil, true
 }
 
 // chunkTask is the projection stage's part of one chunk's task: the selected

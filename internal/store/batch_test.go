@@ -96,6 +96,10 @@ func TestPushdownQueryEquivalence(t *testing.T) {
 // pushdown scan reaches each node in at most one data round trip per stage,
 // however many row groups and chunks it touches — the filter stage costs at
 // most one frame per node, and so does the projection or aggregate stage.
+// Under adaptive pushdown the tasks of a row group whose chunks share its
+// conjunction's node ride the filter stage's frames, which the pinned
+// adaptive figures hold: round trips in all and in the filter stage, then
+// the Filter, Project and GroupAgg sub-ops answered.
 func TestQueryRoundTrips(t *testing.T) {
 	const rowGroups = 10
 	data, _, _ := makeObject(t, rowGroups, 200, 7)
@@ -106,10 +110,13 @@ func TestQueryRoundTrips(t *testing.T) {
 		// projected or aggregated chunks.
 		conj           []int
 		projects, aggs int
+		adaptive       [5]int
 	}{
-		{query: "SELECT * FROM obj WHERE qty < 25", conj: []int{colQty}, projects: 5},
-		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0", conj: []int{colQty, colPrice}, aggs: 2},
+		{query: "SELECT * FROM obj WHERE qty < 25", conj: []int{colQty}, projects: 5, adaptive: [5]int{26, 6, 6, 42, 0}},
+		{query: "SELECT SUM(price), AVG(qty) FROM obj WHERE qty > 10 AND price < 50.0", conj: []int{colQty, colPrice}, aggs: 2,
+			adaptive: [5]int{15, 8, 8, 0, 20}},
 	} {
+
 		opts := fusionTestOptions()
 		opts.Pushdown = PushdownAlways
 		p, b := pushdownAndBaselineStores(t, opts, data)
@@ -153,6 +160,14 @@ func TestQueryRoundTrips(t *testing.T) {
 		// The baseline pays one round trip per fetched chunk fragment.
 		if baseTotal != uint64(want.Stats.FetchRPCs) {
 			t.Fatalf("%q: baseline round trips = %d, want %d (one per fetch)", c.query, baseTotal, want.Stats.FetchRPCs)
+		}
+		a, _ := pushdownAndBaselineStores(t, fusionTestOptions(), data)
+		ares, atotal, afilter := queryRoundTrips(t, a, c.query)
+		ast := ares.Stats
+		if got := [5]int{int(atotal), int(afilter), ast.FilterRPCs, ast.ProjectRPCs, ast.GroupAggRPCs}; got != c.adaptive ||
+			resultKey(ares) != resultKey(want) {
+			t.Errorf("%q under adaptive pushdown: round trips, filter-stage round trips, Filter, Project, GroupAgg = %v, want %v",
+				c.query, got, c.adaptive)
 		}
 		t.Logf("%q round trips: pushdown %d (filter %d) vs baseline %d; simulated: %v vs %v",
 			c.query, total, filter, baseTotal, simLatency(newSimModel(), res).Total, simLatency(newSimModel(), want).Total)

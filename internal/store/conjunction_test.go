@@ -45,7 +45,12 @@ func (c *filterTap) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	}
 	for i, sub := range subs {
 		switch sub.Kind {
-		case rpc.KindFilter:
+		case rpc.KindFilter, rpc.KindProject, rpc.KindGroupAgg:
+			// A conjunction: a Filter's, or the one a fused sub-op carries
+			// first (those after it share its leaves).
+			if len(sub.Leaves) == 0 || i > 0 && rpc.SameSlice(sub.Leaves, subs[i-1].Leaves) {
+				continue
+			}
 			f := tappedFilter{node: node, req: sub}
 			switch {
 			case err != nil:
@@ -163,11 +168,12 @@ func andPathLeaves(e sql.Expr) (and, other []*sql.Compare) {
 // predicate with every node up, with some nodes down and with a chunk rotten,
 // the predicates taking the down counts in turn — and every result must
 // equal the baseline store's exactly. With every node up it
-// pins the plan's shape: per row group, the Filter sub-ops are one per node
-// holding a pushed leaf of the top-level AND — carrying those leaves in WHERE
-// order — plus one per pushed leaf under an OR or a NOT. With a chunk rotten,
-// the Filter that reads it fails, and every leaf of it falls back: its chunk
-// is fetched.
+// pins the plan's shape: per row group, the conjunctions sent are one per
+// node holding a pushed leaf of the top-level AND — carrying those leaves in
+// WHERE order, in a Filter or, where the projection rode the conjunction's
+// frame, in its first fused sub-op — plus one per pushed leaf under an OR or
+// a NOT. With a chunk rotten, the sub-op that reads it fails, and every leaf
+// of it falls back: its chunk is fetched.
 func TestConjunctionEquivalenceMatrix(t *testing.T) {
 	data, groups := replyFormsObject(t)
 	preds := conjunctionPredicates(groups, 7)
@@ -243,8 +249,8 @@ func TestConjunctionEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// checkFilterPlan pins the filter stage's plan of pred, as the Filter sub-ops
-// filters the store sent with every node up: per row group that footer
+// checkFilterPlan pins the filter stage's plan of pred, as the conjunctions
+// filters the store sent with every node up (filterTap): per row group that footer
 // statistics neither prune nor accept, one sub-op per node holding a leaf of
 // the top-level AND whose chunk statistics leave it open, with those leaves
 // in WHERE order, and one per such leaf under an OR or a NOT. It returns how

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"github.com/fusionstore/fusion/internal/colenc"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
+	"github.com/fusionstore/fusion/internal/sql"
 )
 
 // projectRewriter sits between a store and its cluster and rewrites the
@@ -191,7 +193,13 @@ func TestMalformedProjectReplyFallsBack(t *testing.T) {
 // (l_orderkey's shape: 1-bit delta pages) as many bits a selected row as a
 // step over the selection's widest gap takes; Always and Never mean what they
 // say; and an object laid out in fixed blocks, whose chunks no node holds
-// whole, never pushes.
+// whole, never pushes. The node's rows are the decision a node makes on a
+// projection whose selection is a conjunction it evaluated (a fusion): it
+// sends the reply iff its exact bytes are at most the stored chunk plus the
+// selection (cluster.ProjectionPays), and declines otherwise — over
+// replyFormsObject's row group 1, a Snappy-compressed dictionary chunk
+// (mode) and a chunk of 1-bit delta pages (okey), selected by noise, whose
+// values are scattered, or id, a contiguous run.
 func TestPushProjectionRule(t *testing.T) {
 	fsstComment := lpq.ChunkMeta{Size: 3_623_796, RawSize: 5_332_604, Encoding: colenc.FSST}
 	snappyDict := lpq.ChunkMeta{Size: 30_000, RawSize: 480_000, Encoding: colenc.Dict, Compressed: true}
@@ -253,6 +261,72 @@ func TestPushProjectionRule(t *testing.T) {
 			if got := s.pushProjection(c.meta, c.ch, c.sel, func() int { return c.wire }); got != c.push {
 				t.Fatalf("pushed %v, want %v (reply estimate %.0f B, selection %d B, chunk %d B)",
 					got, c.push, replyEstimate(c.ch, c.sel), c.wire, c.ch.Size)
+			}
+		})
+	}
+
+	data, _ := replyFormsObject(t)
+	footer, err := lpq.ParseFooter(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cluster.NewNode(0, cluster.NewMemStore())
+	if resp := node.Handle(&rpc.Request{Kind: rpc.KindPutBlock, BlockID: "obj", Data: data}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	ref := func(ci int) rpc.ChunkRef {
+		m := footer.RowGroups[1].Chunks[ci]
+		return rpc.ChunkRef{BlockID: "obj", Offset: m.Offset, Type: footer.Columns[ci].Type, Meta: m}
+	}
+	const colID, colMode, colNoise, colOkey = 0, 5, 7, 8
+	noise := func(below float64) rpc.FilterLeaf {
+		return rpc.FilterLeaf{Chunk: ref(colNoise), Op: sql.OpLt, Value: sql.FloatLit(below)}
+	}
+	ids := rpc.FilterLeaf{Chunk: ref(colID), Op: sql.OpLt, Value: sql.IntLit(1000)} // the row group's first 200 rows
+	for _, c := range []struct {
+		name string
+		ci   int
+		leaf rpc.FilterLeaf
+		push bool
+	}{
+		{"node: Snappy chunk, a dense selection is declined", colMode, noise(0.9), false},
+		{"node: Snappy chunk, a sparse selection is sent", colMode, noise(0.02), true},
+		{"node: delta page, a sparse scattered selection is sent", colOkey, noise(0.1), true},
+		{"node: delta page, a contiguous quarter is sent", colOkey, ids, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leaves := []rpc.FilterLeaf{c.leaf}
+			resp := node.Handle(&rpc.Request{Kind: rpc.KindBatch, Subs: []rpc.Request{
+				{Kind: rpc.KindProject, Chunk: ref(c.ci), Leaves: leaves},
+				{Kind: rpc.KindFilter, Leaves: leaves},
+			}})
+			project, filter := resp.Subs[0], resp.Subs[1]
+			if project.Err != "" || filter.Err != "" {
+				t.Fatalf("project %q, filter %q", project.Err, filter.Err)
+			}
+			sel, err := bitmap.Unmarshal(filter.Data, footer.RowGroups[1].NumRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := ref(c.ci)
+			ch, err := lpq.OpenChunk(r.Type, r.Meta, data[r.Offset:r.Offset+r.Meta.Size])
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := ch.AppendSelected(nil, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pays := len(reply) <= int(r.Meta.Size)+len(filter.Data)
+			declined := project.Size > 0
+			if declined == pays || pays != c.push || cluster.ProjectionPays(len(reply), int(r.Meta.Size), len(filter.Data)) != pays {
+				t.Fatalf("declined %v, want push %v: reply %d B, chunk %d B, selection %d B (%d of %d rows)",
+					declined, c.push, len(reply), r.Meta.Size, len(filter.Data), sel.Count(), sel.Len())
+			}
+			if declined && (project.Size != uint64(len(reply)) || !bytes.Equal(project.Data, filter.Data)) ||
+				!declined && !bytes.Equal(project.Data, reply) {
+				t.Fatalf("declined %v: reply of %d B (size %d), want the %s", declined, len(project.Data), project.Size,
+					map[bool]string{true: "selection", false: "projected rows"}[declined])
 			}
 		})
 	}

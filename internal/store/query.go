@@ -284,19 +284,22 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 		return nil, err
 	}
 
-	// Stage 1: filter. Produces one bitmap per surviving row group.
+	// Stage 1: filter. Produces one bitmap per surviving row group. Under
+	// adaptive pushdown a plain projection's tasks may ride it (fusion).
 	st.nowSt = 0
 	st.sp = qsp.Child("filter")
-	rgBitmaps, err := s.filterStage(st, q, colIdx)
+	var fuse []chunkTask
+	if s.opts.Pushdown == PushdownAdaptive && len(q.GroupBy) == 0 && len(q.OrderColumns()) == 0 {
+		_, _, fuse = projectionTasks(q, colIdx)
+	}
+	rgBitmaps, fz, err := s.filterStage(st, q, colIdx, fuse)
 	st.sp.End()
 	if err != nil {
 		return nil, err
 	}
 	selected := 0
-	for _, bm := range rgBitmaps {
-		if bm != nil {
-			selected += bm.Count()
-		}
+	for rg, bm := range rgBitmaps {
+		selected += fz.selected(rg, bm)
 	}
 	// Pruned row groups still count toward total rows.
 	st.stats.Selectivity = measuredSelectivity(selected, meta.Footer.NumRows())
@@ -320,7 +323,7 @@ func (s *Store) runQuery(ctx context.Context, qsp *trace.Span, orig *sql.Query, 
 		}
 	} else {
 		st.sp = qsp.Child("project")
-		res, err = s.orderedProjection(st, q, colIdx, rgBitmaps)
+		res, err = s.orderedProjection(st, q, colIdx, rgBitmaps, fz)
 		st.sp.End()
 		if err != nil {
 			return nil, err
@@ -607,15 +610,14 @@ func (s *Store) Placement(name string, cols ...int) (*Placement, error) {
 	return p, nil
 }
 
-// projectionStage materializes the SELECT list over the filtered rows.
-func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
-	meta := st.meta
-	res := &Result{}
-
-	// Plain projected columns (in SELECT order, deduplicated).
-	plainCols := make([]string, 0, len(q.Projections))
+// projectionTasks is the projection stage's shape: the plain projected
+// columns (in SELECT order, deduplicated), the aggregates, and the columns
+// read per row group, in SELECT-list order — the plain ones, then those only
+// aggregates read — each carrying the part of its tasks every row group
+// shares.
+func projectionTasks(q *sql.Query, colIdx map[string]int) (plainCols []string, aggs []groupAgg, cols []chunkTask) {
+	plainCols = make([]string, 0, len(q.Projections))
 	seen := map[string]bool{}
-	var aggs []groupAgg
 	for _, p := range q.Projections {
 		if p.Agg == sql.AggNone && !seen[p.Column] {
 			seen[p.Column] = true
@@ -629,16 +631,13 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			aggs = append(aggs, a)
 		}
 	}
-	// The columns read per row group, in SELECT-list order: the plain ones,
-	// then those only aggregates read. Each carries the part of its tasks
-	// every row group shares.
 	needCols := append([]string(nil), plainCols...)
 	for _, a := range aggs {
 		if a.ci >= 0 {
 			needCols = append(needCols, a.proj.Column)
 		}
 	}
-	cols := make([]chunkTask, 0, len(needCols))
+	cols = make([]chunkTask, 0, len(needCols))
 	for _, name := range dedupStrings(needCols) {
 		c := chunkTask{ci: colIdx[name], plain: seen[name]}
 		for j, a := range aggs {
@@ -650,15 +649,22 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 		}
 		cols = append(cols, c)
 	}
+	return plainCols, aggs, cols
+}
+
+// projectionStage materializes the SELECT list over the filtered rows; the
+// tasks that rode the filter stage's frames take their replies from fz.
+func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap, fz *fusion) (*Result, error) {
+	meta := st.meta
+	res := &Result{}
+	plainCols, aggs, cols := projectionTasks(q, colIdx)
 
 	// Each plain result column is sized once, for the rows the filter selected,
 	// and every task decodes into its own window of it: no per-chunk value
 	// slice, no re-growing, nothing left for the join below to copy.
 	selected := 0
-	for rg := range meta.Footer.RowGroups {
-		if bm := rgBitmaps[rg]; bm != nil {
-			selected += bm.Count()
-		}
+	for rg, bm := range rgBitmaps {
+		selected += fz.selected(rg, bm)
 	}
 	colData := make(map[string]lpq.ColumnData, len(plainCols))
 	for _, name := range plainCols {
@@ -671,7 +677,8 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// entry order — is identical to a serial run. Planning a task also plans
 	// its pushdown: a projection the policy pushes, or — for a column only
 	// aggregates read — the grouped stage's rule (planGroupPush) with no key,
-	// which pushes iff the one partial is smaller than the chunk.
+	// which pushes iff the one partial is smaller than the chunk. A task that
+	// rode the filter stage's frame pushes nothing more.
 	var p stagePlan
 	var chunks []chunkTask // chunks[i] is p.tasks[i]'s chunk
 	// A row group's selection is marshalled once, however many of its
@@ -686,27 +693,29 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	before := 0 // selected rows of the row groups before rg: where rg's window starts
 	for rg, rgMeta := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
-		if bm == nil || bm.Count() == 0 {
+		n := fz.selected(rg, bm)
+		if n == 0 {
 			continue
 		}
 		for _, c := range cols {
+			_, fused := fz.reply(rg, c.ci)
 			if !c.plain {
 				chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, spills: true})
-				if gp, ok := planGroupPush(meta, rg, nil, c.valIdx, bm.Count()); ok {
+				if gp, ok := planGroupPush(meta, rg, nil, c.valIdx, n); ok && !fused && bm != nil {
 					_, vals := groupRefs(meta, rg, nil, c.valIdx, nil)
 					p.push(gp.node, rpc.Request{Kind: rpc.KindGroupAgg, Bitmap: selection(rg), ValChunks: vals, AggKinds: c.kinds, MaxGroups: 1})
 				}
 				continue
 			}
-			c.dst = colData[meta.Footer.Columns[c.ci].Name].Window(before, bm.Count())
+			c.dst = colData[meta.Footer.Columns[c.ci].Name].Window(before, n)
 			chunks, p.tasks = append(chunks, c), append(p.tasks, stageTask{rg: rg, values: true})
-			if ch := rgMeta.Chunks[c.ci]; s.pushProjection(meta, ch, bm, func() int { return len(selection(rg)) }) {
+			if ch := rgMeta.Chunks[c.ci]; !fused && bm != nil && s.pushProjection(meta, ch, bm, func() int { return len(selection(rg)) }) {
 				if node, ref, ok := chunkLocation(meta, rg, c.ci, ch); ok {
 					p.push(node, rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: selection(rg)})
 				}
 			}
 		}
-		before += bm.Count()
+		before += n
 	}
 	// The per-chunk work — decoding pushed replies, fetching and reducing
 	// everything else — runs on the worker pool. Whatever feeds an aggregate
@@ -714,16 +723,29 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// task order: the same reduction shape whether the node, a pushed
 	// projection's values or the fetched chunk supplied the rows, so float
 	// accumulation is bit-identical no matter which mix of pushed, fetched and
-	// cached chunks served the query.
+	// cached chunks served the query. A task served here whose row group's
+	// bitmap stayed on the node evaluates the WHERE clause itself (fz.eval).
 	err := s.runStage(st, &p, func(i int, sub *execState) (answered bool, err error) {
 		c, rg, pre := &chunks[i], p.tasks[i].rg, p.tasks[i].reply()
+		if r, fused := fz.reply(rg, c.ci); fused {
+			pre = r
+		}
 		bm := rgBitmaps[rg]
+		n := fz.selected(rg, bm)
+		sel := func() (*bitmap.Bitmap, error) {
+			if bm != nil {
+				return bm, nil
+			}
+			return fz.eval(sub, rg)
+		}
 		if !c.plain {
 			// Only aggregates read the column: a GROUP BY with no key, answered
 			// by the node or grouped here.
 			var groups []sql.GroupPartial
-			if pre != nil && acceptGroups(pre.Groups, meta, nil, c.valIdx, c.kinds, bm.Count()) {
+			if pre != nil && acceptGroups(pre.Groups, meta, nil, c.valIdx, c.kinds, n) {
 				groups, answered = pre.Groups, true
+			} else if bm, err := sel(); err != nil {
+				return false, err
 			} else if groups, err = s.localGroupRG(sub, rg, nil, c.valIdx, c.kinds, bm); err != nil {
 				return false, err
 			}
@@ -733,7 +755,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			return answered, nil
 		}
 		var vals lpq.ColumnData
-		if vals, answered, err = s.projectChunk(sub, rg, c.ci, bm, pre, c.dst); err == nil && len(c.folds) > 0 {
+		if vals, answered, err = s.projectChunk(sub, rg, c.ci, n, sel, pre, c.dst); err == nil && len(c.folds) > 0 {
 			// A projected column's aggregates fold the values it already holds.
 			var partial sql.AggState
 			partial.AddColumn(vals)
@@ -770,17 +792,17 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	return res, nil
 }
 
-// projectChunk decodes the selected values of one chunk onto dst (empty on
+// projectChunk decodes the n selected values of one chunk onto dst (empty on
 // entry: see chunkTask.dst) and returns it, and whether pre supplied them.
 // Whether to push the projection down or fetch the chunk was decided per chunk
-// at planning time (pushProjection). pre, when non-nil, is the pushed
-// projection's reply: the selected rows as a chunk of their own in the stored
-// chunk's encoding, opened (lpq.OpenReply) and gathered here. Otherwise — not
-// pushed, or the pushed attempt got no answer — the chunk is fetched and
-// filtered here.
-func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response, dst lpq.ColumnData) (lpq.ColumnData, bool, error) {
+// at planning time (pushProjection), or by the node (a fusion). pre, when
+// non-nil, is the pushed projection's reply: the selected rows as a chunk of
+// their own in the stored chunk's encoding, opened (lpq.OpenReply) and
+// gathered here. Otherwise — not pushed, declined, or the pushed attempt got
+// no answer — the chunk is fetched and filtered here by sel's bitmap.
+func (s *Store) projectChunk(st *execState, rg, ci, n int, sel func() (*bitmap.Bitmap, error), pre *rpc.Response, dst lpq.ColumnData) (lpq.ColumnData, bool, error) {
 	if pre != nil {
-		ch, err := lpq.OpenReply(dst.Type, bm.Count(), pre.Data)
+		ch, err := lpq.OpenReply(dst.Type, n, pre.Data)
 		if err == nil {
 			var vals lpq.ColumnData
 			if vals, err = ch.AppendGather(dst, nil); err == nil {
@@ -790,6 +812,10 @@ func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *
 		// Malformed reply — not a chunk of the column's type and the
 		// selection's count of rows, or a value that does not decode: fall
 		// through to fetching, which starts dst over.
+	}
+	bm, err := sel()
+	if err != nil {
+		return lpq.ColumnData{}, false, err
 	}
 	ch, err := s.openSelected(st, rg, ci, bm)
 	if err != nil {

@@ -82,21 +82,32 @@ var pinnedQueries = []string{
 // more, so the SELECT * and ORDER BY price rows send two frames more, 10 →
 // 12 and 7 → 9, as does PushdownAlways's first row; with node 8 down it
 // held fewer of the chunks asked for, so traffic fell by ≈137 KB in rows 1,
-// 3, 4 and 7 and by 141 KB in the SELECT *). The simulated
+// 3, 4 and 7 and by 141 KB in the SELECT *), and again when a row group's
+// projections began riding its conjunction's frame where their chunks share
+// the conjunction's node, carrying the conjunction as their selection, and
+// the node began pricing them on exact bytes (only the adaptive tables
+// moved: row 1's four price projections ride the qty Filter's frame, so its
+// bitmap no longer goes out again, traffic 12,056 → 10,766 B (331,098 →
+// 330,473 B with node 8 down); in the SELECT * row the nodes push two projections the
+// planner's estimate fetched, project 12 → 14 and fetch 8 → 6, traffic
+// 155,526 → 153,462 B, and with node 8 down project 9 → 10, fetch 49 → 48;
+// the projection stage sends fewer frames, so every later row's priced
+// fields — sim, disk, proc, net — moved with the jitter stream, and no
+// other counter did). The simulated
 // figures behind EXPERIMENTS.md are functions of exactly these numbers, so a
 // refactor that keeps this table kept them. The node-down tables pin what a
 // lost reply costs: which units fall back, how they are counted, and the
 // survivor reads behind them.
 var pinnedStats = map[string][]string{
 	"fusion": {
-		"sim=1158422 disk=2328 proc=38644 net=1117448 traffic=12056 filter=4 project=4 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=4 off=4 pruned=0 sel=0.10504166666666667",
-		"sim=2052324 disk=55601 proc=39499 net=1957221 traffic=155526 filter=6 project=12 fetch=8 batch=12 groupagg=0 topk=0 partials=0 spills=0 on=12 off=8 pruned=0 sel=0.8125416666666667",
-		"sim=1154914 disk=14844 proc=35863 net=1104206 traffic=12757 filter=8 project=0 fetch=0 batch=10 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=637859 disk=13859 proc=23231 net=600768 traffic=2382 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
-		"sim=1048725 disk=14424 proc=29188 net=1005110 traffic=16132 filter=4 project=0 fetch=2 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
-		"sim=857473 disk=19424 proc=18297 net=819751 traffic=61422 filter=0 project=0 fetch=6 batch=2 groupagg=2 topk=0 partials=300 spills=2 on=0 off=0 pruned=0 sel=1",
-		"sim=1093576 disk=14102 proc=26304 net=1053168 traffic=9630 filter=4 project=4 fetch=0 batch=9 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=723825 disk=14463 proc=9195 net=700165 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=1169795 disk=7067 proc=45660 net=1117068 traffic=10766 filter=4 project=4 fetch=4 batch=6 groupagg=0 topk=0 partials=0 spills=0 on=4 off=4 pruned=0 sel=0.10504166666666667",
+		"sim=1970276 disk=63092 proc=56753 net=1850428 traffic=153462 filter=6 project=14 fetch=6 batch=12 groupagg=0 topk=0 partials=0 spills=0 on=14 off=6 pruned=0 sel=0.8125416666666667",
+		"sim=1155365 disk=15114 proc=36154 net=1104096 traffic=12757 filter=8 project=0 fetch=0 batch=10 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=641010 disk=13117 proc=27093 net=600800 traffic=2382 filter=0 project=0 fetch=0 batch=4 groupagg=8 topk=0 partials=8 spills=0 on=0 off=0 pruned=0 sel=1",
+		"sim=1048157 disk=13973 proc=29138 net=1005045 traffic=16132 filter=4 project=0 fetch=2 batch=6 groupagg=4 topk=0 partials=12 spills=0 on=0 off=0 pruned=0 sel=0.805",
+		"sim=859009 disk=21686 proc=18737 net=818584 traffic=61422 filter=0 project=0 fetch=6 batch=2 groupagg=2 topk=0 partials=300 spills=2 on=0 off=0 pruned=0 sel=1",
+		"sim=1091333 disk=13502 proc=24736 net=1053091 traffic=9630 filter=4 project=4 fetch=0 batch=9 groupagg=0 topk=4 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=723046 disk=13894 proc=8992 net=700159 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always": {
 		"sim=1105065 disk=12406 proc=25396 net=1067262 traffic=17024 filter=4 project=8 fetch=0 batch=9 groupagg=0 topk=0 partials=0 spills=0 on=8 off=0 pruned=0 sel=0.10504166666666667",
@@ -119,14 +130,14 @@ var pinnedStats = map[string][]string{
 		"sim=715715 disk=0 proc=15588 net=700126 traffic=310 filter=0 project=0 fetch=2 batch=0 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"fusion, node 8 down": {
-		"sim=2086130 disk=54304 proc=9057 net=2022768 traffic=331098 filter=3 project=2 fetch=22 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=2 off=6 pruned=0 sel=0.10504166666666667",
-		"sim=4280349 disk=116037 proc=39139 net=4125171 traffic=927772 filter=4 project=9 fetch=49 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=9 off=11 pruned=0 sel=0.8125416666666667",
-		"sim=2752616 disk=53104 proc=33761 net=2665749 traffic=506382 filter=6 project=0 fetch=30 batch=8 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
-		"sim=1619076 disk=37845 proc=25683 net=1555547 traffic=325551 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=2382203 disk=51074 proc=26296 net=2304831 traffic=487051 filter=3 project=0 fetch=27 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
-		"sim=2134988 disk=58210 proc=17485 net=2059292 traffic=511674 filter=0 project=0 fetch=29 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
-		"sim=2021198 disk=38326 proc=23347 net=1959522 traffic=330350 filter=3 project=4 fetch=18 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
-		"sim=721313 disk=12427 proc=8718 net=700166 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
+		"sim=2095184 disk=58256 proc=14351 net=2022577 traffic=330473 filter=3 project=2 fetch=22 batch=4 groupagg=0 topk=0 partials=0 spills=0 on=2 off=6 pruned=0 sel=0.10504166666666667",
+		"sim=4228234 disk=124087 proc=56787 net=4047358 traffic=926740 filter=4 project=10 fetch=48 batch=10 groupagg=0 topk=0 partials=0 spills=0 on=10 off=10 pruned=0 sel=0.8125416666666667",
+		"sim=2753623 disk=55582 proc=32894 net=2665145 traffic=506382 filter=6 project=0 fetch=30 batch=8 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=0.3625833333333333",
+		"sim=1618353 disk=35501 proc=27366 net=1555485 traffic=325551 filter=0 project=0 fetch=18 batch=3 groupagg=5 topk=0 partials=5 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=2381465 disk=49123 proc=29516 net=2302825 traffic=487051 filter=3 project=0 fetch=27 batch=4 groupagg=2 topk=0 partials=6 spills=2 on=0 off=0 pruned=0 sel=0.805",
+		"sim=2140894 disk=56102 proc=20434 net=2064357 traffic=511674 filter=0 project=0 fetch=29 batch=1 groupagg=1 topk=0 partials=150 spills=3 on=0 off=0 pruned=0 sel=1",
+		"sim=2018518 disk=37528 proc=24737 net=1956250 traffic=330350 filter=3 project=4 fetch=18 batch=7 groupagg=0 topk=2 partials=0 spills=0 on=4 off=0 pruned=0 sel=0.79275",
+		"sim=720384 disk=11683 proc=8530 net=700170 traffic=430 filter=1 project=0 fetch=1 batch=1 groupagg=0 topk=0 partials=0 spills=0 on=0 off=0 pruned=3 sel=0.004166666666666667",
 	},
 	"always, node 8 down": {
 		"sim=2034575 disk=36622 proc=25512 net=1972439 traffic=336066 filter=3 project=6 fetch=18 batch=7 groupagg=0 topk=0 partials=0 spills=0 on=6 off=2 pruned=0 sel=0.10504166666666667",

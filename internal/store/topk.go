@@ -23,11 +23,11 @@ import (
 
 // orderedProjection runs the projection stage and applies the query's ORDER
 // BY (LIMIT is applied by the caller).
-func (s *Store) orderedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap) (*Result, error) {
+func (s *Store) orderedProjection(st *execState, q *sql.Query, colIdx map[string]int, rgBitmaps []*bitmap.Bitmap, fz *fusion) (*Result, error) {
 	if len(q.OrderColumns()) == 0 {
 		// No ORDER BY, or ORDER BY over aggregates only — an ungrouped
 		// aggregate result is a single row, so there is nothing to sort.
-		return s.projectionStage(st, q, colIdx, rgBitmaps)
+		return s.projectionStage(st, q, colIdx, rgBitmaps, fz)
 	}
 	if q.HasLimit && q.Limit > 0 && len(q.OrderBy) == 1 &&
 		q.OrderBy[0].Proj.Agg == sql.AggNone && !q.HasAggregates() {
@@ -54,7 +54,7 @@ func (s *Store) sortedProjection(st *execState, q *sql.Query, colIdx map[string]
 			q.Projections = append(q.Projections, sql.Projection{Column: c})
 		}
 	}
-	res, err := s.projectionStage(st, q, colIdx, rgBitmaps)
+	res, err := s.projectionStage(st, q, colIdx, rgBitmaps, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 			winBm[w.RG].Set(int(w.Row))
 		}
 		var err error
-		if res, err = s.projectionStage(st, &rest, colIdx, winBm); err != nil {
+		if res, err = s.projectionStage(st, &rest, colIdx, winBm, nil); err != nil {
 			return nil, err
 		}
 		// order lists the winners in (rg, row) order, the projection's row
