@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"sort"
 
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/bufpool"
@@ -99,6 +100,13 @@ type pageKind interface {
 // the rows sel selects to dst.
 type stringKind interface {
 	appendStrings(c *Chunk, dst []string, sel *bitmap.Bitmap) ([]string, error)
+}
+
+// reachKind is a kind that narrows a top-k scan: it marks in words the rows
+// of page p from row from on whose value may reach cut, or reports false to
+// have them all read.
+type reachKind interface {
+	reaching(c *Chunk, p *page, from int, cut Cut, words []uint64) bool
 }
 
 // kinds is the format's table of page kinds, indexed by the encoding byte
@@ -332,13 +340,15 @@ func (pp packedPage) perGroupLoad() int {
 
 // unpack extracts the len(dst) codes from the idx-th on. Where one load holds
 // four codes or more at any bit offset (57/width of them), each load is used
-// whole; wider codes are loaded one at a time.
+// whole; where it holds two or three, two codes are taken from it; wider codes
+// are loaded one at a time.
 func (pp packedPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
 	data, bit := pp.window(idx, len(dst), buf)
 	w := pp.width
 	mask, sh := uint64(1)<<w-1, uint(w)&63
 	k := 0
-	if per := 57 / w; per >= 4 {
+	switch per := 57 / w; {
+	case per >= 4:
 		for ; k+per <= len(dst); k += per {
 			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
 			out := dst[k : k+per]
@@ -347,6 +357,12 @@ func (pp packedPage) unpack(dst []uint32, idx int, buf *[windowBytes]byte) {
 				u >>= sh
 			}
 			bit += per * w
+		}
+	case per >= 2:
+		for ; k+2 <= len(dst); k += 2 {
+			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+			dst[k], dst[k+1] = uint32(u&mask), uint32(u>>sh&mask)
+			bit += 2 * w
 		}
 	}
 	for ; k < len(dst); k++ {
@@ -638,6 +654,61 @@ func (c *Chunk) AppendGather(dst ColumnData, sel *bitmap.Bitmap) (ColumnData, er
 		}
 	}
 	return dst, sc.Err()
+}
+
+// Cut is a top-k cut-off as the pages test it: the key of the row that places
+// last, Int for an Int64 chunk and Float for a Float64 one. A row may reach it
+// when its value sorts at or before it — at or above it when Desc — and a NaN
+// always may.
+type Cut struct {
+	Int   int64
+	Float float64
+	Desc  bool
+}
+
+// Narrows reports whether Reaching can leave rows out: whether the chunk's
+// kind has a candidate test.
+func (c *Chunk) Narrows() bool {
+	_, ok := c.kind.(reachKind)
+	return ok
+}
+
+// Reaching marks in dst, a bitmap of the chunk's rows, the rows of the page
+// holding row from, from that row to the page's end, whose value may reach
+// cut, and returns the page's end. The marks are a superset of the rows that
+// reach: a page the kind cannot narrow — a delta page, one whose every row may
+// reach, a NaN cut-off, any page of a kind without a test — has all of those
+// rows marked. dst's other bits are left as they are.
+func (c *Chunk) Reaching(dst *bitmap.Bitmap, from int, cut Cut) (int, error) {
+	if dst.Len() != c.rows || from < 0 || from >= c.rows {
+		return 0, fmt.Errorf("lpq: Reaching from row %d into %d rows, the chunk has %d", from, dst.Len(), c.rows)
+	}
+	pi := sort.Search(len(c.pages), func(i int) bool { return c.pages[i].first+c.pages[i].rows > from })
+	p := &c.pages[pi]
+	end := p.first + p.rows
+	if k, ok := c.kind.(reachKind); !ok || !k.reaching(c, p, from, cut, dst.Words()) {
+		dst.SetRange(from, end)
+	}
+	return end, nil
+}
+
+// markRange ORs into words, for the rows of page p from row from on, a bit
+// for each whose code lies in [lo, lo+bound) — or, with outside set, does
+// not: p's codes read a group of 64 at a time by inRange.
+func (c *Chunk) markRange(p *page, from int, lo, bound uint64, outside bool, words []uint64) {
+	pp := packedPage{c.blob[p.off:p.end], p.width}
+	var buf [windowBytes]byte
+	for g := (from - p.first) &^ 63; g < p.rows; g += 64 {
+		n := min(64, p.rows-g)
+		acc := pp.inRange(g, n, lo, bound, &buf)
+		if outside {
+			acc ^= 1<<n - 1
+		}
+		if skip := from - (p.first + g); skip > 0 {
+			acc &^= 1<<skip - 1
+		}
+		orWord(words, p.first+g, acc)
+	}
 }
 
 // gatherFlush is how many bytes of strings Gather collects before it turns

@@ -329,3 +329,121 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTopKCandidates: Chunk.Reaching, page after page from the row it starts
+// at to the chunk's end, marks every row whose value may reach a top-k
+// cut-off — at or beyond it in the scan's direction, or a NaN — and no row
+// before the start. The chunk holds values drawn from data: floats as cents an
+// ulp or a few off (corrections and escapes), as raw bits, or as integers of
+// 2^50 and more over 100; ints as given, sorted (delta pages) or in a narrow
+// frame. Each column is written by the writer, as whatever kind it picks, and
+// forced into decimal or frame pages where they fit. The cut-off is one of the
+// values (ties) or raw bits (infinities, NaNs).
+func FuzzTopKCandidates(f *testing.F) {
+	words := func(vals ...uint64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	f.Add(words(1<<20, 3<<20|5, 7<<16, 9<<16|2, 11<<20|7, 5<<16|3, 2<<16|6, 8<<16), uint8(0), uint64(6), true, uint16(1), uint8(3))
+	f.Add(words(math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), math.Float64bits(1.5), 0, 1<<63), uint8(1), math.Float64bits(math.Inf(1)), true, uint16(0), uint8(2))
+	f.Add(words(1, 99, 500, 1<<30, 7, 3), uint8(2), uint64(4), false, uint16(2), uint8(4))
+	f.Add(words(5, 1, 9, 3, 7, 2, 8, 4, 6), uint8(4), uint64(9), false, uint16(3), uint8(5))
+	f.Add(words(17, 4000, 123, 2500, 2500, 77), uint8(5), uint64(8), true, uint16(0), uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, cutBits uint64, desc bool, from uint16, pageRows uint8) {
+		n := min(len(data)/8, 1024)
+		if n == 0 {
+			return
+		}
+		given := make([]uint64, n)
+		for i := range given {
+			given[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		var col ColumnData
+		if shape%6 < 3 {
+			vals := make([]float64, n)
+			for i, u := range given {
+				switch shape % 6 {
+				case 0:
+					k := int64(u>>16%20001) - 10000
+					vals[i] = math.Float64frombits(math.Float64bits(float64(k)/100) + uint64(u&7) - 3)
+				case 1:
+					vals[i] = math.Float64frombits(u)
+				default:
+					vals[i] = float64(1<<50+int64(u>>8%1_000_000)) / 100
+					if u&1 != 0 {
+						vals[i] = -vals[i]
+					}
+				}
+			}
+			col = FloatColumn(vals)
+		} else {
+			vals := make([]int64, n)
+			for i, u := range given {
+				vals[i] = int64(u)
+				if shape%6 == 5 {
+					vals[i] = int64(u%5000) - 2500
+				}
+			}
+			if shape%6 == 4 {
+				slices.Sort(vals)
+			}
+			col = IntColumn(vals)
+		}
+		cut := Cut{Int: int64(cutBits), Float: math.Float64frombits(cutBits), Desc: desc}
+		if i := int(cutBits>>1) % n; cutBits&1 == 0 && col.Type == Float64 {
+			cut.Float = col.Floats[i]
+		} else if cutBits&1 == 0 {
+			cut.Int = col.Ints[i]
+		}
+		rows := max(int(pageRows), 1)
+		m, raw := encodeChunk(col, WriterOptions{PageRows: rows})
+		checkReaching(t, m.Encoding.String(), col, m, raw, cut, int(from)%n)
+		if col.Type == Float64 {
+			if blob, ok := tryDecimalEncode(col.Floats, rows, math.MaxInt); ok {
+				checkReaching(t, "decimal", col, metaFor(blob, n), blob, cut, int(from)%n)
+			}
+		} else if blob, ok := tryFrameEncode(col.Ints, rows, math.MaxInt); ok {
+			checkReaching(t, "frames", col, metaFor(blob, n), blob, cut, int(from)%n)
+		}
+	})
+}
+
+// checkReaching opens chunk raw of col's values and checks that Reaching,
+// from row start on, marks every row whose value reaches cut and none before
+// start, and that the pages it steps through end at the chunk's end.
+func checkReaching(t *testing.T, name string, col ColumnData, m ChunkMeta, raw []byte, cut Cut, start int) {
+	t.Helper()
+	ch, err := OpenChunk(col.Type, m, raw)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer ch.Release()
+	marks := bitmap.New(col.Len())
+	for r := start; r < col.Len(); {
+		end, err := ch.Reaching(marks, r, cut)
+		if err != nil || end <= r || end > col.Len() {
+			t.Fatalf("%s: Reaching from row %d ends at %d: %v", name, r, end, err)
+		}
+		r = end
+	}
+	for i := 0; i < col.Len(); i++ {
+		var reaches bool
+		var v any
+		if col.Type == Float64 {
+			f := col.Floats[i]
+			reaches, v = f != f || cut.Desc && f >= cut.Float || !cut.Desc && f <= cut.Float, f
+		} else {
+			n := col.Ints[i]
+			reaches, v = cut.Desc && n >= cut.Int || !cut.Desc && n <= cut.Int, n
+		}
+		if i < start && marks.Get(i) {
+			t.Fatalf("%s: row %d, before the start %d, is marked", name, i, start)
+		}
+		if i >= start && reaches && !marks.Get(i) {
+			t.Fatalf("%s: row %d (%v) reaches %+v but is not marked", name, i, v, cut)
+		}
+	}
+}

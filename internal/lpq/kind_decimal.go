@@ -249,6 +249,103 @@ func (c *Chunk) decimals(p *page, codes []uint32, dst []float64) error {
 	return nil
 }
 
+// reaching is the candidate test of a decimal page. The cut-off is translated
+// once into the range of offsets whose value may reach it: on a corrected page
+// it is first widened by an ulp, which is as far as a correction moves a value,
+// and the range's edge is found by a binary search over the frame with the
+// decoder's own division, so rounding puts no reaching row outside. The
+// range's codes, whatever their correction, are marked by inRange. Each escape
+// is judged by its raw value, a NaN reaching, and one past the page's values
+// is marked for the read to report.
+func (decimalKind) reaching(c *Chunk, p *page, from int, cut Cut, words []uint64) bool {
+	w := cut.Float
+	if w != w {
+		return false
+	}
+	offs := 1 << (p.width - p.corr) // the frame holds offsets [0, offs)
+	// lo, hi: the offsets [lo, hi) reach.
+	var lo, hi int
+	if cut.Desc {
+		if p.corr != 0 {
+			w = math.Nextafter(w, math.Inf(-1))
+		}
+		lo, hi = c.firstDecimal(p, offs, w, true), offs
+	} else {
+		if p.corr != 0 {
+			w = math.Nextafter(w, math.Inf(1))
+		}
+		lo, hi = 0, c.firstDecimal(p, offs, w, false)
+	}
+	// A correction down from the integer 0 decodes to a NaN, which reaches.
+	if z := -p.base; p.corr != 0 && z >= 0 && z < int64(offs) {
+		lo, hi = min(lo, int(z)), max(hi, int(z)+1)
+	}
+	if lo == 0 && hi == offs {
+		return false
+	}
+	if lo < hi {
+		c.markRange(p, from, uint64(lo)<<p.corr, uint64(hi-lo)<<p.corr, false, words)
+	}
+	for e := 0; e < p.escapes; e++ {
+		if c.escapeReaches(p, e, cut) {
+			c.markEscapes(p, from, cut, words)
+			break
+		}
+	}
+	return true
+}
+
+// escapeReaches reports whether the e-th escape of page p, one of its values,
+// reaches cut or is a NaN.
+func (c *Chunk) escapeReaches(p *page, e int, cut Cut) bool {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(c.blob[p.end+8*e:]))
+	return v != v || cut.Desc && v >= cut.Float || !cut.Desc && v <= cut.Float
+}
+
+// firstDecimal returns the smallest offset of page p's frame, below offs,
+// whose integer over the scale lies above w, or at it with orEqual; offs if
+// none does. The quotient does not fall as the offset grows, so a binary
+// search finds it.
+func (c *Chunk) firstDecimal(p *page, offs int, w float64, orEqual bool) int {
+	lo, hi := 0, offs
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v := float64(p.base+int64(mid)) / c.scale; v > w || orEqual && v == w {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// markEscapes ORs into words a bit for each escape of page p, from row from
+// on, that reaches cut (escapeReaches), and for each that indexes past the
+// page's values. It reads every code, so reaching only calls it when some
+// escape of the page reaches.
+func (c *Chunk) markEscapes(p *page, from int, cut Cut, words []uint64) {
+	pp := packedPage{c.blob[p.off:p.end], p.width}
+	var buf [windowBytes]byte
+	var codes [64]uint32
+	for g := (from - p.first) &^ 63; g < p.rows; g += 64 {
+		n := min(64, p.rows-g)
+		pp.unpack(codes[:n], g, &buf)
+		var acc uint64
+		for k, code := range codes[:n] {
+			if code&3 != corrEscape {
+				continue
+			}
+			if e := int(code >> 2); e >= p.escapes || c.escapeReaches(p, e, cut) {
+				acc |= 1 << k
+			}
+		}
+		if skip := from - (p.first + g); skip > 0 {
+			acc &^= 1<<skip - 1
+		}
+		orWord(words, p.first+g, acc)
+	}
+}
+
 // reply writes the chunk's header, then each page's selected codes in its
 // frame, each escape renumbered to its place among the selected escapes,
 // which the page's offset width indexes as it did the page's.

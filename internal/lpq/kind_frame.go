@@ -362,29 +362,55 @@ func (c *Chunk) SelectInts(lo, hi int64, outside bool) (*bitmap.Bitmap, error) {
 		// Offsets of the bounds, exact as unsigned differences.
 		from := uint64(max(lo, p.base)) - uint64(p.base)
 		span := uint64(min(hi, top)) - uint64(max(lo, p.base))
-		pp := packedPage{c.blob[p.off:p.end], p.width}
-		for g := 0; g < p.rows; g += 64 {
-			n := min(64, p.rows-g)
-			acc := pp.inRange(g, n, from, span+1, &buf)
-			if outside {
-				acc ^= 1<<n - 1
-			}
-			orWord(words, p.first+g, acc)
-		}
+		c.markRange(p, p.first, from, span+1, outside, words)
 	}
 	return out, nil
+}
+
+// reaching is the candidate test of an offset page: the cut-off translated
+// into offset space once, a value at or beyond it (in the cut's direction) is
+// an offset at or beyond the cut's. A delta page is read whole, as is an
+// offset page whose every row reaches.
+func (frameKind) reaching(c *Chunk, p *page, from int, cut Cut, words []uint64) bool {
+	if p.delta {
+		return false
+	}
+	lo, hi := p.base, p.base+(1<<p.width-1) // the directory checked they fit
+	if cut.Desc {
+		lo = max(lo, cut.Int)
+	} else {
+		hi = min(hi, cut.Int)
+	}
+	switch {
+	case lo > hi: // no row reaches
+	case hi-lo == 1<<p.width-1:
+		return false
+	default:
+		c.markRange(p, from, uint64(lo)-uint64(p.base), uint64(hi)-uint64(lo)+1, false, words)
+	}
+	return true
 }
 
 // inRange returns the n (at most 64) codes from the idx-th, the first of a
 // group, as a word: bit k set iff code idx+k lies in [from, from+bound). The
 // borrow of code-from-bound is added into the word doubled, so the first code
-// ends up highest and the word is reversed at the end.
+// ends up highest and the word is reversed at the end. Two codes a load, the
+// widths from 16 to 28 bits, are tested without an inner loop.
 func (pp packedPage) inRange(idx, n int, from, bound uint64, buf *[windowBytes]byte) uint64 {
 	data, bit := pp.window(idx, n, buf)
 	w, per := pp.width, pp.perGroupLoad()
 	mask, sh := uint64(1)<<w-1, uint(w)&63
 	var acc uint64
 	k := 0
+	if per == 2 {
+		for ; k < n; k += 2 {
+			u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
+			_, c0 := bits.Sub64(u&mask-from, bound, 0)
+			_, c1 := bits.Sub64(u>>sh&mask-from, bound, 0)
+			acc = acc<<2 | c0<<1 | c1
+			bit += 2 * w
+		}
+	}
 	for ; k < n; k += per {
 		u := binary.LittleEndian.Uint64(data[bit>>3:]) >> (bit & 7)
 		for j := per; j > 0; j-- {

@@ -21,7 +21,7 @@ const benchRows = 60000
 // with repeats: a frame of reference), l_discount (11 values: dictionary,
 // 4-bit codes), l_quantity (50 values: dictionary, 6-bit codes) and l_partkey
 // (200,000 keys: a frame of reference, 18-bit offsets).
-func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
+func benchRowGroup(tb testing.TB) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
 	rng := rand.New(rand.NewSource(7))
 	ship, order := make([]int64, benchRows), make([]int64, benchRows)
 	price := make([]float64, benchRows)
@@ -41,8 +41,8 @@ func benchRowGroup(b *testing.B) (chunks []*lpq.Chunk, cols []lpq.ColumnData) {
 	}
 	cols = []lpq.ColumnData{lpq.IntColumn(ship), lpq.StringColumn(flag), lpq.FloatColumn(price), lpq.IntColumn(order),
 		lpq.FloatColumn(discount), lpq.IntColumn(qty), lpq.IntColumn(part)}
-	chunks = openColumns(b, lpq.DefaultWriterOptions(), cols)
-	b.Cleanup(func() {
+	chunks = openColumns(tb, lpq.DefaultWriterOptions(), cols)
+	tb.Cleanup(func() {
 		for _, ch := range chunks {
 			ch.Release()
 		}
@@ -233,16 +233,19 @@ func BenchmarkKernelAggregate1pct(b *testing.B) {
 
 // BenchmarkKernelGroupBy times GROUP BY l_returnflag with COUNT(l_orderkey)
 // and SUM(l_extendedprice) over every row — the repository benchmark's
-// group_returnflag template, one row group of it — against AddRows over
-// decoded columns.
+// group_returnflag template, one row group of it — as a node calls it: COUNT
+// reads no column (the coordinator ships none for it), and the selection of a
+// query with no WHERE is the full bitmap the node unmarshals. The reference
+// row runs AddRows over decoded columns, COUNT's argument empty as well.
 func BenchmarkKernelGroupBy(b *testing.B) {
 	chunks, cols := benchRowGroup(b)
 	kinds := []AggKind{AggCount, AggSum}
+	full := bitmap.NewFull(benchRows)
 	b.Run("returnflag", func(b *testing.B) {
 		b.SetBytes(benchRows)
 		for i := 0; i < b.N; i++ {
 			g := NewGroupTable(kinds, 0)
-			if err := g.AddChunks(chunks[benchFlag:benchFlag+1], []*lpq.Chunk{chunks[benchOrder], chunks[benchPrice]}, nil); err != nil {
+			if err := g.AddChunks(chunks[benchFlag:benchFlag+1], []*lpq.Chunk{nil, chunks[benchPrice]}, full); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += g.Len()
@@ -250,10 +253,9 @@ func BenchmarkKernelGroupBy(b *testing.B) {
 	})
 	b.Run("returnflag-ref", func(b *testing.B) {
 		b.SetBytes(benchRows)
-		full := bitmap.NewFull(benchRows)
 		for i := 0; i < b.N; i++ {
 			g := NewGroupTable(kinds, 0)
-			if err := g.AddRows(cols[benchFlag:benchFlag+1], []lpq.ColumnData{cols[benchOrder], cols[benchPrice]}, full); err != nil {
+			if err := g.AddRows(cols[benchFlag:benchFlag+1], []lpq.ColumnData{{}, cols[benchPrice]}, full); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += g.Len()
@@ -262,15 +264,17 @@ func BenchmarkKernelGroupBy(b *testing.B) {
 }
 
 // BenchmarkTopK10of60000 times ORDER BY l_extendedprice DESC LIMIT 10 over one
-// row group — the top10_price template's node work, opened chunk in hand —
-// against boxing every row and sorting.
+// row group — the top10_price template's node work, opened chunk in hand and
+// the full bitmap a query with no WHERE unmarshals as its selection — against
+// boxing every row and sorting.
 func BenchmarkTopK10of60000(b *testing.B) {
 	chunks, cols := benchRowGroup(b)
+	full := bitmap.NewFull(benchRows)
 	b.Run("price-decimal", func(b *testing.B) {
 		b.SetBytes(benchRows)
 		for i := 0; i < b.N; i++ {
 			tk := NewTopK(10, true)
-			if err := tk.PushChunk(chunks[benchPrice], nil, 0); err != nil {
+			if err := tk.PushChunk(chunks[benchPrice], full, 0); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += len(tk.Rows())
@@ -278,7 +282,6 @@ func BenchmarkTopK10of60000(b *testing.B) {
 	})
 	b.Run("price-decimal-ref", func(b *testing.B) {
 		b.SetBytes(benchRows)
-		full := bitmap.NewFull(benchRows)
 		for i := 0; i < b.N; i++ {
 			benchSink += len(referenceTopK(10, true, allRows(cols[benchPrice], full, 0)))
 		}

@@ -26,11 +26,13 @@ type GroupPartial struct {
 // GroupTable accumulates per-group partial aggregates. Storage nodes and
 // the coordinator share this one implementation, so a group's state is
 // bit-identical whether it was computed remotely, locally, or merged from
-// any mix of the two.
+// any mix of the two. A group is known by a dense id, its index in groups,
+// which the kernels fold into per-group arrays by.
 type GroupTable struct {
 	kinds     []AggKind
 	maxGroups int
-	m         map[string]*GroupPartial
+	ids       map[string]int32 // a group's key bytes (appendKeyLit) → its id
+	groups    []GroupPartial
 }
 
 // NewGroupTable returns a table accumulating one AggState per kind for
@@ -39,20 +41,27 @@ func NewGroupTable(kinds []AggKind, maxGroups int) *GroupTable {
 	return &GroupTable{
 		kinds:     append([]AggKind(nil), kinds...),
 		maxGroups: maxGroups,
-		m:         make(map[string]*GroupPartial),
+		ids:       make(map[string]int32),
 	}
 }
 
 // Len returns the number of groups seen so far.
-func (g *GroupTable) Len() int { return len(g.m) }
+func (g *GroupTable) Len() int { return len(g.groups) }
 
-// newGroup returns an empty partial state for a group with the given key.
-func (g *GroupTable) newGroup(key []Literal) *GroupPartial {
-	gp := &GroupPartial{Key: key, Aggs: make([]AggState, len(g.kinds))}
+// add makes an empty partial state for a new group with the given key bytes
+// and literals, and returns its id; ErrTooManyGroups when the cap is reached.
+func (g *GroupTable) add(keyBytes []byte, key []Literal) (int32, error) {
+	if g.maxGroups > 0 && len(g.groups) >= g.maxGroups {
+		return 0, ErrTooManyGroups
+	}
+	gp := GroupPartial{Key: key, Aggs: make([]AggState, len(g.kinds))}
 	for ai, kind := range g.kinds {
 		gp.Aggs[ai].Kind = kind
 	}
-	return gp
+	id := int32(len(g.groups))
+	g.groups = append(g.groups, gp)
+	g.ids[string(keyBytes)] = id
+	return id, nil
 }
 
 // Merge folds partial states (from a node, another table, or the wire)
@@ -66,14 +75,14 @@ func (g *GroupTable) Merge(partials []GroupPartial) error {
 			return errors.New("sql: GroupTable.Merge: aggregate arity mismatch")
 		}
 		keyBuf = appendKeyLits(keyBuf[:0], p.Key)
-		gp := g.m[string(keyBuf)]
-		if gp == nil {
-			if g.maxGroups > 0 && len(g.m) >= g.maxGroups {
-				return ErrTooManyGroups
+		id, ok := g.ids[string(keyBuf)]
+		if !ok {
+			var err error
+			if id, err = g.add(keyBuf, append([]Literal(nil), p.Key...)); err != nil {
+				return err
 			}
-			gp = g.newGroup(append([]Literal(nil), p.Key...))
-			g.m[string(keyBuf)] = gp
 		}
+		gp := &g.groups[id]
 		gp.Rows += p.Rows
 		for ai := range g.kinds {
 			gp.Aggs[ai].Merge(&p.Aggs[ai])
@@ -86,10 +95,7 @@ func (g *GroupTable) Merge(partials []GroupPartial) error {
 // the deterministic group ordering every result and every wire payload
 // uses.
 func (g *GroupTable) Sorted() []GroupPartial {
-	out := make([]GroupPartial, 0, len(g.m))
-	for _, gp := range g.m {
-		out = append(out, *gp)
-	}
+	out := append([]GroupPartial(nil), g.groups...)
 	sort.Slice(out, func(i, j int) bool {
 		if c := CompareKeys(out[i].Key, out[j].Key); c != 0 {
 			return c < 0
@@ -97,7 +103,7 @@ func (g *GroupTable) Sorted() []GroupPartial {
 		// Groups are told apart by bit pattern (appendKeyLit), values ordered
 		// numerically: +0 and −0 are two groups that compare equal, as are
 		// NaNs of different payloads. The bits order those, so the order is
-		// total and does not depend on map iteration.
+		// total and does not depend on the order groups were met in.
 		for k := range out[i].Key {
 			if a, b := math.Float64bits(out[i].Key[k].F), math.Float64bits(out[j].Key[k].F); a != b {
 				return a < b
@@ -174,6 +180,8 @@ type TopK struct {
 	k    int
 	desc bool
 	rows []TopRow // a heap under less, last-placed row at the root, once full
+
+	scanned int // rows PushChunk decoded and compared, for the tests
 }
 
 // NewTopK returns an accumulator for the top k rows. k <= 0 keeps

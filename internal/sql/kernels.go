@@ -208,27 +208,45 @@ func (c *chunkCursor) next() bool {
 	return true
 }
 
-// foldBatch adds row i of the batch to accs[i], for every row of the batch in
-// row order, exactly as AggState.AddColumn adds a decoded value — so a float
-// sum is bit-identical to folding the decoded column. The column's type is
-// resolved once per batch, not once per row.
-func (c *chunkCursor) foldBatch(accs []*AggState) {
-	switch {
-	case c.ch.Type() == lpq.Int64:
-		for i, v := range c.ints {
-			accs[i].addNum(float64(v))
+// foldStrings adds row i of the batch, a string, to the state of group
+// gids[i], for every row of the batch in row order, as AggState.AddColumn
+// adds a decoded value.
+func (c *chunkCursor) foldStrings(groups []GroupPartial, ai int, gids []int32) {
+	if c.isDict {
+		for i, id := range gids {
+			groups[id].Aggs[ai].addStr(c.dict.Strings[c.codes[i]])
 		}
-	case c.ch.Type() == lpq.Float64:
-		for i, v := range c.floats {
-			accs[i].addNum(v)
-		}
-	case c.isDict:
-		for i, code := range c.codes {
-			accs[i].addStr(c.dict.Strings[code])
-		}
-	default:
-		for i := range accs {
-			accs[i].addBytes(c.sc.Bytes(i))
+		return
+	}
+	for i, id := range gids {
+		groups[id].Aggs[ai].addBytes(c.sc.Bytes(i))
+	}
+}
+
+// numAcc is one group's numeric aggregate state while a fold runs: the fields
+// AggState.addNum keeps but the count, which is the group's row count (every
+// row has a value), in an array indexed by group id.
+type numAcc struct {
+	sum      float64
+	min, max float64
+	init     bool
+}
+
+// foldNums adds vals[i] to the state of group gids[i], for every row in row
+// order, exactly as AggState.addNum does — so a float sum is bit-identical
+// to folding the decoded column.
+func foldNums[T int64 | float64](accs []numAcc, gids []int32, vals []T) {
+	gids = gids[:len(vals)]
+	for i, v := range vals {
+		a, f := &accs[gids[i]], float64(v)
+		a.sum += f
+		switch {
+		case !a.init:
+			a.min, a.max, a.init = f, f, true
+		case f < a.min:
+			a.min = f
+		case f > a.max:
+			a.max = f
 		}
 	}
 }
@@ -261,12 +279,20 @@ func (c *chunkCursor) appendKey(dst []byte, i int) []byte {
 // AddChunks folds the selected rows of one row group into the table, reading
 // the grouping and argument columns from opened chunks in lockstep. keys
 // holds the grouping columns; vals[i] is the argument column of aggregate i,
-// or nil for COUNT(*). With no key — an ungrouped aggregate — every row joins
-// one group and no key bytes are built. A lone dictionary-encoded key
-// resolves its group once per dictionary code, not once per row; every other
-// key shape goes through the key-bytes map. A fold that reads no column at
-// all is refused: nothing would say how many rows there are. On error the
-// table holds a partial fold and must be discarded.
+// or nil for COUNT(*). A fold that reads no column at all is refused: nothing
+// would say how many rows there are.
+//
+// A batch's rows are first resolved to group ids: with no key — an ungrouped
+// aggregate — every row joins one group and no key bytes are built; a lone
+// dictionary-encoded key resolves its group once per dictionary code; every
+// other key shape goes through the key-bytes map. Each numeric aggregate then
+// folds the batch in one typed loop into per-group arrays (foldNums), seeded
+// from the groups' states and written back to them at the end, and string
+// MIN/MAX into the states row by row; row counts and COUNT(*) add up per
+// group. Every state sees its group's rows in row order, so the result is
+// the AddRows state bit for bit. When the cap trips the rows before the one
+// that tripped it are folded, as AddRows does; on any other error the table
+// holds a partial fold and must be discarded.
 func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) error {
 	if len(vals) != len(g.kinds) {
 		return errors.New("sql: GroupTable.AddChunks: vals/kinds length mismatch")
@@ -315,14 +341,66 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 			return err
 		}
 	}
-	var one *GroupPartial     // the group of every row, with no key
-	var slots []*GroupPartial // by code of the lone dictionary key
-	if len(keys) == 1 && keyCur[0].isDict {
-		slots = make([]*GroupPartial, keyCur[0].dict.Len())
+	f := g.newFold(keyCur, valCur)
+	err = f.run(cursors)
+	f.store()
+	return err
+}
+
+// fold is one AddChunks call's state: how rows find their group, and per
+// group id the rows it added and each numeric aggregate's accumulator (nil
+// for COUNT(*) and strings).
+type fold struct {
+	g              *GroupTable
+	keyCur, valCur []*chunkCursor
+	one            int32   // the group of every row, with no key; -1 until met
+	slots          []int32 // by code of the lone dictionary key, -1 until met
+	keyBuf         []byte
+	rows           []int64
+	nums           [][]numAcc
+}
+
+// newFold seeds the accumulators from the states of the groups the table
+// holds.
+func (g *GroupTable) newFold(keyCur, valCur []*chunkCursor) *fold {
+	f := &fold{g: g, keyCur: keyCur, valCur: valCur, one: -1,
+		rows: make([]int64, len(g.groups)), nums: make([][]numAcc, len(valCur))}
+	if len(keyCur) == 1 && keyCur[0].isDict {
+		f.slots = make([]int32, keyCur[0].dict.Len())
+		for i := range f.slots {
+			f.slots[i] = -1
+		}
 	}
-	var keyBuf []byte
-	var groups [lpq.BatchRows]*GroupPartial
-	var accs [lpq.BatchRows]*AggState
+	for ai, vc := range valCur {
+		if vc == nil || vc.ch.Type() == lpq.String {
+			continue
+		}
+		accs := make([]numAcc, len(g.groups))
+		for id := range g.groups {
+			a := &g.groups[id].Aggs[ai]
+			accs[id] = numAcc{a.Sum, a.MinF, a.MaxF, a.Init}
+		}
+		f.nums[ai] = accs
+	}
+	return f
+}
+
+// grow gives the groups the table made since the fold last looked empty
+// accumulators, as their states are.
+func (f *fold) grow() {
+	for len(f.rows) < len(f.g.groups) {
+		f.rows = append(f.rows, 0)
+		for ai := range f.nums {
+			if f.nums[ai] != nil {
+				f.nums[ai] = append(f.nums[ai], numAcc{})
+			}
+		}
+	}
+}
+
+// run folds batch after batch until the cursors end.
+func (f *fold) run(cursors []chunkCursor) error {
+	var gids [lpq.BatchRows]int32
 	for {
 		// The cursors share the selection, so they step batch for batch.
 		for i := range cursors {
@@ -336,50 +414,108 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 		if n == 0 {
 			return nil
 		}
-		// First each row's group, then one column at a time: an aggregate
-		// still sees its group's rows in row order.
-		for i := 0; i < n; i++ {
-			gp := one
-			if slots != nil {
-				gp = slots[keyCur[0].codes[i]]
-			}
-			if gp == nil {
-				keyBuf = keyBuf[:0]
-				for _, kc := range keyCur {
-					keyBuf = kc.appendKey(keyBuf, i)
-				}
-				if gp = g.m[string(keyBuf)]; gp == nil {
-					if g.maxGroups > 0 && len(g.m) >= g.maxGroups {
-						return ErrTooManyGroups
-					}
-					key := make([]Literal, len(keyCur))
-					for ki, kc := range keyCur {
-						key[ki] = kc.literal(i)
-					}
-					gp = g.newGroup(key)
-					g.m[string(keyBuf)] = gp
-				}
-				if slots != nil {
-					slots[keyCur[0].codes[i]] = gp
-				}
-				if len(keyCur) == 0 {
-					one = gp
-				}
-			}
-			gp.Rows++
-			groups[i] = gp
+		m, err := f.resolve(gids[:n])
+		f.batch(gids[:m])
+		if err != nil {
+			return err
 		}
-		for ai, vc := range valCur {
-			if vc == nil {
-				for _, gp := range groups[:n] {
-					gp.Aggs[ai].Count++ // COUNT(*): no argument column
+	}
+}
+
+// resolve sets gids[i] to the id of row i's group for the rows of the batch,
+// and counts each row to its group. It returns how many rows it resolved: all,
+// or those before the one whose new group the cap refused.
+func (f *fold) resolve(gids []int32) (int, error) {
+	switch {
+	case len(f.keyCur) == 0:
+		if f.one < 0 {
+			id, err := f.groupOf(0)
+			if err != nil {
+				return 0, err
+			}
+			f.one = id
+			f.grow()
+		}
+		for i := range gids {
+			gids[i] = f.one
+		}
+		f.rows[f.one] += int64(len(gids))
+	case f.slots != nil:
+		slots, rows := f.slots, f.rows
+		for i, code := range f.keyCur[0].codes[:len(gids)] {
+			id := slots[code]
+			if id < 0 {
+				var err error
+				if id, err = f.groupOf(i); err != nil {
+					return i, err
 				}
-				continue
+				slots[code] = id
+				f.grow()
+				rows = f.rows
 			}
-			for i, gp := range groups[:n] {
-				accs[i] = &gp.Aggs[ai]
+			gids[i] = id
+			rows[id]++
+		}
+	default:
+		for i := range gids {
+			id, err := f.groupOf(i)
+			if err != nil {
+				return i, err
 			}
-			vc.foldBatch(accs[:n])
+			f.grow()
+			gids[i] = id
+			f.rows[id]++
+		}
+	}
+	return len(gids), nil
+}
+
+// groupOf returns the id of row i's group, making the group if it is new.
+func (f *fold) groupOf(i int) (int32, error) {
+	f.keyBuf = f.keyBuf[:0]
+	for _, kc := range f.keyCur {
+		f.keyBuf = kc.appendKey(f.keyBuf, i)
+	}
+	if id, ok := f.g.ids[string(f.keyBuf)]; ok {
+		return id, nil
+	}
+	key := make([]Literal, len(f.keyCur))
+	for ki, kc := range f.keyCur {
+		key[ki] = kc.literal(i)
+	}
+	return f.g.add(f.keyBuf, key)
+}
+
+// batch folds the first len(gids) rows of the cursors' batch, row i into
+// group gids[i]: one aggregate at a time, so each still sees its group's
+// rows in row order.
+func (f *fold) batch(gids []int32) {
+	for ai, vc := range f.valCur {
+		switch {
+		case vc == nil: // COUNT(*): the rows, added up at the end
+		case f.nums[ai] == nil:
+			vc.foldStrings(f.g.groups, ai, gids)
+		case vc.ch.Type() == lpq.Int64:
+			foldNums(f.nums[ai], gids, vc.ints[:len(gids)])
+		default:
+			foldNums(f.nums[ai], gids, vc.floats[:len(gids)])
+		}
+	}
+}
+
+// store writes the fold back into the groups' states.
+func (f *fold) store() {
+	for id, n := range f.rows {
+		gp := &f.g.groups[id]
+		gp.Rows += n
+		for ai, vc := range f.valCur {
+			if vc == nil {
+				gp.Aggs[ai].Count += n
+			} else if accs := f.nums[ai]; accs != nil {
+				a := &gp.Aggs[ai]
+				a.Count += n
+				a.Sum, a.MinF, a.MaxF, a.Init = accs[id].sum, accs[id].min, accs[id].max, accs[id].init
+			}
 		}
 	}
 }
@@ -388,52 +524,123 @@ func (g *GroupTable) AddChunks(keys, vals []*lpq.Chunk, sel *bitmap.Bitmap) erro
 // every row) as candidates of row group rg. Once k rows are held, a row is
 // first compared with the key that currently places last — a typed compare,
 // no literal built — and the common row that cannot place costs only that.
+// From then on, where the chunk's kind has a candidate test, it is asked page
+// by page which rows may still reach that key (lpq.Chunk.Reaching), and only
+// those are decoded and compared. The candidates hold every row that can
+// place, and each goes through the same compare, so the rows kept and their
+// order are what comparing every row gives.
 func (t *TopK) PushChunk(ch *lpq.Chunk, sel *bitmap.Bitmap, rg int32) error {
 	var c chunkCursor
 	if err := c.start(ch, sel); err != nil {
 		return err
 	}
-	// The cut-off a row must beat is held here and read again only after a
-	// Push, the one call that moves it.
 	for c.next() {
-		switch {
-		case ch.Type() == lpq.Int64:
-			last, ok := t.lastKey(LitInt)
-			for i, v := range c.ints {
-				if !ok || !sortsAfter(v, last.I, t.desc) {
-					t.Push(IntLit(v), rg, c.sc.Row(i))
-					last, ok = t.lastKey(LitInt)
-				}
-			}
-		case ch.Type() == lpq.Float64:
-			last, ok := t.lastKey(LitFloat)
-			for i, v := range c.floats {
-				if !ok || !sortsAfter(v, last.F, t.desc) {
-					t.Push(FloatLit(v), rg, c.sc.Row(i))
-					last, ok = t.lastKey(LitFloat)
-				}
-			}
-		case c.isDict:
-			last, ok := t.lastKey(LitString)
-			for i, code := range c.codes {
-				if !ok || !sortsAfter(c.dict.Strings[code], last.S, t.desc) {
-					t.Push(StringLit(c.dict.Strings[code]), rg, c.sc.Row(i))
-					last, ok = t.lastKey(LitString)
-				}
-			}
-		default:
-			last, ok := t.lastKey(LitString)
-			for i := 0; i < c.n; i++ {
-				// Compared in place, copied out of the chunk only if it may place.
-				b := c.sc.Bytes(i)
-				if !ok || !bytesSortAfter(b, last.S, t.desc) {
-					t.Push(StringLit(string(b)), rg, c.sc.Row(i))
-					last, ok = t.lastKey(LitString)
-				}
-			}
+		t.pushBatch(&c, rg)
+		if _, ok := t.cut(ch); ok {
+			return t.pushReaching(ch, sel, rg, int(c.sc.Row(c.n-1))+1)
 		}
 	}
 	return c.sc.Err()
+}
+
+// pushReaching is PushChunk from row from on, once the chunk can narrow the
+// cut-off t holds: a page at a time, the rows that may reach the cut-off as it
+// stands when the page starts, and that sel selects, are scanned.
+func (t *TopK) pushReaching(ch *lpq.Chunk, sel *bitmap.Bitmap, rg int32, from int) error {
+	cand := bitmap.New(ch.NumRows())
+	words := cand.Words()
+	var selWords []uint64
+	if sel != nil && !sel.Full() {
+		selWords = sel.Words()
+	}
+	var c chunkCursor
+	for from < ch.NumRows() {
+		end := ch.NumRows()
+		if cut, ok := t.cut(ch); ok {
+			var err error
+			if end, err = ch.Reaching(cand, from, cut); err != nil {
+				return err
+			}
+		} else {
+			cand.SetRange(from, end) // a merged key of another kind places last
+		}
+		page := words[from>>6 : (end+63)>>6]
+		if selWords != nil {
+			for i, w := range selWords[from>>6 : (end+63)>>6] {
+				page[i] &= w
+			}
+		}
+		if err := c.start(ch, cand); err != nil {
+			return err
+		}
+		for c.next() {
+			t.pushBatch(&c, rg)
+		}
+		if err := c.sc.Err(); err != nil {
+			return err
+		}
+		clear(page)
+		from = end
+	}
+	return nil
+}
+
+// cut returns the key that places last as the pages of ch test it, if k rows
+// are held, ch's kind has a candidate test and the key is of ch's type.
+func (t *TopK) cut(ch *lpq.Chunk) (lpq.Cut, bool) {
+	if !ch.Narrows() {
+		return lpq.Cut{}, false
+	}
+	if key, ok := t.lastKey(LitInt); ok && ch.Type() == lpq.Int64 {
+		return lpq.Cut{Int: key.I, Desc: t.desc}, true
+	}
+	if key, ok := t.lastKey(LitFloat); ok && ch.Type() == lpq.Float64 {
+		return lpq.Cut{Float: key.F, Desc: t.desc}, true
+	}
+	return lpq.Cut{}, false
+}
+
+// pushBatch offers the rows of the cursor's batch.
+func (t *TopK) pushBatch(c *chunkCursor, rg int32) {
+	t.scanned += c.n
+	// The cut-off a row must beat is held here and read again only after a
+	// Push, the one call that moves it.
+	switch {
+	case c.ch.Type() == lpq.Int64:
+		last, ok := t.lastKey(LitInt)
+		for i, v := range c.ints {
+			if !ok || !sortsAfter(v, last.I, t.desc) {
+				t.Push(IntLit(v), rg, c.sc.Row(i))
+				last, ok = t.lastKey(LitInt)
+			}
+		}
+	case c.ch.Type() == lpq.Float64:
+		last, ok := t.lastKey(LitFloat)
+		for i, v := range c.floats {
+			if !ok || !sortsAfter(v, last.F, t.desc) {
+				t.Push(FloatLit(v), rg, c.sc.Row(i))
+				last, ok = t.lastKey(LitFloat)
+			}
+		}
+	case c.isDict:
+		last, ok := t.lastKey(LitString)
+		for i, code := range c.codes {
+			if !ok || !sortsAfter(c.dict.Strings[code], last.S, t.desc) {
+				t.Push(StringLit(c.dict.Strings[code]), rg, c.sc.Row(i))
+				last, ok = t.lastKey(LitString)
+			}
+		}
+	default:
+		last, ok := t.lastKey(LitString)
+		for i := 0; i < c.n; i++ {
+			// Compared in place, copied out of the chunk only if it may place.
+			b := c.sc.Bytes(i)
+			if !ok || !bytesSortAfter(b, last.S, t.desc) {
+				t.Push(StringLit(string(b)), rg, c.sc.Row(i))
+				last, ok = t.lastKey(LitString)
+			}
+		}
+	}
 }
 
 // lastKey returns the key of the row that currently places last, if k rows

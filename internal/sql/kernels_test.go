@@ -544,19 +544,29 @@ func samePartials(a, b []GroupPartial) error {
 // TestAddChunksMatchesReference: the group-by kernel against AddRows over
 // decoded columns. The key column runs through the chunk matrix — so the
 // code-slot path (a lone dictionary key) and the key-bytes map (plain keys,
-// and two-column keys below) both run — with SUM, MIN, COUNT(*) and a second
-// aggregate sharing a column; every GroupPartial field is compared bit for
-// bit, in sorted order.
+// and two-column keys below) both run — with SUM, MIN, COUNT(*), a second
+// aggregate sharing a column, and MAX and SUM of a dictionary-encoded float;
+// every GroupPartial field is compared bit for bit, in sorted order. The
+// table is also fed in two calls, the second folding onto the states the
+// first left (seeded per-group arrays), and capped so that the cap trips
+// inside a batch: the rows before the one that tripped it are folded, as
+// AddRows folds them.
 func TestAddChunksMatchesReference(t *testing.T) {
-	kinds := []AggKind{AggSum, AggMin, AggCount, AggAvg}
+	kinds := []AggKind{AggSum, AggMin, AggCount, AggAvg, AggMax, AggSum}
 	forEachChunkCase(t, func(t *testing.T, rng *rand.Rand, key lpq.ColumnData, opts lpq.WriterOptions) {
 		rows := key.Len()
 		num := genColumn(rng, lpq.Float64, shapePlain, rows, 0)
 		str := genColumn(rng, lpq.String, shapePacked, rows, 11)
 		key2 := genColumn(rng, lpq.Int64, shapePacked, rows, 3)
-		cols := []lpq.ColumnData{key, num, str, key2}
+		dnum := genColumn(rng, lpq.Float64, shapePacked, rows, 9)
+		cols := []lpq.ColumnData{key, num, str, key2, dnum}
 		chunks := openColumns(t, opts, cols)
-		key, num, str, key2 = cols[0], cols[1], cols[2], cols[3]
+		key, num, str, key2, dnum = cols[0], cols[1], cols[2], cols[3], cols[4]
+		if enc := chunks[4].Encoding(); enc != colenc.Dict && !opts.DisableDict && rows > 1 {
+			t.Fatalf("the float argument is a %v chunk, the case is about a dictionary", enc)
+		}
+		valCols := []lpq.ColumnData{num, str, {}, num, dnum, dnum}
+		valChunks := []*lpq.Chunk{chunks[1], chunks[2], nil, chunks[1], chunks[4], chunks[4]}
 		type pair struct{ got, want []GroupPartial }
 		var results []pair
 		for name, sel := range testSelections(rng, rows) {
@@ -566,25 +576,46 @@ func TestAddChunksMatchesReference(t *testing.T) {
 					keyCols, keyChunks = []lpq.ColumnData{key, key2}, []*lpq.Chunk{chunks[0], chunks[3]}
 				}
 				want := NewGroupTable(kinds, 0)
-				if err := want.AddRows(keyCols, []lpq.ColumnData{num, str, {}, num}, orFull(sel, rows)); err != nil {
+				if err := want.AddRows(keyCols, valCols, orFull(sel, rows)); err != nil {
 					t.Fatal(err)
 				}
 				got := NewGroupTable(kinds, 0)
-				if err := got.AddChunks(keyChunks, []*lpq.Chunk{chunks[1], chunks[2], nil, chunks[1]}, sel); err != nil {
+				if err := got.AddChunks(keyChunks, valChunks, sel); err != nil {
 					t.Fatalf("selection %s: %v", name, err)
 				}
 				if err := samePartials(got.Sorted(), want.Sorted()); err != nil {
 					t.Fatalf("selection %s, two keys %v: kernel vs reference: %v", name, twoKeys, err)
 				}
+				// The rows before and after the middle, in two calls.
+				halves := NewGroupTable(kinds, 0)
+				for _, half := range [][2]int{{0, rows / 2}, {rows / 2, rows}} {
+					part := bitmap.New(rows)
+					part.SetRange(half[0], half[1])
+					if err := part.And(orFull(sel, rows)); err != nil {
+						t.Fatal(err)
+					}
+					if err := halves.AddChunks(keyChunks, valChunks, part); err != nil {
+						t.Fatalf("selection %s, rows %v: %v", name, half, err)
+					}
+				}
+				if err := samePartials(halves.Sorted(), want.Sorted()); err != nil {
+					t.Fatalf("selection %s, two keys %v: two calls vs reference: %v", name, twoKeys, err)
+				}
 				results = append(results, pair{got.Sorted(), want.Sorted()})
 			}
 		}
-		// The cardinality cap trips on the same input for both.
-		if groups := countGroups(key); groups > 1 {
-			capped := NewGroupTable(kinds, groups-1)
-			err := capped.AddChunks(chunks[:1], []*lpq.Chunk{chunks[1], chunks[2], nil, chunks[1]}, nil)
-			if err != ErrTooManyGroups {
-				t.Fatalf("cap of %d on %d groups: %v", groups-1, groups, err)
+		// The cardinality cap trips on the same row for both, inside a batch,
+		// and leaves the same states.
+		if limit, at := capInsideBatch(key); limit > 0 {
+			capped, ref := NewGroupTable(kinds, limit), NewGroupTable(kinds, limit)
+			if err := capped.AddChunks(chunks[:1], valChunks, nil); err != ErrTooManyGroups {
+				t.Fatalf("cap of %d, tripped by row %d: %v", limit, at, err)
+			}
+			if err := ref.AddRows(cols[:1], valCols, bitmap.NewFull(rows)); err != ErrTooManyGroups {
+				t.Fatalf("cap of %d, tripped by row %d: reference %v", limit, at, err)
+			}
+			if err := samePartials(capped.Sorted(), ref.Sorted()); err != nil {
+				t.Fatalf("cap of %d, tripped by row %d: %v", limit, at, err)
 			}
 		}
 		// Keys and string extrema must have been copied out of the chunks.
@@ -599,12 +630,20 @@ func TestAddChunksMatchesReference(t *testing.T) {
 	})
 }
 
-func countGroups(col lpq.ColumnData) int {
+// capInsideBatch returns the largest group cap the column trips at a row that
+// does not open a scanner batch, and that row; 0 if there is none.
+func capInsideBatch(col lpq.ColumnData) (limit, at int) {
 	seen := make(map[string]bool)
 	for i := 0; i < col.Len(); i++ {
-		seen[string(appendGroupKey(nil, []lpq.ColumnData{col}, i))] = true
+		k := string(appendGroupKey(nil, []lpq.ColumnData{col}, i))
+		if !seen[k] {
+			if len(seen) > 0 && i%lpq.BatchRows != 0 {
+				limit, at = len(seen), i
+			}
+			seen[k] = true
+		}
 	}
-	return len(seen)
+	return limit, at
 }
 
 // sameTopRows compares two ranked lists row for row, in order.
@@ -654,8 +693,51 @@ func allRows(col lpq.ColumnData, sel *bitmap.Bitmap, rg int32) []TopRow {
 // and sorting, rows compared in order: over the chunk matrix (whose low
 // cardinality columns are mostly ties, NaN and the two zeros among them) x
 // every selection x both directions x k below, at and above the row count and
-// unbounded.
+// unbounded; then over the columns of candidateColumns, whose pages the
+// candidate path narrows.
 func TestPushChunkMatchesReference(t *testing.T) {
+	t.Run("candidates", func(t *testing.T) {
+		for _, cc := range candidateColumns() {
+			t.Run(cc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(cc.name))))
+				ch, col := openColumn(t, lpq.WriterOptions{Compress: true, PageRows: 700}, cc.col)
+				defer ch.Release()
+				if ch.Encoding() != cc.enc {
+					t.Fatalf("the writer made a %v chunk, the case is about %v", ch.Encoding(), cc.enc)
+				}
+				for name, sel := range testSelections(rng, col.Len()) {
+					cands := allRows(col, orFull(sel, col.Len()), 3)
+					twins := append(allRows(col, orFull(sel, col.Len()), 9), cands...)
+					for _, desc := range []bool{false, true} {
+						for _, k := range []int{1, 10, 100} {
+							tk := NewTopK(k, desc)
+							if err := tk.PushChunk(ch, sel, 3); err != nil {
+								t.Fatalf("selection %s: %v", name, err)
+							}
+							if got, want := tk.Rows(), referenceTopK(k, desc, cands); !sameTopRows(got, want) {
+								t.Fatalf("selection %s desc=%v k=%d: %s", name, desc, k, firstDiff(got, want))
+							}
+							if narrowed := tk.scanned < col.Len()/2; sel == nil && k == 10 && narrowed != cc.narrows {
+								t.Fatalf("desc=%v: %d of %d rows decoded", desc, tk.scanned, col.Len())
+							}
+							// The same rows, of a later row group, held first: each
+							// ties with its twin, which must displace it.
+							tk = NewTopK(k, desc)
+							for _, rg := range []int32{9, 3} {
+								if err := tk.PushChunk(ch, sel, rg); err != nil {
+									t.Fatalf("selection %s: %v", name, err)
+								}
+							}
+							if got, want := tk.Rows(), referenceTopK(k, desc, twins); !sameTopRows(got, want) {
+								t.Fatalf("selection %s desc=%v k=%d, twin held first: %s", name, desc, k, firstDiff(got, want))
+							}
+						}
+					}
+				}
+			})
+		}
+	})
+
 	forEachChunkCase(t, func(t *testing.T, rng *rand.Rand, col lpq.ColumnData, opts lpq.WriterOptions) {
 		ch, col := openColumn(t, opts, col)
 		type pair struct{ got, want []TopRow }
@@ -684,6 +766,120 @@ func TestPushChunkMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// candidateColumns are columns of 3,000 rows, written in pages of 700, whose
+// pages Chunk.Reaching tests: decimal pages with escapes above, at and below
+// any cut-off — NaN, both infinities and negative zero among them — and
+// corrections; decimal pages of values every one an ulp off; decimal pages of values whose integers are 2^50 and more, and
+// negative; frame-of-reference offset pages with ties; delta pages, which it
+// reads whole; and a chunk of both kinds of frame page. narrows says whether
+// an unselected top-10 decodes fewer than half the rows.
+func candidateColumns() []struct {
+	name    string
+	col     lpq.ColumnData
+	enc     colenc.Encoding
+	narrows bool
+} {
+	const rows = 3000
+	rng := rand.New(rand.NewSource(50))
+	escapes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for len(escapes) < 12 {
+		// Two ulps off a cent: below, among and above the cents drawn.
+		c := float64(rng.Intn(12000)) / 100
+		escapes = append(escapes, math.Float64frombits(math.Float64bits(c)+2))
+	}
+	cents, corrected, large := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+	offsets, deltas, mixed := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range cents {
+		switch c := float64(1000+rng.Intn(9000)) / 100; {
+		case i%25 == 3:
+			cents[i] = escapes[rng.Intn(len(escapes))]
+		case i%7 == 0:
+			cents[i] = math.Nextafter(c, 0) // a correction
+		default:
+			cents[i] = c
+		}
+		// An ulp above a cent on even rows, below on odd ones: the decoder's
+		// quotient one side of a value, the value the other.
+		corrected[i] = math.Nextafter(float64(1000+rng.Intn(1000))/100, float64(1-i%2*2)*math.Inf(1))
+		n := float64(1<<50 + rng.Int63n(1_000_000))
+		if i >= 1400 {
+			n = -n // the pages of the second half are negative
+		}
+		large[i] = n / 100
+		offsets[i] = rng.Int63n(1<<14) - 1<<13
+		deltas[i] = int64(i/3)*5 + int64(i%3)
+		mixed[i] = deltas[i]
+		if i >= 1400 {
+			mixed[i] = offsets[i]
+		}
+	}
+	return []struct {
+		name    string
+		col     lpq.ColumnData
+		enc     colenc.Encoding
+		narrows bool
+	}{
+		{"decimal-escapes", lpq.FloatColumn(cents), colenc.Decimal, true},
+		{"decimal-corrected", lpq.FloatColumn(corrected), colenc.Decimal, true},
+		{"decimal-2^50", lpq.FloatColumn(large), colenc.Decimal, true},
+		{"frame-offsets", lpq.IntColumn(offsets), colenc.FOR, true},
+		{"frame-deltas", lpq.IntColumn(deltas), colenc.FOR, false},
+		{"frame-deltas-then-offsets", lpq.IntColumn(mixed), colenc.FOR, false},
+	}
+}
+
+// TestPushChunkDecodesOnlyRowsThatMayPlace: on the benchmark's price chunk, a
+// top-10 under the full selection a node holds decodes and compares fewer
+// than 5% of the rows, the others left out by the pages' candidate test — and
+// still ranks what sorting every row does.
+func TestPushChunkDecodesOnlyRowsThatMayPlace(t *testing.T) {
+	chunks, cols := benchRowGroup(t)
+	full := bitmap.NewFull(benchRows)
+	for _, desc := range []bool{true, false} {
+		tk := NewTopK(10, desc)
+		if err := tk.PushChunk(chunks[benchPrice], full, 0); err != nil {
+			t.Fatal(err)
+		}
+		if tk.scanned*20 >= benchRows {
+			t.Errorf("desc=%v: %d of %d rows decoded, want under 5%%", desc, tk.scanned, benchRows)
+		}
+		if got, want := tk.Rows(), referenceTopK(10, desc, allRows(cols[benchPrice], full, 0)); !sameTopRows(got, want) {
+			t.Errorf("desc=%v: %s", desc, firstDiff(got, want))
+		}
+	}
+}
+
+// TestPushChunkUnderMergedKeysOfAnotherKind: rows merged from elsewhere may
+// hold float keys while an int chunk is pushed. When such a key comes to place
+// last the candidate test has no int cut-off, and the rest of the chunk is
+// read whole: here -7, far into the chunk, must still displace -10.5.
+func TestPushChunkUnderMergedKeysOfAnotherKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = -1000 + rng.Int63n(800) // none places
+		if i < lpq.BatchRows {
+			vals[i] = -60 + rng.Int63n(20) // displaces -100.5
+		}
+	}
+	vals[300], vals[1500] = -5, -7
+	ch, col := openColumn(t, lpq.WriterOptions{PageRows: 700}, lpq.IntColumn(vals))
+	defer ch.Release()
+	if ch.Encoding() != colenc.FOR {
+		t.Fatalf("the writer made a %v chunk, the case is about frames", ch.Encoding())
+	}
+	merged := []TopRow{{Key: FloatLit(-10.5), RG: 0, Row: 0}, {Key: FloatLit(-100.5), RG: 0, Row: 1}}
+	tk := NewTopK(2, true)
+	tk.Merge(merged)
+	if err := tk.PushChunk(ch, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := referenceTopK(2, true, append(merged, allRows(col, bitmap.NewFull(col.Len()), 1)...))
+	if got := tk.Rows(); !sameTopRows(got, want) {
+		t.Fatal(firstDiff(got, want))
+	}
 }
 
 // TestTopKTiesAcrossRowGroups: equal keys resolve by (row group, row) however

@@ -83,15 +83,13 @@ func (g *GroupTable) AddRows(keys []lpq.ColumnData, vals []lpq.ColumnData, sel *
 			return
 		}
 		keyBuf = appendGroupKey(keyBuf[:0], keys, i)
-		gp := g.m[string(keyBuf)]
-		if gp == nil {
-			if g.maxGroups > 0 && len(g.m) >= g.maxGroups {
-				addErr = ErrTooManyGroups
+		id, ok := g.ids[string(keyBuf)]
+		if !ok {
+			if id, addErr = g.add(keyBuf, keyLiterals(keys, i)); addErr != nil {
 				return
 			}
-			gp = g.newGroup(keyLiterals(keys, i))
-			g.m[string(keyBuf)] = gp
 		}
+		gp := &g.groups[id]
 		gp.Rows++
 		for ai := range g.kinds {
 			if vals[ai].Len() == 0 {
