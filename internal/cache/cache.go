@@ -311,6 +311,21 @@ func (c *Cache) GetMeta(name string) (any, bool) {
 	return val, true
 }
 
+// PeekMeta is GetMeta for a caller that wants a hint, not a read: it counts
+// neither a hit nor a miss and leaves the entry's recency as it is.
+func (c *Cache) PeekMeta(name string) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.metaMu.Lock()
+	defer c.metaMu.Unlock()
+	el, ok := c.metaItems[name]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*metaEntry).val, true
+}
+
 // PutMeta caches object metadata, evicting the least recently used entry
 // beyond the tier's bound.
 func (c *Cache) PutMeta(name string, val any) {

@@ -90,6 +90,9 @@ type Node struct {
 	// instead of walking every entry on the node. Only record changes either
 	// map; an attempt with no pending block has no key.
 	pending map[attempt]map[string]struct{}
+
+	// regMu serialises the register's conditional writes (handleRaise).
+	regMu sync.Mutex
 }
 
 // NewNode returns a node backed by the given store.
@@ -211,6 +214,8 @@ func (n *Node) dispatch(f *frame, req *rpc.Request) *rpc.Response {
 		return f.handleGroupAgg(req)
 	case rpc.KindTopK:
 		return f.handleTopK(req)
+	case rpc.KindRaiseVersion:
+		return n.handleRaise(req)
 	default:
 		return errResp(fmt.Errorf("cluster: unknown request kind %d", req.Kind))
 	}

@@ -7,20 +7,26 @@
 //   - Put: read the highest version from a majority, write (version+1,
 //     value) to a majority. Overlapping majorities make the new version
 //     visible to every subsequent read even if a minority of replicas
-//     missed the write.
+//     missed the write. PutAt is the write alone, for a caller that has
+//     just read the version it supersedes.
 //   - Get: read from a majority, return the highest-versioned value, and
 //     write it back to stale or empty replicas (read repair).
+//   - Incr: propose a version to every replica as one conditional write
+//     (rpc.KindRaiseVersion), which each node takes only above the version
+//     it holds. A version a majority took is owned by exactly one caller.
 //
 // Values are stored as blocks named "kv/<key>" through the ordinary node
-// block interface, so the service needs no new node-side code and inherits
-// each transport's failure semantics.
+// block interface (cluster.EncodeVersioned); the conditional write is the
+// one request kind the register adds to the node, and each transport's
+// failure semantics carry over.
 package metakv
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
+	"time"
 
 	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/rpc"
@@ -75,28 +81,6 @@ type versioned struct {
 	node    int
 }
 
-// The versioned encoding is [4-byte CRC32C][8-byte version][value], the
-// checksum covering version and value. A replica whose stored register
-// block rots at rest decodes as "no value" instead of possibly winning the
-// read with a garbage version, and the next quorum read repairs it.
-func encodeVersioned(version uint64, value []byte) []byte {
-	out := make([]byte, 12+len(value))
-	binary.LittleEndian.PutUint64(out[4:], version)
-	copy(out[12:], value)
-	binary.LittleEndian.PutUint32(out, cluster.Checksum(out[4:]))
-	return out
-}
-
-func decodeVersioned(data []byte) (uint64, []byte, error) {
-	if len(data) < 12 {
-		return 0, nil, errors.New("metakv: truncated register value")
-	}
-	if cluster.Checksum(data[4:]) != binary.LittleEndian.Uint32(data) {
-		return 0, nil, errors.New("metakv: register value failed checksum")
-	}
-	return binary.LittleEndian.Uint64(data[4:]), data[12:], nil
-}
-
 // send issues req to each of nodes at once and returns their responses
 // index-aligned with nodes; nil marks a node that did not answer. Every phase
 // of the register leaves through here, one goroutine per replica: a quorum
@@ -132,7 +116,7 @@ func (kv *KV) readPhase(key string) ([]versioned, error) {
 		// toward the quorum.
 		v := versioned{node: kv.replicas[i]}
 		if resp.Err == "" {
-			if ver, val, err := decodeVersioned(resp.Data); err == nil {
+			if ver, val, err := cluster.DecodeVersioned(resp.Data); err == nil {
 				v = versioned{version: ver, value: val, exists: true, node: v.node}
 			}
 		}
@@ -161,7 +145,7 @@ func (kv *KV) quorumWrite(req rpc.Request) error {
 
 // writeReq is the request that stores (version, value) under key.
 func writeReq(key string, version uint64, value []byte) rpc.Request {
-	return rpc.Request{Kind: rpc.KindPutBlock, BlockID: keyBlock(key), Data: encodeVersioned(version, value)}
+	return rpc.Request{Kind: rpc.KindPutBlock, BlockID: keyBlock(key), Data: cluster.EncodeVersioned(version, value)}
 }
 
 // Get returns the key's value and version, repairing stale replicas.
@@ -207,40 +191,84 @@ func (kv *KV) Put(key string, value []byte) (uint64, error) {
 		}
 	}
 	next := maxVer + 1
-	if err := kv.quorumWrite(writeReq(key, next, value)); err != nil {
+	if err := kv.PutAt(key, next, value); err != nil {
 		return 0, err
 	}
 	return next, nil
 }
 
-// Incr bumps the key's version without changing its (typically empty)
-// value and returns the new version — a crash-safe monotonic counter. The
-// store uses one register per object as its epoch allocator. While one
-// coordinator allocates at a time, two write attempts, even either side of
-// a crash, never share an epoch, because every allocation lands on a
-// majority before it is used. Two coordinators allocating at once can: Incr
-// reads the maximum version and then writes max+1 blind, so both may read
-// the same maximum and both own the next epoch (ROADMAP item 1 is the
-// node-side compare that closes this).
-func (kv *KV) Incr(key string) (uint64, error) {
-	reads, err := kv.readPhase(key)
-	if err != nil {
-		return 0, err
-	}
-	var maxVer uint64
-	var value []byte
-	for _, r := range reads {
-		if r.exists && r.version > maxVer {
-			maxVer = r.version
-			value = r.value
-		}
-	}
-	next := maxVer + 1
-	if err := kv.quorumWrite(writeReq(key, next, value)); err != nil {
-		return 0, err
-	}
-	return next, nil
+// PutAt stores (version, value) under key on a majority, unconditionally
+// and without reading first: Put's write phase, for a caller whose own
+// quorum read (Get) returned version-1, so it writes what Put would have
+// computed from that read. Two writers that read the same version both
+// write the next one, as two Puts can; a node-side compare for the publish
+// is ROADMAP item 1(b).
+func (kv *KV) PutAt(key string, version uint64, value []byte) error {
+	return kv.quorumWrite(writeReq(key, version, value))
 }
+
+// Incr bumps the key's version and returns the new version — a crash-safe
+// monotonic counter. It is IncrFrom with no hint.
+func (kv *KV) Incr(key string) (uint64, error) { return kv.IncrFrom(key, 0) }
+
+// IncrFrom bumps the key's version and returns the new version, starting
+// from the caller's guess of the current one: it proposes hint+1 to every
+// replica as one conditional write (rpc.KindRaiseVersion), and owns the
+// proposal once a majority took it. A replica takes a proposal only above
+// the version it holds, under its own lock, so two callers can never both be
+// handed one version: their majorities share a replica, which refuses the
+// second. A refusal carries the version the replica holds, and the next
+// proposal is the highest refused version + 1. A hint that is right costs
+// one round; a stale or zero hint costs two, the second at once. A round in
+// which some replicas took the proposal but fewer than a majority did is a
+// split — another caller is proposing too, or a replica lags — and backs off
+// for a jittered, doubling pause before the next. IncrFrom fails with
+// ErrNoQuorum when fewer than a majority answer a round.
+//
+// Each replica keeps the value it holds. A register whose replicas all hold
+// its latest value keeps it through an Incr, but a replica that missed the
+// latest Put carries its older value to the new version, where a Get may
+// pick it: IncrFrom is for counters, and the store's epoch registers hold
+// no value. Every allocation lands on a majority before it is used, so two
+// write attempts, even either side of a crash, never share an epoch. A late
+// proposal — one whose caller gave up while its frame was on the wire — is
+// refused by a replica that has since taken a higher one, so it can never
+// roll a replica back.
+func (kv *KV) IncrFrom(key string, hint uint64) (uint64, error) {
+	next := hint + 1
+	pause := incrBackoff
+	for {
+		answered, acks := 0, 0
+		var held uint64 // the highest version a refusing replica holds
+		for _, resp := range kv.send(kv.replicas, rpc.Request{Kind: rpc.KindRaiseVersion, BlockID: keyBlock(key), Epoch: next}) {
+			if resp == nil || resp.Err != "" {
+				continue
+			}
+			answered++
+			if resp.Size < next {
+				acks++
+			} else {
+				held = max(held, resp.Size)
+			}
+		}
+		switch {
+		case acks >= kv.Majority():
+			return next, nil
+		case answered < kv.Majority():
+			return 0, fmt.Errorf("%w: %d of %d replicas answered %v", ErrNoQuorum, answered, len(kv.replicas), rpc.KindRaiseVersion)
+		case acks > 0:
+			time.Sleep(rand.N(pause))
+			pause = min(2*pause, maxIncrBackoff)
+		}
+		next = held + 1
+	}
+}
+
+// incrBackoff and maxIncrBackoff bound IncrFrom's pause after a split round.
+const (
+	incrBackoff    = 200 * time.Microsecond
+	maxIncrBackoff = 20 * time.Millisecond
+)
 
 // Head returns the highest version any reachable replica holds, or 0 when
 // the key has never been written. Unlike Get it does not error on a missing

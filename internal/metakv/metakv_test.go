@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,9 +190,8 @@ func TestConcurrentClients(t *testing.T) {
 // allocating coordinator: Incr bumps the register version without touching
 // its value, every allocation lands on a majority, and Head observes the
 // latest allocation without inventing values for unwritten keys. Two
-// coordinators allocating at once can both be handed the same version —
-// Incr reads the maximum, then writes blind — which this test does not
-// exercise (ROADMAP item 1).
+// coordinators allocating at once are TestConcurrentIncrsAreUnique's and
+// TestCrossedIncrsAreUnique's.
 func TestIncrMonotonicCounter(t *testing.T) {
 	kv, _ := newKV(t, 0, 1, 2, 3, 4)
 	if head, err := kv.Head("ctr"); err != nil || head != 0 {
@@ -270,7 +270,7 @@ func TestCorruptReplicaAtRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotVer, gotVal, err := decodeVersioned(fixed); err != nil || gotVer != 1 || string(gotVal) != "good" {
+	if gotVer, gotVal, err := cluster.DecodeVersioned(fixed); err != nil || gotVer != 1 || string(gotVal) != "good" {
 		t.Fatalf("replica not repaired: v%d %q, %v", gotVer, gotVal, err)
 	}
 }
@@ -331,5 +331,127 @@ func TestPhaseCallsOverlap(t *testing.T) {
 	}
 	if rounds := cl.arrived / cl.width; rounds != 6 || cl.arrived%cl.width != 0 {
 		t.Fatalf("%d calls in rounds of %d, want 6 full rounds", cl.arrived, cl.width)
+	}
+}
+
+// TestConcurrentIncrsAreUnique: two coordinators' registers over one cluster
+// allocate from one counter at once — half their callers with no hint, half
+// with hints that fall behind — and no version is handed out twice. Each
+// caller's own versions rise, and the counter ends at the highest.
+func TestConcurrentIncrsAreUnique(t *testing.T) {
+	cl := simnet.New(simnet.Config{Nodes: 5, ProcessRate: 1e9, NetCPURate: 1e9})
+	replicas := []int{0, 1, 2, 3, 4}
+	kvs := make([]*KV, 2)
+	for i := range kvs {
+		kv, err := New(cl, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kvs[i] = kv
+	}
+	const callers, each = 8, 25
+	got := make([][]uint64, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			kv := kvs[c%2]
+			var hint uint64
+			for j := 0; j < each; j++ {
+				var v uint64
+				var err error
+				if c%4 < 2 {
+					v, err = kv.Incr("ctr")
+				} else {
+					v, err = kv.IncrFrom("ctr", hint)
+					hint = v / 2 // stale by the time it is used
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[c] = append(got[c], v)
+			}
+		}(c)
+	}
+	wg.Wait()
+	owner := map[uint64]int{}
+	var top uint64
+	for c, vs := range got {
+		for j, v := range vs {
+			if prev, dup := owner[v]; dup {
+				t.Fatalf("version %d handed to callers %d and %d", v, prev, c)
+			}
+			owner[v] = c
+			if j > 0 && v <= vs[j-1] {
+				t.Fatalf("caller %d got %d after %d", c, v, vs[j-1])
+			}
+			top = max(top, v)
+		}
+	}
+	if len(owner) != callers*each {
+		t.Fatalf("%d versions for %d allocations", len(owner), callers*each)
+	}
+	if head, err := kvs[0].Head("ctr"); err != nil || head != top {
+		t.Fatalf("Head = %d, %v; the highest allocation was %d", head, err, top)
+	}
+}
+
+// crossClient holds the replies of its first gate.width calls until all of
+// them have been served: each waits at the gate, a barrierClient, once its
+// call has returned. Two allocators sharing it each start with a round over
+// every replica, and neither sees a reply of that round before every call of
+// both rounds has reached its replica. Later calls pass straight through.
+type crossClient struct {
+	cluster.Client
+	gate  *barrierClient
+	calls atomic.Int64
+}
+
+func (c *crossClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
+	resp, err := c.Client.Call(node, req)
+	if c.calls.Add(1) <= int64(c.gate.width) {
+		if _, gerr := c.gate.Call(node, &rpc.Request{Kind: rpc.KindPing}); gerr != nil {
+			return nil, gerr
+		}
+	}
+	return resp, err
+}
+
+// TestCrossedIncrsAreUnique is the interleaving that let two coordinators own
+// one epoch when Incr read the maximum version and then wrote max+1 blind:
+// both allocators' first rounds are served before either sees a reply, so an
+// Incr that reads first reads the same maximum in both, and both write the
+// next version. With
+// the first round a conditional write, each replica takes one allocator's
+// proposal and refuses the other's, and the loser moves on to a version of
+// its own.
+func TestCrossedIncrsAreUnique(t *testing.T) {
+	replicas := []int{0, 1, 2, 3, 4, 5, 6}
+	sim := simnet.New(simnet.Config{Nodes: 7, ProcessRate: 1e9, NetCPURate: 1e9})
+	cl := &crossClient{Client: sim, gate: &barrierClient{Client: sim, width: 2 * len(replicas)}}
+	var got [2]uint64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		kv, err := New(cl, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = kv.Incr("epoch/obj")
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] == got[1] {
+		t.Fatalf("both allocators own version %d", got[0])
 	}
 }

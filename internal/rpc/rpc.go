@@ -84,6 +84,14 @@ const (
 	// column: (value, row) pairs the coordinator feeds into a bounded
 	// k-way merge (ORDER BY + LIMIT pushdown).
 	KindTopK
+	// KindRaiseVersion is the metadata register's one conditional write: it
+	// raises the register replica BlockID to version Epoch, keeping the
+	// value the replica holds, if and only if Epoch is above the version it
+	// holds (cluster.EncodeVersioned). The node compares and writes under a
+	// lock. Either way the reply's Size is the version the replica held when
+	// the request arrived, so the write took effect exactly when Size <
+	// Epoch; a refusal is a reply, not an error.
+	KindRaiseVersion
 )
 
 func (k Kind) String() string {
@@ -116,6 +124,8 @@ func (k Kind) String() string {
 		return "GroupAgg"
 	case KindTopK:
 		return "TopK"
+	case KindRaiseVersion:
+		return "RaiseVersion"
 	default:
 		return "Unknown"
 	}
@@ -171,7 +181,8 @@ type Request struct {
 	// Object and Epoch tie a block to the object version being written, so
 	// commit and orphan reconciliation can reason per attempt; Crc is the
 	// CRC32C of Data, letting the node reject corrupted writes and verify
-	// the block at rest on later reads.
+	// the block at rest on later reads. On a RaiseVersion, Epoch is the
+	// proposed register version.
 	Object string
 	Epoch  uint64
 	Crc    uint32
@@ -381,10 +392,11 @@ type Response struct {
 	// Data carries block bytes (GetBlock), plain-encoded projected values
 	// (Project), or a compressed bitmap (Filter).
 	Data []byte
-	// Size is the block size for BlockSize. A Project reply of nonzero Size
-	// is declined: a reply of Size bytes would outweigh the stored chunk and
-	// its conjunction's selection, which Data is instead (empty where an
-	// earlier reply of the frame carried it).
+	// Size is the block size for BlockSize, and the version the register
+	// replica held before the request for RaiseVersion. A Project reply of
+	// nonzero Size is declined: a reply of Size bytes would outweigh the
+	// stored chunk and its conjunction's selection, which Data is instead
+	// (empty where an earlier reply of the frame carried it).
 	Size uint64
 	// Crc is the CRC32C of Data on GetBlock replies — the end-to-end
 	// checksum that catches in-flight corruption of a ranged read, where

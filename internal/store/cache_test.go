@@ -200,12 +200,12 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 		after     int
 		committed bool
 	}{
-		{"epoch-alloc-0", rpc.KindPutBlock, 0, false},
-		{"epoch-alloc-3", rpc.KindPutBlock, 3, false},
+		{"epoch-alloc-0", rpc.KindRaiseVersion, 0, false},
+		{"epoch-alloc-3", rpc.KindRaiseVersion, 3, false},
 		{"prepare-0", rpc.KindPrepareBlock, 0, false},
 		{"prepare-5", rpc.KindPrepareBlock, 5, false},
-		{"meta-publish-7", rpc.KindPutBlock, 7, false},
-		{"meta-publish-10", rpc.KindPutBlock, 10, false},
+		{"meta-publish-0", rpc.KindPutBlock, 0, false},
+		{"meta-publish-3", rpc.KindPutBlock, 3, false},
 		{"commit-0", rpc.KindCommitObject, 0, true},
 		{"commit-2", rpc.KindCommitObject, 2, true},
 		{"gc-delete-0", rpc.KindBatch, 0, true},

@@ -50,12 +50,13 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 		t.Fatal("old and new versions must differ")
 	}
 
-	// Crash points: kind + how many matching calls complete first. For
-	// KindPutBlock the first 7 calls of an overwrite are the epoch
-	// allocation's write phase (k+1 = 7 register replicas), so 0 and 3 crash
-	// inside epoch allocation and 7/10 crash partway through the metadata
-	// publish itself. The previous epoch is collected as one KindBatch frame
-	// of deletes per node, and an overwriting Put sends no other batch.
+	// Crash points: kind + how many matching calls complete first. An
+	// overwrite's epoch allocation is one round of KindRaiseVersion to the
+	// k+1 = 7 register replicas, so 0 and 3 crash inside it; its only
+	// KindPutBlocks are the metadata publish's, so 0 and 3 crash partway
+	// through the publish itself. The previous epoch is collected as one
+	// KindBatch frame of deletes per node, and an overwriting Put sends no
+	// other batch.
 	// committed marks the post-commit windows — metadata published but not
 	// every node committed, commit fan-out done but the previous epoch not
 	// yet collected — where the Put must report success.
@@ -65,14 +66,14 @@ func runCrashPointMatrix(t *testing.T, put func(s *Store, name string, data []by
 		after     int
 		committed bool
 	}{
-		{"epoch-alloc-0", rpc.KindPutBlock, 0, false},
-		{"epoch-alloc-3", rpc.KindPutBlock, 3, false},
+		{"epoch-alloc-0", rpc.KindRaiseVersion, 0, false},
+		{"epoch-alloc-3", rpc.KindRaiseVersion, 3, false},
 		{"prepare-0", rpc.KindPrepareBlock, 0, false},
 		{"prepare-1", rpc.KindPrepareBlock, 1, false},
 		{"prepare-5", rpc.KindPrepareBlock, 5, false},
 		{"prepare-8", rpc.KindPrepareBlock, 8, false},
-		{"meta-publish-7", rpc.KindPutBlock, 7, false},
-		{"meta-publish-10", rpc.KindPutBlock, 10, false},
+		{"meta-publish-0", rpc.KindPutBlock, 0, false},
+		{"meta-publish-3", rpc.KindPutBlock, 3, false},
 		{"commit-0", rpc.KindCommitObject, 0, true},
 		{"commit-2", rpc.KindCommitObject, 2, true},
 		{"gc-delete-0", rpc.KindBatch, 0, true},

@@ -66,9 +66,9 @@ func TestOnePathAccounting(t *testing.T) {
 		calls, roundTrips, amp uint64 // amp: read amplification, 0 when nothing was requested
 		run                    func(ctx context.Context) error
 	}{
-		// 35 register calls (epoch Incr 7+7, previous version 7, publish 7+7),
+		// 21 register calls (epoch Incr 7, previous version 7, publish 7),
 		// 9 prepares, 9 commits, 9 delete frames.
-		{"overwrite", 62, 0, 0, func(ctx context.Context) error {
+		{"overwrite", 48, 0, 0, func(ctx context.Context) error {
 			_, err := s.PutContext(ctx, "obj", data)
 			return err
 		}},
@@ -154,11 +154,11 @@ func TestMetaReadObservesDeadline(t *testing.T) {
 	}
 }
 
-// TestPublishOutlivesCancellation: register writes never observe the caller's
-// context. The caller cancels as the publish's first register write enters
-// the transport, and every write is slow enough that an attempt abandoned at
-// the cancel would still be in flight when Put returned: Put returns only
-// once every write it started has, and the publish lands.
+// TestPublishOutlivesCancellation: the publish's register writes never
+// observe the caller's context. The caller cancels as the publish's first
+// register write enters the transport, and every write is slow enough that an
+// attempt abandoned at the cancel would still be in flight when Put returned:
+// Put returns only once every write it started has, and the publish lands.
 func TestPublishOutlivesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -219,9 +219,9 @@ func TestOverwriteFailsWhenPrevUnresolved(t *testing.T) {
 		}
 	}
 	clean := len(nonRegisterBlocks(t, cl))
-	// An overwrite's first seven GetBlocks are the epoch Incr's read phase;
-	// the next seven, each tried three times, are the commit-point read.
-	inj.Add(faultnet.Rule{Node: faultnet.NodeAny, Kind: rpc.KindGetBlock, Fault: faultnet.FaultError, After: 7, Count: 21})
+	// An overwrite's epoch Incr reads nothing, so its first seven GetBlocks,
+	// each tried three times, are the commit-point read.
+	inj.Add(faultnet.Rule{Node: faultnet.NodeAny, Kind: rpc.KindGetBlock, Fault: faultnet.FaultError, After: 0, Count: 21})
 	if _, err := s.Put("obj", v2); err == nil {
 		t.Fatal("an overwrite that could not resolve the previous version succeeded")
 	}

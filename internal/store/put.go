@@ -186,7 +186,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// supersedes. Only the register saying "not found" makes this a fresh
 	// insert: a quorum read that failed says nothing about a previous version,
 	// and publishing over it would reset Version and strand its blocks.
-	prev, err := s.metaQuorum(ctx, sp, name)
+	prev, prevVersion, err := s.metaQuorumVersion(ctx, sp, name)
 	switch {
 	case err == nil:
 		meta.Version = prev.Version + 1
@@ -202,7 +202,7 @@ func (s *Store) PutReader(ctx context.Context, name string, r io.Reader, size ui
 	// (commit fan-out, previous-version GC) are best-effort — orphan
 	// reconciliation finishes either if the coordinator dies here.
 	rsp := sp.Child("replicate-meta")
-	err = s.replicateMeta(ctx, rsp, meta)
+	err = s.replicateMeta(ctx, rsp, meta, prevVersion+1)
 	rsp.End()
 	if err != nil {
 		s.dropBlocks(sp, placed)
@@ -498,9 +498,12 @@ func (s *Store) prepareFrame(ctx context.Context, sp *trace.Span, node int, bloc
 }
 
 // replicateMeta publishes the object metadata through the k+1-replica
-// quorum register (§5): the write lands on a majority, so every subsequent
-// quorum read observes it even if a minority of replicas missed it.
-func (s *Store) replicateMeta(ctx context.Context, sp *trace.Span, meta *ObjectMeta) error {
+// quorum register (§5) at the given register version: the write lands on a
+// majority, so every subsequent quorum read observes it even if a minority
+// of replicas missed it. The version is one above what the Put's
+// commit-point read returned (metaQuorumVersion), so the publish is one
+// quorum round and needs no read of its own.
+func (s *Store) replicateMeta(ctx context.Context, sp *trace.Span, meta *ObjectMeta, version uint64) error {
 	enc, err := EncodeMeta(meta)
 	if err != nil {
 		return err
@@ -509,7 +512,7 @@ func (s *Store) replicateMeta(ctx context.Context, sp *trace.Span, meta *ObjectM
 	if err != nil {
 		return err
 	}
-	if _, err := kv.Put(metaKey(meta.Name), enc); err != nil {
+	if err := kv.PutAt(metaKey(meta.Name), version, enc); err != nil {
 		return fmt.Errorf("store: publishing metadata for %q: %w", meta.Name, err)
 	}
 	return nil

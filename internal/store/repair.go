@@ -344,13 +344,21 @@ func (s *Store) ReconcileOrphans(ctx context.Context, force bool) (*ReconcileRep
 // consulting or filling the coordinator cache — reconciliation must see the
 // committed truth, not a stale cached epoch.
 func (s *Store) metaQuorum(ctx context.Context, sp *trace.Span, name string) (*ObjectMeta, error) {
+	meta, _, err := s.metaQuorumVersion(ctx, sp, name)
+	return meta, err
+}
+
+// metaQuorumVersion is metaQuorum that also returns the register version the
+// metadata was read at, which a Put's publish supersedes (replicateMeta).
+func (s *Store) metaQuorumVersion(ctx context.Context, sp *trace.Span, name string) (*ObjectMeta, uint64, error) {
 	kv, err := s.metaKV(ctx, sp, name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	enc, _, err := kv.Get(metaKey(name))
+	enc, version, err := kv.Get(metaKey(name))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return DecodeMeta(enc, s.opts.Params)
+	meta, err := DecodeMeta(enc, s.opts.Params)
+	return meta, version, err
 }

@@ -295,12 +295,13 @@ func isDataPlane(req *rpc.Request) bool {
 
 // registerClient is the cluster.Client an operation's metadata register is
 // built over: every Call is Store.call charged to the operation's span.
-// Register reads observe the operation's context and deadline. Register
-// writes — the epoch Incr's write phase, the publish, read repair, Delete —
-// run under context.WithoutCancel: a cancelled call ends with its caller, but
-// its frame may already be on the wire — the node applies it anyway — so a
-// cancelled versioned write can land after a newer one and roll its replica
-// back.
+// Register reads and the epoch allocation's conditional writes observe the
+// operation's context and deadline: a cancelled raise whose frame lands late
+// is refused by a replica that has taken a higher version since. The
+// unconditional writes — the publish, read repair, Delete — run under
+// context.WithoutCancel: a cancelled call ends with its caller, but its frame
+// may already be on the wire — the node applies it anyway — so a cancelled
+// versioned write could land after a newer one and roll its replica back.
 type registerClient struct {
 	s   *Store
 	ctx context.Context
@@ -309,7 +310,7 @@ type registerClient struct {
 
 func (c registerClient) Call(node int, req *rpc.Request) (*rpc.Response, error) {
 	ctx := c.ctx
-	if req.Kind != rpc.KindGetBlock {
+	if req.Kind != rpc.KindGetBlock && req.Kind != rpc.KindRaiseVersion {
 		ctx = context.WithoutCancel(ctx)
 	}
 	return c.s.call(ctx, c.sp, node, req)
@@ -413,13 +414,19 @@ func epochKey(object string) string { return "epoch/" + object }
 
 // allocEpoch reserves the object's next write epoch on a metadata-replica
 // majority. The reservation is durable before any block carries the epoch,
-// so a crashed attempt's epoch is burned, never recycled.
+// so a crashed attempt's epoch is burned, never recycled. The cached
+// metadata's epoch is the allocator's hint: when this coordinator wrote the
+// object last, the allocation is one conditional write (metakv.IncrFrom).
 func (s *Store) allocEpoch(ctx context.Context, sp *trace.Span, name string) (uint64, error) {
 	kv, err := s.metaKV(ctx, sp, name)
 	if err != nil {
 		return 0, err
 	}
-	epoch, err := kv.Incr(epochKey(name))
+	var hint uint64
+	if v, ok := s.cache.PeekMeta(name); ok {
+		hint = v.(*ObjectMeta).Epoch
+	}
+	epoch, err := kv.IncrFrom(epochKey(name), hint)
 	if err != nil {
 		return 0, fmt.Errorf("store: allocating epoch for %q: %w", name, err)
 	}
