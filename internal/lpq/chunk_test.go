@@ -1275,25 +1275,29 @@ func TestChunkAllocationBombs(t *testing.T) {
 
 // TestFooterRejectsInconsistentRowCounts: a footer whose chunk disagrees with
 // its row group, or whose row group exceeds the format's ceiling, is malformed
-// at parse — before a reader sizes a bitmap by it.
+// at parse — before a reader sizes a bitmap by it — and so is one followed by
+// bytes it does not account for.
 func TestFooterRejectsInconsistentRowCounts(t *testing.T) {
 	f := &Footer{
 		Columns:   []Column{{Name: "v", Type: Int64}},
 		RowGroups: []RowGroup{{NumRows: 100, Chunks: []ChunkMeta{{Size: 8, NumValues: 100}}}},
 	}
-	if got, err := decodeFooter(encodeFooter(f)); err != nil || got.RowGroups[0].Chunks[0].NumValues != 100 {
+	if got, err := DecodeFooter(EncodeFooter(f)); err != nil || got.RowGroups[0].Chunks[0].NumValues != 100 {
 		t.Fatalf("consistent footer: %v", err)
 	}
+	if _, err := DecodeFooter(append(EncodeFooter(f), 0)); err == nil {
+		t.Fatal("a footer with a byte past its end must be rejected")
+	}
 	f.RowGroups[0].Chunks[0].NumValues = 101
-	if _, err := decodeFooter(encodeFooter(f)); err == nil {
+	if _, err := DecodeFooter(EncodeFooter(f)); err == nil {
 		t.Fatal("NumValues != NumRows must be rejected")
 	}
 	f.RowGroups[0].NumRows, f.RowGroups[0].Chunks[0].NumValues = MaxChunkRows+1, MaxChunkRows+1
-	if _, err := decodeFooter(encodeFooter(f)); err == nil {
+	if _, err := DecodeFooter(EncodeFooter(f)); err == nil {
 		t.Fatal("NumRows > MaxChunkRows must be rejected")
 	}
 	f.RowGroups[0].NumRows, f.RowGroups[0].Chunks[0].NumValues = MaxChunkRows, MaxChunkRows
-	if _, err := decodeFooter(encodeFooter(f)); err != nil {
+	if _, err := DecodeFooter(EncodeFooter(f)); err != nil {
 		t.Fatalf("NumRows == MaxChunkRows: %v", err)
 	}
 }

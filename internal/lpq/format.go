@@ -254,8 +254,9 @@ func (d *decBuf) str() string {
 
 func (d *decBuf) boolVal() bool { return d.byteVal() != 0 }
 
-// encodeFooter serializes f.
-func encodeFooter(f *Footer) []byte {
+// EncodeFooter serializes f: the footer bytes of an lpq file, and the form
+// in which an object store keeps a parsed footer beside the object.
+func EncodeFooter(f *Footer) []byte {
 	e := &encBuf{}
 	e.uvarint(uint64(len(f.Columns)))
 	for _, c := range f.Columns {
@@ -293,8 +294,9 @@ func encodeFooter(f *Footer) []byte {
 	return e.b
 }
 
-// decodeFooter parses the output of encodeFooter.
-func decodeFooter(b []byte) (*Footer, error) {
+// DecodeFooter parses the output of EncodeFooter, which must be all of b.
+// Every count is bounded by the bytes of b, so b may come from anywhere.
+func DecodeFooter(b []byte) (*Footer, error) {
 	d := &decBuf{b: b}
 	f := &Footer{}
 	nCols := d.uvarint()
@@ -347,6 +349,9 @@ func decodeFooter(b []byte) (*Footer, error) {
 			rg.Chunks = append(rg.Chunks, c)
 		}
 		f.RowGroups = append(f.RowGroups, rg)
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.err = ErrFormat
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -174,7 +174,7 @@ func FuzzParseFooterTail(f *testing.F) {
 				}
 			}
 		}
-		again, err := decodeFooter(encodeFooter(footer))
+		again, err := DecodeFooter(EncodeFooter(footer))
 		if err != nil || again.NumChunks() != footer.NumChunks() || again.NumRows() != footer.NumRows() {
 			t.Fatalf("accepted footer does not survive re-encoding: %v", err)
 		}

@@ -74,7 +74,7 @@ func ParseFooterTail(tail []byte, size uint64) (*Footer, error) {
 	ml := len(Magic)
 	end := len(tail) - ml - 4
 	flen := total - 4 - ml
-	return decodeFooter(tail[end-flen : end])
+	return DecodeFooter(tail[end-flen : end])
 }
 
 // Footer returns the parsed footer.

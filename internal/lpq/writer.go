@@ -153,7 +153,7 @@ func (w *Writer) Finish() ([]byte, error) {
 		return nil, fmt.Errorf("lpq: no row groups written")
 	}
 	w.done = true
-	fb := encodeFooter(&w.footer)
+	fb := EncodeFooter(&w.footer)
 	w.buf = append(w.buf, fb...)
 	e := &encBuf{b: w.buf}
 	e.u32(uint32(len(fb)))

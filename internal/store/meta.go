@@ -7,9 +7,10 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/fusionstore/fusion/internal/erasure"
@@ -73,7 +74,8 @@ type StripeMeta struct {
 	Capacity uint64
 	// Nodes[j] holds block j (0..k-1 data bins, k..n-1 parity).
 	Nodes []int
-	// BlockIDs[j] names block j on its node.
+	// BlockIDs[j] names block j on its node: blockID(object, epoch, stripe,
+	// j), which the register value does not hold but DecodeMeta derives.
 	BlockIDs []string
 	// DataLens[j] is the stored length of data bin j (j < k); bins are
 	// stored unpadded and zero-extended to Capacity for decoding.
@@ -87,7 +89,8 @@ type StripeMeta struct {
 
 // ObjectMeta is the per-object metadata Fusion keeps: the parsed footer,
 // the item layout and the chunk location map. It is replicated to k+1
-// nodes for durability (§5 "Metadata Management").
+// nodes for durability (§5 "Metadata Management") as the register value
+// EncodeMeta writes.
 type ObjectMeta struct {
 	Name string
 	Size uint64
@@ -103,7 +106,9 @@ type ObjectMeta struct {
 
 	// Footer is the object's parsed lpq footer (schema, chunk metadata).
 	Footer *lpq.Footer
-	// Items tile the object: header, chunks in file order, footer.
+	// Items tile the object: header, chunks in file order, footer. The
+	// register value holds the footer region's size, from which DecodeMeta
+	// tiles them again (buildItemsSized).
 	Items []Item
 	// Stripes is the stored stripe list.
 	Stripes []StripeMeta
@@ -219,13 +224,95 @@ func facLayoutToMeta(layout fac.Layout, items []Item) []ItemLoc {
 	return locs
 }
 
+// The register value. EncodeMeta writes, and DecodeMeta reads, the metadata
+// an object's register holds, with the rules of the RPC wire
+// (internal/rpc/wire.go): fields in order, no type descriptors, unsigned
+// integers as uvarints, every count checked against the bytes still unread
+// before anything is allocated.
+//
+//	format         one byte, metaFormat
+//	name           uvarint length, then the bytes
+//	size, mode, version, epoch, block size   uvarints
+//	footer region  uvarint: the object's bytes the footer occupies
+//	footer         uvarint length, then lpq.EncodeFooter's bytes
+//	stripes        uvarint count, then each stripe's capacity, its n nodes
+//	               and k data lengths as uvarints, and its n checksums as
+//	               4 little-endian bytes each (a CRC is as likely to be any
+//	               32-bit value, which takes a uvarint 5 bytes on average)
+//	item locations under FAC, one an item: stripe, bin and bin offset
+//
+// What Put computes from these is not stored: n and k are the cluster's
+// erasure.Params, the items are the tiling buildItemsSized makes of the
+// footer (and so their count is the locations'), and a block's id is
+// blockID(name, epoch, stripe, block). A value that is not all of this —
+// truncated, with bytes left over, or of another format — is refused.
+//
+// metaFormat is the first byte of every value. No encoding/gob stream opens
+// with a byte in 0x80–0xF7 (its first byte is a message length: below 0x80,
+// or 0xF8–0xFF before a longer one), so a value an older build wrote in gob
+// is refused by it.
+const metaFormat = 0x81
+
+// minStripe is the smallest encoding of a stripe of n blocks, k of them
+// data, and minItemLoc that of an item location: a byte for each uvarint and
+// 4 for each checksum.
+func minStripe(p erasure.Params) int { return 1 + p.N + p.K + 4*p.N }
+
+const minItemLoc = 3
+
+var (
+	errMetaTruncated = errors.New("truncated")
+	errMetaRange     = errors.New("value out of range")
+	errMetaCount     = errors.New("count exceeds the bytes present")
+	errMetaTrailing  = errors.New("trailing bytes")
+)
+
 // EncodeMeta serializes object metadata for replication to storage nodes.
+// Metadata the value cannot express is an error: no footer item, stripes of
+// unequal shapes, or under FAC a location count other than the items'.
 func EncodeMeta(m *ObjectMeta) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("store: encoding metadata: %w", err)
+	if m.Footer == nil || len(m.Items) == 0 || m.Items[len(m.Items)-1].Kind != ItemFooter {
+		return nil, fmt.Errorf("store: metadata for %q has no footer", m.Name)
 	}
-	return buf.Bytes(), nil
+	if m.Mode == LayoutFAC && len(m.ItemLocs) != len(m.Items) {
+		return nil, fmt.Errorf("store: metadata for %q has %d item locations for %d items", m.Name, len(m.ItemLocs), len(m.Items))
+	}
+	for i, st := range m.Stripes {
+		n, k := len(m.Stripes[0].Nodes), len(m.Stripes[0].DataLens)
+		if len(st.Nodes) != n || len(st.Checksums) != n || len(st.DataLens) != k || k >= n {
+			return nil, fmt.Errorf("store: metadata for %q: stripe %d is not of %d blocks, %d of them data", m.Name, i, n, k)
+		}
+	}
+	footer := lpq.EncodeFooter(m.Footer)
+	b := make([]byte, 0, 64+len(m.Name)+len(footer)+len(m.Stripes)*64+len(m.ItemLocs)*6)
+	b = append(b, metaFormat)
+	b = binary.AppendUvarint(b, uint64(len(m.Name)))
+	b = append(b, m.Name...)
+	for _, v := range []uint64{m.Size, uint64(m.Mode), m.Version, m.Epoch, m.BlockSize, m.Items[len(m.Items)-1].Size, uint64(len(footer))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, footer...)
+	b = binary.AppendUvarint(b, uint64(len(m.Stripes)))
+	for _, st := range m.Stripes {
+		b = binary.AppendUvarint(b, st.Capacity)
+		for _, node := range st.Nodes {
+			b = binary.AppendUvarint(b, uint64(node))
+		}
+		for _, l := range st.DataLens {
+			b = binary.AppendUvarint(b, l)
+		}
+		for _, c := range st.Checksums {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
+	}
+	if m.Mode == LayoutFAC {
+		for _, loc := range m.ItemLocs {
+			b = binary.AppendUvarint(b, uint64(loc.Stripe))
+			b = binary.AppendUvarint(b, uint64(loc.Bin))
+			b = binary.AppendUvarint(b, loc.BinOffset)
+		}
+	}
+	return b, nil
 }
 
 // DecodeMeta parses the output of EncodeMeta, as stored for a cluster coding
@@ -233,14 +320,151 @@ func EncodeMeta(m *ObjectMeta) ([]byte, error) {
 // and location tables with what they say, so this is where their shape is
 // checked — once, instead of at each use.
 func DecodeMeta(data []byte, p erasure.Params) (*ObjectMeta, error) {
-	var m ObjectMeta
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+	m, err := decodeMeta(data, p)
+	if err != nil {
 		return nil, fmt.Errorf("store: decoding metadata: %w", err)
 	}
 	if err := m.validate(p); err != nil {
 		return nil, fmt.Errorf("store: malformed metadata for %q: %w", m.Name, err)
 	}
-	return &m, nil
+	return m, nil
+}
+
+func decodeMeta(data []byte, p erasure.Params) (*ObjectMeta, error) {
+	if len(data) == 0 {
+		return nil, errMetaTruncated
+	}
+	if data[0] != metaFormat {
+		return nil, fmt.Errorf("format byte %#02x is not %#02x (an encoding/gob value from an older build is not read)", data[0], metaFormat)
+	}
+	d := metaDecoder{b: data[1:]}
+	m := &ObjectMeta{Name: string(d.bytes(d.uvarint()))}
+	m.Size = d.uvarint()
+	mode := d.uvarint()
+	if mode > uint64(LayoutFixed) {
+		d.fail(errMetaRange)
+	}
+	m.Mode = LayoutMode(mode)
+	m.Version, m.Epoch, m.BlockSize = d.uvarint(), d.uvarint(), d.uvarint()
+	region := d.int()
+	footer := d.bytes(d.uvarint())
+	if d.err != nil {
+		return nil, d.err
+	}
+	var err error
+	if m.Footer, err = lpq.DecodeFooter(footer); err != nil {
+		return nil, fmt.Errorf("footer: %w", err)
+	}
+	if m.Items, err = buildItemsSized(m.Size, region, m.Footer); err != nil {
+		return nil, err
+	}
+	if n := d.count(minStripe(p)); n > 0 {
+		m.Stripes = make([]StripeMeta, n)
+	}
+	for si := range m.Stripes {
+		st := &m.Stripes[si]
+		st.Capacity = d.uvarint()
+		st.Nodes, st.BlockIDs = make([]int, p.N), make([]string, p.N)
+		st.DataLens, st.Checksums = make([]uint64, p.K), make([]uint32, p.N)
+		for j := range st.Nodes {
+			st.Nodes[j] = d.int()
+			st.BlockIDs[j] = blockID(m.Name, m.Epoch, si, j)
+		}
+		for j := range st.DataLens {
+			st.DataLens[j] = d.uvarint()
+		}
+		for j := range st.Checksums {
+			st.Checksums[j] = d.uint32()
+		}
+	}
+	if m.Mode == LayoutFAC && d.err == nil {
+		if len(m.Items) > len(d.b)/minItemLoc {
+			d.fail(errMetaCount)
+		} else {
+			m.ItemLocs = make([]ItemLoc, len(m.Items))
+		}
+		for i := range m.ItemLocs {
+			m.ItemLocs[i] = ItemLoc{Stripe: d.int(), Bin: d.int(), BinOffset: d.uvarint()}
+		}
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail(errMetaTrailing)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return m, nil
+}
+
+// metaDecoder reads a register value's fields off the front of b. As in the
+// RPC wire's decoder, the first failure sticks: err is set, b is emptied, and
+// every later read returns zero — count, which gates every allocation,
+// returns 0.
+type metaDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *metaDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *metaDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		if n == 0 {
+			d.fail(errMetaTruncated)
+		} else {
+			d.fail(errMetaRange)
+		}
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a uvarint that must fit an int.
+func (d *metaDecoder) int() int {
+	v := d.uvarint()
+	if v > math.MaxInt {
+		d.fail(errMetaRange)
+		return 0
+	}
+	return int(v)
+}
+
+// count reads an element count, refusing one that the unread bytes cannot
+// hold at size bytes an element.
+func (d *metaDecoder) count(size int) int {
+	v := d.uvarint()
+	if v > uint64(len(d.b)/size) {
+		d.fail(errMetaCount)
+		return 0
+	}
+	return int(v)
+}
+
+// bytes returns the next n bytes, capacity-clipped, or nil with d.err set
+// when fewer remain.
+func (d *metaDecoder) bytes(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		d.fail(errMetaTruncated)
+		return nil
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// uint32 reads 4 little-endian bytes.
+func (d *metaDecoder) uint32() uint32 {
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
 }
 
 // validate checks that every stripe names its n blocks (node, id, checksum)

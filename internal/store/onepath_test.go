@@ -6,7 +6,9 @@ import (
 	"errors"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -276,5 +278,36 @@ func TestStoreImportsNoSimulator(t *testing.T) {
 	}
 	if files == 0 {
 		t.Fatal("found no non-test file of internal/store")
+	}
+}
+
+// TestNoPackageImportsGob: the register value (EncodeMeta) and every RPC
+// frame (internal/rpc/wire.go) have codecs of their own, so no file of the
+// repository — program, test or tool — keeps an encoding/gob path beside them.
+func TestNoPackageImportsGob(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "../.." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir // tool state and the benchmark's build cache
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob", path)
+			}
+		}
+		return nil
+	})
+	if err != nil || files < 100 {
+		t.Fatalf("read %d Go files of the repository: %v", files, err)
 	}
 }

@@ -366,8 +366,15 @@ func (s *Store) nodeOrder() []int {
 // blockID names a stored block. The epoch makes every write attempt
 // write-aside: a failed or crashed Put's blocks can never collide with (or
 // be mistaken for) a later attempt's, because epochs are never reused.
+// Every metadata decode names each of its blocks, so the name is built in
+// one buffer, not by fmt.
 func blockID(object string, epoch uint64, stripe, block int) string {
-	return fmt.Sprintf("%s/e%d/s%d/b%d", object, epoch, stripe, block)
+	var buf [64]byte
+	b := append(append(buf[:0], object...), "/e"...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = strconv.AppendInt(append(b, "/s"...), int64(stripe), 10)
+	b = strconv.AppendInt(append(b, "/b"...), int64(block), 10)
+	return string(b)
 }
 
 // parseBlockID inverts blockID. Object names may themselves contain "/", so

@@ -3,12 +3,17 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"github.com/fusionstore/fusion/internal/cluster"
 	"github.com/fusionstore/fusion/internal/erasure"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/metakv"
@@ -732,6 +737,11 @@ func TestBudgetFallbackToFixed(t *testing.T) {
 	}
 }
 
+// TestStorageOverheadAudit pins where a Put's stored bytes go. After one Put
+// each node holds exactly its blocks of the stripes — a data block its bin's
+// length, a parity block the stripe's capacity — and, on the k+1 metadata
+// replicas, one versioned copy each of the metadata register (the value
+// EncodeMeta writes) and of the epoch register (no value): nothing else.
 func TestStorageOverheadAudit(t *testing.T) {
 	data, _, _ := makeObject(t, 4, 500, 15)
 	s, cl := newSimStore(t, fusionTestOptions())
@@ -739,21 +749,42 @@ func TestStorageOverheadAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cluster's stored bytes must equal PutStats (plus metadata: the
-	// location-map register and the epoch-allocator register).
-	metaBytes := uint64(0)
-	for _, n := range s.metaReplicaNodes("obj") {
-		sz, err := cl.Node(n).Blocks.Size(metaBlockID("obj"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		metaBytes += sz
-		if esz, err := cl.Node(n).Blocks.Size(metakv.BlockID(epochKey("obj"))); err == nil {
-			metaBytes += esz
+	meta, err := s.Meta("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeMeta(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.opts.Params
+	want := make([]uint64, cl.NumNodes())
+	var blocks uint64
+	for _, st := range meta.Stripes {
+		for j, node := range st.Nodes {
+			size := st.Capacity
+			if j < p.K {
+				size = st.DataLens[j]
+			}
+			want[node] += size
+			blocks += size
 		}
 	}
-	if cl.TotalStoredBytes() != stats.StoredBytes+metaBytes {
-		t.Fatalf("stored %d, stats %d + meta %d", cl.TotalStoredBytes(), stats.StoredBytes, metaBytes)
+	if blocks != stats.StoredBytes {
+		t.Fatalf("the stripes' blocks hold %d bytes, PutStats says %d", blocks, stats.StoredBytes)
+	}
+	registers := uint64(len(cluster.EncodeVersioned(0, enc)) + len(cluster.EncodeVersioned(0, nil)))
+	replicas := s.metaReplicaNodes("obj")
+	if len(replicas) != p.K+1 {
+		t.Fatalf("%d metadata replicas, want k+1 = %d", len(replicas), p.K+1)
+	}
+	for _, node := range replicas {
+		want[node] += registers
+	}
+	for node := range want {
+		if got := cl.Node(node).Blocks.(*cluster.MemStore).TotalBytes(); got != want[node] {
+			t.Errorf("node %d stores %d bytes, want %d", node, got, want[node])
+		}
 	}
 	// FAC stays within a few percent of optimal even on this 22-item
 	// object; the paper's ≤1.24% claim (hundreds of chunks) is validated
@@ -887,7 +918,11 @@ func TestMetaEncodeDecode(t *testing.T) {
 // TestDecodeMetaRejectsMalformed: metadata bytes come from storage nodes and
 // every read indexes the stripe and location tables with what they say, so a
 // table of the wrong shape must be refused at the decode boundary — not found
-// by an index panic in the read path.
+// by an index panic in the read path. A shape the register value cannot
+// express (a stripe's counts are the cluster's erasure.Params) is refused by
+// EncodeMeta; every other damage by DecodeMeta: each truncation of a value,
+// a byte past its end, another format byte, and a stripe count no value of
+// its length could hold, before anything is allocated for it.
 func TestDecodeMetaRejectsMalformed(t *testing.T) {
 	data, _, _ := makeObject(t, 2, 300, 1)
 	for _, opts := range []Options{fusionTestOptions(), BaselineOptions()} {
@@ -907,7 +942,6 @@ func TestDecodeMetaRejectsMalformed(t *testing.T) {
 		}{
 			{name: "short Checksums", mutate: func(m *ObjectMeta) { m.Stripes[0].Checksums = m.Stripes[0].Checksums[:p.N-1] }},
 			{name: "short Nodes", mutate: func(m *ObjectMeta) { m.Stripes[0].Nodes = m.Stripes[0].Nodes[:p.K] }},
-			{name: "short BlockIDs", mutate: func(m *ObjectMeta) { m.Stripes[0].BlockIDs = nil }},
 			{name: "n DataLens", mutate: func(m *ObjectMeta) { m.Stripes[0].DataLens = make([]uint64, p.N) }},
 			{name: "ItemLoc past the last stripe", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs[1].Stripe = len(m.Stripes) }},
 			{name: "ItemLoc in a parity bin", fac: true, mutate: func(m *ObjectMeta) { m.ItemLocs[1].Bin = p.K }},
@@ -933,12 +967,46 @@ func TestDecodeMetaRejectsMalformed(t *testing.T) {
 			}
 			c.mutate(m)
 			bad, err := EncodeMeta(m)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				_, err = DecodeMeta(bad, p)
 			}
-			if _, err := DecodeMeta(bad, p); err == nil {
+			if err == nil {
 				t.Errorf("%v metadata with %s decoded without error", good.Mode, c.name)
 			}
+		}
+		for n := range enc {
+			if _, err := DecodeMeta(enc[:n], p); err == nil {
+				t.Errorf("%v metadata cut to %d of %d bytes decoded without error", good.Mode, n, len(enc))
+			}
+		}
+		if _, err := DecodeMeta(append(enc[:len(enc):len(enc)], 0), p); err == nil {
+			t.Errorf("%v metadata with a trailing byte decoded without error", good.Mode)
+		}
+		// Another format byte, and the bytes an older build's encoding/gob
+		// value of an ObjectMeta opens with.
+		for _, other := range [][]byte{append([]byte{metaFormat + 1}, enc[1:]...), []byte("\xff\x88\x7f\x03\x01\x01\x0aObjectMeta")} {
+			if _, err := DecodeMeta(other, p); err == nil || !strings.Contains(err.Error(), "format") {
+				t.Errorf("%v metadata of another format (% x): %v, want an error naming the format", good.Mode, other[:4], err)
+			}
+		}
+
+		// A fixed-layout value with no stripes ends in its stripe count, 0.
+		m := *good
+		m.Mode, m.BlockSize, m.Stripes, m.ItemLocs = LayoutFixed, 1024, nil, nil
+		fixed, err := EncodeMeta(&m)
+		if err != nil || fixed[len(fixed)-1] != 0 {
+			t.Fatalf("fixed layout with no stripes: % x, %v", fixed[len(fixed)-4:], err)
+		}
+		huge := binary.AppendUvarint(fixed[:len(fixed)-1], 1<<40)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = DecodeMeta(huge, p)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errMetaCount) {
+			t.Errorf("%v metadata declaring 2^40 stripes: %v, want %v", good.Mode, err, errMetaCount)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%v metadata declaring 2^40 stripes allocated %d bytes refusing them", good.Mode, grew)
 		}
 	}
 }
